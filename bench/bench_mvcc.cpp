@@ -3,7 +3,7 @@
 //   1. Reader latency under concurrent writers — a full-graph match query
 //      timed while 0 / 1 / 4 writer threads continuously ingest batches
 //      (each ingest publishes a fresh epoch). With epoch pinning the
-//      reader never waits on the access lock, so p50/p99 should stay flat
+//      reader never waits on the writer lock, so p50/p99 should stay flat
 //      as writers are added; before gems::mvcc readers queued behind every
 //      ingest's exclusive window.
 //
@@ -166,9 +166,6 @@ void BM_ReaderLatencyUnderWriters(benchmark::State& state) {
   state.counters["epochs_published"] = static_cast<double>(e.published);
   state.counters["batches_ingested"] =
       static_cast<double>(batches_ingested.load());
-  // The lock-free reader contract: zero shared-lock acquisitions.
-  state.counters["shared_locks"] =
-      static_cast<double>(db->access_metrics().shared_acquired);
 }
 BENCHMARK(BM_ReaderLatencyUnderWriters)
     ->Arg(0)

@@ -26,11 +26,12 @@ net::ClientOptions client_options(std::uint16_t port) {
 }
 
 /// Runs `total_requests` of `script` spread over `num_clients` connections
-/// and fills the client-observed per-request latencies (microseconds).
+/// and appends the client-observed per-request latencies (microseconds).
 void hammer(std::uint16_t port, const std::string& script,
             const relational::ParamMap& params, int num_clients,
             int total_requests, std::vector<std::uint64_t>& latencies_us) {
-  latencies_us.assign(static_cast<std::size_t>(total_requests), 0);
+  const std::size_t base = latencies_us.size();
+  latencies_us.resize(base + static_cast<std::size_t>(total_requests), 0);
   std::atomic<int> next{0};
   std::atomic<int> failures{0};
   std::vector<std::thread> threads;
@@ -52,7 +53,7 @@ void hammer(std::uint16_t port, const std::string& script,
           failures.fetch_add(1);
           return;
         }
-        latencies_us[static_cast<std::size_t>(slot)] =
+        latencies_us[base + static_cast<std::size_t>(slot)] =
             static_cast<std::uint64_t>(
                 std::chrono::duration_cast<std::chrono::microseconds>(stop -
                                                                       start)
@@ -82,16 +83,14 @@ void run_wire_benchmark(benchmark::State& state, const std::string& script) {
 
   const int requests_per_iter = std::max(16, num_clients * 4);
   std::vector<std::uint64_t> latencies_us;
-  std::size_t total_requests = 0;
   for (auto _ : state) {
     hammer(server.port(), script, params, num_clients, requests_per_iter,
            latencies_us);
-    total_requests += latencies_us.size();
   }
 
   state.counters["clients"] = static_cast<double>(num_clients);
   state.counters["req_per_s"] = benchmark::Counter(
-      static_cast<double>(total_requests), benchmark::Counter::kIsRate);
+      static_cast<double>(latencies_us.size()), benchmark::Counter::kIsRate);
   state.counters["p50_us"] =
       static_cast<double>(percentile_us(latencies_us, 0.50));
   state.counters["p99_us"] =
@@ -127,18 +126,21 @@ BENCHMARK(BM_Wire_BerlinQ2)->Arg(1)->Arg(4)->Arg(16)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// E-NETCONC — read-only throughput scaling across server workers: Berlin
-/// Q1 (read-only, so it runs under *shared* access) hammered at 1/4/16
-/// clients against a server with 1 vs 4 worker threads. Before the access
-/// layer every script serialized behind one mutex and extra workers only
-/// overlapped decode/IO; now read-only scripts execute concurrently, so
-/// multi-worker throughput should scale on multi-core hosts (on a
-/// single-core container the ratio collapses toward 1x — see
-/// EXPERIMENTS.md). The access counters from the stats verb ride along so
-/// the JSON trail shows the concurrency actually achieved.
+/// Q1 (read-only, so it runs against a pinned epoch without the writer
+/// lock) hammered at 1/4/16 clients against a server with 1 vs 4 worker
+/// threads. Read-only scripts execute concurrently, so multi-worker
+/// throughput scales with the cores the host has (see EXPERIMENTS.md).
+/// The epoch block's peak pinned-reader count from the stats verb rides
+/// along so the JSON trail shows the read concurrency actually achieved.
 void BM_WireReadScaling(benchmark::State& state) {
   const int num_workers = static_cast<int>(state.range(0));
   const int num_clients = static_cast<int>(state.range(1));
-  server::Database& db = berlin_db(kScale);
+  // A database of its own, so the epoch block's peak pinned-reader count
+  // is this case's read concurrency rather than the whole process's.
+  auto fresh = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(kScale, 42));
+  GEMS_CHECK_MSG(fresh.is_ok(), fresh.status().to_string().c_str());
+  server::Database& db = **fresh;
   net::ServerOptions options;
   options.num_workers = static_cast<std::size_t>(num_workers);
   net::Server server(db, options);
@@ -148,17 +150,15 @@ void BM_WireReadScaling(benchmark::State& state) {
 
   const int requests_per_iter = std::max(16, num_clients * 4);
   std::vector<std::uint64_t> latencies_us;
-  std::size_t total_requests = 0;
   for (auto _ : state) {
     hammer(server.port(), script, params, num_clients, requests_per_iter,
            latencies_us);
-    total_requests += latencies_us.size();
   }
 
   state.counters["workers"] = static_cast<double>(num_workers);
   state.counters["clients"] = static_cast<double>(num_clients);
   state.counters["req_per_s"] = benchmark::Counter(
-      static_cast<double>(total_requests), benchmark::Counter::kIsRate);
+      static_cast<double>(latencies_us.size()), benchmark::Counter::kIsRate);
   state.counters["p50_us"] =
       static_cast<double>(percentile_us(latencies_us, 0.50));
   state.counters["p99_us"] =
@@ -168,12 +168,8 @@ void BM_WireReadScaling(benchmark::State& state) {
   GEMS_CHECK(stats_client.connect().is_ok());
   auto snapshot = stats_client.stats();
   GEMS_CHECK(snapshot.is_ok());
-  // Cumulative over the shared bench database, but the peak still shows
-  // whether shared holders genuinely overlapped.
-  state.counters["peak_shared"] =
-      static_cast<double>(snapshot->access.peak_concurrent_shared);
-  state.counters["shared_acq"] =
-      static_cast<double>(snapshot->access.shared_acquired);
+  state.counters["peak_pinned_readers"] =
+      static_cast<double>(snapshot->epoch.peak_pinned_readers);
   server.stop();
 }
 BENCHMARK(BM_WireReadScaling)

@@ -42,7 +42,7 @@
 //   \checkpoint       snapshot the database and rotate the WAL (durable)
 //   \storestats       durability metrics: WAL latency, snapshot sizes
 //   \matchstats       matcher metrics: passes, traversals, parallel tasks
-//   \accessstats      shared/exclusive access counters (read concurrency)
+//   \accessstats      writer-lock counters plus the epoch block
 //   \epochstats       mvcc epoch lifecycle: publishes, pins, delta ingests
 //   \clusterstats     per-rank BSP traffic counters (cluster attached)
 //   \shutdown         ask the remote server to shut down (remote mode)
@@ -253,11 +253,12 @@ class RemoteBackend : public Backend {
     return client_.shutdown_server();
   }
   gems::Result<std::string> access_stats() override {
-    // The stats verb carries the server's access counters at the tail of
-    // the snapshot; render just that slice.
+    // The stats verb carries the server's writer-lock and epoch counters
+    // at the tail of the snapshot; render them as the local backend does.
     auto snapshot = client_.stats();
     if (!snapshot.is_ok()) return snapshot.status();
-    return snapshot->access.to_string();
+    return snapshot->access.to_string() + "\n" + snapshot->epoch.to_string() +
+           "\n";
   }
   gems::Result<std::string> epoch_stats() override {
     // Same wire snapshot, epoch block at the tail.

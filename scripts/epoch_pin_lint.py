@@ -14,9 +14,9 @@ see (the pin is not a capability):
      Pins must be locals: taken, used, released.
 
   2. **Blocking acquisitions while pinned** — taking a lock
-     (sync::MutexLock, ExclusiveAccessLock, SharedAccessLock, bare
-     .lock()) while a live pin is in scope inverts the documented order
-     "locks before pins". The exclusive path publishes epochs and may
+     (sync::MutexLock, ExclusiveAccessLock, bare .lock()) while a live
+     pin is in scope inverts the documented order "locks before pins".
+     The exclusive path publishes epochs and may
      wait on readers; a reader that pins and *then* blocks on a lock held
      by that path deadlocks the retire/drain protocol.
 
@@ -53,8 +53,7 @@ ALLOW_LOOKBACK = 3  # lines above a finding that an allow comment covers
 ACQUIRE_RE = re.compile(
     r"\b(?:sync::)?MutexLock\s+\w+\s*[({]"
     r"|\bExclusiveAccessLock\s+\w+\s*[({]"
-    r"|\bSharedAccessLock\s+\w+\s*[({]"
-    r"|[\w\)\]]\s*(?:\.|->)lock(?:_shared)?\s*\(\s*\)"
+    r"|[\w\)\]]\s*(?:\.|->)lock\s*\(\s*\)"
 )
 
 # `mvcc::EpochPin name ...` declarations (not function declarations —

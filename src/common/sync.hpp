@@ -1,9 +1,9 @@
 // gems::sync — capability-annotated synchronization primitives.
 //
-// Every lock in the concurrency stack (AccessGuard, epoch manager, wire
-// metrics, coordinator routing state, thread pool, ...) is built on the
-// wrappers below so Clang's Thread Safety Analysis can prove the lock
-// discipline at compile time: which capability guards which field
+// Every lock in the concurrency stack (the AccessGuard writer lock, epoch
+// manager, wire metrics, coordinator routing state, thread pool, ...) is
+// built on the wrappers below so Clang's Thread Safety Analysis can prove
+// the lock discipline at compile time: which capability guards which field
 // (GEMS_GUARDED_BY), which internal helpers may only run with a lock held
 // (GEMS_REQUIRES), and the global acquisition order
 // (GEMS_ACQUIRED_BEFORE/AFTER, checked under -Wthread-safety-beta). The
@@ -61,19 +61,14 @@
 #define GEMS_ACQUIRED_BEFORE(...) GEMS_TSA(acquired_before(__VA_ARGS__))
 #define GEMS_ACQUIRED_AFTER(...) GEMS_TSA(acquired_after(__VA_ARGS__))
 
-/// The caller must already hold the capability (exclusively / shared).
-/// This is what turns "only call this with the lock held" comments on
-/// `_locked` helpers into compile-checked contracts.
+/// The caller must already hold the capability. This is what turns
+/// "only call this with the lock held" comments on `_locked` helpers into
+/// compile-checked contracts.
 #define GEMS_REQUIRES(...) GEMS_TSA(requires_capability(__VA_ARGS__))
-#define GEMS_REQUIRES_SHARED(...) \
-  GEMS_TSA(requires_shared_capability(__VA_ARGS__))
 
 /// The function acquires / releases the capability.
 #define GEMS_ACQUIRE(...) GEMS_TSA(acquire_capability(__VA_ARGS__))
-#define GEMS_ACQUIRE_SHARED(...) GEMS_TSA(acquire_shared_capability(__VA_ARGS__))
 #define GEMS_RELEASE(...) GEMS_TSA(release_capability(__VA_ARGS__))
-#define GEMS_RELEASE_SHARED(...) GEMS_TSA(release_shared_capability(__VA_ARGS__))
-#define GEMS_RELEASE_GENERIC(...) GEMS_TSA(release_generic_capability(__VA_ARGS__))
 #define GEMS_TRY_ACQUIRE(...) GEMS_TSA(try_acquire_capability(__VA_ARGS__))
 
 /// The caller must NOT hold the capability (deadlock prevention for
@@ -82,9 +77,8 @@
 
 /// Tells the analysis the capability is held here (for runtime-verified
 /// preconditions the static analysis cannot see, e.g. inside callbacks
-/// that only ever run under exclusive access).
+/// that only ever run under the writer lock).
 #define GEMS_ASSERT_CAPABILITY(x) GEMS_TSA(assert_capability(x))
-#define GEMS_ASSERT_SHARED_CAPABILITY(x) GEMS_TSA(assert_shared_capability(x))
 
 /// The function returns a reference to the named capability.
 #define GEMS_RETURN_CAPABILITY(x) GEMS_TSA(lock_returned(x))

@@ -154,7 +154,7 @@ struct StatementResult {
 };
 
 /// Script-local staging area for `into table` / `into subgraph` results on
-/// the shared (read-only) access path: instead of registering in the
+/// the read-only (pinned-epoch) path: instead of registering in the
 /// shared catalog mid-script, results land here; later statements of the
 /// same script resolve names against the overlay *before* the shared
 /// catalog (serial-script semantics), and the server publishes the whole
@@ -167,7 +167,7 @@ struct CatalogOverlay {
   bool empty() const { return tables.empty() && subgraphs.empty(); }
 };
 
-/// Const read-view over a shared ExecContext — the shared access path
+/// Const read-view over a shared ExecContext — the read-only path
 /// executes through this, so the type system enforces that concurrent
 /// readers cannot mutate the shared state (catalog registrations, bound
 /// params, graph rebuilds all need the mutable ExecContext, which only
@@ -184,7 +184,7 @@ struct ReadView {
 /// context's catalog. No-op for results without an `into` clause.
 void commit_result(const StatementResult& result, ExecContext& ctx);
 
-/// Stages a result in a script-local overlay (the shared path's analogue
+/// Stages a result in a script-local overlay (the read-only path's analogue
 /// of commit_result). No-op for results without an `into` clause.
 void stage_result(const StatementResult& result, CatalogOverlay& overlay);
 
@@ -196,7 +196,7 @@ void commit_overlay(const CatalogOverlay& overlay, ExecContext& ctx);
 Result<StatementResult> execute_statement(const graql::Statement& stmt,
                                           ExecContext& ctx);
 
-/// Read-only statement execution for the shared access path: never
+/// Read-only statement execution for the pinned-epoch path: never
 /// mutates the shared context. Graph/table queries and `output` run
 /// normally (with `into` results returned, not registered — the caller
 /// stages them); DDL and ingest statements return kInternal, because the

@@ -57,7 +57,7 @@ std::string MetricsSnapshot::to_string() const {
         static_cast<unsigned long long>(v.execute.quantile_us(0.99)));
     out << line;
   }
-  if (access.shared_acquired > 0 || access.exclusive_acquired > 0) {
+  if (access.exclusive_acquired > 0) {
     out << access.to_string();
   }
   if (cluster.num_ranks > 0) {
@@ -111,18 +111,13 @@ void encode_snapshot(const MetricsSnapshot& snap,
     encode_histogram(v.queue_wait, w);
     encode_histogram(v.execute, w);
   }
-  // Access-layer counters ride at the tail: old decoders stop before them
-  // (the snapshot decode has always tolerated trailing bytes), so this is
-  // wire-compatible without a version bump.
-  w.u64(snap.access.shared_acquired);
+  // Optional blocks ride at the tail — writer lock, cluster, epoch, in
+  // that order. The decoder reads each only when bytes remain, so a
+  // payload cut at a block boundary still decodes. Changing a block's
+  // layout shifts the ones after it and needs a kWireVersion bump.
   w.u64(snap.access.exclusive_acquired);
-  w.u64(snap.access.shared_wait_us);
   w.u64(snap.access.exclusive_wait_us);
-  w.u64(snap.access.shared_held_us);
   w.u64(snap.access.exclusive_held_us);
-  w.u64(snap.access.peak_concurrent_shared);
-  // The cluster block follows the access block at the tail, same
-  // compatibility contract (tolerant trailing decode, no version bump).
   w.u32(snap.cluster.num_ranks);
   w.u64(snap.cluster.jobs);
   w.u64(snap.cluster.fallbacks);
@@ -138,8 +133,6 @@ void encode_snapshot(const MetricsSnapshot& snap,
     w.u64(m.supersteps);
     w.u64(m.stall_us);
   }
-  // The epoch block (gems::mvcc) follows the cluster block at the tail,
-  // same compatibility contract.
   w.u64(snap.epoch.published);
   w.u64(snap.epoch.retired);
   w.u64(snap.epoch.freed);
@@ -176,13 +169,9 @@ Result<MetricsSnapshot> decode_snapshot(std::span<const std::uint8_t> bytes) {
     GEMS_ASSIGN_OR_RETURN(v.execute, decode_histogram(r));
   }
   if (!r.at_end()) {
-    GEMS_ASSIGN_OR_RETURN(snap.access.shared_acquired, r.u64());
     GEMS_ASSIGN_OR_RETURN(snap.access.exclusive_acquired, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.shared_wait_us, r.u64());
     GEMS_ASSIGN_OR_RETURN(snap.access.exclusive_wait_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.shared_held_us, r.u64());
     GEMS_ASSIGN_OR_RETURN(snap.access.exclusive_held_us, r.u64());
-    GEMS_ASSIGN_OR_RETURN(snap.access.peak_concurrent_shared, r.u64());
   }
   if (!r.at_end()) {
     GEMS_ASSIGN_OR_RETURN(snap.cluster.num_ranks, r.u32());

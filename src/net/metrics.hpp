@@ -42,23 +42,21 @@ struct VerbMetrics {
 struct MetricsSnapshot {
   std::array<VerbMetrics, kNumVerbs> verbs{};
 
-  /// Database access-layer counters (shared/exclusive acquisitions and
-  /// wait/hold times) merged in by the server when answering `stats`, so
-  /// a remote bench can see read concurrency server-side. Appended to the
-  /// wire payload; old peers ignore it, and decoding tolerates its
-  /// absence, so kWireVersion is unchanged.
+  /// Database writer-lock counters (acquisitions, wait/hold times)
+  /// merged in by the server when answering `stats`. First of the three
+  /// blocks at the wire payload tail; decoding tolerates its absence.
   server::AccessMetricsSnapshot access{};
 
   /// Cluster coordinator counters (per-rank BSP traffic), merged in by the
   /// server when a cluster is attached. Rides after the access block at
-  /// the payload tail under the same compatibility discipline; num_ranks
-  /// == 0 means "no cluster" and renders as such.
+  /// the payload tail; num_ranks == 0 means "no cluster" and renders as
+  /// such.
   server::ClusterMetricsSnapshot cluster{};
 
   /// gems::mvcc epoch lifecycle counters (publish/pin/retire, delta vs.
   /// rebuild ingest maintenance), merged in by the server. Rides after
-  /// the cluster block at the payload tail under the same compatibility
-  /// discipline; empty() renders as absent.
+  /// the cluster block at the payload tail; empty() renders as absent.
+  /// `peak_pinned_readers` is the server's read-concurrency signal.
   mvcc::EpochMetricsSnapshot epoch{};
 
   const VerbMetrics& verb(Verb v) const {

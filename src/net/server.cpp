@@ -364,8 +364,6 @@ void Server::process_request(Request& request) {
     }
     if (status.is_ok()) {
       WireWriter w;
-      std::unique_lock<std::mutex> db_lock(db_mutex_, std::defer_lock);
-      if (options_.serialize_execution) db_lock.lock();
       switch (request.verb) {
         case Verb::kRunScript: {
           auto results = db_.run_ir(script.ir, params);

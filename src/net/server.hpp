@@ -21,7 +21,6 @@
 #include <chrono>
 #include <deque>
 #include <memory>
-#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -48,12 +47,6 @@ struct ServerOptions {
   /// Frame budget: frames with a larger payload length are rejected
   /// before allocation and the connection is closed.
   std::size_t max_frame_bytes = kDefaultMaxFrameBytes;
-  /// Debug aid: serialize Database calls under one server-side mutex,
-  /// recovering the pre-access-layer behavior. Off by default — the
-  /// Database now classifies scripts and runs read-only ones concurrently
-  /// under shared access (server::AccessGuard), so workers genuinely
-  /// overlap read execution, not just decode, metering and I/O.
-  bool serialize_execution = false;
   /// Test hook: sleep this long inside each worker before executing, to
   /// make queue-wait, deadline and admission behavior deterministic.
   std::uint32_t debug_execute_delay_ms = 0;
@@ -82,8 +75,9 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Live request counters/latency with the database's access-layer
-  /// counters merged in; also served remotely via kStats.
+  /// Live request counters/latency with the database's writer-lock,
+  /// cluster and epoch counters merged in; also served remotely via
+  /// kStats.
   MetricsSnapshot metrics_snapshot() const {
     MetricsSnapshot snap = metrics_.snapshot();
     snap.access = db_.access_metrics();
@@ -133,13 +127,6 @@ class Server {
   std::vector<std::thread> session_threads_
       GEMS_GUARDED_BY(sessions_mutex_);
   std::atomic<std::uint64_t> next_session_id_{1};
-
-  /// serialize_execution debug knob. Deliberately a bare std::mutex —
-  /// it is acquired *conditionally* (only when the option is set), a
-  /// pattern the thread safety analysis rejects for annotated locks;
-  /// std::mutex is invisible to the analysis, which here is honest: the
-  /// mutex guards no data, it only throttles Database call concurrency.
-  std::mutex db_mutex_;
 
   sync::Mutex shutdown_mutex_;
   sync::CondVar shutdown_cv_;

@@ -34,7 +34,10 @@
 namespace gems::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x474E4554;  // "GNET"
-inline constexpr std::uint16_t kWireVersion = 1;
+/// Bumped whenever a payload layout changes in a way an older peer would
+/// misread (e.g. a stats tail block); the handshake and every frame
+/// header reject a mismatch.
+inline constexpr std::uint16_t kWireVersion = 2;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Default frame budget: the largest payload either side will accept.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;

@@ -53,9 +53,10 @@ Schedule build_schedule(const graql::Script& script);
 
 /// True when no statement of the script is a DDL/ingest barrier — such
 /// scripts never mutate the shared database state (their `into` results
-/// are script-local until committed) and may execute concurrently under
-/// shared access (see server::AccessGuard). The classification reuses
-/// analyze_io so it cannot drift from the scheduler's barrier notion.
+/// are script-local until committed) and run concurrently against a
+/// pinned epoch without the writer lock (server::AccessGuard). The
+/// classification reuses analyze_io so it cannot drift from the
+/// scheduler's barrier notion.
 bool script_is_read_only(const graql::Script& script);
 
 /// Executes a script per `schedule`. When `pool` is non-null, statements
@@ -66,11 +67,11 @@ Result<std::vector<exec::StatementResult>> run_scheduled(
     const graql::Script& script, const Schedule& schedule,
     exec::ExecContext& ctx, ThreadPool* pool);
 
-/// Shared-access variant of run_scheduled for read-only scripts (the
+/// Pinned-epoch variant of run_scheduled for read-only scripts (the
 /// caller must have classified the script with script_is_read_only): the
 /// context is never mutated; `into` results are staged in `overlay`
 /// (later statements resolve names overlay-first, preserving serial
-/// semantics) for the caller to publish under exclusive access. `params`
+/// semantics) for the caller to publish under the writer lock. `params`
 /// are the script's own bindings — they never touch ctx.params, so many
 /// scripts with different params can share one context concurrently.
 Result<std::vector<exec::StatementResult>> run_scheduled_shared(

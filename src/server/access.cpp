@@ -18,20 +18,12 @@ std::uint64_t elapsed_us(Clock::time_point from, Clock::time_point to) {
 
 }  // namespace
 
-std::string_view access_mode_name(AccessMode mode) noexcept {
-  return mode == AccessMode::kShared ? "shared" : "exclusive";
-}
-
 std::string AccessMetricsSnapshot::to_string() const {
   auto avg = [](std::uint64_t total_us, std::uint64_t n) {
     return n == 0 ? 0ull : total_us / n;
   };
   std::ostringstream out;
-  out << "access     shared: " << shared_acquired << " acquisitions, avg wait "
-      << avg(shared_wait_us, shared_acquired) << " us, avg hold "
-      << avg(shared_held_us, shared_acquired) << " us, peak concurrent "
-      << peak_concurrent_shared << "\n"
-      << "        exclusive: " << exclusive_acquired
+  out << "access  exclusive: " << exclusive_acquired
       << " acquisitions, avg wait "
       << avg(exclusive_wait_us, exclusive_acquired) << " us, avg hold "
       << avg(exclusive_held_us, exclusive_acquired) << " us\n";
@@ -40,85 +32,34 @@ std::string AccessMetricsSnapshot::to_string() const {
 
 void AccessGuard::lock() {
   const Clock::time_point requested = Clock::now();
-  {
-    sync::MutexLock lk(mutex_);
-    ++writers_waiting_;
-    while (writer_active_ || readers_ != 0) cv_.wait(mutex_);
-    --writers_waiting_;
-    writer_active_ = true;
-    exclusive_acquired_at_ = Clock::now();
-    exclusive_wait_us_.fetch_add(elapsed_us(requested, exclusive_acquired_at_),
-                                 std::memory_order_relaxed);
-  }
-  exclusive_acquired_.fetch_add(1, std::memory_order_relaxed);
+  waiting_.fetch_add(1);
+  mutex_.lock();
+  held_.store(true);
+  waiting_.fetch_sub(1);
+  acquired_at_ = Clock::now();
+  wait_us_.fetch_add(elapsed_us(requested, acquired_at_),
+                     std::memory_order_relaxed);
+  acquired_.fetch_add(1, std::memory_order_relaxed);
 }
 
 void AccessGuard::unlock() {
-  {
-    sync::MutexLock lk(mutex_);
-    exclusive_held_us_.fetch_add(
-        elapsed_us(exclusive_acquired_at_, Clock::now()),
-        std::memory_order_relaxed);
-    writer_active_ = false;
-  }
-  cv_.notify_all();
-}
-
-Clock::time_point AccessGuard::lock_shared() {
-  const Clock::time_point requested = Clock::now();
-  {
-    sync::MutexLock lk(mutex_);
-    // Writer preference: a queued exclusive blocks *new* readers, so
-    // mutations only wait for in-flight readers to drain.
-    while (writer_active_ || writers_waiting_ != 0) cv_.wait(mutex_);
-    ++readers_;
-  }
-  const Clock::time_point acquired = Clock::now();
-  shared_acquired_.fetch_add(1, std::memory_order_relaxed);
-  shared_wait_us_.fetch_add(elapsed_us(requested, acquired),
-                            std::memory_order_relaxed);
-  const std::uint64_t active =
-      active_shared_.fetch_add(1, std::memory_order_relaxed) + 1;
-  std::uint64_t peak = peak_shared_.load(std::memory_order_relaxed);
-  while (active > peak &&
-         !peak_shared_.compare_exchange_weak(peak, active,
-                                             std::memory_order_relaxed)) {
-  }
-  return acquired;
-}
-
-void AccessGuard::unlock_shared(Clock::time_point acquired) {
-  shared_held_us_.fetch_add(elapsed_us(acquired, Clock::now()),
-                            std::memory_order_relaxed);
-  active_shared_.fetch_sub(1, std::memory_order_relaxed);
-  {
-    sync::MutexLock lk(mutex_);
-    --readers_;
-  }
-  cv_.notify_all();
+  held_us_.fetch_add(elapsed_us(acquired_at_, Clock::now()),
+                     std::memory_order_relaxed);
+  held_.store(false);
+  mutex_.unlock();
 }
 
 void AccessGuard::assert_exclusive_held() const {
-  sync::MutexLock lk(mutex_);
-  // Quiescent (readers_ == 0, nothing queued) covers single-threaded
-  // tooling that drives the live context without going through the
-  // guard; any concurrent shared holder makes this fail loudly.
-  GEMS_CHECK(writer_active_ || (readers_ == 0 && writers_waiting_ == 0));
+  // held_ is set before waiting_ drops, so a queued writer is never
+  // mistaken for quiescence while the lock changes hands.
+  GEMS_CHECK(held_.load() || waiting_.load() == 0);
 }
 
 AccessMetricsSnapshot AccessGuard::snapshot() const {
   AccessMetricsSnapshot snap;
-  snap.shared_acquired = shared_acquired_.load(std::memory_order_relaxed);
-  snap.exclusive_acquired =
-      exclusive_acquired_.load(std::memory_order_relaxed);
-  snap.shared_wait_us = shared_wait_us_.load(std::memory_order_relaxed);
-  snap.exclusive_wait_us =
-      exclusive_wait_us_.load(std::memory_order_relaxed);
-  snap.shared_held_us = shared_held_us_.load(std::memory_order_relaxed);
-  snap.exclusive_held_us =
-      exclusive_held_us_.load(std::memory_order_relaxed);
-  snap.peak_concurrent_shared =
-      peak_shared_.load(std::memory_order_relaxed);
+  snap.exclusive_acquired = acquired_.load(std::memory_order_relaxed);
+  snap.exclusive_wait_us = wait_us_.load(std::memory_order_relaxed);
+  snap.exclusive_held_us = held_us_.load(std::memory_order_relaxed);
   return snap;
 }
 

@@ -1,15 +1,12 @@
-// The database's shared/exclusive access layer (readers-writer
-// discipline): read-only scripts execute concurrently under *shared*
-// access; mutating scripts, catalog commits of deferred `into` results,
-// and checkpoints take brief *exclusive* access. This is what turns the
-// multi-worker net::Server into actual read parallelism — before this
-// layer every script, including pure path queries, serialized behind one
-// mutex.
+// The database's writer lock: mutating scripts, catalog commits of
+// deferred `into` results, checkpoint capture windows and epoch refreshes
+// hold it. Read paths never take it — they pin an immutable MVCC epoch
+// (mvcc/epoch.hpp, DESIGN.md §5i), which is what makes DDL and ingest
+// atomic with respect to later queries.
 //
-// The guard also meters itself: per-mode acquisition counts, time spent
-// blocked waiting for the lock, time spent holding it, and the peak
-// number of concurrent shared holders. Those counters surface in
-// Database metrics, the net `stats` verb, and the shell's `\accessstats`.
+// The guard meters itself: acquisitions, time spent blocked waiting for
+// the lock and time spent holding it. Those counters surface in Database
+// metrics, the net `stats` verb, and the shell's `\accessstats`.
 //
 // Lock order (see DESIGN.md §5j): the access guard is always the
 // *outermost* database lock; `stats_mutex_` and `wal_mutex_` are only
@@ -20,9 +17,8 @@
 // AccessGuard itself is a GEMS_CAPABILITY: members the guard protects
 // can be declared GEMS_GUARDED_BY(access_), functions that require it
 // held GEMS_REQUIRES(access_). Acquisition goes through the scoped
-// holders SharedAccessLock / ExclusiveAccessLock — there is no movable
-// hold object, because the analysis cannot track capabilities through
-// moves.
+// ExclusiveAccessLock — there is no movable hold object, because the
+// analysis cannot track capabilities through moves.
 #pragma once
 
 #include <atomic>
@@ -34,89 +30,55 @@
 
 namespace gems::server {
 
-/// How a script (or maintenance task) may touch the shared state.
-enum class AccessMode : std::uint8_t {
-  kShared,     // read-only: any number of concurrent holders
-  kExclusive,  // mutating: sole holder, waits out all readers
-};
-
-std::string_view access_mode_name(AccessMode mode) noexcept;
-
 /// Point-in-time view of the guard's counters. All durations are
 /// microseconds, aggregated since database open.
 struct AccessMetricsSnapshot {
-  std::uint64_t shared_acquired = 0;
   std::uint64_t exclusive_acquired = 0;
-  std::uint64_t shared_wait_us = 0;     // total time blocked acquiring
-  std::uint64_t exclusive_wait_us = 0;
-  std::uint64_t shared_held_us = 0;     // total time held (sums overlaps)
-  std::uint64_t exclusive_held_us = 0;
-  std::uint64_t peak_concurrent_shared = 0;
+  std::uint64_t exclusive_wait_us = 0;  // total time blocked acquiring
+  std::uint64_t exclusive_held_us = 0;  // total time held
 
   /// Human-readable `\accessstats` rendering.
   std::string to_string() const;
 };
 
-/// A writer-preferring readers-writer lock with wait/hold-time
-/// accounting. Hand-rolled over mutex + condvar rather than
-/// std::shared_mutex because glibc's pthread_rwlock default prefers
-/// readers: a steady stream of read-only scripts would starve ingest and
-/// checkpoints indefinitely. Here a waiting writer blocks *new* shared
-/// acquisitions, so mutations wait only for in-flight readers to drain
-/// (read-mostly workloads keep that wait brief). Counter updates are
-/// relaxed atomics: they order nothing, they only have to add up.
+/// A sync::Mutex with wait/hold-time accounting and a runtime-checked
+/// "held" assertion. Counter updates are relaxed atomics: they order
+/// nothing, they only have to add up.
 class GEMS_CAPABILITY("AccessGuard") AccessGuard {
  public:
-  using Clock = std::chrono::steady_clock;
-
   AccessGuard() = default;
   AccessGuard(const AccessGuard&) = delete;
   AccessGuard& operator=(const AccessGuard&) = delete;
 
-  /// Blocks until sole (exclusive) access is granted: waits for every
-  /// holder to release and excludes everyone — including new shared
-  /// requests — while pending or held. Prefer ExclusiveAccessLock.
+  /// Blocks until the caller is the sole writer. Prefer
+  /// ExclusiveAccessLock.
   void lock() GEMS_ACQUIRE();
   void unlock() GEMS_RELEASE();
 
-  /// Blocks until shared access is granted (coexists with other shared
-  /// holders; defers to queued writers). Returns the acquisition
-  /// timestamp — hand it back to unlock_shared() so hold time is
-  /// attributed per holder. Prefer SharedAccessLock.
-  Clock::time_point lock_shared() GEMS_ACQUIRE_SHARED();
-  void unlock_shared(Clock::time_point acquired) GEMS_RELEASE_SHARED();
-
-  /// Runtime-verified assertion that the caller has sole use of the
-  /// guarded state: either it holds the exclusive lock, or the access
-  /// layer is quiescent (no readers, no queued writers — the documented
-  /// single-threaded tooling mode that drives `Database::context()`
-  /// directly). For closures (planner hooks, mutation callbacks) that
-  /// run under exclusive access but where the analysis cannot see the
-  /// caller's capability across the std::function boundary. A shared
-  /// reader reaching one of those closures registers as a reader and
-  /// fails the check.
+  /// Runtime-verified assertion that the guarded state is not being
+  /// written concurrently: either some thread holds the lock, or nobody
+  /// holds or waits for it (the documented single-threaded tooling mode
+  /// that drives `Database::context()` directly). For closures (planner
+  /// hooks, mutation callbacks) that run under the lock but where the
+  /// analysis cannot see the caller's capability across the
+  /// std::function boundary. Not an owner-thread check: with
+  /// `parallel_statements` the hook runs on a statement-pool thread while
+  /// the submitting thread holds the lock.
   void assert_exclusive_held() const GEMS_ASSERT_CAPABILITY(this);
 
   AccessMetricsSnapshot snapshot() const;
 
  private:
-  mutable sync::Mutex mutex_;
-  sync::CondVar cv_;
-  std::uint64_t readers_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t writers_waiting_ GEMS_GUARDED_BY(mutex_) = 0;
-  bool writer_active_ GEMS_GUARDED_BY(mutex_) = false;
-  // Exclusive holds never overlap, so one slot suffices (shared holds
-  // overlap; their timestamps live in each SharedAccessLock).
-  Clock::time_point exclusive_acquired_at_ GEMS_GUARDED_BY(mutex_){};
+  sync::Mutex mutex_;
+  // Holder state for assert_exclusive_held(), readable from any thread.
+  std::atomic<bool> held_{false};
+  std::atomic<std::uint64_t> waiting_{0};
+  std::chrono::steady_clock::time_point acquired_at_
+      GEMS_GUARDED_BY(mutex_){};
 
-  std::atomic<std::uint64_t> shared_acquired_{0};
-  std::atomic<std::uint64_t> exclusive_acquired_{0};
-  std::atomic<std::uint64_t> shared_wait_us_{0};
-  std::atomic<std::uint64_t> exclusive_wait_us_{0};
-  std::atomic<std::uint64_t> shared_held_us_{0};
-  std::atomic<std::uint64_t> exclusive_held_us_{0};
-  std::atomic<std::uint64_t> active_shared_{0};
-  std::atomic<std::uint64_t> peak_shared_{0};
+  std::atomic<std::uint64_t> acquired_{0};
+  std::atomic<std::uint64_t> wait_us_{0};
+  std::atomic<std::uint64_t> held_us_{0};
 };
 
 /// Scoped exclusive hold on an AccessGuard.
@@ -133,24 +95,6 @@ class GEMS_SCOPED_CAPABILITY [[nodiscard]] ExclusiveAccessLock {
 
  private:
   AccessGuard& guard_;
-};
-
-/// Scoped shared hold on an AccessGuard. There is no shared->exclusive
-/// upgrade: holding shared while requesting exclusive would deadlock, so
-/// code that needs to commit drops its shared hold (end of scope) before
-/// constructing an ExclusiveAccessLock.
-class GEMS_SCOPED_CAPABILITY [[nodiscard]] SharedAccessLock {
- public:
-  explicit SharedAccessLock(AccessGuard& guard) GEMS_ACQUIRE_SHARED(guard)
-      : guard_(guard), acquired_(guard.lock_shared()) {}
-  ~SharedAccessLock() GEMS_RELEASE_GENERIC() { guard_.unlock_shared(acquired_); }
-
-  SharedAccessLock(const SharedAccessLock&) = delete;
-  SharedAccessLock& operator=(const SharedAccessLock&) = delete;
-
- private:
-  AccessGuard& guard_;
-  AccessGuard::Clock::time_point acquired_;
 };
 
 }  // namespace gems::server

@@ -4,10 +4,10 @@
 // net layer can ship it through the stats verb without depending on the
 // cluster subsystem — net already links server.
 //
-// Wire compatibility: the snapshot travels at the *tail* of the kStats
-// response payload (after the access counters). Old peers ignore trailing
-// bytes; new peers tolerate their absence — same discipline as the access
-// block, so kWireVersion stays at 1.
+// Wire layout: the snapshot travels at the *tail* of the kStats response
+// payload, after the writer-lock counters and before the epoch block. The
+// decoder tolerates its absence; a layout change here shifts the epoch
+// block and needs a kWireVersion bump (net/wire.hpp).
 #pragma once
 
 #include <cstdint>

@@ -443,10 +443,8 @@ Result<std::vector<StatementResult>> Database::run_script(
   //    (Sec. III). The decoded script is what gets analyzed and executed,
   //    exactly as if it had arrived over the wire (net::Server feeds
   //    run_ir with remotely-encoded blobs through the same path).
-  if (!options_.skip_ir_roundtrip) {
-    const std::vector<std::uint8_t> ir = graql::encode_script(script);
-    GEMS_ASSIGN_OR_RETURN(script, graql::decode_script(ir));
-  }
+  const std::vector<std::uint8_t> ir = graql::encode_script(script);
+  GEMS_ASSIGN_OR_RETURN(script, graql::decode_script(ir));
 
   return run_parsed(std::move(script), params);
 }
@@ -477,10 +475,8 @@ Result<std::vector<StatementResult>> Database::run_parsed(
 
   // Front-end: static analysis against the metadata catalog (Sec. III-A).
   // Params are known here, so their types participate.
-  if (!options_.skip_static_analysis) {
-    MetaCatalog meta = meta_catalog_from(ctx_);
-    GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
-  }
+  MetaCatalog meta = meta_catalog_from(ctx_);
+  GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
 
   // Backend: dependence scheduling (Sec. III-B1) + execution. Skip the
   // ParamMap copy when both maps are empty (the common no-params case);
@@ -509,10 +505,8 @@ Result<std::vector<StatementResult>> Database::run_parsed_shared(
   mvcc::EpochPin pin = epochs_.pin();
   const exec::ExecContext& snap = pin.ctx();
 
-  if (!options_.skip_static_analysis) {
-    MetaCatalog meta = meta_catalog_from(snap);
-    GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
-  }
+  MetaCatalog meta = meta_catalog_from(snap);
+  GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
 
   // Params stay script-local (never written into the epoch), and `into`
   // results land in the overlay.

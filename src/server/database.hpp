@@ -42,10 +42,6 @@ struct DatabaseOptions {
   bool parallel_statements = false;
   /// Intra-node worker threads for parallel scans (0 = serial scans).
   std::size_t intra_node_threads = 0;
-  /// Skip front-end static analysis (for ablation benches only).
-  bool skip_static_analysis = false;
-  /// Skip the IR encode/decode round-trip (for ablation benches only).
-  bool skip_ir_roundtrip = false;
 
   /// Persistent store directory (gems::store). Empty = in-memory only.
   /// When set, opening the database recovers the directory's snapshot +
@@ -225,14 +221,14 @@ class Database {
   std::string match_stats() const GEMS_NO_THREAD_SAFETY_ANALYSIS;
 
   // ---- Access-layer observability --------------------------------------
-  /// Shared/exclusive acquisition, wait and hold counters since open.
+  /// Writer-lock acquisition, wait and hold counters since open.
   AccessMetricsSnapshot access_metrics() const { return access_.snapshot(); }
 
-  /// Human-readable `\accessstats` rendering: lock-layer counters plus the
-  /// epoch lifecycle block (read-only scripts no longer touch the lock —
-  /// they pin epochs, which is where their activity shows up).
+  /// Human-readable `\accessstats` rendering: the writer-lock line plus the
+  /// epoch lifecycle block (read-only scripts never touch the lock — they
+  /// pin epochs, which is where their activity shows up).
   std::string access_stats() const {
-    return access_.snapshot().to_string() + "\n" + epoch_stats();
+    return access_.snapshot().to_string() + "\n" + epoch_stats() + "\n";
   }
 
   // ---- Epoch observability (gems::mvcc) ---------------------------------
@@ -278,10 +274,10 @@ class Database {
   std::string cluster_stats() const { return cluster_metrics().to_string(); }
 
  private:
-  /// Shared back half of run_script / run_ir: analyze (unless skipped),
-  /// schedule and execute an already-parsed script. Classifies the script
-  /// (plan::script_is_read_only) and routes it to the shared or exclusive
-  /// access path.
+  /// Shared back half of run_script / run_ir: analyze, schedule and
+  /// execute an already-parsed script. Classifies the script
+  /// (plan::script_is_read_only) and routes it to the pinned-epoch read
+  /// path or the writer path.
   Result<std::vector<exec::StatementResult>> run_parsed(
       graql::Script script, const relational::ParamMap& params);
 
@@ -323,12 +319,12 @@ class Database {
   /// sequence number. Taken before (outside) the access guard.
   sync::Mutex checkpoint_serial_mutex_ GEMS_ACQUIRED_BEFORE(access_);
 
-  /// The writer-side access layer (see access.hpp): mutating scripts,
-  /// overlay commits and checkpoint capture windows hold it exclusively.
-  /// Read-only scripts no longer acquire it at all — they pin an epoch
-  /// (epochs_) and execute against that immutable snapshot, so writers
-  /// never block readers and readers never block writers beyond the brief
-  /// publication window. Outermost of the database's per-statement locks.
+  /// The writer lock (see access.hpp): mutating scripts, overlay commits
+  /// and checkpoint capture windows hold it. Read-only scripts never
+  /// acquire it — they pin an epoch (epochs_) and execute against that
+  /// immutable snapshot, so writers never block readers and readers never
+  /// block writers beyond the brief publication window. Outermost of the
+  /// database's per-statement locks.
   mutable AccessGuard access_ GEMS_ACQUIRED_BEFORE(stats_mutex_, wal_mutex_);
 
   /// Live execution context: tables, graph, subgraphs, bound params.

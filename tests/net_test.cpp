@@ -4,6 +4,7 @@
 // deadlines, cancellation, and admission control under overload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <filesystem>
@@ -302,16 +303,22 @@ TEST(NetTest, HandshakeRequiredBeforeOtherVerbs) {
 TEST(NetTest, RejectsUnsupportedWireVersion) {
   Server server(shared_db());
   ASSERT_TRUE(server.start().is_ok());
-  RawConn conn;
-  ASSERT_TRUE(conn.open(server.port(), /*handshake=*/false).is_ok());
-  ASSERT_TRUE(send_frame(conn.sock, Verb::kHandshake, false, 1,
-                         encode_handshake_request({99, "time-traveler"}))
-                  .is_ok());
-  auto responses = conn.collect(1);
-  ASSERT_EQ(responses.count(1), 1u);
-  EXPECT_EQ(responses.at(1).code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(responses.at(1).message().find("unsupported wire version"),
-            std::string::npos);
+  // A future version, and the previous one (whose stats payload layout
+  // this build would misread).
+  for (const std::uint16_t version :
+       {std::uint16_t{99}, static_cast<std::uint16_t>(kWireVersion - 1)}) {
+    SCOPED_TRACE("wire version " + std::to_string(version));
+    RawConn conn;
+    ASSERT_TRUE(conn.open(server.port(), /*handshake=*/false).is_ok());
+    ASSERT_TRUE(send_frame(conn.sock, Verb::kHandshake, false, 1,
+                           encode_handshake_request({version, "time-traveler"}))
+                    .is_ok());
+    auto responses = conn.collect(1);
+    ASSERT_EQ(responses.count(1), 1u);
+    EXPECT_EQ(responses.at(1).code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(responses.at(1).message().find("unsupported wire version"),
+              std::string::npos);
+  }
   server.stop();
 }
 
@@ -361,6 +368,60 @@ TEST(NetTest, DecodeParamsRejectsHostileCount) {
   auto decoded = graql::decode_params(bytes);
   ASSERT_FALSE(decoded.is_ok());
   EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+}
+
+TEST(NetTest, StatsSnapshotRoundTripsAndSurvivesTruncation) {
+  // Every tail block populated: writer lock, a two-rank cluster, epochs.
+  MetricsSnapshot snap;
+  VerbMetrics& run = snap.verbs[static_cast<std::size_t>(Verb::kRunScript)];
+  run.requests = 7;
+  run.ok = 6;
+  run.errors = 1;
+  run.bytes_in = 700;
+  run.bytes_out = 9000;
+  run.queue_wait.record(12);
+  run.execute.record(3400);
+  snap.access = {5, 120, 8000};
+  snap.cluster.num_ranks = 2;
+  snap.cluster.jobs = 3;
+  snap.cluster.fallbacks = 1;
+  snap.cluster.syncs = 2;
+  snap.cluster.sync_bytes = 4096;
+  snap.cluster.ranks = {{true, 3, 40, 1000, 1200, 9, 15},
+                        {false, 3, 38, 900, 1100, 0, 22}};
+  snap.epoch = {11, 10, 9, 2, 300, 1, 4, 250, 8, 1, 70000, 900000, 11};
+
+  std::vector<std::uint8_t> bytes;
+  encode_snapshot(snap, bytes);
+  auto decoded = decode_snapshot(bytes);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  std::vector<std::uint8_t> again;
+  encode_snapshot(decoded.value(), again);
+  EXPECT_EQ(again, bytes);
+  EXPECT_EQ(decoded->verb(Verb::kRunScript).execute.count, 1u);
+  EXPECT_EQ(decoded->access.exclusive_held_us, 8000u);
+  ASSERT_EQ(decoded->cluster.ranks.size(), 2u);
+  EXPECT_FALSE(decoded->cluster.ranks[1].connected);
+  EXPECT_EQ(decoded->epoch.peak_pinned_readers, 4u);
+  EXPECT_EQ(decoded->epoch.current_epoch, 11u);
+
+  // A prefix decodes to an error, or — when cut exactly after the verb,
+  // access or cluster block — to a snapshot that re-encodes to the same
+  // leading bytes (the missing blocks read as zero).
+  std::size_t accepted = 0;
+  for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
+    auto prefix =
+        decode_snapshot(std::span<const std::uint8_t>(bytes.data(), cut));
+    if (!prefix.is_ok()) continue;
+    ++accepted;
+    std::vector<std::uint8_t> reencoded;
+    encode_snapshot(prefix.value(), reencoded);
+    ASSERT_GE(reencoded.size(), cut);
+    EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + cut,
+                           reencoded.begin()))
+        << "truncation at byte " << cut;
+  }
+  EXPECT_EQ(accepted, 3u);
 }
 
 // ---- Concurrency -----------------------------------------------------------
@@ -537,11 +598,11 @@ TEST(NetTest, ClientReconnectsAfterServerRestart) {
   second.stop();
 }
 
-// ---- Concurrent read execution (shared/exclusive access layer) ------------
+// ---- Concurrent read execution (pinned epochs, writer lock) ---------------
 
 TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
-  // With the access layer, workers genuinely overlap read-only scripts;
-  // every client must still see exactly the serial result bytes.
+  // Workers genuinely overlap read-only scripts; every client must still
+  // see exactly the serial result bytes.
   ServerOptions options;
   options.num_workers = 4;
   Server server(shared_db(), options);
@@ -596,18 +657,26 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  // The access and epoch counters travel the wire at the tail of the
+  // The writer-lock and epoch counters travel the wire at the tail of the
   // stats payload. Read scripts pin epochs (gems::mvcc) rather than take
-  // the access lock, so read concurrency shows up as pins.
+  // the writer lock, so read concurrency shows up as pins.
   Client client = make_client(server.port());
   ASSERT_TRUE(client.connect().is_ok());
   auto stats = client.stats();
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
   EXPECT_GE(stats->epoch.pins_taken,
             static_cast<std::uint64_t>(kClients * kRounds * scripts.size()));
-  EXPECT_EQ(stats->access.shared_acquired, 0u);
   EXPECT_GE(stats->access.exclusive_acquired, 1u);  // overlay publishes
   EXPECT_GE(stats->epoch.published, 1u);
+  // Scripts without `into` never touch the writer lock.
+  for (int round = 0; round < kRounds; ++round) {
+    for (std::size_t s = 1; s < scripts.size(); ++s) {
+      ASSERT_TRUE(client.run_script(scripts[s]).is_ok());
+    }
+  }
+  auto after = client.stats();
+  ASSERT_TRUE(after.is_ok()) << after.status().to_string();
+  EXPECT_EQ(after->access.exclusive_acquired, stats->access.exclusive_acquired);
   server.stop();
 }
 
