@@ -1,6 +1,6 @@
 // E-STORE — durability costs and recovery speed (gems::store):
-//   * snapshot encode / durable-write / decode throughput (MB/s) on the
-//     Berlin dataset at three scales,
+//   * snapshot encode (in memory) / checkpoint (streamed to disk) / decode
+//     throughput (MB/s) on the Berlin dataset at three scales,
 //   * WAL append latency (p50/p99 from the store's own histogram), with
 //     and without fsync,
 //   * cold recovery (open a checkpointed data dir) vs. re-ingesting the
@@ -9,10 +9,10 @@
 #include <chrono>
 #include <filesystem>
 #include <string>
+#include <utility>
 
 #include "bench_common.hpp"
 #include "storage/csv.hpp"
-#include "store/format.hpp"
 #include "store/snapshot.hpp"
 #include "store/store.hpp"
 #include "store/wal.hpp"
@@ -76,20 +76,30 @@ void BM_SnapshotEncode(benchmark::State& state) {
 BENCHMARK(BM_SnapshotEncode)->Arg(100)->Arg(500)->Arg(2000)
     ->Unit(benchmark::kMillisecond);
 
-void BM_SnapshotWriteDurable(benchmark::State& state) {
+/// A checkpoint as the server takes one: Store::checkpoint streams the
+/// snapshot into a temp file through the writer's 64 KiB buffer, fsyncs
+/// it, renames it over the old one, fsyncs the directory and rotates the
+/// WAL. Encode and write are one pass, so this times both.
+void BM_SnapshotCheckpoint(benchmark::State& state) {
   auto& db = berlin_db(static_cast<std::size_t>(state.range(0)));
-  const auto image = store::encode_snapshot(db.context(), 1);
-  const std::string dir = scratch_dir("write");
-  const std::string path = dir + "/snapshot.gsnp";
+  store::StoreOptions options;
+  options.dir = scratch_dir("checkpoint");
+  options.wal_fsync = false;
+  exec::ExecContext recovered;  // a fresh directory recovers nothing
+  auto opened = store::Store::open(std::move(options), recovered);
+  GEMS_CHECK_MSG(opened.is_ok(), opened.status().to_string().c_str());
   for (auto _ : state) {
-    auto s = store::write_file_durable(path, image);
+    auto s = (*opened)->checkpoint(db.context());
     GEMS_CHECK_MSG(s.is_ok(), s.to_string().c_str());
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(image.size()) *
+  const std::uint64_t bytes =
+      (*opened)->metrics().snapshot().snapshot_bytes_last;
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
                           state.iterations());
+  state.counters["snapshot_bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_SnapshotWriteDurable)->Arg(100)->Arg(500)->Arg(2000)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SnapshotCheckpoint)->Arg(100)->Arg(500)->Arg(2000)
+    ->UseRealTime()->Unit(benchmark::kMillisecond);  // fsyncs wait off-CPU
 
 void BM_SnapshotDecode(benchmark::State& state) {
   auto& db = berlin_db(static_cast<std::size_t>(state.range(0)));

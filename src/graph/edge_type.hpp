@@ -94,6 +94,13 @@ class EdgeType {
 
   VertexIndex source_vertex(EdgeIndex e) const { return src_.at(e); }
   VertexIndex target_vertex(EdgeIndex e) const { return dst_.at(e); }
+  /// Both endpoint arrays, indexed by edge.
+  std::span<const VertexIndex> source_vertices() const noexcept {
+    return src_;
+  }
+  std::span<const VertexIndex> target_vertices() const noexcept {
+    return dst_;
+  }
 
   /// Forward index: keyed by source vertex, neighbors are targets.
   const CsrIndex& forward() const noexcept { return forward_; }

@@ -8,6 +8,7 @@
 // collapsed rows.
 #pragma once
 
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -51,6 +52,10 @@ class VertexType {
   /// many-to-one vertices, only key columns are meaningful on this row.
   storage::RowIndex representative_row(VertexIndex v) const {
     return representative_row_.at(v);
+  }
+  /// Every vertex's representative row, indexed by vertex.
+  std::span<const storage::RowIndex> representative_rows() const noexcept {
+    return representative_row_;
   }
 
   /// Columns of the source schema that conditions on this vertex type may

@@ -8,6 +8,7 @@
 #include <cstring>
 #include <filesystem>
 #include <system_error>
+#include <utility>
 
 namespace gems::store {
 
@@ -49,7 +50,28 @@ Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path) {
   return out;
 }
 
-namespace {
+Writer::Writer(int fd, std::string path)
+    : out_(&buffer_), fd_(fd), path_(std::move(path)) {
+  buffer_.reserve(kWriterBufferBytes);
+}
+
+void Writer::flush_buffer() {
+  write_through(buffer_);
+  buffer_.clear();
+}
+
+void Writer::write_through(std::span<const std::uint8_t> b) {
+  if (!error_.is_ok() || b.empty()) return;
+  error_ = write_all(fd_, b, path_);
+  if (!error_.is_ok()) return;
+  crc_ = crc32_update(crc_, b);
+  written_ += b.size();
+}
+
+Status Writer::finish() {
+  flush_buffer();
+  return error_;
+}
 
 Status write_all(int fd, std::span<const std::uint8_t> bytes,
                  const std::string& path) {
@@ -65,15 +87,36 @@ Status write_all(int fd, std::span<const std::uint8_t> bytes,
   return Status::ok();
 }
 
-}  // namespace
+Status pwrite_all(int fd, std::span<const std::uint8_t> bytes,
+                  std::uint64_t offset, const std::string& path) {
+  std::size_t done = 0;
+  while (done < bytes.size()) {
+    const ssize_t n = ::pwrite(fd, bytes.data() + done, bytes.size() - done,
+                               static_cast<off_t>(offset + done));
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      return io_error(errno_detail("pwrite", path));
+    }
+    done += static_cast<std::size_t>(n);
+  }
+  return Status::ok();
+}
 
 Status write_file_durable(const std::string& path,
                           std::span<const std::uint8_t> bytes) {
+  return replace_file_durable(path, [bytes](int fd, const std::string& tmp) {
+    return write_all(fd, bytes, tmp);
+  });
+}
+
+Status replace_file_durable(
+    const std::string& path,
+    const std::function<Status(int fd, const std::string& tmp_path)>& fill) {
   const std::string tmp = path + ".tmp";
   const int fd =
       ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
   if (fd < 0) return io_error(errno_detail("open", tmp));
-  Status status = write_all(fd, bytes, tmp);
+  Status status = fill(fd, tmp);
   if (status.is_ok() && ::fsync(fd) != 0) {
     status = io_error(errno_detail("fsync", tmp));
   }

@@ -17,10 +17,12 @@
 
 #include <cstdint>
 #include <cstring>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/status.hpp"
 
 namespace gems::store {
@@ -31,14 +33,32 @@ namespace gems::store {
 /// before the CRC check would catch it.
 inline constexpr std::uint64_t kMaxFieldBytes = 1ull << 40;  // 1 TiB
 
+/// Buffer of a streaming Writer: small fields gather here and reach the
+/// file in one write; a span at least this long bypasses the buffer. A
+/// larger buffer saves few syscalls and costs resident memory.
+inline constexpr std::size_t kWriterBufferBytes = 64 * 1024;
+
 // ---- Writer ---------------------------------------------------------------
 
-/// Appends little-endian fields to a byte buffer.
+/// Appends little-endian fields to a byte vector, or streams them to an
+/// open file through a kWriterBufferBytes buffer. The streaming form keeps
+/// a running CRC-32 and byte count of what it writes, so a checksummed file
+/// section never has to be in memory whole. Its write errors are sticky:
+/// later fields are dropped and finish() returns the first error.
 class Writer {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(out) {}
+  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
+  /// Streams to `fd`, which stays owned by the caller; `path` names the
+  /// file in error messages.
+  Writer(int fd, std::string path);
 
-  void u8(std::uint8_t v) { out_.push_back(v); }
+  Writer(const Writer&) = delete;
+  Writer& operator=(const Writer&) = delete;
+
+  void u8(std::uint8_t v) {
+    make_room(1);
+    out_->push_back(v);
+  }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }
@@ -55,7 +75,14 @@ class Writer {
   }
 
   void bytes(std::span<const std::uint8_t> b) {
-    out_.insert(out_.end(), b.begin(), b.end());
+    if (streaming() && out_->size() + b.size() > kWriterBufferBytes) {
+      flush_buffer();
+      if (b.size() >= kWriterBufferBytes) {
+        write_through(b);
+        return;
+      }
+    }
+    out_->insert(out_->end(), b.begin(), b.end());
   }
 
   /// u64 element count + raw little-endian array contents.
@@ -67,17 +94,36 @@ class Writer {
     bytes({p, a.size() * sizeof(T)});
   }
 
-  std::size_t size() const { return out_.size(); }
+  /// Streaming form: writes out the buffer and returns the first write
+  /// error, if any. Call it before reading written() and crc().
+  Status finish();
+  /// Streaming form: bytes written to the file so far, and their CRC-32.
+  std::uint64_t written() const { return written_; }
+  std::uint32_t crc() const { return crc32_final(crc_); }
 
  private:
+  bool streaming() const { return fd_ >= 0; }
+  void make_room(std::size_t n) {
+    if (streaming() && out_->size() + n > kWriterBufferBytes) flush_buffer();
+  }
+  void flush_buffer();
+  void write_through(std::span<const std::uint8_t> b);
+
   template <typename T>
   void le(T v) {
+    make_room(sizeof(T));
     for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
 
-  std::vector<std::uint8_t>& out_;
+  std::vector<std::uint8_t>* out_;  // the caller's vector, or buffer_
+  std::vector<std::uint8_t> buffer_;
+  int fd_ = -1;
+  std::string path_;
+  std::uint64_t written_ = 0;
+  std::uint32_t crc_ = kCrc32Init;
+  Status error_;
 };
 
 // ---- Reader ---------------------------------------------------------------
@@ -184,12 +230,27 @@ class Reader {
 /// other failure.
 Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path);
 
-/// Crash-safe file replacement: writes `bytes` to `path + ".tmp"`, fsyncs
-/// it, renames over `path`, then fsyncs the containing directory so the
-/// rename itself is durable. A crash at any point leaves either the old
-/// complete file or the new complete file, never a torn one.
+/// Crash-safe file replacement: `fill` writes the new contents through the
+/// open descriptor of `path + ".tmp"` (whose name it is also given); the
+/// temp file is then fsynced and renamed over `path`, and the containing
+/// directory fsynced so the rename itself is durable. A crash at any point
+/// leaves either the old complete file or the new complete file, never a
+/// torn one. On any error, `fill`'s included, the temp file is removed and
+/// `path` is left as it was.
+Status replace_file_durable(
+    const std::string& path,
+    const std::function<Status(int fd, const std::string& tmp_path)>& fill);
+
+/// replace_file_durable with `bytes` as the new contents.
 Status write_file_durable(const std::string& path,
                           std::span<const std::uint8_t> bytes);
+
+/// Writes all of `bytes` to `fd` at its file offset (write_all) or at
+/// `offset` (pwrite_all), retrying short and interrupted writes.
+Status write_all(int fd, std::span<const std::uint8_t> bytes,
+                 const std::string& path);
+Status pwrite_all(int fd, std::span<const std::uint8_t> bytes,
+                  std::uint64_t offset, const std::string& path);
 
 /// fsyncs a directory (required after rename/create for the directory
 /// entry to be durable).

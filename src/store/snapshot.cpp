@@ -1,5 +1,7 @@
 #include "store/snapshot.hpp"
 
+#include <algorithm>
+#include <string>
 #include <utility>
 
 #include "common/crc32.hpp"
@@ -165,8 +167,7 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
 }
 
 void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
-                 std::vector<std::uint8_t>& out) {
-  Writer w(out);
+                 Writer& w) {
   w.u64(wal_seq);
 
   // String pool, in id order (deterministic; ids in column data stay
@@ -221,12 +222,7 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
     }
     w.pod_array<storage::ColumnIndex>(vt.key_columns());
     w.u8(vt.one_to_one() ? 1 : 0);
-    std::vector<RowIndex> reps;
-    reps.reserve(vt.num_vertices());
-    for (std::size_t v = 0; v < vt.num_vertices(); ++v) {
-      reps.push_back(vt.representative_row(static_cast<VertexIndex>(v)));
-    }
-    w.pod_array<RowIndex>(reps);
+    w.pod_array<RowIndex>(vt.representative_rows());
     encode_bitset(w, vt.matching_rows());
   }
 
@@ -237,15 +233,8 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
     w.str(et.name());
     w.u16(et.source_type());
     w.u16(et.target_type());
-    std::vector<VertexIndex> src, dst;
-    src.reserve(et.num_edges());
-    dst.reserve(et.num_edges());
-    for (std::size_t e = 0; e < et.num_edges(); ++e) {
-      src.push_back(et.source_vertex(static_cast<graph::EdgeIndex>(e)));
-      dst.push_back(et.target_vertex(static_cast<graph::EdgeIndex>(e)));
-    }
-    w.pod_array<VertexIndex>(src);
-    w.pod_array<VertexIndex>(dst);
+    w.pod_array<VertexIndex>(et.source_vertices());
+    w.pod_array<VertexIndex>(et.target_vertices());
     w.u8(et.attr_table() != nullptr ? 1 : 0);
     if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());
     for (const graph::CsrIndex* csr : {&et.forward(), &et.reverse()}) {
@@ -493,24 +482,54 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
   return Status::ok();
 }
 
-}  // namespace
-
-std::vector<std::uint8_t> encode_snapshot(const exec::ExecContext& ctx,
-                                          std::uint64_t wal_seq) {
-  std::vector<std::uint8_t> body;
-  encode_body(ctx, wal_seq, body);
-
+std::vector<std::uint8_t> encode_header(std::uint64_t body_len,
+                                        std::uint32_t body_crc) {
   std::vector<std::uint8_t> out;
-  out.reserve(kSnapshotHeaderBytes + body.size());
+  out.reserve(kSnapshotHeaderBytes);
   Writer h(out);
   h.u32(kSnapshotMagic);
   h.u16(kSnapshotVersion);
   h.u16(0);  // reserved
-  h.u64(body.size());
-  h.u32(crc32(body));
+  h.u64(body_len);
+  h.u32(body_crc);
   h.u32(crc32(out));  // header CRC over the 20 bytes written so far
-  out.insert(out.end(), body.begin(), body.end());
   return out;
+}
+
+}  // namespace
+
+std::vector<std::uint8_t> encode_snapshot(const exec::ExecContext& ctx,
+                                          std::uint64_t wal_seq) {
+  // The header's room is taken first and filled in once the body's length
+  // and CRC are known, so the body is encoded in place, never copied.
+  std::vector<std::uint8_t> out(kSnapshotHeaderBytes);
+  Writer w(out);
+  encode_body(ctx, wal_seq, w);
+  const auto body = std::span<const std::uint8_t>(out).subspan(
+      kSnapshotHeaderBytes);
+  const std::vector<std::uint8_t> header = encode_header(body.size(),
+                                                         crc32(body));
+  std::copy(header.begin(), header.end(), out.begin());
+  return out;
+}
+
+Result<std::uint64_t> write_snapshot_file(const std::string& path,
+                                          const exec::ExecContext& ctx,
+                                          std::uint64_t wal_seq) {
+  std::uint64_t body_len = 0;
+  GEMS_RETURN_IF_ERROR(replace_file_durable(
+      path, [&](int fd, const std::string& tmp) -> Status {
+        // The header covers the body's length and CRC, so it goes in last:
+        // a zeroed placeholder now, the real bytes at offset 0 at the end.
+        const std::uint8_t placeholder[kSnapshotHeaderBytes] = {};
+        GEMS_RETURN_IF_ERROR(write_all(fd, placeholder, tmp));
+        Writer w(fd, tmp);
+        encode_body(ctx, wal_seq, w);
+        GEMS_RETURN_IF_ERROR(w.finish());
+        body_len = w.written();
+        return pwrite_all(fd, encode_header(body_len, w.crc()), 0, tmp);
+      }));
+  return kSnapshotHeaderBytes + body_len;
 }
 
 Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,

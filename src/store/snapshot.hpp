@@ -14,11 +14,14 @@
 // Encoding is deterministic: the pool is written in id order, tables in
 // name order, types in id order, subgraphs in map order. Two snapshots of
 // the same database state are byte-identical (tested), which makes
-// snapshot diffs meaningful and checkpoints idempotent.
+// snapshot diffs meaningful and checkpoints idempotent. One encoder feeds
+// both outputs — an in-memory image and a streamed file — so they carry
+// the same bytes.
 #pragma once
 
 #include <cstdint>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/status.hpp"
@@ -39,6 +42,15 @@ struct SnapshotInfo {
 
 /// Serializes `ctx` to a complete snapshot file image (header + body).
 std::vector<std::uint8_t> encode_snapshot(const exec::ExecContext& ctx,
+                                          std::uint64_t wal_seq);
+
+/// Writes the same image as encode_snapshot to `path` by crash-safe
+/// replacement (replace_file_durable), streaming the body through a
+/// kWriterBufferBytes buffer instead of holding the image in memory; the
+/// header, which covers the body's length and running CRC, is written
+/// last. Returns the file size in bytes.
+Result<std::uint64_t> write_snapshot_file(const std::string& path,
+                                          const exec::ExecContext& ctx,
                                           std::uint64_t wal_seq);
 
 /// Validates and decodes a snapshot image into `ctx`, which must be fresh

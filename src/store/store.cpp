@@ -245,13 +245,14 @@ Status Store::checkpoint(const exec::ExecContext& ctx) {
 Status Store::write_snapshot(const exec::ExecContext& ctx,
                              std::uint64_t seq) {
   Timer timer;
-  const std::vector<std::uint8_t> image = encode_snapshot(ctx, seq);
-  GEMS_RETURN_IF_ERROR(
-      write_file_durable(snapshot_path(), image)
-          .with_context("checkpoint snapshot"));
+  const Result<std::uint64_t> bytes =
+      write_snapshot_file(snapshot_path(), ctx, seq);
+  if (!bytes.is_ok()) {
+    return bytes.status().with_context("checkpoint snapshot");
+  }
   const double us = timer.elapsed_us();
-  metrics_.record_snapshot(image.size(), static_cast<std::uint64_t>(us));
-  GEMS_LOG(Info) << "checkpoint: " << image.size() << " bytes at WAL seq "
+  metrics_.record_snapshot(*bytes, static_cast<std::uint64_t>(us));
+  GEMS_LOG(Info) << "checkpoint: " << *bytes << " bytes at WAL seq "
                  << seq << " (" << us / 1e3 << " ms)";
   return Status::ok();
 }

@@ -51,13 +51,14 @@ class Store {
   Status checkpoint(const exec::ExecContext& ctx);
 
   /// Split checkpoint (gems::mvcc): capture `wal_seq()` together with a
-  /// pinned epoch under exclusive access, encode + durably write the
-  /// snapshot outside any lock via write_snapshot (ctx is the pinned
-  /// epoch's immutable state), then call finish_checkpoint(seq) under
-  /// exclusive access again — it rotates the WAL only if no writer
-  /// appended past `seq` in the meantime (rotation truncates all records,
-  /// so rotating past concurrent appends would lose them; skipping is
-  /// safe because replay ignores records the snapshot already covers).
+  /// pinned epoch under exclusive access, stream the snapshot to disk
+  /// outside any lock via write_snapshot (ctx is the pinned epoch's
+  /// immutable state; see write_snapshot_file), then call
+  /// finish_checkpoint(seq) under exclusive access again — it rotates
+  /// the WAL only if no writer appended past `seq` in the meantime
+  /// (rotation truncates all records, so rotating past concurrent appends
+  /// would lose them; skipping is safe because replay ignores records the
+  /// snapshot already covers).
   std::uint64_t wal_seq() const { return wal_->last_seq(); }
   Status write_snapshot(const exec::ExecContext& ctx, std::uint64_t seq);
   Status finish_checkpoint(std::uint64_t seq);

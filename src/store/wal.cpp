@@ -154,16 +154,8 @@ Result<std::uint64_t> Wal::append(WalRecordType type,
   w.u8(static_cast<std::uint8_t>(type));
   w.bytes(payload);
 
-  std::size_t done = 0;
-  while (done < frame.size()) {
-    const ssize_t n = ::write(fd_, frame.data() + done, frame.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      // A partial append leaves a torn frame; the next open truncates it.
-      return errno_status("append", path_);
-    }
-    done += static_cast<std::size_t>(n);
-  }
+  // A partial append leaves a torn frame; the next open truncates it.
+  GEMS_RETURN_IF_ERROR(write_all(fd_, frame, path_));
   if (fsync_on_append_ && ::fsync(fd_) != 0) {
     return errno_status("fsync", path_);
   }

@@ -1,17 +1,24 @@
 // Tests for gems::store: snapshot round-trips and byte-identical
 // determinism, WAL replay after a simulated crash, checkpoint + reopen,
 // corruption injection (bit flips and truncation must yield typed errors
-// or clean tail truncation, never UB), fail-stop semantics, and the
-// background checkpoint thread (exercised under TSan in CI).
+// or clean tail truncation, never UB), fail-stop semantics, the
+// background checkpoint thread (exercised under TSan in CI), and streamed
+// checkpoints (file == in-memory image, failed writes leave no trace).
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/fsuid.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <sstream>
+#include <string>
 #include <thread>
+#include <utility>
 
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
@@ -202,6 +209,71 @@ TEST(SnapshotTest, CorruptionIsATypedErrorNeverUB) {
   padded.push_back(0xEE);
   server::Database scratch;
   EXPECT_FALSE(decode_snapshot(padded, scratch.context()).is_ok());
+}
+
+// ---- Writer: in-memory vs streamed ------------------------------------------
+
+/// Fields laid out so that small ones straddle the streaming buffer's
+/// boundary and one array is larger than the whole buffer.
+void write_boundary_fields(Writer& w) {
+  const std::vector<std::uint8_t> fill(kWriterBufferBytes - 3, 0x5A);
+  w.bytes(fill);
+  w.u64(0x0102030405060708ull);  // 3 bytes of room left: straddles
+  w.u16(0xBEEF);
+  w.str("across the boundary");
+  std::vector<std::uint32_t> big(kWriterBufferBytes / 2);  // 2x the buffer
+  for (std::size_t i = 0; i < big.size(); ++i) {
+    big[i] = static_cast<std::uint32_t>(i * 2654435761u);
+  }
+  w.pod_array<std::uint32_t>(big);
+  w.f64(-2.5);
+  const std::vector<std::uint8_t> almost(kWriterBufferBytes - 1, 0xC3);
+  w.bytes(almost);  // fits only after a flush
+  w.u32(0xDEADBEEF);
+  w.u8(7);
+}
+
+TEST(WriterTest, StreamedBytesEqualInMemoryBytesAcrossTheBuffer) {
+  std::vector<std::uint8_t> memory;
+  Writer m(memory);
+  write_boundary_fields(m);
+
+  TempDir dir("writer");
+  const std::string path = dir.sub("streamed.bin");
+  const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  ASSERT_GE(fd, 0);
+  Writer s(fd, path);
+  write_boundary_fields(s);
+  const Status finished = s.finish();
+  ::close(fd);
+  ASSERT_TRUE(finished.is_ok()) << finished.to_string();
+
+  EXPECT_EQ(slurp(path), memory);
+  EXPECT_EQ(s.written(), memory.size());
+  EXPECT_EQ(s.crc(), crc32(memory));
+
+  // A failed write is sticky and typed, even when the file would accept
+  // later writes: they are dropped, since the file already has a gap, and
+  // finish() reports the first error. A full non-blocking pipe fails the
+  // first write with EAGAIN; draining it makes later writes succeed.
+  int pipe_fds[2];
+  ASSERT_EQ(::pipe2(pipe_fds, O_NONBLOCK), 0);
+  const std::vector<std::uint8_t> chunk(4096, 0x11);
+  while (::write(pipe_fds[1], chunk.data(), chunk.size()) > 0) {
+  }
+  Writer bad(pipe_fds[1], "pipe");
+  bad.bytes(memory);  // larger than the buffer: written through, fails
+  std::vector<std::uint8_t> sink(chunk.size());
+  while (::read(pipe_fds[0], sink.data(), sink.size()) > 0) {
+  }
+  bad.u32(1);
+  const Status failed = bad.finish();
+  EXPECT_LT(::read(pipe_fds[0], sink.data(), sink.size()), 0);  // dropped
+  ::close(pipe_fds[0]);
+  ::close(pipe_fds[1]);
+  ASSERT_FALSE(failed.is_ok());
+  EXPECT_EQ(failed.code(), StatusCode::kIoError);
+  EXPECT_EQ(bad.written(), 0u);
 }
 
 // ---- WAL -------------------------------------------------------------------
@@ -531,6 +603,142 @@ TEST(DurableDatabaseTest, BerlinRestartRoundTripIsByteIdentical) {
   EXPECT_TRUE(db.store_metrics().recovered_from_snapshot);
   EXPECT_EQ(query_fingerprint(db), before);
   EXPECT_EQ((*db.table("Products"))->num_rows(), 120u);
+}
+
+// ---- Streamed checkpoints ---------------------------------------------------
+
+/// The WAL seq a snapshot image records (the first body field).
+std::uint64_t snapshot_wal_seq(const std::vector<std::uint8_t>& image) {
+  Reader r(std::span<const std::uint8_t>(image).subspan(kSnapshotHeaderBytes));
+  auto seq = r.u64();
+  EXPECT_TRUE(seq.is_ok()) << seq.status().to_string();
+  return seq.is_ok() ? *seq : 0;
+}
+
+/// A CSV batch of `rows` new Reviews of existing products and persons, with
+/// ids no generated review uses, so ingesting it takes the delta path.
+void write_review_batch(const std::string& path, int batch, int rows,
+                        const bsbm::GeneratorConfig& config) {
+  std::ostringstream text;
+  for (int i = 0; i < rows; ++i) {
+    const std::size_t k = static_cast<std::size_t>(batch * rows + i);
+    text << "rx" << k << ",Review," << bsbm::product_id(k % config.num_products)
+         << "," << bsbm::person_id(k % config.num_persons)
+         << ",2008-03-01,T" << k % 100 << ",txt," << 1 + k % 10
+         << ",2,3,4,gen,2008-03-02\n";
+  }
+  write_text_file(path, text.str());
+}
+
+TEST(DurableDatabaseTest, CheckpointFileIsByteIdenticalToEncodeSnapshot) {
+  TempDir dir("db_stream");
+  const auto config = bsbm::GeneratorConfig::derive(300, 17);
+  auto db = bsbm::make_populated_database(config, durable_options(dir));
+  ASSERT_TRUE(db.is_ok()) << db.status().to_string();
+  const std::string snapshot = dir.sub("store/snapshot.gsnp");
+
+  ASSERT_TRUE((*db)->checkpoint().is_ok());
+  auto file = slurp(snapshot);
+  ASSERT_GT(file.size(), 4 * kWriterBufferBytes);  // many buffer flushes
+  const std::uint64_t seq = snapshot_wal_seq(file);
+  EXPECT_EQ(file, encode_snapshot((*db)->context(), seq));
+
+  // Delta ingests grow tables, vertex and edge types in place of a rebuild;
+  // the streamed file must follow them byte for byte.
+  for (int b = 0; b < 2; ++b) {
+    write_review_batch(dir.sub("reviews.csv"), b, 40, config);
+    auto r = (*db)->run_script("ingest table Reviews 'reviews.csv'");
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  }
+  ASSERT_GE((*db)->epoch_metrics().delta_ingests, 2u);
+  ASSERT_TRUE((*db)->checkpoint().is_ok());
+  file = slurp(snapshot);
+  EXPECT_EQ(snapshot_wal_seq(file), seq + 2);
+  EXPECT_EQ(file, encode_snapshot((*db)->context(), seq + 2));
+}
+
+/// Makes a directory unwritable to the calling thread for the guard's
+/// lifetime. Mode 0555 alone does not stop root, so a root caller also
+/// takes a non-root filesystem uid — per thread on Linux — until the guard
+/// ends. unwritable() probes whether that worked.
+class UnwritableDir {
+ public:
+  explicit UnwritableDir(std::string path) : path_(std::move(path)) {
+    fs::permissions(path_, fs::perms::owner_write | fs::perms::group_write |
+                               fs::perms::others_write,
+                    fs::perm_options::remove);
+    if (as_root_) ::setfsuid(kNobody);
+  }
+  ~UnwritableDir() {
+    if (as_root_) ::setfsuid(0);
+    fs::permissions(path_, fs::perms::owner_write, fs::perm_options::add);
+  }
+  UnwritableDir(const UnwritableDir&) = delete;
+  UnwritableDir& operator=(const UnwritableDir&) = delete;
+
+  bool unwritable() const {
+    const std::string probe = path_ + "/probe";
+    const int fd = ::open(probe.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+    if (fd < 0) return true;
+    ::close(fd);
+    ::unlink(probe.c_str());
+    return false;
+  }
+
+ private:
+  static constexpr uid_t kNobody = 65534;
+  std::string path_;
+  bool as_root_ = ::geteuid() == 0;
+};
+
+TEST(DurableDatabaseTest, FailedCheckpointLeavesSnapshotAndWalAndKeepsServing) {
+  TempDir dir("db_ckpt_fail");
+  write_people_csvs(dir);
+  write_text_file(dir.sub("more.csv"), "don,62\n");
+  write_text_file(dir.sub("late.csv"), "leslie,58\n");
+  const std::string snapshot = dir.sub("store/snapshot.gsnp");
+  const std::string wal = dir.sub("store/wal.gwal");
+  std::string before;
+  {
+    server::Database db(durable_options(dir));
+    populate(db);
+    ASSERT_TRUE(db.checkpoint().is_ok());
+    ASSERT_TRUE(db.run_script("ingest table People 'more.csv'").is_ok());
+    const auto snapshot_before = slurp(snapshot);
+    const auto wal_before = slurp(wal);
+    auto expect_failed_checkpoint_left_no_trace = [&] {
+      const Status s = db.checkpoint();
+      ASSERT_FALSE(s.is_ok());
+      EXPECT_EQ(s.code(), StatusCode::kIoError) << s.to_string();
+      EXPECT_EQ(slurp(snapshot), snapshot_before);
+      EXPECT_FALSE(fs::exists(fs::symlink_status(snapshot + ".tmp")));
+      EXPECT_EQ(slurp(wal), wal_before);  // not rotated: its tail is needed
+    };
+
+    // Disk full: the temp file opens (its name leads to /dev/full), then
+    // the first write fails and the temp file must be removed.
+    fs::create_symlink("/dev/full", snapshot + ".tmp");
+    expect_failed_checkpoint_left_no_trace();
+    {
+      UnwritableDir store_dir(dir.sub("store"));
+      if (!store_dir.unwritable()) {
+        GTEST_SKIP() << "cannot make a directory unwritable to this process";
+      }
+      expect_failed_checkpoint_left_no_trace();
+    }
+
+    // The failure is the checkpoint's alone: reads and logged writes go on.
+    EXPECT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
+    ASSERT_TRUE(db.run_script("select name from table People").is_ok());
+    ASSERT_TRUE(db.run_script("ingest table People 'late.csv'").is_ok());
+    before = state_fingerprint(db);
+    ASSERT_TRUE(db.checkpoint().is_ok());
+  }
+
+  server::Database reopened(durable_options(dir));
+  ASSERT_TRUE(reopened.store_status().is_ok());
+  EXPECT_EQ(state_fingerprint(reopened), before);
+  EXPECT_EQ((*reopened.table("People"))->num_rows(), 6u);
 }
 
 }  // namespace
