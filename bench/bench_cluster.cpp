@@ -6,13 +6,16 @@
 // the counters (wire bytes vs. payload bytes, messages, supersteps) are
 // the transport-independent outputs that would dominate on a real
 // cluster. See EXPERIMENTS.md for the single-core caveat.
+#include <algorithm>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/rank_worker.hpp"
+#include "common/metrics.hpp"
 #include "dist/dist_matcher.hpp"
 #include "exec/lowering.hpp"
 #include "graql/parser.hpp"
@@ -64,26 +67,33 @@ void BM_Cluster_SocketMatch(benchmark::State& state) {
   server::Database& db = berlin_db(kScale);
   const std::size_t ranks = static_cast<std::size_t>(state.range(0));
   LiveCluster cluster(db, ranks);
+  // The cluster.* counters count for the database's lifetime, across the
+  // earlier rank counts' clusters: report this run's share.
+  const metrics::Snapshot before = db.metrics_snapshot();
   for (auto _ : state) {
     auto r = db.run_script(kChainQuery);
     GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
     benchmark::DoNotOptimize(r->back().table);
   }
-  const auto m = cluster.coordinator->metrics();
-  const double jobs = static_cast<double>(m.jobs ? m.jobs : 1);
+  const metrics::Snapshot after = db.metrics_snapshot();
+  auto delta = [&](const std::string& name) {
+    return static_cast<double>(metrics::value(after, name) -
+                               metrics::value(before, name));
+  };
+  const double jobs = std::max(1.0, delta("cluster.jobs"));
   state.counters["ranks"] = static_cast<double>(ranks);
   double messages = 0, payload = 0, wire = 0;
-  for (const auto& rk : m.ranks) {
-    messages += static_cast<double>(rk.messages);
-    payload += static_cast<double>(rk.payload_bytes);
-    wire += static_cast<double>(rk.wire_bytes);
+  for (std::size_t r = 0; r < ranks; ++r) {
+    const std::string p = "cluster.rank." + std::to_string(r) + ".";
+    messages += delta(p + "messages");
+    payload += delta(p + "payload_bytes");
+    wire += delta(p + "wire_bytes");
   }
   state.counters["messages_per_job"] = messages / jobs;
   state.counters["payload_bytes_per_job"] = payload / jobs;
   state.counters["wire_bytes_per_job"] = wire / jobs;
   state.counters["supersteps_per_job"] =
-      m.ranks.empty() ? 0.0
-                      : static_cast<double>(m.ranks[0].supersteps) / jobs;
+      delta("cluster.rank.0.supersteps") / jobs;
 }
 BENCHMARK(BM_Cluster_SocketMatch)->Arg(1)->Arg(2)->Arg(4)
     ->Unit(benchmark::kMillisecond);

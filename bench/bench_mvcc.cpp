@@ -11,7 +11,7 @@
 //      batch ingest timed with DatabaseOptions::incremental_ingest on and
 //      off. The delta path scales with the batch, the rebuild path with
 //      the whole graph; per-maintenance nanoseconds are reported from the
-//      epoch metrics (delta_ns / rebuild_ns).
+//      ingest metrics (mvcc.ingest.delta_ns / rebuild_ns).
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "mvcc/metrics.hpp"
+#include "common/metrics.hpp"
 #include "server/database.hpp"
 
 namespace gems::bench {
@@ -157,13 +157,14 @@ void BM_ReaderLatencyUnderWriters(benchmark::State& state) {
   stop.store(true, std::memory_order_release);
   for (auto& t : writers) t.join();
 
-  const mvcc::EpochMetricsSnapshot e = db->epoch_metrics();
+  const metrics::Snapshot m = db->metrics_snapshot();
   state.counters["writers"] = static_cast<double>(num_writers);
   state.counters["p50_us"] =
       static_cast<double>(percentile_us(latencies_us, 0.50));
   state.counters["p99_us"] =
       static_cast<double>(percentile_us(latencies_us, 0.99));
-  state.counters["epochs_published"] = static_cast<double>(e.published);
+  state.counters["epochs_published"] =
+      static_cast<double>(metrics::value(m, "mvcc.epochs.published"));
   state.counters["batches_ingested"] =
       static_cast<double>(batches_ingested.load());
 }
@@ -190,16 +191,18 @@ void BM_IngestMaintenance(benchmark::State& state) {
     GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
   }
 
-  const mvcc::EpochMetricsSnapshot e = db->epoch_metrics();
+  const metrics::Snapshot m = db->metrics_snapshot();
+  const std::uint64_t delta = metrics::value(m, "mvcc.ingest.delta");
+  const std::uint64_t rebuild = metrics::value(m, "mvcc.ingest.rebuild");
   state.counters["incremental"] = incremental ? 1 : 0;
-  state.counters["delta_ingests"] = static_cast<double>(e.delta_ingests);
-  state.counters["full_rebuilds"] = static_cast<double>(e.full_rebuilds);
-  if (e.delta_ingests > 0) {
-    state.counters["maintain_ns_per_ingest"] =
-        static_cast<double>(e.delta_build_ns / e.delta_ingests);
-  } else if (e.full_rebuilds > 0) {
-    state.counters["maintain_ns_per_ingest"] =
-        static_cast<double>(e.rebuild_ns / e.full_rebuilds);
+  state.counters["delta_ingests"] = static_cast<double>(delta);
+  state.counters["full_rebuilds"] = static_cast<double>(rebuild);
+  if (delta > 0) {
+    state.counters["maintain_ns_per_ingest"] = static_cast<double>(
+        metrics::value(m, "mvcc.ingest.delta_ns") / delta);
+  } else if (rebuild > 0) {
+    state.counters["maintain_ns_per_ingest"] = static_cast<double>(
+        metrics::value(m, "mvcc.ingest.rebuild_ns") / rebuild);
   }
 }
 BENCHMARK(BM_IngestMaintenance)

@@ -2,7 +2,7 @@
 // binary IR over a loopback TCP connection to gems::net::Server, at 1, 4
 // and 16 concurrent clients. Reports requests/s and client-observed
 // p50/p99 latency, plus the server-side queue-wait vs. execute split from
-// the per-request metrics registry (the kStats verb), so wire/queue cost
+// the `net.run_script.*` histograms (the kStats verb), so wire/queue cost
 // is separable from execution cost.
 #include <algorithm>
 #include <atomic>
@@ -101,15 +101,19 @@ void run_wire_benchmark(benchmark::State& state, const std::string& script) {
   GEMS_CHECK(stats_client.connect().is_ok());
   auto snapshot = stats_client.stats();
   GEMS_CHECK(snapshot.is_ok());
-  const auto& run = snapshot->verb(net::Verb::kRunScript);
+  const metrics::Record* queue =
+      metrics::find(*snapshot, "net.run_script.queue_wait_us");
+  const metrics::Record* exec =
+      metrics::find(*snapshot, "net.run_script.execute_us");
+  GEMS_CHECK(queue != nullptr && exec != nullptr);
   state.counters["srv_queue_p50_us"] =
-      static_cast<double>(run.queue_wait.quantile_us(0.50));
+      static_cast<double>(queue->histogram.quantile_us(0.50));
   state.counters["srv_queue_p99_us"] =
-      static_cast<double>(run.queue_wait.quantile_us(0.99));
+      static_cast<double>(queue->histogram.quantile_us(0.99));
   state.counters["srv_exec_p50_us"] =
-      static_cast<double>(run.execute.quantile_us(0.50));
+      static_cast<double>(exec->histogram.quantile_us(0.50));
   state.counters["srv_exec_p99_us"] =
-      static_cast<double>(run.execute.quantile_us(0.99));
+      static_cast<double>(exec->histogram.quantile_us(0.99));
   server.stop();
 }
 
@@ -130,12 +134,12 @@ BENCHMARK(BM_Wire_BerlinQ2)->Arg(1)->Arg(4)->Arg(16)
 /// lock) hammered at 1/4/16 clients against a server with 1 vs 4 worker
 /// threads. Read-only scripts execute concurrently, so multi-worker
 /// throughput scales with the cores the host has (see EXPERIMENTS.md).
-/// The epoch block's peak pinned-reader count from the stats verb rides
+/// The peak pinned-reader count (`mvcc.pins.peak`) from the stats verb rides
 /// along so the JSON trail shows the read concurrency actually achieved.
 void BM_WireReadScaling(benchmark::State& state) {
   const int num_workers = static_cast<int>(state.range(0));
   const int num_clients = static_cast<int>(state.range(1));
-  // A database of its own, so the epoch block's peak pinned-reader count
+  // A database of its own, so the peak pinned-reader count
   // is this case's read concurrency rather than the whole process's.
   auto fresh = bsbm::make_populated_database(
       bsbm::GeneratorConfig::derive(kScale, 42));
@@ -169,7 +173,7 @@ void BM_WireReadScaling(benchmark::State& state) {
   auto snapshot = stats_client.stats();
   GEMS_CHECK(snapshot.is_ok());
   state.counters["peak_pinned_readers"] =
-      static_cast<double>(snapshot->epoch.peak_pinned_readers);
+      static_cast<double>(metrics::value(*snapshot, "mvcc.pins.peak"));
   server.stop();
 }
 BENCHMARK(BM_WireReadScaling)

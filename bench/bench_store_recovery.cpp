@@ -92,8 +92,8 @@ void BM_SnapshotCheckpoint(benchmark::State& state) {
     auto s = (*opened)->checkpoint(db.context());
     GEMS_CHECK_MSG(s.is_ok(), s.to_string().c_str());
   }
-  const std::uint64_t bytes =
-      (*opened)->metrics().snapshot().snapshot_bytes_last;
+  const std::uint64_t bytes = metrics::value(
+      (*opened)->metrics().snapshot(), "store.snapshot.last_bytes");
   state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
                           state.iterations());
   state.counters["snapshot_bytes"] = static_cast<double>(bytes);
@@ -118,7 +118,7 @@ BENCHMARK(BM_SnapshotDecode)->Arg(100)->Arg(500)->Arg(2000)
 
 /// WAL append latency. Arg = fsync on append (0/1). The p50/p99 counters
 /// come from the log-scale histogram the store itself maintains, i.e. the
-/// same numbers `\storestats` reports.
+/// same numbers `\stats store.wal.append_us` reports.
 void BM_WalAppend(benchmark::State& state) {
   const bool fsync = state.range(0) != 0;
   const std::string dir = scratch_dir(fsync ? "wal_fsync" : "wal_nofsync");
@@ -160,7 +160,8 @@ void BM_ColdRecovery(benchmark::State& state) {
     const auto stop = std::chrono::steady_clock::now();
     GEMS_CHECK_MSG(db.store_status().is_ok(),
                    db.store_status().to_string().c_str());
-    snapshot_bytes = db.store_metrics().recovery_snapshot_bytes;
+    snapshot_bytes = metrics::value(db.metrics_snapshot(),
+                                    "store.recovery.snapshot_bytes");
     state.SetIterationTime(
         std::chrono::duration<double>(stop - start).count());
   }

@@ -38,13 +38,10 @@
 //                     file:line:col: warning[GQL0042]: ... (colored on a
 //                     terminal; \-meta-command lines are skipped)
 //   \explain          show the query plan for the next statement
-//   \stats            server-side request metrics (remote mode)
+//   \stats [PREFIX]   metrics registry records whose name starts with
+//                     PREFIX (e.g. store., exec.match., mvcc., cluster.,
+//                     net. when remote); local and over --connect
 //   \checkpoint       snapshot the database and rotate the WAL (durable)
-//   \storestats       durability metrics: WAL latency, snapshot sizes
-//   \matchstats       matcher metrics: passes, traversals, parallel tasks
-//   \accessstats      writer-lock counters plus the epoch block
-//   \epochstats       mvcc epoch lifecycle: publishes, pins, delta ingests
-//   \clusterstats     per-rank BSP traffic counters (cluster attached)
 //   \shutdown         ask the remote server to shut down (remote mode)
 //   \quit
 #include <cstdio>
@@ -61,6 +58,7 @@
 #include "bsbm/schema.hpp"
 #include "cluster/coordinator.hpp"
 #include "cluster/rank_worker.hpp"
+#include "common/metrics.hpp"
 #include "graql/diag.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
@@ -114,31 +112,12 @@ class Backend {
   virtual gems::Result<std::string> explain(
       const std::string& text, const gems::relational::ParamMap& params) = 0;
   virtual gems::Result<std::string> catalog_summary() = 0;
-  virtual gems::Result<std::string> stats() {
-    return gems::unimplemented("\\stats needs --connect (remote mode)");
-  }
+  virtual gems::Result<gems::metrics::Snapshot> stats() = 0;
   virtual gems::Status shutdown_server() {
     return gems::unimplemented("\\shutdown needs --connect (remote mode)");
   }
   virtual gems::Status checkpoint() {
     return gems::unimplemented("\\checkpoint needs a local --data-dir store");
-  }
-  virtual gems::Result<std::string> store_stats() {
-    return gems::unimplemented("\\storestats needs a local --data-dir store");
-  }
-  virtual gems::Result<std::string> match_stats() {
-    return gems::unimplemented("\\matchstats needs a local database");
-  }
-  virtual gems::Result<std::string> access_stats() {
-    return gems::unimplemented("\\accessstats needs a database");
-  }
-  virtual gems::Result<std::string> epoch_stats() {
-    return gems::unimplemented("\\epochstats needs a database");
-  }
-  virtual gems::Result<std::string> cluster_stats() {
-    return gems::unimplemented(
-        "\\clusterstats needs an attached cluster (--cluster-coordinator) "
-        "or a remote server");
   }
 };
 
@@ -176,22 +155,10 @@ class LocalBackend : public Backend {
   gems::Result<std::string> catalog_summary() override {
     return db_.catalog_summary();
   }
+  gems::Result<gems::metrics::Snapshot> stats() override {
+    return db_.metrics_snapshot();
+  }
   gems::Status checkpoint() override { return db_.checkpoint(); }
-  gems::Result<std::string> store_stats() override {
-    return db_.store_stats();
-  }
-  gems::Result<std::string> match_stats() override {
-    return db_.match_stats();
-  }
-  gems::Result<std::string> access_stats() override {
-    return db_.access_stats();
-  }
-  gems::Result<std::string> epoch_stats() override {
-    return db_.epoch_stats();
-  }
-  gems::Result<std::string> cluster_stats() override {
-    return db_.cluster_stats();
-  }
 
  private:
   gems::server::Database& db_;
@@ -244,32 +211,11 @@ class RemoteBackend : public Backend {
     }
     return out.str();
   }
-  gems::Result<std::string> stats() override {
-    auto snapshot = client_.stats();
-    if (!snapshot.is_ok()) return snapshot.status();
-    return snapshot->to_string();
+  gems::Result<gems::metrics::Snapshot> stats() override {
+    return client_.stats();
   }
   gems::Status shutdown_server() override {
     return client_.shutdown_server();
-  }
-  gems::Result<std::string> access_stats() override {
-    // The stats verb carries the server's writer-lock and epoch counters
-    // at the tail of the snapshot; render them as the local backend does.
-    auto snapshot = client_.stats();
-    if (!snapshot.is_ok()) return snapshot.status();
-    return snapshot->access.to_string() + "\n" + snapshot->epoch.to_string() +
-           "\n";
-  }
-  gems::Result<std::string> epoch_stats() override {
-    // Same wire snapshot, epoch block at the tail.
-    auto snapshot = client_.stats();
-    if (!snapshot.is_ok()) return snapshot.status();
-    return snapshot->epoch.to_string() + "\n";
-  }
-  gems::Result<std::string> cluster_stats() override {
-    auto snapshot = client_.stats();
-    if (!snapshot.is_ok()) return snapshot.status();
-    return snapshot->cluster.to_string();
   }
 
  private:
@@ -307,7 +253,7 @@ int main(int argc, char** argv) {
       options.store_dir = options.data_dir + "/store";
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
       // Intra-node pool for parallel matching (DESIGN.md §5e);
-      // \matchstats shows whether it engages.
+      // \stats exec.match. shows whether it engages.
       options.intra_node_threads =
           static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
@@ -464,7 +410,8 @@ int main(int argc, char** argv) {
                  server.port());
     server.wait();
     server.stop();
-    std::fprintf(stderr, "%s", server.metrics_snapshot().to_string().c_str());
+    std::fprintf(stderr, "%s",
+                 gems::metrics::render(server.metrics_snapshot()).c_str());
     return 0;
   }
 
@@ -586,39 +533,18 @@ int main(int argc, char** argv) {
         explain_only = true;
         std::printf("next statement will be explained, not executed\n");
       } else if (word == "stats") {
+        std::string prefix;
+        cmd >> prefix;
         auto stats = backend->stats();
-        std::printf("%s", stats.is_ok()
-                              ? stats.value().c_str()
-                              : (stats.status().to_string() + "\n").c_str());
+        std::string out = stats.is_ok()
+                              ? gems::metrics::render(*stats, prefix)
+                              : stats.status().to_string() + "\n";
+        if (out.empty()) out = "no metric name starts with " + prefix + "\n";
+        std::printf("%s", out.c_str());
       } else if (word == "checkpoint") {
         const gems::Status s = backend->checkpoint();
         std::printf("%s\n",
                     s.is_ok() ? "checkpoint written" : s.to_string().c_str());
-      } else if (word == "storestats") {
-        auto stats = backend->store_stats();
-        std::printf("%s\n", stats.is_ok()
-                                ? stats.value().c_str()
-                                : stats.status().to_string().c_str());
-      } else if (word == "matchstats") {
-        auto stats = backend->match_stats();
-        std::printf("%s", stats.is_ok()
-                              ? stats.value().c_str()
-                              : (stats.status().to_string() + "\n").c_str());
-      } else if (word == "accessstats") {
-        auto stats = backend->access_stats();
-        std::printf("%s", stats.is_ok()
-                              ? stats.value().c_str()
-                              : (stats.status().to_string() + "\n").c_str());
-      } else if (word == "epochstats") {
-        auto stats = backend->epoch_stats();
-        std::printf("%s", stats.is_ok()
-                              ? stats.value().c_str()
-                              : (stats.status().to_string() + "\n").c_str());
-      } else if (word == "clusterstats") {
-        auto stats = backend->cluster_stats();
-        std::printf("%s", stats.is_ok()
-                              ? stats.value().c_str()
-                              : (stats.status().to_string() + "\n").c_str());
       } else if (word == "shutdown") {
         const gems::Status s = backend->shutdown_server();
         std::printf("%s\n", s.is_ok() ? "server shutting down"

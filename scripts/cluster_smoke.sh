@@ -31,7 +31,7 @@ r1=$!
 out="$("$shell" --berlin 300 --cluster-coordinator 2 \
   --cluster-port "$port" <<'EOF'
 select * from graph OfferVtx() --product--> ProductVtx() into table res1;
-\clusterstats
+\stats cluster.
 EOF
 )"
 
@@ -40,9 +40,11 @@ wait "$r0"
 wait "$r1"
 
 echo "$out"
-# The distributed match produced the (deterministic) result table and the
-# stats verb saw both ranks do BSP work.
+# The distributed match produced the (deterministic) result table, ran as
+# one cluster job, and rank 1 did BSP work.
 grep -q "res1" <<<"$out"
-grep -q "cluster: 2 ranks, 1 jobs" <<<"$out"
-grep -q "rank 1:" <<<"$out"
+grep -qE '^cluster\.ranks +2$' <<<"$out"
+grep -qE '^cluster\.jobs +1$' <<<"$out"
+grep -qE '^cluster\.rank\.1\.jobs +1$' <<<"$out"
+grep -qE '^cluster\.rank\.1\.messages +[1-9]' <<<"$out"
 echo "cluster smoke OK"

@@ -50,14 +50,27 @@ bool query_has_seed(const graql::GraphQueryStmt& stmt) {
 }  // namespace
 
 Coordinator::Coordinator(server::Database& db, CoordinatorOptions options)
-    : db_(db), options_(std::move(options)) {
+    : db_(db),
+      options_(std::move(options)),
+      ranks_(db.metrics().gauge("cluster.ranks")),
+      jobs_(db.metrics().counter("cluster.jobs")),
+      fallbacks_(db.metrics().counter("cluster.fallbacks")),
+      syncs_(db.metrics().counter("cluster.syncs")),
+      sync_bytes_(db.metrics().counter("cluster.sync_bytes")),
+      syncs_at_construction_(syncs_.value()) {
   GEMS_CHECK(options_.num_ranks >= 1);
   conns_.reserve(options_.num_ranks);
+  rank_metrics_.reserve(options_.num_ranks);
+  metrics::Registry& registry = db.metrics();
   for (std::size_t r = 0; r < options_.num_ranks; ++r) {
     conns_.push_back(std::make_unique<RankConn>());
+    const std::string p = "cluster.rank." + std::to_string(r) + ".";
+    rank_metrics_.push_back(RankMetrics{
+        registry.gauge(p + "connected"), registry.counter(p + "jobs"),
+        registry.counter(p + "messages"), registry.counter(p + "payload_bytes"),
+        registry.counter(p + "wire_bytes"), registry.counter(p + "supersteps"),
+        registry.counter(p + "stall_us")});
   }
-  totals_.num_ranks = static_cast<std::uint32_t>(options_.num_ranks);
-  totals_.ranks.resize(options_.num_ranks);
   rank_status_.resize(options_.num_ranks);
 }
 
@@ -102,12 +115,11 @@ void Coordinator::attach() {
         match_distributed(stmt, network_index, net, params, ctx);
     if (!result.is_ok() &&
         result.status().code() == StatusCode::kUnimplemented) {
-      sync::MutexLock lock(metrics_mutex_);
-      ++totals_.fallbacks;
+      fallbacks_.add();
     }
     return result;
   };
-  db_.set_cluster_metrics_provider([this] { return metrics(); });
+  ranks_.set(options_.num_ranks);
   attached_ = true;
   // Re-publish so read scripts (which execute against pinned epochs) see
   // the hook: epochs snapshotted before the attach do not carry it.
@@ -241,51 +253,31 @@ Result<exec::MatchResult> Coordinator::match_distributed(
       db_.context().intra_pool);
 
   // ---- Account ---------------------------------------------------------
-  {
-    sync::MutexLock lock(metrics_mutex_);
-    ++totals_.jobs;
-    if (options_.record_transcripts) {
-      last_transcripts_.assign(options_.num_ranks, {});
-    }
+  jobs_.add();
+  for (std::size_t r = 0; r < options_.num_ranks; ++r) {
+    RankMetrics& m = rank_metrics_[r];
+    const JobDonePayload& report = *done[r];
+    m.jobs.add();
+    m.messages.add(report.messages);
+    m.payload_bytes.add(report.payload_bytes);
+    m.wire_bytes.add(report.wire_bytes);
+    m.supersteps.add(report.supersteps);
+    m.stall_us.add(report.stall_us);
+  }
+  if (options_.record_transcripts) {
+    sync::MutexLock lock(transcripts_mutex_);
+    last_transcripts_.assign(options_.num_ranks, {});
     for (std::size_t r = 0; r < options_.num_ranks; ++r) {
-      server::ClusterRankMetrics& m = totals_.ranks[r];
-      const JobDonePayload& report = *done[r];
-      ++m.jobs;
-      m.messages += report.messages;
-      m.payload_bytes += report.payload_bytes;
-      m.wire_bytes += report.wire_bytes;
-      m.supersteps += report.supersteps;
-      m.stall_us += report.stall_us;
-      if (options_.record_transcripts) {
-        last_transcripts_[r] = std::move(done[r]->transcript);
-      }
+      last_transcripts_[r] = std::move(done[r]->transcript);
     }
   }
   return result;
 }
 
-server::ClusterMetricsSnapshot Coordinator::metrics() const {
-  server::ClusterMetricsSnapshot snap;
-  {
-    sync::MutexLock lock(metrics_mutex_);
-    snap = totals_;
-  }
-  sync::MutexLock lock(control_mutex_);
-  for (std::size_t r = 0; r < rank_status_.size(); ++r) {
-    snap.ranks[r].connected = rank_status_[r].connected;
-  }
-  return snap;
-}
-
 std::vector<std::vector<std::uint8_t>> Coordinator::last_transcripts()
     const {
-  sync::MutexLock lock(metrics_mutex_);
+  sync::MutexLock lock(transcripts_mutex_);
   return last_transcripts_;
-}
-
-std::uint64_t Coordinator::sync_count() const {
-  sync::MutexLock lock(metrics_mutex_);
-  return totals_.syncs;
 }
 
 void Coordinator::shutdown() {
@@ -295,7 +287,7 @@ void Coordinator::shutdown() {
   }
   if (attached_) {
     db_.context().dist_matcher = nullptr;
-    db_.set_cluster_metrics_provider(nullptr);
+    ranks_.set(0);
     attached_ = false;
     // New epochs must not carry a hook into a coordinator being torn down.
     db_.refresh_epoch();
@@ -394,6 +386,7 @@ void Coordinator::accept_loop() {
       sync::MutexLock lock(control_mutex_);
       rank_status_[r].connected = true;
       rank_status_[r].state_crc = hello->state_crc;
+      rank_metrics_[r].connected.set(1);
     }
     control_cv_.notify_all();
     conn.reader = std::thread([this, r] { reader_loop(r); });
@@ -517,6 +510,7 @@ void Coordinator::disconnect(std::uint32_t rank) {
     sync::MutexLock lock(control_mutex_);
     was_connected = rank_status_[rank].connected;
     rank_status_[rank].connected = false;
+    rank_metrics_[rank].connected.set(0);
   }
   if (was_connected) {
     GEMS_LOG(Info) << "cluster: rank " << rank << " disconnected";
@@ -562,11 +556,8 @@ Status Coordinator::ensure_rank_synced(std::uint32_t rank) {
   }
   const std::size_t image_bytes = sync_frame.payload.size();
   enqueue(rank, std::move(sync_frame));
-  {
-    sync::MutexLock lock(metrics_mutex_);
-    ++totals_.syncs;
-    totals_.sync_bytes += image_bytes;
-  }
+  syncs_.add();
+  sync_bytes_.add(image_bytes);
 
   sync::MutexLock lock(control_mutex_);
   while (rank_status_[rank].connected &&

@@ -32,11 +32,11 @@
 #include <vector>
 
 #include "cluster/bsp_wire.hpp"
+#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
 #include "exec/matcher.hpp"
 #include "net/socket.hpp"
-#include "server/cluster_metrics.hpp"
 #include "server/database.hpp"
 
 namespace gems::cluster {
@@ -56,6 +56,11 @@ struct CoordinatorOptions {
 
 class Coordinator {
  public:
+  /// Registers the `cluster.*` metrics (totals and `cluster.rank.<r>.*`)
+  /// in the database's registry; they count for the database's lifetime.
+  /// `cluster.ranks` is the rank count while attached and 0 otherwise;
+  /// per-rank records at or above it are history from an earlier
+  /// coordinator (disconnected, no longer moving).
   Coordinator(server::Database& db, CoordinatorOptions options);
   ~Coordinator();
 
@@ -72,8 +77,8 @@ class Coordinator {
   /// wait timeout elapses).
   Status wait_for_ranks();
 
-  /// Installs the distributed-matcher hook and the cluster metrics
-  /// provider on the database. Call after start().
+  /// Installs the distributed-matcher hook on the database and sets the
+  /// `cluster.ranks` gauge (0 again once detached). Call after start().
   void attach();
 
   /// Runs one distributed match over the connected ranks. kUnimplemented
@@ -84,15 +89,15 @@ class Coordinator {
       const exec::ConstraintNetwork& net,
       const relational::ParamMap& params, const exec::ExecContext& ctx);
 
-  server::ClusterMetricsSnapshot metrics() const;
-
   /// Per-rank send streams of the last completed job (only populated when
   /// options.record_transcripts is set).
   std::vector<std::vector<std::uint8_t>> last_transcripts() const;
 
-  /// State images shipped since start (the recovery tests assert a
+  /// State images this coordinator shipped (the recovery tests assert a
   /// restarted rank does NOT bump this).
-  std::uint64_t sync_count() const;
+  std::uint64_t sync_count() const {
+    return syncs_.value() - syncs_at_construction_;
+  }
 
   /// Sends kShutdown to every connected rank and joins all threads.
   /// Idempotent; also run by the destructor.
@@ -167,7 +172,7 @@ class Coordinator {
   // One BSP job at a time.
   sync::Mutex jobs_mutex_ GEMS_ACQUIRED_BEFORE(barrier_mutex_,
                                                control_mutex_, state_mutex_,
-                                               metrics_mutex_);
+                                               transcripts_mutex_);
   std::uint64_t next_job_id_ GEMS_GUARDED_BY(jobs_mutex_) = 1;
 
   // Barrier state: release every rank's outbox once all arrive.
@@ -189,11 +194,28 @@ class Coordinator {
   // ctx.graph_version at encode.
   std::uint64_t state_version_ GEMS_GUARDED_BY(state_mutex_) = ~0ull;
 
-  // Metrics.
-  mutable sync::Mutex metrics_mutex_;
-  server::ClusterMetricsSnapshot totals_ GEMS_GUARDED_BY(metrics_mutex_);
+  mutable sync::Mutex transcripts_mutex_;
   std::vector<std::vector<std::uint8_t>> last_transcripts_
-      GEMS_GUARDED_BY(metrics_mutex_);
+      GEMS_GUARDED_BY(transcripts_mutex_);
+
+  // Handles into the database's registry. The per-rank counters add up
+  // the ChannelMetrics each rank reports in its kJobDone.
+  struct RankMetrics {
+    metrics::Gauge& connected;
+    metrics::Counter& jobs;           // distributed matches this rank ran
+    metrics::Counter& messages;       // BSP messages sent (excl. self-sends)
+    metrics::Counter& payload_bytes;  // BSP payload bytes (sim-comparable)
+    metrics::Counter& wire_bytes;     // frame bytes incl. headers
+    metrics::Counter& supersteps;     // counted on rank 0 only
+    metrics::Counter& stall_us;       // blocked waiting on the wire
+  };
+  metrics::Gauge& ranks_;        // rank count while attached, else 0
+  metrics::Counter& jobs_;       // distributed matches completed
+  metrics::Counter& fallbacks_;  // networks declined (ran locally)
+  metrics::Counter& syncs_;      // state images shipped to ranks
+  metrics::Counter& sync_bytes_;
+  std::vector<RankMetrics> rank_metrics_;
+  const std::uint64_t syncs_at_construction_;
 };
 
 }  // namespace gems::cluster

@@ -1,6 +1,5 @@
-// Log-scale latency histogram, shared by the wire layer's per-request
-// metrics (src/net) and the durability layer's per-operation metrics
-// (src/store). Bucket i counts samples whose latency in microseconds has
+// Log-scale latency histogram, the value type of the metrics registry's
+// histograms (common/metrics.hpp). Bucket i counts samples whose latency in microseconds has
 // bit-width i (i.e. [2^(i-1), 2^i)). 40 buckets cover up to ~12.7 days,
 // so nothing ever clips.
 #pragma once
@@ -31,6 +30,8 @@ struct LatencyHistogram {
 
   /// Merges another histogram into this one.
   void merge(const LatencyHistogram& other);
+
+  bool operator==(const LatencyHistogram&) const = default;
 };
 
 }  // namespace gems

@@ -77,11 +77,9 @@ struct ExecContext {
   /// maps here; the equivalence property tests sweep intermediate sizes).
   relational::BatchPolicy batch_policy;
 
-  /// Matcher activity counters, shared across statements (the parallel
-  /// multi-statement scheduler records from several threads). shared_ptr
-  /// so copies of the context made by the scheduler feed one aggregate.
-  std::shared_ptr<MatcherMetrics> matcher_metrics =
-      std::make_shared<MatcherMetrics>();
+  /// Matcher activity counters, owned by the database (nullptr = not
+  /// recorded). Copies of the context (epochs, scheduler copies) share it.
+  MatcherMetrics* matcher_metrics = nullptr;
 
   /// Optional query planner hook (paper Sec. III-B): returns the pivot
   /// variable and propagation order for a lowered network. Installed by
@@ -126,7 +124,7 @@ struct ExecContext {
 
   /// gems::mvcc: observation hook for the ingest maintenance path —
   /// called with (was_delta, elapsed_ns) after each ingest's graph
-  /// maintenance so the epoch manager can account delta vs. rebuild cost.
+  /// maintenance so the database can account delta vs. rebuild cost.
   std::function<void(bool, std::uint64_t)> on_graph_maintenance;
 
   /// Durability hook (src/store): invoked after each successful DDL or

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <sstream>
 
 #include "common/check.hpp"
 #include "common/timer.hpp"
@@ -978,30 +977,21 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
 
 // ---- Matcher observability ------------------------------------------------
 
+MatcherMetrics::MatcherMetrics(metrics::Registry& registry)
+    : queries_(registry.counter("exec.match.queries")),
+      passes_(registry.counter("exec.match.passes")),
+      edge_traversals_(registry.counter("exec.match.edge_traversals")),
+      parallel_tasks_(registry.counter("exec.match.parallel_tasks")),
+      merge_ns_(registry.counter("exec.match.merge_ns")),
+      worker_us_(registry.histogram("exec.match.worker_us")) {}
+
 void MatcherMetrics::record(const MatchStats& stats) {
-  sync::MutexLock lock(mutex_);
-  ++agg_.queries;
-  agg_.propagation_passes += stats.propagation_passes;
-  agg_.edge_traversals += stats.edge_traversals;
-  agg_.parallel_tasks += stats.parallel_tasks;
-  agg_.merge_ns += stats.merge_ns;
-  agg_.worker_us.merge(stats.worker_us);
-}
-
-MatcherMetricsSnapshot MatcherMetrics::snapshot() const {
-  sync::MutexLock lock(mutex_);
-  return agg_;
-}
-
-std::string MatcherMetricsSnapshot::to_string() const {
-  std::ostringstream os;
-  os << "matcher: queries=" << queries << " passes=" << propagation_passes
-     << " edge_traversals=" << edge_traversals << "\n";
-  os << "parallel: tasks=" << parallel_tasks << " worker_p50_us="
-     << worker_us.quantile_us(0.5) << " worker_p99_us="
-     << worker_us.quantile_us(0.99) << " worker_max_us=" << worker_us.max_us
-     << " merge_ms=" << static_cast<double>(merge_ns) / 1e6 << "\n";
-  return os.str();
+  queries_.add();
+  passes_.add(stats.propagation_passes);
+  edge_traversals_.add(stats.edge_traversals);
+  parallel_tasks_.add(stats.parallel_tasks);
+  merge_ns_.add(stats.merge_ns);
+  if (stats.worker_us.count > 0) worker_us_.merge(stats.worker_us);
 }
 
 }  // namespace gems::exec

@@ -25,7 +25,7 @@
 #pragma once
 
 #include "common/histogram.hpp"
-#include "common/sync.hpp"
+#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/network.hpp"
@@ -123,29 +123,21 @@ std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
 
 // ---- Matcher observability ------------------------------------------------
 
-/// Point-in-time aggregate of matcher activity since the database opened,
-/// the `\matchstats` sibling of store::StoreMetricsSnapshot.
-struct MatcherMetricsSnapshot {
-  std::uint64_t queries = 0;             // match_network runs recorded
-  std::uint64_t propagation_passes = 0;
-  std::uint64_t edge_traversals = 0;
-  std::uint64_t parallel_tasks = 0;
-  std::uint64_t merge_ns = 0;
-  LatencyHistogram worker_us;
-
-  std::string to_string() const;
-};
-
-/// Thread-safe accumulator, shared by all statements of a database (the
-/// parallel multi-statement scheduler records from several threads).
+/// Matcher activity since the database opened (`exec.match.*`): handles
+/// into the database's metrics registry, recorded from every statement
+/// thread (the handles synchronize themselves).
 class MatcherMetrics {
  public:
+  explicit MatcherMetrics(metrics::Registry& registry);
   void record(const MatchStats& stats);
-  MatcherMetricsSnapshot snapshot() const;
 
  private:
-  mutable sync::Mutex mutex_;
-  MatcherMetricsSnapshot agg_ GEMS_GUARDED_BY(mutex_);
+  metrics::Counter& queries_;  // match_network runs recorded
+  metrics::Counter& passes_;
+  metrics::Counter& edge_traversals_;
+  metrics::Counter& parallel_tasks_;
+  metrics::Counter& merge_ns_;
+  metrics::Histogram& worker_us_;
 };
 
 }  // namespace gems::exec

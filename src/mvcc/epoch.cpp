@@ -54,13 +54,13 @@ std::uint64_t EpochManager::publish(const exec::ExecContext& base) {
   if (current_) {
     if (pin_count_locked(current_.get()) > 0) {
       retired_.push_back(std::move(current_));
-      ++retired_count_;
+      retired_count_.add();
     } else {
-      ++freed_;
+      freed_.add();
     }
   }
   current_ = std::move(epoch);
-  ++published_;
+  published_.add();
   drain_locked();
   return current_->id_;
 }
@@ -68,11 +68,13 @@ std::uint64_t EpochManager::publish(const exec::ExecContext& base) {
 EpochPin EpochManager::pin() {
   sync::MutexLock lock(mutex_);
   GEMS_CHECK(current_ != nullptr);
-  ++pins_taken_;
+  pins_taken_.add();
   ++pin_counts_[current_.get()];
   const std::uint64_t pin_id = ++next_pin_id_;
   outstanding_.emplace(pin_id, std::chrono::steady_clock::now());
-  peak_pinned_ = std::max<std::uint64_t>(peak_pinned_, outstanding_.size());
+  if (outstanding_.size() > peak_pinned_.value()) {
+    peak_pinned_.set(outstanding_.size());
+  }
   return EpochPin(this, current_, pin_id);
 }
 
@@ -100,46 +102,27 @@ void EpochManager::drain_locked() {
   for (auto it = retired_.begin(); it != retired_.end();) {
     if (pin_count_locked(it->get()) == 0) {
       it = retired_.erase(it);
-      ++freed_;
+      freed_.add();
     } else {
       ++it;
     }
   }
 }
 
-void EpochManager::record_maintenance(bool delta, std::uint64_t ns) {
+metrics::Snapshot EpochManager::metrics_snapshot() const {
   sync::MutexLock lock(mutex_);
-  if (delta) {
-    ++delta_ingests_;
-    delta_ns_ += ns;
-  } else {
-    ++full_rebuilds_;
-    rebuild_ns_ += ns;
-  }
-}
-
-EpochMetricsSnapshot EpochManager::snapshot() const {
-  sync::MutexLock lock(mutex_);
-  EpochMetricsSnapshot snap;
-  snap.published = published_;
-  snap.retired = retired_count_;
-  snap.freed = freed_;
-  snap.live = (current_ != nullptr ? 1 : 0) + retired_.size();
-  snap.pins_taken = pins_taken_;
-  snap.pinned_readers = outstanding_.size();
-  snap.peak_pinned_readers = peak_pinned_;
-  if (!outstanding_.empty()) {
-    snap.oldest_pin_age_us = static_cast<std::uint64_t>(
-        std::chrono::duration_cast<std::chrono::microseconds>(
-            std::chrono::steady_clock::now() - outstanding_.begin()->second)
-            .count());
-  }
-  snap.delta_ingests = delta_ingests_;
-  snap.full_rebuilds = full_rebuilds_;
-  snap.delta_build_ns = delta_ns_;
-  snap.rebuild_ns = rebuild_ns_;
-  snap.current_epoch = current_ != nullptr ? current_->id_ : 0;
-  return snap;
+  live_.set((current_ != nullptr ? 1 : 0) + retired_.size());
+  current_id_.set(current_ != nullptr ? current_->id_ : 0);
+  pinned_.set(outstanding_.size());
+  oldest_pin_age_us_.set(
+      outstanding_.empty()
+          ? 0
+          : static_cast<std::uint64_t>(
+                std::chrono::duration_cast<std::chrono::microseconds>(
+                    std::chrono::steady_clock::now() -
+                    outstanding_.begin()->second)
+                    .count()));
+  return metrics_.snapshot();
 }
 
 }  // namespace gems::mvcc

@@ -26,9 +26,9 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/sync.hpp"
 #include "exec/executor.hpp"
-#include "mvcc/metrics.hpp"
 #include "plan/stats.hpp"
 
 namespace gems::mvcc {
@@ -113,6 +113,8 @@ class EpochManager {
           const GraphEpoch&)>;
 
   EpochManager() = default;
+  EpochManager(const EpochManager&) = delete;
+  EpochManager& operator=(const EpochManager&) = delete;
 
   void set_planner_factory(PlannerFactory factory) {
     sync::MutexLock lock(mutex_);
@@ -133,11 +135,10 @@ class EpochManager {
   /// True once publish() has been called at least once.
   bool has_epoch() const;
 
-  /// Ingest maintenance accounting (wired to ExecContext's
-  /// on_graph_maintenance hook).
-  void record_maintenance(bool delta, std::uint64_t ns);
-
-  EpochMetricsSnapshot snapshot() const;
+  /// Epoch lifecycle and pin metrics (`mvcc.epochs.*`, `mvcc.pins.*`).
+  /// Taken under the manager mutex, so one snapshot is consistent
+  /// (`freed + live == published`).
+  metrics::Snapshot metrics_snapshot() const;
 
  private:
   friend class EpochPin;
@@ -167,15 +168,23 @@ class EpochManager {
   std::unordered_map<const GraphEpoch*, std::uint64_t> pin_counts_
       GEMS_GUARDED_BY(mutex_);
 
-  std::uint64_t published_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t retired_count_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t freed_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t pins_taken_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t peak_pinned_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t delta_ingests_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t full_rebuilds_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t delta_ns_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::uint64_t rebuild_ns_ GEMS_GUARDED_BY(mutex_) = 0;
+  // The counters and the peak are pushed under mutex_ as events happen;
+  // the four gauges after the peak are set by metrics_snapshot() when read.
+  // Registry locks are leaves, so they nest under mutex_.
+  metrics::Registry metrics_;
+  metrics::Counter& published_ = metrics_.counter("mvcc.epochs.published");
+  // Superseded while still pinned.
+  metrics::Counter& retired_count_ = metrics_.counter("mvcc.epochs.retired");
+  // Retired epochs whose pins drained.
+  metrics::Counter& freed_ = metrics_.counter("mvcc.epochs.freed");
+  metrics::Counter& pins_taken_ = metrics_.counter("mvcc.pins.taken");
+  metrics::Gauge& peak_pinned_ = metrics_.gauge("mvcc.pins.peak");
+  // Current + still-pinned retired.
+  metrics::Gauge& live_ = metrics_.gauge("mvcc.epochs.live");
+  metrics::Gauge& current_id_ = metrics_.gauge("mvcc.epochs.current");
+  metrics::Gauge& pinned_ = metrics_.gauge("mvcc.pins.outstanding");
+  metrics::Gauge& oldest_pin_age_us_ =
+      metrics_.gauge("mvcc.pins.oldest_age_us");
 };
 
 }  // namespace gems::mvcc

@@ -188,7 +188,7 @@ Result<std::vector<server::CatalogEntry>> Client::catalog() {
   return decode_catalog(reader);
 }
 
-Result<MetricsSnapshot> Client::stats() {
+Result<metrics::Snapshot> Client::stats() {
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> response,
                         round_trip(Verb::kStats, {}));
   WireReader reader(response);

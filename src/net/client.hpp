@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/string_pool.hpp"
 #include "net/metrics.hpp"
@@ -82,8 +83,8 @@ class Client {
 
   Result<std::vector<server::CatalogEntry>> catalog();
 
-  /// Server-side metrics snapshot (the per-request registry).
-  Result<MetricsSnapshot> stats();
+  /// The server's metrics snapshot (Server::metrics_snapshot()).
+  Result<metrics::Snapshot> stats();
 
   /// Best-effort cancel of a previously issued request id (only useful
   /// from another client thread while a request is queued server-side).

@@ -1,83 +1,42 @@
-// Per-request server metrics (request counters by verb and outcome, bytes
-// in/out, and latency histograms split into queue-wait vs. execute time).
-// A snapshot travels over the wire in response to a `stats` request, so a
-// remote bench can report *server-side* tail latency rather than inferring
-// it from client round-trips.
+// The wire side of the metrics registry: per-verb request metrics the
+// server records (`net.<verb>.*`: counters by outcome, bytes in/out, and
+// queue-wait vs. execute latency histograms), and the encoding a metrics
+// snapshot travels in as the body of a `stats` response, so a remote
+// client sees the same records — including server-side tail latency — as
+// an in-process caller.
+//
+// Stats body (little-endian, self-describing; a new metric needs no wire
+// change):
+//   u32 record count
+//   per record, names strictly increasing:
+//     u32 name length, name bytes
+//     u8  kind (metrics::Kind)
+//     counter/gauge: u64 value
+//     histogram:     u64 count, u64 sum_us, u64 max_us,
+//                    u32 bucket count (== LatencyHistogram::kBuckets),
+//                    u64 per bucket
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <string>
+#include <span>
+#include <vector>
 
-#include "common/histogram.hpp"
-#include "common/sync.hpp"
-#include "mvcc/metrics.hpp"
+#include "common/metrics.hpp"
 #include "net/wire.hpp"
-#include "server/access.hpp"
-#include "server/cluster_metrics.hpp"
 
 namespace gems::net {
 
-/// The log-scale latency histogram now lives in common/histogram.hpp so
-/// the durability layer (src/store) can meter with the same type; this
-/// alias keeps the wire layer's established spelling.
-using LatencyHistogram = ::gems::LatencyHistogram;
-
-/// Counters for one request verb.
-struct VerbMetrics {
-  std::uint64_t requests = 0;   // everything that arrived, any outcome
-  std::uint64_t ok = 0;
-  std::uint64_t errors = 0;     // non-OK statuses other than the two below
-  std::uint64_t overloaded = 0; // rejected by admission control
-  std::uint64_t expired = 0;    // deadline passed before execution
-  std::uint64_t cancelled = 0;
-  std::uint64_t bytes_in = 0;   // request frame bytes (header + payload)
-  std::uint64_t bytes_out = 0;  // response frame bytes
-  LatencyHistogram queue_wait;  // enqueue -> dequeue
-  LatencyHistogram execute;     // dequeue -> response written
-};
-
-/// Copyable point-in-time view of the registry; also the wire payload of a
-/// `stats` response.
-struct MetricsSnapshot {
-  std::array<VerbMetrics, kNumVerbs> verbs{};
-
-  /// Database writer-lock counters (acquisitions, wait/hold times)
-  /// merged in by the server when answering `stats`. First of the three
-  /// blocks at the wire payload tail; decoding tolerates its absence.
-  server::AccessMetricsSnapshot access{};
-
-  /// Cluster coordinator counters (per-rank BSP traffic), merged in by the
-  /// server when a cluster is attached. Rides after the access block at
-  /// the payload tail; num_ranks == 0 means "no cluster" and renders as
-  /// such.
-  server::ClusterMetricsSnapshot cluster{};
-
-  /// gems::mvcc epoch lifecycle counters (publish/pin/retire, delta vs.
-  /// rebuild ingest maintenance), merged in by the server. Rides after
-  /// the cluster block at the payload tail; empty() renders as absent.
-  /// `peak_pinned_readers` is the server's read-concurrency signal.
-  mvcc::EpochMetricsSnapshot epoch{};
-
-  const VerbMetrics& verb(Verb v) const {
-    return verbs[static_cast<std::size_t>(v)];
-  }
-
-  /// Aggregate over all verbs.
-  VerbMetrics total() const;
-
-  /// Human-readable table (one line per verb with traffic).
-  std::string to_string() const;
-};
-
-void encode_snapshot(const MetricsSnapshot& snap,
+void encode_snapshot(const metrics::Snapshot& snapshot,
                      std::vector<std::uint8_t>& out);
-Result<MetricsSnapshot> decode_snapshot(std::span<const std::uint8_t> bytes);
 
-/// Thread-safe registry the server records into. One mutex is plenty: a
-/// record is a dozen integer adds, far below the cost of the request it
-/// describes.
-class MetricsRegistry {
+/// Rejects anything the encoder would not produce: a truncated or
+/// over-long body, an unknown kind, a bucket count other than ours, names
+/// out of order. Every accepted body re-encodes to the same bytes.
+Result<metrics::Snapshot> decode_snapshot(std::span<const std::uint8_t> bytes);
+
+/// The server's per-verb request metrics, registered for every verb at
+/// construction.
+class RequestMetrics {
  public:
   struct Outcome {
     StatusCode code = StatusCode::kOk;
@@ -87,13 +46,24 @@ class MetricsRegistry {
     std::uint64_t execute_us = 0;
   };
 
+  explicit RequestMetrics(metrics::Registry& registry);
+
   void record(Verb verb, const Outcome& outcome);
 
-  MetricsSnapshot snapshot() const;
-
  private:
-  mutable sync::Mutex mutex_;
-  MetricsSnapshot state_ GEMS_GUARDED_BY(mutex_);
+  struct PerVerb {
+    metrics::Counter& requests;    // everything that arrived, any outcome
+    metrics::Counter& ok;
+    metrics::Counter& errors;      // non-OK statuses other than the below
+    metrics::Counter& overloaded;  // rejected by admission control
+    metrics::Counter& expired;     // deadline passed before execution
+    metrics::Counter& cancelled;
+    metrics::Counter& bytes_in;    // request frame bytes (header + payload)
+    metrics::Counter& bytes_out;   // response frame bytes
+    metrics::Histogram& queue_wait_us;  // enqueue -> dequeue
+    metrics::Histogram& execute_us;     // dequeue -> response written
+  };
+  std::vector<PerVerb> verbs_;
 };
 
 }  // namespace gems::net

@@ -52,6 +52,12 @@ Server::Server(server::Database& db, ServerOptions options)
 
 Server::~Server() { stop(); }
 
+metrics::Snapshot Server::metrics_snapshot() const {
+  metrics::Snapshot snapshot = db_.metrics_snapshot();
+  metrics::merge(snapshot, metrics_.snapshot());
+  return snapshot;
+}
+
 Status Server::start() {
   GEMS_ASSIGN_OR_RETURN(
       listener_, tcp_listen(options_.bind_address, options_.port));
@@ -133,7 +139,7 @@ void Server::accept_loop() {
 std::size_t Server::respond(SessionConn& session, Verb verb,
                             std::uint64_t request_id, const Status& status,
                             std::span<const std::uint8_t> body,
-                            const MetricsRegistry::Outcome* outcome) {
+                            const RequestMetrics::Outcome* outcome) {
   WireWriter w;
   encode_status(status, w);
   if (status.is_ok()) {
@@ -143,9 +149,9 @@ std::size_t Server::respond(SessionConn& session, Verb verb,
   // Metrics are recorded *before* the response leaves: a client that has
   // its answer must already be visible in a stats snapshot.
   if (outcome != nullptr) {
-    MetricsRegistry::Outcome o = *outcome;
+    RequestMetrics::Outcome o = *outcome;
     o.bytes_out = frame_bytes;
-    metrics_.record(verb, o);
+    requests_.record(verb, o);
   }
   sync::MutexLock lock(session.write_mutex);
   // A send failure means the client went away; the reader thread will see
@@ -194,8 +200,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
     if (!handshaken && header.verb != Verb::kHandshake) {
       const Status status =
           invalid_argument("handshake required before any other verb");
-      const MetricsRegistry::Outcome outcome{status.code(), bytes_in, 0, 0,
-                                             0};
+      const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0, 0, 0};
       respond(*session, header.verb, header.request_id, status, {},
               &outcome);
       break;
@@ -217,8 +222,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
           body = encode_handshake_response(
               {kWireVersion, session->session_id, "gems-graql"});
         }
-        const MetricsRegistry::Outcome outcome{status.code(), bytes_in, 0, 0,
-                                               0};
+        const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0, 0, 0};
         respond(*session, header.verb, header.request_id, status, body,
                 &outcome);
         if (!status.is_ok()) return;  // version mismatch: drop the session
@@ -231,8 +235,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
           sync::MutexLock lock(session->cancel_mutex);
           session->cancelled.insert(request->target_request_id);
         }
-        const MetricsRegistry::Outcome outcome{status.code(), bytes_in, 0, 0,
-                                               0};
+        const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0, 0, 0};
         respond(*session, header.verb, header.request_id, status, {},
                 &outcome);
         break;
@@ -240,8 +243,8 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
       case Verb::kStats: {
         std::vector<std::uint8_t> body;
         encode_snapshot(metrics_snapshot(), body);
-        const MetricsRegistry::Outcome outcome{StatusCode::kOk, bytes_in, 0,
-                                               0, 0};
+        const RequestMetrics::Outcome outcome{StatusCode::kOk, bytes_in, 0,
+                                              0, 0};
         respond(*session, header.verb, header.request_id, Status::ok(), body,
                 &outcome);
         break;
@@ -257,8 +260,8 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
                               << ckpt.to_string();
           }
         }
-        const MetricsRegistry::Outcome outcome{StatusCode::kOk, bytes_in, 0,
-                                               0, 0};
+        const RequestMetrics::Outcome outcome{StatusCode::kOk, bytes_in, 0,
+                                              0, 0};
         respond(*session, header.verb, header.request_id, Status::ok(), {},
                 &outcome);
         // Flip the wait() latch; the owner decides to stop(). Stopping
@@ -287,8 +290,8 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
               "request queue full (" +
               std::to_string(options_.queue_capacity) +
               " pending); retry with backoff");
-          const MetricsRegistry::Outcome outcome{status.code(), bytes_in, 0,
-                                                 0, 0};
+          const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0,
+                                                0, 0};
           respond(*session, header.verb, header.request_id, status, {},
                   &outcome);
         }
@@ -407,8 +410,8 @@ void Server::process_request(Request& request) {
   }
 
   const std::uint64_t execute_us = elapsed_us(dequeued, Clock::now());
-  const MetricsRegistry::Outcome outcome{status.code(), request.bytes_in, 0,
-                                         queue_wait_us, execute_us};
+  const RequestMetrics::Outcome outcome{status.code(), request.bytes_in, 0,
+                                        queue_wait_us, execute_us};
   respond(*request.session, request.verb, request.request_id, status, body,
           &outcome);
 }

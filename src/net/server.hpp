@@ -12,9 +12,9 @@
 // responsive under any offered load. Requests carry optional deadlines
 // (enforced at dequeue: a request that waited past its deadline is
 // answered kDeadlineExceeded without executing) and can be cancelled
-// best-effort while still queued. Every request is metered in a
-// MetricsRegistry (counters by verb/outcome, bytes in/out, queue-wait vs.
-// execute latency), exposed remotely via the `stats` verb.
+// best-effort while still queued. Every request is metered (`net.<verb>.*`:
+// counters by outcome, bytes in/out, queue-wait vs. execute latency); the
+// `stats` verb serves those records merged with the database's.
 #pragma once
 
 #include <atomic>
@@ -75,17 +75,9 @@ class Server {
 
   bool running() const { return running_.load(std::memory_order_acquire); }
 
-  /// Live request counters/latency with the database's writer-lock,
-  /// cluster and epoch counters merged in; also served remotely via
-  /// kStats.
-  MetricsSnapshot metrics_snapshot() const {
-    MetricsSnapshot snap = metrics_.snapshot();
-    snap.access = db_.access_metrics();
-    snap.cluster = db_.cluster_metrics();
-    snap.epoch = db_.epoch_metrics();
-    return snap;
-  }
-  MetricsRegistry& metrics() { return metrics_; }
+  /// The database's metrics merged with this server's `net.*` records;
+  /// also served remotely via kStats.
+  metrics::Snapshot metrics_snapshot() const;
 
  private:
   struct SessionConn;
@@ -104,7 +96,7 @@ class Server {
   std::size_t respond(SessionConn& session, Verb verb,
                       std::uint64_t request_id, const Status& status,
                       std::span<const std::uint8_t> body = {},
-                      const MetricsRegistry::Outcome* outcome = nullptr);
+                      const RequestMetrics::Outcome* outcome = nullptr);
 
   /// Pushes onto the bounded queue; false when full (admission control).
   bool try_enqueue(Request request);
@@ -135,7 +127,8 @@ class Server {
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
 
-  MetricsRegistry metrics_;
+  metrics::Registry metrics_;
+  RequestMetrics requests_{metrics_};
 };
 
 }  // namespace gems::net

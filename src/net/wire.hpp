@@ -7,7 +7,7 @@
 //
 // Frame layout (little-endian, matching the IR):
 //   u32 magic      "GNET" (0x474E4554)
-//   u16 version    wire protocol version (1)
+//   u16 version    wire protocol version (kWireVersion)
 //   u8  verb       request verb (also echoed on the response)
 //   u8  flags      bit 0: response
 //   u64 request_id client-assigned, echoed on the response
@@ -35,9 +35,10 @@ namespace gems::net {
 
 inline constexpr std::uint32_t kFrameMagic = 0x474E4554;  // "GNET"
 /// Bumped whenever a payload layout changes in a way an older peer would
-/// misread (e.g. a stats tail block); the handshake and every frame
-/// header reject a mismatch.
-inline constexpr std::uint16_t kWireVersion = 2;
+/// misread; the handshake and every frame header reject a mismatch. The
+/// stats body is self-describing records (net/metrics.hpp), so a new
+/// metric needs no bump.
+inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Default frame budget: the largest payload either side will accept.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;
@@ -51,7 +52,7 @@ enum class Verb : std::uint8_t {
   kCheck,          // static analysis only
   kExplain,        // plan rendering only
   kCatalog,        // list catalog objects with sizes
-  kStats,          // per-request metrics snapshot
+  kStats,          // metrics registry snapshot
   kCancel,         // best-effort cancel of a queued request
   kShutdown,       // stop the server (admin)
 };

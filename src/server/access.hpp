@@ -4,9 +4,9 @@
 // (mvcc/epoch.hpp, DESIGN.md §5i), which is what makes DDL and ingest
 // atomic with respect to later queries.
 //
-// The guard meters itself: acquisitions, time spent blocked waiting for
-// the lock and time spent holding it. Those counters surface in Database
-// metrics, the net `stats` verb, and the shell's `\accessstats`.
+// The guard meters itself into the database's metrics registry:
+// acquisitions, time spent blocked waiting for the lock and time spent
+// holding it (`access.writer.*`).
 //
 // Lock order (see DESIGN.md §5j): the access guard is always the
 // *outermost* database lock; `stats_mutex_` and `wal_mutex_` are only
@@ -24,29 +24,22 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <string>
 
+#include "common/metrics.hpp"
 #include "common/sync.hpp"
 
 namespace gems::server {
 
-/// Point-in-time view of the guard's counters. All durations are
-/// microseconds, aggregated since database open.
-struct AccessMetricsSnapshot {
-  std::uint64_t exclusive_acquired = 0;
-  std::uint64_t exclusive_wait_us = 0;  // total time blocked acquiring
-  std::uint64_t exclusive_held_us = 0;  // total time held
-
-  /// Human-readable `\accessstats` rendering.
-  std::string to_string() const;
-};
-
 /// A sync::Mutex with wait/hold-time accounting and a runtime-checked
-/// "held" assertion. Counter updates are relaxed atomics: they order
-/// nothing, they only have to add up.
+/// "held" assertion.
 class GEMS_CAPABILITY("AccessGuard") AccessGuard {
  public:
-  AccessGuard() = default;
+  /// Registers `access.writer.{acquired,wait_us,held_us}` in `registry`,
+  /// which must outlive the guard.
+  explicit AccessGuard(metrics::Registry& registry)
+      : acquired_(registry.counter("access.writer.acquired")),
+        wait_us_(registry.counter("access.writer.wait_us")),
+        held_us_(registry.counter("access.writer.held_us")) {}
   AccessGuard(const AccessGuard&) = delete;
   AccessGuard& operator=(const AccessGuard&) = delete;
 
@@ -66,8 +59,6 @@ class GEMS_CAPABILITY("AccessGuard") AccessGuard {
   /// the submitting thread holds the lock.
   void assert_exclusive_held() const GEMS_ASSERT_CAPABILITY(this);
 
-  AccessMetricsSnapshot snapshot() const;
-
  private:
   sync::Mutex mutex_;
   // Holder state for assert_exclusive_held(), readable from any thread.
@@ -76,9 +67,9 @@ class GEMS_CAPABILITY("AccessGuard") AccessGuard {
   std::chrono::steady_clock::time_point acquired_at_
       GEMS_GUARDED_BY(mutex_){};
 
-  std::atomic<std::uint64_t> acquired_{0};
-  std::atomic<std::uint64_t> wait_us_{0};
-  std::atomic<std::uint64_t> held_us_{0};
+  metrics::Counter& acquired_;
+  metrics::Counter& wait_us_;  // total time blocked acquiring
+  metrics::Counter& held_us_;  // total time held
 };
 
 /// Scoped exclusive hold on an AccessGuard.

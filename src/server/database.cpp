@@ -17,7 +17,8 @@ using exec::StatementResult;
 using graql::MetaCatalog;
 using graql::Script;
 
-Database::Database(DatabaseOptions options) : options_(std::move(options)) {
+Database::Database(DatabaseOptions options)
+    : options_(std::move(options)), access_(metrics_) {
   ctx_.pool = &pool_;
   ctx_.data_dir = options_.data_dir;
   ctx_.max_result_rows = options_.max_result_rows;
@@ -31,9 +32,16 @@ Database::Database(DatabaseOptions options) : options_(std::move(options)) {
   ctx_.batch_policy = options_.vectorized_execution
                           ? relational::BatchPolicy{}
                           : relational::BatchPolicy::row_engine();
-  ctx_.on_graph_maintenance = [this](bool delta, std::uint64_t ns) {
-    epochs_.record_maintenance(delta, ns);
-  };
+  ctx_.matcher_metrics = &matcher_metrics_;
+  ctx_.on_graph_maintenance =
+      [&delta = metrics_.counter("mvcc.ingest.delta"),
+       &delta_ns = metrics_.counter("mvcc.ingest.delta_ns"),
+       &rebuild = metrics_.counter("mvcc.ingest.rebuild"),
+       &rebuild_ns = metrics_.counter("mvcc.ingest.rebuild_ns")](
+          bool was_delta, std::uint64_t ns) {
+        (was_delta ? delta : rebuild).add();
+        (was_delta ? delta_ns : rebuild_ns).add(ns);
+      };
   if (options_.enable_planner) {
     // Sec. III-B's "dynamic properties of the data": graph statistics are
     // collected lazily and cached until DDL/ingest changes the instances
@@ -200,50 +208,11 @@ std::vector<std::uint8_t> Database::snapshot_bytes(
   return store::encode_snapshot(pin.ctx(), 0);
 }
 
-void Database::set_cluster_metrics_provider(
-    std::function<ClusterMetricsSnapshot()> provider) {
-  sync::MutexLock lock(cluster_mutex_);
-  cluster_provider_ = std::move(provider);
-}
-
-bool Database::has_cluster() const {
-  sync::MutexLock lock(cluster_mutex_);
-  return cluster_provider_ != nullptr;
-}
-
-ClusterMetricsSnapshot Database::cluster_metrics() const {
-  std::function<ClusterMetricsSnapshot()> provider;
-  {
-    sync::MutexLock lock(cluster_mutex_);
-    provider = cluster_provider_;
-  }
-  if (!provider) return {};
-  return provider();
-}
-
-store::StoreMetricsSnapshot Database::store_metrics() const {
-  if (store_ == nullptr) return {};
-  return store_->metrics().snapshot();
-}
-
-std::string Database::store_stats() const {
-  if (store_ == nullptr) {
-    std::string out = "no persistent store";
-    const Status status = store_status();
-    if (!status.is_ok()) {
-      out += " (open failed: " + status.to_string() + ")";
-    }
-    return out;
-  }
-  return store_->metrics().snapshot().to_string();
-}
-
-exec::MatcherMetricsSnapshot Database::match_metrics() const {
-  return ctx_.matcher_metrics->snapshot();
-}
-
-std::string Database::match_stats() const {
-  return ctx_.matcher_metrics->snapshot().to_string();
+metrics::Snapshot Database::metrics_snapshot() const {
+  metrics::Snapshot snapshot = metrics_.snapshot();
+  metrics::merge(snapshot, epochs_.metrics_snapshot());
+  if (store_ != nullptr) metrics::merge(snapshot, store_->metrics().snapshot());
+  return snapshot;
 }
 
 std::shared_ptr<const plan::GraphStats> Database::cached_stats() {

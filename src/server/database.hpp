@@ -11,12 +11,12 @@
 // across a wire needs no query-path changes.
 #pragma once
 
-#include <functional>
 #include <memory>
 #include <span>
 #include <string>
 #include <thread>
 
+#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/sync.hpp"
 #include "common/thread_pool.hpp"
@@ -26,7 +26,6 @@
 #include "plan/schedule.hpp"
 #include "plan/stats.hpp"
 #include "server/access.hpp"
-#include "server/cluster_metrics.hpp"
 #include "store/store.hpp"
 
 namespace gems::server {
@@ -201,45 +200,15 @@ class Database {
   /// window acquires it).
   Status checkpoint() GEMS_EXCLUDES(access_);
 
-  /// Recovery info from open (zeroed for in-memory databases).
-  store::StoreMetricsSnapshot store_metrics() const;
+  // ---- Observability (common/metrics.hpp) -------------------------------
+  /// Every metric of this database, sorted by name: its own registry
+  /// (writer lock, matcher, ingest maintenance, an attached cluster)
+  /// merged with the epoch chain's and the store's.
+  metrics::Snapshot metrics_snapshot() const;
 
-  /// Human-readable `\storestats` rendering.
-  std::string store_stats() const;
-
-  // ---- Matcher observability -------------------------------------------
-  /// Aggregate matcher activity since open (fixpoint passes, edge
-  /// traversals, parallel task/merge accounting).
-  ///
-  /// Analysis waiver: reaches through `ctx_` (guarded by `access_`), but
-  /// only to the `matcher_metrics` shared_ptr, which is set at open and
-  /// never reassigned; the metrics object is internally synchronized.
-  exec::MatcherMetricsSnapshot match_metrics() const
-      GEMS_NO_THREAD_SAFETY_ANALYSIS;
-
-  /// Human-readable `\matchstats` rendering. Same waiver as above.
-  std::string match_stats() const GEMS_NO_THREAD_SAFETY_ANALYSIS;
-
-  // ---- Access-layer observability --------------------------------------
-  /// Writer-lock acquisition, wait and hold counters since open.
-  AccessMetricsSnapshot access_metrics() const { return access_.snapshot(); }
-
-  /// Human-readable `\accessstats` rendering: the writer-lock line plus the
-  /// epoch lifecycle block (read-only scripts never touch the lock — they
-  /// pin epochs, which is where their activity shows up).
-  std::string access_stats() const {
-    return access_.snapshot().to_string() + "\n" + epoch_stats() + "\n";
-  }
-
-  // ---- Epoch observability (gems::mvcc) ---------------------------------
-  /// Epoch lifecycle counters: publish/retire/free, pin activity, and the
-  /// incremental-vs-rebuild ingest maintenance split.
-  mvcc::EpochMetricsSnapshot epoch_metrics() const {
-    return epochs_.snapshot();
-  }
-
-  /// Human-readable `\epochstats` rendering.
-  std::string epoch_stats() const { return epochs_.snapshot().to_string(); }
+  /// The database's own registry. An attached cluster coordinator
+  /// registers its `cluster.*` metrics here.
+  metrics::Registry& metrics() { return metrics_; }
 
   /// Pins the current epoch (RAII). Test and tooling hook: the returned
   /// pin keeps that database state alive and byte-stable across any
@@ -258,20 +227,6 @@ class Database {
   /// scripts — safe to call from any thread.
   std::vector<std::uint8_t> snapshot_bytes(
       std::uint64_t* graph_version = nullptr) const;
-
-  /// Installed by cluster::Coordinator::attach(); nullptr detaches.
-  void set_cluster_metrics_provider(
-      std::function<ClusterMetricsSnapshot()> provider);
-
-  /// True when a cluster coordinator is attached.
-  bool has_cluster() const;
-
-  /// Per-rank communication counters from the attached coordinator
-  /// (zeroed snapshot when no cluster is attached).
-  ClusterMetricsSnapshot cluster_metrics() const;
-
-  /// Human-readable `\clusterstats` rendering.
-  std::string cluster_stats() const { return cluster_metrics().to_string(); }
 
  private:
   /// Shared back half of run_script / run_ir: analyze, schedule and
@@ -307,6 +262,12 @@ class Database {
 
   DatabaseOptions options_;
   StringPool pool_;
+
+  /// Declared before everything that registers in it (access_, the
+  /// matcher metrics, the ingest hook). Its locks are leaves: recording
+  /// and snapshotting never acquire another database lock.
+  metrics::Registry metrics_;
+  exec::MatcherMetrics matcher_metrics_{metrics_};
 
   // ---- Lock hierarchy (DESIGN.md §5j) ----------------------------------
   // checkpoint_serial_mutex_ > access_ > stats_mutex_ > wal_mutex_ >
@@ -344,11 +305,6 @@ class Database {
   /// ends by publishing ctx_ as a new immutable epoch; every read path
   /// pins the current one. `mutable` so const introspection can pin.
   mutable mvcc::EpochManager epochs_;
-
-  /// Cluster metrics provider (set while a coordinator is attached).
-  mutable sync::Mutex cluster_mutex_;
-  std::function<ClusterMetricsSnapshot()> cluster_provider_
-      GEMS_GUARDED_BY(cluster_mutex_);
 
   std::unique_ptr<store::Store> store_;
   /// Sole owner of store_status_: the WAL hook writes it (nested under

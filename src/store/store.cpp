@@ -101,7 +101,7 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
       GEMS_RETURN_IF_ERROR(ctx.rebuild_graph().with_context(where));
     }
     if (ctx.on_graph_maintenance) {
-      // Recovery maintenance shows up in the epoch metrics like live
+      // Recovery maintenance shows up in the ingest metrics like live
       // ingest maintenance does (delta vs. rebuild accounting).
       ctx.on_graph_maintenance(
           delta_applied,
@@ -175,9 +175,16 @@ Result<std::unique_ptr<Store>> Store::open(StoreOptions options,
   auto store = std::unique_ptr<Store>(
       new Store(std::move(options), std::move(wal.wal)));
   store->last_checkpoint_seq_ = snap_seq;
-  store->metrics_.record_recovery(have_snapshot, snapshot_bytes,
-                                  snapshot_seconds, applied, skipped,
-                                  wal.truncated_bytes, replay_seconds);
+  metrics::Registry& m = store->metrics_;
+  m.gauge("store.recovery.from_snapshot").set(have_snapshot ? 1 : 0);
+  m.gauge("store.recovery.snapshot_bytes").set(snapshot_bytes);
+  m.gauge("store.recovery.snapshot_us")
+      .set(static_cast<std::uint64_t>(snapshot_seconds * 1e6));
+  m.gauge("store.recovery.records_applied").set(applied);
+  m.gauge("store.recovery.records_skipped").set(skipped);
+  m.gauge("store.recovery.truncated_bytes").set(wal.truncated_bytes);
+  m.gauge("store.recovery.replay_us")
+      .set(static_cast<std::uint64_t>(replay_seconds * 1e6));
   GEMS_LOG(Info) << "store '" << store->options_.dir << "' opened: "
                  << (have_snapshot
                          ? "snapshot seq " + std::to_string(snap_seq) + " (" +
@@ -230,9 +237,9 @@ Status Store::log_mutation(const exec::MutationEvent& ev) {
 
   GEMS_ASSIGN_OR_RETURN(std::uint64_t seq, wal_->append(type, payload));
   (void)seq;
-  metrics_.record_wal_append(
-      payload.size() + kWalFrameBytes,
-      static_cast<std::uint64_t>(timer.elapsed_us()));
+  wal_records_.add();
+  wal_bytes_.add(payload.size() + kWalFrameBytes);
+  wal_append_us_.record(static_cast<std::uint64_t>(timer.elapsed_us()));
   return Status::ok();
 }
 
@@ -251,7 +258,9 @@ Status Store::write_snapshot(const exec::ExecContext& ctx,
     return bytes.status().with_context("checkpoint snapshot");
   }
   const double us = timer.elapsed_us();
-  metrics_.record_snapshot(*bytes, static_cast<std::uint64_t>(us));
+  snapshots_written_.add();
+  snapshot_last_bytes_.set(*bytes);
+  snapshot_write_us_.record(static_cast<std::uint64_t>(us));
   GEMS_LOG(Info) << "checkpoint: " << *bytes << " bytes at WAL seq "
                  << seq << " (" << us / 1e3 << " ms)";
   return Status::ok();

@@ -15,9 +15,9 @@
 #include <memory>
 #include <string>
 
+#include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "exec/executor.hpp"
-#include "store/metrics.hpp"
 #include "store/wal.hpp"
 
 namespace gems::store {
@@ -63,8 +63,8 @@ class Store {
   Status write_snapshot(const exec::ExecContext& ctx, std::uint64_t seq);
   Status finish_checkpoint(std::uint64_t seq);
 
-  StoreMetrics& metrics() { return metrics_; }
-  const StoreMetrics& metrics() const { return metrics_; }
+  /// WAL, checkpoint and recovery metrics (`store.*`).
+  const metrics::Registry& metrics() const { return metrics_; }
 
   /// WAL seq covered by the on-disk snapshot (0 = none yet this run).
   std::uint64_t last_checkpoint_seq() const { return last_checkpoint_seq_; }
@@ -78,8 +78,19 @@ class Store {
 
   StoreOptions options_;
   std::unique_ptr<Wal> wal_;
-  StoreMetrics metrics_;
   std::uint64_t last_checkpoint_seq_ = 0;
+
+  metrics::Registry metrics_;
+  metrics::Counter& wal_records_ = metrics_.counter("store.wal.records");
+  metrics::Counter& wal_bytes_ = metrics_.counter("store.wal.bytes");
+  metrics::Histogram& wal_append_us_ =
+      metrics_.histogram("store.wal.append_us");
+  metrics::Counter& snapshots_written_ =
+      metrics_.counter("store.snapshot.written");
+  metrics::Gauge& snapshot_last_bytes_ =
+      metrics_.gauge("store.snapshot.last_bytes");
+  metrics::Histogram& snapshot_write_us_ =
+      metrics_.histogram("store.snapshot.write_us");
 };
 
 }  // namespace gems::store

@@ -26,6 +26,7 @@
 #include "cluster/rank_worker.hpp"
 #include "common/check.hpp"
 #include "common/crc32.hpp"
+#include "common/metrics.hpp"
 #include "dist/dist_matcher.hpp"
 #include "exec/lowering.hpp"
 #include "graql/parser.hpp"
@@ -57,6 +58,12 @@ server::Database& berlin_db() {
     return std::move(built).value();
   }();
   return *db;
+}
+
+/// A cluster metric of the shared database. The `cluster.*` counters
+/// count for the database's lifetime, so tests assert differences.
+std::uint64_t cluster_metric(const std::string& name) {
+  return metrics::value(berlin_db().metrics_snapshot(), "cluster." + name);
 }
 
 /// Deterministic rendering for result-equality assertions.
@@ -337,9 +344,10 @@ void run_oracle(std::size_t ranks) {
   coordinator.attach();
 
   const std::string query = std::string(kQuery) + ";";
+  const std::uint64_t jobs_before = cluster_metric("jobs");
   auto distributed = db.run_script(query);
   ASSERT_TRUE(distributed.is_ok()) << distributed.status().to_string();
-  EXPECT_EQ(db.cluster_metrics().jobs, 1u);
+  EXPECT_EQ(cluster_metric("jobs") - jobs_before, 1u);
 
   const std::vector<std::vector<std::uint8_t>> wire =
       coordinator.last_transcripts();
@@ -390,9 +398,10 @@ TEST(ClusterTest, DistributedResultsMatchLocal) {
   ASSERT_TRUE(coordinator.wait_for_ranks().is_ok());
   coordinator.attach();
 
+  const std::uint64_t jobs_before = cluster_metric("jobs");
   auto distributed = db.run_script(query);
   ASSERT_TRUE(distributed.is_ok()) << distributed.status().to_string();
-  EXPECT_EQ(db.cluster_metrics().jobs, 1u);
+  EXPECT_EQ(cluster_metric("jobs") - jobs_before, 1u);
   EXPECT_EQ(render(distributed.value()), render(local.value()));
 
   coordinator.shutdown();
@@ -413,11 +422,12 @@ TEST(ClusterTest, NonDistributableNetworkFallsBackLocally) {
   ASSERT_TRUE(coordinator.wait_for_ranks().is_ok());
   coordinator.attach();
 
+  const std::uint64_t jobs_before = cluster_metric("jobs");
+  const std::uint64_t fallbacks_before = cluster_metric("fallbacks");
   auto results = db.run_script(std::string(kFallbackQuery) + ";");
   ASSERT_TRUE(results.is_ok()) << results.status().to_string();
-  const auto snap = db.cluster_metrics();
-  EXPECT_EQ(snap.jobs, 0u);
-  EXPECT_GE(snap.fallbacks, 1u);
+  EXPECT_EQ(cluster_metric("jobs") - jobs_before, 0u);
+  EXPECT_GE(cluster_metric("fallbacks") - fallbacks_before, 1u);
 
   coordinator.shutdown();
   w0.join();
@@ -446,11 +456,11 @@ TEST(ClusterTest, MetricsTravelTheStatsVerb) {
   ASSERT_TRUE(client.connect().is_ok());
   auto stats = client.stats();
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
-  EXPECT_EQ(stats->cluster.num_ranks, 2u);
-  EXPECT_GE(stats->cluster.jobs, 1u);
-  ASSERT_EQ(stats->cluster.ranks.size(), 2u);
-  EXPECT_GT(stats->cluster.ranks[1].messages, 0u);
-  EXPECT_NE(stats->cluster.to_string().find("cluster: 2 ranks"),
+  EXPECT_EQ(metrics::value(*stats, "cluster.ranks"), 2u);
+  EXPECT_GE(metrics::value(*stats, "cluster.jobs"), 1u);
+  EXPECT_EQ(metrics::value(*stats, "cluster.rank.1.connected"), 1u);
+  EXPECT_GT(metrics::value(*stats, "cluster.rank.1.messages"), 0u);
+  EXPECT_NE(metrics::render(*stats, "cluster.").find("cluster.rank.1.jobs"),
             std::string::npos);
   client.disconnect();
   server.stop();
@@ -458,6 +468,60 @@ TEST(ClusterTest, MetricsTravelTheStatsVerb) {
   coordinator.shutdown();
   w0.join();
   w1.join();
+}
+
+TEST(ClusterTest, RankRecordsOfADetachedCoordinatorStayAsHistory) {
+  // `cluster.*` records live as long as the database. Once a coordinator
+  // detaches, `cluster.ranks` is 0 and its per-rank records stop moving; a
+  // later coordinator with fewer ranks leaves the higher ranks' records
+  // as they were, disconnected.
+  server::Database& db = berlin_db();
+  const std::string query = std::string(kQuery) + ";";
+  {
+    CoordinatorOptions copt;
+    copt.num_ranks = 2;
+    Coordinator coordinator(db, copt);
+    ASSERT_TRUE(coordinator.start().is_ok());
+    WorkerThread w0(worker_options(coordinator.port(), 0));
+    WorkerThread w1(worker_options(coordinator.port(), 1));
+    w0.start();
+    w1.start();
+    ASSERT_TRUE(coordinator.wait_for_ranks().is_ok());
+    coordinator.attach();
+    ASSERT_TRUE(db.run_script(query).is_ok());
+    coordinator.shutdown();
+    w0.join();
+    w1.join();
+  }
+  const std::uint64_t rank1_jobs = cluster_metric("rank.1.jobs");
+  const std::uint64_t rank1_messages = cluster_metric("rank.1.messages");
+  const std::uint64_t rank0_jobs = cluster_metric("rank.0.jobs");
+  EXPECT_EQ(cluster_metric("ranks"), 0u);
+  EXPECT_EQ(cluster_metric("rank.0.connected"), 0u);
+  EXPECT_EQ(cluster_metric("rank.1.connected"), 0u);
+  EXPECT_GE(rank1_jobs, 1u);
+
+  CoordinatorOptions copt;
+  copt.num_ranks = 1;
+  Coordinator coordinator(db, copt);
+  ASSERT_TRUE(coordinator.start().is_ok());
+  WorkerThread w0(worker_options(coordinator.port(), 0));
+  w0.start();
+  ASSERT_TRUE(coordinator.wait_for_ranks().is_ok());
+  coordinator.attach();
+  const std::uint64_t jobs_before = cluster_metric("jobs");
+  ASSERT_TRUE(db.run_script(query).is_ok());
+  EXPECT_EQ(cluster_metric("jobs") - jobs_before, 1u);
+  EXPECT_EQ(cluster_metric("ranks"), 1u);
+  EXPECT_EQ(cluster_metric("rank.0.connected"), 1u);
+  EXPECT_EQ(cluster_metric("rank.0.jobs") - rank0_jobs, 1u);
+  EXPECT_EQ(cluster_metric("rank.1.connected"), 0u);
+  EXPECT_EQ(cluster_metric("rank.1.jobs"), rank1_jobs);
+  EXPECT_EQ(cluster_metric("rank.1.messages"), rank1_messages);
+
+  coordinator.shutdown();
+  w0.join();
+  EXPECT_EQ(cluster_metric("ranks"), 0u);
 }
 
 // ---- Recovery --------------------------------------------------------------

@@ -1,19 +1,27 @@
 // Unit tests for src/common: Status/Result, bitset, string pool, PRNG,
-// thread pool.
+// thread pool, metrics registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <filesystem>
 #include <mutex>
 #include <set>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "cluster/coordinator.hpp"
 #include "common/bitset.hpp"
 #include "common/hash.hpp"
+#include "common/metrics.hpp"
 #include "common/prng.hpp"
 #include "common/status.hpp"
 #include "common/string_pool.hpp"
 #include "common/thread_pool.hpp"
+#include "net/server.hpp"
+#include "server/database.hpp"
 
 namespace gems {
 namespace {
@@ -361,6 +369,175 @@ TEST(HashTest, Mix64SpreadsSequentialValues) {
 TEST(HashTest, PairHashDistinguishesOrder) {
   PairHash h;
   EXPECT_NE(h(std::make_pair(1, 2)), h(std::make_pair(2, 1)));
+}
+
+// ---- Metrics registry ----------------------------------------------------
+
+TEST(MetricsRegistryTest, ConcurrentRecordingAddsUpExactly) {
+  metrics::Registry registry;
+  metrics::Counter& counter = registry.counter("test.counter");
+  metrics::Histogram& histogram = registry.histogram("test.latency_us");
+  constexpr int kThreads = 8;
+  constexpr int kRecords = 5000;
+  std::atomic<bool> done{false};
+  std::atomic<int> regressions{0};
+  // A reader snapshots throughout; the counter it sees never goes back.
+  std::thread reader([&] {
+    std::uint64_t last = 0;
+    while (!done.load(std::memory_order_acquire)) {
+      const std::uint64_t now =
+          metrics::value(registry.snapshot(), "test.counter");
+      if (now < last) regressions.fetch_add(1);
+      last = now;
+    }
+  });
+  std::vector<std::thread> writers;
+  writers.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&] {
+      for (int i = 0; i < kRecords; ++i) {
+        counter.add();
+        histogram.record(static_cast<std::uint64_t>(i % 100));
+      }
+    });
+  }
+  for (auto& w : writers) w.join();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  EXPECT_EQ(regressions.load(), 0);
+  const metrics::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(metrics::value(snap, "test.counter"),
+            static_cast<std::uint64_t>(kThreads * kRecords));
+  const metrics::Record* latency = metrics::find(snap, "test.latency_us");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->kind, metrics::Kind::kHistogram);
+  EXPECT_EQ(latency->histogram.count,
+            static_cast<std::uint64_t>(kThreads * kRecords));
+  // Each thread records 0..99 fifty times: 50 * 4950 per thread.
+  EXPECT_EQ(latency->histogram.sum_us,
+            static_cast<std::uint64_t>(kThreads) * 50 * 4950);
+  EXPECT_EQ(latency->histogram.max_us, 99u);
+}
+
+TEST(MetricsRegistryTest, RegisteringAnExistingNameReturnsTheSameHandle) {
+  metrics::Registry registry;
+  metrics::Counter& first = registry.counter("a.count");
+  first.add(3);
+  EXPECT_EQ(&registry.counter("a.count"), &first);
+  EXPECT_EQ(&registry.gauge("a.level"), &registry.gauge("a.level"));
+  EXPECT_EQ(&registry.histogram("a.us"), &registry.histogram("a.us"));
+  registry.counter("a.count").add(2);
+  const metrics::Snapshot snap = registry.snapshot();
+  ASSERT_EQ(snap.size(), 3u);  // one record per name
+  EXPECT_EQ(metrics::value(snap, "a.count"), 5u);
+}
+
+TEST(MetricsRegistryTest, ValueOfAMissingNameOrAHistogramIsAnError) {
+  ::testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  metrics::Registry registry;
+  registry.gauge("level").set(2);
+  registry.histogram("level_us").record(5);
+  const metrics::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(metrics::value(snap, "level"), 2u);
+  EXPECT_EQ(metrics::find(snap, "missing"), nullptr);
+  // A misspelt name must not read as 0.
+  EXPECT_DEATH(metrics::value(snap, "levle"), "no counter or gauge");
+  EXPECT_DEATH(metrics::value(snap, "level_us"), "no counter or gauge");
+}
+
+TEST(MetricsRegistryTest, SnapshotsMergeSortedAndRenderByPrefix) {
+  metrics::Registry a;
+  metrics::Registry b;
+  a.counter("x.b").add(2);
+  a.gauge("z.flag").set(1);
+  b.counter("x.a").add(1);
+  b.histogram("y.us").record(8);
+  metrics::Snapshot snap = a.snapshot();
+  metrics::merge(snap, b.snapshot());
+  std::vector<std::string> names;
+  for (const metrics::Record& r : snap) names.push_back(r.name);
+  EXPECT_EQ(names, (std::vector<std::string>{"x.a", "x.b", "y.us", "z.flag"}));
+  EXPECT_EQ(metrics::render(snap, "x."), "x.a  1\nx.b  2\n");
+  EXPECT_EQ(metrics::render(snap, "y."),
+            "y.us  n=1 mean=8 p50=8 p99=8 max=8\n");
+  EXPECT_EQ(metrics::render(snap, "nope."), "");
+}
+
+/// Names of the records whose name starts with `prefix`, in order.
+std::vector<std::string> names_under(const metrics::Snapshot& snapshot,
+                                     const std::string& prefix) {
+  std::vector<std::string> out;
+  for (const metrics::Record& r : snapshot) {
+    if (r.name.starts_with(prefix)) out.push_back(r.name.substr(prefix.size()));
+  }
+  return out;
+}
+
+TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
+  // A durable database behind a server, with a one-rank coordinator:
+  // every layer registers at construction, so the list is complete before
+  // anything runs. A layer that forgets a name fails here.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "gems_metrics_names";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    server::DatabaseOptions options;
+    options.store_dir = dir + "/store";
+    options.wal_fsync = false;
+    server::Database db(options);
+    ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
+    cluster::CoordinatorOptions cluster_options;
+    cluster_options.num_ranks = 1;
+    cluster::Coordinator coordinator(db, cluster_options);
+    net::Server server(db);
+    const metrics::Snapshot snap = server.metrics_snapshot();
+
+    std::vector<std::string> net_names;
+    for (const char* verb : {"cancel", "catalog", "check", "explain",
+                             "handshake", "run_script", "shutdown",
+                             "stats"}) {
+      for (const char* field :
+           {"bytes_in", "bytes_out", "cancelled", "errors", "execute_us",
+            "expired", "ok", "overloaded", "queue_wait_us", "requests"}) {
+        net_names.push_back(std::string(verb) + "." + field);
+      }
+    }
+    const std::vector<std::pair<std::string, std::vector<std::string>>>
+        layers = {
+            {"access.writer.", {"acquired", "held_us", "wait_us"}},
+            {"cluster.",
+             {"fallbacks", "jobs", "rank.0.connected", "rank.0.jobs",
+              "rank.0.messages", "rank.0.payload_bytes", "rank.0.stall_us",
+              "rank.0.supersteps", "rank.0.wire_bytes", "ranks",
+              "sync_bytes", "syncs"}},
+            {"exec.match.",
+             {"edge_traversals", "merge_ns", "parallel_tasks", "passes",
+              "queries", "worker_us"}},
+            {"mvcc.",
+             {"epochs.current", "epochs.freed", "epochs.live",
+              "epochs.published", "epochs.retired", "ingest.delta",
+              "ingest.delta_ns", "ingest.rebuild", "ingest.rebuild_ns",
+              "pins.oldest_age_us", "pins.outstanding", "pins.peak",
+              "pins.taken"}},
+            {"net.", net_names},
+            {"store.",
+             {"recovery.from_snapshot", "recovery.records_applied",
+              "recovery.records_skipped", "recovery.replay_us",
+              "recovery.snapshot_bytes", "recovery.snapshot_us",
+              "recovery.truncated_bytes", "snapshot.last_bytes",
+              "snapshot.write_us", "snapshot.written", "wal.append_us",
+              "wal.bytes", "wal.records"}},
+        };
+    std::size_t listed = 0;
+    for (const auto& [prefix, expected] : layers) {
+      EXPECT_EQ(names_under(snap, prefix), expected) << prefix;
+      listed += expected.size();
+    }
+    EXPECT_EQ(snap.size(), listed) << "a record outside the listed layers";
+  }
+  fs::remove_all(dir);
 }
 
 }  // namespace

@@ -21,9 +21,9 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.hpp"
 #include "exec/executor.hpp"
 #include "mvcc/epoch.hpp"
-#include "mvcc/metrics.hpp"
 #include "server/database.hpp"
 #include "storage/csv.hpp"
 #include "store/snapshot.hpp"
@@ -127,47 +127,49 @@ TEST(EpochManagerTest, PublishPinRetireFreeCounts) {
   base.data_dir = "alpha";
   EXPECT_EQ(manager.publish(base), 1u);
   EXPECT_TRUE(manager.has_epoch());
-  EpochMetricsSnapshot m = manager.snapshot();
-  EXPECT_EQ(m.published, 1u);
-  EXPECT_EQ(m.live, 1u);
-  EXPECT_EQ(m.freed, 0u);
-  EXPECT_EQ(m.current_epoch, 1u);
+  metrics::Snapshot m = manager.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.published"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.live"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.freed"), 0u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.current"), 1u);
 
   EpochPin pin = manager.pin();
   ASSERT_TRUE(pin.valid());
   EXPECT_EQ(pin.epoch().id(), 1u);
   EXPECT_EQ(pin.ctx().data_dir, "alpha");
-  m = manager.snapshot();
-  EXPECT_EQ(m.pins_taken, 1u);
-  EXPECT_EQ(m.pinned_readers, 1u);
-  EXPECT_EQ(m.peak_pinned_readers, 1u);
+  m = manager.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.taken"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.outstanding"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.peak"), 1u);
 
   // Superseding a pinned epoch retires it (deferred) instead of freeing.
   base.data_dir = "beta";
   EXPECT_EQ(manager.publish(base), 2u);
-  m = manager.snapshot();
-  EXPECT_EQ(m.published, 2u);
-  EXPECT_EQ(m.retired, 1u);
-  EXPECT_EQ(m.freed, 0u);
-  EXPECT_EQ(m.live, 2u);  // current + the pinned predecessor
+  m = manager.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.published"), 2u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.retired"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.freed"), 0u);
+  // current + the pinned predecessor
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.live"), 2u);
   EXPECT_EQ(pin.ctx().data_dir, "alpha");  // pinned state is immutable
 
   // Superseding an *unpinned* epoch frees it immediately.
   EXPECT_EQ(manager.publish(base), 3u);
-  m = manager.snapshot();
-  EXPECT_EQ(m.retired, 1u);
-  EXPECT_EQ(m.freed, 1u);
-  EXPECT_EQ(m.live, 2u);  // current + the still-pinned epoch 1
+  m = manager.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.retired"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.freed"), 1u);
+  // current + the still-pinned epoch 1
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.live"), 2u);
 
   // Dropping the last pin drains the retired list.
   pin.release();
   EXPECT_FALSE(pin.valid());
-  m = manager.snapshot();
-  EXPECT_EQ(m.freed, 2u);
-  EXPECT_EQ(m.live, 1u);
-  EXPECT_EQ(m.pinned_readers, 0u);
-  EXPECT_EQ(m.pins_taken, 1u);
-  EXPECT_EQ(m.current_epoch, 3u);
+  m = manager.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.freed"), 2u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.live"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.outstanding"), 0u);
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.taken"), 1u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.current"), 3u);
 }
 
 TEST(EpochManagerTest, MovedFromPinIsInert) {
@@ -177,11 +179,15 @@ TEST(EpochManagerTest, MovedFromPinIsInert) {
   EpochPin b = std::move(a);
   EXPECT_FALSE(a.valid());  // NOLINT(bugprone-use-after-move): testing it
   EXPECT_TRUE(b.valid());
-  EXPECT_EQ(manager.snapshot().pinned_readers, 1u);
+  auto pinned = [&] {
+    return metrics::value(manager.metrics_snapshot(),
+                          "mvcc.pins.outstanding");
+  };
+  EXPECT_EQ(pinned(), 1u);
   a.release();  // no-op on the moved-from shell
-  EXPECT_EQ(manager.snapshot().pinned_readers, 1u);
+  EXPECT_EQ(pinned(), 1u);
   b.release();
-  EXPECT_EQ(manager.snapshot().pinned_readers, 0u);
+  EXPECT_EQ(pinned(), 0u);
 }
 
 // Satellite: deferred retirement through the full database stack — a pin
@@ -211,16 +217,19 @@ TEST(EpochManagerTest, PinKeepsSupersededEpochAliveAcrossIngests) {
   EXPECT_EQ((*pin.ctx().tables.find("People"))->num_rows(), 4u);
   EXPECT_EQ(people_at_pin.get(), pin.ctx().tables.find("People")->get());
 
-  EpochMetricsSnapshot m = db.epoch_metrics();
-  EXPECT_EQ(m.pinned_readers, 1u);
-  EXPECT_GE(m.retired, 1u);  // our epoch was superseded while pinned
-  const std::uint64_t freed_before_release = m.freed;
+  metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.outstanding"), 1u);
+  // Our epoch was superseded while pinned.
+  EXPECT_GE(metrics::value(m, "mvcc.epochs.retired"), 1u);
+  const std::uint64_t freed_before_release =
+      metrics::value(m, "mvcc.epochs.freed");
 
   pin.release();
-  m = db.epoch_metrics();
-  EXPECT_EQ(m.pinned_readers, 0u);
-  EXPECT_GT(m.freed, freed_before_release);
-  EXPECT_EQ(m.live, 1u);  // only the current epoch remains
+  m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.outstanding"), 0u);
+  EXPECT_GT(metrics::value(m, "mvcc.epochs.freed"), freed_before_release);
+  // Only the current epoch remains.
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.live"), 1u);
 }
 
 // Readers pin and re-walk epoch state while a writer publishes as fast as
@@ -261,6 +270,19 @@ TEST(EpochManagerTest, PinAcrossPublishHammer) {
       }
     });
   }
+  // Live snapshots are taken under the manager mutex: every published
+  // epoch is either live or freed in each one.
+  std::atomic<int> inconsistent{0};
+  std::thread snapshotter([&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const metrics::Snapshot s = db.metrics_snapshot();
+      if (metrics::value(s, "mvcc.epochs.freed") +
+              metrics::value(s, "mvcc.epochs.live") !=
+          metrics::value(s, "mvcc.epochs.published")) {
+        inconsistent.fetch_add(1);
+      }
+    }
+  });
 
   for (int b = 0; b < kIngests; ++b) {
     const std::string csv = batch_csv(dir, "h", b, 25);
@@ -272,14 +294,19 @@ TEST(EpochManagerTest, PinAcrossPublishHammer) {
   }
   stop.store(true, std::memory_order_release);
   for (auto& t : readers) t.join();
+  snapshotter.join();
 
   EXPECT_EQ(torn.load(), 0);
-  const EpochMetricsSnapshot m = db.epoch_metrics();
-  EXPECT_EQ(m.pinned_readers, 0u);
-  EXPECT_EQ(m.live, 1u);
-  EXPECT_GE(m.published, static_cast<std::uint64_t>(3 * kIngests));
+  EXPECT_EQ(inconsistent.load(), 0);
+  const metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.pins.outstanding"), 0u);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.live"), 1u);
+  EXPECT_GE(metrics::value(m, "mvcc.epochs.published"),
+            static_cast<std::uint64_t>(3 * kIngests));
   // Every retirement eventually drained: nothing leaked.
-  EXPECT_EQ(m.freed + m.live, m.published);
+  EXPECT_EQ(metrics::value(m, "mvcc.epochs.freed") +
+                metrics::value(m, "mvcc.epochs.live"),
+            metrics::value(m, "mvcc.epochs.published"));
 }
 
 // ---- Incremental CSR delta vs. full rebuild --------------------------------
@@ -312,12 +339,13 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
   auto rebuild_db = build(false);
 
   // One db took the incremental path, the other rebuilt every time.
-  const EpochMetricsSnapshot dm = delta_db->epoch_metrics();
-  EXPECT_GE(dm.delta_ingests, 4u);  // 3 People batches + knows2
-  EXPECT_EQ(dm.full_rebuilds, 0u);
-  const EpochMetricsSnapshot rm = rebuild_db->epoch_metrics();
-  EXPECT_EQ(rm.delta_ingests, 0u);
-  EXPECT_GE(rm.full_rebuilds, 4u);
+  const metrics::Snapshot dm = delta_db->metrics_snapshot();
+  // 3 People batches + knows2
+  EXPECT_GE(metrics::value(dm, "mvcc.ingest.delta"), 4u);
+  EXPECT_EQ(metrics::value(dm, "mvcc.ingest.rebuild"), 0u);
+  const metrics::Snapshot rm = rebuild_db->metrics_snapshot();
+  EXPECT_EQ(metrics::value(rm, "mvcc.ingest.delta"), 0u);
+  EXPECT_GE(metrics::value(rm, "mvcc.ingest.rebuild"), 4u);
 
   // Same catalog, same rows, same instance numbering, same bytes.
   EXPECT_EQ(state_fingerprint(*delta_db), state_fingerprint(*rebuild_db));
@@ -401,7 +429,7 @@ TEST(DurabilityTest, RecoveryMatchesPrecrashPinnedSnapshot) {
       const std::string csv = batch_csv(dir, "w", b, 12);
       ASSERT_TRUE(db.run_script("ingest table People '" + csv + "'").is_ok());
     }
-    EXPECT_GE(db.epoch_metrics().delta_ingests, 3u);
+    EXPECT_GE(metrics::value(db.metrics_snapshot(), "mvcc.ingest.delta"), 3u);
     pre_crash = db.snapshot_bytes();
     pre_fingerprint = state_fingerprint(db);
     // No checkpoint: destruction "crashes" with the whole history in the
@@ -414,7 +442,8 @@ TEST(DurabilityTest, RecoveryMatchesPrecrashPinnedSnapshot) {
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
   EXPECT_EQ(state_fingerprint(recovered), pre_fingerprint);
   // Replay re-applied the batches with the identical per-record decision.
-  EXPECT_GE(recovered.epoch_metrics().delta_ingests, 3u);
+  EXPECT_GE(metrics::value(recovered.metrics_snapshot(), "mvcc.ingest.delta"),
+            3u);
   auto q = recovered.run_script("select Person.age from graph "
                                 "Person (name = 'w2_p3')");
   ASSERT_TRUE(q.is_ok()) << q.status().to_string();
@@ -497,7 +526,8 @@ TEST(MvccSoakTest, MixedReadWriteSoak) {
   const std::uint64_t base_rows =
       static_cast<std::uint64_t>((*db.table("People"))->num_rows());
 
-  const std::uint64_t writes_before = db.access_metrics().exclusive_acquired;
+  const std::uint64_t writes_before =
+      metrics::value(db.metrics_snapshot(), "access.writer.acquired");
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::atomic<int> mismatches{0};
@@ -561,12 +591,14 @@ TEST(MvccSoakTest, MixedReadWriteSoak) {
   // The lock-free contract: readers pinned epochs, never the writer lock
   // (exactly one acquisition per ingest script); writers published one
   // epoch per ingest script.
-  EXPECT_EQ(db.access_metrics().exclusive_acquired - writes_before,
+  EXPECT_EQ(metrics::value(db.metrics_snapshot(), "access.writer.acquired") -
+                writes_before,
             static_cast<std::uint64_t>(kWriters * kBatches));
-  const EpochMetricsSnapshot e = db.epoch_metrics();
-  EXPECT_GE(e.pins_taken, reads.load());
-  EXPECT_GE(e.published, static_cast<std::uint64_t>(kWriters * kBatches));
-  EXPECT_EQ(e.pinned_readers, 0u);
+  const metrics::Snapshot e = db.metrics_snapshot();
+  EXPECT_GE(metrics::value(e, "mvcc.pins.taken"), reads.load());
+  EXPECT_GE(metrics::value(e, "mvcc.epochs.published"),
+            static_cast<std::uint64_t>(kWriters * kBatches));
+  EXPECT_EQ(metrics::value(e, "mvcc.pins.outstanding"), 0u);
 }
 
 }  // namespace

@@ -17,6 +17,7 @@
 #include "common/check.hpp"
 #include "bsbm/queries.hpp"
 #include "bsbm/schema.hpp"
+#include "common/metrics.hpp"
 #include "graql/ir.hpp"
 #include "graql/parser.hpp"
 #include "net/client.hpp"
@@ -170,16 +171,21 @@ TEST(NetTest, RoundTripEveryVerb) {
   // stats reflects the traffic above
   auto stats = client.stats();
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
-  EXPECT_EQ(stats->verb(Verb::kHandshake).ok, 1u);
-  EXPECT_EQ(stats->verb(Verb::kRunScript).ok, 1u);
+  EXPECT_EQ(metrics::value(*stats, "net.handshake.ok"), 1u);
+  EXPECT_EQ(metrics::value(*stats, "net.run_script.ok"), 1u);
   // A faulty-but-parseable script is a *successful* check: the response
   // carries the diagnostic list, not an error status.
-  EXPECT_EQ(stats->verb(Verb::kCheck).requests, 2u);
-  EXPECT_EQ(stats->verb(Verb::kCheck).errors, 0u);
-  EXPECT_EQ(stats->verb(Verb::kCheck).ok, 2u);
-  EXPECT_EQ(stats->verb(Verb::kExplain).ok, 1u);
-  EXPECT_EQ(stats->verb(Verb::kCatalog).ok, 1u);
-  EXPECT_GT(stats->total().bytes_out, 0u);
+  EXPECT_EQ(metrics::value(*stats, "net.check.requests"), 2u);
+  EXPECT_EQ(metrics::value(*stats, "net.check.errors"), 0u);
+  EXPECT_EQ(metrics::value(*stats, "net.check.ok"), 2u);
+  EXPECT_EQ(metrics::value(*stats, "net.explain.ok"), 1u);
+  EXPECT_EQ(metrics::value(*stats, "net.catalog.ok"), 1u);
+  EXPECT_GT(metrics::value(*stats, "net.run_script.bytes_out"), 0u);
+  const metrics::Record* execute =
+      metrics::find(*stats, "net.run_script.execute_us");
+  ASSERT_NE(execute, nullptr);
+  EXPECT_EQ(execute->kind, metrics::Kind::kHistogram);
+  EXPECT_EQ(execute->histogram.count, 1u);
 
   // shutdown unblocks Server::wait()
   EXPECT_TRUE(client.shutdown_server().is_ok());
@@ -371,57 +377,128 @@ TEST(NetTest, DecodeParamsRejectsHostileCount) {
 }
 
 TEST(NetTest, StatsSnapshotRoundTripsAndSurvivesTruncation) {
-  // Every tail block populated: writer lock, a two-rank cluster, epochs.
-  MetricsSnapshot snap;
-  VerbMetrics& run = snap.verbs[static_cast<std::size_t>(Verb::kRunScript)];
-  run.requests = 7;
-  run.ok = 6;
-  run.errors = 1;
-  run.bytes_in = 700;
-  run.bytes_out = 9000;
-  run.queue_wait.record(12);
-  run.execute.record(3400);
-  snap.access = {5, 120, 8000};
-  snap.cluster.num_ranks = 2;
-  snap.cluster.jobs = 3;
-  snap.cluster.fallbacks = 1;
-  snap.cluster.syncs = 2;
-  snap.cluster.sync_bytes = 4096;
-  snap.cluster.ranks = {{true, 3, 40, 1000, 1200, 9, 15},
-                        {false, 3, 38, 900, 1100, 0, 22}};
-  snap.epoch = {11, 10, 9, 2, 300, 1, 4, 250, 8, 1, 70000, 900000, 11};
+  // One record of each kind; the histogram has samples in two buckets.
+  metrics::Registry registry;
+  registry.counter("access.writer.acquired").add(5);
+  registry.gauge("cluster.rank.1.connected").set(1);
+  registry.counter("cluster.rank.1.messages").add(38);
+  registry.gauge("mvcc.pins.peak").set(4);
+  metrics::Histogram& execute = registry.histogram("net.run_script.execute_us");
+  execute.record(12);
+  execute.record(3400);
+  const metrics::Snapshot snap = registry.snapshot();
 
   std::vector<std::uint8_t> bytes;
   encode_snapshot(snap, bytes);
   auto decoded = decode_snapshot(bytes);
   ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
-  std::vector<std::uint8_t> again;
-  encode_snapshot(decoded.value(), again);
-  EXPECT_EQ(again, bytes);
-  EXPECT_EQ(decoded->verb(Verb::kRunScript).execute.count, 1u);
-  EXPECT_EQ(decoded->access.exclusive_held_us, 8000u);
-  ASSERT_EQ(decoded->cluster.ranks.size(), 2u);
-  EXPECT_FALSE(decoded->cluster.ranks[1].connected);
-  EXPECT_EQ(decoded->epoch.peak_pinned_readers, 4u);
-  EXPECT_EQ(decoded->epoch.current_epoch, 11u);
+  EXPECT_EQ(decoded.value(), snap);
 
-  // A prefix decodes to an error, or — when cut exactly after the verb,
-  // access or cluster block — to a snapshot that re-encodes to the same
-  // leading bytes (the missing blocks read as zero).
-  std::size_t accepted = 0;
+  // Every strict prefix is a parse error: nothing is optional.
   for (std::size_t cut = 0; cut < bytes.size(); ++cut) {
     auto prefix =
         decode_snapshot(std::span<const std::uint8_t>(bytes.data(), cut));
-    if (!prefix.is_ok()) continue;
-    ++accepted;
-    std::vector<std::uint8_t> reencoded;
-    encode_snapshot(prefix.value(), reencoded);
-    ASSERT_GE(reencoded.size(), cut);
-    EXPECT_TRUE(std::equal(bytes.begin(), bytes.begin() + cut,
-                           reencoded.begin()))
+    ASSERT_FALSE(prefix.is_ok()) << "truncation at byte " << cut;
+    EXPECT_EQ(prefix.status().code(), StatusCode::kParseError)
         << "truncation at byte " << cut;
   }
-  EXPECT_EQ(accepted, 3u);
+
+  // Every single-byte flip either fails typed or decodes to records that
+  // re-encode to exactly the flipped bytes.
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    std::vector<std::uint8_t> flipped = bytes;
+    flipped[i] ^= 0xFF;
+    auto mutated = decode_snapshot(flipped);
+    if (!mutated.is_ok()) {
+      EXPECT_EQ(mutated.status().code(), StatusCode::kParseError)
+          << "flip at byte " << i;
+      continue;
+    }
+    std::vector<std::uint8_t> again;
+    encode_snapshot(mutated.value(), again);
+    EXPECT_EQ(again, flipped) << "flip at byte " << i;
+  }
+
+  // A record count, name length or bucket count of 0xFFFFFFFF is checked
+  // against the remaining bytes before anything is allocated. Records are
+  // u32 name length + name + u8 kind + u64 value; the histogram (last by
+  // name) has three u64 fields before its bucket count.
+  std::size_t buckets_at = 4;
+  for (const metrics::Record& r : snap) {
+    const bool histogram = r.kind == metrics::Kind::kHistogram;
+    buckets_at += 4 + r.name.size() + 1 + (histogram ? 3 * 8 : 8);
+    if (histogram) break;
+  }
+  for (const std::size_t at : {std::size_t{0}, std::size_t{4}, buckets_at}) {
+    std::vector<std::uint8_t> hostile = bytes;
+    ASSERT_LE(at + 4, hostile.size());
+    std::fill_n(hostile.begin() + static_cast<std::ptrdiff_t>(at), 4, 0xFF);
+    auto rejected = decode_snapshot(hostile);
+    ASSERT_FALSE(rejected.is_ok()) << "length at byte " << at;
+    EXPECT_EQ(rejected.status().code(), StatusCode::kParseError);
+    EXPECT_NE(rejected.status().message().find("exceeds remaining"),
+              std::string::npos)
+        << rejected.status().to_string();
+    EXPECT_NE(rejected.status().message().find(
+                  "byte offset " + std::to_string(at)),
+              std::string::npos)
+        << rejected.status().to_string();
+  }
+}
+
+TEST(NetTest, StatsRenderIdenticallyOverTheWire) {
+  // wire == direct for `\stats`: a durable database that has run a query,
+  // an ingest and a checkpoint renders the same store, matcher and ingest
+  // records locally as a client gets from the stats verb.
+  namespace fs = std::filesystem;
+  const std::string dir = ::testing::TempDir() + "gems_net_stats_store";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  {
+    std::ofstream f(dir + "/more_producers.csv");
+    for (int i = 0; i < 20; ++i) {
+      f << "sx" << i << ",Producer,P" << i << ",c,hp,US,gen,2008-01-01\n";
+    }
+  }
+  {
+    server::DatabaseOptions db_options;
+    db_options.data_dir = dir;
+    db_options.store_dir = dir + "/store";
+    db_options.wal_fsync = false;
+    server::Database db(db_options);
+    ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
+    ASSERT_TRUE(db.run_script(bsbm::full_ddl()).is_ok());
+    ASSERT_TRUE(
+        bsbm::generate(db, bsbm::GeneratorConfig::derive(30, 5)).is_ok());
+    Server server(db);
+    ASSERT_TRUE(server.start().is_ok());
+    Client client = make_client(server.port());
+    ASSERT_TRUE(client.connect().is_ok());
+    ASSERT_TRUE(client
+                    .run_script("select ProductVtx.id from graph ProductVtx() "
+                                "--producer--> ProducerVtx(country = 'US')")
+                    .is_ok());
+    ASSERT_TRUE(
+        client.run_script("ingest table Producers more_producers.csv").is_ok());
+    ASSERT_TRUE(db.checkpoint().is_ok());
+
+    auto remote = client.stats();
+    ASSERT_TRUE(remote.is_ok()) << remote.status().to_string();
+    const metrics::Snapshot direct = db.metrics_snapshot();
+    for (const char* prefix : {"store.", "exec.match.", "mvcc.ingest."}) {
+      const std::string local = metrics::render(direct, prefix);
+      EXPECT_NE(local, "") << prefix;
+      EXPECT_EQ(metrics::render(remote.value(), prefix), local) << prefix;
+    }
+    EXPECT_GE(metrics::value(direct, "store.wal.records"), 1u);
+    EXPECT_EQ(metrics::value(direct, "store.snapshot.written"), 1u);
+    EXPECT_EQ(metrics::value(direct, "exec.match.queries"), 1u);
+    EXPECT_EQ(metrics::value(direct, "mvcc.ingest.delta") +
+                  metrics::value(direct, "mvcc.ingest.rebuild"),
+              1u);
+    server.stop();
+  }
+  fs::remove_all(dir);
 }
 
 // ---- Concurrency -----------------------------------------------------------
@@ -453,12 +530,12 @@ TEST(NetTest, EightConcurrentClients) {
   for (auto& t : threads) t.join();
   EXPECT_EQ(failures.load(), 0);
 
-  const MetricsSnapshot snapshot = server.metrics_snapshot();
-  EXPECT_EQ(snapshot.verb(Verb::kHandshake).ok,
+  const metrics::Snapshot snapshot = server.metrics_snapshot();
+  EXPECT_EQ(metrics::value(snapshot, "net.handshake.ok"),
             static_cast<std::uint64_t>(kClients));
-  EXPECT_EQ(snapshot.verb(Verb::kRunScript).ok,
+  EXPECT_EQ(metrics::value(snapshot, "net.run_script.ok"),
             static_cast<std::uint64_t>(kClients * kRounds));
-  EXPECT_EQ(snapshot.verb(Verb::kCatalog).ok,
+  EXPECT_EQ(metrics::value(snapshot, "net.catalog.ok"),
             static_cast<std::uint64_t>(kClients * kRounds));
   server.stop();
 }
@@ -490,8 +567,9 @@ TEST(NetTest, DeadlineExpiresWhileQueued) {
   EXPECT_TRUE(responses.at(10).is_ok()) << responses.at(10).to_string();
   EXPECT_EQ(responses.at(11).code(), StatusCode::kDeadlineExceeded);
 
-  const MetricsSnapshot snapshot = server.metrics_snapshot();
-  EXPECT_EQ(snapshot.verb(Verb::kRunScript).expired, 1u);
+  EXPECT_EQ(
+      metrics::value(server.metrics_snapshot(), "net.run_script.expired"),
+      1u);
   server.stop();
 }
 
@@ -520,8 +598,9 @@ TEST(NetTest, CancelRemovesQueuedRequest) {
   EXPECT_TRUE(responses.at(20).is_ok());  // already executing: completes
   EXPECT_EQ(responses.at(21).code(), StatusCode::kCancelled);
 
-  const MetricsSnapshot snapshot = server.metrics_snapshot();
-  EXPECT_EQ(snapshot.verb(Verb::kRunScript).cancelled, 1u);
+  EXPECT_EQ(
+      metrics::value(server.metrics_snapshot(), "net.run_script.cancelled"),
+      1u);
   server.stop();
 }
 
@@ -557,9 +636,9 @@ TEST(NetTest, AdmissionControlRejectsWhenQueueFull) {
   EXPECT_NE(responses.at(32).message().find("retry with backoff"),
             std::string::npos);
 
-  const MetricsSnapshot snapshot = server.metrics_snapshot();
-  EXPECT_EQ(snapshot.verb(Verb::kRunScript).overloaded, 2u);
-  EXPECT_EQ(snapshot.verb(Verb::kRunScript).ok, 2u);
+  const metrics::Snapshot snapshot = server.metrics_snapshot();
+  EXPECT_EQ(metrics::value(snapshot, "net.run_script.overloaded"), 2u);
+  EXPECT_EQ(metrics::value(snapshot, "net.run_script.ok"), 2u);
   server.stop();
 }
 
@@ -657,17 +736,18 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_EQ(mismatches.load(), 0);
 
-  // The writer-lock and epoch counters travel the wire at the tail of the
-  // stats payload. Read scripts pin epochs (gems::mvcc) rather than take
-  // the writer lock, so read concurrency shows up as pins.
+  // The writer-lock and epoch counters travel the stats verb with the
+  // rest. Read scripts pin epochs (gems::mvcc) rather than take the
+  // writer lock, so read concurrency shows up as pins.
   Client client = make_client(server.port());
   ASSERT_TRUE(client.connect().is_ok());
   auto stats = client.stats();
   ASSERT_TRUE(stats.is_ok()) << stats.status().to_string();
-  EXPECT_GE(stats->epoch.pins_taken,
+  EXPECT_GE(metrics::value(*stats, "mvcc.pins.taken"),
             static_cast<std::uint64_t>(kClients * kRounds * scripts.size()));
-  EXPECT_GE(stats->access.exclusive_acquired, 1u);  // overlay publishes
-  EXPECT_GE(stats->epoch.published, 1u);
+  // Overlay publishes take the writer lock.
+  EXPECT_GE(metrics::value(*stats, "access.writer.acquired"), 1u);
+  EXPECT_GE(metrics::value(*stats, "mvcc.epochs.published"), 1u);
   // Scripts without `into` never touch the writer lock.
   for (int round = 0; round < kRounds; ++round) {
     for (std::size_t s = 1; s < scripts.size(); ++s) {
@@ -676,7 +756,8 @@ TEST(NetConcurrencyTest, EightReadersByteIdenticalAcrossWorkers) {
   }
   auto after = client.stats();
   ASSERT_TRUE(after.is_ok()) << after.status().to_string();
-  EXPECT_EQ(after->access.exclusive_acquired, stats->access.exclusive_acquired);
+  EXPECT_EQ(metrics::value(*after, "access.writer.acquired"),
+            metrics::value(*stats, "access.writer.acquired"));
   server.stop();
 }
 

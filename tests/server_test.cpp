@@ -12,6 +12,7 @@
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
 #include "bsbm/schema.hpp"
+#include "common/metrics.hpp"
 #include "graql/ir.hpp"
 #include "graql/parser.hpp"
 #include "server/database.hpp"
@@ -346,13 +347,13 @@ TEST(ConcurrentAccessTest, EightReadersMatchSerialByteIdentical) {
 
   // Every script above is read-only: with gems::mvcc each execution pins
   // an epoch instead of taking the access lock.
-  const mvcc::EpochMetricsSnapshot e = (*db)->epoch_metrics();
-  EXPECT_GE(e.pins_taken,
+  const metrics::Snapshot e = (*db)->metrics_snapshot();
+  EXPECT_GE(metrics::value(e, "mvcc.pins.taken"),
             static_cast<std::uint64_t>(kThreads * kRounds * scripts.size()));
-  EXPECT_EQ(e.pinned_readers, 0u);  // all pins released
+  EXPECT_EQ(metrics::value(e, "mvcc.pins.outstanding"), 0u);  // all released
   // Only the `into table` scripts took brief writer-lock windows to fold
   // their overlays into new epochs...
-  const std::uint64_t writes = (*db)->access_metrics().exclusive_acquired;
+  const std::uint64_t writes = metrics::value(e, "access.writer.acquired");
   EXPECT_GE(writes, static_cast<std::uint64_t>(kThreads));
   // ...scripts without `into` never touch the lock.
   for (int round = 0; round < kRounds; ++round) {
@@ -360,7 +361,9 @@ TEST(ConcurrentAccessTest, EightReadersMatchSerialByteIdentical) {
       ASSERT_TRUE((*db)->run_script(scripts[s]).is_ok());
     }
   }
-  EXPECT_EQ((*db)->access_metrics().exclusive_acquired, writes);
+  EXPECT_EQ(
+      metrics::value((*db)->metrics_snapshot(), "access.writer.acquired"),
+      writes);
 }
 
 TEST(ConcurrentAccessTest, ReadersNeverObserveHalfCommittedState) {
@@ -392,7 +395,8 @@ TEST(ConcurrentAccessTest, ReadersNeverObserveHalfCommittedState) {
 
   constexpr int kThreads = 8;
   constexpr int kBatches = 4;
-  const std::uint64_t writes_before = db.access_metrics().exclusive_acquired;
+  const std::uint64_t writes_before =
+      metrics::value(db.metrics_snapshot(), "access.writer.acquired");
   std::atomic<bool> stop{false};
   std::atomic<int> failures{0};
   std::atomic<int> torn_reads{0};
@@ -430,11 +434,13 @@ TEST(ConcurrentAccessTest, ReadersNeverObserveHalfCommittedState) {
   // Each ingest script took the writer lock once and each checkpoint
   // twice (capture, rotate); the readers pinned epochs and never
   // acquired it at all.
-  EXPECT_EQ(db.access_metrics().exclusive_acquired - writes_before,
+  const metrics::Snapshot e = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(e, "access.writer.acquired") - writes_before,
             static_cast<std::uint64_t>(3 * kBatches));
-  const mvcc::EpochMetricsSnapshot e = db.epoch_metrics();
-  EXPECT_GE(e.pins_taken, static_cast<std::uint64_t>(kThreads));
-  EXPECT_GE(e.published, static_cast<std::uint64_t>(kBatches));
+  EXPECT_GE(metrics::value(e, "mvcc.pins.taken"),
+            static_cast<std::uint64_t>(kThreads));
+  EXPECT_GE(metrics::value(e, "mvcc.epochs.published"),
+            static_cast<std::uint64_t>(kBatches));
   std::filesystem::remove_all(dir);
 }
 

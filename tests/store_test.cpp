@@ -22,6 +22,7 @@
 
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
+#include "common/metrics.hpp"
 #include "server/database.hpp"
 #include "storage/csv.hpp"
 #include "store/format.hpp"
@@ -422,11 +423,12 @@ TEST(DurableDatabaseTest, WalReplayRecoversUncheckpointedState) {
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
   EXPECT_EQ(state_fingerprint(db), before);
-  const auto m = db.store_metrics();
-  EXPECT_TRUE(m.recovered);
-  EXPECT_FALSE(m.recovered_from_snapshot);
-  EXPECT_EQ(m.recovery_records_applied, 6u);  // 4 DDL + 2 ingest
-  EXPECT_EQ(m.recovery_records_skipped, 0u);
+  const metrics::Snapshot m = db.metrics_snapshot();
+  ASSERT_NE(metrics::find(m, "store.recovery.from_snapshot"), nullptr);
+  EXPECT_EQ(metrics::value(m, "store.recovery.from_snapshot"), 0u);
+  // 4 DDL + 2 ingest
+  EXPECT_EQ(metrics::value(m, "store.recovery.records_applied"), 6u);
+  EXPECT_EQ(metrics::value(m, "store.recovery.records_skipped"), 0u);
 
   // The recovered graph answers queries and accepts new WAL-logged writes.
   auto q = db.run_script(
@@ -451,9 +453,10 @@ TEST(DurableDatabaseTest, CheckpointThenReopenLoadsSnapshotOnly) {
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
   EXPECT_EQ(state_fingerprint(db), before);
-  const auto m = db.store_metrics();
-  EXPECT_TRUE(m.recovered_from_snapshot);
-  EXPECT_EQ(m.recovery_records_applied, 0u);  // WAL was rotated
+  const metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "store.recovery.from_snapshot"), 1u);
+  // The WAL was rotated.
+  EXPECT_EQ(metrics::value(m, "store.recovery.records_applied"), 0u);
 }
 
 TEST(DurableDatabaseTest, CheckpointPlusWalTailCompose) {
@@ -473,9 +476,10 @@ TEST(DurableDatabaseTest, CheckpointPlusWalTailCompose) {
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
   EXPECT_EQ(state_fingerprint(db), before);
   EXPECT_EQ((*db.table("People"))->num_rows(), 6u);
-  const auto m = db.store_metrics();
-  EXPECT_TRUE(m.recovered_from_snapshot);
-  EXPECT_EQ(m.recovery_records_applied, 1u);  // just the tail ingest
+  const metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "store.recovery.from_snapshot"), 1u);
+  // Just the tail ingest.
+  EXPECT_EQ(metrics::value(m, "store.recovery.records_applied"), 1u);
 }
 
 TEST(DurableDatabaseTest, CorruptSnapshotMeansFailStop) {
@@ -531,9 +535,10 @@ TEST(DurableDatabaseTest, TornWalTailRecoversPrefix) {
 
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
-  const auto m = db.store_metrics();
-  EXPECT_EQ(m.recovery_records_applied, 5u);  // last ingest dropped
-  EXPECT_GT(m.recovery_truncated_bytes, 0u);
+  const metrics::Snapshot m = db.metrics_snapshot();
+  // The last ingest was dropped.
+  EXPECT_EQ(metrics::value(m, "store.recovery.records_applied"), 5u);
+  EXPECT_GT(metrics::value(m, "store.recovery.truncated_bytes"), 0u);
   EXPECT_EQ((*db.table("People"))->num_rows(), 4u);
   EXPECT_EQ((*db.table("Knows"))->num_rows(), 0u);  // its ingest was torn
 }
@@ -556,7 +561,8 @@ TEST(DurableDatabaseTest, BackgroundCheckpointRunsConcurrently) {
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }
     ASSERT_TRUE(db.checkpoint().is_ok());
-    EXPECT_GE(db.store_metrics().snapshots_written, 1u);
+    EXPECT_GE(metrics::value(db.metrics_snapshot(), "store.snapshot.written"),
+              1u);
   }
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok());
@@ -600,7 +606,9 @@ TEST(DurableDatabaseTest, BerlinRestartRoundTripIsByteIdentical) {
   }
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
-  EXPECT_TRUE(db.store_metrics().recovered_from_snapshot);
+  EXPECT_EQ(
+      metrics::value(db.metrics_snapshot(), "store.recovery.from_snapshot"),
+      1u);
   EXPECT_EQ(query_fingerprint(db), before);
   EXPECT_EQ((*db.table("Products"))->num_rows(), 120u);
 }
@@ -650,7 +658,8 @@ TEST(DurableDatabaseTest, CheckpointFileIsByteIdenticalToEncodeSnapshot) {
     auto r = (*db)->run_script("ingest table Reviews 'reviews.csv'");
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();
   }
-  ASSERT_GE((*db)->epoch_metrics().delta_ingests, 2u);
+  ASSERT_GE(metrics::value((*db)->metrics_snapshot(), "mvcc.ingest.delta"),
+            2u);
   ASSERT_TRUE((*db)->checkpoint().is_ok());
   file = slurp(snapshot);
   EXPECT_EQ(snapshot_wal_seq(file), seq + 2);

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/metrics.hpp"
 #include "common/sync.hpp"
 #include "server/access.hpp"
 
@@ -87,7 +88,8 @@ TEST(SyncCondVar, WaitUntilHonorsDeadline) {
 }
 
 TEST(AccessGuardTest, ExclusiveExcludesEverything) {
-  AccessGuard guard;
+  metrics::Registry registry;
+  AccessGuard guard(registry);
   constexpr int kWriters = 4;
   constexpr int kRounds = 200;
   std::atomic<int> inside{0};
@@ -107,12 +109,13 @@ TEST(AccessGuardTest, ExclusiveExcludesEverything) {
   }
   for (auto& th : writers) th.join();
   EXPECT_EQ(violations.load(), 0);
-  EXPECT_EQ(guard.snapshot().exclusive_acquired,
+  EXPECT_EQ(metrics::value(registry.snapshot(), "access.writer.acquired"),
             static_cast<std::uint64_t>(kWriters * kRounds));
 }
 
 TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
-  AccessGuard guard;
+  metrics::Registry registry;
+  AccessGuard guard(registry);
   std::atomic<bool> holder_in{false};
   std::thread holder([&] {
     const ExclusiveAccessLock lock(guard);
@@ -126,17 +129,19 @@ TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
   }
   holder.join();
-  const auto snap = guard.snapshot();
-  EXPECT_EQ(snap.exclusive_acquired, 2u);
-  EXPECT_GE(snap.exclusive_wait_us, 4000u);
-  EXPECT_GE(snap.exclusive_held_us, 20000u);
-  EXPECT_NE(snap.to_string().find("2 acquisitions"), std::string::npos);
+  const metrics::Snapshot snap = registry.snapshot();
+  EXPECT_EQ(metrics::value(snap, "access.writer.acquired"), 2u);
+  EXPECT_GE(metrics::value(snap, "access.writer.wait_us"), 4000u);
+  EXPECT_GE(metrics::value(snap, "access.writer.held_us"), 20000u);
+  EXPECT_NE(metrics::render(snap).find("access.writer.acquired  2\n"),
+            std::string::npos);
 }
 
 TEST(AccessGuardTest, AssertHeldAcceptsAnyHolderThread) {
   // Under parallel_statements the planner hook runs on a statement-pool
   // thread while the submitting thread holds the lock.
-  AccessGuard guard;
+  metrics::Registry registry;
+  AccessGuard guard(registry);
   const ExclusiveAccessLock lock(guard);
   std::thread hook([&] { guard.assert_exclusive_held(); });
   hook.join();
@@ -145,9 +150,10 @@ TEST(AccessGuardTest, AssertHeldAcceptsAnyHolderThread) {
 TEST(AccessGuardTest, AssertHeldAcceptsQuiescentGuard) {
   // Single-threaded tooling drives the live context without the lock,
   // both before any writer ran and after the last one left.
-  AccessGuard fresh;
+  metrics::Registry registry;
+  AccessGuard fresh(registry);
   fresh.assert_exclusive_held();
-  AccessGuard used;
+  AccessGuard used(registry);
   { const ExclusiveAccessLock lock(used); }
   used.assert_exclusive_held();
 }
