@@ -1,0 +1,97 @@
+// Flat open-addressing index of 32-bit ids (DESIGN.md §5m).
+//
+// The table stores no keys. Each 8-byte slot holds a 32-bit hash tag and
+// an id; the caller hashes its key and passes an equality check that
+// compares the key against whatever an id stands for (the string pool's
+// arena bytes, a vertex's representative row). Capacity is a power of
+// two at least twice the entry count, probing is linear and nothing is
+// ever deleted, so a probe ends at the first empty slot.
+//
+// A slot's tag also picks its home slot, so growing re-places every slot
+// from its tag alone and never calls back into the caller's keys. The
+// capacity is a function of the entry count only (the smallest power of
+// two, at least kMinCapacity, holding it at load <= 1/2), however the
+// entries arrived: one by one, or after a reserve.
+#pragma once
+
+#include <cstddef>
+#include <cstdint>
+#include <vector>
+
+#include "common/check.hpp"
+
+namespace gems {
+
+class IdTable {
+ public:
+  /// Marks an empty slot, and is what find() returns for an absent key.
+  static constexpr std::uint32_t kNone = 0xffffffffu;
+  static constexpr std::size_t kMinCapacity = 16;
+
+  std::size_t size() const noexcept { return size_; }
+
+  /// Bytes of slot storage: 8 per slot.
+  std::size_t byte_size() const noexcept {
+    return slots_.size() * sizeof(Slot);
+  }
+
+  /// Grows, if needed, so that `n` entries fit.
+  void reserve(std::size_t n) {
+    GEMS_CHECK_MSG(n <= (std::size_t{1} << 31),
+                   "id table exhausted 2^31 entries");
+    if (2 * n <= slots_.size()) return;
+    std::size_t capacity = slots_.empty() ? kMinCapacity : slots_.size();
+    while (capacity < 2 * n) capacity *= 2;
+    std::vector<Slot> old(capacity, Slot{});
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.id != kNone) slots_[empty_slot(s.tag)] = s;
+    }
+  }
+
+  /// The id stored under `hash` for which `equal(id)` holds, or kNone.
+  template <typename Equal>
+  std::uint32_t find(std::uint64_t hash, Equal&& equal) const {
+    if (slots_.empty()) return kNone;
+    const std::uint32_t tag = tag_of(hash);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = tag & mask; slots_[i].id != kNone;
+         i = (i + 1) & mask) {
+      if (slots_[i].tag == tag && equal(slots_[i].id)) return slots_[i].id;
+    }
+    return kNone;
+  }
+
+  /// Stores `id` (never kNone) under `hash`. The caller has just seen
+  /// find() miss: the table keeps no keys, so it cannot check that itself.
+  void insert(std::uint64_t hash, std::uint32_t id) {
+    GEMS_DCHECK(id != kNone);
+    reserve(size_ + 1);
+    const std::uint32_t tag = tag_of(hash);
+    slots_[empty_slot(tag)] = Slot{tag, id};
+    ++size_;
+  }
+
+ private:
+  struct Slot {
+    std::uint32_t tag = 0;
+    std::uint32_t id = kNone;
+  };
+
+  static std::uint32_t tag_of(std::uint64_t hash) noexcept {
+    return static_cast<std::uint32_t>(hash >> 32) ^
+           static_cast<std::uint32_t>(hash);
+  }
+
+  std::size_t empty_slot(std::uint32_t tag) const noexcept {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = tag & mask;
+    while (slots_[i].id != kNone) i = (i + 1) & mask;
+    return i;
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+}  // namespace gems

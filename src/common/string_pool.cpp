@@ -1,43 +1,89 @@
 #include "common/string_pool.hpp"
 
+#include <cstring>
+#include <functional>
+
 #include "common/check.hpp"
 
 namespace gems {
 
+namespace {
+
+std::uint64_t hash_string(std::string_view s) {
+  return std::hash<std::string_view>{}(s);
+}
+
+}  // namespace
+
+std::string_view StringPool::store(std::string_view s) {
+  if (s.empty()) return std::string_view("", 0);
+  char* dst = nullptr;
+  if (s.size() > kBlockBytes) {
+    // A dedicated block; the shared block's free tail stays in use.
+    blocks_.emplace_back(new char[s.size()]);
+    arena_bytes_ += s.size();
+    dst = blocks_.back().get();
+  } else {
+    if (s.size() > free_bytes_) {
+      blocks_.emplace_back(new char[kBlockBytes]);
+      arena_bytes_ += kBlockBytes;
+      free_ = blocks_.back().get();
+      free_bytes_ = kBlockBytes;
+    }
+    dst = free_;
+    free_ += s.size();
+    free_bytes_ -= s.size();
+  }
+  std::memcpy(dst, s.data(), s.size());
+  return {dst, s.size()};
+}
+
+StringId StringPool::find_locked(std::string_view s,
+                                 std::uint64_t hash) const {
+  const std::vector<std::string_view>& views = views_;
+  const StringId id = index_.find(
+      hash, [&](StringId candidate) { return views[candidate] == s; });
+  return id == IdTable::kNone ? kInvalidStringId : id;
+}
+
 StringId StringPool::intern(std::string_view s) {
   sync::MutexLock lock(mutex_);
-  auto it = index_.find(s);
-  if (it != index_.end()) return it->second;
-  GEMS_CHECK_MSG(strings_.size() < kInvalidStringId,
-                 "string pool exhausted 2^32-1 entries");
-  strings_.emplace_back(s);
+  const std::uint64_t hash = hash_string(s);
+  const StringId found = find_locked(s, hash);
+  if (found != kInvalidStringId) return found;
+  // The index caps itself at 2^31 entries, well below kInvalidStringId.
+  const auto id = static_cast<StringId>(views_.size());
+  views_.push_back(store(s));
   bytes_ += s.size();
-  const StringId id = static_cast<StringId>(strings_.size() - 1);
-  // Key the index by a view into the deque-owned string, which never moves.
-  index_.emplace(std::string_view(strings_.back()), id);
+  index_.insert(hash, id);
   return id;
 }
 
 StringId StringPool::find(std::string_view s) const {
   sync::MutexLock lock(mutex_);
-  auto it = index_.find(s);
-  return it == index_.end() ? kInvalidStringId : it->second;
+  return find_locked(s, hash_string(s));
 }
 
 std::string_view StringPool::view(StringId id) const {
   sync::MutexLock lock(mutex_);
-  GEMS_DCHECK(id < strings_.size());
-  return strings_[id];
+  GEMS_DCHECK(id < views_.size());
+  return views_[id];
 }
 
 std::size_t StringPool::size() const {
   sync::MutexLock lock(mutex_);
-  return strings_.size();
+  return views_.size();
 }
 
 std::size_t StringPool::byte_size() const {
   sync::MutexLock lock(mutex_);
   return bytes_;
+}
+
+std::size_t StringPool::memory_bytes() const {
+  sync::MutexLock lock(mutex_);
+  return arena_bytes_ + blocks_.capacity() * sizeof(blocks_[0]) +
+         views_.capacity() * sizeof(views_[0]) + index_.byte_size();
 }
 
 }  // namespace gems

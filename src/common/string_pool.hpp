@@ -5,15 +5,20 @@
 // schema, whose keys are all varchar) become integer operations, and each
 // distinct string is stored once regardless of how many rows reference it.
 // Ordering comparisons go back through the pool.
+//
+// Layout (DESIGN.md §5m): the characters live in fixed 64 KiB arena
+// blocks that never move (a string longer than a block gets a block of
+// its own), each id has one 16-byte view into them, and a flat IdTable
+// maps a string's hash to its id, checking candidates against the arena
+// bytes. No key is stored twice.
 #pragma once
 
 #include <cstdint>
-#include <deque>
-#include <string>
+#include <memory>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/sync.hpp"
 
 namespace gems {
@@ -23,11 +28,14 @@ namespace gems {
 using StringId = std::uint32_t;
 inline constexpr StringId kInvalidStringId = 0xffffffffu;
 
-/// Thread-safe append-only interner. Lookup of an existing id is lock-free
-/// for the string data itself (deque never relocates), interning takes a
-/// mutex (ingest is bandwidth-bound on parsing, not on this lock).
+/// Thread-safe append-only interner. Every member takes one mutex; the
+/// views it hands out stay valid without it, because arena blocks never
+/// move or shrink for the pool's lifetime.
 class StringPool {
  public:
+  /// Characters per shared arena block.
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+
   StringPool() = default;
 
   StringPool(const StringPool&) = delete;
@@ -49,26 +57,38 @@ class StringPool {
   /// Total bytes of interned character data (for catalog sizing stats).
   std::size_t byte_size() const;
 
+  /// Resident bytes of the whole pool: arena blocks, per-id views and the
+  /// index (the `storage.pool.bytes` gauge).
+  std::size_t memory_bytes() const;
+
   /// Calls `fn(id, string)` for every interned string in ascending id
   /// order, under one lock acquisition. The enumeration order is
   /// *deterministic* — ids are assigned densely in intern order and the
-  /// deque is indexed by id — which is what makes gems::store snapshots
+  /// views are indexed by id — which is what makes gems::store snapshots
   /// byte-reproducible: two snapshots of the same database state produce
-  /// identical pool sections. (Never iterate `index_` for serialization;
-  /// unordered_map order is not stable across runs.)
+  /// identical pool sections.
   template <typename Fn>
   void for_each(Fn&& fn) const {
     sync::MutexLock lock(mutex_);
-    for (std::size_t id = 0; id < strings_.size(); ++id) {
-      fn(static_cast<StringId>(id), std::string_view(strings_[id]));
+    for (std::size_t id = 0; id < views_.size(); ++id) {
+      fn(static_cast<StringId>(id), views_[id]);
     }
   }
 
  private:
+  StringId find_locked(std::string_view s, std::uint64_t hash) const
+      GEMS_REQUIRES(mutex_);
+  /// Copies `s` into the arena and returns the stable copy.
+  std::string_view store(std::string_view s) GEMS_REQUIRES(mutex_);
+
   mutable sync::Mutex mutex_;
-  std::deque<std::string> strings_ GEMS_GUARDED_BY(mutex_);
-  std::unordered_map<std::string_view, StringId> index_
-      GEMS_GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<char[]>> blocks_ GEMS_GUARDED_BY(mutex_);
+  // Free tail of the current shared block.
+  char* free_ GEMS_GUARDED_BY(mutex_) = nullptr;
+  std::size_t free_bytes_ GEMS_GUARDED_BY(mutex_) = 0;
+  std::size_t arena_bytes_ GEMS_GUARDED_BY(mutex_) = 0;
+  std::vector<std::string_view> views_ GEMS_GUARDED_BY(mutex_);  // by id
+  IdTable index_ GEMS_GUARDED_BY(mutex_);
   std::size_t bytes_ GEMS_GUARDED_BY(mutex_) = 0;
 };
 

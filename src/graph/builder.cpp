@@ -397,6 +397,18 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
   std::unordered_set<std::uint64_t> seen_pairs;
   std::unordered_set<std::string> seen_full;
 
+  // One join pass runs per occurrence of the ingested table among the
+  // sources (one pass for a full build). A single pass extends distinct
+  // candidate rows by distinct bucket rows, so its tuples are already
+  // distinct; only several passes (the ingested table joined with
+  // itself, as in Fig. 3's `subclass`) can find one tuple twice.
+  const bool dedup_tuples =
+      delta != nullptr &&
+      std::count_if(sources.begin(), sources.end(),
+                    [&](const JoinSource& src) {
+                      return src.table->name() == delta->ingested_table;
+                    }) > 1;
+
   // Delta passes start from the base's edges: endpoint arrays are copied
   // verbatim (vertex numbering is stable across VertexType::extend), the
   // pair-dedup set is seeded so collapsed edges are not re-added, and the
@@ -454,7 +466,7 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
         const std::uint64_t pair =
             (static_cast<std::uint64_t>(sv) << 32) | dv;
         if (!seen_pairs.insert(pair).second) continue;
-      } else {
+      } else if (dedup_tuples) {
         // One edge per distinct join entry: key on the full tuple.
         std::string full;
         for (const RowIndex r : tuple) {

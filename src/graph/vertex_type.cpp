@@ -28,7 +28,6 @@ Result<VertexType> VertexType::build(VertexTypeId id, std::string name,
   const std::span<const RowCursor> sources(&cursor, 1);
   const StringPool& pool = table.pool();
 
-  vt.key_index_.reserve(table.num_rows());
   vt.matching_rows_ = DynamicBitset(table.num_rows());
   for (std::size_t r = 0; r < table.num_rows(); ++r) {
     cursor.row = static_cast<RowIndex>(r);
@@ -36,15 +35,7 @@ Result<VertexType> VertexType::build(VertexTypeId id, std::string name,
       continue;
     }
     vt.matching_rows_.set(r);
-    std::string key = relational::encode_row_key(table, cursor.row,
-                                                 vt.key_cols_);
-    auto [it, inserted] =
-        vt.key_index_.emplace(std::move(key),
-                              static_cast<VertexIndex>(
-                                  vt.representative_row_.size()));
-    if (inserted) {
-      vt.representative_row_.push_back(cursor.row);
-    } else {
+    if (!vt.add_row(cursor.row)) {
       vt.one_to_one_ = false;  // a second row collapsed into this vertex
     }
   }
@@ -75,14 +66,7 @@ Result<VertexType> VertexType::extend(const VertexType& base,
       continue;
     }
     vt.matching_rows_.set(r);
-    std::string key =
-        relational::encode_row_key(table, cursor.row, vt.key_cols_);
-    auto [it, inserted] = vt.key_index_.emplace(
-        std::move(key),
-        static_cast<VertexIndex>(vt.representative_row_.size()));
-    if (inserted) {
-      vt.representative_row_.push_back(cursor.row);
-    } else if (vt.one_to_one_) {
+    if (!vt.add_row(cursor.row) && vt.one_to_one_) {
       *flipped = true;  // visibility/collapse semantics change: rebuild
       return vt;
     }
@@ -124,20 +108,24 @@ Result<VertexType> VertexType::restore(
   vt.source_ = std::move(source);
   vt.key_cols_ = std::move(key_cols);
   vt.one_to_one_ = one_to_one;
-  vt.representative_row_ = std::move(representative_rows);
   vt.matching_rows_ = std::move(matching_rows);
-  vt.key_index_.reserve(vt.representative_row_.size());
-  for (std::size_t v = 0; v < vt.representative_row_.size(); ++v) {
-    std::string key = relational::encode_row_key(
-        *vt.source_, vt.representative_row_[v], vt.key_cols_);
-    auto [it, inserted] =
-        vt.key_index_.emplace(std::move(key), static_cast<VertexIndex>(v));
-    if (!inserted) {
+  vt.key_index_.reserve(representative_rows.size());
+  vt.representative_row_.reserve(representative_rows.size());
+  for (const RowIndex r : representative_rows) {
+    if (!vt.add_row(r)) {
       return invalid_argument("vertex type '" + vt.name_ +
                               "' restore: duplicate vertex key");
     }
   }
   return vt;
+}
+
+bool VertexType::add_row(RowIndex row) {
+  if (find_by_key(*source_, row, key_cols_) != kInvalidVertex) return false;
+  key_index_.insert(relational::hash_row_key(*source_, row, key_cols_),
+                    static_cast<VertexIndex>(representative_row_.size()));
+  representative_row_.push_back(row);
+  return true;
 }
 
 bool VertexType::attribute_visible(ColumnIndex col) const noexcept {
@@ -169,9 +157,18 @@ VertexIndex VertexType::find_by_key(
     const storage::Table& table, RowIndex row,
     std::span<const ColumnIndex> key_cols) const {
   GEMS_DCHECK(key_cols.size() == key_cols_.size());
-  const std::string key = relational::encode_row_key(table, row, key_cols);
-  auto it = key_index_.find(key);
-  return it == key_index_.end() ? kInvalidVertex : it->second;
+  const std::uint32_t v = key_index_.find(
+      relational::hash_row_key(table, row, key_cols), [&](std::uint32_t c) {
+        return relational::row_keys_equal(*source_, representative_row_[c],
+                                          key_cols_, table, row, key_cols);
+      });
+  return v == IdTable::kNone ? kInvalidVertex : v;
+}
+
+std::size_t VertexType::byte_size() const noexcept {
+  return key_index_.byte_size() +
+         representative_row_.size() * sizeof(RowIndex) +
+         (matching_rows_.size() + 63) / 64 * sizeof(std::uint64_t);
 }
 
 std::string VertexType::key_string(VertexIndex v) const {

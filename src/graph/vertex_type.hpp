@@ -10,14 +10,13 @@
 
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/id_table.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
 #include "relational/bound_expr.hpp"
-#include "relational/row_key.hpp"
 #include "storage/table.hpp"
 
 namespace gems::graph {
@@ -74,6 +73,17 @@ class VertexType {
   /// Human-readable key of a vertex, e.g. "Product1" or "(US, 4)".
   std::string key_string(VertexIndex v) const;
 
+  /// Resident bytes: the key index, the representative rows and the
+  /// matching-rows bits. A function of the vertex and row counts alone, so
+  /// a built, extended or restored type of the same state reports the
+  /// same size.
+  std::size_t byte_size() const noexcept;
+
+  /// Bytes of the key index alone (the `graph.key_index.bytes` gauge).
+  std::size_t key_index_bytes() const noexcept {
+    return key_index_.byte_size();
+  }
+
   /// Source rows that passed the vertex filter (Eq. 1's σ_φ). Edge
   /// creation joins against exactly these rows, so edges never attach to
   /// filtered-out vertices.
@@ -100,8 +110,8 @@ class VertexType {
   /// Snapshot restore (gems::store): rebuilds the type from its
   /// serialized fields without re-running the Eq. 1 selection. The
   /// key->vertex index is recomputed from the representative rows (it is
-  /// fully derived, and collapsed rows encode to the same key), so it is
-  /// not part of the on-disk format. Validates row references against the
+  /// fully derived, and collapsed rows have equal keys), so it is not
+  /// part of the on-disk format. Validates row references against the
   /// source table.
   static Result<VertexType> restore(
       VertexTypeId id, std::string name, storage::TablePtr source,
@@ -112,6 +122,11 @@ class VertexType {
  private:
   VertexType() = default;
 
+  /// Registers source row `row` under its key: returns true when the key
+  /// is new (the row becomes the next vertex's representative), false
+  /// when it collapses into an existing vertex.
+  bool add_row(storage::RowIndex row);
+
   VertexTypeId id_ = kInvalidVertexType;
   std::string name_;
   storage::TablePtr source_;
@@ -119,14 +134,12 @@ class VertexType {
   bool one_to_one_ = true;
 
   std::vector<storage::RowIndex> representative_row_;
-  // encoded key -> vertex index (encoding from relational/row_key.hpp;
-  // valid across tables because string ids come from the shared pool).
-  // Hashed with the mix64 finalizer (RowKeyHash): std::hash<string>
-  // diffuses the dense interned-id payloads poorly, and vertex lookup is
-  // on the ingest/edge-join hot path.
-  std::unordered_map<std::string, VertexIndex, relational::RowKeyHash,
-                     std::equal_to<>>
-      key_index_;
+  // key -> vertex index, keyed by relational::hash_row_key over the key
+  // columns and checked with row_keys_equal against the candidate's
+  // representative row (DESIGN.md §5m). Both match encode_row_key
+  // equality, and stay valid across tables because string ids come from
+  // the shared pool.
+  IdTable key_index_;
   DynamicBitset matching_rows_;
 };
 

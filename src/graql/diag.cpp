@@ -39,8 +39,8 @@ std::string_view severity_name(Severity severity) noexcept {
 
 std::string diag_code_name(DiagCode code) {
   const auto value = static_cast<std::uint16_t>(code);
-  char buf[8];
-  std::snprintf(buf, sizeof(buf), "GQL%04u", value);
+  char buf[sizeof("GQL65535")];  // the widest uint16_t code
+  std::snprintf(buf, sizeof(buf), "GQL%04u", static_cast<unsigned>(value));
   return buf;
 }
 

@@ -1,16 +1,17 @@
 // Byte-string encoding of row keys for hash-based operators (GROUP BY,
-// DISTINCT, hash join) and for vertex-key identity in the graph layer.
-// Two rows encode to the same bytes iff their key columns are pairwise
-// equal under the column's type (strings compare by interned id, which the
-// shared StringPool makes equivalent to string equality).
+// DISTINCT, hash join) and the Eq. 2 edge join. Two rows encode to the
+// same bytes iff their key columns are pairwise equal under the column's
+// type (strings compare by interned id, which the shared StringPool makes
+// equivalent to string equality). hash_row_key and row_keys_equal give
+// the same identity without encoding; the vertex key index uses them.
 //
 // Hashing of these keys goes through the 64-bit MurmurHash3 finalizer
 // (common/hash.hpp) — both the chunked hasher for encoded byte keys
 // (RowKeyHash) and the vectorized per-column hash stream (hash_rows) —
 // because std-hasher combining diffuses the low-entropy payloads (dense
 // interned ids, small integers) poorly and skews bucket occupancy. The
-// encoded byte format itself is unchanged: it is what vertex identity,
-// snapshots and the BSP wire already rely on.
+// encoded byte format itself is unchanged: it is what snapshots and the
+// BSP wire already rely on.
 #pragma once
 
 #include <cstdint>

@@ -209,6 +209,19 @@ std::vector<std::uint8_t> Database::snapshot_bytes(
 }
 
 metrics::Snapshot Database::metrics_snapshot() const {
+  {
+    // Released before the epoch chain is snapshotted, so
+    // `mvcc.pins.outstanding` counts only the callers' pins.
+    const mvcc::EpochPin pin = epochs_.pin();
+    const graph::GraphView& graph = pin.ctx().graph;
+    std::size_t key_index_bytes = 0;
+    for (graph::VertexTypeId t = 0; t < graph.num_vertex_types(); ++t) {
+      key_index_bytes += graph.vertex_type(t).key_index_bytes();
+    }
+    key_index_bytes_.set(key_index_bytes);
+  }
+  pool_strings_.set(pool_.size());
+  pool_bytes_.set(pool_.memory_bytes());
   metrics::Snapshot snapshot = metrics_.snapshot();
   metrics::merge(snapshot, epochs_.metrics_snapshot());
   if (store_ != nullptr) metrics::merge(snapshot, store_->metrics().snapshot());
@@ -557,7 +570,7 @@ std::vector<CatalogEntry> Database::catalog_from(
   for (graph::VertexTypeId t = 0; t < ctx.graph.num_vertex_types(); ++t) {
     const auto& vt = ctx.graph.vertex_type(t);
     entries.push_back({CatalogEntry::Kind::kVertexType, vt.name(),
-                       vt.num_vertices(), 0});
+                       vt.num_vertices(), vt.byte_size()});
   }
   for (graph::EdgeTypeId e = 0; e < ctx.graph.num_edge_types(); ++e) {
     const auto& et = ctx.graph.edge_type(e);

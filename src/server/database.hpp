@@ -81,7 +81,7 @@ struct CatalogEntry {
   Kind kind;
   std::string name;
   std::size_t instances = 0;   // rows / vertices / edges
-  std::size_t byte_size = 0;   // storage footprint (tables only)
+  std::size_t byte_size = 0;   // resident footprint (0 for subgraphs)
 };
 
 class Database {
@@ -202,8 +202,9 @@ class Database {
 
   // ---- Observability (common/metrics.hpp) -------------------------------
   /// Every metric of this database, sorted by name: its own registry
-  /// (writer lock, matcher, ingest maintenance, an attached cluster)
-  /// merged with the epoch chain's and the store's.
+  /// (writer lock, matcher, ingest maintenance, resident sizes, an
+  /// attached cluster) merged with the epoch chain's and the store's.
+  /// Pins the current epoch briefly to size its vertex key indices.
   metrics::Snapshot metrics_snapshot() const;
 
   /// The database's own registry. An attached cluster coordinator
@@ -268,6 +269,11 @@ class Database {
   /// and snapshotting never acquire another database lock.
   metrics::Registry metrics_;
   exec::MatcherMetrics matcher_metrics_{metrics_};
+  // Resident sizes, read from the pool and the current epoch by
+  // metrics_snapshot().
+  metrics::Gauge& pool_strings_ = metrics_.gauge("storage.pool.strings");
+  metrics::Gauge& pool_bytes_ = metrics_.gauge("storage.pool.bytes");
+  metrics::Gauge& key_index_bytes_ = metrics_.gauge("graph.key_index.bytes");
 
   // ---- Lock hierarchy (DESIGN.md §5j) ----------------------------------
   // checkpoint_serial_mutex_ > access_ > stats_mutex_ > wal_mutex_ >

@@ -196,10 +196,10 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
   graql::Script decls;
   decls.statements.reserve(ctx.vertex_decls.size() + ctx.edge_decls.size());
   for (const auto& d : ctx.vertex_decls) {
-    decls.statements.push_back(graql::CreateVertexStmt{d});
+    decls.statements.push_back(graql::CreateVertexStmt{d, {}});
   }
   for (const auto& d : ctx.edge_decls) {
-    decls.statements.push_back(graql::CreateEdgeStmt{d});
+    decls.statements.push_back(graql::CreateEdgeStmt{d, {}});
   }
   w.u32(static_cast<std::uint32_t>(ctx.vertex_decls.size()));
   w.u32(static_cast<std::uint32_t>(ctx.edge_decls.size()));

@@ -1,5 +1,5 @@
-// Unit tests for src/common: Status/Result, bitset, string pool, PRNG,
-// thread pool, metrics registry.
+// Unit tests for src/common: Status/Result, bitset, string pool, id table,
+// PRNG, thread pool, metrics registry.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -15,6 +15,7 @@
 #include "cluster/coordinator.hpp"
 #include "common/bitset.hpp"
 #include "common/hash.hpp"
+#include "common/id_table.hpp"
 #include "common/metrics.hpp"
 #include "common/prng.hpp"
 #include "common/status.hpp"
@@ -245,6 +246,180 @@ TEST(StringPoolTest, ConcurrentInternIsConsistent) {
   for (auto& f : futs) f.get();
   EXPECT_EQ(pool.size(), 100u);
   for (int t = 1; t < 4; ++t) EXPECT_EQ(ids[t], ids[0]);
+}
+
+std::string pool_key(std::size_t i) {
+  // Varied lengths, so strings straddle arena block boundaries.
+  const char fill = static_cast<char>('a' + i % 26);
+  return std::to_string(i) + std::string(i % 40, fill);
+}
+
+TEST(StringPoolTest, InternsAcrossManyArenaBlocks) {
+  StringPool pool;
+  constexpr std::size_t kStrings = 60000;
+  std::size_t chars = 0;
+  for (std::size_t i = 0; i < kStrings; ++i) {
+    const std::string s = pool_key(i);
+    ASSERT_EQ(pool.intern(s), static_cast<StringId>(i));  // dense, in order
+    chars += s.size();
+  }
+  ASSERT_GT(chars, 16 * StringPool::kBlockBytes);
+  EXPECT_EQ(pool.size(), kStrings);
+  EXPECT_EQ(pool.byte_size(), chars);
+  EXPECT_GE(pool.memory_bytes(), chars);
+  for (std::size_t i = 0; i < kStrings; ++i) {
+    const std::string s = pool_key(i);
+    ASSERT_EQ(pool.view(static_cast<StringId>(i)), s);
+    ASSERT_EQ(pool.find(s), static_cast<StringId>(i));
+    ASSERT_EQ(pool.intern(s), static_cast<StringId>(i));  // no new id
+  }
+  EXPECT_EQ(pool.size(), kStrings);
+}
+
+TEST(StringPoolTest, OversizedEmptyAndEmbeddedNulStrings) {
+  StringPool pool;
+  const StringId small = pool.intern("before");
+  const std::string big(2 * StringPool::kBlockBytes + 3, 'x');
+  const StringId big_id = pool.intern(big);
+  const StringId after = pool.intern("after");  // shared block still used
+  const StringId empty = pool.intern("");
+  const std::string nul_b("a\0b", 3);
+  const std::string nul_c("a\0c", 3);
+  const StringId b = pool.intern(nul_b);
+  const StringId c = pool.intern(nul_c);
+  const StringId a = pool.intern("a");
+  EXPECT_EQ(pool.size(), 7u);
+  EXPECT_EQ(pool.view(small), "before");
+  EXPECT_EQ(pool.view(big_id), big);
+  EXPECT_EQ(pool.view(after), "after");
+  EXPECT_EQ(pool.view(empty), "");
+  EXPECT_NE(pool.view(empty).data(), nullptr);  // safe to memcpy from
+  EXPECT_EQ(pool.view(b), nul_b);
+  EXPECT_EQ(pool.view(c), nul_c);
+  EXPECT_NE(b, c);
+  EXPECT_NE(b, a);
+  EXPECT_EQ(pool.intern(big), big_id);
+  EXPECT_EQ(pool.intern(""), empty);
+  EXPECT_EQ(pool.intern(nul_c), c);
+  EXPECT_EQ(pool.find(std::string(big.size() - 1, 'x')), kInvalidStringId);
+  EXPECT_EQ(pool.byte_size(), 6 + big.size() + 5 + 0 + 3 + 3 + 1);
+}
+
+TEST(StringPoolTest, ViewSurvivesOneMillionLaterInterns) {
+  StringPool pool;
+  const StringId first = pool.intern("first");
+  const std::string_view before = pool.view(first);
+  for (std::size_t i = 0; i < 1000000; ++i) pool.intern(std::to_string(i));
+  EXPECT_EQ(before, "first");
+  EXPECT_EQ(pool.view(first).data(), before.data());
+  EXPECT_EQ(pool.size(), 1000001u);
+}
+
+TEST(StringPoolTest, ForEachVisitsInIdOrder) {
+  StringPool pool;
+  std::vector<std::string> expected;
+  for (std::size_t i = 0; i < 5000; ++i) {
+    const std::string s = pool_key(i * 7919 % 5000);
+    pool.intern(s);
+    pool.intern(s);  // a repeat takes no id
+    expected.push_back(s);
+  }
+  StringId next = 0;
+  std::vector<std::string> seen;
+  pool.for_each([&](StringId id, std::string_view s) {
+    EXPECT_EQ(id, next++);
+    seen.emplace_back(s);
+  });
+  EXPECT_EQ(seen, expected);
+}
+
+TEST(StringPoolTest, FindOnAbsentStrings) {
+  StringPool pool;
+  EXPECT_EQ(pool.find(""), kInvalidStringId);
+  for (std::size_t i = 0; i < 10000; ++i) pool.intern("k" + std::to_string(i));
+  for (std::size_t i = 10000; i < 20000; ++i) {
+    EXPECT_EQ(pool.find("k" + std::to_string(i)), kInvalidStringId);
+  }
+  EXPECT_EQ(pool.find("k"), kInvalidStringId);      // a prefix
+  EXPECT_EQ(pool.find("k12x"), kInvalidStringId);   // an extension
+  EXPECT_EQ(pool.find(""), kInvalidStringId);
+  EXPECT_EQ(pool.size(), 10000u);  // find never interns
+}
+
+TEST(StringPoolTest, ConcurrentInternAndView) {
+  // Four threads intern overlapping key ranges and view every id any
+  // thread has published so far, while the views vector and the index
+  // grow underneath them.
+  StringPool pool;
+  constexpr int kThreads = 4;
+  constexpr std::size_t kKeys = 20000;
+  std::vector<std::atomic<StringId>> published(kKeys);
+  for (auto& p : published) p.store(kInvalidStringId);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (std::size_t n = 0; n < kKeys; ++n) {
+        const std::size_t i = (n + static_cast<std::size_t>(t) * 5000) % kKeys;
+        const StringId id = pool.intern(pool_key(i));
+        published[i].store(id, std::memory_order_release);
+        const std::size_t j = (i * 31) % kKeys;
+        const StringId other = published[j].load(std::memory_order_acquire);
+        if (pool.view(id) != pool_key(i)) mismatches.fetch_add(1);
+        if (other != kInvalidStringId && pool.view(other) != pool_key(j)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(mismatches.load(), 0);
+  EXPECT_EQ(pool.size(), kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    EXPECT_EQ(pool.find(pool_key(i)), published[i].load());
+  }
+}
+
+// ---- IdTable ----------------------------------------------------------------
+
+TEST(IdTableTest, CapacityDependsOnlyOnEntryCount) {
+  // One by one or after a reserve, n entries occupy the smallest power of
+  // two >= max(16, 2n) slots of 8 bytes.
+  for (const std::size_t n : {0u, 1u, 8u, 9u, 100u, 1000u}) {
+    IdTable grown;
+    IdTable reserved;
+    reserved.reserve(n);
+    for (std::uint32_t i = 0; i < n; ++i) {
+      grown.insert(mix64(i), i);
+      reserved.insert(mix64(i), i);
+    }
+    std::size_t slots = n == 0 ? 0 : IdTable::kMinCapacity;
+    while (slots < 2 * n) slots *= 2;
+    EXPECT_EQ(grown.byte_size(), slots * 8) << n;
+    EXPECT_EQ(reserved.byte_size(), slots * 8) << n;
+    EXPECT_EQ(grown.size(), n);
+  }
+}
+
+TEST(IdTableTest, EqualityDecidesAmongCollidingHashes) {
+  // Every key hashes alike: lookups must walk the chain and let the
+  // caller's equality pick the id, across several growths.
+  IdTable table;
+  std::vector<int> keys;
+  for (int k = 0; k < 300; ++k) {
+    const auto equal = [&](std::uint32_t id) { return keys[id] == k; };
+    ASSERT_EQ(table.find(42, equal), IdTable::kNone);
+    table.insert(42, static_cast<std::uint32_t>(keys.size()));
+    keys.push_back(k);
+  }
+  for (int k = 0; k < 300; ++k) {
+    EXPECT_EQ(table.find(42, [&](std::uint32_t id) { return keys[id] == k; }),
+              static_cast<std::uint32_t>(k));
+  }
+  EXPECT_EQ(table.find(42, [](std::uint32_t) { return false; }),
+            IdTable::kNone);
+  EXPECT_EQ(table.find(7, [](std::uint32_t) { return true; }),
+            IdTable::kNone);  // another tag never reaches equality
 }
 
 // ---- PRNG -------------------------------------------------------------------
@@ -515,6 +690,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
             {"exec.match.",
              {"edge_traversals", "merge_ns", "parallel_tasks", "passes",
               "queries", "worker_us"}},
+            {"graph.", {"key_index.bytes"}},
             {"mvcc.",
              {"epochs.current", "epochs.freed", "epochs.live",
               "epochs.published", "epochs.retired", "ingest.delta",
@@ -522,6 +698,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
               "pins.oldest_age_us", "pins.outstanding", "pins.peak",
               "pins.taken"}},
             {"net.", net_names},
+            {"storage.", {"pool.bytes", "pool.strings"}},
             {"store.",
              {"recovery.from_snapshot", "recovery.records_applied",
               "recovery.records_skipped", "recovery.replay_us",

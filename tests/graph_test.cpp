@@ -1,10 +1,19 @@
 // Tests for the graph layer: Eq. 1 vertex views (one-to-one and
 // many-to-one), Eq. 2 edge creation (direct joins, `from table` associated
-// tables, multi-table joins), the Fig. 5 export-edge scenario, and the CSR
-// bidirectional edge indices.
+// tables, multi-table joins), the Fig. 5 export-edge scenario, the CSR
+// bidirectional edge indices, self-join ingest deltas, and the vertex key
+// index against an encoded-key oracle.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+#include <map>
+#include <unordered_map>
+
+#include "common/prng.hpp"
 #include "graph/builder.hpp"
+#include "graph/delta.hpp"
+#include "relational/row_key.hpp"
 #include "storage/csv.hpp"
 
 namespace gems::graph {
@@ -423,6 +432,324 @@ TEST_F(GraphTest, EdgeTypesBetween) {
   EXPECT_EQ(graph_.edge_types_into(tid).size(), 1u);
   EXPECT_EQ(graph_.total_edges(), 8u);
   EXPECT_EQ(graph_.total_vertices(), 4u + 4u + 3u);
+}
+
+// ---- Ingest delta on a self-join (Fig. 3 `subclass`) ----------------------
+
+std::vector<std::pair<std::string, std::string>> edge_keys(
+    const GraphView& g, const EdgeType& et) {
+  const VertexType& src = g.vertex_type(et.source_type());
+  const VertexType& dst = g.vertex_type(et.target_type());
+  std::vector<std::pair<std::string, std::string>> out;
+  for (EdgeIndex e = 0; e < et.num_edges(); ++e) {
+    out.emplace_back(src.key_string(et.source_vertex(e)),
+                     dst.key_string(et.target_vertex(e)));
+  }
+  return out;
+}
+
+TEST_F(GraphTest, SelfJoinIngestWithBothEndpointsNewAddsOneEdgeEach) {
+  // The ingested table is both endpoints, so the delta runs two join
+  // passes and finds every tuple whose endpoints are both new twice.
+  // `subclass` joins past the key (A.parent), so it collapses onto vertex
+  // pairs; `related` joins keys only through Links, so it dedups whole
+  // tuples. Either way: one edge per tuple, and delta == rebuild.
+  auto classes = std::make_shared<Table>(
+      "Classes",
+      Schema({{"id", DataType::varchar(10)},
+              {"parent", DataType::varchar(10)}}),
+      pool_);
+  ASSERT_TRUE(storage::ingest_csv_text(*classes, "c1,c1\nc2,c1\n").is_ok());
+  ASSERT_TRUE(tables_.add(classes).is_ok());
+  auto links = std::make_shared<Table>(
+      "Links",
+      Schema({{"a", DataType::varchar(10)}, {"b", DataType::varchar(10)}}),
+      pool_);
+  ASSERT_TRUE(
+      storage::ingest_csv_text(*links, "c1,c2\nc3,c4\nc5,c5\n").is_ok());
+  ASSERT_TRUE(tables_.add(links).is_ok());
+
+  const std::vector<VertexDecl> vertices = {
+      {"ClassVtx", {"id"}, "Classes", nullptr}};
+  const std::vector<EdgeDecl> edges = {
+      {"subclass",
+       {"ClassVtx", "A"},
+       {"ClassVtx", "B"},
+       {},
+       eq(col("A", "parent"), col("B", "id"))},
+      {"related",
+       {"ClassVtx", "A"},
+       {"ClassVtx", "B"},
+       {"Links"},
+       land(eq(col("Links", "a"), col("A", "id")),
+            eq(col("Links", "b"), col("B", "id")))}};
+  auto build = [&](GraphView& g) {
+    for (const auto& d : vertices) {
+      ASSERT_TRUE(add_vertex_type(g, d, tables_, pool_).is_ok());
+    }
+    for (const auto& d : edges) {
+      const Status st = add_edge_type(g, d, tables_, pool_);
+      ASSERT_TRUE(st.is_ok()) << st.to_string();
+    }
+  };
+  build(graph_);
+  ASSERT_EQ(graph_.edge_type(0).num_edges(), 2u);  // c1->c1, c2->c1
+  ASSERT_EQ(graph_.edge_type(1).num_edges(), 1u);  // c1-c2
+
+  // The ingest: a copy-on-write clone with the batch appended. c3 and c4
+  // point at each other and c5 at itself, so both endpoints are new.
+  auto grown = std::make_shared<Table>(*classes);
+  ASSERT_TRUE(
+      storage::ingest_csv_text(*grown, "c3,c4\nc4,c3\nc5,c5\nc6,c1\n")
+          .is_ok());
+  tables_.add_or_replace(grown);
+  auto applied = extend_graph_for_ingest(graph_, "Classes", 2, vertices,
+                                         edges, tables_, pool_, {});
+  ASSERT_TRUE(applied.is_ok()) << applied.status().to_string();
+  ASSERT_TRUE(*applied);
+
+  GraphView rebuilt;
+  build(rebuilt);
+  using Keys = std::vector<std::pair<std::string, std::string>>;
+  EXPECT_EQ(edge_keys(graph_, graph_.edge_type(0)),
+            (Keys{{"c1", "c1"}, {"c2", "c1"}, {"c3", "c4"}, {"c4", "c3"},
+                  {"c5", "c5"}, {"c6", "c1"}}));
+  EXPECT_EQ(edge_keys(graph_, graph_.edge_type(1)),
+            (Keys{{"c1", "c2"}, {"c3", "c4"}, {"c5", "c5"}}));
+  for (EdgeTypeId e = 0; e < 2; ++e) {
+    EXPECT_EQ(edge_keys(graph_, graph_.edge_type(e)),
+              edge_keys(rebuilt, rebuilt.edge_type(e)))
+        << graph_.edge_type(e).name();
+  }
+  ASSERT_NE(graph_.edge_type(1).attr_table(), nullptr);
+  EXPECT_EQ(graph_.edge_type(1).attr_table()->to_string(),
+            rebuilt.edge_type(1).attr_table()->to_string());
+}
+
+// ---- Vertex key index vs. an encoded-key oracle --------------------------
+//
+// The oracle is the index the flat key table replaced: encode_row_key bytes
+// in an unordered_map, where the first occurrence in row order takes the
+// next vertex number.
+
+class EncodedKeyOracle {
+ public:
+  explicit EncodedKeyOracle(std::vector<storage::ColumnIndex> cols)
+      : cols_(std::move(cols)) {}
+
+  void add(const Table& table, storage::RowIndex row) {
+    const auto next = static_cast<VertexIndex>(rows_.size());
+    if (index_.emplace(relational::encode_row_key(table, row, cols_), next)
+            .second) {
+      rows_.push_back(row);
+    } else {
+      one_to_one_ = false;
+    }
+  }
+
+  VertexIndex find(const Table& table, storage::RowIndex row,
+                   std::span<const storage::ColumnIndex> cols) const {
+    auto it = index_.find(relational::encode_row_key(table, row, cols));
+    return it == index_.end() ? kInvalidVertex : it->second;
+  }
+
+  const std::vector<storage::RowIndex>& rows() const { return rows_; }
+  bool one_to_one() const { return one_to_one_; }
+
+ private:
+  std::vector<storage::ColumnIndex> cols_;
+  std::unordered_map<std::string, VertexIndex> index_;
+  std::vector<storage::RowIndex> rows_;
+  bool one_to_one_ = true;
+};
+
+// Every key kind, with NULLs, -0.0 beside +0.0 and a NaN, from domains
+// small enough that many rows collapse.
+const std::vector<std::string> kKeyColumns = {"i", "d", "s", "b", "t"};
+
+Value random_cell(Xoshiro256& rng, std::size_t column,
+                  std::int64_t int_domain) {
+  if (rng.chance(0.1)) return Value::null();
+  switch (column) {
+    case 0:
+      return Value::int64(rng.range(-2, int_domain));
+    case 1: {
+      const double ds[] = {0.0, -0.0, 1.5, -1.5,
+                           std::numeric_limits<double>::quiet_NaN()};
+      return Value::float64(ds[rng.below(5)]);
+    }
+    case 2: {
+      const char* ss[] = {"", "a", "bb", "ccc"};
+      return Value::varchar(ss[rng.below(4)]);
+    }
+    case 3:
+      return Value::boolean(rng.chance(0.5));
+    default:
+      return Value::date(rng.range(0, 3));
+  }
+}
+
+/// Appends `n` random rows. `order` maps schema position -> key column
+/// (0..4), or -1 for a payload column.
+void append_random_rows(Table& table, const std::vector<int>& order,
+                        std::size_t n, Xoshiro256& rng,
+                        std::int64_t int_domain) {
+  for (std::size_t r = 0; r < n; ++r) {
+    std::vector<Value> row;
+    for (const int c : order) {
+      row.push_back(c < 0 ? Value::int64(static_cast<std::int64_t>(r))
+                          : random_cell(rng, static_cast<std::size_t>(c),
+                                        int_domain));
+    }
+    ASSERT_TRUE(table.append_row(row).is_ok());
+  }
+}
+
+/// Appends one row whose every key cell lies outside the random domains,
+/// so every key set has a probe that misses.
+void append_absent_row(Table& table, const std::vector<int>& order) {
+  const Value absent[] = {Value::int64(1000000), Value::float64(2.5),
+                          Value::varchar("zz"), Value::boolean(true),
+                          Value::date(99)};
+  std::vector<Value> row;
+  for (const int c : order) {
+    row.push_back(c < 0 ? Value::int64(-1)
+                        : absent[static_cast<std::size_t>(c)]);
+  }
+  ASSERT_TRUE(table.append_row(row).is_ok());
+}
+
+TablePtr random_table(StringPool& pool, std::string name,
+                      const std::vector<int>& order) {
+  std::vector<storage::ColumnDef> defs;
+  for (const int c : order) {
+    if (c < 0) {
+      defs.push_back({"payload", DataType::int64()});
+      continue;
+    }
+    const DataType types[] = {DataType::int64(), DataType::float64(),
+                              DataType::varchar(8), DataType::boolean(),
+                              DataType::date()};
+    defs.push_back({kKeyColumns[static_cast<std::size_t>(c)],
+                    types[static_cast<std::size_t>(c)]});
+  }
+  return std::make_shared<Table>(std::move(name), Schema(std::move(defs)),
+                                 pool);
+}
+
+std::vector<storage::ColumnIndex> columns_of(
+    const Table& table, const std::vector<std::string>& names) {
+  std::vector<storage::ColumnIndex> cols;
+  for (const auto& n : names) cols.push_back(*table.schema().find(n));
+  return cols;
+}
+
+/// Checks `vt` against the oracle over every row of its source and of
+/// `probe`, a different table whose columns sit in another order.
+void expect_parity(const VertexType& vt, const Table& probe,
+                   const std::vector<std::string>& key_names) {
+  const Table& source = vt.source();
+  EncodedKeyOracle oracle(vt.key_columns());
+  for (std::size_t r = 0; r < source.num_rows(); ++r) {
+    oracle.add(source, static_cast<storage::RowIndex>(r));
+  }
+  ASSERT_EQ(vt.num_vertices(), oracle.rows().size());
+  EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
+                         vt.representative_rows().end(),
+                         oracle.rows().begin()));
+  EXPECT_EQ(vt.one_to_one(), oracle.one_to_one());
+  for (std::size_t r = 0; r < source.num_rows(); ++r) {
+    const auto row = static_cast<storage::RowIndex>(r);
+    ASSERT_EQ(vt.find_by_key(source, row, vt.key_columns()),
+              oracle.find(source, row, vt.key_columns()))
+        << "source row " << r;
+  }
+  const auto probe_cols = columns_of(probe, key_names);
+  std::size_t hits = 0;
+  for (std::size_t r = 0; r < probe.num_rows(); ++r) {
+    const auto row = static_cast<storage::RowIndex>(r);
+    const VertexIndex want = oracle.find(probe, row, probe_cols);
+    ASSERT_EQ(vt.find_by_key(probe, row, probe_cols), want)
+        << "probe row " << r;
+    hits += want != kInvalidVertex;
+  }
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, probe.num_rows());  // some probes miss
+}
+
+TEST(VertexKeyIndexTest, FindByKeyMatchesEncodedKeyOracle) {
+  const std::vector<std::vector<std::string>> key_sets = {
+      {"i"},      {"d"},      {"s"},           {"b", "t"},
+      {"i", "s"}, {"d", "b"}, {"s", "i", "d", "b", "t"}};
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const auto& key_names : key_sets) {
+      StringPool pool;
+      Xoshiro256 rng(seed);
+      auto source = random_table(pool, "Source", {-1, 0, 1, 2, 3, 4});
+      append_random_rows(*source, {-1, 0, 1, 2, 3, 4}, 400, rng, 40);
+      // The probe table's ints reach past the source's domain, and its
+      // last row misses on every key column.
+      const std::vector<int> probe_order = {4, 3, 2, -1, 1, 0};
+      auto probe = random_table(pool, "Probe", probe_order);
+      append_random_rows(*probe, probe_order, 400, rng, 80);
+      append_absent_row(*probe, probe_order);
+      auto vt = VertexType::build(0, "V", source,
+                                  columns_of(*source, key_names), nullptr);
+      ASSERT_TRUE(vt.is_ok()) << vt.status().to_string();
+      SCOPED_TRACE("seed " + std::to_string(seed) + " key " +
+                   key_names.front() + " x" +
+                   std::to_string(key_names.size()));
+      expect_parity(*vt, *probe, key_names);
+    }
+  }
+}
+
+TEST(VertexKeyIndexTest, ExtendGrowsThroughSeveralRehashes) {
+  // Batches appended to copy-on-write clones take the index from 16 slots
+  // past 4096. After every batch the extended type equals a fresh build
+  // of the grown table (numbering, representatives, bytes) and the oracle.
+  StringPool pool;
+  Xoshiro256 rng(7);
+  const std::vector<int> order = {0, 2, -1, 1};
+  const std::vector<std::string> key_names = {"i", "s"};
+  auto table = random_table(pool, "Source", order);
+  append_random_rows(*table, order, 6, rng, 600);
+  const std::vector<int> probe_order = {2, 0, 1, -1};
+  auto probe = random_table(pool, "Probe", probe_order);
+  append_random_rows(*probe, probe_order, 500, rng, 1200);
+  append_absent_row(*probe, probe_order);
+  auto built = VertexType::build(0, "V", table, columns_of(*table, key_names),
+                                 nullptr);
+  ASSERT_TRUE(built.is_ok());
+  VertexType vt = std::move(built).value();
+  const std::size_t first_bytes = vt.key_index_bytes();
+  for (std::size_t batch = 1; batch <= 9; ++batch) {
+    auto grown = std::make_shared<Table>(*table);
+    const auto first_new_row =
+        static_cast<storage::RowIndex>(grown->num_rows());
+    append_random_rows(*grown, order, batch * 60, rng, 600);
+    bool flipped = false;
+    auto extended =
+        VertexType::extend(vt, grown, nullptr, first_new_row, &flipped);
+    ASSERT_TRUE(extended.is_ok());
+    auto fresh = VertexType::build(0, "V", grown,
+                                   columns_of(*grown, key_names), nullptr);
+    ASSERT_TRUE(fresh.is_ok());
+    // A first collapse into a one-to-one type flips it: callers rebuild.
+    vt = flipped ? *fresh : std::move(extended).value();
+    table = grown;
+    SCOPED_TRACE("batch " + std::to_string(batch));
+    EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
+                           vt.representative_rows().end(),
+                           fresh->representative_rows().begin(),
+                           fresh->representative_rows().end()));
+    EXPECT_EQ(vt.one_to_one(), fresh->one_to_one());
+    EXPECT_EQ(vt.byte_size(), fresh->byte_size());
+    expect_parity(vt, *probe, key_names);
+  }
+  // More than 1024 vertices need 4096 slots: eight doublings from 16.
+  EXPECT_GT(vt.num_vertices(), 1024u);
+  EXPECT_GE(vt.key_index_bytes(), 256 * first_bytes);
 }
 
 }  // namespace

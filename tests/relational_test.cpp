@@ -589,6 +589,7 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
       case TypeKind::kDate: {
         const auto sa = ca.int_span(), sb = cb.int_span();
         ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
+        if (sa.empty()) break;  // memcmp must not see null data
         EXPECT_EQ(std::memcmp(sa.data(), sb.data(),
                               sa.size() * sizeof(std::int64_t)),
                   0)
@@ -599,6 +600,7 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
         // memcmp, not ==: catches -0.0 vs +0.0 and NaN payload drift.
         const auto sa = ca.double_span(), sb = cb.double_span();
         ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
+        if (sa.empty()) break;
         EXPECT_EQ(
             std::memcmp(sa.data(), sb.data(), sa.size() * sizeof(double)),
             0)
@@ -608,6 +610,7 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
       case TypeKind::kVarchar: {
         const auto sa = ca.string_span(), sb = cb.string_span();
         ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
+        if (sa.empty()) break;
         EXPECT_EQ(std::memcmp(sa.data(), sb.data(),
                               sa.size() * sizeof(StringId)),
                   0)
