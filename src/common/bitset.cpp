@@ -66,33 +66,6 @@ DynamicBitset& DynamicBitset::subtract(const DynamicBitset& other) noexcept {
   return *this;
 }
 
-void DynamicBitset::append_words(const std::uint64_t* words,
-                                 std::size_t nbits) {
-  if (nbits == 0) return;
-  const std::size_t offset = size_ % 64;
-  const std::size_t new_size = size_ + nbits;
-  words_.resize((new_size + 63) / 64, 0);
-  const std::size_t in_words = (nbits + 63) / 64;
-  std::size_t w = size_ >> 6;
-  if (offset == 0) {
-    for (std::size_t i = 0; i < in_words; ++i) words_[w + i] = words[i];
-  } else {
-    for (std::size_t i = 0; i < in_words; ++i) {
-      const std::uint64_t word = words[i];
-      words_[w + i] |= word << offset;
-      if (w + i + 1 < words_.size()) {
-        words_[w + i + 1] = word >> (64 - offset);
-      } else {
-        // Spill past the final backing word must be zero (tail-bit
-        // contract); anything else would silently drop set bits.
-        GEMS_DCHECK((word >> (64 - offset)) == 0);
-      }
-    }
-  }
-  size_ = new_size;
-  clear_trailing();
-}
-
 Result<DynamicBitset> DynamicBitset::from_words(
     std::size_t size, std::vector<std::uint64_t> words) {
   if (words.size() != (size + 63) / 64) {

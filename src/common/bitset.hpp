@@ -106,12 +106,6 @@ class DynamicBitset {
     }
   }
 
-  /// Appends `nbits` bits from packed little-endian words (bit i of the
-  /// block is bit i%64 of words[i/64]). Bits at or past `nbits` in the
-  /// final input word must be zero. The bulk form of nbits single
-  /// appends; the vectorized column writers append validity this way.
-  void append_words(const std::uint64_t* words, std::size_t nbits);
-
   /// Indices of all set bits.
   std::vector<std::uint32_t> to_indices() const;
 

@@ -1,0 +1,233 @@
+// Append-only array of fixed-size chunks whose full chunks are shared
+// between copies (DESIGN.md §5n).
+//
+// Element i lives in chunk i / N at offset i % N. Every chunk but the last
+// is sealed: it is full, held by shared_ptr<const>, and never written
+// again. The last chunk, the tail, is owned by this array alone and grows
+// geometrically up to N elements, so a tiny array stays tiny. A full tail
+// is sealed when the next element arrives.
+//
+// With kValidity, each element also carries a validity bit, stored as
+// N / 64 words in the same chunk as the values: one allocation per chunk.
+// (Separate small bitmap chunks interleaved with the value chunks
+// fragmented the malloc arenas of the threads that build result tables.)
+//
+// Copying an array shares its sealed chunks and copies only the tail, so
+// a copy costs O(N + chunks) whatever the length. An MVCC ingest copies a
+// table, appends to the copy and publishes it, while readers pinned on the
+// old epoch keep reading the original. Both read the same sealed chunks
+// and neither writes them.
+//
+// Storage columns, edge endpoint arrays and vertex representative rows all
+// use kChunkRows-row chunks, the width of the vectorized engine's batches.
+// An aligned batch window therefore lies in one chunk and is read in place.
+#pragma once
+
+#include <algorithm>
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <cstring>
+#include <iterator>
+#include <memory>
+#include <span>
+#include <type_traits>
+#include <vector>
+
+#include "common/check.hpp"
+
+namespace gems {
+
+/// Rows per chunk. relational::kBatchRows is the same constant.
+inline constexpr std::size_t kChunkRows = 1024;
+
+template <typename T, std::size_t N = kChunkRows, bool kValidity = false>
+class ChunkedArray {
+  static_assert(std::is_trivially_copyable_v<T>);
+  static_assert(N > 0 && (!kValidity || N % 64 == 0));
+  static constexpr std::size_t kWords = kValidity ? N / 64 : 0;
+
+ public:
+  std::size_t size() const noexcept {
+    return sealed_.size() * N + tail_.size();
+  }
+
+  const T& operator[](std::size_t i) const noexcept {
+    GEMS_DCHECK(i < size());
+    const std::size_t c = i / N;
+    return c < sealed_.size() ? sealed_[c]->values[i % N] : tail_[i % N];
+  }
+  /// Bounds-checked element access.
+  const T& at(std::size_t i) const {
+    GEMS_CHECK_MSG(i < size(), "chunked array index out of range");
+    return (*this)[i];
+  }
+
+  void push_back(const T& v) requires(!kValidity) {
+    make_room();
+    tail_.push_back(v);
+  }
+
+  /// Appends `n` elements from `p`. With kValidity, `valid` holds their
+  /// bits (element i is bit i % 64 of valid[i / 64], bits past n zero) and
+  /// size() must be a multiple of 64; without, it must be null.
+  void append(const T* p, std::size_t n,
+              const std::uint64_t* valid = nullptr) {
+    GEMS_CHECK(n == 0 || (valid != nullptr) == kValidity);
+    GEMS_CHECK(!kValidity || size() % 64 == 0);
+    while (n > 0) {
+      make_room();
+      const std::size_t at = tail_.size();
+      const std::size_t k = std::min(n, N - at);
+      if (at + k > tail_.capacity()) {
+        tail_.reserve(std::min(N, std::max(at + k, 2 * tail_.capacity())));
+      }
+      tail_.insert(tail_.end(), p, p + k);
+      if constexpr (kValidity) {
+        std::copy(valid, valid + (k + 63) / 64, &tail_valid_[at / 64]);
+        valid += k / 64;  // k is a multiple of 64 unless it ends the input
+      }
+      p += k;
+      n -= k;
+    }
+  }
+
+  // ---- Validity bits (kValidity only) ------------------------------------
+  bool valid(std::size_t i) const noexcept requires kValidity {
+    GEMS_DCHECK(i < size());
+    const std::size_t c = i / N;
+    const std::uint64_t* words =
+        c < sealed_.size() ? sealed_[c]->valid.data() : tail_valid_.data();
+    return (words[i % N / 64] >> (i % 64)) & 1u;
+  }
+
+  void push_back(const T& v, bool valid) requires kValidity {
+    make_room();
+    const std::size_t at = tail_.size();
+    tail_valid_[at / 64] |= static_cast<std::uint64_t>(valid) << (at % 64);
+    tail_.push_back(v);
+  }
+
+  /// Validity words of chunk `c`: bit j of word w is element
+  /// c * N + w * 64 + j. The tail's span covers its elements only, and its
+  /// bits past size() are zero, so the spans of all chunks concatenate to
+  /// the packed bitmap of the whole array.
+  std::span<const std::uint64_t> valid_words(std::size_t c) const noexcept
+      requires kValidity {
+    GEMS_DCHECK(c < num_chunks());
+    if (c < sealed_.size()) return sealed_[c]->valid;
+    return {tail_valid_.data(), (tail_.size() + 63) / 64};
+  }
+
+  // ---- Per-chunk access ------------------------------------------------
+  /// Chunks, sealed ones first; the tail counts when it is non-empty.
+  std::size_t num_chunks() const noexcept {
+    return sealed_.size() + (tail_.empty() ? 0 : 1);
+  }
+  /// The elements of chunk `c`: N of them, fewer in the tail.
+  std::span<const T> chunk(std::size_t c) const noexcept {
+    GEMS_DCHECK(c < num_chunks());
+    if (c < sealed_.size()) return {sealed_[c]->values, N};
+    return {tail_.data(), tail_.size()};
+  }
+  std::size_t num_sealed_chunks() const noexcept { return sealed_.size(); }
+
+  /// Pointer to elements [begin, begin + n) when they lie in one chunk,
+  /// nullptr when the window straddles a chunk boundary.
+  const T* window(std::size_t begin, std::size_t n) const noexcept {
+    GEMS_DCHECK(begin + n <= size());
+    const std::size_t c = begin / N;
+    if (n == 0 || (begin + n - 1) / N != c) return nullptr;
+    return chunk(c).data() + begin % N;
+  }
+
+  /// Calls fn(span, offset) for each chunk-contiguous piece of elements
+  /// [begin, end), in order; `offset` is the piece's first index minus
+  /// `begin`.
+  template <typename Fn>
+  void for_each_piece(std::size_t begin, std::size_t end, Fn&& fn) const {
+    GEMS_DCHECK(begin <= end && end <= size());
+    for (std::size_t i = begin; i < end;) {
+      const std::size_t k = std::min(end - i, N - i % N);
+      fn(std::span<const T>(chunk(i / N).data() + i % N, k), i - begin);
+      i += k;
+    }
+  }
+
+  /// Bytes of the elements: a function of size() alone, so arrays of the
+  /// same contents report the same size however they were built.
+  std::size_t byte_size() const noexcept { return size() * sizeof(T); }
+
+  /// Equal elements (validity bits are not compared).
+  friend bool operator==(const ChunkedArray& a, const ChunkedArray& b) {
+    if (a.size() != b.size()) return false;
+    for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+      const std::span<const T> x = a.chunk(c);
+      const std::span<const T> y = b.chunk(c);
+      if (x.data() != y.data() &&
+          std::memcmp(x.data(), y.data(), x.size() * sizeof(T)) != 0) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  class const_iterator {
+   public:
+    using iterator_category = std::forward_iterator_tag;
+    using value_type = T;
+    using difference_type = std::ptrdiff_t;
+    using pointer = const T*;
+    using reference = const T&;
+
+    const_iterator() = default;
+    const_iterator(const ChunkedArray* a, std::size_t i) : a_(a), i_(i) {}
+    reference operator*() const { return (*a_)[i_]; }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    const_iterator operator++(int) {
+      const_iterator old = *this;
+      ++i_;
+      return old;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const ChunkedArray* a_ = nullptr;
+    std::size_t i_ = 0;
+  };
+  const_iterator begin() const { return {this, 0}; }
+  const_iterator end() const { return {this, size()}; }
+
+ private:
+  struct Chunk {
+    T values[N];
+    [[no_unique_address]] std::array<std::uint64_t, kWords> valid;
+  };
+
+  /// Seals a full tail and gives the tail room for one more element,
+  /// doubling its capacity up to N.
+  void make_room() {
+    if (tail_.size() == N) {
+      auto sealed = std::make_shared_for_overwrite<Chunk>();
+      std::memcpy(sealed->values, tail_.data(), N * sizeof(T));
+      sealed->valid = tail_valid_;
+      tail_valid_ = {};
+      sealed_.push_back(std::move(sealed));
+      tail_.clear();
+    }
+    if (tail_.size() == tail_.capacity()) {
+      tail_.reserve(
+          std::min(N, std::max<std::size_t>(16, 2 * tail_.capacity())));
+    }
+  }
+
+  std::vector<std::shared_ptr<const Chunk>> sealed_;
+  std::vector<T> tail_;
+  // The tail's validity bits; bits past the tail's size are zero.
+  [[no_unique_address]] std::array<std::uint64_t, kWords> tail_valid_{};
+};
+
+}  // namespace gems

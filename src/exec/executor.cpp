@@ -917,12 +917,11 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
     }
     storage::CsvOptions options;
     options.has_header = s->has_header;
-    if (ctx.copy_on_write) {
-      // Epochs pinned on the previous catalog share the Table object;
-      // append to a clone and swap it in so they never see the new rows.
-      table = std::make_shared<Table>(*table);
-      ctx.tables.add_or_replace(table);
-    }
+    // Epochs pinned on the previous catalog share the Table object, so
+    // append to a copy and swap it in: they never see the new rows. The
+    // copy shares the table's sealed chunks and copies only their tails.
+    table = std::make_shared<Table>(*table);
+    ctx.tables.add_or_replace(table);
     const std::size_t rows_before = table->num_rows();
     GEMS_ASSIGN_OR_RETURN(storage::CsvIngestStats stats,
                           storage::ingest_csv_file(*table, path, options));

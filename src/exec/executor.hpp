@@ -110,11 +110,6 @@ struct ExecContext {
   /// statements can run concurrently against read-only state).
   bool defer_catalog_writes = false;
 
-  /// gems::mvcc: when true, ingest appends to a copy-on-write clone of the
-  /// target table (swapped into `tables`) instead of mutating it in place,
-  /// so epochs pinned on the previous catalog never observe the new rows.
-  bool copy_on_write = false;
-
   /// gems::mvcc: when true, ingest maintains the graph incrementally
   /// (graph::extend_graph_for_ingest) and falls back to rebuild_graph()
   /// only when the delta is unsound (parameterized declarations, a

@@ -391,10 +391,10 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
                         joins_beyond_key(1, dst_vt);
   const bool keep_attrs = decl.assoc_tables.size() == 1 && !collapse;
 
-  std::vector<VertexIndex> src_out;
-  std::vector<VertexIndex> dst_out;
+  ChunkedArray<VertexIndex> src_out;
+  ChunkedArray<VertexIndex> dst_out;
   std::vector<RowIndex> attr_rows;  // rows of the single assoc table
-  std::unordered_set<std::uint64_t> seen_pairs;
+  std::unordered_set<std::uint64_t> seen_pairs;  // pairs this build added
   std::unordered_set<std::string> seen_full;
 
   // One join pass runs per occurrence of the ingested table among the
@@ -409,31 +409,30 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
                       return src.table->name() == delta->ingested_table;
                     }) > 1;
 
-  // Delta passes start from the base's edges: endpoint arrays are copied
-  // verbatim (vertex numbering is stable across VertexType::extend), the
-  // pair-dedup set is seeded so collapsed edges are not re-added, and the
-  // attribute table is extended by appending to a clone. Tuple-identity
-  // dedup needs no seeding: a new tuple contains at least one row index
-  // >= first_new_row, which no base tuple can.
-  TablePtr attr_table;
-  if (delta != nullptr) {
-    const EdgeType& base = *delta->base;
-    src_out.reserve(base.num_edges());
-    dst_out.reserve(base.num_edges());
-    for (EdgeIndex e = 0; e < base.num_edges(); ++e) {
-      src_out.push_back(base.source_vertex(e));
-      dst_out.push_back(base.target_vertex(e));
-      if (collapse) {
-        seen_pairs.insert(
-            (static_cast<std::uint64_t>(base.source_vertex(e)) << 32) |
-            base.target_vertex(e));
-      }
-    }
-    if (keep_attrs) {
-      GEMS_CHECK(base.attr_table_ptr() != nullptr);
-      attr_table = std::make_shared<Table>(*base.attr_table_ptr());
-    }
+  // Delta passes append to the base's edges. Copying its endpoint arrays
+  // shares their sealed chunks (vertex numbering is stable across
+  // VertexType::extend). A collapsed pair the base already has is found
+  // in the base's CSR, so seen_pairs holds only the delta's new pairs.
+  // Tuple-identity dedup needs no base either: a new tuple contains at
+  // least one row index >= first_new_row, which no base tuple can.
+  const EdgeType* base = delta != nullptr ? delta->base : nullptr;
+  if (base != nullptr) {
+    src_out = base->source_vertices();
+    dst_out = base->target_vertices();
   }
+  auto base_has_pair = [&](VertexIndex sv, VertexIndex dv) {
+    if (base == nullptr) return false;
+    const CsrIndex& fwd = base->forward();
+    const CsrIndex& rev = base->reverse();
+    // A vertex the ingest added has no base edges.
+    if (sv >= fwd.num_vertices() || dv >= rev.num_vertices()) return false;
+    // Scan the shorter of the two adjacency lists.
+    const bool from_src = fwd.degree(sv) <= rev.degree(dv);
+    const std::span<const VertexIndex> nbrs =
+        from_src ? fwd.neighbors(sv) : rev.neighbors(dv);
+    const VertexIndex want = from_src ? dv : sv;
+    return std::find(nbrs.begin(), nbrs.end(), want) != nbrs.end();
+  };
 
   // Residual filter + vertex mapping + dedup for one join pass.
   auto process_pass = [&](std::size_t start,
@@ -463,6 +462,7 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                                 dst_vt.key_columns());
       if (sv == kInvalidVertex || dv == kInvalidVertex) continue;
       if (collapse) {
+        if (base_has_pair(sv, dv)) continue;
         const std::uint64_t pair =
             (static_cast<std::uint64_t>(sv) << 32) | dv;
         if (!seen_pairs.insert(pair).second) continue;
@@ -476,19 +476,7 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
       }
       src_out.push_back(sv);
       dst_out.push_back(dv);
-      if (keep_attrs) {
-        if (delta != nullptr) {
-          const Table& assoc = *sources[2].table;
-          for (std::size_t c = 0; c < assoc.num_columns(); ++c) {
-            attr_table->column_mut(static_cast<ColumnIndex>(c))
-                .append_from(assoc.column(static_cast<ColumnIndex>(c)),
-                             tuple[2]);
-          }
-          attr_table->bump_row_count();
-        } else {
-          attr_rows.push_back(tuple[2]);
-        }
-      }
+      if (keep_attrs) attr_rows.push_back(tuple[2]);
     }
     return Status::ok();
   };
@@ -503,24 +491,40 @@ Result<EdgeType> build_edge_type(const GraphView& graph, const EdgeDecl& decl,
     // several passes; the dedup sets above collapse it to one edge.
     for (std::size_t o = 0; o < n_sources; ++o) {
       if (sources[o].table->name() != delta->ingested_table) continue;
-      auto cand = candidates;
-      auto& rows = cand[o];
-      rows.erase(rows.begin(),
-                 std::lower_bound(rows.begin(), rows.end(),
-                                  delta->first_new_row));
-      GEMS_RETURN_IF_ERROR(process_pass(o, cand));
+      std::vector<RowIndex> all_rows = std::move(candidates[o]);
+      candidates[o].assign(std::lower_bound(all_rows.begin(), all_rows.end(),
+                                            delta->first_new_row),
+                           all_rows.end());
+      const Status pass = process_pass(o, candidates);
+      candidates[o] = std::move(all_rows);
+      GEMS_RETURN_IF_ERROR(pass);
     }
   }
 
   // ---- Edge attribute table ---------------------------------------------
-  if (keep_attrs && delta == nullptr) {
+  // One row per edge, in edge order. A delta appends the new edges' rows
+  // to a copy of the base's table, which shares its sealed chunks.
+  TablePtr attr_table;
+  if (keep_attrs) {
     const Table& assoc = *sources[2].table;
-    std::vector<ColumnIndex> all_cols(assoc.num_columns());
-    for (std::size_t i = 0; i < all_cols.size(); ++i) {
-      all_cols[i] = static_cast<ColumnIndex>(i);
+    if (base == nullptr) {
+      std::vector<ColumnIndex> all_cols(assoc.num_columns());
+      for (std::size_t i = 0; i < all_cols.size(); ++i) {
+        all_cols[i] = static_cast<ColumnIndex>(i);
+      }
+      attr_table = relational::materialize(assoc, attr_rows, all_cols,
+                                           decl.name + "$attrs");
+    } else {
+      GEMS_CHECK(base->attr_table_ptr() != nullptr);
+      auto extended = std::make_shared<Table>(*base->attr_table_ptr());
+      for (std::size_t c = 0; c < assoc.num_columns(); ++c) {
+        extended->column_mut(static_cast<ColumnIndex>(c))
+            .append_gather(assoc.column(static_cast<ColumnIndex>(c)),
+                           attr_rows.data(), attr_rows.size());
+      }
+      extended->bump_rows(attr_rows.size());
+      attr_table = std::move(extended);
     }
-    attr_table = relational::materialize(assoc, attr_rows, all_cols,
-                                         decl.name + "$attrs");
   }
 
   return EdgeType::assemble(id, decl.name, src_id, dst_id,

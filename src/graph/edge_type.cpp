@@ -4,14 +4,17 @@
 
 namespace gems::graph {
 
-CsrIndex CsrIndex::build(std::size_t n, std::span<const VertexIndex> indexed,
-                         std::span<const VertexIndex> other) {
+CsrIndex CsrIndex::build(std::size_t n,
+                         const ChunkedArray<VertexIndex>& indexed,
+                         const ChunkedArray<VertexIndex>& other) {
   GEMS_CHECK(indexed.size() == other.size());
   CsrIndex out;
   out.offsets_.assign(n + 1, 0);
-  for (const VertexIndex v : indexed) {
-    GEMS_DCHECK(v < n);
-    ++out.offsets_[v + 1];
+  for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
+    for (const VertexIndex v : indexed.chunk(c)) {
+      GEMS_DCHECK(v < n);
+      ++out.offsets_[v + 1];
+    }
   }
   for (std::size_t i = 1; i <= n; ++i) out.offsets_[i] += out.offsets_[i - 1];
 
@@ -19,10 +22,16 @@ CsrIndex CsrIndex::build(std::size_t n, std::span<const VertexIndex> indexed,
   out.edge_.resize(indexed.size());
   std::vector<std::uint32_t> cursor(out.offsets_.begin(),
                                     out.offsets_.end() - 1);
-  for (std::size_t e = 0; e < indexed.size(); ++e) {
-    const std::uint32_t pos = cursor[indexed[e]]++;
-    out.neighbor_[pos] = other[e];
-    out.edge_[pos] = static_cast<EdgeIndex>(e);
+  // Both arrays chunk identically, so chunk c of each holds the same edges.
+  for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
+    const std::span<const VertexIndex> from = indexed.chunk(c);
+    const std::span<const VertexIndex> to = other.chunk(c);
+    const std::size_t first = c * kChunkRows;
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      const std::uint32_t pos = cursor[from[i]]++;
+      out.neighbor_[pos] = to[i];
+      out.edge_[pos] = static_cast<EdgeIndex>(first + i);
+    }
   }
   return out;
 }
@@ -63,8 +72,8 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
                             VertexTypeId src_type, VertexTypeId dst_type,
                             std::size_t num_src_vertices,
                             std::size_t num_dst_vertices,
-                            std::vector<VertexIndex> src,
-                            std::vector<VertexIndex> dst,
+                            ChunkedArray<VertexIndex> src,
+                            ChunkedArray<VertexIndex> dst,
                             storage::TablePtr attr_table) {
   GEMS_CHECK(src.size() == dst.size());
   GEMS_CHECK(attr_table == nullptr || attr_table->num_rows() == src.size());
@@ -120,8 +129,8 @@ Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
   et.name_ = std::move(name);
   et.src_type_ = src_type;
   et.dst_type_ = dst_type;
-  et.src_ = std::move(src);
-  et.dst_ = std::move(dst);
+  et.src_.append(src.data(), src.size());
+  et.dst_.append(dst.data(), dst.size());
   et.attr_table_ = std::move(attr_table);
   et.forward_ = std::move(forward);
   et.reverse_ = std::move(reverse);

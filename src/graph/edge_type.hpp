@@ -1,7 +1,8 @@
 // Edge types — relations between two vertex types (paper Eq. 2):
 //   E(a1..an) = (S ⋈ σ_φ(A)) ⋈ T
-// materialized as parallel endpoint arrays plus *bidirectional* CSR
-// indices. The paper (Sec. III-B) calls the edge index "a fundamental data
+// materialized as parallel endpoint arrays (chunked, so an ingest's copy
+// shares their sealed chunks with the previous epoch) plus *bidirectional*
+// CSR indices. The paper (Sec. III-B) calls the edge index "a fundamental data
 // structure": the forward index supports S -E-> T steps, the reverse index
 // lets the planner run a step right-to-left, which is what makes
 // non-lexical execution orders possible.
@@ -11,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunked_array.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
 #include "storage/table.hpp"
@@ -23,8 +25,9 @@ class CsrIndex {
  public:
   /// Builds from endpoint arrays: edge e runs indexed_side[e] ->
   /// other_side[e]; `n` is the vertex count of the indexed side.
-  static CsrIndex build(std::size_t n, std::span<const VertexIndex> indexed,
-                        std::span<const VertexIndex> other);
+  static CsrIndex build(std::size_t n,
+                        const ChunkedArray<VertexIndex>& indexed,
+                        const ChunkedArray<VertexIndex>& other);
 
   std::size_t num_vertices() const noexcept { return offsets_.size() - 1; }
 
@@ -80,8 +83,8 @@ class EdgeType {
                            VertexTypeId src_type, VertexTypeId dst_type,
                            std::size_t num_src_vertices,
                            std::size_t num_dst_vertices,
-                           std::vector<VertexIndex> src,
-                           std::vector<VertexIndex> dst,
+                           ChunkedArray<VertexIndex> src,
+                           ChunkedArray<VertexIndex> dst,
                            storage::TablePtr attr_table);
 
   EdgeTypeId id() const noexcept { return id_; }
@@ -95,11 +98,16 @@ class EdgeType {
   VertexIndex source_vertex(EdgeIndex e) const { return src_.at(e); }
   VertexIndex target_vertex(EdgeIndex e) const { return dst_.at(e); }
   /// Both endpoint arrays, indexed by edge.
-  std::span<const VertexIndex> source_vertices() const noexcept {
+  const ChunkedArray<VertexIndex>& source_vertices() const noexcept {
     return src_;
   }
-  std::span<const VertexIndex> target_vertices() const noexcept {
+  const ChunkedArray<VertexIndex>& target_vertices() const noexcept {
     return dst_;
+  }
+
+  /// Bytes of both endpoint arrays (the `graph.endpoints.bytes` gauge).
+  std::size_t endpoint_bytes() const noexcept {
+    return src_.byte_size() + dst_.byte_size();
   }
 
   /// Forward index: keyed by source vertex, neighbors are targets.
@@ -135,8 +143,8 @@ class EdgeType {
   std::string name_;
   VertexTypeId src_type_ = kInvalidVertexType;
   VertexTypeId dst_type_ = kInvalidVertexType;
-  std::vector<VertexIndex> src_;
-  std::vector<VertexIndex> dst_;
+  ChunkedArray<VertexIndex> src_;
+  ChunkedArray<VertexIndex> dst_;
   storage::TablePtr attr_table_;
   CsrIndex forward_;
   CsrIndex reverse_;

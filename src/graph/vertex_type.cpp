@@ -110,7 +110,6 @@ Result<VertexType> VertexType::restore(
   vt.one_to_one_ = one_to_one;
   vt.matching_rows_ = std::move(matching_rows);
   vt.key_index_.reserve(representative_rows.size());
-  vt.representative_row_.reserve(representative_rows.size());
   for (const RowIndex r : representative_rows) {
     if (!vt.add_row(r)) {
       return invalid_argument("vertex type '" + vt.name_ +
@@ -166,8 +165,7 @@ VertexIndex VertexType::find_by_key(
 }
 
 std::size_t VertexType::byte_size() const noexcept {
-  return key_index_.byte_size() +
-         representative_row_.size() * sizeof(RowIndex) +
+  return key_index_.byte_size() + representative_row_.byte_size() +
          (matching_rows_.size() + 63) / 64 * sizeof(std::uint64_t);
 }
 

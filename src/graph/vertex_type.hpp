@@ -13,6 +13,7 @@
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/chunked_array.hpp"
 #include "common/id_table.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
@@ -53,7 +54,7 @@ class VertexType {
     return representative_row_.at(v);
   }
   /// Every vertex's representative row, indexed by vertex.
-  std::span<const storage::RowIndex> representative_rows() const noexcept {
+  const ChunkedArray<storage::RowIndex>& representative_rows() const noexcept {
     return representative_row_;
   }
 
@@ -133,7 +134,8 @@ class VertexType {
   std::vector<storage::ColumnIndex> key_cols_;
   bool one_to_one_ = true;
 
-  std::vector<storage::RowIndex> representative_row_;
+  // Chunked: extend() copies the base type, sharing its sealed chunks.
+  ChunkedArray<storage::RowIndex> representative_row_;
   // key -> vertex index, keyed by relational::hash_row_key over the key
   // columns and checked with row_keys_equal against the candidate's
   // representative row (DESIGN.md §5m). Both match encode_row_key

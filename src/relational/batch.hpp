@@ -5,10 +5,10 @@
 // kBatchRows rows at a time instead of dispatching the BoundExpr
 // interpreter once per row. A batch is either a contiguous row window of
 // one source table or a gather list (the materialized form of a selection
-// vector); typed value vectors view column spans directly when the window
-// is contiguous and copy lanes when it is not. Validity travels as packed
-// 64-bit words (the DynamicBitset word layout), so NULL propagation is a
-// handful of bitwise ops per 64 rows.
+// vector); typed value vectors view column chunks directly when the window
+// is contiguous and lies in one chunk, and copy lanes when it does not.
+// Validity travels as packed 64-bit words (the DynamicBitset word layout),
+// so NULL propagation is a handful of bitwise ops per 64 rows.
 //
 // Conventions:
 //  * valid word bit i set  <=> lane i is non-null.
@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/bitset.hpp"
+#include "common/chunked_array.hpp"
 #include "relational/bound_expr.hpp"
 #include "storage/table.hpp"
 
@@ -32,7 +33,9 @@ namespace gems::relational {
 
 /// Fixed batch width. 1024 rows = 8 KiB per int64/double lane array —
 /// three live vectors per kernel node stay L1/L2-resident.
-inline constexpr std::size_t kBatchRows = 1024;
+/// Equal to the storage chunk width, so an aligned batch window lies in one
+/// chunk of every column and is read in place.
+inline constexpr std::size_t kBatchRows = kChunkRows;
 inline constexpr std::size_t kBatchWords = kBatchRows / 64;
 
 /// Execution policy threaded from ExecContext into the relational
@@ -84,10 +87,6 @@ struct VectorBuf {
   double* f64_lanes() {
     if (f64.size() < kBatchRows) f64.resize(kBatchRows);
     return f64.data();
-  }
-  StringId* str_lanes() {
-    if (str.size() < kBatchRows) str.resize(kBatchRows);
-    return str.data();
   }
 };
 

@@ -756,14 +756,17 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
         if (col.type().kind == TypeKind::kDouble) {
           dsum_states[a].resize(num_groups);
           DoubleSumState* st = dsum_states[a].data();
-          const std::span<const double> vals = col.double_span();
-          for (std::size_t r = 0; r < src.num_rows(); ++r) {
-            const RowIndex row = static_cast<RowIndex>(r);
-            if (col.is_null(row)) continue;
-            DoubleSumState& s = st[groups[r]];
-            ++s.count;
-            s.dsum += vals[row];
-          }
+          col.double_chunks().for_each_piece(
+              0, src.num_rows(),
+              [&](std::span<const double> vals, std::size_t first) {
+                for (std::size_t i = 0; i < vals.size(); ++i) {
+                  const std::size_t r = first + i;
+                  if (col.is_null(static_cast<RowIndex>(r))) continue;
+                  DoubleSumState& s = st[groups[r]];
+                  ++s.count;
+                  s.dsum += vals[i];
+                }
+              });
         } else {
           sum_states[a].resize(num_groups);
           SumState* st = sum_states[a].data();

@@ -153,41 +153,49 @@ void key_cells_batch(const storage::Table& table, storage::RowIndex base,
     nulls[i] = column.is_null(base + static_cast<storage::RowIndex>(i)) ? 1 : 0;
   }
   // Type dispatch hoisted out of the row loop; payload sweeps read the
-  // typed spans directly.
+  // column chunks in place, one piece per chunk the window touches.
+  const std::size_t end = base + n;
   switch (column.type().kind) {
-    case TypeKind::kBool: {
-      const auto vals = column.int_span().subspan(base, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = nulls[i] != 0 ? 0 : (vals[i] != 0 ? 1u : 0u);
-      }
+    case TypeKind::kBool:
+      column.int_chunks().for_each_piece(
+          base, end, [&](std::span<const std::int64_t> vals, std::size_t at) {
+            for (std::size_t i = 0; i < vals.size(); ++i) {
+              bits[at + i] =
+                  nulls[at + i] != 0 ? 0 : (vals[i] != 0 ? 1u : 0u);
+            }
+          });
       break;
-    }
     case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      const auto vals = column.int_span().subspan(base, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = nulls[i] != 0 ? 0 : static_cast<std::uint64_t>(vals[i]);
-      }
+    case TypeKind::kDate:
+      column.int_chunks().for_each_piece(
+          base, end, [&](std::span<const std::int64_t> vals, std::size_t at) {
+            for (std::size_t i = 0; i < vals.size(); ++i) {
+              bits[at + i] = nulls[at + i] != 0
+                                 ? 0
+                                 : static_cast<std::uint64_t>(vals[i]);
+            }
+          });
       break;
-    }
-    case TypeKind::kDouble: {
-      const auto vals = column.double_span().subspan(base, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        double v = vals[i];
-        if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
-        std::uint64_t b;
-        std::memcpy(&b, &v, sizeof(b));
-        bits[i] = nulls[i] != 0 ? 0 : b;
-      }
+    case TypeKind::kDouble:
+      column.double_chunks().for_each_piece(
+          base, end, [&](std::span<const double> vals, std::size_t at) {
+            for (std::size_t i = 0; i < vals.size(); ++i) {
+              double v = vals[i];
+              if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
+              std::uint64_t b;
+              std::memcpy(&b, &v, sizeof(b));
+              bits[at + i] = nulls[at + i] != 0 ? 0 : b;
+            }
+          });
       break;
-    }
-    case TypeKind::kVarchar: {
-      const auto vals = column.string_span().subspan(base, n);
-      for (std::size_t i = 0; i < n; ++i) {
-        bits[i] = nulls[i] != 0 ? 0 : vals[i];
-      }
+    case TypeKind::kVarchar:
+      column.string_chunks().for_each_piece(
+          base, end, [&](std::span<const StringId> vals, std::size_t at) {
+            for (std::size_t i = 0; i < vals.size(); ++i) {
+              bits[at + i] = nulls[at + i] != 0 ? 0 : vals[i];
+            }
+          });
       break;
-    }
   }
 }
 

@@ -333,6 +333,28 @@ ValueVector VectorExpr::eval_const(const RowBatch& batch,
   return out;
 }
 
+namespace {
+
+/// The batch's lanes of one column: a view into the column's chunk when
+/// the window is contiguous and lies in one chunk (every aligned
+/// kBatchRows window), else gathered into `scratch`.
+template <typename T>
+const T* column_lanes(const storage::ColumnData<T>& data,
+                      const RowBatch& batch, std::vector<T>& scratch) {
+  if (batch.contiguous()) {
+    if (const T* in_place = data.window(batch.base, batch.size)) {
+      return in_place;
+    }
+  }
+  if (scratch.size() < kBatchRows) scratch.resize(kBatchRows);
+  for (std::size_t i = 0; i < batch.size; ++i) {
+    scratch[i] = data[batch.row_at(i)];
+  }
+  return scratch.data();
+}
+
+}  // namespace
+
 ValueVector VectorExpr::eval_column(const RowBatch& batch,
                                     EvalScratch& scratch) const {
   VectorBuf& buf = scratch.bufs[id_];
@@ -344,53 +366,23 @@ ValueVector VectorExpr::eval_column(const RowBatch& batch,
   out.valid = buf.valid.data();
   switch (type_) {
     case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      const std::span<const std::int64_t> lanes = col.int_span();
-      if (batch.contiguous()) {
-        out.i64 = lanes.data() + batch.base;
-      } else {
-        std::int64_t* dst = buf.i64_lanes();
-        for (std::size_t i = 0; i < n; ++i) dst[i] = lanes[batch.rows[i]];
-        out.i64 = dst;
-      }
+    case TypeKind::kDate:
+      out.i64 = column_lanes(col.int_chunks(), batch, buf.i64);
       break;
-    }
-    case TypeKind::kDouble: {
-      const std::span<const double> lanes = col.double_span();
-      if (batch.contiguous()) {
-        out.f64 = lanes.data() + batch.base;
-      } else {
-        double* dst = buf.f64_lanes();
-        for (std::size_t i = 0; i < n; ++i) dst[i] = lanes[batch.rows[i]];
-        out.f64 = dst;
-      }
+    case TypeKind::kDouble:
+      out.f64 = column_lanes(col.double_chunks(), batch, buf.f64);
       break;
-    }
-    case TypeKind::kVarchar: {
-      const std::span<const StringId> lanes = col.string_span();
-      if (batch.contiguous()) {
-        out.str = lanes.data() + batch.base;
-      } else {
-        StringId* dst = buf.str_lanes();
-        for (std::size_t i = 0; i < n; ++i) dst[i] = lanes[batch.rows[i]];
-        out.str = dst;
-      }
+    case TypeKind::kVarchar:
+      out.str = column_lanes(col.string_chunks(), batch, buf.str);
       break;
-    }
     case TypeKind::kBool: {
       // Bool columns store int64 0/1 lanes; pack to bit-words. NULL lanes
       // store 0, so value ⊆ valid holds by construction, but mask anyway
       // to keep the invariant independent of storage guarantees.
-      const std::span<const std::int64_t> lanes = col.int_span();
-      if (batch.contiguous()) {
-        const std::int64_t* src = lanes.data() + batch.base;
-        produce_bits(n, buf.bits.data(),
-                     [&](std::size_t i) { return src[i] != 0; });
-      } else {
-        produce_bits(n, buf.bits.data(), [&](std::size_t i) {
-          return lanes[batch.rows[i]] != 0;
-        });
-      }
+      const std::int64_t* src =
+          column_lanes(col.int_chunks(), batch, buf.i64);
+      produce_bits(n, buf.bits.data(),
+                   [&](std::size_t i) { return src[i] != 0; });
       const std::size_t nw = batch_words(n);
       for (std::size_t w = 0; w < nw; ++w) buf.bits[w] &= buf.valid[w];
       out.bits = buf.bits.data();

@@ -22,12 +22,10 @@ Database::Database(DatabaseOptions options)
   ctx_.pool = &pool_;
   ctx_.data_dir = options_.data_dir;
   ctx_.max_result_rows = options_.max_result_rows;
-  // gems::mvcc: ingest appends to copy-on-write table clones (epochs
-  // pinned on the previous catalog keep their rows) and maintains the CSR
-  // graph incrementally. Set before Store::open so WAL replay takes the
-  // identical per-record delta-or-rebuild decisions the live execution
-  // took — that is what makes recovery byte-identical.
-  ctx_.copy_on_write = true;
+  // gems::mvcc: ingest maintains the CSR graph incrementally. Set before
+  // Store::open so WAL replay takes the identical per-record
+  // delta-or-rebuild decisions the live execution took — that is what
+  // makes recovery byte-identical.
   ctx_.incremental_ingest = options_.incremental_ingest;
   ctx_.batch_policy = options_.vectorized_execution
                           ? relational::BatchPolicy{}
@@ -213,12 +211,26 @@ metrics::Snapshot Database::metrics_snapshot() const {
     // Released before the epoch chain is snapshotted, so
     // `mvcc.pins.outstanding` counts only the callers' pins.
     const mvcc::EpochPin pin = epochs_.pin();
-    const graph::GraphView& graph = pin.ctx().graph;
+    const exec::ExecContext& ctx = pin.ctx();
+    std::size_t table_bytes = 0;
+    for (const auto& name : ctx.tables.names()) {
+      table_bytes += ctx.tables.find(name).value()->byte_size();
+    }
+    table_bytes_.set(table_bytes);
     std::size_t key_index_bytes = 0;
-    for (graph::VertexTypeId t = 0; t < graph.num_vertex_types(); ++t) {
-      key_index_bytes += graph.vertex_type(t).key_index_bytes();
+    for (graph::VertexTypeId t = 0; t < ctx.graph.num_vertex_types(); ++t) {
+      key_index_bytes += ctx.graph.vertex_type(t).key_index_bytes();
     }
     key_index_bytes_.set(key_index_bytes);
+    std::size_t csr_bytes = 0;
+    std::size_t endpoint_bytes = 0;
+    for (graph::EdgeTypeId e = 0; e < ctx.graph.num_edge_types(); ++e) {
+      const graph::EdgeType& et = ctx.graph.edge_type(e);
+      csr_bytes += et.forward().byte_size() + et.reverse().byte_size();
+      endpoint_bytes += et.endpoint_bytes();
+    }
+    csr_bytes_.set(csr_bytes);
+    endpoint_bytes_.set(endpoint_bytes);
   }
   pool_strings_.set(pool_.size());
   pool_bytes_.set(pool_.memory_bytes());

@@ -273,7 +273,10 @@ class Database {
   // metrics_snapshot().
   metrics::Gauge& pool_strings_ = metrics_.gauge("storage.pool.strings");
   metrics::Gauge& pool_bytes_ = metrics_.gauge("storage.pool.bytes");
+  metrics::Gauge& table_bytes_ = metrics_.gauge("storage.tables.bytes");
   metrics::Gauge& key_index_bytes_ = metrics_.gauge("graph.key_index.bytes");
+  metrics::Gauge& csr_bytes_ = metrics_.gauge("graph.csr.bytes");
+  metrics::Gauge& endpoint_bytes_ = metrics_.gauge("graph.endpoints.bytes");
 
   // ---- Lock hierarchy (DESIGN.md §5j) ----------------------------------
   // checkpoint_serial_mutex_ > access_ > stats_mutex_ > wal_mutex_ >

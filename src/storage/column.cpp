@@ -1,5 +1,8 @@
 #include "storage/column.hpp"
 
+#include <string>
+#include <type_traits>
+
 namespace gems::storage {
 
 Column::Column(DataType type) : type_(type) {
@@ -7,13 +10,13 @@ Column::Column(DataType type) : type_(type) {
     case TypeKind::kBool:
     case TypeKind::kInt64:
     case TypeKind::kDate:
-      data_ = std::vector<std::int64_t>();
+      data_ = ColumnData<std::int64_t>();
       break;
     case TypeKind::kDouble:
-      data_ = std::vector<double>();
+      data_ = ColumnData<double>();
       break;
     case TypeKind::kVarchar:
-      data_ = std::vector<StringId>();
+      data_ = ColumnData<StringId>();
       break;
   }
 }
@@ -23,41 +26,36 @@ void Column::append_null() {
     case TypeKind::kBool:
     case TypeKind::kInt64:
     case TypeKind::kDate:
-      ints().push_back(0);
+      ints().push_back(0, false);
       break;
     case TypeKind::kDouble:
-      doubles().push_back(0.0);
+      doubles().push_back(0.0, false);
       break;
     case TypeKind::kVarchar:
-      strs().push_back(kInvalidStringId);
+      strs().push_back(kInvalidStringId, false);
       break;
   }
-  valid_.resize(valid_.size() + 1, false);
 }
 
 void Column::append_bool(bool v) {
   GEMS_DCHECK(type_.kind == TypeKind::kBool);
-  ints().push_back(v ? 1 : 0);
-  valid_.resize(valid_.size() + 1, true);
+  ints().push_back(v ? 1 : 0, true);
 }
 
 void Column::append_int64(std::int64_t v) {
   GEMS_DCHECK(type_.kind == TypeKind::kInt64 || type_.kind == TypeKind::kDate ||
               type_.kind == TypeKind::kBool);
-  ints().push_back(v);
-  valid_.resize(valid_.size() + 1, true);
+  ints().push_back(v, true);
 }
 
 void Column::append_double(double v) {
   GEMS_DCHECK(type_.kind == TypeKind::kDouble);
-  doubles().push_back(v);
-  valid_.resize(valid_.size() + 1, true);
+  doubles().push_back(v, true);
 }
 
 void Column::append_string(StringId v) {
   GEMS_DCHECK(type_.kind == TypeKind::kVarchar);
-  strs().push_back(v);
-  valid_.resize(valid_.size() + 1, true);
+  strs().push_back(v, true);
 }
 
 void Column::append_value(const Value& v, StringPool& pool) {
@@ -95,16 +93,30 @@ void Column::append_from(const Column& src, RowIndex row) {
     case TypeKind::kBool:
     case TypeKind::kInt64:
     case TypeKind::kDate:
-      append_int64(src.ints()[row]);
+      append_int64(src.int_chunks()[row]);
       break;
     case TypeKind::kDouble:
-      append_double(src.doubles()[row]);
+      append_double(src.double_chunks()[row]);
       break;
     case TypeKind::kVarchar:
-      append_string(src.strs()[row]);
+      append_string(src.string_chunks()[row]);
       break;
   }
 }
+
+namespace {
+
+/// Appends in[rows[i]] for i < n, storing `null_payload` where in is null.
+template <typename T>
+void gather_into(ColumnData<T>& out, const ColumnData<T>& in,
+                 const RowIndex* rows, std::size_t n, T null_payload) {
+  for (std::size_t i = 0; i < n; ++i) {
+    const bool ok = in.valid(rows[i]);
+    out.push_back(ok ? in[rows[i]] : null_payload, ok);
+  }
+}
+
+}  // namespace
 
 void Column::append_gather(const Column& src, const RowIndex* rows,
                            std::size_t n) {
@@ -112,39 +124,16 @@ void Column::append_gather(const Column& src, const RowIndex* rows,
   switch (type_.kind) {
     case TypeKind::kBool:
     case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      auto& out = ints();
-      const auto& in = src.ints();
-      out.reserve(out.size() + n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool ok = !src.is_null(rows[i]);
-        out.push_back(ok ? in[rows[i]] : 0);
-        valid_.resize(valid_.size() + 1, ok);
-      }
+    case TypeKind::kDate:
+      gather_into<std::int64_t>(ints(), src.int_chunks(), rows, n, 0);
       break;
-    }
-    case TypeKind::kDouble: {
-      auto& out = doubles();
-      const auto& in = src.doubles();
-      out.reserve(out.size() + n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool ok = !src.is_null(rows[i]);
-        out.push_back(ok ? in[rows[i]] : 0.0);
-        valid_.resize(valid_.size() + 1, ok);
-      }
+    case TypeKind::kDouble:
+      gather_into<double>(doubles(), src.double_chunks(), rows, n, 0.0);
       break;
-    }
-    case TypeKind::kVarchar: {
-      auto& out = strs();
-      const auto& in = src.strs();
-      out.reserve(out.size() + n);
-      for (std::size_t i = 0; i < n; ++i) {
-        const bool ok = !src.is_null(rows[i]);
-        out.push_back(ok ? in[rows[i]] : kInvalidStringId);
-        valid_.resize(valid_.size() + 1, ok);
-      }
+    case TypeKind::kVarchar:
+      gather_into<StringId>(strs(), src.string_chunks(), rows, n,
+                            kInvalidStringId);
       break;
-    }
   }
 }
 
@@ -160,47 +149,41 @@ void Column::append_lanes_int64(const std::int64_t* lanes,
                                 const std::uint64_t* valid, std::size_t n) {
   GEMS_DCHECK(type_.kind == TypeKind::kInt64 || type_.kind == TypeKind::kDate);
   auto& out = ints();
-  out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
     // Branch-free null masking: null lanes store 0, like append_null.
-    const std::int64_t mask =
-        -static_cast<std::int64_t>(lane_valid(valid, i) ? 1 : 0);
-    out.push_back(lanes[i] & mask);
+    const bool ok = lane_valid(valid, i);
+    const std::int64_t mask = -static_cast<std::int64_t>(ok ? 1 : 0);
+    out.push_back(lanes[i] & mask, ok);
   }
-  valid_.append_words(valid, n);
 }
 
 void Column::append_lanes_double(const double* lanes,
                                  const std::uint64_t* valid, std::size_t n) {
   GEMS_DCHECK(type_.kind == TypeKind::kDouble);
   auto& out = doubles();
-  out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(lane_valid(valid, i) ? lanes[i] : 0.0);
+    const bool ok = lane_valid(valid, i);
+    out.push_back(ok ? lanes[i] : 0.0, ok);
   }
-  valid_.append_words(valid, n);
 }
 
 void Column::append_lanes_string(const StringId* lanes,
                                  const std::uint64_t* valid, std::size_t n) {
   GEMS_DCHECK(type_.kind == TypeKind::kVarchar);
   auto& out = strs();
-  out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(lane_valid(valid, i) ? lanes[i] : kInvalidStringId);
+    const bool ok = lane_valid(valid, i);
+    out.push_back(ok ? lanes[i] : kInvalidStringId, ok);
   }
-  valid_.append_words(valid, n);
 }
 
 void Column::append_bool_bits(const std::uint64_t* bits,
                               const std::uint64_t* valid, std::size_t n) {
   GEMS_DCHECK(type_.kind == TypeKind::kBool);
   auto& out = ints();
-  out.reserve(out.size() + n);
   for (std::size_t i = 0; i < n; ++i) {
-    out.push_back(lane_valid(bits, i) ? 1 : 0);
+    out.push_back(lane_valid(bits, i) ? 1 : 0, lane_valid(valid, i));
   }
-  valid_.append_words(valid, n);
 }
 
 Value Column::value_at(RowIndex row, const StringPool& pool) const {
@@ -220,69 +203,45 @@ Value Column::value_at(RowIndex row, const StringPool& pool) const {
   GEMS_UNREACHABLE("bad column kind");
 }
 
-namespace {
-
-Status load_size_mismatch(std::size_t data, std::size_t valid) {
-  return invalid_argument("column restore: data size " +
-                          std::to_string(data) +
-                          " != validity size " + std::to_string(valid));
-}
-
-}  // namespace
-
-Status Column::load_ints(std::vector<std::int64_t> data, DynamicBitset valid) {
-  if (type_.kind != TypeKind::kBool && type_.kind != TypeKind::kInt64 &&
-      type_.kind != TypeKind::kDate) {
-    return invalid_argument("column restore: int data for a " +
-                            type_.to_string() + " column");
+template <typename T>
+Status Column::load(std::span<const T> data, const DynamicBitset& valid) {
+  if (!std::holds_alternative<ColumnData<T>>(data_)) {
+    const char* what = std::is_same_v<T, std::int64_t> ? "int"
+                       : std::is_same_v<T, double>     ? "double"
+                                                       : "string";
+    return invalid_argument(std::string("column restore: ") + what +
+                            " data for a " + type_.to_string() + " column");
   }
   if (data.size() != valid.size()) {
-    return load_size_mismatch(data.size(), valid.size());
+    return invalid_argument("column restore: data size " +
+                            std::to_string(data.size()) +
+                            " != validity size " +
+                            std::to_string(valid.size()));
   }
-  data_ = std::move(data);
-  valid_ = std::move(valid);
+  GEMS_CHECK(size() == 0);
+  std::get<ColumnData<T>>(data_).append(data.data(), data.size(),
+                                        valid.words().data());
   return Status::ok();
 }
 
-Status Column::load_doubles(std::vector<double> data, DynamicBitset valid) {
-  if (type_.kind != TypeKind::kDouble) {
-    return invalid_argument("column restore: double data for a " +
-                            type_.to_string() + " column");
-  }
-  if (data.size() != valid.size()) {
-    return load_size_mismatch(data.size(), valid.size());
-  }
-  data_ = std::move(data);
-  valid_ = std::move(valid);
-  return Status::ok();
-}
-
-Status Column::load_strings(std::vector<StringId> data, DynamicBitset valid) {
-  if (type_.kind != TypeKind::kVarchar) {
-    return invalid_argument("column restore: string data for a " +
-                            type_.to_string() + " column");
-  }
-  if (data.size() != valid.size()) {
-    return load_size_mismatch(data.size(), valid.size());
-  }
-  data_ = std::move(data);
-  valid_ = std::move(valid);
-  return Status::ok();
-}
+template Status Column::load(std::span<const std::int64_t>,
+                             const DynamicBitset&);
+template Status Column::load(std::span<const double>, const DynamicBitset&);
+template Status Column::load(std::span<const StringId>, const DynamicBitset&);
 
 std::size_t Column::byte_size() const noexcept {
-  std::size_t bytes = valid_.size() / 8;
+  std::size_t bytes = size() / 8;
   switch (type_.kind) {
     case TypeKind::kBool:
     case TypeKind::kInt64:
     case TypeKind::kDate:
-      bytes += ints().size() * sizeof(std::int64_t);
+      bytes += int_chunks().byte_size();
       break;
     case TypeKind::kDouble:
-      bytes += doubles().size() * sizeof(double);
+      bytes += double_chunks().byte_size();
       break;
     case TypeKind::kVarchar:
-      bytes += strs().size() * sizeof(StringId);
+      bytes += string_chunks().byte_size();
       break;
   }
   return bytes;

@@ -1,6 +1,9 @@
 // Columnar storage. One Column per attribute; Int64/Date/Bool share the
 // int64 representation, Varchar stores interned StringIds (see
-// common/string_pool.hpp). Nulls are tracked in a validity bitmap.
+// common/string_pool.hpp). Nulls are tracked in a validity bitmap. Values
+// and validity bits live together in kChunkRows-row chunks
+// (common/chunked_array.hpp), so copying a column shares its sealed chunks
+// and copies only the tail.
 #pragma once
 
 #include <cstdint>
@@ -10,6 +13,7 @@
 
 #include "common/bitset.hpp"
 #include "common/check.hpp"
+#include "common/chunked_array.hpp"
 #include "common/string_pool.hpp"
 #include "storage/type.hpp"
 #include "storage/value.hpp"
@@ -18,12 +22,18 @@ namespace gems::storage {
 
 using RowIndex = std::uint32_t;
 
+/// A column's payload: values and their validity bits (set = non-null).
+template <typename T>
+using ColumnData = ChunkedArray<T, kChunkRows, true>;
+
 class Column {
  public:
   explicit Column(DataType type);
 
   const DataType& type() const noexcept { return type_; }
-  std::size_t size() const noexcept { return valid_.size(); }
+  std::size_t size() const noexcept {
+    return std::visit([](const auto& d) { return d.size(); }, data_);
+  }
 
   // ---- Appending (ingest path) ----------------------------------------
   void append_null();
@@ -62,26 +72,34 @@ class Column {
                         std::size_t n);
 
   // ---- Reading (scan path) ---------------------------------------------
-  bool is_null(RowIndex row) const noexcept { return !valid_.test(row); }
-  const DynamicBitset& validity() const noexcept { return valid_; }
+  bool is_null(RowIndex row) const noexcept {
+    switch (type_.kind) {
+      case TypeKind::kDouble:
+        return !double_chunks().valid(row);
+      case TypeKind::kVarchar:
+        return !string_chunks().valid(row);
+      default:
+        return !int_chunks().valid(row);
+    }
+  }
 
   bool bool_at(RowIndex row) const {
     GEMS_DCHECK(type_.kind == TypeKind::kBool);
-    return ints()[row] != 0;
+    return int_chunks()[row] != 0;
   }
   std::int64_t int64_at(RowIndex row) const {
     GEMS_DCHECK(type_.kind == TypeKind::kInt64 ||
                 type_.kind == TypeKind::kDate ||
                 type_.kind == TypeKind::kBool);
-    return ints()[row];
+    return int_chunks()[row];
   }
   double double_at(RowIndex row) const {
     GEMS_DCHECK(type_.kind == TypeKind::kDouble);
-    return doubles()[row];
+    return double_chunks()[row];
   }
   StringId string_at(RowIndex row) const {
     GEMS_DCHECK(type_.kind == TypeKind::kVarchar);
-    return strs()[row];
+    return string_chunks()[row];
   }
 
   /// Numeric value with promotion; column must be numeric.
@@ -93,48 +111,57 @@ class Column {
   /// Boxes row `row` (strings are copied out of `pool`).
   Value value_at(RowIndex row, const StringPool& pool) const;
 
-  /// Raw typed spans for vectorized scans.
-  std::span<const std::int64_t> int_span() const { return ints(); }
-  std::span<const double> double_span() const { return doubles(); }
-  std::span<const StringId> string_span() const { return strs(); }
+  /// Typed payload chunks for vectorized scans and the snapshot encoder:
+  /// per-chunk spans, and in-place windows for batches inside one chunk.
+  /// Only the accessor matching the storage kind may be called (Bool,
+  /// Int64 and Date store int64).
+  const ColumnData<std::int64_t>& int_chunks() const {
+    return std::get<ColumnData<std::int64_t>>(data_);
+  }
+  const ColumnData<double>& double_chunks() const {
+    return std::get<ColumnData<double>>(data_);
+  }
+  const ColumnData<StringId>& string_chunks() const {
+    return std::get<ColumnData<StringId>>(data_);
+  }
+
+  /// Chunks of the payload (the last one may be partial).
+  std::size_t num_chunks() const noexcept {
+    return std::visit([](const auto& d) { return d.num_chunks(); }, data_);
+  }
+  /// Validity words of chunk `c` (ChunkedArray::valid_words); the spans
+  /// of all chunks concatenate to the column's packed validity bitmap.
+  std::span<const std::uint64_t> valid_words(std::size_t c) const noexcept {
+    return std::visit([c](const auto& d) { return d.valid_words(c); },
+                      data_);
+  }
 
   /// Approximate in-memory footprint in bytes (catalog sizing, Sec. III).
   std::size_t byte_size() const noexcept;
 
   // ---- Snapshot restore (gems::store) ---------------------------------
-  // Bulk-replace the column contents from deserialized arrays. The data
-  // vector must match the column's storage kind and the validity bitmap's
-  // size; mismatches are corrupt input and reported as a Status, never
-  // applied partially.
-  Status load_ints(std::vector<std::int64_t> data, DynamicBitset valid);
-  Status load_doubles(std::vector<double> data, DynamicBitset valid);
-  Status load_strings(std::vector<StringId> data, DynamicBitset valid);
+  /// Fills an empty column from deserialized arrays. T is the storage
+  /// kind's payload type (int64, double or StringId) and must match the
+  /// column, and the validity bitmap's size must match the data; a
+  /// mismatch is corrupt input, reported as a Status and never applied.
+  template <typename T>
+  Status load(std::span<const T> data, const DynamicBitset& valid);
 
  private:
-  const std::vector<std::int64_t>& ints() const {
-    return std::get<std::vector<std::int64_t>>(data_);
+  ColumnData<std::int64_t>& ints() {
+    return std::get<ColumnData<std::int64_t>>(data_);
   }
-  const std::vector<double>& doubles() const {
-    return std::get<std::vector<double>>(data_);
+  ColumnData<double>& doubles() {
+    return std::get<ColumnData<double>>(data_);
   }
-  const std::vector<StringId>& strs() const {
-    return std::get<std::vector<StringId>>(data_);
-  }
-  std::vector<std::int64_t>& ints() {
-    return std::get<std::vector<std::int64_t>>(data_);
-  }
-  std::vector<double>& doubles() {
-    return std::get<std::vector<double>>(data_);
-  }
-  std::vector<StringId>& strs() {
-    return std::get<std::vector<StringId>>(data_);
+  ColumnData<StringId>& strs() {
+    return std::get<ColumnData<StringId>>(data_);
   }
 
   DataType type_;
-  std::variant<std::vector<std::int64_t>, std::vector<double>,
-               std::vector<StringId>>
+  std::variant<ColumnData<std::int64_t>, ColumnData<double>,
+               ColumnData<StringId>>
       data_;
-  DynamicBitset valid_;
 };
 
 }  // namespace gems::storage

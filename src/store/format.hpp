@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/chunked_array.hpp"
 #include "common/crc32.hpp"
 #include "common/status.hpp"
 
@@ -92,6 +93,18 @@ class Writer {
     u64(a.size());
     const auto* p = reinterpret_cast<const std::uint8_t*>(a.data());
     bytes({p, a.size() * sizeof(T)});
+  }
+
+  /// The same bytes as pod_array over the concatenated elements, written
+  /// chunk by chunk.
+  template <typename T, std::size_t N, bool V>
+  void pod_array(const ChunkedArray<T, N, V>& a) {
+    u64(a.size());
+    for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+      const std::span<const T> chunk = a.chunk(c);
+      bytes({reinterpret_cast<const std::uint8_t*>(chunk.data()),
+             chunk.size() * sizeof(T)});
+    }
   }
 
   /// Streaming form: writes out the buffer and returns the first write

@@ -58,22 +58,31 @@ void encode_table(Writer& w, const Table& t) {
     w.u32(def.type.varchar_length);
   }
   w.u64(t.num_rows());
+  // Chunks are written back to back: the bytes are those of one flat
+  // array per column and one packed validity bitmap, as snapshot v1 has
+  // always stored them.
   for (std::size_t c = 0; c < t.num_columns(); ++c) {
     const Column& col = t.column(static_cast<storage::ColumnIndex>(c));
     switch (col.type().kind) {
       case TypeKind::kBool:
       case TypeKind::kInt64:
       case TypeKind::kDate:
-        w.pod_array<std::int64_t>(col.int_span());
+        w.pod_array(col.int_chunks());
         break;
       case TypeKind::kDouble:
-        w.pod_array<double>(col.double_span());
+        w.pod_array(col.double_chunks());
         break;
       case TypeKind::kVarchar:
-        w.pod_array<StringId>(col.string_span());
+        w.pod_array(col.string_chunks());
         break;
     }
-    encode_bitset(w, col.validity());
+    w.u64(col.size());
+    w.u64((col.size() + 63) / 64);
+    for (std::size_t k = 0; k < col.num_chunks(); ++k) {
+      const std::span<const std::uint64_t> words = col.valid_words(k);
+      w.bytes({reinterpret_cast<const std::uint8_t*>(words.data()),
+               words.size() * sizeof(std::uint64_t)});
+    }
   }
 }
 
@@ -121,7 +130,7 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
                               r.pod_array<std::int64_t>("int column"));
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
-        load = col.load_ints(std::move(data), std::move(bits));
+        load = col.load<std::int64_t>(data, bits);
         break;
       }
       case TypeKind::kDouble: {
@@ -129,7 +138,7 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
                               r.pod_array<double>("double column"));
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
-        load = col.load_doubles(std::move(data), std::move(bits));
+        load = col.load<double>(data, bits);
         break;
       }
       case TypeKind::kVarchar: {
@@ -145,7 +154,7 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
         }
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
-        load = col.load_strings(std::move(data), std::move(bits));
+        load = col.load<StringId>(data, bits);
         break;
       }
     }
@@ -222,7 +231,7 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
     }
     w.pod_array<storage::ColumnIndex>(vt.key_columns());
     w.u8(vt.one_to_one() ? 1 : 0);
-    w.pod_array<RowIndex>(vt.representative_rows());
+    w.pod_array(vt.representative_rows());
     encode_bitset(w, vt.matching_rows());
   }
 
@@ -233,8 +242,8 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
     w.str(et.name());
     w.u16(et.source_type());
     w.u16(et.target_type());
-    w.pod_array<VertexIndex>(et.source_vertices());
-    w.pod_array<VertexIndex>(et.target_vertices());
+    w.pod_array(et.source_vertices());
+    w.pod_array(et.target_vertices());
     w.u8(et.attr_table() != nullptr ? 1 : 0);
     if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());
     for (const graph::CsrIndex* csr : {&et.forward(), &et.reverse()}) {

@@ -14,6 +14,7 @@
 
 #include "cluster/coordinator.hpp"
 #include "common/bitset.hpp"
+#include "common/chunked_array.hpp"
 #include "common/hash.hpp"
 #include "common/id_table.hpp"
 #include "common/metrics.hpp"
@@ -382,6 +383,97 @@ TEST(StringPoolTest, ConcurrentInternAndView) {
 
 // ---- IdTable ----------------------------------------------------------------
 
+// ---- ChunkedArray ----------------------------------------------------------
+
+TEST(ChunkedArrayTest, IndexWindowsAndPiecesMatchAFlatVector) {
+  for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 40ul}) {
+    ChunkedArray<std::uint32_t, 16> a;
+    std::vector<std::uint32_t> flat;
+    for (std::size_t i = 0; i < n; ++i) {
+      a.push_back(static_cast<std::uint32_t>(i * 7));
+      flat.push_back(static_cast<std::uint32_t>(i * 7));
+    }
+    ASSERT_EQ(a.size(), n);
+    EXPECT_TRUE(std::equal(a.begin(), a.end(), flat.begin(), flat.end()));
+    // A full chunk seals only when the next element arrives.
+    EXPECT_EQ(a.num_sealed_chunks(), n == 0 ? 0 : (n - 1) / 16);
+    for (std::size_t begin = 0; begin <= n; ++begin) {
+      for (std::size_t len = 0; begin + len <= n; ++len) {
+        const std::uint32_t* w = a.window(begin, len);
+        const bool one_chunk = len > 0 && begin / 16 == (begin + len - 1) / 16;
+        ASSERT_EQ(w != nullptr, one_chunk) << begin << "+" << len;
+        if (w != nullptr) {
+          EXPECT_TRUE(std::equal(w, w + len, flat.begin() + begin));
+        }
+        std::vector<std::uint32_t> pieces(len);
+        a.for_each_piece(begin, begin + len,
+                         [&](std::span<const std::uint32_t> p, std::size_t at) {
+                           std::copy(p.begin(), p.end(), pieces.begin() + at);
+                         });
+        EXPECT_TRUE(std::equal(pieces.begin(), pieces.end(),
+                               flat.begin() + begin));
+      }
+    }
+    ChunkedArray<std::uint32_t, 16> bulk;
+    bulk.append(flat.data(), flat.size());
+    EXPECT_TRUE(bulk == a);
+  }
+}
+
+TEST(ChunkedArrayTest, CopySharesSealedChunksAndOwnsItsTail) {
+  ChunkedArray<std::uint64_t, 16> a;
+  for (std::uint64_t i = 0; i < 40; ++i) a.push_back(i);
+  ChunkedArray<std::uint64_t, 16> b = a;
+  ASSERT_EQ(b.num_sealed_chunks(), 2u);
+  for (std::size_t c = 0; c < 2; ++c) {
+    EXPECT_EQ(a.chunk(c).data(), b.chunk(c).data());
+  }
+  EXPECT_NE(a.chunk(2).data(), b.chunk(2).data());
+  for (std::uint64_t i = 0; i < 30; ++i) b.push_back(1000 + i);
+  ASSERT_EQ(a.size(), 40u);
+  for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(a[i], i);
+  for (std::uint64_t i = 0; i < 30; ++i) EXPECT_EQ(b[40 + i], 1000 + i);
+  EXPECT_EQ(a.chunk(1).data(), b.chunk(1).data());
+}
+
+TEST(ChunkedArrayTest, ValidityBitsTravelWithTheirChunk) {
+  ChunkedArray<std::uint32_t, 128, true> a;
+  std::vector<bool> oracle;
+  SplitMix64 rng(7);
+  for (std::uint32_t i = 0; i < 1000; ++i) {
+    const bool v = rng.next() % 3 != 0;
+    a.push_back(i, v);
+    oracle.push_back(v);
+  }
+  const ChunkedArray<std::uint32_t, 128, true> copy = a;
+  ASSERT_EQ(copy.num_sealed_chunks(), 7u);
+  std::vector<std::uint64_t> packed((oracle.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(a.valid(i), oracle[i]) << i;
+    ASSERT_EQ(copy.valid(i), oracle[i]) << i;
+    if (oracle[i]) packed[i / 64] |= 1ull << (i % 64);
+  }
+  // The chunks' word spans concatenate to the packed bitmap, with every
+  // bit past the size zero.
+  std::vector<std::uint64_t> words;
+  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+    EXPECT_EQ(a.valid_words(c).data() == copy.valid_words(c).data(),
+              c < a.num_sealed_chunks());
+    words.insert(words.end(), a.valid_words(c).begin(),
+                 a.valid_words(c).end());
+  }
+  EXPECT_EQ(words, packed);
+  // Bulk append from packed words, as snapshot restore does.
+  std::vector<std::uint32_t> values(oracle.size());
+  for (std::uint32_t i = 0; i < values.size(); ++i) values[i] = i;
+  ChunkedArray<std::uint32_t, 128, true> bulk;
+  bulk.append(values.data(), values.size(), packed.data());
+  EXPECT_TRUE(bulk == a);
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(bulk.valid(i), oracle[i]) << i;
+  }
+}
+
 TEST(IdTableTest, CapacityDependsOnlyOnEntryCount) {
   // One by one or after a reserve, n entries occupy the smallest power of
   // two >= max(16, 2n) slots of 8 bytes.
@@ -690,7 +782,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
             {"exec.match.",
              {"edge_traversals", "merge_ns", "parallel_tasks", "passes",
               "queries", "worker_us"}},
-            {"graph.", {"key_index.bytes"}},
+            {"graph.", {"csr.bytes", "endpoints.bytes", "key_index.bytes"}},
             {"mvcc.",
              {"epochs.current", "epochs.freed", "epochs.live",
               "epochs.published", "epochs.retired", "ingest.delta",
@@ -698,7 +790,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
               "pins.oldest_age_us", "pins.outstanding", "pins.peak",
               "pins.taken"}},
             {"net.", net_names},
-            {"storage.", {"pool.bytes", "pool.strings"}},
+            {"storage.", {"pool.bytes", "pool.strings", "tables.bytes"}},
             {"store.",
              {"recovery.from_snapshot", "recovery.records_applied",
               "recovery.records_skipped", "recovery.replay_us",

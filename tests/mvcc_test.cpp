@@ -11,6 +11,7 @@
 // half-published state.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -21,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "bsbm/generator.hpp"
 #include "common/metrics.hpp"
 #include "exec/executor.hpp"
 #include "mvcc/epoch.hpp"
@@ -364,6 +366,132 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
     ASSERT_TRUE(a.is_ok()) << a.status().to_string();
     ASSERT_TRUE(b.is_ok()) << b.status().to_string();
     EXPECT_EQ(render(a.value()), render(b.value())) << q;
+  }
+}
+
+// Berlin ingests large enough to seal several 1024-row chunks of the
+// ingested tables and of the edge endpoint arrays. The Reviews batches
+// extend the collapsed `reviewFor` and `reviewer` edges with new vertices;
+// Offers batches extend `product`, `vendor` and the many-to-one `export`
+// edge, whose new offers mostly land on country pairs the base already has
+// (the delta finds those in the base CSR); a ProductTypes batch extends the
+// attributed `type` edge, whose attribute table the delta appends to.
+TEST(DeltaIngestTest, BerlinIngestsAcrossChunkSealsMatchRebuild) {
+  TempDir dir("berlin_chunks");
+  const bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(300, 5);
+  std::uint64_t state = 12345;
+  auto next = [&](std::uint64_t n) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % n;
+  };
+  std::vector<std::string> reviews;
+  for (int b = 0; b < 3; ++b) {
+    std::ostringstream csv;
+    for (int k = 0; k < 500; ++k) {
+      csv << "r" << 50000 + b * 500 + k << ",Review,"
+          << bsbm::product_id(next(config.num_products)) << ","
+          << bsbm::person_id(next(config.num_persons))
+          << ",2008-03-01,T1,txt," << next(10) << ",,3,4,gen,2008-04-02\n";
+    }
+    const std::string name = "reviews" + std::to_string(b) + ".csv";
+    write_text_file(dir.sub(name), csv.str());
+    reviews.push_back("ingest table Reviews '" + name + "'");
+  }
+  std::vector<std::string> others;
+  for (int b = 0; b < 2; ++b) {
+    std::ostringstream csv;
+    for (int k = 0; k < 700; ++k) {
+      csv << "o" << 50000 + b * 700 + k << ",Offer,"
+          << bsbm::product_id(next(config.num_products)) << ","
+          << bsbm::vendor_id(next(config.num_vendors)) << ","
+          << 10 + next(500) << ".5,2008-01-01,2008-02-01," << 1 + next(14)
+          << ",web,gen,2008-01-05\n";
+    }
+    const std::string name = "offers" + std::to_string(b) + ".csv";
+    write_text_file(dir.sub(name), csv.str());
+    others.push_back("ingest table Offers '" + name + "'");
+  }
+  {
+    std::ostringstream csv;
+    for (int k = 0; k < 1100; ++k) {
+      csv << bsbm::product_id(next(config.num_products)) << ","
+          << bsbm::type_id(next(config.num_types)) << "\n";
+    }
+    write_text_file(dir.sub("types.csv"), csv.str());
+    others.push_back("ingest table ProductTypes 'types.csv'");
+  }
+
+  auto make = [&](bool incremental) -> std::unique_ptr<server::Database> {
+    server::DatabaseOptions options;
+    options.data_dir = dir.path;
+    options.incremental_ingest = incremental;
+    auto db = bsbm::make_populated_database(config, options);
+    EXPECT_TRUE(db.is_ok()) << db.status().to_string();
+    return std::move(db).value();
+  };
+  auto run = [](server::Database& db, const std::vector<std::string>& scripts) {
+    for (const auto& script : scripts) {
+      auto r = db.run_script(script);
+      EXPECT_TRUE(r.is_ok()) << script << ": " << r.status().to_string();
+    }
+  };
+  auto delta_db = make(true);
+  auto rebuild_db = make(false);
+
+  // Reviews grow past two chunk seals; the delta is byte-identical.
+  run(*delta_db, reviews);
+  run(*rebuild_db, reviews);
+  EXPECT_GT((*delta_db->table("Reviews"))->num_rows(), 2 * kChunkRows);
+  EXPECT_EQ(state_fingerprint(*delta_db), state_fingerprint(*rebuild_db));
+  EXPECT_EQ(delta_db->snapshot_bytes(), rebuild_db->snapshot_bytes());
+
+  // Offers and ProductTypes. A delta appends new edges after the base's,
+  // while a rebuild orders `export` and `type` edges by their first join
+  // source (Producers, Products), so those two types match as edge sets
+  // and every other piece matches byte for byte.
+  run(*delta_db, others);
+  run(*rebuild_db, others);
+  const metrics::Snapshot dm = delta_db->metrics_snapshot();
+  EXPECT_EQ(metrics::value(dm, "mvcc.ingest.delta"),
+            reviews.size() + others.size());
+  EXPECT_EQ(metrics::value(dm, "mvcc.ingest.rebuild"), 0u);
+  EXPECT_GT((*delta_db->table("Offers"))->num_rows(), 2 * kChunkRows);
+  EXPECT_EQ(state_fingerprint(*delta_db), state_fingerprint(*rebuild_db));
+  const graph::GraphView& dg = delta_db->context().graph;
+  const graph::GraphView& rg = rebuild_db->context().graph;
+  ASSERT_EQ(dg.num_vertex_types(), rg.num_vertex_types());
+  for (graph::VertexTypeId t = 0; t < dg.num_vertex_types(); ++t) {
+    EXPECT_TRUE(dg.vertex_type(t).representative_rows() ==
+                rg.vertex_type(t).representative_rows());
+    EXPECT_TRUE(dg.vertex_type(t).matching_rows() ==
+                rg.vertex_type(t).matching_rows());
+  }
+  ASSERT_EQ(dg.num_edge_types(), rg.num_edge_types());
+  for (graph::EdgeTypeId e = 0; e < dg.num_edge_types(); ++e) {
+    const graph::EdgeType& de = dg.edge_type(e);
+    const graph::EdgeType& re = rg.edge_type(e);
+    auto edges = [](const graph::EdgeType& et) {
+      std::vector<std::string> out;
+      for (graph::EdgeIndex i = 0; i < et.num_edges(); ++i) {
+        std::string edge = std::to_string(et.source_vertex(i)) + ">" +
+                           std::to_string(et.target_vertex(i));
+        if (et.attr_table() != nullptr) {
+          for (const auto& v : et.attr_table()->row(i)) {
+            edge += "," + v.to_string();
+          }
+        }
+        out.push_back(std::move(edge));
+      }
+      return out;
+    };
+    std::vector<std::string> dv = edges(de);
+    std::vector<std::string> rv = edges(re);
+    if (de.name() != "export" && de.name() != "type") {
+      EXPECT_EQ(dv, rv) << de.name();
+    }
+    std::sort(dv.begin(), dv.end());
+    std::sort(rv.begin(), rv.end());
+    EXPECT_EQ(dv, rv) << de.name();
   }
 }
 

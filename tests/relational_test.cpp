@@ -574,6 +574,25 @@ inline std::vector<ExprPtr> predicate_corpus() {
   return out;
 }
 
+/// memcmp of two column payloads, chunk by chunk, values and validity
+/// words: the same bytes as one memcmp over the flat arrays and one bitset
+/// compare, since both chunk at the same rows.
+template <typename T>
+inline bool chunks_byte_identical(const storage::ColumnData<T>& a,
+                                  const storage::ColumnData<T>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+    const auto va = a.chunk(c), vb = b.chunk(c);
+    const auto wa = a.valid_words(c), wb = b.valid_words(c);
+    if (std::memcmp(va.data(), vb.data(), va.size() * sizeof(T)) != 0 ||
+        std::memcmp(wa.data(), wb.data(),
+                    wa.size() * sizeof(std::uint64_t)) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
 inline void expect_tables_byte_identical(const Table& a, const Table& b,
                                          const char* what) {
   ASSERT_EQ(a.num_rows(), b.num_rows()) << what;
@@ -582,41 +601,24 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
     const storage::Column& ca = a.column(static_cast<ColumnIndex>(c));
     const storage::Column& cb = b.column(static_cast<ColumnIndex>(c));
     ASSERT_EQ(ca.type().kind, cb.type().kind) << what << " col " << c;
-    EXPECT_TRUE(ca.validity() == cb.validity()) << what << " col " << c;
     switch (ca.type().kind) {
       case TypeKind::kBool:
       case TypeKind::kInt64:
-      case TypeKind::kDate: {
-        const auto sa = ca.int_span(), sb = cb.int_span();
-        ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
-        if (sa.empty()) break;  // memcmp must not see null data
-        EXPECT_EQ(std::memcmp(sa.data(), sb.data(),
-                              sa.size() * sizeof(std::int64_t)),
-                  0)
+      case TypeKind::kDate:
+        EXPECT_TRUE(chunks_byte_identical(ca.int_chunks(), cb.int_chunks()))
             << what << " col " << c;
         break;
-      }
-      case TypeKind::kDouble: {
+      case TypeKind::kDouble:
         // memcmp, not ==: catches -0.0 vs +0.0 and NaN payload drift.
-        const auto sa = ca.double_span(), sb = cb.double_span();
-        ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
-        if (sa.empty()) break;
-        EXPECT_EQ(
-            std::memcmp(sa.data(), sb.data(), sa.size() * sizeof(double)),
-            0)
+        EXPECT_TRUE(
+            chunks_byte_identical(ca.double_chunks(), cb.double_chunks()))
             << what << " col " << c;
         break;
-      }
-      case TypeKind::kVarchar: {
-        const auto sa = ca.string_span(), sb = cb.string_span();
-        ASSERT_EQ(sa.size(), sb.size()) << what << " col " << c;
-        if (sa.empty()) break;
-        EXPECT_EQ(std::memcmp(sa.data(), sb.data(),
-                              sa.size() * sizeof(StringId)),
-                  0)
+      case TypeKind::kVarchar:
+        EXPECT_TRUE(
+            chunks_byte_identical(ca.string_chunks(), cb.string_chunks()))
             << what << " col " << c;
         break;
-      }
     }
   }
 }
@@ -812,6 +814,71 @@ TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
     ASSERT_TRUE(g.is_ok());
     EXPECT_EQ((*g)->num_rows(), 0u);
     EXPECT_EQ(distinct(empty, "D", BatchPolicy{bs})->num_rows(), 0u);
+  }
+}
+
+// The sweeps above run on 533-row tables, inside one storage chunk. This
+// one spans three chunks, with batch widths whose windows straddle chunk
+// boundaries (7, 1000, 1023) and the aligned width (1024) whose windows
+// are read in place.
+TEST_F(RelationalTest, VectorizedSweepAcrossChunks) {
+  using namespace vec_prop;
+  constexpr std::size_t kWidths[] = {7, 1000, 1023, kBatchRows};
+  auto t = make_random_table(pool_, 2 * kChunkRows + 555, 0.1, 900);
+  auto small = make_random_table(pool_, 300, 0.1, 901);
+  TableScope scope(*t);
+  for (const ExprPtr& e : predicate_corpus()) {
+    auto bound = bind_predicate(e, scope, {}, pool_);
+    ASSERT_TRUE(bound.is_ok()) << e->to_string();
+    const auto oracle = filter_rows(*t, **bound, BatchPolicy::row_engine());
+    for (const std::size_t bs : kWidths) {
+      EXPECT_EQ(filter_rows(*t, **bound, BatchPolicy{bs}), oracle)
+          << e->to_string() << " bs=" << bs;
+    }
+  }
+  std::vector<storage::RowIndex> all(t->num_rows());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    all[i] = static_cast<storage::RowIndex>(i);
+  }
+  std::vector<OutputColumn> outs;
+  const std::pair<const char*, ExprPtr> exprs[] = {
+      {"isum", bin(BinaryOp::kAdd, col("a"), col("b"))},
+      {"ratio", bin(BinaryOp::kDiv, col("x"), col("y"))},
+      {"flag", bin(BinaryOp::kLt, col("a"), col("b"))},
+      {"name", col("s")},
+      {"when", col("d")}};
+  for (const auto& [name, e] : exprs) {
+    auto bound = bind_expr(e, scope, {}, pool_);
+    ASSERT_TRUE(bound.is_ok());
+    outs.push_back({name, std::move(bound).value()});
+  }
+  const auto projected = project(*t, all, outs, "P", BatchPolicy::row_engine());
+  const std::vector<ColumnIndex> keys{4, 1};
+  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
+                                  {AggKind::kSum, 2, "sumx"},
+                                  {AggKind::kAvg, 2, "avgx"},
+                                  {AggKind::kMin, 5, "mind"}};
+  const auto grouped =
+      group_by(*t, keys, aggs, "G", BatchPolicy::row_engine());
+  ASSERT_TRUE(grouped.is_ok());
+  auto narrow = materialize(*t, all, std::vector<ColumnIndex>{1, 4}, "N");
+  const auto distinct_rows = distinct(*narrow, "D", BatchPolicy::row_engine());
+  const std::vector<ColumnIndex> join_keys{4, 1};
+  const auto pairs = hash_join_pairs(*small, join_keys, *t, join_keys,
+                                     BatchPolicy::row_engine());
+  ASSERT_TRUE(pairs.is_ok());
+  for (const std::size_t bs : kWidths) {
+    expect_tables_byte_identical(
+        *project(*t, all, outs, "P", BatchPolicy{bs}), *projected, "project");
+    const auto g = group_by(*t, keys, aggs, "G", BatchPolicy{bs});
+    ASSERT_TRUE(g.is_ok());
+    expect_tables_byte_identical(**g, **grouped, "group_by");
+    expect_tables_byte_identical(*distinct(*narrow, "D", BatchPolicy{bs}),
+                                 *distinct_rows, "distinct");
+    const auto p = hash_join_pairs(*small, join_keys, *t, join_keys,
+                                   BatchPolicy{bs});
+    ASSERT_TRUE(p.is_ok());
+    EXPECT_EQ(p.value(), pairs.value()) << "bs=" << bs;
   }
 }
 
