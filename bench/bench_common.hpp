@@ -6,7 +6,7 @@
 
 #include <map>
 #include <memory>
-#include <tuple>
+#include <utility>
 
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
@@ -16,22 +16,17 @@
 namespace gems::bench {
 
 /// A populated Berlin database at the given product scale factor, built
-/// once per process and shared by all benchmark iterations. `vectorized`
-/// selects the execution engine (false = row-at-a-time oracle, for the
-/// vectorization A/B benches); each engine gets its own cached instance.
+/// once per process and shared by all benchmark iterations.
 inline server::Database& berlin_db(std::size_t scale,
-                                   std::uint64_t seed = 42,
-                                   bool vectorized = true) {
-  static std::map<std::tuple<std::size_t, std::uint64_t, bool>,
+                                   std::uint64_t seed = 42) {
+  static std::map<std::pair<std::size_t, std::uint64_t>,
                   std::unique_ptr<server::Database>>
       cache;
-  auto key = std::make_tuple(scale, seed, vectorized);
+  const auto key = std::make_pair(scale, seed);
   auto it = cache.find(key);
   if (it == cache.end()) {
-    server::DatabaseOptions options;
-    options.vectorized_execution = vectorized;
     auto db = bsbm::make_populated_database(
-        bsbm::GeneratorConfig::derive(scale, seed), std::move(options));
+        bsbm::GeneratorConfig::derive(scale, seed));
     GEMS_CHECK_MSG(db.is_ok(), db.status().to_string().c_str());
     it = cache.emplace(key, std::move(db).value()).first;
   }

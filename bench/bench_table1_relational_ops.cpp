@@ -1,15 +1,8 @@
 // E-T1 / E-VEC — Table I: every relational operation GraQL supports, as a
 // conformance + throughput sweep over the generated Offers table
 // (select/projection, order by, group by, distinct, count, avg, min, max,
-// sum, top n, aliasing). Every op runs under both execution engines —
-// `/vec` (the vectorized batch kernels, the default) and `/row` (the
-// row-at-a-time oracle) — so BENCH_vectorized.json carries the speedup
-// of the vectorization refactor per operator (E-VEC measures
-// selection and group-by at >= 5x on the 20k scale).
+// sum, top n, aliasing). BENCH_vectorized.json records this sweep.
 #include "bench_common.hpp"
-
-#include "relational/bound_expr.hpp"
-#include "relational/operators.hpp"
 
 namespace gems::bench {
 namespace {
@@ -41,9 +34,7 @@ constexpr Op kOps[] = {
 
 void BM_Table1_Op(benchmark::State& state) {
   const Op& op = kOps[state.range(0)];
-  const bool vectorized = state.range(2) != 0;
-  server::Database& db = berlin_db(static_cast<std::size_t>(state.range(1)),
-                                   /*seed=*/42, vectorized);
+  server::Database& db = berlin_db(static_cast<std::size_t>(state.range(1)));
   const auto params = berlin_params();
   const double input_rows =
       static_cast<double>((*db.table("Offers"))->num_rows());
@@ -63,102 +54,15 @@ void BM_Table1_Op(benchmark::State& state) {
 void register_ops() {
   for (std::size_t i = 0; i < std::size(kOps); ++i) {
     for (const std::size_t scale : {2000, 20000}) {
-      // /vec = batch kernel engine (production default), /row = the
-      // row-at-a-time oracle. Same queries, same data: the pairwise time
-      // ratio is the vectorization speedup.
-      for (const bool vectorized : {true, false}) {
-        benchmark::RegisterBenchmark(
-            (std::string("BM_Table1_") + kOps[i].name +
-             (vectorized ? "/vec" : "/row"))
-                .c_str(),
-            BM_Table1_Op)
-            ->Args({static_cast<long>(i), static_cast<long>(scale),
-                    vectorized ? 1 : 0})
-            ->Unit(benchmark::kMillisecond);
-      }
+      benchmark::RegisterBenchmark(
+          (std::string("BM_Table1_") + kOps[i].name).c_str(), BM_Table1_Op)
+          ->Args({static_cast<long>(i), static_cast<long>(scale)})
+          ->Unit(benchmark::kMillisecond);
     }
   }
 }
 
-// ---- E-VEC operator-level benches ----------------------------------------
-//
-// The end-to-end sweep above carries costs the engines share (parse,
-// planning, result materialization), which dilutes the operator ratio.
-// These benches time the two acceptance-gated operators directly:
-// selection (filter_rows) and group-by, vectorized vs row oracle over the
-// same Offers table.
-
-void BM_VecOp_Selection(benchmark::State& state) {
-  server::Database& db = berlin_db(static_cast<std::size_t>(state.range(0)));
-  const storage::TablePtr offers = *db.table("Offers");
-  const relational::BatchPolicy policy =
-      state.range(1) != 0 ? relational::BatchPolicy{}
-                          : relational::BatchPolicy::row_engine();
-  relational::TableScope scope(*offers);
-  auto pred = relational::bind_predicate(
-      relational::Expr::make_binary(
-          relational::BinaryOp::kGt,
-          relational::Expr::make_column("", "price"),
-          relational::Expr::make_literal(storage::Value::float64(500.0))),
-      scope, {}, offers->pool());
-  GEMS_CHECK_MSG(pred.is_ok(), pred.status().to_string().c_str());
-  std::size_t out_rows = 0;
-  for (auto _ : state) {
-    auto rows = relational::filter_rows(*offers, **pred, policy);
-    out_rows = rows.size();
-    benchmark::DoNotOptimize(rows);
-  }
-  state.counters["input_rows"] = static_cast<double>(offers->num_rows());
-  state.counters["output_rows"] = static_cast<double>(out_rows);
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(offers->num_rows()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void BM_VecOp_GroupBy(benchmark::State& state) {
-  server::Database& db = berlin_db(static_cast<std::size_t>(state.range(0)));
-  const storage::TablePtr offers = *db.table("Offers");
-  const relational::BatchPolicy policy =
-      state.range(1) != 0 ? relational::BatchPolicy{}
-                          : relational::BatchPolicy::row_engine();
-  const std::vector<storage::ColumnIndex> keys{
-      *offers->schema().find("product")};
-  const std::vector<relational::AggSpec> aggs{
-      {relational::AggKind::kCountStar, 0, "n"},
-      {relational::AggKind::kSum, *offers->schema().find("price"), "total"}};
-  std::size_t out_rows = 0;
-  for (auto _ : state) {
-    auto g = relational::group_by(*offers, keys, aggs, "G", policy);
-    GEMS_CHECK(g.is_ok());
-    out_rows = (*g)->num_rows();
-    benchmark::DoNotOptimize(*g);
-  }
-  state.counters["input_rows"] = static_cast<double>(offers->num_rows());
-  state.counters["output_rows"] = static_cast<double>(out_rows);
-  state.counters["rows_per_sec"] = benchmark::Counter(
-      static_cast<double>(offers->num_rows()),
-      benchmark::Counter::kIsIterationInvariantRate);
-}
-
-void register_vec_ops() {
-  for (const std::size_t scale : {2000, 20000}) {
-    for (const bool vectorized : {true, false}) {
-      const char* suffix = vectorized ? "/vec" : "/row";
-      benchmark::RegisterBenchmark(
-          (std::string("BM_VecOp_selection") + suffix).c_str(),
-          BM_VecOp_Selection)
-          ->Args({static_cast<long>(scale), vectorized ? 1 : 0})
-          ->Unit(benchmark::kMicrosecond);
-      benchmark::RegisterBenchmark(
-          (std::string("BM_VecOp_group_by") + suffix).c_str(),
-          BM_VecOp_GroupBy)
-          ->Args({static_cast<long>(scale), vectorized ? 1 : 0})
-          ->Unit(benchmark::kMicrosecond);
-    }
-  }
-}
-
-const int kRegistered = (register_ops(), register_vec_ops(), 0);
+const int kRegistered = (register_ops(), 0);
 
 }  // namespace
 }  // namespace gems::bench

@@ -6,9 +6,12 @@
 #   scripts/bench_json.sh bench_dist_scaling dist.json     # explicit name
 #   BENCH_ARGS='--benchmark_filter=Chain' scripts/bench_json.sh bench_parallel_matcher
 #
-# The JSON includes google-benchmark's context block (num_cpus, load,
-# caches), which is what qualifies a baseline: compare timings only
-# against baselines recorded on comparable hardware.
+# The benchmark is built in its own Release tree (build-release/), and the
+# JSON's context block carries the git revision and our build type next
+# to google-benchmark's own fields (num_cpus, load, caches). That is what
+# qualifies a baseline: compare timings only against baselines recorded
+# on comparable hardware. (`library_build_type` in the context describes
+# the google-benchmark library, not this build.)
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -22,13 +25,14 @@ case "$bench" in
 esac
 out="${2:-$default_out}"
 
-cmake -B build -S . >/dev/null
-cmake --build build -j --target "$bench"
+cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release >/dev/null
+cmake --build build-release -j --target "$bench"
 
 # shellcheck disable=SC2086  # BENCH_ARGS is intentionally word-split
-./build/bench/"$bench" \
+./build-release/bench/"$bench" \
   --benchmark_out="$out" \
   --benchmark_out_format=json \
+  --benchmark_context=git_sha="$(git rev-parse HEAD)",build_type=Release \
   ${BENCH_ARGS:-}
 
 echo "wrote $out"

@@ -91,7 +91,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
   out.domains.clear();
   out.domains.reserve(net.num_vars());
   for (std::size_t v = 0; v < net.num_vars(); ++v) {
-    Domain d = exec::initial_domain(net, graph, pool, static_cast<int>(v));
+    Domain d = exec::initial_domain(net, graph, static_cast<int>(v));
     for (auto& [type, bits] : d.sets) {
       bits &= partition.owned(rank, type);
     }

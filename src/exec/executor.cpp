@@ -444,9 +444,6 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
   GEMS_ASSIGN_OR_RETURN(
       LoweredQuery lowered,
       lower_graph_query(stmt, ctx.graph, resolver, params, *ctx.pool));
-  // Lowering has no ExecContext access, so the batch policy is stamped
-  // onto each network here (matcher domain scans consult it).
-  for (auto& net : lowered.networks) net.batch_policy = ctx.batch_policy;
 
   std::vector<MatchResult> matches;
   std::vector<NetworkPlan> plans(lowered.networks.size());
@@ -587,10 +584,9 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
     if (ctx.intra_pool != nullptr &&
         source->num_rows() >= ExecContext::kParallelScanThreshold) {
       rows = relational::filter_rows_parallel(*source, *pred,
-                                              *ctx.intra_pool,
-                                              ctx.batch_policy);
+                                              *ctx.intra_pool);
     } else {
-      rows = relational::filter_rows(*source, *pred, ctx.batch_policy);
+      rows = relational::filter_rows(*source, *pred);
     }
   } else {
     rows.resize(source->num_rows());
@@ -668,10 +664,9 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
                        });
     }
 
-    out = relational::project(*source, rows, outputs, out_name,
-                              ctx.batch_policy);
+    out = relational::project(*source, rows, outputs, out_name);
     if (stmt.distinct) {
-      out = relational::distinct(*out, out_name, ctx.batch_policy);
+      out = relational::distinct(*out, out_name);
     }
     if (!stmt.order_by.empty() && order_on_output) {
       std::vector<SortKey> keys;
@@ -727,15 +722,15 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
       aggs.push_back(std::move(spec));
     }
 
-    TablePtr pre = relational::project(*source, rows, pre_outputs, "$pre",
-                                       ctx.batch_policy);
+    TablePtr pre =
+        relational::project(*source, rows, pre_outputs, "$pre");
     std::vector<ColumnIndex> keys(stmt.group_by.size());
     for (std::size_t k = 0; k < keys.size(); ++k) {
       keys[k] = static_cast<ColumnIndex>(k);
     }
     GEMS_ASSIGN_OR_RETURN(
         TablePtr grouped_table,
-        relational::group_by(*pre, keys, aggs, "$grouped", ctx.batch_policy));
+        relational::group_by(*pre, keys, aggs, "$grouped"));
 
     // Final projection into item order with user-facing names.
     std::vector<ColumnIndex> out_cols;
@@ -767,7 +762,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
     out = relational::materialize(*grouped_table, all, out_cols, out_name,
                                   &names);
     if (stmt.distinct) {
-      out = relational::distinct(*out, out_name, ctx.batch_policy);
+      out = relational::distinct(*out, out_name);
     }
     if (!stmt.order_by.empty()) {
       std::vector<SortKey> sort_keys;

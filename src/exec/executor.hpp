@@ -71,12 +71,6 @@ struct ExecContext {
   ThreadPool* intra_pool = nullptr;
   static constexpr std::size_t kParallelScanThreshold = 1 << 14;
 
-  /// Batch policy for the relational operators and matcher domain scans:
-  /// vectorized kernel execution by default, BatchPolicy::row_engine()
-  /// for the row-at-a-time oracle (DatabaseOptions::vectorized_execution
-  /// maps here; the equivalence property tests sweep intermediate sizes).
-  relational::BatchPolicy batch_policy;
-
   /// Matcher activity counters, owned by the database (nullptr = not
   /// recorded). Copies of the context (epochs, scheduler copies) share it.
   MatcherMetrics* matcher_metrics = nullptr;

@@ -454,12 +454,13 @@ class NetworkBuilder {
       if (self_only) {
         VertexVar& vv = net_.vars[self_var];
         vv.self_conds.push_back(std::move(bound));
-        // Kernel form for the matcher's batched domain scan. A nullptr
-        // entry (conjunct not vectorizable) keeps the slot index-aligned;
-        // the matcher then falls back to row evaluation for this var.
+        // Kernel form for the matcher's batched domain scan. Compilation
+        // fails only on another source's column, which a self-only
+        // conjunct cannot reference.
         vv.self_cond_kernels.push_back(relational::VectorExpr::compile(
             *vv.self_conds.back(), static_cast<std::uint16_t>(self_var),
             pool_));
+        GEMS_CHECK(vv.self_cond_kernels.back() != nullptr);
       } else {
         CrossPred pred;
         pred.pred = std::move(bound);

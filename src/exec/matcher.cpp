@@ -525,8 +525,7 @@ bool vertex_passes(const ConstraintNetwork& net, const GraphView& graph,
 }
 
 Domain initial_domain(const ConstraintNetwork& net, const GraphView& graph,
-                      const StringPool& pool, int var,
-                      ThreadPool* intra_pool) {
+                      int var, ThreadPool* intra_pool) {
   const VertexVar& vv = net.vars[var];
   Domain d;
   for (const VertexTypeId t : vv.types) {
@@ -547,83 +546,52 @@ Domain initial_domain(const ConstraintNetwork& net, const GraphView& graph,
       d.sets.emplace(t, std::move(bits));
       continue;
     }
-    // Condition evaluation per candidate vertex. Workers own disjoint
-    // word-aligned vertex ranges of the output bitset, so they can write
-    // it directly — no shards, no merge. Self conditions reference only
-    // this variable's slot (see vertex_passes): a right-sized private
-    // cursor span per worker avoids the wide band.
-    //
-    // When every self conjunct compiled to a kernel (lowering), the scan
-    // gathers representative rows of seed-surviving vertices into batches
-    // and ANDs the kernels' accepting-lane words — bit-identical to the
-    // row loop (kernels reproduce eval_predicate; property-tested), and
-    // race-free because workers still own disjoint word ranges.
-    const bool use_kernels =
-        net.batch_policy.vectorized() &&
-        vv.self_cond_kernels.size() == vv.self_conds.size() &&
-        std::all_of(vv.self_cond_kernels.begin(), vv.self_cond_kernels.end(),
-                    [](const relational::VectorExprPtr& k) {
-                      return k != nullptr;
-                    });
+    // Condition evaluation per candidate vertex: the scan gathers
+    // representative rows of seed-surviving vertices into batches and
+    // ANDs the self conjuncts' kernel results (compiled at lowering).
+    // Workers own disjoint word-aligned vertex ranges of the output
+    // bitset, so they write it directly — no shards, no merge.
+    GEMS_DCHECK(vv.self_cond_kernels.size() == vv.self_conds.size());
     auto fill_range = [&](std::size_t word_begin, std::size_t word_end) {
       const std::size_t v_end =
           std::min<std::size_t>(vt.num_vertices(), word_end * 64);
-      if (use_kernels) {
-        const std::size_t window = net.batch_policy.clamped_rows();
-        std::vector<relational::EvalScratch> scratches;
-        scratches.reserve(vv.self_cond_kernels.size());
-        for (const auto& k : vv.self_cond_kernels) {
-          scratches.push_back(k->make_scratch());
-        }
-        std::array<storage::RowIndex, relational::kBatchRows> rows;
-        std::array<std::size_t, relational::kBatchRows> verts;
-        std::array<std::uint64_t, relational::kBatchWords> acc;
-        std::size_t count = 0;
-        auto flush = [&] {
-          if (count == 0) return;
-          const relational::RowBatch rb{&vt.source(), 0, rows.data(), count};
-          relational::fill_ones_words(acc.data(), count);
-          const std::size_t nw = relational::batch_words(count);
-          for (std::size_t k = 0; k < vv.self_cond_kernels.size(); ++k) {
-            const relational::ValueVector res =
-                vv.self_cond_kernels[k]->eval(rb, scratches[k]);
-            // bits ⊆ valid: set bits are exactly the truthy lanes.
-            bool any = false;
-            for (std::size_t w = 0; w < nw; ++w) {
-              acc[w] &= res.bits[w];
-              any |= acc[w] != 0;
-            }
-            if (!any) break;
-          }
-          relational::for_each_lane(
-              acc.data(), count,
-              [&](std::size_t lane) { bits.set(verts[lane]); });
-          count = 0;
-        };
-        for (std::size_t v = word_begin * 64; v < v_end; ++v) {
-          if (seed_bits != nullptr && !seed_bits->test(v)) continue;
-          rows[count] =
-              vt.representative_row(static_cast<VertexIndex>(v));
-          verts[count] = v;
-          if (++count == window) flush();
-        }
-        flush();
-        return;
+      std::vector<relational::EvalScratch> scratches;
+      scratches.reserve(vv.self_cond_kernels.size());
+      for (const auto& k : vv.self_cond_kernels) {
+        scratches.push_back(k->make_scratch());
       }
-      std::vector<RowCursor> cursors(static_cast<std::size_t>(var) + 1);
+      std::array<storage::RowIndex, relational::kBatchRows> rows;
+      std::array<std::size_t, relational::kBatchRows> verts;
+      std::array<std::uint64_t, relational::kBatchWords> acc;
+      std::size_t count = 0;
+      auto flush = [&] {
+        if (count == 0) return;
+        const relational::RowBatch rb{&vt.source(), 0, rows.data(), count};
+        relational::fill_ones_words(acc.data(), count);
+        const std::size_t nw = relational::batch_words(count);
+        for (std::size_t k = 0; k < vv.self_cond_kernels.size(); ++k) {
+          const relational::ValueVector res =
+              vv.self_cond_kernels[k]->eval(rb, scratches[k]);
+          // bits ⊆ valid: set bits are exactly the truthy lanes.
+          bool any = false;
+          for (std::size_t w = 0; w < nw; ++w) {
+            acc[w] &= res.bits[w];
+            any |= acc[w] != 0;
+          }
+          if (!any) break;
+        }
+        relational::for_each_lane(
+            acc.data(), count,
+            [&](std::size_t lane) { bits.set(verts[lane]); });
+        count = 0;
+      };
       for (std::size_t v = word_begin * 64; v < v_end; ++v) {
         if (seed_bits != nullptr && !seed_bits->test(v)) continue;
-        cursors[var] = {&vt.source(),
-                        vt.representative_row(static_cast<VertexIndex>(v))};
-        bool ok = true;
-        for (const auto& pred : vv.self_conds) {
-          if (!relational::eval_predicate(*pred, cursors, pool)) {
-            ok = false;
-            break;
-          }
-        }
-        if (ok) bits.set(v);
+        rows[count] = vt.representative_row(static_cast<VertexIndex>(v));
+        verts[count] = v;
+        if (++count == relational::kBatchRows) flush();
       }
+      flush();
     };
     if (intra_pool != nullptr && bits.num_words() >= kParallelFrontierWords) {
       intra_pool->parallel_for_ranges(
@@ -712,7 +680,7 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
   result.domains.reserve(net.num_vars());
   for (std::size_t v = 0; v < net.num_vars(); ++v) {
     result.domains.push_back(
-        initial_domain(net, graph, pool, static_cast<int>(v), intra_pool));
+        initial_domain(net, graph, static_cast<int>(v), intra_pool));
   }
 
   // One predicate evaluator per worker shard (the cursor band is mutable

@@ -93,8 +93,8 @@ bool vertex_passes(const ConstraintNetwork& net, const graph::GraphView& graph,
 /// `intra_pool` (workers own disjoint word-aligned ranges of the output
 /// bitset, so no merge is needed).
 Domain initial_domain(const ConstraintNetwork& net,
-                      const graph::GraphView& graph, const StringPool& pool,
-                      int var, ThreadPool* intra_pool = nullptr);
+                      const graph::GraphView& graph, int var,
+                      ThreadPool* intra_pool = nullptr);
 
 /// Closure of a regex group: all end vertices reachable from `start` with
 /// an admissible number of body iterations (forward), or all start

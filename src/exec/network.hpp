@@ -58,9 +58,7 @@ struct VertexVar {
   std::vector<relational::BoundExprPtr> self_conds;
   // Kernel form of self_conds, index-aligned, compiled once at lowering
   // against this variable's source id. The matcher's initial-domain scan
-  // evaluates these over batches of representative rows (bit-identical to
-  // the row path). A nullptr entry means that conjunct did not compile;
-  // the whole variable then falls back to row evaluation.
+  // evaluates these over batches of representative rows.
   std::vector<relational::VectorExprPtr> self_cond_kernels;
   SubgraphPtr seed;        // Fig. 12: restrict to a previous result
   std::string display;     // label if labelled, else type name (for output)
@@ -156,11 +154,6 @@ struct ConstraintNetwork {
   /// no cross predicates and no constraint cycles through foreach
   /// aliases. Conservatively computed at lowering.
   bool tree_exact = true;
-
-  /// Batch policy for the matcher's vectorized domain scans. The executor
-  /// copies ExecContext::batch_policy here after lowering; the default is
-  /// the vectorized engine (row_engine() forces the oracle path).
-  relational::BatchPolicy batch_policy;
 
   std::size_t num_vars() const { return vars.size(); }
 };

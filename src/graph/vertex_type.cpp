@@ -1,13 +1,34 @@
 #include "graph/vertex_type.hpp"
 
-#include "relational/eval.hpp"
+#include "relational/operators.hpp"
 #include "relational/row_key.hpp"
 
 namespace gems::graph {
 
-using relational::RowCursor;
 using storage::ColumnIndex;
 using storage::RowIndex;
+
+namespace {
+
+/// Calls fn(row) in ascending order for every row of `table` from
+/// `first_row` on that passes `filter` (every row when there is none),
+/// until fn returns false. Filtered scans run the relational kernels.
+template <typename Fn>
+void for_each_passing_row(const storage::Table& table,
+                          const relational::BoundExpr* filter,
+                          RowIndex first_row, Fn&& fn) {
+  if (filter == nullptr) {
+    for (std::size_t r = first_row; r < table.num_rows(); ++r) {
+      if (!fn(static_cast<RowIndex>(r))) return;
+    }
+    return;
+  }
+  for (const RowIndex r : relational::filter_rows(table, *filter, first_row)) {
+    if (!fn(r)) return;
+  }
+}
+
+}  // namespace
 
 Result<VertexType> VertexType::build(VertexTypeId id, std::string name,
                                      storage::TablePtr source,
@@ -24,21 +45,14 @@ Result<VertexType> VertexType::build(VertexTypeId id, std::string name,
   vt.key_cols_ = std::move(key_cols);
 
   const storage::Table& table = *vt.source_;
-  RowCursor cursor{&table, 0};
-  const std::span<const RowCursor> sources(&cursor, 1);
-  const StringPool& pool = table.pool();
-
   vt.matching_rows_ = DynamicBitset(table.num_rows());
-  for (std::size_t r = 0; r < table.num_rows(); ++r) {
-    cursor.row = static_cast<RowIndex>(r);
-    if (filter && !relational::eval_predicate(*filter, sources, pool)) {
-      continue;
-    }
+  for_each_passing_row(table, filter.get(), 0, [&](RowIndex r) {
     vt.matching_rows_.set(r);
-    if (!vt.add_row(cursor.row)) {
+    if (!vt.add_row(r)) {
       vt.one_to_one_ = false;  // a second row collapsed into this vertex
     }
-  }
+    return true;
+  });
   return vt;
 }
 
@@ -55,22 +69,14 @@ Result<VertexType> VertexType::extend(const VertexType& base,
   vt.source_ = new_source;
   vt.matching_rows_.resize(new_source->num_rows(), false);
 
-  const storage::Table& table = *new_source;
-  RowCursor cursor{&table, 0};
-  const std::span<const RowCursor> sources(&cursor, 1);
-  const StringPool& pool = table.pool();
-
-  for (std::size_t r = first_new_row; r < table.num_rows(); ++r) {
-    cursor.row = static_cast<RowIndex>(r);
-    if (filter && !relational::eval_predicate(*filter, sources, pool)) {
-      continue;
-    }
+  for_each_passing_row(*new_source, filter, first_new_row, [&](RowIndex r) {
     vt.matching_rows_.set(r);
-    if (!vt.add_row(cursor.row) && vt.one_to_one_) {
+    if (!vt.add_row(r) && vt.one_to_one_) {
       *flipped = true;  // visibility/collapse semantics change: rebuild
-      return vt;
+      return false;
     }
-  }
+    return true;
+  });
   return vt;
 }
 

@@ -19,7 +19,6 @@
 //  * Bits at or past the batch size are zero in every word array.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <vector>
@@ -37,22 +36,6 @@ namespace gems::relational {
 /// chunk of every column and is read in place.
 inline constexpr std::size_t kBatchRows = kChunkRows;
 inline constexpr std::size_t kBatchWords = kBatchRows / 64;
-
-/// Execution policy threaded from ExecContext into the relational
-/// operators. batch_rows == 0 disables the kernel engine (row-at-a-time
-/// oracle path); any other value is clamped to [1, kBatchRows]. Sizes
-/// below kBatchRows exist for the equivalence property tests (batch size
-/// 1 must reproduce today's row engine byte-for-byte).
-struct BatchPolicy {
-  std::size_t batch_rows = kBatchRows;
-
-  bool vectorized() const noexcept { return batch_rows != 0; }
-  std::size_t clamped_rows() const noexcept {
-    return std::clamp<std::size_t>(batch_rows, 1, kBatchRows);
-  }
-
-  static BatchPolicy row_engine() noexcept { return BatchPolicy{0}; }
-};
 
 /// One evaluation window over a single source table. rows == nullptr
 /// means the contiguous window [base, base + size); otherwise `rows`

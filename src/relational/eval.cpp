@@ -160,46 +160,4 @@ Cell eval_cell(const BoundExpr& expr, std::span<const RowCursor> sources,
   GEMS_UNREACHABLE("bad bound expr kind");
 }
 
-storage::Value cell_to_value(const Cell& cell, const StringPool& pool) {
-  if (cell.null) return storage::Value::null();
-  switch (cell.kind) {
-    case TypeKind::kBool:
-      return storage::Value::boolean(cell.b);
-    case TypeKind::kInt64:
-      return storage::Value::int64(cell.i);
-    case TypeKind::kDate:
-      return storage::Value::date(cell.i);
-    case TypeKind::kDouble:
-      return storage::Value::float64(cell.d);
-    case TypeKind::kVarchar:
-      return storage::Value::varchar(std::string(pool.view(cell.s)));
-  }
-  GEMS_UNREACHABLE("bad cell kind");
-}
-
-void append_cell(storage::Column& column, const Cell& cell) {
-  if (cell.null) {
-    column.append_null();
-    return;
-  }
-  switch (column.type().kind) {
-    case TypeKind::kBool:
-      column.append_bool(cell.b);
-      return;
-    case TypeKind::kInt64:
-    case TypeKind::kDate:
-      column.append_int64(cell.i);
-      return;
-    case TypeKind::kDouble:
-      column.append_double(cell.kind == TypeKind::kDouble
-                               ? cell.d
-                               : static_cast<double>(cell.i));
-      return;
-    case TypeKind::kVarchar:
-      column.append_string(cell.s);
-      return;
-  }
-  GEMS_UNREACHABLE("bad column kind");
-}
-
 }  // namespace gems::relational

@@ -32,11 +32,4 @@ inline bool eval_predicate(const BoundExpr& expr,
   return eval_cell(expr, sources, pool).truthy();
 }
 
-/// Boxes a Cell back into a Value (result materialization).
-storage::Value cell_to_value(const Cell& cell, const StringPool& pool);
-
-/// Appends a Cell to a column of matching kind (Int64 cells are accepted
-/// into Double columns via promotion).
-void append_cell(storage::Column& column, const Cell& cell);
-
 }  // namespace gems::relational

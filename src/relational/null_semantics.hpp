@@ -1,7 +1,8 @@
 // SQL three-valued logic and NULL-propagation rules, in one place.
 //
-// Both evaluation engines — the row-at-a-time oracle (eval.cpp) and the
-// vectorized kernel tree (vector_eval.cpp) — consult these tables, so the
+// Both evaluators — the scalar interpreter (eval.cpp: per-binding graph
+// conditions, and the row oracle under tests/) and the vectorized kernel
+// tree (vector_eval.cpp) — consult these tables, so the
 // NULL semantics of every operator have a single source of truth. The
 // vectorized engine processes validity word-at-a-time with the closed-form
 // bit formulas below; relational_test cross-checks each formula against

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <limits>
 #include <memory>
-#include <unordered_map>
 
 #include "common/check.hpp"
-#include "relational/eval.hpp"
 #include "relational/row_key.hpp"
 #include "relational/vector_eval.hpp"
 
@@ -26,9 +24,9 @@ inline constexpr std::uint32_t kChainEnd =
 
 /// Flat open-addressing map from a 64-bit key hash to the head of a
 /// chain (linear probing, power-of-two capacity, no deletion). The
-/// vectorized group-by/join/distinct paths do one find-or-insert per
-/// input row; unordered_map's node allocations and pointer chases
-/// dominate at that rate. Chains carry hash collisions AND equal keys —
+/// group-by/join/distinct paths do one find-or-insert per input row;
+/// unordered_map's node allocations and pointer chases dominate at that
+/// rate. Chains carry hash collisions AND equal keys —
 /// callers verify exact key equality per chain entry, so two distinct
 /// keys sharing a hash never merge.
 class HashHeads {
@@ -167,28 +165,25 @@ class KeyCellMap {
   std::vector<Slot> slots_;
 };
 
+/// Compiles an operator expression. Operator inputs are bound against a
+/// single-source TableScope, and compilation fails only on a column of
+/// another source, so it cannot fail here.
+VectorExprPtr compile_operand(const BoundExpr& expr, const StringPool& pool) {
+  VectorExprPtr kernel = VectorExpr::compile(expr, 0, pool);
+  GEMS_CHECK_MSG(kernel != nullptr,
+                 "operator expression references a second source");
+  return kernel;
+}
+
 /// Filters [begin, end) of `table`, appending accepting rows to `out` in
-/// ascending order. Batched when `kernel` is set, row-at-a-time otherwise.
-void filter_window(const Table& table, const BoundExpr& predicate,
-                   const VectorExpr* kernel, EvalScratch* scratch,
-                   std::size_t begin, std::size_t end, std::size_t batch_rows,
+/// ascending order.
+void filter_window(const Table& table, const VectorExpr& kernel,
+                   EvalScratch& scratch, std::size_t begin, std::size_t end,
                    std::vector<RowIndex>& out) {
-  if (kernel != nullptr) {
-    for (std::size_t b = begin; b < end; b += batch_rows) {
-      const RowBatch batch{&table, static_cast<RowIndex>(b), nullptr,
-                           std::min(batch_rows, end - b)};
-      filter_batch(*kernel, batch, *scratch, out);
-    }
-    return;
-  }
-  RowCursor cursor{&table, 0};
-  const std::span<const RowCursor> sources(&cursor, 1);
-  const StringPool& pool = table.pool();
-  for (std::size_t r = begin; r < end; ++r) {
-    cursor.row = static_cast<RowIndex>(r);
-    if (eval_predicate(predicate, sources, pool)) {
-      out.push_back(cursor.row);
-    }
+  for (std::size_t b = begin; b < end; b += kBatchRows) {
+    const RowBatch batch{&table, static_cast<RowIndex>(b), nullptr,
+                         std::min(kBatchRows, end - b)};
+    filter_batch(kernel, batch, scratch, out);
   }
 }
 
@@ -196,27 +191,17 @@ void filter_window(const Table& table, const BoundExpr& predicate,
 
 std::vector<RowIndex> filter_rows(const Table& table,
                                   const BoundExpr& predicate,
-                                  const BatchPolicy& policy) {
-  VectorExprPtr kernel;
-  if (policy.vectorized()) {
-    kernel = VectorExpr::compile(predicate, 0, table.pool());
-  }
+                                  RowIndex first_row) {
+  const VectorExprPtr kernel = compile_operand(predicate, table.pool());
+  EvalScratch scratch = kernel->make_scratch();
   std::vector<RowIndex> out;
-  if (kernel != nullptr) {
-    EvalScratch scratch = kernel->make_scratch();
-    filter_window(table, predicate, kernel.get(), &scratch, 0,
-                  table.num_rows(), policy.clamped_rows(), out);
-  } else {
-    filter_window(table, predicate, nullptr, nullptr, 0, table.num_rows(), 0,
-                  out);
-  }
+  filter_window(table, *kernel, scratch, first_row, table.num_rows(), out);
   return out;
 }
 
 std::vector<RowIndex> filter_rows_parallel(const Table& table,
                                            const BoundExpr& predicate,
-                                           ThreadPool& pool,
-                                           const BatchPolicy& policy) {
+                                           ThreadPool& pool) {
   const std::size_t n = table.num_rows();
   const std::size_t num_chunks = std::min<std::size_t>(
       std::max<std::size_t>(1, pool.size() * 4), std::max<std::size_t>(1, n));
@@ -226,23 +211,12 @@ std::vector<RowIndex> filter_rows_parallel(const Table& table,
   // One kernel compilation shared by all workers; scratches are per-chunk
   // (kernels are immutable after compile, scratch is the only mutable
   // state).
-  VectorExprPtr kernel;
-  if (policy.vectorized()) {
-    kernel = VectorExpr::compile(predicate, 0, table.pool());
-  }
-  const std::size_t batch_rows = policy.clamped_rows();
-
+  const VectorExprPtr kernel = compile_operand(predicate, table.pool());
   pool.parallel_for(num_chunks, [&](std::size_t c) {
     const std::size_t begin = c * chunk;
     const std::size_t end = std::min(n, begin + chunk);
-    if (kernel != nullptr) {
-      EvalScratch scratch = kernel->make_scratch();
-      filter_window(table, predicate, kernel.get(), &scratch, begin, end,
-                    batch_rows, partials[c]);
-    } else {
-      filter_window(table, predicate, nullptr, nullptr, begin, end, 0,
-                    partials[c]);
-    }
+    EvalScratch scratch = kernel->make_scratch();
+    filter_window(table, *kernel, scratch, begin, end, partials[c]);
   });
 
   std::vector<RowIndex> out;
@@ -277,62 +251,36 @@ TablePtr materialize(const Table& src, std::span<const RowIndex> rows,
 }
 
 TablePtr project(const Table& src, std::span<const RowIndex> rows,
-                 std::span<const OutputColumn> outputs, std::string name,
-                 const BatchPolicy& policy) {
+                 std::span<const OutputColumn> outputs, std::string name) {
   std::vector<ColumnDef> defs;
   defs.reserve(outputs.size());
   for (const auto& o : outputs) defs.push_back({o.name, o.expr->type});
   auto out = std::make_shared<Table>(std::move(name), Schema(std::move(defs)),
                                      src.pool());
 
-  if (policy.vectorized()) {
-    std::vector<VectorExprPtr> kernels;
-    kernels.reserve(outputs.size());
-    bool all_compiled = true;
-    for (const auto& o : outputs) {
-      VectorExprPtr k = VectorExpr::compile(*o.expr, 0, src.pool());
-      if (k == nullptr) {
-        all_compiled = false;
-        break;
-      }
-      kernels.push_back(std::move(k));
-    }
-    if (all_compiled) {
-      std::vector<EvalScratch> scratches;
-      scratches.reserve(kernels.size());
-      for (const auto& k : kernels) scratches.push_back(k->make_scratch());
-      const std::size_t batch_rows = policy.clamped_rows();
-      for (std::size_t off = 0; off < rows.size(); off += batch_rows) {
-        const std::size_t n = std::min(batch_rows, rows.size() - off);
-        const RowBatch batch{&src, 0, rows.data() + off, n};
-        for (std::size_t c = 0; c < kernels.size(); ++c) {
-          const ValueVector v = kernels[c]->eval(batch, scratches[c]);
-          append_vector(out->column_mut(static_cast<ColumnIndex>(c)), v, n);
-        }
-        out->bump_rows(n);
-      }
-      return out;
-    }
+  std::vector<VectorExprPtr> kernels;
+  std::vector<EvalScratch> scratches;
+  kernels.reserve(outputs.size());
+  scratches.reserve(outputs.size());
+  for (const auto& o : outputs) {
+    kernels.push_back(compile_operand(*o.expr, src.pool()));
+    scratches.push_back(kernels.back()->make_scratch());
   }
-
-  RowCursor cursor{&src, 0};
-  const std::span<const RowCursor> sources(&cursor, 1);
-  const StringPool& pool = src.pool();
-  for (const RowIndex r : rows) {
-    cursor.row = r;
-    for (std::size_t c = 0; c < outputs.size(); ++c) {
-      const Cell cell = eval_cell(*outputs[c].expr, sources, pool);
-      append_cell(out->column_mut(static_cast<ColumnIndex>(c)), cell);
+  for (std::size_t off = 0; off < rows.size(); off += kBatchRows) {
+    const std::size_t n = std::min(kBatchRows, rows.size() - off);
+    const RowBatch batch{&src, 0, rows.data() + off, n};
+    for (std::size_t c = 0; c < kernels.size(); ++c) {
+      const ValueVector v = kernels[c]->eval(batch, scratches[c]);
+      append_vector(out->column_mut(static_cast<ColumnIndex>(c)), v, n);
     }
-    out->bump_row_count();
+    out->bump_rows(n);
   }
   return out;
 }
 
 Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
     const Table& left, std::span<const ColumnIndex> left_keys,
-    const Table& right, std::span<const ColumnIndex> right_keys,
-    const BatchPolicy& policy) {
+    const Table& right, std::span<const ColumnIndex> right_keys) {
   if (left_keys.size() != right_keys.size() || left_keys.empty()) {
     return invalid_argument("join key arity mismatch");
   }
@@ -361,86 +309,52 @@ Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
 
   std::vector<std::pair<RowIndex, RowIndex>> out;
 
-  if (policy.vectorized()) {
-    // Hash → chain table over raw 64-bit key hashes, filled and probed in
-    // batches with column-at-a-time bulk hashing (no per-row key-string
-    // allocations). Chains carry hash collisions AND equal keys; probes
-    // verify exact key equality per candidate. Pair order is normalized
-    // by the final sort, so chain order never shows in results.
-    const std::size_t batch_rows = policy.clamped_rows();
-    std::vector<std::uint64_t> hashes(batch_rows);
-    std::vector<std::uint8_t> nulls(batch_rows);
+  // Hash → chain table over raw 64-bit key hashes, filled and probed in
+  // batches with column-at-a-time bulk hashing (no per-row key-string
+  // allocations). Chains carry hash collisions AND equal keys; probes
+  // verify exact key equality per candidate. Pair order is normalized by
+  // the final sort, so chain order never shows in results.
+  std::vector<std::uint64_t> hashes(kBatchRows);
+  std::vector<std::uint8_t> nulls(kBatchRows);
 
-    const std::size_t bn = build.num_rows();
-    HashHeads heads(bn);
-    std::vector<std::uint32_t> next(bn, kChainEnd);
-    for (std::size_t base = 0; base < bn; base += batch_rows) {
-      const std::size_t n = std::min(batch_rows, bn - base);
-      hash_row_key_batch(build, static_cast<RowIndex>(base), nullptr, n,
-                         build_keys, hashes.data(), nulls.data());
-      for (std::size_t i = 0; i < n; ++i) heads.prefetch(hashes[i]);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (nulls[i] != 0) continue;  // SQL: NULL keys never match
-        const RowIndex row = static_cast<RowIndex>(base + i);
-        std::uint32_t& head = heads.slot(hashes[i]);
-        next[row] = head;  // LIFO chain; kChainEnd when first
-        head = row;
-      }
+  const std::size_t bn = build.num_rows();
+  HashHeads heads(bn);
+  std::vector<std::uint32_t> next(bn, kChainEnd);
+  for (std::size_t base = 0; base < bn; base += kBatchRows) {
+    const std::size_t n = std::min(kBatchRows, bn - base);
+    hash_row_key_batch(build, static_cast<RowIndex>(base), nullptr, n,
+                       build_keys, hashes.data(), nulls.data());
+    for (std::size_t i = 0; i < n; ++i) heads.prefetch(hashes[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (nulls[i] != 0) continue;  // SQL: NULL keys never match
+      const RowIndex row = static_cast<RowIndex>(base + i);
+      std::uint32_t& head = heads.slot(hashes[i]);
+      next[row] = head;  // LIFO chain; kChainEnd when first
+      head = row;
     }
+  }
 
-    const std::size_t pn = probe.num_rows();
-    for (std::size_t base = 0; base < pn; base += batch_rows) {
-      const std::size_t n = std::min(batch_rows, pn - base);
-      hash_row_key_batch(probe, static_cast<RowIndex>(base), nullptr, n,
-                         probe_keys, hashes.data(), nulls.data());
-      for (std::size_t i = 0; i < n; ++i) heads.prefetch(hashes[i]);
-      for (std::size_t i = 0; i < n; ++i) {
-        if (nulls[i] != 0) continue;
-        const RowIndex row = static_cast<RowIndex>(base + i);
-        for (std::uint32_t b = heads.find(hashes[i]); b != kChainEnd;
-             b = next[b]) {
-          if (!row_keys_equal(build, b, build_keys, probe, row, probe_keys)) {
-            continue;
-          }
-          out.emplace_back(build_left ? b : row, build_left ? row : b);
+  const std::size_t pn = probe.num_rows();
+  for (std::size_t base = 0; base < pn; base += kBatchRows) {
+    const std::size_t n = std::min(kBatchRows, pn - base);
+    hash_row_key_batch(probe, static_cast<RowIndex>(base), nullptr, n,
+                       probe_keys, hashes.data(), nulls.data());
+    for (std::size_t i = 0; i < n; ++i) heads.prefetch(hashes[i]);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (nulls[i] != 0) continue;
+      const RowIndex row = static_cast<RowIndex>(base + i);
+      for (std::uint32_t b = heads.find(hashes[i]); b != kChainEnd;
+           b = next[b]) {
+        if (!row_keys_equal(build, b, build_keys, probe, row, probe_keys)) {
+          continue;
         }
-      }
-    }
-  } else {
-    auto has_null_key = [](const Table& t, RowIndex r,
-                           std::span<const ColumnIndex> keys) {
-      for (const auto k : keys) {
-        if (t.column(k).is_null(r)) return true;
-      }
-      return false;
-    };
-
-    std::unordered_map<std::string, std::vector<RowIndex>, RowKeyHash,
-                       std::equal_to<>>
-        index;
-    index.reserve(build.num_rows());
-    for (std::size_t r = 0; r < build.num_rows(); ++r) {
-      const RowIndex row = static_cast<RowIndex>(r);
-      if (has_null_key(build, row, build_keys)) continue;
-      index[encode_row_key(build, row, build_keys)].push_back(row);
-    }
-
-    std::string key;
-    for (std::size_t r = 0; r < probe.num_rows(); ++r) {
-      const RowIndex row = static_cast<RowIndex>(r);
-      if (has_null_key(probe, row, probe_keys)) continue;
-      key.clear();
-      for (const auto k : probe_keys) append_key_part(probe, row, k, key);
-      auto it = index.find(key);
-      if (it == index.end()) continue;
-      for (const RowIndex b : it->second) {
         out.emplace_back(build_left ? b : row, build_left ? row : b);
       }
     }
   }
 
-  // Deterministic output order regardless of build-side choice (and, in
-  // the vectorized path, of hash/chain order).
+  // Deterministic output order regardless of build-side choice and of
+  // hash/chain order.
   std::sort(out.begin(), out.end());
   return out;
 }
@@ -450,9 +364,9 @@ Result<TablePtr> hash_join(const Table& left,
                            const Table& right,
                            std::span<const ColumnIndex> right_keys,
                            std::span<const JoinOutput> outputs,
-                           std::string name, const BatchPolicy& policy) {
-  GEMS_ASSIGN_OR_RETURN(
-      auto pairs, hash_join_pairs(left, left_keys, right, right_keys, policy));
+                           std::string name) {
+  GEMS_ASSIGN_OR_RETURN(auto pairs,
+                        hash_join_pairs(left, left_keys, right, right_keys));
   std::vector<ColumnDef> defs;
   defs.reserve(outputs.size());
   for (const auto& o : outputs) {
@@ -552,30 +466,10 @@ Result<DataType> agg_output_type(const AggSpec& spec, const Table& src) {
   GEMS_UNREACHABLE("bad agg kind");
 }
 
-/// Assigns every row its group id (first-seen order) via encoded string
-/// keys — the row-engine oracle path.
-void assign_groups_rowkey(const Table& src, std::span<const ColumnIndex> keys,
-                          std::uint32_t* group_of_row,
-                          std::vector<RowIndex>& representatives) {
-  std::unordered_map<std::string, std::uint32_t, RowKeyHash, std::equal_to<>>
-      group_index;
-  for (std::size_t r = 0; r < src.num_rows(); ++r) {
-    const RowIndex row = static_cast<RowIndex>(r);
-    const auto [it, inserted] = group_index.emplace(
-        encode_row_key(src, row, keys),
-        static_cast<std::uint32_t>(representatives.size()));
-    if (inserted) representatives.push_back(row);
-    group_of_row[r] = it->second;
-  }
-}
-
-/// Same group assignment through batched 64-bit key hashing and hash →
-/// group chains; exact key equality is verified against each candidate
-/// group's representative, so hash collisions cannot merge groups. Group
-/// ids come out in first-seen row order, identical to the rowkey path.
 /// First-seen dedup over `keys`, shared by group-by and distinct:
 /// `firsts` collects the first row of each distinct key (in row order)
-/// and, when non-null, entry_of_row[r] receives row r's entry id.
+/// and, when non-null, entry_of_row[r] receives row r's entry id. Entry
+/// ids are therefore group ids in first-seen row order.
 ///
 /// Keys are compared as normalized cells (key_cells_batch): the batch's
 /// own cells come from sequential column sweeps, each entry keeps one
@@ -586,13 +480,13 @@ void assign_groups_rowkey(const Table& src, std::span<const ColumnIndex> keys,
 /// number of DISTINCT keys (grown on demand), not input rows, keeping
 /// the slot array cache-resident for the common aggregation shapes.
 void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
-                       std::size_t batch_rows, std::uint32_t* entry_of_row,
+                       std::uint32_t* entry_of_row,
                        std::vector<RowIndex>& firsts) {
   const std::size_t n = src.num_rows();
   const std::size_t nc = keys.size();
-  std::vector<std::uint64_t> hashes(batch_rows);
-  std::vector<std::uint64_t> cell_bits(batch_rows * nc);
-  std::vector<std::uint8_t> cell_null(batch_rows * nc);
+  std::vector<std::uint64_t> hashes(kBatchRows);
+  std::vector<std::uint64_t> cell_bits(kBatchRows * nc);
+  std::vector<std::uint8_t> cell_null(kBatchRows * nc);
   std::vector<std::uint64_t> entry_hash;  // per entry, for rebuilds
   std::vector<std::uint64_t> entry_bits;  // num_entries x nc, row-major
   std::vector<std::uint8_t> entry_null;
@@ -601,11 +495,11 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
     // Single key column: the cell fits in the map slot itself, so a
     // probe is one random load with no chain indirection.
     KeyCellMap map(/*expected=*/128);
-    for (std::size_t base = 0; base < n; base += batch_rows) {
-      const std::size_t bn = std::min(batch_rows, n - base);
+    for (std::size_t base = 0; base < n; base += kBatchRows) {
+      const std::size_t bn = std::min(kBatchRows, n - base);
       key_cells_batch(src, static_cast<RowIndex>(base), bn, keys[0],
                       cell_bits.data(), cell_null.data());
-      hash_key_cells(cell_bits.data(), cell_null.data(), bn, 1, batch_rows,
+      hash_key_cells(cell_bits.data(), cell_null.data(), bn, 1, kBatchRows,
                      hashes.data());
       // Conservative pre-batch growth check (every row could be new),
       // so slot references stay stable across the probe loop.
@@ -636,14 +530,14 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
   // merge).
   HashHeads heads(/*expected=*/128);
   std::vector<std::uint32_t> next_entry;
-  for (std::size_t base = 0; base < n; base += batch_rows) {
-    const std::size_t bn = std::min(batch_rows, n - base);
+  for (std::size_t base = 0; base < n; base += kBatchRows) {
+    const std::size_t bn = std::min(kBatchRows, n - base);
     for (std::size_t c = 0; c < nc; ++c) {
       key_cells_batch(src, static_cast<RowIndex>(base), bn, keys[c],
-                      cell_bits.data() + c * batch_rows,
-                      cell_null.data() + c * batch_rows);
+                      cell_bits.data() + c * kBatchRows,
+                      cell_null.data() + c * kBatchRows);
     }
-    hash_key_cells(cell_bits.data(), cell_null.data(), bn, nc, batch_rows,
+    hash_key_cells(cell_bits.data(), cell_null.data(), bn, nc, kBatchRows,
                    hashes.data());
     if (heads.needs_capacity(firsts.size() + bn)) {
       heads.rebuild(firsts.size() + bn, entry_hash, next_entry);
@@ -655,8 +549,8 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
       for (; e != kChainEnd; e = next_entry[e]) {
         bool eq = true;
         for (std::size_t c = 0; c < nc; ++c) {
-          if (entry_bits[e * nc + c] != cell_bits[c * batch_rows + i] ||
-              entry_null[e * nc + c] != cell_null[c * batch_rows + i]) {
+          if (entry_bits[e * nc + c] != cell_bits[c * kBatchRows + i] ||
+              entry_null[e * nc + c] != cell_null[c * kBatchRows + i]) {
             eq = false;
             break;
           }
@@ -669,8 +563,8 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
         next_entry.push_back(head);
         entry_hash.push_back(hashes[i]);
         for (std::size_t c = 0; c < nc; ++c) {
-          entry_bits.push_back(cell_bits[c * batch_rows + i]);
-          entry_null.push_back(cell_null[c * batch_rows + i]);
+          entry_bits.push_back(cell_bits[c * kBatchRows + i]);
+          entry_null.push_back(cell_null[c * kBatchRows + i]);
         }
         head = e;
       }
@@ -679,18 +573,10 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
   }
 }
 
-void assign_groups_hashed(const Table& src, std::span<const ColumnIndex> keys,
-                          std::size_t batch_rows,
-                          std::uint32_t* group_of_row,
-                          std::vector<RowIndex>& representatives) {
-  dedup_rows_hashed(src, keys, batch_rows, group_of_row, representatives);
-}
-
 }  // namespace
 
 Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
-                          std::span<const AggSpec> aggs, std::string name,
-                          const BatchPolicy& policy) {
+                          std::span<const AggSpec> aggs, std::string name) {
   std::vector<ColumnDef> defs;
   defs.reserve(keys.size() + aggs.size());
   for (const auto k : keys) defs.push_back(src.schema().column(k));
@@ -708,12 +594,7 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
   auto group_of_row =
       std::make_unique_for_overwrite<std::uint32_t[]>(src.num_rows());
   std::vector<RowIndex> representatives;
-  if (policy.vectorized()) {
-    assign_groups_hashed(src, keys, policy.clamped_rows(), group_of_row.get(),
-                         representatives);
-  } else {
-    assign_groups_rowkey(src, keys, group_of_row.get(), representatives);
-  }
+  dedup_rows_hashed(src, keys, group_of_row.get(), representatives);
 
   // SQL scalar aggregation: no keys -> exactly one row even on empty input.
   const bool scalar_empty = keys.empty() && representatives.empty();
@@ -721,9 +602,8 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
 
   // Accumulation sweeps rows in global order per aggregate into flat,
   // kind-compact state arrays (count(*)/count use 8 bytes per group,
-  // sum/avg 24, only min/max the boxed Values). The row order per
-  // aggregate is exactly the row engine's, so floating point sums add
-  // in the same order on both paths.
+  // sum/avg 24, only min/max the boxed Values). Each aggregate adds in
+  // row order, so floating point sums are independent of grouping.
   const std::size_t num_groups = representatives.size();
   std::vector<std::vector<std::int64_t>> count_states(aggs.size());
   std::vector<std::vector<SumState>> sum_states(aggs.size());
@@ -966,24 +846,12 @@ TablePtr order_by(const Table& src, std::span<const SortKey> keys,
   return materialize(src, order, all_columns(src), std::move(name));
 }
 
-TablePtr distinct(const Table& src, std::string name,
-                  const BatchPolicy& policy) {
+TablePtr distinct(const Table& src, std::string name) {
   const auto cols = all_columns(src);
+  // First-seen dedup via the shared hashed path (batched key cells, exact
+  // equality per candidate — collisions never merge rows).
   std::vector<RowIndex> keep;
-  if (policy.vectorized()) {
-    // First-seen dedup via the shared hashed path (batched key cells,
-    // exact equality per candidate — collisions never merge rows).
-    dedup_rows_hashed(src, cols, policy.clamped_rows(),
-                      /*entry_of_row=*/nullptr, keep);
-  } else {
-    std::unordered_map<std::string, bool, RowKeyHash, std::equal_to<>> seen;
-    for (std::size_t r = 0; r < src.num_rows(); ++r) {
-      const RowIndex row = static_cast<RowIndex>(r);
-      if (seen.emplace(encode_row_key(src, row, cols), true).second) {
-        keep.push_back(row);
-      }
-    }
-  }
+  dedup_rows_hashed(src, cols, /*entry_of_row=*/nullptr, keep);
   return materialize(src, keep, cols, std::move(name));
 }
 

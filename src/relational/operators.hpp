@@ -28,17 +28,15 @@ using storage::TablePtr;
 
 // ---- Selection ---------------------------------------------------------
 //
-// Operators taking a BatchPolicy run the vectorized kernel engine
-// (vector_eval.hpp) by default and fall back to the row-at-a-time
-// interpreter when the policy disables batching (BatchPolicy::row_engine)
-// or the expression is not vectorizable. Both paths are bit-identical for
-// every batch size and null pattern (property-tested; the row path is the
-// oracle).
+// Expressions run through compiled kernels (vector_eval.hpp) over
+// kBatchRows-row windows. Every expression handed to these operators is
+// bound against a single-source TableScope, so it always compiles.
 
-/// Row indices of `table` satisfying `predicate` (ascending order).
+/// Row indices of `table` in [first_row, num_rows) satisfying `predicate`
+/// (ascending order). A nonzero `first_row` filters only appended rows.
 std::vector<RowIndex> filter_rows(const Table& table,
                                   const BoundExpr& predicate,
-                                  const BatchPolicy& policy = {});
+                                  RowIndex first_row = 0);
 
 /// Parallel selection over the intra-node thread pool (the shared-memory
 /// half of the paper's "massively parallel execution"): the table is
@@ -47,8 +45,7 @@ std::vector<RowIndex> filter_rows(const Table& table,
 /// (property-tested).
 std::vector<RowIndex> filter_rows_parallel(const Table& table,
                                            const BoundExpr& predicate,
-                                           ThreadPool& pool,
-                                           const BatchPolicy& policy = {});
+                                           ThreadPool& pool);
 
 /// Copies `rows` × `cols` of `src` into a new table named `name`, keeping
 /// the source column names unless `rename` provides one per output column.
@@ -63,12 +60,11 @@ struct OutputColumn {
   BoundExprPtr expr;  // bound against a single-source TableScope
 };
 
-/// Evaluates each output expression for each listed row. Vectorized:
-/// expressions compile to kernels once and evaluate per batch, appending
-/// whole lane windows into the output columns.
+/// Evaluates each output expression for each listed row: expressions
+/// compile to kernels once and evaluate per batch, appending whole lane
+/// windows into the output columns.
 TablePtr project(const Table& src, std::span<const RowIndex> rows,
-                 std::span<const OutputColumn> outputs, std::string name,
-                 const BatchPolicy& policy = {});
+                 std::span<const OutputColumn> outputs, std::string name);
 
 // ---- Join ---------------------------------------------------------------
 
@@ -77,8 +73,7 @@ TablePtr project(const Table& src, std::span<const RowIndex> rows,
 /// semantics). Key columns must be pairwise comparable (checked).
 Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
     const Table& left, std::span<const ColumnIndex> left_keys,
-    const Table& right, std::span<const ColumnIndex> right_keys,
-    const BatchPolicy& policy = {});
+    const Table& right, std::span<const ColumnIndex> right_keys);
 
 struct JoinOutput {
   enum Side { kLeft, kRight } side;
@@ -92,8 +87,7 @@ Result<TablePtr> hash_join(const Table& left,
                            const Table& right,
                            std::span<const ColumnIndex> right_keys,
                            std::span<const JoinOutput> outputs,
-                           std::string name,
-                           const BatchPolicy& policy = {});
+                           std::string name);
 
 // ---- Aggregation ----------------------------------------------------------
 
@@ -113,8 +107,7 @@ struct AggSpec {
 /// columns (source names) followed by one column per aggregate.
 /// Groups appear in first-encounter order (stable).
 Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
-                          std::span<const AggSpec> aggs, std::string name,
-                          const BatchPolicy& policy = {});
+                          std::span<const AggSpec> aggs, std::string name);
 
 // ---- Ordering / dedup / top -----------------------------------------------
 
@@ -132,8 +125,7 @@ TablePtr order_by(const Table& src, std::span<const SortKey> keys,
                   std::string name);
 
 /// Distinct rows (over all columns), first occurrence kept, input order.
-TablePtr distinct(const Table& src, std::string name,
-                  const BatchPolicy& policy = {});
+TablePtr distinct(const Table& src, std::string name);
 
 /// First `n` rows (paper's `top n`; callers sort first).
 TablePtr head(const Table& src, std::size_t n, std::string name);

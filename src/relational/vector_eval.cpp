@@ -641,8 +641,7 @@ void append_vector(Column& column, const ValueVector& v, std::size_t n) {
       if (v.kind == TypeKind::kDouble) {
         column.append_lanes_double(v.f64, v.valid, n);
       } else {
-        // Int64 lanes into a double column: the batch form of
-        // append_cell's numeric promotion.
+        // Int64 lanes into a double column: numeric promotion.
         double lanes[kBatchRows];
         GEMS_DCHECK(n <= kBatchRows);
         for (std::size_t i = 0; i < n; ++i) {

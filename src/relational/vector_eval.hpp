@@ -16,12 +16,14 @@
 //  * and/or/not and NULL propagation are pure 64-bit word arithmetic
 //    using the shared truth tables of null_semantics.hpp.
 //
-// Results are bit-identical to eval_cell for every batch size, including
-// size 1 (property-tested; the row engine stays on as the oracle).
+// Results are bit-identical to eval_cell (property-tested against the
+// row-at-a-time oracle in tests/relational_oracle.hpp).
 //
-// Compilation requires every column slot to address a single source (the
-// table-scan and matcher self-condition cases); multi-source expressions
-// (cross-step predicates) return nullptr and stay on the row engine.
+// Compilation requires every column slot to address a single source: the
+// relational operators, vertex `where` filters and matcher
+// self-conditions. Multi-source expressions (cross-step predicates)
+// return nullptr. Those, and hop conditions, are still checked one
+// binding at a time through eval_cell by the matcher and enumerator.
 #pragma once
 
 #include <memory>
@@ -45,7 +47,7 @@ struct EvalScratch {
 class VectorExpr {
  public:
   /// Compiles `expr` against source id `source`. Returns nullptr when the
-  /// expression references any other source (not vectorizable). `pool` is
+  /// expression references any other source, and only then. `pool` is
   /// captured for varchar ordering comparisons; it must outlive the tree.
   static VectorExprPtr compile(const BoundExpr& expr, std::uint16_t source,
                                const StringPool& pool);
@@ -102,8 +104,8 @@ void filter_batch(const VectorExpr& pred, const RowBatch& batch,
                   EvalScratch& scratch,
                   std::vector<storage::RowIndex>& out);
 
-/// Appends `n` lanes of `v` to `column` (kinds must agree; Bool arrives
-/// as bit words). The batch form of append_cell.
+/// Appends `n` lanes of `v` to `column` (kinds must agree, except that
+/// Int64 lanes promote into a Double column; Bool arrives as bit words).
 void append_vector(storage::Column& column, const ValueVector& v,
                    std::size_t n);
 

@@ -5,7 +5,7 @@
 // pre-AVX2 hardware. -DGEMS_DISABLE_SIMD drops the TU entirely and the
 // dispatcher keeps the scalar table.
 //
-// Semantics contract (property-tested against the row engine): identical
+// Semantics contract (property-tested against the row oracle): identical
 // bit output to cmp_lanes_scalar, including double NaN lanes — cmp3
 // treats an unordered pair as "equal", hence the _UQ/_OQ predicate picks
 // below (EQ_UQ accepts unordered, NEQ_OQ rejects it, etc.).

@@ -27,9 +27,6 @@ Database::Database(DatabaseOptions options)
   // delta-or-rebuild decisions the live execution took — that is what
   // makes recovery byte-identical.
   ctx_.incremental_ingest = options_.incremental_ingest;
-  ctx_.batch_policy = options_.vectorized_execution
-                          ? relational::BatchPolicy{}
-                          : relational::BatchPolicy::row_engine();
   ctx_.matcher_metrics = &matcher_metrics_;
   ctx_.on_graph_maintenance =
       [&delta = metrics_.counter("mvcc.ingest.delta"),

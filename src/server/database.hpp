@@ -65,13 +65,6 @@ struct DatabaseOptions {
   /// (parameterized declarations, a one-to-one key collapse). Off =
   /// every ingest rebuilds the whole graph, as before.
   bool incremental_ingest = true;
-
-  /// Vectorized batch execution for the relational operators and matcher
-  /// domain scans (relational/vector_eval.hpp). Off = row-at-a-time
-  /// interpretation — the two produce byte-identical results
-  /// (property-tested); the switch exists for A/B measurement and as an
-  /// escape hatch.
-  bool vectorized_execution = true;
 };
 
 /// Catalog entry sizes, as the GEMS server's metadata repository reports

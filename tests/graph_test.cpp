@@ -1,18 +1,21 @@
 // Tests for the graph layer: Eq. 1 vertex views (one-to-one and
 // many-to-one), Eq. 2 edge creation (direct joins, `from table` associated
 // tables, multi-table joins), the Fig. 5 export-edge scenario, the CSR
-// bidirectional edge indices, self-join ingest deltas, and the vertex key
-// index against an encoded-key oracle.
+// bidirectional edge indices, self-join ingest deltas, the vertex key
+// index against an encoded-key oracle, and vertex filters against a
+// per-row predicate check.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <map>
+#include <set>
 #include <unordered_map>
 
 #include "common/prng.hpp"
 #include "graph/builder.hpp"
 #include "graph/delta.hpp"
+#include "relational/eval.hpp"
 #include "relational/row_key.hpp"
 #include "storage/csv.hpp"
 
@@ -750,6 +753,100 @@ TEST(VertexKeyIndexTest, ExtendGrowsThroughSeveralRehashes) {
   // More than 1024 vertices need 4096 slots: eight doublings from 16.
   EXPECT_GT(vt.num_vertices(), 1024u);
   EXPECT_GE(vt.key_index_bytes(), 256 * first_bytes);
+}
+
+// Vertex `where` filters select rows through the relational kernels. A
+// filtered many-to-one type over three storage chunks (the last ragged)
+// with NULLs must equal a per-row eval_predicate check, built whole and
+// built from a base that `extend` grows across a chunk seal.
+TEST(VertexFilterTest, KernelFilterMatchesPerRowPredicate) {
+  constexpr std::size_t kRows = 2 * kChunkRows + 555;
+  constexpr std::size_t kBaseRows = 1000;  // extend crosses the first seal
+  StringPool pool;
+  Xoshiro256 rng(11);
+  auto table = std::make_shared<Table>(
+      "T",
+      Schema({{"k", DataType::int64()},
+              {"x", DataType::float64()},
+              {"s", DataType::varchar(4)}}),
+      pool);
+  auto append_rows = [&](Table& t, std::size_t n) {
+    const char* strings[] = {"aa", "bb", "cc"};
+    for (std::size_t r = 0; r < n; ++r) {
+      const bool x_null = rng() % 5 == 0;
+      const bool s_null = rng() % 4 == 0;
+      const std::vector<Value> row{
+          Value::int64(static_cast<std::int64_t>(rng() % 300)),
+          x_null ? Value::null()
+                 : Value::float64(static_cast<double>(rng() % 16) / 8.0),
+          s_null ? Value::null() : Value::varchar(strings[rng() % 3])};
+      ASSERT_TRUE(t.append_row(row).is_ok());
+    }
+  };
+  append_rows(*table, kBaseRows);
+  auto grown = std::make_shared<Table>(*table);
+  append_rows(*grown, kRows - kBaseRows);
+
+  // (x > 0.5 or s = 'bb') and k <> 7: NULLs in x and s reach the 3VL or.
+  const ExprPtr where = land(
+      Expr::make_binary(
+          BinaryOp::kOr,
+          Expr::make_binary(BinaryOp::kGt, col("", "x"),
+                            Expr::make_literal(Value::float64(0.5))),
+          eq(col("", "s"), Expr::make_literal(Value::varchar("bb")))),
+      ne(col("", "k"), Expr::make_literal(Value::int64(7))));
+  auto bind = [&](const Table& t) {
+    relational::TableScope scope(t, "V");
+    auto bound = relational::bind_predicate(where, scope, {}, pool);
+    GEMS_CHECK_MSG(bound.is_ok(), bound.status().to_string().c_str());
+    return std::move(bound).value();
+  };
+
+  // Oracle: per-row predicate, vertices numbered by first passing row.
+  std::vector<bool> passes(kRows);
+  std::vector<storage::RowIndex> representatives;
+  std::set<std::int64_t> seen_keys;
+  const auto filter = bind(*grown);
+  relational::RowCursor cursor{grown.get(), 0};
+  for (std::size_t r = 0; r < kRows; ++r) {
+    cursor.row = static_cast<storage::RowIndex>(r);
+    passes[r] = relational::eval_predicate(*filter, {&cursor, 1}, pool);
+    if (passes[r] && seen_keys.insert(grown->column(0).int64_at(cursor.row))
+                         .second) {
+      representatives.push_back(cursor.row);
+    }
+  }
+  // The filter keeps some rows and drops others, and keys collapse.
+  const auto kept = std::count(passes.begin(), passes.end(), true);
+  ASSERT_GT(kept, static_cast<std::ptrdiff_t>(representatives.size()));
+  ASSERT_LT(kept, static_cast<std::ptrdiff_t>(kRows));
+  auto expect_matches_oracle = [&](const VertexType& vt, const char* what) {
+    SCOPED_TRACE(what);
+    ASSERT_EQ(vt.matching_rows().size(), kRows);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      ASSERT_EQ(vt.matching_rows().test(r), passes[r]) << "row " << r;
+    }
+    EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
+                           vt.representative_rows().end(),
+                           representatives.begin(), representatives.end()));
+    EXPECT_FALSE(vt.one_to_one());
+  };
+
+  auto whole = VertexType::build(0, "V", grown, {0}, bind(*grown));
+  ASSERT_TRUE(whole.is_ok());
+  expect_matches_oracle(*whole, "build");
+
+  auto base = VertexType::build(0, "V", table, {0}, bind(*table));
+  ASSERT_TRUE(base.is_ok());
+  ASSERT_FALSE(base->one_to_one());  // many-to-one already: extend never flips
+  bool flipped = false;
+  auto extended = VertexType::extend(*base, grown, filter.get(),
+                                     static_cast<storage::RowIndex>(kBaseRows),
+                                     &flipped);
+  ASSERT_TRUE(extended.is_ok());
+  ASSERT_FALSE(flipped);
+  expect_matches_oracle(*extended, "extend");
+  EXPECT_EQ(extended->byte_size(), whole->byte_size());
 }
 
 }  // namespace

@@ -1,0 +1,260 @@
+// Row-at-a-time reference implementations of the relational operators:
+// the oracle the property sweep in relational_test.cpp compares the
+// kernel engine against, byte for byte. Each is the plainest correct
+// code for its operator — one eval_cell call per row and output, a
+// nested-loop join, first-seen grouping and dedup by encode_row_key, and
+// aggregates accumulated in row order — so it shares no batching,
+// hashing or chunk logic with src/relational/operators.cpp.
+#pragma once
+
+#include <map>
+#include <optional>
+#include <set>
+#include <span>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/check.hpp"
+#include "relational/eval.hpp"
+#include "relational/operators.hpp"
+#include "relational/row_key.hpp"
+
+namespace gems::relational::oracle {
+
+/// Appends one evaluated cell to a column of its kind (an Int64 cell
+/// promotes into a Double column).
+inline void append_cell(storage::Column& column, const Cell& cell) {
+  if (cell.null) {
+    column.append_null();
+    return;
+  }
+  switch (column.type().kind) {
+    case storage::TypeKind::kBool:
+      column.append_bool(cell.b);
+      return;
+    case storage::TypeKind::kInt64:
+    case storage::TypeKind::kDate:
+      column.append_int64(cell.i);
+      return;
+    case storage::TypeKind::kDouble:
+      column.append_double(cell.kind == storage::TypeKind::kDouble
+                               ? cell.d
+                               : static_cast<double>(cell.i));
+      return;
+    case storage::TypeKind::kVarchar:
+      column.append_string(cell.s);
+      return;
+  }
+  GEMS_UNREACHABLE("bad column kind");
+}
+
+inline std::vector<RowIndex> filter_rows(const Table& table,
+                                         const BoundExpr& predicate,
+                                         RowIndex first_row = 0) {
+  std::vector<RowIndex> out;
+  RowCursor cursor{&table, 0};
+  for (std::size_t r = first_row; r < table.num_rows(); ++r) {
+    cursor.row = static_cast<RowIndex>(r);
+    if (eval_predicate(predicate, {&cursor, 1}, table.pool())) {
+      out.push_back(cursor.row);
+    }
+  }
+  return out;
+}
+
+inline TablePtr project(const Table& src, std::span<const RowIndex> rows,
+                        std::span<const OutputColumn> outputs,
+                        std::string name) {
+  std::vector<storage::ColumnDef> defs;
+  for (const auto& o : outputs) defs.push_back({o.name, o.expr->type});
+  auto out = std::make_shared<Table>(std::move(name),
+                                     storage::Schema(std::move(defs)),
+                                     src.pool());
+  RowCursor cursor{&src, 0};
+  for (const RowIndex r : rows) {
+    cursor.row = r;
+    for (std::size_t c = 0; c < outputs.size(); ++c) {
+      append_cell(out->column_mut(static_cast<ColumnIndex>(c)),
+                  eval_cell(*outputs[c].expr, {&cursor, 1}, src.pool()));
+    }
+    out->bump_row_count();
+  }
+  return out;
+}
+
+/// Nested-loop equi-join; iterating left then right emits the pairs in
+/// sorted order. Rows with a NULL key never match.
+inline std::vector<std::pair<RowIndex, RowIndex>> join_pairs(
+    const Table& left, std::span<const ColumnIndex> left_keys,
+    const Table& right, std::span<const ColumnIndex> right_keys) {
+  // Encoded key per row; nullopt when any key column is NULL.
+  auto keys_of = [](const Table& t, std::span<const ColumnIndex> keys) {
+    std::vector<std::optional<std::string>> out(t.num_rows());
+    for (std::size_t r = 0; r < t.num_rows(); ++r) {
+      const RowIndex row = static_cast<RowIndex>(r);
+      bool has_null = false;
+      for (const ColumnIndex k : keys) has_null |= t.column(k).is_null(row);
+      if (!has_null) out[r] = encode_row_key(t, row, keys);
+    }
+    return out;
+  };
+  const auto lkeys = keys_of(left, left_keys);
+  const auto rkeys = keys_of(right, right_keys);
+  std::vector<std::pair<RowIndex, RowIndex>> out;
+  for (std::size_t l = 0; l < lkeys.size(); ++l) {
+    for (std::size_t r = 0; r < rkeys.size(); ++r) {
+      if (lkeys[l] && rkeys[r] && *lkeys[l] == *rkeys[r]) {
+        out.emplace_back(static_cast<RowIndex>(l), static_cast<RowIndex>(r));
+      }
+    }
+  }
+  return out;
+}
+
+inline TablePtr join(const Table& left, std::span<const ColumnIndex> left_keys,
+                     const Table& right,
+                     std::span<const ColumnIndex> right_keys,
+                     std::span<const JoinOutput> outputs, std::string name) {
+  std::vector<storage::ColumnDef> defs;
+  for (const auto& o : outputs) {
+    const Table& t = o.side == JoinOutput::kLeft ? left : right;
+    defs.push_back({o.name, t.schema().column(o.column).type});
+  }
+  auto out = std::make_shared<Table>(std::move(name),
+                                     storage::Schema(std::move(defs)),
+                                     left.pool());
+  for (const auto& [l, r] : join_pairs(left, left_keys, right, right_keys)) {
+    for (std::size_t c = 0; c < outputs.size(); ++c) {
+      const auto& o = outputs[c];
+      const bool from_left = o.side == JoinOutput::kLeft;
+      out->column_mut(static_cast<ColumnIndex>(c))
+          .append_from((from_left ? left : right).column(o.column),
+                       from_left ? l : r);
+    }
+    out->bump_row_count();
+  }
+  return out;
+}
+
+/// Groups in first-seen row order, keyed by encode_row_key (NULL is a key
+/// value). Every aggregate accumulates its group's rows in row order.
+inline TablePtr group_by(const Table& src, std::span<const ColumnIndex> keys,
+                         std::span<const AggSpec> aggs, std::string name) {
+  std::map<std::string, std::size_t> group_of_key;
+  std::vector<std::vector<RowIndex>> groups;
+  for (std::size_t r = 0; r < src.num_rows(); ++r) {
+    const RowIndex row = static_cast<RowIndex>(r);
+    const auto [it, inserted] =
+        group_of_key.emplace(encode_row_key(src, row, keys), groups.size());
+    if (inserted) groups.emplace_back();
+    groups[it->second].push_back(row);
+  }
+  // SQL scalar aggregation: one row even over empty input.
+  if (keys.empty() && groups.empty()) groups.emplace_back();
+
+  std::vector<storage::ColumnDef> defs;
+  for (const ColumnIndex k : keys) defs.push_back(src.schema().column(k));
+  for (const AggSpec& a : aggs) {
+    storage::DataType type = storage::DataType::int64();
+    if (a.kind == AggKind::kAvg) {
+      type = storage::DataType::float64();
+    } else if (a.kind != AggKind::kCountStar && a.kind != AggKind::kCount) {
+      type = src.schema().column(a.input).type;
+    }
+    defs.push_back({a.output_name, type});
+  }
+  auto out = std::make_shared<Table>(std::move(name),
+                                     storage::Schema(std::move(defs)),
+                                     src.pool());
+
+  for (const auto& members : groups) {
+    for (std::size_t k = 0; k < keys.size(); ++k) {
+      out->column_mut(static_cast<ColumnIndex>(k))
+          .append_from(src.column(keys[k]), members.front());
+    }
+    for (std::size_t a = 0; a < aggs.size(); ++a) {
+      const AggSpec& spec = aggs[a];
+      storage::Column& oc =
+          out->column_mut(static_cast<ColumnIndex>(keys.size() + a));
+      if (spec.kind == AggKind::kCountStar) {
+        oc.append_int64(static_cast<std::int64_t>(members.size()));
+        continue;
+      }
+      const storage::Column& col = src.column(spec.input);
+      const bool is_double = col.type().kind == storage::TypeKind::kDouble;
+      std::int64_t count = 0;
+      std::int64_t isum = 0;
+      double dsum = 0;
+      storage::Value lo, hi;
+      for (const RowIndex r : members) {
+        if (col.is_null(r)) continue;
+        ++count;
+        if (spec.kind == AggKind::kSum || spec.kind == AggKind::kAvg) {
+          if (is_double) {
+            dsum += col.double_at(r);
+          } else {
+            isum += col.int64_at(r);
+            dsum += static_cast<double>(col.int64_at(r));
+          }
+        } else if (spec.kind == AggKind::kMin || spec.kind == AggKind::kMax) {
+          const storage::Value v = src.value_at(r, spec.input);
+          if (count == 1 || v.compare(lo) < 0) lo = v;
+          if (count == 1 || v.compare(hi) > 0) hi = v;
+        }
+      }
+      switch (spec.kind) {
+        case AggKind::kCountStar:
+          break;
+        case AggKind::kCount:
+          oc.append_int64(count);
+          break;
+        case AggKind::kSum:
+          if (count == 0) {
+            oc.append_null();
+          } else if (is_double) {
+            oc.append_double(dsum);
+          } else {
+            oc.append_int64(isum);
+          }
+          break;
+        case AggKind::kAvg:
+          if (count == 0) {
+            oc.append_null();
+          } else {
+            oc.append_double(dsum / static_cast<double>(count));
+          }
+          break;
+        case AggKind::kMin:
+        case AggKind::kMax:
+          if (count == 0) {
+            oc.append_null();
+          } else {
+            oc.append_value(spec.kind == AggKind::kMin ? lo : hi, src.pool());
+          }
+          break;
+      }
+    }
+    out->bump_row_count();
+  }
+  return out;
+}
+
+/// First occurrence of each distinct row (all columns), in input order.
+inline TablePtr distinct(const Table& src, std::string name) {
+  std::vector<ColumnIndex> cols(src.num_columns());
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    cols[c] = static_cast<ColumnIndex>(c);
+  }
+  std::set<std::string> seen;
+  std::vector<RowIndex> keep;
+  for (std::size_t r = 0; r < src.num_rows(); ++r) {
+    const RowIndex row = static_cast<RowIndex>(r);
+    if (seen.insert(encode_row_key(src, row, cols)).second) {
+      keep.push_back(row);
+    }
+  }
+  return materialize(src, keep, cols, std::move(name));
+}
+
+}  // namespace gems::relational::oracle

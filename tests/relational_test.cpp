@@ -1,8 +1,8 @@
 // Tests for the relational engine: expression binding/type checking
 // (paper Sec. III-A), evaluation semantics, and every Table I operator —
-// plus the vectorized-vs-row equivalence properties (the row engine is
-// the oracle; the batch engine must be byte-identical at every batch
-// size and null density).
+// plus the equivalence properties of the kernel engine against the
+// row-at-a-time oracle in relational_oracle.hpp (byte-identical at every
+// null density, over tables of several batches).
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -14,6 +14,7 @@
 #include "relational/null_semantics.hpp"
 #include "relational/operators.hpp"
 #include "relational/vector_eval.hpp"
+#include "relational_oracle.hpp"
 #include "storage/csv.hpp"
 
 namespace gems::relational {
@@ -460,13 +461,15 @@ TEST_F(RelationalTest, MaterializeRenames) {
   EXPECT_EQ(t->schema().column(1).name, "cost");
 }
 
-// ---- Vectorized engine equivalence (batch == row oracle) -------------------
+// ---- Kernel engine equivalence (batch == row oracle) ------------------------
 //
 // The properties below are the contract of the batch engine: for every
-// batch size (including 1), every null density and every operator, the
-// vectorized path must produce tables that are byte-identical to the
-// row-at-a-time oracle — same validity words AND same raw array payloads
-// (snapshots serialize the raw arrays, so payloads under null lanes count).
+// null density and every operator, the kernels must produce tables that
+// are byte-identical to the row-at-a-time oracle (relational_oracle.hpp)
+// — same validity words AND same raw array payloads (snapshots serialize
+// the raw arrays, so payloads under null lanes count). The tables span
+// three batches with a ragged tail, so every operator carries state
+// across batches and storage chunks.
 
 namespace vec_prop {
 
@@ -554,6 +557,11 @@ inline std::vector<ExprPtr> predicate_corpus() {
                     bin(BinaryOp::kSub, col("a"), col("b")), i64(7)));
   out.push_back(Expr::make_unary(
       UnaryOp::kNot, bin(BinaryOp::kEq, col("s"), str("cc"))));
+  // not over a column-column comparison: the result's bits come from the
+  // operands' validity words, so stray validity bits past the batch end
+  // would surface as rows.
+  out.push_back(Expr::make_unary(UnaryOp::kNot,
+                                 bin(BinaryOp::kLt, col("a"), col("b"))));
   out.push_back(bin(BinaryOp::kGt, col("s"), str("bb")));
   out.push_back(bin(BinaryOp::kGe, col("d"),
                     Expr::make_literal(Value::date(13050))));
@@ -623,31 +631,39 @@ inline void expect_tables_byte_identical(const Table& a, const Table& b,
   }
 }
 
-constexpr std::size_t kBatchSizes[] = {1, 7, kBatchRows};
+/// Rows of the sweep tables: three batches, the last one ragged.
+constexpr std::size_t kSweepRows = 2 * kBatchRows + 555;
 constexpr double kNullDensities[] = {0.0, 0.1, 0.9};
+
+inline std::vector<storage::RowIndex> row_range(std::size_t begin,
+                                                std::size_t end,
+                                                std::size_t step = 1) {
+  std::vector<storage::RowIndex> rows;
+  for (std::size_t r = begin; r < end; r += step) {
+    rows.push_back(static_cast<storage::RowIndex>(r));
+  }
+  return rows;
+}
 
 }  // namespace vec_prop
 
 TEST_F(RelationalTest, VectorizedFilterMatchesRowEngine) {
   using namespace vec_prop;
+  // 4 workers cut a sweep table into 16 ranges of 163 rows: no range
+  // starts on a batch boundary, so most windows straddle a chunk.
   ThreadPool tpool(4);
   std::uint64_t seed = 1;
   for (const double nd : kNullDensities) {
-    // 533 rows: several full words plus a ragged tail in every batch size.
-    auto t = make_random_table(pool_, 533, nd, seed++);
+    auto t = make_random_table(pool_, kSweepRows, nd, seed++);
     TableScope scope(*t);
     for (const ExprPtr& e : predicate_corpus()) {
       auto bound = bind_predicate(e, scope, {}, pool_);
       ASSERT_TRUE(bound.is_ok()) << e->to_string();
-      const auto oracle =
-          filter_rows(*t, **bound, BatchPolicy::row_engine());
-      for (const std::size_t bs : kBatchSizes) {
-        EXPECT_EQ(filter_rows(*t, **bound, BatchPolicy{bs}), oracle)
-            << e->to_string() << " bs=" << bs << " nd=" << nd;
-        EXPECT_EQ(filter_rows_parallel(*t, **bound, tpool, BatchPolicy{bs}),
-                  oracle)
-            << e->to_string() << " parallel bs=" << bs << " nd=" << nd;
-      }
+      const auto expected = oracle::filter_rows(*t, **bound);
+      EXPECT_EQ(filter_rows(*t, **bound), expected)
+          << e->to_string() << " nd=" << nd;
+      EXPECT_EQ(filter_rows_parallel(*t, **bound, tpool), expected)
+          << e->to_string() << " parallel nd=" << nd;
     }
   }
 }
@@ -656,42 +672,33 @@ TEST_F(RelationalTest, VectorizedProjectMatchesRowEngine) {
   using namespace vec_prop;
   std::uint64_t seed = 100;
   for (const double nd : kNullDensities) {
-    auto t = make_random_table(pool_, 533, nd, seed++);
+    auto t = make_random_table(pool_, kSweepRows, nd, seed++);
     TableScope scope(*t);
-    auto make_outputs = [&]() {
-      std::vector<OutputColumn> outs;
-      auto add = [&](const char* name, ExprPtr e) {
-        auto bound = bind_expr(e, scope, {}, pool_);
-        GEMS_CHECK_MSG(bound.is_ok(), bound.status().to_string().c_str());
-        outs.push_back({name, std::move(bound).value()});
-      };
-      add("isum", bin(BinaryOp::kAdd, col("a"), col("b")));
-      add("prod", bin(BinaryOp::kMul, col("x"), col("y")));
-      add("ratio", bin(BinaryOp::kDiv, col("x"), col("y")));  // /0 -> NULL
-      add("mixed", bin(BinaryOp::kSub, col("x"), col("a")));
-      add("neg", Expr::make_unary(UnaryOp::kNeg, col("a")));
-      add("flag", Expr::make_unary(
-                      UnaryOp::kNot,
-                      bin(BinaryOp::kLt, col("a"), col("b"))));  // bool col
-      add("name", col("s"));  // varchar passthrough
-      add("when", col("d"));  // date passthrough
-      return outs;
+    std::vector<OutputColumn> outs;
+    auto add = [&](const char* name, ExprPtr e) {
+      auto bound = bind_expr(e, scope, {}, pool_);
+      GEMS_CHECK_MSG(bound.is_ok(), bound.status().to_string().c_str());
+      outs.push_back({name, std::move(bound).value()});
     };
-    // Contiguous full selection and a gathered subset (every 3rd row).
-    std::vector<storage::RowIndex> all(t->num_rows());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      all[i] = static_cast<storage::RowIndex>(i);
-    }
-    std::vector<storage::RowIndex> sparse;
-    for (std::size_t i = 0; i < all.size(); i += 3) sparse.push_back(all[i]);
-    for (const auto& rows : {all, sparse}) {
-      const auto outs = make_outputs();
-      const auto oracle =
-          project(*t, rows, outs, "P", BatchPolicy::row_engine());
-      for (const std::size_t bs : kBatchSizes) {
-        const auto got = project(*t, rows, outs, "P", BatchPolicy{bs});
-        expect_tables_byte_identical(*got, *oracle, "project");
-      }
+    add("isum", bin(BinaryOp::kAdd, col("a"), col("b")));
+    add("prod", bin(BinaryOp::kMul, col("x"), col("y")));
+    add("ratio", bin(BinaryOp::kDiv, col("x"), col("y")));  // /0 -> NULL
+    add("mixed", bin(BinaryOp::kSub, col("x"), col("a")));
+    add("neg", Expr::make_unary(UnaryOp::kNeg, col("a")));
+    add("flag", Expr::make_unary(
+                    UnaryOp::kNot,
+                    bin(BinaryOp::kLt, col("a"), col("b"))));  // bool col
+    add("name", col("s"));  // varchar passthrough
+    add("when", col("d"));  // date passthrough
+    // Every row, a contiguous range starting mid-chunk, and a gathered
+    // subset (every third row).
+    const std::vector<std::vector<storage::RowIndex>> selections{
+        row_range(0, kSweepRows), row_range(1000, kSweepRows),
+        row_range(0, kSweepRows, 3)};
+    for (const auto& rows : selections) {
+      expect_tables_byte_identical(*project(*t, rows, outs, "P"),
+                                   *oracle::project(*t, rows, outs, "P"),
+                                   "project");
     }
   }
 }
@@ -700,35 +707,30 @@ TEST_F(RelationalTest, VectorizedJoinMatchesRowEngine) {
   using namespace vec_prop;
   std::uint64_t seed = 200;
   for (const double nd : kNullDensities) {
-    auto lhs = make_random_table(pool_, 211, nd, seed++);
-    auto rhs = make_random_table(pool_, 533, nd, seed++);
+    auto lhs = make_random_table(pool_, kBatchRows + 300, nd, seed++);
+    auto rhs = make_random_table(pool_, kSweepRows, nd, seed++);
     // Varchar key (dup-heavy: 8 distinct strings) and composite
-    // varchar+int key; NULL keys must never match in either engine.
+    // varchar+int key; NULL keys must never match.
     const std::vector<std::vector<ColumnIndex>> key_sets{{4}, {4, 1}};
     for (const auto& keys : key_sets) {
-      const auto oracle = hash_join_pairs(*lhs, keys, *rhs, keys,
-                                          BatchPolicy::row_engine());
-      ASSERT_TRUE(oracle.is_ok());
-      for (const std::size_t bs : kBatchSizes) {
-        const auto got =
-            hash_join_pairs(*lhs, keys, *rhs, keys, BatchPolicy{bs});
+      // Both argument orders: the kernel builds on the smaller side.
+      for (const bool swap : {false, true}) {
+        const Table& l = swap ? *rhs : *lhs;
+        const Table& r = swap ? *lhs : *rhs;
+        const auto got = hash_join_pairs(l, keys, r, keys);
         ASSERT_TRUE(got.is_ok());
-        EXPECT_EQ(got.value(), oracle.value())
-            << "keys=" << keys.size() << " bs=" << bs << " nd=" << nd;
+        EXPECT_EQ(got.value(), oracle::join_pairs(l, keys, r, keys))
+            << "keys=" << keys.size() << " swap=" << swap << " nd=" << nd;
       }
       const std::vector<JoinOutput> outs{{JoinOutput::kLeft, 0, "la"},
                                          {JoinOutput::kLeft, 2, "lx"},
                                          {JoinOutput::kRight, 4, "rs"},
                                          {JoinOutput::kRight, 3, "ry"}};
-      const auto om = hash_join(*lhs, keys, *rhs, keys, outs, "J",
-                                BatchPolicy::row_engine());
-      ASSERT_TRUE(om.is_ok());
-      for (const std::size_t bs : kBatchSizes) {
-        const auto gm =
-            hash_join(*lhs, keys, *rhs, keys, outs, "J", BatchPolicy{bs});
-        ASSERT_TRUE(gm.is_ok());
-        expect_tables_byte_identical(**gm, **om, "hash_join");
-      }
+      const auto got = hash_join(*lhs, keys, *rhs, keys, outs, "J");
+      ASSERT_TRUE(got.is_ok());
+      expect_tables_byte_identical(
+          **got, *oracle::join(*lhs, keys, *rhs, keys, outs, "J"),
+          "hash_join");
     }
   }
 }
@@ -739,24 +741,22 @@ TEST_F(RelationalTest, VectorizedGroupByMatchesRowEngine) {
   const std::vector<AggSpec> aggs{
       {AggKind::kCountStar, 0, "n"},    {AggKind::kCount, 2, "nx"},
       {AggKind::kSum, 0, "suma"},       {AggKind::kSum, 2, "sumx"},
-      {AggKind::kAvg, 2, "avgx"},       {AggKind::kMin, 2, "minx"},
-      {AggKind::kMax, 4, "maxs"},       {AggKind::kMin, 5, "mind"}};
+      {AggKind::kAvg, 0, "avga"},       {AggKind::kAvg, 2, "avgx"},
+      {AggKind::kMin, 2, "minx"},       {AggKind::kMax, 4, "maxs"},
+      {AggKind::kMin, 5, "mind"}};
   for (const double nd : kNullDensities) {
-    auto t = make_random_table(pool_, 533, nd, seed++);
-    // Composite varchar+int key (NULL is a groupable key value), plus
-    // keyless scalar aggregation.
-    const std::vector<std::vector<ColumnIndex>> key_sets{{4, 1}, {}};
+    auto t = make_random_table(pool_, kSweepRows, nd, seed++);
+    // Composite varchar+int key, single int and double keys (NULL is a
+    // groupable key value), and keyless scalar aggregation.
+    const std::vector<std::vector<ColumnIndex>> key_sets{
+        {4, 1}, {1}, {3}, {}};
     for (const auto& keys : key_sets) {
-      const auto oracle =
-          group_by(*t, keys, aggs, "G", BatchPolicy::row_engine());
-      ASSERT_TRUE(oracle.is_ok());
-      for (const std::size_t bs : kBatchSizes) {
-        const auto got = group_by(*t, keys, aggs, "G", BatchPolicy{bs});
-        ASSERT_TRUE(got.is_ok());
-        // Byte-identity includes the double sum/avg columns: the batch
-        // engine must accumulate in the row engine's FP addition order.
-        expect_tables_byte_identical(**got, **oracle, "group_by");
-      }
+      const auto got = group_by(*t, keys, aggs, "G");
+      ASSERT_TRUE(got.is_ok());
+      // Byte-identity includes the double sum/avg columns: the kernels
+      // must accumulate in row order, as the oracle does.
+      expect_tables_byte_identical(
+          **got, *oracle::group_by(*t, keys, aggs, "G"), "group_by");
     }
   }
 }
@@ -765,120 +765,87 @@ TEST_F(RelationalTest, VectorizedDistinctMatchesRowEngine) {
   using namespace vec_prop;
   std::uint64_t seed = 400;
   for (const double nd : kNullDensities) {
-    auto t = make_random_table(pool_, 533, nd, seed++);
-    // Project to dup-heavy columns first so distinct actually collapses.
-    std::vector<storage::RowIndex> all(t->num_rows());
-    for (std::size_t i = 0; i < all.size(); ++i) {
-      all[i] = static_cast<storage::RowIndex>(i);
-    }
-    const std::vector<ColumnIndex> cols{1, 4};
-    auto narrow = materialize(*t, all, cols, "N");
-    const auto oracle = distinct(*narrow, "D", BatchPolicy::row_engine());
-    for (const std::size_t bs : kBatchSizes) {
-      const auto got = distinct(*narrow, "D", BatchPolicy{bs});
-      expect_tables_byte_identical(*got, *oracle, "distinct");
+    auto t = make_random_table(pool_, kSweepRows, nd, seed++);
+    const auto all = row_range(0, kSweepRows);
+    // Project to dup-heavy columns first so distinct actually collapses:
+    // one column and two.
+    const std::vector<std::vector<ColumnIndex>> col_sets{{4}, {1, 4}};
+    for (const auto& cols : col_sets) {
+      auto narrow = materialize(*t, all, cols, "N");
+      expect_tables_byte_identical(*distinct(*narrow, "D"),
+                                   *oracle::distinct(*narrow, "D"),
+                                   "distinct");
     }
   }
 }
 
 TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
   using namespace vec_prop;
-  auto t = make_random_table(pool_, 97, 0.1, 7);
+  ThreadPool tpool(4);
+  auto t = make_random_table(pool_, kSweepRows, 0.1, 7);
   TableScope scope(*t);
-  // All-filtered: constant-false predicate yields an empty selection.
-  auto none = bind_predicate(Expr::make_literal(Value::boolean(false)),
-                             scope, {}, pool_);
-  ASSERT_TRUE(none.is_ok());
-  for (const std::size_t bs : kBatchSizes) {
-    EXPECT_TRUE(filter_rows(*t, **none, BatchPolicy{bs}).empty());
+  // All-filtered: a constant-false predicate and one no row satisfies.
+  for (const ExprPtr& e :
+       {Expr::make_literal(Value::boolean(false)),
+        bin(BinaryOp::kGt, col("a"), i64(1000))}) {
+    auto none = bind_predicate(e, scope, {}, pool_);
+    ASSERT_TRUE(none.is_ok());
+    EXPECT_TRUE(filter_rows(*t, **none).empty()) << e->to_string();
+    EXPECT_TRUE(filter_rows_parallel(*t, **none, tpool).empty())
+        << e->to_string();
   }
-  // Empty selection vectors through project / group_by / distinct.
+  // Empty selection vectors through project.
   const std::vector<storage::RowIndex> no_rows;
   std::vector<OutputColumn> outs;
   auto sum = bind_expr(bin(BinaryOp::kAdd, col("a"), col("b")), scope, {},
                        pool_);
   ASSERT_TRUE(sum.is_ok());
   outs.push_back({"sum", std::move(sum).value()});
-  const auto oracle =
-      project(*t, no_rows, outs, "P", BatchPolicy::row_engine());
-  for (const std::size_t bs : kBatchSizes) {
-    const auto got = project(*t, no_rows, outs, "P", BatchPolicy{bs});
-    ASSERT_EQ(got->num_rows(), 0u);
-    expect_tables_byte_identical(*got, *oracle, "empty project");
-  }
+  const auto projected = project(*t, no_rows, outs, "P");
+  ASSERT_EQ(projected->num_rows(), 0u);
+  expect_tables_byte_identical(
+      *projected, *oracle::project(*t, no_rows, outs, "P"), "empty project");
+  // An empty table through filter, group_by (keyed: no rows; keyless:
+  // one row) and distinct.
   Table empty("E", t->schema(), pool_);
-  const std::vector<ColumnIndex> keys{1};
-  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"}};
-  for (const std::size_t bs : kBatchSizes) {
-    const auto g = group_by(empty, keys, aggs, "G", BatchPolicy{bs});
+  auto pred = bind_predicate(bin(BinaryOp::kGe, col("a"), i64(0)), scope,
+                             {}, pool_);
+  ASSERT_TRUE(pred.is_ok());
+  EXPECT_TRUE(filter_rows(empty, **pred).empty());
+  EXPECT_TRUE(filter_rows_parallel(empty, **pred, tpool).empty());
+  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
+                                  {AggKind::kSum, 2, "sumx"}};
+  for (const auto& keys : std::vector<std::vector<ColumnIndex>>{{1}, {}}) {
+    const auto g = group_by(empty, keys, aggs, "G");
     ASSERT_TRUE(g.is_ok());
-    EXPECT_EQ((*g)->num_rows(), 0u);
-    EXPECT_EQ(distinct(empty, "D", BatchPolicy{bs})->num_rows(), 0u);
+    EXPECT_EQ((*g)->num_rows(), keys.empty() ? 1u : 0u);
+    expect_tables_byte_identical(
+        **g, *oracle::group_by(empty, keys, aggs, "G"), "empty group_by");
   }
+  EXPECT_EQ(distinct(empty, "D")->num_rows(), 0u);
 }
 
-// The sweeps above run on 533-row tables, inside one storage chunk. This
-// one spans three chunks, with batch widths whose windows straddle chunk
-// boundaries (7, 1000, 1023) and the aligned width (1024) whose windows
-// are read in place.
+// Contiguous windows that start off a batch boundary, as a vertex filter
+// extended over appended rows does: every window then straddles a
+// storage chunk, and the last one is ragged.
 TEST_F(RelationalTest, VectorizedSweepAcrossChunks) {
   using namespace vec_prop;
-  constexpr std::size_t kWidths[] = {7, 1000, 1023, kBatchRows};
-  auto t = make_random_table(pool_, 2 * kChunkRows + 555, 0.1, 900);
-  auto small = make_random_table(pool_, 300, 0.1, 901);
-  TableScope scope(*t);
-  for (const ExprPtr& e : predicate_corpus()) {
-    auto bound = bind_predicate(e, scope, {}, pool_);
-    ASSERT_TRUE(bound.is_ok()) << e->to_string();
-    const auto oracle = filter_rows(*t, **bound, BatchPolicy::row_engine());
-    for (const std::size_t bs : kWidths) {
-      EXPECT_EQ(filter_rows(*t, **bound, BatchPolicy{bs}), oracle)
-          << e->to_string() << " bs=" << bs;
+  constexpr std::size_t kFirstRows[] = {1,    7,    1000,          1023,
+                                        1025, 2047, kSweepRows - 1, kSweepRows};
+  std::uint64_t seed = 900;
+  for (const double nd : kNullDensities) {
+    auto t = make_random_table(pool_, kSweepRows, nd, seed++);
+    TableScope scope(*t);
+    for (const ExprPtr& e : predicate_corpus()) {
+      auto bound = bind_predicate(e, scope, {}, pool_);
+      ASSERT_TRUE(bound.is_ok()) << e->to_string();
+      for (const std::size_t first : kFirstRows) {
+        const auto row = static_cast<storage::RowIndex>(first);
+        EXPECT_EQ(filter_rows(*t, **bound, row),
+                  oracle::filter_rows(*t, **bound, row))
+            << e->to_string() << " first=" << first << " nd=" << nd;
+      }
     }
-  }
-  std::vector<storage::RowIndex> all(t->num_rows());
-  for (std::size_t i = 0; i < all.size(); ++i) {
-    all[i] = static_cast<storage::RowIndex>(i);
-  }
-  std::vector<OutputColumn> outs;
-  const std::pair<const char*, ExprPtr> exprs[] = {
-      {"isum", bin(BinaryOp::kAdd, col("a"), col("b"))},
-      {"ratio", bin(BinaryOp::kDiv, col("x"), col("y"))},
-      {"flag", bin(BinaryOp::kLt, col("a"), col("b"))},
-      {"name", col("s")},
-      {"when", col("d")}};
-  for (const auto& [name, e] : exprs) {
-    auto bound = bind_expr(e, scope, {}, pool_);
-    ASSERT_TRUE(bound.is_ok());
-    outs.push_back({name, std::move(bound).value()});
-  }
-  const auto projected = project(*t, all, outs, "P", BatchPolicy::row_engine());
-  const std::vector<ColumnIndex> keys{4, 1};
-  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
-                                  {AggKind::kSum, 2, "sumx"},
-                                  {AggKind::kAvg, 2, "avgx"},
-                                  {AggKind::kMin, 5, "mind"}};
-  const auto grouped =
-      group_by(*t, keys, aggs, "G", BatchPolicy::row_engine());
-  ASSERT_TRUE(grouped.is_ok());
-  auto narrow = materialize(*t, all, std::vector<ColumnIndex>{1, 4}, "N");
-  const auto distinct_rows = distinct(*narrow, "D", BatchPolicy::row_engine());
-  const std::vector<ColumnIndex> join_keys{4, 1};
-  const auto pairs = hash_join_pairs(*small, join_keys, *t, join_keys,
-                                     BatchPolicy::row_engine());
-  ASSERT_TRUE(pairs.is_ok());
-  for (const std::size_t bs : kWidths) {
-    expect_tables_byte_identical(
-        *project(*t, all, outs, "P", BatchPolicy{bs}), *projected, "project");
-    const auto g = group_by(*t, keys, aggs, "G", BatchPolicy{bs});
-    ASSERT_TRUE(g.is_ok());
-    expect_tables_byte_identical(**g, **grouped, "group_by");
-    expect_tables_byte_identical(*distinct(*narrow, "D", BatchPolicy{bs}),
-                                 *distinct_rows, "distinct");
-    const auto p = hash_join_pairs(*small, join_keys, *t, join_keys,
-                                   BatchPolicy{bs});
-    ASSERT_TRUE(p.is_ok());
-    EXPECT_EQ(p.value(), pairs.value()) << "bs=" << bs;
   }
 }
 
