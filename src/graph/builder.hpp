@@ -14,6 +14,15 @@
 //    (so a `from table` row yields exactly one edge, Fig. 3);
 //  * any endpoint many-to-one  -> edges collapse onto distinct
 //    (source vertex, target vertex) pairs (Fig. 5's two export edges).
+//
+// Edge order (full build): join entries in ascending order of their rows,
+// compared source by source in attach order. The join starts at the
+// source vertex's table and repeatedly attaches the lowest-numbered
+// source (source vertex, target vertex, then the `from table`s in
+// declaration order) that an equality between two columns links to the
+// sources already attached. A collapsed pair takes the place of its first
+// join entry. With exactly one `from table` and no collapse, each edge
+// keeps its association row as attributes.
 #pragma once
 
 #include <string>

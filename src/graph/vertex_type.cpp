@@ -170,6 +170,17 @@ VertexIndex VertexType::find_by_key(
   return v == IdTable::kNone ? kInvalidVertex : v;
 }
 
+VertexIndex VertexType::find_by_cells(
+    std::span<const relational::KeyCell> cells) const {
+  GEMS_DCHECK(cells.size() == key_cols_.size());
+  const std::uint32_t v = key_index_.find(
+      relational::hash_cell_key(cells), [&](std::uint32_t c) {
+        return relational::cell_key_equals(cells, *source_,
+                                           representative_row_[c], key_cols_);
+      });
+  return v == IdTable::kNone ? kInvalidVertex : v;
+}
+
 std::size_t VertexType::byte_size() const noexcept {
   return key_index_.byte_size() + representative_row_.byte_size() +
          (matching_rows_.size() + 63) / 64 * sizeof(std::uint64_t);

@@ -18,6 +18,7 @@
 #include "common/status.hpp"
 #include "graph/ids.hpp"
 #include "relational/bound_expr.hpp"
+#include "relational/row_key.hpp"
 #include "storage/table.hpp"
 
 namespace gems::graph {
@@ -70,6 +71,10 @@ class VertexType {
   /// `table`. Returns kInvalidVertex when no such vertex exists.
   VertexIndex find_by_key(const storage::Table& table, storage::RowIndex row,
                           std::span<const storage::ColumnIndex> key_cols) const;
+
+  /// find_by_key over a key whose cells may come from several tables:
+  /// cell i is compared with key column i. The edge join probes with it.
+  VertexIndex find_by_cells(std::span<const relational::KeyCell> cells) const;
 
   /// Human-readable key of a vertex, e.g. "Product1" or "(US, 4)".
   std::string key_string(VertexIndex v) const;

@@ -10,6 +10,9 @@ namespace gems::relational {
 using storage::Column;
 using storage::TypeKind;
 
+namespace {
+
+/// Appends the encoding of `table[row][col]` to `out`.
 void append_key_part(const storage::Table& table, storage::RowIndex row,
                      storage::ColumnIndex col, std::string& out) {
   const Column& column = table.column(col);
@@ -46,31 +49,14 @@ void append_key_part(const storage::Table& table, storage::RowIndex row,
   }
 }
 
+}  // namespace
+
 std::string encode_row_key(const storage::Table& table, storage::RowIndex row,
                            std::span<const storage::ColumnIndex> cols) {
   std::string out;
   out.reserve(cols.size() * 9);
   for (const auto col : cols) append_key_part(table, row, col, out);
   return out;
-}
-
-std::uint64_t hash_encoded_key(std::string_view key) noexcept {
-  // 8-byte chunks folded through the MurmurHash3 finalizer; the trailing
-  // partial chunk is zero-padded. Seeding with the length separates keys
-  // that differ only by zero-padding.
-  std::uint64_t h = mix64(0x9e3779b97f4a7c15ull ^ key.size());
-  std::size_t i = 0;
-  for (; i + 8 <= key.size(); i += 8) {
-    std::uint64_t chunk;
-    std::memcpy(&chunk, key.data() + i, sizeof(chunk));
-    h = mix64(h ^ chunk);
-  }
-  if (i < key.size()) {
-    std::uint64_t chunk = 0;
-    std::memcpy(&chunk, key.data() + i, key.size() - i);
-    h = mix64(h ^ chunk);
-  }
-  return h;
 }
 
 namespace {
@@ -103,28 +89,60 @@ inline std::uint64_t key_part_bits(const Column& column,
   GEMS_UNREACHABLE("bad column kind");
 }
 
+inline constexpr std::uint64_t kKeyHashSeed = 0x9e3779b97f4a7c15ull;
+
+/// Folds one key cell into a running key hash.
+inline std::uint64_t mix_key_part(std::uint64_t h, const Column& column,
+                                  storage::RowIndex row) {
+  return column.is_null(row)
+             ? mix64(h ^ kNullPartSeed)
+             : mix64(h ^ kValuePartSeed ^ key_part_bits(column, row));
+}
+
+/// Cell equality in the encode_row_key sense. Bit comparison of the
+/// normalized payload matches the encoded-bytes comparison exactly (incl.
+/// NaN == same-bit-pattern NaN, which `==` on doubles would get wrong).
+inline bool key_parts_equal(const Column& a, storage::RowIndex row_a,
+                            const Column& b, storage::RowIndex row_b) {
+  const bool na = a.is_null(row_a);
+  if (na != b.is_null(row_b)) return false;
+  return na || key_part_bits(a, row_a) == key_part_bits(b, row_b);
+}
+
 }  // namespace
 
 std::uint64_t hash_row_key(const storage::Table& table,
                            storage::RowIndex row,
                            std::span<const storage::ColumnIndex> cols) {
-  std::uint64_t h = 0x9e3779b97f4a7c15ull;
-  for (const auto col : cols) {
-    const Column& column = table.column(col);
-    if (column.is_null(row)) {
-      h = mix64(h ^ kNullPartSeed);
-    } else {
-      h = mix64(h ^ kValuePartSeed ^ key_part_bits(column, row));
+  std::uint64_t h = kKeyHashSeed;
+  for (const auto col : cols) h = mix_key_part(h, table.column(col), row);
+  return h;
+}
+
+std::uint64_t hash_cell_key(std::span<const KeyCell> cells) {
+  std::uint64_t h = kKeyHashSeed;
+  for (const KeyCell& c : cells) h = mix_key_part(h, *c.column, c.row);
+  return h;
+}
+
+bool cell_key_equals(std::span<const KeyCell> cells,
+                     const storage::Table& table, storage::RowIndex row,
+                     std::span<const storage::ColumnIndex> cols) {
+  GEMS_DCHECK(cells.size() == cols.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    if (!key_parts_equal(*cells[i].column, cells[i].row,
+                         table.column(cols[i]), row)) {
+      return false;
     }
   }
-  return h;
+  return true;
 }
 
 void hash_row_key_batch(const storage::Table& table, storage::RowIndex base,
                         const storage::RowIndex* rows, std::size_t n,
                         std::span<const storage::ColumnIndex> cols,
                         std::uint64_t* hashes, std::uint8_t* has_null) {
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < n; ++i) hashes[i] = kKeyHashSeed;
   if (has_null != nullptr) {
     for (std::size_t i = 0; i < n; ++i) has_null[i] = 0;
   }
@@ -202,7 +220,7 @@ void key_cells_batch(const storage::Table& table, storage::RowIndex base,
 void hash_key_cells(const std::uint64_t* bits, const std::uint8_t* nulls,
                     std::size_t n, std::size_t ncols, std::size_t stride,
                     std::uint64_t* hashes) {
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = 0x9e3779b97f4a7c15ull;
+  for (std::size_t i = 0; i < n; ++i) hashes[i] = kKeyHashSeed;
   for (std::size_t c = 0; c < ncols; ++c) {
     const std::uint64_t* b = bits + c * stride;
     const std::uint8_t* nl = nulls + c * stride;
@@ -220,16 +238,10 @@ bool row_keys_equal(const storage::Table& a, storage::RowIndex row_a,
                     std::span<const storage::ColumnIndex> cols_b) {
   GEMS_DCHECK(cols_a.size() == cols_b.size());
   for (std::size_t i = 0; i < cols_a.size(); ++i) {
-    const Column& ca = a.column(cols_a[i]);
-    const Column& cb = b.column(cols_b[i]);
-    const bool na = ca.is_null(row_a);
-    const bool nb = cb.is_null(row_b);
-    if (na != nb) return false;
-    if (na) continue;
-    // Bit comparison of the normalized payload matches the encoded-bytes
-    // comparison exactly (incl. NaN == same-bit-pattern NaN, which `==`
-    // on doubles would get wrong).
-    if (key_part_bits(ca, row_a) != key_part_bits(cb, row_b)) return false;
+    if (!key_parts_equal(a.column(cols_a[i]), row_a, b.column(cols_b[i]),
+                         row_b)) {
+      return false;
+    }
   }
   return true;
 }

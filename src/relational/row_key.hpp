@@ -1,52 +1,28 @@
-// Byte-string encoding of row keys for hash-based operators (GROUP BY,
-// DISTINCT, hash join) and the Eq. 2 edge join. Two rows encode to the
-// same bytes iff their key columns are pairwise equal under the column's
-// type (strings compare by interned id, which the shared StringPool makes
-// equivalent to string equality). hash_row_key and row_keys_equal give
-// the same identity without encoding; the vertex key index uses them.
+// Row-key identity for hash-based operators (GROUP BY, DISTINCT, hash
+// join), the vertex key index and the Eq. 2 edge join. Two rows encode to
+// the same bytes iff their key columns are pairwise equal under the
+// column's type (strings compare by interned id, which the shared
+// StringPool makes equivalent to string equality). hash_row_key and
+// row_keys_equal give the same identity without encoding, and their
+// cell-wise forms (hash_cell_key over KeyCell spans, cell_key_equals)
+// give it for a key whose cells come from several tables.
 //
-// Hashing of these keys goes through the 64-bit MurmurHash3 finalizer
-// (common/hash.hpp) — both the chunked hasher for encoded byte keys
-// (RowKeyHash) and the vectorized per-column hash stream (hash_rows) —
+// Key hashes go through the 64-bit MurmurHash3 finalizer (common/hash.hpp)
 // because std-hasher combining diffuses the low-entropy payloads (dense
-// interned ids, small integers) poorly and skews bucket occupancy. The
-// encoded byte format itself is unchanged: it is what snapshots and the
-// BSP wire already rely on.
+// interned ids, small integers) poorly and skews bucket occupancy.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
-#include <string_view>
 
 #include "storage/table.hpp"
 
 namespace gems::relational {
 
-/// Appends the encoding of `table[row][col]` to `out`.
-void append_key_part(const storage::Table& table, storage::RowIndex row,
-                     storage::ColumnIndex col, std::string& out);
-
 /// Encodes the given columns of one row.
 std::string encode_row_key(const storage::Table& table, storage::RowIndex row,
                            std::span<const storage::ColumnIndex> cols);
-
-/// Hashes an encoded row key: 8-byte little-endian chunks folded through
-/// mix64. Heterogeneous so unordered containers can probe with
-/// string_view without materializing a std::string.
-std::uint64_t hash_encoded_key(std::string_view key) noexcept;
-
-/// Hasher for unordered containers keyed on encoded row keys.
-struct RowKeyHash {
-  using is_transparent = void;
-  std::size_t operator()(std::string_view key) const noexcept {
-    return static_cast<std::size_t>(hash_encoded_key(key));
-  }
-  std::size_t operator()(const std::string& key) const noexcept {
-    return static_cast<std::size_t>(
-        hash_encoded_key(std::string_view(key)));
-  }
-};
 
 /// 64-bit key hash of one row without materializing the encoded bytes
 /// (the vectorized group-by/join/distinct path). Equal keys (in the
@@ -55,6 +31,23 @@ struct RowKeyHash {
 std::uint64_t hash_row_key(const storage::Table& table,
                            storage::RowIndex row,
                            std::span<const storage::ColumnIndex> cols);
+
+/// One cell of a key: row `row` of `column`. A key whose cells come from
+/// several tables (the probe side of an edge join) is a span of these.
+struct KeyCell {
+  const storage::Column* column = nullptr;
+  storage::RowIndex row = 0;
+};
+
+/// hash_row_key over cells: equal to hash_row_key(table, row, cols) when
+/// cell i is row `row` of table.column(cols[i]).
+std::uint64_t hash_cell_key(std::span<const KeyCell> cells);
+
+/// row_keys_equal with a cell-wise left side: true iff cell i equals row
+/// `row` of table.column(cols[i]) for every i.
+bool cell_key_equals(std::span<const KeyCell> cells,
+                     const storage::Table& table, storage::RowIndex row,
+                     std::span<const storage::ColumnIndex> cols);
 
 /// Bulk form of hash_row_key, column-at-a-time: hashes[i] receives the
 /// key hash of row `rows[i]` (or `base + i` when rows == nullptr — the

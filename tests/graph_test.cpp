@@ -2,8 +2,8 @@
 // many-to-one), Eq. 2 edge creation (direct joins, `from table` associated
 // tables, multi-table joins), the Fig. 5 export-edge scenario, the CSR
 // bidirectional edge indices, self-join ingest deltas, the vertex key
-// index against an encoded-key oracle, and vertex filters against a
-// per-row predicate check.
+// index against an encoded-key oracle, and vertex and edge filters against
+// a per-row predicate check.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -847,6 +847,143 @@ TEST(VertexFilterTest, KernelFilterMatchesPerRowPredicate) {
   ASSERT_FALSE(flipped);
   expect_matches_oracle(*extended, "extend");
   EXPECT_EQ(extended->byte_size(), whole->byte_size());
+}
+
+// Single-source conjuncts of an edge declaration select join candidates
+// through the relational kernels (`filter_rows`, from the delta's first
+// row on), intersected with the endpoint's vertex filter. Over three
+// storage chunks (the last ragged) with NULLs, the edges must equal a
+// per-row eval_predicate check, built whole and as base + delta across
+// the chunk seals. The target side's conjunct makes its attach hash
+// instead of probing the key index.
+TEST(EdgeFilterTest, KernelFilterMatchesPerRowPredicate) {
+  constexpr std::size_t kRows = 2 * kChunkRows + 555;
+  constexpr std::size_t kBaseRows = 1000;  // the delta crosses two seals
+  constexpr std::int64_t kTags = 20;
+  StringPool pool;
+  Xoshiro256 rng(23);
+  auto items = std::make_shared<Table>(
+      "Items",
+      Schema({{"k", DataType::int64()},
+              {"x", DataType::float64()},
+              {"s", DataType::varchar(4)},
+              {"tag", DataType::int64()},
+              {"w", DataType::int64()}}),
+      pool);
+  auto append_items = [&](Table& t, std::size_t n) {
+    const char* strings[] = {"aa", "bb", "cc"};
+    for (std::size_t i = 0; i < n; ++i) {
+      const std::vector<Value> row{
+          Value::int64(static_cast<std::int64_t>(t.num_rows())),
+          rng() % 5 == 0
+              ? Value::null()
+              : Value::float64(static_cast<double>(rng() % 16) / 8.0),
+          rng() % 4 == 0 ? Value::null() : Value::varchar(strings[rng() % 3]),
+          rng() % 6 == 0
+              ? Value::null()
+              : Value::int64(static_cast<std::int64_t>(rng() % (kTags + 4))),
+          Value::int64(static_cast<std::int64_t>(rng() % 5))};
+      ASSERT_TRUE(t.append_row(row).is_ok());
+    }
+  };
+  append_items(*items, kBaseRows);
+  auto tags = std::make_shared<Table>(
+      "Tags", Schema({{"id", DataType::int64()}, {"y", DataType::int64()}}),
+      pool);
+  for (std::int64_t i = 0; i < kTags; ++i) {
+    const std::vector<Value> row{
+        Value::int64(i), i % 7 == 3 ? Value::null() : Value::int64(i % 3)};
+    ASSERT_TRUE(tags->append_row(row).is_ok());
+  }
+  storage::TableCatalog tables;
+  ASSERT_TRUE(tables.add(items).is_ok());
+  ASSERT_TRUE(tables.add(tags).is_ok());
+
+  const std::vector<VertexDecl> vertices = {
+      {"ItemVtx", {"k"}, "Items",
+       ne(col("ItemVtx", "w"), Expr::make_literal(Value::int64(3)))},
+      {"TagVtx", {"id"}, "Tags", nullptr}};
+  // (x > 0.5 or s = 'bb') and k <> 7: NULLs in x and s reach the 3VL or.
+  const ExprPtr item_filter = land(
+      Expr::make_binary(
+          BinaryOp::kOr,
+          Expr::make_binary(BinaryOp::kGt, col("ItemVtx", "x"),
+                            Expr::make_literal(Value::float64(0.5))),
+          eq(col("ItemVtx", "s"), Expr::make_literal(Value::varchar("bb")))),
+      ne(col("ItemVtx", "k"), Expr::make_literal(Value::int64(7))));
+  const ExprPtr tag_filter =
+      ne(col("TagVtx", "y"), Expr::make_literal(Value::int64(1)));
+  const std::vector<EdgeDecl> edges = {
+      {"tagged",
+       {"ItemVtx", ""},
+       {"TagVtx", ""},
+       {},
+       land(land(eq(col("ItemVtx", "tag"), col("TagVtx", "id")), item_filter),
+            tag_filter)}};
+  auto build = [&](GraphView& g) {
+    for (const auto& d : vertices) {
+      ASSERT_TRUE(add_vertex_type(g, d, tables, pool).is_ok());
+    }
+    const Status st = add_edge_type(g, edges[0], tables, pool);
+    ASSERT_TRUE(st.is_ok()) << st.to_string();
+  };
+  GraphView graph;
+  build(graph);
+
+  auto grown = std::make_shared<Table>(*items);
+  append_items(*grown, kRows - kBaseRows);
+  tables.add_or_replace(grown);
+  auto applied = extend_graph_for_ingest(graph, "Items",
+                                         static_cast<storage::RowIndex>(
+                                             kBaseRows),
+                                         vertices, edges, tables, pool, {});
+  ASSERT_TRUE(applied.is_ok()) << applied.status().to_string();
+  ASSERT_TRUE(*applied);
+  GraphView whole;
+  build(whole);
+
+  // Oracle: per-row predicates; one-to-one types number their passing
+  // rows in order, and Tags row i holds id i.
+  auto bind = [&](const ExprPtr& e, const Table& t, const char* alias) {
+    relational::TableScope scope(t, alias);
+    auto bound = relational::bind_predicate(e, scope, {}, pool);
+    GEMS_CHECK_MSG(bound.is_ok(), bound.status().to_string().c_str());
+    return std::move(bound).value();
+  };
+  const auto vertex_where = bind(vertices[0].where, *grown, "ItemVtx");
+  const auto item_where = bind(item_filter, *grown, "ItemVtx");
+  const auto tag_where = bind(tag_filter, *tags, "TagVtx");
+  std::vector<std::pair<VertexIndex, VertexIndex>> want;
+  relational::RowCursor item{grown.get(), 0};
+  relational::RowCursor tag{tags.get(), 0};
+  VertexIndex item_vertex = 0;
+  std::size_t filtered_out = 0;
+  for (std::size_t r = 0; r < kRows; ++r) {
+    item.row = static_cast<storage::RowIndex>(r);
+    if (!relational::eval_predicate(*vertex_where, {&item, 1}, pool)) continue;
+    const VertexIndex v = item_vertex++;
+    if (!relational::eval_predicate(*item_where, {&item, 1}, pool)) {
+      ++filtered_out;
+      continue;
+    }
+    const Value t = grown->value_at(item.row, 3);
+    if (t.is_null() || t.as_int64() >= kTags) continue;
+    tag.row = static_cast<storage::RowIndex>(t.as_int64());
+    if (!relational::eval_predicate(*tag_where, {&tag, 1}, pool)) continue;
+    want.emplace_back(v, tag.row);
+  }
+  ASSERT_GT(filtered_out, 0u);
+  ASSERT_GT(want.size(), kChunkRows / 2);
+
+  for (const GraphView* g : {&whole, &graph}) {
+    SCOPED_TRACE(g == &whole ? "build" : "base + delta");
+    const EdgeType& et = g->edge_type(0);
+    std::vector<std::pair<VertexIndex, VertexIndex>> got;
+    for (EdgeIndex e = 0; e < et.num_edges(); ++e) {
+      got.emplace_back(et.source_vertex(e), et.target_vertex(e));
+    }
+    EXPECT_EQ(got, want);
+  }
 }
 
 }  // namespace
