@@ -5,8 +5,13 @@
 
 namespace gems::cluster {
 
-using net::WireReader;
-using net::WireWriter;
+namespace {
+
+ByteReader payload_reader(std::span<const std::uint8_t> bytes) {
+  return ByteReader(bytes, StatusCode::kParseError, "malformed BSP payload");
+}
+
+}  // namespace
 
 std::string_view bsp_kind_name(BspKind kind) noexcept {
   switch (kind) {
@@ -26,8 +31,9 @@ std::string_view bsp_kind_name(BspKind kind) noexcept {
 }
 
 std::vector<std::uint8_t> encode_bsp_frame(const BspFrame& frame) {
-  WireWriter w;
-  w.buffer().reserve(kBspHeaderBytes + frame.payload.size());
+  std::vector<std::uint8_t> out;
+  out.reserve(kBspHeaderBytes + frame.payload.size());
+  ByteWriter w(out);
   w.u32(kBspMagic);
   w.u16(kBspVersion);
   w.u8(static_cast<std::uint8_t>(frame.kind));
@@ -37,9 +43,8 @@ std::vector<std::uint8_t> encode_bsp_frame(const BspFrame& frame) {
   w.u32(static_cast<std::uint32_t>(frame.tag));
   w.u32(static_cast<std::uint32_t>(frame.payload.size()));
   w.u32(crc32(frame.payload));
-  w.buffer().insert(w.buffer().end(), frame.payload.begin(),
-                    frame.payload.end());
-  return w.take();
+  w.bytes(frame.payload);
+  return out;
 }
 
 Status send_bsp_frame(const net::Socket& socket, const BspFrame& frame) {
@@ -50,25 +55,20 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
                                 std::size_t max_frame_bytes) {
   std::uint8_t header[kBspHeaderBytes];
   GEMS_RETURN_IF_ERROR(net::recv_all(socket, header));
-  WireReader r(header);
+  ByteReader r(header, StatusCode::kParseError, "malformed BSP frame");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
   if (magic != kBspMagic) {
-    return parse_error(
-        "bad BSP frame magic at byte offset 0 (not a GEMS cluster peer?)");
+    return r.error_at(0, "bad magic (not a GEMS cluster peer?)");
   }
   GEMS_ASSIGN_OR_RETURN(std::uint16_t version, r.u16());
   if (version != kBspVersion) {
-    return parse_error("unsupported BSP wire version " +
-                       std::to_string(version) + " at byte offset 4 (this "
-                       "peer speaks " + std::to_string(kBspVersion) + ")");
-  }
-  GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, r.u8());
-  if (kind >= kNumBspKinds) {
-    return parse_error("unknown BSP frame kind " + std::to_string(kind) +
-                       " at byte offset 6");
+    return r.error_at(4, "unsupported BSP wire version " +
+                             std::to_string(version) + " (this peer speaks " +
+                             std::to_string(kBspVersion) + ")");
   }
   BspFrame frame;
-  frame.kind = static_cast<BspKind>(kind);
+  GEMS_ASSIGN_OR_RETURN(
+      frame.kind, r.enum8(static_cast<BspKind>(kNumBspKinds - 1), "kind"));
   GEMS_ASSIGN_OR_RETURN(std::uint8_t flags, r.u8());
   (void)flags;
   GEMS_ASSIGN_OR_RETURN(frame.from, r.u32());
@@ -79,19 +79,18 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
   // The frame budget is the admission line for memory: a hostile length
   // is rejected here, before any allocation.
   if (payload_len > max_frame_bytes) {
-    return parse_error("BSP frame payload length " +
-                       std::to_string(payload_len) +
-                       " exceeds the frame budget of " +
-                       std::to_string(max_frame_bytes) +
-                       " bytes at byte offset 20");
+    return r.error_at(20, "payload length " + std::to_string(payload_len) +
+                              " exceeds the frame budget of " +
+                              std::to_string(max_frame_bytes) + " bytes");
   }
   GEMS_ASSIGN_OR_RETURN(std::uint32_t expected_crc, r.u32());
   frame.payload.resize(payload_len);
   GEMS_RETURN_IF_ERROR(net::recv_all(socket, frame.payload));
   const std::uint32_t actual_crc = crc32(frame.payload);
   if (actual_crc != expected_crc) {
-    return parse_error("BSP frame payload CRC mismatch on a " +
-                       std::string(bsp_kind_name(frame.kind)) + " frame");
+    return r.error_at(kBspHeaderBytes,
+                      "payload CRC mismatch on a " +
+                          std::string(bsp_kind_name(frame.kind)) + " frame");
   }
   return frame;
 }
@@ -99,15 +98,16 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
 // ---- Control payloads ------------------------------------------------------
 
 std::vector<std::uint8_t> encode_hello(const HelloPayload& p) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u32(p.rank);
   w.u32(p.state_crc);
   w.str(p.worker_name);
-  return w.take();
+  return out;
 }
 
 Result<HelloPayload> decode_hello(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = payload_reader(bytes);
   HelloPayload out;
   GEMS_ASSIGN_OR_RETURN(out.rank, r.u32());
   GEMS_ASSIGN_OR_RETURN(out.state_crc, r.u32());
@@ -116,14 +116,15 @@ Result<HelloPayload> decode_hello(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_welcome(const WelcomePayload& p) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u32(p.num_ranks);
   w.boolean(p.sync_needed);
-  return w.take();
+  return out;
 }
 
 Result<WelcomePayload> decode_welcome(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = payload_reader(bytes);
   WelcomePayload out;
   GEMS_ASSIGN_OR_RETURN(out.num_ranks, r.u32());
   GEMS_ASSIGN_OR_RETURN(out.sync_needed, r.boolean());
@@ -131,18 +132,19 @@ Result<WelcomePayload> decode_welcome(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_job(const JobPayload& p) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u64(p.job_id);
   w.u32(p.num_ranks);
   w.u32(p.network_index);
   w.boolean(p.record_transcript);
   w.blob(p.ir);
   w.blob(p.params);
-  return w.take();
+  return out;
 }
 
 Result<JobPayload> decode_job(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = payload_reader(bytes);
   JobPayload out;
   GEMS_ASSIGN_OR_RETURN(out.job_id, r.u64());
   GEMS_ASSIGN_OR_RETURN(out.num_ranks, r.u32());
@@ -154,7 +156,8 @@ Result<JobPayload> decode_job(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_job_done(const JobDonePayload& p) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u64(p.job_id);
   w.u64(p.messages);
   w.u64(p.payload_bytes);
@@ -164,11 +167,11 @@ std::vector<std::uint8_t> encode_job_done(const JobDonePayload& p) {
   w.u64(p.stall_us);
   w.blob(p.transcript);
   w.blob(p.domains);
-  return w.take();
+  return out;
 }
 
 Result<JobDonePayload> decode_job_done(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = payload_reader(bytes);
   JobDonePayload out;
   GEMS_ASSIGN_OR_RETURN(out.job_id, r.u64());
   GEMS_ASSIGN_OR_RETURN(out.messages, r.u64());
@@ -183,16 +186,17 @@ Result<JobDonePayload> decode_job_done(std::span<const std::uint8_t> bytes) {
 }
 
 std::vector<std::uint8_t> encode_error(const Status& status) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   net::encode_status(status, w);
-  return w.take();
+  return out;
 }
 
 Status decode_error(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = payload_reader(bytes);
   const Status status = net::decode_status(r);
   if (status.is_ok()) {
-    return parse_error("BSP error frame carried an OK status");
+    return r.error_at(0, "error frame carried an OK status");
   }
   return status;
 }

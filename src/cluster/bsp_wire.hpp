@@ -84,7 +84,7 @@ Result<BspFrame> recv_bsp_frame(const net::Socket& socket,
                                 std::size_t max_frame_bytes);
 
 // ---- Control payloads ------------------------------------------------------
-// Encoded with net::WireWriter / decoded with the hardened WireReader.
+// Written with ByteWriter and read with ByteReader (common/bytes.hpp).
 
 struct HelloPayload {
   std::uint32_t rank = 0;

@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "cluster/bsp_wire.hpp"
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
 #include "dist/dist_matcher.hpp"
@@ -244,13 +245,16 @@ Result<exec::MatchResult> Coordinator::match_distributed(
   }
 
   // ---- Merge: rank 0 carries the gathered domains ----------------------
-  GEMS_ASSIGN_OR_RETURN(std::vector<exec::Domain> domains,
-                        dist::decode_domains(done[0]->domains));
+  // Against `ctx`, the state the ranks were synced from: the live graph
+  // may have moved on under a concurrent ingest.
+  GEMS_ASSIGN_OR_RETURN(
+      std::vector<exec::Domain> domains,
+      dist::decode_domains(done[0]->domains, net, ctx.graph));
   exec::MatchResult result;
   result.domains = std::move(domains);
   result.matched_edges = exec::matched_edge_sets(
-      net, db_.graph(), db_.pool(), result.domains, /*stats=*/nullptr,
-      db_.context().intra_pool);
+      net, ctx.graph, *ctx.pool, result.domains, /*stats=*/nullptr,
+      ctx.intra_pool);
 
   // ---- Account ---------------------------------------------------------
   jobs_.add();
@@ -436,7 +440,8 @@ void Coordinator::reader_loop(std::uint32_t rank) {
         break;
       }
       case BspKind::kSyncAck: {
-        net::WireReader r(frame->payload);
+        ByteReader r(frame->payload, StatusCode::kParseError,
+                     "malformed sync ack");
         Result<std::uint32_t> crc = r.u32();
         if (crc.is_ok()) {
           sync::MutexLock lock(control_mutex_);

@@ -6,6 +6,7 @@
 #include <thread>
 #include <utility>
 
+#include "common/bytes.hpp"
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
 #include "cluster/channel.hpp"
@@ -87,9 +88,7 @@ Status RankWorker::handle_sync(const BspFrame& frame) {
   BspFrame ack;
   ack.kind = BspKind::kSyncAck;
   ack.from = options_.rank;
-  net::WireWriter w;
-  w.u32(state_crc_);
-  ack.payload = w.take();
+  ByteWriter(ack.payload).u32(state_crc_);
   return send_bsp_frame(socket_, ack);
 }
 

@@ -1,7 +1,6 @@
 #include "dist/dist_aggregate.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <map>
 
 #include "relational/row_key.hpp"
@@ -103,66 +102,100 @@ void merge(Partial& into, const Partial& from) {
 
 // ---- Value wire format (kind byte + raw 64 bits) -------------------------
 
-void put_value(std::vector<std::uint8_t>& out, const Value& v,
-               StringPool& pool) {
+void put_value(ByteWriter& w, const Value& v, StringPool& pool) {
   if (v.is_null()) {
-    out.push_back(0);
-    put_u64(out, 0);
+    w.u8(0);
+    w.u64(0);
     return;
   }
-  std::uint64_t raw = 0;
   switch (v.kind()) {
     case TypeKind::kBool:
-      out.push_back(1);
-      raw = v.as_bool() ? 1 : 0;
-      break;
+      w.u8(1);
+      w.u64(v.as_bool() ? 1 : 0);
+      return;
     case TypeKind::kInt64:
-      out.push_back(2);
-      raw = static_cast<std::uint64_t>(v.as_int64());
-      break;
+      w.u8(2);
+      w.i64(v.as_int64());
+      return;
     case TypeKind::kDate:
-      out.push_back(3);
-      raw = static_cast<std::uint64_t>(v.as_int64());
-      break;
-    case TypeKind::kDouble: {
-      out.push_back(4);
-      const double d = v.as_double();
-      static_assert(sizeof(d) == sizeof(raw));
-      std::memcpy(&raw, &d, sizeof(raw));
-      break;
-    }
+      w.u8(3);
+      w.i64(v.as_int64());
+      return;
+    case TypeKind::kDouble:
+      w.u8(4);
+      w.f64(v.as_double());
+      return;
     case TypeKind::kVarchar:
-      out.push_back(5);
-      raw = pool.intern(v.as_string());
-      break;
+      w.u8(5);
+      w.u64(pool.intern(v.as_string()));
+      return;
   }
-  put_u64(out, raw);
+  GEMS_UNREACHABLE("bad value kind");
 }
 
-Value get_value(std::span<const std::uint8_t> in, std::size_t& pos,
-                const StringPool& pool) {
-  const std::uint8_t kind = in[pos++];
-  const std::uint64_t raw = get_u64(in, pos);
+Result<Value> get_value(ByteReader& r, const StringPool& pool) {
+  const std::size_t at = r.pos();
+  GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, r.u8());
   switch (kind) {
     case 0:
+      GEMS_RETURN_IF_ERROR(r.u64().status());
       return Value::null();
-    case 1:
+    case 1: {
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t raw, r.u64());
       return Value::boolean(raw != 0);
-    case 2:
-      return Value::int64(static_cast<std::int64_t>(raw));
-    case 3:
-      return Value::date(static_cast<std::int64_t>(raw));
+    }
+    case 2: {
+      GEMS_ASSIGN_OR_RETURN(std::int64_t raw, r.i64());
+      return Value::int64(raw);
+    }
+    case 3: {
+      GEMS_ASSIGN_OR_RETURN(std::int64_t raw, r.i64());
+      return Value::date(raw);
+    }
     case 4: {
-      double d;
-      std::memcpy(&d, &raw, sizeof(d));
+      GEMS_ASSIGN_OR_RETURN(double d, r.f64());
       return Value::float64(d);
     }
-    case 5:
-      return Value::varchar(
-          std::string(pool.view(static_cast<StringId>(raw))));
+    case 5: {
+      const std::size_t id_at = r.pos();
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t id, r.u64());
+      if (id >= pool.size()) {
+        return r.error_at(id_at, "string id " + std::to_string(id) +
+                                     " outside the pool");
+      }
+      return Value::varchar(std::string(pool.view(static_cast<StringId>(id))));
+    }
     default:
-      GEMS_UNREACHABLE("bad value wire kind");
+      return r.error_at(at, "bad value kind " + std::to_string(kind));
   }
+}
+
+/// Rank 0's merge of a peer's partials payload into `merged`.
+Status merge_partials(std::span<const std::uint8_t> payload,
+                      std::size_t num_aggs, const StringPool& pool,
+                      std::map<std::string, GroupState>& merged) {
+  ByteReader r = payload_reader(payload);
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t groups, r.count("group", 8));
+  for (std::uint32_t g = 0; g < groups; ++g) {
+    GEMS_ASSIGN_OR_RETURN(std::string key, r.str());
+    GEMS_ASSIGN_OR_RETURN(RowIndex representative, r.u32());
+    auto [it, inserted] = merged.emplace(std::move(key), GroupState{});
+    if (inserted) {
+      it->second.representative = representative;
+      it->second.partials.resize(num_aggs);
+    }
+    for (std::size_t a = 0; a < num_aggs; ++a) {
+      Partial p;
+      GEMS_ASSIGN_OR_RETURN(p.count, r.i64());
+      GEMS_ASSIGN_OR_RETURN(p.isum, r.i64());
+      GEMS_ASSIGN_OR_RETURN(p.dsum, r.f64());
+      GEMS_ASSIGN_OR_RETURN(p.has_value, r.boolean());
+      GEMS_ASSIGN_OR_RETURN(p.min, get_value(r, pool));
+      GEMS_ASSIGN_OR_RETURN(p.max, get_value(r, pool));
+      merge(it->second.partials[a], p);
+    }
+  }
+  return r.expect_end("partials");
 }
 
 Result<DataType> agg_output_type(const AggSpec& spec, const Table& src) {
@@ -237,20 +270,18 @@ Result<TablePtr> distributed_group_by(const Table& src,
     if (rank != 0) {
       // Ship partials to rank 0.
       std::vector<std::uint8_t> payload;
-      put_u32(payload, static_cast<std::uint32_t>(local.size()));
+      ByteWriter w(payload);
+      w.u32(static_cast<std::uint32_t>(local.size()));
       for (const auto& [key, state] : local) {
-        put_u32(payload, static_cast<std::uint32_t>(key.size()));
-        payload.insert(payload.end(), key.begin(), key.end());
-        put_u32(payload, state.representative);
+        w.str(key);
+        w.u32(state.representative);
         for (const Partial& p : state.partials) {
-          put_u64(payload, static_cast<std::uint64_t>(p.count));
-          put_u64(payload, static_cast<std::uint64_t>(p.isum));
-          std::uint64_t dbits;
-          std::memcpy(&dbits, &p.dsum, sizeof(dbits));
-          put_u64(payload, dbits);
-          payload.push_back(p.has_value ? 1 : 0);
-          put_value(payload, p.min, pool);
-          put_value(payload, p.max, pool);
+          w.i64(p.count);
+          w.i64(p.isum);
+          w.f64(p.dsum);
+          w.boolean(p.has_value);
+          put_value(w, p.min, pool);
+          put_value(w, p.max, pool);
         }
       }
       ctx.send(0, kTagPartials, payload);
@@ -261,32 +292,8 @@ Result<TablePtr> distributed_group_by(const Table& src,
     for (int i = 0; i < n - 1; ++i) {
       Message m = ctx.recv();
       GEMS_CHECK(m.tag == kTagPartials);
-      std::size_t pos = 0;
-      const std::uint32_t groups = get_u32(m.payload, pos);
-      for (std::uint32_t g = 0; g < groups; ++g) {
-        const std::uint32_t key_len = get_u32(m.payload, pos);
-        std::string key(reinterpret_cast<const char*>(m.payload.data() +
-                                                      pos),
-                        key_len);
-        pos += key_len;
-        const RowIndex representative = get_u32(m.payload, pos);
-        auto [it, inserted] = merged.emplace(std::move(key), GroupState{});
-        if (inserted) {
-          it->second.representative = representative;
-          it->second.partials.resize(aggs.size());
-        }
-        for (std::size_t a = 0; a < aggs.size(); ++a) {
-          Partial p;
-          p.count = static_cast<std::int64_t>(get_u64(m.payload, pos));
-          p.isum = static_cast<std::int64_t>(get_u64(m.payload, pos));
-          const std::uint64_t dbits = get_u64(m.payload, pos);
-          std::memcpy(&p.dsum, &dbits, sizeof(p.dsum));
-          p.has_value = m.payload[pos++] != 0;
-          p.min = get_value(m.payload, pos, pool);
-          p.max = get_value(m.payload, pos, pool);
-          merge(it->second.partials[a], p);
-        }
-      }
+      check_payload(merge_partials(m.payload, aggs.size(), pool, merged),
+                    "aggregate partials");
     }
   });
 

@@ -44,6 +44,26 @@ bool edge_passes(const ConstraintNetwork& net, const GraphView& graph,
   return true;
 }
 
+/// Reads a u32 vertex index and rejects one outside `bits`.
+Result<VertexIndex> read_index(ByteReader& r, const DynamicBitset& bits) {
+  const std::size_t at = r.pos();
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t idx, r.u32());
+  if (idx >= bits.size()) {
+    return r.error_at(at, "vertex index " + std::to_string(idx) +
+                              " out of range for a domain of " +
+                              std::to_string(bits.size()));
+  }
+  return idx;
+}
+
+/// Appends one activation record: the vertex's type and index.
+void put_activation(std::vector<std::uint8_t>& box, VertexTypeId type,
+                    VertexIndex v) {
+  ByteWriter w(box);
+  w.u32(type);
+  w.u32(v);
+}
+
 Domain empty_like(const GraphView& graph,
                   const std::vector<VertexTypeId>& types) {
   Domain d;
@@ -117,14 +137,8 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
       for (int i = 0; i < n - 1; ++i) {
         Message m = comm.recv();
         GEMS_CHECK(m.tag == kTagActivations);
-        std::size_t pos = 0;
-        while (pos < m.payload.size()) {
-          const VertexTypeId type =
-              static_cast<VertexTypeId>(get_u32(m.payload, pos));
-          const VertexIndex v = get_u32(m.payload, pos);
-          auto it = support.sets.find(type);
-          if (it != support.sets.end()) it->second.set(v);
-        }
+        check_payload(decode_activations(m.payload, support),
+                      "group-hop activations");
       }
       comm.barrier();
       return support;
@@ -214,8 +228,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
                 if (owner == rank) {
                   support.sets.at(out_type).set(neighbors[i]);
                 } else {
-                  put_u32(outbox[owner], out_type);
-                  put_u32(outbox[owner], neighbors[i]);
+                  put_activation(outbox[owner], out_type, neighbors[i]);
                   ++out.activations_sent;
                 }
               }
@@ -353,8 +366,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
               if (owner == rank) {
                 bits.set(neighbors[i]);
               } else {
-                put_u32(box[owner], to_type);
-                put_u32(box[owner], neighbors[i]);
+                put_activation(box[owner], to_type, neighbors[i]);
                 ++sent;
               }
             }
@@ -405,14 +417,8 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
       for (int i = 0; i < n - 1; ++i) {
         Message m = comm.recv();
         GEMS_CHECK(m.tag == kTagActivations);
-        std::size_t pos = 0;
-        while (pos < m.payload.size()) {
-          const VertexTypeId type =
-              static_cast<VertexTypeId>(get_u32(m.payload, pos));
-          const VertexIndex v = get_u32(m.payload, pos);
-          auto it = support.sets.find(type);
-          if (it != support.sets.end()) it->second.set(v);
-        }
+        check_payload(decode_activations(m.payload, support),
+                      "edge activations");
       }
 
       // Cull my owned portion of the target domain.
@@ -446,13 +452,14 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
   // ---- Gather domains on rank 0 --------------------------------------
   if (rank != 0) {
     std::vector<std::uint8_t> payload;
+    ByteWriter w(payload);
     for (std::size_t v = 0; v < net.num_vars(); ++v) {
       for (const auto& [type, bits] : out.domains[v].sets) {
         const auto indices = bits.to_indices();
-        put_u32(payload, static_cast<std::uint32_t>(v));
-        put_u32(payload, type);
-        put_u32(payload, static_cast<std::uint32_t>(indices.size()));
-        for (const auto idx : indices) put_u32(payload, idx);
+        w.u32(static_cast<std::uint32_t>(v));
+        w.u32(type);
+        w.u32(static_cast<std::uint32_t>(indices.size()));
+        for (const auto idx : indices) w.u32(idx);
       }
     }
     comm.send(0, kTagGather, payload);
@@ -461,74 +468,112 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
   for (int i = 0; i < n - 1; ++i) {
     Message m = comm.recv();
     GEMS_CHECK(m.tag == kTagGather);
-    std::size_t pos = 0;
-    while (pos < m.payload.size()) {
-      const std::size_t v = get_u32(m.payload, pos);
-      const VertexTypeId type =
-          static_cast<VertexTypeId>(get_u32(m.payload, pos));
-      const std::uint32_t count = get_u32(m.payload, pos);
-      auto it = out.domains[v].sets.find(type);
-      for (std::uint32_t k = 0; k < count; ++k) {
-        const VertexIndex idx = get_u32(m.payload, pos);
-        if (it != out.domains[v].sets.end()) it->second.set(idx);
+    check_payload(decode_gather(m.payload, out.domains), "gathered domains");
+  }
+}
+
+Status decode_activations(std::span<const std::uint8_t> payload,
+                          Domain& support) {
+  ByteReader r = payload_reader(payload);
+  while (!r.at_end()) {
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t type, r.u32());
+    auto it = support.sets.find(static_cast<VertexTypeId>(type));
+    if (it == support.sets.end()) {
+      // A type outside this exchange's support is not wanted here.
+      GEMS_RETURN_IF_ERROR(r.u32().status());
+      continue;
+    }
+    GEMS_ASSIGN_OR_RETURN(VertexIndex v, read_index(r, it->second));
+    it->second.set(v);
+  }
+  return Status::ok();
+}
+
+Status decode_gather(std::span<const std::uint8_t> payload,
+                     std::vector<Domain>& domains) {
+  ByteReader r = payload_reader(payload);
+  while (!r.at_end()) {
+    const std::size_t at = r.pos();
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t var, r.u32());
+    if (var >= domains.size()) {
+      return r.error_at(at, "unknown variable " + std::to_string(var));
+    }
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t type, r.u32());
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t count, r.count("index", 4));
+    auto it = domains[var].sets.find(static_cast<VertexTypeId>(type));
+    for (std::uint32_t k = 0; k < count; ++k) {
+      if (it == domains[var].sets.end()) {
+        // A type this variable does not range over: skip its indices.
+        GEMS_RETURN_IF_ERROR(r.u32().status());
+        continue;
       }
+      GEMS_ASSIGN_OR_RETURN(VertexIndex idx, read_index(r, it->second));
+      it->second.set(idx);
     }
   }
+  return Status::ok();
 }
 
 void encode_domains(const std::vector<Domain>& domains,
                     std::vector<std::uint8_t>& out) {
-  put_u32(out, static_cast<std::uint32_t>(domains.size()));
+  ByteWriter w(out);
+  w.u32(static_cast<std::uint32_t>(domains.size()));
   for (const Domain& d : domains) {
-    put_u32(out, static_cast<std::uint32_t>(d.sets.size()));
+    w.u32(static_cast<std::uint32_t>(d.sets.size()));
     for (const auto& [type, bits] : d.sets) {  // std::map: type order
-      put_u32(out, type);
-      put_u64(out, bits.size());
+      w.u32(type);
+      w.u64(bits.size());
       const auto indices = bits.to_indices();
-      put_u32(out, static_cast<std::uint32_t>(indices.size()));
-      for (const auto idx : indices) put_u32(out, idx);
+      w.u32(static_cast<std::uint32_t>(indices.size()));
+      for (const auto idx : indices) w.u32(idx);
     }
   }
 }
 
 Result<std::vector<Domain>> decode_domains(
-    std::span<const std::uint8_t> bytes) {
-  std::size_t pos = 0;
-  auto need = [&](std::size_t n) {
-    return pos + n <= bytes.size();
-  };
-  if (!need(4)) return parse_error("domains: truncated header");
-  const std::uint32_t num_vars = get_u32(bytes, pos);
-  std::vector<Domain> domains;
-  domains.reserve(num_vars);
-  for (std::uint32_t v = 0; v < num_vars; ++v) {
-    if (!need(4)) return parse_error("domains: truncated set count");
-    const std::uint32_t num_sets = get_u32(bytes, pos);
-    Domain d;
+    std::span<const std::uint8_t> bytes, const ConstraintNetwork& net,
+    const GraphView& graph) {
+  ByteReader r = payload_reader(bytes);
+  // Every shape field is checked against `net` and `graph` before the
+  // bitset it sizes is allocated.
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t num_vars, r.u32());
+  if (num_vars != net.num_vars()) {
+    return r.error_at(0, "domain count " + std::to_string(num_vars) +
+                             " != network variable count " +
+                             std::to_string(net.num_vars()));
+  }
+  std::vector<Domain> domains(num_vars);
+  for (Domain& d : domains) {
+    // A set is at least its 16-byte header.
+    GEMS_ASSIGN_OR_RETURN(std::uint32_t num_sets, r.count("vertex set", 16));
     for (std::uint32_t s = 0; s < num_sets; ++s) {
-      if (!need(16)) return parse_error("domains: truncated set header");
-      const VertexTypeId type =
-          static_cast<VertexTypeId>(get_u32(bytes, pos));
-      const std::uint64_t size = get_u64(bytes, pos);
-      const std::uint32_t count = get_u32(bytes, pos);
-      // Reject before allocating: the bitset can't be larger than the
-      // remaining payload could justify, and every index must fit.
-      if (count > (bytes.size() - pos) / 4) {
-        return parse_error("domains: index count exceeds payload");
+      const std::size_t at = r.pos();
+      GEMS_ASSIGN_OR_RETURN(std::uint32_t type, r.u32());
+      if (type >= graph.num_vertex_types()) {
+        return r.error_at(at, "unknown vertex type " + std::to_string(type));
       }
-      DynamicBitset bits(static_cast<std::size_t>(size));
+      const std::size_t vertices =
+          graph.vertex_type(static_cast<VertexTypeId>(type)).num_vertices();
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t size, r.u64());
+      if (size != vertices) {
+        return r.error_at(at + 4, "domain size " + std::to_string(size) +
+                                      " != vertex type " +
+                                      std::to_string(type) + "'s " +
+                                      std::to_string(vertices) + " vertices");
+      }
+      GEMS_ASSIGN_OR_RETURN(std::uint32_t count, r.count("index", 4));
+      DynamicBitset bits(vertices);
       for (std::uint32_t k = 0; k < count; ++k) {
-        const std::uint32_t idx = get_u32(bytes, pos);
-        if (idx >= size) return parse_error("domains: index out of range");
+        GEMS_ASSIGN_OR_RETURN(VertexIndex idx, read_index(r, bits));
         bits.set(idx);
       }
-      if (!d.sets.emplace(type, std::move(bits)).second) {
-        return parse_error("domains: duplicate vertex type");
+      if (!d.sets.emplace(static_cast<VertexTypeId>(type), std::move(bits))
+               .second) {
+        return r.error_at(at, "duplicate vertex type " + std::to_string(type));
       }
     }
-    domains.push_back(std::move(d));
   }
-  if (pos != bytes.size()) return parse_error("domains: trailing bytes");
+  GEMS_RETURN_IF_ERROR(r.expect_end("domains"));
   return domains;
 }
 

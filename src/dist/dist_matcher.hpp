@@ -59,14 +59,32 @@ void run_match_rank(const exec::ConstraintNetwork& net,
                     RankMatchOutput& out, ThreadPool* intra_pool = nullptr,
                     std::size_t rank_shards = 1);
 
+/// Decoders of the rank body's payloads. Over cluster::RankChannel these
+/// bytes come from another process, so each rejects a partial record, an
+/// unknown variable and an out-of-range vertex index with kParseError; the
+/// rank body fail-stops on such an error (dist::check_payload).
+///
+/// Activations: (u32 vertex type, u32 vertex index) records. Sets each
+/// vertex in `support`; a type `support` does not hold is skipped.
+Status decode_activations(std::span<const std::uint8_t> payload,
+                          exec::Domain& support);
+/// Gathered domains: (u32 variable, u32 vertex type, u32 count, count x
+/// u32 vertex index) records, ORed into `domains`; a type the variable
+/// does not range over is skipped.
+Status decode_gather(std::span<const std::uint8_t> payload,
+                     std::vector<exec::Domain>& domains);
+
 /// Codec for the rank-0 → coordinator domain hand-back (control plane, not
-/// part of the recorded BSP stream). Self-describing: every per-variable,
-/// per-type bitset travels with its size, so the receiver rebuilds the
-/// exact Domain shapes without consulting its own graph.
+/// part of the recorded BSP stream). Every per-variable, per-type bitset
+/// travels with its size; decode_domains rejects a variable count other
+/// than `net`'s, an unknown vertex type and a size other than the type's
+/// vertex count in `graph` — the graph the ranks were synced from — before
+/// allocating anything.
 void encode_domains(const std::vector<exec::Domain>& domains,
                     std::vector<std::uint8_t>& out);
 Result<std::vector<exec::Domain>> decode_domains(
-    std::span<const std::uint8_t> bytes);
+    std::span<const std::uint8_t> bytes, const exec::ConstraintNetwork& net,
+    const graph::GraphView& graph);
 
 /// Runs the distributed fixpoint on `num_ranks` simulated compute nodes
 /// and returns the same domains/matched-edges a single-node

@@ -14,29 +14,38 @@ Message RankCtx::recv() { return cluster_->take(rank_); }
 
 void RankCtx::barrier() { cluster_->barrier_wait(); }
 
+namespace {
+
+std::uint64_t read_sum(const Message& m) {
+  ByteReader r = payload_reader(m.payload);
+  Result<std::uint64_t> v = r.u64();
+  check_payload(v.status(), "allreduce value");
+  check_payload(r.expect_end("allreduce value"), "allreduce value");
+  return v.value();
+}
+
+}  // namespace
+
 std::uint64_t Comm::allreduce_sum(std::uint64_t value) {
   constexpr int kTagReduce = -101;
   constexpr int kTagResult = -102;
+  std::vector<std::uint8_t> out;
   if (rank() == 0) {
     std::uint64_t sum = value;
     for (int i = 1; i < size(); ++i) {
       Message m = recv();
       GEMS_CHECK(m.tag == kTagReduce);
-      std::size_t pos = 0;
-      sum += get_u64(m.payload, pos);
+      sum += read_sum(m);
     }
-    std::vector<std::uint8_t> out;
-    put_u64(out, sum);
+    ByteWriter(out).u64(sum);
     for (int i = 1; i < size(); ++i) send(i, kTagResult, out);
     return sum;
   }
-  std::vector<std::uint8_t> out;
-  put_u64(out, value);
+  ByteWriter(out).u64(value);
   send(0, kTagReduce, out);
   Message m = recv();
   GEMS_CHECK(m.tag == kTagResult);
-  std::size_t pos = 0;
-  return get_u64(m.payload, pos);
+  return read_sum(m);
 }
 
 SimCluster::SimCluster(std::size_t num_ranks) : num_ranks_(num_ranks) {

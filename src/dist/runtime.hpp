@@ -23,10 +23,13 @@
 #include <deque>
 #include <functional>
 #include <span>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/check.hpp"
+#include "common/status.hpp"
 #include "common/sync.hpp"
 
 namespace gems::dist {
@@ -43,36 +46,23 @@ struct RankCommStats {
   std::uint64_t bytes = 0;
 };
 
-// ---- Payload serialization helpers ---------------------------------------
+// ---- Payloads ---------------------------------------------------------------
+// Rank payloads are written with ByteWriter and read with ByteReader
+// (common/bytes.hpp). Over cluster::RankChannel they arrive from another
+// process, so every read is checked; a rank that cannot decode a peer's
+// payload fail-stops through check_payload.
 
-inline void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  out.push_back(static_cast<std::uint8_t>(v));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-  out.push_back(static_cast<std::uint8_t>(v >> 16));
-  out.push_back(static_cast<std::uint8_t>(v >> 24));
+/// A ByteReader over a rank payload: errors are kParseError
+/// "malformed rank payload: ... at byte offset N".
+inline ByteReader payload_reader(std::span<const std::uint8_t> bytes) {
+  return ByteReader(bytes, StatusCode::kParseError, "malformed rank payload");
 }
 
-inline std::uint32_t get_u32(std::span<const std::uint8_t> in,
-                             std::size_t& pos) {
-  GEMS_DCHECK(pos + 4 <= in.size());
-  const std::uint32_t v = static_cast<std::uint32_t>(in[pos]) |
-                          static_cast<std::uint32_t>(in[pos + 1]) << 8 |
-                          static_cast<std::uint32_t>(in[pos + 2]) << 16 |
-                          static_cast<std::uint32_t>(in[pos + 3]) << 24;
-  pos += 4;
-  return v;
-}
-
-inline void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  put_u32(out, static_cast<std::uint32_t>(v));
-  put_u32(out, static_cast<std::uint32_t>(v >> 32));
-}
-
-inline std::uint64_t get_u64(std::span<const std::uint8_t> in,
-                             std::size_t& pos) {
-  const std::uint64_t lo = get_u32(in, pos);
-  const std::uint64_t hi = get_u32(in, pos);
-  return lo | (hi << 32);
+/// Fail-stops the rank when `status` (the decode of the payload field
+/// `what`) is an error.
+inline void check_payload(const Status& status, const char* what) {
+  GEMS_CHECK_MSG(status.is_ok(),
+                 (std::string(what) + ": " + status.to_string()).c_str());
 }
 
 // ---- Transport surface ----------------------------------------------------
@@ -116,10 +106,10 @@ class RecordingComm : public Comm {
   int size() const noexcept override { return inner_.size(); }
 
   void send(int to, int tag, std::span<const std::uint8_t> payload) override {
-    put_u32(transcript_, static_cast<std::uint32_t>(to));
-    put_u32(transcript_, static_cast<std::uint32_t>(tag));
-    put_u32(transcript_, static_cast<std::uint32_t>(payload.size()));
-    transcript_.insert(transcript_.end(), payload.begin(), payload.end());
+    ByteWriter w(transcript_);
+    w.u32(static_cast<std::uint32_t>(to));
+    w.u32(static_cast<std::uint32_t>(tag));
+    w.blob(payload);
     inner_.send(to, tag, payload);
   }
 

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "common/bytes.hpp"
+
 namespace gems::graql {
 
 namespace {
@@ -145,120 +147,39 @@ std::string render_diagnostics(const std::vector<Diagnostic>& diagnostics,
 
 // ---- Wire codec ---------------------------------------------------------
 
-namespace {
-
-void put_u8(std::vector<std::uint8_t>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u16(std::vector<std::uint8_t>& out, std::uint16_t v) {
-  out.push_back(static_cast<std::uint8_t>(v & 0xff));
-  out.push_back(static_cast<std::uint8_t>(v >> 8));
-}
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int shift = 0; shift < 32; shift += 8) {
-    out.push_back(static_cast<std::uint8_t>((v >> shift) & 0xff));
-  }
-}
-
-void put_str(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u32(out, static_cast<std::uint32_t>(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-#define GEMS_RETURN_IF_SHORT(n)                                              \
-  if (remaining() < static_cast<std::size_t>(n)) {                           \
-    return parse_error("truncated diagnostics blob at byte " +               \
-                       std::to_string(pos_));                                \
-  }
-
-class DiagReader {
- public:
-  explicit DiagReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-  std::size_t pos() const { return pos_; }
-
-  Result<std::uint8_t> u8() {
-    GEMS_RETURN_IF_SHORT(1);
-    return bytes_[pos_++];
-  }
-  Result<std::uint16_t> u16() {
-    GEMS_RETURN_IF_SHORT(2);
-    std::uint16_t v = static_cast<std::uint16_t>(bytes_[pos_]) |
-                      static_cast<std::uint16_t>(bytes_[pos_ + 1]) << 8;
-    pos_ += 2;
-    return v;
-  }
-  Result<std::uint32_t> u32() {
-    GEMS_RETURN_IF_SHORT(4);
-    std::uint32_t v = 0;
-    for (int k = 3; k >= 0; --k) {
-      v = (v << 8) | bytes_[pos_ + static_cast<std::size_t>(k)];
-    }
-    pos_ += 4;
-    return v;
-  }
-  Result<std::string> str() {
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t len, u32());
-    GEMS_RETURN_IF_SHORT(len);
-    std::string s(reinterpret_cast<const char*>(bytes_.data() + pos_), len);
-    pos_ += len;
-    return s;
-  }
-
- private:
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
-
-#undef GEMS_RETURN_IF_SHORT
-
-}  // namespace
-
 std::vector<std::uint8_t> encode_diagnostics(
     const std::vector<Diagnostic>& diagnostics) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kDiagMagic);
-  put_u32(out, static_cast<std::uint32_t>(diagnostics.size()));
+  ByteWriter w(out);
+  w.u32(kDiagMagic);
+  w.u32(static_cast<std::uint32_t>(diagnostics.size()));
   for (const Diagnostic& d : diagnostics) {
-    put_u8(out, static_cast<std::uint8_t>(d.severity));
-    put_u16(out, static_cast<std::uint16_t>(d.code));
-    put_u8(out, static_cast<std::uint8_t>(d.status_code));
-    put_u32(out, d.span.line);
-    put_u32(out, d.span.column);
-    put_u32(out, d.span.end_line);
-    put_u32(out, d.span.end_column);
-    put_str(out, d.message);
-    put_str(out, d.fixit);
+    w.u8(static_cast<std::uint8_t>(d.severity));
+    w.u16(static_cast<std::uint16_t>(d.code));
+    w.u8(static_cast<std::uint8_t>(d.status_code));
+    w.u32(d.span.line);
+    w.u32(d.span.column);
+    w.u32(d.span.end_line);
+    w.u32(d.span.end_column);
+    w.str(d.message);
+    w.str(d.fixit);
   }
   return out;
 }
 
 Result<std::vector<Diagnostic>> decode_diagnostics(
     std::span<const std::uint8_t> bytes) {
-  DiagReader r(bytes);
+  ByteReader r(bytes, StatusCode::kParseError, "malformed diagnostics");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
-  if (magic != kDiagMagic) {
-    return parse_error("bad diagnostics magic");
-  }
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t count, r.u32());
-  // Each diagnostic occupies at least 21 bytes; reject hostile counts
+  if (magic != kDiagMagic) return r.error_at(0, "bad magic");
+  // Each diagnostic occupies at least 28 bytes; reject hostile counts
   // before allocating.
-  if (count > r.remaining() / 21) {
-    return parse_error("diagnostics count " + std::to_string(count) +
-                       " exceeds buffer");
-  }
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t count, r.count("diagnostics", 28));
   std::vector<Diagnostic> out;
   out.reserve(count);
   for (std::uint32_t k = 0; k < count; ++k) {
     Diagnostic d;
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t sev, r.u8());
-    if (sev > static_cast<std::uint8_t>(Severity::kNote)) {
-      return parse_error("bad diagnostic severity " + std::to_string(sev));
-    }
-    d.severity = static_cast<Severity>(sev);
+    GEMS_ASSIGN_OR_RETURN(d.severity, r.enum8(Severity::kNote, "severity"));
     GEMS_ASSIGN_OR_RETURN(std::uint16_t code, r.u16());
     d.code = static_cast<DiagCode>(code);
     GEMS_ASSIGN_OR_RETURN(std::uint8_t status_code, r.u8());
@@ -271,9 +192,7 @@ Result<std::vector<Diagnostic>> decode_diagnostics(
     GEMS_ASSIGN_OR_RETURN(d.fixit, r.str());
     out.push_back(std::move(d));
   }
-  if (r.remaining() != 0) {
-    return parse_error("trailing bytes after diagnostics blob");
-  }
+  GEMS_RETURN_IF_ERROR(r.expect_end("diagnostics blob"));
   return out;
 }
 

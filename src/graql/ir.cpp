@@ -1,7 +1,6 @@
 #include "graql/ir.hpp"
 
 #include <algorithm>
-#include <cstring>
 
 #include "common/check.hpp"
 
@@ -15,318 +14,147 @@ using storage::DataType;
 using storage::TypeKind;
 using storage::Value;
 
-// ---- Writer ----------------------------------------------------------------
+// ---- Field helpers ----------------------------------------------------------
 
-class Writer {
- public:
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
+ByteReader ir_reader(std::span<const std::uint8_t> bytes) {
+  return ByteReader(bytes, StatusCode::kParseError, "malformed IR");
+}
 
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void i64(std::int64_t v) { raw(&v, sizeof(v)); }
-  void f64(double v) { raw(&v, sizeof(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
+void encode_span(ByteWriter& w, const SourceSpan& s) {
+  w.u32(s.line);
+  w.u32(s.column);
+  w.u32(s.end_line);
+  w.u32(s.end_column);
+}
 
-  void str(const std::string& s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    raw(s.data(), s.size());
+Result<SourceSpan> decode_span(ByteReader& r) {
+  SourceSpan s;
+  GEMS_ASSIGN_OR_RETURN(s.line, r.u32());
+  GEMS_ASSIGN_OR_RETURN(s.column, r.u32());
+  GEMS_ASSIGN_OR_RETURN(s.end_line, r.u32());
+  GEMS_ASSIGN_OR_RETURN(s.end_column, r.u32());
+  return s;
+}
+
+void encode_strings(ByteWriter& w, const std::vector<std::string>& v) {
+  w.u32(static_cast<std::uint32_t>(v.size()));
+  for (const auto& s : v) w.str(s);
+}
+
+Result<std::vector<std::string>> decode_strings(ByteReader& r) {
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("string list", 4));
+  std::vector<std::string> out;
+  // A string is 4 wire bytes but 32 in memory: reserve no more than a
+  // bounded prefix; the loop fails cleanly on truncation.
+  out.reserve(std::min<std::uint32_t>(n, 1024));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    GEMS_ASSIGN_OR_RETURN(std::string s, r.str());
+    out.push_back(std::move(s));
   }
+  return out;
+}
 
-  void span(const SourceSpan& s) {
-    u32(s.line);
-    u32(s.column);
-    u32(s.end_line);
-    u32(s.end_column);
+
+void encode_data_type(ByteWriter& w, const DataType& t) {
+  w.u8(static_cast<std::uint8_t>(t.kind));
+  w.u32(t.varchar_length);
+}
+
+Result<DataType> decode_data_type(ByteReader& r) {
+  GEMS_ASSIGN_OR_RETURN(TypeKind kind,
+                        r.enum8(TypeKind::kDate, "type kind"));
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t len, r.u32());
+  return DataType{kind, len};
+}
+
+void encode_expr(ByteWriter& w, const ExprPtr& e) {
+  if (!e) {
+    w.u8(0);
+    return;
   }
-
-  void strings(const std::vector<std::string>& v) {
-    u32(static_cast<std::uint32_t>(v.size()));
-    for (const auto& s : v) str(s);
-  }
-
-  void value(const Value& v) {
-    if (v.is_null()) {
-      u8(0);
+  // Only leaves carry spans on the wire: unary/binary spans are the
+  // covering range of their operands, which make_unary/make_binary
+  // rederive identically on decode.
+  const auto leaf_span = [&](std::uint8_t tag) {
+    w.u8(tag);
+    encode_span(w, {e->src_line, e->src_column, e->src_end_line,
+                    e->src_end_column});
+  };
+  switch (e->kind) {
+    case Expr::Kind::kLiteral:
+      leaf_span(1);
+      encode_value(e->literal, w);
       return;
-    }
-    switch (v.kind()) {
-      case TypeKind::kBool:
-        u8(1);
-        boolean(v.as_bool());
-        return;
-      case TypeKind::kInt64:
-        u8(2);
-        i64(v.as_int64());
-        return;
-      case TypeKind::kDouble:
-        u8(3);
-        f64(v.as_double());
-        return;
-      case TypeKind::kVarchar:
-        u8(4);
-        str(v.as_string());
-        return;
-      case TypeKind::kDate:
-        u8(5);
-        i64(v.as_int64());
-        return;
-    }
-    GEMS_UNREACHABLE("bad value kind");
-  }
-
-  void data_type(const DataType& t) {
-    u8(static_cast<std::uint8_t>(t.kind));
-    u32(t.varchar_length);
-  }
-
-  void expr(const ExprPtr& e) {
-    if (!e) {
-      u8(0);
+    case Expr::Kind::kColumnRef:
+      leaf_span(2);
+      w.str(e->qualifier);
+      w.str(e->column);
       return;
+    case Expr::Kind::kParameter:
+      leaf_span(3);
+      w.str(e->param_name);
+      return;
+    case Expr::Kind::kUnary:
+      w.u8(4);
+      w.u8(static_cast<std::uint8_t>(e->uop));
+      encode_expr(w, e->lhs);
+      return;
+    case Expr::Kind::kBinary:
+      w.u8(5);
+      w.u8(static_cast<std::uint8_t>(e->bop));
+      encode_expr(w, e->lhs);
+      encode_expr(w, e->rhs);
+      return;
+  }
+  GEMS_UNREACHABLE("bad expr kind");
+}
+
+Result<ExprPtr> decode_expr(ByteReader& r) {
+  const std::size_t at = r.pos();
+  GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
+  switch (tag) {
+    case 0:
+      return ExprPtr(nullptr);
+    case 1: {
+      GEMS_ASSIGN_OR_RETURN(SourceSpan sp, decode_span(r));
+      GEMS_ASSIGN_OR_RETURN(Value v, decode_value(r));
+      return Expr::make_literal(std::move(v), sp.line, sp.column,
+                                sp.end_line, sp.end_column);
     }
-    switch (e->kind) {
-      // Only leaves carry spans on the wire: unary/binary spans are the
-      // covering range of their operands, which make_unary/make_binary
-      // rederive identically on decode.
-      case Expr::Kind::kLiteral:
-        u8(1);
-        expr_span(*e);
-        value(e->literal);
-        return;
-      case Expr::Kind::kColumnRef:
-        u8(2);
-        expr_span(*e);
-        str(e->qualifier);
-        str(e->column);
-        return;
-      case Expr::Kind::kParameter:
-        u8(3);
-        expr_span(*e);
-        str(e->param_name);
-        return;
-      case Expr::Kind::kUnary:
-        u8(4);
-        u8(static_cast<std::uint8_t>(e->uop));
-        expr(e->lhs);
-        return;
-      case Expr::Kind::kBinary:
-        u8(5);
-        u8(static_cast<std::uint8_t>(e->bop));
-        expr(e->lhs);
-        expr(e->rhs);
-        return;
+    case 2: {
+      GEMS_ASSIGN_OR_RETURN(SourceSpan sp, decode_span(r));
+      GEMS_ASSIGN_OR_RETURN(std::string qual, r.str());
+      GEMS_ASSIGN_OR_RETURN(std::string col, r.str());
+      return Expr::make_column(std::move(qual), std::move(col), sp.line,
+                               sp.column, sp.end_line, sp.end_column);
     }
-    GEMS_UNREACHABLE("bad expr kind");
-  }
-
- private:
-  void expr_span(const Expr& e) {
-    u32(e.src_line);
-    u32(e.src_column);
-    u32(e.src_end_line);
-    u32(e.src_end_column);
-  }
-
-  void raw(const void* p, std::size_t n) {
-    const auto* bytes = static_cast<const std::uint8_t*>(p);
-    buf_.insert(buf_.end(), bytes, bytes + n);
-  }
-
-  std::vector<std::uint8_t> buf_;
-};
-
-// ---- Reader -----------------------------------------------------------------
-
-// Bounds guard used by Reader methods (references Reader members). The
-// offset pins down *where* a truncated/hostile input went bad, which is
-// what a wire peer needs to debug a corrupt frame.
-#define GEMS_RETURN_IF_SHORT(n)                                         \
-  do {                                                                  \
-    if ((n) > bytes_.size() - pos_)                                     \
-      return parse_error("malformed IR: need " + std::to_string(n) +    \
-                         " bytes but only " +                           \
-                         std::to_string(bytes_.size() - pos_) +         \
-                         " remain at byte offset " +                    \
-                         std::to_string(pos_));                         \
-  } while (0)
-
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  Result<std::uint8_t> u8() {
-    GEMS_RETURN_IF_SHORT(1);
-    return bytes_[pos_++];
-  }
-  Result<std::uint16_t> u16() { return fixed<std::uint16_t>(); }
-  Result<std::uint32_t> u32() { return fixed<std::uint32_t>(); }
-  Result<std::uint64_t> u64() { return fixed<std::uint64_t>(); }
-  Result<std::int64_t> i64() { return fixed<std::int64_t>(); }
-  Result<double> f64() { return fixed<double>(); }
-
-  Result<bool> boolean() {
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t v, u8());
-    return v != 0;
-  }
-
-  Result<SourceSpan> span() {
-    SourceSpan s;
-    GEMS_ASSIGN_OR_RETURN(s.line, u32());
-    GEMS_ASSIGN_OR_RETURN(s.column, u32());
-    GEMS_ASSIGN_OR_RETURN(s.end_line, u32());
-    GEMS_ASSIGN_OR_RETURN(s.end_column, u32());
-    return s;
-  }
-
-  Result<std::string> str() {
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-    // Reject the length prefix against the remaining buffer *before* the
-    // string allocation: a mutated 4 GiB length must never reach new[].
-    GEMS_RETURN_IF_SHORT(n);
-    std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-    pos_ += n;
-    return out;
-  }
-
-  /// Reads an element count and rejects it up front if even one byte per
-  /// element would overrun the remaining buffer — so callers may size
-  /// containers from it without trusting the wire.
-  Result<std::uint32_t> count(const char* what) {
-    const std::size_t at = pos_;
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-    if (n > bytes_.size() - pos_) {
-      return parse_error("malformed IR: " + std::string(what) + " count " +
-                         std::to_string(n) + " exceeds remaining " +
-                         std::to_string(bytes_.size() - pos_) +
-                         " bytes at byte offset " + std::to_string(at));
-    }
-    return n;
-  }
-
-  Result<std::vector<std::string>> strings() {
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t n, count("string list"));
-    std::vector<std::string> out;
-    // Never trust a wire length for allocation (fuzz: a mutated count
-    // must not trigger bad_alloc); the loop fails cleanly on truncation.
-    out.reserve(std::min<std::uint32_t>(n, 1024));
-    for (std::uint32_t i = 0; i < n; ++i) {
-      GEMS_ASSIGN_OR_RETURN(std::string s, str());
-      out.push_back(std::move(s));
-    }
-    return out;
-  }
-
-  Result<Value> value() {
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, u8());
-    switch (tag) {
-      case 0:
-        return Value::null();
-      case 1: {
-        GEMS_ASSIGN_OR_RETURN(bool b, boolean());
-        return Value::boolean(b);
-      }
-      case 2: {
-        GEMS_ASSIGN_OR_RETURN(std::int64_t v, i64());
-        return Value::int64(v);
-      }
-      case 3: {
-        GEMS_ASSIGN_OR_RETURN(double v, f64());
-        return Value::float64(v);
-      }
-      case 4: {
-        GEMS_ASSIGN_OR_RETURN(std::string s, str());
-        return Value::varchar(std::move(s));
-      }
-      case 5: {
-        GEMS_ASSIGN_OR_RETURN(std::int64_t v, i64());
-        return Value::date(v);
-      }
-      default:
-        return malformed("value tag");
-    }
-  }
-
-  Result<DataType> data_type() {
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, u8());
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t len, u32());
-    if (kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
-      return malformed("type kind");
-    }
-    return DataType{static_cast<TypeKind>(kind), len};
-  }
-
-  Result<ExprPtr> expr() {
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, u8());
-    switch (tag) {
-      case 0:
-        return ExprPtr(nullptr);
-      case 1: {
-        GEMS_ASSIGN_OR_RETURN(SourceSpan sp, span());
-        GEMS_ASSIGN_OR_RETURN(Value v, value());
-        return Expr::make_literal(std::move(v), sp.line, sp.column,
+    case 3: {
+      GEMS_ASSIGN_OR_RETURN(SourceSpan sp, decode_span(r));
+      GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
+      return Expr::make_parameter(std::move(name), sp.line, sp.column,
                                   sp.end_line, sp.end_column);
-      }
-      case 2: {
-        GEMS_ASSIGN_OR_RETURN(SourceSpan sp, span());
-        GEMS_ASSIGN_OR_RETURN(std::string qual, str());
-        GEMS_ASSIGN_OR_RETURN(std::string col, str());
-        return Expr::make_column(std::move(qual), std::move(col), sp.line,
-                                 sp.column, sp.end_line, sp.end_column);
-      }
-      case 3: {
-        GEMS_ASSIGN_OR_RETURN(SourceSpan sp, span());
-        GEMS_ASSIGN_OR_RETURN(std::string name, str());
-        return Expr::make_parameter(std::move(name), sp.line, sp.column,
-                                    sp.end_line, sp.end_column);
-      }
-      case 4: {
-        GEMS_ASSIGN_OR_RETURN(std::uint8_t op, u8());
-        GEMS_ASSIGN_OR_RETURN(ExprPtr operand, expr());
-        if (!operand) return malformed("unary without operand");
-        if (op > static_cast<std::uint8_t>(relational::UnaryOp::kNeg)) {
-          return malformed("unary op");
-        }
-        return Expr::make_unary(static_cast<relational::UnaryOp>(op),
-                                std::move(operand));
-      }
-      case 5: {
-        GEMS_ASSIGN_OR_RETURN(std::uint8_t op, u8());
-        GEMS_ASSIGN_OR_RETURN(ExprPtr lhs, expr());
-        GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, expr());
-        if (!lhs || !rhs) return malformed("binary without operands");
-        if (op > static_cast<std::uint8_t>(relational::BinaryOp::kDiv)) {
-          return malformed("binary op");
-        }
-        return Expr::make_binary(static_cast<relational::BinaryOp>(op),
-                                 std::move(lhs), std::move(rhs));
-      }
-      default:
-        return malformed("expr tag");
     }
+    case 4: {
+      GEMS_ASSIGN_OR_RETURN(
+          relational::UnaryOp op,
+          r.enum8(relational::UnaryOp::kNeg, "unary op"));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr operand, decode_expr(r));
+      if (!operand) return r.error_at(at, "unary without operand");
+      return Expr::make_unary(op, std::move(operand));
+    }
+    case 5: {
+      GEMS_ASSIGN_OR_RETURN(
+          relational::BinaryOp op,
+          r.enum8(relational::BinaryOp::kDiv, "binary op"));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr lhs, decode_expr(r));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, decode_expr(r));
+      if (!lhs || !rhs) return r.error_at(at, "binary without operands");
+      return Expr::make_binary(op, std::move(lhs), std::move(rhs));
+    }
+    default:
+      return r.error_at(at, "bad expr tag");
   }
-
-  static Status malformed(std::string what) {
-    return parse_error("malformed IR: bad " + std::move(what));
-  }
-
-  bool at_end() const { return pos_ == bytes_.size(); }
-  std::size_t position() const { return pos_; }
-
- private:
-  template <typename T>
-  Result<T> fixed() {
-    GEMS_RETURN_IF_SHORT(sizeof(T));
-    T v;
-    std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
+}
 
 // ---- Statement encode/decode ---------------------------------------------
 
@@ -340,73 +168,68 @@ enum class StmtTag : std::uint8_t {
   kOutput,
 };
 
-void encode_vertex_step(Writer& w, const VertexStep& v) {
-  w.span(v.span);
+void encode_vertex_step(ByteWriter& w, const VertexStep& v) {
+  encode_span(w, v.span);
   w.boolean(v.variant);
   w.str(v.type_name);
   w.str(v.label_ref);
   w.str(v.seed_result);
-  w.expr(v.condition);
+  encode_expr(w, v.condition);
   w.u8(static_cast<std::uint8_t>(v.label_kind));
   w.str(v.label);
 }
 
-Result<VertexStep> decode_vertex_step(Reader& r) {
+Result<VertexStep> decode_vertex_step(ByteReader& r) {
   VertexStep v;
-  GEMS_ASSIGN_OR_RETURN(v.span, r.span());
+  GEMS_ASSIGN_OR_RETURN(v.span, decode_span(r));
   GEMS_ASSIGN_OR_RETURN(v.variant, r.boolean());
   GEMS_ASSIGN_OR_RETURN(v.type_name, r.str());
   GEMS_ASSIGN_OR_RETURN(v.label_ref, r.str());
   GEMS_ASSIGN_OR_RETURN(v.seed_result, r.str());
-  GEMS_ASSIGN_OR_RETURN(v.condition, r.expr());
-  GEMS_ASSIGN_OR_RETURN(std::uint8_t lk, r.u8());
-  if (lk > static_cast<std::uint8_t>(LabelKind::kForeach)) {
-    return Reader::malformed("label kind");
-  }
-  v.label_kind = static_cast<LabelKind>(lk);
+  GEMS_ASSIGN_OR_RETURN(v.condition, decode_expr(r));
+  GEMS_ASSIGN_OR_RETURN(v.label_kind,
+                        r.enum8(LabelKind::kForeach, "label kind"));
   GEMS_ASSIGN_OR_RETURN(v.label, r.str());
   return v;
 }
 
-void encode_edge_step(Writer& w, const EdgeStep& e) {
-  w.span(e.span);
+void encode_edge_step(ByteWriter& w, const EdgeStep& e) {
+  encode_span(w, e.span);
   w.boolean(e.variant);
   w.str(e.type_name);
   w.boolean(e.reversed);
-  w.expr(e.condition);
+  encode_expr(w, e.condition);
   w.u8(static_cast<std::uint8_t>(e.label_kind));
   w.str(e.label);
 }
 
-Result<EdgeStep> decode_edge_step(Reader& r) {
+Result<EdgeStep> decode_edge_step(ByteReader& r) {
   EdgeStep e;
-  GEMS_ASSIGN_OR_RETURN(e.span, r.span());
+  GEMS_ASSIGN_OR_RETURN(e.span, decode_span(r));
   GEMS_ASSIGN_OR_RETURN(e.variant, r.boolean());
   GEMS_ASSIGN_OR_RETURN(e.type_name, r.str());
   GEMS_ASSIGN_OR_RETURN(e.reversed, r.boolean());
-  GEMS_ASSIGN_OR_RETURN(e.condition, r.expr());
-  GEMS_ASSIGN_OR_RETURN(std::uint8_t lk, r.u8());
-  if (lk > static_cast<std::uint8_t>(LabelKind::kForeach)) {
-    return Reader::malformed("label kind");
-  }
-  e.label_kind = static_cast<LabelKind>(lk);
+  GEMS_ASSIGN_OR_RETURN(e.condition, decode_expr(r));
+  GEMS_ASSIGN_OR_RETURN(e.label_kind,
+                        r.enum8(LabelKind::kForeach, "label kind"));
   GEMS_ASSIGN_OR_RETURN(e.label, r.str());
   return e;
 }
 
-void encode_element(Writer& w, const PathElement& el);
+void encode_element(ByteWriter& w, const PathElement& el);
 
-void encode_group(Writer& w, const PathGroup& g) {
-  w.span(g.span);
+void encode_group(ByteWriter& w, const PathGroup& g) {
+  encode_span(w, g.span);
   w.u32(static_cast<std::uint32_t>(g.body.size()));
   for (const auto& el : g.body) encode_element(w, el);
   w.u8(static_cast<std::uint8_t>(g.quant));
   w.u32(g.count);
 }
 
-Result<PathGroup> decode_group(Reader& r, int depth);
+Result<PathGroup> decode_group(ByteReader& r, int depth);
 
-Result<PathElement> decode_element(Reader& r, int depth) {
+Result<PathElement> decode_element(ByteReader& r, int depth) {
+  const std::size_t at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
   switch (tag) {
     case 1: {
@@ -418,34 +241,31 @@ Result<PathElement> decode_element(Reader& r, int depth) {
       return PathElement(std::move(e));
     }
     case 3: {
-      if (depth > 4) return Reader::malformed("group nesting");
+      if (depth > 4) return r.error_at(at, "bad group nesting");
       GEMS_ASSIGN_OR_RETURN(PathGroup g, decode_group(r, depth + 1));
       return PathElement(std::move(g));
     }
     default:
-      return Reader::malformed("path element tag");
+      return r.error_at(at, "bad path element tag");
   }
 }
 
-Result<PathGroup> decode_group(Reader& r, int depth) {
+Result<PathGroup> decode_group(ByteReader& r, int depth) {
   PathGroup g;
-  GEMS_ASSIGN_OR_RETURN(g.span, r.span());
+  GEMS_ASSIGN_OR_RETURN(g.span, decode_span(r));
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("path group"));
   g.body.reserve(std::min<std::uint32_t>(n, 1024));
   for (std::uint32_t i = 0; i < n; ++i) {
     GEMS_ASSIGN_OR_RETURN(PathElement el, decode_element(r, depth));
     g.body.push_back(std::move(el));
   }
-  GEMS_ASSIGN_OR_RETURN(std::uint8_t q, r.u8());
-  if (q > static_cast<std::uint8_t>(PathGroup::Quant::kExact)) {
-    return Reader::malformed("group quantifier");
-  }
-  g.quant = static_cast<PathGroup::Quant>(q);
+  GEMS_ASSIGN_OR_RETURN(
+      g.quant, r.enum8(PathGroup::Quant::kExact, "group quantifier"));
   GEMS_ASSIGN_OR_RETURN(g.count, r.u32());
   return g;
 }
 
-void encode_element(Writer& w, const PathElement& el) {
+void encode_element(ByteWriter& w, const PathElement& el) {
   if (const auto* v = std::get_if<VertexStep>(&el)) {
     w.u8(1);
     encode_vertex_step(w, *v);
@@ -458,23 +278,23 @@ void encode_element(Writer& w, const PathElement& el) {
   }
 }
 
-void encode_statement(Writer& w, const Statement& stmt) {
+void encode_statement(ByteWriter& w, const Statement& stmt) {
   if (const auto* s = std::get_if<CreateTableStmt>(&stmt)) {
     w.u8(static_cast<std::uint8_t>(StmtTag::kCreateTable));
     w.str(s->name);
     w.u32(static_cast<std::uint32_t>(s->columns.size()));
     for (const auto& c : s->columns) {
       w.str(c.name);
-      w.data_type(c.type);
+      encode_data_type(w, c.type);
     }
     return;
   }
   if (const auto* s = std::get_if<CreateVertexStmt>(&stmt)) {
     w.u8(static_cast<std::uint8_t>(StmtTag::kCreateVertex));
     w.str(s->decl.name);
-    w.strings(s->decl.key_columns);
+    encode_strings(w, s->decl.key_columns);
     w.str(s->decl.table);
-    w.expr(s->decl.where);
+    encode_expr(w, s->decl.where);
     return;
   }
   if (const auto* s = std::get_if<CreateEdgeStmt>(&stmt)) {
@@ -484,8 +304,8 @@ void encode_statement(Writer& w, const Statement& stmt) {
     w.str(s->decl.source.alias);
     w.str(s->decl.target.vertex_type);
     w.str(s->decl.target.alias);
-    w.strings(s->decl.assoc_tables);
-    w.expr(s->decl.where);
+    encode_strings(w, s->decl.assoc_tables);
+    encode_expr(w, s->decl.where);
     return;
   }
   if (const auto* s = std::get_if<IngestStmt>(&stmt)) {
@@ -505,7 +325,7 @@ void encode_statement(Writer& w, const Statement& stmt) {
     w.u8(static_cast<std::uint8_t>(StmtTag::kGraphQuery));
     w.u32(static_cast<std::uint32_t>(s->targets.size()));
     for (const auto& t : s->targets) {
-      w.span(t.span);
+      encode_span(w, t.span);
       w.boolean(t.star);
       w.str(t.qualifier);
       w.str(t.column);
@@ -527,20 +347,20 @@ void encode_statement(Writer& w, const Statement& stmt) {
     w.u8(static_cast<std::uint8_t>(StmtTag::kTableQuery));
     w.u32(static_cast<std::uint32_t>(s->items.size()));
     for (const auto& item : s->items) {
-      w.span(item.span);
+      encode_span(w, item.span);
       w.boolean(item.star);
       w.u8(static_cast<std::uint8_t>(item.agg));
-      w.expr(item.expr);
+      encode_expr(w, item.expr);
       w.str(item.alias);
     }
     w.u64(s->top_n);
     w.boolean(s->distinct);
     w.str(s->from_table);
-    w.expr(s->where);
-    w.strings(s->group_by);
+    encode_expr(w, s->where);
+    encode_strings(w, s->group_by);
     w.u32(static_cast<std::uint32_t>(s->order_by.size()));
     for (const auto& o : s->order_by) {
-      w.span(o.span);
+      encode_span(w, o.span);
       w.str(o.column);
       w.boolean(o.descending);
     }
@@ -551,7 +371,8 @@ void encode_statement(Writer& w, const Statement& stmt) {
   GEMS_UNREACHABLE("unhandled statement kind");
 }
 
-Result<Statement> decode_statement(Reader& r) {
+Result<Statement> decode_statement(ByteReader& r) {
+  const std::size_t at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
   switch (static_cast<StmtTag>(tag)) {
     case StmtTag::kCreateTable: {
@@ -561,7 +382,7 @@ Result<Statement> decode_statement(Reader& r) {
       for (std::uint32_t i = 0; i < n; ++i) {
         storage::ColumnDef def;
         GEMS_ASSIGN_OR_RETURN(def.name, r.str());
-        GEMS_ASSIGN_OR_RETURN(def.type, r.data_type());
+        GEMS_ASSIGN_OR_RETURN(def.type, decode_data_type(r));
         s.columns.push_back(std::move(def));
       }
       return Statement(std::move(s));
@@ -569,9 +390,9 @@ Result<Statement> decode_statement(Reader& r) {
     case StmtTag::kCreateVertex: {
       CreateVertexStmt s;
       GEMS_ASSIGN_OR_RETURN(s.decl.name, r.str());
-      GEMS_ASSIGN_OR_RETURN(s.decl.key_columns, r.strings());
+      GEMS_ASSIGN_OR_RETURN(s.decl.key_columns, decode_strings(r));
       GEMS_ASSIGN_OR_RETURN(s.decl.table, r.str());
-      GEMS_ASSIGN_OR_RETURN(s.decl.where, r.expr());
+      GEMS_ASSIGN_OR_RETURN(s.decl.where, decode_expr(r));
       return Statement(std::move(s));
     }
     case StmtTag::kCreateEdge: {
@@ -581,8 +402,8 @@ Result<Statement> decode_statement(Reader& r) {
       GEMS_ASSIGN_OR_RETURN(s.decl.source.alias, r.str());
       GEMS_ASSIGN_OR_RETURN(s.decl.target.vertex_type, r.str());
       GEMS_ASSIGN_OR_RETURN(s.decl.target.alias, r.str());
-      GEMS_ASSIGN_OR_RETURN(s.decl.assoc_tables, r.strings());
-      GEMS_ASSIGN_OR_RETURN(s.decl.where, r.expr());
+      GEMS_ASSIGN_OR_RETURN(s.decl.assoc_tables, decode_strings(r));
+      GEMS_ASSIGN_OR_RETURN(s.decl.where, decode_expr(r));
       return Statement(std::move(s));
     }
     case StmtTag::kIngest: {
@@ -603,7 +424,7 @@ Result<Statement> decode_statement(Reader& r) {
       GEMS_ASSIGN_OR_RETURN(std::uint32_t nt, r.count("select targets"));
       for (std::uint32_t i = 0; i < nt; ++i) {
         SelectTarget t;
-        GEMS_ASSIGN_OR_RETURN(t.span, r.span());
+        GEMS_ASSIGN_OR_RETURN(t.span, decode_span(r));
         GEMS_ASSIGN_OR_RETURN(t.star, r.boolean());
         GEMS_ASSIGN_OR_RETURN(t.qualifier, r.str());
         GEMS_ASSIGN_OR_RETURN(t.column, r.str());
@@ -625,11 +446,8 @@ Result<Statement> decode_statement(Reader& r) {
         }
         s.or_groups.push_back(std::move(group));
       }
-      GEMS_ASSIGN_OR_RETURN(std::uint8_t into, r.u8());
-      if (into > static_cast<std::uint8_t>(IntoKind::kTable)) {
-        return Reader::malformed("into kind");
-      }
-      s.into = static_cast<IntoKind>(into);
+      GEMS_ASSIGN_OR_RETURN(s.into,
+                            r.enum8(IntoKind::kTable, "into kind"));
       GEMS_ASSIGN_OR_RETURN(s.into_name, r.str());
       return Statement(std::move(s));
     }
@@ -638,121 +456,159 @@ Result<Statement> decode_statement(Reader& r) {
       GEMS_ASSIGN_OR_RETURN(std::uint32_t ni, r.count("select items"));
       for (std::uint32_t i = 0; i < ni; ++i) {
         SelectItem item;
-        GEMS_ASSIGN_OR_RETURN(item.span, r.span());
+        GEMS_ASSIGN_OR_RETURN(item.span, decode_span(r));
         GEMS_ASSIGN_OR_RETURN(item.star, r.boolean());
-        GEMS_ASSIGN_OR_RETURN(std::uint8_t agg, r.u8());
-        if (agg > static_cast<std::uint8_t>(AggFunc::kMax)) {
-          return Reader::malformed("aggregate function");
-        }
-        item.agg = static_cast<AggFunc>(agg);
-        GEMS_ASSIGN_OR_RETURN(item.expr, r.expr());
+        GEMS_ASSIGN_OR_RETURN(
+            item.agg, r.enum8(AggFunc::kMax, "aggregate function"));
+        GEMS_ASSIGN_OR_RETURN(item.expr, decode_expr(r));
         GEMS_ASSIGN_OR_RETURN(item.alias, r.str());
         s.items.push_back(std::move(item));
       }
       GEMS_ASSIGN_OR_RETURN(s.top_n, r.u64());
       GEMS_ASSIGN_OR_RETURN(s.distinct, r.boolean());
       GEMS_ASSIGN_OR_RETURN(s.from_table, r.str());
-      GEMS_ASSIGN_OR_RETURN(s.where, r.expr());
-      GEMS_ASSIGN_OR_RETURN(s.group_by, r.strings());
+      GEMS_ASSIGN_OR_RETURN(s.where, decode_expr(r));
+      GEMS_ASSIGN_OR_RETURN(s.group_by, decode_strings(r));
       GEMS_ASSIGN_OR_RETURN(std::uint32_t no, r.count("order-by list"));
       for (std::uint32_t i = 0; i < no; ++i) {
         OrderItem o;
-        GEMS_ASSIGN_OR_RETURN(o.span, r.span());
+        GEMS_ASSIGN_OR_RETURN(o.span, decode_span(r));
         GEMS_ASSIGN_OR_RETURN(o.column, r.str());
         GEMS_ASSIGN_OR_RETURN(o.descending, r.boolean());
         s.order_by.push_back(std::move(o));
       }
-      GEMS_ASSIGN_OR_RETURN(std::uint8_t into, r.u8());
-      if (into > static_cast<std::uint8_t>(IntoKind::kTable)) {
-        return Reader::malformed("into kind");
-      }
-      s.into = static_cast<IntoKind>(into);
+      GEMS_ASSIGN_OR_RETURN(s.into,
+                            r.enum8(IntoKind::kTable, "into kind"));
       GEMS_ASSIGN_OR_RETURN(s.into_name, r.str());
       return Statement(std::move(s));
     }
     default:
-      return Reader::malformed("statement tag");
+      return r.error_at(at, "bad statement tag");
   }
 }
 
 }  // namespace
 
 std::vector<std::uint8_t> encode_script(const Script& script) {
-  Writer w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u32(kIrMagic);
   w.u16(kIrVersion);
   w.u32(static_cast<std::uint32_t>(script.statements.size()));
   for (const auto& stmt : script.statements) {
     // Statement spans ride in the script frame (IR v2) so each decoded
     // statement diagnoses at its original source location.
-    w.span(statement_span(stmt));
+    encode_span(w, statement_span(stmt));
     encode_statement(w, stmt);
   }
-  return w.take();
+  return out;
 }
 
 Result<Script> decode_script(std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
+  ByteReader r = ir_reader(bytes);
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
-  if (magic != kIrMagic) return parse_error("not a GraQL IR blob");
+  if (magic != kIrMagic) return r.error_at(0, "not a GraQL IR blob");
   GEMS_ASSIGN_OR_RETURN(std::uint16_t version, r.u16());
   if (version != kIrVersion) {
-    return parse_error("unsupported IR version " + std::to_string(version));
+    return r.error_at(4, "unsupported IR version " + std::to_string(version));
   }
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("statement list"));
   Script script;
   script.statements.reserve(std::min<std::uint32_t>(n, 1024));
   for (std::uint32_t i = 0; i < n; ++i) {
-    GEMS_ASSIGN_OR_RETURN(SourceSpan sp, r.span());
+    GEMS_ASSIGN_OR_RETURN(SourceSpan sp, decode_span(r));
     GEMS_ASSIGN_OR_RETURN(Statement stmt, decode_statement(r));
     std::visit([&](auto& st) { st.span = sp; }, stmt);
     script.statements.push_back(std::move(stmt));
   }
-  if (!r.at_end()) return parse_error("trailing bytes after IR script");
+  GEMS_RETURN_IF_ERROR(r.expect_end("IR script"));
   return script;
 }
 
-void encode_value(const storage::Value& v, std::vector<std::uint8_t>& out) {
-  Writer w;
-  w.value(v);
-  std::vector<std::uint8_t> bytes = w.take();
-  out.insert(out.end(), bytes.begin(), bytes.end());
+void encode_value(const storage::Value& v, ByteWriter& w) {
+  if (v.is_null()) {
+    w.u8(0);
+    return;
+  }
+  switch (v.kind()) {
+    case TypeKind::kBool:
+      w.u8(1);
+      w.boolean(v.as_bool());
+      return;
+    case TypeKind::kInt64:
+      w.u8(2);
+      w.i64(v.as_int64());
+      return;
+    case TypeKind::kDouble:
+      w.u8(3);
+      w.f64(v.as_double());
+      return;
+    case TypeKind::kVarchar:
+      w.u8(4);
+      w.str(v.as_string());
+      return;
+    case TypeKind::kDate:
+      w.u8(5);
+      w.i64(v.as_int64());
+      return;
+  }
+  GEMS_UNREACHABLE("bad value kind");
 }
 
-Result<storage::Value> decode_value(std::span<const std::uint8_t> bytes,
-                                    std::size_t& pos) {
-  if (pos > bytes.size()) {
-    return parse_error("malformed value: offset " + std::to_string(pos) +
-                       " past end of " + std::to_string(bytes.size()) +
-                       " bytes");
+Result<storage::Value> decode_value(ByteReader& r) {
+  const std::size_t at = r.pos();
+  GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
+  switch (tag) {
+    case 0:
+      return Value::null();
+    case 1: {
+      GEMS_ASSIGN_OR_RETURN(bool b, r.boolean());
+      return Value::boolean(b);
+    }
+    case 2: {
+      GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64());
+      return Value::int64(v);
+    }
+    case 3: {
+      GEMS_ASSIGN_OR_RETURN(double v, r.f64());
+      return Value::float64(v);
+    }
+    case 4: {
+      GEMS_ASSIGN_OR_RETURN(std::string s, r.str());
+      return Value::varchar(std::move(s));
+    }
+    case 5: {
+      GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64());
+      return Value::date(v);
+    }
+    default:
+      return r.error_at(at, "bad value tag " + std::to_string(tag));
   }
-  Reader r(bytes.subspan(pos));
-  GEMS_ASSIGN_OR_RETURN(Value v, r.value());
-  pos += r.position();
-  return v;
 }
 
 std::vector<std::uint8_t> encode_params(const relational::ParamMap& params) {
-  Writer w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u32(static_cast<std::uint32_t>(params.size()));
   for (const auto& [name, value] : params) {
     w.str(name);
-    w.value(value);
+    encode_value(value, w);
   }
-  return w.take();
+  return out;
 }
 
 Result<relational::ParamMap> decode_params(
     std::span<const std::uint8_t> bytes) {
-  Reader r(bytes);
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("parameter map"));
+  ByteReader r = ir_reader(bytes);
+  // An entry is at least a 4-byte name length and a 1-byte value tag.
+  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("parameter map", 5));
   relational::ParamMap params;
   for (std::uint32_t i = 0; i < n; ++i) {
     GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
-    GEMS_ASSIGN_OR_RETURN(Value value, r.value());
+    GEMS_ASSIGN_OR_RETURN(Value value, decode_value(r));
     params.insert_or_assign(std::move(name), std::move(value));
   }
-  if (!r.at_end()) return parse_error("trailing bytes after parameter map");
+  GEMS_RETURN_IF_ERROR(r.expect_end("parameter map"));
   return params;
 }
 

@@ -14,6 +14,7 @@
 #include <span>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "graql/ast.hpp"
 #include "relational/bound_expr.hpp"
@@ -39,13 +40,11 @@ Result<Script> decode_script(std::span<const std::uint8_t> bytes);
 // layer (src/net) can ship parameter bindings and result tables in the
 // same format as the script IR.
 
-/// Appends one tagged value to `out`.
-void encode_value(const storage::Value& v, std::vector<std::uint8_t>& out);
+/// Writes one tagged value.
+void encode_value(const storage::Value& v, ByteWriter& w);
 
-/// Decodes one tagged value at `pos`, advancing `pos` past the consumed
-/// bytes. Errors carry the byte offset.
-Result<storage::Value> decode_value(std::span<const std::uint8_t> bytes,
-                                    std::size_t& pos);
+/// Reads one tagged value.
+Result<storage::Value> decode_value(ByteReader& r);
 
 /// Serializes a parameter map (name -> value) for the wire.
 std::vector<std::uint8_t> encode_params(const relational::ParamMap& params);

@@ -43,7 +43,7 @@ Status Client::connect() {
       disconnect();
       continue;
     }
-    WireReader reader(*payload);
+    ByteReader reader = frame_reader(*payload);
     const Status status = decode_status(reader);
     if (!status.is_ok()) return status;  // e.g. version rejected: no retry
     GEMS_ASSIGN_OR_RETURN(HandshakeResponse handshake,
@@ -121,7 +121,7 @@ Result<std::vector<exec::StatementResult>> Client::run_script(
   for (std::uint32_t attempt = 0;; ++attempt) {
     GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> response,
                           round_trip(Verb::kRunScript, payload));
-    WireReader reader(response);
+    ByteReader reader = frame_reader(response);
     const Status status = decode_status(reader);
     if (status.code() == StatusCode::kUnavailable &&
         attempt < options_.unavailable_retries) {
@@ -161,7 +161,7 @@ Result<std::vector<graql::Diagnostic>> Client::check(
   GEMS_ASSIGN_OR_RETURN(
       std::vector<std::uint8_t> response,
       round_trip(Verb::kCheck, encode_script_request(request)));
-  WireReader reader(response);
+  ByteReader reader = frame_reader(response);
   GEMS_RETURN_IF_ERROR(decode_status(reader));
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> blob, reader.blob());
   return graql::decode_diagnostics(blob);
@@ -173,7 +173,7 @@ Result<std::string> Client::explain(const std::string& text,
                         make_script_request(text, params));
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> response,
                         round_trip(Verb::kExplain, payload));
-  WireReader reader(response);
+  ByteReader reader = frame_reader(response);
   const Status status = decode_status(reader);
   GEMS_RETURN_IF_ERROR(status);
   return reader.str();
@@ -182,7 +182,7 @@ Result<std::string> Client::explain(const std::string& text,
 Result<std::vector<server::CatalogEntry>> Client::catalog() {
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> response,
                         round_trip(Verb::kCatalog, {}));
-  WireReader reader(response);
+  ByteReader reader = frame_reader(response);
   const Status status = decode_status(reader);
   GEMS_RETURN_IF_ERROR(status);
   return decode_catalog(reader);
@@ -191,18 +191,18 @@ Result<std::vector<server::CatalogEntry>> Client::catalog() {
 Result<metrics::Snapshot> Client::stats() {
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> response,
                         round_trip(Verb::kStats, {}));
-  WireReader reader(response);
+  ByteReader reader = frame_reader(response);
   const Status status = decode_status(reader);
   GEMS_RETURN_IF_ERROR(status);
   return decode_snapshot(
-      std::span<const std::uint8_t>(response).subspan(reader.position()));
+      std::span<const std::uint8_t>(response).subspan(reader.pos()));
 }
 
 Status Client::cancel(std::uint64_t request_id) {
   GEMS_ASSIGN_OR_RETURN(
       std::vector<std::uint8_t> response,
       round_trip(Verb::kCancel, encode_cancel_request({request_id})));
-  WireReader reader(response);
+  ByteReader reader = frame_reader(response);
   const Status status = decode_status(reader);
   return status;
 }
@@ -210,7 +210,7 @@ Status Client::cancel(std::uint64_t request_id) {
 Status Client::shutdown_server() {
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> response,
                         round_trip(Verb::kShutdown, {}));
-  WireReader reader(response);
+  ByteReader reader = frame_reader(response);
   const Status status = decode_status(reader);
   return status;
 }

@@ -7,7 +7,7 @@ namespace gems::net {
 
 void encode_snapshot(const metrics::Snapshot& snapshot,
                      std::vector<std::uint8_t>& out) {
-  WireWriter w;
+  ByteWriter w(out);
   w.u32(static_cast<std::uint32_t>(snapshot.size()));
   for (const metrics::Record& r : snapshot) {
     w.str(r.name);
@@ -23,32 +23,23 @@ void encode_snapshot(const metrics::Snapshot& snapshot,
     w.u32(static_cast<std::uint32_t>(LatencyHistogram::kBuckets));
     for (const std::uint64_t b : h.buckets) w.u64(b);
   }
-  const std::vector<std::uint8_t> bytes = w.take();
-  out.insert(out.end(), bytes.begin(), bytes.end());
 }
 
 Result<metrics::Snapshot> decode_snapshot(std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r(bytes, StatusCode::kParseError, "malformed stats");
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, r.count("metrics records"));
   // No reserve(n): a record is far larger in memory than its 13-byte
   // minimum encoding, so the vector grows only with records that decode.
   metrics::Snapshot snapshot;
   for (std::uint32_t i = 0; i < n; ++i) {
-    const std::size_t at = r.position();
+    const std::size_t at = r.pos();
     metrics::Record rec;
     GEMS_ASSIGN_OR_RETURN(rec.name, r.str());
     if (!snapshot.empty() && !(snapshot.back().name < rec.name)) {
-      return parse_error("malformed stats: record '" + rec.name +
-                         "' out of name order at byte offset " +
-                         std::to_string(at));
+      return r.error_at(at, "record '" + rec.name + "' out of name order");
     }
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, r.u8());
-    if (kind > static_cast<std::uint8_t>(metrics::Kind::kHistogram)) {
-      return parse_error("malformed stats: unknown record kind " +
-                         std::to_string(kind) + " at byte offset " +
-                         std::to_string(r.position() - 1));
-    }
-    rec.kind = static_cast<metrics::Kind>(kind);
+    GEMS_ASSIGN_OR_RETURN(rec.kind,
+                          r.enum8(metrics::Kind::kHistogram, "record kind"));
     if (rec.kind != metrics::Kind::kHistogram) {
       GEMS_ASSIGN_OR_RETURN(rec.value, r.u64());
     } else {
@@ -56,14 +47,14 @@ Result<metrics::Snapshot> decode_snapshot(std::span<const std::uint8_t> bytes) {
       GEMS_ASSIGN_OR_RETURN(h.count, r.u64());
       GEMS_ASSIGN_OR_RETURN(h.sum_us, r.u64());
       GEMS_ASSIGN_OR_RETURN(h.max_us, r.u64());
-      const std::size_t buckets_at = r.position();
+      const std::size_t buckets_at = r.pos();
       GEMS_ASSIGN_OR_RETURN(std::uint32_t buckets,
                             r.count("histogram buckets"));
       if (buckets != LatencyHistogram::kBuckets) {
-        return parse_error("malformed stats: " + std::to_string(buckets) +
-                           " histogram buckets, expected " +
-                           std::to_string(LatencyHistogram::kBuckets) +
-                           " at byte offset " + std::to_string(buckets_at));
+        return r.error_at(buckets_at,
+                          std::to_string(buckets) +
+                              " histogram buckets, expected " +
+                              std::to_string(LatencyHistogram::kBuckets));
       }
       for (std::uint64_t& b : h.buckets) {
         GEMS_ASSIGN_OR_RETURN(b, r.u64());
@@ -71,11 +62,7 @@ Result<metrics::Snapshot> decode_snapshot(std::span<const std::uint8_t> bytes) {
     }
     snapshot.push_back(std::move(rec));
   }
-  if (!r.at_end()) {
-    return parse_error("malformed stats: " + std::to_string(r.remaining()) +
-                       " trailing bytes at byte offset " +
-                       std::to_string(r.position()));
-  }
+  GEMS_RETURN_IF_ERROR(r.expect_end("stats records"));
   return snapshot;
 }
 

@@ -140,12 +140,11 @@ std::size_t Server::respond(SessionConn& session, Verb verb,
                             std::uint64_t request_id, const Status& status,
                             std::span<const std::uint8_t> body,
                             const RequestMetrics::Outcome* outcome) {
-  WireWriter w;
+  std::vector<std::uint8_t> payload;
+  ByteWriter w(payload);
   encode_status(status, w);
-  if (status.is_ok()) {
-    w.buffer().insert(w.buffer().end(), body.begin(), body.end());
-  }
-  const std::size_t frame_bytes = kFrameHeaderBytes + w.buffer().size();
+  if (status.is_ok()) w.bytes(body);
+  const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
   // Metrics are recorded *before* the response leaves: a client that has
   // its answer must already be visible in a stats snapshot.
   if (outcome != nullptr) {
@@ -157,7 +156,7 @@ std::size_t Server::respond(SessionConn& session, Verb verb,
   // A send failure means the client went away; the reader thread will see
   // the close and unwind, so the status is intentionally dropped here.
   (void)send_frame(session.socket, verb, /*is_response=*/true, request_id,
-                   w.buffer());
+                   payload);
   return frame_bytes;
 }
 
@@ -366,7 +365,7 @@ void Server::process_request(Request& request) {
       }
     }
     if (status.is_ok()) {
-      WireWriter w;
+      ByteWriter w(body);
       switch (request.verb) {
         case Verb::kRunScript: {
           auto results = db_.run_ir(script.ir, params);
@@ -405,7 +404,6 @@ void Server::process_request(Request& request) {
           status = internal_error("verb routed to worker unexpectedly");
           break;
       }
-      body = w.take();
     }
   }
 

@@ -1,7 +1,5 @@
 #include "net/wire.hpp"
 
-#include <cstring>
-
 #include "graql/ir.hpp"
 
 namespace gems::net {
@@ -36,136 +34,43 @@ std::string_view verb_name(Verb verb) noexcept {
   return "unknown";
 }
 
-// ---- WireWriter ------------------------------------------------------------
-
-void WireWriter::str(std::string_view s) {
-  u32(static_cast<std::uint32_t>(s.size()));
-  raw(s.data(), s.size());
-}
-
-void WireWriter::blob(std::span<const std::uint8_t> bytes) {
-  u32(static_cast<std::uint32_t>(bytes.size()));
-  raw(bytes.data(), bytes.size());
-}
-
-void WireWriter::value(const storage::Value& v) {
-  graql::encode_value(v, buf_);
-}
-
-void WireWriter::raw(const void* p, std::size_t n) {
-  const auto* bytes = static_cast<const std::uint8_t*>(p);
-  buf_.insert(buf_.end(), bytes, bytes + n);
-}
-
-// ---- WireReader ------------------------------------------------------------
-
-Status WireReader::short_input(std::size_t need) const {
-  return parse_error("malformed frame: need " + std::to_string(need) +
-                     " bytes but only " + std::to_string(remaining()) +
-                     " remain at byte offset " + std::to_string(pos_));
-}
-
-template <typename T>
-Result<T> WireReader::fixed() {
-  if (sizeof(T) > remaining()) return short_input(sizeof(T));
-  T v;
-  std::memcpy(&v, bytes_.data() + pos_, sizeof(T));
-  pos_ += sizeof(T);
-  return v;
-}
-
-Result<std::uint8_t> WireReader::u8() { return fixed<std::uint8_t>(); }
-Result<std::uint16_t> WireReader::u16() { return fixed<std::uint16_t>(); }
-Result<std::uint32_t> WireReader::u32() { return fixed<std::uint32_t>(); }
-Result<std::uint64_t> WireReader::u64() { return fixed<std::uint64_t>(); }
-
-Result<bool> WireReader::boolean() {
-  GEMS_ASSIGN_OR_RETURN(std::uint8_t v, u8());
-  return v != 0;
-}
-
-Result<std::string> WireReader::str() {
-  const std::size_t at = pos_;
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-  if (n > remaining()) {
-    // Reject the length prefix before allocating anything.
-    return parse_error("malformed frame: string length " + std::to_string(n) +
-                       " exceeds remaining " + std::to_string(remaining()) +
-                       " bytes at byte offset " + std::to_string(at));
-  }
-  std::string out(reinterpret_cast<const char*>(bytes_.data() + pos_), n);
-  pos_ += n;
-  return out;
-}
-
-Result<std::vector<std::uint8_t>> WireReader::blob() {
-  const std::size_t at = pos_;
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-  if (n > remaining()) {
-    return parse_error("malformed frame: blob length " + std::to_string(n) +
-                       " exceeds remaining " + std::to_string(remaining()) +
-                       " bytes at byte offset " + std::to_string(at));
-  }
-  std::vector<std::uint8_t> out(bytes_.begin() + pos_,
-                                bytes_.begin() + pos_ + n);
-  pos_ += n;
-  return out;
-}
-
-Result<storage::Value> WireReader::value() {
-  return graql::decode_value(bytes_, pos_);
-}
-
-Result<std::uint32_t> WireReader::count(const char* what) {
-  const std::size_t at = pos_;
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t n, u32());
-  if (n > remaining()) {
-    return parse_error("malformed frame: " + std::string(what) + " count " +
-                       std::to_string(n) + " exceeds remaining " +
-                       std::to_string(remaining()) + " bytes at byte offset " +
-                       std::to_string(at));
-  }
-  return n;
-}
-
 // ---- Frame I/O -------------------------------------------------------------
 
 Status send_frame(const Socket& socket, Verb verb, bool is_response,
                   std::uint64_t request_id,
                   std::span<const std::uint8_t> payload) {
-  WireWriter w;
-  w.buffer().reserve(kFrameHeaderBytes + payload.size());
+  std::vector<std::uint8_t> frame;
+  frame.reserve(kFrameHeaderBytes + payload.size());
+  ByteWriter w(frame);
   w.u32(kFrameMagic);
   w.u16(kWireVersion);
   w.u8(static_cast<std::uint8_t>(verb));
   w.u8(is_response ? 1 : 0);
   w.u64(request_id);
   w.u32(static_cast<std::uint32_t>(payload.size()));
-  w.buffer().insert(w.buffer().end(), payload.begin(), payload.end());
-  return send_all(socket, w.buffer());
+  w.bytes(payload);
+  return send_all(socket, frame);
 }
 
 Result<Frame> recv_frame(const Socket& socket, std::size_t max_frame_bytes) {
   std::uint8_t header[kFrameHeaderBytes];
   GEMS_RETURN_IF_ERROR(recv_all(socket, header));
-  WireReader r(header);
+  ByteReader r = frame_reader(header);
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, r.u32());
   if (magic != kFrameMagic) {
-    return parse_error("bad frame magic at byte offset 0 (not a GEMS wire "
-                       "peer?)");
+    return r.error_at(0, "bad frame magic (not a GEMS wire peer?)");
   }
   Frame frame;
   GEMS_ASSIGN_OR_RETURN(frame.header.version, r.u16());
   if (frame.header.version != kWireVersion) {
-    return parse_error("unsupported wire version " +
-                       std::to_string(frame.header.version) +
-                       " at byte offset 4 (this peer speaks " +
-                       std::to_string(kWireVersion) + ")");
+    return r.error_at(4, "unsupported wire version " +
+                             std::to_string(frame.header.version) +
+                             " (this peer speaks " +
+                             std::to_string(kWireVersion) + ")");
   }
   GEMS_ASSIGN_OR_RETURN(std::uint8_t verb, r.u8());
   if (verb >= kNumVerbs) {
-    return parse_error("unknown verb " + std::to_string(verb) +
-                       " at byte offset 6");
+    return r.error_at(6, "unknown verb " + std::to_string(verb));
   }
   frame.header.verb = static_cast<Verb>(verb);
   GEMS_ASSIGN_OR_RETURN(std::uint8_t flags, r.u8());
@@ -175,11 +80,10 @@ Result<Frame> recv_frame(const Socket& socket, std::size_t max_frame_bytes) {
   // The frame budget is the admission line for memory: a hostile length
   // is rejected here, before any allocation.
   if (frame.header.payload_size > max_frame_bytes) {
-    return parse_error("frame payload length " +
-                       std::to_string(frame.header.payload_size) +
-                       " exceeds the frame budget of " +
-                       std::to_string(max_frame_bytes) +
-                       " bytes at byte offset 16");
+    return r.error_at(16, "payload length " +
+                              std::to_string(frame.header.payload_size) +
+                              " exceeds the frame budget of " +
+                              std::to_string(max_frame_bytes) + " bytes");
   }
   frame.payload.resize(frame.header.payload_size);
   GEMS_RETURN_IF_ERROR(recv_all(socket, frame.payload));
@@ -189,15 +93,16 @@ Result<Frame> recv_frame(const Socket& socket, std::size_t max_frame_bytes) {
 // ---- Request payloads ------------------------------------------------------
 
 std::vector<std::uint8_t> encode_handshake_request(const HandshakeRequest& r) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u16(r.wire_version);
   w.str(r.client_name);
-  return w.take();
+  return out;
 }
 
 Result<HandshakeRequest> decode_handshake_request(
     std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = frame_reader(bytes);
   HandshakeRequest out;
   GEMS_ASSIGN_OR_RETURN(out.wire_version, r.u16());
   GEMS_ASSIGN_OR_RETURN(out.client_name, r.str());
@@ -206,14 +111,15 @@ Result<HandshakeRequest> decode_handshake_request(
 
 std::vector<std::uint8_t> encode_handshake_response(
     const HandshakeResponse& r) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.u16(r.wire_version);
   w.u64(r.session_id);
   w.str(r.server_name);
-  return w.take();
+  return out;
 }
 
-Result<HandshakeResponse> decode_handshake_response(WireReader& reader) {
+Result<HandshakeResponse> decode_handshake_response(ByteReader& reader) {
   HandshakeResponse out;
   GEMS_ASSIGN_OR_RETURN(out.wire_version, reader.u16());
   GEMS_ASSIGN_OR_RETURN(out.session_id, reader.u64());
@@ -222,16 +128,17 @@ Result<HandshakeResponse> decode_handshake_response(WireReader& reader) {
 }
 
 std::vector<std::uint8_t> encode_script_request(const ScriptRequest& r) {
-  WireWriter w;
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
   w.blob(r.ir);
   w.blob(r.params);
   w.u32(r.deadline_ms);
-  return w.take();
+  return out;
 }
 
 Result<ScriptRequest> decode_script_request(
     std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = frame_reader(bytes);
   ScriptRequest out;
   GEMS_ASSIGN_OR_RETURN(out.ir, r.blob());
   GEMS_ASSIGN_OR_RETURN(out.params, r.blob());
@@ -240,14 +147,14 @@ Result<ScriptRequest> decode_script_request(
 }
 
 std::vector<std::uint8_t> encode_cancel_request(const CancelRequest& r) {
-  WireWriter w;
-  w.u64(r.target_request_id);
-  return w.take();
+  std::vector<std::uint8_t> out;
+  ByteWriter(out).u64(r.target_request_id);
+  return out;
 }
 
 Result<CancelRequest> decode_cancel_request(
     std::span<const std::uint8_t> bytes) {
-  WireReader r(bytes);
+  ByteReader r = frame_reader(bytes);
   CancelRequest out;
   GEMS_ASSIGN_OR_RETURN(out.target_request_id, r.u64());
   return out;
@@ -255,25 +162,25 @@ Result<CancelRequest> decode_cancel_request(
 
 // ---- Response payloads -----------------------------------------------------
 
-void encode_status(const Status& status, WireWriter& w) {
+void encode_status(const Status& status, ByteWriter& w) {
   w.u16(static_cast<std::uint16_t>(status.code()));
   w.str(status.message());
 }
 
-Status decode_status(WireReader& reader) {
+Status decode_status(ByteReader& reader) {
+  const std::size_t at = reader.pos();
   auto code = reader.u16();
   if (!code.is_ok()) return code.status();
   auto message = reader.str();
   if (!message.is_ok()) return message.status();
   if (*code > static_cast<std::uint16_t>(StatusCode::kUnavailable)) {
-    return parse_error("malformed frame: unknown status code " +
-                       std::to_string(*code));
+    return reader.error_at(at, "unknown status code " + std::to_string(*code));
   }
   return Status(static_cast<StatusCode>(*code), std::move(*message));
 }
 
 void encode_results(const std::vector<exec::StatementResult>& results,
-                    WireWriter& w) {
+                    ByteWriter& w) {
   w.u32(static_cast<std::uint32_t>(results.size()));
   for (const auto& r : results) {
     w.u8(static_cast<std::uint8_t>(r.kind));
@@ -294,7 +201,9 @@ void encode_results(const std::vector<exec::StatementResult>& results,
       w.u64(table->num_rows());
       for (std::size_t row = 0; row < table->num_rows(); ++row) {
         for (std::size_t col = 0; col < table->num_columns(); ++col) {
-          w.value(table->value_at(row, static_cast<storage::ColumnIndex>(col)));
+          graql::encode_value(
+              table->value_at(row, static_cast<storage::ColumnIndex>(col)),
+              w);
         }
       }
     }
@@ -307,31 +216,26 @@ void encode_results(const std::vector<exec::StatementResult>& results,
   }
 }
 
-Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
+Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
                                                           StringPool& pool) {
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, reader.count("result list"));
   std::vector<exec::StatementResult> results;
   results.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     exec::StatementResult result;
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8());
-    if (kind > static_cast<std::uint8_t>(
-                   exec::StatementResult::Kind::kSubgraph)) {
-      return parse_error("malformed frame: bad result kind " +
-                         std::to_string(kind));
-    }
-    result.kind = static_cast<exec::StatementResult::Kind>(kind);
+    GEMS_ASSIGN_OR_RETURN(
+        result.kind,
+        reader.enum8(exec::StatementResult::Kind::kSubgraph,
+                    "result kind"));
     GEMS_ASSIGN_OR_RETURN(result.truncated, reader.boolean());
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t into, reader.u8());
-    if (into > static_cast<std::uint8_t>(graql::IntoKind::kTable)) {
-      return parse_error("malformed frame: bad into kind " +
-                         std::to_string(into));
-    }
-    result.into = static_cast<graql::IntoKind>(into);
+    GEMS_ASSIGN_OR_RETURN(
+        result.into,
+        reader.enum8(graql::IntoKind::kTable, "into kind"));
     GEMS_ASSIGN_OR_RETURN(result.into_name, reader.str());
     GEMS_ASSIGN_OR_RETURN(result.message, reader.str());
     GEMS_ASSIGN_OR_RETURN(bool has_table, reader.boolean());
     if (has_table) {
+      const std::size_t table_at = reader.pos();
       GEMS_ASSIGN_OR_RETURN(std::string table_name, reader.str());
       GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, reader.count("column list"));
       std::vector<storage::ColumnDef> columns;
@@ -339,35 +243,40 @@ Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
       for (std::uint32_t c = 0; c < ncols; ++c) {
         storage::ColumnDef def;
         GEMS_ASSIGN_OR_RETURN(def.name, reader.str());
-        GEMS_ASSIGN_OR_RETURN(std::uint8_t type_kind, reader.u8());
-        if (type_kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
-          return parse_error("malformed frame: bad column type kind " +
-                             std::to_string(type_kind));
-        }
-        def.type.kind = static_cast<TypeKind>(type_kind);
+        GEMS_ASSIGN_OR_RETURN(
+            def.type.kind,
+            reader.enum8(TypeKind::kDate, "column type kind"));
         GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, reader.u32());
         columns.push_back(std::move(def));
       }
-      GEMS_ASSIGN_OR_RETURN(storage::Schema schema,
-                            storage::Schema::create(std::move(columns)));
-      GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, reader.u64());
-      // One value needs at least a tag byte; pre-check the row count
-      // against the remaining payload before building the table.
-      if (ncols > 0 && nrows > reader.remaining() / ncols) {
-        return parse_error("malformed frame: row count " +
-                           std::to_string(nrows) + " exceeds remaining " +
-                           std::to_string(reader.remaining()) +
-                           " bytes at byte offset " +
-                           std::to_string(reader.position()));
+      auto schema = storage::Schema::create(std::move(columns));
+      if (!schema.is_ok()) {
+        return reader.error_at(table_at, schema.status().message());
       }
-      auto table = std::make_shared<storage::Table>(std::move(table_name),
-                                                    std::move(schema), pool);
+      const std::size_t rows_at = reader.pos();
+      GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, reader.u64());
+      // One value needs at least a tag byte, and a table without columns
+      // has no rows: check the row count against the remaining payload
+      // before building the table.
+      if (nrows > (ncols == 0 ? 0 : reader.remaining() / ncols)) {
+        return reader.error_at(rows_at,
+                               "row count " + std::to_string(nrows) +
+                                   " exceeds remaining " +
+                                   std::to_string(reader.remaining()) +
+                                   " bytes");
+      }
+      auto table = std::make_shared<storage::Table>(
+          std::move(table_name), std::move(schema).value(), pool);
       std::vector<Value> row(table->num_columns());
       for (std::uint64_t rix = 0; rix < nrows; ++rix) {
+        const std::size_t row_at = reader.pos();
         for (std::size_t c = 0; c < row.size(); ++c) {
-          GEMS_ASSIGN_OR_RETURN(row[c], reader.value());
+          GEMS_ASSIGN_OR_RETURN(row[c], graql::decode_value(reader));
         }
-        GEMS_RETURN_IF_ERROR(table->append_row(row));
+        const Status appended = table->append_row(row);
+        if (!appended.is_ok()) {
+          return reader.error_at(row_at, appended.message());
+        }
       }
       result.table = std::move(table);
     }
@@ -388,7 +297,7 @@ Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
 }
 
 void encode_catalog(const std::vector<server::CatalogEntry>& entries,
-                    WireWriter& w) {
+                    ByteWriter& w) {
   w.u32(static_cast<std::uint32_t>(entries.size()));
   for (const auto& e : entries) {
     w.u8(static_cast<std::uint8_t>(e.kind));
@@ -398,19 +307,15 @@ void encode_catalog(const std::vector<server::CatalogEntry>& entries,
   }
 }
 
-Result<std::vector<server::CatalogEntry>> decode_catalog(WireReader& reader) {
+Result<std::vector<server::CatalogEntry>> decode_catalog(ByteReader& reader) {
   GEMS_ASSIGN_OR_RETURN(std::uint32_t n, reader.count("catalog list"));
   std::vector<server::CatalogEntry> entries;
   entries.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) {
     server::CatalogEntry e;
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, reader.u8());
-    if (kind > static_cast<std::uint8_t>(
-                   server::CatalogEntry::Kind::kSubgraph)) {
-      return parse_error("malformed frame: bad catalog kind " +
-                         std::to_string(kind));
-    }
-    e.kind = static_cast<server::CatalogEntry::Kind>(kind);
+    GEMS_ASSIGN_OR_RETURN(
+        e.kind, reader.enum8(server::CatalogEntry::Kind::kSubgraph,
+                            "catalog kind"));
     GEMS_ASSIGN_OR_RETURN(e.name, reader.str());
     GEMS_ASSIGN_OR_RETURN(std::uint64_t instances, reader.u64());
     GEMS_ASSIGN_OR_RETURN(std::uint64_t byte_size, reader.u64());

@@ -25,6 +25,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/status.hpp"
 #include "common/string_pool.hpp"
 #include "exec/executor.hpp"
@@ -68,61 +69,17 @@ struct FrameHeader {
   std::uint32_t payload_size = 0;
 };
 
-// ---- Primitive payload codec ----------------------------------------------
-// Shared by every payload struct below and by tests that craft hostile
-// frames on purpose. Values reuse the IR's tagged encoding
+// ---- Payload fields ---------------------------------------------------------
+// Frames and payloads are written with the shared ByteWriter and read with
+// ByteReader (common/bytes.hpp). Values reuse the IR's tagged encoding
 // (graql::encode_value), so a literal looks the same in a script IR and
 // in a result table.
 
-class WireWriter {
- public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
-  void u16(std::uint16_t v) { raw(&v, sizeof(v)); }
-  void u32(std::uint32_t v) { raw(&v, sizeof(v)); }
-  void u64(std::uint64_t v) { raw(&v, sizeof(v)); }
-  void boolean(bool v) { u8(v ? 1 : 0); }
-  void str(std::string_view s);
-  /// Length-prefixed opaque byte blob.
-  void blob(std::span<const std::uint8_t> bytes);
-  void value(const storage::Value& v);
-
-  std::vector<std::uint8_t>& buffer() { return buf_; }
-  std::vector<std::uint8_t> take() { return std::move(buf_); }
-
- private:
-  void raw(const void* p, std::size_t n);
-  std::vector<std::uint8_t> buf_;
-};
-
-class WireReader {
- public:
-  explicit WireReader(std::span<const std::uint8_t> bytes) : bytes_(bytes) {}
-
-  Result<std::uint8_t> u8();
-  Result<std::uint16_t> u16();
-  Result<std::uint32_t> u32();
-  Result<std::uint64_t> u64();
-  Result<bool> boolean();
-  Result<std::string> str();
-  Result<std::vector<std::uint8_t>> blob();
-  Result<storage::Value> value();
-
-  /// Element count, pre-validated against the remaining bytes so callers
-  /// can size containers from it.
-  Result<std::uint32_t> count(const char* what);
-
-  bool at_end() const { return pos_ == bytes_.size(); }
-  std::size_t position() const { return pos_; }
-  std::size_t remaining() const { return bytes_.size() - pos_; }
-
- private:
-  Status short_input(std::size_t need) const;
-  template <typename T>
-  Result<T> fixed();
-
-  std::span<const std::uint8_t> bytes_;
-  std::size_t pos_ = 0;
-};
+/// A ByteReader over a frame header or payload: errors are kParseError
+/// "malformed frame: ... at byte offset N".
+inline ByteReader frame_reader(std::span<const std::uint8_t> bytes) {
+  return ByteReader(bytes, StatusCode::kParseError, "malformed frame");
+}
 
 // ---- Frame I/O -------------------------------------------------------------
 
@@ -175,7 +132,7 @@ Result<HandshakeRequest> decode_handshake_request(
     std::span<const std::uint8_t> bytes);
 std::vector<std::uint8_t> encode_handshake_response(
     const HandshakeResponse& r);
-Result<HandshakeResponse> decode_handshake_response(WireReader& reader);
+Result<HandshakeResponse> decode_handshake_response(ByteReader& reader);
 
 std::vector<std::uint8_t> encode_script_request(const ScriptRequest& r);
 Result<ScriptRequest> decode_script_request(
@@ -189,22 +146,22 @@ Result<CancelRequest> decode_cancel_request(
 // Every response payload starts with an encoded Status; a verb-specific
 // body follows only when the status is OK.
 
-void encode_status(const Status& status, WireWriter& w);
+void encode_status(const Status& status, ByteWriter& w);
 /// Returns the decoded status; a malformed status field itself decodes to
 /// kParseError. OK means "the peer reported success; the body follows".
-Status decode_status(WireReader& reader);
+Status decode_status(ByteReader& reader);
 
 /// Result tables / subgraph summaries. Tables ship schema + row values;
 /// subgraphs ship their instance counts (the full vertex/edge sets stay
 /// server-side, as named catalog objects).
 void encode_results(const std::vector<exec::StatementResult>& results,
-                    WireWriter& w);
+                    ByteWriter& w);
 /// Decoded tables are rebuilt against `pool` (the client's interner).
-Result<std::vector<exec::StatementResult>> decode_results(WireReader& reader,
+Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
                                                           StringPool& pool);
 
 void encode_catalog(const std::vector<server::CatalogEntry>& entries,
-                    WireWriter& w);
-Result<std::vector<server::CatalogEntry>> decode_catalog(WireReader& reader);
+                    ByteWriter& w);
+Result<std::vector<server::CatalogEntry>> decode_catalog(ByteReader& reader);
 
 }  // namespace gems::net

@@ -50,17 +50,28 @@ Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path) {
   return out;
 }
 
-Writer::Writer(int fd, std::string path)
-    : out_(&buffer_), fd_(fd), path_(std::move(path)) {
+FileWriter::FileWriter(int fd, std::string path)
+    : fd_(fd), path_(std::move(path)) {
   buffer_.reserve(kWriterBufferBytes);
 }
 
-void Writer::flush_buffer() {
+void FileWriter::bytes(std::span<const std::uint8_t> b) {
+  if (buffer_.size() + b.size() > kWriterBufferBytes) {
+    flush_buffer();
+    if (b.size() >= kWriterBufferBytes) {
+      write_through(b);
+      return;
+    }
+  }
+  fields_.bytes(b);
+}
+
+void FileWriter::flush_buffer() {
   write_through(buffer_);
   buffer_.clear();
 }
 
-void Writer::write_through(std::span<const std::uint8_t> b) {
+void FileWriter::write_through(std::span<const std::uint8_t> b) {
   if (!error_.is_ok() || b.empty()) return;
   error_ = write_all(fd_, b, path_);
   if (!error_.is_ok()) return;
@@ -68,7 +79,7 @@ void Writer::write_through(std::span<const std::uint8_t> b) {
   written_ += b.size();
 }
 
-Status Writer::finish() {
+Status FileWriter::finish() {
   flush_buffer();
   return error_;
 }

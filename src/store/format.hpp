@@ -1,18 +1,17 @@
-// Byte-level codec and durable file primitives for gems::store.
+// Field codec and durable file primitives for gems::store.
 //
-// The snapshot and WAL formats share one discipline, inherited from the
-// wire layer (src/net): every variable-length field is length-prefixed,
-// every length is validated against the remaining input *before* any
-// allocation, and every file section is covered by a CRC32 so corruption
-// is detected as a typed Status instead of undefined behavior. The store
-// cannot reuse net::WireReader directly (net sits above server in the
-// layering, store below it), so this header provides the store's own
-// Writer/Reader pair plus the POSIX helpers for crash-safe file
-// replacement (write-to-temp, fsync, rename, fsync-directory).
+// Snapshot and WAL fields are written with the shared ByteWriter
+// (common/bytes.hpp), or streamed to a file by FileWriter below, and read
+// with the shared ByteReader through store_reader(), whose errors are
+// kIoError. Every variable-length field is length-prefixed, every length
+// is checked against the remaining input before any allocation, and every
+// file section is covered by a CRC32, so corruption is detected as a
+// typed Status instead of undefined behavior. The POSIX helpers at the
+// end do crash-safe file replacement (write-to-temp, fsync, rename,
+// fsync-directory).
 //
-// All integers are little-endian on disk. Bulk arrays (column data, CSR
-// offsets) are memcpy'd, which is only correct on little-endian hosts;
-// store.cpp static_asserts the host endianness.
+// Bulk arrays (column data, CSR offsets) are their elements' in-memory
+// bytes, which common/bytes.hpp pins to little-endian.
 #pragma once
 
 #include <cstdint>
@@ -20,222 +19,120 @@
 #include <functional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
+#include "common/bytes.hpp"
 #include "common/chunked_array.hpp"
 #include "common/crc32.hpp"
 #include "common/status.hpp"
 
 namespace gems::store {
 
-/// Hard cap on any single length prefix (strings, blobs, arrays). A
-/// snapshot section claiming more than this is corrupt by definition —
-/// the cap bounds allocation caused by a hostile or bit-flipped length
-/// before the CRC check would catch it.
-inline constexpr std::uint64_t kMaxFieldBytes = 1ull << 40;  // 1 TiB
+/// A ByteReader over snapshot or WAL bytes: errors are kIoError
+/// "corrupt store data: ... at byte offset N".
+inline ByteReader store_reader(std::span<const std::uint8_t> bytes) {
+  return ByteReader(bytes, StatusCode::kIoError, "corrupt store data");
+}
 
-/// Buffer of a streaming Writer: small fields gather here and reach the
-/// file in one write; a span at least this long bypasses the buffer. A
-/// larger buffer saves few syscalls and costs resident memory.
+/// Buffer of a FileWriter: small fields gather here and reach the file in
+/// one write; a span at least this long bypasses the buffer. A larger
+/// buffer saves few syscalls and costs resident memory.
 inline constexpr std::size_t kWriterBufferBytes = 64 * 1024;
 
-// ---- Writer ---------------------------------------------------------------
-
-/// Appends little-endian fields to a byte vector, or streams them to an
-/// open file through a kWriterBufferBytes buffer. The streaming form keeps
-/// a running CRC-32 and byte count of what it writes, so a checksummed file
-/// section never has to be in memory whole. Its write errors are sticky:
-/// later fields are dropped and finish() returns the first error.
-class Writer {
+/// Streams ByteWriter fields to an open file through a kWriterBufferBytes
+/// buffer, keeping a running CRC-32 and byte count of what it writes, so a
+/// checksummed file section never has to be in memory whole. Write errors
+/// are sticky: later fields are dropped and finish() returns the first
+/// error. It writes the same bytes as a ByteWriter given the same fields.
+class FileWriter {
  public:
-  explicit Writer(std::vector<std::uint8_t>& out) : out_(&out) {}
-  /// Streams to `fd`, which stays owned by the caller; `path` names the
-  /// file in error messages.
-  Writer(int fd, std::string path);
+  /// `fd` stays owned by the caller; `path` names the file in errors.
+  FileWriter(int fd, std::string path);
 
-  Writer(const Writer&) = delete;
-  Writer& operator=(const Writer&) = delete;
+  FileWriter(const FileWriter&) = delete;
+  FileWriter& operator=(const FileWriter&) = delete;
 
-  void u8(std::uint8_t v) {
-    make_room(1);
-    out_->push_back(v);
-  }
-  void u16(std::uint16_t v) { le(v); }
-  void u32(std::uint32_t v) { le(v); }
-  void u64(std::uint64_t v) { le(v); }
-  void f64(double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof(bits));
-    u64(bits);
-  }
-
-  /// u32 length prefix + raw bytes.
+  void u8(std::uint8_t v) { fixed(&ByteWriter::u8, v); }
+  void u16(std::uint16_t v) { fixed(&ByteWriter::u16, v); }
+  void u32(std::uint32_t v) { fixed(&ByteWriter::u32, v); }
+  void u64(std::uint64_t v) { fixed(&ByteWriter::u64, v); }
+  void f64(double v) { fixed(&ByteWriter::f64, v); }
+  /// ByteWriter::str's layout, with the body routed through bytes().
   void str(std::string_view s) {
     u32(static_cast<std::uint32_t>(s.size()));
     bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
   }
+  void bytes(std::span<const std::uint8_t> b);
 
-  void bytes(std::span<const std::uint8_t> b) {
-    if (streaming() && out_->size() + b.size() > kWriterBufferBytes) {
-      flush_buffer();
-      if (b.size() >= kWriterBufferBytes) {
-        write_through(b);
-        return;
-      }
-    }
-    out_->insert(out_->end(), b.begin(), b.end());
-  }
-
-  /// u64 element count + raw little-endian array contents.
-  template <typename T>
-  void pod_array(std::span<const T> a) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    u64(a.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(a.data());
-    bytes({p, a.size() * sizeof(T)});
-  }
-
-  /// The same bytes as pod_array over the concatenated elements, written
-  /// chunk by chunk.
-  template <typename T, std::size_t N, bool V>
-  void pod_array(const ChunkedArray<T, N, V>& a) {
-    u64(a.size());
-    for (std::size_t c = 0; c < a.num_chunks(); ++c) {
-      const std::span<const T> chunk = a.chunk(c);
-      bytes({reinterpret_cast<const std::uint8_t*>(chunk.data()),
-             chunk.size() * sizeof(T)});
-    }
-  }
-
-  /// Streaming form: writes out the buffer and returns the first write
-  /// error, if any. Call it before reading written() and crc().
+  /// Writes out the buffer and returns the first write error, if any.
+  /// Call it before reading written() and crc().
   Status finish();
-  /// Streaming form: bytes written to the file so far, and their CRC-32.
+  /// Bytes written to the file so far, and their CRC-32.
   std::uint64_t written() const { return written_; }
   std::uint32_t crc() const { return crc32_final(crc_); }
 
  private:
-  bool streaming() const { return fd_ >= 0; }
-  void make_room(std::size_t n) {
-    if (streaming() && out_->size() + n > kWriterBufferBytes) flush_buffer();
+  /// Flushes first when the field would overflow the buffer.
+  template <typename T>
+  void fixed(void (ByteWriter::*put)(T), T v) {
+    if (buffer_.size() + sizeof(T) > kWriterBufferBytes) flush_buffer();
+    (fields_.*put)(v);
   }
   void flush_buffer();
   void write_through(std::span<const std::uint8_t> b);
 
-  template <typename T>
-  void le(T v) {
-    make_room(sizeof(T));
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      out_->push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
-  }
-
-  std::vector<std::uint8_t>* out_;  // the caller's vector, or buffer_
   std::vector<std::uint8_t> buffer_;
-  int fd_ = -1;
+  ByteWriter fields_{buffer_};
+  int fd_;
   std::string path_;
   std::uint64_t written_ = 0;
   std::uint32_t crc_ = kCrc32Init;
   Status error_;
 };
 
-// ---- Reader ---------------------------------------------------------------
+// ---- POD arrays -------------------------------------------------------------
+// A u64 element count + the elements' raw bytes: the layout of column
+// data, CSR arrays and bitset words. `W` is a ByteWriter or a FileWriter.
 
-/// Positional decoder over a byte span. Every read validates the remaining
-/// length first; errors carry the byte offset of the bad field so corrupt
-/// snapshots are diagnosable.
-class Reader {
- public:
-  explicit Reader(std::span<const std::uint8_t> data) : data_(data) {}
+template <typename T, typename W>
+void write_pod_array(W& w, std::span<const T> a) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  w.u64(a.size());
+  w.bytes({reinterpret_cast<const std::uint8_t*>(a.data()),
+           a.size() * sizeof(T)});
+}
 
-  std::size_t pos() const { return pos_; }
-  std::size_t remaining() const { return data_.size() - pos_; }
-  bool at_end() const { return pos_ == data_.size(); }
-
-  Result<std::uint8_t> u8() {
-    GEMS_RETURN_IF_ERROR(need(1, "u8"));
-    return data_[pos_++];
+/// The same bytes as the span form over the concatenated elements,
+/// written chunk by chunk.
+template <typename W, typename T, std::size_t N, bool V>
+void write_pod_array(W& w, const ChunkedArray<T, N, V>& a) {
+  w.u64(a.size());
+  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+    const std::span<const T> chunk = a.chunk(c);
+    w.bytes({reinterpret_cast<const std::uint8_t*>(chunk.data()),
+             chunk.size() * sizeof(T)});
   }
-  Result<std::uint16_t> u16() { return le<std::uint16_t>("u16"); }
-  Result<std::uint32_t> u32() { return le<std::uint32_t>("u32"); }
-  Result<std::uint64_t> u64() { return le<std::uint64_t>("u64"); }
-  Result<double> f64() {
-    GEMS_ASSIGN_OR_RETURN(std::uint64_t bits, le<std::uint64_t>("f64"));
-    double v;
-    std::memcpy(&v, &bits, sizeof(v));
-    return v;
-  }
+}
 
-  Result<std::string> str() {
-    const std::size_t at = pos_;
-    GEMS_ASSIGN_OR_RETURN(std::uint32_t len, le<std::uint32_t>("string"));
-    GEMS_RETURN_IF_ERROR(need(len, "string body", at));
-    std::string s(reinterpret_cast<const char*>(data_.data() + pos_), len);
-    pos_ += len;
-    return s;
+/// Reads a write_pod_array section. The count is checked against the
+/// remaining bytes before the vector is allocated.
+template <typename T>
+Result<std::vector<T>> read_pod_array(ByteReader& r, const char* what) {
+  static_assert(std::is_trivially_copyable_v<T>);
+  const std::size_t at = r.pos();
+  GEMS_ASSIGN_OR_RETURN(std::uint64_t count, r.u64());
+  if (count > r.remaining() / sizeof(T)) {
+    return r.error_at(at, std::string(what) + " count " +
+                              std::to_string(count) + " exceeds remaining " +
+                              std::to_string(r.remaining()) + " bytes");
   }
-
-  Result<std::span<const std::uint8_t>> bytes(std::size_t len,
-                                              const char* what) {
-    GEMS_RETURN_IF_ERROR(need(len, what));
-    auto out = data_.subspan(pos_, len);
-    pos_ += len;
-    return out;
-  }
-
-  /// Reads a u64-count-prefixed POD array written by Writer::pod_array.
-  /// The count is validated against the remaining bytes before the vector
-  /// is allocated, so a corrupt count cannot trigger a huge allocation.
-  template <typename T>
-  Result<std::vector<T>> pod_array(const char* what) {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::size_t at = pos_;
-    GEMS_ASSIGN_OR_RETURN(std::uint64_t count, le<std::uint64_t>(what));
-    if (count > kMaxFieldBytes / sizeof(T) ||
-        count * sizeof(T) > remaining()) {
-      return corrupt(std::string(what) + ": count " + std::to_string(count) +
-                         " exceeds remaining input",
-                     at);
-    }
-    std::vector<T> out(static_cast<std::size_t>(count));
-    std::memcpy(out.data(), data_.data() + pos_, count * sizeof(T));
-    pos_ += count * sizeof(T);
-    return out;
-  }
-
-  Status corrupt(std::string detail, std::size_t at) const {
-    return io_error("corrupt store data at byte " + std::to_string(at) +
-                    ": " + std::move(detail));
-  }
-
- private:
-  Status need(std::size_t n, const char* what) const {
-    return need(n, what, pos_);
-  }
-  Status need(std::size_t n, const char* what, std::size_t at) const {
-    if (n > data_.size() - pos_) {
-      return corrupt(std::string(what) + " needs " + std::to_string(n) +
-                         " bytes, " + std::to_string(data_.size() - pos_) +
-                         " remain",
-                     at);
-    }
-    return Status::ok();
-  }
-
-  template <typename T>
-  Result<T> le(const char* what) {
-    GEMS_RETURN_IF_ERROR(need(sizeof(T), what));
-    T v = 0;
-    for (std::size_t i = 0; i < sizeof(T); ++i) {
-      v |= static_cast<T>(static_cast<T>(data_[pos_ + i]) << (8 * i));
-    }
-    pos_ += sizeof(T);
-    return v;
-  }
-
-  std::span<const std::uint8_t> data_;
-  std::size_t pos_ = 0;
-};
+  GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> raw,
+                        r.bytes(static_cast<std::size_t>(count) * sizeof(T)));
+  std::vector<T> out(static_cast<std::size_t>(count));
+  if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
+  return out;
+}
 
 // ---- Durable file helpers -------------------------------------------------
 

@@ -33,23 +33,27 @@ using storage::TypeKind;
 constexpr std::uint8_t kSourceByName = 1;
 constexpr std::uint8_t kSourceInline = 0;
 
-void encode_bitset(Writer& w, const DynamicBitset& b) {
+template <typename W>
+void encode_bitset(W& w, const DynamicBitset& b) {
   w.u64(b.size());
-  w.pod_array<std::uint64_t>(b.words());
+  write_pod_array<std::uint64_t>(w, b.words());
 }
 
-Result<DynamicBitset> decode_bitset(Reader& r, const char* what) {
+Result<DynamicBitset> decode_bitset(ByteReader& r, const char* what) {
   const std::size_t at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::uint64_t size, r.u64());
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> words,
-                        r.pod_array<std::uint64_t>(what));
+                        read_pod_array<std::uint64_t>(r, what));
   auto bits = DynamicBitset::from_words(static_cast<std::size_t>(size),
                                         std::move(words));
-  if (!bits.is_ok()) return r.corrupt(what + (": " + bits.status().message()), at);
+  if (!bits.is_ok()) {
+    return r.error_at(at, what + (": " + bits.status().message()));
+  }
   return std::move(bits).value();
 }
 
-void encode_table(Writer& w, const Table& t) {
+template <typename W>
+void encode_table(W& w, const Table& t) {
   w.str(t.name());
   w.u32(static_cast<std::uint32_t>(t.schema().num_columns()));
   for (const ColumnDef& def : t.schema().columns()) {
@@ -67,13 +71,13 @@ void encode_table(Writer& w, const Table& t) {
       case TypeKind::kBool:
       case TypeKind::kInt64:
       case TypeKind::kDate:
-        w.pod_array(col.int_chunks());
+        write_pod_array(w, col.int_chunks());
         break;
       case TypeKind::kDouble:
-        w.pod_array(col.double_chunks());
+        write_pod_array(w, col.double_chunks());
         break;
       case TypeKind::kVarchar:
-        w.pod_array(col.string_chunks());
+        write_pod_array(w, col.string_chunks());
         break;
     }
     w.u64(col.size());
@@ -86,34 +90,29 @@ void encode_table(Writer& w, const Table& t) {
   }
 }
 
-Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
+Result<TablePtr> decode_table(ByteReader& r, StringPool& pool) {
   const std::size_t table_at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, r.u32());
   if (ncols > (1u << 20)) {
-    return r.corrupt("table '" + name + "': implausible column count " +
-                         std::to_string(ncols),
-                     table_at);
+    return r.error_at(table_at, "table '" + name +
+                                    "': implausible column count " +
+                                    std::to_string(ncols));
   }
   std::vector<ColumnDef> defs;
   defs.reserve(ncols);
   for (std::uint32_t c = 0; c < ncols; ++c) {
     ColumnDef def;
     GEMS_ASSIGN_OR_RETURN(def.name, r.str());
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t kind, r.u8());
-    if (kind > static_cast<std::uint8_t>(TypeKind::kDate)) {
-      return r.corrupt("table '" + name + "': bad column kind " +
-                           std::to_string(kind),
-                       table_at);
-    }
-    def.type.kind = static_cast<TypeKind>(kind);
+    GEMS_ASSIGN_OR_RETURN(def.type.kind,
+                          r.enum8(TypeKind::kDate, "column kind"));
     GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, r.u32());
     defs.push_back(std::move(def));
   }
   auto schema = Schema::create(std::move(defs));
   if (!schema.is_ok()) {
-    return r.corrupt("table '" + name + "': " + schema.status().message(),
-                     table_at);
+    return r.error_at(table_at,
+                      "table '" + name + "': " + schema.status().message());
   }
   GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, r.u64());
   auto table =
@@ -127,7 +126,7 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
       case TypeKind::kInt64:
       case TypeKind::kDate: {
         GEMS_ASSIGN_OR_RETURN(std::vector<std::int64_t> data,
-                              r.pod_array<std::int64_t>("int column"));
+                              read_pod_array<std::int64_t>(r, "int column"));
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
         load = col.load<std::int64_t>(data, bits);
@@ -135,7 +134,7 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
       }
       case TypeKind::kDouble: {
         GEMS_ASSIGN_OR_RETURN(std::vector<double> data,
-                              r.pod_array<double>("double column"));
+                              read_pod_array<double>(r, "double column"));
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
         load = col.load<double>(data, bits);
@@ -143,13 +142,14 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
       }
       case TypeKind::kVarchar: {
         GEMS_ASSIGN_OR_RETURN(std::vector<StringId> data,
-                              r.pod_array<StringId>("varchar column"));
+                              read_pod_array<StringId>(r, "varchar column"));
         for (const StringId id : data) {
           if (id != kInvalidStringId && id >= pool.size()) {
-            return r.corrupt("table '" + name + "': string id " +
-                                 std::to_string(id) + " outside pool (" +
-                                 std::to_string(pool.size()) + " strings)",
-                             col_at);
+            return r.error_at(col_at, "table '" + name + "': string id " +
+                                          std::to_string(id) +
+                                          " outside pool (" +
+                                          std::to_string(pool.size()) +
+                                          " strings)");
           }
         }
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
@@ -159,24 +159,25 @@ Result<TablePtr> decode_table(Reader& r, StringPool& pool) {
       }
     }
     if (!load.is_ok()) {
-      return r.corrupt("table '" + name + "': " + load.message(), col_at);
+      return r.error_at(col_at, "table '" + name + "': " + load.message());
     }
   }
   const Status finish = table->finish_restore();
   if (!finish.is_ok()) {
-    return r.corrupt("table '" + name + "': " + finish.message(), table_at);
+    return r.error_at(table_at, "table '" + name + "': " + finish.message());
   }
   if (table->num_rows() != nrows) {
-    return r.corrupt("table '" + name + "': row count " +
-                         std::to_string(table->num_rows()) +
-                         " != declared " + std::to_string(nrows),
-                     table_at);
+    return r.error_at(table_at, "table '" + name + "': row count " +
+                                    std::to_string(table->num_rows()) +
+                                    " != declared " + std::to_string(nrows));
   }
   return table;
 }
 
-void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
-                 Writer& w) {
+/// Writes the snapshot body to a ByteWriter (encode_snapshot) or a
+/// FileWriter (write_snapshot_file); both produce the same bytes.
+template <typename W>
+void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
   w.u64(wal_seq);
 
   // String pool, in id order (deterministic; ids in column data stay
@@ -213,7 +214,7 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
   w.u32(static_cast<std::uint32_t>(ctx.vertex_decls.size()));
   w.u32(static_cast<std::uint32_t>(ctx.edge_decls.size()));
   const std::vector<std::uint8_t> script = graql::encode_script(decls);
-  w.pod_array<std::uint8_t>(script);
+  write_pod_array<std::uint8_t>(w, script);
 
   // Built vertex types, in id order.
   w.u32(static_cast<std::uint32_t>(ctx.graph.num_vertex_types()));
@@ -229,9 +230,9 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
       w.u8(kSourceInline);
       encode_table(w, vt.source());
     }
-    w.pod_array<storage::ColumnIndex>(vt.key_columns());
+    write_pod_array<storage::ColumnIndex>(w, vt.key_columns());
     w.u8(vt.one_to_one() ? 1 : 0);
-    w.pod_array(vt.representative_rows());
+    write_pod_array(w, vt.representative_rows());
     encode_bitset(w, vt.matching_rows());
   }
 
@@ -242,14 +243,14 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
     w.str(et.name());
     w.u16(et.source_type());
     w.u16(et.target_type());
-    w.pod_array(et.source_vertices());
-    w.pod_array(et.target_vertices());
+    write_pod_array(w, et.source_vertices());
+    write_pod_array(w, et.target_vertices());
     w.u8(et.attr_table() != nullptr ? 1 : 0);
     if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());
     for (const graph::CsrIndex* csr : {&et.forward(), &et.reverse()}) {
-      w.pod_array<std::uint32_t>(csr->raw_offsets());
-      w.pod_array<VertexIndex>(csr->raw_neighbors());
-      w.pod_array<graph::EdgeIndex>(csr->raw_edges());
+      write_pod_array<std::uint32_t>(w, csr->raw_offsets());
+      write_pod_array<VertexIndex>(w, csr->raw_neighbors());
+      write_pod_array<graph::EdgeIndex>(w, csr->raw_edges());
     }
   }
 
@@ -281,7 +282,7 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq,
   }
 }
 
-Status decode_body(Reader& r, exec::ExecContext& ctx,
+Status decode_body(ByteReader& r, exec::ExecContext& ctx,
                    SnapshotInfo& info) {
   GEMS_ASSIGN_OR_RETURN(info.wal_seq, r.u64());
 
@@ -293,10 +294,9 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
     GEMS_ASSIGN_OR_RETURN(std::string s, r.str());
     const StringId id = ctx.pool->intern(s);
     if (id != static_cast<StringId>(i)) {
-      return r.corrupt("pool string " + std::to_string(i) +
-                           " re-interned to id " + std::to_string(id) +
-                           " (duplicate in pool section)",
-                       at);
+      return r.error_at(at, "pool string " + std::to_string(i) +
+                                " re-interned to id " + std::to_string(id) +
+                                " (duplicate in pool section)");
     }
   }
 
@@ -310,31 +310,31 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_edecls, r.u32());
   const std::size_t decls_at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> script_bytes,
-                        r.pod_array<std::uint8_t>("decl script"));
+                        read_pod_array<std::uint8_t>(r, "decl script"));
   auto script = graql::decode_script(script_bytes);
   if (!script.is_ok()) {
-    return r.corrupt("decl script: " + script.status().message(), decls_at);
+    return r.error_at(decls_at, "decl script: " + script.status().message());
   }
   if (script->statements.size() !=
       static_cast<std::size_t>(num_vdecls) + num_edecls) {
-    return r.corrupt("decl script statement count mismatch", decls_at);
+    return r.error_at(decls_at, "decl script statement count mismatch");
   }
   for (std::size_t i = 0; i < script->statements.size(); ++i) {
     graql::Statement& stmt = script->statements[i];
     if (i < num_vdecls) {
       auto* s = std::get_if<graql::CreateVertexStmt>(&stmt);
       if (s == nullptr) {
-        return r.corrupt("decl script: statement " + std::to_string(i) +
-                             " is not a vertex declaration",
-                         decls_at);
+        return r.error_at(decls_at, "decl script: statement " +
+                                        std::to_string(i) +
+                                        " is not a vertex declaration");
       }
       ctx.vertex_decls.push_back(std::move(s->decl));
     } else {
       auto* s = std::get_if<graql::CreateEdgeStmt>(&stmt);
       if (s == nullptr) {
-        return r.corrupt("decl script: statement " + std::to_string(i) +
-                             " is not an edge declaration",
-                         decls_at);
+        return r.error_at(decls_at, "decl script: statement " +
+                                        std::to_string(i) +
+                                        " is not an edge declaration");
       }
       ctx.edge_decls.push_back(std::move(s->decl));
     }
@@ -342,9 +342,8 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_vtypes, r.u32());
   if (num_vtypes >= graph::kInvalidVertexType) {
-    return r.corrupt("implausible vertex type count " +
-                         std::to_string(num_vtypes),
-                     r.pos());
+    return r.error(
+        "implausible vertex type count " + std::to_string(num_vtypes));
   }
   for (std::uint32_t i = 0; i < num_vtypes; ++i) {
     const std::size_t at = r.pos();
@@ -355,41 +354,40 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
       GEMS_ASSIGN_OR_RETURN(std::string tname, r.str());
       auto found = ctx.tables.find(tname);
       if (!found.is_ok()) {
-        return r.corrupt("vertex type '" + name +
-                             "': source table '" + tname + "' not in snapshot",
-                         at);
+        return r.error_at(at, "vertex type '" + name + "': source table '" +
+                                  tname + "' not in snapshot");
       }
       source = std::move(found).value();
     } else if (mode == kSourceInline) {
       GEMS_ASSIGN_OR_RETURN(source, decode_table(r, *ctx.pool));
     } else {
-      return r.corrupt("vertex type '" + name + "': bad source mode " +
-                           std::to_string(mode),
-                       at);
+      return r.error_at(at, "vertex type '" + name + "': bad source mode " +
+                                std::to_string(mode));
     }
-    GEMS_ASSIGN_OR_RETURN(std::vector<storage::ColumnIndex> key_cols,
-                          r.pod_array<storage::ColumnIndex>("key columns"));
+    GEMS_ASSIGN_OR_RETURN(
+        std::vector<storage::ColumnIndex> key_cols,
+        read_pod_array<storage::ColumnIndex>(r, "key columns"));
     GEMS_ASSIGN_OR_RETURN(std::uint8_t one_to_one, r.u8());
     if (one_to_one > 1) {
-      return r.corrupt("vertex type '" + name + "': bad one_to_one flag", at);
+      return r.error_at(at,
+                        "vertex type '" + name + "': bad one_to_one flag");
     }
     GEMS_ASSIGN_OR_RETURN(std::vector<RowIndex> reps,
-                          r.pod_array<RowIndex>("representative rows"));
+                          read_pod_array<RowIndex>(r, "representative rows"));
     GEMS_ASSIGN_OR_RETURN(DynamicBitset matching,
                           decode_bitset(r, "matching rows"));
     auto vt = VertexType::restore(static_cast<VertexTypeId>(i),
                                   std::move(name), std::move(source),
                                   std::move(key_cols), one_to_one != 0,
                                   std::move(reps), std::move(matching));
-    if (!vt.is_ok()) return r.corrupt(vt.status().message(), at);
+    if (!vt.is_ok()) return r.error_at(at, vt.status().message());
     GEMS_RETURN_IF_ERROR(ctx.graph.add_vertex_type(std::move(vt).value()));
   }
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_etypes, r.u32());
   if (num_etypes >= graph::kInvalidEdgeType) {
-    return r.corrupt("implausible edge type count " +
-                         std::to_string(num_etypes),
-                     r.pos());
+    return r.error(
+        "implausible edge type count " + std::to_string(num_etypes));
   }
   for (std::uint32_t i = 0; i < num_etypes; ++i) {
     const std::size_t at = r.pos();
@@ -397,34 +395,33 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
     GEMS_ASSIGN_OR_RETURN(std::uint16_t src_type, r.u16());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t dst_type, r.u16());
     if (src_type >= num_vtypes || dst_type >= num_vtypes) {
-      return r.corrupt("edge type '" + name + "': endpoint type out of range",
-                       at);
+      return r.error_at(
+          at, "edge type '" + name + "': endpoint type out of range");
     }
     GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> src,
-                          r.pod_array<VertexIndex>("edge sources"));
+                          read_pod_array<VertexIndex>(r, "edge sources"));
     GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> dst,
-                          r.pod_array<VertexIndex>("edge targets"));
+                          read_pod_array<VertexIndex>(r, "edge targets"));
     GEMS_ASSIGN_OR_RETURN(std::uint8_t has_attrs, r.u8());
     TablePtr attr_table;
     if (has_attrs == 1) {
       GEMS_ASSIGN_OR_RETURN(attr_table, decode_table(r, *ctx.pool));
     } else if (has_attrs != 0) {
-      return r.corrupt("edge type '" + name + "': bad attr-table flag", at);
+      return r.error_at(at, "edge type '" + name + "': bad attr-table flag");
     }
     graph::CsrIndex csrs[2];
     for (graph::CsrIndex& csr : csrs) {
       GEMS_ASSIGN_OR_RETURN(std::vector<std::uint32_t> offsets,
-                            r.pod_array<std::uint32_t>("CSR offsets"));
+                            read_pod_array<std::uint32_t>(r, "CSR offsets"));
       GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> neighbor,
-                            r.pod_array<VertexIndex>("CSR neighbors"));
+                            read_pod_array<VertexIndex>(r, "CSR neighbors"));
       GEMS_ASSIGN_OR_RETURN(std::vector<graph::EdgeIndex> edge,
-                            r.pod_array<graph::EdgeIndex>("CSR edges"));
+                            read_pod_array<graph::EdgeIndex>(r, "CSR edges"));
       auto restored = graph::CsrIndex::restore(
           std::move(offsets), std::move(neighbor), std::move(edge));
       if (!restored.is_ok()) {
-        return r.corrupt("edge type '" + name + "': " +
-                             restored.status().message(),
-                         at);
+        return r.error_at(at, "edge type '" + name + "': " +
+                                  restored.status().message());
       }
       csr = std::move(restored).value();
     }
@@ -433,15 +430,14 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
             ctx.graph.vertex_type(src_type).num_vertices() ||
         csrs[1].num_vertices() !=
             ctx.graph.vertex_type(dst_type).num_vertices()) {
-      return r.corrupt("edge type '" + name +
-                           "': CSR vertex count != endpoint type size",
-                       at);
+      return r.error_at(at, "edge type '" + name +
+                                "': CSR vertex count != endpoint type size");
     }
     auto et = EdgeType::restore(static_cast<EdgeTypeId>(i), std::move(name),
                                 src_type, dst_type, std::move(src),
                                 std::move(dst), std::move(attr_table),
                                 std::move(csrs[0]), std::move(csrs[1]));
-    if (!et.is_ok()) return r.corrupt(et.status().message(), at);
+    if (!et.is_ok()) return r.error_at(at, et.status().message());
     GEMS_RETURN_IF_ERROR(ctx.graph.add_edge_type(std::move(et).value()));
   }
 
@@ -458,9 +454,8 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
       if (type >= num_vtypes ||
           bits.size() !=
               ctx.graph.vertex_type(type).num_vertices()) {
-        return r.corrupt("subgraph '" + name +
-                             "': bad vertex membership entry",
-                         at);
+        return r.error_at(
+            at, "subgraph '" + name + "': bad vertex membership entry");
       }
       sub->vertices(type, bits.size()) = std::move(bits);
     }
@@ -471,20 +466,15 @@ Status decode_body(Reader& r, exec::ExecContext& ctx,
                             decode_bitset(r, "subgraph edges"));
       if (type >= num_etypes ||
           bits.size() != ctx.graph.edge_type(type).num_edges()) {
-        return r.corrupt("subgraph '" + name +
-                             "': bad edge membership entry",
-                         at);
+        return r.error_at(
+            at, "subgraph '" + name + "': bad edge membership entry");
       }
       sub->edges(type, bits.size()) = std::move(bits);
     }
     ctx.subgraphs.emplace(std::move(name), std::move(sub));
   }
 
-  if (!r.at_end()) {
-    return r.corrupt(std::to_string(r.remaining()) +
-                         " trailing bytes after snapshot body",
-                     r.pos());
-  }
+  GEMS_RETURN_IF_ERROR(r.expect_end("snapshot body"));
   if (ctx.graph.num_vertex_types() > 0 || ctx.graph.num_edge_types() > 0) {
     ctx.graph_version = 1;
   }
@@ -495,7 +485,7 @@ std::vector<std::uint8_t> encode_header(std::uint64_t body_len,
                                         std::uint32_t body_crc) {
   std::vector<std::uint8_t> out;
   out.reserve(kSnapshotHeaderBytes);
-  Writer h(out);
+  ByteWriter h(out);
   h.u32(kSnapshotMagic);
   h.u16(kSnapshotVersion);
   h.u16(0);  // reserved
@@ -512,7 +502,7 @@ std::vector<std::uint8_t> encode_snapshot(const exec::ExecContext& ctx,
   // The header's room is taken first and filled in once the body's length
   // and CRC are known, so the body is encoded in place, never copied.
   std::vector<std::uint8_t> out(kSnapshotHeaderBytes);
-  Writer w(out);
+  ByteWriter w(out);
   encode_body(ctx, wal_seq, w);
   const auto body = std::span<const std::uint8_t>(out).subspan(
       kSnapshotHeaderBytes);
@@ -532,7 +522,7 @@ Result<std::uint64_t> write_snapshot_file(const std::string& path,
         // a zeroed placeholder now, the real bytes at offset 0 at the end.
         const std::uint8_t placeholder[kSnapshotHeaderBytes] = {};
         GEMS_RETURN_IF_ERROR(write_all(fd, placeholder, tmp));
-        Writer w(fd, tmp);
+        FileWriter w(fd, tmp);
         encode_body(ctx, wal_seq, w);
         GEMS_RETURN_IF_ERROR(w.finish());
         body_len = w.written();
@@ -555,7 +545,7 @@ Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,
                     " bytes, header needs " +
                     std::to_string(kSnapshotHeaderBytes));
   }
-  Reader h(bytes.subspan(0, kSnapshotHeaderBytes));
+  ByteReader h = store_reader(bytes.subspan(0, kSnapshotHeaderBytes));
   GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, h.u32());
   GEMS_ASSIGN_OR_RETURN(std::uint16_t version, h.u16());
   GEMS_ASSIGN_OR_RETURN(std::uint16_t reserved, h.u16());
@@ -587,7 +577,7 @@ Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,
 
   SnapshotInfo info;
   info.body_bytes = body.size();
-  Reader r(body);
+  ByteReader r = store_reader(body);
   GEMS_RETURN_IF_ERROR(decode_body(r, ctx, info));
   return info;
 }

@@ -1,6 +1,5 @@
 #include "store/store.hpp"
 
-#include <bit>
 #include <utility>
 #include <variant>
 
@@ -12,10 +11,6 @@
 #include "store/snapshot.hpp"
 
 namespace gems::store {
-
-// Bulk array sections are memcpy'd in host byte order (format.hpp).
-static_assert(std::endian::native == std::endian::little,
-              "gems::store snapshots assume a little-endian host");
 
 namespace {
 
@@ -51,7 +46,7 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
   // kIngestRows: table name, column count, row count, then the cells in
   // row-major order using the IR value codec. Replay is independent of
   // the original CSV file.
-  Reader r(rec.payload);
+  ByteReader r = store_reader(rec.payload);
   GEMS_ASSIGN_OR_RETURN(std::string table_name, r.str());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, r.u32());
   GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, r.u64());
@@ -62,12 +57,10 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
                     " != table '" + table_name + "' arity " +
                     std::to_string((*table)->num_columns()));
   }
-  const std::span<const std::uint8_t> payload(rec.payload);
-  std::size_t pos = r.pos();
   std::vector<storage::Value> row(ncols);
   for (std::uint64_t i = 0; i < nrows; ++i) {
     for (std::uint32_t c = 0; c < ncols; ++c) {
-      auto value = graql::decode_value(payload, pos);
+      auto value = graql::decode_value(r);
       if (!value.is_ok()) return value.status().with_context(where);
       row[c] = std::move(value).value();
     }
@@ -76,10 +69,7 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
     // typed error instead of poisoning the column data.
     GEMS_RETURN_IF_ERROR((*table)->append_row(row).with_context(where));
   }
-  if (pos != rec.payload.size()) {
-    return io_error(where + ": " + std::to_string(rec.payload.size() - pos) +
-                    " trailing bytes after the declared rows");
-  }
+  GEMS_RETURN_IF_ERROR(r.expect_end("the declared rows").with_context(where));
   if (ctx.incremental_ingest) {
     // A deferred rebuild here would let a later record's delta run against
     // a stale graph and diverge from the live ordering; apply the
@@ -211,7 +201,7 @@ Status Store::log_mutation(const exec::MutationEvent& ev) {
       return internal_error("log_mutation: ingest event carries no table");
     }
     type = WalRecordType::kIngestRows;
-    Writer w(payload);
+    ByteWriter w(payload);
     w.str(ev.table->name());
     w.u32(static_cast<std::uint32_t>(ev.table->num_columns()));
     w.u64(ev.num_rows);
@@ -220,7 +210,7 @@ Status Store::log_mutation(const exec::MutationEvent& ev) {
         graql::encode_value(
             ev.table->value_at(static_cast<storage::RowIndex>(r),
                                static_cast<storage::ColumnIndex>(c)),
-            payload);
+            w);
       }
     }
   } else if (std::holds_alternative<graql::CreateTableStmt>(*ev.statement) ||

@@ -5,6 +5,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include "common/crc32.hpp"
 #include "common/logging.hpp"
@@ -17,15 +18,11 @@ namespace {
 /// CRC over the covered part of a frame: seq (LE) | type | payload.
 std::uint32_t record_crc(std::uint64_t seq, WalRecordType type,
                          std::span<const std::uint8_t> payload) {
-  std::uint32_t crc = kCrc32Init;
-  std::uint8_t head[9];
-  for (std::size_t i = 0; i < 8; ++i) {
-    head[i] = static_cast<std::uint8_t>(seq >> (8 * i));
-  }
-  head[8] = static_cast<std::uint8_t>(type);
-  crc = crc32_update(crc, {head, sizeof(head)});
-  crc = crc32_update(crc, payload);
-  return crc32_final(crc);
+  std::vector<std::uint8_t> head;
+  ByteWriter w(head);
+  w.u64(seq);
+  w.u8(static_cast<std::uint8_t>(type));
+  return crc32_final(crc32_update(crc32_update(kCrc32Init, head), payload));
 }
 
 Status errno_status(const char* op, const std::string& path) {
@@ -35,7 +32,7 @@ Status errno_status(const char* op, const std::string& path) {
 
 std::vector<std::uint8_t> make_header(std::uint64_t snapshot_seq) {
   std::vector<std::uint8_t> out;
-  Writer w(out);
+  ByteWriter w(out);
   w.u32(kWalMagic);
   w.u16(kWalVersion);
   w.u16(0);  // reserved
@@ -70,7 +67,9 @@ Result<Wal::OpenResult> Wal::open(std::string path,
       return io_error("WAL '" + path + "' truncated inside its header (" +
                       std::to_string(bytes.size()) + " bytes)");
     }
-    Reader h(std::span<const std::uint8_t>(bytes).subspan(0, kWalHeaderBytes));
+    ByteReader h =
+        store_reader(std::span<const std::uint8_t>(bytes).subspan(
+            0, kWalHeaderBytes));
     GEMS_ASSIGN_OR_RETURN(std::uint32_t magic, h.u32());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t version, h.u16());
     GEMS_ASSIGN_OR_RETURN(std::uint16_t reserved, h.u16());
@@ -86,7 +85,8 @@ Result<Wal::OpenResult> Wal::open(std::string path,
     // Scan records; stop (and truncate) at the first torn/corrupt frame.
     std::size_t valid_end = kWalHeaderBytes;
     std::uint64_t last_seq = out.header_snapshot_seq;
-    Reader r(std::span<const std::uint8_t>(bytes).subspan(kWalHeaderBytes));
+    ByteReader r = store_reader(
+        std::span<const std::uint8_t>(bytes).subspan(kWalHeaderBytes));
     while (!r.at_end()) {
       const std::size_t frame_start = kWalHeaderBytes + r.pos();
       if (r.remaining() < kWalFrameBytes) break;  // torn frame header
@@ -95,7 +95,7 @@ Result<Wal::OpenResult> Wal::open(std::string path,
       std::uint64_t seq = r.u64().value();
       std::uint8_t type = r.u8().value();
       if (payload_len > r.remaining()) break;  // torn payload
-      auto payload = r.bytes(payload_len, "payload").value();
+      auto payload = r.bytes(payload_len).value();
       if (record_crc(seq, static_cast<WalRecordType>(type), payload) != crc) {
         break;  // bit-flipped frame
       }
@@ -141,13 +141,13 @@ Wal::~Wal() {
 
 Result<std::uint64_t> Wal::append(WalRecordType type,
                                   std::span<const std::uint8_t> payload) {
-  if (payload.size() > kMaxFieldBytes) {
+  if (payload.size() > std::numeric_limits<std::uint32_t>::max()) {
     return invalid_argument("WAL record payload too large");
   }
   const std::uint64_t seq = next_seq_;
   std::vector<std::uint8_t> frame;
   frame.reserve(kWalFrameBytes + payload.size());
-  Writer w(frame);
+  ByteWriter w(frame);
   w.u32(static_cast<std::uint32_t>(payload.size()));
   w.u32(record_crc(seq, type, payload));
   w.u64(seq);

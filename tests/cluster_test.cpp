@@ -9,9 +9,14 @@
 // rerun stream is byte-identical).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
+#include <fstream>
 #include <memory>
+#include <set>
 #include <string>
 #include <spawn.h>
 #include <sys/wait.h>
@@ -224,7 +229,8 @@ TEST(BspWireTest, RejectsOversizedLengthBeforeAllocating) {
   // A hostile header announcing a 3.9 GiB payload; the reader must reject
   // on the declared length alone — only the 28 header bytes ever arrive,
   // so accepting would mean a giant allocation followed by a hung read.
-  net::WireWriter w;
+  std::vector<std::uint8_t> header;
+  ByteWriter w(header);
   w.u32(kBspMagic);
   w.u16(kBspVersion);
   w.u8(static_cast<std::uint8_t>(BspKind::kData));
@@ -234,7 +240,7 @@ TEST(BspWireTest, RejectsOversizedLengthBeforeAllocating) {
   w.u32(0);
   w.u32(0xEFFFFFFFu);  // payload_len
   w.u32(0);            // crc
-  ASSERT_TRUE(net::send_all(pair.attacker, w.take()).is_ok());
+  ASSERT_TRUE(net::send_all(pair.attacker, header).is_ok());
   auto got = recv_bsp_frame(pair.victim, /*max_frame_bytes=*/1 << 20);
   ASSERT_FALSE(got.is_ok());
   EXPECT_EQ(got.status().code(), StatusCode::kParseError);
@@ -377,6 +383,107 @@ TEST(ClusterOracleTest, SocketStreamMatchesSimulatedAt2Ranks) {
 
 TEST(ClusterOracleTest, SocketStreamMatchesSimulatedAt4Ranks) {
   run_oracle(4);
+}
+
+TEST(ClusterOracleTest, DistributedReadsBesideDeltaIngestsMatchLocal) {
+  // Reads pin an epoch and the ranks sync from it; the merge of the ranks'
+  // domains must use that same epoch, not the live graph an ingest is
+  // extending. Every distributed answer must equal a local run at one of
+  // the states the ingests pass through.
+  const fs::path dir =
+      fs::path(::testing::TempDir()) / "gems_cluster_ingest_oracle";
+  fs::remove_all(dir);
+  fs::create_directories(dir);
+  const bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(150, 9);
+  constexpr int kBatches = 3;
+  for (int b = 0; b < kBatches; ++b) {
+    std::ofstream csv(dir / ("offers" + std::to_string(b) + ".csv"));
+    for (int k = 0; k < 40; ++k) {
+      const std::size_t i = static_cast<std::size_t>(b * 40 + k);
+      csv << "o" << 90000 + i << ",Offer,"
+          << bsbm::product_id((i * 7) % config.num_products) << ","
+          << bsbm::vendor_id(i % config.num_vendors) << "," << 10 + i
+          << ".5,2008-01-01,2008-02-01," << 1 + i % 14
+          << ",web,gen,2008-01-05\n";
+    }
+  }
+  auto ingest = [](int b) {
+    return "ingest table Offers 'offers" + std::to_string(b) + ".csv'";
+  };
+  const std::string query = std::string(kQuery) + ";";
+  server::DatabaseOptions options;
+  options.data_dir = dir.string();
+  options.incremental_ingest = true;
+
+  std::vector<std::string> states;  // local answer after each ingest
+  {
+    auto local = bsbm::make_populated_database(config, options);
+    ASSERT_TRUE(local.is_ok()) << local.status().to_string();
+    for (int b = 0; b <= kBatches; ++b) {
+      auto r = (*local)->run_script(query);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      states.push_back(render(r.value()));
+      if (b < kBatches) {
+        ASSERT_TRUE((*local)->run_script(ingest(b)).is_ok());
+      }
+    }
+  }
+  ASSERT_EQ(std::set<std::string>(states.begin(), states.end()).size(),
+            states.size());  // every ingest changes the answer
+
+  auto built = bsbm::make_populated_database(config, options);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  server::Database& db = **built;
+  CoordinatorOptions copt;
+  copt.num_ranks = 2;
+  copt.rank_wait_timeout_ms = 20000;
+  Coordinator coordinator(db, copt);
+  ASSERT_TRUE(coordinator.start().is_ok());
+  WorkerThread w0(worker_options(coordinator.port(), 0));
+  WorkerThread w1(worker_options(coordinator.port(), 1));
+  w0.start();
+  w1.start();
+  ASSERT_TRUE(coordinator.wait_for_ranks().is_ok());
+  coordinator.attach();
+
+  // Each ingest lands while a distributed read is in flight: the writer
+  // waits for the next read to start, then gives it a moment to pin.
+  std::atomic<int> reads_started{0};
+  std::atomic<bool> ingesting{true};
+  std::thread writer([&] {
+    for (int b = 0; b < kBatches; ++b) {
+      while (reads_started.load() <= b) std::this_thread::yield();
+      std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      auto r = db.run_script(ingest(b));
+      EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    }
+    ingesting = false;
+  });
+  auto matches_a_state = [&](const std::string& got) {
+    return std::find(states.begin(), states.end(), got) != states.end();
+  };
+  while (ingesting.load()) {
+    const int read = reads_started.fetch_add(1);
+    auto r = db.run_script(query);
+    // No ASSERT here: the writer waits on this loop.
+    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    if (r.is_ok()) {
+      EXPECT_TRUE(matches_a_state(render(r.value())))
+          << "read " << read << " matches no local state";
+    }
+  }
+  writer.join();
+  auto last = db.run_script(query);
+  ASSERT_TRUE(last.is_ok()) << last.status().to_string();
+  EXPECT_EQ(render(last.value()), states.back());
+  EXPECT_GT(metrics::value(db.metrics_snapshot(), "cluster.jobs"), 0u);
+
+  coordinator.shutdown();
+  w0.join();
+  w1.join();
+  EXPECT_TRUE(w0.result.is_ok()) << w0.result.to_string();
+  EXPECT_TRUE(w1.result.is_ok()) << w1.result.to_string();
+  fs::remove_all(dir);
 }
 
 // ---- Results and fallback --------------------------------------------------

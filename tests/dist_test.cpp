@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstring>
 #include <numeric>
 
 #include "bsbm/generator.hpp"
@@ -25,15 +26,15 @@ TEST(RuntimeTest, PointToPointMessaging) {
   cluster.run([&](RankCtx& ctx) {
     if (ctx.rank() == 0) {
       std::vector<std::uint8_t> payload;
-      put_u32(payload, 42);
+      ByteWriter(payload).u32(42);
       ctx.send(1, 7, payload);
       ctx.send(2, 7, payload);
     } else {
       Message m = ctx.recv();
       EXPECT_EQ(m.from, 0);
       EXPECT_EQ(m.tag, 7);
-      std::size_t pos = 0;
-      received[ctx.rank()] = static_cast<int>(get_u32(m.payload, pos));
+      received[ctx.rank()] =
+          static_cast<int>(payload_reader(m.payload).u32().value());
     }
   });
   EXPECT_EQ(received[1].load(), 42);
@@ -265,6 +266,119 @@ TEST_F(DistTest, CommunicationGrowsWithRanks) {
   EXPECT_EQ(std::accumulate(stats.bytes_per_rank.begin(),
                             stats.bytes_per_rank.end(), std::uint64_t{0}),
             stats.bytes);
+}
+
+// ---- Rank payload decoding -------------------------------------------------
+
+/// Little-endian u32 fields, as the rank body writes them.
+std::vector<std::uint8_t> u32s(std::initializer_list<std::uint32_t> values) {
+  std::vector<std::uint8_t> out;
+  ByteWriter w(out);
+  for (const std::uint32_t v : values) w.u32(v);
+  return out;
+}
+
+TEST_F(DistTest, ActivationPayloadsDecodeOrFailTyped) {
+  const graph::VertexTypeId product =
+      *db_->graph().find_vertex_type("ProductVtx");
+  const std::uint32_t n = static_cast<std::uint32_t>(
+      db_->graph().vertex_type(product).num_vertices());
+  exec::Domain support;
+  support.sets.emplace(product, DynamicBitset(n));
+
+  // Well-formed: two activations, plus one for a type outside the
+  // support, which is skipped.
+  ASSERT_TRUE(decode_activations(u32s({product, 3, product, n - 1, 999, 5}),
+                                 support)
+                  .is_ok());
+  EXPECT_TRUE(support.sets.at(product).test(3));
+  EXPECT_TRUE(support.sets.at(product).test(n - 1));
+  EXPECT_EQ(support.sets.at(product).count(), 2u);
+
+  std::vector<std::uint8_t> odd = u32s({product, 3});
+  odd.pop_back();  // a partial record: 7 bytes
+  std::vector<std::uint8_t> truncated = u32s({product, 3, product});
+  for (const auto& bad : {odd, truncated, u32s({product, n}),
+                          u32s({product, 0xFFFFFFFFu})}) {
+    const Status s = decode_activations(bad, support);
+    ASSERT_FALSE(s.is_ok()) << bad.size() << " bytes decoded";
+    EXPECT_EQ(s.code(), StatusCode::kParseError);
+    EXPECT_NE(s.message().find("byte offset"), std::string::npos)
+        << s.to_string();
+  }
+}
+
+TEST_F(DistTest, GatherPayloadsDecodeOrFailTyped) {
+  const graph::VertexTypeId product =
+      *db_->graph().find_vertex_type("ProductVtx");
+  const std::uint32_t n = static_cast<std::uint32_t>(
+      db_->graph().vertex_type(product).num_vertices());
+  std::vector<exec::Domain> domains(2);
+  for (exec::Domain& d : domains) {
+    d.sets.emplace(product, DynamicBitset(n));
+  }
+
+  ASSERT_TRUE(decode_gather(u32s({1, product, 2, 4, 9}), domains).is_ok());
+  EXPECT_TRUE(domains[1].sets.at(product).test(4));
+  EXPECT_TRUE(domains[1].sets.at(product).test(9));
+  EXPECT_EQ(domains[0].sets.at(product).count(), 0u);
+
+  std::vector<std::uint8_t> odd = u32s({0, product, 1, 4});
+  odd.pop_back();
+  const std::vector<std::vector<std::uint8_t>> hostile = {
+      odd,                               // partial index
+      u32s({0, product, 2, 4}),          // count promises two indices
+      u32s({0, product}),                // record without its count
+      u32s({2, product, 1, 4}),          // unknown variable
+      u32s({0xFFFFFFFFu, product, 0}),   // unknown variable, no indices
+      u32s({0, product, 1, n}),          // index out of range
+      u32s({0, product, 0xFFFFFFFFu}),   // hostile count
+  };
+  for (const auto& bad : hostile) {
+    const Status s = decode_gather(bad, domains);
+    ASSERT_FALSE(s.is_ok()) << bad.size() << " bytes decoded";
+    EXPECT_EQ(s.code(), StatusCode::kParseError);
+    EXPECT_NE(s.message().find("byte offset"), std::string::npos)
+        << s.to_string();
+  }
+}
+
+TEST_F(DistTest, DecodeDomainsChecksShapeBeforeAllocating) {
+  const exec::ConstraintNetwork net = lower(
+      "select * from graph OfferVtx() --product--> ProductVtx() into "
+      "subgraph g");
+  auto match = exec::match_network(net, db_->graph(), db_->pool());
+  ASSERT_TRUE(match.is_ok()) << match.status().to_string();
+  std::vector<std::uint8_t> bytes;
+  encode_domains(match->domains, bytes);
+
+  auto decoded = decode_domains(bytes, net, db_->graph());
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  ASSERT_EQ(decoded->size(), match->domains.size());
+  for (std::size_t v = 0; v < decoded->size(); ++v) {
+    EXPECT_TRUE((*decoded)[v] == match->domains[v]) << "var " << v;
+  }
+
+  // Layout: u32 vars | per var: u32 sets | per set: u32 type, u64 size,
+  // u32 count, indices. The first set's fields sit at bytes 8, 12, 20.
+  auto rejected = [&](std::vector<std::uint8_t> bad, const char* what) {
+    auto r = decode_domains(bad, net, db_->graph());
+    ASSERT_FALSE(r.is_ok()) << what;
+    EXPECT_EQ(r.status().code(), StatusCode::kParseError) << what;
+    EXPECT_NE(r.status().message().find(what), std::string::npos)
+        << r.status().to_string();
+  };
+  auto patch = [&](std::size_t at, auto value) {
+    std::vector<std::uint8_t> out = bytes;
+    std::memcpy(out.data() + at, &value, sizeof(value));
+    return out;
+  };
+  rejected(patch(0, static_cast<std::uint32_t>(net.num_vars() + 1)),
+           "network variable count");
+  const auto num_types =
+      static_cast<std::uint32_t>(db_->graph().num_vertex_types());
+  rejected(patch(8, num_types), "unknown vertex type");
+  rejected(patch(12, std::uint64_t{1} << 40), "domain size");
 }
 
 // ---- Distributed tabular aggregation -------------------------------------

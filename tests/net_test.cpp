@@ -83,7 +83,7 @@ struct RawConn {
                    encode_handshake_request({kWireVersion, "raw-test"})));
     auto frame = recv_frame(sock, kDefaultMaxFrameBytes);
     GEMS_RETURN_IF_ERROR(frame.status());
-    WireReader reader(frame->payload);
+    ByteReader reader = frame_reader(frame->payload);
     return decode_status(reader);
   }
 
@@ -96,7 +96,7 @@ struct RawConn {
         got.emplace(std::uint64_t(-1), frame.status());
         break;
       }
-      WireReader reader(frame->payload);
+      ByteReader reader = frame_reader(frame->payload);
       got.emplace(frame->header.request_id, decode_status(reader));
     }
     return got;
@@ -248,14 +248,15 @@ TEST(NetTest, RejectsOversizedFrameBeforeAllocating) {
   ASSERT_TRUE(conn.open(server.port()).is_ok());
 
   // Well-formed header whose payload length blows the 4 KiB frame budget.
-  WireWriter header;
+  std::vector<std::uint8_t> header_bytes;
+  ByteWriter header(header_bytes);
   header.u32(kFrameMagic);
   header.u16(kWireVersion);
   header.u8(static_cast<std::uint8_t>(Verb::kRunScript));
   header.u8(0);
   header.u64(7);
   header.u32(512u << 20);  // declares a 512 MiB payload
-  ASSERT_TRUE(send_all(conn.sock, header.buffer()).is_ok());
+  ASSERT_TRUE(send_all(conn.sock, header_bytes).is_ok());
 
   auto responses = conn.collect(1);
   ASSERT_EQ(responses.count(0), 1u);
@@ -275,7 +276,8 @@ TEST(NetTest, TruncatedFrameClosesConnectionQuietly) {
 
   // Header promises 64 payload bytes; send 3 and half-close. The server
   // sees EOF mid-frame (kUnavailable, not kParseError) and just closes.
-  WireWriter partial;
+  std::vector<std::uint8_t> partial_bytes;
+  ByteWriter partial(partial_bytes);
   partial.u32(kFrameMagic);
   partial.u16(kWireVersion);
   partial.u8(static_cast<std::uint8_t>(Verb::kRunScript));
@@ -285,7 +287,7 @@ TEST(NetTest, TruncatedFrameClosesConnectionQuietly) {
   partial.u8(1);
   partial.u8(2);
   partial.u8(3);
-  ASSERT_TRUE(send_all(conn.sock, partial.buffer()).is_ok());
+  ASSERT_TRUE(send_all(conn.sock, partial_bytes).is_ok());
   conn.sock.shutdown();
 
   auto eof = recv_frame(conn.sock, kDefaultMaxFrameBytes);
@@ -858,14 +860,14 @@ TEST(NetTest, ClientRetriesInBandUnavailableOnce) {
     for (;;) {
       auto frame = recv_frame(*conn, kDefaultMaxFrameBytes);
       if (!frame.is_ok()) return;  // client disconnected
-      WireWriter w;
+      std::vector<std::uint8_t> payload;
+      ByteWriter w(payload);
       if (frame->header.verb == Verb::kHandshake) {
         encode_status(Status::ok(), w);
         HandshakeResponse hs;
         hs.session_id = 1;
         hs.server_name = "fake";
-        const auto body = encode_handshake_response(hs);
-        w.buffer().insert(w.buffer().end(), body.begin(), body.end());
+        w.bytes(encode_handshake_response(hs));
       } else if (frame->header.verb == Verb::kRunScript) {
         // First attempt: the typed retryable status. Second: success.
         if (scripts_seen.fetch_add(1) == 0) {
@@ -877,7 +879,6 @@ TEST(NetTest, ClientRetriesInBandUnavailableOnce) {
       } else {
         encode_status(unimplemented("fake server"), w);
       }
-      const auto payload = w.take();
       ASSERT_TRUE(send_frame(*conn, frame->header.verb, /*is_response=*/true,
                              frame->header.request_id, payload)
                       .is_ok());
@@ -908,13 +909,12 @@ TEST(NetTest, ClientDoesNotRetryTransportFailures) {
     ASSERT_TRUE(conn.is_ok()) << conn.status().to_string();
     auto hello = recv_frame(*conn, kDefaultMaxFrameBytes);
     ASSERT_TRUE(hello.is_ok());
-    WireWriter w;
+    std::vector<std::uint8_t> payload;
+    ByteWriter w(payload);
     encode_status(Status::ok(), w);
     HandshakeResponse hs;
     hs.session_id = 1;
-    const auto body = encode_handshake_response(hs);
-    w.buffer().insert(w.buffer().end(), body.begin(), body.end());
-    const auto payload = w.take();
+    w.bytes(encode_handshake_response(hs));
     ASSERT_TRUE(send_frame(*conn, Verb::kHandshake, /*is_response=*/true,
                            hello->header.request_id, payload)
                     .is_ok());

@@ -215,8 +215,10 @@ TEST(SnapshotTest, CorruptionIsATypedErrorNeverUB) {
 // ---- Writer: in-memory vs streamed ------------------------------------------
 
 /// Fields laid out so that small ones straddle the streaming buffer's
-/// boundary and one array is larger than the whole buffer.
-void write_boundary_fields(Writer& w) {
+/// boundary and one array is larger than the whole buffer. `W` is a
+/// ByteWriter or a FileWriter.
+template <typename W>
+void write_boundary_fields(W& w) {
   const std::vector<std::uint8_t> fill(kWriterBufferBytes - 3, 0x5A);
   w.bytes(fill);
   w.u64(0x0102030405060708ull);  // 3 bytes of room left: straddles
@@ -226,7 +228,7 @@ void write_boundary_fields(Writer& w) {
   for (std::size_t i = 0; i < big.size(); ++i) {
     big[i] = static_cast<std::uint32_t>(i * 2654435761u);
   }
-  w.pod_array<std::uint32_t>(big);
+  write_pod_array<std::uint32_t>(w, big);
   w.f64(-2.5);
   const std::vector<std::uint8_t> almost(kWriterBufferBytes - 1, 0xC3);
   w.bytes(almost);  // fits only after a flush
@@ -236,14 +238,14 @@ void write_boundary_fields(Writer& w) {
 
 TEST(WriterTest, StreamedBytesEqualInMemoryBytesAcrossTheBuffer) {
   std::vector<std::uint8_t> memory;
-  Writer m(memory);
+  ByteWriter m(memory);
   write_boundary_fields(m);
 
   TempDir dir("writer");
   const std::string path = dir.sub("streamed.bin");
   const int fd = ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   ASSERT_GE(fd, 0);
-  Writer s(fd, path);
+  FileWriter s(fd, path);
   write_boundary_fields(s);
   const Status finished = s.finish();
   ::close(fd);
@@ -262,7 +264,7 @@ TEST(WriterTest, StreamedBytesEqualInMemoryBytesAcrossTheBuffer) {
   const std::vector<std::uint8_t> chunk(4096, 0x11);
   while (::write(pipe_fds[1], chunk.data(), chunk.size()) > 0) {
   }
-  Writer bad(pipe_fds[1], "pipe");
+  FileWriter bad(pipe_fds[1], "pipe");
   bad.bytes(memory);  // larger than the buffer: written through, fails
   std::vector<std::uint8_t> sink(chunk.size());
   while (::read(pipe_fds[0], sink.data(), sink.size()) > 0) {
@@ -617,7 +619,8 @@ TEST(DurableDatabaseTest, BerlinRestartRoundTripIsByteIdentical) {
 
 /// The WAL seq a snapshot image records (the first body field).
 std::uint64_t snapshot_wal_seq(const std::vector<std::uint8_t>& image) {
-  Reader r(std::span<const std::uint8_t>(image).subspan(kSnapshotHeaderBytes));
+  ByteReader r = store_reader(
+      std::span<const std::uint8_t>(image).subspan(kSnapshotHeaderBytes));
   auto seq = r.u64();
   EXPECT_TRUE(seq.is_ok()) << seq.status().to_string();
   return seq.is_ok() ? *seq : 0;
