@@ -43,8 +43,10 @@ void run_script_bench(benchmark::State& state, const std::string& text,
   GEMS_CHECK(script.is_ok());
   const plan::Schedule schedule = plan::build_schedule(*script);
   ThreadPool pool(4);
+  const mvcc::EpochPin pin = db.pin_epoch();
   for (auto _ : state) {
-    auto r = plan::run_scheduled(*script, schedule, db.context(),
+    exec::CatalogOverlay overlay;
+    auto r = plan::run_scheduled(*script, schedule, pin.ctx(), {}, overlay,
                                  parallel ? &pool : nullptr);
     GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
     benchmark::DoNotOptimize(r.value());

@@ -1,7 +1,6 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include "graph/delta.hpp"
 
 #include "common/check.hpp"
@@ -408,8 +407,8 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
 }
 
 /// Resolves the `from table` / `output` source: the script-local overlay
-/// shadows the shared catalog (shared-path scripts see their own staged
-/// `into` results, exactly as a serial script would).
+/// shadows the shared catalog (scripts see their own staged `into`
+/// results, exactly as a serial script would).
 Result<TablePtr> find_source_table(const ExecContext& ctx,
                                    const CatalogOverlay* overlay,
                                    const std::string& name) {
@@ -420,11 +419,9 @@ Result<TablePtr> find_source_table(const ExecContext& ctx,
   return ctx.tables.find(name);
 }
 
-/// Shared body of execute_graph_query / execute_statement_read: runs the
-/// query against an immutable context with explicit params and returns
-/// the result *without* registering `into` objects anywhere — the caller
-/// decides between the shared catalog (exclusive path) and a script-local
-/// overlay (shared path).
+/// Graph-query body of execute_statement_read: runs the query against an
+/// immutable context with explicit params and returns the result
+/// *without* registering `into` objects anywhere — the caller stages it.
 Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
                                          const ExecContext& ctx,
                                          const relational::ParamMap& params,
@@ -502,15 +499,6 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
 
 }  // namespace
 
-Result<StatementResult> execute_graph_query(const GraphQueryStmt& stmt,
-                                            ExecContext& ctx) {
-  GEMS_ASSIGN_OR_RETURN(
-      StatementResult result,
-      graph_query_core(stmt, ctx, ctx.params, /*overlay=*/nullptr));
-  if (!ctx.defer_catalog_writes) commit_result(result, ctx);
-  return result;
-}
-
 // =====================  Table queries  =====================================
 
 namespace {
@@ -562,9 +550,9 @@ std::string default_item_name(const graql::SelectItem& item,
 
 namespace {
 
-/// Shared body of execute_table_query / execute_statement_read (see
-/// graph_query_core for the contract: immutable context, explicit params,
-/// no catalog registration).
+/// Table-query body of execute_statement_read (see graph_query_core for
+/// the contract: immutable context, explicit params, no catalog
+/// registration).
 Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
                                          const ExecContext& ctx,
                                          const relational::ParamMap& params,
@@ -791,24 +779,6 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
 
 }  // namespace
 
-Result<StatementResult> execute_table_query(const TableQueryStmt& stmt,
-                                            ExecContext& ctx) {
-  GEMS_ASSIGN_OR_RETURN(
-      StatementResult result,
-      table_query_core(stmt, ctx, ctx.params, /*overlay=*/nullptr));
-  if (!ctx.defer_catalog_writes) commit_result(result, ctx);
-  return result;
-}
-
-void commit_result(const StatementResult& result, ExecContext& ctx) {
-  if (result.into == IntoKind::kTable && result.table != nullptr) {
-    ctx.tables.add_or_replace(result.table);
-  }
-  if (result.into == IntoKind::kSubgraph && result.subgraph != nullptr) {
-    ctx.subgraphs[result.into_name] = result.subgraph;
-  }
-}
-
 void stage_result(const StatementResult& result, CatalogOverlay& overlay) {
   if (result.into == IntoKind::kTable && result.table != nullptr) {
     overlay.tables[result.into_name] = result.table;
@@ -851,7 +821,40 @@ Status ExecContext::rebuild_graph() {
   return Status::ok();
 }
 
+Status ExecContext::maintain_graph_after_ingest(
+    const std::string& table, storage::RowIndex first_new_row) {
+  const Timer timer;
+  GEMS_ASSIGN_OR_RETURN(
+      const bool delta_applied,
+      graph::extend_graph_for_ingest(graph, table, first_new_row,
+                                     vertex_decls, edge_decls, tables, *pool,
+                                     params));
+  if (delta_applied) {
+    ++graph_version;
+    // Instance numbering is preserved: named subgraphs stay valid,
+    // zero-padded to the grown type sizes (fresh copies — the old ones
+    // may be shared with pinned epochs).
+    for (auto& [name, sub] : subgraphs) sub = sub->resized_for(graph);
+  } else {
+    GEMS_RETURN_IF_ERROR(rebuild_graph());
+  }
+  if (on_graph_maintenance) {
+    on_graph_maintenance(delta_applied, static_cast<std::uint64_t>(
+                                            timer.elapsed_seconds() * 1e9));
+  }
+  return Status::ok();
+}
+
 namespace {
+
+/// Prepends the context's data directory to a relative `ingest` or
+/// `output` path.
+std::string resolve_path(const ExecContext& ctx, const std::string& path) {
+  if (ctx.data_dir.empty() || path.empty() || path.front() == '/') {
+    return path;
+  }
+  return ctx.data_dir + "/" + path;
+}
 
 /// Fires the durability hook for a successful mutation (no-op when the
 /// database runs without a store).
@@ -906,10 +909,7 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
     // data can be compared from the logs (see gems::store).
     ScopeTimer timer("ingest " + s->table);
     GEMS_ASSIGN_OR_RETURN(TablePtr table, ctx.tables.find(s->table));
-    std::string path = s->path;
-    if (!ctx.data_dir.empty() && !path.empty() && path.front() != '/') {
-      path = ctx.data_dir + "/" + path;
-    }
+    const std::string path = resolve_path(ctx, s->path);
     storage::CsvOptions options;
     options.has_header = s->has_header;
     // Epochs pinned on the previous catalog share the Table object, so
@@ -922,62 +922,21 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
                           storage::ingest_csv_file(*table, path, options));
     timer.append(std::to_string(stats.rows) + " rows, " +
                  std::to_string(stats.bytes) + " bytes");
-    // Paper Sec. II-A2: ingest also (re)generates derived vertex and edge
-    // instances — incrementally when possible (gems::mvcc), with a full
-    // rebuild as the sound fallback.
-    const auto maintain_start = std::chrono::steady_clock::now();
-    bool delta_applied = false;
-    if (ctx.incremental_ingest) {
-      GEMS_ASSIGN_OR_RETURN(
-          delta_applied,
-          graph::extend_graph_for_ingest(
-              ctx.graph, s->table,
-              static_cast<storage::RowIndex>(rows_before), ctx.vertex_decls,
-              ctx.edge_decls, ctx.tables, *ctx.pool, ctx.params));
-    }
-    if (delta_applied) {
-      ++ctx.graph_version;
-      // Instance numbering is preserved: named subgraphs stay valid,
-      // zero-padded to the grown type sizes (fresh copies — the old ones
-      // may be shared with pinned epochs).
-      for (auto& [name, sub] : ctx.subgraphs) {
-        sub = sub->resized_for(ctx.graph);
-      }
-    } else {
-      GEMS_RETURN_IF_ERROR(ctx.rebuild_graph());
-    }
-    if (ctx.on_graph_maintenance) {
-      ctx.on_graph_maintenance(
-          delta_applied,
-          static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - maintain_start)
-                  .count()));
-    }
+    GEMS_RETURN_IF_ERROR(ctx.maintain_graph_after_ingest(
+        s->table, static_cast<storage::RowIndex>(rows_before)));
     GEMS_RETURN_IF_ERROR(
         notify_mutation(ctx, stmt, table.get(), rows_before, stats.rows));
     result.message = "ingested " + std::to_string(stats.rows) +
                      " rows into " + s->table;
     return result;
   }
-  if (const auto* s = std::get_if<graql::OutputStmt>(&stmt)) {
-    GEMS_ASSIGN_OR_RETURN(TablePtr table, ctx.tables.find(s->table));
-    std::string path = s->path;
-    if (!ctx.data_dir.empty() && !path.empty() && path.front() != '/') {
-      path = ctx.data_dir + "/" + path;
-    }
-    GEMS_RETURN_IF_ERROR(storage::write_csv_file(*table, path));
-    result.message = "wrote " + std::to_string(table->num_rows()) +
-                     " rows of " + s->table + " to " + s->path;
-    return result;
-  }
-  if (const auto* s = std::get_if<graql::GraphQueryStmt>(&stmt)) {
-    return execute_graph_query(*s, ctx);
-  }
-  if (const auto* s = std::get_if<graql::TableQueryStmt>(&stmt)) {
-    return execute_table_query(*s, ctx);
-  }
-  GEMS_UNREACHABLE("unhandled statement kind");
+  // Queries and `output`: the read path, then register the `into` result.
+  CatalogOverlay staged;
+  GEMS_ASSIGN_OR_RETURN(result,
+                        execute_statement_read(stmt, {&ctx, &ctx.params}));
+  stage_result(result, staged);
+  commit_overlay(staged, ctx);
+  return result;
 }
 
 Result<StatementResult> execute_statement_read(const graql::Statement& stmt,
@@ -989,10 +948,7 @@ Result<StatementResult> execute_statement_read(const graql::Statement& stmt,
   if (const auto* s = std::get_if<graql::OutputStmt>(&stmt)) {
     GEMS_ASSIGN_OR_RETURN(TablePtr table,
                           find_source_table(ctx, view.overlay, s->table));
-    std::string path = s->path;
-    if (!ctx.data_dir.empty() && !path.empty() && path.front() != '/') {
-      path = ctx.data_dir + "/" + path;
-    }
+    const std::string path = resolve_path(ctx, s->path);
     GEMS_RETURN_IF_ERROR(storage::write_csv_file(*table, path));
     StatementResult result;
     result.message = "wrote " + std::to_string(table->num_rows()) +
@@ -1005,9 +961,8 @@ Result<StatementResult> execute_statement_read(const graql::Statement& stmt,
   if (const auto* s = std::get_if<graql::TableQueryStmt>(&stmt)) {
     return table_query_core(*s, ctx, *view.params, view.overlay);
   }
-  // DDL / ingest: the server's classification routes such scripts to the
-  // exclusive path before execution ever starts.
-  return internal_error("mutating statement reached the shared execution path");
+  // DDL / ingest: plan::run_scheduled sends them to execute_statement.
+  return internal_error("mutating statement reached the read execution path");
 }
 
 }  // namespace gems::exec

@@ -75,10 +75,11 @@ struct ExecContext {
   /// recorded). Copies of the context (epochs, scheduler copies) share it.
   MatcherMetrics* matcher_metrics = nullptr;
 
-  /// Optional query planner hook (paper Sec. III-B): returns the pivot
-  /// variable and propagation order for a lowered network. Installed by
-  /// the server layer (src/plan provides the implementation); when empty,
-  /// execution uses lexical order.
+  /// Query planner hook (paper Sec. III-B): returns the pivot variable and
+  /// propagation order for a lowered network. The server layer always
+  /// installs one (src/plan provides the implementation); an empty hook
+  /// runs lexical order, which tests use as the reference for planned
+  /// results.
   std::function<NetworkPlan(const ConstraintNetwork&)> planner;
 
   /// Optional distributed-matcher hook (src/cluster): when set, every
@@ -98,19 +99,6 @@ struct ExecContext {
                                     const ExecContext& ctx)>
       dist_matcher;
 
-  /// When true, query statements do not register their `into` results in
-  /// the catalog; the caller commits them later (used by the parallel
-  /// multi-statement scheduler, paper Sec. III-B1, so that independent
-  /// statements can run concurrently against read-only state).
-  bool defer_catalog_writes = false;
-
-  /// gems::mvcc: when true, ingest maintains the graph incrementally
-  /// (graph::extend_graph_for_ingest) and falls back to rebuild_graph()
-  /// only when the delta is unsound (parameterized declarations, a
-  /// one-to-one key collapse). WAL replay applies the same per-record
-  /// decision, so recovered and live graphs are byte-identical.
-  bool incremental_ingest = false;
-
   /// gems::mvcc: observation hook for the ingest maintenance path —
   /// called with (was_delta, elapsed_ns) after each ingest's graph
   /// maintenance so the database can account delta vs. rebuild cost.
@@ -123,10 +111,20 @@ struct ExecContext {
   /// during recovery replay so replayed statements are not re-logged.
   std::function<Status(const MutationEvent&)> on_mutation;
 
-  /// Rebuilds all vertex/edge types from their declarations (after an
-  /// ingest). Invalidates named subgraphs, which reference the old
-  /// instance numbering.
+  /// Rebuilds all vertex/edge types from their declarations. Invalidates
+  /// named subgraphs, which reference the old instance numbering.
   Status rebuild_graph();
+
+  /// Graph maintenance after rows [first_new_row, end) were appended to
+  /// `table` (paper Sec. II-A2: ingest generates the derived vertex and
+  /// edge instances). Extends the graph by the delta
+  /// (graph::extend_graph_for_ingest), which keeps instance numbering and
+  /// so pads named subgraphs to the grown types, and falls back to
+  /// rebuild_graph() when the delta is unsound (parameterized
+  /// declarations, a one-to-one key collapse). Live ingest and WAL replay
+  /// both call this, so recovered and live graphs are byte-identical.
+  Status maintain_graph_after_ingest(const std::string& table,
+                                     storage::RowIndex first_new_row);
 };
 
 struct StatementResult {
@@ -140,13 +138,13 @@ struct StatementResult {
   std::string into_name;
 };
 
-/// Script-local staging area for `into table` / `into subgraph` results on
-/// the read-only (pinned-epoch) path: instead of registering in the
-/// shared catalog mid-script, results land here; later statements of the
-/// same script resolve names against the overlay *before* the shared
-/// catalog (serial-script semantics), and the server publishes the whole
-/// overlay under brief exclusive access once the script completes — other
-/// sessions never observe a half-committed catalog.
+/// Script-local staging area for `into table` / `into subgraph` results:
+/// instead of registering in the shared catalog mid-statement, results
+/// land here; later statements of the same script resolve names against
+/// the overlay *before* the shared catalog (serial-script semantics). A
+/// read-only script's overlay is published whole under brief exclusive
+/// access once the script completes, so other sessions never observe a
+/// half-committed catalog; a writer script commits it after each level.
 struct CatalogOverlay {
   std::map<std::string, storage::TablePtr> tables;
   std::map<std::string, SubgraphPtr> subgraphs;
@@ -154,11 +152,11 @@ struct CatalogOverlay {
   bool empty() const { return tables.empty() && subgraphs.empty(); }
 };
 
-/// Const read-view over a shared ExecContext — the read-only path
+/// Const read-view over a shared ExecContext — every query statement
 /// executes through this, so the type system enforces that concurrent
-/// readers cannot mutate the shared state (catalog registrations, bound
+/// statements cannot mutate the shared state (catalog registrations, bound
 /// params, graph rebuilds all need the mutable ExecContext, which only
-/// the exclusive path sees). `params` are per-script (never written into
+/// DDL and ingest see). `params` are per-script (never written into
 /// the shared context); `overlay` carries this script's own staged
 /// results.
 struct ReadView {
@@ -167,37 +165,25 @@ struct ReadView {
   const CatalogOverlay* overlay = nullptr;
 };
 
-/// Registers a deferred result (into table / into subgraph) in the
-/// context's catalog. No-op for results without an `into` clause.
-void commit_result(const StatementResult& result, ExecContext& ctx);
-
-/// Stages a result in a script-local overlay (the read-only path's analogue
-/// of commit_result). No-op for results without an `into` clause.
+/// Stages a result in a script-local overlay. No-op for results without
+/// an `into` clause.
 void stage_result(const StatementResult& result, CatalogOverlay& overlay);
 
 /// Publishes a script's staged results into the shared catalog. The
 /// caller must hold exclusive access.
 void commit_overlay(const CatalogOverlay& overlay, ExecContext& ctx);
 
-/// Executes one statement, updating `ctx`.
+/// Executes one statement against a live context. DDL and ingest mutate
+/// it in place; queries and `output` run through execute_statement_read
+/// and register their `into` result in `ctx`.
 Result<StatementResult> execute_statement(const graql::Statement& stmt,
                                           ExecContext& ctx);
 
-/// Read-only statement execution for the pinned-epoch path: never
-/// mutates the shared context. Graph/table queries and `output` run
-/// normally (with `into` results returned, not registered — the caller
-/// stages them); DDL and ingest statements return kInternal, because the
-/// server's classification must have routed such scripts to the exclusive
-/// path.
+/// Query and `output` execution: never mutates the context. `into`
+/// results are returned, not registered; the caller stages them. DDL and
+/// ingest statements return kInternal: they need the mutable context that
+/// only execute_statement sees.
 Result<StatementResult> execute_statement_read(const graql::Statement& stmt,
                                                const ReadView& view);
-
-/// Executes a graph query (exposed separately for the planner benches).
-Result<StatementResult> execute_graph_query(const graql::GraphQueryStmt& stmt,
-                                            ExecContext& ctx);
-
-/// Executes a relational table query.
-Result<StatementResult> execute_table_query(const graql::TableQueryStmt& stmt,
-                                            ExecContext& ctx);
 
 }  // namespace gems::exec

@@ -109,8 +109,16 @@ void encode_expr(ByteWriter& w, const ExprPtr& e) {
   GEMS_UNREACHABLE("bad expr kind");
 }
 
-Result<ExprPtr> decode_expr(ByteReader& r) {
+/// `depth` is the decoded node's level in its tree (1 = root); deeper than
+/// relational::kMaxExprDepth is an error, before the recursion can
+/// exhaust the stack.
+Result<ExprPtr> decode_expr(ByteReader& r, std::uint32_t depth = 1) {
   const std::size_t at = r.pos();
+  if (depth > relational::kMaxExprDepth) {
+    return r.error_at(at, "expression nested deeper than " +
+                              std::to_string(relational::kMaxExprDepth) +
+                              " levels");
+  }
   GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
   switch (tag) {
     case 0:
@@ -138,7 +146,7 @@ Result<ExprPtr> decode_expr(ByteReader& r) {
       GEMS_ASSIGN_OR_RETURN(
           relational::UnaryOp op,
           r.enum8(relational::UnaryOp::kNeg, "unary op"));
-      GEMS_ASSIGN_OR_RETURN(ExprPtr operand, decode_expr(r));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr operand, decode_expr(r, depth + 1));
       if (!operand) return r.error_at(at, "unary without operand");
       return Expr::make_unary(op, std::move(operand));
     }
@@ -146,8 +154,8 @@ Result<ExprPtr> decode_expr(ByteReader& r) {
       GEMS_ASSIGN_OR_RETURN(
           relational::BinaryOp op,
           r.enum8(relational::BinaryOp::kDiv, "binary op"));
-      GEMS_ASSIGN_OR_RETURN(ExprPtr lhs, decode_expr(r));
-      GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, decode_expr(r));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr lhs, decode_expr(r, depth + 1));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, decode_expr(r, depth + 1));
       if (!lhs || !rhs) return r.error_at(at, "binary without operands");
       return Expr::make_binary(op, std::move(lhs), std::move(rhs));
     }

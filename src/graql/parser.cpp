@@ -1,5 +1,6 @@
 #include "graql/parser.hpp"
 
+#include <algorithm>
 #include <optional>
 
 #include "common/check.hpp"
@@ -561,13 +562,44 @@ class Parser {
   }
 
   // ---- Expressions ----------------------------------------------------------
+  // Trees stay within relational::kMaxExprDepth: `not`, unary minus and
+  // parentheses recurse through nested(), which bounds the recursion, and
+  // every operator node is built through unary() or binary(), which bound
+  // the tree (operator chains grow it in a loop, without recursing).
   Result<ExprPtr> parse_expr() { return parse_or(); }
+
+  Status too_deep() const {
+    return error("expression nested deeper than " +
+                 std::to_string(relational::kMaxExprDepth) + " levels");
+  }
+
+  template <typename Parse>
+  Result<ExprPtr> nested(Parse parse) {
+    if (expr_nesting_ >= relational::kMaxExprDepth) return too_deep();
+    ++expr_nesting_;
+    Result<ExprPtr> operand = parse();
+    --expr_nesting_;
+    return operand;
+  }
+
+  Result<ExprPtr> unary(UnaryOp op, ExprPtr operand) {
+    if (operand->depth >= relational::kMaxExprDepth) return too_deep();
+    return Expr::make_unary(op, std::move(operand));
+  }
+
+  Result<ExprPtr> binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
+    if (std::max(lhs->depth, rhs->depth) >= relational::kMaxExprDepth) {
+      return too_deep();
+    }
+    return Expr::make_binary(op, std::move(lhs), std::move(rhs));
+  }
 
   Result<ExprPtr> parse_or() {
     GEMS_ASSIGN_OR_RETURN(ExprPtr lhs, parse_and());
     while (accept_keyword("or")) {
       GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_and());
-      lhs = Expr::make_binary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      GEMS_ASSIGN_OR_RETURN(
+          lhs, binary(BinaryOp::kOr, std::move(lhs), std::move(rhs)));
     }
     return lhs;
   }
@@ -576,15 +608,17 @@ class Parser {
     GEMS_ASSIGN_OR_RETURN(ExprPtr lhs, parse_not());
     while (accept_keyword("and")) {
       GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_not());
-      lhs = Expr::make_binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
+      GEMS_ASSIGN_OR_RETURN(
+          lhs, binary(BinaryOp::kAnd, std::move(lhs), std::move(rhs)));
     }
     return lhs;
   }
 
   Result<ExprPtr> parse_not() {
     if (accept_keyword("not")) {
-      GEMS_ASSIGN_OR_RETURN(ExprPtr operand, parse_not());
-      return Expr::make_unary(UnaryOp::kNot, std::move(operand));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr operand,
+                            nested([this] { return parse_not(); }));
+      return unary(UnaryOp::kNot, std::move(operand));
     }
     return parse_comparison();
   }
@@ -617,7 +651,7 @@ class Parser {
     if (!op) return lhs;
     advance();
     GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_additive());
-    return Expr::make_binary(*op, std::move(lhs), std::move(rhs));
+    return binary(*op, std::move(lhs), std::move(rhs));
   }
 
   Result<ExprPtr> parse_additive() {
@@ -625,10 +659,12 @@ class Parser {
     for (;;) {
       if (accept(TokenKind::kPlus)) {
         GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_multiplicative());
-        lhs = Expr::make_binary(BinaryOp::kAdd, std::move(lhs), std::move(rhs));
+        GEMS_ASSIGN_OR_RETURN(
+            lhs, binary(BinaryOp::kAdd, std::move(lhs), std::move(rhs)));
       } else if (accept(TokenKind::kMinus)) {
         GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_multiplicative());
-        lhs = Expr::make_binary(BinaryOp::kSub, std::move(lhs), std::move(rhs));
+        GEMS_ASSIGN_OR_RETURN(
+            lhs, binary(BinaryOp::kSub, std::move(lhs), std::move(rhs)));
       } else {
         return lhs;
       }
@@ -640,10 +676,12 @@ class Parser {
     for (;;) {
       if (accept(TokenKind::kStar)) {
         GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_unary());
-        lhs = Expr::make_binary(BinaryOp::kMul, std::move(lhs), std::move(rhs));
+        GEMS_ASSIGN_OR_RETURN(
+            lhs, binary(BinaryOp::kMul, std::move(lhs), std::move(rhs)));
       } else if (accept(TokenKind::kSlash)) {
         GEMS_ASSIGN_OR_RETURN(ExprPtr rhs, parse_unary());
-        lhs = Expr::make_binary(BinaryOp::kDiv, std::move(lhs), std::move(rhs));
+        GEMS_ASSIGN_OR_RETURN(
+            lhs, binary(BinaryOp::kDiv, std::move(lhs), std::move(rhs)));
       } else {
         return lhs;
       }
@@ -652,8 +690,9 @@ class Parser {
 
   Result<ExprPtr> parse_unary() {
     if (accept(TokenKind::kMinus)) {
-      GEMS_ASSIGN_OR_RETURN(ExprPtr operand, parse_unary());
-      return Expr::make_unary(UnaryOp::kNeg, std::move(operand));
+      GEMS_ASSIGN_OR_RETURN(ExprPtr operand,
+                            nested([this] { return parse_unary(); }));
+      return unary(UnaryOp::kNeg, std::move(operand));
     }
     return parse_primary();
   }
@@ -694,7 +733,8 @@ class Parser {
       }
       case TokenKind::kLParen: {
         advance();
-        GEMS_ASSIGN_OR_RETURN(ExprPtr inner, parse_expr());
+        GEMS_ASSIGN_OR_RETURN(ExprPtr inner,
+                              nested([this] { return parse_expr(); }));
         GEMS_RETURN_IF_ERROR(expect(TokenKind::kRParen, "')'"));
         return inner;
       }
@@ -744,6 +784,7 @@ class Parser {
 
   std::vector<Token> tokens_;
   std::size_t pos_ = 0;
+  std::uint32_t expr_nesting_ = 0;
   mutable SourceSpan last_error_span_;
 };
 

@@ -24,12 +24,11 @@ void EpochPin::release() {
 std::uint64_t EpochManager::publish(const exec::ExecContext& base) {
   auto epoch = std::shared_ptr<GraphEpoch>(new GraphEpoch());
   epoch->ctx_ = base;
-  // The snapshot is a pure read view: no durability hooks, no staging
-  // flags, no leftover script parameters. Graph payloads (tables, types,
+  // The snapshot is a pure read view: no durability hooks, no leftover
+  // script parameters. Graph payloads (tables, types,
   // subgraph bitsets) are all shared_ptr — the copy is shallow.
   epoch->ctx_.on_mutation = nullptr;
   epoch->ctx_.on_graph_maintenance = nullptr;
-  epoch->ctx_.defer_catalog_writes = false;
   epoch->ctx_.params.clear();
 
   sync::MutexLock lock(mutex_);

@@ -81,7 +81,8 @@ StatementIo analyze_io(const Statement& stmt) {
     return io;
   }
   if (const auto* s = std::get_if<graql::OutputStmt>(&stmt)) {
-    io.reads.push_back(s->table);  // external file write, catalog read-only
+    io.reads.push_back(s->table);
+    io.file_writes.push_back(s->path);
     return io;
   }
   if (const auto* s = std::get_if<graql::GraphQueryStmt>(&stmt)) {
@@ -114,7 +115,8 @@ Schedule build_schedule(const Script& script) {
           io[i].barrier || io[j].barrier ||
           intersects(io[j].writes, io[i].reads) ||   // RAW
           intersects(io[j].writes, io[i].writes) ||  // WAW
-          intersects(io[j].reads, io[i].writes);     // WAR
+          intersects(io[j].reads, io[i].writes) ||   // WAR
+          intersects(io[j].file_writes, io[i].file_writes);
       if (conflict) min_level = std::max(min_level, level[j] + 1);
     }
     level[i] = min_level;
@@ -139,78 +141,58 @@ bool script_is_read_only(const Script& script) {
   return true;
 }
 
-Result<std::vector<StatementResult>> run_scheduled(const Script& script,
-                                                   const Schedule& schedule,
-                                                   ExecContext& ctx,
-                                                   ThreadPool* pool) {
-  std::vector<StatementResult> results(script.statements.size());
-  for (const auto& level : schedule.levels) {
-    if (pool == nullptr || level.size() == 1) {
-      for (const std::size_t i : level) {
-        GEMS_ASSIGN_OR_RETURN(results[i],
-                              execute_statement(script.statements[i], ctx));
-      }
-      continue;
-    }
-    // Parallel level: run against read-only shared state, commit results
-    // afterwards in script order (deterministic catalog contents).
-    ctx.defer_catalog_writes = true;
-    std::vector<Result<StatementResult>> outcomes(
-        level.size(), Status(StatusCode::kInternal, "not run"));
-    std::vector<std::future<void>> futures;
-    futures.reserve(level.size());
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      futures.push_back(pool->submit([&, k] {
-        outcomes[k] = execute_statement(script.statements[level[k]], ctx);
-      }));
-    }
-    for (auto& f : futures) f.get();
-    ctx.defer_catalog_writes = false;
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      if (!outcomes[k].is_ok()) return outcomes[k].status();
-      results[level[k]] = std::move(outcomes[k]).value();
-      exec::commit_result(results[level[k]], ctx);
-    }
-  }
-  return results;
-}
-
-Result<std::vector<StatementResult>> run_scheduled_shared(
+Result<std::vector<StatementResult>> run_scheduled(
     const Script& script, const Schedule& schedule, const ExecContext& ctx,
     const relational::ParamMap& params, exec::CatalogOverlay& overlay,
-    ThreadPool* pool) {
+    ThreadPool* pool, ExecContext* writer) {
+  GEMS_CHECK(writer == nullptr || writer == &ctx);
   const exec::ReadView view{&ctx, &params, &overlay};
+  auto run = [&](std::size_t i) -> Result<StatementResult> {
+    const Statement& stmt = script.statements[i];
+    if (writer != nullptr && analyze_io(stmt).barrier) {
+      return exec::execute_statement(stmt, *writer);
+    }
+    return exec::execute_statement_read(stmt, view);
+  };
+
   std::vector<StatementResult> results(script.statements.size());
+  std::vector<Result<StatementResult>> outcomes;
   for (const auto& level : schedule.levels) {
-    if (pool == nullptr || level.size() == 1) {
-      for (const std::size_t i : level) {
-        GEMS_ASSIGN_OR_RETURN(
-            results[i], execute_statement_read(script.statements[i], view));
-        // Stage immediately: the next serial statement may read this name.
-        exec::stage_result(results[i], overlay);
+    outcomes.assign(level.size(), Status(StatusCode::kInternal, "not run"));
+    if (pool != nullptr && level.size() > 1) {
+      // Statements in one level are independent by construction, so they
+      // share the (immutable) view.
+      std::vector<std::future<void>> futures;
+      futures.reserve(level.size());
+      for (std::size_t k = 0; k < level.size(); ++k) {
+        futures.push_back(
+            pool->submit([&, k] { outcomes[k] = run(level[k]); }));
       }
-      continue;
+      for (auto& f : futures) f.get();
+    } else {
+      for (std::size_t k = 0; k < level.size(); ++k) {
+        outcomes[k] = run(level[k]);
+        if (!outcomes[k].is_ok()) break;
+      }
     }
-    // Parallel level: statements in one level are independent by
-    // construction, so they share the (immutable) view; their results are
-    // staged afterwards in script order, exactly like run_scheduled
-    // commits deferred results.
-    std::vector<Result<StatementResult>> outcomes(
-        level.size(), Status(StatusCode::kInternal, "not run"));
-    std::vector<std::future<void>> futures;
-    futures.reserve(level.size());
+    // Stage in script order (deterministic catalog contents), up to the
+    // level's first failure.
+    Status failure;
     for (std::size_t k = 0; k < level.size(); ++k) {
-      futures.push_back(pool->submit([&, k] {
-        outcomes[k] =
-            exec::execute_statement_read(script.statements[level[k]], view);
-      }));
-    }
-    for (auto& f : futures) f.get();
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      if (!outcomes[k].is_ok()) return outcomes[k].status();
+      if (!outcomes[k].is_ok()) {
+        failure = outcomes[k].status();
+        break;
+      }
       results[level[k]] = std::move(outcomes[k]).value();
       exec::stage_result(results[level[k]], overlay);
     }
+    if (writer != nullptr) {
+      // The next level may be DDL or ingest, which resolve names in the
+      // live catalog, not the overlay.
+      exec::commit_overlay(overlay, *writer);
+      overlay = {};
+    }
+    if (!failure.is_ok()) return failure;
   }
   return results;
 }

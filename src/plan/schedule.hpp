@@ -20,10 +20,12 @@
 namespace gems::plan {
 
 /// Read/write sets of one statement over the named-object space (tables,
-/// subgraphs, graph element types).
+/// subgraphs, graph element types), plus the files an `output` writes — a
+/// namespace of their own, so no catalog name can collide with a path.
 struct StatementIo {
   std::vector<std::string> reads;
   std::vector<std::string> writes;
+  std::vector<std::string> file_writes;
   bool barrier = false;  // DDL / ingest: serializes with everything
 };
 
@@ -48,7 +50,8 @@ struct Schedule {
 };
 
 /// Builds the dependence schedule. RAW, WAR and WAW conflicts all order
-/// statements; barriers get singleton levels.
+/// statements (two `output`s to one file are a WAW); barriers get
+/// singleton levels.
 Schedule build_schedule(const graql::Script& script);
 
 /// True when no statement of the script is a DDL/ingest barrier — such
@@ -59,24 +62,25 @@ Schedule build_schedule(const graql::Script& script);
 /// scheduler's barrier notion.
 bool script_is_read_only(const graql::Script& script);
 
-/// Executes a script per `schedule`. When `pool` is non-null, statements
-/// in the same level run concurrently (their `into` results are committed
-/// in script order after the level completes); otherwise execution is
-/// serial but still level-ordered.
+/// Executes a script per `schedule`. Every query and `output` statement
+/// runs through exec::execute_statement_read against `ctx` with the
+/// script's own `params`, and its `into` result is staged in `overlay`,
+/// where later statements find it before the catalog. When `pool` is
+/// non-null, the statements of a level wider than one run concurrently;
+/// their results are staged in script order once the level completes.
+///
+/// `writer` is null for a read-only script (script_is_read_only): `ctx`
+/// is then typically a pinned epoch's, it is never mutated, and the
+/// caller publishes `overlay` when the script succeeds. A script that
+/// holds the writer lock passes the live context as both `ctx` and
+/// `writer`: DDL and ingest (always singleton levels) run through
+/// exec::execute_statement on it, and the overlay is committed into it
+/// after each level and before an error returns, so every statement that
+/// ran before the first failure stays applied.
 Result<std::vector<exec::StatementResult>> run_scheduled(
     const graql::Script& script, const Schedule& schedule,
-    exec::ExecContext& ctx, ThreadPool* pool);
-
-/// Pinned-epoch variant of run_scheduled for read-only scripts (the
-/// caller must have classified the script with script_is_read_only): the
-/// context is never mutated; `into` results are staged in `overlay`
-/// (later statements resolve names overlay-first, preserving serial
-/// semantics) for the caller to publish under the writer lock. `params`
-/// are the script's own bindings — they never touch ctx.params, so many
-/// scripts with different params can share one context concurrently.
-Result<std::vector<exec::StatementResult>> run_scheduled_shared(
-    const graql::Script& script, const Schedule& schedule,
     const exec::ExecContext& ctx, const relational::ParamMap& params,
-    exec::CatalogOverlay& overlay, ThreadPool* pool);
+    exec::CatalogOverlay& overlay, ThreadPool* pool,
+    exec::ExecContext* writer = nullptr);
 
 }  // namespace gems::plan

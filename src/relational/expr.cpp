@@ -108,6 +108,7 @@ ExprPtr Expr::make_unary(UnaryOp op, ExprPtr operand) {
   e->kind = Kind::kUnary;
   e->uop = op;
   e->lhs = std::move(operand);
+  e->depth = e->lhs->depth + 1;
   merge_spans(*e, e->lhs.get(), nullptr);
   return e;
 }
@@ -119,6 +120,7 @@ ExprPtr Expr::make_binary(BinaryOp op, ExprPtr lhs, ExprPtr rhs) {
   e->bop = op;
   e->lhs = std::move(lhs);
   e->rhs = std::move(rhs);
+  e->depth = std::max(e->lhs->depth, e->rhs->depth) + 1;
   merge_spans(*e, e->lhs.get(), e->rhs.get());
   return e;
 }

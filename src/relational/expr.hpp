@@ -35,6 +35,12 @@ std::string_view binary_op_name(BinaryOp op) noexcept;
 struct Expr;
 using ExprPtr = std::shared_ptr<const Expr>;
 
+/// Deepest expression tree the parser and the IR decoder accept. Every
+/// later pass (binding, evaluation, encoding, the ExprPtr destructor)
+/// recurses on the tree, so the limit keeps hostile input from exhausting
+/// a worker's stack.
+inline constexpr std::uint32_t kMaxExprDepth = 256;
+
 /// Immutable expression node. Shared ownership lets ASTs embed
 /// sub-expressions in several places (e.g. IR round-trips) cheaply.
 struct Expr {
@@ -69,6 +75,9 @@ struct Expr {
   std::uint32_t src_column = 0;
   std::uint32_t src_end_line = 0;
   std::uint32_t src_end_column = 0;
+
+  /// Nodes on the longest root-to-leaf path (1 for a leaf).
+  std::uint32_t depth = 1;
 
   /// Leaf factories take an optional source position; make_unary and
   /// make_binary derive theirs from the operands (covering range).

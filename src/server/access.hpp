@@ -1,5 +1,5 @@
 // The database's writer lock: mutating scripts, catalog commits of
-// deferred `into` results, checkpoint capture windows and epoch refreshes
+// read-only scripts' `into` results, checkpoint capture windows and epoch refreshes
 // hold it. Read paths never take it — they pin an immutable MVCC epoch
 // (mvcc/epoch.hpp, DESIGN.md §5i), which is what makes DDL and ingest
 // atomic with respect to later queries.
@@ -54,9 +54,10 @@ class GEMS_CAPABILITY("AccessGuard") AccessGuard {
   /// that drives `Database::context()` directly). For closures (planner
   /// hooks, mutation callbacks) that run under the lock but where the
   /// analysis cannot see the caller's capability across the
-  /// std::function boundary. Not an owner-thread check: with
-  /// `parallel_statements` the hook runs on a statement-pool thread while
-  /// the submitting thread holds the lock.
+  /// std::function boundary. Not an owner-thread check: when a writer
+  /// script's level is wider than one statement, the hook runs on a
+  /// default_thread_pool() thread while the submitting thread holds the
+  /// lock.
   void assert_exclusive_held() const GEMS_ASSERT_CAPABILITY(this);
 
  private:

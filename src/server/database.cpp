@@ -22,11 +22,6 @@ Database::Database(DatabaseOptions options)
   ctx_.pool = &pool_;
   ctx_.data_dir = options_.data_dir;
   ctx_.max_result_rows = options_.max_result_rows;
-  // gems::mvcc: ingest maintains the CSR graph incrementally. Set before
-  // Store::open so WAL replay takes the identical per-record
-  // delta-or-rebuild decisions the live execution took — that is what
-  // makes recovery byte-identical.
-  ctx_.incremental_ingest = options_.incremental_ingest;
   ctx_.matcher_metrics = &matcher_metrics_;
   ctx_.on_graph_maintenance =
       [&delta = metrics_.counter("mvcc.ingest.delta"),
@@ -37,47 +32,39 @@ Database::Database(DatabaseOptions options)
         (was_delta ? delta : rebuild).add();
         (was_delta ? delta_ns : rebuild_ns).add(ns);
       };
-  if (options_.enable_planner) {
-    // Sec. III-B's "dynamic properties of the data": graph statistics are
-    // collected lazily and cached until DDL/ingest changes the instances
-    // (graph_version), so per-query planning costs only the pivot choice.
-    // This hook serves the writer path, which executes against the live
-    // context under exclusive access.
-    ctx_.planner = [this](const exec::ConstraintNetwork& net) {
-      // The executor invokes this while a mutating script holds
-      // exclusive access (or from single-threaded tooling driving the
-      // live context directly — the quiescent case the assert also
-      // accepts), but the std::function boundary hides that from the
-      // static analysis — assert the capability (runtime-checked) so
-      // the guarded reads below are verified, not waived.
-      access_.assert_exclusive_held();
-      // Keep the snapshot alive across planning: a concurrent DDL/ingest
-      // (impossible under exclusive access, but cheap to be safe) would
-      // otherwise swap the cache out from under us.
-      const std::shared_ptr<const plan::GraphStats> stats = cached_stats();
+  // Sec. III-B's "dynamic properties of the data": graph statistics are
+  // collected lazily and cached until DDL/ingest changes the instances
+  // (graph_version), so per-query planning costs only the pivot choice.
+  // This hook serves the writer path, which executes against the live
+  // context under exclusive access.
+  ctx_.planner = [this](const exec::ConstraintNetwork& net) {
+    // The executor invokes this while a mutating script holds exclusive
+    // access (possibly from a pool thread running one statement of a
+    // wide level), or from single-threaded tooling driving the live
+    // context directly — the quiescent case the assert also accepts. The
+    // std::function boundary hides that from the static analysis, so
+    // assert the capability (runtime-checked) and the guarded reads below
+    // are verified, not waived.
+    access_.assert_exclusive_held();
+    const std::shared_ptr<const plan::GraphStats> stats = cached_stats();
+    const plan::PathPlan plan =
+        plan::plan_network(net, ctx_.graph, pool_, *stats);
+    return exec::NetworkPlan{plan.root_var, plan.constraint_order};
+  };
+  // Read paths execute against pinned epochs; each epoch carries a
+  // planner over its own immutable graph with per-epoch memoized stats
+  // (adopted from the previous epoch when the graph is unchanged). The
+  // closure captures the epoch raw: it is stored inside that epoch's
+  // context, so it cannot outlive what it points at.
+  epochs_.set_planner_factory([this](const mvcc::GraphEpoch& epoch) {
+    const mvcc::GraphEpoch* e = &epoch;
+    return [this, e](const exec::ConstraintNetwork& net) {
+      const std::shared_ptr<const plan::GraphStats> stats = e->stats();
       const plan::PathPlan plan =
-          plan::plan_network(net, ctx_.graph, pool_, *stats);
+          plan::plan_network(net, e->ctx().graph, pool_, *stats);
       return exec::NetworkPlan{plan.root_var, plan.constraint_order};
     };
-    // Read paths execute against pinned epochs; each epoch carries a
-    // planner over its own immutable graph with per-epoch memoized stats
-    // (adopted from the previous epoch when the graph is unchanged). The
-    // closure captures the epoch raw: it is stored inside that epoch's
-    // context, so it cannot outlive what it points at.
-    epochs_.set_planner_factory([this](const mvcc::GraphEpoch& epoch) {
-      const mvcc::GraphEpoch* e = &epoch;
-      return [this, e](const exec::ConstraintNetwork& net) {
-        const std::shared_ptr<const plan::GraphStats> stats = e->stats();
-        const plan::PathPlan plan =
-            plan::plan_network(net, e->ctx().graph, pool_, *stats);
-        return exec::NetworkPlan{plan.root_var, plan.constraint_order};
-      };
-    });
-  }
-  if (options_.parallel_statements) {
-    statement_pool_ = std::make_unique<ThreadPool>(
-        std::max(2u, std::thread::hardware_concurrency()));
-  }
+  });
   if (options_.intra_node_threads > 0) {
     intra_pool_ = std::make_unique<ThreadPool>(options_.intra_node_threads);
     ctx_.intra_pool = intra_pool_.get();
@@ -407,11 +394,8 @@ Result<std::string> Database::explain_parsed(
             << "): est. " << static_cast<std::size_t>(card)
             << " candidates\n";
       }
-      const plan::PathPlan path_plan = options_.enable_planner
-                                           ? plan::plan_network(
-                                                 net, snap.graph, pool_,
-                                                 *stats)
-                                           : plan::lexical_plan(net);
+      const plan::PathPlan path_plan =
+          plan::plan_network(net, snap.graph, pool_, *stats);
       out << "   pivot: var " << path_plan.root_var << " ("
           << net.vars[path_plan.root_var].display << "), order:";
       for (const int c : path_plan.constraint_order) out << " " << c;
@@ -449,67 +433,51 @@ Result<std::vector<StatementResult>> Database::run_ir(
 Result<std::vector<StatementResult>> Database::run_parsed(
     Script script, const relational::ParamMap& params) {
   // Classify before locking: the schedule (and its barrier analysis) only
-  // depends on the script text, not on database state.
+  // depends on the script text, not on database state. Independent
+  // statements of a wide level run on the shared pool (Sec. III-B1);
+  // scripts of one-statement levels never construct it.
   const plan::Schedule schedule = plan::build_schedule(script);
-  if (plan::script_is_read_only(script)) {
-    return run_parsed_shared(script, schedule, params);
+  ThreadPool* pool =
+      schedule.max_width() > 1 ? &default_thread_pool() : nullptr;
+  exec::CatalogOverlay overlay;
+
+  if (!plan::script_is_read_only(script)) {
+    // Mutating script: sole holder — excludes other writers, overlay
+    // commits and checkpoint capture windows while it applies. Readers
+    // are unaffected: they execute against previously pinned epochs.
+    const ExclusiveAccessLock lock(access_);
+    // Fail-stop: a broken store (failed open, or a WAL append that
+    // diverged the log from memory) refuses all further scripts.
+    GEMS_RETURN_IF_ERROR(store_status());
+    MetaCatalog meta = meta_catalog_from(ctx_);
+    GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
+    // Skip the ParamMap copy when both maps are empty (the common
+    // no-params case); when the previous script bound params, assignment
+    // also clears them.
+    if (!params.empty() || !ctx_.params.empty()) ctx_.params = params;
+    auto results = plan::run_scheduled(script, schedule, ctx_, params,
+                                       overlay, pool, &ctx_);
+    // Publish the post-script state as a new epoch — also on error: the
+    // statements before the failure stay applied, and readers must see
+    // that state, not a snapshot that pretends it never happened.
+    epochs_.publish(ctx_);
+    return results;
   }
 
-  // Mutating script: sole holder — excludes other writers, overlay
-  // commits and checkpoint capture windows while it applies. Readers are
-  // unaffected: they execute against previously pinned epochs.
-  const ExclusiveAccessLock lock(access_);
-
-  // Fail-stop: a broken store (failed open, or a WAL append that diverged
-  // the log from memory) refuses all further scripts.
+  // Read-only script: pin the current epoch and execute against that
+  // immutable snapshot — no lock is held for the read, so a writer can
+  // publish any number of new epochs while this script runs; the pin
+  // keeps our state alive and byte-stable (deferred retirement).
   GEMS_RETURN_IF_ERROR(store_status());
-
-  // Front-end: static analysis against the metadata catalog (Sec. III-A).
-  // Params are known here, so their types participate.
-  MetaCatalog meta = meta_catalog_from(ctx_);
-  GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
-
-  // Backend: dependence scheduling (Sec. III-B1) + execution. Skip the
-  // ParamMap copy when both maps are empty (the common no-params case);
-  // when the previous script bound params, assignment also clears them.
-  if (!params.empty() || !ctx_.params.empty()) ctx_.params = params;
-  auto results = plan::run_scheduled(script, schedule, ctx_,
-                                     options_.parallel_statements
-                                         ? statement_pool_.get()
-                                         : nullptr);
-  // Publish the post-script state as a new epoch — also on error: a
-  // mid-script failure may have applied earlier statements, and readers
-  // must see that state, not a snapshot that pretends it never happened.
-  epochs_.publish(ctx_);
-  return results;
-}
-
-Result<std::vector<StatementResult>> Database::run_parsed_shared(
-    const Script& script, const plan::Schedule& schedule,
-    const relational::ParamMap& params) {
-  GEMS_RETURN_IF_ERROR(store_status());
-
-  // Pin the current epoch and execute against that immutable snapshot —
-  // no lock is held for the read, so a writer can publish any number of
-  // new epochs while this script runs; the pin keeps our state alive and
-  // byte-stable (deferred retirement).
   mvcc::EpochPin pin = epochs_.pin();
   const exec::ExecContext& snap = pin.ctx();
-
   MetaCatalog meta = meta_catalog_from(snap);
   GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
-
-  // Params stay script-local (never written into the epoch), and `into`
-  // results land in the overlay.
-  exec::CatalogOverlay overlay;
   const std::uint64_t renumber_at_read = snap.renumber_version;
   const std::uint64_t version_at_read = snap.graph_version;
   GEMS_ASSIGN_OR_RETURN(
       std::vector<StatementResult> results,
-      plan::run_scheduled_shared(script, schedule, snap, params, overlay,
-                                 options_.parallel_statements
-                                     ? statement_pool_.get()
-                                     : nullptr));
+      plan::run_scheduled(script, schedule, snap, params, overlay, pool));
   if (overlay.empty()) return results;
 
   // Fold the script's `into` results into the live context and publish a
@@ -521,10 +489,10 @@ Result<std::vector<StatementResult>> Database::run_parsed_shared(
       ctx_.renumber_version != renumber_at_read) {
     // A full graph rebuild happened between pin and commit, so existing
     // vertex/edge numbering may have changed and the staged subgraph
-    // bitsets are meaningless against the live graph. Rare: incremental
-    // ingest preserves numbering (base rows keep their indices) and does
-    // not bump renumber_version — only a fallback rebuild (parameterized
-    // declarations, a one-to-one key collapse) or explicit DDL does.
+    // bitsets are meaningless against the live graph. Rare: delta ingest
+    // preserves numbering (base rows keep their indices) and does not
+    // bump renumber_version — only a fallback rebuild (parameterized
+    // declarations, a one-to-one key collapse) does.
     return unavailable(
         "concurrent ingest/DDL renumbered the graph under this script's "
         "subgraph results; re-run the script");

@@ -35,10 +35,6 @@ struct DatabaseOptions {
   std::string data_dir;
   /// Row cap for graph-query results (0 = unlimited).
   std::uint64_t max_result_rows = 0;
-  /// Use the statistics-driven planner (Sec. III-B). Off = lexical order.
-  bool enable_planner = true;
-  /// Run independent statements of a script in parallel (Sec. III-B1).
-  bool parallel_statements = false;
   /// Intra-node worker threads for parallel scans (0 = serial scans).
   std::size_t intra_node_threads = 0;
 
@@ -58,13 +54,6 @@ struct DatabaseOptions {
   /// the snapshot outside every lock, so checkpoints never observe a
   /// half-applied script and never stall readers or writers.
   std::uint64_t checkpoint_interval_ms = 0;
-
-  /// gems::mvcc: maintain the CSR graph incrementally on ingest (share
-  /// unaffected types, extend affected ones from the appended rows) and
-  /// fall back to a full rebuild only when the delta is unsound
-  /// (parameterized declarations, a one-to-one key collapse). Off =
-  /// every ingest rebuilds the whole graph, as before.
-  bool incremental_ingest = true;
 };
 
 /// Catalog entry sizes, as the GEMS server's metadata repository reports
@@ -224,19 +213,13 @@ class Database {
 
  private:
   /// Shared back half of run_script / run_ir: analyze, schedule and
-  /// execute an already-parsed script. Classifies the script
-  /// (plan::script_is_read_only) and routes it to the pinned-epoch read
-  /// path or the writer path.
+  /// execute an already-parsed script through plan::run_scheduled. A
+  /// read-only script (plan::script_is_read_only) runs against a pinned
+  /// epoch with no lock held, and its `into` results are folded into a
+  /// fresh epoch under brief exclusive access at the end. A mutating
+  /// script holds the writer lock and runs on the live context.
   Result<std::vector<exec::StatementResult>> run_parsed(
       graql::Script script, const relational::ParamMap& params);
-
-  /// Read-only script execution against a pinned epoch: zero coordination
-  /// with writers (no lock acquired for the read itself); `into` results
-  /// are staged in a script-local overlay and folded into a fresh epoch
-  /// publication under brief exclusive access at the end.
-  Result<std::vector<exec::StatementResult>> run_parsed_shared(
-      const graql::Script& script, const plan::Schedule& schedule,
-      const relational::ParamMap& params);
 
   /// Shared body of explain / explain_ir over a parsed+analyzed script.
   Result<std::string> explain_parsed(const graql::Script& script,
@@ -295,8 +278,7 @@ class Database {
   /// pin an epoch). The raw accessors above opt out of the analysis for
   /// single-threaded tooling.
   exec::ExecContext ctx_ GEMS_GUARDED_BY(access_);
-  std::unique_ptr<ThreadPool> statement_pool_;  // for parallel_statements
-  std::unique_ptr<ThreadPool> intra_pool_;      // for parallel scans
+  std::unique_ptr<ThreadPool> intra_pool_;  // for parallel scans
 
   mutable sync::Mutex stats_mutex_ GEMS_ACQUIRED_BEFORE(wal_mutex_);
   std::shared_ptr<const plan::GraphStats> stats_

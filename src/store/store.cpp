@@ -5,7 +5,6 @@
 
 #include "common/logging.hpp"
 #include "common/timer.hpp"
-#include "graph/delta.hpp"
 #include "graql/ir.hpp"
 #include "store/format.hpp"
 #include "store/snapshot.hpp"
@@ -14,14 +13,11 @@ namespace gems::store {
 
 namespace {
 
-/// Applies one WAL record to the context. With incremental ingest enabled
-/// (gems::mvcc) each row-append record maintains the graph immediately via
-/// the same delta-or-rebuild decision the live execution took, so the
-/// recovered graph is byte-identical to the pre-crash one (edge ordering
-/// included). Otherwise `needs_rebuild` is set and the graph is rebuilt
-/// once after the full replay, matching the full-rebuild live path.
-Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
-                     bool& needs_rebuild) {
+/// Applies one WAL record to the context. Each row-append record
+/// maintains the graph immediately through the maintenance the live
+/// ingest ran (ExecContext::maintain_graph_after_ingest), so the recovered
+/// graph is byte-identical to the pre-crash one (edge ordering included).
+Status replay_record(const WalRecord& rec, exec::ExecContext& ctx) {
   const std::string where = "WAL record seq " + std::to_string(rec.seq);
   if (rec.type == WalRecordType::kStatement) {
     auto script = graql::decode_script(rec.payload);
@@ -70,37 +66,10 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx,
     GEMS_RETURN_IF_ERROR((*table)->append_row(row).with_context(where));
   }
   GEMS_RETURN_IF_ERROR(r.expect_end("the declared rows").with_context(where));
-  if (ctx.incremental_ingest) {
-    // A deferred rebuild here would let a later record's delta run against
-    // a stale graph and diverge from the live ordering; apply the
-    // maintenance (or its eager-rebuild fallback) per record instead.
-    Timer maintain_timer;
-    const auto first_new_row =
-        static_cast<storage::RowIndex>((*table)->num_rows() - nrows);
-    GEMS_ASSIGN_OR_RETURN(
-        bool delta_applied,
-        graph::extend_graph_for_ingest(ctx.graph, table_name, first_new_row,
-                                       ctx.vertex_decls, ctx.edge_decls,
-                                       ctx.tables, *ctx.pool, ctx.params));
-    if (delta_applied) {
-      ++ctx.graph_version;
-      for (auto& [name, sub] : ctx.subgraphs) {
-        sub = sub->resized_for(ctx.graph);
-      }
-    } else {
-      GEMS_RETURN_IF_ERROR(ctx.rebuild_graph().with_context(where));
-    }
-    if (ctx.on_graph_maintenance) {
-      // Recovery maintenance shows up in the ingest metrics like live
-      // ingest maintenance does (delta vs. rebuild accounting).
-      ctx.on_graph_maintenance(
-          delta_applied,
-          static_cast<std::uint64_t>(maintain_timer.elapsed_seconds() * 1e9));
-    }
-    return Status::ok();
-  }
-  needs_rebuild = true;
-  return Status::ok();
+  const auto first_new_row =
+      static_cast<storage::RowIndex>((*table)->num_rows() - nrows);
+  return ctx.maintain_graph_after_ingest(table_name, first_new_row)
+      .with_context(where);
 }
 
 }  // namespace
@@ -147,17 +116,13 @@ Result<std::unique_ptr<Store>> Store::open(StoreOptions options,
   }
   std::uint64_t applied = 0;
   std::uint64_t skipped = 0;
-  bool needs_rebuild = false;
   for (const WalRecord& rec : wal.records) {
     if (rec.seq <= snap_seq) {
       ++skipped;  // already captured by the snapshot
       continue;
     }
-    GEMS_RETURN_IF_ERROR(replay_record(rec, ctx, needs_rebuild));
+    GEMS_RETURN_IF_ERROR(replay_record(rec, ctx));
     ++applied;
-  }
-  if (needs_rebuild) {
-    GEMS_RETURN_IF_ERROR(ctx.rebuild_graph());
   }
   wal.wal->advance_seq(snap_seq);
   const double replay_seconds = replay_timer.elapsed_seconds();

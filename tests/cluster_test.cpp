@@ -413,7 +413,6 @@ TEST(ClusterOracleTest, DistributedReadsBesideDeltaIngestsMatchLocal) {
   const std::string query = std::string(kQuery) + ";";
   server::DatabaseOptions options;
   options.data_dir = dir.string();
-  options.incremental_ingest = true;
 
   std::vector<std::string> states;  // local answer after each ingest
   {

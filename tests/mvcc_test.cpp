@@ -25,7 +25,9 @@
 #include "bsbm/generator.hpp"
 #include "common/metrics.hpp"
 #include "exec/executor.hpp"
+#include "graql/parser.hpp"
 #include "mvcc/epoch.hpp"
+#include "plan/schedule.hpp"
 #include "server/database.hpp"
 #include "storage/csv.hpp"
 #include "store/snapshot.hpp"
@@ -117,6 +119,55 @@ std::string render(const std::vector<exec::StatementResult>& results) {
     out += "\n--\n";
   }
   return out;
+}
+
+/// Catalog sizes and table rows of a context, for equality checks between
+/// a database's pinned state and a rebuilt copy of it.
+std::string context_fingerprint(const exec::ExecContext& ctx) {
+  std::ostringstream out;
+  for (graph::VertexTypeId t = 0; t < ctx.graph.num_vertex_types(); ++t) {
+    const graph::VertexType& vt = ctx.graph.vertex_type(t);
+    out << "vertex " << vt.name() << " " << vt.num_vertices() << " "
+        << vt.byte_size() << "\n";
+  }
+  for (graph::EdgeTypeId e = 0; e < ctx.graph.num_edge_types(); ++e) {
+    const graph::EdgeType& et = ctx.graph.edge_type(e);
+    out << "edge " << et.name() << " " << et.num_edges() << " "
+        << et.forward().byte_size() + et.reverse().byte_size() << "\n";
+  }
+  for (const auto& [name, sub] : ctx.subgraphs) {
+    out << "subgraph " << name << " " << sub->num_vertices() << " "
+        << sub->num_edges() << "\n";
+  }
+  for (const auto& name : ctx.tables.names()) {
+    out << "== " << name << " ==\n";
+    storage::write_csv(**ctx.tables.find(name), out);
+  }
+  return out.str();
+}
+
+/// The full-rebuild reference for delta ingest: a copy of a pinned state,
+/// its graph rebuilt from the declarations.
+exec::ExecContext rebuilt_copy(const EpochPin& pin) {
+  exec::ExecContext rebuilt = pin.ctx();
+  // The epoch's planner closure points into the epoch; the copy plans in
+  // lexical order.
+  rebuilt.planner = nullptr;
+  const Status s = rebuilt.rebuild_graph();
+  EXPECT_TRUE(s.is_ok()) << s.to_string();
+  return rebuilt;
+}
+
+/// Runs a read-only script serially in lexical order against a copy of
+/// `ctx` and renders its results.
+std::string run_lexical(exec::ExecContext ctx, const std::string& text) {
+  ctx.planner = nullptr;
+  auto script = graql::parse_script(text);
+  if (!script.is_ok()) return script.status().to_string();
+  exec::CatalogOverlay overlay;
+  auto r = plan::run_scheduled(*script, plan::build_schedule(*script), ctx,
+                               {}, overlay, /*pool=*/nullptr);
+  return r.is_ok() ? render(r.value()) : r.status().to_string();
 }
 
 // ---- Epoch lifecycle accounting --------------------------------------------
@@ -322,36 +373,29 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
   // path must extend the edge CSR, not just vertex instances.
   write_text_file(dir.sub("knows2.csv"), "d0_p0,ada\nd1_p3,d0_p0\n");
 
-  auto build = [&](bool incremental) -> std::unique_ptr<server::Database> {
-    server::DatabaseOptions options;
-    options.data_dir = dir.path;
-    options.incremental_ingest = incremental;
-    auto db = std::make_unique<server::Database>(options);
-    populate(*db);
-    for (const auto& csv : batches) {
-      auto r = db->run_script("ingest table People '" + csv + "'");
-      EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-    }
-    auto r = db->run_script("ingest table Knows 'knows2.csv'");
-    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
-    return db;
-  };
+  server::DatabaseOptions options;
+  options.data_dir = dir.path;
+  server::Database db(options);
+  populate(db);
+  for (const auto& csv : batches) {
+    auto r = db.run_script("ingest table People '" + csv + "'");
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  }
+  auto r = db.run_script("ingest table Knows 'knows2.csv'");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
 
-  auto delta_db = build(true);
-  auto rebuild_db = build(false);
-
-  // One db took the incremental path, the other rebuilt every time.
-  const metrics::Snapshot dm = delta_db->metrics_snapshot();
-  // 3 People batches + knows2
+  // Every ingest took the delta path: 3 People batches + knows2.
+  const metrics::Snapshot dm = db.metrics_snapshot();
   EXPECT_GE(metrics::value(dm, "mvcc.ingest.delta"), 4u);
   EXPECT_EQ(metrics::value(dm, "mvcc.ingest.rebuild"), 0u);
-  const metrics::Snapshot rm = rebuild_db->metrics_snapshot();
-  EXPECT_EQ(metrics::value(rm, "mvcc.ingest.delta"), 0u);
-  EXPECT_GE(metrics::value(rm, "mvcc.ingest.rebuild"), 4u);
 
-  // Same catalog, same rows, same instance numbering, same bytes.
-  EXPECT_EQ(state_fingerprint(*delta_db), state_fingerprint(*rebuild_db));
-  EXPECT_EQ(delta_db->snapshot_bytes(), rebuild_db->snapshot_bytes());
+  // Same catalog, same rows, same instance numbering, same bytes as the
+  // full rebuild of the same state.
+  const EpochPin pin = db.pin_epoch();
+  const exec::ExecContext rebuilt = rebuilt_copy(pin);
+  EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
+  EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
+            store::encode_snapshot(rebuilt, 0));
 
   // Same query answers, including traversals over delta-extended edges.
   const std::vector<std::string> queries = {
@@ -361,11 +405,9 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
       "select count(*) as n from table People",
   };
   for (const auto& q : queries) {
-    auto a = delta_db->run_script(q);
-    auto b = rebuild_db->run_script(q);
-    ASSERT_TRUE(a.is_ok()) << a.status().to_string();
-    ASSERT_TRUE(b.is_ok()) << b.status().to_string();
-    EXPECT_EQ(render(a.value()), render(b.value())) << q;
+    const std::string delta = run_lexical(pin.ctx(), q);
+    EXPECT_EQ(delta.rfind("kind=", 0), 0u) << delta;
+    EXPECT_EQ(delta, run_lexical(rebuilt, q)) << q;
   }
 }
 
@@ -421,44 +463,44 @@ TEST(DeltaIngestTest, BerlinIngestsAcrossChunkSealsMatchRebuild) {
     others.push_back("ingest table ProductTypes 'types.csv'");
   }
 
-  auto make = [&](bool incremental) -> std::unique_ptr<server::Database> {
-    server::DatabaseOptions options;
-    options.data_dir = dir.path;
-    options.incremental_ingest = incremental;
-    auto db = bsbm::make_populated_database(config, options);
-    EXPECT_TRUE(db.is_ok()) << db.status().to_string();
-    return std::move(db).value();
-  };
-  auto run = [](server::Database& db, const std::vector<std::string>& scripts) {
+  server::DatabaseOptions options;
+  options.data_dir = dir.path;
+  auto made = bsbm::make_populated_database(config, options);
+  ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+  server::Database& db = **made;
+  auto run = [&db](const std::vector<std::string>& scripts) {
     for (const auto& script : scripts) {
       auto r = db.run_script(script);
       EXPECT_TRUE(r.is_ok()) << script << ": " << r.status().to_string();
     }
   };
-  auto delta_db = make(true);
-  auto rebuild_db = make(false);
 
   // Reviews grow past two chunk seals; the delta is byte-identical.
-  run(*delta_db, reviews);
-  run(*rebuild_db, reviews);
-  EXPECT_GT((*delta_db->table("Reviews"))->num_rows(), 2 * kChunkRows);
-  EXPECT_EQ(state_fingerprint(*delta_db), state_fingerprint(*rebuild_db));
-  EXPECT_EQ(delta_db->snapshot_bytes(), rebuild_db->snapshot_bytes());
+  run(reviews);
+  EXPECT_GT((*db.table("Reviews"))->num_rows(), 2 * kChunkRows);
+  {
+    const EpochPin pin = db.pin_epoch();
+    const exec::ExecContext rebuilt = rebuilt_copy(pin);
+    EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
+    EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
+              store::encode_snapshot(rebuilt, 0));
+  }
 
   // Offers and ProductTypes. A delta appends new edges after the base's,
   // while a rebuild orders `export` and `type` edges by their first join
   // source (Producers, Products), so those two types match as edge sets
   // and every other piece matches byte for byte.
-  run(*delta_db, others);
-  run(*rebuild_db, others);
-  const metrics::Snapshot dm = delta_db->metrics_snapshot();
+  run(others);
+  const metrics::Snapshot dm = db.metrics_snapshot();
   EXPECT_EQ(metrics::value(dm, "mvcc.ingest.delta"),
             reviews.size() + others.size());
   EXPECT_EQ(metrics::value(dm, "mvcc.ingest.rebuild"), 0u);
-  EXPECT_GT((*delta_db->table("Offers"))->num_rows(), 2 * kChunkRows);
-  EXPECT_EQ(state_fingerprint(*delta_db), state_fingerprint(*rebuild_db));
-  const graph::GraphView& dg = delta_db->context().graph;
-  const graph::GraphView& rg = rebuild_db->context().graph;
+  EXPECT_GT((*db.table("Offers"))->num_rows(), 2 * kChunkRows);
+  const EpochPin pin = db.pin_epoch();
+  const exec::ExecContext rebuilt = rebuilt_copy(pin);
+  EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
+  const graph::GraphView& dg = pin.ctx().graph;
+  const graph::GraphView& rg = rebuilt.graph;
   ASSERT_EQ(dg.num_vertex_types(), rg.num_vertex_types());
   for (graph::VertexTypeId t = 0; t < dg.num_vertex_types(); ++t) {
     EXPECT_TRUE(dg.vertex_type(t).representative_rows() ==

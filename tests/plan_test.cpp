@@ -2,12 +2,18 @@
 // multi-statement scheduler (Sec. III-B1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+
 #include "bsbm/generator.hpp"
 #include "bsbm/schema.hpp"
 #include "exec/lowering.hpp"
 #include "graql/parser.hpp"
 #include "plan/planner.hpp"
 #include "plan/schedule.hpp"
+#include "storage/csv.hpp"
 
 namespace gems::plan {
 namespace {
@@ -192,9 +198,29 @@ TEST(ScheduleTest, WawAndWarConflictsOrder) {
   EXPECT_EQ(s.levels.size(), 3u);
 }
 
+/// Every result table of a script, rows sorted: plans may enumerate
+/// matches in different orders.
+std::string render(const std::vector<exec::StatementResult>& results) {
+  std::string out;
+  for (const auto& r : results) {
+    out += r.message + "\n";
+    if (r.table == nullptr) continue;
+    std::vector<std::string> rows;
+    for (storage::RowIndex i = 0; i < r.table->num_rows(); ++i) {
+      std::string row;
+      for (const auto& v : r.table->row(i)) row += v.to_string() + "|";
+      rows.push_back(std::move(row));
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const auto& row : rows) out += row + "\n";
+  }
+  return out;
+}
+
 TEST_F(PlanTest, ParallelScheduleMatchesSerialExecution) {
-  // Two independent queries + a dependent aggregation; run serially and
-  // in parallel, compare results.
+  // Two independent queries + a dependent aggregation. Database::run_script
+  // runs the two-wide level concurrently with the planner; the reference
+  // runs serially in lexical order on a copy of the same state.
   const std::string script_text =
       "select ProductVtx.id from graph ProductVtx() --producer--> "
       "ProducerVtx(country = 'US') into table PUS\n"
@@ -207,20 +233,50 @@ TEST_F(PlanTest, ParallelScheduleMatchesSerialExecution) {
   EXPECT_EQ(schedule.levels.size(), 2u);
   EXPECT_EQ(schedule.levels[0].size(), 2u);
 
-  auto serial = db_->run_script(script_text);
+  exec::ExecContext lexical = db_->pin_epoch().ctx();
+  lexical.planner = nullptr;
+  exec::CatalogOverlay overlay;
+  auto serial = run_scheduled(*script, schedule, lexical, {}, overlay,
+                              /*pool=*/nullptr);
   ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
+  EXPECT_EQ(overlay.tables.size(), 2u);
+  EXPECT_FALSE(lexical.tables.contains("PUS"));  // staged, not committed
 
-  ThreadPool pool(4);
-  auto parallel = run_scheduled(*script, schedule, db_->context(), &pool);
+  auto parallel = db_->run_script(script_text);
   ASSERT_TRUE(parallel.is_ok()) << parallel.status().to_string();
+  ASSERT_EQ(parallel->size(), 3u);
+  EXPECT_EQ(render(*serial), render(*parallel));
+}
 
-  ASSERT_EQ(serial->size(), parallel->size());
-  for (std::size_t i = 0; i < serial->size(); ++i) {
-    ASSERT_NE((*serial)[i].table, nullptr);
-    ASSERT_NE((*parallel)[i].table, nullptr);
-    EXPECT_EQ((*serial)[i].table->num_rows(),
-              (*parallel)[i].table->num_rows());
-  }
+TEST_F(PlanTest, OutputsToOneFileRunInScriptOrder) {
+  // Both outputs read results of the first level; without a write set on
+  // the file they would share the second level and race on the file.
+  const std::string path = ::testing::TempDir() + "/gems_plan_output.csv";
+  const std::string script_text =
+      "select id, country from table Producers where country = 'US' "
+      "into table OutUS\n"
+      "select id, country from table Producers where country = 'DE' "
+      "into table OutDE\n"
+      "output table OutUS '" + path + "'\n"
+      "output table OutDE '" + path + "'";
+  auto script = graql::parse_script(script_text);
+  ASSERT_TRUE(script.is_ok());
+  const Schedule schedule = build_schedule(*script);
+  ASSERT_EQ(schedule.levels.size(), 3u);
+  EXPECT_EQ(schedule.levels[0], (std::vector<std::size_t>{0, 1}));
+  EXPECT_EQ(schedule.levels[1], (std::vector<std::size_t>{2}));
+  EXPECT_EQ(schedule.levels[2], (std::vector<std::size_t>{3}));
+
+  auto r = db_->run_script(script_text);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  std::ostringstream expected;
+  storage::write_csv(*(*r)[1].table, expected);
+  std::ifstream in(path);
+  std::ostringstream written;
+  written << in.rdbuf();
+  EXPECT_EQ(written.str(), expected.str());
+  EXPECT_NE(expected.str(), "");
+  std::remove(path.c_str());
 }
 
 }  // namespace

@@ -3,6 +3,10 @@
 // decoder, and hostile CSV never corrupts tables.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
+#include "common/check.hpp"
 #include "common/prng.hpp"
 #include "graql/ir.hpp"
 #include "graql/lexer.hpp"
@@ -98,6 +102,143 @@ TEST(IrFuzzTest, TruncationSweepFailsCleanly) {
     std::vector<std::uint8_t> truncated(bytes.begin(), bytes.begin() + cut);
     EXPECT_FALSE(decode_script(truncated).is_ok()) << "cut at " << cut;
   }
+}
+
+// ---- Expression depth limit ------------------------------------------------------
+
+// Every later pass recurses on expression trees, so both the parser and the
+// IR decoder stop at relational::kMaxExprDepth with a typed parse error
+// instead of exhausting the stack on ~10^5 levels.
+constexpr std::size_t kHostileDepth = 100000;
+constexpr std::size_t kMaxDepth = relational::kMaxExprDepth;
+
+std::string repeat(const std::string& s, std::size_t n) {
+  std::string out;
+  out.reserve(s.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out += s;
+  return out;
+}
+
+Status parse_where(const std::string& expr) {
+  return parse_script("select id from table T where " + expr).status();
+}
+
+void expect_too_deep(const Status& s) {
+  EXPECT_EQ(s.code(), StatusCode::kParseError) << s.to_string();
+  EXPECT_NE(s.message().find("nested deeper than"), std::string::npos)
+      << s.to_string();
+}
+
+TEST(ExprDepthTest, ParserRejectsDeepNotChains) {
+  expect_too_deep(parse_where(repeat("not ", kHostileDepth) + "true"));
+  // A tree of exactly kMaxExprDepth levels (the nots plus the leaf) parses.
+  EXPECT_TRUE(parse_where(repeat("not ", kMaxDepth - 1) + "true").is_ok());
+  expect_too_deep(parse_where(repeat("not ", kMaxDepth) + "true"));
+}
+
+TEST(ExprDepthTest, ParserRejectsDeepParentheses) {
+  expect_too_deep(parse_where(repeat("(", kHostileDepth) + "a" +
+                              repeat(")", kHostileDepth)));
+  EXPECT_TRUE(parse_where(repeat("(", kMaxDepth) + "a" +
+                          repeat(")", kMaxDepth))
+                  .is_ok());
+  expect_too_deep(parse_where(repeat("(", kMaxDepth + 1) + "a" +
+                              repeat(")", kMaxDepth + 1)));
+  // Right-nested operators need the parentheses: a + (a + (a + ...)).
+  expect_too_deep(parse_where(repeat("a + (", kHostileDepth) + "a" +
+                              repeat(")", kHostileDepth)));
+}
+
+TEST(ExprDepthTest, ParserRejectsLongOperatorChains) {
+  // Left-deep chains grow the tree in a loop, without recursing.
+  expect_too_deep(parse_where("a" + repeat(" + a", kHostileDepth)));
+  expect_too_deep(parse_where("a" + repeat(" and a", kHostileDepth)));
+  EXPECT_TRUE(parse_where("a" + repeat(" + a", kMaxDepth - 1)).is_ok());
+  expect_too_deep(parse_where("a" + repeat(" + a", kMaxDepth)));
+}
+
+/// IR blobs spliced around the encoding of a `where` clause, so a hostile
+/// tree never exists in memory: `prefix` + expression bytes + `suffix`.
+struct WhereIr {
+  std::vector<std::uint8_t> prefix;
+  std::vector<std::uint8_t> leaf;  // encoding of the literal `true`
+  std::vector<std::uint8_t> not_op;  // unary node header
+  std::vector<std::uint8_t> add_op;  // binary node header
+  std::vector<std::uint8_t> suffix;
+
+  static WhereIr make() {
+    auto parsed = parse_script("select id from table T where true");
+    GEMS_CHECK(parsed.is_ok());
+    const relational::ExprPtr leaf =
+        relational::Expr::make_literal(storage::Value::boolean(true));
+    auto encode_with = [&](relational::ExprPtr where) {
+      Script script = parsed.value();
+      std::get<TableQueryStmt>(script.statements[0]).where = std::move(where);
+      return encode_script(script);
+    };
+    const auto plain = encode_with(leaf);
+    const auto negated =
+        encode_with(relational::Expr::make_unary(relational::UnaryOp::kNot,
+                                                 leaf));
+    const auto added = encode_with(relational::Expr::make_binary(
+        relational::BinaryOp::kAdd, leaf, leaf));
+    std::size_t at = 0;
+    while (plain[at] == negated[at]) ++at;
+    const std::size_t header = negated.size() - plain.size();
+    const std::size_t leaf_bytes = added.size() - plain.size() - header;
+    WhereIr ir;
+    ir.prefix.assign(plain.begin(), plain.begin() + at);
+    ir.not_op.assign(negated.begin() + at, negated.begin() + at + header);
+    ir.add_op.assign(added.begin() + at, added.begin() + at + header);
+    ir.leaf.assign(plain.begin() + at, plain.begin() + at + leaf_bytes);
+    ir.suffix.assign(plain.begin() + at + leaf_bytes, plain.end());
+    return ir;
+  }
+
+  Status decode(const std::vector<std::vector<std::uint8_t>>& parts) const {
+    std::vector<std::uint8_t> bytes = prefix;
+    for (const auto& p : parts) bytes.insert(bytes.end(), p.begin(), p.end());
+    bytes.insert(bytes.end(), suffix.begin(), suffix.end());
+    return decode_script(bytes).status();
+  }
+};
+
+std::vector<std::uint8_t> repeat(const std::vector<std::uint8_t>& b,
+                                 std::size_t n) {
+  std::vector<std::uint8_t> out;
+  out.reserve(b.size() * n);
+  for (std::size_t i = 0; i < n; ++i) out.insert(out.end(), b.begin(), b.end());
+  return out;
+}
+
+TEST(ExprDepthTest, DecoderRejectsDeepNotChains) {
+  const WhereIr ir = WhereIr::make();
+  ASSERT_TRUE(ir.decode({ir.leaf}).is_ok());
+  expect_too_deep(ir.decode({repeat(ir.not_op, kHostileDepth), ir.leaf}));
+  EXPECT_TRUE(ir.decode({repeat(ir.not_op, kMaxDepth - 1), ir.leaf}).is_ok());
+  expect_too_deep(ir.decode({repeat(ir.not_op, kMaxDepth), ir.leaf}));
+}
+
+TEST(ExprDepthTest, DecoderRejectsRightNestedOperators) {
+  // The IR of a + (a + (a + ...)): parentheses leave no node of their own.
+  const WhereIr ir = WhereIr::make();
+  std::vector<std::uint8_t> step = ir.add_op;
+  step.insert(step.end(), ir.leaf.begin(), ir.leaf.end());
+  expect_too_deep(ir.decode({repeat(step, kHostileDepth), ir.leaf}));
+  EXPECT_TRUE(ir.decode({repeat(step, kMaxDepth - 1), ir.leaf}).is_ok());
+  expect_too_deep(ir.decode({repeat(step, kMaxDepth), ir.leaf}));
+}
+
+TEST(ExprDepthTest, DecoderRejectsLongOperatorChains) {
+  // The IR of a + a + ... + a: every node header first, then the leaves.
+  const WhereIr ir = WhereIr::make();
+  expect_too_deep(ir.decode({repeat(ir.add_op, kHostileDepth),
+                             repeat(ir.leaf, kHostileDepth + 1)}));
+  EXPECT_TRUE(ir.decode({repeat(ir.add_op, kMaxDepth - 1),
+                         repeat(ir.leaf, kMaxDepth)})
+                  .is_ok());
+  expect_too_deep(ir.decode({repeat(ir.add_op, kMaxDepth),
+                             repeat(ir.leaf, kMaxDepth + 1)}));
 }
 
 // ---- CSV hostility ---------------------------------------------------------------

@@ -2,6 +2,7 @@
 // IR -> schedule -> execute pipeline, catalog introspection, sessions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <filesystem>
@@ -15,6 +16,7 @@
 #include "common/metrics.hpp"
 #include "graql/ir.hpp"
 #include "graql/parser.hpp"
+#include "plan/schedule.hpp"
 #include "server/database.hpp"
 #include "storage/csv.hpp"
 
@@ -23,6 +25,50 @@ namespace {
 
 using exec::StatementResult;
 using storage::Value;
+
+/// Renders results deterministically for byte-identity assertions.
+std::string render(const std::vector<StatementResult>& results) {
+  std::string out;
+  for (const auto& r : results) {
+    out += "kind=" + std::to_string(static_cast<int>(r.kind));
+    out += " message=" + r.message;
+    if (r.table != nullptr) out += "\n" + r.table->to_string(1u << 20);
+    out += "\n--\n";
+  }
+  return out;
+}
+
+/// Like render, with each table's rows sorted: plans may enumerate
+/// matches in different orders.
+std::string render_sorted(const std::vector<StatementResult>& results) {
+  std::string out;
+  for (const auto& r : results) {
+    out += r.message + "\n";
+    if (r.table == nullptr) continue;
+    std::vector<std::string> rows;
+    for (storage::RowIndex i = 0; i < r.table->num_rows(); ++i) {
+      std::string row;
+      for (const auto& v : r.table->row(i)) row += v.to_string() + "|";
+      rows.push_back(std::move(row));
+    }
+    std::sort(rows.begin(), rows.end());
+    for (const auto& row : rows) out += row + "\n";
+  }
+  return out;
+}
+
+/// Runs `text` the reference way: serially, in lexical order (no
+/// planner), on a copy of the database's current state.
+Result<std::vector<StatementResult>> run_serial_reference(
+    Database& db, const std::string& text,
+    const relational::ParamMap& params = {}) {
+  GEMS_ASSIGN_OR_RETURN(graql::Script script, graql::parse_script(text));
+  exec::ExecContext lexical = db.pin_epoch().ctx();
+  lexical.planner = nullptr;
+  exec::CatalogOverlay overlay;
+  return plan::run_scheduled(script, plan::build_schedule(script), lexical,
+                             params, overlay, /*pool=*/nullptr);
+}
 
 TEST(DatabaseTest, FullBerlinDdlRuns) {
   Database db;
@@ -174,23 +220,108 @@ TEST(DatabaseTest, IngestPathResolution) {
   std::remove((dir + "/gems_producers.csv").c_str());
 }
 
-TEST(DatabaseTest, ParallelStatementsOptionWorks) {
-  DatabaseOptions options;
-  options.parallel_statements = true;
-  Database db(options);
+TEST(DatabaseTest, WideLevelMatchesSerialExecution) {
+  // A and B share the first level, the two counts the second: with
+  // default options run_script runs both levels on the shared pool.
+  Database db;
   ASSERT_TRUE(db.run_script(bsbm::full_ddl()).is_ok());
   bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(60, 13);
   ASSERT_TRUE(bsbm::generate(db, config).is_ok());
-  auto r = db.run_script(
+  const std::string script =
       "select ProductVtx.id from graph ProductVtx() --producer--> "
       "ProducerVtx(country = 'US') into table A\n"
       "select ProductVtx.id from graph ProductVtx() --producer--> "
       "ProducerVtx(country = 'DE') into table B\n"
       "select count(*) as n from table A\n"
-      "select count(*) as n from table B");
+      "select count(*) as n from table B";
+  auto serial = run_serial_reference(db, script);
+  ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
+  auto r = db.run_script(script);
   ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(render_sorted(*r), render_sorted(*serial));
   EXPECT_TRUE(db.tables().contains("A"));
   EXPECT_TRUE(db.tables().contains("B"));
+
+  // The same levels in a writer script run on the live context, under the
+  // writer lock, with the live planner hook called from pool threads.
+  auto w = db.run_script("create table Marker(id varchar(10))\n" + script);
+  ASSERT_TRUE(w.is_ok()) << w.status().to_string();
+  w->erase(w->begin());
+  EXPECT_EQ(render_sorted(*w), render_sorted(*serial));
+  EXPECT_TRUE(db.tables().contains("Marker"));
+}
+
+TEST(DatabaseTest, FailedWriterScriptKeepsEarlierStatements) {
+  auto db = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(60, 13));
+  ASSERT_TRUE(db.is_ok()) << db.status().to_string();
+  const std::uint64_t published =
+      metrics::value((*db)->metrics_snapshot(), "mvcc.epochs.published");
+  // Statement 3 fails at run time (no such file), after static analysis.
+  auto r = (*db)->run_script(
+      "create table Early(id varchar(10))\n"
+      "select id, country from table Producers into table EarlyResult\n"
+      "ingest table Early 'gems_no_such_file.csv'\n"
+      "create table Late(id varchar(10))");
+  ASSERT_FALSE(r.is_ok());
+  // Statements 1 and 2 stay applied and are published; 4 never ran.
+  EXPECT_EQ(metrics::value((*db)->metrics_snapshot(), "mvcc.epochs.published"),
+            published + 1);
+  {
+    const mvcc::EpochPin pin = (*db)->pin_epoch();
+    EXPECT_TRUE(pin.ctx().tables.contains("Early"));
+    EXPECT_TRUE(pin.ctx().tables.contains("EarlyResult"));
+    EXPECT_FALSE(pin.ctx().tables.contains("Late"));
+  }
+  auto n = (*db)->run_statement("select count(*) as n from table EarlyResult");
+  ASSERT_TRUE(n.is_ok()) << n.status().to_string();
+  EXPECT_EQ(n->table->value_at(0, 0).to_string(),
+            std::to_string((*(*db)->table("Producers"))->num_rows()));
+}
+
+TEST(DatabaseTest, FailedReadOnlyScriptPublishesNothing) {
+  auto db = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(60, 13));
+  ASSERT_TRUE(db.is_ok()) << db.status().to_string();
+  const std::uint64_t published =
+      metrics::value((*db)->metrics_snapshot(), "mvcc.epochs.published");
+  auto r = (*db)->run_script(
+      "select id, country from table Producers into table Staged\n"
+      "output table Staged '" +
+      ::testing::TempDir() + "/gems_no_such_dir/staged.csv'");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kIoError);
+  EXPECT_EQ(metrics::value((*db)->metrics_snapshot(), "mvcc.epochs.published"),
+            published);
+  EXPECT_FALSE((*db)->pin_epoch().ctx().tables.contains("Staged"));
+  EXPECT_FALSE((*db)->tables().contains("Staged"));
+}
+
+TEST(DatabaseTest, DeepestAcceptedExpressionsRunEndToEnd) {
+  // Trees of exactly relational::kMaxExprDepth levels pass the parser and
+  // the IR decoder; every later pass (analysis, binding, evaluation) must
+  // then handle them.
+  auto db = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(60, 13));
+  ASSERT_TRUE(db.is_ok()) << db.status().to_string();
+  const std::size_t depth = relational::kMaxExprDepth;
+  std::string nots;  // depth - 2 nots over a two-level comparison
+  for (std::size_t i = 0; i + 2 < depth; ++i) nots += "not ";
+  std::string ors = "country = 'US'";  // left-deep: one level per `or`
+  for (std::size_t i = 0; i + 2 < depth; ++i) ors += " or country = 'US'";
+  auto counted = [&](const std::string& where) {
+    auto r = (*db)->run_statement(
+        "select count(*) as n from table Producers where " + where);
+    EXPECT_TRUE(r.is_ok()) << r.status().to_string();
+    return r.is_ok() ? r->table->value_at(0, 0).to_string() : "";
+  };
+  const std::string us = counted("country = 'US'");
+  EXPECT_EQ(counted(nots + "(country = 'US')"), us);  // an even count
+  EXPECT_EQ(counted(ors), us);
+  EXPECT_FALSE((*db)->run_statement(
+                       "select count(*) as n from table Producers where " +
+                       ors + " or country = 'US'")
+                   .is_ok());
 }
 
 TEST(DatabaseTest, RowCapOption) {
@@ -260,40 +391,22 @@ TEST(DatabaseTest, ExplainShowsPlanWithoutExecuting) {
 }
 
 TEST(DatabaseTest, PlannerToggleProducesSameResults) {
-  for (const bool planner : {true, false}) {
-    DatabaseOptions options;
-    options.enable_planner = planner;
-    Database db(options);
-    ASSERT_TRUE(db.run_script(bsbm::full_ddl()).is_ok());
-    bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(80, 17);
-    ASSERT_TRUE(bsbm::generate(db, config).is_ok());
-    relational::ParamMap params;
-    params.emplace("Product1", Value::varchar("p3"));
-    auto r = db.run_script(bsbm::berlin_q2(), params);
-    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
-    // Same data, same seed: identical row count whichever plan ran.
-    static std::size_t reference_rows = 0;
-    if (planner) {
-      reference_rows = r->back().table->num_rows();
-    } else {
-      EXPECT_EQ(r->back().table->num_rows(), reference_rows);
-    }
-  }
+  // Same data, same seed: the planned run_script and the lexical-order
+  // reference return the same rows.
+  Database db;
+  ASSERT_TRUE(db.run_script(bsbm::full_ddl()).is_ok());
+  bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(80, 17);
+  ASSERT_TRUE(bsbm::generate(db, config).is_ok());
+  relational::ParamMap params;
+  params.emplace("Product1", Value::varchar("p3"));
+  auto lexical = run_serial_reference(db, bsbm::berlin_q2(), params);
+  ASSERT_TRUE(lexical.is_ok()) << lexical.status().to_string();
+  auto r = db.run_script(bsbm::berlin_q2(), params);
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  EXPECT_EQ(render_sorted(*r), render_sorted(*lexical));
 }
 
 // ---- Concurrent readers and the writer lock -------------------------------
-
-/// Renders results deterministically for byte-identity assertions.
-std::string render(const std::vector<StatementResult>& results) {
-  std::string out;
-  for (const auto& r : results) {
-    out += "kind=" + std::to_string(static_cast<int>(r.kind));
-    out += " message=" + r.message;
-    if (r.table != nullptr) out += "\n" + r.table->to_string(1u << 20);
-    out += "\n--\n";
-  }
-  return out;
-}
 
 /// Read-only Berlin scripts: pure selects plus an `into table` script that
 /// reads its own staged result back (overlay-first resolution).

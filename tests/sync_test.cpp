@@ -138,7 +138,7 @@ TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
 }
 
 TEST(AccessGuardTest, AssertHeldAcceptsAnyHolderThread) {
-  // Under parallel_statements the planner hook runs on a statement-pool
+  // In a writer script's wide level the planner hook runs on a pool
   // thread while the submitting thread holds the lock.
   metrics::Registry registry;
   AccessGuard guard(registry);
