@@ -1,6 +1,7 @@
 #include "bsbm/generator.hpp"
 
 #include <algorithm>
+#include <optional>
 
 #include "bsbm/schema.hpp"
 #include "common/prng.hpp"
@@ -8,9 +9,8 @@
 
 namespace gems::bsbm {
 
-using storage::Table;
+using storage::TableAppender;
 using storage::TablePtr;
-using storage::Value;
 
 GeneratorConfig GeneratorConfig::derive(std::size_t num_products,
                                         std::uint64_t seed) {
@@ -70,14 +70,22 @@ std::size_t pick_feature(Xoshiro256& rng, std::size_t n) {
   return std::min<std::size_t>(n - 1, static_cast<std::size_t>(u * u * n));
 }
 
-Value date_in_2008(Xoshiro256& rng) {
-  return Value::date(kEpoch2008 + rng.range(0, 364));
+std::int64_t date_in_2008(Xoshiro256& rng) {
+  return kEpoch2008 + rng.range(0, 364);
 }
 
-Value vc(std::string s) { return Value::varchar(std::move(s)); }
+/// Appends the staged rows once a chunk's worth has gathered, so staging
+/// stays bounded at set-up.
+void commit_if_full(TableAppender& out) {
+  if (out.staged_rows() >= kChunkRows) out.commit();
+}
 
 }  // namespace
 
+// Every table is written through a TableAppender. add_row evaluates its
+// arguments in no fixed order, so a row that draws more than one value
+// from `rng` first binds each to a local, in the order the data set has
+// always drawn them.
 Result<DatasetCounts> generate(server::Database& db,
                                const GeneratorConfig& config_in) {
   GeneratorConfig config = config_in;
@@ -97,61 +105,73 @@ Result<DatasetCounts> generate(server::Database& db,
   // ---- Types: a shallow tree with branching factor 4 -------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Types"));
+    TableAppender out(*t);
     for (std::size_t i = 0; i < config.num_types; ++i) {
-      const std::string parent = i == 0 ? "" : type_id((i - 1) / 4);
-      t->append_row_unchecked(std::vector<Value>{
-          vc(type_id(i)), vc("PType"), vc("type " + type_id(i)),
-          i == 0 ? Value::null() : vc(parent), vc("gen"),
-          date_in_2008(rng)});
+      const std::optional<std::string> parent =
+          i == 0 ? std::nullopt : std::optional(type_id((i - 1) / 4));
+      out.add_row(type_id(i), "PType", "type " + type_id(i), parent, "gen",
+                  date_in_2008(rng));
+      commit_if_full(out);
     }
+    out.commit();
     counts.types = config.num_types;
   }
 
   // ---- Features ----------------------------------------------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Features"));
+    TableAppender out(*t);
     for (std::size_t i = 0; i < config.num_features; ++i) {
-      t->append_row_unchecked(std::vector<Value>{
-          vc(feature_id(i)), vc("PFeature"), vc("F" + std::to_string(i % 100)),
-          vc("feature " + feature_id(i)), vc("gen"), date_in_2008(rng)});
+      out.add_row(feature_id(i), "PFeature", "F" + std::to_string(i % 100),
+                  "feature " + feature_id(i), "gen", date_in_2008(rng));
+      commit_if_full(out);
     }
+    out.commit();
     counts.features = config.num_features;
   }
 
   // ---- Producers ----------------------------------------------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Producers"));
+    TableAppender out(*t);
     for (std::size_t i = 0; i < config.num_producers; ++i) {
-      t->append_row_unchecked(std::vector<Value>{
-          vc(producer_id(i)), vc("Producer"),
-          vc("P" + std::to_string(i % 100)), vc("producer"), vc("hp"),
-          vc(pick_country(rng)), vc("gen"), date_in_2008(rng)});
+      const std::string country = pick_country(rng);
+      const std::int64_t date = date_in_2008(rng);
+      out.add_row(producer_id(i), "Producer", "P" + std::to_string(i % 100),
+                  "producer", "hp", country, "gen", date);
+      commit_if_full(out);
     }
+    out.commit();
     counts.producers = config.num_producers;
   }
 
   // ---- Products + ProductTypes + ProductFeatures -------------------------
+  // The three commit together, Products first: the other two name product
+  // ids that a Products row interns first.
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr products, table("Products"));
     GEMS_ASSIGN_OR_RETURN(TablePtr ptypes, table("ProductTypes"));
     GEMS_ASSIGN_OR_RETURN(TablePtr pfeatures, table("ProductFeatures"));
+    TableAppender products_out(*products);
+    TableAppender ptypes_out(*ptypes);
+    TableAppender pfeatures_out(*pfeatures);
+    auto commit_all = [&] {
+      products_out.commit();
+      ptypes_out.commit();
+      pfeatures_out.commit();
+    };
     for (std::size_t i = 0; i < config.num_products; ++i) {
-      std::vector<Value> row;
-      row.reserve(17);
-      row.push_back(vc(product_id(i)));
-      row.push_back(vc("Product"));
-      row.push_back(vc("L" + std::to_string(i % 1000)));
-      row.push_back(vc("product " + product_id(i)));
-      row.push_back(vc(producer_id(rng.below(config.num_producers))));
-      for (int k = 0; k < 5; ++k) {
-        row.push_back(Value::int64(rng.range(1, 2000)));
-      }
-      for (int k = 0; k < 5; ++k) {
-        row.push_back(vc("tx" + std::to_string(rng.below(1000))));
-      }
-      row.push_back(vc("gen"));
-      row.push_back(date_in_2008(rng));
-      products->append_row_unchecked(row);
+      const std::string pid = product_id(i);
+      const std::string producer = producer_id(rng.below(config.num_producers));
+      std::int64_t numeric[5];
+      for (std::int64_t& v : numeric) v = rng.range(1, 2000);
+      std::string text[5];
+      for (std::string& v : text) v = "tx" + std::to_string(rng.below(1000));
+      const std::int64_t date = date_in_2008(rng);
+      products_out.add_row(pid, "Product", "L" + std::to_string(i % 1000),
+                           "product " + pid, producer, numeric[0], numeric[1],
+                           numeric[2], numeric[3], numeric[4], text[0],
+                           text[1], text[2], text[3], text[4], "gen", date);
 
       // 1-2 direct types (deeper semantics come from subclass edges).
       const std::size_t n_types = 1 + rng.below(2);
@@ -160,8 +180,7 @@ Result<DatasetCounts> generate(server::Database& db,
         const std::size_t ty = rng.below(config.num_types);
         if (ty == last_type) continue;
         last_type = ty;
-        ptypes->append_row_unchecked(
-            std::vector<Value>{vc(product_id(i)), vc(type_id(ty))});
+        ptypes_out.add_row(pid, type_id(ty));
         ++counts.product_types;
       }
 
@@ -175,29 +194,34 @@ Result<DatasetCounts> generate(server::Database& db,
           continue;
         }
         chosen.push_back(f);
-        pfeatures->append_row_unchecked(
-            std::vector<Value>{vc(product_id(i)), vc(feature_id(f))});
+        pfeatures_out.add_row(pid, feature_id(f));
         ++counts.product_features;
       }
+      if (products_out.staged_rows() == kChunkRows) commit_all();
     }
+    commit_all();
     counts.products = config.num_products;
   }
 
   // ---- Vendors -------------------------------------------------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Vendors"));
+    TableAppender out(*t);
     for (std::size_t i = 0; i < config.num_vendors; ++i) {
-      t->append_row_unchecked(std::vector<Value>{
-          vc(vendor_id(i)), vc("Vendor"), vc("V" + std::to_string(i % 100)),
-          vc("vendor"), vc("hp"), vc(pick_country(rng)), vc("gen"),
-          date_in_2008(rng)});
+      const std::string country = pick_country(rng);
+      const std::int64_t date = date_in_2008(rng);
+      out.add_row(vendor_id(i), "Vendor", "V" + std::to_string(i % 100),
+                  "vendor", "hp", country, "gen", date);
+      commit_if_full(out);
     }
+    out.commit();
     counts.vendors = config.num_vendors;
   }
 
   // ---- Offers ---------------------------------------------------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Offers"));
+    TableAppender out(*t);
     std::size_t next = 0;
     for (std::size_t p = 0; p < config.num_products; ++p) {
       const std::size_t n =
@@ -205,51 +229,64 @@ Result<DatasetCounts> generate(server::Database& db,
                     1);
       for (std::size_t k = 0; k < n; ++k) {
         const std::int64_t from = kEpoch2008 + rng.range(0, 300);
-        t->append_row_unchecked(std::vector<Value>{
-            vc(offer_id(next)), vc("Offer"), vc(product_id(p)),
-            vc(vendor_id(rng.below(config.num_vendors))),
-            Value::float64(5.0 + rng.uniform() * rng.uniform() * 10000.0),
-            Value::date(from), Value::date(from + rng.range(10, 90)),
-            Value::int64(rng.range(1, 14)), vc("web"), vc("gen"),
-            date_in_2008(rng)});
+        const std::string vendor = vendor_id(rng.below(config.num_vendors));
+        const double price = 5.0 + rng.uniform() * rng.uniform() * 10000.0;
+        const std::int64_t to = from + rng.range(10, 90);
+        const std::int64_t delivery_days = rng.range(1, 14);
+        const std::int64_t date = date_in_2008(rng);
+        out.add_row(offer_id(next), "Offer", product_id(p), vendor, price,
+                    from, to, delivery_days, "web", "gen", date);
+        commit_if_full(out);
         ++next;
       }
     }
+    out.commit();
     counts.offers = next;
   }
 
   // ---- Persons ---------------------------------------------------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Persons"));
+    TableAppender out(*t);
     for (std::size_t i = 0; i < config.num_persons; ++i) {
-      t->append_row_unchecked(std::vector<Value>{
-          vc(person_id(i)), vc("Person"), vc("N" + std::to_string(i % 100)),
-          vc("mb"), vc(pick_country(rng)), vc("gen"), date_in_2008(rng)});
+      const std::string country = pick_country(rng);
+      const std::int64_t date = date_in_2008(rng);
+      out.add_row(person_id(i), "Person", "N" + std::to_string(i % 100), "mb",
+                  country, "gen", date);
+      commit_if_full(out);
     }
+    out.commit();
     counts.persons = config.num_persons;
   }
 
   // ---- Reviews ---------------------------------------------------------------
   {
     GEMS_ASSIGN_OR_RETURN(TablePtr t, table("Reviews"));
+    TableAppender out(*t);
     std::size_t next = 0;
     for (std::size_t p = 0; p < config.num_products; ++p) {
       const std::size_t n = rng.below(
           static_cast<std::uint64_t>(2 * config.reviews_per_product) + 1);
       for (std::size_t k = 0; k < n; ++k) {
-        auto rating = [&]() {
+        auto rating = [&]() -> std::optional<std::int64_t> {
           // BSBM: some ratings are missing.
-          return rng.chance(0.2) ? Value::null()
-                                 : Value::int64(rng.range(1, 10));
+          if (rng.chance(0.2)) return std::nullopt;
+          return rng.range(1, 10);
         };
-        t->append_row_unchecked(std::vector<Value>{
-            vc(review_id(next)), vc("Review"), vc(product_id(p)),
-            vc(person_id(rng.below(config.num_persons))), date_in_2008(rng),
-            vc("T" + std::to_string(next % 100)), vc("txt"), rating(),
-            rating(), rating(), rating(), vc("gen"), date_in_2008(rng)});
+        const std::string person = person_id(rng.below(config.num_persons));
+        const std::int64_t review_date = date_in_2008(rng);
+        std::optional<std::int64_t> ratings[4];
+        for (auto& r : ratings) r = rating();
+        const std::int64_t date = date_in_2008(rng);
+        out.add_row(review_id(next), "Review", product_id(p), person,
+                    review_date, "T" + std::to_string(next % 100), "txt",
+                    ratings[0], ratings[1], ratings[2], ratings[3], "gen",
+                    date);
+        commit_if_full(out);
         ++next;
       }
     }
+    out.commit();
     counts.reviews = next;
   }
 

@@ -62,6 +62,14 @@ class IdTable {
     return kNone;
   }
 
+  /// Pulls the home slot of `hash` toward the cache ahead of a find() or
+  /// insert(); a batch of probes calls it a few entries ahead.
+  void prefetch(std::uint64_t hash) const noexcept {
+    if (!slots_.empty()) {
+      __builtin_prefetch(&slots_[tag_of(hash) & (slots_.size() - 1)]);
+    }
+  }
+
   /// Stores `id` (never kNone) under `hash`. The caller has just seen
   /// find() miss: the table keeps no keys, so it cannot check that itself.
   void insert(std::uint64_t hash, std::uint32_t id) {

@@ -46,9 +46,7 @@ StringId StringPool::find_locked(std::string_view s,
   return id == IdTable::kNone ? kInvalidStringId : id;
 }
 
-StringId StringPool::intern(std::string_view s) {
-  sync::MutexLock lock(mutex_);
-  const std::uint64_t hash = hash_string(s);
+StringId StringPool::intern_locked(std::string_view s, std::uint64_t hash) {
   const StringId found = find_locked(s, hash);
   if (found != kInvalidStringId) return found;
   // The index caps itself at 2^31 entries, well below kInvalidStringId.
@@ -59,9 +57,33 @@ StringId StringPool::intern(std::string_view s) {
   return id;
 }
 
-StringId StringPool::find(std::string_view s) const {
+StringId StringPool::intern(std::string_view s) {
+  const std::uint64_t hash = hash_string(s);
   sync::MutexLock lock(mutex_);
-  return find_locked(s, hash_string(s));
+  return intern_locked(s, hash);
+}
+
+void StringPool::intern_batch(std::span<const std::string_view> strings,
+                              StringId* ids) {
+  // Far enough ahead to hide a cache miss behind the probes in between.
+  constexpr std::size_t kPrefetchAhead = 8;
+  std::vector<std::uint64_t> hashes(strings.size());
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    hashes[i] = hash_string(strings[i]);
+  }
+  sync::MutexLock lock(mutex_);
+  for (std::size_t i = 0; i < strings.size(); ++i) {
+    if (i + kPrefetchAhead < strings.size()) {
+      index_.prefetch(hashes[i + kPrefetchAhead]);
+    }
+    ids[i] = intern_locked(strings[i], hashes[i]);
+  }
+}
+
+StringId StringPool::find(std::string_view s) const {
+  const std::uint64_t hash = hash_string(s);
+  sync::MutexLock lock(mutex_);
+  return find_locked(s, hash);
 }
 
 std::string_view StringPool::view(StringId id) const {

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -28,9 +29,9 @@ namespace gems {
 using StringId = std::uint32_t;
 inline constexpr StringId kInvalidStringId = 0xffffffffu;
 
-/// Thread-safe append-only interner. Every member takes one mutex; the
-/// views it hands out stay valid without it, because arena blocks never
-/// move or shrink for the pool's lifetime.
+/// Thread-safe append-only interner. Every member takes one mutex (hashing
+/// happens before it); the views it hands out stay valid without it,
+/// because arena blocks never move or shrink for the pool's lifetime.
 class StringPool {
  public:
   /// Characters per shared arena block.
@@ -43,6 +44,16 @@ class StringPool {
 
   /// Interns `s`, returning its id (existing or new).
   StringId intern(std::string_view s);
+
+  /// Interns `strings[i]` into `ids[i]`, in order, under one lock
+  /// acquisition. Ids, size(), byte_size() and memory_bytes() come out as
+  /// the same intern() calls in the same order would leave them (a repeat
+  /// inside the batch gets the id its first occurrence got). The strings
+  /// are hashed before the lock is taken, and each probe prefetches the
+  /// index slot of a string a few entries ahead. Bulk appends pass up to
+  /// kChunkRows strings per call (DESIGN.md §5m).
+  void intern_batch(std::span<const std::string_view> strings,
+                    StringId* ids);
 
   /// Returns the id of `s` if already interned, kInvalidStringId otherwise.
   /// Useful to prove a constant cannot match any row without scanning.
@@ -77,6 +88,8 @@ class StringPool {
 
  private:
   StringId find_locked(std::string_view s, std::uint64_t hash) const
+      GEMS_REQUIRES(mutex_);
+  StringId intern_locked(std::string_view s, std::uint64_t hash)
       GEMS_REQUIRES(mutex_);
   /// Copies `s` into the arena and returns the stable copy.
   std::string_view store(std::string_view s) GEMS_REQUIRES(mutex_);

@@ -30,6 +30,7 @@ using relational::AggSpec;
 using relational::BoundExprPtr;
 using relational::OutputColumn;
 using relational::SortKey;
+using storage::Column;
 using storage::ColumnDef;
 using storage::ColumnIndex;
 using storage::DataType;
@@ -361,7 +362,23 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
       stmt.into_name.empty() ? "result" : stmt.into_name, std::move(schema),
       *ctx.pool);
 
-  std::vector<Value> row(cols.size());
+  // A cell whose source column has the output column's kind is copied by
+  // id (the pool is shared, so string ids carry over); only NULLs and
+  // numeric promotion are boxed. The bytes equal boxing every cell, since
+  // re-interning an interned string returns its own id.
+  std::vector<Column*> out_cols(cols.size());
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    out_cols[c] = &out->column_mut(static_cast<ColumnIndex>(c));
+  }
+  auto append_cell = [&](Column& dst, const Table& src, RowIndex row,
+                         ColumnIndex column) {
+    const Column& from = src.column(column);
+    if (from.type().kind == dst.type().kind) {
+      dst.append_from(from, row);
+    } else {
+      dst.append_value(from.value_at(row, *ctx.pool), *ctx.pool);
+    }
+  };
   for (std::size_t n = 0; n < lowered.networks.size(); ++n) {
     const ConstraintNetwork& net = lowered.networks[n];
     const MatchResult& match = matches[n];
@@ -374,28 +391,31 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
                     std::span<const EdgeRef> edges) {
       for (std::size_t c = 0; c < cols.size(); ++c) {
         const ColSource& src = cols[c].per_network[n];
+        Column& dst = *out_cols[c];
         switch (src.kind) {
           case ColSource::Kind::kNone:
-            row[c] = Value::null();
+            dst.append_null();
             break;
           case ColSource::Kind::kVertex: {
             const VertexRef ref = vertices[src.index];
             const VertexType& vt = graph.vertex_type(ref.type);
-            row[c] = vt.source().value_at(vt.representative_row(ref.index),
-                                          src.column);
+            append_cell(dst, vt.source(), vt.representative_row(ref.index),
+                        src.column);
             break;
           }
           case ColSource::Kind::kEdge: {
             const EdgeRef ref = edges[src.index];
             const Table* attrs = graph.edge_type(ref.type).attr_table();
-            row[c] = attrs == nullptr
-                         ? Value::null()
-                         : attrs->value_at(ref.index, src.column);
+            if (attrs == nullptr) {
+              dst.append_null();
+            } else {
+              append_cell(dst, *attrs, ref.index, src.column);
+            }
             break;
           }
         }
       }
-      out->append_row_unchecked(row);
+      out->bump_row_count();
       return true;
     };
     GEMS_ASSIGN_OR_RETURN(

@@ -267,17 +267,26 @@ Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
       }
       auto table = std::make_shared<storage::Table>(
           std::move(table_name), std::move(schema).value(), pool);
+      // Each decoded row gets append_row's checks; the rows are appended
+      // in one commit once all have decoded.
+      storage::TableAppender staged(*table);
       std::vector<Value> row(table->num_columns());
       for (std::uint64_t rix = 0; rix < nrows; ++rix) {
         const std::size_t row_at = reader.pos();
         for (std::size_t c = 0; c < row.size(); ++c) {
           GEMS_ASSIGN_OR_RETURN(row[c], graql::decode_value(reader));
         }
-        const Status appended = table->append_row(row);
-        if (!appended.is_ok()) {
-          return reader.error_at(row_at, appended.message());
+        for (std::size_t c = 0; c < row.size(); ++c) {
+          const auto column = static_cast<storage::ColumnIndex>(c);
+          const Status checked = table->check_cell(column, row[c]);
+          if (!checked.is_ok()) {
+            return reader.error_at(row_at, checked.message());
+          }
+          staged.put_value(column, row[c]);
         }
+        staged.end_row();
       }
+      staged.commit();
       result.table = std::move(table);
     }
     GEMS_ASSIGN_OR_RETURN(bool has_subgraph, reader.boolean());

@@ -96,9 +96,14 @@ Result<std::vector<RawRecord>> tokenize(std::string_view text, char sep) {
   return records;
 }
 
-Result<Value> convert_field(std::string_view field, bool quoted,
-                            const DataType& type, std::size_t line) {
-  if (field.empty() && !quoted) return Value::null();
+/// Converts one field to column `c`'s type and stages it in `out`.
+Status stage_field(std::string_view field, bool quoted, ColumnIndex c,
+                   const DataType& type, std::size_t line,
+                   TableAppender& out) {
+  if (field.empty() && !quoted) {
+    out.put_null(c);
+    return Status::ok();
+  }
   auto fail = [&](std::string_view what) {
     return parse_error("line " + std::to_string(line) + ": cannot parse '" +
                        std::string(field) + "' as " + std::string(what));
@@ -106,10 +111,12 @@ Result<Value> convert_field(std::string_view field, bool quoted,
   switch (type.kind) {
     case TypeKind::kBool: {
       if (field == "true" || field == "1" || field == "TRUE") {
-        return Value::boolean(true);
+        out.put_bool(c, true);
+        return Status::ok();
       }
       if (field == "false" || field == "0" || field == "FALSE") {
-        return Value::boolean(false);
+        out.put_bool(c, false);
+        return Status::ok();
       }
       return fail("boolean");
     }
@@ -120,7 +127,8 @@ Result<Value> convert_field(std::string_view field, bool quoted,
       if (ec != std::errc() || ptr != field.data() + field.size()) {
         return fail("integer");
       }
-      return Value::int64(v);
+      out.put_int64(c, v);
+      return Status::ok();
     }
     case TypeKind::kDouble: {
       double v = 0;
@@ -129,12 +137,14 @@ Result<Value> convert_field(std::string_view field, bool quoted,
       if (ec != std::errc() || ptr != field.data() + field.size()) {
         return fail("float");
       }
-      return Value::float64(v);
+      out.put_double(c, v);
+      return Status::ok();
     }
     case TypeKind::kDate: {
       auto days = parse_date(field);
       if (!days.is_ok()) return fail("date (YYYY-MM-DD)");
-      return Value::date(days.value());
+      out.put_int64(c, days.value());
+      return Status::ok();
     }
     case TypeKind::kVarchar: {
       if (field.size() > type.varchar_length) {
@@ -142,7 +152,8 @@ Result<Value> convert_field(std::string_view field, bool quoted,
                            std::string(field) + "' exceeds " +
                            type.to_string());
       }
-      return Value::varchar(std::string(field));
+      out.put_string(c, field);
+      return Status::ok();
     }
   }
   GEMS_UNREACHABLE("bad type kind");
@@ -200,9 +211,10 @@ Result<CsvIngestStats> ingest_csv_text(Table& table, std::string_view text,
     }
   }
 
-  // Stage all rows first so that ingest is atomic (paper Sec. II-A2).
-  std::vector<std::vector<Value>> staged;
-  staged.reserve(records.size() - first_record);
+  // Stage every row before appending any, so that ingest is atomic (paper
+  // Sec. II-A2): a failed ingest leaves the table and the string pool as
+  // they were.
+  TableAppender staged(table);
   for (std::size_t r = first_record; r < records.size(); ++r) {
     const RawRecord& rec = records[r];
     if (rec.fields.size() != arity) {
@@ -210,17 +222,16 @@ Result<CsvIngestStats> ingest_csv_text(Table& table, std::string_view text,
                          std::to_string(arity) + " fields, found " +
                          std::to_string(rec.fields.size()));
     }
-    std::vector<Value> row(arity);
     for (std::size_t f = 0; f < arity; ++f) {
-      const DataType& type = schema.column(order[f]).type;
-      GEMS_ASSIGN_OR_RETURN(
-          row[order[f]],
-          convert_field(rec.fields[f], rec.quoted[f], type, rec.line));
+      GEMS_RETURN_IF_ERROR(stage_field(rec.fields[f], rec.quoted[f], order[f],
+                                       schema.column(order[f]).type,
+                                       rec.line, staged));
     }
-    staged.push_back(std::move(row));
+    staged.end_row();
   }
-  for (const auto& row : staged) table.append_row_unchecked(row);
-  return CsvIngestStats{staged.size(), text.size()};
+  const std::size_t rows = staged.staged_rows();
+  staged.commit();
+  return CsvIngestStats{rows, text.size()};
 }
 
 Result<CsvIngestStats> ingest_csv_file(Table& table, const std::string& path,

@@ -4,8 +4,10 @@
 #pragma once
 
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.hpp"
@@ -33,6 +35,10 @@ class Table {
 
   /// Appends one row after validating arity, kinds and varchar lengths.
   Status append_row(std::span<const Value> values);
+
+  /// The per-cell check append_row makes: `v` is NULL or fits column `c`'s
+  /// kind (an int64 also fits a double column) and varchar length.
+  Status check_cell(ColumnIndex c, const Value& v) const;
 
   /// Unchecked fast-path append used by generators and operators that have
   /// already validated types.
@@ -84,5 +90,84 @@ class Table {
 };
 
 using TablePtr = std::shared_ptr<Table>;
+
+/// The bulk-append path (DESIGN.md §5n). Stages cells for one table in
+/// typed lanes, with no Value boxing, and appends them all in commit().
+/// Each column receives exactly one cell per row; within a row the cells
+/// may arrive in any column order. Callers have validated kinds and
+/// varchar lengths (Table::check_cell), as for append_row_unchecked.
+///
+/// Strings are interned only in commit(), in (row, column index) order,
+/// kChunkRows at a time through StringPool::intern_batch. So committing
+/// rows gives the table and the pool exactly the bytes and ids that
+/// append_row_unchecked of the same rows gives, and discarding an
+/// appender leaves both untouched.
+class TableAppender {
+ public:
+  explicit TableAppender(Table& table);
+
+  std::size_t staged_rows() const noexcept { return rows_; }
+
+  // One cell of column `c` in the row being staged. put_int64 serves Int64
+  // and Date columns.
+  void put_null(ColumnIndex c);
+  void put_int64(ColumnIndex c, std::int64_t v);
+  void put_double(ColumnIndex c, double v);
+  void put_bool(ColumnIndex c, bool v);
+  void put_string(ColumnIndex c, std::string_view s);
+  /// A boxed cell (promoting an int64 into a double column).
+  void put_value(ColumnIndex c, const Value& v);
+
+  /// Ends the staged row; every column must have its cell.
+  void end_row();
+
+  /// Stages one row whose cells are given in column order, then ends it.
+  /// Arguments are evaluated in no fixed order, so a caller passes
+  /// finished values, not calls that draw from a shared generator.
+  template <typename... Cells>
+  void add_row(const Cells&... cells) {
+    GEMS_DCHECK(sizeof...(cells) == lanes_.size());
+    ColumnIndex c = 0;
+    (put(c++, cells), ...);
+    end_row();
+  }
+
+  /// Appends every staged row to the table and empties the stage.
+  void commit();
+
+ private:
+  struct Slot {
+    std::size_t offset = 0;
+    std::size_t size = 0;
+  };
+  /// One column's staged cells; only the payload lane of its kind is used.
+  struct Lane {
+    TypeKind kind = TypeKind::kInt64;
+    std::size_t cells = 0;
+    std::vector<std::uint64_t> valid;  // validity words
+    std::vector<std::int64_t> ints;    // Int64, Date
+    std::vector<double> doubles;
+    std::vector<std::uint64_t> bits;  // Bool values, packed
+    std::vector<Slot> slots;          // Varchar: a range of bytes_
+    std::vector<StringId> ids;        // Varchar: filled by commit()
+  };
+
+  Lane& next_cell(ColumnIndex c, TypeKind kind, bool valid);
+
+  void put(ColumnIndex c, std::string_view s) { put_string(c, s); }
+  void put(ColumnIndex c, std::int64_t v) { put_int64(c, v); }
+  void put(ColumnIndex c, double v) { put_double(c, v); }
+  void put(ColumnIndex c, std::nullopt_t) { put_null(c); }
+  template <typename T>
+  void put(ColumnIndex c, const std::optional<T>& v) {
+    v ? put(c, *v) : put_null(c);
+  }
+
+  Table* table_;
+  std::vector<Lane> lanes_;
+  std::vector<ColumnIndex> varchar_columns_;
+  std::string bytes_;  // staged string bytes
+  std::size_t rows_ = 0;
+};
 
 }  // namespace gems::storage

@@ -53,6 +53,12 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx) {
                     " != table '" + table_name + "' arity " +
                     std::to_string((*table)->num_columns()));
   }
+  // Rows are staged and appended once the whole record has decoded, as a
+  // live ingest appends its file. Each decoded row gets append_row's
+  // checks, so corrupted values that survive the CRC (or a schema drift
+  // bug) surface as a typed error instead of poisoning the column data.
+  storage::Table& t = **table;
+  storage::TableAppender staged(t);
   std::vector<storage::Value> row(ncols);
   for (std::uint64_t i = 0; i < nrows; ++i) {
     for (std::uint32_t c = 0; c < ncols; ++c) {
@@ -60,14 +66,16 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx) {
       if (!value.is_ok()) return value.status().with_context(where);
       row[c] = std::move(value).value();
     }
-    // append_row re-validates kinds and varchar lengths, so corrupted
-    // values that survive the CRC (or a schema drift bug) surface as a
-    // typed error instead of poisoning the column data.
-    GEMS_RETURN_IF_ERROR((*table)->append_row(row).with_context(where));
+    for (std::uint32_t c = 0; c < ncols; ++c) {
+      const auto column = static_cast<storage::ColumnIndex>(c);
+      GEMS_RETURN_IF_ERROR(t.check_cell(column, row[c]).with_context(where));
+      staged.put_value(column, row[c]);
+    }
+    staged.end_row();
   }
   GEMS_RETURN_IF_ERROR(r.expect_end("the declared rows").with_context(where));
-  const auto first_new_row =
-      static_cast<storage::RowIndex>((*table)->num_rows() - nrows);
+  const auto first_new_row = static_cast<storage::RowIndex>(t.num_rows());
+  staged.commit();
   return ctx.maintain_graph_after_ingest(table_name, first_new_row)
       .with_context(where);
 }

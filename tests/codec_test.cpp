@@ -161,6 +161,16 @@ server::Database& berlin_db() {
   return *db;
 }
 
+const std::vector<std::uint8_t>& berlin2000_snapshot() {
+  static const std::vector<std::uint8_t> image = [] {
+    auto built =
+        bsbm::make_populated_database(bsbm::GeneratorConfig::derive(2000, 3));
+    GEMS_CHECK_MSG(built.is_ok(), built.status().to_string().c_str());
+    return (*built)->snapshot_bytes();
+  }();
+  return image;
+}
+
 /// A distributed match at two ranks on the Berlin graph: the merged
 /// domains and each rank's recorded send stream.
 struct DistRun {
@@ -346,9 +356,12 @@ std::vector<Encoding> golden_encodings() {
   net::encode_snapshot(golden_stats(), stats);
   add("stats", stats);
 
-  // Store: a WAL file and the Berlin snapshot at scale 200, seed 3.
+  // Store: a WAL file and the Berlin snapshot at scales 200 and 2000,
+  // seed 3. Scale 2000 fills its tables across many 1024-row commits of
+  // the generator's appenders.
   add("wal", golden_wal());
   add("snapshot.berlin200", berlin_db().snapshot_bytes());
+  add("snapshot.berlin2000", berlin2000_snapshot());
 
   // Dist: the domain hand-back and the rank send streams.
   const DistRun run = golden_dist_run();
@@ -401,6 +414,7 @@ constexpr Golden kGolden[] = {
     {"stats", 517, 615417833u},
     {"wal", 251, 2935829596u},
     {"snapshot.berlin200", 336925, 2944471296u},
+    {"snapshot.berlin2000", 3201251, 3852771942u},
     {"dist.domains", 44, 749263383u},
     {"dist.transcript.0", 88, 3601321035u},
     {"dist.transcript.1", 124, 893424611u},
@@ -437,8 +451,8 @@ TEST(CodecGoldenTest, BerlinSnapshotAtScale200) {
 // Every truncation and every single-bit flip of each golden encoding, fed
 // to that encoding's decoder, must yield a value or a typed error — never
 // a crash or undefined behavior (the ASan/UBSan job runs this test). The
-// Berlin snapshot is left out: it is 2.7 million flips, each a full-image
-// CRC; store_test sweeps snapshot corruption at a stride instead.
+// Berlin snapshots are left out: the smaller is 2.7 million flips, each a
+// full-image CRC; store_test sweeps snapshot corruption at a stride instead.
 
 struct Sweep {
   std::function<Status(std::span<const std::uint8_t>)> decode;
@@ -510,7 +524,7 @@ Status decode_transcript(std::span<const std::uint8_t> bytes,
 }
 
 /// The decoder of the golden encoding `name`; no decoder for the empty
-/// request payloads and the snapshot.
+/// request payloads and the snapshots.
 std::optional<Sweep> sweep_for(const std::string& name, const DistRun& run,
                                StringPool& pool) {
   using Bytes = std::span<const std::uint8_t>;
@@ -715,7 +729,7 @@ TEST(CodecMutationTest, EveryTruncationAndBitFlipDecodesOrFailsTyped) {
       flipped[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     }
   }
-  EXPECT_EQ(swept, std::size(kGolden) - 4);  // 3 empty requests, snapshot
+  EXPECT_EQ(swept, std::size(kGolden) - 5);  // 3 empty requests, 2 snapshots
 }
 
 }  // namespace

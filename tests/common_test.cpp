@@ -381,6 +381,113 @@ TEST(StringPoolTest, ConcurrentInternAndView) {
   }
 }
 
+/// A string list with repeats (inside one batch and across batches), empty
+/// strings, strings longer than an arena block, and enough characters to
+/// fill many blocks.
+std::vector<std::string> batch_keys() {
+  std::vector<std::string> keys;
+  for (std::size_t i = 0; i < 6000; ++i) {
+    keys.push_back(pool_key(i * 7919 % 4000));  // 2000 repeats
+    if (i % 500 == 0) keys.emplace_back();
+    if (i % 1500 == 7) {
+      keys.emplace_back(StringPool::kBlockBytes + 1 + i, 'L');
+    }
+  }
+  keys.emplace_back(StringPool::kBlockBytes + 8, 'L');  // a repeat, in full
+  return keys;
+}
+
+void expect_same_pool(const StringPool& a, const StringPool& b) {
+  EXPECT_EQ(a.size(), b.size());
+  EXPECT_EQ(a.byte_size(), b.byte_size());
+  EXPECT_EQ(a.memory_bytes(), b.memory_bytes());
+  std::vector<std::string> in_a, in_b;
+  a.for_each([&](StringId, std::string_view s) { in_a.emplace_back(s); });
+  b.for_each([&](StringId, std::string_view s) { in_b.emplace_back(s); });
+  EXPECT_EQ(in_a, in_b);
+}
+
+TEST(StringPoolTest, InternBatchMatchesSequentialIntern) {
+  const std::vector<std::string> keys = batch_keys();
+  StringPool sequential;
+  std::vector<StringId> want;
+  for (const std::string& k : keys) want.push_back(sequential.intern(k));
+
+  for (const std::size_t batch : {1ul, 7ul, 1024ul, keys.size()}) {
+    StringPool batched;
+    std::vector<StringId> got(keys.size(), kInvalidStringId);
+    for (std::size_t at = 0; at < keys.size(); at += batch) {
+      const std::size_t n = std::min(batch, keys.size() - at);
+      const std::vector<std::string_view> views(keys.begin() + at,
+                                                keys.begin() + at + n);
+      batched.intern_batch(views, got.data() + at);
+    }
+    EXPECT_EQ(got, want) << "batch " << batch;
+    expect_same_pool(batched, sequential);
+  }
+}
+
+TEST(StringPoolTest, InternBatchRepeatsInsideOneBatch) {
+  StringPool pool;
+  const std::string big(StringPool::kBlockBytes * 2, 'x');
+  const std::vector<std::string_view> batch = {"a", "", "b", "a", big,
+                                               "",  "b", big, "c"};
+  std::vector<StringId> ids(batch.size());
+  pool.intern_batch(batch, ids.data());
+  EXPECT_EQ(ids, (std::vector<StringId>{0, 1, 2, 0, 3, 1, 2, 3, 4}));
+  EXPECT_EQ(pool.size(), 5u);
+  EXPECT_EQ(pool.byte_size(), 3 + big.size());
+  EXPECT_EQ(pool.view(3), big);
+  EXPECT_EQ(pool.view(1), "");
+  pool.intern_batch({}, nullptr);  // an empty batch changes nothing
+  EXPECT_EQ(pool.size(), 5u);
+}
+
+TEST(StringPoolTest, InternBatchConcurrentWithIntern) {
+  // Four threads intern one overlapping key set, two one key at a time and
+  // two in batches, each starting at a different key. Every key must end
+  // up with exactly one id, whichever path interned it first.
+  StringPool pool;
+  constexpr int kThreads = 4;
+  constexpr std::size_t kKeys = 20000;
+  std::vector<std::vector<StringId>> seen(kThreads,
+                                          std::vector<StringId>(kKeys));
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      const std::size_t start = static_cast<std::size_t>(t) * 5000;
+      std::vector<std::string> keys;
+      std::vector<std::size_t> index;
+      auto flush = [&] {
+        const std::vector<std::string_view> views(keys.begin(), keys.end());
+        std::vector<StringId> ids(views.size());
+        pool.intern_batch(views, ids.data());
+        for (std::size_t k = 0; k < ids.size(); ++k) seen[t][index[k]] = ids[k];
+        keys.clear();
+        index.clear();
+      };
+      for (std::size_t n = 0; n < kKeys; ++n) {
+        const std::size_t i = (start + n) % kKeys;
+        if (t % 2 == 0) {
+          seen[t][i] = pool.intern(pool_key(i));
+          continue;
+        }
+        keys.push_back(pool_key(i));
+        index.push_back(i);
+        if (keys.size() == 300) flush();
+      }
+      flush();
+    });
+  }
+  for (auto& th : threads) th.join();
+  EXPECT_EQ(pool.size(), kKeys);
+  for (std::size_t i = 0; i < kKeys; ++i) {
+    const StringId id = pool.find(pool_key(i));
+    ASSERT_NE(id, kInvalidStringId);
+    for (int t = 0; t < kThreads; ++t) ASSERT_EQ(seen[t][i], id) << i;
+  }
+}
+
 // ---- IdTable ----------------------------------------------------------------
 
 // ---- ChunkedArray ----------------------------------------------------------

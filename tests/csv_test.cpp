@@ -1,10 +1,13 @@
 // Tests for CSV ingest/export (paper Sec. II-A2 data-ingest semantics):
-// typed parsing, RFC 4180 quoting, atomicity, header handling, round-trip.
+// typed parsing, RFC 4180 quoting, atomicity (table and string pool),
+// header handling and the string ids it gives, round-trip.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "storage/csv.hpp"
 
@@ -120,6 +123,69 @@ TEST_F(CsvTest, IngestIsAtomicOnError) {
                    .is_ok());
   // Paper Sec. II-A2: ingest is atomic; the good first row must not stick.
   EXPECT_EQ(t.num_rows(), 0u);
+}
+
+TEST_F(CsvTest, FailedIngestLeavesPoolUnchanged) {
+  Table t("Offers", offers_schema(), pool_);
+  pool_.intern("o0");
+  const std::size_t strings = pool_.size();
+  // Two new strings convert before the bad field on line 3.
+  auto r = ingest_csv_text(t,
+                           "o1,1.0,1,2008-01-01\n"
+                           "o2,2.0,2,2008-01-02\n"
+                           "o3,3.0,x,2008-01-03\n");
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_NE(r.status().message().find("line 3"), std::string::npos)
+      << r.status().to_string();
+  EXPECT_EQ(t.num_rows(), 0u);
+  EXPECT_EQ(pool_.size(), strings);
+  EXPECT_EQ(pool_.find("o1"), kInvalidStringId);
+}
+
+TEST_F(CsvTest, HeaderReorderedFileGivesColumnOrderIds) {
+  // Two varchar columns whose first strings differ: the header puts b
+  // before a, but ids still follow (row, column) order.
+  const Schema schema({{"a", DataType::varchar(8)},
+                       {"n", DataType::int64()},
+                       {"b", DataType::varchar(8)}});
+  StringPool in_order_pool;
+  Table in_order("T", schema, in_order_pool);
+  ASSERT_TRUE(ingest_csv_text(in_order,
+                              "x1,1,y1\n"
+                              "y1,2,x2\n"
+                              ",3,z3\n")
+                  .is_ok());
+  StringPool reordered_pool;
+  Table reordered("T", schema, reordered_pool);
+  CsvOptions opts;
+  opts.has_header = true;
+  ASSERT_TRUE(ingest_csv_text(reordered,
+                              "b,n,a\n"
+                              "y1,1,x1\n"
+                              "x2,2,y1\n"
+                              "z3,3,\n",
+                              opts)
+                  .is_ok());
+  ASSERT_EQ(reordered.num_rows(), 3u);
+  EXPECT_EQ(in_order_pool.view(0), "x1");
+  for (const ColumnIndex c : {0, 2}) {
+    for (RowIndex r = 0; r < 3; ++r) {
+      const Column& want = in_order.column(c);
+      const Column& got = reordered.column(c);
+      EXPECT_EQ(got.is_null(r), want.is_null(r)) << r << "," << c;
+      if (!want.is_null(r)) {
+        EXPECT_EQ(got.string_at(r), want.string_at(r)) << r << "," << c;
+      }
+    }
+  }
+  std::vector<std::string> a, b;
+  in_order_pool.for_each([&](StringId, std::string_view s) {
+    a.emplace_back(s);
+  });
+  reordered_pool.for_each([&](StringId, std::string_view s) {
+    b.emplace_back(s);
+  });
+  EXPECT_EQ(a, b);
 }
 
 TEST_F(CsvTest, ArityMismatchRejected) {

@@ -1,13 +1,18 @@
 // Unit tests for src/storage: data types, dates, values, schemas, columns,
 // tables and the table catalog, including the chunked column layout: clones
 // share sealed chunks, appends to a clone never reach the source, and row-
-// and batch-built tables encode to the same snapshot bytes.
+// and batch-built tables encode to the same snapshot bytes. The bulk
+// TableAppender gives the bytes and string ids that row appends give.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
+#include <optional>
+#include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -532,6 +537,231 @@ TEST_F(ChunkedTableTest, ReadersScanPinnedTableWhileWriterClonesAndAppends) {
   done.store(true);
   for (auto& t : readers) t.join();
   expect_rows(*published, 5000);
+}
+
+// ---- TableAppender ----------------------------------------------------------
+
+/// Rows over every type with two varchar columns drawing on one key space,
+/// so the order in which a row's strings are interned decides their ids,
+/// and NULLs at a density of 0, 1/2 or 1.
+class TableAppenderTest : public ::testing::Test {
+ protected:
+  static constexpr std::size_t kSizes[] = {0, 1, 1023, 1024, 1025, 3000};
+  enum Density { kNoNulls, kHalfNulls, kAllNulls };
+  static constexpr Density kDensities[] = {kNoNulls, kHalfNulls, kAllNulls};
+  static constexpr ColumnIndex kColumnOrder[] = {0, 1, 2, 3, 4, 5};
+  static constexpr std::size_t kOneCommit = ~std::size_t{0};
+
+  static Schema schema() {
+    return Schema({{"b", DataType::boolean()},
+                   {"s", DataType::varchar(6)},
+                   {"i", DataType::int64()},
+                   {"x", DataType::float64()},
+                   {"t", DataType::varchar(6)},
+                   {"d", DataType::date()}});
+  }
+
+  static bool null_at(std::size_t r, std::size_t c, Density density) {
+    if (density != kHalfNulls) return density == kAllNulls;
+    return ((r * 0x9E3779B97F4A7C15ull + c * 0xC2B2AE3D27D4EB4Full) >> 63) !=
+           0;
+  }
+
+  static Value cell(std::size_t r, std::size_t c, Density density) {
+    if (null_at(r, c, density)) return Value::null();
+    switch (c) {
+      case 0:
+        return Value::boolean(r % 3 == 1);
+      case 1:
+        return Value::varchar("k" + std::to_string(r * 7 % 601));
+      case 2:
+        return Value::int64(static_cast<std::int64_t>(r) * 5 - 700);
+      case 3:
+        return Value::float64(static_cast<double>(r) * 0.25 - 3.5);
+      case 4:
+        return Value::varchar("k" + std::to_string((r * 13 + 5) % 997));
+      default:
+        return Value::date(static_cast<std::int64_t>(r % 500) - 100);
+    }
+  }
+
+  /// Snapshot bytes of a one-table database: the pool's strings in id
+  /// order, then each column's payload and validity words.
+  static std::vector<std::uint8_t> snapshot_of(StringPool& pool,
+                                               const TablePtr& t) {
+    exec::ExecContext ctx;
+    ctx.pool = &pool;
+    EXPECT_TRUE(ctx.tables.add(t).is_ok());
+    return store::encode_snapshot(ctx, 0);
+  }
+
+  static void append_rows(Table& t, std::size_t first, std::size_t n,
+                          Density density) {
+    for (std::size_t r = first; r < first + n; ++r) {
+      std::vector<Value> row;
+      for (std::size_t c = 0; c < 6; ++c) row.push_back(cell(r, c, density));
+      t.append_row_unchecked(row);
+    }
+  }
+
+  /// The reference: append_row_unchecked row by row, on a fresh pool.
+  static std::vector<std::uint8_t> by_rows(std::size_t n, Density density) {
+    StringPool pool;
+    auto t = std::make_shared<Table>("T", schema(), pool);
+    append_rows(*t, 0, n, density);
+    return snapshot_of(pool, t);
+  }
+
+  /// Stages row r's cell of column c through the typed setter.
+  static void put_typed(TableAppender& out, std::size_t r, ColumnIndex c,
+                        Density density) {
+    const Value v = cell(r, c, density);
+    if (v.is_null()) {
+      out.put_null(c);
+      return;
+    }
+    switch (c) {
+      case 0:
+        out.put_bool(c, v.as_bool());
+        break;
+      case 1:
+      case 4:
+        out.put_string(c, v.as_string());
+        break;
+      case 3:
+        out.put_double(c, v.as_double());
+        break;
+      default:
+        out.put_int64(c, v.as_int64());
+        break;
+    }
+  }
+
+  /// The rows staged with their cells in `order`, committed every
+  /// `stride` rows and at the end, on a fresh pool.
+  static std::vector<std::uint8_t> by_appender(
+      std::size_t n, Density density, std::span<const ColumnIndex> order,
+      std::size_t stride) {
+    StringPool pool;
+    auto t = std::make_shared<Table>("T", schema(), pool);
+    TableAppender out(*t);
+    for (std::size_t r = 0; r < n; ++r) {
+      for (const ColumnIndex c : order) put_typed(out, r, c, density);
+      out.end_row();
+      if (out.staged_rows() == stride) out.commit();
+    }
+    out.commit();
+    EXPECT_EQ(t->num_rows(), n);
+    return snapshot_of(pool, t);
+  }
+};
+
+TEST_F(TableAppenderTest, MatchesRowAppendForEveryTypeDensityAndSize) {
+  for (const std::size_t n : kSizes) {
+    for (const Density density : kDensities) {
+      const std::vector<std::uint8_t> want = by_rows(n, density);
+      for (const std::size_t stride : {kOneCommit, kChunkRows, 1000ul}) {
+        EXPECT_EQ(by_appender(n, density, kColumnOrder, stride), want)
+            << n << " rows, density " << density << ", stride " << stride;
+      }
+    }
+  }
+}
+
+TEST_F(TableAppenderTest, ReorderedCellsInternInColumnOrder) {
+  // Column t's cell arrives before column s's, as a CSV header may order
+  // them; the ids must still follow (row, column index) order.
+  constexpr ColumnIndex kReordered[] = {4, 5, 3, 1, 0, 2};
+  for (const std::size_t n : kSizes) {
+    for (const Density density : kDensities) {
+      EXPECT_EQ(by_appender(n, density, kReordered, kOneCommit),
+                by_rows(n, density))
+          << n << " rows, density " << density;
+    }
+  }
+  StringPool pool;
+  Table t("T", schema(), pool);
+  TableAppender out(t);
+  for (const ColumnIndex c : kReordered) put_typed(out, 0, c, kNoNulls);
+  out.end_row();
+  out.commit();
+  EXPECT_EQ(pool.view(0), "k0");  // column s of row 0
+  EXPECT_EQ(pool.view(1), "k5");  // column t of row 0
+}
+
+TEST_F(TableAppenderTest, PutValueAndAddRowMatchRowAppend) {
+  const Schema small({{"s", DataType::varchar(4)},
+                      {"i", DataType::int64()},
+                      {"x", DataType::float64()}});
+  const std::vector<std::vector<Value>> rows = {
+      {Value::varchar("a"), Value::int64(1), Value::float64(2.5)},
+      {Value::varchar("b"), Value::null(), Value::int64(3)},  // promoted
+      {Value::null(), Value::int64(-4), Value::null()},
+      {Value::varchar("a"), Value::int64(5), Value::float64(-0.0)}};
+  StringPool want_pool;
+  auto want = std::make_shared<Table>("T", small, want_pool);
+  for (const auto& row : rows) want->append_row_unchecked(row);
+
+  StringPool boxed_pool;
+  auto boxed = std::make_shared<Table>("T", small, boxed_pool);
+  TableAppender boxed_out(*boxed);
+  for (const auto& row : rows) {
+    for (ColumnIndex c = 0; c < 3; ++c) boxed_out.put_value(c, row[c]);
+    boxed_out.end_row();
+  }
+  boxed_out.commit();
+
+  StringPool typed_pool;
+  auto typed = std::make_shared<Table>("T", small, typed_pool);
+  TableAppender typed_out(*typed);
+  typed_out.add_row("a", std::int64_t{1}, 2.5);
+  typed_out.add_row(std::string("b"), std::optional<std::int64_t>(), 3.0);
+  typed_out.add_row(std::nullopt, std::int64_t{-4}, std::nullopt);
+  typed_out.add_row(std::string_view("a"), std::optional<std::int64_t>(5),
+                    -0.0);
+  typed_out.commit();
+
+  const std::vector<std::uint8_t> bytes = snapshot_of(want_pool, want);
+  EXPECT_EQ(snapshot_of(boxed_pool, boxed), bytes);
+  EXPECT_EQ(snapshot_of(typed_pool, typed), bytes);
+}
+
+TEST_F(TableAppenderTest, AppendsAfterRowsAlreadyInTheTable) {
+  // 100 rows put the table off every word and chunk boundary first.
+  for (const Density density : kDensities) {
+    StringPool pool;
+    auto t = std::make_shared<Table>("T", schema(), pool);
+    append_rows(*t, 0, 100, density);
+    TableAppender out(*t);
+    for (std::size_t r = 100; r < 2100; ++r) {
+      for (const ColumnIndex c : kColumnOrder) put_typed(out, r, c, density);
+      out.end_row();
+    }
+    out.commit();
+    EXPECT_EQ(snapshot_of(pool, t), by_rows(2100, density))
+        << "density " << density;
+  }
+}
+
+TEST_F(TableAppenderTest, UncommittedRowsLeaveTableAndPoolUnchanged) {
+  StringPool pool;
+  auto t = std::make_shared<Table>("T", schema(), pool);
+  append_rows(*t, 0, 10, kNoNulls);
+  const std::vector<std::uint8_t> before = snapshot_of(pool, t);
+  const std::size_t strings = pool.size();
+  {
+    TableAppender out(*t);
+    for (std::size_t r = 10; r < 3000; ++r) {
+      for (const ColumnIndex c : kColumnOrder) put_typed(out, r, c, kNoNulls);
+      out.end_row();
+    }
+    EXPECT_EQ(out.staged_rows(), 2990u);
+  }
+  TableAppender empty(*t);
+  empty.commit();
+  EXPECT_EQ(t->num_rows(), 10u);
+  EXPECT_EQ(pool.size(), strings);
+  EXPECT_EQ(snapshot_of(pool, t), before);
 }
 
 }  // namespace
