@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <tuple>
 #include <utility>
 
 #include "bsbm/generator.hpp"
@@ -15,18 +16,22 @@
 
 namespace gems::bench {
 
-/// A populated Berlin database at the given product scale factor, built
-/// once per process and shared by all benchmark iterations.
+/// A populated Berlin database at the given product scale factor, with
+/// `intra_node_threads` intra-node workers (0 = serial), built once per
+/// process and shared by all benchmark iterations.
 inline server::Database& berlin_db(std::size_t scale,
-                                   std::uint64_t seed = 42) {
-  static std::map<std::pair<std::size_t, std::uint64_t>,
+                                   std::uint64_t seed = 42,
+                                   std::size_t intra_node_threads = 0) {
+  static std::map<std::tuple<std::size_t, std::uint64_t, std::size_t>,
                   std::unique_ptr<server::Database>>
       cache;
-  const auto key = std::make_pair(scale, seed);
+  const auto key = std::make_tuple(scale, seed, intra_node_threads);
   auto it = cache.find(key);
   if (it == cache.end()) {
+    server::DatabaseOptions options;
+    options.intra_node_threads = intra_node_threads;
     auto db = bsbm::make_populated_database(
-        bsbm::GeneratorConfig::derive(scale, seed));
+        bsbm::GeneratorConfig::derive(scale, seed), options);
     GEMS_CHECK_MSG(db.is_ok(), db.status().to_string().c_str());
     it = cache.emplace(key, std::move(db).value()).first;
   }

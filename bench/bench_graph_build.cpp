@@ -100,9 +100,12 @@ BENCHMARK(BM_GraphBuild_AssocTableEdge)->Arg(2000)->Arg(10000)->Arg(50000)
     ->Unit(benchmark::kMillisecond);
 
 // Ingest's full derived-view regeneration: all 10 vertex types + 9 edge
-// types + the country view (Sec. II-A2).
+// types + the country view (Sec. II-A2). Args: scale, intra-node threads
+// (0 builds every type on the calling thread; 4 fans them out).
 void BM_GraphBuild_FullBerlinRebuild(benchmark::State& state) {
-  server::Database& db = berlin_db(static_cast<std::size_t>(state.range(0)));
+  server::Database& db =
+      berlin_db(static_cast<std::size_t>(state.range(0)), 42,
+                static_cast<std::size_t>(state.range(1)));
   for (auto _ : state) {
     GEMS_CHECK(db.context().rebuild_graph().is_ok());
     benchmark::DoNotOptimize(db.graph().total_edges());
@@ -112,7 +115,10 @@ void BM_GraphBuild_FullBerlinRebuild(benchmark::State& state) {
   state.counters["total_edges"] =
       static_cast<double>(db.graph().total_edges());
 }
-BENCHMARK(BM_GraphBuild_FullBerlinRebuild)->Arg(500)->Arg(2000)->Arg(10000)
+BENCHMARK(BM_GraphBuild_FullBerlinRebuild)
+    ->ArgsProduct({{500, 2000, 10000, 40000}, {0, 4}})
+    ->ArgNames({"scale", "threads"})
+    ->UseRealTime()
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -12,10 +12,17 @@
 // capacity is a function of the entry count only (the smallest power of
 // two, at least kMinCapacity, holding it at load <= 1/2), however the
 // entries arrived: one by one, or after a reserve.
+//
+// The slots come from a std::pmr resource, the default heap unless the
+// table is constructed with another. A graph build fills a vertex key
+// index reserved in its scratch arena and keeps its compacted() copy
+// (DESIGN.md §5n).
 #pragma once
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <memory_resource>
 #include <vector>
 
 #include "common/check.hpp"
@@ -27,6 +34,10 @@ class IdTable {
   /// Marks an empty slot, and is what find() returns for an absent key.
   static constexpr std::uint32_t kNone = 0xffffffffu;
   static constexpr std::size_t kMinCapacity = 16;
+
+  IdTable() = default;
+  /// An empty table whose slots come from `memory`.
+  explicit IdTable(std::pmr::memory_resource* memory) : slots_(memory) {}
 
   std::size_t size() const noexcept { return size_; }
 
@@ -42,11 +53,27 @@ class IdTable {
     if (2 * n <= slots_.size()) return;
     std::size_t capacity = slots_.empty() ? kMinCapacity : slots_.size();
     while (capacity < 2 * n) capacity *= 2;
-    std::vector<Slot> old(capacity, Slot{});
+    std::pmr::vector<Slot> old(capacity, Slot{}, slots_.get_allocator());
     old.swap(slots_);
     for (const Slot& s : old) {
       if (s.id != kNone) slots_[empty_slot(s.tag)] = s;
     }
+  }
+
+  /// A copy on the default heap at the capacity that size() alone calls
+  /// for, however far this table was reserved beyond it.
+  IdTable compacted() const {
+    IdTable out;
+    out.reserve(size_);
+    if (out.slots_.size() == slots_.size()) {
+      std::copy(slots_.begin(), slots_.end(), out.slots_.begin());
+    } else {
+      for (const Slot& s : slots_) {
+        if (s.id != kNone) out.slots_[out.empty_slot(s.tag)] = s;
+      }
+    }
+    out.size_ = size_;
+    return out;
   }
 
   /// The id stored under `hash` for which `equal(id)` holds, or kNone.
@@ -98,7 +125,7 @@ class IdTable {
     return i;
   }
 
-  std::vector<Slot> slots_;
+  std::pmr::vector<Slot> slots_;
   std::size_t size_ = 0;
 };
 

@@ -26,6 +26,14 @@ class ThreadPool {
 
   std::size_t size() const noexcept { return workers_.size(); }
 
+  /// The pool whose worker thread is calling, nullptr on any other thread.
+  /// A task that waits on futures of its own pool deadlocks it once every
+  /// worker waits, so fan-out code checks this before it submits and waits.
+  static ThreadPool* current() noexcept;
+  /// The calling worker's index in [0, size()) of current(); 0 on any
+  /// other thread. Lets a task pick per-worker scratch state.
+  static std::size_t current_worker() noexcept;
+
   /// Enqueues a task; the returned future reports completion/exceptions.
   template <typename Fn>
   std::future<void> submit(Fn&& fn) {
@@ -55,7 +63,7 @@ class ThreadPool {
       const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
  private:
-  void worker_loop();
+  void worker_loop(std::size_t index);
 
   sync::Mutex mutex_;
   sync::CondVar cv_;

@@ -821,16 +821,13 @@ void commit_overlay(const CatalogOverlay& overlay, ExecContext& ctx) {
 // =====================  DDL / ingest  ======================================
 
 Status ExecContext::rebuild_graph() {
+  // The build waits on intra_pool tasks: on one of its workers, it could
+  // wait on itself.
+  GEMS_DCHECK(intra_pool == nullptr || ThreadPool::current() != intra_pool);
   ScopeTimer timer("graph rebuild");
-  graph::GraphView fresh;
-  for (const auto& decl : vertex_decls) {
-    GEMS_RETURN_IF_ERROR(
-        graph::add_vertex_type(fresh, decl, tables, *pool, params));
-  }
-  for (const auto& decl : edge_decls) {
-    GEMS_RETURN_IF_ERROR(
-        graph::add_edge_type(fresh, decl, tables, *pool, params));
-  }
+  GEMS_ASSIGN_OR_RETURN(graph::GraphView fresh,
+                        graph::build_graph(vertex_decls, edge_decls, tables,
+                                           *pool, params, intra_pool));
   graph = std::move(fresh);
   timer.append(std::to_string(graph.total_vertices()) + " vertices, " +
                std::to_string(graph.total_edges()) + " edges");

@@ -111,8 +111,10 @@ struct ExecContext {
   /// during recovery replay so replayed statements are not re-logged.
   std::function<Status(const MutationEvent&)> on_mutation;
 
-  /// Rebuilds all vertex/edge types from their declarations. Invalidates
-  /// named subgraphs, which reference the old instance numbering.
+  /// Rebuilds all vertex/edge types from their declarations
+  /// (graph::build_graph, fanned out over intra_pool when there is one).
+  /// Invalidates named subgraphs, which reference the old instance
+  /// numbering. Must not run on an intra_pool worker.
   Status rebuild_graph();
 
   /// Graph maintenance after rows [first_new_row, end) were appended to

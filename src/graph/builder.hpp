@@ -25,10 +25,12 @@
 // keeps its association row as attributes.
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
 #include "common/status.hpp"
+#include "common/thread_pool.hpp"
 #include "graph/graph_view.hpp"
 #include "relational/bound_expr.hpp"
 #include "storage/catalog.hpp"
@@ -55,16 +57,35 @@ struct EdgeDecl {
   relational::ExprPtr where;              // required
 };
 
-/// Builds and registers a vertex type. `params` supplies %placeholders%
+/// Builds and registers a vertex type on the calling thread, with its
+/// transient state on the default heap. `params` supplies %placeholders%
 /// appearing in the declaration's WHERE clause.
 Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
                        const storage::TableCatalog& tables, StringPool& pool,
                        const relational::ParamMap& params = {});
 
-/// Builds and registers an edge type.
+/// Builds and registers an edge type, as add_vertex_type does.
 Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
                      const storage::TableCatalog& tables, StringPool& pool,
                      const relational::ParamMap& params = {});
+
+/// Builds every declared type into a new graph: the regeneration of
+/// derived instances that populating tables triggers (paper Sec. II-A2).
+/// Declarations bind one at a time in declaration order, so pool ids do
+/// not depend on `workers`. Then all vertex types build concurrently on
+/// `workers` and register in declaration order, and then all edge types,
+/// largest first, against those vertex types. Without `workers` the same
+/// tasks run on the calling thread. Each worker draws its transient state
+/// from one scratch arena, unmapped when the build returns (DESIGN.md
+/// §5n). Fails with the status of the first failing declaration in
+/// declaration order, vertex types first; the calling thread must not be
+/// one of `workers`.
+Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
+                              std::span<const EdgeDecl> edge_decls,
+                              const storage::TableCatalog& tables,
+                              StringPool& pool,
+                              const relational::ParamMap& params,
+                              ThreadPool* workers);
 
 /// Incremental maintenance input (gems::mvcc): the ingest appended rows
 /// `>= first_new_row` to the table named `ingested_table` (already swapped

@@ -6,7 +6,8 @@ namespace gems::graph {
 
 CsrIndex CsrIndex::build(std::size_t n,
                          const ChunkedArray<VertexIndex>& indexed,
-                         const ChunkedArray<VertexIndex>& other) {
+                         const ChunkedArray<VertexIndex>& other,
+                         std::pmr::memory_resource* scratch) {
   GEMS_CHECK(indexed.size() == other.size());
   CsrIndex out;
   out.offsets_.assign(n + 1, 0);
@@ -20,8 +21,8 @@ CsrIndex CsrIndex::build(std::size_t n,
 
   out.neighbor_.resize(indexed.size());
   out.edge_.resize(indexed.size());
-  std::vector<std::uint32_t> cursor(out.offsets_.begin(),
-                                    out.offsets_.end() - 1);
+  std::pmr::vector<std::uint32_t> cursor(out.offsets_.begin(),
+                                         out.offsets_.end() - 1, scratch);
   // Both arrays chunk identically, so chunk c of each holds the same edges.
   for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
     const std::span<const VertexIndex> from = indexed.chunk(c);
@@ -74,7 +75,8 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
                             std::size_t num_dst_vertices,
                             ChunkedArray<VertexIndex> src,
                             ChunkedArray<VertexIndex> dst,
-                            storage::TablePtr attr_table) {
+                            storage::TablePtr attr_table,
+                            std::pmr::memory_resource* scratch) {
   GEMS_CHECK(src.size() == dst.size());
   GEMS_CHECK(attr_table == nullptr || attr_table->num_rows() == src.size());
   EdgeType et;
@@ -88,8 +90,8 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
   // Both directions are always built (the paper builds the reverse index
   // "when memory space on the cluster is available"; in-process we always
   // have it, and bench_planner_ablation quantifies what it buys).
-  et.forward_ = CsrIndex::build(num_src_vertices, et.src_, et.dst_);
-  et.reverse_ = CsrIndex::build(num_dst_vertices, et.dst_, et.src_);
+  et.forward_ = CsrIndex::build(num_src_vertices, et.src_, et.dst_, scratch);
+  et.reverse_ = CsrIndex::build(num_dst_vertices, et.dst_, et.src_, scratch);
   return et;
 }
 

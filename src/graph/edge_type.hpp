@@ -8,6 +8,7 @@
 // non-lexical execution orders possible.
 #pragma once
 
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <vector>
@@ -24,10 +25,12 @@ namespace gems::graph {
 class CsrIndex {
  public:
   /// Builds from endpoint arrays: edge e runs indexed_side[e] ->
-  /// other_side[e]; `n` is the vertex count of the indexed side.
+  /// other_side[e]; `n` is the vertex count of the indexed side. The fill
+  /// cursor comes from `scratch`.
   static CsrIndex build(std::size_t n,
                         const ChunkedArray<VertexIndex>& indexed,
-                        const ChunkedArray<VertexIndex>& other);
+                        const ChunkedArray<VertexIndex>& other,
+                        std::pmr::memory_resource* scratch);
 
   std::size_t num_vertices() const noexcept { return offsets_.size() - 1; }
 
@@ -78,14 +81,16 @@ class EdgeType {
  public:
   /// Assembled by GraphBuilder after it runs the Eq. 2 joins. `attr_table`
   /// (may be null) holds one row per edge, in edge order — the attributes
-  /// from the `from table` clause.
+  /// from the `from table` clause. The CSR builds' cursors come from
+  /// `scratch`.
   static EdgeType assemble(EdgeTypeId id, std::string name,
                            VertexTypeId src_type, VertexTypeId dst_type,
                            std::size_t num_src_vertices,
                            std::size_t num_dst_vertices,
                            ChunkedArray<VertexIndex> src,
                            ChunkedArray<VertexIndex> dst,
-                           storage::TablePtr attr_table);
+                           storage::TablePtr attr_table,
+                           std::pmr::memory_resource* scratch);
 
   EdgeTypeId id() const noexcept { return id_; }
   const std::string& name() const noexcept { return name_; }

@@ -177,14 +177,26 @@ VectorExprPtr compile_operand(const BoundExpr& expr, const StringPool& pool) {
 
 /// Filters [begin, end) of `table`, appending accepting rows to `out` in
 /// ascending order.
+template <typename Rows>
 void filter_window(const Table& table, const VectorExpr& kernel,
                    EvalScratch& scratch, std::size_t begin, std::size_t end,
-                   std::vector<RowIndex>& out) {
+                   Rows& out) {
   for (std::size_t b = begin; b < end; b += kBatchRows) {
     const RowBatch batch{&table, static_cast<RowIndex>(b), nullptr,
                          std::min(kBatchRows, end - b)};
-    filter_batch(kernel, batch, scratch, out);
+    const std::size_t at = out.size();
+    out.resize(at + batch.size);
+    out.resize(at + filter_batch(kernel, batch, scratch, out.data() + at));
   }
+}
+
+template <typename Rows>
+Rows filter_from(const Table& table, const BoundExpr& predicate,
+                 RowIndex first_row, Rows out) {
+  const VectorExprPtr kernel = compile_operand(predicate, table.pool());
+  EvalScratch scratch = kernel->make_scratch();
+  filter_window(table, *kernel, scratch, first_row, table.num_rows(), out);
+  return out;
 }
 
 }  // namespace
@@ -192,11 +204,15 @@ void filter_window(const Table& table, const VectorExpr& kernel,
 std::vector<RowIndex> filter_rows(const Table& table,
                                   const BoundExpr& predicate,
                                   RowIndex first_row) {
-  const VectorExprPtr kernel = compile_operand(predicate, table.pool());
-  EvalScratch scratch = kernel->make_scratch();
-  std::vector<RowIndex> out;
-  filter_window(table, *kernel, scratch, first_row, table.num_rows(), out);
-  return out;
+  return filter_from(table, predicate, first_row, std::vector<RowIndex>());
+}
+
+std::pmr::vector<RowIndex> filter_rows(const Table& table,
+                                       const BoundExpr& predicate,
+                                       RowIndex first_row,
+                                       std::pmr::memory_resource* memory) {
+  return filter_from(table, predicate, first_row,
+                     std::pmr::vector<RowIndex>(memory));
 }
 
 std::vector<RowIndex> filter_rows_parallel(const Table& table,

@@ -9,6 +9,7 @@
 // composition (paper Sec. II-C1) free.
 #pragma once
 
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <vector>
@@ -37,6 +38,12 @@ using storage::TablePtr;
 std::vector<RowIndex> filter_rows(const Table& table,
                                   const BoundExpr& predicate,
                                   RowIndex first_row = 0);
+/// filter_rows with the result's memory from `memory` (a graph build
+/// passes its scratch arena).
+std::pmr::vector<RowIndex> filter_rows(const Table& table,
+                                       const BoundExpr& predicate,
+                                       RowIndex first_row,
+                                       std::pmr::memory_resource* memory);
 
 /// Parallel selection over the intra-node thread pool (the shared-memory
 /// half of the paper's "massively parallel execution"): the table is

@@ -611,19 +611,21 @@ ValueVector VectorExpr::eval_arith(const RowBatch& batch,
 
 // ---- Operator-facing helpers --------------------------------------------
 
-void filter_batch(const VectorExpr& pred, const RowBatch& batch,
-                  EvalScratch& scratch, std::vector<RowIndex>& out) {
+std::size_t filter_batch(const VectorExpr& pred, const RowBatch& batch,
+                         EvalScratch& scratch, RowIndex* out) {
   GEMS_DCHECK(pred.out_kind() == TypeKind::kBool);
   const ValueVector v = pred.eval(batch, scratch);
   // bits ⊆ valid, so set bits are exactly the truthy (non-null true) lanes.
+  std::size_t n = 0;
   if (batch.contiguous()) {
     for_each_lane(v.bits, batch.size, [&](std::size_t i) {
-      out.push_back(batch.base + static_cast<RowIndex>(i));
+      out[n++] = batch.base + static_cast<RowIndex>(i);
     });
   } else {
     for_each_lane(v.bits, batch.size,
-                  [&](std::size_t i) { out.push_back(batch.rows[i]); });
+                  [&](std::size_t i) { out[n++] = batch.rows[i]; });
   }
+  return n;
 }
 
 void append_vector(Column& column, const ValueVector& v, std::size_t n) {

@@ -98,11 +98,11 @@ class VectorExpr {
   std::vector<StringId> const_str_;
 };
 
-/// Evaluates a boolean kernel over `batch` and appends the *global* row
-/// indices of accepting lanes (non-null true — Cell::truthy) to `out`.
-void filter_batch(const VectorExpr& pred, const RowBatch& batch,
-                  EvalScratch& scratch,
-                  std::vector<storage::RowIndex>& out);
+/// Evaluates a boolean kernel over `batch` and writes the *global* row
+/// indices of accepting lanes (non-null true — Cell::truthy) to `out`,
+/// which has room for batch.size of them. Returns how many it wrote.
+std::size_t filter_batch(const VectorExpr& pred, const RowBatch& batch,
+                         EvalScratch& scratch, storage::RowIndex* out);
 
 /// Appends `n` lanes of `v` to `column` (kinds must agree, except that
 /// Int64 lanes promote into a Double column; Bool arrives as bit words).

@@ -447,6 +447,19 @@ TEST(CodecGoldenTest, BerlinSnapshotAtScale200) {
   EXPECT_EQ(crc32(image), 2944471296u);
 }
 
+// snapshot.berlin2000 is built without an intra-node pool; this build fans
+// the graph rebuild out over four workers and must give the same bytes.
+TEST(CodecGoldenTest, BerlinSnapshotAtScale2000BuiltOnFourWorkers) {
+  server::DatabaseOptions options;
+  options.intra_node_threads = 4;
+  auto built = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(2000, 3), options);
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  const std::vector<std::uint8_t> image = (*built)->snapshot_bytes();
+  EXPECT_EQ(image.size(), 3201251u);
+  EXPECT_EQ(crc32(image), 3852771942u);
+}
+
 // ---- Mutation sweep ---------------------------------------------------------
 // Every truncation and every single-bit flip of each golden encoding, fed
 // to that encoding's decoder, must yield a value or a typed error — never
