@@ -1,6 +1,9 @@
 // E-STORE — durability costs and recovery speed (gems::store):
+//   * CRC-32 throughput, the checksum every snapshot, WAL record and GBSP
+//     frame goes through (E-CRC),
 //   * snapshot encode (in memory) / checkpoint (streamed to disk) / decode
-//     throughput (MB/s) on the Berlin dataset at three scales,
+//     throughput (MB/s) on the Berlin dataset; checkpoint and decode also
+//     at scale 20000, the durable end-to-end workload's image,
 //   * WAL append latency (p50/p99 from the store's own histogram), with
 //     and without fsync,
 //   * cold recovery (open a checkpointed data dir) vs. re-ingesting the
@@ -10,8 +13,11 @@
 #include <filesystem>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "common/crc32.hpp"
+#include "common/prng.hpp"
 #include "storage/csv.hpp"
 #include "store/snapshot.hpp"
 #include "store/store.hpp"
@@ -61,6 +67,24 @@ const std::string& csv_dir(std::size_t scale) {
   return it->second;
 }
 
+/// CRC-32 over `bytes` of random data: 4 KiB stays in L1/L2, 32 MiB is a
+/// scale-20000 snapshot image streamed from memory.
+void BM_Crc32(benchmark::State& state, std::size_t bytes) {
+  Xoshiro256 rng(7);
+  std::vector<std::uint8_t> data(bytes);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng());
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(bytes) *
+                          state.iterations());
+}
+BENCHMARK_CAPTURE(BM_Crc32, 4KiB, std::size_t{4} << 10);
+BENCHMARK_CAPTURE(BM_Crc32, 1MiB, std::size_t{1} << 20)
+    ->Unit(benchmark::kMicrosecond);
+BENCHMARK_CAPTURE(BM_Crc32, 32MiB, std::size_t{32} << 20)
+    ->Unit(benchmark::kMillisecond);
+
 void BM_SnapshotEncode(benchmark::State& state) {
   auto& db = berlin_db(static_cast<std::size_t>(state.range(0)));
   std::size_t bytes = 0;
@@ -98,7 +122,7 @@ void BM_SnapshotCheckpoint(benchmark::State& state) {
                           state.iterations());
   state.counters["snapshot_bytes"] = static_cast<double>(bytes);
 }
-BENCHMARK(BM_SnapshotCheckpoint)->Arg(100)->Arg(500)->Arg(2000)
+BENCHMARK(BM_SnapshotCheckpoint)->Arg(100)->Arg(500)->Arg(2000)->Arg(20000)
     ->UseRealTime()->Unit(benchmark::kMillisecond);  // fsyncs wait off-CPU
 
 void BM_SnapshotDecode(benchmark::State& state) {
@@ -113,7 +137,7 @@ void BM_SnapshotDecode(benchmark::State& state) {
   state.SetBytesProcessed(static_cast<std::int64_t>(image.size()) *
                           state.iterations());
 }
-BENCHMARK(BM_SnapshotDecode)->Arg(100)->Arg(500)->Arg(2000)
+BENCHMARK(BM_SnapshotDecode)->Arg(100)->Arg(500)->Arg(2000)->Arg(20000)
     ->Unit(benchmark::kMillisecond);
 
 /// WAL append latency. Arg = fsync on append (0/1). The p50/p99 counters
