@@ -5,7 +5,6 @@
 // a real cluster. Wall time on an oversubscribed host mainly shows the
 // BSP coordination overhead growing with rank count.
 #include "bench_common.hpp"
-#include "dist/dist_aggregate.hpp"
 #include "dist/dist_matcher.hpp"
 #include "exec/lowering.hpp"
 #include "graql/parser.hpp"
@@ -103,51 +102,6 @@ void BM_Dist_SelectiveQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_Dist_SelectiveQuery)->Arg(2)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-
-// Two-phase distributed aggregation (the tabular half of the backend):
-// partial aggregation per rank + one merge exchange. Counters show the
-// partial-state volume that crosses the network.
-void BM_Dist_GroupBy(benchmark::State& state) {
-  server::Database& db = berlin_db(8000);
-  auto offers = db.table("Offers").value();
-  const std::vector<storage::ColumnIndex> keys{
-      *offers->schema().find("vendor")};
-  const std::vector<relational::AggSpec> aggs{
-      {relational::AggKind::kCountStar, 0, "n"},
-      {relational::AggKind::kAvg, *offers->schema().find("price"), "mean"}};
-  const std::size_t ranks = static_cast<std::size_t>(state.range(0));
-  dist::DistStats stats;
-  std::size_t groups = 0;
-  for (auto _ : state) {
-    auto r = dist::distributed_group_by(*offers, keys, aggs, "D", ranks,
-                                        &stats);
-    GEMS_CHECK(r.is_ok());
-    groups = (*r)->num_rows();
-    benchmark::DoNotOptimize(*r);
-  }
-  state.counters["groups"] = static_cast<double>(groups);
-  state.counters["net_bytes"] = static_cast<double>(stats.bytes);
-  state.counters["input_rows"] =
-      static_cast<double>(offers->num_rows());
-}
-BENCHMARK(BM_Dist_GroupBy)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-
-void BM_Dist_GroupBy_LocalBaseline(benchmark::State& state) {
-  server::Database& db = berlin_db(8000);
-  auto offers = db.table("Offers").value();
-  const std::vector<storage::ColumnIndex> keys{
-      *offers->schema().find("vendor")};
-  const std::vector<relational::AggSpec> aggs{
-      {relational::AggKind::kCountStar, 0, "n"},
-      {relational::AggKind::kAvg, *offers->schema().find("price"), "mean"}};
-  for (auto _ : state) {
-    auto r = relational::group_by(*offers, keys, aggs, "L");
-    GEMS_CHECK(r.is_ok());
-    benchmark::DoNotOptimize(*r);
-  }
-}
-BENCHMARK(BM_Dist_GroupBy_LocalBaseline)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gems::bench

@@ -1,16 +1,23 @@
 // Distributed path matching over a cluster of ranks: the Eq. 5 culling
-// fixpoint executed as bulk-synchronous supersteps. Each rank expands the
-// frontier from the vertices it owns using its edge indices, sends
-// activations for remote targets to their owners, and the ranks agree on
-// convergence with an allreduce — the execution structure of the paper's
-// "massively parallel execution of graph queries over the database
-// primarily resident on the aggregated memory of the compute nodes".
+// fixpoint executed as bulk-synchronous supersteps — the execution
+// structure of the paper's "massively parallel execution of graph queries
+// over the database primarily resident on the aggregated memory of the
+// compute nodes".
 //
-// The per-rank body (`run_match_rank`) is transport-agnostic: it talks BSP
-// through `dist::Comm`, so the same code runs over the in-process
-// SimCluster (match_network_distributed below) and over real sockets
-// (src/cluster/). Byte-identity of the two send streams is the wire path's
-// correctness oracle.
+// The rank body (`run_match_rank`) is the single-node algorithm over a
+// partitioned frontier, literally: every expansion is a call to the
+// matcher's hop kernels (exec::edge_support, exec::expand_hop) with the
+// rank's ownership split. The kernel sets the targets this rank owns and
+// lists the others in serial walk order; the body routes that list to the
+// owners as activations, exchanges them, agrees on convergence with an
+// allreduce and finally gathers the domains on rank 0. It keeps no
+// expansion, condition check or frontier walk of its own.
+//
+// The body is transport-agnostic: it talks BSP through `dist::Comm`, so
+// the same code runs over the in-process SimCluster
+// (match_network_distributed below) and over real sockets (src/cluster/).
+// Byte-identity of the two send streams is the wire path's correctness
+// oracle.
 //
 // Supported networks: edge constraints (any direction/variant), set-label
 // constraints, and regex-group closures. Cross predicates fall back to

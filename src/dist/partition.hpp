@@ -30,6 +30,11 @@ class VertexPartition {
     return owned_[rank].at(type);
   }
 
+  /// Vertices owned by `rank`, indexed by vertex type.
+  const std::vector<DynamicBitset>& owned(int rank) const {
+    return owned_[rank];
+  }
+
   /// Number of vertices owned by `rank` (load-balance metric).
   std::size_t owned_count(int rank) const;
 

@@ -291,21 +291,12 @@ class Enumerator {
         start.type,
         DynamicBitset(graph_.vertex_type(start.type).num_vertices()));
     single.sets.at(start.type).set(start.index);
-    // Reuse the matcher's closure via a tiny shim network: call the
-    // internal helpers through match-level API (group closures are
-    // deterministic functions of the domain).
+    // The matcher's closure from a one-vertex domain.
     GEMS_ASSIGN_OR_RETURN(Domain reach,
-                          group_closure(g, std::move(single), forward));
+                          group_closure(graph_, pool_, g, single,
+                                        /*backward=*/!forward, nullptr));
     auto [pos, inserted] = reach_cache_.emplace(key, std::move(reach));
     return &pos->second;
-  }
-
-  Result<Domain> group_closure(const GroupConstraint& g, Domain start,
-                               bool forward) {
-    if (forward) {
-      return group_closure_forward(graph_, pool_, g, start, nullptr);
-    }
-    return group_closure_backward(graph_, pool_, g, start, nullptr);
   }
 
   Status op_extend_group(const EnumOp& op, std::size_t op_index) {

@@ -11,6 +11,12 @@
 // reverse-edge-index traversal of paper Sec. III-B; bench_planner_ablation
 // quantifies it.
 //
+// Two hop kernels do every frontier expansion: `edge_support` for edge
+// constraints and `expand_hop` for one hop of a regex group, either
+// direction. The single-node fixpoint below and the distributed rank body
+// (dist/dist_matcher.hpp) both call them; a rank passes an OwnedSplit and
+// gets its remote targets back as a list to route.
+//
 // Intra-node parallelism (DESIGN.md §5e): every frontier expansion —
 // edge-constraint support, group-hop closure, matched-edge and
 // group-interior marking — optionally fans out over a ThreadPool. Workers
@@ -24,13 +30,19 @@
 // (network.tree_exact). Otherwise the enumerator refines it.
 #pragma once
 
+#include <span>
+
 #include "common/histogram.hpp"
 #include "common/metrics.hpp"
 #include "common/status.hpp"
 #include "common/thread_pool.hpp"
 #include "exec/network.hpp"
+#include "relational/eval.hpp"
 
 namespace gems::exec {
+
+/// Largest `{n}` a regex group may repeat its body.
+inline constexpr std::uint32_t kMaxExactRepeats = 1024;
 
 struct MatchStats {
   std::size_t propagation_passes = 0;
@@ -97,25 +109,72 @@ Domain initial_domain(const ConstraintNetwork& net,
                       ThreadPool* intra_pool = nullptr);
 
 /// Closure of a regex group: all end vertices reachable from `start` with
-/// an admissible number of body iterations (forward), or all start
-/// vertices that can reach `start` (backward). Used by the fixpoint and
-/// by the enumerator's per-start memoized reachability.
-Result<Domain> group_closure_forward(const graph::GraphView& graph,
-                                     const StringPool& pool,
-                                     const GroupConstraint& g,
-                                     const Domain& start, MatchStats* stats,
-                                     ThreadPool* intra_pool = nullptr);
-Result<Domain> group_closure_backward(const graph::GraphView& graph,
-                                      const StringPool& pool,
-                                      const GroupConstraint& g,
-                                      const Domain& end, MatchStats* stats,
-                                      ThreadPool* intra_pool = nullptr);
+/// an admissible number of body iterations, or (`backward`) all start
+/// vertices that can reach `start`. Used by the fixpoint and by the
+/// enumerator's per-start memoized reachability.
+Result<Domain> group_closure(const graph::GraphView& graph,
+                             const StringPool& pool, const GroupConstraint& g,
+                             const Domain& start, bool backward,
+                             MatchStats* stats,
+                             ThreadPool* intra_pool = nullptr);
+
+// ---- Hop kernels ------------------------------------------------------------
+
+/// Predicate scratch of one worker shard: a cursor slot per variable plus
+/// the edge band starting at kEdgeSourceBase (64 KiB). The cursors are
+/// mutable, so each shard has its own; a match or rank job builds its set
+/// once.
+class Evaluator {
+ public:
+  Evaluator(const ConstraintNetwork& net, const graph::GraphView& graph,
+            const StringPool& pool);
+
+  void set_edge(std::size_t edge_con, graph::EdgeTypeId type,
+                graph::EdgeIndex e);
+  bool eval_all(const std::vector<relational::BoundExprPtr>& preds) const;
+
+ private:
+  const graph::GraphView& graph_;
+  const StringPool& pool_;
+  std::vector<relational::RowCursor> cursors_;
+};
+
+/// A rank's share of an expansion (DESIGN.md §5h). The kernel sets only
+/// targets whose bit is set in `owned` (indexed by vertex type) and
+/// appends every other target that passes to `remote`, in serial walk
+/// order and with duplicates: traversal by traversal, and within one the
+/// shard lists in shard order.
+struct OwnedSplit {
+  std::span<const DynamicBitset> owned;
+  std::vector<graph::VertexRef>& remote;
+};
+
+/// Support of one side of edge constraint `c`: the vertices of the other
+/// side's types in `domains` joined by an edge of the constraint, whose
+/// self conditions hold, to the `from_left` side's domain. Wide frontiers
+/// fan out over `intra` in one task per evaluator of `evs`.
+Domain edge_support(const ConstraintNetwork& net,
+                    const graph::GraphView& graph, std::size_t c,
+                    bool from_left, const std::vector<Domain>& domains,
+                    std::vector<Evaluator>& evs, MatchStats* stats,
+                    ThreadPool* intra, const OwnedSplit* split = nullptr);
+
+/// One hop of a regex group walked from `from`: forward, it lands on the
+/// hop's own vertex step; `backward`, it walks the hop right-to-left and
+/// lands on the vertex step of `target_hop`, the preceding hop (null at
+/// the group's start: any vertex type, unfiltered). Wide frontiers fan out
+/// over `intra` in `shards` tasks.
+Domain expand_hop(const graph::GraphView& graph, const StringPool& pool,
+                  const GroupHop& hop, const Domain& from, bool backward,
+                  const GroupHop* target_hop, MatchStats* stats,
+                  ThreadPool* intra, std::size_t shards,
+                  const OwnedSplit* split = nullptr);
 
 /// Eq. 5's matched-edge sets E(q), computed from converged domains: for
 /// every edge constraint, the edges whose endpoints lie in the final
 /// domains and whose self conditions hold. Walks the CSR from the smaller
 /// endpoint domain (never a full edge scan) and shards the walk over
-/// `intra_pool`. Shared by the single-node and distributed matchers.
+/// `intra_pool`. The distributed matchers run it on the gathered domains.
 std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
     const ConstraintNetwork& net, const graph::GraphView& graph,
     const StringPool& pool, const std::vector<Domain>& domains,

@@ -46,6 +46,8 @@ struct Domain {
   std::size_t count() const;
   bool empty() const;
   bool intersect(const Domain& other);  // returns true if changed
+  void unite(const Domain& other);      // adds other's types and vertices
+  void subtract(const Domain& other);   // removes other's vertices
 
   /// Bit-exact equality (the closure cache's reuse test).
   bool operator==(const Domain& other) const = default;

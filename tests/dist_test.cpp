@@ -8,7 +8,6 @@
 
 #include "bsbm/generator.hpp"
 #include "common/thread_pool.hpp"
-#include "dist/dist_aggregate.hpp"
 #include "dist/dist_matcher.hpp"
 #include "dist/partition.hpp"
 #include "dist/runtime.hpp"
@@ -379,78 +378,6 @@ TEST_F(DistTest, DecodeDomainsChecksShapeBeforeAllocating) {
       static_cast<std::uint32_t>(db_->graph().num_vertex_types());
   rejected(patch(8, num_types), "unknown vertex type");
   rejected(patch(12, std::uint64_t{1} << 40), "domain size");
-}
-
-// ---- Distributed tabular aggregation -------------------------------------
-
-TEST_F(DistTest, DistributedGroupByMatchesLocal) {
-  auto offers = db_->table("Offers").value();
-  const std::vector<storage::ColumnIndex> keys{
-      *offers->schema().find("vendor")};
-  const std::vector<relational::AggSpec> aggs{
-      {relational::AggKind::kCountStar, 0, "n"},
-      {relational::AggKind::kSum, *offers->schema().find("deliveryDays"),
-       "days"},
-      {relational::AggKind::kAvg, *offers->schema().find("price"), "mean"},
-      {relational::AggKind::kMin, *offers->schema().find("validFrom"),
-       "first"},
-      {relational::AggKind::kMax, *offers->schema().find("id"), "last"}};
-
-  auto local = relational::group_by(*offers, keys, aggs, "L");
-  ASSERT_TRUE(local.is_ok());
-
-  // Canonical row rendering for order-insensitive comparison.
-  auto render = [](const storage::Table& t) {
-    std::multiset<std::string> rows;
-    for (storage::RowIndex r = 0; r < t.num_rows(); ++r) {
-      std::string line;
-      for (storage::ColumnIndex c = 0; c < t.num_columns(); ++c) {
-        line += t.value_at(r, c).to_string();
-        line += '|';
-      }
-      rows.insert(std::move(line));
-    }
-    return rows;
-  };
-  const auto expected = render(**local);
-
-  for (const std::size_t ranks : {1u, 2u, 4u}) {
-    DistStats stats;
-    auto dist = distributed_group_by(*offers, keys, aggs, "D", ranks,
-                                     &stats);
-    ASSERT_TRUE(dist.is_ok()) << dist.status().to_string();
-    EXPECT_EQ(render(**dist), expected) << ranks << " ranks";
-    EXPECT_EQ((*dist)->schema().num_columns(), 6u);
-    if (ranks > 1) {
-      EXPECT_GT(stats.bytes, 0u);
-    }
-  }
-}
-
-TEST_F(DistTest, DistributedScalarAggregationOnEmptyTable) {
-  StringPool pool;
-  storage::Table empty("E",
-                       storage::Schema({{"x", storage::DataType::int64()}}),
-                       pool);
-  const std::vector<relational::AggSpec> aggs{
-      {relational::AggKind::kCountStar, 0, "n"},
-      {relational::AggKind::kMin, 0, "m"}};
-  auto dist = distributed_group_by(empty, {}, aggs, "D", 3, nullptr);
-  ASSERT_TRUE(dist.is_ok()) << dist.status().to_string();
-  ASSERT_EQ((*dist)->num_rows(), 1u);
-  EXPECT_EQ((*dist)->value_at(0, 0).as_int64(), 0);
-  EXPECT_TRUE((*dist)->value_at(0, 1).is_null());
-}
-
-TEST_F(DistTest, DistributedGroupByRejectsNonNumericSum) {
-  auto offers = db_->table("Offers").value();
-  const std::vector<relational::AggSpec> aggs{
-      {relational::AggKind::kSum, *offers->schema().find("id"), "s"}};
-  EXPECT_EQ(
-      distributed_group_by(*offers, {}, aggs, "D", 2, nullptr)
-          .status()
-          .code(),
-      StatusCode::kTypeError);
 }
 
 TEST_F(DistTest, CrossPredicatesFallBackUnimplemented) {
