@@ -1,9 +1,9 @@
 // E-NET — wire overhead and service throughput: Berlin Q1/Q2 shipped as
 // binary IR over a loopback TCP connection to gems::net::Server, at 1, 4
-// and 16 concurrent clients. Reports requests/s and client-observed
-// p50/p99 latency, plus the server-side queue-wait vs. execute split from
-// the `net.run_script.*` histograms (the kStats verb), so wire/queue cost
-// is separable from execution cost.
+// and 16 concurrent clients, and Q5's large reply at 1 and 4. Reports
+// requests/s and client-observed p50/p99 latency, plus the server-side
+// queue-wait vs. execute split from the `net.run_script.*` histograms (the
+// kStats verb), so wire/queue cost is separable from execution cost.
 #include <algorithm>
 #include <atomic>
 #include <thread>
@@ -17,6 +17,9 @@ namespace gems::bench {
 namespace {
 
 constexpr std::size_t kScale = 500;
+/// Scale of the large-reply case: Berlin Q5 ships its whole `Q5T`
+/// intermediate (about 30k rows, half a megabyte) back to the client.
+constexpr std::size_t kLargeReplyScale = 10000;
 
 net::ClientOptions client_options(std::uint16_t port) {
   net::ClientOptions options;
@@ -72,9 +75,10 @@ std::uint64_t percentile_us(std::vector<std::uint64_t> sorted, double q) {
   return sorted[rank];
 }
 
-void run_wire_benchmark(benchmark::State& state, const std::string& script) {
+void run_wire_benchmark(benchmark::State& state, const std::string& script,
+                        std::size_t scale = kScale) {
   const int num_clients = static_cast<int>(state.range(0));
-  server::Database& db = berlin_db(kScale);
+  server::Database& db = berlin_db(scale);
   net::ServerOptions options;
   options.num_workers = 4;
   net::Server server(db, options);
@@ -127,6 +131,14 @@ void BM_Wire_BerlinQ2(benchmark::State& state) {
   run_wire_benchmark(state, bsbm::berlin_q2());
 }
 BENCHMARK(BM_Wire_BerlinQ2)->Arg(1)->Arg(4)->Arg(16)
+    ->Unit(benchmark::kMillisecond)->UseRealTime();
+
+/// The large-reply case: each Q5 reply streams a ~30k-row table through
+/// the server's bounded reply buffer.
+void BM_Wire_BerlinQ5(benchmark::State& state) {
+  run_wire_benchmark(state, bsbm::berlin_q5(), kLargeReplyScale);
+}
+BENCHMARK(BM_Wire_BerlinQ5)->Arg(1)->Arg(4)
     ->Unit(benchmark::kMillisecond)->UseRealTime();
 
 /// E-NETCONC — read-only throughput scaling across server workers: Berlin

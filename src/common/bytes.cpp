@@ -1,6 +1,45 @@
 #include "common/bytes.hpp"
 
+#include <utility>
+
+#include "common/check.hpp"
+
 namespace gems {
+
+StreamWriter::StreamWriter(std::size_t buffer_bytes, Sink sink)
+    : capacity_(buffer_bytes),
+      buffer_(std::make_unique_for_overwrite<std::uint8_t[]>(buffer_bytes)),
+      sink_(std::move(sink)) {
+  GEMS_CHECK(buffer_bytes >= sizeof(std::uint64_t));
+}
+
+void StreamWriter::bytes(std::span<const std::uint8_t> b) {
+  if (used_ + b.size() > capacity_) {
+    flush_buffer();
+    if (b.size() >= capacity_) {
+      write_through(b);
+      return;
+    }
+  }
+  if (!b.empty()) std::memcpy(buffer_.get() + used_, b.data(), b.size());
+  used_ += b.size();
+}
+
+void StreamWriter::flush_buffer() {
+  write_through({buffer_.get(), used_});
+  used_ = 0;
+}
+
+void StreamWriter::write_through(std::span<const std::uint8_t> b) {
+  if (!error_.is_ok() || b.empty()) return;
+  error_ = sink_(b);
+  if (error_.is_ok()) written_ += b.size();
+}
+
+Status StreamWriter::finish() {
+  flush_buffer();
+  return error_;
+}
 
 Result<bool> ByteReader::boolean() {
   GEMS_ASSIGN_OR_RETURN(std::uint8_t v, u8());

@@ -4,16 +4,21 @@
 //
 // All integers are little-endian, and so is the host (asserted below), so
 // a field is its in-memory bytes. ByteWriter appends fields to a caller's
-// vector. ByteReader reads them back from a span: every read is
-// bounds-checked, and every count or length prefix is checked against the
-// remaining bytes before the caller allocates anything for it. A failed
-// read returns a Status with the code the caller gave the reader, reading
-// "<context>: <detail> at byte offset N".
+// vector; ByteCounter counts the bytes the same fields take, and
+// StreamWriter hands them to a sink through a fixed buffer, so an encoder
+// templated on its writer can size an encoding and then stream it without
+// ever holding it whole. ByteReader reads fields back from a span: every
+// read is bounds-checked, and every count or length prefix is checked
+// against the remaining bytes before the caller allocates anything for it.
+// A failed read returns a Status with the code the caller gave the reader,
+// reading "<context>: <detail> at byte offset N".
 #pragma once
 
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
@@ -65,6 +70,88 @@ class ByteWriter {
   }
 
   std::vector<std::uint8_t>& out_;
+};
+
+/// Counts the bytes a ByteWriter given the same fields would append,
+/// writing none: the sizing pass of an encoder that must know its length
+/// before its first byte leaves (a frame header, a snapshot buffer).
+class ByteCounter {
+ public:
+  void u8(std::uint8_t) { written_ += 1; }
+  void u16(std::uint16_t) { written_ += 2; }
+  void u32(std::uint32_t) { written_ += 4; }
+  void u64(std::uint64_t) { written_ += 8; }
+  void i64(std::int64_t) { written_ += 8; }
+  void f64(double) { written_ += 8; }
+  void boolean(bool) { written_ += 1; }
+  void str(std::string_view s) { written_ += 4 + s.size(); }
+  void blob(std::span<const std::uint8_t> b) { written_ += 4 + b.size(); }
+  void bytes(std::span<const std::uint8_t> b) { written_ += b.size(); }
+
+  std::uint64_t written() const { return written_; }
+
+ private:
+  std::uint64_t written_ = 0;
+};
+
+/// Streams ByteWriter fields to a sink through a fixed buffer, so an
+/// encoding never has to be in memory whole. Small fields gather in the
+/// buffer and reach the sink one buffer at a time; a span at least as long
+/// as the buffer goes to the sink directly. No field is split across two
+/// sink calls. It produces the same bytes as a ByteWriter given the same
+/// fields. The first sink error is sticky: later fields are dropped and
+/// finish() returns it.
+class StreamWriter {
+ public:
+  using Sink = std::function<Status(std::span<const std::uint8_t>)>;
+
+  /// `buffer_bytes` must hold the widest fixed field (8 bytes).
+  StreamWriter(std::size_t buffer_bytes, Sink sink);
+
+  StreamWriter(const StreamWriter&) = delete;
+  StreamWriter& operator=(const StreamWriter&) = delete;
+
+  void u8(std::uint8_t v) { fixed(v); }
+  void u16(std::uint16_t v) { fixed(v); }
+  void u32(std::uint32_t v) { fixed(v); }
+  void u64(std::uint64_t v) { fixed(v); }
+  void i64(std::int64_t v) { fixed(v); }
+  void f64(double v) { fixed(v); }
+  void boolean(bool v) { u8(v ? 1 : 0); }
+  /// ByteWriter::str's layout, with the body routed through bytes().
+  void str(std::string_view s) {
+    u32(static_cast<std::uint32_t>(s.size()));
+    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
+  }
+  void blob(std::span<const std::uint8_t> b) {
+    u32(static_cast<std::uint32_t>(b.size()));
+    bytes(b);
+  }
+  void bytes(std::span<const std::uint8_t> b);
+
+  /// Hands the buffered bytes to the sink and returns the first sink
+  /// error, if any. Call it before reading written().
+  Status finish();
+  /// Bytes the sink has accepted so far.
+  std::uint64_t written() const { return written_; }
+
+ private:
+  template <typename T>
+  void fixed(T v) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    if (used_ + sizeof(T) > capacity_) flush_buffer();
+    std::memcpy(buffer_.get() + used_, &v, sizeof(T));
+    used_ += sizeof(T);
+  }
+  void flush_buffer();
+  void write_through(std::span<const std::uint8_t> b);
+
+  std::size_t capacity_;
+  std::unique_ptr<std::uint8_t[]> buffer_;
+  std::size_t used_ = 0;
+  Sink sink_;
+  std::uint64_t written_ = 0;
+  Status error_;
 };
 
 class ByteReader {

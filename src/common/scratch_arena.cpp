@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <algorithm>
+#include <atomic>
 #include <new>
 
 #include "common/check.hpp"
@@ -13,6 +14,8 @@ namespace {
 
 constexpr std::size_t kPageBytes = 4096;
 
+std::atomic<std::size_t> live_bytes{0};
+
 std::size_t round_up(std::size_t n, std::size_t to) {
   return (n + to - 1) / to * to;
 }
@@ -21,6 +24,7 @@ std::size_t round_up(std::size_t n, std::size_t to) {
 
 ScratchArena::~ScratchArena() {
   for (const Block& b : blocks_) munmap(b.base, b.size);
+  live_bytes.fetch_sub(mapped_bytes(), std::memory_order_relaxed);
 }
 
 void ScratchArena::rewind() noexcept {
@@ -32,6 +36,10 @@ std::size_t ScratchArena::mapped_bytes() const noexcept {
   std::size_t total = 0;
   for (const Block& b : blocks_) total += b.size;
   return total;
+}
+
+std::size_t ScratchArena::live_mapped_bytes() noexcept {
+  return live_bytes.load(std::memory_order_relaxed);
 }
 
 void* ScratchArena::do_allocate(std::size_t bytes, std::size_t alignment) {
@@ -50,10 +58,20 @@ void* ScratchArena::do_allocate(std::size_t bytes, std::size_t alignment) {
                       MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
     if (base == MAP_FAILED) throw std::bad_alloc();
     blocks_.push_back({static_cast<std::byte*>(base), size});
+    live_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* p = blocks_[current_].base + offset_;
   offset_ += bytes;
   return p;
+}
+
+void ScratchArena::do_deallocate(void* p, std::size_t bytes, std::size_t) {
+  if (current_ == blocks_.size()) return;
+  std::byte* const at = static_cast<std::byte*>(p);
+  std::byte* const base = blocks_[current_].base;
+  if (at >= base && at + std::max<std::size_t>(bytes, 1) == base + offset_) {
+    offset_ = static_cast<std::size_t>(at - base);
+  }
 }
 
 }  // namespace gems

@@ -1,19 +1,26 @@
-// Transient memory for one thread's share of a bulk build (DESIGN.md §5n).
+// Transient memory for one thread's share of a bulk build or for one
+// table statement (DESIGN.md §5n).
 //
-// A full graph rebuild fans its types out over a thread pool. Everything a
-// type's build needs only while it runs (join tuples, hash buckets,
-// candidate rows, dedup sets, CSR fill cursors, a key index while it grows)
-// is allocated here rather than from malloc. Memory that a worker thread's
-// malloc arena once held stays with that arena after it is freed, stranded
-// between the long-lived arrays allocated around it, so a build that freed
-// its scratch into four worker arenas would leave the process megabytes
-// larger than the same build on one thread.
+// A full graph rebuild fans its types out over a thread pool, and the
+// server runs table statements on several worker threads. Everything a
+// type's build or a statement's operators need only while they run (join
+// tuples, hash buckets, candidate rows, dedup sets, group ids, aggregate
+// states, sort permutations, a key index while it grows) is allocated here
+// rather than from malloc. Memory that a worker thread's malloc arena once
+// held stays with that arena after it is freed, stranded between the
+// long-lived arrays allocated around it, so scratch freed into four worker
+// arenas would leave the process megabytes larger than the same work on
+// one thread.
 //
 // The arena maps large anonymous blocks and carves allocations from them
-// in order; freeing one does nothing. rewind() starts over at the first
-// block and keeps every block mapped, so a thread that builds several
-// types touches the same pages again. The destructor unmaps every block:
-// the memory goes back to the system whole.
+// in order. Freeing the most recent allocation gives its bytes back to the
+// block, so an array that is released and then allocated again larger (a
+// hash table growing) reuses its pages; freeing anything else does
+// nothing. Pages are only resident once touched, so reserving an upper
+// bound costs address space, not memory. rewind() starts over at the
+// first block and keeps every block mapped, so a thread that builds
+// several types touches the same pages again. The destructor unmaps every
+// block: the memory goes back to the system whole.
 #pragma once
 
 #include <cstddef>
@@ -40,6 +47,9 @@ class ScratchArena final : public std::pmr::memory_resource {
   /// Bytes of the mapped blocks.
   std::size_t mapped_bytes() const noexcept;
 
+  /// Bytes mapped by every arena alive in the process.
+  static std::size_t live_mapped_bytes() noexcept;
+
  private:
   struct Block {
     std::byte* base;
@@ -47,7 +57,7 @@ class ScratchArena final : public std::pmr::memory_resource {
   };
 
   void* do_allocate(std::size_t bytes, std::size_t alignment) override;
-  void do_deallocate(void*, std::size_t, std::size_t) override {}
+  void do_deallocate(void* p, std::size_t bytes, std::size_t) override;
   bool do_is_equal(const std::pmr::memory_resource& other) const
       noexcept override {
     return this == &other;

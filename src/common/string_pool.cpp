@@ -92,6 +92,14 @@ std::string_view StringPool::view(StringId id) const {
   return views_[id];
 }
 
+void StringPool::view_batch(std::span<const StringId> ids,
+                            std::string_view* out) const {
+  sync::MutexLock lock(mutex_);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    out[i] = ids[i] < views_.size() ? views_[ids[i]] : std::string_view();
+  }
+}
+
 std::size_t StringPool::size() const {
   sync::MutexLock lock(mutex_);
   return views_.size();

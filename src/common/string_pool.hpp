@@ -63,6 +63,12 @@ class StringPool {
   /// lifetime (storage never relocates).
   std::string_view view(StringId id) const;
 
+  /// view() of every id in `ids` into `out[i]`, under one lock
+  /// acquisition. An id the pool never issued (kInvalidStringId in a NULL
+  /// varchar cell) gives an empty view. Result encoders resolve a chunk of
+  /// cells at a time with it.
+  void view_batch(std::span<const StringId> ids, std::string_view* out) const;
+
   std::size_t size() const;
 
   /// Total bytes of interned character data (for catalog sizing stats).

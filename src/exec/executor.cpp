@@ -4,6 +4,7 @@
 #include "graph/delta.hpp"
 
 #include "common/check.hpp"
+#include "common/scratch_arena.hpp"
 #include "common/timer.hpp"
 #include "exec/enumerate.hpp"
 #include "exec/lowering.hpp"
@@ -581,10 +582,14 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
                         find_source_table(ctx, overlay, stmt.from_table));
   StringPool& pool = *ctx.pool;
   relational::TableScope scope(*source);
+  // The statement's transient arrays (row lists, hash tables, group ids,
+  // aggregate states, sort permutations) live here and are unmapped when
+  // the statement returns; its tables stay on the heap (DESIGN.md §5n).
+  ScratchArena scratch;
 
   // WHERE. Large tables scan in parallel over the intra-node pool (the
   // shared-memory half of the paper's "massively parallel execution").
-  std::vector<RowIndex> rows;
+  std::pmr::vector<RowIndex> rows(&scratch);
   if (stmt.where) {
     GEMS_ASSIGN_OR_RETURN(
         BoundExprPtr pred,
@@ -592,9 +597,9 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
     if (ctx.intra_pool != nullptr &&
         source->num_rows() >= ExecContext::kParallelScanThreshold) {
       rows = relational::filter_rows_parallel(*source, *pred,
-                                              *ctx.intra_pool);
+                                              *ctx.intra_pool, &scratch);
     } else {
-      rows = relational::filter_rows(*source, *pred);
+      rows = relational::filter_rows(*source, *pred, 0, &scratch);
     }
   } else {
     rows.resize(source->num_rows());
@@ -661,29 +666,23 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
       for (const auto& ord : stmt.order_by) {
         keys.push_back({*source->schema().find(ord.column), ord.descending});
       }
-      std::stable_sort(rows.begin(), rows.end(),
-                       [&](RowIndex a, RowIndex b) {
-                         for (const auto& k : keys) {
-                           const int c = relational::compare_table_cells(
-                               *source, a, b, k.column);
-                           if (c != 0) return k.descending ? c > 0 : c < 0;
-                         }
-                         return false;
-                       });
+      relational::sort_rows(*source, rows, keys, &scratch);
     }
 
     out = relational::project(*source, rows, outputs, out_name);
     if (stmt.distinct) {
-      out = relational::distinct(*out, out_name);
+      out = relational::distinct(*out, out_name, &scratch);
     }
     if (!stmt.order_by.empty() && order_on_output) {
       std::vector<SortKey> keys;
       for (const auto& ord : stmt.order_by) {
         keys.push_back({*out->schema().find(ord.column), ord.descending});
       }
-      out = relational::order_by(*out, keys, out_name);
+      out = relational::order_by(*out, keys, out_name, &scratch);
     }
-    if (stmt.top_n > 0) out = relational::head(*out, stmt.top_n, out_name);
+    if (stmt.top_n > 0) {
+      out = relational::head(*out, stmt.top_n, out_name, &scratch);
+    }
   } else {
     // Aggregation pipeline: pre-project group keys + aggregate inputs,
     // group, then arrange outputs in item order.
@@ -738,7 +737,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
     }
     GEMS_ASSIGN_OR_RETURN(
         TablePtr grouped_table,
-        relational::group_by(*pre, keys, aggs, "$grouped"));
+        relational::group_by(*pre, keys, aggs, "$grouped", &scratch));
 
     // Final projection into item order with user-facing names.
     std::vector<ColumnIndex> out_cols;
@@ -763,14 +762,14 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         ++agg_pos;
       }
     }
-    std::vector<RowIndex> all(grouped_table->num_rows());
+    std::pmr::vector<RowIndex> all(grouped_table->num_rows(), &scratch);
     for (std::size_t r = 0; r < all.size(); ++r) {
       all[r] = static_cast<RowIndex>(r);
     }
     out = relational::materialize(*grouped_table, all, out_cols, out_name,
                                   &names);
     if (stmt.distinct) {
-      out = relational::distinct(*out, out_name);
+      out = relational::distinct(*out, out_name, &scratch);
     }
     if (!stmt.order_by.empty()) {
       std::vector<SortKey> sort_keys;
@@ -782,9 +781,11 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         }
         sort_keys.push_back({*idx, ord.descending});
       }
-      out = relational::order_by(*out, sort_keys, out_name);
+      out = relational::order_by(*out, sort_keys, out_name, &scratch);
     }
-    if (stmt.top_n > 0) out = relational::head(*out, stmt.top_n, out_name);
+    if (stmt.top_n > 0) {
+      out = relational::head(*out, stmt.top_n, out_name, &scratch);
+    }
   }
 
   StatementResult result;

@@ -136,28 +136,53 @@ void Server::accept_loop() {
   }
 }
 
+template <typename Body>
 std::size_t Server::respond(SessionConn& session, Verb verb,
-                            std::uint64_t request_id, const Status& status,
-                            std::span<const std::uint8_t> body,
+                            std::uint64_t request_id, Status status,
+                            const Body& body,
                             const RequestMetrics::Outcome* outcome) {
-  std::vector<std::uint8_t> payload;
-  ByteWriter w(payload);
-  encode_status(status, w);
-  if (status.is_ok()) w.bytes(body);
-  const std::size_t frame_bytes = kFrameHeaderBytes + payload.size();
+  ByteCounter counted;
+  encode_status(status, counted);
+  if (status.is_ok()) body(counted);
+  const std::uint64_t budget =
+      std::min<std::uint64_t>(options_.max_frame_bytes, kMaxPayloadBytes);
+  if (counted.written() > budget) {
+    status = invalid_argument(
+        "reply of " + std::to_string(counted.written()) +
+        " bytes exceeds the frame budget of " + std::to_string(budget) +
+        " bytes; ask for fewer rows (select top N)");
+    counted = ByteCounter();
+    encode_status(status, counted);
+  }
+  const std::uint64_t payload_bytes = counted.written();
+  const std::size_t frame_bytes = kFrameHeaderBytes + payload_bytes;
   // Metrics are recorded *before* the response leaves: a client that has
   // its answer must already be visible in a stats snapshot.
   if (outcome != nullptr) {
     RequestMetrics::Outcome o = *outcome;
+    o.code = status.code();
     o.bytes_out = frame_bytes;
     requests_.record(verb, o);
   }
   sync::MutexLock lock(session.write_mutex);
+  StreamWriter w(std::min(kReplyBufferBytes, frame_bytes),
+                 [&session](std::span<const std::uint8_t> bytes) {
+                   return send_all(session.socket, bytes);
+                 });
+  write_frame_header(w, verb, /*is_response=*/true, request_id,
+                     static_cast<std::uint32_t>(payload_bytes));
+  encode_status(status, w);
+  if (status.is_ok()) body(w);
   // A send failure means the client went away; the reader thread will see
   // the close and unwind, so the status is intentionally dropped here.
-  (void)send_frame(session.socket, verb, /*is_response=*/true, request_id,
-                   payload);
+  (void)w.finish();
   return frame_bytes;
+}
+
+std::size_t Server::respond(SessionConn& session, Verb verb,
+                            std::uint64_t request_id, const Status& status,
+                            const RequestMetrics::Outcome* outcome) {
+  return respond(session, verb, request_id, status, [](auto&) {}, outcome);
 }
 
 bool Server::try_enqueue(Request request) {
@@ -200,7 +225,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
       const Status status =
           invalid_argument("handshake required before any other verb");
       const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0, 0, 0};
-      respond(*session, header.verb, header.request_id, status, {},
+      respond(*session, header.verb, header.request_id, status,
               &outcome);
       break;
     }
@@ -222,8 +247,8 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
               {kWireVersion, session->session_id, "gems-graql"});
         }
         const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0, 0, 0};
-        respond(*session, header.verb, header.request_id, status, body,
-                &outcome);
+        respond(*session, header.verb, header.request_id, status,
+                [&](auto& w) { w.bytes(body); }, &outcome);
         if (!status.is_ok()) return;  // version mismatch: drop the session
         break;
       }
@@ -235,7 +260,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
           session->cancelled.insert(request->target_request_id);
         }
         const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0, 0, 0};
-        respond(*session, header.verb, header.request_id, status, {},
+        respond(*session, header.verb, header.request_id, status,
                 &outcome);
         break;
       }
@@ -244,8 +269,8 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
         encode_snapshot(metrics_snapshot(), body);
         const RequestMetrics::Outcome outcome{StatusCode::kOk, bytes_in, 0,
                                               0, 0};
-        respond(*session, header.verb, header.request_id, Status::ok(), body,
-                &outcome);
+        respond(*session, header.verb, header.request_id, Status::ok(),
+                [&](auto& w) { w.bytes(body); }, &outcome);
         break;
       }
       case Verb::kShutdown: {
@@ -261,7 +286,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
         }
         const RequestMetrics::Outcome outcome{StatusCode::kOk, bytes_in, 0,
                                               0, 0};
-        respond(*session, header.verb, header.request_id, Status::ok(), {},
+        respond(*session, header.verb, header.request_id, Status::ok(),
                 &outcome);
         // Flip the wait() latch; the owner decides to stop(). Stopping
         // from this thread would deadlock on joining ourselves.
@@ -291,7 +316,7 @@ void Server::session_loop(const std::shared_ptr<SessionConn>& session) {
               " pending); retry with backoff");
           const RequestMetrics::Outcome outcome{status.code(), bytes_in, 0,
                                                 0, 0};
-          respond(*session, header.verb, header.request_id, status, {},
+          respond(*session, header.verb, header.request_id, status,
                   &outcome);
         }
         break;
@@ -326,7 +351,6 @@ void Server::process_request(Request& request) {
   }
 
   Status status = Status::ok();
-  std::vector<std::uint8_t> body;
   ScriptRequest script;
   bool have_script = false;
 
@@ -352,6 +376,12 @@ void Server::process_request(Request& request) {
         " ms deadline");
   }
 
+  // What the verb answers with; the reply encodes it straight to the
+  // socket.
+  std::vector<exec::StatementResult> results;
+  std::vector<std::uint8_t> diagnostics;
+  std::string plan;
+  std::vector<server::CatalogEntry> catalog;
   if (status.is_ok()) {
     relational::ParamMap params;
     // An empty blob means "no params" (clients skip encoding entirely in
@@ -365,14 +395,13 @@ void Server::process_request(Request& request) {
       }
     }
     if (status.is_ok()) {
-      ByteWriter w(body);
       switch (request.verb) {
         case Verb::kRunScript: {
-          auto results = db_.run_ir(script.ir, params);
-          if (results.is_ok()) {
-            encode_results(results.value(), w);
+          auto ran = db_.run_ir(script.ir, params);
+          if (ran.is_ok()) {
+            results = std::move(ran).value();
           } else {
-            status = results.status();
+            status = ran.status();
           }
           break;
         }
@@ -382,23 +411,23 @@ void Server::process_request(Request& request) {
           // fail-stop wrapper reconstructs the legacy Status from it).
           auto diags = db_.check_ir(script.ir, &params);
           if (diags.is_ok()) {
-            w.blob(graql::encode_diagnostics(diags.value()));
+            diagnostics = graql::encode_diagnostics(diags.value());
           } else {
             status = diags.status();
           }
           break;
         }
         case Verb::kExplain: {
-          auto plan = db_.explain_ir(script.ir, params);
-          if (plan.is_ok()) {
-            w.str(plan.value());
+          auto rendered = db_.explain_ir(script.ir, params);
+          if (rendered.is_ok()) {
+            plan = std::move(rendered).value();
           } else {
-            status = plan.status();
+            status = rendered.status();
           }
           break;
         }
         case Verb::kCatalog:
-          encode_catalog(db_.catalog(), w);
+          catalog = db_.catalog();
           break;
         default:
           status = internal_error("verb routed to worker unexpectedly");
@@ -410,8 +439,27 @@ void Server::process_request(Request& request) {
   const std::uint64_t execute_us = elapsed_us(dequeued, Clock::now());
   const RequestMetrics::Outcome outcome{status.code(), request.bytes_in, 0,
                                         queue_wait_us, execute_us};
-  respond(*request.session, request.verb, request.request_id, status, body,
-          &outcome);
+  respond(
+      *request.session, request.verb, request.request_id, status,
+      [&](auto& w) {
+        switch (request.verb) {
+          case Verb::kRunScript:
+            encode_results(results, w);
+            break;
+          case Verb::kCheck:
+            w.blob(diagnostics);
+            break;
+          case Verb::kExplain:
+            w.str(plan);
+            break;
+          case Verb::kCatalog:
+            encode_catalog(catalog, w);
+            break;
+          default:
+            break;
+        }
+      },
+      &outcome);
 }
 
 }  // namespace gems::net

@@ -88,14 +88,24 @@ class Server {
   void worker_loop();
   void process_request(Request& request);
 
-  /// Encodes status (+ optional pre-encoded body) and writes one response
-  /// frame under the session's write lock. When `outcome` is given its
-  /// bytes_out is filled in and it is recorded *before* the frame is sent,
-  /// so stats snapshots never trail a delivered response. Returns bytes
-  /// written.
+  /// The one reply writer. A counting pass sizes status + body first; a
+  /// reply the frame budget or the u32 length field cannot carry becomes
+  /// an in-band kInvalidArgument instead, so the connection stays in step.
+  /// Then header, status and body stream to the socket through one
+  /// kReplyBufferBytes buffer under the session's write lock. `body(w)`
+  /// encodes the verb's body into any ByteWriter-shaped `w` and is called
+  /// once per pass, only for an OK status. When `outcome` is given, its
+  /// code and bytes_out are filled in and it is recorded *before* the
+  /// frame is sent, so stats snapshots never trail a delivered response.
+  /// Returns the frame's bytes.
+  template <typename Body>
+  std::size_t respond(SessionConn& session, Verb verb,
+                      std::uint64_t request_id, Status status,
+                      const Body& body,
+                      const RequestMetrics::Outcome* outcome = nullptr);
+  /// A reply with no body.
   std::size_t respond(SessionConn& session, Verb verb,
                       std::uint64_t request_id, const Status& status,
-                      std::span<const std::uint8_t> body = {},
                       const RequestMetrics::Outcome* outcome = nullptr);
 
   /// Pushes onto the bounded queue; false when full (admission control).

@@ -1,5 +1,7 @@
 #include "net/wire.hpp"
 
+#include <algorithm>
+
 #include "graql/ir.hpp"
 
 namespace gems::net {
@@ -39,15 +41,16 @@ std::string_view verb_name(Verb verb) noexcept {
 Status send_frame(const Socket& socket, Verb verb, bool is_response,
                   std::uint64_t request_id,
                   std::span<const std::uint8_t> payload) {
+  if (payload.size() > kMaxPayloadBytes) {
+    return invalid_argument("frame payload of " +
+                            std::to_string(payload.size()) +
+                            " bytes exceeds the u32 length field");
+  }
   std::vector<std::uint8_t> frame;
   frame.reserve(kFrameHeaderBytes + payload.size());
   ByteWriter w(frame);
-  w.u32(kFrameMagic);
-  w.u16(kWireVersion);
-  w.u8(static_cast<std::uint8_t>(verb));
-  w.u8(is_response ? 1 : 0);
-  w.u64(request_id);
-  w.u32(static_cast<std::uint32_t>(payload.size()));
+  write_frame_header(w, verb, is_response, request_id,
+                     static_cast<std::uint32_t>(payload.size()));
   w.bytes(payload);
   return send_all(socket, frame);
 }
@@ -162,11 +165,6 @@ Result<CancelRequest> decode_cancel_request(
 
 // ---- Response payloads -----------------------------------------------------
 
-void encode_status(const Status& status, ByteWriter& w) {
-  w.u16(static_cast<std::uint16_t>(status.code()));
-  w.str(status.message());
-}
-
 Status decode_status(ByteReader& reader) {
   const std::size_t at = reader.pos();
   auto code = reader.u16();
@@ -179,8 +177,88 @@ Status decode_status(ByteReader& reader) {
   return Status(static_cast<StatusCode>(*code), std::move(*message));
 }
 
+namespace {
+
+/// One column's share of a chunk of rows: its kind, its validity words
+/// and its typed payload for those rows. Varchar cells are resolved to
+/// their strings a chunk at a time, under one string-pool lock.
+struct ChunkCells {
+  TypeKind kind;
+  const std::uint64_t* valid = nullptr;
+  const std::int64_t* ints = nullptr;  // Bool, Int64, Date
+  const double* doubles = nullptr;
+  std::vector<std::string_view> strings;  // Varchar
+};
+
+/// Rows of `table` in the tagged value encoding, chunk by chunk: the
+/// bytes graql::encode_value writes for each boxed cell, read from the
+/// typed columns without boxing.
+template <typename W>
+void encode_rows(const storage::Table& table, W& w) {
+  const std::size_t nrows = table.num_rows();
+  std::vector<ChunkCells> cols(table.num_columns());
+  for (std::size_t first = 0; first < nrows; first += kChunkRows) {
+    const std::size_t chunk = first / kChunkRows;
+    const std::size_t n = std::min(kChunkRows, nrows - first);
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      const storage::Column& column =
+          table.column(static_cast<storage::ColumnIndex>(c));
+      ChunkCells& cells = cols[c];
+      cells.kind = column.type().kind;
+      cells.valid = column.valid_words(chunk).data();
+      switch (cells.kind) {
+        case TypeKind::kDouble:
+          cells.doubles = column.double_chunks().chunk(chunk).data();
+          break;
+        case TypeKind::kVarchar:
+          cells.strings.resize(n);
+          table.pool().view_batch(
+              column.string_chunks().chunk(chunk).first(n),
+              cells.strings.data());
+          break;
+        default:
+          cells.ints = column.int_chunks().chunk(chunk).data();
+          break;
+      }
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const ChunkCells& cells : cols) {
+        if (((cells.valid[i / 64] >> (i % 64)) & 1) == 0) {
+          w.u8(0);
+          continue;
+        }
+        switch (cells.kind) {
+          case TypeKind::kBool:
+            w.u8(1);
+            w.boolean(cells.ints[i] != 0);
+            break;
+          case TypeKind::kInt64:
+            w.u8(2);
+            w.i64(cells.ints[i]);
+            break;
+          case TypeKind::kDouble:
+            w.u8(3);
+            w.f64(cells.doubles[i]);
+            break;
+          case TypeKind::kVarchar:
+            w.u8(4);
+            w.str(cells.strings[i]);
+            break;
+          case TypeKind::kDate:
+            w.u8(5);
+            w.i64(cells.ints[i]);
+            break;
+        }
+      }
+    }
+  }
+}
+
+}  // namespace
+
+template <typename W>
 void encode_results(const std::vector<exec::StatementResult>& results,
-                    ByteWriter& w) {
+                    W& w) {
   w.u32(static_cast<std::uint32_t>(results.size()));
   for (const auto& r : results) {
     w.u8(static_cast<std::uint8_t>(r.kind));
@@ -199,13 +277,7 @@ void encode_results(const std::vector<exec::StatementResult>& results,
         w.u32(col.type.varchar_length);
       }
       w.u64(table->num_rows());
-      for (std::size_t row = 0; row < table->num_rows(); ++row) {
-        for (std::size_t col = 0; col < table->num_columns(); ++col) {
-          graql::encode_value(
-              table->value_at(row, static_cast<storage::ColumnIndex>(col)),
-              w);
-        }
-      }
+      encode_rows(*table, w);
     }
     const bool has_subgraph = r.subgraph != nullptr;
     w.boolean(has_subgraph);
@@ -215,6 +287,13 @@ void encode_results(const std::vector<exec::StatementResult>& results,
     }
   }
 }
+
+template void encode_results(const std::vector<exec::StatementResult>&,
+                             ByteWriter&);
+template void encode_results(const std::vector<exec::StatementResult>&,
+                             ByteCounter&);
+template void encode_results(const std::vector<exec::StatementResult>&,
+                             StreamWriter&);
 
 Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
                                                           StringPool& pool) {
@@ -303,17 +382,6 @@ Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
     results.push_back(std::move(result));
   }
   return results;
-}
-
-void encode_catalog(const std::vector<server::CatalogEntry>& entries,
-                    ByteWriter& w) {
-  w.u32(static_cast<std::uint32_t>(entries.size()));
-  for (const auto& e : entries) {
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.str(e.name);
-    w.u64(e.instances);
-    w.u64(e.byte_size);
-  }
 }
 
 Result<std::vector<server::CatalogEntry>> decode_catalog(ByteReader& reader) {

@@ -43,6 +43,12 @@ inline constexpr std::uint16_t kWireVersion = 3;
 inline constexpr std::size_t kFrameHeaderBytes = 20;
 /// Default frame budget: the largest payload either side will accept.
 inline constexpr std::size_t kDefaultMaxFrameBytes = 64u << 20;
+/// The largest payload the u32 length field can carry.
+inline constexpr std::uint64_t kMaxPayloadBytes = 0xffffffffu;
+/// Buffer a reply streams through on its way to the socket (at most the
+/// whole frame). A reply of any size holds no more than this in memory
+/// beyond its result tables.
+inline constexpr std::size_t kReplyBufferBytes = 64 * 1024;
 
 /// Request verbs (paper Sec. III: clients submit scripts; the server
 /// checks, compiles, executes — plus the operational verbs a real service
@@ -83,7 +89,22 @@ inline ByteReader frame_reader(std::span<const std::uint8_t> bytes) {
 
 // ---- Frame I/O -------------------------------------------------------------
 
-/// Sends one frame (header + payload) as a single buffered write.
+/// The 20-byte frame header. `W` is a ByteWriter, ByteCounter or
+/// StreamWriter (common/bytes.hpp).
+template <typename W>
+void write_frame_header(W& w, Verb verb, bool is_response,
+                        std::uint64_t request_id, std::uint32_t payload_size) {
+  w.u32(kFrameMagic);
+  w.u16(kWireVersion);
+  w.u8(static_cast<std::uint8_t>(verb));
+  w.u8(is_response ? 1 : 0);
+  w.u64(request_id);
+  w.u32(payload_size);
+}
+
+/// Sends one frame (header + payload) as a single buffered write. A
+/// payload the u32 length field cannot carry is kInvalidArgument, and
+/// nothing is sent.
 Status send_frame(const Socket& socket, Verb verb, bool is_response,
                   std::uint64_t request_id,
                   std::span<const std::uint8_t> payload);
@@ -146,22 +167,44 @@ Result<CancelRequest> decode_cancel_request(
 // Every response payload starts with an encoded Status; a verb-specific
 // body follows only when the status is OK.
 
-void encode_status(const Status& status, ByteWriter& w);
+template <typename W>
+void encode_status(const Status& status, W& w) {
+  w.u16(static_cast<std::uint16_t>(status.code()));
+  w.str(status.message());
+}
 /// Returns the decoded status; a malformed status field itself decodes to
 /// kParseError. OK means "the peer reported success; the body follows".
 Status decode_status(ByteReader& reader);
 
 /// Result tables / subgraph summaries. Tables ship schema + row values;
 /// subgraphs ship their instance counts (the full vertex/edge sets stay
-/// server-side, as named catalog objects).
+/// server-side, as named catalog objects). Each cell is written straight
+/// from its column's typed chunks in the IR's tagged value encoding
+/// (graql::encode_value), row by row. `W` is a ByteWriter, a ByteCounter
+/// (the reply's sizing pass) or a StreamWriter (the reply itself).
+template <typename W>
 void encode_results(const std::vector<exec::StatementResult>& results,
-                    ByteWriter& w);
+                    W& w);
+extern template void encode_results(
+    const std::vector<exec::StatementResult>&, ByteWriter&);
+extern template void encode_results(
+    const std::vector<exec::StatementResult>&, ByteCounter&);
+extern template void encode_results(
+    const std::vector<exec::StatementResult>&, StreamWriter&);
 /// Decoded tables are rebuilt against `pool` (the client's interner).
 Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
                                                           StringPool& pool);
 
-void encode_catalog(const std::vector<server::CatalogEntry>& entries,
-                    ByteWriter& w);
+template <typename W>
+void encode_catalog(const std::vector<server::CatalogEntry>& entries, W& w) {
+  w.u32(static_cast<std::uint32_t>(entries.size()));
+  for (const auto& e : entries) {
+    w.u8(static_cast<std::uint8_t>(e.kind));
+    w.str(e.name);
+    w.u64(e.instances);
+    w.u64(e.byte_size);
+  }
+}
 Result<std::vector<server::CatalogEntry>> decode_catalog(ByteReader& reader);
 
 }  // namespace gems::net

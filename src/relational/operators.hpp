@@ -6,7 +6,11 @@
 //
 // All operators materialize new tables; intermediate results are the same
 // Table type users query, which is what makes GraQL's "results as tables"
-// composition (paper Sec. II-C1) free.
+// composition (paper Sec. II-C1) free. An operator that takes a
+// `memory` resource draws its temporary arrays (row lists, hash tables,
+// group ids, aggregate states, sort permutations) from it; its output
+// table is always on the heap. A table statement passes its ScratchArena
+// (DESIGN.md §5n).
 #pragma once
 
 #include <memory_resource>
@@ -34,25 +38,21 @@ using storage::TablePtr;
 // bound against a single-source TableScope, so it always compiles.
 
 /// Row indices of `table` in [first_row, num_rows) satisfying `predicate`
-/// (ascending order). A nonzero `first_row` filters only appended rows.
-std::vector<RowIndex> filter_rows(const Table& table,
-                                  const BoundExpr& predicate,
-                                  RowIndex first_row = 0);
-/// filter_rows with the result's memory from `memory` (a graph build
-/// passes its scratch arena).
-std::pmr::vector<RowIndex> filter_rows(const Table& table,
-                                       const BoundExpr& predicate,
-                                       RowIndex first_row,
-                                       std::pmr::memory_resource* memory);
+/// (ascending order), in memory from `memory` (a graph build or a table
+/// statement passes its scratch arena). A nonzero `first_row` filters
+/// only appended rows.
+std::pmr::vector<RowIndex> filter_rows(
+    const Table& table, const BoundExpr& predicate, RowIndex first_row = 0,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Parallel selection over the intra-node thread pool (the shared-memory
 /// half of the paper's "massively parallel execution"): the table is
 /// chunked, chunks filter independently (each worker with its own kernel
 /// scratch), results concatenate in order. Bit-identical to filter_rows
-/// (property-tested).
-std::vector<RowIndex> filter_rows_parallel(const Table& table,
-                                           const BoundExpr& predicate,
-                                           ThreadPool& pool);
+/// (property-tested). Only the calling thread touches `memory`.
+std::pmr::vector<RowIndex> filter_rows_parallel(
+    const Table& table, const BoundExpr& predicate, ThreadPool& pool,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Copies `rows` × `cols` of `src` into a new table named `name`, keeping
 /// the source column names unless `rename` provides one per output column.
@@ -113,8 +113,10 @@ struct AggSpec {
 /// skipped by every aggregate except count(*). Output schema: the key
 /// columns (source names) followed by one column per aggregate.
 /// Groups appear in first-encounter order (stable).
-Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
-                          std::span<const AggSpec> aggs, std::string name);
+Result<TablePtr> group_by(
+    const Table& src, std::span<const ColumnIndex> keys,
+    std::span<const AggSpec> aggs, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 // ---- Ordering / dedup / top -----------------------------------------------
 
@@ -123,22 +125,30 @@ struct SortKey {
   bool descending = false;
 };
 
-/// Stable-sorted row permutation of `src` (NULLs first ascending).
-std::vector<RowIndex> sorted_indices(const Table& src,
-                                     std::span<const SortKey> keys);
+/// Stable-sorts `rows` of `src` by `keys`, with its temporary arrays from
+/// `memory`. NULL sorts first and NaN after every number, ascending.
+void sort_rows(const Table& src, std::span<RowIndex> rows,
+               std::span<const SortKey> keys,
+               std::pmr::memory_resource* memory);
+
+/// Stable-sorted row permutation of `src`.
+std::pmr::vector<RowIndex> sorted_indices(
+    const Table& src, std::span<const SortKey> keys,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Materializes `src` in sorted order.
-TablePtr order_by(const Table& src, std::span<const SortKey> keys,
-                  std::string name);
+TablePtr order_by(
+    const Table& src, std::span<const SortKey> keys, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Distinct rows (over all columns), first occurrence kept, input order.
-TablePtr distinct(const Table& src, std::string name);
+TablePtr distinct(
+    const Table& src, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// First `n` rows (paper's `top n`; callers sort first).
-TablePtr head(const Table& src, std::size_t n, std::string name);
-
-/// Three-way comparison of two rows on one column (NULL sorts first).
-int compare_table_cells(const Table& table, RowIndex a, RowIndex b,
-                        ColumnIndex col);
+TablePtr head(
+    const Table& src, std::size_t n, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 }  // namespace gems::relational

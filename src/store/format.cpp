@@ -51,37 +51,17 @@ Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path) {
 }
 
 FileWriter::FileWriter(int fd, std::string path)
-    : fd_(fd), path_(std::move(path)) {
-  buffer_.reserve(kWriterBufferBytes);
-}
+    : StreamWriter(kWriterBufferBytes,
+                   [this](std::span<const std::uint8_t> b) {
+                     return write_out(b);
+                   }),
+      fd_(fd),
+      path_(std::move(path)) {}
 
-void FileWriter::bytes(std::span<const std::uint8_t> b) {
-  if (buffer_.size() + b.size() > kWriterBufferBytes) {
-    flush_buffer();
-    if (b.size() >= kWriterBufferBytes) {
-      write_through(b);
-      return;
-    }
-  }
-  fields_.bytes(b);
-}
-
-void FileWriter::flush_buffer() {
-  write_through(buffer_);
-  buffer_.clear();
-}
-
-void FileWriter::write_through(std::span<const std::uint8_t> b) {
-  if (!error_.is_ok() || b.empty()) return;
-  error_ = write_all(fd_, b, path_);
-  if (!error_.is_ok()) return;
+Status FileWriter::write_out(std::span<const std::uint8_t> b) {
+  GEMS_RETURN_IF_ERROR(write_all(fd_, b, path_));
   crc_ = crc32_update(crc_, b);
-  written_ += b.size();
-}
-
-Status FileWriter::finish() {
-  flush_buffer();
-  return error_;
+  return Status::ok();
 }
 
 Status write_all(int fd, std::span<const std::uint8_t> bytes,

@@ -40,55 +40,24 @@ inline ByteReader store_reader(std::span<const std::uint8_t> bytes) {
 /// buffer saves few syscalls and costs resident memory.
 inline constexpr std::size_t kWriterBufferBytes = 64 * 1024;
 
-/// Streams ByteWriter fields to an open file through a kWriterBufferBytes
-/// buffer, keeping a running CRC-32 and byte count of what it writes, so a
-/// checksummed file section never has to be in memory whole. Write errors
-/// are sticky: later fields are dropped and finish() returns the first
-/// error. It writes the same bytes as a ByteWriter given the same fields.
-class FileWriter {
+/// A StreamWriter (common/bytes.hpp) into an open file through a
+/// kWriterBufferBytes buffer, keeping a running CRC-32 of what it writes,
+/// so a checksummed file section never has to be in memory whole. The
+/// first write error is sticky and names the file.
+class FileWriter : public StreamWriter {
  public:
   /// `fd` stays owned by the caller; `path` names the file in errors.
   FileWriter(int fd, std::string path);
 
-  FileWriter(const FileWriter&) = delete;
-  FileWriter& operator=(const FileWriter&) = delete;
-
-  void u8(std::uint8_t v) { fixed(&ByteWriter::u8, v); }
-  void u16(std::uint16_t v) { fixed(&ByteWriter::u16, v); }
-  void u32(std::uint32_t v) { fixed(&ByteWriter::u32, v); }
-  void u64(std::uint64_t v) { fixed(&ByteWriter::u64, v); }
-  void f64(double v) { fixed(&ByteWriter::f64, v); }
-  /// ByteWriter::str's layout, with the body routed through bytes().
-  void str(std::string_view s) {
-    u32(static_cast<std::uint32_t>(s.size()));
-    bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
-  }
-  void bytes(std::span<const std::uint8_t> b);
-
-  /// Writes out the buffer and returns the first write error, if any.
-  /// Call it before reading written() and crc().
-  Status finish();
-  /// Bytes written to the file so far, and their CRC-32.
-  std::uint64_t written() const { return written_; }
+  /// CRC-32 of the bytes written so far; call finish() first.
   std::uint32_t crc() const { return crc32_final(crc_); }
 
  private:
-  /// Flushes first when the field would overflow the buffer.
-  template <typename T>
-  void fixed(void (ByteWriter::*put)(T), T v) {
-    if (buffer_.size() + sizeof(T) > kWriterBufferBytes) flush_buffer();
-    (fields_.*put)(v);
-  }
-  void flush_buffer();
-  void write_through(std::span<const std::uint8_t> b);
+  Status write_out(std::span<const std::uint8_t> b);
 
-  std::vector<std::uint8_t> buffer_;
-  ByteWriter fields_{buffer_};
   int fd_;
   std::string path_;
-  std::uint64_t written_ = 0;
   std::uint32_t crc_ = kCrc32Init;
-  Status error_;
 };
 
 // ---- POD arrays -------------------------------------------------------------

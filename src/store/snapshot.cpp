@@ -175,7 +175,8 @@ Result<TablePtr> decode_table(ByteReader& r, StringPool& pool) {
 }
 
 /// Writes the snapshot body to a ByteWriter (encode_snapshot) or a
-/// FileWriter (write_snapshot_file); both produce the same bytes.
+/// FileWriter (write_snapshot_file), which produce the same bytes, or
+/// counts it with a ByteCounter (snapshot_size).
 template <typename W>
 void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
   w.u64(wal_seq);
@@ -480,23 +481,6 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
   }
   return Status::ok();
 }
-
-/// Counts the bytes encode_body would write, writing none: the sizing
-/// pass of encode_snapshot.
-class ByteCounter {
- public:
-  void u8(std::uint8_t) { written_ += 1; }
-  void u16(std::uint16_t) { written_ += 2; }
-  void u32(std::uint32_t) { written_ += 4; }
-  void u64(std::uint64_t) { written_ += 8; }
-  void str(std::string_view s) { written_ += 4 + s.size(); }
-  void bytes(std::span<const std::uint8_t> b) { written_ += b.size(); }
-
-  std::uint64_t written() const { return written_; }
-
- private:
-  std::uint64_t written_ = 0;
-};
 
 std::vector<std::uint8_t> encode_header(std::uint64_t body_len,
                                         std::uint32_t body_crc) {

@@ -7,6 +7,8 @@
 // hashing or chunk logic with src/relational/operators.cpp.
 #pragma once
 
+#include <algorithm>
+#include <cmath>
 #include <map>
 #include <optional>
 #include <set>
@@ -49,10 +51,10 @@ inline void append_cell(storage::Column& column, const Cell& cell) {
   GEMS_UNREACHABLE("bad column kind");
 }
 
-inline std::vector<RowIndex> filter_rows(const Table& table,
-                                         const BoundExpr& predicate,
-                                         RowIndex first_row = 0) {
-  std::vector<RowIndex> out;
+inline std::pmr::vector<RowIndex> filter_rows(const Table& table,
+                                              const BoundExpr& predicate,
+                                              RowIndex first_row = 0) {
+  std::pmr::vector<RowIndex> out;
   RowCursor cursor{&table, 0};
   for (std::size_t r = first_row; r < table.num_rows(); ++r) {
     cursor.row = static_cast<RowIndex>(r);
@@ -255,6 +257,67 @@ inline TablePtr distinct(const Table& src, std::string name) {
     }
   }
   return materialize(src, keep, cols, std::move(name));
+}
+
+/// Three-way comparison of two boxed cells: NULL first, NaN after every
+/// number.
+inline int compare_cells(const storage::Value& a, const storage::Value& b) {
+  if (a.is_null() || b.is_null()) {
+    return (a.is_null() ? 0 : 1) - (b.is_null() ? 0 : 1);
+  }
+  auto cmp3 = [](auto x, auto y) { return x < y ? -1 : (x > y ? 1 : 0); };
+  switch (a.kind()) {
+    case storage::TypeKind::kBool:
+      return cmp3(a.as_bool() ? 1 : 0, b.as_bool() ? 1 : 0);
+    case storage::TypeKind::kInt64:
+    case storage::TypeKind::kDate:
+      return cmp3(a.as_int64(), b.as_int64());
+    case storage::TypeKind::kDouble:
+      if (std::isnan(a.as_double()) || std::isnan(b.as_double())) {
+        return cmp3(std::isnan(a.as_double()) ? 1 : 0,
+                    std::isnan(b.as_double()) ? 1 : 0);
+      }
+      return cmp3(a.as_double(), b.as_double());
+    case storage::TypeKind::kVarchar:
+      return cmp3(a.as_string().compare(b.as_string()), 0);
+  }
+  GEMS_UNREACHABLE("bad value kind");
+}
+
+inline std::vector<ColumnIndex> all_columns(const Table& src) {
+  std::vector<ColumnIndex> cols(src.num_columns());
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    cols[c] = static_cast<ColumnIndex>(c);
+  }
+  return cols;
+}
+
+/// Rows in key order, ties in input order: std::stable_sort over boxed
+/// cells.
+inline TablePtr order_by(const Table& src, std::span<const SortKey> keys,
+                         std::string name) {
+  std::vector<RowIndex> order(src.num_rows());
+  for (std::size_t r = 0; r < order.size(); ++r) {
+    order[r] = static_cast<RowIndex>(r);
+  }
+  std::stable_sort(order.begin(), order.end(), [&](RowIndex a, RowIndex b) {
+    for (const SortKey& k : keys) {
+      const int c = compare_cells(src.value_at(a, k.column),
+                                  src.value_at(b, k.column));
+      if (c != 0) return k.descending ? c > 0 : c < 0;
+    }
+    return false;
+  });
+  return materialize(src, order, all_columns(src), std::move(name));
+}
+
+/// The first `n` rows.
+inline TablePtr head(const Table& src, std::size_t n, std::string name) {
+  std::vector<RowIndex> rows;
+  for (std::size_t r = 0; r < std::min(n, src.num_rows()); ++r) {
+    rows.push_back(static_cast<RowIndex>(r));
+  }
+  return materialize(src, rows, all_columns(src), std::move(name));
 }
 
 }  // namespace gems::relational::oracle

@@ -9,12 +9,15 @@
 #include <cstring>
 #include <limits>
 
+#include "bsbm/generator.hpp"
+#include "common/scratch_arena.hpp"
 #include "relational/bound_expr.hpp"
 #include "relational/eval.hpp"
 #include "relational/null_semantics.hpp"
 #include "relational/operators.hpp"
 #include "relational/vector_eval.hpp"
 #include "relational_oracle.hpp"
+#include "server/database.hpp"
 #include "storage/csv.hpp"
 
 namespace gems::relational {
@@ -186,7 +189,7 @@ TEST_F(RelationalTest, FilterNumericComparison) {
                              Expr::make_literal(Value::int64(15)));
   // price >= 15: o2 (20), o3 (15), o4 (15). o5 has NULL price -> excluded.
   EXPECT_EQ(filter_rows(*offers_, *bind_offers(e)),
-            (std::vector<storage::RowIndex>{1, 2, 3}));
+            (std::pmr::vector<storage::RowIndex>{1, 2, 3}));
 }
 
 TEST_F(RelationalTest, NullComparisonNeverMatches) {
@@ -225,7 +228,7 @@ TEST_F(RelationalTest, StringOrderingComparison) {
   auto e = Expr::make_binary(BinaryOp::kGt, Expr::make_column("", "id"),
                              Expr::make_literal(Value::varchar("o3")));
   EXPECT_EQ(filter_rows(*offers_, *bind_offers(e)),
-            (std::vector<storage::RowIndex>{3, 4}));
+            (std::pmr::vector<storage::RowIndex>{3, 4}));
 }
 
 TEST_F(RelationalTest, DateComparison) {
@@ -245,7 +248,7 @@ TEST_F(RelationalTest, ArithmeticAndDivision) {
                         Expr::make_column("", "deliveryDays")),
       Expr::make_literal(Value::float64(2.8)));
   EXPECT_EQ(filter_rows(*offers_, *bind_offers(e)),
-            (std::vector<storage::RowIndex>{0, 1, 3}));
+            (std::pmr::vector<storage::RowIndex>{0, 1, 3}));
 }
 
 TEST_F(RelationalTest, DivisionByZeroYieldsNull) {
@@ -847,6 +850,107 @@ TEST_F(RelationalTest, VectorizedSweepAcrossChunks) {
       }
     }
   }
+}
+
+// A table statement's operators take their temporary arrays from a
+// ScratchArena (DESIGN.md §5n). Drawn from one, group_by, distinct,
+// order_by and head still give the oracle's bytes on multi-chunk tables.
+TEST_F(RelationalTest, ScratchArenaOperatorsMatchRowEngine) {
+  using namespace vec_prop;
+  const std::vector<AggSpec> aggs{
+      {AggKind::kCountStar, 0, "n"}, {AggKind::kSum, 0, "suma"},
+      {AggKind::kAvg, 2, "avgx"},    {AggKind::kMin, 4, "mins"},
+      {AggKind::kMax, 5, "maxd"}};
+  const std::vector<std::vector<SortKey>> orders{
+      {{1, false}, {2, true}}, {{4, true}, {0, false}}, {{3, false}}, {}};
+  std::uint64_t seed = 1000;
+  for (const double nd : kNullDensities) {
+    auto t = make_random_table(pool_, kSweepRows, nd, seed++);
+    {
+      ScratchArena scratch;
+      for (const auto& keys :
+           std::vector<std::vector<ColumnIndex>>{{4, 1}, {1}, {}}) {
+        const auto got = group_by(*t, keys, aggs, "G", &scratch);
+        ASSERT_TRUE(got.is_ok());
+        expect_tables_byte_identical(**got,
+                                     *oracle::group_by(*t, keys, aggs, "G"),
+                                     "scratch group_by");
+      }
+      const auto all = row_range(0, kSweepRows);
+      for (const auto& cols :
+           std::vector<std::vector<ColumnIndex>>{{4}, {1, 4}}) {
+        auto narrow = materialize(*t, all, cols, "N");
+        expect_tables_byte_identical(*distinct(*narrow, "D", &scratch),
+                                     *oracle::distinct(*narrow, "D"),
+                                     "scratch distinct");
+      }
+      for (const auto& keys : orders) {
+        expect_tables_byte_identical(*order_by(*t, keys, "O", &scratch),
+                                     *oracle::order_by(*t, keys, "O"),
+                                     "scratch order_by");
+      }
+      for (const std::size_t n : {std::size_t{0}, std::size_t{10},
+                                  kBatchRows + 1, kSweepRows + 5}) {
+        expect_tables_byte_identical(*head(*t, n, "H", &scratch),
+                                     *oracle::head(*t, n, "H"),
+                                     "scratch head");
+      }
+      EXPECT_GT(scratch.mapped_bytes(), 0u);
+    }
+    EXPECT_EQ(ScratchArena::live_mapped_bytes(), 0u);
+  }
+}
+
+// Table statements over a multi-chunk table give the oracle's bytes, and
+// once a statement returns no arena block is still mapped.
+TEST(ScratchStatementTest, TableStatementsUnmapTheirScratch) {
+  auto built =
+      bsbm::make_populated_database(bsbm::GeneratorConfig::derive(700, 5));
+  ASSERT_TRUE(built.is_ok()) << built.status().to_string();
+  server::Database& db = **built;
+  const auto run = [&](const std::string& text) -> TablePtr {
+    auto results = db.run_script(text);
+    EXPECT_TRUE(results.is_ok()) << text << ": "
+                                 << results.status().to_string();
+    EXPECT_EQ(ScratchArena::live_mapped_bytes(), 0u) << text;
+    return results.is_ok() ? results->back().table : nullptr;
+  };
+  // product (varchar), price (double), deliveryDays (int), validFrom
+  // (date), as the statements below project them.
+  const TablePtr offers =
+      run("select product, price, deliveryDays, validFrom from table Offers");
+  ASSERT_NE(offers, nullptr);
+  ASSERT_GT(offers->num_rows(), 3 * kBatchRows);
+  const auto all = vec_prop::row_range(0, offers->num_rows());
+
+  const TablePtr grouped = run(
+      "select product, count(*) as n, avg(price) as p, max(validFrom) as v "
+      "from table Offers group by product");
+  ASSERT_NE(grouped, nullptr);
+  const std::vector<ColumnIndex> key{0};
+  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
+                                  {AggKind::kAvg, 1, "p"},
+                                  {AggKind::kMax, 3, "v"}};
+  vec_prop::expect_tables_byte_identical(
+      *grouped, *oracle::group_by(*offers, key, aggs, "G"), "group by");
+
+  const TablePtr distinct_days =
+      run("select distinct deliveryDays from table Offers");
+  ASSERT_NE(distinct_days, nullptr);
+  const std::vector<ColumnIndex> days{2};
+  vec_prop::expect_tables_byte_identical(
+      *distinct_days,
+      *oracle::distinct(*materialize(*offers, all, days, "N"), "D"),
+      "distinct");
+
+  const TablePtr ordered = run(
+      "select top 2500 product, price, deliveryDays, validFrom "
+      "from table Offers order by deliveryDays desc, price");
+  ASSERT_NE(ordered, nullptr);
+  const std::vector<SortKey> keys{{2, true}, {1, false}};
+  const TablePtr sorted = oracle::order_by(*offers, keys, "O");
+  vec_prop::expect_tables_byte_identical(
+      *ordered, *oracle::head(*sorted, 2500, "H"), "order by, top");
 }
 
 TEST(NullSemanticsTest, Sql3vlWordFormulasMatchTruthTables) {
