@@ -524,53 +524,6 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
 
 namespace {
 
-Result<AggKind> to_agg_kind(AggFunc f) {
-  switch (f) {
-    case AggFunc::kCountStar:
-      return AggKind::kCountStar;
-    case AggFunc::kCount:
-      return AggKind::kCount;
-    case AggFunc::kSum:
-      return AggKind::kSum;
-    case AggFunc::kAvg:
-      return AggKind::kAvg;
-    case AggFunc::kMin:
-      return AggKind::kMin;
-    case AggFunc::kMax:
-      return AggKind::kMax;
-    case AggFunc::kNone:
-      break;
-  }
-  return internal_error("not an aggregate");
-}
-
-std::string default_item_name(const graql::SelectItem& item,
-                              std::size_t* anon) {
-  switch (item.agg) {
-    case AggFunc::kCountStar:
-    case AggFunc::kCount:
-      return "count";
-    case AggFunc::kSum:
-      return "sum";
-    case AggFunc::kAvg:
-      return "avg";
-    case AggFunc::kMin:
-      return "min";
-    case AggFunc::kMax:
-      return "max";
-    case AggFunc::kNone:
-      break;
-  }
-  if (item.expr->kind == relational::Expr::Kind::kColumnRef) {
-    return item.expr->column;
-  }
-  return "expr" + std::to_string((*anon)++);
-}
-
-}  // namespace
-
-namespace {
-
 /// Table-query body of execute_statement_read (see graph_query_core for
 /// the contract: immutable context, explicit params, no catalog
 /// registration).
@@ -614,33 +567,31 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
   const bool grouped = has_agg || !stmt.group_by.empty();
   const std::string out_name =
       stmt.into == IntoKind::kTable ? stmt.into_name : "result";
+  // Output names only: the operators type each column by the same rules.
+  const std::vector<relational::MaybeType> unknown_types(stmt.items.size());
 
   TablePtr out;
   if (!grouped) {
-    // Plain selection/projection. Expand `*` to all source columns.
+    // Plain selection/projection; `*` expands to all source columns.
+    GEMS_ASSIGN_OR_RETURN(
+        std::vector<graql::TableOutput> columns,
+        graql::table_query_outputs(stmt, source->schema(), unknown_types));
     std::vector<OutputColumn> outputs;
-    graql::OutputNamer namer;
-    std::size_t anon = 0;
-    for (const auto& item : stmt.items) {
-      if (item.star) {
-        for (ColumnIndex c = 0; c < source->num_columns(); ++c) {
-          OutputColumn oc;
-          oc.name = namer.assign(source->schema().column(c).name, "");
-          GEMS_ASSIGN_OR_RETURN(
-              oc.expr, relational::bind_expr(
-                           relational::Expr::make_column(
-                               "", source->schema().column(c).name),
-                           scope, params, pool));
-          outputs.push_back(std::move(oc));
-        }
-        continue;
-      }
+    for (auto& col : columns) {
       OutputColumn oc;
-      const std::string base =
-          item.alias.empty() ? default_item_name(item, &anon) : item.alias;
-      oc.name = namer.assign(base, "");
-      GEMS_ASSIGN_OR_RETURN(
-          oc.expr, relational::bind_expr(item.expr, scope, params, pool));
+      oc.name = std::move(col.name);
+      if (col.item != nullptr) {
+        GEMS_ASSIGN_OR_RETURN(oc.expr, relational::bind_expr(col.item->expr,
+                                                             scope, params,
+                                                             pool));
+      } else {
+        GEMS_ASSIGN_OR_RETURN(
+            oc.expr,
+            relational::bind_expr(
+                relational::Expr::make_column(
+                    "", source->schema().column(col.source_column).name),
+                scope, params, pool));
+      }
       outputs.push_back(std::move(oc));
     }
 
@@ -715,7 +666,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         continue;
       }
       AggSpec spec;
-      GEMS_ASSIGN_OR_RETURN(spec.kind, to_agg_kind(item.agg));
+      spec.kind = graql::agg_kind(item.agg);
       spec.output_name = "a" + std::to_string(i);
       if (item.agg != AggFunc::kCountStar) {
         OutputColumn oc;
@@ -740,16 +691,15 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         relational::group_by(*pre, keys, aggs, "$grouped", &scratch));
 
     // Final projection into item order with user-facing names.
+    GEMS_ASSIGN_OR_RETURN(
+        std::vector<graql::TableOutput> columns,
+        graql::table_query_outputs(stmt, source->schema(), unknown_types));
     std::vector<ColumnIndex> out_cols;
     std::vector<std::string> names;
-    graql::OutputNamer namer;
-    std::size_t anon = 0;
     std::size_t agg_pos = 0;
     for (std::size_t i = 0; i < stmt.items.size(); ++i) {
       const auto& item = stmt.items[i];
-      const std::string base =
-          item.alias.empty() ? default_item_name(item, &anon) : item.alias;
-      names.push_back(namer.assign(base, ""));
+      names.push_back(std::move(columns[i].name));
       if (item.agg == AggFunc::kNone) {
         // Key column: position in group_by.
         const auto key_it = std::find(stmt.group_by.begin(),

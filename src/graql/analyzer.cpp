@@ -6,6 +6,10 @@
 #include <unordered_map>
 
 #include "common/check.hpp"
+#include "common/string_pool.hpp"
+#include "relational/expr_rules.hpp"
+#include "relational/null_semantics.hpp"
+#include "relational/vector_eval.hpp"
 
 namespace gems::graql {
 
@@ -19,7 +23,6 @@ using relational::UnaryOp;
 using storage::DataType;
 using storage::Schema;
 using storage::TypeKind;
-using storage::Value;
 
 SourceSpan expr_span(const Expr& e) {
   return SourceSpan{e.src_line, e.src_column, e.src_end_line, e.src_end_column};
@@ -29,45 +32,16 @@ SourceSpan span_or(SourceSpan span, SourceSpan fallback) {
   return span.known() ? span : fallback;
 }
 
-// ---- Schema-level expression type inference --------------------------------
-// Mirrors relational/bind.cpp but works without data and treats unbound
-// %parameters% as wildcards (their types are checked at execution time).
+// ---- Schema-level expression typing ----------------------------------------
+// The typing rules are relational's (relational/expr_rules.hpp), the ones the
+// binder applies. This walk adds what analysis needs on top: catalog columns
+// through a resolver, an unknown type for a %parameter% when no parameters
+// are given, and the span of the node where a problem starts.
 
-using MaybeType = std::optional<DataType>;  // nullopt = statically unknown
+using relational::MaybeType;
 
 using Resolver =
     std::function<Result<DataType>(std::string_view, std::string_view)>;
-
-MaybeType value_type(const Value& v) {
-  if (v.is_null()) return std::nullopt;
-  switch (v.kind()) {
-    case TypeKind::kBool:
-      return DataType::boolean();
-    case TypeKind::kInt64:
-      return DataType::int64();
-    case TypeKind::kDate:
-      return DataType::date();
-    case TypeKind::kDouble:
-      return DataType::float64();
-    case TypeKind::kVarchar:
-      return DataType::varchar(255);
-  }
-  GEMS_UNREACHABLE("bad value kind");
-}
-
-bool is_comparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
 
 // On failure `err_span` (when non-null) receives the span of the deepest
 // node where the problem originated, so diagnostics point at the offending
@@ -75,82 +49,45 @@ bool is_comparison(BinaryOp op) {
 Result<MaybeType> infer_type(const ExprPtr& expr, const Resolver& resolve,
                              const ParamMap* params, SourceSpan* err_span) {
   GEMS_CHECK(expr != nullptr);
-  auto fail_here = [&](Status s) -> Status {
-    if (err_span != nullptr && !err_span->known()) *err_span = expr_span(*expr);
-    return s;
-  };
-  switch (expr->kind) {
-    case Expr::Kind::kLiteral:
-      return value_type(expr->literal);
-    case Expr::Kind::kParameter: {
-      if (params != nullptr) {
+  auto infer = [&]() -> Result<MaybeType> {
+    switch (expr->kind) {
+      case Expr::Kind::kLiteral:
+        return MaybeType(relational::value_type(expr->literal));
+      case Expr::Kind::kParameter: {
+        if (params == nullptr) return MaybeType();
         auto it = params->find(expr->param_name);
         if (it == params->end()) {
-          return fail_here(invalid_argument("unbound query parameter %" +
-                                            expr->param_name + "%"));
+          return invalid_argument("unbound query parameter %" +
+                                  expr->param_name + "%");
         }
-        return value_type(it->second);
+        return MaybeType(relational::value_type(it->second));
       }
-      return MaybeType(std::nullopt);
+      case Expr::Kind::kColumnRef: {
+        GEMS_ASSIGN_OR_RETURN(DataType t,
+                              resolve(expr->qualifier, expr->column));
+        return MaybeType(t);
+      }
+      case Expr::Kind::kUnary: {
+        GEMS_ASSIGN_OR_RETURN(
+            MaybeType operand,
+            infer_type(expr->lhs, resolve, params, err_span));
+        return relational::unary_type(expr->uop, operand);
+      }
+      case Expr::Kind::kBinary: {
+        GEMS_ASSIGN_OR_RETURN(
+            MaybeType lt, infer_type(expr->lhs, resolve, params, err_span));
+        GEMS_ASSIGN_OR_RETURN(
+            MaybeType rt, infer_type(expr->rhs, resolve, params, err_span));
+        return relational::binary_type(expr->bop, lt, rt);
+      }
     }
-    case Expr::Kind::kColumnRef: {
-      auto t = resolve(expr->qualifier, expr->column);
-      if (!t.is_ok()) return fail_here(t.status());
-      return MaybeType(t.value());
-    }
-    case Expr::Kind::kUnary: {
-      GEMS_ASSIGN_OR_RETURN(MaybeType operand,
-                            infer_type(expr->lhs, resolve, params, err_span));
-      if (expr->uop == UnaryOp::kNot) {
-        if (operand && operand->kind != TypeKind::kBool) {
-          return fail_here(type_error("'not' requires a boolean, got " +
-                                      operand->to_string()));
-        }
-        return MaybeType(DataType::boolean());
-      }
-      if (operand && !operand->is_numeric()) {
-        return fail_here(type_error("unary '-' requires a numeric operand, "
-                                    "got " + operand->to_string()));
-      }
-      return operand;
-    }
-    case Expr::Kind::kBinary: {
-      GEMS_ASSIGN_OR_RETURN(MaybeType lt,
-                            infer_type(expr->lhs, resolve, params, err_span));
-      GEMS_ASSIGN_OR_RETURN(MaybeType rt,
-                            infer_type(expr->rhs, resolve, params, err_span));
-      if (expr->bop == BinaryOp::kAnd || expr->bop == BinaryOp::kOr) {
-        if ((lt && lt->kind != TypeKind::kBool) ||
-            (rt && rt->kind != TypeKind::kBool)) {
-          return fail_here(
-              type_error("'" + std::string(binary_op_name(expr->bop)) +
-                         "' requires boolean operands"));
-        }
-        return MaybeType(DataType::boolean());
-      }
-      if (is_comparison(expr->bop)) {
-        if (lt && rt && !lt->comparable_with(*rt)) {
-          return fail_here(type_error(
-              "cannot compare " + lt->to_string() + " with " +
-              rt->to_string() + " in '" + expr->to_string() + "'"));
-        }
-        return MaybeType(DataType::boolean());
-      }
-      // Arithmetic.
-      if ((lt && !lt->is_numeric()) || (rt && !rt->is_numeric())) {
-        return fail_here(type_error(
-            "operator '" + std::string(binary_op_name(expr->bop)) +
-            "' requires numeric operands in '" + expr->to_string() + "'"));
-      }
-      if (!lt || !rt) return MaybeType(std::nullopt);
-      return MaybeType((lt->kind == TypeKind::kDouble ||
-                        rt->kind == TypeKind::kDouble ||
-                        expr->bop == BinaryOp::kDiv)
-                           ? DataType::float64()
-                           : DataType::int64());
-    }
+    GEMS_UNREACHABLE("bad expr kind");
+  };
+  Result<MaybeType> out = infer();
+  if (!out.is_ok() && err_span != nullptr && !err_span->known()) {
+    *err_span = expr_span(*expr);
   }
-  GEMS_UNREACHABLE("bad expr kind");
+  return out;
 }
 
 // Diag code for an error bubbled out of expression inference: the only
@@ -192,147 +129,128 @@ bool check_boolean(const ExprPtr& expr, const Resolver& resolve,
 }
 
 // ---- Pass 2: constant folding ----------------------------------------------
-// Partial evaluation over the metadata-only domain: literals and bound
-// parameters fold, column references don't. NULL literals are treated as
-// unknown (no three-valued logic here — the lint only fires on outcomes
-// that hold for every row). and/or short-circuit over partial knowledge:
-// `false and <anything>` folds even when the other side is dynamic.
+// Whether a condition is true, false or NULL on every row. Each maximal
+// subtree with no column and no unknown parameter is bound into a
+// statement-local string pool (never the database's) and evaluated by the
+// kernels, so the lint claims only what execution does; a bare literal or
+// parameter is its own value. Above those subtrees, and/or/not combine
+// partial knowledge through the truth tables of null_semantics.hpp
+// (`true or <column>` is true), and a NULL operand makes a comparison or
+// arithmetic NULL. Only truth values and NULL matter there, so any other
+// value folds to "unknown".
 
-std::optional<Value> fold_expr(const ExprPtr& expr, const ParamMap* params) {
-  if (!expr) return std::nullopt;
-  switch (expr->kind) {
-    case Expr::Kind::kLiteral:
-      if (expr->literal.is_null()) return std::nullopt;
-      return expr->literal;
-    case Expr::Kind::kParameter: {
-      if (params == nullptr) return std::nullopt;
-      auto it = params->find(expr->param_name);
-      if (it == params->end() || it->second.is_null()) return std::nullopt;
-      return it->second;
-    }
-    case Expr::Kind::kColumnRef:
-      return std::nullopt;
-    case Expr::Kind::kUnary: {
-      auto v = fold_expr(expr->lhs, params);
-      if (expr->uop == UnaryOp::kNot) {
-        if (v && v->kind() == TypeKind::kBool) {
-          return Value::boolean(!v->as_bool());
-        }
-        return std::nullopt;
-      }
-      if (!v) return std::nullopt;
-      if (v->kind() == TypeKind::kInt64) return Value::int64(-v->as_int64());
-      if (v->kind() == TypeKind::kDouble) {
-        return Value::float64(-v->as_double());
-      }
-      return std::nullopt;
-    }
-    case Expr::Kind::kBinary: {
-      auto l = fold_expr(expr->lhs, params);
-      auto r = fold_expr(expr->rhs, params);
-      const BinaryOp op = expr->bop;
-      if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-        auto as_bool = [](const std::optional<Value>& v) -> std::optional<bool> {
-          if (v && v->kind() == TypeKind::kBool) return v->as_bool();
-          return std::nullopt;
-        };
-        const auto lb = as_bool(l);
-        const auto rb = as_bool(r);
-        if (op == BinaryOp::kAnd) {
-          if ((lb && !*lb) || (rb && !*rb)) return Value::boolean(false);
-          if (lb && rb) return Value::boolean(true);
-          return std::nullopt;
-        }
-        if ((lb && *lb) || (rb && *rb)) return Value::boolean(true);
-        if (lb && rb) return Value::boolean(false);
-        return std::nullopt;
-      }
-      if (!l || !r) return std::nullopt;
-      auto numeric = [](const Value& v) {
-        return v.kind() == TypeKind::kInt64 || v.kind() == TypeKind::kDouble;
-      };
-      if (is_comparison(op)) {
-        int cmp = 0;
-        if (numeric(*l) && numeric(*r)) {
-          const double a = l->as_numeric();
-          const double b = r->as_numeric();
-          cmp = a < b ? -1 : (a > b ? 1 : 0);
-        } else if (l->kind() == r->kind()) {
-          cmp = l->compare(*r);
-        } else {
-          return std::nullopt;
-        }
-        switch (op) {
-          case BinaryOp::kEq:
-            return Value::boolean(cmp == 0);
-          case BinaryOp::kNe:
-            return Value::boolean(cmp != 0);
-          case BinaryOp::kLt:
-            return Value::boolean(cmp < 0);
-          case BinaryOp::kLe:
-            return Value::boolean(cmp <= 0);
-          case BinaryOp::kGt:
-            return Value::boolean(cmp > 0);
-          default:
-            return Value::boolean(cmp >= 0);
-        }
-      }
-      if (!numeric(*l) || !numeric(*r)) return std::nullopt;
-      if (op == BinaryOp::kDiv) {
-        const double d = r->as_numeric();
-        if (d == 0.0) return std::nullopt;
-        return Value::float64(l->as_numeric() / d);
-      }
-      if (l->kind() == TypeKind::kInt64 && r->kind() == TypeKind::kInt64) {
-        // Unsigned arithmetic sidesteps signed-overflow UB; wrap-around
-        // results just mean the lint stays silent on absurd constants.
-        const auto a = static_cast<std::uint64_t>(l->as_int64());
-        const auto b = static_cast<std::uint64_t>(r->as_int64());
-        std::uint64_t out = 0;
-        switch (op) {
-          case BinaryOp::kAdd:
-            out = a + b;
-            break;
-          case BinaryOp::kSub:
-            out = a - b;
-            break;
-          default:
-            out = a * b;
-            break;
-        }
-        return Value::int64(static_cast<std::int64_t>(out));
-      }
-      const double a = l->as_numeric();
-      const double b = r->as_numeric();
-      switch (op) {
-        case BinaryOp::kAdd:
-          return Value::float64(a + b);
-        case BinaryOp::kSub:
-          return Value::float64(a - b);
-        default:
-          return Value::float64(a * b);
-      }
-    }
+using relational::Tri;
+
+/// Binding scope of a subtree with no column: it resolves nothing.
+class NoColumns final : public relational::Scope {
+ public:
+  Result<relational::Slot> resolve(std::string_view,
+                                   std::string_view) const override {
+    return internal_error("a folded subtree has no columns");
   }
-  GEMS_UNREACHABLE("bad expr kind");
-}
+};
 
-/// Pass 2 reporting: warns when a (type-correct) condition folds to a
-/// constant. `empty_consequence` states what an always-false condition
+class Folder {
+ public:
+  explicit Folder(const ParamMap* params) : params_(params) {}
+
+  /// The truth value of `expr` on every row (kNull for a NULL of any
+  /// type), or nullopt when it depends on the row or is not a boolean.
+  /// `expr` must be well typed.
+  std::optional<Tri> fold(const ExprPtr& expr) {
+    if (is_constant(*expr)) return constant(expr);
+    if (expr->kind == Expr::Kind::kUnary) {
+      const auto v = fold(expr->lhs);
+      if (expr->uop == UnaryOp::kNot && v) {
+        return relational::kNot3[static_cast<int>(*v)];
+      }
+      return v == Tri::kNull ? v : std::nullopt;
+    }
+    if (expr->kind != Expr::Kind::kBinary) return std::nullopt;
+    const auto l = fold(expr->lhs);
+    const auto r = fold(expr->rhs);
+    if (relational::is_logical(expr->bop)) {
+      // An unknown side may be any of the three truth values; the result
+      // is known when the table gives one answer for all of them.
+      const auto& table = expr->bop == BinaryOp::kAnd ? relational::kAnd3
+                                                       : relational::kOr3;
+      std::optional<Tri> out;
+      for (int a = 0; a < 3; ++a) {
+        for (int b = 0; b < 3; ++b) {
+          if ((l && a != static_cast<int>(*l)) ||
+              (r && b != static_cast<int>(*r))) {
+            continue;
+          }
+          if (out && *out != table[a][b]) return std::nullopt;
+          out = table[a][b];
+        }
+      }
+      return out;
+    }
+    if (relational::binary_result_is_null(l == Tri::kNull,
+                                          r == Tri::kNull)) {
+      return Tri::kNull;
+    }
+    return std::nullopt;
+  }
+
+ private:
+  bool is_constant(const Expr& e) const {
+    switch (e.kind) {
+      case Expr::Kind::kLiteral:
+        return true;
+      case Expr::Kind::kParameter:
+        return params_ != nullptr && params_->contains(e.param_name);
+      case Expr::Kind::kColumnRef:
+        return false;
+      case Expr::Kind::kUnary:
+        return is_constant(*e.lhs);
+      case Expr::Kind::kBinary:
+        return is_constant(*e.lhs) && is_constant(*e.rhs);
+    }
+    GEMS_UNREACHABLE("bad expr kind");
+  }
+
+  std::optional<Tri> constant(const ExprPtr& expr) {
+    if (expr->kind == Expr::Kind::kLiteral ||
+        expr->kind == Expr::Kind::kParameter) {
+      const storage::Value& v = expr->kind == Expr::Kind::kLiteral
+                                    ? expr->literal
+                                    : params_->find(expr->param_name)->second;
+      if (v.is_null()) return Tri::kNull;
+      if (v.kind() != TypeKind::kBool) return std::nullopt;
+      return v.as_bool() ? Tri::kTrue : Tri::kFalse;
+    }
+    static const ParamMap kNoParams;
+    auto bound = relational::bind_expr(
+        expr, NoColumns(), params_ != nullptr ? *params_ : kNoParams, pool_);
+    if (!bound.is_ok()) return std::nullopt;
+    const relational::Cell c = relational::fold_constant(**bound, pool_);
+    if (!c.null && c.kind != TypeKind::kBool) return std::nullopt;
+    return relational::tri_of(c);
+  }
+
+  const ParamMap* params_;
+  StringPool pool_;
+};
+
+/// Pass 2 reporting: warns when a (type-correct) condition keeps every row
+/// or none. `empty_consequence` states what an always-false condition
 /// means for this context ("this step never matches", ...).
 void fold_and_warn(const ExprPtr& cond, const ParamMap* params,
                    DiagnosticEngine& diags, SourceSpan fallback,
                    std::string_view empty_consequence) {
-  auto v = fold_expr(cond, params);
-  if (!v || v->kind() != TypeKind::kBool) return;
+  const auto v = Folder(params).fold(cond);
+  if (!v) return;
   const SourceSpan span = span_or(expr_span(*cond), fallback);
-  if (v->as_bool()) {
+  if (*v == Tri::kTrue) {
     diags.warning(DiagCode::kAlwaysTrue, span,
                   "condition '" + cond->to_string() + "' is always true")
         .fixit = "remove the condition; it filters nothing";
   } else {
     diags.warning(DiagCode::kAlwaysFalse, span,
-                  "condition '" + cond->to_string() + "' is always false; " +
+                  "condition '" + cond->to_string() + "' is always " +
+                      (*v == Tri::kNull ? "NULL" : "false") + "; " +
                       std::string(empty_consequence))
         .fixit = "fix or remove the contradictory condition";
   }
@@ -1019,101 +937,52 @@ std::optional<Schema> analyze_table_query(const TableQueryStmt& stmt,
                   [](const SelectItem& i) { return i.agg != AggFunc::kNone; });
   const bool grouped = has_agg || !stmt.group_by.empty();
 
-  std::vector<storage::ColumnDef> out_cols;
-  std::size_t anon = 0;
-  for (const auto& item : stmt.items) {
+  std::vector<MaybeType> item_types(stmt.items.size());
+  for (std::size_t i = 0; i < stmt.items.size(); ++i) {
+    const SelectItem& item = stmt.items[i];
     const SourceSpan ispan = span_or(item.span, stmt.span);
     if (item.star) {
       if (grouped) {
         diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
                     "'*' cannot be combined with aggregates or group by");
-        continue;
       }
-      for (const auto& c : schema->columns()) out_cols.push_back(c);
       continue;
     }
-    MaybeType type;
-    std::string default_name;
-    if (item.agg == AggFunc::kCountStar) {
-      type = DataType::int64();
-      default_name = "count";
-    } else if (item.agg != AggFunc::kNone) {
-      SourceSpan err_span;
-      auto input_r = infer_type(item.expr, resolve, params, &err_span);
-      if (!input_r.is_ok()) {
-        diags.error(expr_error_code(input_r.status().code()),
-                    input_r.status().code(), span_or(err_span, ispan),
-                    std::string(input_r.status().message()));
-        continue;
-      }
-      const MaybeType input = input_r.value();
-      if ((item.agg == AggFunc::kSum || item.agg == AggFunc::kAvg) && input &&
-          !input->is_numeric()) {
-        diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
-                    "sum/avg require a numeric column");
-        continue;
-      }
-      switch (item.agg) {
-        case AggFunc::kCount:
-          type = DataType::int64();
-          default_name = "count";
-          break;
-        case AggFunc::kSum:
-          type = input;
-          default_name = "sum";
-          break;
-        case AggFunc::kAvg:
-          type = DataType::float64();
-          default_name = "avg";
-          break;
-        case AggFunc::kMin:
-          type = input;
-          default_name = "min";
-          break;
-        case AggFunc::kMax:
-          type = input;
-          default_name = "max";
-          break;
-        default:
-          GEMS_UNREACHABLE("handled");
-      }
-    } else {
-      SourceSpan err_span;
-      auto type_r = infer_type(item.expr, resolve, params, &err_span);
-      if (!type_r.is_ok()) {
-        diags.error(expr_error_code(type_r.status().code()),
-                    type_r.status().code(), span_or(err_span, ispan),
-                    std::string(type_r.status().message()));
-        continue;
-      }
-      type = type_r.value();
-      if (grouped) {
-        // SQL rule: non-aggregate outputs must be grouping columns.
-        const bool is_group_col =
-            item.expr->kind == Expr::Kind::kColumnRef &&
-            std::find(stmt.group_by.begin(), stmt.group_by.end(),
-                      item.expr->column) != stmt.group_by.end();
-        if (!is_group_col) {
-          diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
-                      "select item '" + item.expr->to_string() +
-                          "' must be aggregated or listed in group by");
-          continue;
-        }
-      }
-      default_name = item.expr->kind == Expr::Kind::kColumnRef
-                         ? item.expr->column
-                         : "expr" + std::to_string(anon++);
+    if (item.agg == AggFunc::kCountStar) continue;
+    SourceSpan err_span;
+    auto type = infer_type(item.expr, resolve, params, &err_span);
+    if (!type.is_ok()) {
+      diags.error(expr_error_code(type.status().code()),
+                  type.status().code(), span_or(err_span, ispan),
+                  std::string(type.status().message()));
+      continue;
     }
-    std::string name = item.alias.empty() ? default_name : item.alias;
-    // Ensure uniqueness in the output schema.
-    std::string unique = name;
-    int suffix = 1;
-    auto taken = [&](const std::string& n) {
-      return std::any_of(out_cols.begin(), out_cols.end(),
-                         [&](const auto& c) { return c.name == n; });
-    };
-    while (taken(unique)) unique = name + "_" + std::to_string(++suffix);
-    out_cols.push_back({unique, type.value_or(DataType::int64())});
+    if (item.agg != AggFunc::kNone) {
+      auto out = relational::agg_output_type(agg_kind(item.agg), *type);
+      if (!out.is_ok()) {
+        diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
+                    std::string(out.status().message()));
+        continue;
+      }
+    } else if (grouped &&
+               (item.expr->kind != Expr::Kind::kColumnRef ||
+                std::find(stmt.group_by.begin(), stmt.group_by.end(),
+                          item.expr->column) == stmt.group_by.end())) {
+      // SQL rule: non-aggregate outputs must be grouping columns.
+      diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
+                  "select item '" + item.expr->to_string() +
+                      "' must be aggregated or listed in group by");
+      continue;
+    }
+    item_types[i] = *type;
+  }
+  // Aggregate type errors were reported above, and their items pass as
+  // unknown, so deriving the outputs succeeds.
+  auto outputs = table_query_outputs(stmt, *schema, item_types);
+  GEMS_CHECK(outputs.is_ok());
+  std::vector<storage::ColumnDef> out_cols;
+  for (const TableOutput& col : outputs.value()) {
+    out_cols.push_back({col.name, col.type.value_or(DataType::int64())});
   }
 
   for (const auto& ord : stmt.order_by) {

@@ -16,13 +16,16 @@
 // semantic passes:
 //   1. empty type-intersection detection for `[ ]` steps and closure
 //      bodies that cannot chain (GQL004x),
-//   2. constant folding of step/where conditions to flag always-false and
-//      always-true predicates (GQL005x),
+//   2. constant folding of step/where conditions, through the same kernels
+//      execution runs, to flag always-false and always-true predicates
+//      (GQL005x),
 //   3. unbound/duplicate/unused `def`/`foreach` label analysis (GQL006x),
 //   4. regex-closure cost lint over catalog degree statistics, fed
 //      through AnalyzeOptions::edge_stats (GQL0070),
 //   5. cross-statement dependence validation: use-before-ingest and
 //      results overwritten before any read (GQL008x).
+//
+// Expressions are typed by relational/expr_rules.hpp, the binder's rules.
 //
 // The analyzer maintains a MetaCatalog that evolves as the script's DDL
 // and `into` clauses introduce new objects, so later statements can

@@ -254,6 +254,52 @@ std::string OutputNamer::assign(const std::string& preferred,
   return name;
 }
 
+relational::AggKind agg_kind(AggFunc f) {
+  static_assert(static_cast<int>(AggFunc::kCountStar) - 1 ==
+                    static_cast<int>(relational::AggKind::kCountStar) &&
+                static_cast<int>(AggFunc::kMax) - 1 ==
+                    static_cast<int>(relational::AggKind::kMax));
+  GEMS_CHECK(f != AggFunc::kNone);
+  return static_cast<relational::AggKind>(static_cast<int>(f) - 1);
+}
+
+Result<std::vector<TableOutput>> table_query_outputs(
+    const TableQueryStmt& stmt, const storage::Schema& source,
+    std::span<const relational::MaybeType> item_types) {
+  GEMS_CHECK(item_types.size() == stmt.items.size());
+  static constexpr const char* kAggNames[] = {"", "count", "count", "sum",
+                                              "avg", "min", "max"};
+  OutputNamer namer;
+  std::vector<TableOutput> out;
+  std::size_t anon = 0;
+  for (std::size_t i = 0; i < stmt.items.size(); ++i) {
+    const SelectItem& item = stmt.items[i];
+    if (item.star) {
+      for (storage::ColumnIndex c = 0; c < source.num_columns(); ++c) {
+        const storage::ColumnDef& def = source.column(c);
+        out.push_back({namer.assign(def.name, ""), def.type, nullptr, c});
+      }
+      continue;
+    }
+    TableOutput col;
+    col.item = &item;
+    col.type = item_types[i];
+    std::string name = item.alias;
+    if (item.agg != AggFunc::kNone) {
+      GEMS_ASSIGN_OR_RETURN(
+          col.type, relational::agg_output_type(agg_kind(item.agg), col.type));
+      if (name.empty()) name = kAggNames[static_cast<int>(item.agg)];
+    } else if (name.empty()) {
+      name = item.expr->kind == relational::Expr::Kind::kColumnRef
+                 ? item.expr->column
+                 : "expr" + std::to_string(anon++);
+    }
+    col.name = namer.assign(name, "");
+    out.push_back(std::move(col));
+  }
+  return out;
+}
+
 std::string to_string(const Script& script) {
   std::string out;
   for (const auto& s : script.statements) {

@@ -16,6 +16,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <variant>
 #include <vector>
@@ -23,6 +24,7 @@
 #include "graph/builder.hpp"
 #include "graql/token.hpp"
 #include "relational/expr.hpp"
+#include "relational/expr_rules.hpp"
 #include "storage/schema.hpp"
 
 namespace gems::graql {
@@ -203,5 +205,29 @@ class OutputNamer {
  private:
   std::vector<std::string> used_;
 };
+
+/// The relational aggregate `f` names; `f` must not be kNone. AggFunc
+/// lists the aggregates in relational::AggKind's order after kNone.
+relational::AggKind agg_kind(AggFunc f);
+
+/// One output column of a table query. `item` is null for a column that
+/// `*` expanded from source column `source_column`.
+struct TableOutput {
+  std::string name;
+  relational::MaybeType type;
+  const SelectItem* item = nullptr;
+  storage::ColumnIndex source_column = 0;
+};
+
+/// The output columns of `stmt` over `source`, in select-item order with
+/// `*` expanded: the one derivation of a table query's output names and
+/// types, used by the analyzer and the executor. `item_types[i]` is the
+/// type of item i's expression (an aggregate's input), or unknown; it is
+/// ignored for `*` and count(*). A name is the alias, else the column, the
+/// aggregate or `exprN`, made unique by OutputNamer. An aggregate's type is
+/// relational::agg_output_type's, whose errors are returned.
+Result<std::vector<TableOutput>> table_query_outputs(
+    const TableQueryStmt& stmt, const storage::Schema& source,
+    std::span<const relational::MaybeType> item_types);
 
 }  // namespace gems::graql

@@ -1,8 +1,9 @@
 #include "relational/bound_expr.hpp"
 
+#include "relational/expr_rules.hpp"
+
 namespace gems::relational {
 
-using storage::DataType;
 using storage::TypeKind;
 using storage::Value;
 
@@ -42,48 +43,6 @@ Cell cell_from_value(const Value& v, StringPool& pool) {
   GEMS_UNREACHABLE("bad value kind");
 }
 
-DataType type_of_value(const Value& v) {
-  if (v.is_null()) return DataType::int64();  // placeholder; nulls adapt
-  switch (v.kind()) {
-    case TypeKind::kBool:
-      return DataType::boolean();
-    case TypeKind::kInt64:
-      return DataType::int64();
-    case TypeKind::kDate:
-      return DataType::date();
-    case TypeKind::kDouble:
-      return DataType::float64();
-    case TypeKind::kVarchar:
-      return DataType::varchar(
-          static_cast<std::uint32_t>(v.as_string().size()));
-  }
-  GEMS_UNREACHABLE("bad value kind");
-}
-
-bool is_comparison(BinaryOp op) {
-  switch (op) {
-    case BinaryOp::kEq:
-    case BinaryOp::kNe:
-    case BinaryOp::kLt:
-    case BinaryOp::kLe:
-    case BinaryOp::kGt:
-    case BinaryOp::kGe:
-      return true;
-    default:
-      return false;
-  }
-}
-
-bool is_logical(BinaryOp op) {
-  return op == BinaryOp::kAnd || op == BinaryOp::kOr;
-}
-
-Status op_type_error(BinaryOp op, const DataType& l, const DataType& r) {
-  return type_error("operator '" + std::string(binary_op_name(op)) +
-                    "' cannot combine " + l.to_string() + " and " +
-                    r.to_string());
-}
-
 }  // namespace
 
 Result<BoundExprPtr> bind_expr(const ExprPtr& expr, const Scope& scope,
@@ -94,7 +53,7 @@ Result<BoundExprPtr> bind_expr(const ExprPtr& expr, const Scope& scope,
     case Expr::Kind::kLiteral: {
       out->kind = BoundExpr::Kind::kConst;
       out->constant = cell_from_value(expr->literal, pool);
-      out->type = type_of_value(expr->literal);
+      out->type = value_type(expr->literal);
       return out;
     }
     case Expr::Kind::kParameter: {
@@ -105,7 +64,7 @@ Result<BoundExprPtr> bind_expr(const ExprPtr& expr, const Scope& scope,
       }
       out->kind = BoundExpr::Kind::kConst;
       out->constant = cell_from_value(it->second, pool);
-      out->type = type_of_value(it->second);
+      out->type = value_type(it->second);
       return out;
     }
     case Expr::Kind::kColumnRef: {
@@ -120,19 +79,9 @@ Result<BoundExprPtr> bind_expr(const ExprPtr& expr, const Scope& scope,
                             bind_expr(expr->lhs, scope, params, pool));
       out->kind = BoundExpr::Kind::kUnary;
       out->uop = expr->uop;
-      if (expr->uop == UnaryOp::kNot) {
-        if (out->lhs->type.kind != TypeKind::kBool) {
-          return type_error("'not' requires a boolean operand, got " +
-                            out->lhs->type.to_string());
-        }
-        out->type = DataType::boolean();
-      } else {  // kNeg
-        if (!out->lhs->type.is_numeric()) {
-          return type_error("unary '-' requires a numeric operand, got " +
-                            out->lhs->type.to_string());
-        }
-        out->type = out->lhs->type;
-      }
+      GEMS_ASSIGN_OR_RETURN(MaybeType type,
+                            unary_type(expr->uop, out->lhs->type));
+      out->type = *type;
       return out;
     }
     case Expr::Kind::kBinary: {
@@ -142,28 +91,10 @@ Result<BoundExprPtr> bind_expr(const ExprPtr& expr, const Scope& scope,
                             bind_expr(expr->rhs, scope, params, pool));
       out->kind = BoundExpr::Kind::kBinary;
       out->bop = expr->bop;
-      const DataType& lt = out->lhs->type;
-      const DataType& rt = out->rhs->type;
-      if (is_logical(expr->bop)) {
-        if (lt.kind != TypeKind::kBool || rt.kind != TypeKind::kBool) {
-          return op_type_error(expr->bop, lt, rt);
-        }
-        out->type = DataType::boolean();
-      } else if (is_comparison(expr->bop)) {
-        // The paper's example of a rejected query: "comparing a date to a
-        // floating-point number" — enforced here.
-        if (!lt.comparable_with(rt)) return op_type_error(expr->bop, lt, rt);
-        out->type = DataType::boolean();
-      } else {  // arithmetic
-        if (!lt.is_numeric() || !rt.is_numeric()) {
-          return op_type_error(expr->bop, lt, rt);
-        }
-        out->type = (lt.kind == TypeKind::kDouble ||
-                     rt.kind == TypeKind::kDouble ||
-                     expr->bop == BinaryOp::kDiv)
-                        ? DataType::float64()
-                        : DataType::int64();
-      }
+      GEMS_ASSIGN_OR_RETURN(
+          MaybeType type,
+          binary_type(expr->bop, out->lhs->type, out->rhs->type));
+      out->type = *type;
       return out;
     }
   }

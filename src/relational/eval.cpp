@@ -1,6 +1,7 @@
 #include "relational/eval.hpp"
 
 #include "common/check.hpp"
+#include "relational/expr_rules.hpp"
 #include "relational/null_semantics.hpp"
 
 namespace gems::relational {
@@ -103,11 +104,11 @@ Cell eval_binary(const BoundExpr& expr, std::span<const RowCursor> sources,
         const std::int64_t y = r.i;
         switch (expr.bop) {
           case BinaryOp::kAdd:
-            return Cell::of_int64(x + y);
+            return Cell::of_int64(wrap_add(x, y));
           case BinaryOp::kSub:
-            return Cell::of_int64(x - y);
+            return Cell::of_int64(wrap_sub(x, y));
           case BinaryOp::kMul:
-            return Cell::of_int64(x * y);
+            return Cell::of_int64(wrap_mul(x, y));
           default:
             GEMS_UNREACHABLE("int division is typed double");
         }
@@ -152,7 +153,7 @@ Cell eval_cell(const BoundExpr& expr, std::span<const RowCursor> sources,
       }
       if (v.null) return Cell::null_cell();
       if (v.kind == TypeKind::kDouble) return Cell::of_double(-v.d);
-      return Cell::of_int64(-v.i);
+      return Cell::of_int64(wrap_neg(v.i));
     }
     case BoundExpr::Kind::kBinary:
       return eval_binary(expr, sources, pool);

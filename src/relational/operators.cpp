@@ -421,24 +421,6 @@ Result<TablePtr> hash_join(const Table& left,
   return out;
 }
 
-std::string_view agg_kind_name(AggKind kind) noexcept {
-  switch (kind) {
-    case AggKind::kCountStar:
-      return "count(*)";
-    case AggKind::kCount:
-      return "count";
-    case AggKind::kSum:
-      return "sum";
-    case AggKind::kAvg:
-      return "avg";
-    case AggKind::kMin:
-      return "min";
-    case AggKind::kMax:
-      return "max";
-  }
-  return "?";
-}
-
 namespace {
 
 // Per-group accumulator state, split by aggregate kind so each
@@ -465,34 +447,6 @@ struct MinMaxState {
   Value min;
   Value max;
 };
-
-Result<DataType> agg_output_type(const AggSpec& spec, const Table& src) {
-  switch (spec.kind) {
-    case AggKind::kCountStar:
-    case AggKind::kCount:
-      return DataType::int64();
-    case AggKind::kSum: {
-      const DataType& in = src.schema().column(spec.input).type;
-      if (!in.is_numeric()) {
-        return type_error("sum() requires a numeric column, got " +
-                          in.to_string());
-      }
-      return in;
-    }
-    case AggKind::kAvg: {
-      const DataType& in = src.schema().column(spec.input).type;
-      if (!in.is_numeric()) {
-        return type_error("avg() requires a numeric column, got " +
-                          in.to_string());
-      }
-      return DataType::float64();
-    }
-    case AggKind::kMin:
-    case AggKind::kMax:
-      return src.schema().column(spec.input).type;
-  }
-  GEMS_UNREACHABLE("bad agg kind");
-}
 
 /// First-seen dedup over `keys`, shared by group-by and distinct:
 /// `firsts` collects the first row of each distinct key (in row order)
@@ -620,8 +574,12 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
   defs.reserve(keys.size() + aggs.size());
   for (const auto k : keys) defs.push_back(src.schema().column(k));
   for (const auto& a : aggs) {
-    GEMS_ASSIGN_OR_RETURN(DataType type, agg_output_type(a, src));
-    defs.push_back({a.output_name, type});
+    MaybeType input;
+    if (a.kind != AggKind::kCountStar) {
+      input = src.schema().column(a.input).type;
+    }
+    GEMS_ASSIGN_OR_RETURN(MaybeType type, agg_output_type(a.kind, input));
+    defs.push_back({a.output_name, *type});
   }
   GEMS_ASSIGN_OR_RETURN(Schema schema, Schema::create(std::move(defs)));
   auto out = std::make_shared<Table>(std::move(name), std::move(schema),
@@ -696,7 +654,7 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
             if (col.is_null(row)) continue;
             SumState& s = st[groups[r]];
             ++s.count;
-            s.isum += col.int64_at(row);
+            s.isum = wrap_add(s.isum, col.int64_at(row));
             s.dsum += static_cast<double>(col.int64_at(row));
           }
         }

@@ -22,6 +22,7 @@
 #include "common/thread_pool.hpp"
 #include "relational/batch.hpp"
 #include "relational/bound_expr.hpp"
+#include "relational/expr_rules.hpp"
 #include "storage/table.hpp"
 
 namespace gems::relational {
@@ -97,10 +98,6 @@ Result<TablePtr> hash_join(const Table& left,
                            std::string name);
 
 // ---- Aggregation ----------------------------------------------------------
-
-enum class AggKind { kCountStar, kCount, kSum, kAvg, kMin, kMax };
-
-std::string_view agg_kind_name(AggKind kind) noexcept;
 
 struct AggSpec {
   AggKind kind = AggKind::kCountStar;

@@ -3,7 +3,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "relational/eval.hpp"
+#include "relational/expr_rules.hpp"
 #include "relational/null_semantics.hpp"
 
 namespace gems::relational {
@@ -69,32 +69,35 @@ constexpr CmpKernels kScalarKernels = {
 
 // ---- Arithmetic kernels --------------------------------------------------
 //
-// Int64 arithmetic runs in unsigned space: lanes under a cleared validity
-// bit hold unspecified payloads and must not trip signed-overflow UB; the
-// wrap result on such lanes is discarded (appends mask them to zero, keys
-// and filters consult the validity words first).
-
-inline std::int64_t wrap_add(std::int64_t x, std::int64_t y) noexcept {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) +
-                                   static_cast<std::uint64_t>(y));
-}
-inline std::int64_t wrap_sub(std::int64_t x, std::int64_t y) noexcept {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) -
-                                   static_cast<std::uint64_t>(y));
-}
-inline std::int64_t wrap_mul(std::int64_t x, std::int64_t y) noexcept {
-  return static_cast<std::int64_t>(static_cast<std::uint64_t>(x) *
-                                   static_cast<std::uint64_t>(y));
-}
-
-inline bool is_cmp(BinaryOp op) noexcept {
-  return op >= BinaryOp::kEq && op <= BinaryOp::kGe;
-}
+// Int64 arithmetic follows the one int64 rule (expr_rules.hpp): it wraps.
+// Lanes under a cleared validity bit hold unspecified payloads; their
+// result is discarded (appends mask them to zero, keys and filters consult
+// the validity words first).
 
 inline void and_words(const std::uint64_t* a, const std::uint64_t* b,
                       std::size_t n, std::uint64_t* out) noexcept {
   const std::size_t nw = batch_words(n);
   for (std::size_t w = 0; w < nw; ++w) out[w] = a[w] & b[w];
+}
+
+/// A batch of one lane over no table: all a tree of constants reads.
+constexpr RowBatch kOneLane{nullptr, 0, nullptr, 1};
+
+/// Lane 0 of `v` as a cell.
+Cell lane_cell(const ValueVector& v) {
+  if ((v.valid[0] & 1) == 0) return Cell::null_cell();
+  switch (v.kind) {
+    case TypeKind::kBool:
+      return Cell::of_bool((v.bits[0] & 1) != 0);
+    case TypeKind::kInt64:
+    case TypeKind::kDate:
+      return Cell::of_int64(v.i64[0], v.kind);
+    case TypeKind::kDouble:
+      return Cell::of_double(v.f64[0]);
+    case TypeKind::kVarchar:
+      return Cell::of_string(v.str[0]);
+  }
+  GEMS_UNREACHABLE("bad vector kind");
 }
 
 }  // namespace
@@ -120,20 +123,6 @@ struct VectorExpr::Builder {
   bool ok = true;
 
   using Node = std::unique_ptr<VectorExpr>;
-
-  static bool references_columns(const BoundExpr& e) {
-    switch (e.kind) {
-      case BoundExpr::Kind::kConst:
-        return false;
-      case BoundExpr::Kind::kColumnRef:
-        return true;
-      case BoundExpr::Kind::kUnary:
-        return references_columns(*e.lhs);
-      case BoundExpr::Kind::kBinary:
-        return references_columns(*e.lhs) || references_columns(*e.rhs);
-    }
-    GEMS_UNREACHABLE("bad bound expr kind");
-  }
 
   Node make_const(const Cell& cell, TypeKind fallback_kind) {
     Node node(new VectorExpr());
@@ -180,16 +169,28 @@ struct VectorExpr::Builder {
     broadcast_const(node);
   }
 
+  /// Replaces a node whose operands are all constants by a constant. The
+  /// node's own kernel computes it once on a one-lane batch, so a folded
+  /// value is the value every row would get. The folded subtree's scratch
+  /// ids [first_id, next_id) are handed out again.
+  Node fold_if_constant(Node node, const BoundExpr& e,
+                        std::uint32_t first_id) {
+    const auto is_const = [](const VectorExprPtr& n) {
+      return n == nullptr || n->kind_ == BoundExpr::Kind::kConst;
+    };
+    if (!is_const(node->lhs_) || !is_const(node->rhs_)) return node;
+    EvalScratch scratch{std::vector<VectorBuf>(next_id)};
+    const Cell value = lane_cell(node->eval_node(kOneLane, scratch));
+    next_id = first_id;
+    return make_const(value, e.type.kind);
+  }
+
   Node build(const BoundExpr& e) {
     if (!ok) return nullptr;
-    // Fold column-free subtrees to a single constant via the row
-    // evaluator itself — one semantics, zero drift.
-    if (!references_columns(e)) {
-      return make_const(eval_cell(e, {}, *pool), e.type.kind);
-    }
+    const std::uint32_t first_id = next_id;
     switch (e.kind) {
       case BoundExpr::Kind::kConst:
-        GEMS_UNREACHABLE("const handled by folding");
+        return make_const(e.constant, e.type.kind);
       case BoundExpr::Kind::kColumnRef: {
         if (e.slot.source != source) {
           ok = false;  // other-source reference: not vectorizable here
@@ -216,7 +217,7 @@ struct VectorExpr::Builder {
         node->lhs_ = std::move(child);
         node->id_ = next_id++;
         node->pool_ = pool;
-        return node;
+        return fold_if_constant(std::move(node), e, first_id);
       }
       case BoundExpr::Kind::kBinary: {
         Node l = build(*e.lhs);
@@ -225,7 +226,7 @@ struct VectorExpr::Builder {
         Node node(new VectorExpr());
         node->kind_ = BoundExpr::Kind::kBinary;
         node->bop_ = e.bop;
-        node->type_ = is_cmp(e.bop) || e.bop == BinaryOp::kAnd ||
+        node->type_ = is_comparison(e.bop) || e.bop == BinaryOp::kAnd ||
                               e.bop == BinaryOp::kOr
                           ? TypeKind::kBool
                           : e.type.kind;
@@ -233,11 +234,11 @@ struct VectorExpr::Builder {
         // constants on the other side to double at compile time
         // (non-const int64 operands are promoted lane-wise at eval).
         const bool wants_f64 =
-            (is_cmp(e.bop) || e.bop == BinaryOp::kAdd ||
+            (is_comparison(e.bop) || e.bop == BinaryOp::kAdd ||
              e.bop == BinaryOp::kSub || e.bop == BinaryOp::kMul ||
              e.bop == BinaryOp::kDiv) &&
             (l->type_ == TypeKind::kDouble || r->type_ == TypeKind::kDouble ||
-             (!is_cmp(e.bop) && e.type.kind == TypeKind::kDouble));
+             (!is_comparison(e.bop) && e.type.kind == TypeKind::kDouble));
         if (wants_f64) {
           for (VectorExpr* side : {l.get(), r.get()}) {
             if (side->kind_ == BoundExpr::Kind::kConst &&
@@ -250,7 +251,7 @@ struct VectorExpr::Builder {
         node->rhs_ = std::move(r);
         node->id_ = next_id++;
         node->pool_ = pool;
-        return node;
+        return fold_if_constant(std::move(node), e, first_id);
       }
     }
     GEMS_UNREACHABLE("bad bound expr kind");
@@ -266,6 +267,13 @@ VectorExprPtr VectorExpr::compile(const BoundExpr& expr, std::uint16_t source,
   if (!builder.ok || root == nullptr) return nullptr;
   root->num_nodes_ = builder.next_id;
   return root;
+}
+
+Cell fold_constant(const BoundExpr& expr, const StringPool& pool) {
+  const VectorExprPtr root = VectorExpr::compile(expr, 0, pool);
+  GEMS_CHECK(root != nullptr);
+  EvalScratch scratch = root->make_scratch();
+  return lane_cell(root->eval(kOneLane, scratch));
 }
 
 // ---- Evaluation ----------------------------------------------------------
@@ -290,7 +298,7 @@ ValueVector VectorExpr::eval_node(const RowBatch& batch,
       if (bop_ == BinaryOp::kAnd || bop_ == BinaryOp::kOr) {
         return eval_logical(batch, scratch);
       }
-      if (is_cmp(bop_)) return eval_compare(batch, scratch);
+      if (is_comparison(bop_)) return eval_compare(batch, scratch);
       return eval_arith(batch, scratch);
   }
   GEMS_UNREACHABLE("bad kernel kind");
@@ -425,7 +433,7 @@ ValueVector VectorExpr::eval_unary(const RowBatch& batch,
     out.f64 = dst;
   } else {
     std::int64_t* dst = buf.i64_lanes();
-    for (std::size_t i = 0; i < n; ++i) dst[i] = wrap_sub(0, v.i64[i]);
+    for (std::size_t i = 0; i < n; ++i) dst[i] = wrap_neg(v.i64[i]);
     out.i64 = dst;
   }
   return out;

@@ -5,7 +5,9 @@
 // re-dispatched per row:
 //
 //  * kConst leaves pre-broadcast their value into lane arrays at compile
-//    time (a NULL constant folds to an all-invalid vector),
+//    time (a NULL constant folds to an all-invalid vector); a node whose
+//    operands are all constants is folded into one, by evaluating its own
+//    kernel once on a one-lane batch,
 //  * kColumnRef leaves view the column's storage directly for contiguous
 //    windows and gather lanes for selection batches; validity windows are
 //    extracted word-at-a-time from the column's DynamicBitset,
@@ -97,6 +99,11 @@ class VectorExpr {
   std::vector<double> const_f64_;
   std::vector<StringId> const_str_;
 };
+
+/// Evaluates an expression with no column reference through the kernels
+/// on a one-lane batch: the value every row would get. String constants
+/// must be interned in `pool`.
+Cell fold_constant(const BoundExpr& expr, const StringPool& pool);
 
 /// Evaluates a boolean kernel over `batch` and writes the *global* row
 /// indices of accepting lanes (non-null true — Cell::truthy) to `out`,

@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <cinttypes>
 #include <cstdio>
 
 namespace gems::storage {
@@ -79,11 +80,22 @@ std::int64_t civil_to_days(int y, unsigned m, unsigned d) noexcept {
          static_cast<std::int64_t>(doe) - 719468;
 }
 
-void days_to_civil(std::int64_t z, int& year, unsigned& month,
+void days_to_civil(std::int64_t z, std::int64_t& year, unsigned& month,
                    unsigned& day) noexcept {
-  z += 719468;
-  const std::int64_t era = (z >= 0 ? z : z - 146096) / 146097;
-  const unsigned doe = static_cast<unsigned>(z - era * 146097);  // [0, 146096]
+  // The algorithm counts from 0000-03-01 (719468 days before the epoch) in
+  // 146097-day eras. Splitting z into eras before adding that shift keeps
+  // every step in range for any int64 day number.
+  constexpr std::int64_t kEraDays = 146097;
+  constexpr std::int64_t kShift = 719468;
+  std::int64_t era = z / kEraDays;
+  std::int64_t rem = z % kEraDays;
+  if (rem < 0) {
+    rem += kEraDays;
+    --era;
+  }
+  rem += kShift % kEraDays;
+  era += kShift / kEraDays + rem / kEraDays;
+  const unsigned doe = static_cast<unsigned>(rem % kEraDays);  // [0, 146096]
   const unsigned yoe =
       (doe - doe / 1460 + doe / 36524 - doe / 146096) / 365;  // [0, 399]
   const std::int64_t y = static_cast<std::int64_t>(yoe) + era * 400;
@@ -91,7 +103,7 @@ void days_to_civil(std::int64_t z, int& year, unsigned& month,
   const unsigned mp = (5 * doy + 2) / 153;                       // [0, 11]
   day = doy - (153 * mp + 2) / 5 + 1;                            // [1, 31]
   month = mp + (mp < 10 ? 3 : -9);                               // [1, 12]
-  year = static_cast<int>(y + (month <= 2));
+  year = y + (month <= 2);
 }
 
 namespace {
@@ -132,11 +144,12 @@ Result<std::int64_t> parse_date(std::string_view text) {
 }
 
 std::string format_date(std::int64_t days) {
-  int year;
+  std::int64_t year;
   unsigned month, day;
   days_to_civil(days, year, month, day);
-  char buf[16];
-  std::snprintf(buf, sizeof(buf), "%04d-%02u-%02u", year, month, day);
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%04" PRId64 "-%02u-%02u", year, month,
+                day);
   return buf;
 }
 

@@ -64,14 +64,16 @@ Result<DataType> parse_data_type(std::string_view text);
 /// Days since epoch for a civil date.
 std::int64_t civil_to_days(int year, unsigned month, unsigned day) noexcept;
 
-/// Inverse of civil_to_days.
-void days_to_civil(std::int64_t days, int& year, unsigned& month,
+/// Inverse of civil_to_days, defined for every int64 day number (the year
+/// of an extreme one does not fit an int).
+void days_to_civil(std::int64_t days, std::int64_t& year, unsigned& month,
                    unsigned& day) noexcept;
 
 /// Parses "YYYY-MM-DD". Rejects out-of-range month/day.
 Result<std::int64_t> parse_date(std::string_view text);
 
-/// Formats days-since-epoch as "YYYY-MM-DD".
+/// Formats days-since-epoch as "YYYY-MM-DD" (more year digits, or a
+/// minus sign, outside years 0000-9999).
 std::string format_date(std::int64_t days);
 
 }  // namespace gems::storage

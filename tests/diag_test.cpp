@@ -2,12 +2,17 @@
 // diagnostics: one golden case per semantic pass (empty intersections,
 // constant folding, label analysis, closure cost, cross-statement
 // dependences), multi-error collection with exact spans and stable GQL
-// codes, the byte codec, the clang-style renderer, and byte-identity of
-// the net `check` verb against a local Database::check.
+// codes, the byte codec, the clang-style renderer, byte-identity of the
+// net `check` verb against a local Database::check, and lint == runtime:
+// pass 2 warnings and type errors against real runs, and generated
+// constant folds against the kernels.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <random>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -17,6 +22,8 @@
 #include "graql/analyzer.hpp"
 #include "graql/diag.hpp"
 #include "graql/parser.hpp"
+#include "relational/expr_rules.hpp"
+#include "relational/operators.hpp"
 #include "net/client.hpp"
 #include "net/server.hpp"
 #include "server/database.hpp"
@@ -26,6 +33,16 @@ namespace {
 
 using storage::DataType;
 using storage::Schema;
+using storage::Value;
+
+std::vector<Diagnostic> with_code(const std::vector<Diagnostic>& diags,
+                                  DiagCode code) {
+  std::vector<Diagnostic> out;
+  for (const auto& d : diags) {
+    if (d.code == code) out.push_back(d);
+  }
+  return out;
+}
 
 /// Miniature Berlin-style catalog, matching graql_test's AnalyzerTest so
 /// the collect-mode results can be compared against the legacy wrappers.
@@ -76,15 +93,6 @@ class DiagTest : public ::testing::Test {
       analyze_script_collect(script, catalog_, diags, opts);
     }
     return diags.take();
-  }
-
-  static std::vector<Diagnostic> with_code(
-      const std::vector<Diagnostic>& diags, DiagCode code) {
-    std::vector<Diagnostic> out;
-    for (const auto& d : diags) {
-      if (d.code == code) out.push_back(d);
-    }
-    return out;
   }
 
   MetaCatalog catalog_;
@@ -470,6 +478,219 @@ TEST(DiagEndToEndTest, RemoteCheckIsByteIdenticalToLocal) {
         << render_diagnostics(remote.value(), "", false);
   }
   server.stop();
+}
+
+// ---- Lint == runtime -------------------------------------------------------
+// Each condition is both linted and run as `select count(*) ... where cond`.
+// GQL0050/GQL0051 must appear exactly when the run keeps no rows / every
+// row, and a lint error exactly when the run fails, with its StatusCode.
+
+struct LintRuntimeCase {
+  const char* table;
+  const char* condition;
+
+  friend void PrintTo(const LintRuntimeCase& c, std::ostream* os) {
+    *os << c.table << " where " << c.condition;
+  }
+};
+
+class LintMatchesRuntimeTest
+    : public ::testing::TestWithParam<LintRuntimeCase> {};
+
+TEST_P(LintMatchesRuntimeTest, WarningsAndErrorsAgreeWithExecution) {
+  const std::string count =
+      "select count(*) as n from table " + std::string(GetParam().table);
+  const std::string query = count + " where " + GetParam().condition;
+  auto diags = shared_db().check(query);
+  ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+  const Status lint_error = first_error_status(diags.value());
+  auto run = shared_db().run_script(query);
+  ASSERT_EQ(lint_error.code(), run.status().code())
+      << query << "\nlint: " << lint_error.to_string()
+      << "\nrun: " << run.status().to_string();
+  if (!run.is_ok()) return;
+
+  auto total = shared_db().run_script(count);
+  ASSERT_TRUE(total.is_ok()) << total.status().to_string();
+  const std::int64_t all = total->back().table->column(0).int64_at(0);
+  const std::int64_t kept = run->back().table->column(0).int64_at(0);
+  ASSERT_GT(all, 0);
+  const auto has = [&](DiagCode code) {
+    return !with_code(diags.value(), code).empty();
+  };
+  EXPECT_EQ(has(DiagCode::kAlwaysFalse), kept == 0)
+      << query << " kept " << kept << " of " << all << "\n"
+      << render_diagnostics(diags.value(), "", false);
+  EXPECT_EQ(has(DiagCode::kAlwaysTrue), kept == all)
+      << query << " kept " << kept << " of " << all << "\n"
+      << render_diagnostics(diags.value(), "", false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Conditions, LintMatchesRuntimeTest,
+    ::testing::Values(
+        // Exact int64 comparison: the two differ, though not as doubles.
+        LintRuntimeCase{"Products", "9007199254740993 = 9007199254740992"},
+        // NULL is typed integer everywhere.
+        LintRuntimeCase{"Producers", "country = NULL"},
+        // The int64 rule: arithmetic wraps.
+        LintRuntimeCase{"Products", "9223372036854775807 + 1 < 0"},
+        LintRuntimeCase{"Products", "-(-9223372036854775807 - 1) < 0"},
+        // Division by zero is NULL, and so is a comparison with it.
+        LintRuntimeCase{"Products", "1.0 / 0 = 1.0"},
+        LintRuntimeCase{"Products", "'b' > 'a'"},
+        // and/or fold through the three-valued truth tables.
+        LintRuntimeCase{"Offers", "true or price > 50.0"},
+        LintRuntimeCase{"Offers", "false and price > 50.0"}));
+
+TEST(LintMatchesRuntime, StarAfterNamedColumnIsRenamedNotRejected) {
+  // `*` repeats `id`; the one output derivation names it `id_2` for the
+  // lint and the run alike.
+  const std::string query = "select top 2 id, * from table Producers";
+  auto diags = shared_db().check(query);
+  ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+  EXPECT_TRUE(diags.value().empty())
+      << render_diagnostics(diags.value(), "", false);
+  auto run = shared_db().run_script(query);
+  ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+  const storage::Schema& schema = run->back().table->schema();
+  ASSERT_GE(schema.num_columns(), 2u);
+  EXPECT_EQ(schema.column(0).name, "id");
+  EXPECT_EQ(schema.column(1).name, "id_2");
+}
+
+// ---- Generated folds --------------------------------------------------------
+// Random constant conditions over int64 extremes, int/double mixes, NaN,
+// infinities, dates, strings, NULL, division by zero and overflow. The lint
+// sees each leaf as a bound %parameter% and folds the whole condition; the
+// kernels evaluate the same tree with each leaf read from a column of a
+// one-row table. The fold must be the kernels' value: GQL0051 for true,
+// GQL0050 "always false" for false, GQL0050 "always NULL" for NULL.
+
+class FoldGenerator {
+ public:
+  explicit FoldGenerator(std::uint64_t seed) : rng_(seed) {}
+
+  /// A boolean condition over %p<i>% leaves; params() holds their values.
+  std::string condition(int depth) { return boolean(depth); }
+  const relational::ParamMap& params() const { return params_; }
+
+ private:
+  std::string leaf(Value v) {
+    const std::string name = "p" + std::to_string(params_.size());
+    params_.emplace(name, std::move(v));
+    return "%" + name + "%";
+  }
+
+  std::uint64_t pick(std::uint64_t n) { return rng_() % n; }
+
+  std::string numeric(int depth) {
+    if (depth <= 0 || pick(3) == 0) {
+      static const Value kLeaves[] = {
+          Value::int64(std::numeric_limits<std::int64_t>::max()),
+          Value::int64(std::numeric_limits<std::int64_t>::min()),
+          Value::int64(0), Value::int64(1), Value::int64(-1),
+          Value::int64(9007199254740993), Value::int64(3),
+          Value::float64(9007199254740992.0), Value::float64(0.0),
+          Value::float64(-0.0), Value::float64(2.5),
+          Value::float64(std::numeric_limits<double>::quiet_NaN()),
+          Value::float64(std::numeric_limits<double>::infinity()),
+          Value::float64(-std::numeric_limits<double>::infinity()),
+          Value::float64(1e308), Value::null()};
+      return leaf(kLeaves[pick(std::size(kLeaves))]);
+    }
+    static const char* kOps[] = {" + ", " - ", " * ", " / "};
+    if (pick(5) == 0) return "(-" + numeric(depth - 1) + ")";
+    return "(" + numeric(depth - 1) + kOps[pick(4)] + numeric(depth - 1) +
+           ")";
+  }
+
+  std::string boolean(int depth) {
+    static const char* kCmp[] = {" = ", " <> ", " < ", " <= ", " > ", " >= "};
+    const char* cmp = kCmp[pick(6)];
+    switch (depth <= 0 ? pick(4) : pick(7)) {
+      case 0:
+        return "(" + numeric(depth - 1) + cmp + numeric(depth - 1) + ")";
+      case 1: {
+        static const std::int64_t kDays[] = {
+            0, -1, -719469, 2932896, std::numeric_limits<std::int64_t>::min(),
+            std::numeric_limits<std::int64_t>::max()};
+        return "(" + leaf(Value::date(kDays[pick(6)])) + cmp +
+               leaf(Value::date(kDays[pick(6)])) + ")";
+      }
+      case 2: {
+        static const char* kStrings[] = {"", "a", "b", "ab", "naïve"};
+        return "(" + leaf(Value::varchar(kStrings[pick(5)])) + cmp +
+               leaf(Value::varchar(kStrings[pick(5)])) + ")";
+      }
+      case 3:
+        return leaf(Value::boolean(pick(2) == 0));
+      case 4:
+        return "(not " + boolean(depth - 1) + ")";
+      default:
+        return "(" + boolean(depth - 1) + (pick(2) ? " and " : " or ") +
+               boolean(depth - 1) + ")";
+    }
+  }
+
+  std::mt19937_64 rng_;
+  relational::ParamMap params_;
+};
+
+/// The kernels' value of `condition` with every %p<i>% read from column
+/// p<i> of a one-row table holding `params`: "true", "false" or "NULL".
+std::string kernel_value(const std::string& condition,
+                         const relational::ParamMap& params) {
+  std::vector<storage::ColumnDef> cols;
+  std::vector<Value> row;
+  for (const auto& [name, value] : params) {
+    cols.push_back({name, relational::value_type(value)});
+    row.push_back(value);
+  }
+  StringPool pool;
+  auto table = std::make_shared<storage::Table>(
+      "T", Schema::create(std::move(cols)).value(), pool);
+  table->append_row_unchecked(row);
+  std::string text = condition;
+  text.erase(std::remove(text.begin(), text.end(), '%'), text.end());
+  auto stmt = parse_statement("select * from table T where " + text);
+  GEMS_CHECK_MSG(stmt.is_ok(), stmt.status().to_string().c_str());
+  const auto& where = std::get<TableQueryStmt>(stmt.value()).where;
+  relational::TableScope scope(*table);
+  auto bound = relational::bind_predicate(where, scope, {}, pool);
+  GEMS_CHECK_MSG(bound.is_ok(), bound.status().to_string().c_str());
+  std::vector<relational::OutputColumn> outs;
+  outs.push_back({"v", std::move(bound).value()});
+  const std::vector<storage::RowIndex> rows{0};
+  const auto out = relational::project(*table, rows, outs, "P");
+  const storage::Column& v = out->column(0);
+  if (v.is_null(0)) return "NULL";
+  return v.bool_at(0) ? "true" : "false";
+}
+
+TEST_F(DiagTest, GeneratedFoldsEqualKernelValues) {
+  for (std::uint64_t seed = 1; seed <= 400; ++seed) {
+    FoldGenerator gen(seed);
+    const std::string cond = gen.condition(static_cast<int>(seed % 4) + 1);
+    AnalyzeOptions opts;
+    opts.params = &gen.params();
+    const auto diags =
+        lint("select * from table Products where " + cond, opts);
+    std::string folded = "unknown";
+    for (const auto& d : diags) {
+      ASSERT_EQ(d.severity, Severity::kWarning)
+          << cond << ": " << d.message;
+      if (d.code == DiagCode::kAlwaysTrue) folded = "true";
+      if (d.code == DiagCode::kAlwaysFalse) {
+        folded = d.message.find("always NULL") != std::string::npos
+                     ? "NULL"
+                     : "false";
+      }
+    }
+    // Every leaf is a bound parameter, so nothing is left unknown.
+    EXPECT_EQ(folded, kernel_value(cond, gen.params()))
+        << "seed " << seed << ": " << cond;
+  }
 }
 
 // ---- The repo's demo scripts must lint clean -------------------------------

@@ -129,9 +129,11 @@ TEST_P(SchemaAgreementTest, PredictedSchemaEqualsMaterialized) {
       EXPECT_EQ(predicted->column(c).name,
                 r.table->schema().column(c).name)
           << r.into_name << " col " << c;
-      EXPECT_EQ(predicted->column(c).type.kind,
-                r.table->schema().column(c).type.kind)
-          << r.into_name << " col " << c;
+      // The whole type, varchar width included.
+      EXPECT_EQ(predicted->column(c).type, r.table->schema().column(c).type)
+          << r.into_name << " col " << c << ": predicted "
+          << predicted->column(c).type.to_string() << " vs materialized "
+          << r.table->schema().column(c).type.to_string();
     }
   }
 }
@@ -167,7 +169,15 @@ INSTANTIATE_TEST_SUITE_P(
         // Or-composition with partially overlapping steps.
         "select ProductVtx.id from graph ProductVtx() --feature--> "
         "FeatureVtx() or ProductVtx() --type--> TypeVtx() into table "
-        "S10"));
+        "S10",
+        // A column named again by `*`.
+        "select id, * from table Producers into table S11",
+        // Literal and parameter projections: a string's width is its own.
+        "select 'abc' as lit, %Product1% as p, label from table Products "
+        "into table S12",
+        // Aggregate output types over int and varchar inputs.
+        "select producer, sum(propertyNumeric_1) as s, min(label) as m "
+        "from table Products group by producer into table S13"));
 
 // ---- Scripted end-to-end pipeline -------------------------------------------
 

@@ -19,6 +19,7 @@
 
 #include "common/check.hpp"
 #include "relational/eval.hpp"
+#include "relational/expr_rules.hpp"
 #include "relational/operators.hpp"
 #include "relational/row_key.hpp"
 
@@ -196,7 +197,7 @@ inline TablePtr group_by(const Table& src, std::span<const ColumnIndex> keys,
           if (is_double) {
             dsum += col.double_at(r);
           } else {
-            isum += col.int64_at(r);
+            isum = wrap_add(isum, col.int64_at(r));
             dsum += static_cast<double>(col.int64_at(r));
           }
         } else if (spec.kind == AggKind::kMin || spec.kind == AggKind::kMax) {

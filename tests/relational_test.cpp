@@ -7,6 +7,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <functional>
 #include <limits>
 
 #include "bsbm/generator.hpp"
@@ -704,6 +705,93 @@ TEST_F(RelationalTest, VectorizedProjectMatchesRowEngine) {
                                    "project");
     }
   }
+}
+
+// ---- The int64 rule: +, -, *, unary - and sum() wrap -----------------------
+
+TEST_F(RelationalTest, Int64OverflowWrapsInKernelsEvalCellAndOracle) {
+  using namespace vec_prop;
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  const std::int64_t edges[] = {kMax, kMin, -1, 1, 0, 2};
+  auto t = std::make_shared<Table>(
+      "W", Schema({{"a", DataType::int64()}, {"b", DataType::int64()}}),
+      pool_);
+  for (const std::int64_t a : edges) {
+    for (const std::int64_t b : edges) {
+      const Value row[] = {Value::int64(a), Value::int64(b)};
+      t->append_row_unchecked(row);
+    }
+  }
+  // The rule, restated here in unsigned arithmetic.
+  const auto wrap = [](std::uint64_t v) {
+    return static_cast<std::int64_t>(v);
+  };
+  const auto u = [](std::int64_t v) { return static_cast<std::uint64_t>(v); };
+  struct Case {
+    const char* name;
+    ExprPtr expr;
+    std::function<std::int64_t(std::int64_t, std::int64_t)> expect;
+  };
+  const std::vector<Case> cases{
+      {"add", bin(BinaryOp::kAdd, col("a"), col("b")),
+       [&](std::int64_t a, std::int64_t b) { return wrap(u(a) + u(b)); }},
+      {"sub", bin(BinaryOp::kSub, col("a"), col("b")),
+       [&](std::int64_t a, std::int64_t b) { return wrap(u(a) - u(b)); }},
+      {"mul", bin(BinaryOp::kMul, col("a"), col("b")),
+       [&](std::int64_t a, std::int64_t b) { return wrap(u(a) * u(b)); }},
+      {"neg", Expr::make_unary(UnaryOp::kNeg, col("a")),
+       [&](std::int64_t a, std::int64_t) { return wrap(0 - u(a)); }},
+  };
+  TableScope scope(*t);
+  const auto rows = row_range(0, t->num_rows());
+  for (const Case& c : cases) {
+    auto bound = bind_expr(c.expr, scope, {}, pool_);
+    ASSERT_TRUE(bound.is_ok()) << c.name;
+    std::vector<OutputColumn> outs;
+    outs.push_back({"v", std::move(bound).value()});
+    const TablePtr kernels = project(*t, rows, outs, "P");
+    expect_tables_byte_identical(*kernels,
+                                 *oracle::project(*t, rows, outs, "P"),
+                                 c.name);
+    for (std::size_t r = 0; r < t->num_rows(); ++r) {
+      const auto row = static_cast<storage::RowIndex>(r);
+      const std::int64_t a = t->column(0).int64_at(row);
+      const std::int64_t b = t->column(1).int64_at(row);
+      const RowCursor cursor{t.get(), row};
+      const Cell cell = eval_cell(*outs[0].expr, {&cursor, 1}, pool_);
+      ASSERT_FALSE(cell.null);
+      EXPECT_EQ(cell.i, c.expect(a, b)) << c.name << " row " << r;
+      EXPECT_EQ(kernels->column(0).int64_at(row), cell.i)
+          << c.name << " row " << r;
+      // The same expression over literals folds through the kernels to
+      // the same cell.
+      const ExprPtr lit =
+          c.expr->kind == Expr::Kind::kUnary
+              ? Expr::make_unary(UnaryOp::kNeg, i64(a))
+              : bin(c.expr->bop, i64(a), i64(b));
+      auto folded = bind_expr(lit, scope, {}, pool_);
+      ASSERT_TRUE(folded.is_ok());
+      const Cell f = fold_constant(**folded, pool_);
+      EXPECT_FALSE(f.null);
+      EXPECT_EQ(f.i, cell.i) << c.name << " folded row " << r;
+    }
+  }
+
+  // sum() wraps too: every row's a, grouped by b, and all of them.
+  const std::vector<AggSpec> aggs{{AggKind::kSum, 0, "s"}};
+  for (const std::vector<ColumnIndex>& keys :
+       {std::vector<ColumnIndex>{1}, std::vector<ColumnIndex>{}}) {
+    const auto got = group_by(*t, keys, aggs, "G");
+    ASSERT_TRUE(got.is_ok());
+    expect_tables_byte_identical(**got, *oracle::group_by(*t, keys, aggs, "G"),
+                                 "sum");
+  }
+  std::uint64_t total = 0;
+  for (const std::int64_t a : edges) total += u(a) * std::size(edges);
+  const auto scalar = group_by(*t, {}, aggs, "G");
+  ASSERT_TRUE(scalar.is_ok());
+  EXPECT_EQ((*scalar)->column(0).int64_at(0), wrap(total));
 }
 
 TEST_F(RelationalTest, VectorizedJoinMatchesRowEngine) {

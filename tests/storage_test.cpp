@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <mutex>
 #include <optional>
 #include <span>
@@ -75,11 +76,23 @@ TEST(DateTest, KnownDates) {
 TEST(DateTest, RoundTripAcrossRange) {
   // Every 13 days over ~80 years, plus leap-year edges.
   for (std::int64_t d = -15000; d < 25000; d += 13) {
-    int y;
+    std::int64_t y;
     unsigned m, dd;
     days_to_civil(d, y, m, dd);
-    EXPECT_EQ(civil_to_days(y, m, dd), d);
+    EXPECT_EQ(civil_to_days(static_cast<int>(y), m, dd), d);
   }
+}
+
+TEST(DateTest, RendersEveryInt64DayNumber) {
+  // A WAL record or a decoded reply can carry any int64 in a date cell;
+  // rendering it must stay defined (UBSan watches the arithmetic).
+  EXPECT_EQ(format_date(std::numeric_limits<std::int64_t>::max()),
+            "25252734927768524-07-27");
+  EXPECT_EQ(format_date(std::numeric_limits<std::int64_t>::min()),
+            "-25252734927764585-06-07");
+  EXPECT_EQ(format_date(-719469), "0000-02-29");
+  EXPECT_EQ(format_date(-719468), "0000-03-01");
+  EXPECT_EQ(format_date(-719834), "-001-03-01");
 }
 
 TEST(DateTest, ParseAndFormat) {
