@@ -46,18 +46,30 @@ class IdTable {
     return slots_.size() * sizeof(Slot);
   }
 
+  /// Slots of a table of `n` entries built one by one or reserved for
+  /// exactly `n`: 0 for none, else the smallest power of two, at least
+  /// kMinCapacity, that holds `n` at load <= 1/2.
+  static std::size_t capacity_for(std::size_t n) noexcept {
+    if (n == 0) return 0;
+    std::size_t capacity = kMinCapacity;
+    while (capacity < 2 * n) capacity *= 2;
+    return capacity;
+  }
+
+  /// byte_size() of such a table.
+  static std::size_t byte_size_for(std::size_t n) noexcept {
+    return capacity_for(n) * sizeof(Slot);
+  }
+
   /// Grows, if needed, so that `n` entries fit.
   void reserve(std::size_t n) {
     GEMS_CHECK_MSG(n <= (std::size_t{1} << 31),
                    "id table exhausted 2^31 entries");
     if (2 * n <= slots_.size()) return;
-    std::size_t capacity = slots_.empty() ? kMinCapacity : slots_.size();
-    while (capacity < 2 * n) capacity *= 2;
-    std::pmr::vector<Slot> old(capacity, Slot{}, slots_.get_allocator());
+    std::pmr::vector<Slot> old(capacity_for(n), Slot{},
+                               slots_.get_allocator());
     old.swap(slots_);
-    for (const Slot& s : old) {
-      if (s.id != kNone) slots_[empty_slot(s.tag)] = s;
-    }
+    place(old);
   }
 
   /// A copy on the default heap at the capacity that size() alone calls
@@ -68,11 +80,20 @@ class IdTable {
     if (out.slots_.size() == slots_.size()) {
       std::copy(slots_.begin(), slots_.end(), out.slots_.begin());
     } else {
-      for (const Slot& s : slots_) {
-        if (s.id != kNone) out.slots_[out.empty_slot(s.tag)] = s;
-      }
+      out.place(slots_);
     }
     out.size_ = size_;
+    return out;
+  }
+
+  /// One table on the default heap holding the entries of `a` and `b`
+  /// (which share no key), at the capacity their total calls for.
+  static IdTable merged(const IdTable& a, const IdTable& b) {
+    IdTable out;
+    out.reserve(a.size_ + b.size_);
+    out.place(a.slots_);
+    out.place(b.slots_);
+    out.size_ = a.size_ + b.size_;
     return out;
   }
 
@@ -116,6 +137,14 @@ class IdTable {
   static std::uint32_t tag_of(std::uint64_t hash) noexcept {
     return static_cast<std::uint32_t>(hash >> 32) ^
            static_cast<std::uint32_t>(hash);
+  }
+
+  /// Re-places the occupied slots of `from` by their tags alone.
+  template <typename Slots>
+  void place(const Slots& from) noexcept {
+    for (const Slot& s : from) {
+      if (s.id != kNone) slots_[empty_slot(s.tag)] = s;
+    }
   }
 
   std::size_t empty_slot(std::uint32_t tag) const noexcept {

@@ -9,6 +9,7 @@ namespace gems::exec {
 
 namespace {
 
+using graph::AdjacencyPart;
 using graph::CsrIndex;
 using graph::EdgeRef;
 using graph::EdgeType;
@@ -235,15 +236,15 @@ class Enumerator {
       auto matched_it = matched.find(move.type);
       if (matched_it == matched.end()) continue;
       const CsrIndex& index = walk_forward ? et.forward() : et.reverse();
-      const auto neighbors = index.neighbors(from.index);
-      const auto edge_ids = index.edges(from.index);
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        ++stats_.extensions;
-        if (!matched_it->second.test(edge_ids[i])) continue;
-        bind_vertex(to_var, VertexRef{to_type, neighbors[i]});
-        bind_edge(op.index, EdgeRef{move.type, edge_ids[i]});
-        GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
-        if (stop_) return Status::ok();
+      for (const AdjacencyPart& part : index.adjacency(from.index)) {
+        for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+          ++stats_.extensions;
+          if (!matched_it->second.test(part.edges[i])) continue;
+          bind_vertex(to_var, VertexRef{to_type, part.neighbors[i]});
+          bind_edge(op.index, EdgeRef{move.type, part.edges[i]});
+          GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
+          if (stop_) return Status::ok();
+        }
       }
     }
     return Status::ok();
@@ -264,16 +265,15 @@ class Enumerator {
       }
       auto matched_it = matched.find(move.type);
       if (matched_it == matched.end()) continue;
-      const CsrIndex& index = et.forward();
-      const auto neighbors = index.neighbors(src.index);
-      const auto edge_ids = index.edges(src.index);
-      for (std::size_t i = 0; i < neighbors.size(); ++i) {
-        ++stats_.extensions;
-        if (neighbors[i] != dst.index) continue;
-        if (!matched_it->second.test(edge_ids[i])) continue;
-        bind_edge(op.index, EdgeRef{move.type, edge_ids[i]});
-        GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
-        if (stop_) return Status::ok();
+      for (const AdjacencyPart& part : et.forward().adjacency(src.index)) {
+        for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+          ++stats_.extensions;
+          if (part.neighbors[i] != dst.index) continue;
+          if (!matched_it->second.test(part.edges[i])) continue;
+          bind_edge(op.index, EdgeRef{move.type, part.edges[i]});
+          GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
+          if (stop_) return Status::ok();
+        }
       }
     }
     return Status::ok();

@@ -792,11 +792,12 @@ Status ExecContext::rebuild_graph() {
 Status ExecContext::maintain_graph_after_ingest(
     const std::string& table, storage::RowIndex first_new_row) {
   const Timer timer;
+  graph::DeltaFolds folds;
   GEMS_ASSIGN_OR_RETURN(
       const bool delta_applied,
       graph::extend_graph_for_ingest(graph, table, first_new_row,
                                      vertex_decls, edge_decls, tables, *pool,
-                                     params));
+                                     params, &folds));
   if (delta_applied) {
     ++graph_version;
     // Instance numbering is preserved: named subgraphs stay valid,
@@ -807,8 +808,9 @@ Status ExecContext::maintain_graph_after_ingest(
     GEMS_RETURN_IF_ERROR(rebuild_graph());
   }
   if (on_graph_maintenance) {
-    on_graph_maintenance(delta_applied, static_cast<std::uint64_t>(
-                                            timer.elapsed_seconds() * 1e9));
+    on_graph_maintenance(
+        delta_applied,
+        static_cast<std::uint64_t>(timer.elapsed_seconds() * 1e9), folds);
   }
   return Status::ok();
 }

@@ -14,6 +14,7 @@
 #include "exec/network.hpp"
 #include "exec/subgraph.hpp"
 #include "graph/builder.hpp"
+#include "graph/delta.hpp"
 #include "graql/ast.hpp"
 #include "common/thread_pool.hpp"
 #include "relational/batch.hpp"
@@ -100,9 +101,11 @@ struct ExecContext {
       dist_matcher;
 
   /// gems::mvcc: observation hook for the ingest maintenance path —
-  /// called with (was_delta, elapsed_ns) after each ingest's graph
-  /// maintenance so the database can account delta vs. rebuild cost.
-  std::function<void(bool, std::uint64_t)> on_graph_maintenance;
+  /// called with (was_delta, elapsed_ns, folds) after each ingest's graph
+  /// maintenance so the database can account delta vs. rebuild cost and
+  /// the delta's folds (zero after a rebuild).
+  std::function<void(bool, std::uint64_t, const graph::DeltaFolds&)>
+      on_graph_maintenance;
 
   /// Durability hook (src/store): invoked after each successful DDL or
   /// ingest mutation. A failing hook fails the statement — the mutation

@@ -11,6 +11,7 @@ namespace gems::exec {
 
 namespace {
 
+using graph::AdjacencyPart;
 using graph::CsrIndex;
 using graph::EdgeType;
 using graph::EdgeTypeId;
@@ -146,20 +147,21 @@ void walk_range(const Traversal& t, std::size_t word_begin,
                 MatchStats* stats, const EdgeFilter& edge_ok,
                 const VertexFilter& vertex_ok, const Keep& keep) {
   t.from_bits->for_each_in_range(word_begin, word_end, [&](std::size_t v) {
-    const auto neighbors = t.index->neighbors(static_cast<VertexIndex>(v));
-    const auto edge_ids = t.index->edges(static_cast<VertexIndex>(v));
-    for (std::size_t i = 0; i < neighbors.size(); ++i) {
-      const VertexIndex u = neighbors[i];
-      if (stats != nullptr) ++stats->edge_traversals;
-      if (out_bits.test(u)) continue;
-      if (failed_bits != nullptr && failed_bits->test(u)) continue;
-      if (!edge_ok(shard, *t.et, edge_ids[i])) continue;
-      if (!vertex_ok(shard, t.out_type, u)) {
-        if (failed_bits != nullptr) failed_bits->set(u);
-      } else if (keep(shard, t, u)) {
-        out_bits.set(u);
-      }
-    }
+    t.index->for_each_part(
+        static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
+          for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+            const VertexIndex u = part.neighbors[i];
+            if (stats != nullptr) ++stats->edge_traversals;
+            if (out_bits.test(u)) continue;
+            if (failed_bits != nullptr && failed_bits->test(u)) continue;
+            if (!edge_ok(shard, *t.et, part.edges[i])) continue;
+            if (!vertex_ok(shard, t.out_type, u)) {
+              if (failed_bits != nullptr) failed_bits->set(u);
+            } else if (keep(shard, t, u)) {
+              out_bits.set(u);
+            }
+          }
+        });
   });
 }
 
@@ -613,19 +615,20 @@ std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
           [&](std::size_t shard, std::size_t wb, std::size_t we,
               DynamicBitset& mark, MatchStats* ms) {
             walk_bits.for_each_in_range(wb, we, [&](std::size_t v) {
-              const auto neighbors =
-                  index.neighbors(static_cast<VertexIndex>(v));
-              const auto edge_ids = index.edges(static_cast<VertexIndex>(v));
-              for (std::size_t i = 0; i < neighbors.size(); ++i) {
-                if (ms != nullptr) ++ms->edge_traversals;
-                if (!other_bits.test(neighbors[i])) continue;
-                const graph::EdgeIndex e = edge_ids[i];
-                if (!con.self_conds.empty()) {
-                  evs[shard].set_edge(static_cast<int>(c), move.type, e);
-                  if (!evs[shard].eval_all(con.self_conds)) continue;
-                }
-                mark.set(e);
-              }
+              index.for_each_part(
+                  static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
+                    for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+                      if (ms != nullptr) ++ms->edge_traversals;
+                      if (!other_bits.test(part.neighbors[i])) continue;
+                      const graph::EdgeIndex e = part.edges[i];
+                      if (!con.self_conds.empty()) {
+                        evs[shard].set_edge(static_cast<int>(c), move.type,
+                                            e);
+                        if (!evs[shard].eval_all(con.self_conds)) continue;
+                      }
+                      mark.set(e);
+                    }
+                  });
             });
           });
       auto it = out[c].find(move.type);
@@ -831,16 +834,18 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
             [&](std::size_t, std::size_t wb, std::size_t we,
                 DynamicBitset& mark, MatchStats* ms) {
               walk_bits.for_each_in_range(wb, we, [&](std::size_t v) {
-                const auto neighbors =
-                    index.neighbors(static_cast<VertexIndex>(v));
-                const auto edge_ids =
-                    index.edges(static_cast<VertexIndex>(v));
-                for (std::size_t j = 0; j < neighbors.size(); ++j) {
-                  if (ms != nullptr) ++ms->edge_traversals;
-                  if (!other_bits.test(neighbors[j])) continue;
-                  if (!hop_edge_passes(pool, hop, et, edge_ids[j])) continue;
-                  mark.set(edge_ids[j]);
-                }
+                index.for_each_part(
+                    static_cast<VertexIndex>(v),
+                    [&](const AdjacencyPart& part) {
+                      for (std::size_t j = 0; j < part.neighbors.size();
+                           ++j) {
+                        if (ms != nullptr) ++ms->edge_traversals;
+                        if (!other_bits.test(part.neighbors[j])) continue;
+                        const graph::EdgeIndex e = part.edges[j];
+                        if (!hop_edge_passes(pool, hop, et, e)) continue;
+                        mark.set(e);
+                      }
+                    });
               });
             });
       });

@@ -603,10 +603,15 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
     if (sv >= fwd.num_vertices() || dv >= rev.num_vertices()) return false;
     // Scan the shorter of the two adjacency lists.
     const bool from_src = fwd.degree(sv) <= rev.degree(dv);
-    const std::span<const VertexIndex> nbrs =
-        from_src ? fwd.neighbors(sv) : rev.neighbors(dv);
     const VertexIndex want = from_src ? dv : sv;
-    return std::find(nbrs.begin(), nbrs.end(), want) != nbrs.end();
+    for (const AdjacencyPart& part :
+         from_src ? fwd.adjacency(sv) : rev.adjacency(dv)) {
+      if (std::find(part.neighbors.begin(), part.neighbors.end(), want) !=
+          part.neighbors.end()) {
+        return true;
+      }
+    }
+    return false;
   };
 
   // One join pass, walked depth first. Tuple t holds one row per join
@@ -741,6 +746,12 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
     }
   }
 
+  if (base != nullptr) {
+    return EdgeType::extend(*base, src_vt.num_vertices(),
+                            dst_vt.num_vertices(), std::move(src_out),
+                            std::move(dst_out), std::move(attr_table),
+                            scratch);
+  }
   return EdgeType::assemble(id, decl.name, src_id, dst_id,
                             src_vt.num_vertices(), dst_vt.num_vertices(),
                             std::move(src_out), std::move(dst_out),

@@ -103,8 +103,9 @@ struct EdgeDelta {
 /// and appends the resulting edges after the base's. Endpoint vertex types
 /// are resolved against `graph`, which must already hold the extended
 /// (post-ingest) vertex types; vertex numbering is stable across
-/// VertexType::extend, so the base endpoint arrays remain valid. The CSR
-/// indices are reassembled over the combined arrays (O(V+E)).
+/// VertexType::extend, so the base endpoint arrays remain valid. Both CSR
+/// directions extend the base's through CsrIndex::extend: a new tail over
+/// the shared base, O(tail + delta) until it folds.
 Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                   const storage::TableCatalog& tables,
                                   StringPool& pool,

@@ -24,7 +24,7 @@ Result<bool> extend_graph_for_ingest(
     const std::vector<VertexDecl>& vertex_decls,
     const std::vector<EdgeDecl>& edge_decls,
     const storage::TableCatalog& tables, StringPool& pool,
-    const relational::ParamMap& params) {
+    const relational::ParamMap& params, DeltaFolds* folds) {
   // Parameterized declarations make maintenance depend on whichever
   // parameter values happen to be in scope at each ingest — the full
   // rebuild is the only order-independent semantics for those.
@@ -42,6 +42,7 @@ Result<bool> extend_graph_for_ingest(
   }
 
   GraphView fresh;
+  DeltaFolds counted;
 
   for (const auto& decl : vertex_decls) {
     auto id = graph.find_vertex_type(decl.name);
@@ -64,6 +65,7 @@ Result<bool> extend_graph_for_ingest(
         VertexType::extend(graph.vertex_type(*id), std::move(source),
                            filter.get(), first_new_row, &flipped));
     if (flipped) return false;
+    if (!vt.shares_key_base(graph.vertex_type(*id))) ++counted.key_index;
     GEMS_RETURN_IF_ERROR(
         fresh.add_vertex_type(std::make_shared<const VertexType>(
             std::move(vt))));
@@ -96,11 +98,14 @@ Result<bool> extend_graph_for_ingest(
     GEMS_ASSIGN_OR_RETURN(
         EdgeType et,
         extend_edge_type(fresh, decl, tables, pool, params, delta));
+    counted.csr += !et.forward().shares_base(delta.base->forward());
+    counted.csr += !et.reverse().shares_base(delta.base->reverse());
     GEMS_RETURN_IF_ERROR(fresh.add_edge_type(
         std::make_shared<const EdgeType>(std::move(et))));
   }
 
   graph = std::move(fresh);
+  if (folds != nullptr) *folds = counted;
   return true;
 }
 

@@ -3,10 +3,12 @@
 // the edge types joining it change — every other type is shared with the
 // previous graph by shared_ptr, affected vertex types are extended in
 // place-equivalent fashion (stable vertex numbering), and affected edge
-// types re-run the Eq. 2 join only for tuples touching the new rows.
+// types re-run the Eq. 2 join only for tuples touching the new rows. The
+// CSR indices and key indices grow by a tail over a shared base.
 // Replaces the full ctx.rebuild_graph() on the ingest hot path.
 #pragma once
 
+#include <cstdint>
 #include <string_view>
 #include <vector>
 
@@ -17,6 +19,14 @@
 #include "storage/catalog.hpp"
 
 namespace gems::graph {
+
+/// What one extend_graph_for_ingest call folded (DESIGN.md §5n): CSR
+/// directions whose tail became a new base, and vertex key indices whose
+/// tail merged into a new base.
+struct DeltaFolds {
+  std::uint64_t csr = 0;
+  std::uint64_t key_index = 0;
+};
 
 /// Builds the post-ingest graph from `graph` after `first_new_row`-onward
 /// rows were appended to the table named `table_name` (whose copy-on-write
@@ -30,13 +40,14 @@ namespace gems::graph {
 ///     visibility and edge collapse semantics change).
 /// The decision depends only on the declarations and the ingested data, so
 /// WAL replay of the same record sequence takes the same path and
-/// reproduces the live graph byte-for-byte.
+/// reproduces the live graph byte-for-byte. `folds` (may be null) counts
+/// the folds of an applied delta.
 Result<bool> extend_graph_for_ingest(
     GraphView& graph, std::string_view table_name,
     storage::RowIndex first_new_row,
     const std::vector<VertexDecl>& vertex_decls,
     const std::vector<EdgeDecl>& edge_decls,
     const storage::TableCatalog& tables, StringPool& pool,
-    const relational::ParamMap& params);
+    const relational::ParamMap& params, DeltaFolds* folds = nullptr);
 
 }  // namespace gems::graph

@@ -4,25 +4,48 @@
 
 namespace gems::graph {
 
+AdjacencyPart CsrIndex::Tail::part(VertexIndex v) const {
+  const auto k = static_cast<std::size_t>(
+      std::lower_bound(touched.begin(), touched.end(), v) - touched.begin());
+  GEMS_DCHECK(k < touched.size() && touched[k] == v);
+  const std::uint32_t begin = offsets[k];
+  const std::uint32_t count = offsets[k + 1] - begin;
+  return {{neighbor.data() + begin, count}, {edge.data() + begin, count}};
+}
+
+CsrIndex CsrIndex::over(std::shared_ptr<const Base> base) {
+  CsrIndex out;
+  out.offsets_ = base->offsets.data();
+  out.neighbor_ = base->neighbor.data();
+  out.edge_ = base->edge.data();
+  out.base_vertices_ = base->offsets.size() - 1;
+  out.base_edges_ = base->neighbor.size();
+  out.num_vertices_ = out.base_vertices_;
+  out.base_ = std::move(base);
+  return out;
+}
+
 CsrIndex CsrIndex::build(std::size_t n,
                          const ChunkedArray<VertexIndex>& indexed,
                          const ChunkedArray<VertexIndex>& other,
                          std::pmr::memory_resource* scratch) {
   GEMS_CHECK(indexed.size() == other.size());
-  CsrIndex out;
-  out.offsets_.assign(n + 1, 0);
+  auto base = std::make_shared<Base>();
+  base->offsets.assign(n + 1, 0);
   for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
     for (const VertexIndex v : indexed.chunk(c)) {
       GEMS_DCHECK(v < n);
-      ++out.offsets_[v + 1];
+      ++base->offsets[v + 1];
     }
   }
-  for (std::size_t i = 1; i <= n; ++i) out.offsets_[i] += out.offsets_[i - 1];
+  for (std::size_t i = 1; i <= n; ++i) {
+    base->offsets[i] += base->offsets[i - 1];
+  }
 
-  out.neighbor_.resize(indexed.size());
-  out.edge_.resize(indexed.size());
-  std::pmr::vector<std::uint32_t> cursor(out.offsets_.begin(),
-                                         out.offsets_.end() - 1, scratch);
+  base->neighbor.resize(indexed.size());
+  base->edge.resize(indexed.size());
+  std::pmr::vector<std::uint32_t> cursor(base->offsets.begin(),
+                                         base->offsets.end() - 1, scratch);
   // Both arrays chunk identically, so chunk c of each holds the same edges.
   for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
     const std::span<const VertexIndex> from = indexed.chunk(c);
@@ -30,10 +53,74 @@ CsrIndex CsrIndex::build(std::size_t n,
     const std::size_t first = c * kChunkRows;
     for (std::size_t i = 0; i < from.size(); ++i) {
       const std::uint32_t pos = cursor[from[i]]++;
-      out.neighbor_[pos] = to[i];
-      out.edge_[pos] = static_cast<EdgeIndex>(first + i);
+      base->neighbor[pos] = to[i];
+      base->edge[pos] = static_cast<EdgeIndex>(first + i);
     }
   }
+  return over(std::move(base));
+}
+
+CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
+                          const ChunkedArray<VertexIndex>& indexed,
+                          const ChunkedArray<VertexIndex>& other,
+                          std::pmr::memory_resource* scratch) {
+  GEMS_CHECK(indexed.size() == other.size());
+  GEMS_CHECK(n >= prev.num_vertices() && indexed.size() >= prev.num_edges());
+  const std::size_t first = prev.num_edges();
+  const std::size_t tail_edges = prev.tail_edges() + indexed.size() - first;
+  if (tail_edges * kTailFoldDivisor > prev.base_edges_) {
+    return build(n, indexed, other, scratch);
+  }
+  CsrIndex out = prev;
+  out.num_vertices_ = n;
+  out.tail_ = nullptr;
+  if (tail_edges == 0) return out;
+
+  // The appended edges as (indexed vertex, edge id), sorted: grouped by
+  // vertex, each group in edge order.
+  std::pmr::vector<std::pair<VertexIndex, EdgeIndex>> added(scratch);
+  added.reserve(indexed.size() - first);
+  for (std::size_t e = first; e < indexed.size(); ++e) {
+    added.emplace_back(indexed[e], static_cast<EdgeIndex>(e));
+  }
+  std::sort(added.begin(), added.end());
+
+  // Merge the previous tail's groups with the appended ones, vertex by
+  // vertex; a vertex's older tail edges come first.
+  static const Tail kEmpty;
+  const Tail& old = prev.tail_ != nullptr ? *prev.tail_ : kEmpty;
+  auto tail = std::make_shared<Tail>();
+  tail->touched.reserve(old.touched.size() + added.size());
+  tail->offsets.reserve(old.touched.size() + added.size() + 1);
+  tail->neighbor.reserve(tail_edges);
+  tail->edge.reserve(tail_edges);
+  tail->touched_bits = old.touched_bits;
+  tail->touched_bits.resize(n);
+  tail->offsets.push_back(0);
+  std::size_t k = 0;
+  std::size_t i = 0;
+  while (k < old.touched.size() || i < added.size()) {
+    const VertexIndex v = std::min(
+        k < old.touched.size() ? old.touched[k] : kInvalidVertex,
+        i < added.size() ? added[i].first : kInvalidVertex);
+    if (k < old.touched.size() && old.touched[k] == v) {
+      const std::uint32_t b = old.offsets[k];
+      const std::uint32_t e = old.offsets[k + 1];
+      tail->neighbor.insert(tail->neighbor.end(), old.neighbor.begin() + b,
+                            old.neighbor.begin() + e);
+      tail->edge.insert(tail->edge.end(), old.edge.begin() + b,
+                        old.edge.begin() + e);
+      ++k;
+    }
+    for (; i < added.size() && added[i].first == v; ++i) {
+      tail->neighbor.push_back(other[added[i].second]);
+      tail->edge.push_back(added[i].second);
+    }
+    tail->touched.push_back(v);
+    tail->offsets.push_back(static_cast<std::uint32_t>(tail->neighbor.size()));
+    tail->touched_bits.set(v);
+  }
+  out.tail_ = std::move(tail);
   return out;
 }
 
@@ -62,11 +149,11 @@ Result<CsrIndex> CsrIndex::restore(std::vector<std::uint32_t> offsets,
                               " out of range");
     }
   }
-  CsrIndex out;
-  out.offsets_ = std::move(offsets);
-  out.neighbor_ = std::move(neighbor);
-  out.edge_ = std::move(edge);
-  return out;
+  auto base = std::make_shared<Base>();
+  base->offsets = std::move(offsets);
+  base->neighbor = std::move(neighbor);
+  base->edge = std::move(edge);
+  return over(std::move(base));
 }
 
 EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
@@ -92,6 +179,29 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
   // have it, and bench_planner_ablation quantifies what it buys).
   et.forward_ = CsrIndex::build(num_src_vertices, et.src_, et.dst_, scratch);
   et.reverse_ = CsrIndex::build(num_dst_vertices, et.dst_, et.src_, scratch);
+  return et;
+}
+
+EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
+                          std::size_t num_dst_vertices,
+                          ChunkedArray<VertexIndex> src,
+                          ChunkedArray<VertexIndex> dst,
+                          storage::TablePtr attr_table,
+                          std::pmr::memory_resource* scratch) {
+  GEMS_CHECK(src.size() == dst.size());
+  GEMS_CHECK(attr_table == nullptr || attr_table->num_rows() == src.size());
+  EdgeType et;
+  et.id_ = base.id_;
+  et.name_ = base.name_;
+  et.src_type_ = base.src_type_;
+  et.dst_type_ = base.dst_type_;
+  et.src_ = std::move(src);
+  et.dst_ = std::move(dst);
+  et.attr_table_ = std::move(attr_table);
+  et.forward_ = CsrIndex::extend(base.forward_, num_src_vertices, et.src_,
+                                 et.dst_, scratch);
+  et.reverse_ = CsrIndex::extend(base.reverse_, num_dst_vertices, et.dst_,
+                                 et.src_, scratch);
   return et;
 }
 

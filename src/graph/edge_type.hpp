@@ -8,11 +8,16 @@
 // non-lexical execution orders possible.
 #pragma once
 
+#include <algorithm>
+#include <array>
+#include <memory>
 #include <memory_resource>
 #include <span>
 #include <string>
 #include <vector>
 
+#include "common/bitset.hpp"
+#include "common/check.hpp"
 #include "common/chunked_array.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
@@ -20,61 +25,201 @@
 
 namespace gems::graph {
 
+/// One of the at most two pieces of a vertex's adjacency: the other
+/// endpoints and the edge ids of some of its incident edges, in parallel.
+struct AdjacencyPart {
+  std::span<const VertexIndex> neighbors;
+  std::span<const EdgeIndex> edges;
+};
+
+/// A vertex's incident edges as its base part, then its tail part (either
+/// may be absent). Concatenated, the parts list the edges in ascending
+/// edge id order, as one flat CSR would.
+class Adjacency {
+ public:
+  const AdjacencyPart* begin() const noexcept { return parts_; }
+  const AdjacencyPart* end() const noexcept { return parts_ + count_; }
+
+ private:
+  friend class CsrIndex;
+  void add(AdjacencyPart part) noexcept { parts_[count_++] = part; }
+
+  AdjacencyPart parts_[2];
+  std::uint32_t count_ = 0;
+};
+
 /// Compressed-sparse-row adjacency: for each vertex of the indexed side,
 /// the (other-endpoint, edge id) pairs of its incident edges.
+///
+/// An index is an immutable base, shared by every epoch since it was
+/// built, plus a tail of the edges appended since (DESIGN.md §5n). The
+/// base is build()'s flat arrays. The tail groups only the appended edges
+/// by indexed vertex: the sorted touched vertices, their offsets, their
+/// (neighbor, edge) pairs, and one bit per vertex marking the touched
+/// ones. A vertex's base edges all precede its tail edges in edge id
+/// order, so base part then tail part is exactly the flat order.
 class CsrIndex {
  public:
   /// Builds from endpoint arrays: edge e runs indexed_side[e] ->
   /// other_side[e]; `n` is the vertex count of the indexed side. The fill
-  /// cursor comes from `scratch`.
+  /// cursor comes from `scratch`. The result has an empty tail.
   static CsrIndex build(std::size_t n,
                         const ChunkedArray<VertexIndex>& indexed,
                         const ChunkedArray<VertexIndex>& other,
                         std::pmr::memory_resource* scratch);
 
-  std::size_t num_vertices() const noexcept { return offsets_.size() - 1; }
+  /// The index over the same arrays after edges [prev.num_edges(),
+  /// indexed.size()) were appended and the indexed side grew to `n`
+  /// vertices. Shares `prev`'s base and builds a new tail in O(tail +
+  /// delta). Once the tail would exceed 1/kTailFoldDivisor of the base's
+  /// edges it folds instead: the result is a fresh build().
+  static CsrIndex extend(const CsrIndex& prev, std::size_t n,
+                         const ChunkedArray<VertexIndex>& indexed,
+                         const ChunkedArray<VertexIndex>& other,
+                         std::pmr::memory_resource* scratch);
+
+  std::size_t num_vertices() const noexcept { return num_vertices_; }
+
+  std::size_t num_edges() const noexcept {
+    return base_edges_ + tail_edges();
+  }
+
+  /// Edges in the tail (the `graph.csr.tail_edges` gauge).
+  std::size_t tail_edges() const noexcept {
+    return tail_ == nullptr ? 0 : tail_->neighbor.size();
+  }
+
+  /// Calls fn(const AdjacencyPart&) with v's base part, if v is a base
+  /// vertex, then with its tail part, if it has one. The matcher's walks
+  /// use this form: each call site inlines one copy of `fn` per part, so
+  /// the base part runs the loop a flat CSR ran. (Ranging over
+  /// adjacency() in those walks measured slower on the serial matcher
+  /// benchmarks, EXPERIMENTS.md E-CSRTAIL.)
+  template <typename Fn>
+  void for_each_part(VertexIndex v, Fn&& fn) const {
+    GEMS_DCHECK(v < num_vertices_);
+    if (v < base_vertices_) {
+      const std::uint32_t begin = offsets_[v];
+      const std::uint32_t count = offsets_[v + 1] - begin;
+      fn(AdjacencyPart{{neighbor_ + begin, count}, {edge_ + begin, count}});
+    }
+    if (tail_ != nullptr && tail_->touched_bits.test(v)) fn(tail_->part(v));
+  }
+
+  /// v's parts, as for_each_part gives them.
+  Adjacency adjacency(VertexIndex v) const {
+    Adjacency out;
+    for_each_part(v, [&out](const AdjacencyPart& part) { out.add(part); });
+    return out;
+  }
 
   std::uint32_t degree(VertexIndex v) const {
-    return offsets_[v + 1] - offsets_[v];
+    std::uint32_t d = 0;
+    for_each_part(v, [&d](const AdjacencyPart& part) {
+      d += static_cast<std::uint32_t>(part.neighbors.size());
+    });
+    return d;
   }
 
-  std::span<const VertexIndex> neighbors(VertexIndex v) const {
-    return {neighbor_.data() + offsets_[v], degree(v)};
-  }
-
-  std::span<const EdgeIndex> edges(VertexIndex v) const {
-    return {edge_.data() + offsets_[v], degree(v)};
-  }
-
-  std::size_t num_edges() const noexcept { return neighbor_.size(); }
-
+  /// Bytes of the flat index build() would give for the same edges, so an
+  /// index built, extended or restored to the same state reports the same
+  /// size (the `graph.csr.bytes` gauge).
   std::size_t byte_size() const noexcept {
-    return offsets_.size() * sizeof(std::uint32_t) +
-           neighbor_.size() * sizeof(VertexIndex) +
-           edge_.size() * sizeof(EdgeIndex);
+    return (num_vertices_ + 1) * sizeof(std::uint32_t) +
+           num_edges() * (sizeof(VertexIndex) + sizeof(EdgeIndex));
+  }
+
+  /// True when both indices read the same base arrays.
+  bool shares_base(const CsrIndex& other) const noexcept {
+    return base_ == other.base_;
   }
 
   // ---- Snapshot serialization (gems::store) ---------------------------
-  /// Raw offsets array (size num_vertices()+1), for the serializer.
-  std::span<const std::uint32_t> raw_offsets() const noexcept {
-    return offsets_;
+  // The snapshot holds the flat arrays build() would give. These calls
+  // produce them in order, piece by piece, without materializing them.
+
+  /// Calls fn(std::span<const std::uint32_t>) over consecutive pieces of
+  /// the flat offsets array (num_vertices() + 1 entries).
+  template <typename Fn>
+  void for_each_flat_offsets(Fn&& fn) const {
+    if (tail_ == nullptr && num_vertices_ == base_vertices_) {
+      fn(std::span<const std::uint32_t>(offsets_, base_vertices_ + 1));
+      return;
+    }
+    std::array<std::uint32_t, kChunkRows> piece;
+    std::size_t fill = 0;
+    std::size_t k = 0;  // touched vertices below v
+    for (std::size_t v = 0; v <= num_vertices_; ++v) {
+      std::uint32_t below = 0;  // tail edges of the vertices below v
+      if (tail_ != nullptr) {
+        while (k < tail_->touched.size() && tail_->touched[k] < v) ++k;
+        below = tail_->offsets[k];
+      }
+      piece[fill++] = offsets_[std::min(v, base_vertices_)] + below;
+      if (fill == piece.size() || v == num_vertices_) {
+        fn(std::span<const std::uint32_t>(piece.data(), fill));
+        fill = 0;
+      }
+    }
   }
-  std::span<const VertexIndex> raw_neighbors() const noexcept {
-    return neighbor_;
+
+  /// Calls fn(const AdjacencyPart&) over consecutive runs of the flat
+  /// (neighbor, edge) arrays (num_edges() entries).
+  template <typename Fn>
+  void for_each_flat_run(Fn&& fn) const {
+    std::uint32_t from = 0;  // base entries emitted so far
+    auto base_run = [&](std::uint32_t to) {
+      if (to > from) fn(AdjacencyPart{{neighbor_ + from, to - from},
+                                      {edge_ + from, to - from}});
+      from = to;
+    };
+    if (tail_ != nullptr) {
+      for (const VertexIndex v : tail_->touched) {
+        base_run(offsets_[std::min<std::size_t>(v + 1, base_vertices_)]);
+        fn(tail_->part(v));
+      }
+    }
+    base_run(static_cast<std::uint32_t>(base_edges_));
   }
-  std::span<const EdgeIndex> raw_edges() const noexcept { return edge_; }
 
   /// Rebuilds an index from serialized arrays, validating the CSR
   /// invariants (monotone offsets bracketing the arrays, parallel array
   /// sizes) so corrupt input is rejected rather than read out of bounds.
+  /// The result has an empty tail.
   static Result<CsrIndex> restore(std::vector<std::uint32_t> offsets,
                                   std::vector<VertexIndex> neighbor,
                                   std::vector<EdgeIndex> edge);
 
  private:
-  std::vector<std::uint32_t> offsets_;  // size n+1
-  std::vector<VertexIndex> neighbor_;   // other endpoint, grouped by owner
-  std::vector<EdgeIndex> edge_;         // edge id, parallel to neighbor_
+  struct Base {
+    std::vector<std::uint32_t> offsets;  // size n+1
+    std::vector<VertexIndex> neighbor;   // other endpoint, grouped by owner
+    std::vector<EdgeIndex> edge;         // edge id, parallel to neighbor
+  };
+  struct Tail {
+    std::vector<VertexIndex> touched;    // ascending
+    std::vector<std::uint32_t> offsets;  // size touched+1
+    std::vector<VertexIndex> neighbor;   // grouped by touched vertex
+    std::vector<EdgeIndex> edge;         // parallel to neighbor
+    DynamicBitset touched_bits;          // one bit per indexed vertex
+
+    /// The part of touched vertex `v`. Out of line: the walks inline
+    /// for_each_part() and rarely take this branch.
+    AdjacencyPart part(VertexIndex v) const;
+  };
+
+  /// An index over `base` with no tail.
+  static CsrIndex over(std::shared_ptr<const Base> base);
+
+  std::shared_ptr<const Base> base_;
+  std::shared_ptr<const Tail> tail_;  // null when empty
+  std::size_t num_vertices_ = 0;
+  // The base arrays, read on every adjacency() call.
+  const std::uint32_t* offsets_ = nullptr;
+  const VertexIndex* neighbor_ = nullptr;
+  const EdgeIndex* edge_ = nullptr;
+  std::size_t base_vertices_ = 0;
+  std::size_t base_edges_ = 0;
 };
 
 class EdgeType {
@@ -91,6 +236,16 @@ class EdgeType {
                            ChunkedArray<VertexIndex> dst,
                            storage::TablePtr attr_table,
                            std::pmr::memory_resource* scratch);
+
+  /// The delta builder's result (gems::mvcc): `base` with its endpoint
+  /// arrays grown to `src`/`dst` (the base's edges first) and
+  /// `attr_table`. Both CSR directions come from CsrIndex::extend.
+  static EdgeType extend(const EdgeType& base, std::size_t num_src_vertices,
+                         std::size_t num_dst_vertices,
+                         ChunkedArray<VertexIndex> src,
+                         ChunkedArray<VertexIndex> dst,
+                         storage::TablePtr attr_table,
+                         std::pmr::memory_resource* scratch);
 
   EdgeTypeId id() const noexcept { return id_; }
   const std::string& name() const noexcept { return name_; }

@@ -4,6 +4,7 @@
 // so instances of different types can never collide.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 
@@ -19,6 +20,11 @@ using EdgeIndex = std::uint32_t;    // dense within an edge type
 inline constexpr VertexTypeId kInvalidVertexType = 0xffff;
 inline constexpr EdgeTypeId kInvalidEdgeType = 0xffff;
 inline constexpr VertexIndex kInvalidVertex = 0xffffffffu;
+
+/// An ingest extends a CSR index or a vertex key index by a tail over a
+/// shared base (DESIGN.md §5n). Once the tail would hold more than
+/// 1/kTailFoldDivisor of the base's entries, it folds into a new base.
+inline constexpr std::size_t kTailFoldDivisor = 32;
 
 /// A vertex instance in the overall graph G = (V, E).
 struct VertexRef {

@@ -58,7 +58,7 @@ Result<VertexType> VertexType::build(VertexTypeId id, std::string name,
       vt.one_to_one_ = false;  // a second row collapsed into this vertex
     }
   }
-  vt.key_index_ = index.compacted();
+  vt.key_base_ = std::make_shared<const IdTable>(index.compacted());
   return vt;
 }
 
@@ -78,10 +78,15 @@ Result<VertexType> VertexType::extend(const VertexType& base,
   for (const RowIndex r : passing_rows(*new_source, filter, first_new_row,
                                        std::pmr::get_default_resource())) {
     vt.matching_rows_.set(r);
-    if (!vt.add_row(vt.key_index_, r) && vt.one_to_one_) {
+    if (!vt.add_row(vt.key_tail_, r) && vt.one_to_one_) {
       *flipped = true;  // visibility/collapse semantics change: rebuild
       break;
     }
+  }
+  if (vt.key_tail_.size() * kTailFoldDivisor > vt.key_base_->size()) {
+    vt.key_base_ = std::make_shared<const IdTable>(
+        IdTable::merged(*vt.key_base_, vt.key_tail_));
+    vt.key_tail_ = IdTable();
   }
   return vt;
 }
@@ -121,24 +126,35 @@ Result<VertexType> VertexType::restore(
   vt.key_cols_ = std::move(key_cols);
   vt.one_to_one_ = one_to_one;
   vt.matching_rows_ = std::move(matching_rows);
-  vt.key_index_.reserve(representative_rows.size());
+  IdTable index;
+  index.reserve(representative_rows.size());
   for (const RowIndex r : representative_rows) {
-    if (!vt.add_row(vt.key_index_, r)) {
+    if (!vt.add_row(index, r)) {
       return invalid_argument("vertex type '" + vt.name_ +
                               "' restore: duplicate vertex key");
     }
   }
+  vt.key_base_ = std::make_shared<const IdTable>(std::move(index));
   return vt;
 }
 
-bool VertexType::add_row(IdTable& index, RowIndex row) {
-  if (find_in(index, *source_, row, key_cols_) != kInvalidVertex) {
+bool VertexType::add_row(IdTable& tail, RowIndex row) {
+  if (find_in(tail, *source_, row, key_cols_) != kInvalidVertex) {
     return false;
   }
-  index.insert(relational::hash_row_key(*source_, row, key_cols_),
-               static_cast<VertexIndex>(representative_row_.size()));
+  tail.insert(relational::hash_row_key(*source_, row, key_cols_),
+              static_cast<VertexIndex>(representative_row_.size()));
   representative_row_.push_back(row);
   return true;
+}
+
+template <typename Equal>
+VertexIndex VertexType::probe(const IdTable& tail, std::uint64_t hash,
+                              Equal&& equal) const {
+  std::uint32_t v = IdTable::kNone;
+  if (key_base_ != nullptr) v = key_base_->find(hash, equal);
+  if (v == IdTable::kNone) v = tail.find(hash, equal);
+  return v == IdTable::kNone ? kInvalidVertex : v;
 }
 
 bool VertexType::attribute_visible(ColumnIndex col) const noexcept {
@@ -169,34 +185,33 @@ Result<ColumnIndex> VertexType::resolve_attribute(
 VertexIndex VertexType::find_by_key(
     const storage::Table& table, RowIndex row,
     std::span<const ColumnIndex> key_cols) const {
-  return find_in(key_index_, table, row, key_cols);
+  return find_in(key_tail_, table, row, key_cols);
 }
 
-VertexIndex VertexType::find_in(const IdTable& index,
+VertexIndex VertexType::find_in(const IdTable& tail,
                                 const storage::Table& table, RowIndex row,
                                 std::span<const ColumnIndex> key_cols) const {
   GEMS_DCHECK(key_cols.size() == key_cols_.size());
-  const std::uint32_t v = index.find(
-      relational::hash_row_key(table, row, key_cols), [&](std::uint32_t c) {
-        return relational::row_keys_equal(*source_, representative_row_[c],
-                                          key_cols_, table, row, key_cols);
-      });
-  return v == IdTable::kNone ? kInvalidVertex : v;
+  return probe(tail, relational::hash_row_key(table, row, key_cols),
+               [&](std::uint32_t c) {
+                 return relational::row_keys_equal(
+                     *source_, representative_row_[c], key_cols_, table, row,
+                     key_cols);
+               });
 }
 
 VertexIndex VertexType::find_by_cells(
     std::span<const relational::KeyCell> cells) const {
   GEMS_DCHECK(cells.size() == key_cols_.size());
-  const std::uint32_t v = key_index_.find(
-      relational::hash_cell_key(cells), [&](std::uint32_t c) {
-        return relational::cell_key_equals(cells, *source_,
-                                           representative_row_[c], key_cols_);
-      });
-  return v == IdTable::kNone ? kInvalidVertex : v;
+  return probe(key_tail_, relational::hash_cell_key(cells),
+               [&](std::uint32_t c) {
+                 return relational::cell_key_equals(
+                     cells, *source_, representative_row_[c], key_cols_);
+               });
 }
 
 std::size_t VertexType::byte_size() const noexcept {
-  return key_index_.byte_size() + representative_row_.byte_size() +
+  return key_index_bytes() + representative_row_.byte_size() +
          (matching_rows_.size() + 63) / 64 * sizeof(std::uint64_t);
 }
 

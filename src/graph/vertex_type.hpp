@@ -8,6 +8,7 @@
 // collapsed rows.
 #pragma once
 
+#include <memory>
 #include <memory_resource>
 #include <span>
 #include <string>
@@ -89,9 +90,16 @@ class VertexType {
   /// same size.
   std::size_t byte_size() const noexcept;
 
-  /// Bytes of the key index alone (the `graph.key_index.bytes` gauge).
+  /// Bytes of the key index alone (the `graph.key_index.bytes` gauge):
+  /// those of one table holding every vertex, as build() keeps, however
+  /// the entries are split between base and tail.
   std::size_t key_index_bytes() const noexcept {
-    return key_index_.byte_size();
+    return IdTable::byte_size_for(num_vertices());
+  }
+
+  /// True when both types probe the same key index base.
+  bool shares_key_base(const VertexType& other) const noexcept {
+    return key_base_ == other.key_base_;
   }
 
   /// Source rows that passed the vertex filter (Eq. 1's σ_φ). Edge
@@ -111,6 +119,9 @@ class VertexType {
   /// the base was one-to-one, the type's attribute visibility (and the
   /// collapse decisions of every edge type touching it) would change —
   /// `*flipped` is set and the caller must fall back to a full rebuild.
+  /// The new vertices go to a copy of the key index tail; the base is
+  /// shared until the tail would exceed 1/kTailFoldDivisor of it, when the
+  /// two fold into a new base.
   static Result<VertexType> extend(const VertexType& base,
                                    storage::TablePtr new_source,
                                    const relational::BoundExpr* filter,
@@ -132,14 +143,21 @@ class VertexType {
  private:
   VertexType() = default;
 
-  /// Registers source row `row` under its key in `index` (the key index,
-  /// or the one build() fills in scratch): returns true when the key is
-  /// new (the row becomes the next vertex's representative), false when
-  /// it collapses into an existing vertex.
-  bool add_row(IdTable& index, storage::RowIndex row);
+  /// Registers source row `row` under its key in `tail` (the key index
+  /// tail, or the table build() and restore() fill before it becomes the
+  /// base): returns true when the key is new (the row becomes the next
+  /// vertex's representative), false when it collapses into an existing
+  /// vertex.
+  bool add_row(IdTable& tail, storage::RowIndex row);
 
-  /// find_by_key against `index`.
-  VertexIndex find_in(const IdTable& index, const storage::Table& table,
+  /// The vertex stored under `hash` in the key index base or in `tail`
+  /// for which `equal(vertex)` holds, or kInvalidVertex.
+  template <typename Equal>
+  VertexIndex probe(const IdTable& tail, std::uint64_t hash,
+                    Equal&& equal) const;
+
+  /// find_by_key against the key index base and `tail`.
+  VertexIndex find_in(const IdTable& tail, const storage::Table& table,
                       storage::RowIndex row,
                       std::span<const storage::ColumnIndex> key_cols) const;
 
@@ -155,8 +173,11 @@ class VertexType {
   // columns and checked with row_keys_equal against the candidate's
   // representative row (DESIGN.md §5m). Both match encode_row_key
   // equality, and stay valid across tables because string ids come from
-  // the shared pool.
-  IdTable key_index_;
+  // the shared pool. The base is shared by every epoch since the last
+  // fold (null before build() or restore() fills it); the tail holds the
+  // vertices extend() added since (DESIGN.md §5n).
+  std::shared_ptr<const IdTable> key_base_;
+  IdTable key_tail_;
   DynamicBitset matching_rows_;
 };
 

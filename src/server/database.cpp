@@ -27,10 +27,14 @@ Database::Database(DatabaseOptions options)
       [&delta = metrics_.counter("mvcc.ingest.delta"),
        &delta_ns = metrics_.counter("mvcc.ingest.delta_ns"),
        &rebuild = metrics_.counter("mvcc.ingest.rebuild"),
-       &rebuild_ns = metrics_.counter("mvcc.ingest.rebuild_ns")](
-          bool was_delta, std::uint64_t ns) {
+       &rebuild_ns = metrics_.counter("mvcc.ingest.rebuild_ns"),
+       &csr_folds = metrics_.counter("graph.csr.folds"),
+       &key_index_folds = metrics_.counter("graph.key_index.folds")](
+          bool was_delta, std::uint64_t ns, const graph::DeltaFolds& folds) {
         (was_delta ? delta : rebuild).add();
         (was_delta ? delta_ns : rebuild_ns).add(ns);
+        csr_folds.add(folds.csr);
+        key_index_folds.add(folds.key_index);
       };
   // Sec. III-B's "dynamic properties of the data": graph statistics are
   // collected lazily and cached until DDL/ingest changes the instances
@@ -207,13 +211,16 @@ metrics::Snapshot Database::metrics_snapshot() const {
     }
     key_index_bytes_.set(key_index_bytes);
     std::size_t csr_bytes = 0;
+    std::size_t csr_tail_edges = 0;
     std::size_t endpoint_bytes = 0;
     for (graph::EdgeTypeId e = 0; e < ctx.graph.num_edge_types(); ++e) {
       const graph::EdgeType& et = ctx.graph.edge_type(e);
       csr_bytes += et.forward().byte_size() + et.reverse().byte_size();
+      csr_tail_edges += et.forward().tail_edges() + et.reverse().tail_edges();
       endpoint_bytes += et.endpoint_bytes();
     }
     csr_bytes_.set(csr_bytes);
+    csr_tail_edges_.set(csr_tail_edges);
     endpoint_bytes_.set(endpoint_bytes);
   }
   pool_strings_.set(pool_.size());

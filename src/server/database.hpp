@@ -252,6 +252,7 @@ class Database {
   metrics::Gauge& table_bytes_ = metrics_.gauge("storage.tables.bytes");
   metrics::Gauge& key_index_bytes_ = metrics_.gauge("graph.key_index.bytes");
   metrics::Gauge& csr_bytes_ = metrics_.gauge("graph.csr.bytes");
+  metrics::Gauge& csr_tail_edges_ = metrics_.gauge("graph.csr.tail_edges");
   metrics::Gauge& endpoint_bytes_ = metrics_.gauge("graph.endpoints.bytes");
 
   // ---- Lock hierarchy (DESIGN.md §5j) ----------------------------------

@@ -64,12 +64,19 @@ class FileWriter : public StreamWriter {
 // A u64 element count + the elements' raw bytes: the layout of column
 // data, CSR arrays and bitset words. `W` is a ByteWriter or a FileWriter.
 
+/// The elements' raw bytes alone: one piece of an array whose count was
+/// written before it.
 template <typename T, typename W>
-void write_pod_array(W& w, std::span<const T> a) {
+void write_pods(W& w, std::span<const T> a) {
   static_assert(std::is_trivially_copyable_v<T>);
-  w.u64(a.size());
   w.bytes({reinterpret_cast<const std::uint8_t*>(a.data()),
            a.size() * sizeof(T)});
+}
+
+template <typename T, typename W>
+void write_pod_array(W& w, std::span<const T> a) {
+  w.u64(a.size());
+  write_pods(w, a);
 }
 
 /// The same bytes as the span form over the concatenated elements,
@@ -77,11 +84,7 @@ void write_pod_array(W& w, std::span<const T> a) {
 template <typename W, typename T, std::size_t N, bool V>
 void write_pod_array(W& w, const ChunkedArray<T, N, V>& a) {
   w.u64(a.size());
-  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
-    const std::span<const T> chunk = a.chunk(c);
-    w.bytes({reinterpret_cast<const std::uint8_t*>(chunk.data()),
-             chunk.size() * sizeof(T)});
-  }
+  for (std::size_t c = 0; c < a.num_chunks(); ++c) write_pods(w, a.chunk(c));
 }
 
 /// Reads a write_pod_array section. The count is checked against the

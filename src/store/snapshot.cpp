@@ -1,6 +1,7 @@
 #include "store/snapshot.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <utility>
 
@@ -184,16 +185,21 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
   // String pool, in id order (deterministic; ids in column data stay
   // valid because restore re-interns in the same order). The pool is
   // database-global and append-only, and checkpoints encode pinned epochs
-  // outside every database lock — capture one consistent prefix under a
-  // single for_each (one lock acquisition) rather than calling size()
-  // separately, which could tear the count against the entries when a
-  // writer interns concurrently.
-  std::vector<std::string_view> pool_strings;
-  ctx.pool->for_each([&](StringId, std::string_view s) {
-    pool_strings.push_back(s);  // views are stable: storage never relocates
-  });
-  w.u64(pool_strings.size());
-  for (const std::string_view s : pool_strings) w.str(s);
+  // outside every database lock while a writer may intern. Ids are
+  // assigned densely and an id's string never changes, so the ids below
+  // one size() read are a consistent prefix that covers every id the
+  // pinned epoch references; they stream out a batch of views per lock.
+  const std::size_t num_strings = ctx.pool->size();
+  w.u64(num_strings);
+  std::vector<StringId> ids;
+  std::vector<std::string_view> views;
+  for (std::size_t first = 0; first < num_strings; first += kChunkRows) {
+    ids.resize(std::min(kChunkRows, num_strings - first));
+    views.resize(ids.size());
+    std::iota(ids.begin(), ids.end(), static_cast<StringId>(first));
+    ctx.pool->view_batch(ids, views.data());
+    for (const std::string_view s : views) w.str(s);
+  }
 
   // Catalog tables, in name order (names() sorts).
   const std::vector<std::string> names = ctx.tables.names();
@@ -248,10 +254,19 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
     write_pod_array(w, et.target_vertices());
     w.u8(et.attr_table() != nullptr ? 1 : 0);
     if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());
+    // The flat arrays, whatever the index's base/tail split.
     for (const graph::CsrIndex* csr : {&et.forward(), &et.reverse()}) {
-      write_pod_array<std::uint32_t>(w, csr->raw_offsets());
-      write_pod_array<VertexIndex>(w, csr->raw_neighbors());
-      write_pod_array<graph::EdgeIndex>(w, csr->raw_edges());
+      w.u64(csr->num_vertices() + 1);
+      csr->for_each_flat_offsets(
+          [&](std::span<const std::uint32_t> piece) { write_pods(w, piece); });
+      w.u64(csr->num_edges());
+      csr->for_each_flat_run([&](const graph::AdjacencyPart& run) {
+        write_pods(w, run.neighbors);
+      });
+      w.u64(csr->num_edges());
+      csr->for_each_flat_run([&](const graph::AdjacencyPart& run) {
+        write_pods(w, run.edges);
+      });
     }
   }
 

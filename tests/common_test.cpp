@@ -1027,7 +1027,9 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
             {"exec.match.",
              {"edge_traversals", "merge_ns", "parallel_tasks", "passes",
               "queries", "worker_us"}},
-            {"graph.", {"csr.bytes", "endpoints.bytes", "key_index.bytes"}},
+            {"graph.",
+             {"csr.bytes", "csr.folds", "csr.tail_edges", "endpoints.bytes",
+              "key_index.bytes", "key_index.folds"}},
             {"mvcc.",
              {"epochs.current", "epochs.freed", "epochs.live",
               "epochs.published", "epochs.retired", "ingest.delta",

@@ -184,8 +184,10 @@ TEST_F(RegexExecTest, PlusClosureMatchesNaiveBfs) {
     while (!frontier.empty()) {
       std::vector<graph::VertexIndex> next;
       for (const auto v : frontier) {
-        for (const auto u : et.forward().neighbors(v)) {
-          if (reach.insert(u).second) next.push_back(u);
+        for (const auto& part : et.forward().adjacency(v)) {
+          for (const auto u : part.neighbors) {
+            if (reach.insert(u).second) next.push_back(u);
+          }
         }
       }
       frontier = std::move(next);

@@ -20,6 +20,7 @@
 #include "relational/eval.hpp"
 #include "relational/row_key.hpp"
 #include "server/database.hpp"
+#include "store/snapshot.hpp"
 #include "storage/csv.hpp"
 
 namespace gems::graph {
@@ -368,16 +369,18 @@ TEST_F(GraphTest, CsrForwardReverseConsistency) {
   // Every forward adjacency appears in reverse and vice versa.
   std::multiset<std::pair<VertexIndex, VertexIndex>> via_fwd, via_rev;
   for (VertexIndex v = 0; v < fwd.num_vertices(); ++v) {
-    auto nbrs = fwd.neighbors(v);
-    auto edges = fwd.edges(v);
-    for (std::size_t i = 0; i < nbrs.size(); ++i) {
-      via_fwd.emplace(v, nbrs[i]);
-      EXPECT_EQ(et.source_vertex(edges[i]), v);
-      EXPECT_EQ(et.target_vertex(edges[i]), nbrs[i]);
+    for (const AdjacencyPart& part : fwd.adjacency(v)) {
+      for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+        via_fwd.emplace(v, part.neighbors[i]);
+        EXPECT_EQ(et.source_vertex(part.edges[i]), v);
+        EXPECT_EQ(et.target_vertex(part.edges[i]), part.neighbors[i]);
+      }
     }
   }
   for (VertexIndex v = 0; v < rev.num_vertices(); ++v) {
-    for (const VertexIndex n : rev.neighbors(v)) via_rev.emplace(n, v);
+    for (const AdjacencyPart& part : rev.adjacency(v)) {
+      for (const VertexIndex n : part.neighbors) via_rev.emplace(n, v);
+    }
   }
   EXPECT_EQ(via_fwd, via_rev);
 }
@@ -405,6 +408,133 @@ TEST_F(GraphTest, CsrDegrees) {
       EXPECT_EQ(deg, 0u);
     }
   }
+}
+
+// ---- CSR base + tail against a flat build ---------------------------------
+// Random edge batches appended to random small edge types, with new
+// vertices on either side, cross the fold threshold several times. After
+// every batch each direction's adjacency, degrees and sizes equal those of
+// a flat CsrIndex::build over the whole endpoint arrays, and so do the
+// snapshot bytes.
+
+/// A vertex type `id` of `n` vertices over a fresh table of ids 0..n-1.
+std::shared_ptr<const VertexType> numbered_vertices(StringPool& pool,
+                                                    VertexTypeId id,
+                                                    std::size_t n) {
+  auto table = std::make_shared<Table>(
+      "T" + std::to_string(id), Schema({{"id", DataType::int64()}}), pool);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Value row[] = {Value::int64(static_cast<std::int64_t>(i))};
+    EXPECT_TRUE(table->append_row(row).is_ok());
+  }
+  auto vt = VertexType::build(id, "V" + std::to_string(id), table, {0},
+                              nullptr, std::pmr::get_default_resource());
+  GEMS_CHECK(vt.is_ok());
+  return std::make_shared<const VertexType>(std::move(vt).value());
+}
+
+/// The snapshot image of a graph holding `et` between vertex types of
+/// `num_src` and `num_dst` vertices.
+std::vector<std::uint8_t> snapshot_with(StringPool& pool, std::size_t num_src,
+                                        std::size_t num_dst,
+                                        const EdgeType& et) {
+  exec::ExecContext ctx;
+  ctx.pool = &pool;
+  EXPECT_TRUE(
+      ctx.graph.add_vertex_type(numbered_vertices(pool, 0, num_src)).is_ok());
+  EXPECT_TRUE(
+      ctx.graph.add_vertex_type(numbered_vertices(pool, 1, num_dst)).is_ok());
+  EXPECT_TRUE(
+      ctx.graph.add_edge_type(std::make_shared<const EdgeType>(et)).is_ok());
+  return store::encode_snapshot(ctx, 0);
+}
+
+/// `got`'s adjacency, degrees and size equal `flat`'s, vertex by vertex.
+void expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
+  ASSERT_EQ(got.num_vertices(), flat.num_vertices());
+  EXPECT_EQ(got.num_edges(), flat.num_edges());
+  EXPECT_EQ(got.byte_size(), flat.byte_size());
+  for (VertexIndex v = 0; v < flat.num_vertices(); ++v) {
+    std::vector<std::pair<VertexIndex, EdgeIndex>> want;
+    std::vector<std::pair<VertexIndex, EdgeIndex>> have;
+    for (const AdjacencyPart& part : flat.adjacency(v)) {
+      for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+        want.emplace_back(part.neighbors[i], part.edges[i]);
+      }
+    }
+    std::size_t parts = 0;
+    for (const AdjacencyPart& part : got.adjacency(v)) {
+      ASSERT_EQ(part.neighbors.size(), part.edges.size());
+      for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+        have.emplace_back(part.neighbors[i], part.edges[i]);
+      }
+      ++parts;
+    }
+    ASSERT_LE(parts, 2u);
+    ASSERT_EQ(have, want) << "vertex " << v;
+    ASSERT_EQ(got.degree(v), flat.degree(v)) << "vertex " << v;
+  }
+}
+
+TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
+  std::size_t folds = 0;
+  std::size_t shared = 0;
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Xoshiro256 rng(seed);
+    StringPool pool;
+    std::size_t num_src = rng.below(40);
+    std::size_t num_dst = 1 + rng.below(40);
+    ChunkedArray<VertexIndex> src;
+    ChunkedArray<VertexIndex> dst;
+    // Appends `n` edges; a fifth of the endpoints are the newest vertex
+    // of their side, so new vertices get edges at once.
+    auto append = [&](std::size_t n) {
+      for (std::size_t i = 0; i < n && num_src > 0; ++i) {
+        src.push_back(static_cast<VertexIndex>(
+            rng.chance(0.2) ? num_src - 1 : rng.below(num_src)));
+        dst.push_back(static_cast<VertexIndex>(
+            rng.chance(0.2) ? num_dst - 1 : rng.below(num_dst)));
+      }
+    };
+    append(rng.below(300));
+    EdgeType et = EdgeType::assemble(0, "E", 0, 1, num_src, num_dst, src,
+                                     dst, nullptr,
+                                     std::pmr::get_default_resource());
+    for (int batch = 0; batch < 60; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      num_src += rng.below(4);
+      num_dst += rng.below(3);
+      append(rng.below(rng.chance(0.1) ? 120 : 12));
+      EdgeType next = EdgeType::extend(et, num_src, num_dst, src, dst,
+                                       nullptr,
+                                       std::pmr::get_default_resource());
+      for (const bool forward : {true, false}) {
+        const CsrIndex& before = forward ? et.forward() : et.reverse();
+        const CsrIndex& after = forward ? next.forward() : next.reverse();
+        if (after.shares_base(before)) {
+          ++shared;
+        } else {
+          ++folds;
+          EXPECT_EQ(after.tail_edges(), 0u);
+        }
+        // A tail never outgrows the fold fraction of the base.
+        EXPECT_LE(after.tail_edges() * kTailFoldDivisor,
+                  after.num_edges() - after.tail_edges());
+      }
+      const EdgeType flat = EdgeType::assemble(
+          0, "E", 0, 1, num_src, num_dst, src, dst, nullptr,
+          std::pmr::get_default_resource());
+      expect_same_adjacency(next.forward(), flat.forward());
+      expect_same_adjacency(next.reverse(), flat.reverse());
+      ASSERT_EQ(snapshot_with(pool, num_src, num_dst, next),
+                snapshot_with(pool, num_src, num_dst, flat));
+      et = std::move(next);
+    }
+  }
+  // Both outcomes occurred many times.
+  EXPECT_GT(folds, 24u);
+  EXPECT_GT(shared, 24u);
 }
 
 // ---- GraphView type-level queries ---------------------------------------------
@@ -758,6 +888,64 @@ TEST(VertexKeyIndexTest, ExtendGrowsThroughSeveralRehashes) {
   // More than 1024 vertices need 4096 slots: eight doublings from 16.
   EXPECT_GT(vt.num_vertices(), 1024u);
   EXPECT_GE(vt.key_index_bytes(), 256 * first_bytes);
+}
+
+TEST(VertexKeyIndexTest, TailFoldsFindEveryKey) {
+  // Small batches keep most extends below the fold threshold, so the key
+  // index is a shared base plus a tail, folded now and then. After every
+  // batch each source row finds its vertex, the probe's absent keys miss,
+  // and numbering and sizes equal a fresh build's.
+  std::size_t folds = 0;
+  std::size_t shared = 0;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    StringPool pool;
+    Xoshiro256 rng(seed);
+    const std::vector<int> order = {0, -1, 2};
+    const std::vector<std::string> key_names = {"s", "i"};
+    auto table = random_table(pool, "Source", order);
+    append_random_rows(*table, order, 150, rng, 400);
+    const std::vector<int> probe_order = {2, 0};
+    auto probe = random_table(pool, "Probe", probe_order);
+    append_random_rows(*probe, probe_order, 300, rng, 800);
+    append_absent_row(*probe, probe_order);
+    auto built = VertexType::build(0, "V", table,
+                                   columns_of(*table, key_names), nullptr,
+                                   std::pmr::get_default_resource());
+    ASSERT_TRUE(built.is_ok());
+    VertexType vt = std::move(built).value();
+    for (int batch = 0; batch < 40; ++batch) {
+      SCOPED_TRACE("batch " + std::to_string(batch));
+      auto grown = std::make_shared<Table>(*table);
+      const auto first_new_row =
+          static_cast<storage::RowIndex>(grown->num_rows());
+      append_random_rows(*grown, order, rng.below(12), rng, 400);
+      bool flipped = false;
+      auto extended =
+          VertexType::extend(vt, grown, nullptr, first_new_row, &flipped);
+      ASSERT_TRUE(extended.is_ok());
+      auto fresh = VertexType::build(0, "V", grown,
+                                     columns_of(*grown, key_names), nullptr,
+                                     std::pmr::get_default_resource());
+      ASSERT_TRUE(fresh.is_ok());
+      if (flipped) {
+        vt = *fresh;
+      } else {
+        (extended->shares_key_base(vt) ? shared : folds) += 1;
+        vt = std::move(extended).value();
+      }
+      table = grown;
+      EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
+                             vt.representative_rows().end(),
+                             fresh->representative_rows().begin(),
+                             fresh->representative_rows().end()));
+      EXPECT_EQ(vt.key_index_bytes(), fresh->key_index_bytes());
+      EXPECT_EQ(vt.byte_size(), fresh->byte_size());
+      expect_parity(vt, *probe, key_names);
+    }
+  }
+  EXPECT_GT(folds, 6u);
+  EXPECT_GT(shared, 30u);
 }
 
 // Vertex `where` filters select rows through the relational kernels. A

@@ -537,6 +537,192 @@ TEST(DeltaIngestTest, BerlinIngestsAcrossChunkSealsMatchRebuild) {
   }
 }
 
+// ---- CSR and key index: shared bases, small tails, folds ------------------
+// A Reviews ingest extends ReviewVtx's key index and both CSR directions of
+// `reviewFor` and `reviewer` by a tail over the previous epoch's base. A
+// tail past 1/kTailFoldDivisor of its base folds into a new base.
+
+/// Writes `n` Berlin review rows, ids from `first`, to `dir`/`name` and
+/// returns the ingest statement. `state` drives the product and person
+/// choices.
+std::string review_batch(const TempDir& dir, const std::string& name,
+                         const bsbm::GeneratorConfig& config,
+                         std::size_t first, std::size_t n,
+                         std::uint64_t& state) {
+  auto next = [&](std::uint64_t bound) {
+    state = state * 6364136223846793005ull + 1442695040888963407ull;
+    return (state >> 33) % bound;
+  };
+  std::ostringstream csv;
+  for (std::size_t k = 0; k < n; ++k) {
+    csv << "r" << first + k << ",Review,"
+        << bsbm::product_id(next(config.num_products)) << ","
+        << bsbm::person_id(next(config.num_persons))
+        << ",2008-03-01,T1,txt," << next(10) << ",,3,4,gen,2008-04-02\n";
+  }
+  write_text_file(dir.sub(name), csv.str());
+  return "ingest table Reviews '" + name + "'";
+}
+
+/// The types a Reviews ingest extends, in one epoch.
+struct ReviewTypes {
+  const graph::VertexType* reviews;
+  const graph::EdgeType* review_for;
+  const graph::EdgeType* reviewer;
+};
+
+ReviewTypes review_types(const exec::ExecContext& ctx) {
+  const graph::GraphView& g = ctx.graph;
+  return {&g.vertex_type(g.find_vertex_type("ReviewVtx").value()),
+          &g.edge_type(g.find_edge_type("reviewFor").value()),
+          &g.edge_type(g.find_edge_type("reviewer").value())};
+}
+
+TEST(DeltaIngestTest, SmallIngestsShareBasesUntilTheyFold) {
+  TempDir dir("tails");
+  const bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(300, 5);
+  server::DatabaseOptions options;
+  options.data_dir = dir.path;
+  auto made = bsbm::make_populated_database(config, options);
+  ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+  server::Database& db = **made;
+
+  std::uint64_t state = 99;
+  std::size_t csr_folds = 0;
+  std::size_t key_folds = 0;
+  for (std::size_t b = 0; b < 24; ++b) {
+    SCOPED_TRACE("batch " + std::to_string(b));
+    const std::string ingest = review_batch(
+        dir, "tail" + std::to_string(b) + ".csv", config, 60000 + 10 * b, 10,
+        state);
+    const EpochPin before = db.pin_epoch();
+    auto r = db.run_script(ingest);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+    const EpochPin after = db.pin_epoch();
+    const ReviewTypes old_types = review_types(before.ctx());
+    const ReviewTypes new_types = review_types(after.ctx());
+
+    // Below the threshold the new epoch reads the previous epoch's base
+    // objects; a fold leaves a new base and an empty tail.
+    if (!new_types.reviews->shares_key_base(*old_types.reviews)) {
+      ++key_folds;
+    }
+    for (const auto& [was, now] :
+         {std::pair{old_types.review_for, new_types.review_for},
+          std::pair{old_types.reviewer, new_types.reviewer}}) {
+      for (const bool forward : {true, false}) {
+        const graph::CsrIndex& a = forward ? was->forward() : was->reverse();
+        const graph::CsrIndex& c = forward ? now->forward() : now->reverse();
+        if (!c.shares_base(a)) {
+          ++csr_folds;
+          EXPECT_EQ(c.tail_edges(), 0u);
+        } else {
+          EXPECT_EQ(c.tail_edges(), a.tail_edges() + 10);
+        }
+      }
+    }
+    if (b == 0) {
+      EXPECT_TRUE(new_types.reviews->shares_key_base(*old_types.reviews));
+      EXPECT_TRUE(new_types.review_for->forward().shares_base(
+          old_types.review_for->forward()));
+    }
+  }
+  // The first ingest shared every base; later ones folded each index.
+  EXPECT_GE(key_folds, 2u);
+  EXPECT_GE(csr_folds, 8u);
+  const metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "graph.key_index.folds"), key_folds);
+  EXPECT_EQ(metrics::value(m, "graph.csr.folds"), csr_folds);
+  EXPECT_EQ(metrics::value(m, "mvcc.ingest.rebuild"), 0u);
+
+  // Delta == rebuild across the folds: same sizes (the gauges count the
+  // equivalent flat structures), rows and snapshot bytes.
+  const EpochPin pin = db.pin_epoch();
+  std::uint64_t tail_edges = 0;
+  for (graph::EdgeTypeId e = 0; e < pin.ctx().graph.num_edge_types(); ++e) {
+    const graph::EdgeType& et = pin.ctx().graph.edge_type(e);
+    tail_edges += et.forward().tail_edges() + et.reverse().tail_edges();
+  }
+  EXPECT_EQ(metrics::value(m, "graph.csr.tail_edges"), tail_edges);
+  const exec::ExecContext rebuilt = rebuilt_copy(pin);
+  EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
+  EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
+            store::encode_snapshot(rebuilt, 0));
+}
+
+// Readers walk a pinned epoch's adjacency and probe its key index while a
+// writer ingests through several folds. Every structure a reader sees is
+// immutable, so each pinned epoch stays self-consistent (TSan runs this).
+TEST(DeltaIngestTest, ReadersWalkPinnedEpochWhileWriterFolds) {
+  TempDir dir("tail_readers");
+  const bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(200, 5);
+  server::DatabaseOptions options;
+  options.data_dir = dir.path;
+  auto made = bsbm::make_populated_database(config, options);
+  ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+  server::Database& db = **made;
+  std::uint64_t state = 7;
+  std::vector<std::string> ingests;
+  for (std::size_t b = 0; b < 16; ++b) {
+    ingests.push_back(review_batch(dir, "rd" + std::to_string(b) + ".csv",
+                                   config, 70000 + 12 * b, 12, state));
+  }
+
+  std::atomic<bool> stop{false};
+  std::atomic<int> walks{0};
+  std::atomic<int> inconsistent{0};
+  auto reader = [&] {
+    while (!stop.load(std::memory_order_acquire)) {
+      const EpochPin pin = db.pin_epoch();
+      const ReviewTypes types = review_types(pin.ctx());
+      for (const graph::EdgeType* et : {types.review_for, types.reviewer}) {
+        std::size_t seen = 0;
+        for (const bool forward : {true, false}) {
+          const graph::CsrIndex& index =
+              forward ? et->forward() : et->reverse();
+          for (graph::VertexIndex v = 0; v < index.num_vertices(); ++v) {
+            for (const graph::AdjacencyPart& part : index.adjacency(v)) {
+              for (std::size_t i = 0; i < part.edges.size(); ++i) {
+                const graph::EdgeIndex e = part.edges[i];
+                const bool ok =
+                    forward ? et->source_vertex(e) == v &&
+                                  et->target_vertex(e) == part.neighbors[i]
+                            : et->target_vertex(e) == v &&
+                                  et->source_vertex(e) == part.neighbors[i];
+                if (!ok) inconsistent.fetch_add(1);
+                ++seen;
+              }
+            }
+          }
+        }
+        if (seen != 2 * et->num_edges()) inconsistent.fetch_add(1);
+      }
+      const graph::VertexType& vt = *types.reviews;
+      for (graph::VertexIndex v = 0; v < vt.num_vertices(); ++v) {
+        if (vt.find_by_key(vt.source(), vt.representative_row(v),
+                           vt.key_columns()) != v) {
+          inconsistent.fetch_add(1);
+        }
+      }
+      walks.fetch_add(1);
+    }
+  };
+  std::vector<std::thread> readers;
+  for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
+  for (const auto& ingest : ingests) {
+    auto r = db.run_script(ingest);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  }
+  stop.store(true, std::memory_order_release);
+  for (auto& t : readers) t.join();
+
+  EXPECT_EQ(inconsistent.load(), 0);
+  EXPECT_GT(walks.load(), 0);
+  const metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_GE(metrics::value(m, "graph.csr.folds"), 4u);
+  EXPECT_GE(metrics::value(m, "graph.key_index.folds"), 1u);
+}
+
 // ---- snapshot_bytes from a pinned epoch ------------------------------------
 
 TEST(SnapshotBytesTest, ServedFromPinnedEpoch) {
