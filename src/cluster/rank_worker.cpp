@@ -36,7 +36,7 @@ std::string RankWorker::snapshot_path() const {
 
 void RankWorker::recover() {
   if (options_.store_dir.empty()) return;
-  Result<std::vector<std::uint8_t>> image =
+  Result<std::pmr::vector<std::uint8_t>> image =
       store::read_file_bytes(snapshot_path());
   if (!image.is_ok()) {
     if (image.status().code() != StatusCode::kNotFound) {

@@ -13,10 +13,12 @@
 // two, at least kMinCapacity, holding it at load <= 1/2), however the
 // entries arrived: one by one, or after a reserve.
 //
-// The slots come from a std::pmr resource, the default heap unless the
-// table is constructed with another. A graph build fills a vertex key
-// index reserved in its scratch arena and keeps its compacted() copy
-// (DESIGN.md §5n).
+// The slots come from a std::pmr resource: large_array_resource() unless
+// the table is constructed with another, so a large slot array is mapped
+// pages rather than a malloc block (DESIGN.md §5m). A copy, compacted()
+// and merged() are on large_array_resource() too. A graph build fills a
+// vertex key index reserved in its scratch arena and keeps its
+// compacted() copy (DESIGN.md §5n).
 #pragma once
 
 #include <algorithm>
@@ -26,6 +28,7 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/large_array.hpp"
 
 namespace gems {
 
@@ -38,6 +41,13 @@ class IdTable {
   IdTable() = default;
   /// An empty table whose slots come from `memory`.
   explicit IdTable(std::pmr::memory_resource* memory) : slots_(memory) {}
+
+  /// A copy on large_array_resource(), whatever `other`'s slots come from.
+  IdTable(const IdTable& other)
+      : slots_(other.slots_, large_array_resource()), size_(other.size_) {}
+  IdTable& operator=(const IdTable&) = default;
+  IdTable(IdTable&&) = default;
+  IdTable& operator=(IdTable&&) = default;
 
   std::size_t size() const noexcept { return size_; }
 
@@ -72,8 +82,8 @@ class IdTable {
     place(old);
   }
 
-  /// A copy on the default heap at the capacity that size() alone calls
-  /// for, however far this table was reserved beyond it.
+  /// A copy on large_array_resource() at the capacity that size() alone
+  /// calls for, however far this table was reserved beyond it.
   IdTable compacted() const {
     IdTable out;
     out.reserve(size_);
@@ -86,7 +96,7 @@ class IdTable {
     return out;
   }
 
-  /// One table on the default heap holding the entries of `a` and `b`
+  /// One table on large_array_resource() holding the entries of `a` and `b`
   /// (which share no key), at the capacity their total calls for.
   static IdTable merged(const IdTable& a, const IdTable& b) {
     IdTable out;
@@ -154,7 +164,7 @@ class IdTable {
     return i;
   }
 
-  std::pmr::vector<Slot> slots_;
+  std::pmr::vector<Slot> slots_{large_array_resource()};
   std::size_t size_ = 0;
 };
 

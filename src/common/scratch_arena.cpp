@@ -1,18 +1,14 @@
 #include "common/scratch_arena.hpp"
 
-#include <sys/mman.h>
-
 #include <algorithm>
 #include <atomic>
-#include <new>
 
 #include "common/check.hpp"
+#include "common/large_array.hpp"
 
 namespace gems {
 
 namespace {
-
-constexpr std::size_t kPageBytes = 4096;
 
 std::atomic<std::size_t> live_bytes{0};
 
@@ -23,7 +19,7 @@ std::size_t round_up(std::size_t n, std::size_t to) {
 }  // namespace
 
 ScratchArena::~ScratchArena() {
-  for (const Block& b : blocks_) munmap(b.base, b.size);
+  for (const Block& b : blocks_) unmap_pages(b.base, b.size);
   live_bytes.fetch_sub(mapped_bytes(), std::memory_order_relaxed);
 }
 
@@ -52,12 +48,8 @@ void* ScratchArena::do_allocate(std::size_t bytes, std::size_t alignment) {
     offset_ = 0;
   }
   if (current_ == blocks_.size()) {
-    const std::size_t size =
-        std::max(kBlockBytes, round_up(bytes, kPageBytes));
-    void* base = mmap(nullptr, size, PROT_READ | PROT_WRITE,
-                      MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
-    if (base == MAP_FAILED) throw std::bad_alloc();
-    blocks_.push_back({static_cast<std::byte*>(base), size});
+    const std::size_t size = std::max(kBlockBytes, page_round_up(bytes));
+    blocks_.push_back({static_cast<std::byte*>(map_pages(size)), size});
     live_bytes.fetch_add(size, std::memory_order_relaxed);
   }
   void* p = blocks_[current_].base + offset_;

@@ -12,11 +12,11 @@
 // arenas would leave the process megabytes larger than the same work on
 // one thread.
 //
-// The arena maps large anonymous blocks and carves allocations from them
-// in order. Freeing the most recent allocation gives its bytes back to the
-// block, so an array that is released and then allocated again larger (a
-// hash table growing) reuses its pages; freeing anything else does
-// nothing. Pages are only resident once touched, so reserving an upper
+// The arena maps large anonymous blocks (map_pages, common/large_array.hpp)
+// and carves allocations from them in order. Freeing the most recent
+// allocation gives its bytes back to the block, so an array that is
+// released and then allocated again larger (a hash table growing) reuses
+// its pages; freeing anything else does nothing. Pages are only resident once touched, so reserving an upper
 // bound costs address space, not memory. rewind() starts over at the
 // first block and keeps every block mapped, so a thread that builds
 // several types touches the same pages again. The destructor unmaps every
@@ -47,7 +47,8 @@ class ScratchArena final : public std::pmr::memory_resource {
   /// Bytes of the mapped blocks.
   std::size_t mapped_bytes() const noexcept;
 
-  /// Bytes mapped by every arena alive in the process.
+  /// Bytes mapped by every arena alive in the process (the
+  /// `memory.scratch.bytes` gauge).
   static std::size_t live_mapped_bytes() noexcept;
 
  private:

@@ -1,5 +1,7 @@
 #include "common/string_pool.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cstring>
 #include <functional>
 
@@ -40,7 +42,7 @@ std::string_view StringPool::store(std::string_view s) {
 
 StringId StringPool::find_locked(std::string_view s,
                                  std::uint64_t hash) const {
-  const std::vector<std::string_view>& views = views_;
+  const ChunkedArray<std::string_view>& views = views_;
   const StringId id = index_.find(
       hash, [&](StringId candidate) { return views[candidate] == s; });
   return id == IdTable::kNone ? kInvalidStringId : id;
@@ -67,16 +69,19 @@ void StringPool::intern_batch(std::span<const std::string_view> strings,
                               StringId* ids) {
   // Far enough ahead to hide a cache miss behind the probes in between.
   constexpr std::size_t kPrefetchAhead = 8;
-  std::vector<std::uint64_t> hashes(strings.size());
-  for (std::size_t i = 0; i < strings.size(); ++i) {
-    hashes[i] = hash_string(strings[i]);
-  }
-  sync::MutexLock lock(mutex_);
-  for (std::size_t i = 0; i < strings.size(); ++i) {
-    if (i + kPrefetchAhead < strings.size()) {
-      index_.prefetch(hashes[i + kPrefetchAhead]);
+  // On the stack: a heap buffer freed here would leave a hole below any
+  // views chunk the batch seals.
+  std::array<std::uint64_t, kChunkRows> hashes;
+  for (std::size_t first = 0; first < strings.size(); first += kChunkRows) {
+    const std::size_t n = std::min(kChunkRows, strings.size() - first);
+    for (std::size_t i = 0; i < n; ++i) {
+      hashes[i] = hash_string(strings[first + i]);
     }
-    ids[i] = intern_locked(strings[i], hashes[i]);
+    sync::MutexLock lock(mutex_);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + kPrefetchAhead < n) index_.prefetch(hashes[i + kPrefetchAhead]);
+      ids[first + i] = intern_locked(strings[first + i], hashes[i]);
+    }
   }
 }
 
@@ -113,7 +118,7 @@ std::size_t StringPool::byte_size() const {
 std::size_t StringPool::memory_bytes() const {
   sync::MutexLock lock(mutex_);
   return arena_bytes_ + blocks_.capacity() * sizeof(blocks_[0]) +
-         views_.capacity() * sizeof(views_[0]) + index_.byte_size();
+         views_.byte_size() + index_.byte_size();
 }
 
 }  // namespace gems

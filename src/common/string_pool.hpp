@@ -10,7 +10,8 @@
 // blocks that never move (a string longer than a block gets a block of
 // its own), each id has one 16-byte view into them, and a flat IdTable
 // maps a string's hash to its id, checking candidates against the arena
-// bytes. No key is stored twice.
+// bytes. No key is stored twice. The views are a ChunkedArray, so they
+// grow without ever reallocating a large array.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +20,7 @@
 #include <string_view>
 #include <vector>
 
+#include "common/chunked_array.hpp"
 #include "common/id_table.hpp"
 #include "common/sync.hpp"
 
@@ -46,9 +48,10 @@ class StringPool {
   StringId intern(std::string_view s);
 
   /// Interns `strings[i]` into `ids[i]`, in order, under one lock
-  /// acquisition. Ids, size(), byte_size() and memory_bytes() come out as
-  /// the same intern() calls in the same order would leave them (a repeat
-  /// inside the batch gets the id its first occurrence got). The strings
+  /// acquisition per kChunkRows strings. Ids, size(), byte_size() and
+  /// memory_bytes() come out as the same intern() calls in the same order
+  /// would leave them (a repeat inside the batch gets the id its first
+  /// occurrence got). The strings
   /// are hashed before the lock is taken, and each probe prefetches the
   /// index slot of a string a few entries ahead. Bulk appends pass up to
   /// kChunkRows strings per call (DESIGN.md §5m).
@@ -106,7 +109,7 @@ class StringPool {
   char* free_ GEMS_GUARDED_BY(mutex_) = nullptr;
   std::size_t free_bytes_ GEMS_GUARDED_BY(mutex_) = 0;
   std::size_t arena_bytes_ GEMS_GUARDED_BY(mutex_) = 0;
-  std::vector<std::string_view> views_ GEMS_GUARDED_BY(mutex_);  // by id
+  ChunkedArray<std::string_view> views_ GEMS_GUARDED_BY(mutex_);  // by id
   IdTable index_ GEMS_GUARDED_BY(mutex_);
   std::size_t bytes_ GEMS_GUARDED_BY(mutex_) = 0;
 };

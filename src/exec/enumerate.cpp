@@ -1,6 +1,7 @@
 #include "exec/enumerate.hpp"
 
 #include <map>
+#include <span>
 
 #include "common/check.hpp"
 #include "relational/eval.hpp"
@@ -117,6 +118,24 @@ std::vector<EnumOp> build_plan(const ConstraintNetwork& net, int root) {
   return ops;
 }
 
+/// Calls `visit(v)` for each set bit v of `bits`, ascending, until it
+/// fails or `stop` is set. It walks the words in place rather than listing
+/// the indices first: a list per candidate set would be an array the size
+/// of the domain on every start and group step.
+template <typename Visit>
+Status visit_set_bits(const DynamicBitset& bits, const bool& stop,
+                      Visit&& visit) {
+  const std::span<const std::uint64_t> words = bits.words();
+  for (std::size_t w = 0; w < words.size(); ++w) {
+    for (std::uint64_t word = words[w]; word != 0; word &= word - 1) {
+      const auto bit = static_cast<std::size_t>(__builtin_ctzll(word));
+      GEMS_RETURN_IF_ERROR(visit(static_cast<VertexIndex>(w * 64 + bit)));
+      if (stop) return Status::ok();
+    }
+  }
+  return Status::ok();
+}
+
 class Enumerator {
  public:
   Enumerator(const ConstraintNetwork& net, const GraphView& graph,
@@ -206,12 +225,11 @@ class Enumerator {
   Status op_start_var(const EnumOp& op, std::size_t op_index) {
     const Domain& domain = match_.domains[op.index];
     for (const auto& [type, bits] : domain.sets) {
-      const auto indices = bits.to_indices();
-      for (const VertexIndex v : indices) {
+      GEMS_RETURN_IF_ERROR(visit_set_bits(bits, stop_, [&](VertexIndex v) {
         bind_vertex(op.index, VertexRef{type, v});
-        GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
-        if (stop_) return Status::ok();
-      }
+        return dfs(op_index + 1);
+      }));
+      if (stop_) return Status::ok();
     }
     return Status::ok();
   }
@@ -312,12 +330,12 @@ class Enumerator {
       if (dom_it == match_.domains[to_var].sets.end()) continue;
       DynamicBitset candidates = bits;
       candidates &= dom_it->second;
-      const auto indices = candidates.to_indices();
-      for (const VertexIndex v : indices) {
-        bind_vertex(to_var, VertexRef{type, v});
-        GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
-        if (stop_) return Status::ok();
-      }
+      GEMS_RETURN_IF_ERROR(
+          visit_set_bits(candidates, stop_, [&](VertexIndex v) {
+            bind_vertex(to_var, VertexRef{type, v});
+            return dfs(op_index + 1);
+          }));
+      if (stop_) return Status::ok();
     }
     return Status::ok();
   }

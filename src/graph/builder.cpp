@@ -8,10 +8,12 @@
 #include <numeric>
 #include <optional>
 #include <ranges>
+#include <span>
 
 #include "common/check.hpp"
 #include "common/hash.hpp"
 #include "common/id_table.hpp"
+#include "common/large_array.hpp"
 #include "common/scratch_arena.hpp"
 #include "relational/batch.hpp"
 #include "relational/eval.hpp"
@@ -159,6 +161,18 @@ BoundExprPtr conjoin(BoundExprPtr a, BoundExprPtr b) {
   e->lhs = std::move(a);
   e->rhs = std::move(b);
   return e;
+}
+
+/// The AND of `parts` (null when empty) as a balanced tree, so its depth
+/// is logarithmic however many conjuncts a declaration has. The left half
+/// takes the middle part, so up to three parts fold left-deep:
+/// ((a and b) and c).
+BoundExprPtr conjoin_balanced(std::span<BoundExprPtr> parts) {
+  if (parts.empty()) return nullptr;
+  if (parts.size() == 1) return std::move(parts.front());
+  const std::size_t half = (parts.size() + 1) / 2;
+  return conjoin(conjoin_balanced(parts.first(half)),
+                 conjoin_balanced(parts.subspan(half)));
 }
 
 /// A join source's candidate rows, ascending, and for an endpoint each
@@ -347,7 +361,7 @@ Result<BoundEdgeDecl> bind_edge_decl(const EdgeDecl& decl,
 
   // ---- Bind and classify the WHERE conjuncts ----------------------------
   const MultiSourceScope scope(bound.qualifiers, bound.tables);
-  bound.filters.resize(bound.tables.size());
+  std::vector<std::vector<BoundExprPtr>> single(bound.tables.size());
   for (const ExprPtr& conjunct : relational::split_conjuncts(decl.where)) {
     GEMS_ASSIGN_OR_RETURN(
         BoundExprPtr e,
@@ -356,8 +370,7 @@ Result<BoundEdgeDecl> bind_edge_decl(const EdgeDecl& decl,
     if (std::popcount(referenced) <= 1) {
       const int s = referenced == 0 ? 0 : std::countr_zero(referenced);
       rebase_to_source0(*e);
-      BoundExprPtr& filter = bound.filters[static_cast<std::size_t>(s)];
-      filter = filter ? conjoin(std::move(filter), std::move(e)) : std::move(e);
+      single[static_cast<std::size_t>(s)].push_back(std::move(e));
       continue;
     }
     // column = column across exactly two sources -> equi-join link.
@@ -375,6 +388,9 @@ Result<BoundEdgeDecl> bind_edge_decl(const EdgeDecl& decl,
       continue;
     }
     bound.residual.push_back(std::move(e));
+  }
+  for (std::vector<BoundExprPtr>& parts : single) {
+    bound.filters.push_back(conjoin_balanced(parts));
   }
   return bound;
 }
@@ -813,7 +829,7 @@ Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
                         bind_vertex_decl(decl, tables, pool, params));
   GEMS_ASSIGN_OR_RETURN(
       VertexType vt, build_vertex_type(bound, graph.next_vertex_type_id(),
-                                       std::pmr::get_default_resource()));
+                                       large_array_resource()));
   return graph.add_vertex_type(std::move(vt));
 }
 
@@ -826,7 +842,7 @@ Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
   GEMS_ASSIGN_OR_RETURN(EdgeType et,
                         build_edge_type(graph, bound, pool,
                                         graph.next_edge_type_id(), nullptr,
-                                        std::pmr::get_default_resource()));
+                                        large_array_resource()));
   return graph.add_edge_type(std::move(et));
 }
 
@@ -909,7 +925,7 @@ Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
       BoundEdgeDecl bound,
       bind_edge_decl(decl, endpoints_of(graph), tables, pool, params));
   return build_edge_type(graph, bound, pool, delta.base->id(), &delta,
-                         std::pmr::get_default_resource());
+                         large_array_resource());
 }
 
 }  // namespace gems::graph

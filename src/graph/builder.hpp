@@ -58,8 +58,8 @@ struct EdgeDecl {
 };
 
 /// Builds and registers a vertex type on the calling thread, with its
-/// transient state on the default heap. `params` supplies %placeholders%
-/// appearing in the declaration's WHERE clause.
+/// transient state on large_array_resource(). `params` supplies
+/// %placeholders% appearing in the declaration's WHERE clause.
 Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
                        const storage::TableCatalog& tables, StringPool& pool,
                        const relational::ParamMap& params = {});
@@ -105,7 +105,8 @@ struct EdgeDelta {
 /// (post-ingest) vertex types; vertex numbering is stable across
 /// VertexType::extend, so the base endpoint arrays remain valid. Both CSR
 /// directions extend the base's through CsrIndex::extend: a new tail over
-/// the shared base, O(tail + delta) until it folds.
+/// the shared base, O(tail + delta) until it folds. Transient state is on
+/// large_array_resource().
 Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                   const storage::TableCatalog& tables,
                                   StringPool& pool,

@@ -124,9 +124,9 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   return out;
 }
 
-Result<CsrIndex> CsrIndex::restore(std::vector<std::uint32_t> offsets,
-                                   std::vector<VertexIndex> neighbor,
-                                   std::vector<EdgeIndex> edge) {
+Result<CsrIndex> CsrIndex::restore(std::pmr::vector<std::uint32_t> offsets,
+                                   std::pmr::vector<VertexIndex> neighbor,
+                                   std::pmr::vector<EdgeIndex> edge) {
   if (offsets.empty()) {
     return invalid_argument("CSR restore: empty offsets array");
   }
@@ -208,8 +208,8 @@ EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
 Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
                                    VertexTypeId src_type,
                                    VertexTypeId dst_type,
-                                   std::vector<VertexIndex> src,
-                                   std::vector<VertexIndex> dst,
+                                   std::span<const VertexIndex> src,
+                                   std::span<const VertexIndex> dst,
                                    storage::TablePtr attr_table,
                                    CsrIndex forward, CsrIndex reverse) {
   if (src.size() != dst.size()) {

@@ -19,6 +19,7 @@
 #include "common/bitset.hpp"
 #include "common/check.hpp"
 #include "common/chunked_array.hpp"
+#include "common/large_array.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
 #include "storage/table.hpp"
@@ -185,23 +186,31 @@ class CsrIndex {
   /// Rebuilds an index from serialized arrays, validating the CSR
   /// invariants (monotone offsets bracketing the arrays, parallel array
   /// sizes) so corrupt input is rejected rather than read out of bounds.
-  /// The result has an empty tail.
-  static Result<CsrIndex> restore(std::vector<std::uint32_t> offsets,
-                                  std::vector<VertexIndex> neighbor,
-                                  std::vector<EdgeIndex> edge);
+  /// The result has an empty tail, and its base takes the arrays over
+  /// (they are copied only when not on large_array_resource()).
+  static Result<CsrIndex> restore(std::pmr::vector<std::uint32_t> offsets,
+                                  std::pmr::vector<VertexIndex> neighbor,
+                                  std::pmr::vector<EdgeIndex> edge);
 
  private:
+  // Every array below comes from large_array_resource() (DESIGN.md §5m):
+  // a fold retires a base whole, and freeing it must not hand malloc one
+  // large block.
   struct Base {
-    std::vector<std::uint32_t> offsets;  // size n+1
-    std::vector<VertexIndex> neighbor;   // other endpoint, grouped by owner
-    std::vector<EdgeIndex> edge;         // edge id, parallel to neighbor
+    // Size n+1.
+    std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
+    // The other endpoints, grouped by owner, and their edge ids.
+    std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
+    std::pmr::vector<EdgeIndex> edge{large_array_resource()};
   };
   struct Tail {
-    std::vector<VertexIndex> touched;    // ascending
-    std::vector<std::uint32_t> offsets;  // size touched+1
-    std::vector<VertexIndex> neighbor;   // grouped by touched vertex
-    std::vector<EdgeIndex> edge;         // parallel to neighbor
-    DynamicBitset touched_bits;          // one bit per indexed vertex
+    // Ascending, and their offsets (size touched+1).
+    std::pmr::vector<VertexIndex> touched{large_array_resource()};
+    std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
+    // Grouped by touched vertex, and their edge ids.
+    std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
+    std::pmr::vector<EdgeIndex> edge{large_array_resource()};
+    DynamicBitset touched_bits;  // one bit per indexed vertex
 
     /// The part of touched vertex `v`. Out of line: the walks inline
     /// for_each_part() and rarely take this branch.
@@ -291,8 +300,8 @@ class EdgeType {
   static Result<EdgeType> restore(EdgeTypeId id, std::string name,
                                   VertexTypeId src_type,
                                   VertexTypeId dst_type,
-                                  std::vector<VertexIndex> src,
-                                  std::vector<VertexIndex> dst,
+                                  std::span<const VertexIndex> src,
+                                  std::span<const VertexIndex> dst,
                                   storage::TablePtr attr_table,
                                   CsrIndex forward, CsrIndex reverse);
 

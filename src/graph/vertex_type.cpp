@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "common/large_array.hpp"
 #include "relational/operators.hpp"
 #include "relational/row_key.hpp"
 
@@ -76,7 +77,7 @@ Result<VertexType> VertexType::extend(const VertexType& base,
   vt.matching_rows_.resize(new_source->num_rows(), false);
 
   for (const RowIndex r : passing_rows(*new_source, filter, first_new_row,
-                                       std::pmr::get_default_resource())) {
+                                       large_array_resource())) {
     vt.matching_rows_.set(r);
     if (!vt.add_row(vt.key_tail_, r) && vt.one_to_one_) {
       *flipped = true;  // visibility/collapse semantics change: rebuild
@@ -94,7 +95,8 @@ Result<VertexType> VertexType::extend(const VertexType& base,
 Result<VertexType> VertexType::restore(
     VertexTypeId id, std::string name, storage::TablePtr source,
     std::vector<ColumnIndex> key_cols, bool one_to_one,
-    std::vector<RowIndex> representative_rows, DynamicBitset matching_rows) {
+    std::span<const RowIndex> representative_rows,
+    DynamicBitset matching_rows) {
   if (source == nullptr) {
     return invalid_argument("vertex type '" + name +
                             "' restore: missing source table");

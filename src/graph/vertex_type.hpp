@@ -137,7 +137,7 @@ class VertexType {
   static Result<VertexType> restore(
       VertexTypeId id, std::string name, storage::TablePtr source,
       std::vector<storage::ColumnIndex> key_cols, bool one_to_one,
-      std::vector<storage::RowIndex> representative_rows,
+      std::span<const storage::RowIndex> representative_rows,
       DynamicBitset matching_rows);
 
  private:

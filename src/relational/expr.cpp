@@ -181,14 +181,6 @@ std::vector<ExprPtr> split_conjuncts(const ExprPtr& expr) {
   return out;
 }
 
-ExprPtr conjoin(const std::vector<ExprPtr>& conjuncts) {
-  ExprPtr result;
-  for (const auto& c : conjuncts) {
-    result = result ? Expr::make_binary(BinaryOp::kAnd, result, c) : c;
-  }
-  return result;
-}
-
 void collect_qualifiers(const ExprPtr& expr, std::vector<std::string>& out) {
   if (!expr) return;
   if (expr->kind == Expr::Kind::kColumnRef) {

@@ -106,9 +106,6 @@ struct Expr {
 /// Splits a conjunction into its non-AND leaves: (a and (b and c)) -> a,b,c.
 std::vector<ExprPtr> split_conjuncts(const ExprPtr& expr);
 
-/// Rebuilds a conjunction from conjuncts (nullptr when empty).
-ExprPtr conjoin(const std::vector<ExprPtr>& conjuncts);
-
 /// Collects the distinct qualifiers referenced anywhere in `expr`
 /// (including the empty qualifier if bare columns occur).
 void collect_qualifiers(const ExprPtr& expr, std::vector<std::string>& out);

@@ -4,7 +4,9 @@
 #include <chrono>
 #include <sstream>
 
+#include "common/large_array.hpp"
 #include "common/logging.hpp"
+#include "common/scratch_arena.hpp"
 #include "exec/lowering.hpp"
 #include "graql/ir.hpp"
 #include "graql/parser.hpp"
@@ -225,6 +227,8 @@ metrics::Snapshot Database::metrics_snapshot() const {
   }
   pool_strings_.set(pool_.size());
   pool_bytes_.set(pool_.memory_bytes());
+  mapped_bytes_.set(large_array_mapped_bytes());
+  scratch_bytes_.set(ScratchArena::live_mapped_bytes());
   metrics::Snapshot snapshot = metrics_.snapshot();
   metrics::merge(snapshot, epochs_.metrics_snapshot());
   if (store_ != nullptr) metrics::merge(snapshot, store_->metrics().snapshot());

@@ -254,6 +254,10 @@ class Database {
   metrics::Gauge& csr_bytes_ = metrics_.gauge("graph.csr.bytes");
   metrics::Gauge& csr_tail_edges_ = metrics_.gauge("graph.csr.tail_edges");
   metrics::Gauge& endpoint_bytes_ = metrics_.gauge("graph.endpoints.bytes");
+  // Process-wide: pages large_array_resource() and the live scratch
+  // arenas have mapped (DESIGN.md §5m, §5n).
+  metrics::Gauge& mapped_bytes_ = metrics_.gauge("memory.mapped.bytes");
+  metrics::Gauge& scratch_bytes_ = metrics_.gauge("memory.scratch.bytes");
 
   // ---- Lock hierarchy (DESIGN.md §5j) ----------------------------------
   // checkpoint_serial_mutex_ > access_ > stats_mutex_ > wal_mutex_ >

@@ -116,6 +116,11 @@ TableAppender::TableAppender(Table& table) : table_(&table) {
       varchar_columns_.push_back(static_cast<ColumnIndex>(c));
     }
   }
+  if (!varchar_columns_.empty()) {
+    intern_batch_.reserve(kChunkRows);
+    intern_targets_.reserve(kChunkRows);
+    intern_ids_.resize(kChunkRows);
+  }
 }
 
 TableAppender::Lane& TableAppender::next_cell(ColumnIndex c,
@@ -213,11 +218,9 @@ void TableAppender::commit() {
   // Intern in (row, column index) order, the order append_row_unchecked
   // interns in, so every new string gets the id it would get there.
   for (const ColumnIndex c : varchar_columns_) lanes_[c].ids.resize(rows_);
-  std::vector<std::string_view> batch;
-  std::vector<StringId*> targets;
-  std::vector<StringId> ids(kChunkRows);
-  batch.reserve(kChunkRows);
-  targets.reserve(kChunkRows);
+  std::vector<std::string_view>& batch = intern_batch_;
+  std::vector<StringId*>& targets = intern_targets_;
+  std::vector<StringId>& ids = intern_ids_;
   auto flush = [&] {
     if (batch.empty()) return;
     table_->pool().intern_batch(batch, ids.data());

@@ -4,12 +4,14 @@
 #pragma once
 
 #include <memory>
+#include <memory_resource>
 #include <optional>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "common/large_array.hpp"
 #include "common/status.hpp"
 #include "common/string_pool.hpp"
 #include "storage/column.hpp"
@@ -140,16 +142,20 @@ class TableAppender {
     std::size_t offset = 0;
     std::size_t size = 0;
   };
+  // The staging arrays grow with the batch, so they come from
+  // large_array_resource() (DESIGN.md §5m).
+  template <typename T>
+  using Array = std::pmr::vector<T>;
   /// One column's staged cells; only the payload lane of its kind is used.
   struct Lane {
     TypeKind kind = TypeKind::kInt64;
     std::size_t cells = 0;
-    std::vector<std::uint64_t> valid;  // validity words
-    std::vector<std::int64_t> ints;    // Int64, Date
-    std::vector<double> doubles;
-    std::vector<std::uint64_t> bits;  // Bool values, packed
-    std::vector<Slot> slots;          // Varchar: a range of bytes_
-    std::vector<StringId> ids;        // Varchar: filled by commit()
+    Array<std::uint64_t> valid{large_array_resource()};  // validity words
+    Array<std::int64_t> ints{large_array_resource()};    // Int64, Date
+    Array<double> doubles{large_array_resource()};
+    Array<std::uint64_t> bits{large_array_resource()};  // Bool, packed
+    Array<Slot> slots{large_array_resource()};  // Varchar: range of bytes_
+    Array<StringId> ids{large_array_resource()};  // Varchar: by commit()
   };
 
   Lane& next_cell(ColumnIndex c, TypeKind kind, bool valid);
@@ -166,7 +172,13 @@ class TableAppender {
   Table* table_;
   std::vector<Lane> lanes_;
   std::vector<ColumnIndex> varchar_columns_;
-  std::string bytes_;  // staged string bytes
+  std::pmr::string bytes_{large_array_resource()};  // staged string bytes
+  // commit()'s intern batch (kChunkRows strings), allocated once: freed
+  // per commit, these buffers left a heap hole below each string-pool
+  // chunk the commit sealed (EXPERIMENTS.md E-BIGARRAYS).
+  std::vector<std::string_view> intern_batch_;
+  std::vector<StringId*> intern_targets_;
+  std::vector<StringId> intern_ids_;
   std::size_t rows_ = 0;
 };
 

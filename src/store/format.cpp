@@ -20,7 +20,8 @@ std::string errno_detail(const char* op, const std::string& path) {
 
 }  // namespace
 
-Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path) {
+Result<std::pmr::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path) {
   const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
   if (fd < 0) {
     if (errno == ENOENT) return not_found("no such file: '" + path + "'");
@@ -32,7 +33,8 @@ Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path) {
     ::close(fd);
     return s;
   }
-  std::vector<std::uint8_t> out(static_cast<std::size_t>(st.st_size));
+  std::pmr::vector<std::uint8_t> out(static_cast<std::size_t>(st.st_size),
+                                     large_array_resource());
   std::size_t done = 0;
   while (done < out.size()) {
     const ssize_t n = ::read(fd, out.data() + done, out.size() - done);

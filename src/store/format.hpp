@@ -11,12 +11,15 @@
 // fsync-directory).
 //
 // Bulk arrays (column data, CSR offsets) are their elements' in-memory
-// bytes, which common/bytes.hpp pins to little-endian.
+// bytes, which common/bytes.hpp pins to little-endian. Arrays read back
+// and whole files come from large_array_resource() or a scratch arena
+// (DESIGN.md §5m), so recovery frees no large malloc block.
 #pragma once
 
 #include <cstdint>
 #include <cstring>
 #include <functional>
+#include <memory_resource>
 #include <span>
 #include <string>
 #include <type_traits>
@@ -25,6 +28,7 @@
 #include "common/bytes.hpp"
 #include "common/chunked_array.hpp"
 #include "common/crc32.hpp"
+#include "common/large_array.hpp"
 #include "common/status.hpp"
 
 namespace gems::store {
@@ -87,10 +91,12 @@ void write_pod_array(W& w, const ChunkedArray<T, N, V>& a) {
   for (std::size_t c = 0; c < a.num_chunks(); ++c) write_pods(w, a.chunk(c));
 }
 
-/// Reads a write_pod_array section. The count is checked against the
-/// remaining bytes before the vector is allocated.
+/// Reads a write_pod_array section into an array from `memory`. The count
+/// is checked against the remaining bytes before the array is allocated.
 template <typename T>
-Result<std::vector<T>> read_pod_array(ByteReader& r, const char* what) {
+Result<std::pmr::vector<T>> read_pod_array(
+    ByteReader& r, const char* what,
+    std::pmr::memory_resource* memory = large_array_resource()) {
   static_assert(std::is_trivially_copyable_v<T>);
   const std::size_t at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::uint64_t count, r.u64());
@@ -101,16 +107,17 @@ Result<std::vector<T>> read_pod_array(ByteReader& r, const char* what) {
   }
   GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> raw,
                         r.bytes(static_cast<std::size_t>(count) * sizeof(T)));
-  std::vector<T> out(static_cast<std::size_t>(count));
+  std::pmr::vector<T> out(static_cast<std::size_t>(count), memory);
   if (!raw.empty()) std::memcpy(out.data(), raw.data(), raw.size());
   return out;
 }
 
 // ---- Durable file helpers -------------------------------------------------
 
-/// Reads an entire file. kNotFound when it does not exist, kIoError on any
-/// other failure.
-Result<std::vector<std::uint8_t>> read_file_bytes(const std::string& path);
+/// Reads an entire file into an array on large_array_resource().
+/// kNotFound when it does not exist, kIoError on any other failure.
+Result<std::pmr::vector<std::uint8_t>> read_file_bytes(
+    const std::string& path);
 
 /// Crash-safe file replacement: `fill` writes the new contents through the
 /// open descriptor of `path + ".tmp"` (whose name it is also given); the

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/crc32.hpp"
+#include "common/scratch_arena.hpp"
 #include "graql/ir.hpp"
 #include "store/format.hpp"
 
@@ -43,10 +44,11 @@ void encode_bitset(W& w, const DynamicBitset& b) {
 Result<DynamicBitset> decode_bitset(ByteReader& r, const char* what) {
   const std::size_t at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::uint64_t size, r.u64());
-  GEMS_ASSIGN_OR_RETURN(std::vector<std::uint64_t> words,
+  GEMS_ASSIGN_OR_RETURN(std::pmr::vector<std::uint64_t> words,
                         read_pod_array<std::uint64_t>(r, what));
-  auto bits = DynamicBitset::from_words(static_cast<std::size_t>(size),
-                                        std::move(words));
+  auto bits = DynamicBitset::from_words(
+      static_cast<std::size_t>(size),
+      std::vector<std::uint64_t>(words.begin(), words.end()));
   if (!bits.is_ok()) {
     return r.error_at(at, what + (": " + bits.status().message()));
   }
@@ -116,6 +118,10 @@ Result<TablePtr> decode_table(ByteReader& r, StringPool& pool) {
                       "table '" + name + "': " + schema.status().message());
   }
   GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, r.u64());
+  // Each column's array is read here, copied into the table's chunks and
+  // released before the next is read, so the arena reuses one column's
+  // pages; it is unmapped when the table is done.
+  ScratchArena scratch;
   auto table =
       std::make_shared<Table>(name, std::move(schema).value(), pool);
   for (std::uint32_t c = 0; c < ncols; ++c) {
@@ -126,24 +132,27 @@ Result<TablePtr> decode_table(ByteReader& r, StringPool& pool) {
       case TypeKind::kBool:
       case TypeKind::kInt64:
       case TypeKind::kDate: {
-        GEMS_ASSIGN_OR_RETURN(std::vector<std::int64_t> data,
-                              read_pod_array<std::int64_t>(r, "int column"));
+        GEMS_ASSIGN_OR_RETURN(std::pmr::vector<std::int64_t> data,
+                              read_pod_array<std::int64_t>(r, "int column",
+                                                           &scratch));
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
         load = col.load<std::int64_t>(data, bits);
         break;
       }
       case TypeKind::kDouble: {
-        GEMS_ASSIGN_OR_RETURN(std::vector<double> data,
-                              read_pod_array<double>(r, "double column"));
+        GEMS_ASSIGN_OR_RETURN(std::pmr::vector<double> data,
+                              read_pod_array<double>(r, "double column",
+                                                     &scratch));
         GEMS_ASSIGN_OR_RETURN(DynamicBitset bits,
                               decode_bitset(r, "column validity"));
         load = col.load<double>(data, bits);
         break;
       }
       case TypeKind::kVarchar: {
-        GEMS_ASSIGN_OR_RETURN(std::vector<StringId> data,
-                              read_pod_array<StringId>(r, "varchar column"));
+        GEMS_ASSIGN_OR_RETURN(std::pmr::vector<StringId> data,
+                              read_pod_array<StringId>(r, "varchar column",
+                                                       &scratch));
         for (const StringId id : data) {
           if (id != kInvalidStringId && id >= pool.size()) {
             return r.error_at(col_at, "table '" + name + "': string id " +
@@ -325,7 +334,7 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_vdecls, r.u32());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_edecls, r.u32());
   const std::size_t decls_at = r.pos();
-  GEMS_ASSIGN_OR_RETURN(std::vector<std::uint8_t> script_bytes,
+  GEMS_ASSIGN_OR_RETURN(std::pmr::vector<std::uint8_t> script_bytes,
                         read_pod_array<std::uint8_t>(r, "decl script"));
   auto script = graql::decode_script(script_bytes);
   if (!script.is_ok()) {
@@ -381,21 +390,21 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
                                 std::to_string(mode));
     }
     GEMS_ASSIGN_OR_RETURN(
-        std::vector<storage::ColumnIndex> key_cols,
+        std::pmr::vector<storage::ColumnIndex> key_cols,
         read_pod_array<storage::ColumnIndex>(r, "key columns"));
     GEMS_ASSIGN_OR_RETURN(std::uint8_t one_to_one, r.u8());
     if (one_to_one > 1) {
       return r.error_at(at,
                         "vertex type '" + name + "': bad one_to_one flag");
     }
-    GEMS_ASSIGN_OR_RETURN(std::vector<RowIndex> reps,
+    GEMS_ASSIGN_OR_RETURN(std::pmr::vector<RowIndex> reps,
                           read_pod_array<RowIndex>(r, "representative rows"));
     GEMS_ASSIGN_OR_RETURN(DynamicBitset matching,
                           decode_bitset(r, "matching rows"));
     auto vt = VertexType::restore(static_cast<VertexTypeId>(i),
                                   std::move(name), std::move(source),
-                                  std::move(key_cols), one_to_one != 0,
-                                  std::move(reps), std::move(matching));
+                                  {key_cols.begin(), key_cols.end()},
+                                  one_to_one != 0, reps, std::move(matching));
     if (!vt.is_ok()) return r.error_at(at, vt.status().message());
     GEMS_RETURN_IF_ERROR(ctx.graph.add_vertex_type(std::move(vt).value()));
   }
@@ -414,10 +423,14 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
       return r.error_at(
           at, "edge type '" + name + "': endpoint type out of range");
     }
-    GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> src,
-                          read_pod_array<VertexIndex>(r, "edge sources"));
-    GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> dst,
-                          read_pod_array<VertexIndex>(r, "edge targets"));
+    // The endpoint arrays are copied into chunks by EdgeType::restore.
+    ScratchArena scratch;
+    GEMS_ASSIGN_OR_RETURN(
+        std::pmr::vector<VertexIndex> src,
+        read_pod_array<VertexIndex>(r, "edge sources", &scratch));
+    GEMS_ASSIGN_OR_RETURN(
+        std::pmr::vector<VertexIndex> dst,
+        read_pod_array<VertexIndex>(r, "edge targets", &scratch));
     GEMS_ASSIGN_OR_RETURN(std::uint8_t has_attrs, r.u8());
     TablePtr attr_table;
     if (has_attrs == 1) {
@@ -427,11 +440,11 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
     }
     graph::CsrIndex csrs[2];
     for (graph::CsrIndex& csr : csrs) {
-      GEMS_ASSIGN_OR_RETURN(std::vector<std::uint32_t> offsets,
+      GEMS_ASSIGN_OR_RETURN(std::pmr::vector<std::uint32_t> offsets,
                             read_pod_array<std::uint32_t>(r, "CSR offsets"));
-      GEMS_ASSIGN_OR_RETURN(std::vector<VertexIndex> neighbor,
+      GEMS_ASSIGN_OR_RETURN(std::pmr::vector<VertexIndex> neighbor,
                             read_pod_array<VertexIndex>(r, "CSR neighbors"));
-      GEMS_ASSIGN_OR_RETURN(std::vector<graph::EdgeIndex> edge,
+      GEMS_ASSIGN_OR_RETURN(std::pmr::vector<graph::EdgeIndex> edge,
                             read_pod_array<graph::EdgeIndex>(r, "CSR edges"));
       auto restored = graph::CsrIndex::restore(
           std::move(offsets), std::move(neighbor), std::move(edge));
@@ -450,8 +463,8 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
                                 "': CSR vertex count != endpoint type size");
     }
     auto et = EdgeType::restore(static_cast<EdgeTypeId>(i), std::move(name),
-                                src_type, dst_type, std::move(src),
-                                std::move(dst), std::move(attr_table),
+                                src_type, dst_type, src, dst,
+                                std::move(attr_table),
                                 std::move(csrs[0]), std::move(csrs[1]));
     if (!et.is_ok()) return r.error_at(at, et.status().message());
     GEMS_RETURN_IF_ERROR(ctx.graph.add_edge_type(std::move(et).value()));

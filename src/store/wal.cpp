@@ -61,7 +61,7 @@ Result<Wal::OpenResult> Wal::open(std::string path,
     out.header_snapshot_seq = snapshot_seq_if_create;
     out.scanned_bytes = header.size();
   } else {
-    const std::vector<std::uint8_t>& bytes = *existing;
+    const std::pmr::vector<std::uint8_t>& bytes = *existing;
     out.scanned_bytes = bytes.size();
     if (bytes.size() < kWalHeaderBytes) {
       return io_error("WAL '" + path + "' truncated inside its header (" +

@@ -229,7 +229,7 @@ std::vector<std::uint8_t> golden_wal() {
     GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
     auto bytes = store::read_file_bytes((dir / "store" / "wal.gwal").string());
     GEMS_CHECK_MSG(bytes.is_ok(), bytes.status().to_string().c_str());
-    wal = std::move(bytes).value();
+    wal.assign(bytes->begin(), bytes->end());
   }
   fs::remove_all(dir);
   return wal;

@@ -1036,6 +1036,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
               "ingest.delta_ns", "ingest.rebuild", "ingest.rebuild_ns",
               "pins.oldest_age_us", "pins.outstanding", "pins.peak",
               "pins.taken"}},
+            {"memory.", {"mapped.bytes", "scratch.bytes"}},
             {"net.", net_names},
             {"storage.", {"pool.bytes", "pool.strings", "tables.bytes"}},
             {"store.",

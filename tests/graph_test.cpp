@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <map>
 #include <set>
@@ -228,6 +229,31 @@ TEST_F(GraphTest, EdgeConditionsFilterAssocRows) {
                      Expr::make_literal(Value::varchar("ta"))))};
   ASSERT_TRUE(add_edge_type(graph_, d, tables_, pool_).is_ok());
   EXPECT_EQ(graph_.edge_type(0).num_edges(), 2u);  // pr1-ta, pr2-ta
+}
+
+/// A balanced `and` tree of `n` copies of `leaf()`: depth log2(n).
+ExprPtr balanced_and(std::size_t n, const std::function<ExprPtr()>& leaf) {
+  if (n == 1) return leaf();
+  return land(balanced_and((n + 1) / 2, leaf), balanced_and(n / 2, leaf));
+}
+
+// A declaration's single-source conjuncts are ANDed into one filter per
+// join source. A `where` inside the depth limit can still hold tens of
+// thousands of them; folded into a left-deep chain, the filter's compile,
+// evaluation and destruction would recurse once per conjunct.
+TEST_F(GraphTest, BalancedWhereWithManyConjunctsBuilds) {
+  add_vertex("ProductVtx", "Products", "id");
+  add_vertex("ProducerVtx", "Producers", "id");
+  const ExprPtr where = land(
+      eq(col("ProductVtx", "producer"), col("ProducerVtx", "id")),
+      balanced_and(std::size_t{1} << 16, [] {
+        return Expr::make_binary(BinaryOp::kGt, col("ProductVtx", "price"),
+                                 Expr::make_literal(Value::float64(6)));
+      }));
+  EdgeDecl d{"made_by", {"ProductVtx", ""}, {"ProducerVtx", ""}, {}, where};
+  const Status s = add_edge_type(graph_, d, tables_, pool_);
+  ASSERT_TRUE(s.is_ok()) << s.to_string();
+  EXPECT_EQ(graph_.edge_type(0).num_edges(), 3u);  // every product but pr4
 }
 
 // ---- Fig. 4/5: many-to-one endpoints, multi-table join, dedup ---------------

@@ -95,8 +95,12 @@ TEST(ExprTest, SplitAndRebuildConjuncts) {
   ASSERT_EQ(parts.size(), 3u);
   EXPECT_TRUE(parts[0]->equals(*a));
   EXPECT_TRUE(parts[2]->equals(*c));
-  auto rebuilt = conjoin(parts);
+  ExprPtr rebuilt;
+  for (const ExprPtr& part : parts) {
+    rebuilt = rebuilt ? Expr::make_binary(BinaryOp::kAnd, rebuilt, part) : part;
+  }
   ASSERT_EQ(split_conjuncts(rebuilt).size(), 3u);
+  EXPECT_TRUE(rebuilt->equals(*conj));
 }
 
 TEST(ExprTest, OrIsNotSplit) {

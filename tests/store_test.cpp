@@ -109,7 +109,8 @@ std::string state_fingerprint(server::Database& db) {
 std::vector<std::uint8_t> slurp(const std::string& path) {
   auto bytes = read_file_bytes(path);
   EXPECT_TRUE(bytes.is_ok()) << bytes.status().to_string();
-  return bytes.is_ok() ? *bytes : std::vector<std::uint8_t>{};
+  return bytes.is_ok() ? std::vector<std::uint8_t>(bytes->begin(), bytes->end())
+                       : std::vector<std::uint8_t>{};
 }
 
 void dump(const std::string& path, const std::vector<std::uint8_t>& bytes) {
