@@ -17,8 +17,8 @@
 namespace gems::bench {
 
 /// A populated Berlin database at the given product scale factor, with
-/// `intra_node_threads` intra-node workers (0 = serial), built once per
-/// process and shared by all benchmark iterations.
+/// `intra_node_threads` workers for the graph rebuild (0 = serial), built
+/// once per process and shared by all benchmark iterations.
 inline server::Database& berlin_db(std::size_t scale,
                                    std::uint64_t seed = 42,
                                    std::size_t intra_node_threads = 0) {

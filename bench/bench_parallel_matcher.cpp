@@ -1,12 +1,7 @@
-// E-PARMATCH — intra-node parallel path matching (DESIGN.md §5e):
-// the sharded frontier expansion of the fixpoint matcher, serial vs a
-// ThreadPool of 1/2/4/8 workers, on a Berlin graph past 100k vertices.
-// Arg(0) == serial (no pool); Arg(n) == pool of n workers. The matcher
-// guarantees bit-identical results for every arg, so every row of this
-// benchmark does literally the same work — only the wall time moves.
-// `scripts/bench_json.sh bench_parallel_matcher` seeds BENCH_matcher.json.
-#include <memory>
-
+// The fixpoint matcher on one thread (DESIGN.md §5e), on a Berlin graph
+// past 100k vertices: four query shapes that stress frontier expansion,
+// self-condition filtering, regex closure and matched-edge marking.
+// `scripts/bench_json.sh bench_parallel_matcher` records BENCH_matcher.json.
 #include "bench_common.hpp"
 #include "exec/lowering.hpp"
 #include "exec/matcher.hpp"
@@ -35,57 +30,45 @@ exec::ConstraintNetwork lower_one(server::Database& db,
 void run_match(benchmark::State& state, const std::string& query) {
   server::Database& db = berlin_db(kScale);
   const exec::ConstraintNetwork net = lower_one(db, query);
-  const int threads = static_cast<int>(state.range(0));
-  std::unique_ptr<ThreadPool> pool;
-  if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
-
   exec::MatchStats stats;
   for (auto _ : state) {
-    auto r = exec::match_network(net, db.graph(), db.pool(), nullptr,
-                                 pool.get());
+    auto r = exec::match_network(net, db.graph(), db.pool());
     GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
     stats = r->stats;
     benchmark::DoNotOptimize(r->domains);
   }
-  state.counters["threads"] = static_cast<double>(threads);
   state.counters["edge_traversals"] =
       static_cast<double>(stats.edge_traversals);
-  state.counters["parallel_tasks"] =
-      static_cast<double>(stats.parallel_tasks);
-  state.counters["merge_ms"] = static_cast<double>(stats.merge_ns) / 1e6;
 }
 
-// The Berlin review chain: every frontier (offers 60k, reviews 36k,
-// products 12k) is far past the 512-vertex sharding threshold.
+// The Berlin review chain: wide frontiers (offers 60k, reviews 36k,
+// products 12k).
 void BM_ParMatch_Chain(benchmark::State& state) {
   run_match(state,
             "select * from graph PersonVtx(country = 'US') <--reviewer-- "
             "ReviewVtx() --reviewFor--> ProductVtx() --producer--> "
             "ProducerVtx() into subgraph g");
 }
-BENCHMARK(BM_ParMatch_Chain)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParMatch_Chain)->Unit(benchmark::kMillisecond);
 
 // Predicate-heavy: most matcher time goes to evaluating self conditions
-// inside the sharded walks (initial_domain + edge filters).
+// (initial_domain + edge filters).
 void BM_ParMatch_Filtered(benchmark::State& state) {
   run_match(state,
             "select * from graph OfferVtx(price < 500) --product--> "
             "ProductVtx(propertyNumeric_1 < 800) --producer--> "
             "ProducerVtx() into subgraph g");
 }
-BENCHMARK(BM_ParMatch_Filtered)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParMatch_Filtered)->Unit(benchmark::kMillisecond);
 
 // Regex closure: the group fixpoint re-expands frontiers every hop, so
-// closure caching + sharding both show up here.
+// closure caching shows up here.
 void BM_ParMatch_Regex(benchmark::State& state) {
   run_match(state,
             "select * from graph ProductVtx() ( --type--> [ ] )+ "
             "into subgraph g");
 }
-BENCHMARK(BM_ParMatch_Regex)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParMatch_Regex)->Unit(benchmark::kMillisecond);
 
 // Variant-edge star: matched-edge marking dominates (many edge types),
 // exercising the CSR-walk marking path rather than frontier expansion.
@@ -94,8 +77,7 @@ void BM_ParMatch_Star(benchmark::State& state) {
             "select * from graph ProductVtx(propertyNumeric_1 < 500) "
             "<--[]-- [ ] into subgraph g");
 }
-BENCHMARK(BM_ParMatch_Star)->Arg(0)->Arg(1)->Arg(2)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ParMatch_Star)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 }  // namespace gems::bench

@@ -252,8 +252,8 @@ int main(int argc, char** argv) {
       // against DIR, snapshot + WAL live under DIR/store.
       options.store_dir = options.data_dir + "/store";
     } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      // Intra-node pool for parallel matching (DESIGN.md §5e);
-      // \stats exec.match. shows whether it engages.
+      // Intra-node pool for the graph rebuild (DESIGN.md §5e); a
+      // request matches and scans on its own thread.
       options.intra_node_threads =
           static_cast<std::size_t>(std::atoll(argv[++i]));
     } else if (std::strcmp(argv[i], "--serve") == 0 && i + 1 < argc) {
@@ -299,7 +299,6 @@ int main(int argc, char** argv) {
         std::atoi(connect_target.c_str() + colon + 1));
     wopt.rank = static_cast<std::uint32_t>(cluster_rank);
     wopt.store_dir = options.store_dir;  // "" when no --data-dir: no recovery
-    wopt.intra_node_threads = options.intra_node_threads;
     wopt.worker_name = "graql_shell-rank" + std::to_string(cluster_rank);
     gems::cluster::RankWorker worker(wopt);
     const gems::Status s = worker.run();

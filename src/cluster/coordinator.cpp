@@ -253,8 +253,7 @@ Result<exec::MatchResult> Coordinator::match_distributed(
   exec::MatchResult result;
   result.domains = std::move(domains);
   result.matched_edges = exec::matched_edge_sets(
-      net, ctx.graph, *ctx.pool, result.domains, /*stats=*/nullptr,
-      ctx.intra_pool);
+      net, ctx.graph, *ctx.pool, result.domains, /*stats=*/nullptr);
 
   // ---- Account ---------------------------------------------------------
   jobs_.add();

@@ -1,6 +1,5 @@
 #include "cluster/rank_worker.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <filesystem>
 #include <thread>
@@ -21,11 +20,7 @@
 namespace gems::cluster {
 
 RankWorker::RankWorker(RankWorkerOptions options)
-    : options_(std::move(options)) {
-  if (options_.intra_node_threads > 0) {
-    intra_pool_ = std::make_unique<ThreadPool>(options_.intra_node_threads);
-  }
-}
+    : options_(std::move(options)) {}
 
 RankWorker::~RankWorker() = default;
 
@@ -146,13 +141,7 @@ Status RankWorker::handle_job(const BspFrame& frame) {
   const exec::ConstraintNetwork& net =
       lowered->networks[job->network_index];
 
-  // Same shard formula as the in-process simulation; the send stream does
-  // not depend on it (shard outboxes concatenate in word-range order).
   const std::size_t num_ranks = job->num_ranks;
-  const std::size_t rank_shards =
-      intra_pool_ != nullptr
-          ? std::max<std::size_t>(1, intra_pool_->size() / num_ranks)
-          : 1;
   const dist::VertexPartition partition(ctx.graph, num_ranks);
 
   RankChannel channel(socket_, static_cast<int>(options_.rank),
@@ -163,11 +152,11 @@ Status RankWorker::handle_job(const BspFrame& frame) {
   if (job->record_transcript) {
     dist::RecordingComm recording(channel);
     dist::run_match_rank(net, ctx.graph, state_->pool, partition, recording,
-                         out, intra_pool_.get(), rank_shards);
+                         out);
     transcript = std::move(recording.transcript());
   } else {
     dist::run_match_rank(net, ctx.graph, state_->pool, partition, channel,
-                         out, intra_pool_.get(), rank_shards);
+                         out);
   }
 
   JobDonePayload done;

@@ -17,7 +17,6 @@
 
 #include "cluster/bsp_wire.hpp"
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "exec/executor.hpp"
 #include "net/socket.hpp"
 
@@ -32,8 +31,6 @@ struct RankWorkerOptions {
   /// in-memory only (every admission re-syncs).
   std::string store_dir;
   std::size_t max_frame_bytes = kDefaultMaxBspFrameBytes;
-  /// Intra-rank worker threads for sharded frontier expansion (0 = serial).
-  std::size_t intra_node_threads = 0;
   /// Connection retry budget: the coordinator may not be listening yet
   /// (process start order is not guaranteed), or the worker is restarting
   /// after a fail-stop mid-job.
@@ -88,7 +85,6 @@ class RankWorker {
   net::Socket socket_;
   std::unique_ptr<State> state_;
   std::uint32_t state_crc_ = 0;
-  std::unique_ptr<ThreadPool> intra_pool_;
   std::uint64_t jobs_run_ = 0;
   bool recovered_ = false;
 };

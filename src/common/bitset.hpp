@@ -85,9 +85,7 @@ class DynamicBitset {
     }
   }
 
-  /// Number of backing 64-bit words. Word w covers bits [w*64, w*64+64);
-  /// the parallel matcher shards frontier iteration on word boundaries so
-  /// concurrent writers never touch the same word.
+  /// Number of backing 64-bit words. Word w covers bits [w*64, w*64+64).
   std::size_t num_words() const noexcept { return words_.size(); }
 
   /// Calls fn(index) for every set bit whose word index lies in

@@ -1,7 +1,6 @@
 #include "common/thread_pool.hpp"
 
 #include <algorithm>
-#include <atomic>
 
 #include "common/check.hpp"
 
@@ -49,40 +48,6 @@ void ThreadPool::worker_loop(std::size_t index) {
     }
     task();
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  const std::size_t num_chunks = std::min(n, size() * 4);
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    futures.push_back(submit([begin, end, &fn] {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-    }));
-  }
-  for (auto& f : futures) f.get();
-}
-
-void ThreadPool::parallel_for_ranges(
-    std::size_t n, std::size_t num_chunks,
-    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn) {
-  if (n == 0 || num_chunks == 0) return;
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-  std::vector<std::future<void>> futures;
-  futures.reserve(num_chunks);
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t begin = c * chunk;
-    const std::size_t end = std::min(n, begin + chunk);
-    if (begin >= end) break;
-    futures.push_back(submit([c, begin, end, &fn] { fn(c, begin, end); }));
-  }
-  for (auto& f : futures) f.get();
 }
 
 ThreadPool& default_thread_pool() {

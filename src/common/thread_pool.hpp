@@ -1,7 +1,7 @@
-// Fixed-size worker pool used for intra-node parallel operators and for the
-// multi-statement scheduler (Sec. III-B1). The simulated cluster in
-// src/dist uses dedicated per-rank threads instead, because ranks are
-// long-lived peers, not tasks.
+// Fixed-size worker pool: the net server's request workers, the
+// multi-statement scheduler (Sec. III-B1) and the pooled graph rebuild.
+// The simulated cluster in src/dist uses dedicated per-rank threads
+// instead, because ranks are long-lived peers, not tasks.
 #pragma once
 
 #include <cstddef>
@@ -47,20 +47,6 @@ class ThreadPool {
     cv_.notify_one();
     return future;
   }
-
-  /// Runs fn(i) for i in [0, n) across the pool and waits for completion.
-  /// Work is chunked to keep per-task overhead low.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
-
-  /// Runs fn(chunk, begin, end) for `num_chunks` contiguous ranges that
-  /// partition [0, n), and waits for completion. Chunk boundaries are a
-  /// deterministic function of (n, num_chunks) alone, so callers can give
-  /// every chunk a private output shard and merge in chunk order — the
-  /// shape behind the matcher's sharded frontier expansion. Trailing
-  /// chunks may be empty (fn is not called for them).
-  void parallel_for_ranges(
-      std::size_t n, std::size_t num_chunks,
-      const std::function<void(std::size_t, std::size_t, std::size_t)>& fn);
 
  private:
   void worker_loop(std::size_t index);

@@ -1,7 +1,5 @@
 #include "dist/dist_matcher.hpp"
 
-#include <algorithm>
-
 namespace gems::dist {
 
 namespace {
@@ -48,16 +46,10 @@ Status distributable(const ConstraintNetwork& net) {
 
 void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
                     const StringPool& pool, const VertexPartition& partition,
-                    Comm& comm, RankMatchOutput& out, ThreadPool* intra_pool,
-                    std::size_t rank_shards) {
+                    Comm& comm, RankMatchOutput& out) {
   const int rank = comm.rank();
   const int n = comm.size();
-  GEMS_DCHECK(intra_pool != nullptr || rank_shards <= 1);
-  // The expansions fan out over this rank's slice of the pool, with
-  // private predicate scratch per shard.
-  ThreadPool* const slice = rank_shards > 1 ? intra_pool : nullptr;
-  std::vector<exec::Evaluator> evs(rank_shards,
-                                   exec::Evaluator(net, graph, pool));
+  exec::Evaluator ev(net, graph, pool);
   // Every expansion sets the targets this rank owns and lists the rest.
   std::vector<graph::VertexRef> remote;
   const exec::OwnedSplit split{partition.owned(rank), remote};
@@ -112,7 +104,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
         const exec::GroupHop* target =
             backward && i > 0 ? &g.hops[i - 1] : nullptr;
         d = exec::expand_hop(graph, pool, g.hops[i], d, backward, target,
-                             nullptr, slice, rank_shards, &split);
+                             nullptr, &split);
         exchange(d, "group-hop activations");
       }
       return d;
@@ -146,8 +138,7 @@ void run_match_rank(const ConstraintNetwork& net, const GraphView& graph,
       const exec::EdgeConstraint& con = net.edges[c];
       for (const bool from_left : {true, false}) {
         Domain support = exec::edge_support(net, graph, c, from_left,
-                                            out.domains, evs, nullptr, slice,
-                                            &split);
+                                            out.domains, ev, nullptr, &split);
         exchange(support, "edge activations");
         // Cull my owned portion of the target domain.
         const int to_var = from_left ? con.right_var : con.left_var;
@@ -308,21 +299,11 @@ Result<std::vector<Domain>> decode_domains(
 Result<MatchResult> match_network_distributed(
     const ConstraintNetwork& net, const GraphView& graph,
     const StringPool& pool, std::size_t num_ranks, DistStats* stats,
-    ThreadPool* intra_pool,
     std::vector<std::vector<std::uint8_t>>* transcripts) {
   GEMS_RETURN_IF_ERROR(distributable(net));
 
   const VertexPartition partition(graph, num_ranks);
   SimCluster cluster(num_ranks);
-
-  // Every rank fans its frontier expansion out to a bounded slice of the
-  // shared pool: size / num_ranks chunks (at least one). Rank threads are
-  // dedicated (not pool workers), so a rank blocking on its slice's
-  // futures can never deadlock the pool.
-  const std::size_t rank_shards =
-      intra_pool != nullptr
-          ? std::max<std::size_t>(1, intra_pool->size() / num_ranks)
-          : 1;
 
   std::vector<RankMatchOutput> states(num_ranks);
   if (transcripts != nullptr) {
@@ -333,12 +314,10 @@ Result<MatchResult> match_network_distributed(
     const std::size_t rank = static_cast<std::size_t>(ctx.rank());
     if (transcripts != nullptr) {
       RecordingComm rec(ctx);
-      run_match_rank(net, graph, pool, partition, rec, states[rank],
-                     intra_pool, rank_shards);
+      run_match_rank(net, graph, pool, partition, rec, states[rank]);
       (*transcripts)[rank] = std::move(rec.transcript());
     } else {
-      run_match_rank(net, graph, pool, partition, ctx, states[rank],
-                     intra_pool, rank_shards);
+      run_match_rank(net, graph, pool, partition, ctx, states[rank]);
     }
   });
 
@@ -350,7 +329,7 @@ Result<MatchResult> match_network_distributed(
   // CSR-walk helper (same code path as the single-node matcher, never a
   // full edge scan).
   result.matched_edges = exec::matched_edge_sets(
-      net, graph, pool, result.domains, /*stats=*/nullptr, intra_pool);
+      net, graph, pool, result.domains, /*stats=*/nullptr);
 
   if (stats != nullptr) {
     stats->ranks = num_ranks;

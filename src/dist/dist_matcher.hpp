@@ -57,14 +57,11 @@ struct RankMatchOutput {
 
 /// Runs one rank's share of the distributed fixpoint over `comm`.
 /// Preconditions: distributable(net).is_ok(), and `partition` built with
-/// comm.size() ranks. `rank_shards` > 1 fans each frontier expansion out
-/// over `intra_pool` (which must then be non-null); the wire byte stream
-/// is identical for any shard count.
+/// comm.size() ranks.
 void run_match_rank(const exec::ConstraintNetwork& net,
                     const graph::GraphView& graph, const StringPool& pool,
                     const VertexPartition& partition, Comm& comm,
-                    RankMatchOutput& out, ThreadPool* intra_pool = nullptr,
-                    std::size_t rank_shards = 1);
+                    RankMatchOutput& out);
 
 /// Decoders of the rank body's payloads. Over cluster::RankChannel these
 /// bytes come from another process, so each rejects a partial record, an
@@ -95,17 +92,12 @@ Result<std::vector<exec::Domain>> decode_domains(
 
 /// Runs the distributed fixpoint on `num_ranks` simulated compute nodes
 /// and returns the same domains/matched-edges a single-node
-/// match_network() produces (asserted by tests). `intra_pool` (may be
-/// null = serial) parallelizes each rank's frontier expansion; every rank
-/// fans out to a bounded slice of the pool (size / num_ranks chunks) so
-/// ranks contend fairly for the shared workers. Results are bit-identical
-/// with or without the pool. When `transcripts` is non-null it receives
-/// each rank's recorded send stream (the byte-identity oracle's reference
-/// side).
+/// match_network() produces (asserted by tests). When `transcripts` is
+/// non-null it receives each rank's recorded send stream (the
+/// byte-identity oracle's reference side).
 Result<exec::MatchResult> match_network_distributed(
     const exec::ConstraintNetwork& net, const graph::GraphView& graph,
     const StringPool& pool, std::size_t num_ranks, DistStats* stats,
-    ThreadPool* intra_pool = nullptr,
     std::vector<std::vector<std::uint8_t>>* transcripts = nullptr);
 
 }  // namespace gems::dist

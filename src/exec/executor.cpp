@@ -487,8 +487,7 @@ Result<StatementResult> graph_query_core(const GraphQueryStmt& stmt,
       }
     }
     GEMS_ASSIGN_OR_RETURN(MatchResult m,
-                          match_network(net, ctx.graph, *ctx.pool, order,
-                                        ctx.intra_pool));
+                          match_network(net, ctx.graph, *ctx.pool, order));
     if (ctx.matcher_metrics) ctx.matcher_metrics->record(m.stats);
     matches.push_back(std::move(m));
   }
@@ -540,20 +539,12 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
   // the statement returns; its tables stay on the heap (DESIGN.md §5n).
   ScratchArena scratch;
 
-  // WHERE. Large tables scan in parallel over the intra-node pool (the
-  // shared-memory half of the paper's "massively parallel execution").
   std::pmr::vector<RowIndex> rows(&scratch);
   if (stmt.where) {
     GEMS_ASSIGN_OR_RETURN(
         BoundExprPtr pred,
         relational::bind_predicate(stmt.where, scope, params, pool));
-    if (ctx.intra_pool != nullptr &&
-        source->num_rows() >= ExecContext::kParallelScanThreshold) {
-      rows = relational::filter_rows_parallel(*source, *pred,
-                                              *ctx.intra_pool, &scratch);
-    } else {
-      rows = relational::filter_rows(*source, *pred, 0, &scratch);
-    }
+    rows = relational::filter_rows(*source, *pred, 0, &scratch);
   } else {
     rows.resize(source->num_rows());
     for (std::size_t r = 0; r < rows.size(); ++r) {

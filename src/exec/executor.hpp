@@ -66,11 +66,9 @@ struct ExecContext {
   /// Safety cap for graph-query row enumeration (0 = unlimited).
   std::uint64_t max_result_rows = 0;
 
-  /// Intra-node worker pool for parallel scans and the matcher's sharded
-  /// frontier expansion (nullptr = serial). Tables below
-  /// kParallelScanThreshold rows always scan serially.
+  /// Intra-node worker pool for the graph rebuild (nullptr = serial). A
+  /// query matches and scans on its own thread (DESIGN.md §5e).
   ThreadPool* intra_pool = nullptr;
-  static constexpr std::size_t kParallelScanThreshold = 1 << 14;
 
   /// Matcher activity counters, owned by the database (nullptr = not
   /// recorded). Copies of the context (epochs, scheduler copies) share it.

@@ -4,7 +4,6 @@
 #include <array>
 
 #include "common/check.hpp"
-#include "common/timer.hpp"
 #include "relational/vector_eval.hpp"
 
 namespace gems::exec {
@@ -22,16 +21,6 @@ using graph::VertexType;
 using graph::VertexTypeId;
 using relational::BoundExprPtr;
 using relational::RowCursor;
-
-/// Frontiers narrower than this many 64-bit words stay on the calling
-/// thread even when a pool is available: fan-out/merge overhead would
-/// dominate a sub-512-vertex expansion.
-constexpr std::size_t kParallelFrontierWords = 8;
-
-/// Shard count of a single-node job: one per pool worker.
-std::size_t pool_shards(const ThreadPool* intra) {
-  return intra != nullptr ? intra->size() : 1;
-}
 
 bool all_hold(const std::vector<BoundExprPtr>& conds,
               std::span<const RowCursor> cursors, const StringPool& pool) {
@@ -109,23 +98,16 @@ bool Evaluator::eval_all(const std::vector<BoundExprPtr>& preds) const {
 
 namespace {
 
-// ---- Sharded frontier expansion -------------------------------------------
+// ---- Frontier expansion ---------------------------------------------------
 //
 // Every propagation step is a union of CSR walks: for each admissible edge
 // type, visit the neighbors of every frontier vertex, filter by edge and
 // target predicates, and set the survivors in a per-type output bitset.
-// `expand_traversals` runs that shape either serially or morsel-style:
-// workers take contiguous word-ranges of the frontier bitset and write
-// private per-type shards (own MatchStats, own predicate scratch via the
-// shard index handed to the filters), which are OR-merged at the join.
-// Set union is order- and partition-independent and the filters are pure,
-// so the merged result is bit-identical to the serial walk for any thread
-// count. `edge_traversals` is counted per neighbor visit *before* the
-// dedup test, making it partition-invariant too. Under an OwnedSplit only
-// owned targets reach the output bitsets, so the dedup test and the
-// failed-vertex memo never drop a remote target that passes; each shard
-// lists its remote targets in walk order, and concatenating the lists in
-// shard order gives the serial walk's list.
+// A request's walks run on its own thread; the parallelism lives across
+// requests and statements (DESIGN.md §5e). Under an OwnedSplit only owned
+// targets reach the output bitsets, so the dedup test and the failed-vertex
+// memo never drop a remote target that passes; remote targets are listed
+// in walk order.
 
 /// One CSR walk of an expansion: frontier bits -> out_type candidates.
 struct Traversal {
@@ -136,17 +118,16 @@ struct Traversal {
   const DynamicBitset* owned = nullptr;  // out_type's owned mask, if split
 };
 
-/// Walks `t` over frontier words [word_begin, word_end). `failed_bits`
-/// (may be null) memoizes vertices whose vertex filter already failed, so
-/// a high-in-degree target is evaluated at most once per expansion.
-/// `keep(shard, t, u)` says whether a passing target goes to `out_bits`.
+/// Walks `t` over its whole frontier. `failed_bits` (may be null)
+/// memoizes vertices whose vertex filter already failed, so a
+/// high-in-degree target is evaluated at most once per expansion.
+/// `keep(t, u)` says whether a passing target goes to `out_bits`.
 template <typename EdgeFilter, typename VertexFilter, typename Keep>
-void walk_range(const Traversal& t, std::size_t word_begin,
-                std::size_t word_end, std::size_t shard,
-                DynamicBitset& out_bits, DynamicBitset* failed_bits,
-                MatchStats* stats, const EdgeFilter& edge_ok,
-                const VertexFilter& vertex_ok, const Keep& keep) {
-  t.from_bits->for_each_in_range(word_begin, word_end, [&](std::size_t v) {
+void walk(const Traversal& t, DynamicBitset& out_bits,
+          DynamicBitset* failed_bits, MatchStats* stats,
+          const EdgeFilter& edge_ok, const VertexFilter& vertex_ok,
+          const Keep& keep) {
+  t.from_bits->for_each([&](std::size_t v) {
     t.index->for_each_part(
         static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
           for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
@@ -154,10 +135,10 @@ void walk_range(const Traversal& t, std::size_t word_begin,
             if (stats != nullptr) ++stats->edge_traversals;
             if (out_bits.test(u)) continue;
             if (failed_bits != nullptr && failed_bits->test(u)) continue;
-            if (!edge_ok(shard, *t.et, part.edges[i])) continue;
-            if (!vertex_ok(shard, t.out_type, u)) {
+            if (!edge_ok(*t.et, part.edges[i])) continue;
+            if (!vertex_ok(t.out_type, u)) {
               if (failed_bits != nullptr) failed_bits->set(u);
-            } else if (keep(shard, t, u)) {
+            } else if (keep(t, u)) {
               out_bits.set(u);
             }
           }
@@ -166,145 +147,58 @@ void walk_range(const Traversal& t, std::size_t word_begin,
 }
 
 /// Runs all traversals into `out` (whose per-type bitsets must already
-/// exist). Parallel iff a pool is given and the widest frontier crosses
-/// kParallelFrontierWords, as `shards` word-range tasks; the filters
-/// receive the shard index to select private evaluation scratch.
-/// `remote` (null unless the traversals carry owned masks) collects the
-/// non-owned targets in serial walk order.
+/// exist). `remote` (null unless the traversals carry owned masks)
+/// collects the non-owned targets in walk order.
 template <typename EdgeFilter, typename VertexFilter>
 void expand_traversals(const std::vector<Traversal>& traversals, Domain& out,
-                       bool memo_failed, MatchStats* stats, ThreadPool* intra,
-                       std::size_t shards, std::vector<VertexRef>* remote,
+                       bool memo_failed, MatchStats* stats,
+                       std::vector<VertexRef>* remote,
                        const EdgeFilter& edge_ok,
                        const VertexFilter& vertex_ok) {
-  if (traversals.empty()) return;
-  std::size_t max_words = 0;
+  Domain failed;  // per-out-type "evaluated and rejected" memo
   for (const Traversal& t : traversals) {
-    max_words = std::max(max_words, t.from_bits->num_words());
-  }
-  const bool parallel = intra != nullptr && max_words >= kParallelFrontierWords;
-
-  // Without a split every passing target is kept; with one, a non-owned
-  // target goes to its shard's list instead. The lists are appended to
-  // `remote` in shard order after each traversal. Two walk instances, so
-  // the split costs the single-node walk nothing.
-  std::vector<std::vector<VertexRef>> shard_remote(parallel ? shards : 1);
-  auto walk = [&](const Traversal& t, std::size_t wb, std::size_t we,
-                  std::size_t shard, DynamicBitset& bits,
-                  DynamicBitset* failed_bits, MatchStats* ms) {
+    DynamicBitset& out_bits = out.sets.at(t.out_type);
+    DynamicBitset* failed_bits = nullptr;
+    if (memo_failed) {
+      auto [it, inserted] =
+          failed.sets.try_emplace(t.out_type, DynamicBitset(out_bits.size()));
+      failed_bits = &it->second;
+    }
+    // Without a split every passing target is kept; with one, a non-owned
+    // target goes to `remote` instead. Two walk instances, so the split
+    // costs the single-node walk nothing.
     if (remote == nullptr) {
-      walk_range(t, wb, we, shard, bits, failed_bits, ms, edge_ok, vertex_ok,
-                 [](std::size_t, const Traversal&, VertexIndex) {
-                   return true;
-                 });
-      return;
+      walk(t, out_bits, failed_bits, stats, edge_ok, vertex_ok,
+           [](const Traversal&, VertexIndex) { return true; });
+      continue;
     }
-    walk_range(t, wb, we, shard, bits, failed_bits, ms, edge_ok, vertex_ok,
-               [&](std::size_t s, const Traversal& tr, VertexIndex u) {
-                 if (tr.owned->test(u)) return true;
-                 shard_remote[s].push_back({tr.out_type, u});
-                 return false;
-               });
-  };
-  auto flush_remote = [&] {
-    if (remote == nullptr) return;
-    for (std::vector<VertexRef>& list : shard_remote) {
-      remote->insert(remote->end(), list.begin(), list.end());
-      list.clear();
-    }
-  };
-
-  if (!parallel) {
-    Domain failed;  // per-out-type "evaluated and rejected" memo
-    for (const Traversal& t : traversals) {
-      DynamicBitset& out_bits = out.sets.at(t.out_type);
-      DynamicBitset* failed_bits = nullptr;
-      if (memo_failed) {
-        auto [it, inserted] =
-            failed.sets.try_emplace(t.out_type, DynamicBitset(out_bits.size()));
-        failed_bits = &it->second;
-      }
-      walk(t, 0, t.from_bits->num_words(), /*shard=*/0, out_bits, failed_bits,
-           stats);
-    }
-    flush_remote();
-    return;
-  }
-
-  std::vector<Domain> shard_out(shards);
-  std::vector<Domain> shard_failed(memo_failed ? shards : 0);
-  std::vector<MatchStats> shard_stats(shards);
-  for (const auto& [type, bits] : out.sets) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      shard_out[s].sets.emplace(type, DynamicBitset(bits.size()));
-      if (memo_failed) {
-        shard_failed[s].sets.emplace(type, DynamicBitset(bits.size()));
-      }
-    }
-  }
-
-  // One barrier per traversal: chunk index == shard index, so a shard's
-  // bitsets and stats are only ever touched by one task at a time.
-  for (const Traversal& t : traversals) {
-    intra->parallel_for_ranges(
-        t.from_bits->num_words(), shards,
-        [&](std::size_t shard, std::size_t wb, std::size_t we) {
-          Timer timer;
-          DynamicBitset& sbits = shard_out[shard].sets.at(t.out_type);
-          DynamicBitset* fbits =
-              memo_failed ? &shard_failed[shard].sets.at(t.out_type) : nullptr;
-          walk(t, wb, we, shard, sbits, fbits, &shard_stats[shard]);
-          ++shard_stats[shard].parallel_tasks;
-          shard_stats[shard].worker_us.record(
-              static_cast<std::uint64_t>(timer.elapsed_us()));
-        });
-    flush_remote();
-  }
-
-  Timer merge_timer;
-  for (auto& [type, bits] : out.sets) {
-    for (std::size_t s = 0; s < shards; ++s) {
-      bits |= shard_out[s].sets.at(type);
-    }
-  }
-  if (stats != nullptr) {
-    stats->merge_ns +=
-        static_cast<std::uint64_t>(merge_timer.elapsed_us() * 1e3);
-    for (const MatchStats& ss : shard_stats) stats->absorb(ss);
+    walk(t, out_bits, failed_bits, stats, edge_ok, vertex_ok,
+         [&](const Traversal& tr, VertexIndex u) {
+           if (tr.owned->test(u)) return true;
+           remote->push_back({tr.out_type, u});
+           return false;
+         });
   }
 }
 
-/// Marks bits of a single shared output bitset (edge sets) from a CSR walk
-/// over `walk_bits`. The kernel visits frontier words [wb, we) and sets
-/// bits in the bitset it is handed; shards get private bitsets that are
-/// OR-merged, since distinct source vertices can own edge ids in the same
-/// output word.
-template <typename Kernel>
-void sharded_mark(const DynamicBitset& walk_bits, DynamicBitset& out,
-                  MatchStats* stats, ThreadPool* intra, const Kernel& kernel) {
-  const std::size_t words = walk_bits.num_words();
-  if (intra == nullptr || words < kParallelFrontierWords) {
-    kernel(/*shard=*/std::size_t{0}, std::size_t{0}, words, out, stats);
-    return;
-  }
-  const std::size_t shards = intra->size();
-  std::vector<DynamicBitset> shard_bits(shards, DynamicBitset(out.size()));
-  std::vector<MatchStats> shard_stats(shards);
-  intra->parallel_for_ranges(
-      words, shards, [&](std::size_t shard, std::size_t wb, std::size_t we) {
-        Timer timer;
-        kernel(shard, wb, we, shard_bits[shard], &shard_stats[shard]);
-        ++shard_stats[shard].parallel_tasks;
-        shard_stats[shard].worker_us.record(
-            static_cast<std::uint64_t>(timer.elapsed_us()));
-      });
-  Timer merge_timer;
-  for (std::size_t s = 0; s < shards; ++s) out |= shard_bits[s];
-  if (stats != nullptr) {
-    stats->merge_ns +=
-        static_cast<std::uint64_t>(merge_timer.elapsed_us() * 1e3);
-    for (const MatchStats& ss : shard_stats) stats->absorb(ss);
-  }
+/// Sets in `out` the edges of `index` from a `walk_bits` vertex to an
+/// `other_bits` vertex that pass `edge_ok`: one CSR walk from the smaller
+/// endpoint set, never a full edge scan.
+template <typename EdgeFilter>
+void mark_edges(const CsrIndex& index, const DynamicBitset& walk_bits,
+                const DynamicBitset& other_bits, DynamicBitset& out,
+                MatchStats* stats, const EdgeFilter& edge_ok) {
+  walk_bits.for_each([&](std::size_t v) {
+    index.for_each_part(
+        static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
+          for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+            if (stats != nullptr) ++stats->edge_traversals;
+            if (!other_bits.test(part.neighbors[i])) continue;
+            const graph::EdgeIndex e = part.edges[i];
+            if (edge_ok(e)) out.set(e);
+          }
+        });
+  });
 }
 
 /// Calls `fn` on each edge type a hop may traverse: its own, or every type
@@ -322,7 +216,7 @@ void for_each_hop_edge_type(const GraphView& graph, const GroupHop& hop,
 }
 
 // Hop conditions are bound single-source: they evaluate against a
-// one-cursor span on the worker's stack, so they need no shard scratch.
+// one-cursor span on the stack, so they need no Evaluator.
 
 /// A hop's edge conditions on edge `e` of `et`.
 bool hop_edge_passes(const StringPool& pool, const GroupHop& hop,
@@ -347,7 +241,6 @@ bool hop_vertex_passes(const StringPool& pool, const GraphView& graph,
 Domain expand_hop(const GraphView& graph, const StringPool& pool,
                   const GroupHop& hop, const Domain& from, bool backward,
                   const GroupHop* target_hop, MatchStats* stats,
-                  ThreadPool* intra, std::size_t shards,
                   const OwnedSplit* split) {
   // The vertex step the walk lands on supplies the output types and the
   // vertex filter; before the group's first hop, that is any vertex.
@@ -381,12 +274,12 @@ Domain expand_hop(const GraphView& graph, const StringPool& pool,
   const bool filter_vertices =
       landing != nullptr && !landing->vertex_conds.empty();
   expand_traversals(
-      traversals, out, /*memo_failed=*/filter_vertices, stats, intra, shards,
+      traversals, out, /*memo_failed=*/filter_vertices, stats,
       split != nullptr ? &split->remote : nullptr,
-      [&](std::size_t, const EdgeType& et, graph::EdgeIndex e) {
+      [&](const EdgeType& et, graph::EdgeIndex e) {
         return hop_edge_passes(pool, hop, et, e);
       },
-      [&](std::size_t, VertexTypeId t, VertexIndex v) {
+      [&](VertexTypeId t, VertexIndex v) {
         return !filter_vertices ||
                hop_vertex_passes(pool, graph, *landing, t, v);
       });
@@ -396,8 +289,8 @@ Domain expand_hop(const GraphView& graph, const StringPool& pool,
 Domain edge_support(const ConstraintNetwork& net, const GraphView& graph,
                     std::size_t c, bool from_left,
                     const std::vector<Domain>& domains,
-                    std::vector<Evaluator>& evs, MatchStats* stats,
-                    ThreadPool* intra, const OwnedSplit* split) {
+                    Evaluator& ev, MatchStats* stats,
+                    const OwnedSplit* split) {
   const EdgeConstraint& con = net.edges[c];
   const Domain& from = domains[from_left ? con.left_var : con.right_var];
   Domain support;
@@ -426,21 +319,20 @@ Domain edge_support(const ConstraintNetwork& net, const GraphView& graph,
          split != nullptr ? &split->owned[to_type] : nullptr});
   }
   expand_traversals(
-      traversals, support, /*memo_failed=*/false, stats, intra, evs.size(),
+      traversals, support, /*memo_failed=*/false, stats,
       split != nullptr ? &split->remote : nullptr,
-      [&](std::size_t shard, const EdgeType& et, graph::EdgeIndex e) {
+      [&](const EdgeType& et, graph::EdgeIndex e) {
         if (con.self_conds.empty()) return true;
-        evs[shard].set_edge(c, et.id(), e);
-        return evs[shard].eval_all(con.self_conds);
+        ev.set_edge(c, et.id(), e);
+        return ev.eval_all(con.self_conds);
       },
-      [](std::size_t, VertexTypeId, VertexIndex) { return true; });
+      [](VertexTypeId, VertexIndex) { return true; });
   return support;
 }
 
 Result<Domain> group_closure(const GraphView& graph, const StringPool& pool,
                              const GroupConstraint& g, const Domain& start,
-                             bool backward, MatchStats* stats,
-                             ThreadPool* intra_pool) {
+                             bool backward, MatchStats* stats) {
   using Quant = graql::PathGroup::Quant;
   if (g.quant == Quant::kExact && g.count > kMaxExactRepeats) {
     return invalid_argument("path repetition count exceeds " +
@@ -452,8 +344,7 @@ Result<Domain> group_closure(const GraphView& graph, const StringPool& pool,
     for (std::size_t k = 0; k < g.hops.size(); ++k) {
       const std::size_t i = backward ? g.hops.size() - 1 - k : k;
       const GroupHop* target = backward && i > 0 ? &g.hops[i - 1] : nullptr;
-      d = expand_hop(graph, pool, g.hops[i], d, backward, target, stats,
-                     intra_pool, pool_shards(intra_pool));
+      d = expand_hop(graph, pool, g.hops[i], d, backward, target, stats);
       if (d.empty()) break;
     }
     return d;
@@ -497,7 +388,7 @@ bool vertex_passes(const ConstraintNetwork& net, const GraphView& graph,
 }
 
 Domain initial_domain(const ConstraintNetwork& net, const GraphView& graph,
-                      int var, ThreadPool* intra_pool) {
+                      int var) {
   const VertexVar& vv = net.vars[var];
   Domain d;
   for (const VertexTypeId t : vv.types) {
@@ -521,59 +412,44 @@ Domain initial_domain(const ConstraintNetwork& net, const GraphView& graph,
     // Condition evaluation per candidate vertex: the scan gathers
     // representative rows of seed-surviving vertices into batches and
     // ANDs the self conjuncts' kernel results (compiled at lowering).
-    // Workers own disjoint word-aligned vertex ranges of the output
-    // bitset, so they write it directly — no shards, no merge.
     GEMS_DCHECK(vv.self_cond_kernels.size() == vv.self_conds.size());
-    auto fill_range = [&](std::size_t word_begin, std::size_t word_end) {
-      const std::size_t v_end =
-          std::min<std::size_t>(vt.num_vertices(), word_end * 64);
-      std::vector<relational::EvalScratch> scratches;
-      scratches.reserve(vv.self_cond_kernels.size());
-      for (const auto& k : vv.self_cond_kernels) {
-        scratches.push_back(k->make_scratch());
-      }
-      std::array<storage::RowIndex, relational::kBatchRows> rows;
-      std::array<std::size_t, relational::kBatchRows> verts;
-      std::array<std::uint64_t, relational::kBatchWords> acc;
-      std::size_t count = 0;
-      auto flush = [&] {
-        if (count == 0) return;
-        const relational::RowBatch rb{&vt.source(), 0, rows.data(), count};
-        relational::fill_ones_words(acc.data(), count);
-        const std::size_t nw = relational::batch_words(count);
-        for (std::size_t k = 0; k < vv.self_cond_kernels.size(); ++k) {
-          const relational::ValueVector res =
-              vv.self_cond_kernels[k]->eval(rb, scratches[k]);
-          // bits ⊆ valid: set bits are exactly the truthy lanes.
-          bool any = false;
-          for (std::size_t w = 0; w < nw; ++w) {
-            acc[w] &= res.bits[w];
-            any |= acc[w] != 0;
-          }
-          if (!any) break;
-        }
-        relational::for_each_lane(
-            acc.data(), count,
-            [&](std::size_t lane) { bits.set(verts[lane]); });
-        count = 0;
-      };
-      for (std::size_t v = word_begin * 64; v < v_end; ++v) {
-        if (seed_bits != nullptr && !seed_bits->test(v)) continue;
-        rows[count] = vt.representative_row(static_cast<VertexIndex>(v));
-        verts[count] = v;
-        if (++count == relational::kBatchRows) flush();
-      }
-      flush();
-    };
-    if (intra_pool != nullptr && bits.num_words() >= kParallelFrontierWords) {
-      intra_pool->parallel_for_ranges(
-          bits.num_words(), intra_pool->size(),
-          [&](std::size_t, std::size_t wb, std::size_t we) {
-            fill_range(wb, we);
-          });
-    } else {
-      fill_range(0, bits.num_words());
+    std::vector<relational::EvalScratch> scratches;
+    scratches.reserve(vv.self_cond_kernels.size());
+    for (const auto& k : vv.self_cond_kernels) {
+      scratches.push_back(k->make_scratch());
     }
+    std::array<storage::RowIndex, relational::kBatchRows> rows;
+    std::array<std::size_t, relational::kBatchRows> verts;
+    std::array<std::uint64_t, relational::kBatchWords> acc;
+    std::size_t count = 0;
+    auto flush = [&] {
+      if (count == 0) return;
+      const relational::RowBatch rb{&vt.source(), 0, rows.data(), count};
+      relational::fill_ones_words(acc.data(), count);
+      const std::size_t nw = relational::batch_words(count);
+      for (std::size_t k = 0; k < vv.self_cond_kernels.size(); ++k) {
+        const relational::ValueVector res =
+            vv.self_cond_kernels[k]->eval(rb, scratches[k]);
+        // bits ⊆ valid: set bits are exactly the truthy lanes.
+        bool any = false;
+        for (std::size_t w = 0; w < nw; ++w) {
+          acc[w] &= res.bits[w];
+          any |= acc[w] != 0;
+        }
+        if (!any) break;
+      }
+      relational::for_each_lane(
+          acc.data(), count,
+          [&](std::size_t lane) { bits.set(verts[lane]); });
+      count = 0;
+    };
+    for (std::size_t v = 0; v < vt.num_vertices(); ++v) {
+      if (seed_bits != nullptr && !seed_bits->test(v)) continue;
+      rows[count] = vt.representative_row(static_cast<VertexIndex>(v));
+      verts[count] = v;
+      if (++count == relational::kBatchRows) flush();
+    }
+    flush();
     d.sets.emplace(t, std::move(bits));
   }
   return d;
@@ -582,10 +458,9 @@ Domain initial_domain(const ConstraintNetwork& net, const GraphView& graph,
 std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
     const ConstraintNetwork& net, const GraphView& graph,
     const StringPool& pool, const std::vector<Domain>& domains,
-    MatchStats* stats, ThreadPool* intra_pool) {
+    MatchStats* stats) {
   std::vector<std::map<EdgeTypeId, DynamicBitset>> out(net.edges.size());
-  std::vector<Evaluator> evs(pool_shards(intra_pool),
-                             Evaluator(net, graph, pool));
+  Evaluator ev(net, graph, pool);
 
   for (std::size_t c = 0; c < net.edges.size(); ++c) {
     const EdgeConstraint& con = net.edges[c];
@@ -610,27 +485,12 @@ std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
           walk_src ? dst_it->second : src_it->second;
       const CsrIndex& index = walk_src ? et.forward() : et.reverse();
       DynamicBitset bits(et.num_edges());
-      sharded_mark(
-          walk_bits, bits, stats, intra_pool,
-          [&](std::size_t shard, std::size_t wb, std::size_t we,
-              DynamicBitset& mark, MatchStats* ms) {
-            walk_bits.for_each_in_range(wb, we, [&](std::size_t v) {
-              index.for_each_part(
-                  static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
-                    for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-                      if (ms != nullptr) ++ms->edge_traversals;
-                      if (!other_bits.test(part.neighbors[i])) continue;
-                      const graph::EdgeIndex e = part.edges[i];
-                      if (!con.self_conds.empty()) {
-                        evs[shard].set_edge(static_cast<int>(c), move.type,
-                                            e);
-                        if (!evs[shard].eval_all(con.self_conds)) continue;
-                      }
-                      mark.set(e);
-                    }
-                  });
-            });
-          });
+      mark_edges(index, walk_bits, other_bits, bits, stats,
+                 [&](graph::EdgeIndex e) {
+                   if (con.self_conds.empty()) return true;
+                   ev.set_edge(c, move.type, e);
+                   return ev.eval_all(con.self_conds);
+                 });
       auto it = out[c].find(move.type);
       if (it == out[c].end()) {
         out[c].emplace(move.type, std::move(bits));
@@ -645,19 +505,15 @@ std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
 Result<MatchResult> match_network(const ConstraintNetwork& net,
                                   const GraphView& graph,
                                   const StringPool& pool,
-                                  const std::vector<int>* order,
-                                  ThreadPool* intra_pool) {
+                                  const std::vector<int>* order) {
   MatchResult result;
   result.domains.reserve(net.num_vars());
   for (std::size_t v = 0; v < net.num_vars(); ++v) {
-    result.domains.push_back(
-        initial_domain(net, graph, static_cast<int>(v), intra_pool));
+    result.domains.push_back(initial_domain(net, graph, static_cast<int>(v)));
   }
 
-  // One predicate evaluator per worker shard (the cursor band is mutable
-  // scratch); shard 0 doubles as the serial evaluator.
-  std::vector<Evaluator> evs(pool_shards(intra_pool),
-                             Evaluator(net, graph, pool));
+  // The edge predicates' cursor band (mutable scratch), built once.
+  Evaluator ev(net, graph, pool);
 
   // Constraint visit order: planner-supplied or natural.
   std::vector<int> visit;
@@ -694,7 +550,7 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
     cc.fwd_in = in;
     GEMS_ASSIGN_OR_RETURN(cc.fwd_out,
                           group_closure(graph, pool, g, in, /*backward=*/false,
-                                        &result.stats, intra_pool));
+                                        &result.stats));
     cc.fwd_valid = true;
     return &cc.fwd_out;
   };
@@ -707,7 +563,7 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
     cc.bwd_in = in;
     GEMS_ASSIGN_OR_RETURN(cc.bwd_out,
                           group_closure(graph, pool, g, in, /*backward=*/true,
-                                        &result.stats, intra_pool));
+                                        &result.stats));
     cc.bwd_valid = true;
     return &cc.bwd_out;
   };
@@ -722,11 +578,11 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
         const auto cu = static_cast<std::size_t>(c);
         Domain right_support =
             edge_support(net, graph, cu, /*from_left=*/true, result.domains,
-                         evs, &result.stats, intra_pool);
+                         ev, &result.stats);
         changed |= result.domains[con.right_var].intersect(right_support);
         Domain left_support =
             edge_support(net, graph, cu, /*from_left=*/false, result.domains,
-                         evs, &result.stats, intra_pool);
+                         ev, &result.stats);
         changed |= result.domains[con.left_var].intersect(left_support);
         continue;
       }
@@ -747,8 +603,8 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
   }
 
   // ---- Matched edge sets (Eq. 5's E(q)) --------------------------------
-  result.matched_edges = matched_edge_sets(net, graph, pool, result.domains,
-                                           &result.stats, intra_pool);
+  result.matched_edges =
+      matched_edge_sets(net, graph, pool, result.domains, &result.stats);
 
   // ---- Group interior elements (for subgraph output) --------------------
   result.group_elements.reserve(net.groups.size());
@@ -775,13 +631,12 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
 
     // Mark interior: walk hops forward from the boundary set, culling each
     // position by its backward reachability toward the boundary.
-    const std::size_t shards = pool_shards(intra_pool);
     std::vector<Domain> fwd_pos(g.hops.size() + 1);
     fwd_pos[0] = boundary;
     for (std::size_t i = 0; i < g.hops.size(); ++i) {
       fwd_pos[i + 1] =
           expand_hop(graph, pool, g.hops[i], fwd_pos[i], /*backward=*/false,
-                     nullptr, &result.stats, intra_pool, shards);
+                     nullptr, &result.stats);
     }
     std::vector<Domain> bwd_pos(g.hops.size() + 1);
     bwd_pos[g.hops.size()] = boundary;
@@ -789,7 +644,7 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
       const GroupHop* target = i == 0 ? nullptr : &g.hops[i - 1];
       bwd_pos[i] =
           expand_hop(graph, pool, g.hops[i], bwd_pos[i + 1], /*backward=*/true,
-                     target, &result.stats, intra_pool, shards);
+                     target, &result.stats);
     }
     for (std::size_t i = 0; i <= g.hops.size(); ++i) {
       Domain on_path = fwd_pos[i];
@@ -829,25 +684,10 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
             walk_from ? from_it->second : to_it->second;
         const DynamicBitset& other_bits =
             walk_from ? to_it->second : from_it->second;
-        sharded_mark(
-            walk_bits, out, &result.stats, intra_pool,
-            [&](std::size_t, std::size_t wb, std::size_t we,
-                DynamicBitset& mark, MatchStats* ms) {
-              walk_bits.for_each_in_range(wb, we, [&](std::size_t v) {
-                index.for_each_part(
-                    static_cast<VertexIndex>(v),
-                    [&](const AdjacencyPart& part) {
-                      for (std::size_t j = 0; j < part.neighbors.size();
-                           ++j) {
-                        if (ms != nullptr) ++ms->edge_traversals;
-                        if (!other_bits.test(part.neighbors[j])) continue;
-                        const graph::EdgeIndex e = part.edges[j];
-                        if (!hop_edge_passes(pool, hop, et, e)) continue;
-                        mark.set(e);
-                      }
-                    });
-              });
-            });
+        mark_edges(index, walk_bits, other_bits, out, &result.stats,
+                   [&](graph::EdgeIndex e) {
+                     return hop_edge_passes(pool, hop, et, e);
+                   });
       });
     }
     result.group_elements.push_back(std::move(elements));
@@ -861,18 +701,12 @@ Result<MatchResult> match_network(const ConstraintNetwork& net,
 MatcherMetrics::MatcherMetrics(metrics::Registry& registry)
     : queries_(registry.counter("exec.match.queries")),
       passes_(registry.counter("exec.match.passes")),
-      edge_traversals_(registry.counter("exec.match.edge_traversals")),
-      parallel_tasks_(registry.counter("exec.match.parallel_tasks")),
-      merge_ns_(registry.counter("exec.match.merge_ns")),
-      worker_us_(registry.histogram("exec.match.worker_us")) {}
+      edge_traversals_(registry.counter("exec.match.edge_traversals")) {}
 
 void MatcherMetrics::record(const MatchStats& stats) {
   queries_.add();
   passes_.add(stats.propagation_passes);
   edge_traversals_.add(stats.edge_traversals);
-  parallel_tasks_.add(stats.parallel_tasks);
-  merge_ns_.add(stats.merge_ns);
-  if (stats.worker_us.count > 0) worker_us_.merge(stats.worker_us);
 }
 
 }  // namespace gems::exec

@@ -17,13 +17,9 @@
 // (dist/dist_matcher.hpp) both call them; a rank passes an OwnedSplit and
 // gets its remote targets back as a list to route.
 //
-// Intra-node parallelism (DESIGN.md §5e): every frontier expansion —
-// edge-constraint support, group-hop closure, matched-edge and
-// group-interior marking — optionally fans out over a ThreadPool. Workers
-// take contiguous word-ranges of the source frontier bitset and write
-// private per-type output shards that are OR-merged at the join, so
-// results are bit-identical for every thread count (including serial) and
-// the inner loops carry no atomics.
+// One request, one thread (DESIGN.md §5e): a match runs every frontier
+// expansion on its caller's thread. Parallelism lives across requests,
+// across the statements of a schedule level and inside the graph rebuild.
 //
 // The fixpoint is exact (arc consistency == satisfiability) when the
 // constraint graph is a tree and there are no cross predicates
@@ -32,12 +28,14 @@
 
 #include <span>
 
-#include "common/histogram.hpp"
 #include "common/metrics.hpp"
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "exec/network.hpp"
 #include "relational/eval.hpp"
+
+namespace gems {
+class ThreadPool;
+}
 
 namespace gems::exec {
 
@@ -47,19 +45,6 @@ inline constexpr std::uint32_t kMaxExactRepeats = 1024;
 struct MatchStats {
   std::size_t propagation_passes = 0;
   std::size_t edge_traversals = 0;  // CSR adjacency visits
-  std::size_t parallel_tasks = 0;   // sharded frontier-expansion tasks run
-  std::uint64_t merge_ns = 0;       // wall time OR-merging worker shards
-  LatencyHistogram worker_us;       // per-task worker wall time
-
-  /// Folds a worker shard's counters into this (aggregate) stats object.
-  /// edge_traversals is partitioned across shards, so the sum is identical
-  /// to the serial count; timings are additive.
-  void absorb(const MatchStats& shard) {
-    edge_traversals += shard.edge_traversals;
-    parallel_tasks += shard.parallel_tasks;
-    merge_ns += shard.merge_ns;
-    worker_us.merge(shard.worker_us);
-  }
 };
 
 struct MatchResult {
@@ -85,14 +70,21 @@ struct MatchResult {
 
 /// Runs the fixpoint. `order` optionally gives the constraint visit order
 /// for the first pass (the planner's choice, Sec. III-B); subsequent
-/// passes run until quiescent regardless. `intra_pool` (may be null =
-/// serial) parallelizes frontier expansion; the result is bit-identical
-/// either way.
+/// passes run until quiescent regardless.
 Result<MatchResult> match_network(const ConstraintNetwork& net,
                                   const graph::GraphView& graph,
                                   const StringPool& pool,
-                                  const std::vector<int>* order = nullptr,
-                                  ThreadPool* intra_pool = nullptr);
+                                  const std::vector<int>* order = nullptr);
+
+/// Kept only for the per-layer replay in bench/e2e/trace.cpp, which
+/// passes a pool; the pool is ignored. Deleted together with that replay.
+inline Result<MatchResult> match_network(const ConstraintNetwork& net,
+                                         const graph::GraphView& graph,
+                                         const StringPool& pool,
+                                         const std::vector<int>* order,
+                                         ThreadPool* /*unused*/) {
+  return match_network(net, graph, pool, order);
+}
 
 /// Shared helper: evaluates a vertex variable's self conditions for one
 /// vertex (cursor at the representative row).
@@ -101,12 +93,9 @@ bool vertex_passes(const ConstraintNetwork& net, const graph::GraphView& graph,
                    graph::VertexTypeId type, graph::VertexIndex v);
 
 /// Initial (pre-propagation) domain of a variable: type extents filtered
-/// by self conditions and seeds. Condition evaluation parallelizes over
-/// `intra_pool` (workers own disjoint word-aligned ranges of the output
-/// bitset, so no merge is needed).
+/// by self conditions and seeds.
 Domain initial_domain(const ConstraintNetwork& net,
-                      const graph::GraphView& graph, int var,
-                      ThreadPool* intra_pool = nullptr);
+                      const graph::GraphView& graph, int var);
 
 /// Closure of a regex group: all end vertices reachable from `start` with
 /// an admissible number of body iterations, or (`backward`) all start
@@ -115,15 +104,13 @@ Domain initial_domain(const ConstraintNetwork& net,
 Result<Domain> group_closure(const graph::GraphView& graph,
                              const StringPool& pool, const GroupConstraint& g,
                              const Domain& start, bool backward,
-                             MatchStats* stats,
-                             ThreadPool* intra_pool = nullptr);
+                             MatchStats* stats);
 
 // ---- Hop kernels ------------------------------------------------------------
 
-/// Predicate scratch of one worker shard: a cursor slot per variable plus
-/// the edge band starting at kEdgeSourceBase (64 KiB). The cursors are
-/// mutable, so each shard has its own; a match or rank job builds its set
-/// once.
+/// Predicate scratch of one match: a cursor slot per variable plus the
+/// edge band starting at kEdgeSourceBase (64 KiB). The cursors are
+/// mutable, so a match or rank job builds its own, once.
 class Evaluator {
  public:
   Evaluator(const ConstraintNetwork& net, const graph::GraphView& graph,
@@ -141,9 +128,8 @@ class Evaluator {
 
 /// A rank's share of an expansion (DESIGN.md §5h). The kernel sets only
 /// targets whose bit is set in `owned` (indexed by vertex type) and
-/// appends every other target that passes to `remote`, in serial walk
-/// order and with duplicates: traversal by traversal, and within one the
-/// shard lists in shard order.
+/// appends every other target that passes to `remote`, in walk order and
+/// with duplicates.
 struct OwnedSplit {
   std::span<const DynamicBitset> owned;
   std::vector<graph::VertexRef>& remote;
@@ -151,34 +137,31 @@ struct OwnedSplit {
 
 /// Support of one side of edge constraint `c`: the vertices of the other
 /// side's types in `domains` joined by an edge of the constraint, whose
-/// self conditions hold, to the `from_left` side's domain. Wide frontiers
-/// fan out over `intra` in one task per evaluator of `evs`.
+/// self conditions hold, to the `from_left` side's domain.
 Domain edge_support(const ConstraintNetwork& net,
                     const graph::GraphView& graph, std::size_t c,
                     bool from_left, const std::vector<Domain>& domains,
-                    std::vector<Evaluator>& evs, MatchStats* stats,
-                    ThreadPool* intra, const OwnedSplit* split = nullptr);
+                    Evaluator& ev, MatchStats* stats,
+                    const OwnedSplit* split = nullptr);
 
 /// One hop of a regex group walked from `from`: forward, it lands on the
 /// hop's own vertex step; `backward`, it walks the hop right-to-left and
 /// lands on the vertex step of `target_hop`, the preceding hop (null at
-/// the group's start: any vertex type, unfiltered). Wide frontiers fan out
-/// over `intra` in `shards` tasks.
+/// the group's start: any vertex type, unfiltered).
 Domain expand_hop(const graph::GraphView& graph, const StringPool& pool,
                   const GroupHop& hop, const Domain& from, bool backward,
                   const GroupHop* target_hop, MatchStats* stats,
-                  ThreadPool* intra, std::size_t shards,
                   const OwnedSplit* split = nullptr);
 
 /// Eq. 5's matched-edge sets E(q), computed from converged domains: for
 /// every edge constraint, the edges whose endpoints lie in the final
 /// domains and whose self conditions hold. Walks the CSR from the smaller
-/// endpoint domain (never a full edge scan) and shards the walk over
-/// `intra_pool`. The distributed matchers run it on the gathered domains.
+/// endpoint domain (never a full edge scan). The distributed matchers run
+/// it on the gathered domains.
 std::vector<std::map<graph::EdgeTypeId, DynamicBitset>> matched_edge_sets(
     const ConstraintNetwork& net, const graph::GraphView& graph,
     const StringPool& pool, const std::vector<Domain>& domains,
-    MatchStats* stats, ThreadPool* intra_pool = nullptr);
+    MatchStats* stats);
 
 // ---- Matcher observability ------------------------------------------------
 
@@ -194,9 +177,6 @@ class MatcherMetrics {
   metrics::Counter& queries_;  // match_network runs recorded
   metrics::Counter& passes_;
   metrics::Counter& edge_traversals_;
-  metrics::Counter& parallel_tasks_;
-  metrics::Counter& merge_ns_;
-  metrics::Histogram& worker_us_;
 };
 
 }  // namespace gems::exec

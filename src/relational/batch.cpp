@@ -30,7 +30,7 @@ void gather_valid_words(const storage::Column& column, const RowBatch& batch,
   } else {
     // Gather lists, and contiguous windows that straddle a chunk boundary
     // (windows that start off a chunk boundary: filter_rows from a first
-    // row, filter_rows_parallel's ranges).
+    // row).
     for (std::size_t w = 0; w < nw; ++w) out[w] = 0;
     for (std::size_t i = 0; i < n; ++i) {
       if (!column.is_null(batch.row_at(i))) out[i >> 6] |= 1ull << (i & 63);

@@ -215,46 +215,6 @@ std::pmr::vector<RowIndex> filter_rows(const Table& table,
   return out;
 }
 
-std::pmr::vector<RowIndex> filter_rows_parallel(
-    const Table& table, const BoundExpr& predicate, ThreadPool& pool,
-    std::pmr::memory_resource* memory) {
-  const std::size_t n = table.num_rows();
-  const std::size_t num_chunks = std::min<std::size_t>(
-      std::max<std::size_t>(1, pool.size() * 4), std::max<std::size_t>(1, n));
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-  std::vector<std::size_t> kept(num_chunks);
-  // Each chunk filters into its own window of one table-sized array, and
-  // the windows are then packed down in order, so no worker allocates a
-  // row list.
-  std::pmr::vector<RowIndex> out(n, memory);
-
-  // One kernel compilation shared by all workers; scratches are per-chunk
-  // (kernels are immutable after compile, scratch is the only mutable
-  // state).
-  const VectorExprPtr kernel = compile_operand(predicate, table.pool());
-  pool.parallel_for(num_chunks, [&](std::size_t c) {
-    const std::size_t begin = std::min(n, c * chunk);
-    const std::size_t end = std::min(n, begin + chunk);
-    EvalScratch scratch = kernel->make_scratch();
-    std::size_t k = 0;
-    for (std::size_t b = begin; b < end; b += kBatchRows) {
-      const RowBatch batch{&table, static_cast<RowIndex>(b), nullptr,
-                           std::min(kBatchRows, end - b)};
-      k += filter_batch(*kernel, batch, scratch, out.data() + begin + k);
-    }
-    kept[c] = k;
-  });
-
-  std::size_t total = 0;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t begin = std::min(n, c * chunk);
-    std::copy_n(out.data() + begin, kept[c], out.data() + total);
-    total += kept[c];
-  }
-  out.resize(total);
-  return out;
-}
-
 TablePtr materialize(const Table& src, std::span<const RowIndex> rows,
                      std::span<const ColumnIndex> cols, std::string name,
                      const std::vector<std::string>* rename) {

@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "relational/batch.hpp"
 #include "relational/bound_expr.hpp"
 #include "relational/expr_rules.hpp"
@@ -44,15 +43,6 @@ using storage::TablePtr;
 /// only appended rows.
 std::pmr::vector<RowIndex> filter_rows(
     const Table& table, const BoundExpr& predicate, RowIndex first_row = 0,
-    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
-
-/// Parallel selection over the intra-node thread pool (the shared-memory
-/// half of the paper's "massively parallel execution"): the table is
-/// chunked, chunks filter independently (each worker with its own kernel
-/// scratch), results concatenate in order. Bit-identical to filter_rows
-/// (property-tested). Only the calling thread touches `memory`.
-std::pmr::vector<RowIndex> filter_rows_parallel(
-    const Table& table, const BoundExpr& predicate, ThreadPool& pool,
     std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Copies `rows` × `cols` of `src` into a new table named `name`, keeping

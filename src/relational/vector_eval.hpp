@@ -41,7 +41,7 @@ using VectorExprPtr = std::unique_ptr<const VectorExpr>;
 
 /// Per-evaluation scratch: one VectorBuf per kernel node. Kernels are
 /// immutable after compile; concurrent evaluations of one tree need one
-/// scratch each (the parallel scan workers do exactly that).
+/// scratch each.
 struct EvalScratch {
   std::vector<VectorBuf> bufs;
 };

@@ -35,7 +35,8 @@ struct DatabaseOptions {
   std::string data_dir;
   /// Row cap for graph-query results (0 = unlimited).
   std::uint64_t max_result_rows = 0;
-  /// Intra-node worker threads for parallel scans (0 = serial scans).
+  /// Intra-node worker threads for the graph rebuild (0 = serial). A
+  /// query matches and scans on its own thread (DESIGN.md §5e).
   std::size_t intra_node_threads = 0;
 
   /// Persistent store directory (gems::store). Empty = in-memory only.
@@ -283,7 +284,7 @@ class Database {
   /// pin an epoch). The raw accessors above opt out of the analysis for
   /// single-threaded tooling.
   exec::ExecContext ctx_ GEMS_GUARDED_BY(access_);
-  std::unique_ptr<ThreadPool> intra_pool_;  // for parallel scans
+  std::unique_ptr<ThreadPool> intra_pool_;  // for the graph rebuild
 
   mutable sync::Mutex stats_mutex_ GEMS_ACQUIRED_BEFORE(wal_mutex_);
   std::shared_ptr<const plan::GraphStats> stats_

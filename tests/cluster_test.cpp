@@ -125,7 +125,7 @@ std::vector<std::vector<std::uint8_t>> simulated_transcripts(
   std::vector<std::vector<std::uint8_t>> transcripts;
   auto match = dist::match_network_distributed(
       lowered->networks[0], db.graph(), db.pool(), ranks, /*stats=*/nullptr,
-      /*intra_pool=*/nullptr, &transcripts);
+      &transcripts);
   GEMS_CHECK_MSG(match.is_ok(), match.status().to_string().c_str());
   return transcripts;
 }

@@ -195,8 +195,7 @@ DistRun golden_dist_run() {
   DistRun run;
   run.net = std::move(lowered->networks[0]);
   auto match = dist::match_network_distributed(
-      run.net, db.graph(), db.pool(), 2, /*stats=*/nullptr,
-      /*intra_pool=*/nullptr, &run.transcripts);
+      run.net, db.graph(), db.pool(), 2, /*stats=*/nullptr, &run.transcripts);
   GEMS_CHECK_MSG(match.is_ok(), match.status().to_string().c_str());
   run.domains = std::move(match->domains);
   return run;

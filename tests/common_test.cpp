@@ -683,59 +683,10 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
   EXPECT_EQ(counter.load(), 50);
 }
 
-TEST(ThreadPoolTest, ParallelForCoversRange) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(1000, [&](std::size_t i) { hits[i].fetch_add(1); });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPoolTest, ParallelForEmptyRange) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, [](std::size_t) { FAIL() << "must not be called"; });
-}
-
 TEST(ThreadPoolTest, PropagatesExceptions) {
   ThreadPool pool(1);
   auto fut = pool.submit([] { throw std::runtime_error("boom"); });
   EXPECT_THROW(fut.get(), std::runtime_error);
-}
-
-TEST(ThreadPoolTest, ParallelForRangesDeterministicChunks) {
-  ThreadPool pool(4);
-  // Chunk boundaries depend only on (n, num_chunks), never on worker
-  // scheduling — the matcher's determinism rests on this.
-  std::mutex mu;
-  std::vector<std::array<std::size_t, 3>> seen;
-  pool.parallel_for_ranges(103, 4, [&](std::size_t chunk, std::size_t begin,
-                                       std::size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.push_back({chunk, begin, end});
-  });
-  std::sort(seen.begin(), seen.end());
-  const std::vector<std::array<std::size_t, 3>> want = {
-      {0, 0, 26}, {1, 26, 52}, {2, 52, 78}, {3, 78, 103}};
-  EXPECT_EQ(seen, want);
-}
-
-TEST(ThreadPoolTest, ParallelForRangesSkipsEmptyChunks) {
-  ThreadPool pool(4);
-  // n < num_chunks: trailing chunks are empty and must not be invoked.
-  std::mutex mu;
-  std::vector<std::array<std::size_t, 3>> seen;
-  pool.parallel_for_ranges(3, 8, [&](std::size_t chunk, std::size_t begin,
-                                     std::size_t end) {
-    std::lock_guard<std::mutex> lock(mu);
-    seen.push_back({chunk, begin, end});
-  });
-  std::sort(seen.begin(), seen.end());
-  const std::vector<std::array<std::size_t, 3>> want = {
-      {0, 0, 1}, {1, 1, 2}, {2, 2, 3}};
-  EXPECT_EQ(seen, want);
-
-  pool.parallel_for_ranges(0, 4, [](std::size_t, std::size_t, std::size_t) {
-    FAIL() << "must not be called for an empty range";
-  });
 }
 
 TEST(ThreadPoolTest, CurrentMarksOnlyItsOwnWorkers) {
@@ -1025,8 +976,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
               "rank.0.supersteps", "rank.0.wire_bytes", "ranks",
               "sync_bytes", "syncs"}},
             {"exec.match.",
-             {"edge_traversals", "merge_ns", "parallel_tasks", "passes",
-              "queries", "worker_us"}},
+             {"edge_traversals", "passes", "queries"}},
             {"graph.",
              {"csr.bytes", "csr.folds", "csr.tail_edges", "endpoints.bytes",
               "key_index.bytes", "key_index.folds"}},

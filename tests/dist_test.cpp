@@ -7,7 +7,6 @@
 #include <numeric>
 
 #include "bsbm/generator.hpp"
-#include "common/thread_pool.hpp"
 #include "dist/dist_matcher.hpp"
 #include "dist/partition.hpp"
 #include "dist/runtime.hpp"
@@ -186,39 +185,6 @@ TEST_P(DistMatchTest, MatchesSingleNodeResult) {
     } else {
       EXPECT_GT(stats.messages, 0u);
     }
-  }
-}
-
-// Handing each rank a bounded slice of a shared intra-node pool must not
-// change anything observable: domains, matched edges, and even the BSP
-// message/byte counts (shard outboxes are concatenated in frontier order,
-// so the wire stream is byte-identical to the serial one).
-TEST_P(DistMatchTest, PooledMatchesUnpooled) {
-  const exec::ConstraintNetwork net = lower(GetParam());
-  ThreadPool intra(8);
-  for (const std::size_t ranks : {2u, 4u}) {
-    DistStats plain_stats;
-    auto plain = match_network_distributed(net, db_->graph(), db_->pool(),
-                                           ranks, &plain_stats);
-    ASSERT_TRUE(plain.is_ok()) << plain.status().to_string();
-    DistStats pooled_stats;
-    auto pooled = match_network_distributed(net, db_->graph(), db_->pool(),
-                                            ranks, &pooled_stats, &intra);
-    ASSERT_TRUE(pooled.is_ok()) << pooled.status().to_string();
-
-    ASSERT_EQ(pooled->domains.size(), plain->domains.size());
-    for (std::size_t v = 0; v < plain->domains.size(); ++v) {
-      EXPECT_TRUE(pooled->domains[v].sets == plain->domains[v].sets)
-          << "var " << v << " ranks " << ranks;
-    }
-    ASSERT_EQ(pooled->matched_edges.size(), plain->matched_edges.size());
-    for (std::size_t c = 0; c < plain->matched_edges.size(); ++c) {
-      EXPECT_TRUE(pooled->matched_edges[c] == plain->matched_edges[c])
-          << "constraint " << c << " ranks " << ranks;
-    }
-    EXPECT_EQ(pooled_stats.messages, plain_stats.messages);
-    EXPECT_EQ(pooled_stats.bytes, plain_stats.bytes);
-    EXPECT_EQ(pooled_stats.activations, plain_stats.activations);
   }
 }
 

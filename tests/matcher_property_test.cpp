@@ -3,13 +3,12 @@
 // matcher + enumerator must agree exactly with a brute-force reference
 // that tries every assignment (the literal reading of Eq. 5). The
 // distributed fixpoint must then agree with the single-node one on the
-// same generated networks, at every rank count and pool size.
+// same generated networks, at every rank count.
 #include <gtest/gtest.h>
 
 #include <optional>
 #include <set>
 
-#include "bsbm/generator.hpp"
 #include "common/check.hpp"
 #include "common/prng.hpp"
 #include "dist/dist_matcher.hpp"
@@ -376,11 +375,7 @@ TEST_P(MatcherPropertyTest, FixpointAndEnumeratorMatchBruteForce) {
 INSTANTIATE_TEST_SUITE_P(RandomGraphs, MatcherPropertyTest,
                          ::testing::Range<std::uint64_t>(1, 41));
 
-// ---- Determinism across thread counts (DESIGN.md §5e) -----------------------
-//
-// The sharded frontier expansion must produce bit-identical MatchResults
-// for every pool size (including no pool at all): domains, matched-edge
-// sets, group-interior subgraphs, and the partition-invariant counters.
+// ---- Distributed == single-node on generated networks ----------------------
 
 ConstraintNetwork lower_query(const std::string& text, const GraphView& graph,
                               StringPool& pool) {
@@ -396,153 +391,16 @@ ConstraintNetwork lower_query(const std::string& text, const GraphView& graph,
 }
 
 MatchResult must_match(const ConstraintNetwork& net, const GraphView& graph,
-                       const StringPool& pool, ThreadPool* intra) {
-  auto r = match_network(net, graph, pool, /*order=*/nullptr, intra);
+                       const StringPool& pool) {
+  auto r = match_network(net, graph, pool);
   GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
   return std::move(r).value();
 }
 
-void expect_bit_identical(const MatchResult& a, const MatchResult& b,
-                          const GraphView& graph, const std::string& label) {
-  SCOPED_TRACE(label);
-  ASSERT_EQ(a.domains.size(), b.domains.size());
-  for (std::size_t v = 0; v < a.domains.size(); ++v) {
-    EXPECT_TRUE(a.domains[v] == b.domains[v]) << "domain of var " << v;
-  }
-  EXPECT_TRUE(a.matched_edges == b.matched_edges);
-  ASSERT_EQ(a.group_elements.size(), b.group_elements.size());
-  for (std::size_t g = 0; g < a.group_elements.size(); ++g) {
-    for (VertexTypeId t = 0; t < graph.num_vertex_types(); ++t) {
-      const DynamicBitset* av = a.group_elements[g].vertices(t);
-      const DynamicBitset* bv = b.group_elements[g].vertices(t);
-      ASSERT_EQ(av == nullptr, bv == nullptr)
-          << "group " << g << " vertex type " << static_cast<int>(t);
-      if (av != nullptr) {
-        EXPECT_TRUE(*av == *bv)
-            << "group " << g << " vertex type " << static_cast<int>(t);
-      }
-    }
-    for (graph::EdgeTypeId t = 0; t < graph.num_edge_types(); ++t) {
-      const DynamicBitset* ae = a.group_elements[g].edges(t);
-      const DynamicBitset* be = b.group_elements[g].edges(t);
-      ASSERT_EQ(ae == nullptr, be == nullptr)
-          << "group " << g << " edge type " << static_cast<int>(t);
-      if (ae != nullptr) {
-        EXPECT_TRUE(*ae == *be)
-            << "group " << g << " edge type " << static_cast<int>(t);
-      }
-    }
-  }
-  // Partition-invariant counters (edge_traversals counts per-neighbor
-  // visits before dedup, so sharding cannot change the sum).
-  EXPECT_EQ(a.stats.propagation_passes, b.stats.propagation_passes);
-  EXPECT_EQ(a.stats.edge_traversals, b.stats.edge_traversals);
-}
-
-/// Runs the query serially and under pools of 1, 2 and 8 workers and
-/// asserts all four MatchResults are bit-identical. Returns the 8-thread
-/// result so callers can assert the parallel path actually engaged.
-MatchResult check_thread_count_invariance(const ConstraintNetwork& net,
-                                          const GraphView& graph,
-                                          const StringPool& pool) {
-  const MatchResult serial = must_match(net, graph, pool, nullptr);
-  ThreadPool pool1(1), pool2(2), pool8(8);
-  const MatchResult r1 = must_match(net, graph, pool, &pool1);
-  const MatchResult r2 = must_match(net, graph, pool, &pool2);
-  MatchResult r8 = must_match(net, graph, pool, &pool8);
-  expect_bit_identical(serial, r1, graph, "serial vs 1 thread");
-  expect_bit_identical(serial, r2, graph, "serial vs 2 threads");
-  expect_bit_identical(serial, r8, graph, "serial vs 8 threads");
-  return r8;
-}
-
-class MatcherDeterminismTest
-    : public ::testing::TestWithParam<std::uint64_t> {};
-
-TEST_P(MatcherDeterminismTest, RandomGraphsIdenticalAcrossThreadCounts) {
-  const std::uint64_t seed = GetParam();
-  Xoshiro256 rng(seed * 7919 + 3);
-  // Extents past 512 vertices (8 frontier words) so the parallel path is
-  // actually exercised, with enough headroom that every type qualifies.
-  RandomDb db(seed, /*n_types=*/2 + rng.below(2), /*n_edges=*/3 + rng.below(3),
-              /*vertices_per_type=*/500, /*edge_density=*/0.01,
-              /*min_vertices=*/520);
-
-  bool parallel_seen = false;
-  for (int q = 0; q < 4; ++q) {
-    const std::string query_text = random_query(db, rng, 3);
-    SCOPED_TRACE("seed " + std::to_string(seed) + ": " + query_text);
-    const ConstraintNetwork net = lower_query(query_text, db.graph, db.pool);
-    const MatchResult r8 =
-        check_thread_count_invariance(net, db.graph, db.pool);
-    parallel_seen = parallel_seen || r8.stats.parallel_tasks > 0;
-  }
-  EXPECT_TRUE(parallel_seen) << "no query crossed the parallel threshold";
-}
-
-TEST_P(MatcherDeterminismTest, RegexGroupsIdenticalAcrossThreadCounts) {
-  const std::uint64_t seed = GetParam();
-  RandomDb db(seed * 31 + 7, /*n_types=*/2, /*n_edges=*/4,
-              /*vertices_per_type=*/400, /*edge_density=*/0.008,
-              /*min_vertices=*/540);
-  // Prefer a same-type edge so +/* closures can iterate more than once.
-  std::size_t edge = 0;
-  for (std::size_t e = 0; e < db.edge_endpoints.size(); ++e) {
-    if (db.edge_endpoints[e].first == db.edge_endpoints[e].second) {
-      edge = e;
-      break;
-    }
-  }
-  const VertexTypeId start = db.edge_endpoints[edge].first;
-  for (const char* quant : {"+", "*", "{2}"}) {
-    const std::string query_text =
-        "select * from graph V" + std::to_string(start) + "(w < 8) ( --e" +
-        std::to_string(edge) + "--> [ ] )" + quant + " into table R";
-    SCOPED_TRACE(query_text);
-    const ConstraintNetwork net = lower_query(query_text, db.graph, db.pool);
-    GEMS_CHECK(!net.groups.empty());
-    const MatchResult r8 =
-        check_thread_count_invariance(net, db.graph, db.pool);
-    EXPECT_GT(r8.stats.parallel_tasks, 0u);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(RandomGraphs, MatcherDeterminismTest,
-                         ::testing::Range<std::uint64_t>(1, 6));
-
-TEST(MatcherDeterminismBerlinTest, BerlinIdenticalAcrossThreadCounts) {
-  auto db = bsbm::make_populated_database(
-      bsbm::GeneratorConfig::derive(/*num_products=*/300, /*seed=*/13));
-  ASSERT_TRUE(db.is_ok()) << db.status().to_string();
-  const GraphView& graph = (*db)->graph();
-  StringPool& pool = (*db)->pool();
-
-  // OfferVtx/ReviewVtx extents (5x/3x products) cross the parallel
-  // threshold; the subclass closure exercises the group machinery.
-  const char* queries[] = {
-      "select * from graph OfferVtx() --product--> ProductVtx() "
-      "--producer--> ProducerVtx() into table R",
-      "select * from graph PersonVtx() <--reviewer-- ReviewVtx(ratings_1 > 5) "
-      "--reviewFor--> ProductVtx() into table R",
-      "select * from graph ProductVtx() ( --type--> [ ] )+ "
-      "into table R",
-  };
-  bool parallel_seen = false;
-  for (const char* q : queries) {
-    SCOPED_TRACE(q);
-    const ConstraintNetwork net = lower_query(q, graph, pool);
-    const MatchResult r8 = check_thread_count_invariance(net, graph, pool);
-    parallel_seen = parallel_seen || r8.stats.parallel_tasks > 0;
-  }
-  EXPECT_TRUE(parallel_seen);
-}
-
-// ---- Distributed == single-node on generated networks ----------------------
 //
 // The rank body runs the same fixpoint over a hash-partitioned frontier
 // (DESIGN.md §5h), so on every network dist::distributable accepts it must
-// reach the single-node domains and matched edges at every rank count. A
-// pool slice per rank must not change a byte a rank sends.
+// reach the single-node domains and matched edges at every rank count.
 
 /// Random regex-group query: a start step, then a one- or two-hop group
 /// body of forward or reversed hops with random edge and vertex
@@ -608,43 +466,33 @@ std::string random_group_query(RandomDb& db, Xoshiro256& rng) {
   return query + " into table R";
 }
 
-/// Runs `net` through match_network_distributed at 1-4 ranks, unpooled
-/// and on `intra`: domains and matched edges must equal match_network's,
-/// and each pooled rank's send stream must equal the unpooled one.
-/// Returns false, checking nothing, when the network is not distributable.
+/// Runs `net` through match_network_distributed at 1-4 ranks: domains and
+/// matched edges must equal match_network's. Returns false, checking
+/// nothing, when the network is not distributable.
 bool expect_distributed_matches_local(const ConstraintNetwork& net,
                                       const GraphView& graph,
-                                      const StringPool& pool,
-                                      ThreadPool& intra) {
+                                      const StringPool& pool) {
   if (!dist::distributable(net).is_ok()) return false;
-  const MatchResult local = must_match(net, graph, pool, nullptr);
+  const MatchResult local = must_match(net, graph, pool);
   for (std::size_t ranks = 1; ranks <= 4; ++ranks) {
     SCOPED_TRACE(std::to_string(ranks) + " ranks");
-    std::vector<std::vector<std::uint8_t>> plain_sent;
-    std::vector<std::vector<std::uint8_t>> pooled_sent;
-    auto plain = dist::match_network_distributed(
-        net, graph, pool, ranks, nullptr, nullptr, &plain_sent);
-    auto pooled = dist::match_network_distributed(
-        net, graph, pool, ranks, nullptr, &intra, &pooled_sent);
-    EXPECT_TRUE(plain.is_ok()) << plain.status().to_string();
-    EXPECT_TRUE(pooled.is_ok()) << pooled.status().to_string();
-    if (!plain.is_ok() || !pooled.is_ok()) return true;
-    for (const MatchResult* dist : {&plain.value(), &pooled.value()}) {
-      EXPECT_EQ(dist->domains.size(), local.domains.size());
-      for (std::size_t v = 0;
-           v < std::min(dist->domains.size(), local.domains.size()); ++v) {
-        EXPECT_TRUE(dist->domains[v] == local.domains[v]) << "var " << v;
-      }
-      EXPECT_TRUE(dist->matched_edges == local.matched_edges);
+    auto dist = dist::match_network_distributed(net, graph, pool, ranks,
+                                                nullptr);
+    EXPECT_TRUE(dist.is_ok()) << dist.status().to_string();
+    if (!dist.is_ok()) return true;
+    EXPECT_EQ(dist->domains.size(), local.domains.size());
+    for (std::size_t v = 0;
+         v < std::min(dist->domains.size(), local.domains.size()); ++v) {
+      EXPECT_TRUE(dist->domains[v] == local.domains[v]) << "var " << v;
     }
-    EXPECT_TRUE(pooled_sent == plain_sent) << "pooled send streams differ";
+    EXPECT_TRUE(dist->matched_edges == local.matched_edges);
   }
   return true;
 }
 
-/// One oracle case: MatcherPropertyTest's small graphs, or (`wide`)
-/// MatcherDeterminismTest's graphs, whose types all pass 520 vertices so
-/// that pooled rank walks cross the 8-word threshold.
+/// One oracle case: MatcherPropertyTest's small graphs, or (`wide`) graphs
+/// whose types all pass 520 vertices, so a rank's frontier spans many
+/// bitset words.
 struct DistCase {
   bool wide = false;
   std::uint64_t seed = 0;
@@ -666,8 +514,8 @@ class DistMatchPropertyTest : public ::testing::TestWithParam<DistCase> {};
 
 TEST_P(DistMatchPropertyTest, MatchesLocalAtOneToFourRanks) {
   const auto [wide, seed] = GetParam();
-  // The graph and linear queries are drawn as the two suites above draw
-  // them; generated regex groups follow.
+  // The small graph and linear queries are drawn as MatcherPropertyTest
+  // draws them; generated regex groups follow.
   std::optional<RandomDb> db;
   Xoshiro256 rng(wide ? seed * 7919 + 3 : seed * 1000003 + 17);
   if (wide) {
@@ -681,14 +529,13 @@ TEST_P(DistMatchPropertyTest, MatchesLocalAtOneToFourRanks) {
   }
   const int linear = wide ? 4 : 8;
   const int groups = 4;
-  ThreadPool intra(8);
   int distributed = 0;
   for (int q = 0; q < linear + groups; ++q) {
     const std::string query_text =
         q < linear ? random_query(*db, rng, 3) : random_group_query(*db, rng);
     SCOPED_TRACE("seed " + std::to_string(seed) + ": " + query_text);
     const ConstraintNetwork net = lower_query(query_text, db->graph, db->pool);
-    if (expect_distributed_matches_local(net, db->graph, db->pool, intra)) {
+    if (expect_distributed_matches_local(net, db->graph, db->pool)) {
       ++distributed;
     }
   }

@@ -669,11 +669,17 @@ TEST(DeltaIngestTest, ReadersWalkPinnedEpochWhileWriterFolds) {
   }
 
   std::atomic<bool> stop{false};
+  std::atomic<int> started{0};
   std::atomic<int> walks{0};
   std::atomic<int> inconsistent{0};
   auto reader = [&] {
+    bool first = true;
     while (!stop.load(std::memory_order_acquire)) {
       const EpochPin pin = db.pin_epoch();
+      if (first) {
+        started.fetch_add(1);
+        first = false;
+      }
       const ReviewTypes types = review_types(pin.ctx());
       for (const graph::EdgeType* et : {types.review_for, types.reviewer}) {
         std::size_t seen = 0;
@@ -709,6 +715,9 @@ TEST(DeltaIngestTest, ReadersWalkPinnedEpochWhileWriterFolds) {
   };
   std::vector<std::thread> readers;
   for (int i = 0; i < 3; ++i) readers.emplace_back(reader);
+  // Every reader is inside its first walk before the writer starts; the
+  // 16 ingests can otherwise finish before a reader is scheduled at all.
+  while (started.load() < 3) std::this_thread::yield();
   for (const auto& ingest : ingests) {
     auto r = db.run_script(ingest);
     ASSERT_TRUE(r.is_ok()) << r.status().to_string();

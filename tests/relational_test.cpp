@@ -436,30 +436,6 @@ TEST_F(RelationalTest, HeadTruncates) {
   EXPECT_EQ(head(*offers_, 0, "H")->num_rows(), 0u);
 }
 
-TEST_F(RelationalTest, ParallelFilterMatchesSerial) {
-  ThreadPool pool(4);
-  auto e = Expr::make_binary(BinaryOp::kGe, Expr::make_column("", "price"),
-                             Expr::make_literal(Value::int64(15)));
-  auto pred = bind_offers(e);
-  EXPECT_EQ(filter_rows_parallel(*offers_, *pred, pool),
-            filter_rows(*offers_, *pred));
-
-  // A larger synthetic table covering chunk boundaries.
-  auto big = std::make_shared<Table>(
-      "Big", Schema({{"x", DataType::int64()}}), pool_);
-  for (int i = 0; i < 10007; ++i) {
-    big->append_row_unchecked(std::vector<Value>{Value::int64(i % 97)});
-  }
-  TableScope scope(*big);
-  auto cond = bind_predicate(
-      Expr::make_binary(BinaryOp::kLt, Expr::make_column("", "x"),
-                        Expr::make_literal(Value::int64(13))),
-      scope, {}, pool_);
-  ASSERT_TRUE(cond.is_ok());
-  EXPECT_EQ(filter_rows_parallel(*big, **cond, pool),
-            filter_rows(*big, **cond));
-}
-
 TEST_F(RelationalTest, MaterializeRenames) {
   const std::vector<storage::RowIndex> rows{0};
   const std::vector<storage::ColumnIndex> cols{0, 2};
@@ -657,9 +633,6 @@ inline std::vector<storage::RowIndex> row_range(std::size_t begin,
 
 TEST_F(RelationalTest, VectorizedFilterMatchesRowEngine) {
   using namespace vec_prop;
-  // 4 workers cut a sweep table into 16 ranges of 163 rows: no range
-  // starts on a batch boundary, so most windows straddle a chunk.
-  ThreadPool tpool(4);
   std::uint64_t seed = 1;
   for (const double nd : kNullDensities) {
     auto t = make_random_table(pool_, kSweepRows, nd, seed++);
@@ -670,8 +643,6 @@ TEST_F(RelationalTest, VectorizedFilterMatchesRowEngine) {
       const auto expected = oracle::filter_rows(*t, **bound);
       EXPECT_EQ(filter_rows(*t, **bound), expected)
           << e->to_string() << " nd=" << nd;
-      EXPECT_EQ(filter_rows_parallel(*t, **bound, tpool), expected)
-          << e->to_string() << " parallel nd=" << nd;
     }
   }
 }
@@ -876,7 +847,6 @@ TEST_F(RelationalTest, VectorizedDistinctMatchesRowEngine) {
 
 TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
   using namespace vec_prop;
-  ThreadPool tpool(4);
   auto t = make_random_table(pool_, kSweepRows, 0.1, 7);
   TableScope scope(*t);
   // All-filtered: a constant-false predicate and one no row satisfies.
@@ -886,8 +856,6 @@ TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
     auto none = bind_predicate(e, scope, {}, pool_);
     ASSERT_TRUE(none.is_ok());
     EXPECT_TRUE(filter_rows(*t, **none).empty()) << e->to_string();
-    EXPECT_TRUE(filter_rows_parallel(*t, **none, tpool).empty())
-        << e->to_string();
   }
   // Empty selection vectors through project.
   const std::vector<storage::RowIndex> no_rows;
@@ -907,7 +875,6 @@ TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
                              {}, pool_);
   ASSERT_TRUE(pred.is_ok());
   EXPECT_TRUE(filter_rows(empty, **pred).empty());
-  EXPECT_TRUE(filter_rows_parallel(empty, **pred, tpool).empty());
   const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
                                   {AggKind::kSum, 2, "sumx"}};
   for (const auto& keys : std::vector<std::vector<ColumnIndex>>{{1}, {}}) {
