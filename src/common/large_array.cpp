@@ -3,6 +3,7 @@
 #include <sys/mman.h>
 
 #include <atomic>
+#include <cstdint>
 #include <new>
 
 #include "common/check.hpp"
@@ -18,6 +19,15 @@ void* map_pages(std::size_t bytes) {
 
 void unmap_pages(void* p, std::size_t bytes) noexcept {
   munmap(p, page_round_up(bytes));
+}
+
+void release_pages(void* p, std::size_t bytes) noexcept {
+  const auto at = reinterpret_cast<std::uintptr_t>(p);
+  const std::uintptr_t first = page_round_up(at);
+  const std::uintptr_t last = (at + bytes) / kPageBytes * kPageBytes;
+  if (first < last) {
+    madvise(reinterpret_cast<void*>(first), last - first, MADV_DONTNEED);
+  }
 }
 
 namespace {

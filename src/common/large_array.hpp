@@ -43,6 +43,11 @@ void* map_pages(std::size_t bytes);
 /// Unmaps a map_pages(bytes) block.
 void unmap_pages(void* p, std::size_t bytes) noexcept;
 
+/// Gives the whole pages inside [p, p + bytes), part of a map_pages
+/// block, back to the system; they stay mapped and read as zero when
+/// touched again.
+void release_pages(void* p, std::size_t bytes) noexcept;
+
 /// The resource for arrays whose size grows with the data: the string
 /// pool's index, vertex key indices, CSR arrays, staging lanes and
 /// recovery images. Thread-safe; the same object for the whole process.

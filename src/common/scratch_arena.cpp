@@ -23,11 +23,6 @@ ScratchArena::~ScratchArena() {
   live_bytes.fetch_sub(mapped_bytes(), std::memory_order_relaxed);
 }
 
-void ScratchArena::rewind() noexcept {
-  current_ = 0;
-  offset_ = 0;
-}
-
 std::size_t ScratchArena::mapped_bytes() const noexcept {
   std::size_t total = 0;
   for (const Block& b : blocks_) total += b.size;
@@ -58,12 +53,18 @@ void* ScratchArena::do_allocate(std::size_t bytes, std::size_t alignment) {
 }
 
 void ScratchArena::do_deallocate(void* p, std::size_t bytes, std::size_t) {
-  if (current_ == blocks_.size()) return;
   std::byte* const at = static_cast<std::byte*>(p);
-  std::byte* const base = blocks_[current_].base;
-  if (at >= base && at + std::max<std::size_t>(bytes, 1) == base + offset_) {
-    offset_ = static_cast<std::size_t>(at - base);
+  if (current_ < blocks_.size()) {
+    std::byte* const base = blocks_[current_].base;
+    if (at >= base &&
+        at + std::max<std::size_t>(bytes, 1) == base + offset_) {
+      offset_ = static_cast<std::size_t>(at - base);
+      return;
+    }
   }
+  // Any other allocation's bytes are never carved again: a large one
+  // (the old array of a vector that grew) gives its pages back now.
+  if (bytes >= kPageMapBytes) release_pages(at, bytes);
 }
 
 }  // namespace gems

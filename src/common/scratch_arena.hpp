@@ -1,4 +1,4 @@
-// Transient memory for one thread's share of a bulk build or for one
+// Transient memory for one type's share of a bulk build or for one
 // table statement (DESIGN.md §5n).
 //
 // A full graph rebuild fans its types out over a thread pool, and the
@@ -16,11 +16,12 @@
 // and carves allocations from them in order. Freeing the most recent
 // allocation gives its bytes back to the block, so an array that is
 // released and then allocated again larger (a hash table growing) reuses
-// its pages; freeing anything else does nothing. Pages are only resident once touched, so reserving an upper
-// bound costs address space, not memory. rewind() starts over at the
-// first block and keeps every block mapped, so a thread that builds
-// several types touches the same pages again. The destructor unmaps every
-// block: the memory goes back to the system whole.
+// its pages. Freeing any other allocation of kPageMapBytes or more gives
+// the whole pages inside it back to the system (release_pages), so a
+// vector that grows by doubling keeps only its live array resident;
+// smaller frees do nothing. Pages are only resident once touched, so
+// reserving an upper bound costs address space, not memory. The destructor unmaps every block: the memory goes back to the
+// system whole.
 #pragma once
 
 #include <cstddef>
@@ -39,10 +40,6 @@ class ScratchArena final : public std::pmr::memory_resource {
 
   ScratchArena(const ScratchArena&) = delete;
   ScratchArena& operator=(const ScratchArena&) = delete;
-
-  /// Forgets every allocation, keeping the blocks for reuse. Nothing
-  /// allocated before the call may be used after it.
-  void rewind() noexcept;
 
   /// Bytes of the mapped blocks.
   std::size_t mapped_bytes() const noexcept;

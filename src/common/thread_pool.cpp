@@ -9,19 +9,16 @@ namespace gems {
 namespace {
 
 thread_local ThreadPool* tls_pool = nullptr;
-thread_local std::size_t tls_worker = 0;
 
 }  // namespace
 
 ThreadPool* ThreadPool::current() noexcept { return tls_pool; }
 
-std::size_t ThreadPool::current_worker() noexcept { return tls_worker; }
-
 ThreadPool::ThreadPool(std::size_t num_threads) {
   GEMS_CHECK(num_threads >= 1);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -34,9 +31,8 @@ ThreadPool::~ThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   tls_pool = this;
-  tls_worker = index;
   for (;;) {
     std::function<void()> task;
     {

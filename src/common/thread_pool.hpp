@@ -30,9 +30,6 @@ class ThreadPool {
   /// A task that waits on futures of its own pool deadlocks it once every
   /// worker waits, so fan-out code checks this before it submits and waits.
   static ThreadPool* current() noexcept;
-  /// The calling worker's index in [0, size()) of current(); 0 on any
-  /// other thread. Lets a task pick per-worker scratch state.
-  static std::size_t current_worker() noexcept;
 
   /// Enqueues a task; the returned future reports completion/exceptions.
   template <typename Fn>
@@ -49,7 +46,7 @@ class ThreadPool {
   }
 
  private:
-  void worker_loop(std::size_t index);
+  void worker_loop();
 
   sync::Mutex mutex_;
   sync::CondVar cv_;

@@ -1,6 +1,7 @@
 #include "exec/executor.hpp"
 
 #include <algorithm>
+#include <numeric>
 #include "graph/delta.hpp"
 
 #include "common/check.hpp"
@@ -26,8 +27,8 @@ using graql::AggFunc;
 using graql::GraphQueryStmt;
 using graql::IntoKind;
 using graql::TableQueryStmt;
-using relational::AggKind;
-using relational::AggSpec;
+using relational::Aggregate;
+using relational::BoundExpr;
 using relational::BoundExprPtr;
 using relational::OutputColumn;
 using relational::SortKey;
@@ -525,7 +526,9 @@ namespace {
 
 /// Table-query body of execute_statement_read (see graph_query_core for
 /// the contract: immutable context, explicit params, no catalog
-/// registration).
+/// registration). Filter, group, distinct, order and top n work on row
+/// lists; the statement builds only its grouped table (when it groups)
+/// and its result (DESIGN.md §5n).
 Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
                                          const ExecContext& ctx,
                                          const relational::ParamMap& params,
@@ -546,10 +549,7 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         relational::bind_predicate(stmt.where, scope, params, pool));
     rows = relational::filter_rows(*source, *pred, 0, &scratch);
   } else {
-    rows.resize(source->num_rows());
-    for (std::size_t r = 0; r < rows.size(); ++r) {
-      rows[r] = static_cast<RowIndex>(r);
-    }
+    rows = relational::all_rows(source->num_rows(), &scratch);
   }
 
   const bool has_agg =
@@ -558,6 +558,8 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
   const bool grouped = has_agg || !stmt.group_by.empty();
   const std::string out_name =
       stmt.into == IntoKind::kTable ? stmt.into_name : "result";
+  const std::size_t limit =
+      stmt.top_n > 0 ? stmt.top_n : relational::kNoLimit;
   // Output names only: the operators type each column by the same rules.
   const std::vector<relational::MaybeType> unknown_types(stmt.items.size());
 
@@ -586,62 +588,77 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
       outputs.push_back(std::move(oc));
     }
 
-    // ORDER BY: by output columns when possible, else by source columns
+    // ORDER BY names output columns, or else source columns. An output
+    // that is a bare column reference sorts as its source column, so
+    // unless a key names a computed output the source rows are sorted
     // before projection.
-    std::vector<std::string> out_names;
-    for (const auto& o : outputs) out_names.push_back(o.name);
-    bool order_on_output = !stmt.order_by.empty();
-    bool order_on_source = !stmt.order_by.empty();
+    bool order_on_output = true;
+    bool order_on_source = true;
+    std::vector<SortKey> output_keys;
     for (const auto& ord : stmt.order_by) {
-      if (std::find(out_names.begin(), out_names.end(), ord.column) ==
-          out_names.end()) {
+      const auto it = std::find_if(
+          outputs.begin(), outputs.end(),
+          [&](const OutputColumn& o) { return o.name == ord.column; });
+      if (it == outputs.end()) {
         order_on_output = false;
+      } else {
+        output_keys.push_back(
+            {static_cast<ColumnIndex>(it - outputs.begin()), ord.descending});
       }
       if (!source->schema().find(ord.column)) order_on_source = false;
     }
-    if (!stmt.order_by.empty() && !order_on_output && !order_on_source) {
+    if (!order_on_output && !order_on_source) {
       return not_found("order by columns must all be output columns or all "
                        "be source columns");
     }
-    if (!stmt.order_by.empty() && !order_on_output) {
-      std::vector<SortKey> keys;
+    std::vector<SortKey> source_keys;
+    if (!order_on_output) {
       for (const auto& ord : stmt.order_by) {
-        keys.push_back({*source->schema().find(ord.column), ord.descending});
+        source_keys.push_back(
+            {*source->schema().find(ord.column), ord.descending});
       }
-      relational::sort_rows(*source, rows, keys, &scratch);
+      output_keys.clear();
+    } else if (std::all_of(output_keys.begin(), output_keys.end(),
+                           [&](const SortKey& k) {
+                             return outputs[k.column].expr->kind ==
+                                    BoundExpr::Kind::kColumnRef;
+                           })) {
+      for (const SortKey& k : output_keys) {
+        source_keys.push_back(
+            {outputs[k.column].expr->slot.column, k.descending});
+      }
+      output_keys.clear();
     }
 
-    out = relational::project(*source, rows, outputs, out_name);
-    if (stmt.distinct) {
-      out = relational::distinct(*out, out_name, &scratch);
-    }
-    if (!stmt.order_by.empty() && order_on_output) {
-      std::vector<SortKey> keys;
-      for (const auto& ord : stmt.order_by) {
-        keys.push_back({*out->schema().find(ord.column), ord.descending});
-      }
-      out = relational::order_by(*out, keys, out_name, &scratch);
-    }
-    if (stmt.top_n > 0) {
-      out = relational::head(*out, stmt.top_n, out_name, &scratch);
+    // Distinct and computed order keys read the projected values; without
+    // them only the kept rows are projected.
+    const bool project_all = stmt.distinct || !output_keys.empty();
+    relational::sort_rows(*source, rows, source_keys, &scratch,
+                          project_all ? relational::kNoLimit : limit);
+    if (!project_all) {
+      out = relational::project(*source, rows, outputs, out_name);
+    } else {
+      const TablePtr projected =
+          relational::project(*source, rows, outputs, out_name);
+      std::vector<ColumnIndex> cols(outputs.size());
+      std::iota(cols.begin(), cols.end(), ColumnIndex{0});
+      std::pmr::vector<RowIndex> kept =
+          stmt.distinct
+              ? relational::distinct_rows(*projected, cols, &scratch)
+              : relational::all_rows(projected->num_rows(), &scratch);
+      relational::sort_rows(*projected, kept, output_keys, &scratch, limit);
+      out = relational::materialize(*projected, kept, cols, out_name);
     }
   } else {
-    // Aggregation pipeline: pre-project group keys + aggregate inputs,
-    // group, then arrange outputs in item order.
-    std::vector<OutputColumn> pre_outputs;
-    // Group keys first (named g<i>).
-    for (std::size_t k = 0; k < stmt.group_by.size(); ++k) {
-      OutputColumn oc;
-      oc.name = "g" + std::to_string(k);
-      GEMS_ASSIGN_OR_RETURN(
-          oc.expr,
-          relational::bind_expr(
-              relational::Expr::make_column("", stmt.group_by[k]), scope,
-              params, pool));
-      pre_outputs.push_back(std::move(oc));
+    // Aggregation: group the source rows by their key columns, then
+    // arrange outputs in item order.
+    std::vector<ColumnIndex> keys;
+    for (const std::string& key : stmt.group_by) {
+      GEMS_ASSIGN_OR_RETURN(relational::Slot slot, scope.resolve("", key));
+      keys.push_back(slot.column);
     }
-    // Aggregate inputs (named a<i> aligned with item order).
-    std::vector<AggSpec> aggs;
+    // Aggregates, named a<i> aligned with item order.
+    std::vector<Aggregate> aggs;
     for (std::size_t i = 0; i < stmt.items.size(); ++i) {
       const auto& item = stmt.items[i];
       if (item.agg == AggFunc::kNone) {
@@ -656,32 +673,21 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         }
         continue;
       }
-      AggSpec spec;
-      spec.kind = graql::agg_kind(item.agg);
-      spec.output_name = "a" + std::to_string(i);
+      Aggregate agg;
+      agg.kind = graql::agg_kind(item.agg);
+      agg.output_name = "a" + std::to_string(i);
       if (item.agg != AggFunc::kCountStar) {
-        OutputColumn oc;
-        oc.name = "in" + std::to_string(i);
         GEMS_ASSIGN_OR_RETURN(
-            oc.expr,
-            relational::bind_expr(item.expr, scope, params, pool));
-        spec.input = static_cast<ColumnIndex>(pre_outputs.size());
-        pre_outputs.push_back(std::move(oc));
+            agg.input, relational::bind_expr(item.expr, scope, params, pool));
       }
-      aggs.push_back(std::move(spec));
-    }
-
-    TablePtr pre =
-        relational::project(*source, rows, pre_outputs, "$pre");
-    std::vector<ColumnIndex> keys(stmt.group_by.size());
-    for (std::size_t k = 0; k < keys.size(); ++k) {
-      keys[k] = static_cast<ColumnIndex>(k);
+      aggs.push_back(std::move(agg));
     }
     GEMS_ASSIGN_OR_RETURN(
         TablePtr grouped_table,
-        relational::group_by(*pre, keys, aggs, "$grouped", &scratch));
+        relational::group_by(*source, rows, keys, aggs, "$grouped",
+                             &scratch));
 
-    // Final projection into item order with user-facing names.
+    // Output columns in item order, with user-facing names.
     GEMS_ASSIGN_OR_RETURN(
         std::vector<graql::TableOutput> columns,
         graql::table_query_outputs(stmt, source->schema(), unknown_types));
@@ -703,30 +709,22 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
         ++agg_pos;
       }
     }
-    std::pmr::vector<RowIndex> all(grouped_table->num_rows(), &scratch);
-    for (std::size_t r = 0; r < all.size(); ++r) {
-      all[r] = static_cast<RowIndex>(r);
-    }
-    out = relational::materialize(*grouped_table, all, out_cols, out_name,
-                                  &names);
-    if (stmt.distinct) {
-      out = relational::distinct(*out, out_name, &scratch);
-    }
-    if (!stmt.order_by.empty()) {
-      std::vector<SortKey> sort_keys;
-      for (const auto& ord : stmt.order_by) {
-        auto idx = out->schema().find(ord.column);
-        if (!idx) {
-          return not_found("order by column '" + ord.column +
-                           "' is not an output column");
-        }
-        sort_keys.push_back({*idx, ord.descending});
+    std::vector<SortKey> sort_keys;
+    for (const auto& ord : stmt.order_by) {
+      const auto it = std::find(names.begin(), names.end(), ord.column);
+      if (it == names.end()) {
+        return not_found("order by column '" + ord.column +
+                         "' is not an output column");
       }
-      out = relational::order_by(*out, sort_keys, out_name, &scratch);
+      sort_keys.push_back({out_cols[it - names.begin()], ord.descending});
     }
-    if (stmt.top_n > 0) {
-      out = relational::head(*out, stmt.top_n, out_name, &scratch);
-    }
+    std::pmr::vector<RowIndex> kept =
+        stmt.distinct
+            ? relational::distinct_rows(*grouped_table, out_cols, &scratch)
+            : relational::all_rows(grouped_table->num_rows(), &scratch);
+    relational::sort_rows(*grouped_table, kept, sort_keys, &scratch, limit);
+    out = relational::materialize(*grouped_table, kept, out_cols, out_name,
+                                  &names);
   }
 
   StatementResult result;

@@ -735,6 +735,9 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
       first_row[o] = 0;
     }
   }
+  // The attached sources' candidates are dead once the join is done: give
+  // them back before the attribute table and the CSR are built.
+  full_candidates.clear();
 
   // ---- Edge attribute table ---------------------------------------------
   // One row per edge, in edge order. A delta appends the new edges' rows
@@ -760,6 +763,8 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
       extended->bump_rows(attr_rows.size());
       attr_table = std::move(extended);
     }
+    // Copied into the table: give the rows back before the CSR build.
+    std::pmr::vector<RowIndex>(scratch).swap(attr_rows);
   }
 
   if (base != nullptr) {
@@ -785,13 +790,13 @@ auto endpoints_of(const GraphView& graph) {
 
 /// Runs build(i, scratch) for every i in [0, n), largest cost(i) first, on
 /// `workers`, or on the calling thread without them, and returns the
-/// results by index. Each worker builds from its own arena in `arenas`,
-/// rewound before each build: a type's transient state dies with its
-/// build.
+/// results by index. Each build draws from an arena of its own that is
+/// unmapped as soon as that type is built, so the rebuild's peak is the
+/// built graph plus the scratch of the types building at that moment.
 template <typename T, typename Cost, typename Build>
-std::vector<std::optional<Result<T>>> build_all(
-    std::size_t n, Cost cost, Build build, ThreadPool* workers,
-    std::span<ScratchArena> arenas) {
+std::vector<std::optional<Result<T>>> build_all(std::size_t n, Cost cost,
+                                                Build build,
+                                                ThreadPool* workers) {
   std::vector<std::size_t> order(n);
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(), [&](std::size_t a,
@@ -800,9 +805,7 @@ std::vector<std::optional<Result<T>>> build_all(
   });
   std::vector<std::optional<Result<T>>> out(n);
   const auto run = [&](std::size_t i) {
-    ScratchArena& scratch =
-        arenas[workers != nullptr ? ThreadPool::current_worker() : 0];
-    scratch.rewind();
+    ScratchArena scratch;
     out[i].emplace(build(i, &scratch));
   };
   if (workers == nullptr) {
@@ -885,7 +888,6 @@ Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
   }
 
   // ---- Build concurrently, register in declaration order ----------------
-  std::vector<ScratchArena> arenas(workers != nullptr ? workers->size() : 1);
   GraphView graph;
   auto vertex_types = build_all<VertexType>(
       vertices.size(),
@@ -894,7 +896,7 @@ Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
         return build_vertex_type(vertices[i], static_cast<VertexTypeId>(i),
                                  scratch);
       },
-      workers, arenas);
+      workers);
   for (auto& vt : vertex_types) {
     GEMS_RETURN_IF_ERROR(vt->status());
     GEMS_RETURN_IF_ERROR(graph.add_vertex_type(std::move(*vt).value()));
@@ -907,7 +909,7 @@ Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
         return build_edge_type(graph, edges[i], pool,
                                static_cast<EdgeTypeId>(i), nullptr, scratch);
       },
-      workers, arenas);
+      workers);
   for (auto& et : edge_types) {
     GEMS_RETURN_IF_ERROR(et->status());
     GEMS_RETURN_IF_ERROR(graph.add_edge_type(std::move(*et).value()));

@@ -75,9 +75,9 @@ Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
 /// not depend on `workers`. Then all vertex types build concurrently on
 /// `workers` and register in declaration order, and then all edge types,
 /// largest first, against those vertex types. Without `workers` the same
-/// tasks run on the calling thread. Each worker draws its transient state
-/// from one scratch arena, unmapped when the build returns (DESIGN.md
-/// §5n). Fails with the status of the first failing declaration in
+/// tasks run on the calling thread. Each type's build draws its transient
+/// state from a scratch arena of its own, unmapped as soon as that type
+/// is built (DESIGN.md §5n). Fails with the status of the first failing declaration in
 /// declaration order, vertex types first; the calling thread must not be
 /// one of `workers`.
 Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,

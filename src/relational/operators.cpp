@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 #include <memory>
+#include <numeric>
 
 #include "common/check.hpp"
 #include "relational/row_key.hpp"
@@ -33,6 +34,14 @@ void reallocate(std::pmr::vector<T>& v, std::size_t n, const T& fill) {
   v.assign(n, fill);
 }
 
+/// Slots for `entries` at load at most 1/2: the smallest power of two,
+/// at least 16, that is twice `entries` or more.
+std::size_t capacity_for(std::size_t entries) {
+  std::size_t cap = 16;
+  while (cap < entries * 2) cap <<= 1;
+  return cap;
+}
+
 /// Flat open-addressing map from a 64-bit key hash to the head of a
 /// chain (linear probing, power-of-two capacity, no deletion). The
 /// group-by/join/distinct paths do one find-or-insert per input row;
@@ -56,15 +65,15 @@ class HashHeads {
     return entries * 2 > slots_.size();
   }
 
-  /// Rebuilds with room for `entries`, reinserting entry i under
-  /// entry_hash[i] and relinking `next` (the callers' chain array) in
-  /// place. Chain order within a slot may change; chains only ever
-  /// carry distinct keys plus hash collisions, so order is never
-  /// observable in results.
+  /// Rebuilds at the smallest capacity that holds `entries` at load
+  /// 1/2, reinserting entry i under entry_hash[i] and relinking `next`
+  /// (the callers' chain array) in place. Chain order within a slot may
+  /// change; chains only ever carry distinct keys plus hash collisions,
+  /// so order is never observable in results.
   void rebuild(std::size_t entries,
                std::span<const std::uint64_t> entry_hash,
                std::span<std::uint32_t> next) {
-    reset(entries * 2);  // headroom: next rebuild at 2x current entries
+    reset(entries);
     for (std::size_t g = 0; g < entry_hash.size(); ++g) {
       std::uint32_t& head = slot(entry_hash[g]);
       next[g] = head;
@@ -109,10 +118,8 @@ class HashHeads {
   };
 
   void reset(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap < expected * 2) cap <<= 1;
-    mask_ = cap - 1;
-    reallocate(slots_, cap, Slot{0, kChainEnd});
+    mask_ = capacity_for(expected) - 1;
+    reallocate(slots_, mask_ + 1, Slot{0, kChainEnd});
   }
 
   std::size_t mask_ = 0;
@@ -153,12 +160,13 @@ class KeyCellMap {
     return entries * 2 > slots_.size();
   }
 
-  /// Rebuilds with room for `entries`, reinserting entry i as the cell
-  /// (bits[i], nulls[i]) with hash hashes[i].
+  /// Rebuilds at the smallest capacity that holds `entries` at load
+  /// 1/2, reinserting entry i as the cell (bits[i], nulls[i]) with hash
+  /// hashes[i].
   void rebuild(std::size_t entries, std::span<const std::uint64_t> bits,
                std::span<const std::uint8_t> nulls,
                std::span<const std::uint64_t> hashes) {
-    reset(entries * 2);
+    reset(entries);
     for (std::size_t e = 0; e < hashes.size(); ++e) {
       slot(hashes[e], bits[e], nulls[e]) =
           Slot{bits[e], static_cast<std::uint32_t>(e), nulls[e]};
@@ -173,10 +181,8 @@ class KeyCellMap {
 
  private:
   void reset(std::size_t expected) {
-    std::size_t cap = 16;
-    while (cap < expected * 2) cap <<= 1;
-    mask_ = cap - 1;
-    reallocate(slots_, cap, Slot{0, kChainEnd, 0});
+    mask_ = capacity_for(expected) - 1;
+    reallocate(slots_, mask_ + 1, Slot{0, kChainEnd, 0});
   }
 
   std::size_t mask_ = 0;
@@ -213,6 +219,13 @@ std::pmr::vector<RowIndex> filter_rows(const Table& table,
     out.resize(at + filter_batch(*kernel, batch, scratch, out.data() + at));
   }
   return out;
+}
+
+std::pmr::vector<RowIndex> all_rows(std::size_t n,
+                                    std::pmr::memory_resource* memory) {
+  std::pmr::vector<RowIndex> rows(n, memory);
+  std::iota(rows.begin(), rows.end(), RowIndex{0});
+  return rows;
 }
 
 TablePtr materialize(const Table& src, std::span<const RowIndex> rows,
@@ -408,10 +421,11 @@ struct MinMaxState {
   Value max;
 };
 
-/// First-seen dedup over `keys`, shared by group-by and distinct:
-/// `firsts` collects the first row of each distinct key (in row order)
-/// and, when non-null, entry_of_row[r] receives row r's entry id. Entry
-/// ids are therefore group ids in first-seen row order.
+/// First-seen dedup over `keys` of the `n` rows `rows` lists (rows
+/// [0, n) when null), shared by group-by and distinct: `firsts` collects
+/// the first row of each distinct key (in list order) and, when non-null,
+/// entry_of_row[i] receives the entry id of the i-th listed row. Entry
+/// ids are therefore group ids in first-seen order.
 ///
 /// Keys are compared as normalized cells (key_cells_batch): the batch's
 /// own cells come from sequential column sweeps, each entry keeps one
@@ -425,11 +439,14 @@ struct MinMaxState {
 /// Every array comes from `memory`. The per-entry arrays are reserved for
 /// one entry per row up front, so they never regrow and the hash table,
 /// allocated last, is the memory's latest allocation each time it grows.
-void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
+void dedup_rows_hashed(const Table& src, const RowIndex* rows,
+                       std::size_t n, std::span<const ColumnIndex> keys,
                        std::uint32_t* entry_of_row,
                        std::pmr::vector<RowIndex>& firsts,
                        std::pmr::memory_resource* memory) {
-  const std::size_t n = src.num_rows();
+  const auto row_at = [rows](std::size_t i) {
+    return rows != nullptr ? rows[i] : static_cast<RowIndex>(i);
+  };
   const std::size_t nc = keys.size();
   std::pmr::vector<std::uint64_t> hashes(kBatchRows, memory);
   std::pmr::vector<std::uint64_t> cell_bits(kBatchRows * nc, memory);
@@ -450,7 +467,8 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
     KeyCellMap map(/*expected=*/128, memory);
     for (std::size_t base = 0; base < n; base += kBatchRows) {
       const std::size_t bn = std::min(kBatchRows, n - base);
-      key_cells_batch(src, static_cast<RowIndex>(base), bn, keys[0],
+      key_cells_batch(src, static_cast<RowIndex>(base),
+                      rows != nullptr ? rows + base : nullptr, bn, keys[0],
                       cell_bits.data(), cell_null.data());
       hash_key_cells(cell_bits.data(), cell_null.data(), bn, 1, kBatchRows,
                      hashes.data());
@@ -466,7 +484,7 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
         std::uint32_t e = s.entry;
         if (e == kChainEnd) {
           e = static_cast<std::uint32_t>(firsts.size());
-          firsts.push_back(static_cast<RowIndex>(base + i));
+          firsts.push_back(row_at(base + i));
           entry_hash.push_back(hashes[i]);
           entry_bits.push_back(cell_bits[i]);
           entry_null.push_back(cell_null[i]);
@@ -485,7 +503,8 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
   for (std::size_t base = 0; base < n; base += kBatchRows) {
     const std::size_t bn = std::min(kBatchRows, n - base);
     for (std::size_t c = 0; c < nc; ++c) {
-      key_cells_batch(src, static_cast<RowIndex>(base), bn, keys[c],
+      key_cells_batch(src, static_cast<RowIndex>(base),
+                      rows != nullptr ? rows + base : nullptr, bn, keys[c],
                       cell_bits.data() + c * kBatchRows,
                       cell_null.data() + c * kBatchRows);
     }
@@ -511,7 +530,7 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
       }
       if (e == kChainEnd) {
         e = static_cast<std::uint32_t>(firsts.size());
-        firsts.push_back(static_cast<RowIndex>(base + i));
+        firsts.push_back(row_at(base + i));
         next_entry.push_back(head);
         entry_hash.push_back(hashes[i]);
         for (std::size_t c = 0; c < nc; ++c) {
@@ -525,19 +544,46 @@ void dedup_rows_hashed(const Table& src, std::span<const ColumnIndex> keys,
   }
 }
 
+/// Lane i of an aggregate input as a double: Int64 lanes promote, as
+/// they do into a Double column.
+inline double double_lane(const ValueVector& v, std::size_t i) {
+  return v.kind == TypeKind::kDouble ? v.f64[i]
+                                     : static_cast<double>(v.i64[i]);
+}
+
+/// Lane i of an aggregate input boxed as the input's static type `kind`.
+Value lane_value(const ValueVector& v, std::size_t i, TypeKind kind,
+                 const StringPool& pool) {
+  switch (kind) {
+    case TypeKind::kBool:
+      return Value::boolean(((v.bits[i / 64] >> (i % 64)) & 1u) != 0);
+    case TypeKind::kInt64:
+      return Value::int64(v.i64[i]);
+    case TypeKind::kDate:
+      return Value::date(v.i64[i]);
+    case TypeKind::kDouble:
+      return Value::float64(double_lane(v, i));
+    case TypeKind::kVarchar:
+      return Value::varchar(std::string(pool.view(v.str[i])));
+  }
+  GEMS_UNREACHABLE("bad value kind");
+}
+
 }  // namespace
 
-Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
-                          std::span<const AggSpec> aggs, std::string name,
+Result<TablePtr> group_by(const Table& src, std::span<const RowIndex> rows,
+                          std::span<const ColumnIndex> keys,
+                          std::span<const Aggregate> aggs, std::string name,
                           std::pmr::memory_resource* memory) {
   std::vector<ColumnDef> defs;
   defs.reserve(keys.size() + aggs.size());
-  for (const auto k : keys) defs.push_back(src.schema().column(k));
+  for (std::size_t k = 0; k < keys.size(); ++k) {
+    defs.push_back(
+        {"k" + std::to_string(k), src.schema().column(keys[k]).type});
+  }
   for (const auto& a : aggs) {
     MaybeType input;
-    if (a.kind != AggKind::kCountStar) {
-      input = src.schema().column(a.input).type;
-    }
+    if (a.input != nullptr) input = a.input->type;
     GEMS_ASSIGN_OR_RETURN(MaybeType type, agg_output_type(a.kind, input));
     defs.push_back({a.output_name, *type});
   }
@@ -545,19 +591,22 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
   auto out = std::make_shared<Table>(std::move(name), std::move(schema),
                                      src.pool());
 
-  // Group discovery: one group id per row, first-seen order.
-  std::pmr::vector<std::uint32_t> group_of_row(src.num_rows(), memory);
+  // Group discovery: one group id per listed row, first-seen order.
+  std::pmr::vector<std::uint32_t> group_of_row(rows.size(), memory);
   std::pmr::vector<RowIndex> representatives(memory);
-  dedup_rows_hashed(src, keys, group_of_row.data(), representatives, memory);
+  dedup_rows_hashed(src, rows.data(), rows.size(), keys, group_of_row.data(),
+                    representatives, memory);
 
   // SQL scalar aggregation: no keys -> exactly one row even on empty input.
   const bool scalar_empty = keys.empty() && representatives.empty();
   if (scalar_empty) representatives.push_back(0);
 
-  // Accumulation sweeps rows in global order per aggregate into flat,
-  // kind-compact state arrays (count(*)/count use 8 bytes per group,
-  // sum/avg 24, only min/max the boxed Values). Each aggregate adds in
-  // row order, so floating point sums are independent of grouping.
+  // Accumulation sweeps the rows in list order, a batch at a time: each
+  // aggregate's input kernel evaluates the batch and its lanes add into
+  // flat, kind-compact state arrays (count(*)/count use 8 bytes per
+  // group, sum/avg 16 or 24, only min/max the boxed Values). Each
+  // aggregate adds in row order, so floating point sums are independent
+  // of grouping.
   const std::size_t num_groups = representatives.size();
   // The outer vectors hand `memory` on to each state array.
   std::pmr::vector<std::pmr::vector<std::int64_t>> count_states(aggs.size(),
@@ -568,96 +617,109 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
                                                                  memory);
   std::pmr::vector<std::pmr::vector<MinMaxState>> minmax_states(aggs.size(),
                                                                 memory);
-  const std::uint32_t* groups = group_of_row.data();
+  std::vector<VectorExprPtr> kernels(aggs.size());
+  std::vector<EvalScratch> scratches(aggs.size());
   for (std::size_t a = 0; a < aggs.size(); ++a) {
-    const AggSpec& spec = aggs[a];
-    if (spec.kind == AggKind::kCountStar) {
-      count_states[a].resize(num_groups);
-      std::int64_t* st = count_states[a].data();
-      for (std::size_t r = 0; r < src.num_rows(); ++r) {
-        ++st[groups[r]];
-      }
-      continue;
-    }
-    const Column& col = src.column(spec.input);
+    const Aggregate& spec = aggs[a];
     switch (spec.kind) {
-      case AggKind::kCount: {
+      case AggKind::kCountStar:
+      case AggKind::kCount:
         count_states[a].resize(num_groups);
-        std::int64_t* st = count_states[a].data();
-        for (std::size_t r = 0; r < src.num_rows(); ++r) {
-          if (col.is_null(static_cast<RowIndex>(r))) continue;
-          ++st[groups[r]];
-        }
         break;
-      }
       case AggKind::kSum:
-      case AggKind::kAvg: {
-        if (col.type().kind == TypeKind::kDouble) {
+      case AggKind::kAvg:
+        if (spec.input->type.kind == TypeKind::kDouble) {
           dsum_states[a].resize(num_groups);
-          DoubleSumState* st = dsum_states[a].data();
-          col.double_chunks().for_each_piece(
-              0, src.num_rows(),
-              [&](std::span<const double> vals, std::size_t first) {
-                for (std::size_t i = 0; i < vals.size(); ++i) {
-                  const std::size_t r = first + i;
-                  if (col.is_null(static_cast<RowIndex>(r))) continue;
-                  DoubleSumState& s = st[groups[r]];
-                  ++s.count;
-                  s.dsum += vals[i];
-                }
-              });
         } else {
           sum_states[a].resize(num_groups);
-          SumState* st = sum_states[a].data();
-          for (std::size_t r = 0; r < src.num_rows(); ++r) {
-            const RowIndex row = static_cast<RowIndex>(r);
-            if (col.is_null(row)) continue;
-            SumState& s = st[groups[r]];
-            ++s.count;
-            s.isum = wrap_add(s.isum, col.int64_at(row));
-            s.dsum += static_cast<double>(col.int64_at(row));
-          }
         }
         break;
-      }
       case AggKind::kMin:
-      case AggKind::kMax: {
+      case AggKind::kMax:
         minmax_states[a].resize(num_groups);
-        MinMaxState* st = minmax_states[a].data();
-        for (std::size_t r = 0; r < src.num_rows(); ++r) {
-          const RowIndex row = static_cast<RowIndex>(r);
-          if (col.is_null(row)) continue;
-          MinMaxState& s = st[groups[r]];
-          const Value v = src.value_at(row, spec.input);
-          if (!s.has_value) {
-            s.min = v;
-            s.max = v;
-            s.has_value = true;
-          } else {
-            if (v.compare(s.min) < 0) s.min = v;
-            if (v.compare(s.max) > 0) s.max = v;
-          }
-        }
         break;
+    }
+    if (spec.kind != AggKind::kCountStar) {
+      kernels[a] = compile_operand(*spec.input, src.pool());
+      scratches[a] = kernels[a]->make_scratch();
+    }
+  }
+  for (std::size_t off = 0; off < rows.size(); off += kBatchRows) {
+    const std::size_t n = std::min(kBatchRows, rows.size() - off);
+    const RowBatch batch{&src, 0, rows.data() + off, n};
+    const std::uint32_t* groups = group_of_row.data() + off;
+    for (std::size_t a = 0; a < aggs.size(); ++a) {
+      const Aggregate& spec = aggs[a];
+      if (spec.kind == AggKind::kCountStar) {
+        std::int64_t* st = count_states[a].data();
+        for (std::size_t i = 0; i < n; ++i) ++st[groups[i]];
+        continue;
       }
-      default:
-        GEMS_UNREACHABLE("handled above");
+      const ValueVector v = kernels[a]->eval(batch, scratches[a]);
+      switch (spec.kind) {
+        case AggKind::kCount: {
+          std::int64_t* st = count_states[a].data();
+          for_each_lane(v.valid, n, [&](std::size_t i) { ++st[groups[i]]; });
+          break;
+        }
+        case AggKind::kSum:
+        case AggKind::kAvg:
+          if (spec.input->type.kind == TypeKind::kDouble) {
+            DoubleSumState* st = dsum_states[a].data();
+            for_each_lane(v.valid, n, [&](std::size_t i) {
+              DoubleSumState& s = st[groups[i]];
+              ++s.count;
+              s.dsum += double_lane(v, i);
+            });
+          } else {
+            SumState* st = sum_states[a].data();
+            for_each_lane(v.valid, n, [&](std::size_t i) {
+              SumState& s = st[groups[i]];
+              ++s.count;
+              s.isum = wrap_add(s.isum, v.i64[i]);
+              s.dsum += static_cast<double>(v.i64[i]);
+            });
+          }
+          break;
+        case AggKind::kMin:
+        case AggKind::kMax: {
+          MinMaxState* st = minmax_states[a].data();
+          for_each_lane(v.valid, n, [&](std::size_t i) {
+            MinMaxState& s = st[groups[i]];
+            const Value value =
+                lane_value(v, i, spec.input->type.kind, src.pool());
+            if (!s.has_value) {
+              s.min = value;
+              s.max = value;
+              s.has_value = true;
+            } else {
+              if (value.compare(s.min) < 0) s.min = value;
+              if (value.compare(s.max) > 0) s.max = value;
+            }
+          });
+          break;
+        }
+        case AggKind::kCountStar:
+          GEMS_UNREACHABLE("handled above");
+      }
     }
   }
 
   // Column-at-a-time emission. Byte-identical to boxed per-row appends:
-  // append_from copies payload+validity for key cells (NULL keys write the
-  // scalar append_null payload), typed appends write what append_value
-  // would for each aggregate kind.
+  // append_gather copies payload+validity for key cells (NULL keys write
+  // the scalar append_null payload), typed appends write what
+  // append_value would for each aggregate kind.
   for (std::size_t c = 0; c < keys.size(); ++c) {
     out->column_mut(static_cast<ColumnIndex>(c))
         .append_gather(src.column(keys[c]), representatives.data(),
                        num_groups);
   }
   for (std::size_t a = 0; a < aggs.size(); ++a) {
-    const AggSpec& spec = aggs[a];
+    const Aggregate& spec = aggs[a];
     Column& oc =
         out->column_mut(static_cast<ColumnIndex>(keys.size() + a));
+    const bool double_input =
+        spec.input != nullptr && spec.input->type.kind == TypeKind::kDouble;
     switch (spec.kind) {
       case AggKind::kCountStar:
       case AggKind::kCount: {
@@ -668,7 +730,7 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
         break;
       }
       case AggKind::kSum: {
-        if (src.column(spec.input).type().kind == TypeKind::kDouble) {
+        if (double_input) {
           const DoubleSumState* st = dsum_states[a].data();
           for (std::size_t g = 0; g < num_groups; ++g) {
             if (st[g].count == 0) {
@@ -690,7 +752,7 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
         break;
       }
       case AggKind::kAvg: {
-        if (src.column(spec.input).type().kind == TypeKind::kDouble) {
+        if (double_input) {
           const DoubleSumState* st = dsum_states[a].data();
           for (std::size_t g = 0; g < num_groups; ++g) {
             if (st[g].count == 0) {
@@ -741,6 +803,24 @@ Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
   return out;
 }
 
+Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
+                          std::span<const AggSpec> aggs, std::string name,
+                          std::pmr::memory_resource* memory) {
+  std::vector<Aggregate> columns(aggs.size());
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    columns[a].kind = aggs[a].kind;
+    columns[a].output_name = aggs[a].output_name;
+    if (aggs[a].kind == AggKind::kCountStar) continue;
+    auto ref = std::make_unique<BoundExpr>();
+    ref->kind = BoundExpr::Kind::kColumnRef;
+    ref->type = src.schema().column(aggs[a].input).type;
+    ref->slot = {0, aggs[a].input, ref->type};
+    columns[a].input = std::move(ref);
+  }
+  return group_by(src, all_rows(src.num_rows(), memory), keys, columns,
+                  std::move(name), memory);
+}
+
 namespace {
 
 /// One sort key's cells, gathered by position into flat arrays, so a
@@ -783,10 +863,15 @@ struct SortLane {
 
 }  // namespace
 
-void sort_rows(const Table& src, std::span<RowIndex> rows,
+void sort_rows(const Table& src, std::pmr::vector<RowIndex>& rows,
                std::span<const SortKey> keys,
-               std::pmr::memory_resource* memory) {
+               std::pmr::memory_resource* memory, std::size_t limit) {
   const std::size_t m = rows.size();
+  const std::size_t kept = std::min(limit, m);
+  if (keys.empty()) {
+    rows.resize(kept);
+    return;
+  }
   std::vector<SortLane> lanes;
   lanes.reserve(keys.size());
   for (const SortKey& key : keys) {
@@ -833,30 +918,27 @@ void sort_rows(const Table& src, std::span<RowIndex> rows,
   }
   // Sorts positions. Ties go to the earlier position, which makes the
   // order total: an in-place introsort then gives the stable order
-  // without the merge buffer std::stable_sort takes from the heap.
+  // without the merge buffer std::stable_sort takes from the heap, and a
+  // partial sort gives that order's first `kept`.
   std::pmr::vector<std::uint32_t> order(m, memory);
   for (std::size_t i = 0; i < m; ++i) order[i] = static_cast<std::uint32_t>(i);
-  std::sort(order.begin(), order.end(), [&](std::uint32_t a, std::uint32_t b) {
+  const auto less = [&](std::uint32_t a, std::uint32_t b) {
     for (const SortLane& lane : lanes) {
       const int c = lane.compare(a, b);
       if (c != 0) return lane.descending ? c > 0 : c < 0;
     }
     return a < b;
-  });
-  std::pmr::vector<RowIndex> sorted(m, memory);
-  for (std::size_t i = 0; i < m; ++i) sorted[i] = rows[order[i]];
-  std::copy(sorted.begin(), sorted.end(), rows.begin());
-}
-
-std::pmr::vector<RowIndex> sorted_indices(const Table& src,
-                                          std::span<const SortKey> keys,
-                                          std::pmr::memory_resource* memory) {
-  std::pmr::vector<RowIndex> order(src.num_rows(), memory);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    order[i] = static_cast<RowIndex>(i);
+  };
+  if (kept < m) {
+    std::partial_sort(order.begin(), order.begin() + kept, order.end(),
+                      less);
+  } else {
+    std::sort(order.begin(), order.end(), less);
   }
-  sort_rows(src, order, keys, memory);
-  return order;
+  std::pmr::vector<RowIndex> sorted(kept, memory);
+  for (std::size_t i = 0; i < kept; ++i) sorted[i] = rows[order[i]];
+  rows.resize(kept);
+  std::copy(sorted.begin(), sorted.end(), rows.begin());
 }
 
 namespace {
@@ -873,27 +955,33 @@ std::vector<ColumnIndex> all_columns(const Table& t) {
 
 TablePtr order_by(const Table& src, std::span<const SortKey> keys,
                   std::string name, std::pmr::memory_resource* memory) {
-  const auto order = sorted_indices(src, keys, memory);
+  std::pmr::vector<RowIndex> order = all_rows(src.num_rows(), memory);
+  sort_rows(src, order, keys, memory);
   return materialize(src, order, all_columns(src), std::move(name));
+}
+
+std::pmr::vector<RowIndex> distinct_rows(const Table& src,
+                                         std::span<const ColumnIndex> cols,
+                                         std::pmr::memory_resource* memory) {
+  // First-seen dedup via the shared hashed path (batched key cells, exact
+  // equality per candidate — collisions never merge rows).
+  std::pmr::vector<RowIndex> keep(memory);
+  dedup_rows_hashed(src, /*rows=*/nullptr, src.num_rows(), cols,
+                    /*entry_of_row=*/nullptr, keep, memory);
+  return keep;
 }
 
 TablePtr distinct(const Table& src, std::string name,
                   std::pmr::memory_resource* memory) {
   const auto cols = all_columns(src);
-  // First-seen dedup via the shared hashed path (batched key cells, exact
-  // equality per candidate — collisions never merge rows).
-  std::pmr::vector<RowIndex> keep(memory);
-  dedup_rows_hashed(src, cols, /*entry_of_row=*/nullptr, keep, memory);
-  return materialize(src, keep, cols, std::move(name));
+  return materialize(src, distinct_rows(src, cols, memory), cols,
+                     std::move(name));
 }
 
 TablePtr head(const Table& src, std::size_t n, std::string name,
               std::pmr::memory_resource* memory) {
-  std::pmr::vector<RowIndex> rows(std::min(n, src.num_rows()), memory);
-  for (std::size_t r = 0; r < rows.size(); ++r) {
-    rows[r] = static_cast<RowIndex>(r);
-  }
-  return materialize(src, rows, all_columns(src), std::move(name));
+  return materialize(src, all_rows(std::min(n, src.num_rows()), memory),
+                     all_columns(src), std::move(name));
 }
 
 }  // namespace gems::relational

@@ -4,13 +4,15 @@
 // Joins implement the edge-creation semantics of Eq. 2 and the implicit
 // joins of many-to-one declarations (Figs. 4-5).
 //
-// All operators materialize new tables; intermediate results are the same
-// Table type users query, which is what makes GraQL's "results as tables"
-// composition (paper Sec. II-C1) free. An operator that takes a
-// `memory` resource draws its temporary arrays (row lists, hash tables,
-// group ids, aggregate states, sort permutations) from it; its output
-// table is always on the heap. A table statement passes its ScratchArena
-// (DESIGN.md §5n).
+// Results are the same Table type users query, which is what makes
+// GraQL's "results as tables" composition (paper Sec. II-C1) free. Filter,
+// distinct and order work on row lists (filter_rows, distinct_rows,
+// sort_rows), so a table statement builds only its grouped table and its
+// result: one materialize or project over the rows it keeps. An operator
+// that takes a `memory` resource draws its temporary arrays (row lists,
+// hash tables, group ids, aggregate states, sort permutations) from it;
+// its output table is always on the heap. A table statement passes its
+// ScratchArena (DESIGN.md §5n).
 #pragma once
 
 #include <memory_resource>
@@ -43,6 +45,11 @@ using storage::TablePtr;
 /// only appended rows.
 std::pmr::vector<RowIndex> filter_rows(
     const Table& table, const BoundExpr& predicate, RowIndex first_row = 0,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
+
+/// Rows [0, n) as a row list, in memory from `memory`.
+std::pmr::vector<RowIndex> all_rows(
+    std::size_t n,
     std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Copies `rows` × `cols` of `src` into a new table named `name`, keeping
@@ -89,17 +96,37 @@ Result<TablePtr> hash_join(const Table& left,
 
 // ---- Aggregation ----------------------------------------------------------
 
+/// One aggregate of a table statement: `kind` over `input`, an expression
+/// bound against a single-source TableScope (null for count(*)).
+struct Aggregate {
+  AggKind kind = AggKind::kCountStar;
+  BoundExprPtr input;
+  std::string output_name;
+};
+
+/// GROUP BY `keys`, columns of `src`, over the listed `rows` of `src`.
+/// Key cells are read from `src` itself and each aggregate's input is
+/// evaluated a batch of rows at a time, so no projected input table is
+/// built. With empty `keys`, produces a single global-aggregate row (SQL
+/// scalar aggregation). NULLs are skipped by every aggregate except
+/// count(*). Output schema: one column per key, named k0, k1, ... by
+/// position (a statement may group by one column twice), then one column
+/// per aggregate. Groups appear in first-encounter order (stable), and
+/// each aggregate adds its group's rows in `rows` order.
+Result<TablePtr> group_by(
+    const Table& src, std::span<const RowIndex> rows,
+    std::span<const ColumnIndex> keys, std::span<const Aggregate> aggs,
+    std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
+
 struct AggSpec {
   AggKind kind = AggKind::kCountStar;
   ColumnIndex input = 0;  // ignored for kCountStar
   std::string output_name;
 };
 
-/// GROUP BY `keys` with the given aggregates. With empty `keys`, produces
-/// a single global-aggregate row (SQL scalar aggregation). NULLs are
-/// skipped by every aggregate except count(*). Output schema: the key
-/// columns (source names) followed by one column per aggregate.
-/// Groups appear in first-encounter order (stable).
+/// group_by over every row of `src`, each aggregate over the column
+/// `AggSpec::input`.
 Result<TablePtr> group_by(
     const Table& src, std::span<const ColumnIndex> keys,
     std::span<const AggSpec> aggs, std::string name,
@@ -112,20 +139,28 @@ struct SortKey {
   bool descending = false;
 };
 
-/// Stable-sorts `rows` of `src` by `keys`, with its temporary arrays from
-/// `memory`. NULL sorts first and NaN after every number, ascending.
-void sort_rows(const Table& src, std::span<RowIndex> rows,
-               std::span<const SortKey> keys,
-               std::pmr::memory_resource* memory);
+/// sort_rows' limit for a statement without `top n`.
+inline constexpr std::size_t kNoLimit = static_cast<std::size_t>(-1);
 
-/// Stable-sorted row permutation of `src`.
-std::pmr::vector<RowIndex> sorted_indices(
-    const Table& src, std::span<const SortKey> keys,
-    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
+/// Stable-sorts `rows` of `src` by `keys`, then keeps the first `limit`
+/// (the paper's `top n`), with its temporary arrays from `memory`. Below
+/// the row count only the kept rows are ordered (std::partial_sort); ties
+/// break by position either way, so they are the full sort's first
+/// `limit`. With no keys the order stays as it is. NULL sorts first and
+/// NaN after every number, ascending.
+void sort_rows(const Table& src, std::pmr::vector<RowIndex>& rows,
+               std::span<const SortKey> keys,
+               std::pmr::memory_resource* memory,
+               std::size_t limit = kNoLimit);
 
 /// Materializes `src` in sorted order.
 TablePtr order_by(
     const Table& src, std::span<const SortKey> keys, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
+
+/// The first row of each distinct combination of `cols`, ascending.
+std::pmr::vector<RowIndex> distinct_rows(
+    const Table& src, std::span<const ColumnIndex> cols,
     std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 /// Distinct rows (over all columns), first occurrence kept, input order.

@@ -164,9 +164,18 @@ void hash_row_key_batch(const storage::Table& table, storage::RowIndex base,
 }
 
 void key_cells_batch(const storage::Table& table, storage::RowIndex base,
-                     std::size_t n, storage::ColumnIndex col,
-                     std::uint64_t* bits, std::uint8_t* nulls) {
+                     const storage::RowIndex* rows, std::size_t n,
+                     storage::ColumnIndex col, std::uint64_t* bits,
+                     std::uint8_t* nulls) {
   const Column& column = table.column(col);
+  if (rows != nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      const bool null = column.is_null(rows[i]);
+      nulls[i] = null ? 1 : 0;
+      bits[i] = null ? 0 : key_part_bits(column, rows[i]);
+    }
+    return;
+  }
   for (std::size_t i = 0; i < n; ++i) {
     nulls[i] = column.is_null(base + static_cast<storage::RowIndex>(i)) ? 1 : 0;
   }

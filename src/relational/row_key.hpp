@@ -59,16 +59,18 @@ void hash_row_key_batch(const storage::Table& table, storage::RowIndex base,
                         std::span<const storage::ColumnIndex> cols,
                         std::uint64_t* hashes, std::uint8_t* has_null);
 
-/// Normalized key cells of one column over a contiguous row window:
-/// bits[i] receives the normalized payload of row base+i (0 when NULL,
-/// -0.0 collapsed, strings as interned ids) and nulls[i] the NULL flag.
+/// Normalized key cells of one column: bits[i] receives the normalized
+/// payload of row `rows[i]` (or `base + i` when rows == nullptr — the
+/// contiguous-window case) (0 when NULL, -0.0 collapsed, strings as
+/// interned ids) and nulls[i] the NULL flag.
 /// Two cells are equal in the encode_row_key sense iff their (bits,
 /// null) pairs match, which lets hash-chain verification compare nine
 /// compact bytes per key column instead of re-reading a previously seen
 /// row from the source columns (a cache miss per probe once the table
 /// outgrows cache).
 void key_cells_batch(const storage::Table& table, storage::RowIndex base,
-                     std::size_t n, storage::ColumnIndex col,
+                     const storage::RowIndex* rows, std::size_t n,
+                     storage::ColumnIndex col,
                      std::uint64_t* bits, std::uint8_t* nulls);
 
 /// Key hashes recomputed from normalized cells (column-major, columns

@@ -5,9 +5,9 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <cstring>
 #include <filesystem>
 #include <memory_resource>
-#include <mutex>
 #include <set>
 #include <span>
 #include <string>
@@ -15,12 +15,15 @@
 #include <thread>
 #include <vector>
 
+#include <sys/mman.h>
+
 #include "cluster/coordinator.hpp"
 #include "common/bitset.hpp"
 #include "common/chunked_array.hpp"
 #include "common/crc32.hpp"
 #include "common/hash.hpp"
 #include "common/id_table.hpp"
+#include "common/large_array.hpp"
 #include "common/metrics.hpp"
 #include "common/prng.hpp"
 #include "common/scratch_arena.hpp"
@@ -691,60 +694,73 @@ TEST(ThreadPoolTest, PropagatesExceptions) {
 
 TEST(ThreadPoolTest, CurrentMarksOnlyItsOwnWorkers) {
   EXPECT_EQ(ThreadPool::current(), nullptr);
-  EXPECT_EQ(ThreadPool::current_worker(), 0u);
   ThreadPool outer(2);
   ThreadPool inner(3);
-  std::mutex mu;
-  std::set<std::size_t> outer_workers;
   std::vector<std::future<void>> futures;
   for (int i = 0; i < 16; ++i) {
     futures.push_back(outer.submit([&] {
       EXPECT_EQ(ThreadPool::current(), &outer);
-      const std::size_t w = ThreadPool::current_worker();
-      EXPECT_LT(w, outer.size());
-      {
-        std::lock_guard<std::mutex> lock(mu);
-        outer_workers.insert(w);
-      }
       // A task may fan out to another pool and wait: its workers carry
       // their own marker, and this thread keeps the outer one.
       inner.submit([&] {
         EXPECT_EQ(ThreadPool::current(), &inner);
-        EXPECT_LT(ThreadPool::current_worker(), inner.size());
       }).get();
       EXPECT_EQ(ThreadPool::current(), &outer);
-      EXPECT_EQ(ThreadPool::current_worker(), w);
     }));
   }
   for (auto& f : futures) f.get();
-  EXPECT_FALSE(outer_workers.empty());
   EXPECT_EQ(ThreadPool::current(), nullptr);
 }
 
 // ---- ScratchArena -----------------------------------------------------------
 
-TEST(ScratchArenaTest, RewindReusesTheMappedBlocks) {
-  ScratchArena arena;
-  EXPECT_EQ(arena.mapped_bytes(), 0u);
-  std::pmr::vector<std::uint32_t> a(1000, 7u, &arena);
-  void* first = a.data();
-  EXPECT_EQ(arena.mapped_bytes(), ScratchArena::kBlockBytes);
-  // A request larger than a block gets a block of its own.
-  std::pmr::vector<std::byte> big(ScratchArena::kBlockBytes + 1, &arena);
-  EXPECT_GT(arena.mapped_bytes(), 2 * ScratchArena::kBlockBytes);
-  const std::size_t mapped = arena.mapped_bytes();
-  EXPECT_EQ(a[999], 7u);
+TEST(ScratchArenaTest, MapsBlocksOnDemandAndUnmapsThemWhole) {
+  const std::size_t live = ScratchArena::live_mapped_bytes();
+  {
+    ScratchArena arena;
+    EXPECT_EQ(arena.mapped_bytes(), 0u);
+    std::pmr::vector<std::uint32_t> a(1000, 7u, &arena);
+    EXPECT_EQ(arena.mapped_bytes(), ScratchArena::kBlockBytes);
+    // A request larger than a block gets a block of its own.
+    std::pmr::vector<std::byte> big(ScratchArena::kBlockBytes + 1, &arena);
+    EXPECT_GT(arena.mapped_bytes(), 2 * ScratchArena::kBlockBytes);
+    EXPECT_EQ(ScratchArena::live_mapped_bytes(), live + arena.mapped_bytes());
+    EXPECT_EQ(a[999], 7u);
+    // Aligned allocations stay aligned.
+    void* p = arena.allocate(3, 1);
+    void* q = arena.allocate(64, 64);
+    EXPECT_NE(p, q);
+    EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
+  }
+  EXPECT_EQ(ScratchArena::live_mapped_bytes(), live);
+}
 
-  arena.rewind();
-  std::pmr::vector<std::uint32_t> b(1000, 9u, &arena);
-  EXPECT_EQ(static_cast<void*>(b.data()), first);
-  std::pmr::vector<std::byte> big2(ScratchArena::kBlockBytes + 1, &arena);
-  EXPECT_EQ(arena.mapped_bytes(), mapped);
-  // Aligned allocations stay aligned.
-  void* p = arena.allocate(3, 1);
-  void* q = arena.allocate(64, 64);
-  EXPECT_NE(p, q);
-  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(q) % 64, 0u);
+// Freeing an allocation that is not the latest gives the whole pages of a
+// large one back, so a vector that grew by doubling keeps only its live
+// array resident.
+TEST(ScratchArenaTest, FreeingAnOlderLargeAllocationReleasesItsPages) {
+  const auto resident_pages = [](const void* p, std::size_t bytes) {
+    std::vector<unsigned char> in(bytes / kPageBytes);
+    EXPECT_EQ(mincore(const_cast<void*>(p), bytes, in.data()), 0);
+    return static_cast<std::size_t>(
+        std::count_if(in.begin(), in.end(),
+                      [](unsigned char c) { return (c & 1) != 0; }));
+  };
+  ScratchArena arena;
+  constexpr std::size_t kBytes = std::size_t{1} << 20;
+  // Page-aligned, so every page of the allocation is its own.
+  void* older = arena.allocate(kBytes, kPageBytes);
+  std::memset(older, 0xab, kBytes);
+  void* latest = arena.allocate(kBytes, kPageBytes);
+  std::memset(latest, 0xcd, kBytes);
+  EXPECT_EQ(resident_pages(older, kBytes), kBytes / kPageBytes);
+  arena.deallocate(older, kBytes, kPageBytes);
+  EXPECT_EQ(resident_pages(older, kBytes), 0u);
+  // The latest allocation is rewound, not released: its pages serve the
+  // next allocation.
+  arena.deallocate(latest, kBytes, kPageBytes);
+  EXPECT_EQ(resident_pages(latest, kBytes), kBytes / kPageBytes);
+  EXPECT_EQ(arena.allocate(kBytes, kPageBytes), latest);
 }
 
 // ---- IdTable::compacted -----------------------------------------------------

@@ -2,7 +2,10 @@
 // large_array_resource() maps requests of kPageMapBytes or more itself and
 // sends smaller ones to the heap, and a whole server life cycle (populate,
 // the query mix, ingest folds, checkpoint, recovery) never hands malloc a
-// large block to free, so glibc's mmap threshold stays at its floor.
+// large block to free, so glibc's mmap threshold stays at its floor. And
+// the pooled graph rebuild frees each type's scratch as that type is
+// built, so after populating the peak resident set (VmHWM) is within a
+// few MiB of the resident set (DESIGN.md §5n).
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -276,6 +279,60 @@ TEST(MallocThresholdTest, StaysAtFloorThroughSetupQueriesFoldsAndRecovery) {
   EXPECT_EXIT(std::exit(run_life_cycle(dir)), ::testing::ExitedWithCode(0),
               "");
   fs::remove_all(dir);
+#endif
+}
+
+// ---- The set-up peak ----------------------------------------------------------
+
+/// A /proc/self/status field in KiB ("VmRSS", "VmHWM"); -1 when absent.
+long proc_status_kib(const std::string& field) {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind(field + ":", 0) == 0) {
+      return std::atol(line.c_str() + field.size() + 1);
+    }
+  }
+  return -1;
+}
+
+/// Populates Berlin at scale 20000 with four rebuild workers, in a fresh
+/// child process so that no earlier test has raised the peak. The exit
+/// code says which step failed.
+int run_setup_peak() {
+  server::DatabaseOptions options;
+  options.intra_node_threads = 4;
+  auto made = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(20000, 1), options);
+  if (!made.is_ok()) {
+    std::cerr << made.status().to_string() << "\n";
+    return 3;
+  }
+  const long hwm = proc_status_kib("VmHWM");
+  const long rss = proc_status_kib("VmRSS");
+  if (hwm < 0 || rss < 0) {
+    std::cerr << "no VmHWM/VmRSS in /proc/self/status\n";
+    return 2;
+  }
+  if (hwm - rss > 5 * 1024) {
+    std::cerr << "set-up peak " << hwm << " KiB is " << hwm - rss
+              << " KiB above resident " << rss << " KiB\n";
+    return 1;
+  }
+  return 0;
+}
+
+TEST(SetupPeakTest, PopulateLeavesPeakWithinFiveMiBOfResident) {
+#if defined(GEMS_MEMORY_TEST_SANITIZED)
+  GTEST_SKIP() << "sanitizer allocators keep freed memory in quarantine "
+                  "and add shadow pages";
+#elif !defined(__linux__)
+  GTEST_SKIP() << "reads VmHWM and VmRSS from /proc/self/status";
+#else
+  // threadsafe: the child re-executes this binary, so its peak is this
+  // test's alone.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_EXIT(std::exit(run_setup_peak()), ::testing::ExitedWithCode(0), "");
 #endif
 }
 

@@ -9,9 +9,12 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <numeric>
 
 #include "bsbm/generator.hpp"
 #include "common/scratch_arena.hpp"
+#include "exec/executor.hpp"
+#include "graql/parser.hpp"
 #include "relational/bound_expr.hpp"
 #include "relational/eval.hpp"
 #include "relational/null_semantics.hpp"
@@ -845,6 +848,52 @@ TEST_F(RelationalTest, VectorizedDistinctMatchesRowEngine) {
   }
 }
 
+// Group-by and distinct grow their hash tables as new keys arrive,
+// rebuilding at the smallest capacity that keeps the load at or below
+// 1/2. Distinct-key counts just below, at and above half of each
+// capacity give the oracle's bytes, for one key (the single-cell map)
+// and two (the chained hash heads).
+TEST_F(RelationalTest, HashRebuildBoundariesMatchRowEngine) {
+  using namespace vec_prop;
+  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
+                                  {AggKind::kSum, 3, "sv"}};
+  for (std::size_t half = 8; half <= 4096; half *= 2) {
+    for (const std::size_t keys : {half - 1, half, half + 1}) {
+      SCOPED_TRACE(keys);
+      auto t = std::make_shared<Table>(
+          "K",
+          Schema({{"id", DataType::int64()},
+                  {"hi", DataType::int64()},
+                  {"lo", DataType::int64()},
+                  {"v", DataType::float64()}}),
+          pool_);
+      // Every key appears at least twice, in a scattered order (7919 is
+      // prime, so r -> 7919 r mod keys visits every residue).
+      const std::size_t rows = 2 * keys + 37;
+      for (std::size_t r = 0; r < rows; ++r) {
+        const auto id = static_cast<std::int64_t>((r * 7919) % keys);
+        const std::vector<Value> row{
+            Value::int64(id), Value::int64(id / 3), Value::int64(id % 3),
+            Value::float64(static_cast<double>(r) / 8)};
+        t->append_row_unchecked(row);
+      }
+      const auto all = row_range(0, rows);
+      for (const std::vector<ColumnIndex>& cols :
+           {std::vector<ColumnIndex>{0}, std::vector<ColumnIndex>{1, 2}}) {
+        const auto got = group_by(*t, cols, aggs, "G");
+        ASSERT_TRUE(got.is_ok());
+        ASSERT_EQ((*got)->num_rows(), keys);
+        expect_tables_byte_identical(
+            **got, *oracle::group_by(*t, cols, aggs, "G"), "group_by");
+        const TablePtr narrow = materialize(*t, all, cols, "N");
+        expect_tables_byte_identical(*distinct(*narrow, "D"),
+                                     *oracle::distinct(*narrow, "D"),
+                                     "distinct");
+      }
+    }
+  }
+}
+
 TEST_F(RelationalTest, VectorizedEmptyAndAllFilteredInputs) {
   using namespace vec_prop;
   auto t = make_random_table(pool_, kSweepRows, 0.1, 7);
@@ -1010,6 +1059,199 @@ TEST(ScratchStatementTest, TableStatementsUnmapTheirScratch) {
   const TablePtr sorted = oracle::order_by(*offers, keys, "O");
   vec_prop::expect_tables_byte_identical(
       *ordered, *oracle::head(*sorted, 2500, "H"), "order by, top");
+}
+
+// ---- Table statements against the pipeline they replaced ---------------------
+//
+// A table statement filters, groups, dedups, orders and cuts on row lists
+// and builds only its grouped table and its result. The pipeline before
+// built a table at each step: the group keys and aggregate inputs
+// projected into `$pre`, the grouped table, the outputs, then distinct,
+// order by and top n each over the previous table. old_pipeline composes
+// that pipeline from the row oracle; every statement shape gives its
+// bytes and its column names.
+
+/// The replaced table-statement pipeline over the row oracle.
+TablePtr old_pipeline(const graql::TableQueryStmt& stmt, const Table& src,
+                      StringPool& pool) {
+  const TableScope scope(src);
+  std::vector<storage::RowIndex> rows;
+  if (stmt.where) {
+    auto pred = bind_predicate(stmt.where, scope, {}, pool);
+    GEMS_CHECK(pred.is_ok());
+    const auto kept = oracle::filter_rows(src, **pred);
+    rows.assign(kept.begin(), kept.end());
+  } else {
+    rows = vec_prop::row_range(0, src.num_rows());
+  }
+  const auto bind = [&](const ExprPtr& e) {
+    auto bound = bind_expr(e, scope, {}, pool);
+    GEMS_CHECK(bound.is_ok());
+    return std::move(bound).value();
+  };
+  auto columns = graql::table_query_outputs(
+      stmt, src.schema(), std::vector<MaybeType>(stmt.items.size()));
+  GEMS_CHECK(columns.is_ok());
+  const bool grouped =
+      !stmt.group_by.empty() ||
+      std::any_of(stmt.items.begin(), stmt.items.end(), [](const auto& i) {
+        return i.agg != graql::AggFunc::kNone;
+      });
+
+  TablePtr out;
+  if (!grouped) {
+    std::vector<OutputColumn> outputs;
+    for (const graql::TableOutput& c : *columns) {
+      outputs.push_back(
+          {c.name, bind(c.item != nullptr
+                            ? c.item->expr
+                            : Expr::make_column(
+                                  "", src.schema().column(c.source_column)
+                                          .name))});
+    }
+    bool on_output = true;
+    for (const auto& ord : stmt.order_by) {
+      on_output &= std::any_of(outputs.begin(), outputs.end(),
+                               [&](const auto& o) { return o.name == ord.column; });
+    }
+    // Source order keys sorted the row list before projection.
+    const Table* input = &src;
+    TablePtr sorted;
+    if (!on_output) {
+      std::vector<SortKey> keys;
+      for (const auto& ord : stmt.order_by) {
+        keys.push_back({*src.schema().find(ord.column), ord.descending});
+      }
+      sorted = oracle::order_by(
+          *materialize(src, rows, oracle::all_columns(src), "S"), keys, "S");
+      input = sorted.get();
+      rows = vec_prop::row_range(0, sorted->num_rows());
+    }
+    out = oracle::project(*input, rows, outputs, "result");
+    if (stmt.distinct) out = oracle::distinct(*out, "result");
+    if (!stmt.order_by.empty() && on_output) {
+      std::vector<SortKey> keys;
+      for (const auto& ord : stmt.order_by) {
+        keys.push_back({*out->schema().find(ord.column), ord.descending});
+      }
+      out = oracle::order_by(*out, keys, "result");
+    }
+  } else {
+    std::vector<OutputColumn> pre_outputs;
+    for (std::size_t k = 0; k < stmt.group_by.size(); ++k) {
+      pre_outputs.push_back({"g" + std::to_string(k),
+                             bind(Expr::make_column("", stmt.group_by[k]))});
+    }
+    std::vector<AggSpec> aggs;
+    std::vector<ColumnIndex> out_cols;
+    std::vector<std::string> names;
+    for (std::size_t i = 0; i < stmt.items.size(); ++i) {
+      const graql::SelectItem& item = stmt.items[i];
+      names.push_back((*columns)[i].name);
+      if (item.agg == graql::AggFunc::kNone) {
+        out_cols.push_back(static_cast<ColumnIndex>(
+            std::find(stmt.group_by.begin(), stmt.group_by.end(),
+                      item.expr->column) -
+            stmt.group_by.begin()));
+        continue;
+      }
+      out_cols.push_back(
+          static_cast<ColumnIndex>(stmt.group_by.size() + aggs.size()));
+      AggSpec spec{graql::agg_kind(item.agg), 0, "a" + std::to_string(i)};
+      if (item.agg != graql::AggFunc::kCountStar) {
+        spec.input = static_cast<ColumnIndex>(pre_outputs.size());
+        pre_outputs.push_back({"in" + std::to_string(i), bind(item.expr)});
+      }
+      aggs.push_back(spec);
+    }
+    const TablePtr pre = oracle::project(src, rows, pre_outputs, "$pre");
+    std::vector<ColumnIndex> keys(stmt.group_by.size());
+    std::iota(keys.begin(), keys.end(), ColumnIndex{0});
+    const TablePtr g = oracle::group_by(*pre, keys, aggs, "$grouped");
+    out = materialize(*g, vec_prop::row_range(0, g->num_rows()), out_cols,
+                      "result", &names);
+    if (stmt.distinct) out = oracle::distinct(*out, "result");
+    if (!stmt.order_by.empty()) {
+      std::vector<SortKey> sort_keys;
+      for (const auto& ord : stmt.order_by) {
+        sort_keys.push_back({*out->schema().find(ord.column), ord.descending});
+      }
+      out = oracle::order_by(*out, sort_keys, "result");
+    }
+  }
+  if (stmt.top_n > 0) out = oracle::head(*out, stmt.top_n, "result");
+  return out;
+}
+
+TEST(TableStatementPipelineTest, EveryShapeMatchesTheOldPipeline) {
+  const char* const kStatements[] = {
+      // WHERE + group.
+      "select b, count(*) as n, sum(a) as sa, avg(x) as mx "
+      "from table R where a >= 0 group by b",
+      // Expression aggregate inputs, int and double, promoted and not.
+      "select s, sum(a * 2 + b) as e, avg(x + a) as m, min(x * 2) as lo, "
+      "max(d) as hi, count(y - x) as c from table R group by s",
+      // NULL keys, two of them; scalar aggregation.
+      "select s, b, count(x) as c, min(s) as ms from table R group by s, b",
+      "select count(*) as n, sum(x) as sx, max(s) as ms from table R "
+      "where b > 20",
+      // top n with ties across the n boundary, on the source and on
+      // grouped outputs, and top n past the row count.
+      "select top 100 a, b, s from table R order by b desc",
+      "select top 12 s, b, count(*) as n from table R group by s, b "
+      "order by b",
+      "select top 100000 a, x from table R where b = 3 order by x",
+      "select top 1000 b, count(*) as n from table R group by b "
+      "order by n desc",
+      "select top 5 a, s from table R",
+      // distinct + order by, plain and grouped.
+      "select distinct s, b from table R order by s, b desc",
+      "select top 4 distinct b from table R where a < 0 order by b",
+      "select distinct count(*) as n from table R group by a order by n",
+      "select distinct s from table R",
+      // Order keys naming aliased outputs: computed, a column reference,
+      // an aggregate; and source columns outside the output.
+      "select a as k, x * 2 as dx from table R order by dx desc, k",
+      "select top 20 a as k, s from table R order by k",
+      "select b as g, count(*) as n, avg(y) as m from table R group by b "
+      "order by m desc, g",
+      "select top 10 s from table R order by a desc, x",
+      "select * from table R where x > 0 order by d, a",
+      // One column grouped twice: internal key columns are named by
+      // position.
+      "select b, count(*) as n from table R group by b, b "
+      "order by n desc, b",
+  };
+  std::uint64_t seed = 1100;
+  for (const double nd : vec_prop::kNullDensities) {
+    StringPool pool;
+    exec::ExecContext ctx;
+    ctx.pool = &pool;
+    const TablePtr src = vec_prop::make_random_table(
+        pool, vec_prop::kSweepRows, nd, seed++);
+    ASSERT_TRUE(ctx.tables.add(src).is_ok());
+    const ParamMap params;
+    for (const char* text : kStatements) {
+      SCOPED_TRACE(std::string(text) + " nd=" + std::to_string(nd));
+      auto script = graql::parse_script(text);
+      ASSERT_TRUE(script.is_ok()) << script.status().to_string();
+      ASSERT_EQ(script->statements.size(), 1u);
+      auto got = exec::execute_statement_read(script->statements[0],
+                                              {&ctx, &params, nullptr});
+      ASSERT_TRUE(got.is_ok()) << got.status().to_string();
+      const TablePtr want = old_pipeline(
+          std::get<graql::TableQueryStmt>(script->statements[0]), *src,
+          pool);
+      vec_prop::expect_tables_byte_identical(*got->table, *want, text);
+      ASSERT_EQ(got->table->num_columns(), want->num_columns());
+      for (std::size_t c = 0; c < want->num_columns(); ++c) {
+        const auto col = static_cast<ColumnIndex>(c);
+        EXPECT_EQ(got->table->schema().column(col).name,
+                  want->schema().column(col).name);
+      }
+    }
+    EXPECT_EQ(ScratchArena::live_mapped_bytes(), 0u);
+  }
 }
 
 TEST(NullSemanticsTest, Sql3vlWordFormulasMatchTruthTables) {
