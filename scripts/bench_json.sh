@@ -7,7 +7,8 @@
 #   BENCH_ARGS='--benchmark_filter=Chain' scripts/bench_json.sh bench_parallel_matcher
 #
 # The benchmark is built in its own Release tree (build-release/), and the
-# JSON's context block carries the git revision and our build type next
+# JSON's context block carries the git revision (with a -dirty suffix when
+# the tree has uncommitted changes) and our build type next
 # to google-benchmark's own fields (num_cpus, load, caches). That is what
 # qualifies a baseline: compare timings only against baselines recorded
 # on comparable hardware. (`library_build_type` in the context describes
@@ -32,7 +33,7 @@ cmake --build build-release -j --target "$bench"
 ./build-release/bench/"$bench" \
   --benchmark_out="$out" \
   --benchmark_out_format=json \
-  --benchmark_context=git_sha="$(git rev-parse HEAD)",build_type=Release \
+  --benchmark_context=git_sha="$(git describe --always --abbrev=40 --dirty)",build_type=Release \
   ${BENCH_ARGS:-}
 
 echo "wrote $out"

@@ -257,9 +257,9 @@ class Enumerator {
       for (const AdjacencyPart& part : index.adjacency(from.index)) {
         for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
           ++stats_.extensions;
-          if (!matched_it->second.test(part.edges[i])) continue;
+          if (!matched_it->second.test(part.edge(i))) continue;
           bind_vertex(to_var, VertexRef{to_type, part.neighbors[i]});
-          bind_edge(op.index, EdgeRef{move.type, part.edges[i]});
+          bind_edge(op.index, EdgeRef{move.type, part.edge(i)});
           GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
           if (stop_) return Status::ok();
         }
@@ -287,8 +287,8 @@ class Enumerator {
         for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
           ++stats_.extensions;
           if (part.neighbors[i] != dst.index) continue;
-          if (!matched_it->second.test(part.edges[i])) continue;
-          bind_edge(op.index, EdgeRef{move.type, part.edges[i]});
+          if (!matched_it->second.test(part.edge(i))) continue;
+          bind_edge(op.index, EdgeRef{move.type, part.edge(i)});
           GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
           if (stop_) return Status::ok();
         }

@@ -782,6 +782,7 @@ Status ExecContext::maintain_graph_after_ingest(
     const std::string& table, storage::RowIndex first_new_row) {
   const Timer timer;
   graph::DeltaFolds folds;
+  const graph::GraphView before = graph;
   GEMS_ASSIGN_OR_RETURN(
       const bool delta_applied,
       graph::extend_graph_for_ingest(graph, table, first_new_row,
@@ -789,10 +790,14 @@ Status ExecContext::maintain_graph_after_ingest(
                                      params, &folds));
   if (delta_applied) {
     ++graph_version;
-    // Instance numbering is preserved: named subgraphs stay valid,
-    // zero-padded to the grown type sizes (fresh copies — the old ones
-    // may be shared with pinned epochs).
-    for (auto& [name, sub] : subgraphs) sub = sub->resized_for(graph);
+    // Instance numbering is preserved, except for the edge types the delta
+    // built in full: named subgraphs are zero-padded to the grown type
+    // sizes and follow those types' edges to their new ids (fresh copies —
+    // the old ones may be shared with pinned epochs).
+    if (!folds.renumbered.empty()) ++renumber_version;
+    for (auto& [name, sub] : subgraphs) {
+      sub = sub->resized_for(graph, before, folds.renumbered);
+    }
   } else {
     GEMS_RETURN_IF_ERROR(rebuild_graph());
   }

@@ -57,7 +57,8 @@ struct ExecContext {
   std::uint64_t graph_version = 0;
 
   /// Monotone counter bumped only when existing instance numbering may
-  /// have changed (full rebuild_graph()). Incremental ingest and
+  /// have changed (full rebuild_graph(), or an ingest delta that built an
+  /// edge type in full). Other incremental ingests and
   /// type-appending DDL preserve prior vertex/edge indices, so results
   /// computed against an older graph (subgraph bitsets, overlay commits)
   /// stay valid as long as this counter is unchanged.

@@ -135,7 +135,7 @@ void walk(const Traversal& t, DynamicBitset& out_bits,
             if (stats != nullptr) ++stats->edge_traversals;
             if (out_bits.test(u)) continue;
             if (failed_bits != nullptr && failed_bits->test(u)) continue;
-            if (!edge_ok(*t.et, part.edges[i])) continue;
+            if (!edge_ok(*t.et, part.edge(i))) continue;
             if (!vertex_ok(t.out_type, u)) {
               if (failed_bits != nullptr) failed_bits->set(u);
             } else if (keep(t, u)) {
@@ -194,7 +194,7 @@ void mark_edges(const CsrIndex& index, const DynamicBitset& walk_bits,
           for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
             if (stats != nullptr) ++stats->edge_traversals;
             if (!other_bits.test(part.neighbors[i])) continue;
-            const graph::EdgeIndex e = part.edges[i];
+            const graph::EdgeIndex e = part.edge(i);
             if (edge_ok(e)) out.set(e);
           }
         });

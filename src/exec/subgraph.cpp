@@ -1,5 +1,10 @@
 #include "exec/subgraph.hpp"
 
+#include <algorithm>
+#include <compare>
+#include <tuple>
+#include <vector>
+
 namespace gems::exec {
 
 DynamicBitset& Subgraph::vertices(graph::VertexTypeId type,
@@ -87,6 +92,62 @@ SubgraphPtr Subgraph::resized_for(const graph::GraphView& graph) const {
       grown.resize(graph.edge_type(type).num_edges(), false);
     }
     out->edges_.emplace(type, std::move(grown));
+  }
+  return out;
+}
+
+namespace {
+
+/// `bits` over `was`'s edges, moved to the same edges of `now`, which holds
+/// every edge of `was` (and maybe more) in another order.
+DynamicBitset renumber_edges(const DynamicBitset& bits,
+                             const graph::EdgeType& was,
+                             const graph::EdgeType& now) {
+  struct Keyed {
+    graph::VertexIndex src;
+    graph::VertexIndex dst;
+    graph::EdgeIndex id;
+    auto operator<=>(const Keyed&) const = default;
+  };
+  // Edges ordered by (source, target, id): the k-th edge of a pair in
+  // `was` is the k-th edge of that pair in `now`.
+  auto keyed = [](const graph::EdgeType& et) {
+    std::vector<Keyed> out;
+    out.reserve(et.num_edges());
+    for (graph::EdgeIndex e = 0; e < et.num_edges(); ++e) {
+      out.push_back({et.source_vertex(e), et.target_vertex(e), e});
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  const std::vector<Keyed> from = keyed(was);
+  const std::vector<Keyed> to = keyed(now);
+  DynamicBitset out(now.num_edges());
+  std::size_t j = 0;
+  for (const Keyed& edge : from) {
+    while (j < to.size() &&
+           std::tie(to[j].src, to[j].dst) < std::tie(edge.src, edge.dst)) {
+      ++j;
+    }
+    GEMS_CHECK(j < to.size() && to[j].src == edge.src &&
+               to[j].dst == edge.dst);
+    if (bits.test(edge.id)) out.set(to[j].id);
+    ++j;
+  }
+  return out;
+}
+
+}  // namespace
+
+SubgraphPtr Subgraph::resized_for(
+    const graph::GraphView& graph, const graph::GraphView& before,
+    std::span<const graph::EdgeTypeId> renumbered) const {
+  SubgraphPtr out = resized_for(graph);
+  for (const graph::EdgeTypeId type : renumbered) {
+    auto it = edges_.find(type);
+    if (it == edges_.end()) continue;
+    out->edges_.at(type) = renumber_edges(it->second, before.edge_type(type),
+                                          graph.edge_type(type));
   }
   return out;
 }

@@ -6,6 +6,7 @@
 
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 
 #include "common/bitset.hpp"
@@ -46,6 +47,14 @@ class Subgraph {
   /// the original untouched (it may be shared with pinned epochs whose
   /// graphs still have the old sizes).
   SubgraphPtr resized_for(const graph::GraphView& graph) const;
+
+  /// As resized_for(graph), except that the edges of the `renumbered`
+  /// types, which the ingest built in full (graph::DeltaFolds), move from
+  /// their ids in `before` to the same edges' ids in `graph`. An edge is
+  /// its (source, target) pair; edges sharing one keep their order.
+  SubgraphPtr resized_for(const graph::GraphView& graph,
+                          const graph::GraphView& before,
+                          std::span<const graph::EdgeTypeId> renumbered) const;
 
   /// Human-readable summary ("resultsG: 120 vertices, 204 edges").
   std::string summary() const;

@@ -921,12 +921,28 @@ Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
 Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                   const storage::TableCatalog& tables,
                                   StringPool& pool, const ParamMap& params,
-                                  const EdgeDelta& delta) {
+                                  const EdgeDelta& delta, bool* renumbered) {
   GEMS_CHECK(delta.base != nullptr);
   GEMS_ASSIGN_OR_RETURN(
       BoundEdgeDecl bound,
       bind_edge_decl(decl, endpoints_of(graph), tables, pool, params));
-  return build_edge_type(graph, bound, pool, delta.base->id(), &delta,
+  GEMS_ASSIGN_OR_RETURN(EdgeType et,
+                        build_edge_type(graph, bound, pool, delta.base->id(),
+                                        &delta, large_array_resource()));
+  // A build numbers edges in the order of its source endpoint's rows, so
+  // appended edges are in that order only when the ingested table is that
+  // endpoint's alone. Otherwise new edges belong among the base's.
+  const bool appends_in_order =
+      bound.tables[0]->name() == delta.ingested_table &&
+      std::count_if(bound.tables.begin(), bound.tables.end(),
+                    [&](const TablePtr& t) {
+                      return t->name() == delta.ingested_table;
+                    }) == 1;
+  const bool renumber =
+      !appends_in_order && et.num_edges() > delta.base->num_edges();
+  if (renumbered != nullptr) *renumbered = renumber;
+  if (!renumber) return et;
+  return build_edge_type(graph, bound, pool, delta.base->id(), nullptr,
                          large_array_resource());
 }
 

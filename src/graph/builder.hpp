@@ -107,10 +107,17 @@ struct EdgeDelta {
 /// directions extend the base's through CsrIndex::extend: a new tail over
 /// the shared base, O(tail + delta) until it folds. Transient state is on
 /// large_array_resource().
+///
+/// Appending keeps a full build's edge order only when the ingested table
+/// is the source endpoint's and no other join source's. When it is not
+/// and the join found new edges, the type is built in full instead, so
+/// delta == rebuild byte for byte (DESIGN.md §5n), and `*renumbered` (may
+/// be null) is set: the base's edges may have new ids.
 Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                   const storage::TableCatalog& tables,
                                   StringPool& pool,
                                   const relational::ParamMap& params,
-                                  const EdgeDelta& delta);
+                                  const EdgeDelta& delta,
+                                  bool* renumbered = nullptr);
 
 }  // namespace gems::graph

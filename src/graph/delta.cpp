@@ -95,9 +95,11 @@ Result<bool> extend_graph_for_ingest(
 
     EdgeDelta delta{std::string(table_name), first_new_row,
                     &graph.edge_type(*id)};
-    GEMS_ASSIGN_OR_RETURN(
-        EdgeType et,
-        extend_edge_type(fresh, decl, tables, pool, params, delta));
+    bool renumbered = false;
+    GEMS_ASSIGN_OR_RETURN(EdgeType et,
+                          extend_edge_type(fresh, decl, tables, pool, params,
+                                           delta, &renumbered));
+    if (renumbered) counted.renumbered.push_back(*id);
     counted.csr += !et.forward().shares_base(delta.base->forward());
     counted.csr += !et.reverse().shares_base(delta.base->reverse());
     GEMS_RETURN_IF_ERROR(fresh.add_edge_type(
@@ -105,7 +107,7 @@ Result<bool> extend_graph_for_ingest(
   }
 
   graph = std::move(fresh);
-  if (folds != nullptr) *folds = counted;
+  if (folds != nullptr) *folds = std::move(counted);
   return true;
 }
 

@@ -4,7 +4,9 @@
 // previous graph by shared_ptr, affected vertex types are extended in
 // place-equivalent fashion (stable vertex numbering), and affected edge
 // types re-run the Eq. 2 join only for tuples touching the new rows. The
-// CSR indices and key indices grow by a tail over a shared base.
+// CSR indices and key indices grow by a tail over a shared base. An edge
+// type whose new edges a full build would number among the old ones is
+// built in full instead (extend_edge_type).
 // Replaces the full ctx.rebuild_graph() on the ingest hot path.
 #pragma once
 
@@ -22,10 +24,12 @@ namespace gems::graph {
 
 /// What one extend_graph_for_ingest call folded (DESIGN.md §5n): CSR
 /// directions whose tail became a new base, and vertex key indices whose
-/// tail merged into a new base.
+/// tail merged into a new base; and the edge types it built in full, whose
+/// edge ids changed (extend_edge_type).
 struct DeltaFolds {
   std::uint64_t csr = 0;
   std::uint64_t key_index = 0;
+  std::vector<EdgeTypeId> renumbered;
 };
 
 /// Builds the post-ingest graph from `graph` after `first_new_row`-onward

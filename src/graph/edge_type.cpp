@@ -10,17 +10,18 @@ AdjacencyPart CsrIndex::Tail::part(VertexIndex v) const {
   GEMS_DCHECK(k < touched.size() && touched[k] == v);
   const std::uint32_t begin = offsets[k];
   const std::uint32_t count = offsets[k + 1] - begin;
-  return {{neighbor.data() + begin, count}, {edge.data() + begin, count}};
+  return {{neighbor.data() + begin, count}, edge.data() + begin, 0};
 }
 
 CsrIndex CsrIndex::over(std::shared_ptr<const Base> base) {
   CsrIndex out;
   out.offsets_ = base->offsets.data();
   out.neighbor_ = base->neighbor.data();
-  out.edge_ = base->edge.data();
+  out.edge_ = base->edge.empty() ? nullptr : base->edge.data();
   out.base_vertices_ = base->offsets.size() - 1;
   out.base_edges_ = base->neighbor.size();
   out.num_vertices_ = out.base_vertices_;
+  out.ordered_ = out.edge_ == nullptr;
   out.base_ = std::move(base);
   return out;
 }
@@ -32,10 +33,14 @@ CsrIndex CsrIndex::build(std::size_t n,
   GEMS_CHECK(indexed.size() == other.size());
   auto base = std::make_shared<Base>();
   base->offsets.assign(n + 1, 0);
+  bool ordered = true;
+  VertexIndex last = 0;
   for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
     for (const VertexIndex v : indexed.chunk(c)) {
       GEMS_DCHECK(v < n);
       ++base->offsets[v + 1];
+      ordered &= v >= last;
+      last = v;
     }
   }
   for (std::size_t i = 1; i <= n; ++i) {
@@ -43,10 +48,18 @@ CsrIndex CsrIndex::build(std::size_t n,
   }
 
   base->neighbor.resize(indexed.size());
+  // Both arrays chunk identically, so chunk c of each holds the same edges.
+  if (ordered) {
+    // Edge e sits at position e: the neighbors are `other` in order.
+    for (std::size_t c = 0; c < other.num_chunks(); ++c) {
+      const std::span<const VertexIndex> to = other.chunk(c);
+      std::copy(to.begin(), to.end(), base->neighbor.begin() + c * kChunkRows);
+    }
+    return over(std::move(base));
+  }
   base->edge.resize(indexed.size());
   std::pmr::vector<std::uint32_t> cursor(base->offsets.begin(),
                                          base->offsets.end() - 1, scratch);
-  // Both arrays chunk identically, so chunk c of each holds the same edges.
   for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
     const std::span<const VertexIndex> from = indexed.chunk(c);
     const std::span<const VertexIndex> to = other.chunk(c);
@@ -75,6 +88,12 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   out.num_vertices_ = n;
   out.tail_ = nullptr;
   if (tail_edges == 0) return out;
+  // The appended edges keep the whole sequence ordered when they are
+  // non-decreasing from the last previous edge on.
+  for (std::size_t e = std::max<std::size_t>(first, 1);
+       out.ordered_ && e < indexed.size(); ++e) {
+    out.ordered_ = indexed[e - 1] <= indexed[e];
+  }
 
   // The appended edges as (indexed vertex, edge id), sorted: grouped by
   // vertex, each group in edge order.
@@ -126,7 +145,9 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
 
 Result<CsrIndex> CsrIndex::restore(std::pmr::vector<std::uint32_t> offsets,
                                    std::pmr::vector<VertexIndex> neighbor,
-                                   std::pmr::vector<EdgeIndex> edge) {
+                                   std::pmr::vector<EdgeIndex> edge,
+                                   std::span<const VertexIndex> indexed,
+                                   std::span<const VertexIndex> other) {
   if (offsets.empty()) {
     return invalid_argument("CSR restore: empty offsets array");
   }
@@ -140,19 +161,37 @@ Result<CsrIndex> CsrIndex::restore(std::pmr::vector<std::uint32_t> offsets,
                               std::to_string(i));
     }
   }
-  if (neighbor.size() != edge.size()) {
+  if (neighbor.size() != edge.size() || edge.size() != indexed.size() ||
+      indexed.size() != other.size()) {
     return invalid_argument("CSR restore: parallel array size mismatch");
   }
-  for (const EdgeIndex e : edge) {
-    if (e >= neighbor.size()) {
-      return invalid_argument("CSR restore: edge id " + std::to_string(e) +
-                              " out of range");
+  // Each group's ids are distinct and all index v, so every edge is in
+  // exactly one group once: the edge array is a permutation.
+  bool identity = true;
+  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
+    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+      const EdgeIndex e = edge[i];
+      if (e >= edge.size() || indexed[e] != v) {
+        return invalid_argument("CSR restore: entry " + std::to_string(i) +
+                                " is not an edge of vertex " +
+                                std::to_string(v));
+      }
+      if (i > offsets[v] && e <= edge[i - 1]) {
+        return invalid_argument("CSR restore: edge ids not ascending at " +
+                                std::to_string(i));
+      }
+      if (neighbor[i] != other[e]) {
+        return invalid_argument("CSR restore: neighbor of entry " +
+                                std::to_string(i) + " is not edge " +
+                                std::to_string(e) + "'s endpoint");
+      }
+      identity &= e == i;
     }
   }
   auto base = std::make_shared<Base>();
   base->offsets = std::move(offsets);
   base->neighbor = std::move(neighbor);
-  base->edge = std::move(edge);
+  if (!identity) base->edge = std::move(edge);
   return over(std::move(base));
 }
 

@@ -27,10 +27,18 @@
 namespace gems::graph {
 
 /// One of the at most two pieces of a vertex's adjacency: the other
-/// endpoints and the edge ids of some of its incident edges, in parallel.
+/// endpoints of some of its incident edges, and their edge ids. The ids
+/// are either an array parallel to `neighbors` or, when `edge_ids` is
+/// null, implicit: the i-th edge is `first_edge + i`.
 struct AdjacencyPart {
   std::span<const VertexIndex> neighbors;
-  std::span<const EdgeIndex> edges;
+  const EdgeIndex* edge_ids = nullptr;
+  EdgeIndex first_edge = 0;
+
+  EdgeIndex edge(std::size_t i) const noexcept {
+    return edge_ids != nullptr ? edge_ids[i]
+                               : first_edge + static_cast<EdgeIndex>(i);
+  }
 };
 
 /// A vertex's incident edges as its base part, then its tail part (either
@@ -59,6 +67,10 @@ class Adjacency {
 /// (neighbor, edge) pairs, and one bit per vertex marking the touched
 /// ones. A vertex's base edges all precede its tail edges in edge id
 /// order, so base part then tail part is exactly the flat order.
+///
+/// When the indexed side is non-decreasing over the base's edges, a base
+/// entry's edge id is its position, and the base stores no edge ids. The
+/// tail always stores them.
 class CsrIndex {
  public:
   /// Builds from endpoint arrays: edge e runs indexed_side[e] ->
@@ -102,7 +114,8 @@ class CsrIndex {
     if (v < base_vertices_) {
       const std::uint32_t begin = offsets_[v];
       const std::uint32_t count = offsets_[v + 1] - begin;
-      fn(AdjacencyPart{{neighbor_ + begin, count}, {edge_ + begin, count}});
+      fn(AdjacencyPart{{neighbor_ + begin, count},
+                       edge_ != nullptr ? edge_ + begin : nullptr, begin});
     }
     if (tail_ != nullptr && tail_->touched_bits.test(v)) fn(tail_->part(v));
   }
@@ -124,10 +137,18 @@ class CsrIndex {
 
   /// Bytes of the flat index build() would give for the same edges, so an
   /// index built, extended or restored to the same state reports the same
-  /// size (the `graph.csr.bytes` gauge).
+  /// size (the `graph.csr.bytes` gauge). That index stores edge ids only
+  /// when the indexed side decreases somewhere over all the edges.
   std::size_t byte_size() const noexcept {
     return (num_vertices_ + 1) * sizeof(std::uint32_t) +
-           num_edges() * (sizeof(VertexIndex) + sizeof(EdgeIndex));
+           num_edges() * (sizeof(VertexIndex) +
+                          (ordered_ ? 0 : sizeof(EdgeIndex)));
+  }
+
+  /// True when the base stores no edge ids (its entries' ids are their
+  /// positions).
+  bool implicit_base() const noexcept {
+    return edge_ == nullptr;
   }
 
   /// True when both indices read the same base arrays.
@@ -164,33 +185,57 @@ class CsrIndex {
     }
   }
 
-  /// Calls fn(const AdjacencyPart&) over consecutive runs of the flat
-  /// (neighbor, edge) arrays (num_edges() entries).
+  /// Calls fn(std::span<const VertexIndex> neighbors,
+  /// std::span<const EdgeIndex> edges) over consecutive runs of the flat
+  /// (neighbor, edge) arrays (num_edges() entries). Implicit edge ids are
+  /// written out, a kChunkRows piece at a time.
   template <typename Fn>
   void for_each_flat_run(Fn&& fn) const {
+    std::array<EdgeIndex, kChunkRows> ids;
+    auto emit = [&](const AdjacencyPart& part) {
+      const std::size_t count = part.neighbors.size();
+      if (part.edge_ids != nullptr) {
+        fn(part.neighbors, std::span<const EdgeIndex>(part.edge_ids, count));
+        return;
+      }
+      for (std::size_t at = 0; at < count; at += ids.size()) {
+        const std::size_t n = std::min(ids.size(), count - at);
+        for (std::size_t i = 0; i < n; ++i) ids[i] = part.edge(at + i);
+        fn(part.neighbors.subspan(at, n),
+           std::span<const EdgeIndex>(ids.data(), n));
+      }
+    };
     std::uint32_t from = 0;  // base entries emitted so far
     auto base_run = [&](std::uint32_t to) {
-      if (to > from) fn(AdjacencyPart{{neighbor_ + from, to - from},
-                                      {edge_ + from, to - from}});
+      if (to > from) {
+        emit(AdjacencyPart{{neighbor_ + from, to - from},
+                           edge_ != nullptr ? edge_ + from : nullptr, from});
+      }
       from = to;
     };
     if (tail_ != nullptr) {
       for (const VertexIndex v : tail_->touched) {
         base_run(offsets_[std::min<std::size_t>(v + 1, base_vertices_)]);
-        fn(tail_->part(v));
+        emit(tail_->part(v));
       }
     }
     base_run(static_cast<std::uint32_t>(base_edges_));
   }
 
-  /// Rebuilds an index from serialized arrays, validating the CSR
-  /// invariants (monotone offsets bracketing the arrays, parallel array
-  /// sizes) so corrupt input is rejected rather than read out of bounds.
-  /// The result has an empty tail, and its base takes the arrays over
-  /// (they are copied only when not on large_array_resource()).
+  /// Rebuilds an index from serialized arrays over the endpoint arrays
+  /// `indexed` and `other` (edge e runs indexed[e] -> other[e]). Corrupt
+  /// input is rejected rather than read out of bounds: the offsets must
+  /// be monotone and bracket the arrays, the arrays parallel, and each
+  /// entry of vertex v's group an edge e with indexed[e] == v and
+  /// neighbor == other[e], the group's edge ids ascending. So the edge
+  /// array is a permutation and the index is build()'s. The result has an
+  /// empty tail, and its base takes the arrays over (they are copied only
+  /// when not on large_array_resource()), dropping an identity edge array.
   static Result<CsrIndex> restore(std::pmr::vector<std::uint32_t> offsets,
                                   std::pmr::vector<VertexIndex> neighbor,
-                                  std::pmr::vector<EdgeIndex> edge);
+                                  std::pmr::vector<EdgeIndex> edge,
+                                  std::span<const VertexIndex> indexed,
+                                  std::span<const VertexIndex> other);
 
  private:
   // Every array below comes from large_array_resource() (DESIGN.md §5m):
@@ -199,7 +244,8 @@ class CsrIndex {
   struct Base {
     // Size n+1.
     std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
-    // The other endpoints, grouped by owner, and their edge ids.
+    // The other endpoints, grouped by owner, and their edge ids (empty
+    // when the indexed side is non-decreasing: the ids are positions).
     std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
     std::pmr::vector<EdgeIndex> edge{large_array_resource()};
   };
@@ -223,12 +269,16 @@ class CsrIndex {
   std::shared_ptr<const Base> base_;
   std::shared_ptr<const Tail> tail_;  // null when empty
   std::size_t num_vertices_ = 0;
-  // The base arrays, read on every adjacency() call.
+  // The base arrays, read on every adjacency() call; edge_ is null when
+  // the base's edge ids are implicit.
   const std::uint32_t* offsets_ = nullptr;
   const VertexIndex* neighbor_ = nullptr;
   const EdgeIndex* edge_ = nullptr;
   std::size_t base_vertices_ = 0;
   std::size_t base_edges_ = 0;
+  // Whether the indexed side is non-decreasing over all num_edges()
+  // edges, base and tail: whether build() would store no edge ids.
+  bool ordered_ = true;
 };
 
 class EdgeType {

@@ -803,24 +803,6 @@ Result<TablePtr> group_by(const Table& src, std::span<const RowIndex> rows,
   return out;
 }
 
-Result<TablePtr> group_by(const Table& src, std::span<const ColumnIndex> keys,
-                          std::span<const AggSpec> aggs, std::string name,
-                          std::pmr::memory_resource* memory) {
-  std::vector<Aggregate> columns(aggs.size());
-  for (std::size_t a = 0; a < aggs.size(); ++a) {
-    columns[a].kind = aggs[a].kind;
-    columns[a].output_name = aggs[a].output_name;
-    if (aggs[a].kind == AggKind::kCountStar) continue;
-    auto ref = std::make_unique<BoundExpr>();
-    ref->kind = BoundExpr::Kind::kColumnRef;
-    ref->type = src.schema().column(aggs[a].input).type;
-    ref->slot = {0, aggs[a].input, ref->type};
-    columns[a].input = std::move(ref);
-  }
-  return group_by(src, all_rows(src.num_rows(), memory), keys, columns,
-                  std::move(name), memory);
-}
-
 namespace {
 
 /// One sort key's cells, gathered by position into flat arrays, so a
@@ -941,25 +923,6 @@ void sort_rows(const Table& src, std::pmr::vector<RowIndex>& rows,
   std::copy(sorted.begin(), sorted.end(), rows.begin());
 }
 
-namespace {
-
-std::vector<ColumnIndex> all_columns(const Table& t) {
-  std::vector<ColumnIndex> cols(t.num_columns());
-  for (std::size_t i = 0; i < cols.size(); ++i) {
-    cols[i] = static_cast<ColumnIndex>(i);
-  }
-  return cols;
-}
-
-}  // namespace
-
-TablePtr order_by(const Table& src, std::span<const SortKey> keys,
-                  std::string name, std::pmr::memory_resource* memory) {
-  std::pmr::vector<RowIndex> order = all_rows(src.num_rows(), memory);
-  sort_rows(src, order, keys, memory);
-  return materialize(src, order, all_columns(src), std::move(name));
-}
-
 std::pmr::vector<RowIndex> distinct_rows(const Table& src,
                                          std::span<const ColumnIndex> cols,
                                          std::pmr::memory_resource* memory) {
@@ -969,19 +932,6 @@ std::pmr::vector<RowIndex> distinct_rows(const Table& src,
   dedup_rows_hashed(src, /*rows=*/nullptr, src.num_rows(), cols,
                     /*entry_of_row=*/nullptr, keep, memory);
   return keep;
-}
-
-TablePtr distinct(const Table& src, std::string name,
-                  std::pmr::memory_resource* memory) {
-  const auto cols = all_columns(src);
-  return materialize(src, distinct_rows(src, cols, memory), cols,
-                     std::move(name));
-}
-
-TablePtr head(const Table& src, std::size_t n, std::string name,
-              std::pmr::memory_resource* memory) {
-  return materialize(src, all_rows(std::min(n, src.num_rows()), memory),
-                     all_columns(src), std::move(name));
 }
 
 }  // namespace gems::relational

@@ -119,19 +119,6 @@ Result<TablePtr> group_by(
     std::string name,
     std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
-struct AggSpec {
-  AggKind kind = AggKind::kCountStar;
-  ColumnIndex input = 0;  // ignored for kCountStar
-  std::string output_name;
-};
-
-/// group_by over every row of `src`, each aggregate over the column
-/// `AggSpec::input`.
-Result<TablePtr> group_by(
-    const Table& src, std::span<const ColumnIndex> keys,
-    std::span<const AggSpec> aggs, std::string name,
-    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
-
 // ---- Ordering / dedup / top -----------------------------------------------
 
 struct SortKey {
@@ -153,24 +140,9 @@ void sort_rows(const Table& src, std::pmr::vector<RowIndex>& rows,
                std::pmr::memory_resource* memory,
                std::size_t limit = kNoLimit);
 
-/// Materializes `src` in sorted order.
-TablePtr order_by(
-    const Table& src, std::span<const SortKey> keys, std::string name,
-    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
-
 /// The first row of each distinct combination of `cols`, ascending.
 std::pmr::vector<RowIndex> distinct_rows(
     const Table& src, std::span<const ColumnIndex> cols,
-    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
-
-/// Distinct rows (over all columns), first occurrence kept, input order.
-TablePtr distinct(
-    const Table& src, std::string name,
-    std::pmr::memory_resource* memory = std::pmr::get_default_resource());
-
-/// First `n` rows (paper's `top n`; callers sort first).
-TablePtr head(
-    const Table& src, std::size_t n, std::string name,
     std::pmr::memory_resource* memory = std::pmr::get_default_resource());
 
 }  // namespace gems::relational

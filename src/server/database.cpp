@@ -503,7 +503,8 @@ Result<std::vector<StatementResult>> Database::run_parsed(
     // bitsets are meaningless against the live graph. Rare: delta ingest
     // preserves numbering (base rows keep their indices) and does not
     // bump renumber_version — only a fallback rebuild (parameterized
-    // declarations, a one-to-one key collapse) does.
+    // declarations, a one-to-one key collapse) or a delta that built an
+    // edge type in full (graph::extend_edge_type) does.
     return unavailable(
         "concurrent ingest/DDL renumbered the graph under this script's "
         "subgraph results; re-run the script");

@@ -269,12 +269,14 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
       csr->for_each_flat_offsets(
           [&](std::span<const std::uint32_t> piece) { write_pods(w, piece); });
       w.u64(csr->num_edges());
-      csr->for_each_flat_run([&](const graph::AdjacencyPart& run) {
-        write_pods(w, run.neighbors);
+      csr->for_each_flat_run([&](std::span<const VertexIndex> neighbors,
+                                 std::span<const graph::EdgeIndex>) {
+        write_pods(w, neighbors);
       });
       w.u64(csr->num_edges());
-      csr->for_each_flat_run([&](const graph::AdjacencyPart& run) {
-        write_pods(w, run.edges);
+      csr->for_each_flat_run([&](std::span<const VertexIndex>,
+                                 std::span<const graph::EdgeIndex> edges) {
+        write_pods(w, edges);
       });
     }
   }
@@ -439,7 +441,7 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
       return r.error_at(at, "edge type '" + name + "': bad attr-table flag");
     }
     graph::CsrIndex csrs[2];
-    for (graph::CsrIndex& csr : csrs) {
+    for (const bool forward : {true, false}) {
       GEMS_ASSIGN_OR_RETURN(std::pmr::vector<std::uint32_t> offsets,
                             read_pod_array<std::uint32_t>(r, "CSR offsets"));
       GEMS_ASSIGN_OR_RETURN(std::pmr::vector<VertexIndex> neighbor,
@@ -447,12 +449,13 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
       GEMS_ASSIGN_OR_RETURN(std::pmr::vector<graph::EdgeIndex> edge,
                             read_pod_array<graph::EdgeIndex>(r, "CSR edges"));
       auto restored = graph::CsrIndex::restore(
-          std::move(offsets), std::move(neighbor), std::move(edge));
+          std::move(offsets), std::move(neighbor), std::move(edge),
+          forward ? src : dst, forward ? dst : src);
       if (!restored.is_ok()) {
         return r.error_at(at, "edge type '" + name + "': " +
                                   restored.status().message());
       }
-      csr = std::move(restored).value();
+      csrs[forward ? 0 : 1] = std::move(restored).value();
     }
     // The CSR vertex counts must match the endpoint types they index.
     if (csrs[0].num_vertices() !=

@@ -10,7 +10,7 @@
 #include "bsbm/schema.hpp"
 #include "graql/parser.hpp"
 #include "plan/schedule.hpp"
-#include "relational/operators.hpp"
+#include "relational_oracle.hpp"
 #include "server/database.hpp"
 
 namespace gems::bsbm {

@@ -398,8 +398,8 @@ TEST_F(GraphTest, CsrForwardReverseConsistency) {
     for (const AdjacencyPart& part : fwd.adjacency(v)) {
       for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
         via_fwd.emplace(v, part.neighbors[i]);
-        EXPECT_EQ(et.source_vertex(part.edges[i]), v);
-        EXPECT_EQ(et.target_vertex(part.edges[i]), part.neighbors[i]);
+        EXPECT_EQ(et.source_vertex(part.edge(i)), v);
+        EXPECT_EQ(et.target_vertex(part.edge(i)), part.neighbors[i]);
       }
     }
   }
@@ -485,14 +485,13 @@ void expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
     std::vector<std::pair<VertexIndex, EdgeIndex>> have;
     for (const AdjacencyPart& part : flat.adjacency(v)) {
       for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-        want.emplace_back(part.neighbors[i], part.edges[i]);
+        want.emplace_back(part.neighbors[i], part.edge(i));
       }
     }
     std::size_t parts = 0;
     for (const AdjacencyPart& part : got.adjacency(v)) {
-      ASSERT_EQ(part.neighbors.size(), part.edges.size());
       for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-        have.emplace_back(part.neighbors[i], part.edges[i]);
+        have.emplace_back(part.neighbors[i], part.edge(i));
       }
       ++parts;
     }
@@ -505,25 +504,41 @@ void expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
 TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   std::size_t folds = 0;
   std::size_t shared = 0;
-  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+  std::size_t implicit_under_tail = 0;  // implicit bases with a tail
+  std::size_t form_switches = 0;        // folds of an implicit base into
+                                        // an explicit one
+  // Seeds past 12 append non-decreasing sources, so the forward index has
+  // implicit edge ids, until batch 30 appends a smaller one mid-batch.
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
+    const bool ordered = seed > 12;
     Xoshiro256 rng(seed);
     StringPool pool;
     std::size_t num_src = rng.below(40);
     std::size_t num_dst = 1 + rng.below(40);
     ChunkedArray<VertexIndex> src;
     ChunkedArray<VertexIndex> dst;
+    VertexIndex last_src = 0;
     // Appends `n` edges; a fifth of the endpoints are the newest vertex
     // of their side, so new vertices get edges at once.
-    auto append = [&](std::size_t n) {
+    auto append = [&](std::size_t n, bool break_order) {
       for (std::size_t i = 0; i < n && num_src > 0; ++i) {
-        src.push_back(static_cast<VertexIndex>(
-            rng.chance(0.2) ? num_src - 1 : rng.below(num_src)));
+        if (!ordered) {
+          last_src = static_cast<VertexIndex>(
+              rng.chance(0.2) ? num_src - 1 : rng.below(num_src));
+        } else if (break_order && i == n / 2 && last_src > 0) {
+          last_src = static_cast<VertexIndex>(rng.below(last_src));
+        } else if (last_src + 1 < num_src && rng.chance(0.4)) {
+          last_src += 1 + static_cast<VertexIndex>(
+                              rng.below(std::min<std::size_t>(
+                                  3, num_src - 1 - last_src)));
+        }
+        src.push_back(last_src);
         dst.push_back(static_cast<VertexIndex>(
             rng.chance(0.2) ? num_dst - 1 : rng.below(num_dst)));
       }
     };
-    append(rng.below(300));
+    append(rng.below(300), false);
     EdgeType et = EdgeType::assemble(0, "E", 0, 1, num_src, num_dst, src,
                                      dst, nullptr,
                                      std::pmr::get_default_resource());
@@ -531,10 +546,15 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
       SCOPED_TRACE("batch " + std::to_string(batch));
       num_src += rng.below(4);
       num_dst += rng.below(3);
-      append(rng.below(rng.chance(0.1) ? 120 : 12));
+      const bool break_order = ordered && batch == 30;
+      append(rng.below(rng.chance(0.1) ? 120 : 12) + (break_order ? 2 : 0),
+             break_order);
       EdgeType next = EdgeType::extend(et, num_src, num_dst, src, dst,
                                        nullptr,
                                        std::pmr::get_default_resource());
+      const EdgeType flat = EdgeType::assemble(
+          0, "E", 0, 1, num_src, num_dst, src, dst, nullptr,
+          std::pmr::get_default_resource());
       for (const bool forward : {true, false}) {
         const CsrIndex& before = forward ? et.forward() : et.reverse();
         const CsrIndex& after = forward ? next.forward() : next.reverse();
@@ -543,14 +563,21 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
         } else {
           ++folds;
           EXPECT_EQ(after.tail_edges(), 0u);
+          if (before.implicit_base() && !after.implicit_base()) {
+            ++form_switches;
+          }
+        }
+        if (after.tail_edges() == 0) {
+          EXPECT_EQ(after.implicit_base(),
+                    (forward ? flat.forward() : flat.reverse())
+                        .implicit_base());
+        } else if (after.implicit_base()) {
+          ++implicit_under_tail;
         }
         // A tail never outgrows the fold fraction of the base.
         EXPECT_LE(after.tail_edges() * kTailFoldDivisor,
                   after.num_edges() - after.tail_edges());
       }
-      const EdgeType flat = EdgeType::assemble(
-          0, "E", 0, 1, num_src, num_dst, src, dst, nullptr,
-          std::pmr::get_default_resource());
       expect_same_adjacency(next.forward(), flat.forward());
       expect_same_adjacency(next.reverse(), flat.reverse());
       ASSERT_EQ(snapshot_with(pool, num_src, num_dst, next),
@@ -558,9 +585,113 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
       et = std::move(next);
     }
   }
-  // Both outcomes occurred many times.
+  // Every outcome occurred many times.
   EXPECT_GT(folds, 24u);
   EXPECT_GT(shared, 24u);
+  EXPECT_GT(implicit_under_tail, 24u);
+  EXPECT_GE(form_switches, 4u);
+}
+
+// ---- CSR restore ----------------------------------------------------------
+// restore() accepts exactly the flat arrays build() gives for the endpoint
+// arrays: each entry of vertex v's group is an edge e with indexed[e] == v
+// and neighbor == other[e], the group's ids ascending.
+
+/// The flat (offsets, neighbor, edge) arrays of `index`.
+struct FlatCsr {
+  std::pmr::vector<std::uint32_t> offsets;
+  std::pmr::vector<VertexIndex> neighbor;
+  std::pmr::vector<EdgeIndex> edge;
+};
+FlatCsr flat_arrays(const CsrIndex& index) {
+  FlatCsr out;
+  index.for_each_flat_offsets([&](std::span<const std::uint32_t> piece) {
+    out.offsets.insert(out.offsets.end(), piece.begin(), piece.end());
+  });
+  index.for_each_flat_run([&](std::span<const VertexIndex> neighbors,
+                              std::span<const EdgeIndex> edges) {
+    out.neighbor.insert(out.neighbor.end(), neighbors.begin(),
+                        neighbors.end());
+    out.edge.insert(out.edge.end(), edges.begin(), edges.end());
+  });
+  return out;
+}
+
+class CsrRestoreTest : public ::testing::Test {
+ protected:
+  // Edge e runs source[e] -> target[e]; 3 sources, 3 targets.
+  const std::vector<VertexIndex> source = {1, 0, 1, 2, 0};
+  const std::vector<VertexIndex> target = {0, 2, 1, 2, 0};
+
+  Result<CsrIndex> restore(const FlatCsr& flat) const {
+    return CsrIndex::restore(flat.offsets, flat.neighbor, flat.edge, source,
+                             target);
+  }
+  FlatCsr forward_arrays() const {
+    ChunkedArray<VertexIndex> src;
+    ChunkedArray<VertexIndex> dst;
+    src.append(source.data(), source.size());
+    dst.append(target.data(), target.size());
+    return flat_arrays(CsrIndex::build(3, src, dst,
+                                       std::pmr::get_default_resource()));
+  }
+};
+
+TEST_F(CsrRestoreTest, BuiltArraysRoundTrip) {
+  const FlatCsr flat = forward_arrays();
+  auto restored = restore(flat);
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_FALSE(restored->implicit_base());
+  const FlatCsr again = flat_arrays(*restored);
+  EXPECT_EQ(again.offsets, flat.offsets);
+  EXPECT_EQ(again.neighbor, flat.neighbor);
+  EXPECT_EQ(again.edge, flat.edge);
+}
+
+TEST_F(CsrRestoreTest, IdentityEdgeArrayIsDropped) {
+  // Sorted by source, the edge array is the identity.
+  const std::vector<VertexIndex> sorted = {0, 0, 1, 1, 2};
+  const std::vector<VertexIndex> other = {2, 0, 0, 1, 2};
+  const FlatCsr flat{{0, 2, 4, 5}, {2, 0, 0, 1, 2}, {0, 1, 2, 3, 4}};
+  auto restored =
+      CsrIndex::restore(flat.offsets, flat.neighbor, flat.edge, sorted, other);
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_TRUE(restored->implicit_base());
+  EXPECT_EQ(restored->byte_size(), 4 * sizeof(std::uint32_t) +
+                                       5 * sizeof(VertexIndex));
+  const FlatCsr again = flat_arrays(*restored);
+  EXPECT_EQ(again.edge, flat.edge);
+  EXPECT_EQ(again.neighbor, flat.neighbor);
+}
+
+TEST_F(CsrRestoreTest, RejectsNeighborPastTheOtherSide) {
+  FlatCsr flat = forward_arrays();
+  flat.neighbor[2] = 3;  // the target side has 3 vertices
+  auto restored = restore(flat);
+  ASSERT_FALSE(restored.is_ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CsrRestoreTest, RejectsEdgeIdsSwappedAcrossGroups) {
+  FlatCsr flat = forward_arrays();
+  // Vertex 0's group is edges {1, 4}, vertex 1's {0, 2}: swap 1 and 0,
+  // with their neighbors, so both groups still ascend and every entry
+  // still names its edge's target.
+  ASSERT_EQ(flat.edge, (std::pmr::vector<EdgeIndex>{1, 4, 0, 2, 3}));
+  std::swap(flat.edge[0], flat.edge[2]);
+  std::swap(flat.neighbor[0], flat.neighbor[2]);
+  auto restored = restore(flat);
+  ASSERT_FALSE(restored.is_ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CsrRestoreTest, RejectsDescendingIdsInAGroup) {
+  FlatCsr flat = forward_arrays();
+  std::swap(flat.edge[0], flat.edge[1]);
+  std::swap(flat.neighbor[0], flat.neighbor[1]);
+  auto restored = restore(flat);
+  ASSERT_FALSE(restored.is_ok());
+  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
 }
 
 // ---- GraphView type-level queries ---------------------------------------------

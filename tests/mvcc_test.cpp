@@ -411,6 +411,73 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
   }
 }
 
+// A Knows ingest adds edges that a full build numbers among the base's (in
+// the order of their source person's row), so the delta builds `knows` in
+// full. A named subgraph follows its edges to their new ids, and the
+// result still equals the rebuild byte for byte.
+TEST(DeltaIngestTest, AssociationIngestRenumbersSubgraphEdges) {
+  TempDir dir("delta_renumber");
+  write_people_csvs(dir);
+  write_text_file(dir.sub("knows2.csv"), "ada,barbara\n");
+  server::DatabaseOptions options;
+  options.data_dir = dir.path;
+  server::Database db(options);
+  populate(db);
+  auto r = db.run_script(
+      "select * from graph Person (name = 'grace') --knows--> Person () "
+      "into subgraph G");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+
+  // G's edges as "source>target" names, their ids, and renumber_version.
+  struct Members {
+    std::vector<std::string> pairs;
+    std::vector<std::size_t> ids;
+    std::uint64_t renumber_version = 0;
+  };
+  auto members = [&db] {
+    const EpochPin pin = db.pin_epoch();
+    const exec::ExecContext& ctx = pin.ctx();
+    const graph::EdgeTypeId knows = ctx.graph.find_edge_type("knows").value();
+    const graph::EdgeType& et = ctx.graph.edge_type(knows);
+    const graph::VertexType& people = ctx.graph.vertex_type(et.source_type());
+    Members out;
+    out.renumber_version = ctx.renumber_version;
+    ctx.subgraphs.at("G")->edges(knows)->for_each([&](std::size_t e) {
+      const auto i = static_cast<graph::EdgeIndex>(e);
+      out.pairs.push_back(people.key_string(et.source_vertex(i)) + ">" +
+                          people.key_string(et.target_vertex(i)));
+      out.ids.push_back(e);
+    });
+    return out;
+  };
+  const Members was = members();
+  ASSERT_EQ(was.pairs, std::vector<std::string>{"grace>edsger"});
+
+  r = db.run_script("ingest table Knows 'knows2.csv'");
+  ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  const Members now = members();
+  EXPECT_EQ(now.pairs, was.pairs);
+  // ada>barbara sits before grace's edge now.
+  EXPECT_EQ(now.ids, std::vector<std::size_t>{was.ids[0] + 1});
+  EXPECT_GT(now.renumber_version, was.renumber_version);
+
+  const metrics::Snapshot m = db.metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "mvcc.ingest.rebuild"), 0u);
+  // A rebuild drops the subgraphs, so compare the edges alone.
+  const EpochPin pin = db.pin_epoch();
+  const exec::ExecContext rebuilt = rebuilt_copy(pin);
+  auto endpoints = [](const exec::ExecContext& ctx) {
+    const graph::EdgeType& et = ctx.graph.edge_type(0);
+    return std::pair(std::vector<graph::VertexIndex>(
+                         et.source_vertices().begin(),
+                         et.source_vertices().end()),
+                     std::vector<graph::VertexIndex>(
+                         et.target_vertices().begin(),
+                         et.target_vertices().end()));
+  };
+  EXPECT_EQ(endpoints(pin.ctx()), endpoints(rebuilt));
+}
+
 // Berlin ingests large enough to seal several 1024-row chunks of the
 // ingested tables and of the edge endpoint arrays. The Reviews batches
 // extend the collapsed `reviewFor` and `reviewer` edges with new vertices;
@@ -688,8 +755,8 @@ TEST(DeltaIngestTest, ReadersWalkPinnedEpochWhileWriterFolds) {
               forward ? et->forward() : et->reverse();
           for (graph::VertexIndex v = 0; v < index.num_vertices(); ++v) {
             for (const graph::AdjacencyPart& part : index.adjacency(v)) {
-              for (std::size_t i = 0; i < part.edges.size(); ++i) {
-                const graph::EdgeIndex e = part.edges[i];
+              for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+                const graph::EdgeIndex e = part.edge(i);
                 const bool ok =
                     forward ? et->source_vertex(e) == v &&
                                   et->target_vertex(e) == part.neighbors[i]

@@ -10,6 +10,8 @@
 #include <algorithm>
 #include <cmath>
 #include <map>
+#include <memory>
+#include <memory_resource>
 #include <optional>
 #include <set>
 #include <span>
@@ -22,6 +24,76 @@
 #include "relational/expr_rules.hpp"
 #include "relational/operators.hpp"
 #include "relational/row_key.hpp"
+
+namespace gems::relational {
+
+// ---- Whole-table forms of the kernel operators ----------------------------
+// The executor runs the row-list operators (group_by over rows,
+// sort_rows, distinct_rows) and materializes once. These table-in,
+// table-out forms over them are what the tests compare with the oracle.
+
+struct AggSpec {
+  AggKind kind = AggKind::kCountStar;
+  ColumnIndex input = 0;  // ignored for kCountStar
+  std::string output_name;
+};
+
+inline std::vector<ColumnIndex> columns_of(const Table& src) {
+  std::vector<ColumnIndex> cols(src.num_columns());
+  for (std::size_t c = 0; c < cols.size(); ++c) {
+    cols[c] = static_cast<ColumnIndex>(c);
+  }
+  return cols;
+}
+
+/// group_by over every row of `src`, each aggregate over the column
+/// `AggSpec::input`.
+inline Result<TablePtr> group_by(
+    const Table& src, std::span<const ColumnIndex> keys,
+    std::span<const AggSpec> aggs, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource()) {
+  std::vector<Aggregate> columns(aggs.size());
+  for (std::size_t a = 0; a < aggs.size(); ++a) {
+    columns[a].kind = aggs[a].kind;
+    columns[a].output_name = aggs[a].output_name;
+    if (aggs[a].kind == AggKind::kCountStar) continue;
+    auto ref = std::make_unique<BoundExpr>();
+    ref->kind = BoundExpr::Kind::kColumnRef;
+    ref->type = src.schema().column(aggs[a].input).type;
+    ref->slot = {0, aggs[a].input, ref->type};
+    columns[a].input = std::move(ref);
+  }
+  return group_by(src, all_rows(src.num_rows(), memory), keys, columns,
+                  std::move(name), memory);
+}
+
+/// `src` in sorted order.
+inline TablePtr order_by(
+    const Table& src, std::span<const SortKey> keys, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource()) {
+  std::pmr::vector<RowIndex> order = all_rows(src.num_rows(), memory);
+  sort_rows(src, order, keys, memory);
+  return materialize(src, order, columns_of(src), std::move(name));
+}
+
+/// Distinct rows (over all columns), first occurrence kept, input order.
+inline TablePtr distinct(
+    const Table& src, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource()) {
+  const std::vector<ColumnIndex> cols = columns_of(src);
+  return materialize(src, distinct_rows(src, cols, memory), cols,
+                     std::move(name));
+}
+
+/// The first `n` rows.
+inline TablePtr head(
+    const Table& src, std::size_t n, std::string name,
+    std::pmr::memory_resource* memory = std::pmr::get_default_resource()) {
+  return materialize(src, all_rows(std::min(n, src.num_rows()), memory),
+                     columns_of(src), std::move(name));
+}
+
+}  // namespace gems::relational
 
 namespace gems::relational::oracle {
 
