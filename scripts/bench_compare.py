@@ -4,10 +4,15 @@
     bench_compare.py FILE [--rev REV]    FILE against `git show REV:FILE`
                                          (REV defaults to HEAD)
     bench_compare.py OLD.json NEW.json   two files
+    bench_compare.py A1.json A2.json ... -- B1.json B2.json ...
+                                         several files per side, pooled
     bench_compare.py ... --bound 0.05    the relative bound (default 5%)
     bench_compare.py --self-test         checks on built-in fixtures
 
-A is the earlier recording, B the newer one. Each benchmark's iteration
+A is the earlier recording, B the newer one. Several files per side are
+pooled: each benchmark's repetitions are concatenated in file order, so
+alternating same-session rounds (A1, B1, A2, B2, ...) pair up A[i] with
+B[i]. Each benchmark's iteration
 rows (one per repetition) give its real time, in nanoseconds; a
 benchmark recorded with aggregate rows only
 (--benchmark_report_aggregates_only) gets no verdict. Per benchmark the script prints each side's median over
@@ -54,6 +59,19 @@ def load(text):
         scale = UNIT_NS[row.get("time_unit", "ns")]
         runs.setdefault(name, []).append(row["real_time"] * scale)
     return report.get("context", {}), runs
+
+
+def pool(texts):
+    """load() over several reports, in order: the first report's context
+    and each benchmark's repetitions concatenated, plus every report's
+    context."""
+    contexts, runs = [], {}
+    for text in texts:
+        ctx, file_runs = load(text)
+        contexts.append(ctx)
+        for name, times in file_runs.items():
+            runs.setdefault(name, []).extend(times)
+    return contexts, runs
 
 
 def mismatch(ctx_a, ctx_b):
@@ -152,6 +170,14 @@ def self_test():
         if mismatch(ctx_a, ctx_b) or got.get("BM_X") != want:
             print(f"self-test: {name}: got {got.get('BM_X')}, want {want}")
             failures += 1
+    # Two rounds per side pool in file order and pair up A[i] with B[i].
+    ctxs, pooled_a = pool([fixture([10.0, 10.1]), fixture([10.2])])
+    _, pooled_b = pool([fixture([9.0, 9.1]), fixture([9.2])])
+    got = compare(pooled_a, pooled_b, 0.05, out=io.StringIO())
+    if pooled_a != {"BM_X": [1e7, 1.01e7, 1.02e7]} or len(ctxs) != 2 or \
+            got.get("BM_X") != "gain":
+        print(f"self-test: pooled rounds: got {pooled_a}, {got}")
+        failures += 1
     for kwargs, key in (({"num_cpus": 1}, "num_cpus"),
                         ({"build_type": "Debug"}, "build_type")):
         ctx_b, _ = load(fixture(base, **kwargs))
@@ -160,6 +186,11 @@ def self_test():
             failures += 1
     print("self-test: " + ("ok" if failures == 0 else f"{failures} failure(s)"))
     return 1 if failures else 0
+
+
+def read(path):
+    with open(path) as f:
+        return f.read()
 
 
 def main(argv):
@@ -180,30 +211,35 @@ def main(argv):
                 bound = float(value)
             else:
                 rev = value
-    if len(args) == 1:
-        old_text = subprocess.run(["git", "show", f"{rev}:{args[0]}"],
+    if "--" in args:
+        i = args.index("--")
+        paths_a, paths_b = args[:i], args[i + 1:]
+        if not paths_a or not paths_b:
+            print(__doc__)
+            return 2
+        texts_a = [read(path) for path in paths_a]
+    elif len(args) == 1:
+        texts_a = [subprocess.run(["git", "show", f"{rev}:{args[0]}"],
                                   check=True, capture_output=True,
-                                  text=True).stdout
-        new_path = args[0]
+                                  text=True).stdout]
+        paths_b = args
     elif len(args) == 2:
-        with open(args[0]) as f:
-            old_text = f.read()
-        new_path = args[1]
+        texts_a, paths_b = [read(args[0])], args[1:]
     else:
         print(__doc__)
         return 2
-    with open(new_path) as f:
-        new_text = f.read()
-    ctx_a, runs_a = load(old_text)
-    ctx_b, runs_b = load(new_text)
-    bad = mismatch(ctx_a, ctx_b)
+    ctxs_a, runs_a = pool(texts_a)
+    ctxs_b, runs_b = pool([read(path) for path in paths_b])
+    ctx_a, ctx_b = ctxs_a[0], ctxs_b[0]
+    bad = sorted({key for ctx in ctxs_a[1:] + ctxs_b
+                  for key in mismatch(ctx_a, ctx)})
     if bad:
         for key in bad:
-            print(f"not comparable: {key} is {ctx_a.get(key)!r} in A and "
-                  f"{ctx_b.get(key)!r} in B")
+            print(f"not comparable: {key} differs between the files")
         return 2
-    print(f"A: {ctx_a.get('git_sha', '?')[:12]}  B: "
-          f"{ctx_b.get('git_sha', '?')[:12]}  num_cpus "
+    print(f"A: {ctx_a.get('git_sha', '?')[:12]} ({len(ctxs_a)} file(s))  "
+          f"B: {ctx_b.get('git_sha', '?')[:12]} ({len(ctxs_b)} file(s))  "
+          f"num_cpus "
           f"{ctx_b.get('num_cpus')}  build_type {ctx_b.get('build_type')}  "
           f"bound {bound:.0%}")
     verdicts = compare(runs_a, runs_b, bound)

@@ -88,22 +88,6 @@ class DynamicBitset {
   /// Number of backing 64-bit words. Word w covers bits [w*64, w*64+64).
   std::size_t num_words() const noexcept { return words_.size(); }
 
-  /// Calls fn(index) for every set bit whose word index lies in
-  /// [word_begin, word_end), ascending. `word_end` is clamped.
-  template <typename Fn>
-  void for_each_in_range(std::size_t word_begin, std::size_t word_end,
-                         Fn&& fn) const {
-    if (word_end > words_.size()) word_end = words_.size();
-    for (std::size_t w = word_begin; w < word_end; ++w) {
-      std::uint64_t word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        fn(w * 64 + static_cast<std::size_t>(bit));
-        word &= word - 1;
-      }
-    }
-  }
-
   /// Indices of all set bits.
   std::vector<std::uint32_t> to_indices() const;
 

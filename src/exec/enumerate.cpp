@@ -254,16 +254,23 @@ class Enumerator {
       auto matched_it = matched.find(move.type);
       if (matched_it == matched.end()) continue;
       const CsrIndex& index = walk_forward ? et.forward() : et.reverse();
-      for (const AdjacencyPart& part : index.adjacency(from.index)) {
+      Status status = Status::ok();
+      index.for_each_part(from.index, [&](const AdjacencyPart& part) {
+        if (!status.is_ok() || stop_) return;
         for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
           ++stats_.extensions;
           if (!matched_it->second.test(part.edge(i))) continue;
           bind_vertex(to_var, VertexRef{to_type, part.neighbors[i]});
           bind_edge(op.index, EdgeRef{move.type, part.edge(i)});
-          GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
-          if (stop_) return Status::ok();
+          if (Status s = dfs(op_index + 1); !s.is_ok()) {
+            status = std::move(s);
+            return;
+          }
+          if (stop_) return;
         }
-      }
+      });
+      GEMS_RETURN_IF_ERROR(status);
+      if (stop_) return Status::ok();
     }
     return Status::ok();
   }
@@ -283,16 +290,23 @@ class Enumerator {
       }
       auto matched_it = matched.find(move.type);
       if (matched_it == matched.end()) continue;
-      for (const AdjacencyPart& part : et.forward().adjacency(src.index)) {
+      Status status = Status::ok();
+      et.forward().for_each_part(src.index, [&](const AdjacencyPart& part) {
+        if (!status.is_ok() || stop_) return;
         for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
           ++stats_.extensions;
           if (part.neighbors[i] != dst.index) continue;
           if (!matched_it->second.test(part.edge(i))) continue;
           bind_edge(op.index, EdgeRef{move.type, part.edge(i)});
-          GEMS_RETURN_IF_ERROR(dfs(op_index + 1));
-          if (stop_) return Status::ok();
+          if (Status s = dfs(op_index + 1); !s.is_ok()) {
+            status = std::move(s);
+            return;
+          }
+          if (stop_) return;
         }
-      }
+      });
+      GEMS_RETURN_IF_ERROR(status);
+      if (stop_) return Status::ok();
     }
     return Status::ok();
   }

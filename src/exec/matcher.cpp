@@ -127,9 +127,13 @@ void walk(const Traversal& t, DynamicBitset& out_bits,
           DynamicBitset* failed_bits, MatchStats* stats,
           const EdgeFilter& edge_ok, const VertexFilter& vertex_ok,
           const Keep& keep) {
+  // The part body is forced inline at each of for_each_part's call
+  // sites, one per kind of part; left to itself GCC outlines the
+  // owned-split instance (EXPERIMENTS.md E-SHAREDNEIGHBORS).
   t.from_bits->for_each([&](std::size_t v) {
     t.index->for_each_part(
-        static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
+        static_cast<VertexIndex>(v),
+        [&](const AdjacencyPart& part) __attribute__((always_inline)) {
           for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
             const VertexIndex u = part.neighbors[i];
             if (stats != nullptr) ++stats->edge_traversals;

@@ -620,14 +620,14 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
     // Scan the shorter of the two adjacency lists.
     const bool from_src = fwd.degree(sv) <= rev.degree(dv);
     const VertexIndex want = from_src ? dv : sv;
-    for (const AdjacencyPart& part :
-         from_src ? fwd.adjacency(sv) : rev.adjacency(dv)) {
-      if (std::find(part.neighbors.begin(), part.neighbors.end(), want) !=
-          part.neighbors.end()) {
-        return true;
-      }
-    }
-    return false;
+    bool found = false;
+    (from_src ? fwd : rev)
+        .for_each_part(from_src ? sv : dv, [&](const AdjacencyPart& part) {
+          found = found || std::find(part.neighbors.begin(),
+                                     part.neighbors.end(),
+                                     want) != part.neighbors.end();
+        });
+    return found;
   };
 
   // One join pass, walked depth first. Tuple t holds one row per join

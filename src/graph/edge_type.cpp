@@ -13,15 +13,30 @@ AdjacencyPart CsrIndex::Tail::part(VertexIndex v) const {
   return {{neighbor.data() + begin, count}, edge.data() + begin, 0};
 }
 
-CsrIndex CsrIndex::over(std::shared_ptr<const Base> base) {
+CsrIndex CsrIndex::over(std::shared_ptr<Base> base, bool identity) {
   CsrIndex out;
-  out.offsets_ = base->offsets.data();
-  out.neighbor_ = base->neighbor.data();
-  out.edge_ = base->edge.empty() ? nullptr : base->edge.data();
-  out.base_vertices_ = base->offsets.size() - 1;
-  out.base_edges_ = base->neighbor.size();
+  const bool ordered = base->edge.empty() && base->neighbor.empty();
+  if (ordered) {
+    base->chunks.reserve(base->other.num_chunks());
+    for (std::size_t c = 0; c < base->other.num_chunks(); ++c) {
+      base->chunks.push_back(base->other.chunk(c).data());
+    }
+    out.chunks_ = base->chunks.data();
+    out.base_edges_ = base->other.size();
+  } else {
+    out.neighbor_ = base->neighbor.data();
+    out.edge_ = base->edge.data();
+    out.base_edges_ = base->neighbor.size();
+  }
+  if (base->offsets.empty()) {
+    out.base_vertices_ = out.base_edges_;
+  } else {
+    out.offsets_ = base->offsets.data();
+    out.base_vertices_ = base->offsets.size() - 1;
+  }
   out.num_vertices_ = out.base_vertices_;
-  out.ordered_ = out.edge_ == nullptr;
+  out.ordered_ = ordered;
+  out.identity_ = identity;
   out.base_ = std::move(base);
   return out;
 }
@@ -32,6 +47,21 @@ CsrIndex CsrIndex::build(std::size_t n,
                          std::pmr::memory_resource* scratch) {
   GEMS_CHECK(indexed.size() == other.size());
   auto base = std::make_shared<Base>();
+  // Whether edge e indexes vertex e, found before the degree count (it
+  // stops at the first chunk that breaks it): a unit direction needs
+  // neither the count nor offsets.
+  bool identity = true;
+  for (std::size_t c = 0; identity && c < indexed.num_chunks(); ++c) {
+    const std::span<const VertexIndex> from = indexed.chunk(c);
+    const std::size_t first = c * kChunkRows;
+    for (std::size_t i = 0; i < from.size(); ++i) {
+      identity &= from[i] == first + i;
+    }
+  }
+  if (identity && n == indexed.size()) {
+    base->other = other;
+    return over(std::move(base), true);
+  }
   base->offsets.assign(n + 1, 0);
   bool ordered = true;
   VertexIndex last = 0;
@@ -46,20 +76,17 @@ CsrIndex CsrIndex::build(std::size_t n,
   for (std::size_t i = 1; i <= n; ++i) {
     base->offsets[i] += base->offsets[i - 1];
   }
-
-  base->neighbor.resize(indexed.size());
-  // Both arrays chunk identically, so chunk c of each holds the same edges.
   if (ordered) {
     // Edge e sits at position e: the neighbors are `other` in order.
-    for (std::size_t c = 0; c < other.num_chunks(); ++c) {
-      const std::span<const VertexIndex> to = other.chunk(c);
-      std::copy(to.begin(), to.end(), base->neighbor.begin() + c * kChunkRows);
-    }
-    return over(std::move(base));
+    base->other = other;
+    return over(std::move(base), identity);
   }
+
+  base->neighbor.resize(indexed.size());
   base->edge.resize(indexed.size());
   std::pmr::vector<std::uint32_t> cursor(base->offsets.begin(),
                                          base->offsets.end() - 1, scratch);
+  // Both arrays chunk identically, so chunk c of each holds the same edges.
   for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
     const std::span<const VertexIndex> from = indexed.chunk(c);
     const std::span<const VertexIndex> to = other.chunk(c);
@@ -70,7 +97,7 @@ CsrIndex CsrIndex::build(std::size_t n,
       base->edge[pos] = static_cast<EdgeIndex>(first + i);
     }
   }
-  return over(std::move(base));
+  return over(std::move(base), false);
 }
 
 CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
@@ -93,6 +120,10 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   for (std::size_t e = std::max<std::size_t>(first, 1);
        out.ordered_ && e < indexed.size(); ++e) {
     out.ordered_ = indexed[e - 1] <= indexed[e];
+  }
+  // And they keep it unit when each indexes its own position.
+  for (std::size_t e = first; out.identity_ && e < indexed.size(); ++e) {
+    out.identity_ = indexed[e] == e;
   }
 
   // The appended edges as (indexed vertex, edge id), sorted: grouped by
@@ -143,11 +174,10 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   return out;
 }
 
-Result<CsrIndex> CsrIndex::restore(std::pmr::vector<std::uint32_t> offsets,
-                                   std::pmr::vector<VertexIndex> neighbor,
-                                   std::pmr::vector<EdgeIndex> edge,
-                                   std::span<const VertexIndex> indexed,
-                                   std::span<const VertexIndex> other) {
+Result<CsrIndex> CsrIndex::restore(CsrArrays arrays,
+                                   const ChunkedArray<VertexIndex>& indexed,
+                                   const ChunkedArray<VertexIndex>& other) {
+  const auto& [offsets, neighbor, edge] = arrays;
   if (offsets.empty()) {
     return invalid_argument("CSR restore: empty offsets array");
   }
@@ -167,7 +197,8 @@ Result<CsrIndex> CsrIndex::restore(std::pmr::vector<std::uint32_t> offsets,
   }
   // Each group's ids are distinct and all index v, so every edge is in
   // exactly one group once: the edge array is a permutation.
-  bool identity = true;
+  bool ordered = true;   // the edge array is the identity
+  bool identity = true;  // edge e indexes vertex e
   for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
     for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
       const EdgeIndex e = edge[i];
@@ -185,14 +216,22 @@ Result<CsrIndex> CsrIndex::restore(std::pmr::vector<std::uint32_t> offsets,
                                 std::to_string(i) + " is not edge " +
                                 std::to_string(e) + "'s endpoint");
       }
-      identity &= e == i;
+      ordered &= e == i;
+      identity &= e == v;
     }
   }
+  // Keep what build() would store: an ordered direction's neighbors are
+  // `other`, and a unit direction's offsets are the identity.
+  const bool unit = identity && offsets.size() == edge.size() + 1;
   auto base = std::make_shared<Base>();
-  base->offsets = std::move(offsets);
-  base->neighbor = std::move(neighbor);
-  if (!identity) base->edge = std::move(edge);
-  return over(std::move(base));
+  if (!unit) base->offsets = std::move(arrays.offsets);
+  if (ordered) {
+    base->other = other;
+  } else {
+    base->neighbor = std::move(arrays.neighbor);
+    base->edge = std::move(arrays.edge);
+  }
+  return over(std::move(base), identity);
 }
 
 EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
@@ -250,7 +289,7 @@ Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
                                    std::span<const VertexIndex> src,
                                    std::span<const VertexIndex> dst,
                                    storage::TablePtr attr_table,
-                                   CsrIndex forward, CsrIndex reverse) {
+                                   CsrArrays forward, CsrArrays reverse) {
   if (src.size() != dst.size()) {
     return invalid_argument("edge type '" + name +
                             "' restore: endpoint array size mismatch");
@@ -258,22 +297,6 @@ Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
   if (attr_table != nullptr && attr_table->num_rows() != src.size()) {
     return invalid_argument("edge type '" + name +
                             "' restore: attribute table rows != edges");
-  }
-  if (forward.num_edges() != src.size() || reverse.num_edges() != src.size()) {
-    return invalid_argument("edge type '" + name +
-                            "' restore: CSR entry count != edges");
-  }
-  for (const VertexIndex v : src) {
-    if (v >= forward.num_vertices()) {
-      return invalid_argument("edge type '" + name +
-                              "' restore: source vertex out of range");
-    }
-  }
-  for (const VertexIndex v : dst) {
-    if (v >= reverse.num_vertices()) {
-      return invalid_argument("edge type '" + name +
-                              "' restore: target vertex out of range");
-    }
   }
   EdgeType et;
   et.id_ = id;
@@ -283,8 +306,29 @@ Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
   et.src_.append(src.data(), src.size());
   et.dst_.append(dst.data(), dst.size());
   et.attr_table_ = std::move(attr_table);
-  et.forward_ = std::move(forward);
-  et.reverse_ = std::move(reverse);
+  // The CSRs second: an ordered direction reads the endpoint arrays.
+  for (const bool fwd : {true, false}) {
+    auto csr = CsrIndex::restore(std::move(fwd ? forward : reverse),
+                                 fwd ? et.src_ : et.dst_,
+                                 fwd ? et.dst_ : et.src_);
+    if (!csr.is_ok()) {
+      return invalid_argument("edge type '" + et.name_ + "' restore: " +
+                              csr.status().message());
+    }
+    (fwd ? et.forward_ : et.reverse_) = std::move(csr).value();
+  }
+  for (const VertexIndex v : src) {
+    if (v >= et.forward_.num_vertices()) {
+      return invalid_argument("edge type '" + et.name_ +
+                              "' restore: source vertex out of range");
+    }
+  }
+  for (const VertexIndex v : dst) {
+    if (v >= et.reverse_.num_vertices()) {
+      return invalid_argument("edge type '" + et.name_ +
+                              "' restore: target vertex out of range");
+    }
+  }
   return et;
 }
 

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cstdint>
 #include <memory>
 #include <memory_resource>
 #include <span>
@@ -26,10 +27,10 @@
 
 namespace gems::graph {
 
-/// One of the at most two pieces of a vertex's adjacency: the other
-/// endpoints of some of its incident edges, and their edge ids. The ids
-/// are either an array parallel to `neighbors` or, when `edge_ids` is
-/// null, implicit: the i-th edge is `first_edge + i`.
+/// One piece of a vertex's adjacency: the other endpoints of some of its
+/// incident edges, and their edge ids. The ids are either an array
+/// parallel to `neighbors` or, when `edge_ids` is null, implicit: the i-th
+/// edge is `first_edge + i`.
 struct AdjacencyPart {
   std::span<const VertexIndex> neighbors;
   const EdgeIndex* edge_ids = nullptr;
@@ -41,20 +42,14 @@ struct AdjacencyPart {
   }
 };
 
-/// A vertex's incident edges as its base part, then its tail part (either
-/// may be absent). Concatenated, the parts list the edges in ascending
-/// edge id order, as one flat CSR would.
-class Adjacency {
- public:
-  const AdjacencyPart* begin() const noexcept { return parts_; }
-  const AdjacencyPart* end() const noexcept { return parts_ + count_; }
-
- private:
-  friend class CsrIndex;
-  void add(AdjacencyPart part) noexcept { parts_[count_++] = part; }
-
-  AdjacencyPart parts_[2];
-  std::uint32_t count_ = 0;
+/// The flat arrays of one serialized CSR direction: offsets (one more
+/// than the indexed side's vertices), then the neighbors and edge ids
+/// grouped by indexed vertex. On large_array_resource(), as CsrIndex's
+/// base arrays are, so restore() moves them in without a copy.
+struct CsrArrays {
+  std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
+  std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
+  std::pmr::vector<EdgeIndex> edge{large_array_resource()};
 };
 
 /// Compressed-sparse-row adjacency: for each vertex of the indexed side,
@@ -68,9 +63,16 @@ class Adjacency {
 /// ones. A vertex's base edges all precede its tail edges in edge id
 /// order, so base part then tail part is exactly the flat order.
 ///
-/// When the indexed side is non-decreasing over the base's edges, a base
-/// entry's edge id is its position, and the base stores no edge ids. The
-/// tail always stores them.
+/// The base stores only what the endpoint arrays do not already hold.
+/// When the indexed side is non-decreasing over the base's edges (the
+/// direction is *ordered*), a base entry's edge id is its position and
+/// its neighbor is the other endpoint of that edge: the base stores no
+/// edge ids and no neighbors, and reads the neighbors from a copy of the
+/// other endpoint array, which shares that array's sealed chunks. When in
+/// addition edge e's indexed vertex is e and the indexed side has as many
+/// vertices as edges (the direction is *unit*), vertex v's base entry is
+/// entry v, and the base stores no offsets either. The tail always stores
+/// its neighbors and edge ids.
 class CsrIndex {
  public:
   /// Builds from endpoint arrays: edge e runs indexed_side[e] ->
@@ -102,29 +104,32 @@ class CsrIndex {
     return tail_ == nullptr ? 0 : tail_->neighbor.size();
   }
 
-  /// Calls fn(const AdjacencyPart&) with v's base part, if v is a base
-  /// vertex, then with its tail part, if it has one. The matcher's walks
-  /// use this form: each call site inlines one copy of `fn` per part, so
-  /// the base part runs the loop a flat CSR ran. (Ranging over
-  /// adjacency() in those walks measured slower on the serial matcher
-  /// benchmarks, EXPERIMENTS.md E-CSRTAIL.)
+  /// Calls fn(const AdjacencyPart&) with v's base parts, if v is a base
+  /// vertex, then with its tail part, if it has one; concatenated, the
+  /// parts list v's edges in ascending edge id order, as one flat CSR
+  /// would. An ordered base gives one part per chunk of the other
+  /// endpoint array that v's group touches, and none for an empty group.
+  /// Each call site inlines one copy of `fn` per kind of part (unit,
+  /// flat, view piece, tail), so each runs with its edge-id form and,
+  /// for a unit part, its single entry known (EXPERIMENTS.md E-CSRTAIL,
+  /// E-SHAREDNEIGHBORS).
   template <typename Fn>
   void for_each_part(VertexIndex v, Fn&& fn) const {
     GEMS_DCHECK(v < num_vertices_);
     if (v < base_vertices_) {
-      const std::uint32_t begin = offsets_[v];
-      const std::uint32_t count = offsets_[v + 1] - begin;
-      fn(AdjacencyPart{{neighbor_ + begin, count},
-                       edge_ != nullptr ? edge_ + begin : nullptr, begin});
+      if (offsets_ == nullptr) {
+        // Unit: v's one base entry is entry v.
+        fn(AdjacencyPart{{chunks_[v / kChunkRows] + v % kChunkRows, 1},
+                         nullptr, v});
+      } else if (edge_ != nullptr) {
+        const std::uint32_t begin = offsets_[v];
+        fn(AdjacencyPart{{neighbor_ + begin, offsets_[v + 1] - begin},
+                         edge_ + begin, begin});
+      } else {
+        for_each_view_part(offsets_[v], offsets_[v + 1] - offsets_[v], fn);
+      }
     }
     if (tail_ != nullptr && tail_->touched_bits.test(v)) fn(tail_->part(v));
-  }
-
-  /// v's parts, as for_each_part gives them.
-  Adjacency adjacency(VertexIndex v) const {
-    Adjacency out;
-    for_each_part(v, [&out](const AdjacencyPart& part) { out.add(part); });
-    return out;
   }
 
   std::uint32_t degree(VertexIndex v) const {
@@ -137,19 +142,21 @@ class CsrIndex {
 
   /// Bytes of the flat index build() would give for the same edges, so an
   /// index built, extended or restored to the same state reports the same
-  /// size (the `graph.csr.bytes` gauge). That index stores edge ids only
-  /// when the indexed side decreases somewhere over all the edges.
+  /// size (the `graph.csr.bytes` gauge). That index stores offsets unless
+  /// the direction is unit over all the edges, and neighbors and edge ids
+  /// unless it is ordered over all the edges.
   std::size_t byte_size() const noexcept {
-    return (num_vertices_ + 1) * sizeof(std::uint32_t) +
-           num_edges() * (sizeof(VertexIndex) +
-                          (ordered_ ? 0 : sizeof(EdgeIndex)));
+    return (unit() ? 0 : (num_vertices_ + 1) * sizeof(std::uint32_t)) +
+           (ordered_ ? 0
+                     : num_edges() * (sizeof(VertexIndex) + sizeof(EdgeIndex)));
   }
 
-  /// True when the base stores no edge ids (its entries' ids are their
-  /// positions).
-  bool implicit_base() const noexcept {
-    return edge_ == nullptr;
-  }
+  /// True when the base stores no neighbors and no edge ids: it reads the
+  /// other endpoint array.
+  bool ordered_base() const noexcept { return edge_ == nullptr; }
+
+  /// True when the base stores no offsets either.
+  bool unit_base() const noexcept { return offsets_ == nullptr; }
 
   /// True when both indices read the same base arrays.
   bool shares_base(const CsrIndex& other) const noexcept {
@@ -157,18 +164,35 @@ class CsrIndex {
   }
 
   // ---- Snapshot serialization (gems::store) ---------------------------
-  // The snapshot holds the flat arrays build() would give. These calls
-  // produce them in order, piece by piece, without materializing them.
+  // The snapshot holds the flat arrays build() would give before the
+  // ordered and unit rules: offsets, neighbors and edge ids, all explicit.
+  // These calls produce them in order, piece by piece, without
+  // materializing them.
 
   /// Calls fn(std::span<const std::uint32_t>) over consecutive pieces of
   /// the flat offsets array (num_vertices() + 1 entries).
   template <typename Fn>
   void for_each_flat_offsets(Fn&& fn) const {
-    if (tail_ == nullptr && num_vertices_ == base_vertices_) {
+    if (tail_ == nullptr && num_vertices_ == base_vertices_ &&
+        offsets_ != nullptr) {
       fn(std::span<const std::uint32_t>(offsets_, base_vertices_ + 1));
       return;
     }
     std::array<std::uint32_t, kChunkRows> piece;
+    if (tail_ == nullptr) {
+      // The base's offsets (the identity for a unit base), then its last
+      // one again for each vertex past the base.
+      for (std::size_t first = 0; first <= num_vertices_;
+           first += piece.size()) {
+        const std::size_t n =
+            std::min(piece.size(), num_vertices_ + 1 - first);
+        for (std::size_t i = 0; i < n; ++i) {
+          piece[i] = base_offset(std::min(first + i, base_vertices_));
+        }
+        fn(std::span<const std::uint32_t>(piece.data(), n));
+      }
+      return;
+    }
     std::size_t fill = 0;
     std::size_t k = 0;  // touched vertices below v
     for (std::size_t v = 0; v <= num_vertices_; ++v) {
@@ -177,7 +201,7 @@ class CsrIndex {
         while (k < tail_->touched.size() && tail_->touched[k] < v) ++k;
         below = tail_->offsets[k];
       }
-      piece[fill++] = offsets_[std::min(v, base_vertices_)] + below;
+      piece[fill++] = base_offset(std::min(v, base_vertices_)) + below;
       if (fill == piece.size() || v == num_vertices_) {
         fn(std::span<const std::uint32_t>(piece.data(), fill));
         fill = 0;
@@ -207,15 +231,16 @@ class CsrIndex {
     };
     std::uint32_t from = 0;  // base entries emitted so far
     auto base_run = [&](std::uint32_t to) {
-      if (to > from) {
-        emit(AdjacencyPart{{neighbor_ + from, to - from},
-                           edge_ != nullptr ? edge_ + from : nullptr, from});
+      if (edge_ == nullptr) {
+        for_each_view_part(from, to - from, emit);
+      } else if (to > from) {
+        emit(AdjacencyPart{{neighbor_ + from, to - from}, edge_ + from, from});
       }
       from = to;
     };
     if (tail_ != nullptr) {
       for (const VertexIndex v : tail_->touched) {
-        base_run(offsets_[std::min<std::size_t>(v + 1, base_vertices_)]);
+        base_run(base_offset(std::min<std::size_t>(v + 1, base_vertices_)));
         emit(tail_->part(v));
       }
     }
@@ -229,25 +254,30 @@ class CsrIndex {
   /// entry of vertex v's group an edge e with indexed[e] == v and
   /// neighbor == other[e], the group's edge ids ascending. So the edge
   /// array is a permutation and the index is build()'s. The result has an
-  /// empty tail, and its base takes the arrays over (they are copied only
-  /// when not on large_array_resource()), dropping an identity edge array.
-  static Result<CsrIndex> restore(std::pmr::vector<std::uint32_t> offsets,
-                                  std::pmr::vector<VertexIndex> neighbor,
-                                  std::pmr::vector<EdgeIndex> edge,
-                                  std::span<const VertexIndex> indexed,
-                                  std::span<const VertexIndex> other);
+  /// empty tail, and its base is the one build() gives: it takes the
+  /// arrays over (they are copied only when not on large_array_resource())
+  /// and then drops what the endpoint arrays hold, as build() never
+  /// stores it.
+  static Result<CsrIndex> restore(CsrArrays arrays,
+                                  const ChunkedArray<VertexIndex>& indexed,
+                                  const ChunkedArray<VertexIndex>& other);
 
  private:
-  // Every array below comes from large_array_resource() (DESIGN.md §5m):
-  // a fold retires a base whole, and freeing it must not hand malloc one
-  // large block.
+  // The offsets, neighbor and edge arrays come from
+  // large_array_resource() (DESIGN.md §5m): a fold retires a base whole,
+  // and freeing it must not hand malloc one large block.
   struct Base {
-    // Size n+1.
+    // Size n+1; empty when the direction is unit.
     std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
-    // The other endpoints, grouped by owner, and their edge ids (empty
-    // when the indexed side is non-decreasing: the ids are positions).
+    // The other endpoints, grouped by owner, and their edge ids; both
+    // empty when the direction is ordered.
     std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
     std::pmr::vector<EdgeIndex> edge{large_array_resource()};
+    // When ordered, the other endpoint array (its sealed chunks shared,
+    // only the partial last chunk copied) and a pointer to each of its
+    // chunks: entry i is chunks[i / kChunkRows][i % kChunkRows].
+    ChunkedArray<VertexIndex> other;
+    std::vector<const VertexIndex*> chunks;
   };
   struct Tail {
     // Ascending, and their offsets (size touched+1).
@@ -263,22 +293,53 @@ class CsrIndex {
     AdjacencyPart part(VertexIndex v) const;
   };
 
-  /// An index over `base` with no tail.
-  static CsrIndex over(std::shared_ptr<const Base> base);
+  /// An index over `base` with no tail. `identity` says whether edge e's
+  /// indexed vertex is e for every base edge.
+  static CsrIndex over(std::shared_ptr<Base> base, bool identity);
+
+  /// Where vertex v's base group starts; v <= base_vertices_.
+  std::uint32_t base_offset(std::size_t v) const noexcept {
+    return offsets_ != nullptr ? offsets_[v] : static_cast<std::uint32_t>(v);
+  }
+
+  /// Calls fn(const AdjacencyPart&) over entries [begin, begin + count)
+  /// of an ordered base, one part per chunk piece.
+  template <typename Fn>
+  void for_each_view_part(std::uint32_t begin, std::uint32_t count,
+                          Fn& fn) const {
+    while (count > 0) {
+      const std::uint32_t at = begin % kChunkRows;
+      const std::uint32_t k =
+          std::min(count, static_cast<std::uint32_t>(kChunkRows) - at);
+      fn(AdjacencyPart{{chunks_[begin / kChunkRows] + at, k}, nullptr, begin});
+      begin += k;
+      count -= k;
+    }
+  }
+
+  /// Whether build() over all num_edges() edges would store no offsets.
+  bool unit() const noexcept {
+    return identity_ && num_vertices_ == num_edges();
+  }
 
   std::shared_ptr<const Base> base_;
   std::shared_ptr<const Tail> tail_;  // null when empty
   std::size_t num_vertices_ = 0;
-  // The base arrays, read on every adjacency() call; edge_ is null when
-  // the base's edge ids are implicit.
+  // The base arrays, read on every for_each_part() call: offsets_ is null
+  // when the base is unit, neighbor_ and edge_ when it is ordered, and
+  // chunks_ is read only then.
   const std::uint32_t* offsets_ = nullptr;
   const VertexIndex* neighbor_ = nullptr;
   const EdgeIndex* edge_ = nullptr;
+  const VertexIndex* const* chunks_ = nullptr;
   std::size_t base_vertices_ = 0;
   std::size_t base_edges_ = 0;
   // Whether the indexed side is non-decreasing over all num_edges()
-  // edges, base and tail: whether build() would store no edge ids.
+  // edges, base and tail: whether build() would store no neighbors and
+  // no edge ids.
   bool ordered_ = true;
+  // Whether edge e's indexed vertex is e for all num_edges() edges.
+  bool identity_ = true;
 };
 
 class EdgeType {
@@ -344,16 +405,18 @@ class EdgeType {
   Result<storage::ColumnIndex> resolve_attribute(std::string_view name) const;
 
   /// Snapshot restore (gems::store): reassembles an edge type from
-  /// serialized endpoint arrays and prebuilt CSR indices (no join re-run,
-  /// no index rebuild — recovery loads at deserialization speed).
-  /// Validates that the pieces are mutually consistent.
+  /// serialized endpoint arrays and the flat arrays of both CSR
+  /// directions (no join re-run, no index rebuild — recovery loads at
+  /// deserialization speed). The endpoint arrays are built first, since
+  /// an ordered direction reads its neighbors from them. Validates that
+  /// the pieces are mutually consistent.
   static Result<EdgeType> restore(EdgeTypeId id, std::string name,
                                   VertexTypeId src_type,
                                   VertexTypeId dst_type,
                                   std::span<const VertexIndex> src,
                                   std::span<const VertexIndex> dst,
                                   storage::TablePtr attr_table,
-                                  CsrIndex forward, CsrIndex reverse);
+                                  CsrArrays forward, CsrArrays reverse);
 
  private:
   EdgeType() = default;

@@ -58,33 +58,6 @@ bool GraphView::has_edge_type(std::string_view name) const {
   return edge_by_name_.contains(std::string(name));
 }
 
-std::vector<EdgeTypeId> GraphView::edge_types_between(VertexTypeId src,
-                                                      VertexTypeId dst) const {
-  std::vector<EdgeTypeId> out;
-  for (const auto& et : edge_types_) {
-    if (et->source_type() == src && et->target_type() == dst) {
-      out.push_back(et->id());
-    }
-  }
-  return out;
-}
-
-std::vector<EdgeTypeId> GraphView::edge_types_from(VertexTypeId src) const {
-  std::vector<EdgeTypeId> out;
-  for (const auto& et : edge_types_) {
-    if (et->source_type() == src) out.push_back(et->id());
-  }
-  return out;
-}
-
-std::vector<EdgeTypeId> GraphView::edge_types_into(VertexTypeId dst) const {
-  std::vector<EdgeTypeId> out;
-  for (const auto& et : edge_types_) {
-    if (et->target_type() == dst) out.push_back(et->id());
-  }
-  return out;
-}
-
 std::size_t GraphView::total_vertices() const noexcept {
   std::size_t n = 0;
   for (const auto& vt : vertex_types_) n += vt->num_vertices();

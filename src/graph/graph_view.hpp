@@ -68,15 +68,6 @@ class GraphView {
   }
   std::size_t num_edge_types() const noexcept { return edge_types_.size(); }
 
-  /// ∪_j E_j(V_a, V_b): all edge types with source `src` and target `dst`
-  /// (paper Sec. II-A1 notation; drives `[ ]` steps, Eq. 10).
-  std::vector<EdgeTypeId> edge_types_between(VertexTypeId src,
-                                             VertexTypeId dst) const;
-
-  /// Edge types whose source (resp. target) is the given vertex type.
-  std::vector<EdgeTypeId> edge_types_from(VertexTypeId src) const;
-  std::vector<EdgeTypeId> edge_types_into(VertexTypeId dst) const;
-
   /// |V| and |E| of the overall graph.
   std::size_t total_vertices() const noexcept;
   std::size_t total_edges() const noexcept;

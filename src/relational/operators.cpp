@@ -279,121 +279,6 @@ TablePtr project(const Table& src, std::span<const RowIndex> rows,
   return out;
 }
 
-Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
-    const Table& left, std::span<const ColumnIndex> left_keys,
-    const Table& right, std::span<const ColumnIndex> right_keys) {
-  if (left_keys.size() != right_keys.size() || left_keys.empty()) {
-    return invalid_argument("join key arity mismatch");
-  }
-  for (std::size_t i = 0; i < left_keys.size(); ++i) {
-    const DataType& lt = left.schema().column(left_keys[i]).type;
-    const DataType& rt = right.schema().column(right_keys[i]).type;
-    // Int64/Double cross-type equi-joins would need promoted encoding;
-    // the type checker upstream only admits identical-kind join keys.
-    if (lt.kind != rt.kind) {
-      return type_error("join keys '" +
-                        left.schema().column(left_keys[i]).name + "' (" +
-                        lt.to_string() + ") and '" +
-                        right.schema().column(right_keys[i]).name + "' (" +
-                        rt.to_string() + ") have different types");
-    }
-  }
-
-  // Build on the smaller side.
-  const bool build_left = left.num_rows() <= right.num_rows();
-  const Table& build = build_left ? left : right;
-  const Table& probe = build_left ? right : left;
-  const std::span<const ColumnIndex> build_keys =
-      build_left ? left_keys : right_keys;
-  const std::span<const ColumnIndex> probe_keys =
-      build_left ? right_keys : left_keys;
-
-  std::vector<std::pair<RowIndex, RowIndex>> out;
-
-  // Hash → chain table over raw 64-bit key hashes, filled and probed in
-  // batches with column-at-a-time bulk hashing (no per-row key-string
-  // allocations). Chains carry hash collisions AND equal keys; probes
-  // verify exact key equality per candidate. Pair order is normalized by
-  // the final sort, so chain order never shows in results.
-  std::vector<std::uint64_t> hashes(kBatchRows);
-  std::vector<std::uint8_t> nulls(kBatchRows);
-
-  const std::size_t bn = build.num_rows();
-  HashHeads heads(bn, std::pmr::get_default_resource());
-  std::vector<std::uint32_t> next(bn, kChainEnd);
-  for (std::size_t base = 0; base < bn; base += kBatchRows) {
-    const std::size_t n = std::min(kBatchRows, bn - base);
-    hash_row_key_batch(build, static_cast<RowIndex>(base), nullptr, n,
-                       build_keys, hashes.data(), nulls.data());
-    for (std::size_t i = 0; i < n; ++i) heads.prefetch(hashes[i]);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (nulls[i] != 0) continue;  // SQL: NULL keys never match
-      const RowIndex row = static_cast<RowIndex>(base + i);
-      std::uint32_t& head = heads.slot(hashes[i]);
-      next[row] = head;  // LIFO chain; kChainEnd when first
-      head = row;
-    }
-  }
-
-  const std::size_t pn = probe.num_rows();
-  for (std::size_t base = 0; base < pn; base += kBatchRows) {
-    const std::size_t n = std::min(kBatchRows, pn - base);
-    hash_row_key_batch(probe, static_cast<RowIndex>(base), nullptr, n,
-                       probe_keys, hashes.data(), nulls.data());
-    for (std::size_t i = 0; i < n; ++i) heads.prefetch(hashes[i]);
-    for (std::size_t i = 0; i < n; ++i) {
-      if (nulls[i] != 0) continue;
-      const RowIndex row = static_cast<RowIndex>(base + i);
-      for (std::uint32_t b = heads.find(hashes[i]); b != kChainEnd;
-           b = next[b]) {
-        if (!row_keys_equal(build, b, build_keys, probe, row, probe_keys)) {
-          continue;
-        }
-        out.emplace_back(build_left ? b : row, build_left ? row : b);
-      }
-    }
-  }
-
-  // Deterministic output order regardless of build-side choice and of
-  // hash/chain order.
-  std::sort(out.begin(), out.end());
-  return out;
-}
-
-Result<TablePtr> hash_join(const Table& left,
-                           std::span<const ColumnIndex> left_keys,
-                           const Table& right,
-                           std::span<const ColumnIndex> right_keys,
-                           std::span<const JoinOutput> outputs,
-                           std::string name) {
-  GEMS_ASSIGN_OR_RETURN(auto pairs,
-                        hash_join_pairs(left, left_keys, right, right_keys));
-  std::vector<ColumnDef> defs;
-  defs.reserve(outputs.size());
-  for (const auto& o : outputs) {
-    const Table& t = o.side == JoinOutput::kLeft ? left : right;
-    defs.push_back({o.name, t.schema().column(o.column).type});
-  }
-  auto out = std::make_shared<Table>(std::move(name), Schema(std::move(defs)),
-                                     left.pool());
-  std::vector<RowIndex> left_rows, right_rows;
-  left_rows.reserve(pairs.size());
-  right_rows.reserve(pairs.size());
-  for (const auto& [l, r] : pairs) {
-    left_rows.push_back(l);
-    right_rows.push_back(r);
-  }
-  for (std::size_t c = 0; c < outputs.size(); ++c) {
-    const auto& o = outputs[c];
-    const Table& t = o.side == JoinOutput::kLeft ? left : right;
-    const auto& rows = o.side == JoinOutput::kLeft ? left_rows : right_rows;
-    out->column_mut(static_cast<ColumnIndex>(c))
-        .append_gather(t.column(o.column), rows.data(), pairs.size());
-  }
-  out->bump_rows(pairs.size());
-  return out;
-}
-
 namespace {
 
 // Per-group accumulator state, split by aggregate kind so each

@@ -71,29 +71,6 @@ struct OutputColumn {
 TablePtr project(const Table& src, std::span<const RowIndex> rows,
                  std::span<const OutputColumn> outputs, std::string name);
 
-// ---- Join ---------------------------------------------------------------
-
-/// Equi-join row pairs: every (l, r) with left[l][left_keys] ==
-/// right[r][right_keys]. Rows with NULL in any key never match (SQL
-/// semantics). Key columns must be pairwise comparable (checked).
-Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
-    const Table& left, std::span<const ColumnIndex> left_keys,
-    const Table& right, std::span<const ColumnIndex> right_keys);
-
-struct JoinOutput {
-  enum Side { kLeft, kRight } side;
-  ColumnIndex column;
-  std::string name;
-};
-
-/// Materializing equi-join.
-Result<TablePtr> hash_join(const Table& left,
-                           std::span<const ColumnIndex> left_keys,
-                           const Table& right,
-                           std::span<const ColumnIndex> right_keys,
-                           std::span<const JoinOutput> outputs,
-                           std::string name);
-
 // ---- Aggregation ----------------------------------------------------------
 
 /// One aggregate of a table statement: `kind` over `input`, an expression

@@ -561,11 +561,17 @@ std::vector<CatalogEntry> Database::catalog_from(
     entries.push_back({CatalogEntry::Kind::kVertexType, vt.name(),
                        vt.num_vertices(), vt.byte_size()});
   }
+  // An edge line counts all the edge type holds: its endpoint arrays, both
+  // CSR directions and its attribute table, which no table line lists
+  // (the edge build materializes it in edge order).
   for (graph::EdgeTypeId e = 0; e < ctx.graph.num_edge_types(); ++e) {
     const auto& et = ctx.graph.edge_type(e);
     entries.push_back(
         {CatalogEntry::Kind::kEdgeType, et.name(), et.num_edges(),
-         et.forward().byte_size() + et.reverse().byte_size()});
+         et.endpoint_bytes() + et.forward().byte_size() +
+             et.reverse().byte_size() +
+             (et.attr_table() != nullptr ? et.attr_table()->byte_size()
+                                         : 0)});
   }
   for (const auto& [name, subgraph] : ctx.subgraphs) {
     entries.push_back({CatalogEntry::Kind::kSubgraph, name,

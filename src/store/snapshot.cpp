@@ -440,36 +440,28 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
     } else if (has_attrs != 0) {
       return r.error_at(at, "edge type '" + name + "': bad attr-table flag");
     }
-    graph::CsrIndex csrs[2];
-    for (const bool forward : {true, false}) {
-      GEMS_ASSIGN_OR_RETURN(std::pmr::vector<std::uint32_t> offsets,
+    graph::CsrArrays csrs[2];
+    for (graph::CsrArrays& csr : csrs) {
+      GEMS_ASSIGN_OR_RETURN(csr.offsets,
                             read_pod_array<std::uint32_t>(r, "CSR offsets"));
-      GEMS_ASSIGN_OR_RETURN(std::pmr::vector<VertexIndex> neighbor,
+      GEMS_ASSIGN_OR_RETURN(csr.neighbor,
                             read_pod_array<VertexIndex>(r, "CSR neighbors"));
-      GEMS_ASSIGN_OR_RETURN(std::pmr::vector<graph::EdgeIndex> edge,
+      GEMS_ASSIGN_OR_RETURN(csr.edge,
                             read_pod_array<graph::EdgeIndex>(r, "CSR edges"));
-      auto restored = graph::CsrIndex::restore(
-          std::move(offsets), std::move(neighbor), std::move(edge),
-          forward ? src : dst, forward ? dst : src);
-      if (!restored.is_ok()) {
-        return r.error_at(at, "edge type '" + name + "': " +
-                                  restored.status().message());
-      }
-      csrs[forward ? 0 : 1] = std::move(restored).value();
-    }
-    // The CSR vertex counts must match the endpoint types they index.
-    if (csrs[0].num_vertices() !=
-            ctx.graph.vertex_type(src_type).num_vertices() ||
-        csrs[1].num_vertices() !=
-            ctx.graph.vertex_type(dst_type).num_vertices()) {
-      return r.error_at(at, "edge type '" + name +
-                                "': CSR vertex count != endpoint type size");
     }
     auto et = EdgeType::restore(static_cast<EdgeTypeId>(i), std::move(name),
                                 src_type, dst_type, src, dst,
-                                std::move(attr_table),
-                                std::move(csrs[0]), std::move(csrs[1]));
+                                std::move(attr_table), std::move(csrs[0]),
+                                std::move(csrs[1]));
     if (!et.is_ok()) return r.error_at(at, et.status().message());
+    // The CSR vertex counts must match the endpoint types they index.
+    if (et->forward().num_vertices() !=
+            ctx.graph.vertex_type(src_type).num_vertices() ||
+        et->reverse().num_vertices() !=
+            ctx.graph.vertex_type(dst_type).num_vertices()) {
+      return r.error_at(at, "edge type '" + et->name() +
+                                "': CSR vertex count != endpoint type size");
+    }
     GEMS_RETURN_IF_ERROR(ctx.graph.add_edge_type(std::move(et).value()));
   }
 

@@ -184,11 +184,11 @@ TEST_F(RegexExecTest, PlusClosureMatchesNaiveBfs) {
     while (!frontier.empty()) {
       std::vector<graph::VertexIndex> next;
       for (const auto v : frontier) {
-        for (const auto& part : et.forward().adjacency(v)) {
+        et.forward().for_each_part(v, [&](const graph::AdjacencyPart& part) {
           for (const auto u : part.neighbors) {
             if (reach.insert(u).second) next.push_back(u);
           }
-        }
+        });
       }
       frontier = std::move(next);
     }

@@ -395,18 +395,18 @@ TEST_F(GraphTest, CsrForwardReverseConsistency) {
   // Every forward adjacency appears in reverse and vice versa.
   std::multiset<std::pair<VertexIndex, VertexIndex>> via_fwd, via_rev;
   for (VertexIndex v = 0; v < fwd.num_vertices(); ++v) {
-    for (const AdjacencyPart& part : fwd.adjacency(v)) {
+    fwd.for_each_part(v, [&](const AdjacencyPart& part) {
       for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
         via_fwd.emplace(v, part.neighbors[i]);
         EXPECT_EQ(et.source_vertex(part.edge(i)), v);
         EXPECT_EQ(et.target_vertex(part.edge(i)), part.neighbors[i]);
       }
-    }
+    });
   }
   for (VertexIndex v = 0; v < rev.num_vertices(); ++v) {
-    for (const AdjacencyPart& part : rev.adjacency(v)) {
+    rev.for_each_part(v, [&](const AdjacencyPart& part) {
       for (const VertexIndex n : part.neighbors) via_rev.emplace(n, v);
-    }
+    });
   }
   EXPECT_EQ(via_fwd, via_rev);
 }
@@ -476,54 +476,80 @@ std::vector<std::uint8_t> snapshot_with(StringPool& pool, std::size_t num_src,
 }
 
 /// `got`'s adjacency, degrees and size equal `flat`'s, vertex by vertex.
-void expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
-  ASSERT_EQ(got.num_vertices(), flat.num_vertices());
+/// Returns the most parts any vertex of `got` gave.
+std::size_t expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
+  EXPECT_EQ(got.num_vertices(), flat.num_vertices());
+  if (got.num_vertices() != flat.num_vertices()) return 0;
   EXPECT_EQ(got.num_edges(), flat.num_edges());
   EXPECT_EQ(got.byte_size(), flat.byte_size());
+  std::size_t most_parts = 0;
   for (VertexIndex v = 0; v < flat.num_vertices(); ++v) {
     std::vector<std::pair<VertexIndex, EdgeIndex>> want;
     std::vector<std::pair<VertexIndex, EdgeIndex>> have;
-    for (const AdjacencyPart& part : flat.adjacency(v)) {
+    flat.for_each_part(v, [&](const AdjacencyPart& part) {
       for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
         want.emplace_back(part.neighbors[i], part.edge(i));
       }
-    }
+    });
     std::size_t parts = 0;
-    for (const AdjacencyPart& part : got.adjacency(v)) {
+    got.for_each_part(v, [&](const AdjacencyPart& part) {
       for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
         have.emplace_back(part.neighbors[i], part.edge(i));
       }
       ++parts;
-    }
-    ASSERT_LE(parts, 2u);
-    ASSERT_EQ(have, want) << "vertex " << v;
-    ASSERT_EQ(got.degree(v), flat.degree(v)) << "vertex " << v;
+    });
+    most_parts = std::max(most_parts, parts);
+    EXPECT_EQ(have, want) << "vertex " << v;
+    EXPECT_EQ(got.degree(v), flat.degree(v)) << "vertex " << v;
+    if (have != want) break;
   }
+  return most_parts;
 }
 
 TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   std::size_t folds = 0;
   std::size_t shared = 0;
-  std::size_t implicit_under_tail = 0;  // implicit bases with a tail
-  std::size_t form_switches = 0;        // folds of an implicit base into
-                                        // an explicit one
-  // Seeds past 12 append non-decreasing sources, so the forward index has
-  // implicit edge ids, until batch 30 appends a smaller one mid-batch.
-  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+  std::size_t ordered_under_tail = 0;  // ordered bases with a tail
+  std::size_t form_switches = 0;       // folds of an ordered base into
+                                       // a flat one
+  std::size_t unit_bases = 0;
+  std::size_t unit_under_tail = 0;   // unit bases with a tail
+  std::size_t unit_switches = 0;     // folds of a unit base into a
+                                     // non-unit one
+  std::size_t most_parts = 0;
+  // Seeds 1-12 append random sources. Seeds 13-20 append non-decreasing
+  // ones, so the forward index is ordered, until batch 30 appends a
+  // smaller one mid-batch. Seeds 21-26 append unit sources (edge e from
+  // vertex e, one new source vertex per edge), until batch 30 gives the
+  // newest vertex a second edge (21-23) or skips a vertex (24-26); both
+  // keep the sources non-decreasing.
+  // Seeds 27-28 are ordered with one vertex of degree above 2 *
+  // kChunkRows, so its group spans three chunks.
+  for (std::uint64_t seed = 1; seed <= 28; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const bool ordered = seed > 12;
+    const bool unit = seed > 20 && seed <= 26;
+    const bool ordered = seed > 12 && !unit;
+    const bool heavy = seed > 26;
     Xoshiro256 rng(seed);
     StringPool pool;
-    std::size_t num_src = rng.below(40);
+    std::size_t num_src = unit ? 0 : rng.below(40) + (heavy ? 1 : 0);
     std::size_t num_dst = 1 + rng.below(40);
     ChunkedArray<VertexIndex> src;
     ChunkedArray<VertexIndex> dst;
     VertexIndex last_src = 0;
+    // Unit sources: edge e runs from vertex e + shift. A shift of -1 gives
+    // the newest vertex a second edge, one of +1 skips a vertex.
+    std::int64_t shift = 0;
     // Appends `n` edges; a fifth of the endpoints are the newest vertex
     // of their side, so new vertices get edges at once.
     auto append = [&](std::size_t n, bool break_order) {
-      for (std::size_t i = 0; i < n && num_src > 0; ++i) {
-        if (!ordered) {
+      for (std::size_t i = 0; i < n && (unit || num_src > 0); ++i) {
+        if (unit) {
+          if (break_order && i == n / 2) shift += seed <= 23 ? -1 : 1;
+          last_src = static_cast<VertexIndex>(
+              static_cast<std::int64_t>(src.size()) + shift);
+          num_src = std::max<std::size_t>(num_src, last_src + 1);
+        } else if (!ordered) {
           last_src = static_cast<VertexIndex>(
               rng.chance(0.2) ? num_src - 1 : rng.below(num_src));
         } else if (break_order && i == n / 2 && last_src > 0) {
@@ -539,14 +565,22 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
       }
     };
     append(rng.below(300), false);
+    if (heavy) {
+      // One vertex's edges, then its successors'.
+      const std::size_t degree = 2 * kChunkRows + 100 + rng.below(500);
+      for (std::size_t i = 0; i < degree; ++i) {
+        src.push_back(last_src);
+        dst.push_back(static_cast<VertexIndex>(rng.below(num_dst)));
+      }
+    }
     EdgeType et = EdgeType::assemble(0, "E", 0, 1, num_src, num_dst, src,
                                      dst, nullptr,
                                      std::pmr::get_default_resource());
     for (int batch = 0; batch < 60; ++batch) {
       SCOPED_TRACE("batch " + std::to_string(batch));
-      num_src += rng.below(4);
+      if (!unit) num_src += rng.below(4);
       num_dst += rng.below(3);
-      const bool break_order = ordered && batch == 30;
+      const bool break_order = (ordered || unit) && batch == 30;
       append(rng.below(rng.chance(0.1) ? 120 : 12) + (break_order ? 2 : 0),
              break_order);
       EdgeType next = EdgeType::extend(et, num_src, num_dst, src, dst,
@@ -558,28 +592,33 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
       for (const bool forward : {true, false}) {
         const CsrIndex& before = forward ? et.forward() : et.reverse();
         const CsrIndex& after = forward ? next.forward() : next.reverse();
+        const CsrIndex& rebuilt = forward ? flat.forward() : flat.reverse();
         if (after.shares_base(before)) {
           ++shared;
         } else {
           ++folds;
           EXPECT_EQ(after.tail_edges(), 0u);
-          if (before.implicit_base() && !after.implicit_base()) {
+          if (before.ordered_base() && !after.ordered_base()) {
             ++form_switches;
           }
+          if (before.unit_base() && !after.unit_base()) ++unit_switches;
         }
         if (after.tail_edges() == 0) {
-          EXPECT_EQ(after.implicit_base(),
-                    (forward ? flat.forward() : flat.reverse())
-                        .implicit_base());
-        } else if (after.implicit_base()) {
-          ++implicit_under_tail;
+          EXPECT_EQ(after.ordered_base(), rebuilt.ordered_base());
+          EXPECT_EQ(after.unit_base(), rebuilt.unit_base());
+        } else {
+          ordered_under_tail += after.ordered_base();
+          unit_under_tail += after.unit_base();
         }
+        unit_bases += after.unit_base();
+        // A unit base is ordered.
+        EXPECT_TRUE(!after.unit_base() || after.ordered_base());
         // A tail never outgrows the fold fraction of the base.
         EXPECT_LE(after.tail_edges() * kTailFoldDivisor,
                   after.num_edges() - after.tail_edges());
+        most_parts =
+            std::max(most_parts, expect_same_adjacency(after, rebuilt));
       }
-      expect_same_adjacency(next.forward(), flat.forward());
-      expect_same_adjacency(next.reverse(), flat.reverse());
       ASSERT_EQ(snapshot_with(pool, num_src, num_dst, next),
                 snapshot_with(pool, num_src, num_dst, flat));
       et = std::move(next);
@@ -588,8 +627,13 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   // Every outcome occurred many times.
   EXPECT_GT(folds, 24u);
   EXPECT_GT(shared, 24u);
-  EXPECT_GT(implicit_under_tail, 24u);
+  EXPECT_GT(ordered_under_tail, 24u);
   EXPECT_GE(form_switches, 4u);
+  EXPECT_GT(unit_bases, 24u);
+  EXPECT_GT(unit_under_tail, 24u);
+  EXPECT_GE(unit_switches, 3u);
+  // The heavy vertex's three chunk pieces, and a tail part at times.
+  EXPECT_GE(most_parts, 3u);
 }
 
 // ---- CSR restore ----------------------------------------------------------
@@ -598,13 +642,8 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
 // and neighbor == other[e], the group's ids ascending.
 
 /// The flat (offsets, neighbor, edge) arrays of `index`.
-struct FlatCsr {
-  std::pmr::vector<std::uint32_t> offsets;
-  std::pmr::vector<VertexIndex> neighbor;
-  std::pmr::vector<EdgeIndex> edge;
-};
-FlatCsr flat_arrays(const CsrIndex& index) {
-  FlatCsr out;
+CsrArrays flat_arrays(const CsrIndex& index) {
+  CsrArrays out;
   index.for_each_flat_offsets([&](std::span<const std::uint32_t> piece) {
     out.offsets.insert(out.offsets.end(), piece.begin(), piece.end());
   });
@@ -617,55 +656,149 @@ FlatCsr flat_arrays(const CsrIndex& index) {
   return out;
 }
 
+ChunkedArray<VertexIndex> chunked(const std::vector<VertexIndex>& values) {
+  ChunkedArray<VertexIndex> out;
+  out.append(values.data(), values.size());
+  return out;
+}
+
+void expect_same_arrays(const CsrArrays& got, const CsrArrays& want) {
+  EXPECT_EQ(got.offsets, want.offsets);
+  EXPECT_EQ(got.neighbor, want.neighbor);
+  EXPECT_EQ(got.edge, want.edge);
+}
+
 class CsrRestoreTest : public ::testing::Test {
  protected:
   // Edge e runs source[e] -> target[e]; 3 sources, 3 targets.
-  const std::vector<VertexIndex> source = {1, 0, 1, 2, 0};
-  const std::vector<VertexIndex> target = {0, 2, 1, 2, 0};
+  const ChunkedArray<VertexIndex> source = chunked({1, 0, 1, 2, 0});
+  const ChunkedArray<VertexIndex> target = chunked({0, 2, 1, 2, 0});
 
-  Result<CsrIndex> restore(const FlatCsr& flat) const {
-    return CsrIndex::restore(flat.offsets, flat.neighbor, flat.edge, source,
-                             target);
+  Result<CsrIndex> restore(const CsrArrays& flat) const {
+    return CsrIndex::restore(flat, source, target);
   }
-  FlatCsr forward_arrays() const {
-    ChunkedArray<VertexIndex> src;
-    ChunkedArray<VertexIndex> dst;
-    src.append(source.data(), source.size());
-    dst.append(target.data(), target.size());
-    return flat_arrays(CsrIndex::build(3, src, dst,
+  CsrArrays forward_arrays() const {
+    return flat_arrays(CsrIndex::build(3, source, target,
                                        std::pmr::get_default_resource()));
   }
 };
 
 TEST_F(CsrRestoreTest, BuiltArraysRoundTrip) {
-  const FlatCsr flat = forward_arrays();
+  const CsrArrays flat = forward_arrays();
   auto restored = restore(flat);
   ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_FALSE(restored->implicit_base());
-  const FlatCsr again = flat_arrays(*restored);
-  EXPECT_EQ(again.offsets, flat.offsets);
-  EXPECT_EQ(again.neighbor, flat.neighbor);
-  EXPECT_EQ(again.edge, flat.edge);
+  EXPECT_FALSE(restored->ordered_base());
+  expect_same_arrays(flat_arrays(*restored), flat);
 }
 
 TEST_F(CsrRestoreTest, IdentityEdgeArrayIsDropped) {
-  // Sorted by source, the edge array is the identity.
-  const std::vector<VertexIndex> sorted = {0, 0, 1, 1, 2};
-  const std::vector<VertexIndex> other = {2, 0, 0, 1, 2};
-  const FlatCsr flat{{0, 2, 4, 5}, {2, 0, 0, 1, 2}, {0, 1, 2, 3, 4}};
-  auto restored =
-      CsrIndex::restore(flat.offsets, flat.neighbor, flat.edge, sorted, other);
+  // Sorted by source, the edge array is the identity, and the neighbors
+  // are the other endpoint array: only the offsets are stored.
+  const auto sorted = chunked({0, 0, 1, 1, 2});
+  const auto other = chunked({2, 0, 0, 1, 2});
+  const CsrArrays flat{{0, 2, 4, 5}, {2, 0, 0, 1, 2}, {0, 1, 2, 3, 4}};
+  auto restored = CsrIndex::restore(flat, sorted, other);
   ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_TRUE(restored->implicit_base());
-  EXPECT_EQ(restored->byte_size(), 4 * sizeof(std::uint32_t) +
-                                       5 * sizeof(VertexIndex));
-  const FlatCsr again = flat_arrays(*restored);
-  EXPECT_EQ(again.edge, flat.edge);
-  EXPECT_EQ(again.neighbor, flat.neighbor);
+  EXPECT_TRUE(restored->ordered_base());
+  EXPECT_FALSE(restored->unit_base());
+  EXPECT_EQ(restored->byte_size(), 4 * sizeof(std::uint32_t));
+  expect_same_arrays(flat_arrays(*restored), flat);
+}
+
+TEST_F(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
+  // Three chunks' worth of edges, non-decreasing sources with one vertex
+  // whose group spans a chunk boundary: restore() gives build()'s index.
+  std::vector<VertexIndex> from;
+  std::vector<VertexIndex> to;
+  for (std::size_t e = 0; e < 2 * kChunkRows + 300; ++e) {
+    from.push_back(static_cast<VertexIndex>(e < 900 ? e / 3 : 300 + e / 700));
+    to.push_back(static_cast<VertexIndex>(e * 7 % 11));
+  }
+  const auto sorted = chunked(from);
+  const auto other = chunked(to);
+  const CsrIndex built =
+      CsrIndex::build(310, sorted, other, std::pmr::get_default_resource());
+  const CsrArrays flat = flat_arrays(built);
+  auto restored = CsrIndex::restore(flat, sorted, other);
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_TRUE(restored->ordered_base());
+  EXPECT_FALSE(restored->unit_base());
+  EXPECT_EQ(restored->byte_size(), 311 * sizeof(std::uint32_t));
+  EXPECT_EQ(restored->byte_size(), built.byte_size());
+  expect_same_arrays(flat_arrays(*restored), flat);
+  // Vertex 301's group, edges [900, 1400), crosses entry 1024.
+  std::size_t parts = 0;
+  std::vector<EdgeIndex> edges;
+  restored->for_each_part(301, [&](const AdjacencyPart& part) {
+    ++parts;
+    for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+      EXPECT_EQ(part.neighbors[i], to[part.edge(i)]);
+      edges.push_back(part.edge(i));
+    }
+  });
+  EXPECT_EQ(parts, 2u);
+  ASSERT_EQ(edges.size(), 500u);
+  EXPECT_EQ(edges.front(), 900u);
+  EXPECT_EQ(edges.back(), 1399u);
+
+  // A neighbor that is not its edge's endpoint is still a typed error.
+  CsrArrays corrupt = flat_arrays(built);
+  corrupt.neighbor[1500] ^= 1;
+  auto rejected = CsrIndex::restore(corrupt, sorted, other);
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_F(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
+  // Edge e runs from vertex e, one edge per vertex.
+  std::vector<VertexIndex> from;
+  std::vector<VertexIndex> to;
+  for (std::size_t e = 0; e < kChunkRows + 5; ++e) {
+    from.push_back(static_cast<VertexIndex>(e));
+    to.push_back(static_cast<VertexIndex>(e % 13));
+  }
+  const auto indexed = chunked(from);
+  const auto other = chunked(to);
+  const CsrIndex built = CsrIndex::build(from.size(), indexed, other,
+                                         std::pmr::get_default_resource());
+  EXPECT_TRUE(built.unit_base());
+  EXPECT_EQ(built.byte_size(), 0u);
+  const CsrArrays flat = flat_arrays(built);
+  ASSERT_EQ(flat.offsets.size(), from.size() + 1);
+  for (std::size_t v = 0; v < flat.offsets.size(); ++v) {
+    EXPECT_EQ(flat.offsets[v], v);
+  }
+  auto restored = CsrIndex::restore(flat, indexed, other);
+  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+  EXPECT_TRUE(restored->unit_base());
+  EXPECT_EQ(restored->byte_size(), 0u);
+  expect_same_arrays(flat_arrays(*restored), flat);
+  for (VertexIndex v = 0; v < from.size(); ++v) {
+    ASSERT_EQ(restored->degree(v), 1u);
+    restored->for_each_part(v, [&](const AdjacencyPart& part) {
+      EXPECT_EQ(part.neighbors[0], to[v]);
+      EXPECT_EQ(part.edge(0), v);
+    });
+  }
+
+  // One more vertex than edges: ordered, but the offsets are stored.
+  CsrArrays wider = flat_arrays(built);
+  wider.offsets.push_back(wider.offsets.back());
+  auto ordered = CsrIndex::restore(wider, indexed, other);
+  ASSERT_TRUE(ordered.is_ok()) << ordered.status().to_string();
+  EXPECT_TRUE(ordered->ordered_base());
+  EXPECT_FALSE(ordered->unit_base());
+  EXPECT_EQ(ordered->byte_size(), (from.size() + 2) * sizeof(std::uint32_t));
+
+  CsrArrays corrupt = flat_arrays(built);
+  corrupt.neighbor[kChunkRows + 2] += 1;
+  auto rejected = CsrIndex::restore(corrupt, indexed, other);
+  ASSERT_FALSE(rejected.is_ok());
+  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(CsrRestoreTest, RejectsNeighborPastTheOtherSide) {
-  FlatCsr flat = forward_arrays();
+  CsrArrays flat = forward_arrays();
   flat.neighbor[2] = 3;  // the target side has 3 vertices
   auto restored = restore(flat);
   ASSERT_FALSE(restored.is_ok());
@@ -673,7 +806,7 @@ TEST_F(CsrRestoreTest, RejectsNeighborPastTheOtherSide) {
 }
 
 TEST_F(CsrRestoreTest, RejectsEdgeIdsSwappedAcrossGroups) {
-  FlatCsr flat = forward_arrays();
+  CsrArrays flat = forward_arrays();
   // Vertex 0's group is edges {1, 4}, vertex 1's {0, 2}: swap 1 and 0,
   // with their neighbors, so both groups still ascend and every entry
   // still names its edge's target.
@@ -686,7 +819,7 @@ TEST_F(CsrRestoreTest, RejectsEdgeIdsSwappedAcrossGroups) {
 }
 
 TEST_F(CsrRestoreTest, RejectsDescendingIdsInAGroup) {
-  FlatCsr flat = forward_arrays();
+  CsrArrays flat = forward_arrays();
   std::swap(flat.edge[0], flat.edge[1]);
   std::swap(flat.neighbor[0], flat.neighbor[1]);
   auto restored = restore(flat);
@@ -695,6 +828,35 @@ TEST_F(CsrRestoreTest, RejectsDescendingIdsInAGroup) {
 }
 
 // ---- GraphView type-level queries ---------------------------------------------
+
+/// The edge types of `graph` whose endpoint types pass `keep(source,
+/// target)`: ∪_j E_j(V_a, V_b) (paper Sec. II-A1) and its one-sided forms.
+template <typename Keep>
+std::vector<EdgeTypeId> edge_types_where(const GraphView& graph, Keep keep) {
+  std::vector<EdgeTypeId> out;
+  for (EdgeTypeId id = 0; id < graph.num_edge_types(); ++id) {
+    const EdgeType& et = graph.edge_type(id);
+    if (keep(et.source_type(), et.target_type())) out.push_back(id);
+  }
+  return out;
+}
+std::vector<EdgeTypeId> edge_types_between(const GraphView& graph,
+                                           VertexTypeId src,
+                                           VertexTypeId dst) {
+  return edge_types_where(graph, [&](VertexTypeId s, VertexTypeId t) {
+    return s == src && t == dst;
+  });
+}
+std::vector<EdgeTypeId> edge_types_from(const GraphView& graph,
+                                        VertexTypeId src) {
+  return edge_types_where(graph,
+                          [&](VertexTypeId s, VertexTypeId) { return s == src; });
+}
+std::vector<EdgeTypeId> edge_types_into(const GraphView& graph,
+                                        VertexTypeId dst) {
+  return edge_types_where(graph,
+                          [&](VertexTypeId, VertexTypeId t) { return t == dst; });
+}
 
 TEST_F(GraphTest, EdgeTypesBetween) {
   add_vertex("ProductVtx", "Products", "id");
@@ -719,10 +881,10 @@ TEST_F(GraphTest, EdgeTypesBetween) {
   const auto pid = graph_.find_vertex_type("ProductVtx").value();
   const auto rid = graph_.find_vertex_type("ProducerVtx").value();
   const auto tid = graph_.find_vertex_type("TypeVtx").value();
-  EXPECT_EQ(graph_.edge_types_between(pid, rid).size(), 1u);
-  EXPECT_EQ(graph_.edge_types_between(rid, pid).size(), 0u);
-  EXPECT_EQ(graph_.edge_types_from(pid).size(), 2u);
-  EXPECT_EQ(graph_.edge_types_into(tid).size(), 1u);
+  EXPECT_EQ(edge_types_between(graph_, pid, rid).size(), 1u);
+  EXPECT_EQ(edge_types_between(graph_, rid, pid).size(), 0u);
+  EXPECT_EQ(edge_types_from(graph_, pid).size(), 2u);
+  EXPECT_EQ(edge_types_into(graph_, tid).size(), 1u);
   EXPECT_EQ(graph_.total_edges(), 8u);
   EXPECT_EQ(graph_.total_vertices(), 4u + 4u + 3u);
 }

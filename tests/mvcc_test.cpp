@@ -754,7 +754,7 @@ TEST(DeltaIngestTest, ReadersWalkPinnedEpochWhileWriterFolds) {
           const graph::CsrIndex& index =
               forward ? et->forward() : et->reverse();
           for (graph::VertexIndex v = 0; v < index.num_vertices(); ++v) {
-            for (const graph::AdjacencyPart& part : index.adjacency(v)) {
+            index.for_each_part(v, [&](const graph::AdjacencyPart& part) {
               for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
                 const graph::EdgeIndex e = part.edge(i);
                 const bool ok =
@@ -765,7 +765,7 @@ TEST(DeltaIngestTest, ReadersWalkPinnedEpochWhileWriterFolds) {
                 if (!ok) inconsistent.fetch_add(1);
                 ++seen;
               }
-            }
+            });
           }
         }
         if (seen != 2 * et->num_edges()) inconsistent.fetch_add(1);

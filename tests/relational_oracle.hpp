@@ -16,6 +16,7 @@
 #include <set>
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -91,6 +92,106 @@ inline TablePtr head(
     std::pmr::memory_resource* memory = std::pmr::get_default_resource()) {
   return materialize(src, all_rows(std::min(n, src.num_rows()), memory),
                      columns_of(src), std::move(name));
+}
+
+// ---- Hash join --------------------------------------------------------------
+// No engine path joins two tables on keys: edge construction probes the
+// vertex key index. This hash join over row_key.hpp's batch hashing and
+// exact key equality keeps those two checked against the oracle's
+// encode_row_key join.
+
+struct JoinOutput {
+  enum Side { kLeft, kRight } side;
+  ColumnIndex column;
+  std::string name;
+};
+
+/// Equi-join row pairs, sorted: every (l, r) with left[l][left_keys] ==
+/// right[r][right_keys]. Rows with NULL in any key never match (SQL
+/// semantics). Key columns must have pairwise equal type kinds (checked).
+inline Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
+    const Table& left, std::span<const ColumnIndex> left_keys,
+    const Table& right, std::span<const ColumnIndex> right_keys) {
+  if (left_keys.size() != right_keys.size() || left_keys.empty()) {
+    return invalid_argument("join key arity mismatch");
+  }
+  for (std::size_t i = 0; i < left_keys.size(); ++i) {
+    const storage::DataType& lt = left.schema().column(left_keys[i]).type;
+    const storage::DataType& rt = right.schema().column(right_keys[i]).type;
+    if (lt.kind != rt.kind) {
+      return type_error("join keys '" +
+                        left.schema().column(left_keys[i]).name + "' (" +
+                        lt.to_string() + ") and '" +
+                        right.schema().column(right_keys[i]).name + "' (" +
+                        rt.to_string() + ") have different types");
+    }
+  }
+  // Hashes of every row's key, in batches; NULL keys are left out.
+  auto hashed = [](const Table& t, std::span<const ColumnIndex> keys) {
+    std::vector<std::pair<std::uint64_t, RowIndex>> out;
+    std::vector<std::uint64_t> hashes(kBatchRows);
+    std::vector<std::uint8_t> nulls(kBatchRows);
+    for (std::size_t base = 0; base < t.num_rows(); base += kBatchRows) {
+      const std::size_t n = std::min(kBatchRows, t.num_rows() - base);
+      hash_row_key_batch(t, static_cast<RowIndex>(base), nullptr, n, keys,
+                         hashes.data(), nulls.data());
+      for (std::size_t i = 0; i < n; ++i) {
+        if (nulls[i] == 0) {
+          out.emplace_back(hashes[i], static_cast<RowIndex>(base + i));
+        }
+      }
+    }
+    return out;
+  };
+  std::unordered_multimap<std::uint64_t, RowIndex> build;
+  for (const auto& [hash, row] : hashed(right, right_keys)) {
+    build.emplace(hash, row);
+  }
+  std::vector<std::pair<RowIndex, RowIndex>> out;
+  for (const auto& [hash, l] : hashed(left, left_keys)) {
+    const auto [first, last] = build.equal_range(hash);
+    for (auto it = first; it != last; ++it) {
+      if (row_keys_equal(left, l, left_keys, right, it->second, right_keys)) {
+        out.emplace_back(l, it->second);
+      }
+    }
+  }
+  std::sort(out.begin(), out.end());
+  return out;
+}
+
+/// Materializing equi-join: `outputs` of each hash_join_pairs() pair.
+inline Result<TablePtr> hash_join(const Table& left,
+                                  std::span<const ColumnIndex> left_keys,
+                                  const Table& right,
+                                  std::span<const ColumnIndex> right_keys,
+                                  std::span<const JoinOutput> outputs,
+                                  std::string name) {
+  GEMS_ASSIGN_OR_RETURN(auto pairs,
+                        hash_join_pairs(left, left_keys, right, right_keys));
+  std::vector<storage::ColumnDef> defs;
+  for (const auto& o : outputs) {
+    const Table& t = o.side == JoinOutput::kLeft ? left : right;
+    defs.push_back({o.name, t.schema().column(o.column).type});
+  }
+  auto out = std::make_shared<Table>(std::move(name),
+                                     storage::Schema(std::move(defs)),
+                                     left.pool());
+  std::vector<RowIndex> left_rows, right_rows;
+  for (const auto& [l, r] : pairs) {
+    left_rows.push_back(l);
+    right_rows.push_back(r);
+  }
+  for (std::size_t c = 0; c < outputs.size(); ++c) {
+    const auto& o = outputs[c];
+    const bool from_left = o.side == JoinOutput::kLeft;
+    out->column_mut(static_cast<ColumnIndex>(c))
+        .append_gather((from_left ? left : right).column(o.column),
+                       (from_left ? left_rows : right_rows).data(),
+                       pairs.size());
+  }
+  out->bump_rows(pairs.size());
+  return out;
 }
 
 }  // namespace gems::relational

@@ -184,6 +184,38 @@ TEST(DatabaseTest, CatalogReportsSizes) {
   EXPECT_FALSE((*db)->catalog_summary().empty());
 }
 
+TEST(DatabaseTest, CatalogEdgeLineCountsEverythingTheEdgeTypeHolds) {
+  auto db = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(80, 21));
+  ASSERT_TRUE(db.is_ok());
+  const auto entries = (*db)->catalog();
+  const mvcc::EpochPin pin = (*db)->pin_epoch();
+  const graph::GraphView& graph = pin.ctx().graph;
+  std::size_t edge_lines = 0;
+  std::size_t with_attrs = 0;
+  for (const auto& entry : entries) {
+    if (entry.kind != CatalogEntry::Kind::kEdgeType) continue;
+    ++edge_lines;
+    auto id = graph.find_edge_type(entry.name);
+    ASSERT_TRUE(id.is_ok()) << entry.name;
+    const graph::EdgeType& et = graph.edge_type(id.value());
+    std::size_t want = et.endpoint_bytes() + et.forward().byte_size() +
+                       et.reverse().byte_size();
+    if (et.attr_table() != nullptr) {
+      ++with_attrs;
+      want += et.attr_table()->byte_size();
+      // No table line lists the attribute table.
+      for (const auto& table : pin.ctx().tables.names()) {
+        EXPECT_NE(pin.ctx().tables.find(table).value().get(),
+                  et.attr_table());
+      }
+    }
+    EXPECT_EQ(entry.byte_size, want) << entry.name;
+  }
+  EXPECT_EQ(edge_lines, graph.num_edge_types());
+  EXPECT_GT(with_attrs, 0u);  // `type` and `feature`
+}
+
 TEST(DatabaseTest, MetaCatalogMirrorsLiveState) {
   auto db = bsbm::make_populated_database(
       bsbm::GeneratorConfig::derive(40, 5));
