@@ -41,6 +41,19 @@ namespace gems {
 /// Rows per chunk. relational::kBatchRows is the same constant.
 inline constexpr std::size_t kChunkRows = 1024;
 
+/// Calls fn(std::span<const T>) over consecutive kChunkRows pieces of the
+/// identity array 0, 1, …, n - 1, written out one piece at a time into a
+/// buffer on the stack: the form of an identity array that is not stored.
+template <typename T, typename Fn>
+void for_each_identity_piece(std::size_t n, Fn&& fn) {
+  std::array<T, kChunkRows> piece;
+  for (std::size_t first = 0; first < n; first += kChunkRows) {
+    const std::size_t k = std::min(kChunkRows, n - first);
+    for (std::size_t i = 0; i < k; ++i) piece[i] = static_cast<T>(first + i);
+    fn(std::span<const T>(piece.data(), k));
+  }
+}
+
 template <typename T, std::size_t N = kChunkRows, bool kValidity = false>
 class ChunkedArray {
   static_assert(std::is_trivially_copyable_v<T>);

@@ -257,10 +257,10 @@ class Enumerator {
       Status status = Status::ok();
       index.for_each_part(from.index, [&](const AdjacencyPart& part) {
         if (!status.is_ok() || stop_) return;
-        for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
           ++stats_.extensions;
           if (!matched_it->second.test(part.edge(i))) continue;
-          bind_vertex(to_var, VertexRef{to_type, part.neighbors[i]});
+          bind_vertex(to_var, VertexRef{to_type, part.neighbor(i)});
           bind_edge(op.index, EdgeRef{move.type, part.edge(i)});
           if (Status s = dfs(op_index + 1); !s.is_ok()) {
             status = std::move(s);
@@ -293,9 +293,9 @@ class Enumerator {
       Status status = Status::ok();
       et.forward().for_each_part(src.index, [&](const AdjacencyPart& part) {
         if (!status.is_ok() || stop_) return;
-        for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
           ++stats_.extensions;
-          if (part.neighbors[i] != dst.index) continue;
+          if (part.neighbor(i) != dst.index) continue;
           if (!matched_it->second.test(part.edge(i))) continue;
           bind_edge(op.index, EdgeRef{move.type, part.edge(i)});
           if (Status s = dfs(op_index + 1); !s.is_ok()) {

@@ -134,8 +134,8 @@ void walk(const Traversal& t, DynamicBitset& out_bits,
     t.index->for_each_part(
         static_cast<VertexIndex>(v),
         [&](const AdjacencyPart& part) __attribute__((always_inline)) {
-          for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-            const VertexIndex u = part.neighbors[i];
+          for (std::size_t i = 0; i < part.size(); ++i) {
+            const VertexIndex u = part.neighbor(i);
             if (stats != nullptr) ++stats->edge_traversals;
             if (out_bits.test(u)) continue;
             if (failed_bits != nullptr && failed_bits->test(u)) continue;
@@ -195,9 +195,9 @@ void mark_edges(const CsrIndex& index, const DynamicBitset& walk_bits,
   walk_bits.for_each([&](std::size_t v) {
     index.for_each_part(
         static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
-          for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
+          for (std::size_t i = 0; i < part.size(); ++i) {
             if (stats != nullptr) ++stats->edge_traversals;
-            if (!other_bits.test(part.neighbors[i])) continue;
+            if (!other_bits.test(part.neighbor(i))) continue;
             const graph::EdgeIndex e = part.edge(i);
             if (edge_ok(e)) out.set(e);
           }

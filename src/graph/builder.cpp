@@ -427,8 +427,9 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
   // Rows of source s from `first_row` on that pass its vertex filter and
   // its single-source conjuncts, with each endpoint row's vertex. A
   // one-to-one endpoint's candidates are a subset of its ascending
-  // representative rows, so one merge walk numbers them; a many-to-one
-  // endpoint looks each candidate's key up once.
+  // representative rows, so one merge walk numbers them, and with identity
+  // rows row r is vertex r; a many-to-one endpoint looks each candidate's
+  // key up once.
   auto scan_candidates = [&](std::size_t s, RowIndex first_row) {
     Candidates c(scratch);
     const Table& t = *tables[s];
@@ -449,13 +450,23 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
       }
       return c;
     }
-    const ChunkedArray<RowIndex>& reps = vt->representative_rows();
+    const std::size_t n = vt->num_vertices();
+    if (vt->identity_rows()) {
+      for (const RowIndex r : c.rows) {
+        c.vertices.push_back(r < n ? static_cast<VertexIndex>(r)
+                                   : kInvalidVertex);
+      }
+      return c;
+    }
+    auto rep = [&](std::size_t v) {
+      return vt->representative_row(static_cast<VertexIndex>(v));
+    };
     std::size_t lo = *std::ranges::partition_point(
-        std::views::iota(std::size_t{0}, reps.size()),
-        [&](std::size_t v) { return reps[v] < first_row; });
+        std::views::iota(std::size_t{0}, n),
+        [&](std::size_t v) { return rep(v) < first_row; });
     for (const RowIndex r : c.rows) {
-      while (lo < reps.size() && reps[lo] < r) ++lo;
-      c.vertices.push_back(lo < reps.size() && reps[lo] == r
+      while (lo < n && rep(lo) < r) ++lo;
+      c.vertices.push_back(lo < n && rep(lo) == r
                                ? static_cast<VertexIndex>(lo)
                                : kInvalidVertex);
     }
@@ -600,17 +611,13 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
         return t->name() == delta->ingested_table;
       }) > 1;
 
-  // Delta passes append to the base's edges. Copying its endpoint arrays
-  // shares their sealed chunks (vertex numbering is stable across
+  // Delta passes collect only the appended edges: EdgeType::extend adds
+  // them after the base's (vertex numbering is stable across
   // VertexType::extend). A collapsed pair the base already has is found
   // in the base's CSR, so seen_pairs holds only the delta's new pairs.
   // Tuple-identity dedup needs no base either: a new tuple contains at
   // least one row index >= first_new_row, which no base tuple can.
   const EdgeType* base = delta != nullptr ? delta->base : nullptr;
-  if (base != nullptr) {
-    src_out = base->source_vertices();
-    dst_out = base->target_vertices();
-  }
   auto base_has_pair = [&](VertexIndex sv, VertexIndex dv) {
     if (base == nullptr) return false;
     const CsrIndex& fwd = base->forward();
@@ -623,9 +630,9 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
     bool found = false;
     (from_src ? fwd : rev)
         .for_each_part(from_src ? sv : dv, [&](const AdjacencyPart& part) {
-          found = found || std::find(part.neighbors.begin(),
-                                     part.neighbors.end(),
-                                     want) != part.neighbors.end();
+          for (std::size_t i = 0; !found && i < part.size(); ++i) {
+            found = part.neighbor(i) == want;
+          }
         });
     return found;
   };
@@ -698,7 +705,7 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
         const VertexType& vt = *vertex_of(a.next);
         const VertexIndex v = vt.find_by_cells(a.cells);
         if (v == kInvalidVertex) return;
-        const RowIndex row = vt.representative_rows()[v];
+        const RowIndex row = vt.representative_row(v);
         if (row < first_row[a.next]) return;  // outside this pass's rows
         t[a.next] = row;
         t[n_sources + a.next] = v;
@@ -769,9 +776,8 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
 
   if (base != nullptr) {
     return EdgeType::extend(*base, src_vt.num_vertices(),
-                            dst_vt.num_vertices(), std::move(src_out),
-                            std::move(dst_out), std::move(attr_table),
-                            scratch);
+                            dst_vt.num_vertices(), src_out, dst_out,
+                            std::move(attr_table), scratch);
   }
   return EdgeType::assemble(id, decl.name, src_id, dst_id,
                             src_vt.num_vertices(), dst_vt.num_vertices(),

@@ -4,16 +4,45 @@
 
 namespace gems::graph {
 
+namespace {
+
+/// Whether entry i of `ids` is first + i for every entry.
+bool is_identity(std::span<const VertexIndex> ids, std::size_t first) {
+  bool same = true;
+  for (std::size_t i = 0; i < ids.size(); ++i) same &= ids[i] == first + i;
+  return same;
+}
+
+/// The same over a chunked array, stopping at the first chunk that
+/// breaks it.
+bool is_identity(const ChunkedArray<VertexIndex>& ids, std::size_t first) {
+  for (std::size_t c = 0; c < ids.num_chunks(); ++c) {
+    if (!is_identity(ids.chunk(c), first + c * kChunkRows)) return false;
+  }
+  return true;
+}
+
+void append_chunks(ChunkedArray<VertexIndex>& to,
+                   const ChunkedArray<VertexIndex>& from) {
+  for (std::size_t c = 0; c < from.num_chunks(); ++c) {
+    const std::span<const VertexIndex> piece = from.chunk(c);
+    to.append(piece.data(), piece.size());
+  }
+}
+
+}  // namespace
+
 AdjacencyPart CsrIndex::Tail::part(VertexIndex v) const {
   const auto k = static_cast<std::size_t>(
       std::lower_bound(touched.begin(), touched.end(), v) - touched.begin());
   GEMS_DCHECK(k < touched.size() && touched[k] == v);
   const std::uint32_t begin = offsets[k];
   const std::uint32_t count = offsets[k + 1] - begin;
-  return {{neighbor.data() + begin, count}, edge.data() + begin, 0};
+  return {neighbor.data() + begin, edge.data() + begin, 0, count};
 }
 
-CsrIndex CsrIndex::over(std::shared_ptr<Base> base, bool identity) {
+CsrIndex CsrIndex::over(std::shared_ptr<Base> base, std::size_t num_edges,
+                        bool identity) {
   CsrIndex out;
   const bool ordered = base->edge.empty() && base->neighbor.empty();
   if (ordered) {
@@ -21,13 +50,13 @@ CsrIndex CsrIndex::over(std::shared_ptr<Base> base, bool identity) {
     for (std::size_t c = 0; c < base->other.num_chunks(); ++c) {
       base->chunks.push_back(base->other.chunk(c).data());
     }
-    out.chunks_ = base->chunks.data();
-    out.base_edges_ = base->other.size();
+    // Null when the neighbors are implicit.
+    if (!base->chunks.empty()) out.chunks_ = base->chunks.data();
   } else {
     out.neighbor_ = base->neighbor.data();
     out.edge_ = base->edge.data();
-    out.base_edges_ = base->neighbor.size();
   }
+  out.base_edges_ = num_edges;
   if (base->offsets.empty()) {
     out.base_vertices_ = out.base_edges_;
   } else {
@@ -41,32 +70,38 @@ CsrIndex CsrIndex::over(std::shared_ptr<Base> base, bool identity) {
   return out;
 }
 
-CsrIndex CsrIndex::build(std::size_t n,
-                         const ChunkedArray<VertexIndex>& indexed,
-                         const ChunkedArray<VertexIndex>& other,
+CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
                          std::pmr::memory_resource* scratch) {
   GEMS_CHECK(indexed.size() == other.size());
+  const std::size_t edges = indexed.size();
   auto base = std::make_shared<Base>();
-  // Whether edge e indexes vertex e, found before the degree count (it
-  // stops at the first chunk that breaks it): a unit direction needs
-  // neither the count nor offsets.
-  bool identity = true;
-  for (std::size_t c = 0; identity && c < indexed.num_chunks(); ++c) {
-    const std::span<const VertexIndex> from = indexed.chunk(c);
-    const std::size_t first = c * kChunkRows;
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      identity &= from[i] == first + i;
+  // The other side's array, when it is stored: an ordered base reads it.
+  auto keep_other = [&] {
+    if (other.array() != nullptr) base->other = *other.array();
+  };
+  // Whether edge e indexes vertex e: known for an identity side, else
+  // found before the degree count. A unit direction needs neither the
+  // count nor offsets.
+  const ChunkedArray<VertexIndex>* from_array = indexed.array();
+  const bool identity = from_array == nullptr || is_identity(*from_array, 0);
+  if (identity) {
+    // Vertex v < edges has edge v alone, and the rest have none: unit
+    // when there are no more vertices than edges.
+    if (n != edges) {
+      GEMS_DCHECK(n > edges);
+      base->offsets.resize(n + 1);
+      for (std::size_t v = 0; v <= n; ++v) {
+        base->offsets[v] = static_cast<std::uint32_t>(std::min(v, edges));
+      }
     }
-  }
-  if (identity && n == indexed.size()) {
-    base->other = other;
-    return over(std::move(base), true);
+    keep_other();
+    return over(std::move(base), edges, true);
   }
   base->offsets.assign(n + 1, 0);
   bool ordered = true;
   VertexIndex last = 0;
-  for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
-    for (const VertexIndex v : indexed.chunk(c)) {
+  for (std::size_t c = 0; c < from_array->num_chunks(); ++c) {
+    for (const VertexIndex v : from_array->chunk(c)) {
       GEMS_DCHECK(v < n);
       ++base->offsets[v + 1];
       ordered &= v >= last;
@@ -78,31 +113,34 @@ CsrIndex CsrIndex::build(std::size_t n,
   }
   if (ordered) {
     // Edge e sits at position e: the neighbors are `other` in order.
-    base->other = other;
-    return over(std::move(base), identity);
+    keep_other();
+    return over(std::move(base), edges, false);
   }
 
-  base->neighbor.resize(indexed.size());
-  base->edge.resize(indexed.size());
+  base->neighbor.resize(edges);
+  base->edge.resize(edges);
   std::pmr::vector<std::uint32_t> cursor(base->offsets.begin(),
                                          base->offsets.end() - 1, scratch);
   // Both arrays chunk identically, so chunk c of each holds the same edges.
-  for (std::size_t c = 0; c < indexed.num_chunks(); ++c) {
-    const std::span<const VertexIndex> from = indexed.chunk(c);
-    const std::span<const VertexIndex> to = other.chunk(c);
+  const ChunkedArray<VertexIndex>* to_array = other.array();
+  for (std::size_t c = 0; c < from_array->num_chunks(); ++c) {
+    const std::span<const VertexIndex> from = from_array->chunk(c);
+    const std::span<const VertexIndex> to =
+        to_array != nullptr ? to_array->chunk(c)
+                            : std::span<const VertexIndex>();
     const std::size_t first = c * kChunkRows;
     for (std::size_t i = 0; i < from.size(); ++i) {
       const std::uint32_t pos = cursor[from[i]]++;
-      base->neighbor[pos] = to[i];
-      base->edge[pos] = static_cast<EdgeIndex>(first + i);
+      const auto e = static_cast<EdgeIndex>(first + i);
+      base->neighbor[pos] = to_array != nullptr ? to[i] : e;
+      base->edge[pos] = e;
     }
   }
-  return over(std::move(base), false);
+  return over(std::move(base), edges, false);
 }
 
 CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
-                          const ChunkedArray<VertexIndex>& indexed,
-                          const ChunkedArray<VertexIndex>& other,
+                          EdgeEnd indexed, EdgeEnd other,
                           std::pmr::memory_resource* scratch) {
   GEMS_CHECK(indexed.size() == other.size());
   GEMS_CHECK(n >= prev.num_vertices() && indexed.size() >= prev.num_edges());
@@ -174,9 +212,8 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   return out;
 }
 
-Result<CsrIndex> CsrIndex::restore(CsrArrays arrays,
-                                   const ChunkedArray<VertexIndex>& indexed,
-                                   const ChunkedArray<VertexIndex>& other) {
+Result<CsrIndex> CsrIndex::restore(CsrArrays arrays, EdgeEnd indexed,
+                                   EdgeEnd other) {
   const auto& [offsets, neighbor, edge] = arrays;
   if (offsets.empty()) {
     return invalid_argument("CSR restore: empty offsets array");
@@ -221,17 +258,19 @@ Result<CsrIndex> CsrIndex::restore(CsrArrays arrays,
     }
   }
   // Keep what build() would store: an ordered direction's neighbors are
-  // `other`, and a unit direction's offsets are the identity.
-  const bool unit = identity && offsets.size() == edge.size() + 1;
+  // `other` (nothing when it is the identity), and a unit direction's
+  // offsets are the identity.
+  const std::size_t edges = edge.size();
+  const bool unit = identity && offsets.size() == edges + 1;
   auto base = std::make_shared<Base>();
   if (!unit) base->offsets = std::move(arrays.offsets);
   if (ordered) {
-    base->other = other;
+    if (other.array() != nullptr) base->other = *other.array();
   } else {
     base->neighbor = std::move(arrays.neighbor);
     base->edge = std::move(arrays.edge);
   }
-  return over(std::move(base), identity);
+  return over(std::move(base), edges, identity);
 }
 
 EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
@@ -249,37 +288,49 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
   et.name_ = std::move(name);
   et.src_type_ = src_type;
   et.dst_type_ = dst_type;
-  et.src_ = std::move(src);
+  et.src_identity_ = is_identity(src, 0);
+  if (!et.src_identity_) et.src_ = std::move(src);
   et.dst_ = std::move(dst);
   et.attr_table_ = std::move(attr_table);
   // Both directions are always built (the paper builds the reverse index
   // "when memory space on the cluster is available"; in-process we always
   // have it, and bench_planner_ablation quantifies what it buys).
-  et.forward_ = CsrIndex::build(num_src_vertices, et.src_, et.dst_, scratch);
-  et.reverse_ = CsrIndex::build(num_dst_vertices, et.dst_, et.src_, scratch);
+  et.forward_ =
+      CsrIndex::build(num_src_vertices, et.source_end(), et.dst_, scratch);
+  et.reverse_ =
+      CsrIndex::build(num_dst_vertices, et.dst_, et.source_end(), scratch);
   return et;
 }
 
 EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
                           std::size_t num_dst_vertices,
-                          ChunkedArray<VertexIndex> src,
-                          ChunkedArray<VertexIndex> dst,
+                          const ChunkedArray<VertexIndex>& added_src,
+                          const ChunkedArray<VertexIndex>& added_dst,
                           storage::TablePtr attr_table,
                           std::pmr::memory_resource* scratch) {
-  GEMS_CHECK(src.size() == dst.size());
-  GEMS_CHECK(attr_table == nullptr || attr_table->num_rows() == src.size());
-  EdgeType et;
-  et.id_ = base.id_;
-  et.name_ = base.name_;
-  et.src_type_ = base.src_type_;
-  et.dst_type_ = base.dst_type_;
-  et.src_ = std::move(src);
-  et.dst_ = std::move(dst);
+  GEMS_CHECK(added_src.size() == added_dst.size());
+  const std::size_t first = base.num_edges();
+  GEMS_CHECK(attr_table == nullptr ||
+             attr_table->num_rows() == first + added_src.size());
+  // Copies share the base's sealed chunks.
+  EdgeType et = base;
   et.attr_table_ = std::move(attr_table);
-  et.forward_ = CsrIndex::extend(base.forward_, num_src_vertices, et.src_,
-                                 et.dst_, scratch);
+  append_chunks(et.dst_, added_dst);
+  const bool identity = base.src_identity_ && is_identity(added_src, first);
+  if (base.src_identity_ && !identity) {
+    // The first appended edge whose source is not its id: write the
+    // identity out, once.
+    for_each_identity_piece<VertexIndex>(
+        first, [&](std::span<const VertexIndex> piece) {
+          et.src_.append(piece.data(), piece.size());
+        });
+    et.src_identity_ = false;
+  }
+  if (!identity) append_chunks(et.src_, added_src);
+  et.forward_ = CsrIndex::extend(base.forward_, num_src_vertices,
+                                 et.source_end(), et.dst_, scratch);
   et.reverse_ = CsrIndex::extend(base.reverse_, num_dst_vertices, et.dst_,
-                                 et.src_, scratch);
+                                 et.source_end(), scratch);
   return et;
 }
 
@@ -303,14 +354,18 @@ Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
   et.name_ = std::move(name);
   et.src_type_ = src_type;
   et.dst_type_ = dst_type;
-  et.src_.append(src.data(), src.size());
+  if (is_identity(src, 0)) {
+    et.src_identity_ = true;
+  } else {
+    et.src_.append(src.data(), src.size());
+  }
   et.dst_.append(dst.data(), dst.size());
   et.attr_table_ = std::move(attr_table);
   // The CSRs second: an ordered direction reads the endpoint arrays.
   for (const bool fwd : {true, false}) {
     auto csr = CsrIndex::restore(std::move(fwd ? forward : reverse),
-                                 fwd ? et.src_ : et.dst_,
-                                 fwd ? et.dst_ : et.src_);
+                                 fwd ? et.source_end() : EdgeEnd(et.dst_),
+                                 fwd ? EdgeEnd(et.dst_) : et.source_end());
     if (!csr.is_ok()) {
       return invalid_argument("edge type '" + et.name_ + "' restore: " +
                               csr.status().message());

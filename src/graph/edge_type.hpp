@@ -28,18 +28,52 @@
 namespace gems::graph {
 
 /// One piece of a vertex's adjacency: the other endpoints of some of its
-/// incident edges, and their edge ids. The ids are either an array
-/// parallel to `neighbors` or, when `edge_ids` is null, implicit: the i-th
-/// edge is `first_edge + i`.
+/// incident edges, and their edge ids. Each is an array or, when its
+/// pointer is null, implicit. Implicit ids: the i-th edge is `first_edge +
+/// i`. Implicit neighbors: the other side is the identity (edge e's other
+/// endpoint is e), so the i-th neighbor is the i-th edge.
 struct AdjacencyPart {
-  std::span<const VertexIndex> neighbors;
+  const VertexIndex* neighbors = nullptr;
   const EdgeIndex* edge_ids = nullptr;
   EdgeIndex first_edge = 0;
+  std::uint32_t count = 0;
 
+  std::size_t size() const noexcept { return count; }
+  VertexIndex neighbor(std::size_t i) const noexcept {
+    return neighbors != nullptr ? neighbors[i] : edge(i);
+  }
   EdgeIndex edge(std::size_t i) const noexcept {
     return edge_ids != nullptr ? edge_ids[i]
                                : first_edge + static_cast<EdgeIndex>(i);
   }
+};
+
+/// The vertex at one end of each edge of a type, indexed by edge: an
+/// endpoint array, or the identity (edge e's vertex is e), which is not
+/// stored. A foreign key's source side is the identity: row e of the
+/// referencing table is both source vertex e and edge e.
+class EdgeEnd {
+ public:
+  EdgeEnd(const ChunkedArray<VertexIndex>& array) noexcept  // NOLINT
+      : array_(&array), size_(array.size()) {}
+  static EdgeEnd identity(std::size_t num_edges) noexcept {
+    EdgeEnd out;
+    out.size_ = num_edges;
+    return out;
+  }
+
+  std::size_t size() const noexcept { return size_; }
+  /// The endpoint array; null for the identity.
+  const ChunkedArray<VertexIndex>* array() const noexcept { return array_; }
+  VertexIndex operator[](std::size_t e) const noexcept {
+    return array_ != nullptr ? (*array_)[e] : static_cast<VertexIndex>(e);
+  }
+
+ private:
+  EdgeEnd() = default;
+
+  const ChunkedArray<VertexIndex>* array_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 /// The flat arrays of one serialized CSR direction: offsets (one more
@@ -68,19 +102,19 @@ struct CsrArrays {
 /// direction is *ordered*), a base entry's edge id is its position and
 /// its neighbor is the other endpoint of that edge: the base stores no
 /// edge ids and no neighbors, and reads the neighbors from a copy of the
-/// other endpoint array, which shares that array's sealed chunks. When in
-/// addition edge e's indexed vertex is e and the indexed side has as many
-/// vertices as edges (the direction is *unit*), vertex v's base entry is
-/// entry v, and the base stores no offsets either. The tail always stores
-/// its neighbors and edge ids.
+/// other endpoint array, which shares that array's sealed chunks. When the
+/// other side is the identity, which the edge type does not store, the
+/// base reads nothing: entry i's neighbor is its edge id, i. When edge e's
+/// indexed vertex is e and the indexed side has as many vertices as edges
+/// (the direction is *unit*), vertex v's base entry is entry v, and the
+/// base stores no offsets either. The tail always stores its neighbors and
+/// edge ids.
 class CsrIndex {
  public:
-  /// Builds from endpoint arrays: edge e runs indexed_side[e] ->
-  /// other_side[e]; `n` is the vertex count of the indexed side. The fill
-  /// cursor comes from `scratch`. The result has an empty tail.
-  static CsrIndex build(std::size_t n,
-                        const ChunkedArray<VertexIndex>& indexed,
-                        const ChunkedArray<VertexIndex>& other,
+  /// Builds from the edges' ends: edge e runs indexed[e] -> other[e];
+  /// `n` is the vertex count of the indexed side. The fill cursor comes
+  /// from `scratch`. The result has an empty tail.
+  static CsrIndex build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
                         std::pmr::memory_resource* scratch);
 
   /// The index over the same arrays after edges [prev.num_edges(),
@@ -89,8 +123,7 @@ class CsrIndex {
   /// delta). Once the tail would exceed 1/kTailFoldDivisor of the base's
   /// edges it folds instead: the result is a fresh build().
   static CsrIndex extend(const CsrIndex& prev, std::size_t n,
-                         const ChunkedArray<VertexIndex>& indexed,
-                         const ChunkedArray<VertexIndex>& other,
+                         EdgeEnd indexed, EdgeEnd other,
                          std::pmr::memory_resource* scratch);
 
   std::size_t num_vertices() const noexcept { return num_vertices_; }
@@ -108,34 +141,47 @@ class CsrIndex {
   /// vertex, then with its tail part, if it has one; concatenated, the
   /// parts list v's edges in ascending edge id order, as one flat CSR
   /// would. An ordered base gives one part per chunk of the other
-  /// endpoint array that v's group touches, and none for an empty group.
-  /// Each call site inlines one copy of `fn` per kind of part (unit,
-  /// flat, view piece, tail), so each runs with its edge-id form and,
-  /// for a unit part, its single entry known (EXPERIMENTS.md E-CSRTAIL,
-  /// E-SHAREDNEIGHBORS).
+  /// endpoint array that v's group touches, and none for an empty group;
+  /// over an identity other side it gives one part with implicit
+  /// neighbors. Each call site inlines one copy of `fn` per kind of part
+  /// (unit, flat, view piece, implicit, tail), so each runs with its
+  /// neighbor and edge-id forms and, for a unit part, its single entry
+  /// known (EXPERIMENTS.md E-CSRTAIL, E-SHAREDNEIGHBORS,
+  /// E-IDENTITYARRAYS).
   template <typename Fn>
   void for_each_part(VertexIndex v, Fn&& fn) const {
     GEMS_DCHECK(v < num_vertices_);
     if (v < base_vertices_) {
-      if (offsets_ == nullptr) {
+      if (offsets_ == nullptr && chunks_ != nullptr) {
         // Unit: v's one base entry is entry v.
-        fn(AdjacencyPart{{chunks_[v / kChunkRows] + v % kChunkRows, 1},
-                         nullptr, v});
+        fn(AdjacencyPart{stored(chunks_[v / kChunkRows] + v % kChunkRows),
+                         nullptr, v, 1});
       } else if (edge_ != nullptr) {
         const std::uint32_t begin = offsets_[v];
-        fn(AdjacencyPart{{neighbor_ + begin, offsets_[v + 1] - begin},
-                         edge_ + begin, begin});
-      } else {
+        fn(AdjacencyPart{stored(neighbor_ + begin), edge_ + begin, begin,
+                         offsets_[v + 1] - begin});
+      } else if (chunks_ != nullptr) {
         for_each_view_part(offsets_[v], offsets_[v + 1] - offsets_[v], fn);
+      } else {
+        // Ordered over an identity other side: neighbor i is edge i.
+        const std::uint32_t begin = base_offset(v);
+        const std::uint32_t end = base_offset(v + 1);
+        if (end > begin) {
+          fn(AdjacencyPart{nullptr, nullptr, begin, end - begin});
+        }
       }
     }
-    if (tail_ != nullptr && tail_->touched_bits.test(v)) fn(tail_->part(v));
+    if (tail_ != nullptr && tail_->touched_bits.test(v)) {
+      AdjacencyPart part = tail_->part(v);
+      part.neighbors = stored(part.neighbors);
+      fn(part);
+    }
   }
 
   std::uint32_t degree(VertexIndex v) const {
     std::uint32_t d = 0;
     for_each_part(v, [&d](const AdjacencyPart& part) {
-      d += static_cast<std::uint32_t>(part.neighbors.size());
+      d += part.count;
     });
     return d;
   }
@@ -152,8 +198,14 @@ class CsrIndex {
   }
 
   /// True when the base stores no neighbors and no edge ids: it reads the
-  /// other endpoint array.
+  /// other endpoint array, or nothing when that side is the identity.
   bool ordered_base() const noexcept { return edge_ == nullptr; }
+
+  /// True when the base's neighbors are implicit: ordered over an identity
+  /// other side.
+  bool implicit_neighbors() const noexcept {
+    return edge_ == nullptr && chunks_ == nullptr && base_edges_ > 0;
+  }
 
   /// True when the base stores no offsets either.
   bool unit_base() const noexcept { return offsets_ == nullptr; }
@@ -211,30 +263,37 @@ class CsrIndex {
 
   /// Calls fn(std::span<const VertexIndex> neighbors,
   /// std::span<const EdgeIndex> edges) over consecutive runs of the flat
-  /// (neighbor, edge) arrays (num_edges() entries). Implicit edge ids are
-  /// written out, a kChunkRows piece at a time.
+  /// (neighbor, edge) arrays (num_edges() entries). Implicit neighbors and
+  /// edge ids are written out, a kChunkRows piece at a time.
   template <typename Fn>
   void for_each_flat_run(Fn&& fn) const {
+    std::array<VertexIndex, kChunkRows> neighbors;
     std::array<EdgeIndex, kChunkRows> ids;
     auto emit = [&](const AdjacencyPart& part) {
-      const std::size_t count = part.neighbors.size();
-      if (part.edge_ids != nullptr) {
-        fn(part.neighbors, std::span<const EdgeIndex>(part.edge_ids, count));
-        return;
-      }
-      for (std::size_t at = 0; at < count; at += ids.size()) {
-        const std::size_t n = std::min(ids.size(), count - at);
-        for (std::size_t i = 0; i < n; ++i) ids[i] = part.edge(at + i);
-        fn(part.neighbors.subspan(at, n),
-           std::span<const EdgeIndex>(ids.data(), n));
+      for (std::size_t at = 0; at < part.size(); at += kChunkRows) {
+        const std::size_t n = std::min(kChunkRows, part.size() - at);
+        const VertexIndex* nb = part.neighbors + at;
+        const EdgeIndex* ed = part.edge_ids + at;
+        if (part.neighbors == nullptr) {
+          for (std::size_t i = 0; i < n; ++i) neighbors[i] = part.edge(at + i);
+          nb = neighbors.data();
+        }
+        if (part.edge_ids == nullptr) {
+          for (std::size_t i = 0; i < n; ++i) ids[i] = part.edge(at + i);
+          ed = ids.data();
+        }
+        fn(std::span<const VertexIndex>(nb, n),
+           std::span<const EdgeIndex>(ed, n));
       }
     };
     std::uint32_t from = 0;  // base entries emitted so far
     auto base_run = [&](std::uint32_t to) {
-      if (edge_ == nullptr) {
+      if (edge_ != nullptr) {
+        emit(AdjacencyPart{neighbor_ + from, edge_ + from, from, to - from});
+      } else if (chunks_ == nullptr) {
+        emit(AdjacencyPart{nullptr, nullptr, from, to - from});
+      } else {
         for_each_view_part(from, to - from, emit);
-      } else if (to > from) {
-        emit(AdjacencyPart{{neighbor_ + from, to - from}, edge_ + from, from});
       }
       from = to;
     };
@@ -258,9 +317,8 @@ class CsrIndex {
   /// arrays over (they are copied only when not on large_array_resource())
   /// and then drops what the endpoint arrays hold, as build() never
   /// stores it.
-  static Result<CsrIndex> restore(CsrArrays arrays,
-                                  const ChunkedArray<VertexIndex>& indexed,
-                                  const ChunkedArray<VertexIndex>& other);
+  static Result<CsrIndex> restore(CsrArrays arrays, EdgeEnd indexed,
+                                  EdgeEnd other);
 
  private:
   // The offsets, neighbor and edge arrays come from
@@ -275,7 +333,8 @@ class CsrIndex {
     std::pmr::vector<EdgeIndex> edge{large_array_resource()};
     // When ordered, the other endpoint array (its sealed chunks shared,
     // only the partial last chunk copied) and a pointer to each of its
-    // chunks: entry i is chunks[i / kChunkRows][i % kChunkRows].
+    // chunks: entry i is chunks[i / kChunkRows][i % kChunkRows]. Both
+    // empty when the other side is the identity.
     ChunkedArray<VertexIndex> other;
     std::vector<const VertexIndex*> chunks;
   };
@@ -293,9 +352,18 @@ class CsrIndex {
     AdjacencyPart part(VertexIndex v) const;
   };
 
-  /// An index over `base` with no tail. `identity` says whether edge e's
-  /// indexed vertex is e for every base edge.
-  static CsrIndex over(std::shared_ptr<Base> base, bool identity);
+  /// An index over `base`, which holds `num_edges` edges, with no tail.
+  /// `identity` says whether edge e's indexed vertex is e for every base
+  /// edge.
+  static CsrIndex over(std::shared_ptr<Base> base, std::size_t num_edges,
+                       bool identity);
+
+  /// `p`, which is not null: a part body inlined for a stored neighbor
+  /// array then compiles without its implicit-neighbor test.
+  static const VertexIndex* stored(const VertexIndex* p) noexcept {
+    if (p == nullptr) __builtin_unreachable();
+    return p;
+  }
 
   /// Where vertex v's base group starts; v <= base_vertices_.
   std::uint32_t base_offset(std::size_t v) const noexcept {
@@ -311,7 +379,8 @@ class CsrIndex {
       const std::uint32_t at = begin % kChunkRows;
       const std::uint32_t k =
           std::min(count, static_cast<std::uint32_t>(kChunkRows) - at);
-      fn(AdjacencyPart{{chunks_[begin / kChunkRows] + at, k}, nullptr, begin});
+      fn(AdjacencyPart{stored(chunks_[begin / kChunkRows] + at), nullptr,
+                       begin, k});
       begin += k;
       count -= k;
     }
@@ -327,7 +396,8 @@ class CsrIndex {
   std::size_t num_vertices_ = 0;
   // The base arrays, read on every for_each_part() call: offsets_ is null
   // when the base is unit, neighbor_ and edge_ when it is ordered, and
-  // chunks_ is read only then.
+  // chunks_ is read only then, and is null when the neighbors are
+  // implicit.
   const std::uint32_t* offsets_ = nullptr;
   const VertexIndex* neighbor_ = nullptr;
   const EdgeIndex* edge_ = nullptr;
@@ -342,12 +412,17 @@ class CsrIndex {
   bool identity_ = true;
 };
 
+/// An edge type stores its target endpoint array, and its source array
+/// unless the source side is the identity (src[e] == e for every edge, as
+/// for a foreign key): then source_vertex(e) is e and nothing is stored.
+/// Whether it is stored is a function of the edges, so a type built,
+/// extended or restored to the same edges stores the same arrays.
 class EdgeType {
  public:
   /// Assembled by GraphBuilder after it runs the Eq. 2 joins. `attr_table`
   /// (may be null) holds one row per edge, in edge order — the attributes
   /// from the `from table` clause. The CSR builds' cursors come from
-  /// `scratch`.
+  /// `scratch`. An identity `src` is dropped.
   static EdgeType assemble(EdgeTypeId id, std::string name,
                            VertexTypeId src_type, VertexTypeId dst_type,
                            std::size_t num_src_vertices,
@@ -357,13 +432,16 @@ class EdgeType {
                            storage::TablePtr attr_table,
                            std::pmr::memory_resource* scratch);
 
-  /// The delta builder's result (gems::mvcc): `base` with its endpoint
-  /// arrays grown to `src`/`dst` (the base's edges first) and
-  /// `attr_table`. Both CSR directions come from CsrIndex::extend.
+  /// The delta builder's result (gems::mvcc): `base` with the edges
+  /// `added_src[i]` -> `added_dst[i]` appended as edges base.num_edges() +
+  /// i, and `attr_table` (the base's rows first). An identity source side
+  /// stays implicit while each appended edge e has source e; the first
+  /// that does not materializes the array, once, in O(edges). Both CSR
+  /// directions come from CsrIndex::extend.
   static EdgeType extend(const EdgeType& base, std::size_t num_src_vertices,
                          std::size_t num_dst_vertices,
-                         ChunkedArray<VertexIndex> src,
-                         ChunkedArray<VertexIndex> dst,
+                         const ChunkedArray<VertexIndex>& added_src,
+                         const ChunkedArray<VertexIndex>& added_dst,
                          storage::TablePtr attr_table,
                          std::pmr::memory_resource* scratch);
 
@@ -373,19 +451,35 @@ class EdgeType {
   VertexTypeId source_type() const noexcept { return src_type_; }
   VertexTypeId target_type() const noexcept { return dst_type_; }
 
-  std::size_t num_edges() const noexcept { return src_.size(); }
+  std::size_t num_edges() const noexcept { return dst_.size(); }
 
-  VertexIndex source_vertex(EdgeIndex e) const { return src_.at(e); }
-  VertexIndex target_vertex(EdgeIndex e) const { return dst_.at(e); }
-  /// Both endpoint arrays, indexed by edge.
-  const ChunkedArray<VertexIndex>& source_vertices() const noexcept {
-    return src_;
+  VertexIndex source_vertex(EdgeIndex e) const {
+    if (!src_identity_) return src_.at(e);
+    GEMS_CHECK_MSG(e < num_edges(), "edge index out of range");
+    return e;
   }
+  VertexIndex target_vertex(EdgeIndex e) const { return dst_.at(e); }
+  /// The target endpoint array, indexed by edge.
   const ChunkedArray<VertexIndex>& target_vertices() const noexcept {
     return dst_;
   }
+  /// True when the source side is the identity and not stored.
+  bool source_is_identity() const noexcept { return src_identity_; }
 
-  /// Bytes of both endpoint arrays (the `graph.endpoints.bytes` gauge).
+  /// Calls fn(std::span<const VertexIndex>) over consecutive pieces of
+  /// the source endpoint array (num_edges() entries); the identity is
+  /// written out a kChunkRows piece at a time.
+  template <typename Fn>
+  void for_each_source_piece(Fn&& fn) const {
+    if (src_identity_) {
+      return for_each_identity_piece<VertexIndex>(num_edges(), fn);
+    }
+    for (std::size_t c = 0; c < src_.num_chunks(); ++c) fn(src_.chunk(c));
+  }
+
+  /// Bytes of the stored endpoint arrays (the `graph.endpoints.bytes`
+  /// gauge): the target array, and the source array unless it is the
+  /// identity. A function of the edges alone, as byte_size() is.
   std::size_t endpoint_bytes() const noexcept {
     return src_.byte_size() + dst_.byte_size();
   }
@@ -408,8 +502,9 @@ class EdgeType {
   /// serialized endpoint arrays and the flat arrays of both CSR
   /// directions (no join re-run, no index rebuild — recovery loads at
   /// deserialization speed). The endpoint arrays are built first, since
-  /// an ordered direction reads its neighbors from them. Validates that
-  /// the pieces are mutually consistent.
+  /// an ordered direction reads its neighbors from them; an identity
+  /// source array is dropped, as assemble() drops it. Validates that the
+  /// pieces are mutually consistent.
   static Result<EdgeType> restore(EdgeTypeId id, std::string name,
                                   VertexTypeId src_type,
                                   VertexTypeId dst_type,
@@ -421,12 +516,17 @@ class EdgeType {
  private:
   EdgeType() = default;
 
+  EdgeEnd source_end() const noexcept {
+    return src_identity_ ? EdgeEnd::identity(num_edges()) : EdgeEnd(src_);
+  }
+
   EdgeTypeId id_ = kInvalidEdgeType;
   std::string name_;
   VertexTypeId src_type_ = kInvalidVertexType;
   VertexTypeId dst_type_ = kInvalidVertexType;
-  ChunkedArray<VertexIndex> src_;
+  ChunkedArray<VertexIndex> src_;  // empty when src_identity_
   ChunkedArray<VertexIndex> dst_;
+  bool src_identity_ = false;
   storage::TablePtr attr_table_;
   CsrIndex forward_;
   CsrIndex reverse_;

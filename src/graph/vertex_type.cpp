@@ -120,6 +120,18 @@ Result<VertexType> VertexType::restore(
       return invalid_argument("vertex type '" + name +
                               "' restore: representative row out of range");
     }
+    if (!matching_rows.test(r)) {
+      return invalid_argument("vertex type '" + name +
+                              "' restore: representative row " +
+                              std::to_string(r) + " is not a matching row");
+    }
+  }
+  // build() sets one_to_one exactly when no matching row collapsed into
+  // another's vertex: when every matching row is a vertex.
+  if (one_to_one != (matching_rows.count() == representative_rows.size())) {
+    return invalid_argument("vertex type '" + name +
+                            "' restore: one_to_one flag contradicts the "
+                            "matching and representative rows");
   }
   VertexType vt;
   vt.id_ = id;
@@ -144,9 +156,17 @@ bool VertexType::add_row(IdTable& tail, RowIndex row) {
   if (find_in(tail, *source_, row, key_cols_) != kInvalidVertex) {
     return false;
   }
-  tail.insert(relational::hash_row_key(*source_, row, key_cols_),
-              static_cast<VertexIndex>(representative_row_.size()));
-  representative_row_.push_back(row);
+  const auto v = static_cast<VertexIndex>(num_vertices_);
+  tail.insert(relational::hash_row_key(*source_, row, key_cols_), v);
+  if (identity_rows_ && row != v) {
+    for_each_identity_piece<RowIndex>(
+        num_vertices_, [&](std::span<const RowIndex> piece) {
+          representative_row_.append(piece.data(), piece.size());
+        });
+    identity_rows_ = false;
+  }
+  if (!identity_rows_) representative_row_.push_back(row);
+  ++num_vertices_;
   return true;
 }
 
@@ -196,9 +216,9 @@ VertexIndex VertexType::find_in(const IdTable& tail,
   GEMS_DCHECK(key_cols.size() == key_cols_.size());
   return probe(tail, relational::hash_row_key(table, row, key_cols),
                [&](std::uint32_t c) {
-                 return relational::row_keys_equal(
-                     *source_, representative_row_[c], key_cols_, table, row,
-                     key_cols);
+                 return relational::row_keys_equal(*source_, row_of(c),
+                                                   key_cols_, table, row,
+                                                   key_cols);
                });
 }
 
@@ -207,8 +227,8 @@ VertexIndex VertexType::find_by_cells(
   GEMS_DCHECK(cells.size() == key_cols_.size());
   return probe(key_tail_, relational::hash_cell_key(cells),
                [&](std::uint32_t c) {
-                 return relational::cell_key_equals(
-                     cells, *source_, representative_row_[c], key_cols_);
+                 return relational::cell_key_equals(cells, *source_,
+                                                    row_of(c), key_cols_);
                });
 }
 

@@ -6,6 +6,12 @@
 // many-to-one mappings (Fig. 4: ProducerCountry from Producers) expose
 // only the key columns, because other attributes are ambiguous across the
 // collapsed rows.
+//
+// Each vertex has a representative row. When vertex v's is row v for
+// every vertex (the rows are the identity, as for a one-to-one type over
+// an unfiltered table), the rows are not stored. Whether they are is a
+// function of the representative rows alone, so a type built, extended or
+// restored to the same rows stores the same arrays.
 #pragma once
 
 #include <memory>
@@ -50,18 +56,29 @@ class VertexType {
   /// True when each vertex corresponds to exactly one source row.
   bool one_to_one() const noexcept { return one_to_one_; }
 
-  std::size_t num_vertices() const noexcept {
-    return representative_row_.size();
-  }
+  std::size_t num_vertices() const noexcept { return num_vertices_; }
 
   /// The source row used to evaluate attribute conditions for `v`. For
   /// many-to-one vertices, only key columns are meaningful on this row.
   storage::RowIndex representative_row(VertexIndex v) const {
-    return representative_row_.at(v);
+    GEMS_CHECK_MSG(v < num_vertices_, "vertex index out of range");
+    return row_of(v);
   }
-  /// Every vertex's representative row, indexed by vertex.
-  const ChunkedArray<storage::RowIndex>& representative_rows() const noexcept {
-    return representative_row_;
+  /// True when vertex v's representative row is row v for every vertex,
+  /// and the rows are not stored.
+  bool identity_rows() const noexcept { return identity_rows_; }
+
+  /// Calls fn(std::span<const storage::RowIndex>) over consecutive pieces
+  /// of the representative rows (num_vertices() entries); the identity is
+  /// written out a kChunkRows piece at a time.
+  template <typename Fn>
+  void for_each_representative_piece(Fn&& fn) const {
+    if (identity_rows_) {
+      return for_each_identity_piece<storage::RowIndex>(num_vertices_, fn);
+    }
+    for (std::size_t c = 0; c < representative_row_.num_chunks(); ++c) {
+      fn(representative_row_.chunk(c));
+    }
   }
 
   /// Columns of the source schema that conditions on this vertex type may
@@ -84,10 +101,10 @@ class VertexType {
   /// Human-readable key of a vertex, e.g. "Product1" or "(US, 4)".
   std::string key_string(VertexIndex v) const;
 
-  /// Resident bytes: the key index, the representative rows and the
-  /// matching-rows bits. A function of the vertex and row counts alone, so
-  /// a built, extended or restored type of the same state reports the
-  /// same size.
+  /// Resident bytes: the key index, the representative rows unless they
+  /// are the identity, and the matching-rows bits. A function of the
+  /// vertex count, the row count and the representative rows, so a built,
+  /// extended or restored type of the same state reports the same size.
   std::size_t byte_size() const noexcept;
 
   /// Bytes of the key index alone (the `graph.key_index.bytes` gauge):
@@ -133,7 +150,10 @@ class VertexType {
   /// key->vertex index is recomputed from the representative rows (it is
   /// fully derived, and collapsed rows have equal keys), so it is not
   /// part of the on-disk format. Validates row references against the
-  /// source table.
+  /// source table, that every representative row is a matching row, and
+  /// that `one_to_one` holds exactly when every matching row is a vertex,
+  /// as build() makes it; identity rows are dropped, as build() never
+  /// stores them.
   static Result<VertexType> restore(
       VertexTypeId id, std::string name, storage::TablePtr source,
       std::vector<storage::ColumnIndex> key_cols, bool one_to_one,
@@ -147,8 +167,14 @@ class VertexType {
   /// tail, or the table build() and restore() fill before it becomes the
   /// base): returns true when the key is new (the row becomes the next
   /// vertex's representative), false when it collapses into an existing
-  /// vertex.
+  /// vertex. The first new vertex whose row is not its index writes the
+  /// identity rows out, once.
   bool add_row(IdTable& tail, storage::RowIndex row);
+
+  /// Vertex c's representative row, unchecked.
+  storage::RowIndex row_of(VertexIndex c) const noexcept {
+    return identity_rows_ ? c : representative_row_[c];
+  }
 
   /// The vertex stored under `hash` in the key index base or in `tail`
   /// for which `equal(vertex)` holds, or kInvalidVertex.
@@ -168,14 +194,19 @@ class VertexType {
   bool one_to_one_ = true;
 
   // Chunked: extend() copies the base type, sharing its sealed chunks.
+  // Empty while identity_rows_.
   ChunkedArray<storage::RowIndex> representative_row_;
+  std::size_t num_vertices_ = 0;
+  bool identity_rows_ = true;
   // key -> vertex index, keyed by relational::hash_row_key over the key
   // columns and checked with row_keys_equal against the candidate's
-  // representative row (DESIGN.md §5m). Both match encode_row_key
-  // equality, and stay valid across tables because string ids come from
-  // the shared pool. The base is shared by every epoch since the last
-  // fold (null before build() or restore() fills it); the tail holds the
-  // vertices extend() added since (DESIGN.md §5n).
+  // representative row (DESIGN.md §5m). Two keys are equal when each
+  // pair of cells is: both NULL (NULL keys collapse into one vertex), or
+  // equal values, with -0.0 equal to +0.0, other doubles compared by bit
+  // pattern and strings by id. String ids come from the shared pool, so
+  // keys compare across tables. The base is shared by every epoch since
+  // the last fold (null before build() or restore() fills it); the tail
+  // holds the vertices extend() added since (DESIGN.md §5n).
   std::shared_ptr<const IdTable> key_base_;
   IdTable key_tail_;
   DynamicBitset matching_rows_;

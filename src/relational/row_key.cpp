@@ -12,62 +12,13 @@ using storage::TypeKind;
 
 namespace {
 
-/// Appends the encoding of `table[row][col]` to `out`.
-void append_key_part(const storage::Table& table, storage::RowIndex row,
-                     storage::ColumnIndex col, std::string& out) {
-  const Column& column = table.column(col);
-  if (column.is_null(row)) {
-    out.push_back('\0');  // null marker
-    return;
-  }
-  out.push_back('\1');
-  auto append_raw = [&out](const void* p, std::size_t n) {
-    out.append(static_cast<const char*>(p), n);
-  };
-  switch (column.type().kind) {
-    case TypeKind::kBool: {
-      out.push_back(column.bool_at(row) ? '\1' : '\0');
-      break;
-    }
-    case TypeKind::kInt64:
-    case TypeKind::kDate: {
-      const std::int64_t v = column.int64_at(row);
-      append_raw(&v, sizeof(v));
-      break;
-    }
-    case TypeKind::kDouble: {
-      double v = column.double_at(row);
-      if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
-      append_raw(&v, sizeof(v));
-      break;
-    }
-    case TypeKind::kVarchar: {
-      const StringId v = column.string_at(row);
-      append_raw(&v, sizeof(v));
-      break;
-    }
-  }
-}
-
-}  // namespace
-
-std::string encode_row_key(const storage::Table& table, storage::RowIndex row,
-                           std::span<const storage::ColumnIndex> cols) {
-  std::string out;
-  out.reserve(cols.size() * 9);
-  for (const auto col : cols) append_key_part(table, row, col, out);
-  return out;
-}
-
-namespace {
-
-// Tags mirror the encoded format's null/value marker bytes: a NULL part
-// and a value part can never hash from the same inputs.
+// Distinct seeds for a NULL part and a value part, so the two can never
+// hash from the same inputs.
 inline constexpr std::uint64_t kNullPartSeed = 0x9ae16a3b2f90404full;
 inline constexpr std::uint64_t kValuePartSeed = 0xc2b2ae3d27d4eb4full;
 
-/// Value payload of one non-null cell as raw 64 bits, normalized the same
-/// way append_key_part normalizes (-0.0 collapsed).
+/// Value payload of one non-null cell as raw 64 bits, normalized: -0.0
+/// collapsed into +0.0, strings as interned ids.
 inline std::uint64_t key_part_bits(const Column& column,
                                    storage::RowIndex row) {
   switch (column.type().kind) {
@@ -99,9 +50,9 @@ inline std::uint64_t mix_key_part(std::uint64_t h, const Column& column,
              : mix64(h ^ kValuePartSeed ^ key_part_bits(column, row));
 }
 
-/// Cell equality in the encode_row_key sense. Bit comparison of the
-/// normalized payload matches the encoded-bytes comparison exactly (incl.
-/// NaN == same-bit-pattern NaN, which `==` on doubles would get wrong).
+/// Cell equality: both NULL, or both non-NULL with equal normalized
+/// payloads. Comparing bits also makes a NaN equal a NaN of the same bit
+/// pattern, which `==` on doubles would get wrong.
 inline bool key_parts_equal(const Column& a, storage::RowIndex row_a,
                             const Column& b, storage::RowIndex row_b) {
   const bool na = a.is_null(row_a);

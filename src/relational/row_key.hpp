@@ -1,11 +1,13 @@
-// Row-key identity for hash-based operators (GROUP BY, DISTINCT, hash
-// join), the vertex key index and the Eq. 2 edge join. Two rows encode to
-// the same bytes iff their key columns are pairwise equal under the
-// column's type (strings compare by interned id, which the shared
-// StringPool makes equivalent to string equality). hash_row_key and
-// row_keys_equal give the same identity without encoding, and their
-// cell-wise forms (hash_cell_key over KeyCell spans, cell_key_equals)
-// give it for a key whose cells come from several tables.
+// Row-key identity for hash-based operators (GROUP BY, DISTINCT), the
+// vertex key index and the Eq. 2 edge join. Two keys are equal iff they
+// have as many cells and each pair of cells is equal: both NULL, or both
+// non-NULL with equal values under the column's type, where -0.0 equals
+// +0.0, other doubles compare by bit pattern (so a NaN equals a NaN of the
+// same bits), and strings compare by interned id, which the shared
+// StringPool makes equivalent to string equality. hash_row_key and
+// row_keys_equal decide it for rows of tables, and their cell-wise forms
+// (hash_cell_key over KeyCell spans, cell_key_equals) for a key whose
+// cells come from several tables.
 //
 // Key hashes go through the 64-bit MurmurHash3 finalizer (common/hash.hpp)
 // because std-hasher combining diffuses the low-entropy payloads (dense
@@ -14,20 +16,13 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 
 #include "storage/table.hpp"
 
 namespace gems::relational {
 
-/// Encodes the given columns of one row.
-std::string encode_row_key(const storage::Table& table, storage::RowIndex row,
-                           std::span<const storage::ColumnIndex> cols);
-
-/// 64-bit key hash of one row without materializing the encoded bytes
-/// (the vectorized group-by/join/distinct path). Equal keys (in the
-/// encode_row_key sense) hash equal; exact equality is decided by
-/// row_keys_equal.
+/// 64-bit key hash of one row. Equal keys hash equal; exact equality is
+/// decided by row_keys_equal.
 std::uint64_t hash_row_key(const storage::Table& table,
                            storage::RowIndex row,
                            std::span<const storage::ColumnIndex> cols);
@@ -63,11 +58,10 @@ void hash_row_key_batch(const storage::Table& table, storage::RowIndex base,
 /// payload of row `rows[i]` (or `base + i` when rows == nullptr — the
 /// contiguous-window case) (0 when NULL, -0.0 collapsed, strings as
 /// interned ids) and nulls[i] the NULL flag.
-/// Two cells are equal in the encode_row_key sense iff their (bits,
-/// null) pairs match, which lets hash-chain verification compare nine
-/// compact bytes per key column instead of re-reading a previously seen
-/// row from the source columns (a cache miss per probe once the table
-/// outgrows cache).
+/// Two cells are equal iff their (bits, null) pairs match, which lets
+/// hash-chain verification compare nine compact bytes per key column
+/// instead of re-reading a previously seen row from the source columns (a
+/// cache miss per probe once the table outgrows cache).
 void key_cells_batch(const storage::Table& table, storage::RowIndex base,
                      const storage::RowIndex* rows, std::size_t n,
                      storage::ColumnIndex col,
@@ -82,10 +76,8 @@ void hash_key_cells(const std::uint64_t* bits, const std::uint8_t* nulls,
                     std::size_t n, std::size_t ncols, std::size_t stride,
                     std::uint64_t* hashes);
 
-/// Exact key equality, byte-for-byte equivalent to comparing
-/// encode_row_key outputs (NULL == NULL, -0.0 collapsed into +0.0,
-/// doubles otherwise by bit pattern, strings by interned id) without
-/// allocating either encoding.
+/// Exact key equality: NULL == NULL, -0.0 collapsed into +0.0, doubles
+/// otherwise by bit pattern, strings by interned id.
 bool row_keys_equal(const storage::Table& a, storage::RowIndex row_a,
                     std::span<const storage::ColumnIndex> cols_a,
                     const storage::Table& b, storage::RowIndex row_b,

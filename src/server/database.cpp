@@ -208,10 +208,14 @@ metrics::Snapshot Database::metrics_snapshot() const {
     }
     table_bytes_.set(table_bytes);
     std::size_t key_index_bytes = 0;
+    std::size_t vertex_row_bytes = 0;
     for (graph::VertexTypeId t = 0; t < ctx.graph.num_vertex_types(); ++t) {
-      key_index_bytes += ctx.graph.vertex_type(t).key_index_bytes();
+      const graph::VertexType& vt = ctx.graph.vertex_type(t);
+      key_index_bytes += vt.key_index_bytes();
+      vertex_row_bytes += vt.byte_size() - vt.key_index_bytes();
     }
     key_index_bytes_.set(key_index_bytes);
+    vertex_row_bytes_.set(vertex_row_bytes);
     std::size_t csr_bytes = 0;
     std::size_t csr_tail_edges = 0;
     std::size_t endpoint_bytes = 0;

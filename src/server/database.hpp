@@ -252,6 +252,9 @@ class Database {
   metrics::Gauge& pool_bytes_ = metrics_.gauge("storage.pool.bytes");
   metrics::Gauge& table_bytes_ = metrics_.gauge("storage.tables.bytes");
   metrics::Gauge& key_index_bytes_ = metrics_.gauge("graph.key_index.bytes");
+  // The representative rows and matching-rows bits of every vertex type.
+  metrics::Gauge& vertex_row_bytes_ =
+      metrics_.gauge("graph.vertex_rows.bytes");
   metrics::Gauge& csr_bytes_ = metrics_.gauge("graph.csr.bytes");
   metrics::Gauge& csr_tail_edges_ = metrics_.gauge("graph.csr.tail_edges");
   metrics::Gauge& endpoint_bytes_ = metrics_.gauge("graph.endpoints.bytes");

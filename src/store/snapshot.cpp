@@ -248,7 +248,9 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
     }
     write_pod_array<storage::ColumnIndex>(w, vt.key_columns());
     w.u8(vt.one_to_one() ? 1 : 0);
-    write_pod_array(w, vt.representative_rows());
+    w.u64(vt.num_vertices());
+    vt.for_each_representative_piece(
+        [&](std::span<const RowIndex> piece) { write_pods(w, piece); });
     encode_bitset(w, vt.matching_rows());
   }
 
@@ -259,7 +261,9 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
     w.str(et.name());
     w.u16(et.source_type());
     w.u16(et.target_type());
-    write_pod_array(w, et.source_vertices());
+    w.u64(et.num_edges());
+    et.for_each_source_piece(
+        [&](std::span<const VertexIndex> piece) { write_pods(w, piece); });
     write_pod_array(w, et.target_vertices());
     w.u8(et.attr_table() != nullptr ? 1 : 0);
     if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());

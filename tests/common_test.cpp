@@ -1009,7 +1009,7 @@ TEST(MetricsRegistryTest, EveryLayerRegistersItsNames) {
              {"edge_traversals", "passes", "queries"}},
             {"graph.",
              {"csr.bytes", "csr.folds", "csr.tail_edges", "endpoints.bytes",
-              "key_index.bytes", "key_index.folds"}},
+              "key_index.bytes", "key_index.folds", "vertex_rows.bytes"}},
             {"mvcc.",
              {"epochs.current", "epochs.freed", "epochs.live",
               "epochs.published", "epochs.retired", "ingest.delta",

@@ -33,6 +33,7 @@
 #include "graph/delta.hpp"
 #include "relational/eval.hpp"
 #include "relational/row_key.hpp"
+#include "relational_oracle.hpp"
 
 namespace gems::graph {
 namespace {
@@ -317,10 +318,12 @@ void expect_matches(const EdgeType& et, const OracleEdges& o,
   std::vector<std::string> got = built_edges(et);
   std::vector<std::string> want = oracle_strings(o, assoc);
   if (in_order) {
-    const std::vector<VertexIndex> src(et.source_vertices().begin(),
-                                       et.source_vertices().end());
-    const std::vector<VertexIndex> dst(et.target_vertices().begin(),
-                                       et.target_vertices().end());
+    std::vector<VertexIndex> src;
+    std::vector<VertexIndex> dst;
+    for (EdgeIndex e = 0; e < et.num_edges(); ++e) {
+      src.push_back(et.source_vertex(e));
+      dst.push_back(et.target_vertex(e));
+    }
     EXPECT_EQ(src, o.src);
     EXPECT_EQ(dst, o.dst);
   } else {

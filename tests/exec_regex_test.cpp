@@ -185,7 +185,8 @@ TEST_F(RegexExecTest, PlusClosureMatchesNaiveBfs) {
       std::vector<graph::VertexIndex> next;
       for (const auto v : frontier) {
         et.forward().for_each_part(v, [&](const graph::AdjacencyPart& part) {
-          for (const auto u : part.neighbors) {
+          for (std::size_t i = 0; i < part.size(); ++i) {
+            const graph::VertexIndex u = part.neighbor(i);
             if (reach.insert(u).second) next.push_back(u);
           }
         });

@@ -20,6 +20,7 @@
 #include "graph/delta.hpp"
 #include "relational/eval.hpp"
 #include "relational/row_key.hpp"
+#include "relational_oracle.hpp"
 #include "server/database.hpp"
 #include "store/snapshot.hpp"
 #include "storage/csv.hpp"
@@ -35,6 +36,15 @@ using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
 using storage::Value;
+
+/// Every vertex's representative row, read vertex by vertex.
+std::vector<storage::RowIndex> rows_of(const VertexType& vt) {
+  std::vector<storage::RowIndex> out;
+  for (VertexIndex v = 0; v < vt.num_vertices(); ++v) {
+    out.push_back(vt.representative_row(v));
+  }
+  return out;
+}
 
 ExprPtr col(std::string q, std::string c) {
   return Expr::make_column(std::move(q), std::move(c));
@@ -396,16 +406,18 @@ TEST_F(GraphTest, CsrForwardReverseConsistency) {
   std::multiset<std::pair<VertexIndex, VertexIndex>> via_fwd, via_rev;
   for (VertexIndex v = 0; v < fwd.num_vertices(); ++v) {
     fwd.for_each_part(v, [&](const AdjacencyPart& part) {
-      for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-        via_fwd.emplace(v, part.neighbors[i]);
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        via_fwd.emplace(v, part.neighbor(i));
         EXPECT_EQ(et.source_vertex(part.edge(i)), v);
-        EXPECT_EQ(et.target_vertex(part.edge(i)), part.neighbors[i]);
+        EXPECT_EQ(et.target_vertex(part.edge(i)), part.neighbor(i));
       }
     });
   }
   for (VertexIndex v = 0; v < rev.num_vertices(); ++v) {
     rev.for_each_part(v, [&](const AdjacencyPart& part) {
-      for (const VertexIndex n : part.neighbors) via_rev.emplace(n, v);
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        via_rev.emplace(part.neighbor(i), v);
+      }
     });
   }
   EXPECT_EQ(via_fwd, via_rev);
@@ -441,7 +453,7 @@ TEST_F(GraphTest, CsrDegrees) {
 // vertices on either side, cross the fold threshold several times. After
 // every batch each direction's adjacency, degrees and sizes equal those of
 // a flat CsrIndex::build over the whole endpoint arrays, and so do the
-// snapshot bytes.
+// endpoint arrays' size and the snapshot bytes.
 
 /// A vertex type `id` of `n` vertices over a fresh table of ids 0..n-1.
 std::shared_ptr<const VertexType> numbered_vertices(StringPool& pool,
@@ -487,14 +499,14 @@ std::size_t expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
     std::vector<std::pair<VertexIndex, EdgeIndex>> want;
     std::vector<std::pair<VertexIndex, EdgeIndex>> have;
     flat.for_each_part(v, [&](const AdjacencyPart& part) {
-      for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-        want.emplace_back(part.neighbors[i], part.edge(i));
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        want.emplace_back(part.neighbor(i), part.edge(i));
       }
     });
     std::size_t parts = 0;
     got.for_each_part(v, [&](const AdjacencyPart& part) {
-      for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-        have.emplace_back(part.neighbors[i], part.edge(i));
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        have.emplace_back(part.neighbor(i), part.edge(i));
       }
       ++parts;
     });
@@ -516,6 +528,9 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   std::size_t unit_under_tail = 0;   // unit bases with a tail
   std::size_t unit_switches = 0;     // folds of a unit base into a
                                      // non-unit one
+  std::size_t implicit_bases = 0;         // ordered over identity sources
+  std::size_t implicit_under_tail = 0;    // ... with a tail
+  std::size_t materialized = 0;  // extends that wrote the sources out
   std::size_t most_parts = 0;
   // Seeds 1-12 append random sources. Seeds 13-20 append non-decreasing
   // ones, so the forward index is ordered, until batch 30 appends a
@@ -524,12 +539,18 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   // newest vertex a second edge (21-23) or skips a vertex (24-26); both
   // keep the sources non-decreasing.
   // Seeds 27-28 are ordered with one vertex of degree above 2 *
-  // kChunkRows, so its group spans three chunks.
-  for (std::uint64_t seed = 1; seed <= 28; ++seed) {
+  // kChunkRows, so its group spans three chunks. Unit sources are the
+  // identity, which the edge type does not store, until the break. Seeds
+  // 29-32 are unit too, with non-decreasing targets, so the reverse index
+  // is ordered over the identity: its base's neighbors are implicit. At
+  // batch 30 the newest vertex gets a second edge (29-30) or a vertex is
+  // skipped (31-32), and the sources are written out.
+  for (std::uint64_t seed = 1; seed <= 32; ++seed) {
     SCOPED_TRACE("seed " + std::to_string(seed));
-    const bool unit = seed > 20 && seed <= 26;
+    const bool sorted_dst = seed > 28;
+    const bool unit = (seed > 20 && seed <= 26) || sorted_dst;
     const bool ordered = seed > 12 && !unit;
-    const bool heavy = seed > 26;
+    const bool heavy = seed > 26 && !sorted_dst;
     Xoshiro256 rng(seed);
     StringPool pool;
     std::size_t num_src = unit ? 0 : rng.below(40) + (heavy ? 1 : 0);
@@ -537,6 +558,7 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
     ChunkedArray<VertexIndex> src;
     ChunkedArray<VertexIndex> dst;
     VertexIndex last_src = 0;
+    VertexIndex last_dst = 0;
     // Unit sources: edge e runs from vertex e + shift. A shift of -1 gives
     // the newest vertex a second edge, one of +1 skips a vertex.
     std::int64_t shift = 0;
@@ -545,7 +567,9 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
     auto append = [&](std::size_t n, bool break_order) {
       for (std::size_t i = 0; i < n && (unit || num_src > 0); ++i) {
         if (unit) {
-          if (break_order && i == n / 2) shift += seed <= 23 ? -1 : 1;
+          if (break_order && i == n / 2) {
+            shift += seed <= 23 || (sorted_dst && seed <= 30) ? -1 : 1;
+          }
           last_src = static_cast<VertexIndex>(
               static_cast<std::int64_t>(src.size()) + shift);
           num_src = std::max<std::size_t>(num_src, last_src + 1);
@@ -560,8 +584,15 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
                                   3, num_src - 1 - last_src)));
         }
         src.push_back(last_src);
-        dst.push_back(static_cast<VertexIndex>(
-            rng.chance(0.2) ? num_dst - 1 : rng.below(num_dst)));
+        if (!sorted_dst) {
+          last_dst = static_cast<VertexIndex>(
+              rng.chance(0.2) ? num_dst - 1 : rng.below(num_dst));
+        } else if (last_dst + 1 < num_dst && rng.chance(0.4)) {
+          const std::size_t room = num_dst - 1 - last_dst;
+          last_dst += 1 + static_cast<VertexIndex>(
+                              rng.below(std::min<std::size_t>(3, room)));
+        }
+        dst.push_back(last_dst);
       }
     };
     append(rng.below(300), false);
@@ -581,14 +612,29 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
       if (!unit) num_src += rng.below(4);
       num_dst += rng.below(3);
       const bool break_order = (ordered || unit) && batch == 30;
+      const std::size_t first = src.size();
       append(rng.below(rng.chance(0.1) ? 120 : 12) + (break_order ? 2 : 0),
              break_order);
-      EdgeType next = EdgeType::extend(et, num_src, num_dst, src, dst,
-                                       nullptr,
+      ChunkedArray<VertexIndex> added_src;
+      ChunkedArray<VertexIndex> added_dst;
+      for (std::size_t e = first; e < src.size(); ++e) {
+        added_src.push_back(src[e]);
+        added_dst.push_back(dst[e]);
+      }
+      EdgeType next = EdgeType::extend(et, num_src, num_dst, added_src,
+                                       added_dst, nullptr,
                                        std::pmr::get_default_resource());
       const EdgeType flat = EdgeType::assemble(
           0, "E", 0, 1, num_src, num_dst, src, dst, nullptr,
           std::pmr::get_default_resource());
+      ASSERT_EQ(next.num_edges(), flat.num_edges());
+      EXPECT_EQ(next.source_is_identity(), flat.source_is_identity());
+      EXPECT_EQ(next.endpoint_bytes(), flat.endpoint_bytes());
+      materialized += et.source_is_identity() && !next.source_is_identity();
+      for (EdgeIndex e = 0; e < next.num_edges(); ++e) {
+        ASSERT_EQ(next.source_vertex(e), src[e]) << "edge " << e;
+        ASSERT_EQ(next.target_vertex(e), dst[e]) << "edge " << e;
+      }
       for (const bool forward : {true, false}) {
         const CsrIndex& before = forward ? et.forward() : et.reverse();
         const CsrIndex& after = forward ? next.forward() : next.reverse();
@@ -606,11 +652,17 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
         if (after.tail_edges() == 0) {
           EXPECT_EQ(after.ordered_base(), rebuilt.ordered_base());
           EXPECT_EQ(after.unit_base(), rebuilt.unit_base());
+          EXPECT_EQ(after.implicit_neighbors(),
+                    rebuilt.implicit_neighbors());
         } else {
           ordered_under_tail += after.ordered_base();
           unit_under_tail += after.unit_base();
+          implicit_under_tail += after.implicit_neighbors();
         }
         unit_bases += after.unit_base();
+        implicit_bases += after.implicit_neighbors();
+        // Only the reverse index reads the sources.
+        EXPECT_TRUE(!after.implicit_neighbors() || !forward);
         // A unit base is ordered.
         EXPECT_TRUE(!after.unit_base() || after.ordered_base());
         // A tail never outgrows the fold fraction of the base.
@@ -632,6 +684,11 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   EXPECT_GT(unit_bases, 24u);
   EXPECT_GT(unit_under_tail, 24u);
   EXPECT_GE(unit_switches, 3u);
+  EXPECT_GT(implicit_bases, 24u);
+  EXPECT_GT(implicit_under_tail, 24u);
+  // Seeds 21-26 and 29-32 wrote their sources out at the break (a seed
+  // that starts with no edges may too).
+  EXPECT_GE(materialized, 10u);
   // The heavy vertex's three chunk pieces, and a tail part at times.
   EXPECT_GE(most_parts, 3u);
 }
@@ -731,8 +788,8 @@ TEST_F(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
   std::vector<EdgeIndex> edges;
   restored->for_each_part(301, [&](const AdjacencyPart& part) {
     ++parts;
-    for (std::size_t i = 0; i < part.neighbors.size(); ++i) {
-      EXPECT_EQ(part.neighbors[i], to[part.edge(i)]);
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      EXPECT_EQ(part.neighbor(i), to[part.edge(i)]);
       edges.push_back(part.edge(i));
     }
   });
@@ -776,7 +833,7 @@ TEST_F(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
   for (VertexIndex v = 0; v < from.size(); ++v) {
     ASSERT_EQ(restored->degree(v), 1u);
     restored->for_each_part(v, [&](const AdjacencyPart& part) {
-      EXPECT_EQ(part.neighbors[0], to[v]);
+      EXPECT_EQ(part.neighbor(0), to[v]);
       EXPECT_EQ(part.edge(0), v);
     });
   }
@@ -825,6 +882,117 @@ TEST_F(CsrRestoreTest, RejectsDescendingIdsInAGroup) {
   auto restored = restore(flat);
   ASSERT_FALSE(restored.is_ok());
   EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+}
+
+// ---- Identity arrays -------------------------------------------------------
+// A unit edge type's sources and an unfiltered one-to-one vertex type's
+// representative rows are the identity, which is not stored. Built,
+// extended and restored to the same state, a type stores the same arrays
+// and reports the same adjacency, sizes and snapshot bytes: while the
+// identity holds, after an ingest breaks it, and after a fold that
+// follows the break.
+
+/// `et` restored from the arrays a snapshot holds for it.
+EdgeType restored_copy(const EdgeType& et) {
+  std::vector<VertexIndex> src;
+  et.for_each_source_piece([&](std::span<const VertexIndex> piece) {
+    src.insert(src.end(), piece.begin(), piece.end());
+  });
+  std::vector<VertexIndex> dst;
+  for (EdgeIndex e = 0; e < et.num_edges(); ++e) {
+    dst.push_back(et.target_vertex(e));
+  }
+  auto restored = EdgeType::restore(et.id(), et.name(), et.source_type(),
+                                    et.target_type(), src, dst, nullptr,
+                                    flat_arrays(et.forward()),
+                                    flat_arrays(et.reverse()));
+  GEMS_CHECK_MSG(restored.is_ok(), restored.status().to_string().c_str());
+  return std::move(restored).value();
+}
+
+TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
+  struct Case {
+    int break_at;      // the ingest that breaks the identity; -1: none
+    std::size_t idle;  // source vertices past the last edge's
+  };
+  for (const Case c : {Case{-1, 0}, Case{-1, 3}, Case{10, 0}}) {
+    SCOPED_TRACE("break at " + std::to_string(c.break_at) + ", idle " +
+                 std::to_string(c.idle));
+    Xoshiro256 rng(static_cast<std::uint64_t>(c.break_at + 7 + c.idle));
+    StringPool pool;
+    // Edge e runs from vertex e to a non-decreasing target, as a foreign
+    // key does over a referencing table sorted by the key: the reverse
+    // index is ordered over the identity sources.
+    ChunkedArray<VertexIndex> src;
+    ChunkedArray<VertexIndex> dst;
+    ChunkedArray<VertexIndex> added_src;  // the current ingest's edges
+    ChunkedArray<VertexIndex> added_dst;
+    VertexIndex last_dst = 0;
+    auto append = [&](VertexIndex s) {
+      last_dst += rng.chance(0.3) ? 1 : 0;
+      src.push_back(s);
+      dst.push_back(last_dst);
+      added_src.push_back(s);
+      added_dst.push_back(last_dst);
+    };
+    for (VertexIndex e = 0; e < 200; ++e) append(e);
+    auto num_src = [&] { return src.size() + c.idle; };
+    auto num_dst = [&] { return std::size_t{last_dst} + 2; };
+    EdgeType et = EdgeType::assemble(0, "E", 0, 1, num_src(), num_dst(), src,
+                                     dst, nullptr,
+                                     std::pmr::get_default_resource());
+    EXPECT_TRUE(et.source_is_identity());
+    EXPECT_TRUE(et.reverse().implicit_neighbors());
+    EXPECT_EQ(et.forward().unit_base(), c.idle == 0);
+    std::size_t folds_after_break = 0;
+    for (int ingest = 0; ingest < 30; ++ingest) {
+      SCOPED_TRACE("ingest " + std::to_string(ingest));
+      added_src = {};
+      added_dst = {};
+      const std::size_t n = 1 + rng.below(8);
+      for (std::size_t i = 0; i < n; ++i) {
+        // The break gives the newest source vertex a second edge.
+        const bool breaks = ingest == c.break_at && i == 0;
+        append(static_cast<VertexIndex>(src.size() - (breaks ? 1 : 0)));
+      }
+      EdgeType next = EdgeType::extend(et, num_src(), num_dst(), added_src,
+                                       added_dst, nullptr,
+                                       std::pmr::get_default_resource());
+      const EdgeType built = EdgeType::assemble(
+          0, "E", 0, 1, num_src(), num_dst(), src, dst, nullptr,
+          std::pmr::get_default_resource());
+      const EdgeType restored = restored_copy(next);
+      const bool identity = c.break_at < 0 || ingest < c.break_at;
+      EXPECT_EQ(built.source_is_identity(), identity);
+      EXPECT_EQ(built.endpoint_bytes(),
+                (identity ? 1u : 2u) * built.num_edges() *
+                    sizeof(VertexIndex));
+      const std::vector<std::uint8_t> image =
+          snapshot_with(pool, num_src(), num_dst(), built);
+      const EdgeType& next_ref = next;
+      for (const EdgeType* got : {&next_ref, &restored}) {
+        EXPECT_EQ(got->source_is_identity(), identity);
+        EXPECT_EQ(got->endpoint_bytes(), built.endpoint_bytes());
+        for (EdgeIndex e = 0; e < built.num_edges(); ++e) {
+          ASSERT_EQ(got->source_vertex(e), built.source_vertex(e));
+        }
+        expect_same_adjacency(got->forward(), built.forward());
+        expect_same_adjacency(got->reverse(), built.reverse());
+        ASSERT_EQ(snapshot_with(pool, num_src(), num_dst(), *got), image);
+      }
+      // A restored type's bases are build()'s.
+      EXPECT_EQ(restored.reverse().implicit_neighbors(),
+                built.reverse().implicit_neighbors());
+      EXPECT_EQ(built.reverse().implicit_neighbors(), identity);
+      if (!identity && !next.reverse().shares_base(et.reverse())) {
+        ++folds_after_break;
+      }
+      et = std::move(next);
+    }
+    if (c.break_at >= 0) {
+      EXPECT_GT(folds_after_break, 0u);
+    }
+  }
 }
 
 // ---- GraphView type-level queries ---------------------------------------------
@@ -1109,9 +1277,9 @@ void expect_parity(const VertexType& vt, const Table& probe,
     oracle.add(source, static_cast<storage::RowIndex>(r));
   }
   ASSERT_EQ(vt.num_vertices(), oracle.rows().size());
-  EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
-                         vt.representative_rows().end(),
-                         oracle.rows().begin()));
+  const std::vector<storage::RowIndex> rows = rows_of(vt);
+  EXPECT_TRUE(std::equal(oracle.rows().begin(), oracle.rows().end(),
+                         rows.begin()));
   EXPECT_EQ(vt.one_to_one(), oracle.one_to_one());
   for (std::size_t r = 0; r < source.num_rows(); ++r) {
     const auto row = static_cast<storage::RowIndex>(r);
@@ -1196,10 +1364,7 @@ TEST(VertexKeyIndexTest, ExtendGrowsThroughSeveralRehashes) {
     vt = flipped ? *fresh : std::move(extended).value();
     table = grown;
     SCOPED_TRACE("batch " + std::to_string(batch));
-    EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
-                           vt.representative_rows().end(),
-                           fresh->representative_rows().begin(),
-                           fresh->representative_rows().end()));
+    EXPECT_EQ(rows_of(vt), rows_of(*fresh));
     EXPECT_EQ(vt.one_to_one(), fresh->one_to_one());
     EXPECT_EQ(vt.byte_size(), fresh->byte_size());
     expect_parity(vt, *probe, key_names);
@@ -1254,10 +1419,7 @@ TEST(VertexKeyIndexTest, TailFoldsFindEveryKey) {
         vt = std::move(extended).value();
       }
       table = grown;
-      EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
-                             vt.representative_rows().end(),
-                             fresh->representative_rows().begin(),
-                             fresh->representative_rows().end()));
+      EXPECT_EQ(rows_of(vt), rows_of(*fresh));
       EXPECT_EQ(vt.key_index_bytes(), fresh->key_index_bytes());
       EXPECT_EQ(vt.byte_size(), fresh->byte_size());
       expect_parity(vt, *probe, key_names);
@@ -1338,9 +1500,9 @@ TEST(VertexFilterTest, KernelFilterMatchesPerRowPredicate) {
     for (std::size_t r = 0; r < kRows; ++r) {
       ASSERT_EQ(vt.matching_rows().test(r), passes[r]) << "row " << r;
     }
-    EXPECT_TRUE(std::equal(vt.representative_rows().begin(),
-                           vt.representative_rows().end(),
-                           representatives.begin(), representatives.end()));
+    const std::vector<storage::RowIndex> rows = rows_of(vt);
+    EXPECT_TRUE(std::equal(representatives.begin(), representatives.end(),
+                           rows.begin(), rows.end()));
     EXPECT_FALSE(vt.one_to_one());
   };
 
@@ -1361,6 +1523,139 @@ TEST(VertexFilterTest, KernelFilterMatchesPerRowPredicate) {
   ASSERT_FALSE(flipped);
   expect_matches_oracle(*extended, "extend");
   EXPECT_EQ(extended->byte_size(), whole->byte_size());
+}
+
+// A vertex type over ids 0, 1, 2, … filtered by `k <> -1`: its
+// representative rows are the identity until an ingest appends a row with
+// k = -1 and then one that passes.
+TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
+  for (const int break_at : {-1, 10}) {
+    SCOPED_TRACE("break at " + std::to_string(break_at));
+    StringPool pool;
+    Xoshiro256 rng(static_cast<std::uint64_t>(break_at + 3));
+    auto table = std::make_shared<Table>(
+        "T", Schema({{"k", DataType::int64()}}), pool);
+    std::int64_t next_key = 0;
+    auto append_rows = [&](Table& t, std::size_t n, bool filtered_first) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool filtered = filtered_first && i == 0;
+        const Value row[] = {Value::int64(filtered ? -1 : next_key++)};
+        ASSERT_TRUE(t.append_row(row).is_ok());
+      }
+    };
+    append_rows(*table, 300, false);
+    const ExprPtr where =
+        ne(col("", "k"), Expr::make_literal(Value::int64(-1)));
+    auto bind = [&](const Table& t) {
+      relational::TableScope scope(t, "V");
+      auto bound = relational::bind_predicate(where, scope, {}, pool);
+      GEMS_CHECK_MSG(bound.is_ok(), bound.status().to_string().c_str());
+      return std::move(bound).value();
+    };
+    auto built = VertexType::build(0, "V", table, {0}, bind(*table).get(),
+                                   std::pmr::get_default_resource());
+    ASSERT_TRUE(built.is_ok());
+    VertexType vt = std::move(built).value();
+    EXPECT_TRUE(vt.identity_rows());
+    std::size_t folds_after_break = 0;
+    for (int ingest = 0; ingest < 30; ++ingest) {
+      SCOPED_TRACE("ingest " + std::to_string(ingest));
+      auto grown = std::make_shared<Table>(*table);
+      const auto first_new_row =
+          static_cast<storage::RowIndex>(grown->num_rows());
+      append_rows(*grown, 2 + rng.below(12), ingest == break_at);
+      bool flipped = false;
+      auto extended = VertexType::extend(vt, grown, bind(*grown).get(),
+                                         first_new_row, &flipped);
+      ASSERT_TRUE(extended.is_ok());
+      ASSERT_FALSE(flipped);
+      auto fresh = VertexType::build(0, "V", grown, {0}, bind(*grown).get(),
+                                     std::pmr::get_default_resource());
+      ASSERT_TRUE(fresh.is_ok());
+      auto restored = VertexType::restore(
+          0, "V", grown, {0}, extended->one_to_one(), rows_of(*extended),
+          extended->matching_rows());
+      ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+      const bool identity = break_at < 0 || ingest < break_at;
+      EXPECT_EQ(fresh->identity_rows(), identity);
+      EXPECT_EQ(fresh->byte_size(),
+                fresh->key_index_bytes() +
+                    (identity ? 0 : fresh->num_vertices() *
+                                        sizeof(storage::RowIndex)) +
+                    (grown->num_rows() + 63) / 64 * sizeof(std::uint64_t));
+      for (const VertexType* got : {&*extended, &*restored}) {
+        EXPECT_EQ(got->identity_rows(), identity);
+        EXPECT_EQ(got->one_to_one(), fresh->one_to_one());
+        EXPECT_EQ(got->byte_size(), fresh->byte_size());
+        EXPECT_EQ(got->matching_rows(), fresh->matching_rows());
+        EXPECT_EQ(rows_of(*got), rows_of(*fresh));
+        for (std::size_t r = 0; r < grown->num_rows(); ++r) {
+          const auto row = static_cast<storage::RowIndex>(r);
+          ASSERT_EQ(got->find_by_key(*grown, row, {{0}}),
+                    fresh->find_by_key(*grown, row, {{0}}))
+              << "row " << r;
+        }
+      }
+      if (!identity && !extended->shares_key_base(vt)) ++folds_after_break;
+      vt = std::move(extended).value();
+      table = grown;
+    }
+    if (break_at >= 0) {
+      EXPECT_GT(folds_after_break, 0u);
+    }
+  }
+}
+
+// restore() accepts only the fields build() can give: every representative
+// row is a matching row, and the type is one-to-one exactly when every
+// matching row is a vertex.
+TEST(VertexRestoreTest, RejectsAFlippedOneToOneFlag) {
+  StringPool pool;
+  auto table = std::make_shared<Table>(
+      "T", Schema({{"k", DataType::int64()}}), pool);
+  for (const std::int64_t k : {1, 2, 2, 3}) {
+    const Value row[] = {Value::int64(k)};
+    ASSERT_TRUE(table->append_row(row).is_ok());
+  }
+  for (const bool collapse : {false, true}) {
+    // Keyed on k, row 2 collapses into row 1's vertex; over the first two
+    // rows alone, none does.
+    const std::vector<storage::RowIndex> reps =
+        collapse ? std::vector<storage::RowIndex>{0, 1, 3}
+                 : std::vector<storage::RowIndex>{0, 1};
+    DynamicBitset matching(table->num_rows());
+    for (std::size_t r = 0; r < (collapse ? 4u : 2u); ++r) matching.set(r);
+    auto good = VertexType::restore(0, "V", table, {0}, !collapse, reps,
+                                    matching);
+    ASSERT_TRUE(good.is_ok()) << good.status().to_string();
+    auto bad = VertexType::restore(0, "V", table, {0}, collapse, reps,
+                                   matching);
+    ASSERT_FALSE(bad.is_ok());
+    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(VertexRestoreTest, RejectsARepresentativeRowOutsideTheMatchingRows) {
+  StringPool pool;
+  auto table = std::make_shared<Table>(
+      "T", Schema({{"k", DataType::int64()}}), pool);
+  for (const std::int64_t k : {1, 2, 3, 4}) {
+    const Value row[] = {Value::int64(k)};
+    ASSERT_TRUE(table->append_row(row).is_ok());
+  }
+  // Rows 0, 1 and 3 pass; row 2 does not, yet is listed as a vertex in
+  // place of row 3, so the counts still agree with one_to_one.
+  DynamicBitset matching(table->num_rows());
+  for (const std::size_t r : {0, 1, 3}) matching.set(r);
+  ASSERT_TRUE(VertexType::restore(0, "V", table, {0}, true, {{0, 1, 3}},
+                                  matching)
+                  .is_ok());
+  auto bad =
+      VertexType::restore(0, "V", table, {0}, true, {{0, 1, 2}}, matching);
+  ASSERT_FALSE(bad.is_ok());
+  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(bad.status().message().find("not a matching row"),
+            std::string::npos);
 }
 
 // Single-source conjuncts of an edge declaration select join candidates

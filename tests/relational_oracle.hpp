@@ -28,6 +28,53 @@
 
 namespace gems::relational {
 
+// ---- Encoded row keys -------------------------------------------------------
+// The reference for row_key.hpp's identity: a key as bytes, a NULL marker
+// or a value marker and the normalized value per cell, so two keys are
+// equal iff their encodings are. hash_row_key, row_keys_equal and the
+// vertex key index are checked against it.
+
+/// Encodes the given columns of one row.
+inline std::string encode_row_key(const Table& table, RowIndex row,
+                                  std::span<const ColumnIndex> cols) {
+  std::string out;
+  out.reserve(cols.size() * 9);
+  for (const ColumnIndex col : cols) {
+    const storage::Column& column = table.column(col);
+    if (column.is_null(row)) {
+      out.push_back('\0');  // null marker
+      continue;
+    }
+    out.push_back('\1');
+    auto append_raw = [&out](const void* p, std::size_t n) {
+      out.append(static_cast<const char*>(p), n);
+    };
+    switch (column.type().kind) {
+      case storage::TypeKind::kBool:
+        out.push_back(column.bool_at(row) ? '\1' : '\0');
+        break;
+      case storage::TypeKind::kInt64:
+      case storage::TypeKind::kDate: {
+        const std::int64_t v = column.int64_at(row);
+        append_raw(&v, sizeof(v));
+        break;
+      }
+      case storage::TypeKind::kDouble: {
+        double v = column.double_at(row);
+        if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
+        append_raw(&v, sizeof(v));
+        break;
+      }
+      case storage::TypeKind::kVarchar: {
+        const StringId v = column.string_at(row);
+        append_raw(&v, sizeof(v));
+        break;
+      }
+    }
+  }
+  return out;
+}
+
 // ---- Whole-table forms of the kernel operators ----------------------------
 // The executor runs the row-list operators (group_by over rows,
 // sort_rows, distinct_rows) and materializes once. These table-in,

@@ -216,6 +216,24 @@ TEST(DatabaseTest, CatalogEdgeLineCountsEverythingTheEdgeTypeHolds) {
   EXPECT_GT(with_attrs, 0u);  // `type` and `feature`
 }
 
+TEST(DatabaseTest, VertexRowGaugeIsTheVertexLinesLessTheKeyIndex) {
+  auto db = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(80, 21));
+  ASSERT_TRUE(db.is_ok());
+  std::size_t vertex_lines = 0;
+  std::size_t count = 0;
+  for (const auto& entry : (*db)->catalog()) {
+    if (entry.kind != CatalogEntry::Kind::kVertexType) continue;
+    vertex_lines += entry.byte_size;
+    ++count;
+  }
+  EXPECT_GT(count, 0u);
+  const metrics::Snapshot m = (*db)->metrics_snapshot();
+  const std::uint64_t rows = metrics::value(m, "graph.vertex_rows.bytes");
+  EXPECT_GT(rows, 0u);  // every type has matching bits
+  EXPECT_EQ(rows, vertex_lines - metrics::value(m, "graph.key_index.bytes"));
+}
+
 TEST(DatabaseTest, MetaCatalogMirrorsLiveState) {
   auto db = bsbm::make_populated_database(
       bsbm::GeneratorConfig::derive(40, 5));
