@@ -212,67 +212,6 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   return out;
 }
 
-Result<CsrIndex> CsrIndex::restore(CsrArrays arrays, EdgeEnd indexed,
-                                   EdgeEnd other) {
-  const auto& [offsets, neighbor, edge] = arrays;
-  if (offsets.empty()) {
-    return invalid_argument("CSR restore: empty offsets array");
-  }
-  if (offsets.front() != 0 || offsets.back() != neighbor.size()) {
-    return invalid_argument("CSR restore: offsets do not bracket " +
-                            std::to_string(neighbor.size()) + " entries");
-  }
-  for (std::size_t i = 1; i < offsets.size(); ++i) {
-    if (offsets[i] < offsets[i - 1]) {
-      return invalid_argument("CSR restore: offsets not monotone at " +
-                              std::to_string(i));
-    }
-  }
-  if (neighbor.size() != edge.size() || edge.size() != indexed.size() ||
-      indexed.size() != other.size()) {
-    return invalid_argument("CSR restore: parallel array size mismatch");
-  }
-  // Each group's ids are distinct and all index v, so every edge is in
-  // exactly one group once: the edge array is a permutation.
-  bool ordered = true;   // the edge array is the identity
-  bool identity = true;  // edge e indexes vertex e
-  for (std::size_t v = 0; v + 1 < offsets.size(); ++v) {
-    for (std::uint32_t i = offsets[v]; i < offsets[v + 1]; ++i) {
-      const EdgeIndex e = edge[i];
-      if (e >= edge.size() || indexed[e] != v) {
-        return invalid_argument("CSR restore: entry " + std::to_string(i) +
-                                " is not an edge of vertex " +
-                                std::to_string(v));
-      }
-      if (i > offsets[v] && e <= edge[i - 1]) {
-        return invalid_argument("CSR restore: edge ids not ascending at " +
-                                std::to_string(i));
-      }
-      if (neighbor[i] != other[e]) {
-        return invalid_argument("CSR restore: neighbor of entry " +
-                                std::to_string(i) + " is not edge " +
-                                std::to_string(e) + "'s endpoint");
-      }
-      ordered &= e == i;
-      identity &= e == v;
-    }
-  }
-  // Keep what build() would store: an ordered direction's neighbors are
-  // `other` (nothing when it is the identity), and a unit direction's
-  // offsets are the identity.
-  const std::size_t edges = edge.size();
-  const bool unit = identity && offsets.size() == edges + 1;
-  auto base = std::make_shared<Base>();
-  if (!unit) base->offsets = std::move(arrays.offsets);
-  if (ordered) {
-    if (other.array() != nullptr) base->other = *other.array();
-  } else {
-    base->neighbor = std::move(arrays.neighbor);
-    base->edge = std::move(arrays.edge);
-  }
-  return over(std::move(base), edges, identity);
-}
-
 EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
                             VertexTypeId src_type, VertexTypeId dst_type,
                             std::size_t num_src_vertices,
@@ -337,10 +276,11 @@ EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
 Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
                                    VertexTypeId src_type,
                                    VertexTypeId dst_type,
+                                   std::size_t num_src_vertices,
+                                   std::size_t num_dst_vertices,
                                    std::span<const VertexIndex> src,
                                    std::span<const VertexIndex> dst,
-                                   storage::TablePtr attr_table,
-                                   CsrArrays forward, CsrArrays reverse) {
+                                   storage::TablePtr attr_table) {
   if (src.size() != dst.size()) {
     return invalid_argument("edge type '" + name +
                             "' restore: endpoint array size mismatch");
@@ -349,42 +289,28 @@ Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
     return invalid_argument("edge type '" + name +
                             "' restore: attribute table rows != edges");
   }
-  EdgeType et;
-  et.id_ = id;
-  et.name_ = std::move(name);
-  et.src_type_ = src_type;
-  et.dst_type_ = dst_type;
-  if (is_identity(src, 0)) {
-    et.src_identity_ = true;
-  } else {
-    et.src_.append(src.data(), src.size());
-  }
-  et.dst_.append(dst.data(), dst.size());
-  et.attr_table_ = std::move(attr_table);
-  // The CSRs second: an ordered direction reads the endpoint arrays.
-  for (const bool fwd : {true, false}) {
-    auto csr = CsrIndex::restore(std::move(fwd ? forward : reverse),
-                                 fwd ? et.source_end() : EdgeEnd(et.dst_),
-                                 fwd ? EdgeEnd(et.dst_) : et.source_end());
-    if (!csr.is_ok()) {
-      return invalid_argument("edge type '" + et.name_ + "' restore: " +
-                              csr.status().message());
+  // build() scatters through the endpoints, so they are bounded first.
+  auto check_range = [&name](std::span<const VertexIndex> ends,
+                             std::size_t n, const char* side) {
+    for (const VertexIndex v : ends) {
+      if (v >= n) {
+        return invalid_argument("edge type '" + name + "' restore: " + side +
+                                " vertex " + std::to_string(v) +
+                                " out of range (" + std::to_string(n) +
+                                " vertices)");
+      }
     }
-    (fwd ? et.forward_ : et.reverse_) = std::move(csr).value();
-  }
-  for (const VertexIndex v : src) {
-    if (v >= et.forward_.num_vertices()) {
-      return invalid_argument("edge type '" + et.name_ +
-                              "' restore: source vertex out of range");
-    }
-  }
-  for (const VertexIndex v : dst) {
-    if (v >= et.reverse_.num_vertices()) {
-      return invalid_argument("edge type '" + et.name_ +
-                              "' restore: target vertex out of range");
-    }
-  }
-  return et;
+    return Status::ok();
+  };
+  GEMS_RETURN_IF_ERROR(check_range(src, num_src_vertices, "source"));
+  GEMS_RETURN_IF_ERROR(check_range(dst, num_dst_vertices, "target"));
+  ChunkedArray<VertexIndex> src_array;
+  src_array.append(src.data(), src.size());
+  ChunkedArray<VertexIndex> dst_array;
+  dst_array.append(dst.data(), dst.size());
+  return assemble(id, std::move(name), src_type, dst_type, num_src_vertices,
+                  num_dst_vertices, std::move(src_array), std::move(dst_array),
+                  std::move(attr_table), std::pmr::get_default_resource());
 }
 
 Result<storage::ColumnIndex> EdgeType::resolve_attribute(

@@ -9,7 +9,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
@@ -74,16 +73,6 @@ class EdgeEnd {
 
   const ChunkedArray<VertexIndex>* array_ = nullptr;
   std::size_t size_ = 0;
-};
-
-/// The flat arrays of one serialized CSR direction: offsets (one more
-/// than the indexed side's vertices), then the neighbors and edge ids
-/// grouped by indexed vertex. On large_array_resource(), as CsrIndex's
-/// base arrays are, so restore() moves them in without a copy.
-struct CsrArrays {
-  std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
-  std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
-  std::pmr::vector<EdgeIndex> edge{large_array_resource()};
 };
 
 /// Compressed-sparse-row adjacency: for each vertex of the indexed side,
@@ -214,111 +203,6 @@ class CsrIndex {
   bool shares_base(const CsrIndex& other) const noexcept {
     return base_ == other.base_;
   }
-
-  // ---- Snapshot serialization (gems::store) ---------------------------
-  // The snapshot holds the flat arrays build() would give before the
-  // ordered and unit rules: offsets, neighbors and edge ids, all explicit.
-  // These calls produce them in order, piece by piece, without
-  // materializing them.
-
-  /// Calls fn(std::span<const std::uint32_t>) over consecutive pieces of
-  /// the flat offsets array (num_vertices() + 1 entries).
-  template <typename Fn>
-  void for_each_flat_offsets(Fn&& fn) const {
-    if (tail_ == nullptr && num_vertices_ == base_vertices_ &&
-        offsets_ != nullptr) {
-      fn(std::span<const std::uint32_t>(offsets_, base_vertices_ + 1));
-      return;
-    }
-    std::array<std::uint32_t, kChunkRows> piece;
-    if (tail_ == nullptr) {
-      // The base's offsets (the identity for a unit base), then its last
-      // one again for each vertex past the base.
-      for (std::size_t first = 0; first <= num_vertices_;
-           first += piece.size()) {
-        const std::size_t n =
-            std::min(piece.size(), num_vertices_ + 1 - first);
-        for (std::size_t i = 0; i < n; ++i) {
-          piece[i] = base_offset(std::min(first + i, base_vertices_));
-        }
-        fn(std::span<const std::uint32_t>(piece.data(), n));
-      }
-      return;
-    }
-    std::size_t fill = 0;
-    std::size_t k = 0;  // touched vertices below v
-    for (std::size_t v = 0; v <= num_vertices_; ++v) {
-      std::uint32_t below = 0;  // tail edges of the vertices below v
-      if (tail_ != nullptr) {
-        while (k < tail_->touched.size() && tail_->touched[k] < v) ++k;
-        below = tail_->offsets[k];
-      }
-      piece[fill++] = base_offset(std::min(v, base_vertices_)) + below;
-      if (fill == piece.size() || v == num_vertices_) {
-        fn(std::span<const std::uint32_t>(piece.data(), fill));
-        fill = 0;
-      }
-    }
-  }
-
-  /// Calls fn(std::span<const VertexIndex> neighbors,
-  /// std::span<const EdgeIndex> edges) over consecutive runs of the flat
-  /// (neighbor, edge) arrays (num_edges() entries). Implicit neighbors and
-  /// edge ids are written out, a kChunkRows piece at a time.
-  template <typename Fn>
-  void for_each_flat_run(Fn&& fn) const {
-    std::array<VertexIndex, kChunkRows> neighbors;
-    std::array<EdgeIndex, kChunkRows> ids;
-    auto emit = [&](const AdjacencyPart& part) {
-      for (std::size_t at = 0; at < part.size(); at += kChunkRows) {
-        const std::size_t n = std::min(kChunkRows, part.size() - at);
-        const VertexIndex* nb = part.neighbors + at;
-        const EdgeIndex* ed = part.edge_ids + at;
-        if (part.neighbors == nullptr) {
-          for (std::size_t i = 0; i < n; ++i) neighbors[i] = part.edge(at + i);
-          nb = neighbors.data();
-        }
-        if (part.edge_ids == nullptr) {
-          for (std::size_t i = 0; i < n; ++i) ids[i] = part.edge(at + i);
-          ed = ids.data();
-        }
-        fn(std::span<const VertexIndex>(nb, n),
-           std::span<const EdgeIndex>(ed, n));
-      }
-    };
-    std::uint32_t from = 0;  // base entries emitted so far
-    auto base_run = [&](std::uint32_t to) {
-      if (edge_ != nullptr) {
-        emit(AdjacencyPart{neighbor_ + from, edge_ + from, from, to - from});
-      } else if (chunks_ == nullptr) {
-        emit(AdjacencyPart{nullptr, nullptr, from, to - from});
-      } else {
-        for_each_view_part(from, to - from, emit);
-      }
-      from = to;
-    };
-    if (tail_ != nullptr) {
-      for (const VertexIndex v : tail_->touched) {
-        base_run(base_offset(std::min<std::size_t>(v + 1, base_vertices_)));
-        emit(tail_->part(v));
-      }
-    }
-    base_run(static_cast<std::uint32_t>(base_edges_));
-  }
-
-  /// Rebuilds an index from serialized arrays over the endpoint arrays
-  /// `indexed` and `other` (edge e runs indexed[e] -> other[e]). Corrupt
-  /// input is rejected rather than read out of bounds: the offsets must
-  /// be monotone and bracket the arrays, the arrays parallel, and each
-  /// entry of vertex v's group an edge e with indexed[e] == v and
-  /// neighbor == other[e], the group's edge ids ascending. So the edge
-  /// array is a permutation and the index is build()'s. The result has an
-  /// empty tail, and its base is the one build() gives: it takes the
-  /// arrays over (they are copied only when not on large_array_resource())
-  /// and then drops what the endpoint arrays hold, as build() never
-  /// stores it.
-  static Result<CsrIndex> restore(CsrArrays arrays, EdgeEnd indexed,
-                                  EdgeEnd other);
 
  private:
   // The offsets, neighbor and edge arrays come from
@@ -498,20 +382,20 @@ class EdgeType {
 
   Result<storage::ColumnIndex> resolve_attribute(std::string_view name) const;
 
-  /// Snapshot restore (gems::store): reassembles an edge type from
-  /// serialized endpoint arrays and the flat arrays of both CSR
-  /// directions (no join re-run, no index rebuild — recovery loads at
-  /// deserialization speed). The endpoint arrays are built first, since
-  /// an ordered direction reads its neighbors from them; an identity
-  /// source array is dropped, as assemble() drops it. Validates that the
-  /// pieces are mutually consistent.
+  /// Snapshot restore (gems::store): the edge type over the serialized
+  /// endpoint arrays and attribute table, between endpoint types of
+  /// `num_src_vertices` and `num_dst_vertices` vertices. The indices are
+  /// derived state: after checking that the arrays are parallel, the
+  /// attribute rows match, and every endpoint is below its side's vertex
+  /// count (build() scatters through them), it is assemble()'s result.
   static Result<EdgeType> restore(EdgeTypeId id, std::string name,
                                   VertexTypeId src_type,
                                   VertexTypeId dst_type,
+                                  std::size_t num_src_vertices,
+                                  std::size_t num_dst_vertices,
                                   std::span<const VertexIndex> src,
                                   std::span<const VertexIndex> dst,
-                                  storage::TablePtr attr_table,
-                                  CsrArrays forward, CsrArrays reverse);
+                                  storage::TablePtr attr_table);
 
  private:
   EdgeType() = default;

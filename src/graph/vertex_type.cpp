@@ -94,7 +94,7 @@ Result<VertexType> VertexType::extend(const VertexType& base,
 
 Result<VertexType> VertexType::restore(
     VertexTypeId id, std::string name, storage::TablePtr source,
-    std::vector<ColumnIndex> key_cols, bool one_to_one,
+    std::vector<ColumnIndex> key_cols,
     std::span<const RowIndex> representative_rows,
     DynamicBitset matching_rows) {
   if (source == nullptr) {
@@ -126,19 +126,13 @@ Result<VertexType> VertexType::restore(
                               std::to_string(r) + " is not a matching row");
     }
   }
-  // build() sets one_to_one exactly when no matching row collapsed into
-  // another's vertex: when every matching row is a vertex.
-  if (one_to_one != (matching_rows.count() == representative_rows.size())) {
-    return invalid_argument("vertex type '" + name +
-                            "' restore: one_to_one flag contradicts the "
-                            "matching and representative rows");
-  }
   VertexType vt;
   vt.id_ = id;
   vt.name_ = std::move(name);
   vt.source_ = std::move(source);
   vt.key_cols_ = std::move(key_cols);
-  vt.one_to_one_ = one_to_one;
+  // As build() sets it: no matching row collapsed into another's vertex.
+  vt.one_to_one_ = matching_rows.count() == representative_rows.size();
   vt.matching_rows_ = std::move(matching_rows);
   IdTable index;
   index.reserve(representative_rows.size());

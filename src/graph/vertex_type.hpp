@@ -150,13 +150,12 @@ class VertexType {
   /// key->vertex index is recomputed from the representative rows (it is
   /// fully derived, and collapsed rows have equal keys), so it is not
   /// part of the on-disk format. Validates row references against the
-  /// source table, that every representative row is a matching row, and
-  /// that `one_to_one` holds exactly when every matching row is a vertex,
-  /// as build() makes it; identity rows are dropped, as build() never
-  /// stores them.
+  /// source table and that every representative row is a matching row.
+  /// `one_to_one` is derived, as build() sets it: every matching row is a
+  /// vertex. Identity rows are dropped, as build() never stores them.
   static Result<VertexType> restore(
       VertexTypeId id, std::string name, storage::TablePtr source,
-      std::vector<storage::ColumnIndex> key_cols, bool one_to_one,
+      std::vector<storage::ColumnIndex> key_cols,
       std::span<const storage::RowIndex> representative_rows,
       DynamicBitset matching_rows);
 

@@ -66,7 +66,8 @@ class FileWriter : public StreamWriter {
 
 // ---- POD arrays -------------------------------------------------------------
 // A u64 element count + the elements' raw bytes: the layout of column
-// data, CSR arrays and bitset words. `W` is a ByteWriter or a FileWriter.
+// data, endpoint arrays and bitset words. `W` is a ByteWriter or a
+// FileWriter.
 
 /// The elements' raw bytes alone: one piece of an array whose count was
 /// written before it.

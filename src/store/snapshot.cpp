@@ -66,8 +66,8 @@ void encode_table(W& w, const Table& t) {
   }
   w.u64(t.num_rows());
   // Chunks are written back to back: the bytes are those of one flat
-  // array per column and one packed validity bitmap, as snapshot v1 has
-  // always stored them.
+  // array per column and one packed validity bitmap, as every snapshot
+  // version has stored them.
   for (std::size_t c = 0; c < t.num_columns(); ++c) {
     const Column& col = t.column(static_cast<storage::ColumnIndex>(c));
     switch (col.type().kind) {
@@ -247,14 +247,14 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
       encode_table(w, vt.source());
     }
     write_pod_array<storage::ColumnIndex>(w, vt.key_columns());
-    w.u8(vt.one_to_one() ? 1 : 0);
     w.u64(vt.num_vertices());
     vt.for_each_representative_piece(
         [&](std::span<const RowIndex> piece) { write_pods(w, piece); });
     encode_bitset(w, vt.matching_rows());
   }
 
-  // Built edge types, in id order, with both CSR directions.
+  // Built edge types, in id order: their edges, not their indices, which
+  // restore builds.
   w.u32(static_cast<std::uint32_t>(ctx.graph.num_edge_types()));
   for (std::size_t i = 0; i < ctx.graph.num_edge_types(); ++i) {
     const EdgeType& et = ctx.graph.edge_type(static_cast<EdgeTypeId>(i));
@@ -267,22 +267,6 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
     write_pod_array(w, et.target_vertices());
     w.u8(et.attr_table() != nullptr ? 1 : 0);
     if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());
-    // The flat arrays, whatever the index's base/tail split.
-    for (const graph::CsrIndex* csr : {&et.forward(), &et.reverse()}) {
-      w.u64(csr->num_vertices() + 1);
-      csr->for_each_flat_offsets(
-          [&](std::span<const std::uint32_t> piece) { write_pods(w, piece); });
-      w.u64(csr->num_edges());
-      csr->for_each_flat_run([&](std::span<const VertexIndex> neighbors,
-                                 std::span<const graph::EdgeIndex>) {
-        write_pods(w, neighbors);
-      });
-      w.u64(csr->num_edges());
-      csr->for_each_flat_run([&](std::span<const VertexIndex>,
-                                 std::span<const graph::EdgeIndex> edges) {
-        write_pods(w, edges);
-      });
-    }
   }
 
   // Named subgraphs (std::map iteration: name order).
@@ -398,19 +382,14 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
     GEMS_ASSIGN_OR_RETURN(
         std::pmr::vector<storage::ColumnIndex> key_cols,
         read_pod_array<storage::ColumnIndex>(r, "key columns"));
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t one_to_one, r.u8());
-    if (one_to_one > 1) {
-      return r.error_at(at,
-                        "vertex type '" + name + "': bad one_to_one flag");
-    }
     GEMS_ASSIGN_OR_RETURN(std::pmr::vector<RowIndex> reps,
                           read_pod_array<RowIndex>(r, "representative rows"));
     GEMS_ASSIGN_OR_RETURN(DynamicBitset matching,
                           decode_bitset(r, "matching rows"));
     auto vt = VertexType::restore(static_cast<VertexTypeId>(i),
                                   std::move(name), std::move(source),
-                                  {key_cols.begin(), key_cols.end()},
-                                  one_to_one != 0, reps, std::move(matching));
+                                  {key_cols.begin(), key_cols.end()}, reps,
+                                  std::move(matching));
     if (!vt.is_ok()) return r.error_at(at, vt.status().message());
     GEMS_RETURN_IF_ERROR(ctx.graph.add_vertex_type(std::move(vt).value()));
   }
@@ -444,28 +423,12 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
     } else if (has_attrs != 0) {
       return r.error_at(at, "edge type '" + name + "': bad attr-table flag");
     }
-    graph::CsrArrays csrs[2];
-    for (graph::CsrArrays& csr : csrs) {
-      GEMS_ASSIGN_OR_RETURN(csr.offsets,
-                            read_pod_array<std::uint32_t>(r, "CSR offsets"));
-      GEMS_ASSIGN_OR_RETURN(csr.neighbor,
-                            read_pod_array<VertexIndex>(r, "CSR neighbors"));
-      GEMS_ASSIGN_OR_RETURN(csr.edge,
-                            read_pod_array<graph::EdgeIndex>(r, "CSR edges"));
-    }
-    auto et = EdgeType::restore(static_cast<EdgeTypeId>(i), std::move(name),
-                                src_type, dst_type, src, dst,
-                                std::move(attr_table), std::move(csrs[0]),
-                                std::move(csrs[1]));
+    auto et = EdgeType::restore(
+        static_cast<EdgeTypeId>(i), std::move(name), src_type, dst_type,
+        ctx.graph.vertex_type(src_type).num_vertices(),
+        ctx.graph.vertex_type(dst_type).num_vertices(), src, dst,
+        std::move(attr_table));
     if (!et.is_ok()) return r.error_at(at, et.status().message());
-    // The CSR vertex counts must match the endpoint types they index.
-    if (et->forward().num_vertices() !=
-            ctx.graph.vertex_type(src_type).num_vertices() ||
-        et->reverse().num_vertices() !=
-            ctx.graph.vertex_type(dst_type).num_vertices()) {
-      return r.error_at(at, "edge type '" + et->name() +
-                                "': CSR vertex count != endpoint type size");
-    }
     GEMS_RETURN_IF_ERROR(ctx.graph.add_edge_type(std::move(et).value()));
   }
 

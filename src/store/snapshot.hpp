@@ -1,8 +1,11 @@
 // Versioned, checksummed binary snapshots of the full database state:
 // string pool, columnar tables, DDL declarations, built graph views
-// (vertex/edge types with their bidirectional CSR indices) and named
-// subgraphs. Recovery loads the graph at deserialization speed — no joins,
-// no key-index hashing of raw strings, no CSV parsing.
+// (vertex types with their representative rows, edge types with their
+// endpoint arrays) and named subgraphs. Indices are derived state and are
+// never serialized: recovery rebuilds each key index from the
+// representative rows and each CSR direction with CsrIndex::build, the
+// graph build's own code — no joins, no hashing of raw strings, no CSV
+// parsing.
 //
 // File image = 24-byte header + body:
 //   u32 magic "GSN1" | u16 version | u16 reserved | u64 body_len |
@@ -30,7 +33,7 @@
 namespace gems::store {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x47534E31;  // "GSN1"
-inline constexpr std::uint16_t kSnapshotVersion = 1;
+inline constexpr std::uint16_t kSnapshotVersion = 2;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 
 struct SnapshotInfo {

@@ -18,6 +18,7 @@
 #include "common/prng.hpp"
 #include "graph/builder.hpp"
 #include "graph/delta.hpp"
+#include "graph_oracle.hpp"
 #include "relational/eval.hpp"
 #include "relational/row_key.hpp"
 #include "relational_oracle.hpp"
@@ -487,37 +488,6 @@ std::vector<std::uint8_t> snapshot_with(StringPool& pool, std::size_t num_src,
   return store::encode_snapshot(ctx, 0);
 }
 
-/// `got`'s adjacency, degrees and size equal `flat`'s, vertex by vertex.
-/// Returns the most parts any vertex of `got` gave.
-std::size_t expect_same_adjacency(const CsrIndex& got, const CsrIndex& flat) {
-  EXPECT_EQ(got.num_vertices(), flat.num_vertices());
-  if (got.num_vertices() != flat.num_vertices()) return 0;
-  EXPECT_EQ(got.num_edges(), flat.num_edges());
-  EXPECT_EQ(got.byte_size(), flat.byte_size());
-  std::size_t most_parts = 0;
-  for (VertexIndex v = 0; v < flat.num_vertices(); ++v) {
-    std::vector<std::pair<VertexIndex, EdgeIndex>> want;
-    std::vector<std::pair<VertexIndex, EdgeIndex>> have;
-    flat.for_each_part(v, [&](const AdjacencyPart& part) {
-      for (std::size_t i = 0; i < part.size(); ++i) {
-        want.emplace_back(part.neighbor(i), part.edge(i));
-      }
-    });
-    std::size_t parts = 0;
-    got.for_each_part(v, [&](const AdjacencyPart& part) {
-      for (std::size_t i = 0; i < part.size(); ++i) {
-        have.emplace_back(part.neighbor(i), part.edge(i));
-      }
-      ++parts;
-    });
-    most_parts = std::max(most_parts, parts);
-    EXPECT_EQ(have, want) << "vertex " << v;
-    EXPECT_EQ(got.degree(v), flat.degree(v)) << "vertex " << v;
-    if (have != want) break;
-  }
-  return most_parts;
-}
-
 TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   std::size_t folds = 0;
   std::size_t shared = 0;
@@ -694,203 +664,23 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
 }
 
 // ---- CSR restore ----------------------------------------------------------
-// restore() accepts exactly the flat arrays build() gives for the endpoint
-// arrays: each entry of vertex v's group is an edge e with indexed[e] == v
-// and neighbor == other[e], the group's ids ascending.
+// A snapshot holds an edge type's endpoint arrays, not its indices:
+// EdgeType::restore() builds both directions with CsrIndex::build, so a
+// restored type's adjacency, forms and sizes are exactly assemble()'s.
 
-/// The flat (offsets, neighbor, edge) arrays of `index`.
-CsrArrays flat_arrays(const CsrIndex& index) {
-  CsrArrays out;
-  index.for_each_flat_offsets([&](std::span<const std::uint32_t> piece) {
-    out.offsets.insert(out.offsets.end(), piece.begin(), piece.end());
-  });
-  index.for_each_flat_run([&](std::span<const VertexIndex> neighbors,
-                              std::span<const EdgeIndex> edges) {
-    out.neighbor.insert(out.neighbor.end(), neighbors.begin(),
-                        neighbors.end());
-    out.edge.insert(out.edge.end(), edges.begin(), edges.end());
-  });
-  return out;
+/// The edge type over edges src[e] -> dst[e] between `num_src` and
+/// `num_dst` vertices, as assemble() builds it.
+EdgeType assembled(const std::vector<VertexIndex>& src,
+                   const std::vector<VertexIndex>& dst, std::size_t num_src,
+                   std::size_t num_dst) {
+  ChunkedArray<VertexIndex> from;
+  from.append(src.data(), src.size());
+  ChunkedArray<VertexIndex> to;
+  to.append(dst.data(), dst.size());
+  return EdgeType::assemble(0, "E", 0, 1, num_src, num_dst, std::move(from),
+                            std::move(to), nullptr,
+                            std::pmr::get_default_resource());
 }
-
-ChunkedArray<VertexIndex> chunked(const std::vector<VertexIndex>& values) {
-  ChunkedArray<VertexIndex> out;
-  out.append(values.data(), values.size());
-  return out;
-}
-
-void expect_same_arrays(const CsrArrays& got, const CsrArrays& want) {
-  EXPECT_EQ(got.offsets, want.offsets);
-  EXPECT_EQ(got.neighbor, want.neighbor);
-  EXPECT_EQ(got.edge, want.edge);
-}
-
-class CsrRestoreTest : public ::testing::Test {
- protected:
-  // Edge e runs source[e] -> target[e]; 3 sources, 3 targets.
-  const ChunkedArray<VertexIndex> source = chunked({1, 0, 1, 2, 0});
-  const ChunkedArray<VertexIndex> target = chunked({0, 2, 1, 2, 0});
-
-  Result<CsrIndex> restore(const CsrArrays& flat) const {
-    return CsrIndex::restore(flat, source, target);
-  }
-  CsrArrays forward_arrays() const {
-    return flat_arrays(CsrIndex::build(3, source, target,
-                                       std::pmr::get_default_resource()));
-  }
-};
-
-TEST_F(CsrRestoreTest, BuiltArraysRoundTrip) {
-  const CsrArrays flat = forward_arrays();
-  auto restored = restore(flat);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_FALSE(restored->ordered_base());
-  expect_same_arrays(flat_arrays(*restored), flat);
-}
-
-TEST_F(CsrRestoreTest, IdentityEdgeArrayIsDropped) {
-  // Sorted by source, the edge array is the identity, and the neighbors
-  // are the other endpoint array: only the offsets are stored.
-  const auto sorted = chunked({0, 0, 1, 1, 2});
-  const auto other = chunked({2, 0, 0, 1, 2});
-  const CsrArrays flat{{0, 2, 4, 5}, {2, 0, 0, 1, 2}, {0, 1, 2, 3, 4}};
-  auto restored = CsrIndex::restore(flat, sorted, other);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_TRUE(restored->ordered_base());
-  EXPECT_FALSE(restored->unit_base());
-  EXPECT_EQ(restored->byte_size(), 4 * sizeof(std::uint32_t));
-  expect_same_arrays(flat_arrays(*restored), flat);
-}
-
-TEST_F(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
-  // Three chunks' worth of edges, non-decreasing sources with one vertex
-  // whose group spans a chunk boundary: restore() gives build()'s index.
-  std::vector<VertexIndex> from;
-  std::vector<VertexIndex> to;
-  for (std::size_t e = 0; e < 2 * kChunkRows + 300; ++e) {
-    from.push_back(static_cast<VertexIndex>(e < 900 ? e / 3 : 300 + e / 700));
-    to.push_back(static_cast<VertexIndex>(e * 7 % 11));
-  }
-  const auto sorted = chunked(from);
-  const auto other = chunked(to);
-  const CsrIndex built =
-      CsrIndex::build(310, sorted, other, std::pmr::get_default_resource());
-  const CsrArrays flat = flat_arrays(built);
-  auto restored = CsrIndex::restore(flat, sorted, other);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_TRUE(restored->ordered_base());
-  EXPECT_FALSE(restored->unit_base());
-  EXPECT_EQ(restored->byte_size(), 311 * sizeof(std::uint32_t));
-  EXPECT_EQ(restored->byte_size(), built.byte_size());
-  expect_same_arrays(flat_arrays(*restored), flat);
-  // Vertex 301's group, edges [900, 1400), crosses entry 1024.
-  std::size_t parts = 0;
-  std::vector<EdgeIndex> edges;
-  restored->for_each_part(301, [&](const AdjacencyPart& part) {
-    ++parts;
-    for (std::size_t i = 0; i < part.size(); ++i) {
-      EXPECT_EQ(part.neighbor(i), to[part.edge(i)]);
-      edges.push_back(part.edge(i));
-    }
-  });
-  EXPECT_EQ(parts, 2u);
-  ASSERT_EQ(edges.size(), 500u);
-  EXPECT_EQ(edges.front(), 900u);
-  EXPECT_EQ(edges.back(), 1399u);
-
-  // A neighbor that is not its edge's endpoint is still a typed error.
-  CsrArrays corrupt = flat_arrays(built);
-  corrupt.neighbor[1500] ^= 1;
-  auto rejected = CsrIndex::restore(corrupt, sorted, other);
-  ASSERT_FALSE(rejected.is_ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
-  // Edge e runs from vertex e, one edge per vertex.
-  std::vector<VertexIndex> from;
-  std::vector<VertexIndex> to;
-  for (std::size_t e = 0; e < kChunkRows + 5; ++e) {
-    from.push_back(static_cast<VertexIndex>(e));
-    to.push_back(static_cast<VertexIndex>(e % 13));
-  }
-  const auto indexed = chunked(from);
-  const auto other = chunked(to);
-  const CsrIndex built = CsrIndex::build(from.size(), indexed, other,
-                                         std::pmr::get_default_resource());
-  EXPECT_TRUE(built.unit_base());
-  EXPECT_EQ(built.byte_size(), 0u);
-  const CsrArrays flat = flat_arrays(built);
-  ASSERT_EQ(flat.offsets.size(), from.size() + 1);
-  for (std::size_t v = 0; v < flat.offsets.size(); ++v) {
-    EXPECT_EQ(flat.offsets[v], v);
-  }
-  auto restored = CsrIndex::restore(flat, indexed, other);
-  ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-  EXPECT_TRUE(restored->unit_base());
-  EXPECT_EQ(restored->byte_size(), 0u);
-  expect_same_arrays(flat_arrays(*restored), flat);
-  for (VertexIndex v = 0; v < from.size(); ++v) {
-    ASSERT_EQ(restored->degree(v), 1u);
-    restored->for_each_part(v, [&](const AdjacencyPart& part) {
-      EXPECT_EQ(part.neighbor(0), to[v]);
-      EXPECT_EQ(part.edge(0), v);
-    });
-  }
-
-  // One more vertex than edges: ordered, but the offsets are stored.
-  CsrArrays wider = flat_arrays(built);
-  wider.offsets.push_back(wider.offsets.back());
-  auto ordered = CsrIndex::restore(wider, indexed, other);
-  ASSERT_TRUE(ordered.is_ok()) << ordered.status().to_string();
-  EXPECT_TRUE(ordered->ordered_base());
-  EXPECT_FALSE(ordered->unit_base());
-  EXPECT_EQ(ordered->byte_size(), (from.size() + 2) * sizeof(std::uint32_t));
-
-  CsrArrays corrupt = flat_arrays(built);
-  corrupt.neighbor[kChunkRows + 2] += 1;
-  auto rejected = CsrIndex::restore(corrupt, indexed, other);
-  ASSERT_FALSE(rejected.is_ok());
-  EXPECT_EQ(rejected.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CsrRestoreTest, RejectsNeighborPastTheOtherSide) {
-  CsrArrays flat = forward_arrays();
-  flat.neighbor[2] = 3;  // the target side has 3 vertices
-  auto restored = restore(flat);
-  ASSERT_FALSE(restored.is_ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CsrRestoreTest, RejectsEdgeIdsSwappedAcrossGroups) {
-  CsrArrays flat = forward_arrays();
-  // Vertex 0's group is edges {1, 4}, vertex 1's {0, 2}: swap 1 and 0,
-  // with their neighbors, so both groups still ascend and every entry
-  // still names its edge's target.
-  ASSERT_EQ(flat.edge, (std::pmr::vector<EdgeIndex>{1, 4, 0, 2, 3}));
-  std::swap(flat.edge[0], flat.edge[2]);
-  std::swap(flat.neighbor[0], flat.neighbor[2]);
-  auto restored = restore(flat);
-  ASSERT_FALSE(restored.is_ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-TEST_F(CsrRestoreTest, RejectsDescendingIdsInAGroup) {
-  CsrArrays flat = forward_arrays();
-  std::swap(flat.edge[0], flat.edge[1]);
-  std::swap(flat.neighbor[0], flat.neighbor[1]);
-  auto restored = restore(flat);
-  ASSERT_FALSE(restored.is_ok());
-  EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
-}
-
-// ---- Identity arrays -------------------------------------------------------
-// A unit edge type's sources and an unfiltered one-to-one vertex type's
-// representative rows are the identity, which is not stored. Built,
-// extended and restored to the same state, a type stores the same arrays
-// and reports the same adjacency, sizes and snapshot bytes: while the
-// identity holds, after an ingest breaks it, and after a fold that
-// follows the break.
 
 /// `et` restored from the arrays a snapshot holds for it.
 EdgeType restored_copy(const EdgeType& et) {
@@ -902,13 +692,117 @@ EdgeType restored_copy(const EdgeType& et) {
   for (EdgeIndex e = 0; e < et.num_edges(); ++e) {
     dst.push_back(et.target_vertex(e));
   }
-  auto restored = EdgeType::restore(et.id(), et.name(), et.source_type(),
-                                    et.target_type(), src, dst, nullptr,
-                                    flat_arrays(et.forward()),
-                                    flat_arrays(et.reverse()));
+  auto restored = EdgeType::restore(
+      et.id(), et.name(), et.source_type(), et.target_type(),
+      et.forward().num_vertices(), et.reverse().num_vertices(), src, dst,
+      et.attr_table_ptr());
   GEMS_CHECK_MSG(restored.is_ok(), restored.status().to_string().c_str());
   return std::move(restored).value();
 }
+
+/// `restored` equals `built` in both directions: adjacency, degrees,
+/// sizes and base forms.
+void expect_restored_equals_built(const EdgeType& restored,
+                                  const EdgeType& built) {
+  EXPECT_EQ(restored.source_is_identity(), built.source_is_identity());
+  EXPECT_EQ(restored.endpoint_bytes(), built.endpoint_bytes());
+  expect_same_adjacency(restored.forward(), built.forward());
+  expect_same_adjacency(restored.reverse(), built.reverse());
+  expect_same_forms(restored.forward(), built.forward());
+  expect_same_forms(restored.reverse(), built.reverse());
+}
+
+TEST(CsrRestoreTest, BuiltArraysRoundTrip) {
+  // Edge e runs source[e] -> target[e]; 3 sources, 3 targets.
+  const EdgeType built = assembled({1, 0, 1, 2, 0}, {0, 2, 1, 2, 0}, 3, 3);
+  const EdgeType restored = restored_copy(built);
+  EXPECT_FALSE(restored.forward().ordered_base());
+  EXPECT_FALSE(restored.reverse().ordered_base());
+  expect_restored_equals_built(restored, built);
+}
+
+TEST(CsrRestoreTest, IdentityEdgeArrayIsDropped) {
+  // Sorted by source, the edge array is the identity, and the neighbors
+  // are the other endpoint array: only the offsets are stored.
+  const EdgeType built = assembled({0, 0, 1, 1, 2}, {2, 0, 0, 1, 2}, 3, 3);
+  const EdgeType restored = restored_copy(built);
+  EXPECT_TRUE(restored.forward().ordered_base());
+  EXPECT_FALSE(restored.forward().unit_base());
+  EXPECT_EQ(restored.forward().byte_size(), 4 * sizeof(std::uint32_t));
+  expect_restored_equals_built(restored, built);
+}
+
+TEST(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
+  // Three chunks' worth of edges, non-decreasing sources with one vertex
+  // whose group spans a chunk boundary.
+  std::vector<VertexIndex> from;
+  std::vector<VertexIndex> to;
+  for (std::size_t e = 0; e < 2 * kChunkRows + 300; ++e) {
+    from.push_back(static_cast<VertexIndex>(e < 900 ? e / 3 : 300 + e / 700));
+    to.push_back(static_cast<VertexIndex>(e * 7 % 11));
+  }
+  const EdgeType built = assembled(from, to, 310, 11);
+  const EdgeType restored = restored_copy(built);
+  const CsrIndex& forward = restored.forward();
+  EXPECT_TRUE(forward.ordered_base());
+  EXPECT_FALSE(forward.unit_base());
+  EXPECT_EQ(forward.byte_size(), 311 * sizeof(std::uint32_t));
+  expect_restored_equals_built(restored, built);
+  // Vertex 301's group, edges [900, 1400), crosses entry 1024.
+  std::size_t parts = 0;
+  std::vector<EdgeIndex> edges;
+  forward.for_each_part(301, [&](const AdjacencyPart& part) {
+    ++parts;
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      EXPECT_EQ(part.neighbor(i), to[part.edge(i)]);
+      edges.push_back(part.edge(i));
+    }
+  });
+  EXPECT_EQ(parts, 2u);
+  ASSERT_EQ(edges.size(), 500u);
+  EXPECT_EQ(edges.front(), 900u);
+  EXPECT_EQ(edges.back(), 1399u);
+}
+
+TEST(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
+  // Edge e runs from vertex e, one edge per vertex.
+  std::vector<VertexIndex> from;
+  std::vector<VertexIndex> to;
+  for (std::size_t e = 0; e < kChunkRows + 5; ++e) {
+    from.push_back(static_cast<VertexIndex>(e));
+    to.push_back(static_cast<VertexIndex>(e % 13));
+  }
+  const EdgeType built = assembled(from, to, from.size(), 13);
+  EXPECT_TRUE(built.forward().unit_base());
+  EXPECT_EQ(built.forward().byte_size(), 0u);
+  const EdgeType restored = restored_copy(built);
+  EXPECT_TRUE(restored.source_is_identity());
+  EXPECT_TRUE(restored.forward().unit_base());
+  EXPECT_EQ(restored.forward().byte_size(), 0u);
+  expect_restored_equals_built(restored, built);
+  for (VertexIndex v = 0; v < from.size(); ++v) {
+    ASSERT_EQ(restored.forward().degree(v), 1u);
+    restored.forward().for_each_part(v, [&](const AdjacencyPart& part) {
+      EXPECT_EQ(part.neighbor(0), to[v]);
+      EXPECT_EQ(part.edge(0), v);
+    });
+  }
+
+  // One more vertex than edges: ordered, but the offsets are stored.
+  const EdgeType wider = restored_copy(assembled(from, to, from.size() + 1, 13));
+  EXPECT_TRUE(wider.forward().ordered_base());
+  EXPECT_FALSE(wider.forward().unit_base());
+  EXPECT_EQ(wider.forward().byte_size(),
+            (from.size() + 2) * sizeof(std::uint32_t));
+}
+
+// ---- Identity arrays -------------------------------------------------------
+// A unit edge type's sources and an unfiltered one-to-one vertex type's
+// representative rows are the identity, which is not stored. Built,
+// extended and restored to the same state, a type stores the same arrays
+// and reports the same adjacency, sizes and snapshot bytes: while the
+// identity holds, after an ingest breaks it, and after a fold that
+// follows the break.
 
 TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
   struct Case {
@@ -981,8 +875,7 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
         ASSERT_EQ(snapshot_with(pool, num_src(), num_dst(), *got), image);
       }
       // A restored type's bases are build()'s.
-      EXPECT_EQ(restored.reverse().implicit_neighbors(),
-                built.reverse().implicit_neighbors());
+      expect_restored_equals_built(restored, built);
       EXPECT_EQ(built.reverse().implicit_neighbors(), identity);
       if (!identity && !next.reverse().shares_base(et.reverse())) {
         ++folds_after_break;
@@ -1572,9 +1465,9 @@ TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
       auto fresh = VertexType::build(0, "V", grown, {0}, bind(*grown).get(),
                                      std::pmr::get_default_resource());
       ASSERT_TRUE(fresh.is_ok());
-      auto restored = VertexType::restore(
-          0, "V", grown, {0}, extended->one_to_one(), rows_of(*extended),
-          extended->matching_rows());
+      auto restored = VertexType::restore(0, "V", grown, {0},
+                                          rows_of(*extended),
+                                          extended->matching_rows());
       ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
       const bool identity = break_at < 0 || ingest < break_at;
       EXPECT_EQ(fresh->identity_rows(), identity);
@@ -1607,9 +1500,9 @@ TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
 }
 
 // restore() accepts only the fields build() can give: every representative
-// row is a matching row, and the type is one-to-one exactly when every
-// matching row is a vertex.
-TEST(VertexRestoreTest, RejectsAFlippedOneToOneFlag) {
+// row is a matching row. The type is one-to-one exactly when every
+// matching row is a vertex, which restore() derives, as build() does.
+TEST(VertexRestoreTest, DerivesOneToOneFromTheRows) {
   StringPool pool;
   auto table = std::make_shared<Table>(
       "T", Schema({{"k", DataType::int64()}}), pool);
@@ -1625,13 +1518,9 @@ TEST(VertexRestoreTest, RejectsAFlippedOneToOneFlag) {
                  : std::vector<storage::RowIndex>{0, 1};
     DynamicBitset matching(table->num_rows());
     for (std::size_t r = 0; r < (collapse ? 4u : 2u); ++r) matching.set(r);
-    auto good = VertexType::restore(0, "V", table, {0}, !collapse, reps,
-                                    matching);
-    ASSERT_TRUE(good.is_ok()) << good.status().to_string();
-    auto bad = VertexType::restore(0, "V", table, {0}, collapse, reps,
-                                   matching);
-    ASSERT_FALSE(bad.is_ok());
-    EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
+    auto restored = VertexType::restore(0, "V", table, {0}, reps, matching);
+    ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
+    EXPECT_EQ(restored->one_to_one(), !collapse);
   }
 }
 
@@ -1647,11 +1536,9 @@ TEST(VertexRestoreTest, RejectsARepresentativeRowOutsideTheMatchingRows) {
   // place of row 3, so the counts still agree with one_to_one.
   DynamicBitset matching(table->num_rows());
   for (const std::size_t r : {0, 1, 3}) matching.set(r);
-  ASSERT_TRUE(VertexType::restore(0, "V", table, {0}, true, {{0, 1, 3}},
-                                  matching)
-                  .is_ok());
-  auto bad =
-      VertexType::restore(0, "V", table, {0}, true, {{0, 1, 2}}, matching);
+  ASSERT_TRUE(
+      VertexType::restore(0, "V", table, {0}, {{0, 1, 3}}, matching).is_ok());
+  auto bad = VertexType::restore(0, "V", table, {0}, {{0, 1, 2}}, matching);
   ASSERT_FALSE(bad.is_ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(bad.status().message().find("not a matching row"),
@@ -1817,6 +1704,8 @@ TEST(GraphRebuildTest, PooledMatchesSerial) {
     const auto pooled = berlin(scale, 4);
     const auto serial = berlin(scale, 0);
     EXPECT_EQ(pooled->snapshot_bytes(), serial->snapshot_bytes());
+    EXPECT_EQ(expect_same_edges(pooled->graph(), serial->graph()),
+              2 * serial->graph().num_edge_types());
   }
 
   const auto pooled = berlin(200, 4);
@@ -1863,6 +1752,8 @@ TEST(GraphRebuildTest, PooledMatchesSerial) {
     EXPECT_EQ(serial->pool().find(literals[i]), first + i) << literals[i];
   }
   EXPECT_EQ(pooled->snapshot_bytes(), serial->snapshot_bytes());
+  EXPECT_EQ(expect_same_edges(pooled->graph(), serial->graph()),
+            2 * serial->graph().num_edge_types());
   EXPECT_GT(pooled->graph().edge_type(9).num_edges(), 0u);
 
   // Two broken declarations: each build reports the earlier one's status

@@ -26,6 +26,7 @@
 #include "bsbm/generator.hpp"
 #include "common/metrics.hpp"
 #include "exec/executor.hpp"
+#include "graph_oracle.hpp"
 #include "graql/parser.hpp"
 #include "mvcc/epoch.hpp"
 #include "plan/schedule.hpp"
@@ -397,6 +398,7 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
   EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
   EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
             store::encode_snapshot(rebuilt, 0));
+  EXPECT_GT(graph::expect_same_edges(pin.ctx().graph, rebuilt.graph), 0u);
 
   // Same query answers, including traversals over delta-extended edges.
   const std::vector<std::string> queries = {
@@ -553,6 +555,7 @@ TEST(DeltaIngestTest, BerlinIngestsAcrossChunkSealsMatchRebuild) {
     EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
     EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
               store::encode_snapshot(rebuilt, 0));
+    EXPECT_GT(graph::expect_same_edges(pin.ctx().graph, rebuilt.graph), 0u);
   }
 
   // Offers and ProductTypes. A delta appends new edges after the base's,
@@ -721,6 +724,7 @@ TEST(DeltaIngestTest, SmallIngestsShareBasesUntilTheyFold) {
   EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
   EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
             store::encode_snapshot(rebuilt, 0));
+  EXPECT_GT(graph::expect_same_edges(pin.ctx().graph, rebuilt.graph), 0u);
 }
 
 // Readers walk a pinned epoch's adjacency and probe its key index while a
@@ -840,6 +844,7 @@ TEST(IdentityArraysTest, ReviewIngestsKeepThemThroughRecovery) {
   options.store_dir = dir.sub("store");
   options.wal_fsync = false;
   std::vector<std::uint8_t> pre_crash;
+  graph::GraphView pre_crash_graph;
   std::tuple<std::vector<std::string>, std::size_t, std::size_t> state;
   {
     auto made = bsbm::make_populated_database(config, options);
@@ -875,11 +880,13 @@ TEST(IdentityArraysTest, ReviewIngestsKeepThemThroughRecovery) {
               std::get<2>(state));
     EXPECT_EQ(identity_state(rebuilt_copy(pin)), state);
     pre_crash = db.snapshot_bytes();
+    pre_crash_graph = pin.ctx().graph;
   }
   server::Database recovered(options);
   ASSERT_TRUE(recovered.store_status().is_ok())
       << recovered.store_status().to_string();
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
+  graph::expect_same_edges(recovered.pin_epoch().ctx().graph, pre_crash_graph);
   EXPECT_EQ(identity_state(recovered.pin_epoch().ctx()), state);
 }
 
@@ -937,6 +944,7 @@ TEST(DurabilityTest, RecoveryMatchesPrecrashPinnedSnapshot) {
 
   std::vector<std::uint8_t> pre_crash;
   std::string pre_fingerprint;
+  graph::GraphView pre_crash_graph;
   {
     server::Database db(options);
     ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
@@ -948,6 +956,7 @@ TEST(DurabilityTest, RecoveryMatchesPrecrashPinnedSnapshot) {
     EXPECT_GE(metrics::value(db.metrics_snapshot(), "mvcc.ingest.delta"), 3u);
     pre_crash = db.snapshot_bytes();
     pre_fingerprint = state_fingerprint(db);
+    pre_crash_graph = db.pin_epoch().ctx().graph;
     // No checkpoint: destruction "crashes" with the whole history in the
     // WAL tail.
   }
@@ -956,6 +965,7 @@ TEST(DurabilityTest, RecoveryMatchesPrecrashPinnedSnapshot) {
   ASSERT_TRUE(recovered.store_status().is_ok())
       << recovered.store_status().to_string();
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
+  graph::expect_same_edges(recovered.pin_epoch().ctx().graph, pre_crash_graph);
   EXPECT_EQ(state_fingerprint(recovered), pre_fingerprint);
   // Replay re-applied the batches with the identical per-record decision.
   EXPECT_GE(metrics::value(recovered.metrics_snapshot(), "mvcc.ingest.delta"),
@@ -979,6 +989,7 @@ TEST(DurabilityTest, RecoveryAcrossMidSequenceCheckpoint) {
 
   std::vector<std::uint8_t> pre_crash;
   std::string pre_fingerprint;
+  graph::GraphView pre_crash_graph;
   {
     server::Database db(options);
     ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
@@ -993,12 +1004,14 @@ TEST(DurabilityTest, RecoveryAcrossMidSequenceCheckpoint) {
     ASSERT_TRUE(db.run_script("ingest table People '" + csv + "'").is_ok());
     pre_crash = db.snapshot_bytes();
     pre_fingerprint = state_fingerprint(db);
+    pre_crash_graph = db.pin_epoch().ctx().graph;
   }
 
   server::Database recovered(options);
   ASSERT_TRUE(recovered.store_status().is_ok())
       << recovered.store_status().to_string();
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
+  graph::expect_same_edges(recovered.pin_epoch().ctx().graph, pre_crash_graph);
   EXPECT_EQ(state_fingerprint(recovered), pre_fingerprint);
 }
 

@@ -9,6 +9,7 @@
 #include <sys/fsuid.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -22,7 +23,9 @@
 
 #include "bsbm/generator.hpp"
 #include "bsbm/queries.hpp"
+#include "common/crc32.hpp"
 #include "common/metrics.hpp"
+#include "graph_oracle.hpp"
 #include "server/database.hpp"
 #include "storage/csv.hpp"
 #include "store/format.hpp"
@@ -140,6 +143,9 @@ TEST(SnapshotTest, RoundTripPreservesState) {
   EXPECT_EQ(info->body_bytes + kSnapshotHeaderBytes, image.size());
 
   EXPECT_EQ(state_fingerprint(db), state_fingerprint(restored));
+  // The indices are not in the image: restore built each direction anew.
+  EXPECT_EQ(graph::expect_same_edges(restored.graph(), db.graph()),
+            2 * db.graph().num_edge_types());
   const auto& g = restored.graph();
   ASSERT_EQ(g.num_vertex_types(), 1u);
   ASSERT_EQ(g.num_edge_types(), 1u);
@@ -169,6 +175,8 @@ TEST(SnapshotTest, EncodingIsDeterministic) {
   ASSERT_TRUE(decode_snapshot(a, restored.context()).is_ok());
   const auto c = encode_snapshot(restored.context(), 3);
   EXPECT_EQ(a, c);
+  EXPECT_EQ(graph::expect_same_edges(restored.graph(), db.graph()),
+            2 * db.graph().num_edge_types());
 }
 
 TEST(SnapshotTest, SizingPassCountsEveryEncodedByte) {
@@ -183,6 +191,8 @@ TEST(SnapshotTest, SizingPassCountsEveryEncodedByte) {
   ASSERT_TRUE(decode_snapshot(image, restored.context()).is_ok());
   EXPECT_EQ(snapshot_size(restored.context(), 5), image.size());
   EXPECT_EQ(encode_snapshot(restored.context(), 5), image);
+  EXPECT_EQ(graph::expect_same_edges(restored.graph(), (*db)->graph()),
+            2 * (*db)->graph().num_edge_types());
 }
 
 TEST(SnapshotTest, CorruptionIsATypedErrorNeverUB) {
@@ -225,6 +235,118 @@ TEST(SnapshotTest, CorruptionIsATypedErrorNeverUB) {
   padded.push_back(0xEE);
   server::Database scratch;
   EXPECT_FALSE(decode_snapshot(padded, scratch.context()).is_ok());
+}
+
+// ---- Format v2: edges, not indices ------------------------------------------
+// An edge type's record holds its endpoint arrays; restore builds both CSR
+// directions from them, so an endpoint must be checked before the build
+// scatters through it. The images below are re-sealed (both CRCs
+// recomputed over the edit, header layout in DESIGN.md §5d), so only the
+// decoder's own checks stand between the edit and the build.
+
+/// `image` with the u32 at byte `at` set to `v` and its CRCs recomputed:
+/// the body CRC at header byte 16, then the header CRC at byte 20 over
+/// the 20 bytes before it.
+std::vector<std::uint8_t> with_u32(std::vector<std::uint8_t> image,
+                                   std::size_t at, std::uint32_t v) {
+  auto put = [&image](std::size_t to, std::uint32_t value) {
+    std::vector<std::uint8_t> field;
+    ByteWriter(field).u32(value);
+    std::copy(field.begin(), field.end(), image.begin() + to);
+  };
+  put(at, v);
+  const std::span<const std::uint8_t> bytes(image);
+  put(16, crc32(bytes.subspan(kSnapshotHeaderBytes)));
+  put(20, crc32(bytes.subspan(0, 20)));
+  return image;
+}
+
+/// Where the `knows` record's source array starts in a four-person
+/// `populate` image: after its name, endpoint types (both 0) and edge
+/// count (4). Its target array follows a u64 count later.
+std::size_t knows_sources_at(const std::vector<std::uint8_t>& image) {
+  std::vector<std::uint8_t> head;
+  ByteWriter w(head);
+  w.str("knows");
+  w.u16(0);
+  w.u16(0);
+  w.u64(4);
+  const auto found =
+      std::search(image.begin(), image.end(), head.begin(), head.end());
+  EXPECT_NE(found, image.end());
+  return static_cast<std::size_t>(found - image.begin()) + head.size();
+}
+
+/// Decodes `image` into a fresh database.
+Status decode_status(const std::vector<std::uint8_t>& image) {
+  server::Database scratch;
+  return decode_snapshot(image, scratch.context()).status();
+}
+
+/// The snapshot image of the four-person `populate` graph.
+std::vector<std::uint8_t> four_person_image(const std::string& tag) {
+  TempDir dir(tag);
+  write_people_csvs(dir);
+  server::DatabaseOptions options;
+  options.data_dir = dir.path;
+  server::Database db(options);
+  populate(db);
+  return encode_snapshot(db.context(), 1);
+}
+
+/// Writing `v` at byte `at` of `image` fails decode with a kIoError that
+/// names the knows edge type and says what is out of range.
+void expect_endpoint_rejected(const std::vector<std::uint8_t>& image,
+                              std::size_t at, std::uint32_t v,
+                              const std::string& what) {
+  const Status bad = decode_status(with_u32(image, at, v));
+  ASSERT_FALSE(bad.is_ok());
+  EXPECT_EQ(bad.code(), StatusCode::kIoError);
+  EXPECT_NE(bad.message().find("edge type 'knows'"), std::string::npos)
+      << bad.to_string();
+  EXPECT_NE(bad.message().find(what), std::string::npos) << bad.to_string();
+}
+
+TEST(SnapshotTest, RejectsAnOutOfRangeTargetBeforeTheBuild) {
+  const auto image = four_person_image("snap_target");
+  const std::size_t targets = knows_sources_at(image) + 4 * 4 + 8;
+  // Edge 0 runs ada -> grace: a re-sealed image with target 1 decodes.
+  ASSERT_TRUE(decode_status(with_u32(image, targets, 1)).is_ok());
+  // Person has 4 vertices: 4 is one past the end, and no CSR may scatter
+  // through it (the ASan/UBSan CI job runs this test).
+  expect_endpoint_rejected(image, targets, 4, "target vertex 4 out of range");
+  expect_endpoint_rejected(image, targets + 3 * 4, 0xFFFFFFFFu,
+                           "target vertex 4294967295 out of range");
+}
+
+TEST(SnapshotTest, RejectsAnOutOfRangeSourceBeforeTheBuild) {
+  const auto image = four_person_image("snap_source");
+  const std::size_t sources = knows_sources_at(image);
+  // The sources are 0, 1, 2, 3, the identity, which the edge type does
+  // not store; a re-sealed copy decodes.
+  ASSERT_TRUE(decode_status(with_u32(image, sources, 0)).is_ok());
+  expect_endpoint_rejected(image, sources, 4, "source vertex 4 out of range");
+  expect_endpoint_rejected(image, sources + 2 * 4, 7,
+                           "source vertex 7 out of range");
+}
+
+TEST(SnapshotTest, RefusesEveryVersionButTheCurrentOne) {
+  ASSERT_EQ(kSnapshotVersion, 2);
+  const auto image = four_person_image("snap_version");
+  // Bytes 4-7 hold the u16 version and the u16 reserved zero.
+  ASSERT_TRUE(decode_status(with_u32(image, 4, kSnapshotVersion)).is_ok());
+  for (const std::uint32_t version : {0u, 1u, 3u, 0xFFFFu}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    const Status refused = decode_status(with_u32(image, 4, version));
+    ASSERT_FALSE(refused.is_ok());
+    EXPECT_EQ(refused.code(), StatusCode::kIoError);
+    EXPECT_NE(refused.message().find("unsupported snapshot version " +
+                                     std::to_string(version)),
+              std::string::npos)
+        << refused.to_string();
+    EXPECT_NE(refused.message().find("reads version 2"), std::string::npos)
+        << refused.to_string();
+  }
 }
 
 // ---- Writer: in-memory vs streamed ------------------------------------------
@@ -428,11 +550,13 @@ TEST(DurableDatabaseTest, WalReplayRecoversUncheckpointedState) {
   TempDir dir("db_replay");
   write_people_csvs(dir);
   std::string before;
+  graph::GraphView before_graph;
   {
     server::Database db(durable_options(dir));
     ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
     populate(db);
     before = state_fingerprint(db);
+    before_graph = db.graph();
     // "Crash": destroy without checkpoint. Everything lives in the WAL.
   }
   EXPECT_FALSE(fs::exists(dir.sub("store/snapshot.gsnp")));
@@ -440,6 +564,7 @@ TEST(DurableDatabaseTest, WalReplayRecoversUncheckpointedState) {
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
   EXPECT_EQ(state_fingerprint(db), before);
+  graph::expect_same_edges(db.graph(), before_graph);
   const metrics::Snapshot m = db.metrics_snapshot();
   ASSERT_NE(metrics::find(m, "store.recovery.from_snapshot"), nullptr);
   EXPECT_EQ(metrics::value(m, "store.recovery.from_snapshot"), 0u);
@@ -459,17 +584,20 @@ TEST(DurableDatabaseTest, CheckpointThenReopenLoadsSnapshotOnly) {
   TempDir dir("db_ckpt");
   write_people_csvs(dir);
   std::string before;
+  graph::GraphView before_graph;
   {
     server::Database db(durable_options(dir));
     populate(db);
     ASSERT_TRUE(db.checkpoint().is_ok());
     before = state_fingerprint(db);
+    before_graph = db.graph();
   }
   ASSERT_TRUE(fs::exists(dir.sub("store/snapshot.gsnp")));
 
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
   EXPECT_EQ(state_fingerprint(db), before);
+  graph::expect_same_edges(db.graph(), before_graph);
   const metrics::Snapshot m = db.metrics_snapshot();
   EXPECT_EQ(metrics::value(m, "store.recovery.from_snapshot"), 1u);
   // The WAL was rotated.
@@ -481,6 +609,7 @@ TEST(DurableDatabaseTest, CheckpointPlusWalTailCompose) {
   write_people_csvs(dir);
   write_text_file(dir.sub("more.csv"), "don,62\nleslie,58\n");
   std::string before;
+  graph::GraphView before_graph;
   {
     server::Database db(durable_options(dir));
     populate(db);
@@ -488,10 +617,12 @@ TEST(DurableDatabaseTest, CheckpointPlusWalTailCompose) {
     // Post-checkpoint mutations land only in the WAL tail.
     ASSERT_TRUE(db.run_script("ingest table People 'more.csv'").is_ok());
     before = state_fingerprint(db);
+    before_graph = db.graph();
   }
   server::Database db(durable_options(dir));
   ASSERT_TRUE(db.store_status().is_ok()) << db.store_status().to_string();
   EXPECT_EQ(state_fingerprint(db), before);
+  graph::expect_same_edges(db.graph(), before_graph);
   EXPECT_EQ((*db.table("People"))->num_rows(), 6u);
   const metrics::Snapshot m = db.metrics_snapshot();
   EXPECT_EQ(metrics::value(m, "store.recovery.from_snapshot"), 1u);
@@ -611,6 +742,7 @@ std::string query_fingerprint(server::Database& db) {
 TEST(DurableDatabaseTest, BerlinRestartRoundTripIsByteIdentical) {
   TempDir dir("db_berlin");
   std::string before;
+  graph::GraphView before_graph;
   {
     // bsbm::generate appends rows directly (bypassing the statement path
     // and thus the WAL), so the checkpoint is what persists the dataset.
@@ -619,6 +751,7 @@ TEST(DurableDatabaseTest, BerlinRestartRoundTripIsByteIdentical) {
     ASSERT_TRUE(db.is_ok()) << db.status().to_string();
     ASSERT_TRUE((*db)->checkpoint().is_ok());
     before = query_fingerprint(**db);
+    before_graph = (*db)->graph();
     ASSERT_FALSE(before.empty());
   }
   server::Database db(durable_options(dir));
@@ -627,6 +760,8 @@ TEST(DurableDatabaseTest, BerlinRestartRoundTripIsByteIdentical) {
       metrics::value(db.metrics_snapshot(), "store.recovery.from_snapshot"),
       1u);
   EXPECT_EQ(query_fingerprint(db), before);
+  EXPECT_EQ(graph::expect_same_edges(db.graph(), before_graph),
+            2 * before_graph.num_edge_types());
   EXPECT_EQ((*db.table("Products"))->num_rows(), 120u);
 }
 
