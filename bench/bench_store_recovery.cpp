@@ -3,7 +3,8 @@
 //     frame goes through (E-CRC),
 //   * snapshot encode (in memory) / checkpoint (streamed to disk) / decode
 //     throughput (MB/s) on the Berlin dataset; checkpoint and decode also
-//     at scale 20000, the durable end-to-end workload's image,
+//     at scale 20000, the durable end-to-end workload's image. Decode
+//     includes the serial graph build over the decoded tables,
 //   * WAL append latency (p50/p99 from the store's own histogram), with
 //     and without fsync,
 //   * cold recovery (open a checkpointed data dir) vs. re-ingesting the
@@ -169,7 +170,7 @@ void BM_WalAppend(benchmark::State& state) {
 BENCHMARK(BM_WalAppend)->Arg(0)->Arg(1)->Unit(benchmark::kMicrosecond);
 
 /// Cold recovery: open a checkpointed data directory from scratch
-/// (snapshot load + empty-WAL scan + no replay). Manual timing so the
+/// (snapshot load and graph build + empty-WAL scan + no replay). Manual timing so the
 /// Database destructor (thread joins) stays out of the measurement.
 void BM_ColdRecovery(benchmark::State& state) {
   const std::size_t scale = static_cast<std::size_t>(state.range(0));

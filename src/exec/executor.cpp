@@ -767,7 +767,7 @@ Status ExecContext::rebuild_graph() {
   ScopeTimer timer("graph rebuild");
   GEMS_ASSIGN_OR_RETURN(graph::GraphView fresh,
                         graph::build_graph(vertex_decls, edge_decls, tables,
-                                           *pool, params, intra_pool));
+                                           *pool, intra_pool));
   graph = std::move(fresh);
   timer.append(std::to_string(graph.total_vertices()) + " vertices, " +
                std::to_string(graph.total_edges()) + " edges");
@@ -787,7 +787,7 @@ Status ExecContext::maintain_graph_after_ingest(
       const bool delta_applied,
       graph::extend_graph_for_ingest(graph, table, first_new_row,
                                      vertex_decls, edge_decls, tables, *pool,
-                                     params, &folds));
+                                     &folds));
   if (delta_applied) {
     ++graph_version;
     // Instance numbering is preserved, except for the edge types the delta
@@ -851,8 +851,7 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
   }
   if (const auto* s = std::get_if<graql::CreateVertexStmt>(&stmt)) {
     GEMS_RETURN_IF_ERROR(graph::add_vertex_type(ctx.graph, s->decl,
-                                                ctx.tables, *ctx.pool,
-                                                ctx.params));
+                                                ctx.tables, *ctx.pool));
     ctx.vertex_decls.push_back(s->decl);
     ++ctx.graph_version;
     GEMS_RETURN_IF_ERROR(notify_mutation(ctx, stmt));
@@ -860,8 +859,8 @@ Result<StatementResult> execute_statement(const graql::Statement& stmt,
     return result;
   }
   if (const auto* s = std::get_if<graql::CreateEdgeStmt>(&stmt)) {
-    GEMS_RETURN_IF_ERROR(graph::add_edge_type(ctx.graph, s->decl, ctx.tables,
-                                              *ctx.pool, ctx.params));
+    GEMS_RETURN_IF_ERROR(
+        graph::add_edge_type(ctx.graph, s->decl, ctx.tables, *ctx.pool));
     ctx.edge_decls.push_back(s->decl);
     ++ctx.graph_version;
     GEMS_RETURN_IF_ERROR(notify_mutation(ctx, stmt));

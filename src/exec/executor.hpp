@@ -124,9 +124,9 @@ struct ExecContext {
   /// edge instances). Extends the graph by the delta
   /// (graph::extend_graph_for_ingest), which keeps instance numbering and
   /// so pads named subgraphs to the grown types, and falls back to
-  /// rebuild_graph() when the delta is unsound (parameterized
-  /// declarations, a one-to-one key collapse). Live ingest and WAL replay
-  /// both call this, so recovered and live graphs are byte-identical.
+  /// rebuild_graph() when the delta is unsound (a one-to-one key
+  /// collapse). Either way the graph is build_graph()'s over the
+  /// declarations and tables, which is what recovery builds.
   Status maintain_graph_after_ingest(const std::string& table,
                                      storage::RowIndex first_new_row);
 };

@@ -25,7 +25,6 @@ namespace gems::graph {
 using relational::BoundExpr;
 using relational::BoundExprPtr;
 using relational::ExprPtr;
-using relational::ParamMap;
 using relational::RowCursor;
 using relational::Slot;
 using storage::ColumnIndex;
@@ -46,8 +45,7 @@ struct BoundVertexDecl {
 
 Result<BoundVertexDecl> bind_vertex_decl(const VertexDecl& decl,
                                          const storage::TableCatalog& tables,
-                                         StringPool& pool,
-                                         const ParamMap& params) {
+                                         StringPool& pool) {
   BoundVertexDecl bound;
   bound.decl = &decl;
   GEMS_ASSIGN_OR_RETURN(bound.source, tables.find(decl.table));
@@ -64,7 +62,7 @@ Result<BoundVertexDecl> bind_vertex_decl(const VertexDecl& decl,
     relational::TableScope scope(*bound.source, decl.name);
     GEMS_ASSIGN_OR_RETURN(
         bound.filter,
-        relational::bind_predicate(decl.where, scope, params, pool));
+        relational::bind_predicate(decl.where, scope, {}, pool));
   }
   return bound;
 }
@@ -316,8 +314,7 @@ template <typename EndpointTable>
 Result<BoundEdgeDecl> bind_edge_decl(const EdgeDecl& decl,
                                      const EndpointTable& endpoint_table,
                                      const storage::TableCatalog& tables,
-                                     StringPool& pool,
-                                     const ParamMap& params) {
+                                     StringPool& pool) {
   if (!decl.where) {
     return invalid_argument("edge '" + decl.name +
                             "' requires a where clause");
@@ -365,7 +362,7 @@ Result<BoundEdgeDecl> bind_edge_decl(const EdgeDecl& decl,
   for (const ExprPtr& conjunct : relational::split_conjuncts(decl.where)) {
     GEMS_ASSIGN_OR_RETURN(
         BoundExprPtr e,
-        relational::bind_predicate(conjunct, scope, params, pool));
+        relational::bind_predicate(conjunct, scope, {}, pool));
     const std::uint32_t referenced = referenced_sources(*e);
     if (std::popcount(referenced) <= 1) {
       const int s = referenced == 0 ? 0 : std::countr_zero(referenced);
@@ -667,8 +664,8 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
       for (const auto& pred : bound.residual) {
         if (!relational::eval_predicate(*pred, cspan, pool)) return;
       }
-      // Every matching row has a vertex; kInvalidVertex only marks a
-      // restored type whose rows and key index disagree.
+      // Every matching row has a vertex; kInvalidVertex would mark a type
+      // whose rows and key index disagree.
       const VertexIndex sv = t[n_sources];
       const VertexIndex dv = t[n_sources + 1];
       if (sv == kInvalidVertex || dv == kInvalidVertex) return;
@@ -832,10 +829,9 @@ std::vector<std::optional<Result<T>>> build_all(std::size_t n, Cost cost,
 }  // namespace
 
 Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
-                       const storage::TableCatalog& tables, StringPool& pool,
-                       const ParamMap& params) {
+                       const storage::TableCatalog& tables, StringPool& pool) {
   GEMS_ASSIGN_OR_RETURN(BoundVertexDecl bound,
-                        bind_vertex_decl(decl, tables, pool, params));
+                        bind_vertex_decl(decl, tables, pool));
   GEMS_ASSIGN_OR_RETURN(
       VertexType vt, build_vertex_type(bound, graph.next_vertex_type_id(),
                                        large_array_resource()));
@@ -843,11 +839,9 @@ Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
 }
 
 Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
-                     const storage::TableCatalog& tables, StringPool& pool,
-                     const ParamMap& params) {
-  GEMS_ASSIGN_OR_RETURN(
-      BoundEdgeDecl bound,
-      bind_edge_decl(decl, endpoints_of(graph), tables, pool, params));
+                     const storage::TableCatalog& tables, StringPool& pool) {
+  GEMS_ASSIGN_OR_RETURN(BoundEdgeDecl bound,
+                        bind_edge_decl(decl, endpoints_of(graph), tables, pool));
   GEMS_ASSIGN_OR_RETURN(EdgeType et,
                         build_edge_type(graph, bound, pool,
                                         graph.next_edge_type_id(), nullptr,
@@ -858,15 +852,14 @@ Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
 Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
                               std::span<const EdgeDecl> edge_decls,
                               const storage::TableCatalog& tables,
-                              StringPool& pool, const ParamMap& params,
-                              ThreadPool* workers) {
+                              StringPool& pool, ThreadPool* workers) {
   // ---- Bind, in declaration order ---------------------------------------
   // Binding stops at the first failure: a later declaration's status can
   // never be the one returned.
   Status bind_failure;
   std::vector<BoundVertexDecl> vertices;
   for (const VertexDecl& decl : vertex_decls) {
-    auto bound = bind_vertex_decl(decl, tables, pool, params);
+    auto bound = bind_vertex_decl(decl, tables, pool);
     if (!bound.is_ok()) {
       bind_failure = bound.status();
       break;
@@ -884,7 +877,7 @@ Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
       return not_found("no vertex type named '" + name + "'");
     };
     for (const EdgeDecl& decl : edge_decls) {
-      auto bound = bind_edge_decl(decl, endpoint_table, tables, pool, params);
+      auto bound = bind_edge_decl(decl, endpoint_table, tables, pool);
       if (!bound.is_ok()) {
         bind_failure = bound.status();
         break;
@@ -926,12 +919,11 @@ Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
 
 Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                   const storage::TableCatalog& tables,
-                                  StringPool& pool, const ParamMap& params,
-                                  const EdgeDelta& delta, bool* renumbered) {
+                                  StringPool& pool, const EdgeDelta& delta,
+                                  bool* renumbered) {
   GEMS_CHECK(delta.base != nullptr);
-  GEMS_ASSIGN_OR_RETURN(
-      BoundEdgeDecl bound,
-      bind_edge_decl(decl, endpoints_of(graph), tables, pool, params));
+  GEMS_ASSIGN_OR_RETURN(BoundEdgeDecl bound,
+                        bind_edge_decl(decl, endpoints_of(graph), tables, pool));
   GEMS_ASSIGN_OR_RETURN(EdgeType et,
                         build_edge_type(graph, bound, pool, delta.base->id(),
                                         &delta, large_array_resource()));

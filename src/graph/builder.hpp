@@ -58,16 +58,15 @@ struct EdgeDecl {
 };
 
 /// Builds and registers a vertex type on the calling thread, with its
-/// transient state on large_array_resource(). `params` supplies
-/// %placeholders% appearing in the declaration's WHERE clause.
+/// transient state on large_array_resource(). A declaration takes no
+/// %parameters% (the analyzer rejects them, GQL0105), so the graph is a
+/// function of the declarations and the tables alone.
 Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
-                       const storage::TableCatalog& tables, StringPool& pool,
-                       const relational::ParamMap& params = {});
+                       const storage::TableCatalog& tables, StringPool& pool);
 
 /// Builds and registers an edge type, as add_vertex_type does.
 Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
-                     const storage::TableCatalog& tables, StringPool& pool,
-                     const relational::ParamMap& params = {});
+                     const storage::TableCatalog& tables, StringPool& pool);
 
 /// Builds every declared type into a new graph: the regeneration of
 /// derived instances that populating tables triggers (paper Sec. II-A2).
@@ -83,9 +82,7 @@ Status add_edge_type(GraphView& graph, const EdgeDecl& decl,
 Result<GraphView> build_graph(std::span<const VertexDecl> vertex_decls,
                               std::span<const EdgeDecl> edge_decls,
                               const storage::TableCatalog& tables,
-                              StringPool& pool,
-                              const relational::ParamMap& params,
-                              ThreadPool* workers);
+                              StringPool& pool, ThreadPool* workers);
 
 /// Incremental maintenance input (gems::mvcc): the ingest appended rows
 /// `>= first_new_row` to the table named `ingested_table` (already swapped
@@ -115,9 +112,7 @@ struct EdgeDelta {
 /// be null) is set: the base's edges may have new ids.
 Result<EdgeType> extend_edge_type(const GraphView& graph, const EdgeDecl& decl,
                                   const storage::TableCatalog& tables,
-                                  StringPool& pool,
-                                  const relational::ParamMap& params,
-                                  const EdgeDelta& delta,
+                                  StringPool& pool, const EdgeDelta& delta,
                                   bool* renumbered = nullptr);
 
 }  // namespace gems::graph

@@ -8,32 +8,13 @@
 
 namespace gems::graph {
 
-namespace {
-
-bool has_parameter(const relational::ExprPtr& e) {
-  if (!e) return false;
-  if (e->kind == relational::Expr::Kind::kParameter) return true;
-  return has_parameter(e->lhs) || has_parameter(e->rhs);
-}
-
-}  // namespace
-
 Result<bool> extend_graph_for_ingest(
     GraphView& graph, std::string_view table_name,
     storage::RowIndex first_new_row,
     const std::vector<VertexDecl>& vertex_decls,
     const std::vector<EdgeDecl>& edge_decls,
     const storage::TableCatalog& tables, StringPool& pool,
-    const relational::ParamMap& params, DeltaFolds* folds) {
-  // Parameterized declarations make maintenance depend on whichever
-  // parameter values happen to be in scope at each ingest — the full
-  // rebuild is the only order-independent semantics for those.
-  for (const auto& d : vertex_decls) {
-    if (has_parameter(d.where)) return false;
-  }
-  for (const auto& d : edge_decls) {
-    if (has_parameter(d.where)) return false;
-  }
+    DeltaFolds* folds) {
   // The graph must mirror the declaration lists one-to-one (it always
   // does outside of mid-DDL states, which rebuild instead).
   if (graph.num_vertex_types() != vertex_decls.size() ||
@@ -57,7 +38,7 @@ Result<bool> extend_graph_for_ingest(
     if (decl.where) {
       relational::TableScope scope(*source, decl.name);
       GEMS_ASSIGN_OR_RETURN(
-          filter, relational::bind_predicate(decl.where, scope, params, pool));
+          filter, relational::bind_predicate(decl.where, scope, {}, pool));
     }
     bool flipped = false;
     GEMS_ASSIGN_OR_RETURN(
@@ -97,8 +78,8 @@ Result<bool> extend_graph_for_ingest(
                     &graph.edge_type(*id)};
     bool renumbered = false;
     GEMS_ASSIGN_OR_RETURN(EdgeType et,
-                          extend_edge_type(fresh, decl, tables, pool, params,
-                                           delta, &renumbered));
+                          extend_edge_type(fresh, decl, tables, pool, delta,
+                                           &renumbered));
     if (renumbered) counted.renumbered.push_back(*id);
     counted.csr += !et.forward().shares_base(delta.base->forward());
     counted.csr += !et.reverse().shares_base(delta.base->reverse());

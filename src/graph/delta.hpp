@@ -36,12 +36,9 @@ struct DeltaFolds {
 /// rows were appended to the table named `table_name` (whose copy-on-write
 /// clone is already registered in `tables`; `graph`'s types still point at
 /// the pre-ingest table). On success replaces `graph` with the extended
-/// view and returns true. Returns false when the delta cannot be applied
-/// soundly and the caller must fall back to a full rebuild:
-///   * some declaration's WHERE references a %parameter% (re-binding under
-///     different parameters would make maintenance order-dependent), or
-///   * a new row collapses a previously one-to-one vertex key (attribute
-///     visibility and edge collapse semantics change).
+/// view and returns true. Returns false when a new row collapses a
+/// previously one-to-one vertex key (attribute visibility and edge
+/// collapse semantics change): the caller must then rebuild in full.
 /// The decision depends only on the declarations and the ingested data, so
 /// WAL replay of the same record sequence takes the same path and
 /// reproduces the live graph byte-for-byte. `folds` (may be null) counts
@@ -52,6 +49,20 @@ Result<bool> extend_graph_for_ingest(
     const std::vector<VertexDecl>& vertex_decls,
     const std::vector<EdgeDecl>& edge_decls,
     const storage::TableCatalog& tables, StringPool& pool,
-    const relational::ParamMap& params, DeltaFolds* folds = nullptr);
+    DeltaFolds* folds = nullptr);
+
+/// The same, for callers that still pass the context's query parameters
+/// (bench/e2e/trace.cpp). Declarations take none, so `params` is unread.
+inline Result<bool> extend_graph_for_ingest(
+    GraphView& graph, std::string_view table_name,
+    storage::RowIndex first_new_row,
+    const std::vector<VertexDecl>& vertex_decls,
+    const std::vector<EdgeDecl>& edge_decls,
+    const storage::TableCatalog& tables, StringPool& pool,
+    const relational::ParamMap& /*params*/, DeltaFolds* folds = nullptr) {
+  return extend_graph_for_ingest(graph, table_name, first_new_row,
+                                 vertex_decls, edge_decls, tables, pool,
+                                 folds);
+}
 
 }  // namespace gems::graph

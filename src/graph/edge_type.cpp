@@ -273,46 +273,6 @@ EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
   return et;
 }
 
-Result<EdgeType> EdgeType::restore(EdgeTypeId id, std::string name,
-                                   VertexTypeId src_type,
-                                   VertexTypeId dst_type,
-                                   std::size_t num_src_vertices,
-                                   std::size_t num_dst_vertices,
-                                   std::span<const VertexIndex> src,
-                                   std::span<const VertexIndex> dst,
-                                   storage::TablePtr attr_table) {
-  if (src.size() != dst.size()) {
-    return invalid_argument("edge type '" + name +
-                            "' restore: endpoint array size mismatch");
-  }
-  if (attr_table != nullptr && attr_table->num_rows() != src.size()) {
-    return invalid_argument("edge type '" + name +
-                            "' restore: attribute table rows != edges");
-  }
-  // build() scatters through the endpoints, so they are bounded first.
-  auto check_range = [&name](std::span<const VertexIndex> ends,
-                             std::size_t n, const char* side) {
-    for (const VertexIndex v : ends) {
-      if (v >= n) {
-        return invalid_argument("edge type '" + name + "' restore: " + side +
-                                " vertex " + std::to_string(v) +
-                                " out of range (" + std::to_string(n) +
-                                " vertices)");
-      }
-    }
-    return Status::ok();
-  };
-  GEMS_RETURN_IF_ERROR(check_range(src, num_src_vertices, "source"));
-  GEMS_RETURN_IF_ERROR(check_range(dst, num_dst_vertices, "target"));
-  ChunkedArray<VertexIndex> src_array;
-  src_array.append(src.data(), src.size());
-  ChunkedArray<VertexIndex> dst_array;
-  dst_array.append(dst.data(), dst.size());
-  return assemble(id, std::move(name), src_type, dst_type, num_src_vertices,
-                  num_dst_vertices, std::move(src_array), std::move(dst_array),
-                  std::move(attr_table), std::pmr::get_default_resource());
-}
-
 Result<storage::ColumnIndex> EdgeType::resolve_attribute(
     std::string_view attr) const {
   if (!attr_table_) {

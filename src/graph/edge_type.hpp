@@ -176,9 +176,9 @@ class CsrIndex {
   }
 
   /// Bytes of the flat index build() would give for the same edges, so an
-  /// index built, extended or restored to the same state reports the same
-  /// size (the `graph.csr.bytes` gauge). That index stores offsets unless
-  /// the direction is unit over all the edges, and neighbors and edge ids
+  /// index built or extended to the same state reports the same size (the
+  /// `graph.csr.bytes` gauge). That index stores offsets unless the
+  /// direction is unit over all the edges, and neighbors and edge ids
   /// unless it is ordered over all the edges.
   std::size_t byte_size() const noexcept {
     return (unit() ? 0 : (num_vertices_ + 1) * sizeof(std::uint32_t)) +
@@ -299,8 +299,8 @@ class CsrIndex {
 /// An edge type stores its target endpoint array, and its source array
 /// unless the source side is the identity (src[e] == e for every edge, as
 /// for a foreign key): then source_vertex(e) is e and nothing is stored.
-/// Whether it is stored is a function of the edges, so a type built,
-/// extended or restored to the same edges stores the same arrays.
+/// Whether it is stored is a function of the edges, so a type built or
+/// extended to the same edges stores the same arrays.
 class EdgeType {
  public:
   /// Assembled by GraphBuilder after it runs the Eq. 2 joins. `attr_table`
@@ -350,17 +350,6 @@ class EdgeType {
   /// True when the source side is the identity and not stored.
   bool source_is_identity() const noexcept { return src_identity_; }
 
-  /// Calls fn(std::span<const VertexIndex>) over consecutive pieces of
-  /// the source endpoint array (num_edges() entries); the identity is
-  /// written out a kChunkRows piece at a time.
-  template <typename Fn>
-  void for_each_source_piece(Fn&& fn) const {
-    if (src_identity_) {
-      return for_each_identity_piece<VertexIndex>(num_edges(), fn);
-    }
-    for (std::size_t c = 0; c < src_.num_chunks(); ++c) fn(src_.chunk(c));
-  }
-
   /// Bytes of the stored endpoint arrays (the `graph.endpoints.bytes`
   /// gauge): the target array, and the source array unless it is the
   /// identity. A function of the edges alone, as byte_size() is.
@@ -381,21 +370,6 @@ class EdgeType {
   storage::TablePtr attr_table_ptr() const noexcept { return attr_table_; }
 
   Result<storage::ColumnIndex> resolve_attribute(std::string_view name) const;
-
-  /// Snapshot restore (gems::store): the edge type over the serialized
-  /// endpoint arrays and attribute table, between endpoint types of
-  /// `num_src_vertices` and `num_dst_vertices` vertices. The indices are
-  /// derived state: after checking that the arrays are parallel, the
-  /// attribute rows match, and every endpoint is below its side's vertex
-  /// count (build() scatters through them), it is assemble()'s result.
-  static Result<EdgeType> restore(EdgeTypeId id, std::string name,
-                                  VertexTypeId src_type,
-                                  VertexTypeId dst_type,
-                                  std::size_t num_src_vertices,
-                                  std::size_t num_dst_vertices,
-                                  std::span<const VertexIndex> src,
-                                  std::span<const VertexIndex> dst,
-                                  storage::TablePtr attr_table);
 
  private:
   EdgeType() = default;

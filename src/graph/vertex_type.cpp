@@ -92,60 +92,6 @@ Result<VertexType> VertexType::extend(const VertexType& base,
   return vt;
 }
 
-Result<VertexType> VertexType::restore(
-    VertexTypeId id, std::string name, storage::TablePtr source,
-    std::vector<ColumnIndex> key_cols,
-    std::span<const RowIndex> representative_rows,
-    DynamicBitset matching_rows) {
-  if (source == nullptr) {
-    return invalid_argument("vertex type '" + name +
-                            "' restore: missing source table");
-  }
-  if (key_cols.empty()) {
-    return invalid_argument("vertex type '" + name +
-                            "' restore: no key columns");
-  }
-  for (const ColumnIndex c : key_cols) {
-    if (c >= source->num_columns()) {
-      return invalid_argument("vertex type '" + name +
-                              "' restore: key column out of range");
-    }
-  }
-  if (matching_rows.size() != source->num_rows()) {
-    return invalid_argument("vertex type '" + name +
-                            "' restore: matching-rows size != table rows");
-  }
-  for (const RowIndex r : representative_rows) {
-    if (r >= source->num_rows()) {
-      return invalid_argument("vertex type '" + name +
-                              "' restore: representative row out of range");
-    }
-    if (!matching_rows.test(r)) {
-      return invalid_argument("vertex type '" + name +
-                              "' restore: representative row " +
-                              std::to_string(r) + " is not a matching row");
-    }
-  }
-  VertexType vt;
-  vt.id_ = id;
-  vt.name_ = std::move(name);
-  vt.source_ = std::move(source);
-  vt.key_cols_ = std::move(key_cols);
-  // As build() sets it: no matching row collapsed into another's vertex.
-  vt.one_to_one_ = matching_rows.count() == representative_rows.size();
-  vt.matching_rows_ = std::move(matching_rows);
-  IdTable index;
-  index.reserve(representative_rows.size());
-  for (const RowIndex r : representative_rows) {
-    if (!vt.add_row(index, r)) {
-      return invalid_argument("vertex type '" + vt.name_ +
-                              "' restore: duplicate vertex key");
-    }
-  }
-  vt.key_base_ = std::make_shared<const IdTable>(std::move(index));
-  return vt;
-}
-
 bool VertexType::add_row(IdTable& tail, RowIndex row) {
   if (find_in(tail, *source_, row, key_cols_) != kInvalidVertex) {
     return false;

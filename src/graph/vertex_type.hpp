@@ -10,8 +10,8 @@
 // Each vertex has a representative row. When vertex v's is row v for
 // every vertex (the rows are the identity, as for a one-to-one type over
 // an unfiltered table), the rows are not stored. Whether they are is a
-// function of the representative rows alone, so a type built, extended or
-// restored to the same rows stores the same arrays.
+// function of the representative rows alone, so a type built or extended
+// to the same rows stores the same arrays.
 #pragma once
 
 #include <memory>
@@ -68,19 +68,6 @@ class VertexType {
   /// and the rows are not stored.
   bool identity_rows() const noexcept { return identity_rows_; }
 
-  /// Calls fn(std::span<const storage::RowIndex>) over consecutive pieces
-  /// of the representative rows (num_vertices() entries); the identity is
-  /// written out a kChunkRows piece at a time.
-  template <typename Fn>
-  void for_each_representative_piece(Fn&& fn) const {
-    if (identity_rows_) {
-      return for_each_identity_piece<storage::RowIndex>(num_vertices_, fn);
-    }
-    for (std::size_t c = 0; c < representative_row_.num_chunks(); ++c) {
-      fn(representative_row_.chunk(c));
-    }
-  }
-
   /// Columns of the source schema that conditions on this vertex type may
   /// reference (full schema when one-to-one, key columns otherwise).
   bool attribute_visible(storage::ColumnIndex col) const noexcept;
@@ -103,8 +90,8 @@ class VertexType {
 
   /// Resident bytes: the key index, the representative rows unless they
   /// are the identity, and the matching-rows bits. A function of the
-  /// vertex count, the row count and the representative rows, so a built,
-  /// extended or restored type of the same state reports the same size.
+  /// vertex count, the row count and the representative rows, so a built
+  /// or extended type of the same state reports the same size.
   std::size_t byte_size() const noexcept;
 
   /// Bytes of the key index alone (the `graph.key_index.bytes` gauge):
@@ -145,26 +132,11 @@ class VertexType {
                                    storage::RowIndex first_new_row,
                                    bool* flipped);
 
-  /// Snapshot restore (gems::store): rebuilds the type from its
-  /// serialized fields without re-running the Eq. 1 selection. The
-  /// key->vertex index is recomputed from the representative rows (it is
-  /// fully derived, and collapsed rows have equal keys), so it is not
-  /// part of the on-disk format. Validates row references against the
-  /// source table and that every representative row is a matching row.
-  /// `one_to_one` is derived, as build() sets it: every matching row is a
-  /// vertex. Identity rows are dropped, as build() never stores them.
-  static Result<VertexType> restore(
-      VertexTypeId id, std::string name, storage::TablePtr source,
-      std::vector<storage::ColumnIndex> key_cols,
-      std::span<const storage::RowIndex> representative_rows,
-      DynamicBitset matching_rows);
-
  private:
   VertexType() = default;
 
   /// Registers source row `row` under its key in `tail` (the key index
-  /// tail, or the table build() and restore() fill before it becomes the
-  /// base): returns true when the key is new (the row becomes the next
+  /// tail, or the table build() fills before it becomes the base): returns true when the key is new (the row becomes the next
   /// vertex's representative), false when it collapses into an existing
   /// vertex. The first new vertex whose row is not its index writes the
   /// identity rows out, once.
@@ -204,7 +176,7 @@ class VertexType {
   // equal values, with -0.0 equal to +0.0, other doubles compared by bit
   // pattern and strings by id. String ids come from the shared pool, so
   // keys compare across tables. The base is shared by every epoch since
-  // the last fold (null before build() or restore() fills it); the tail
+  // the last fold (null before build() fills it); the tail
   // holds the vertices extend() added since (DESIGN.md §5n).
   std::shared_ptr<const IdTable> key_base_;
   IdTable key_tail_;

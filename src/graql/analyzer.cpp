@@ -1016,6 +1016,32 @@ std::optional<Schema> analyze_table_query(const TableQueryStmt& stmt,
 
 // ---- DDL analysis -----------------------------------------------------------
 
+/// The first %parameter% in `e`, or null.
+const Expr* first_parameter(const ExprPtr& e) {
+  if (!e) return nullptr;
+  if (e->kind == Expr::Kind::kParameter) return e.get();
+  if (const Expr* p = first_parameter(e->lhs)) return p;
+  return first_parameter(e->rhs);
+}
+
+/// A type is a view over tables (paper Eqs. 1-2) that ingest and recovery
+/// rebuild with no parameters bound, so its WHERE clause takes none.
+/// Returns false after reporting the first %parameter% in `where`.
+bool check_no_parameter(const ExprPtr& where, const std::string& type,
+                        DiagnosticEngine& diags, SourceSpan fallback) {
+  const Expr* param = first_parameter(where);
+  if (param == nullptr) return true;
+  diags
+      .error(DiagCode::kBadParameter, StatusCode::kInvalidArgument,
+             span_or(expr_span(*param), fallback),
+             "declaration of '" + type + "' uses parameter %" +
+                 param->param_name +
+                 "%; a vertex or edge type is rebuilt from its tables "
+                 "without parameters")
+      .fixit = "write the value into the declaration as a literal";
+  return false;
+}
+
 void analyze_create_vertex(const CreateVertexStmt& stmt,
                            const MetaCatalog& catalog,
                            const AnalyzeOptions& opts,
@@ -1051,7 +1077,7 @@ void analyze_create_vertex(const CreateVertexStmt& stmt,
                       "' (vertex '" + d.name + "' key)");
     }
   }
-  if (d.where) {
+  if (d.where && check_no_parameter(d.where, d.name, diags, stmt.span)) {
     Resolver resolve = [&](std::string_view qual,
                            std::string_view col) -> Result<DataType> {
       if (!qual.empty() && qual != d.name && qual != d.table) {
@@ -1102,7 +1128,10 @@ void analyze_create_edge(const CreateEdgeStmt& stmt,
                 stmt.span,
                 "edge '" + d.name + "' requires a where clause");
   }
-  if (src == nullptr || dst == nullptr || !d.where) return;
+  if (src == nullptr || dst == nullptr || !d.where ||
+      !check_no_parameter(d.where, d.name, diags, stmt.span)) {
+    return;
+  }
 
   struct Source {
     std::vector<std::string> quals;
@@ -1219,7 +1248,8 @@ class ScriptAnalyzer {
                        .add_edge(s->decl.name,
                                  EdgeMeta{s->decl.source.vertex_type,
                                           s->decl.target.vertex_type,
-                                          std::move(attr)})
+                                          std::move(attr),
+                                          s->decl.assoc_tables})
                        .is_ok());
       }
     } else if (const auto* s = std::get_if<IngestStmt>(&stmt)) {
@@ -1256,6 +1286,7 @@ class ScriptAnalyzer {
       GraphQueryAnalyzer analyzer(catalog_, opts_, diags_);
       analyzer.analyze(*s);
       note_graph_reads(*s, sspan);
+      if (s->into == IntoKind::kTable) check_into_table(s->into_name, sspan);
       if (diags_.error_count() == errs_before) {
         if (s->into == IntoKind::kSubgraph) {
           catalog_.add_subgraph(s->into_name, analyzer.subgraph_meta(*s));
@@ -1275,6 +1306,7 @@ class ScriptAnalyzer {
       }
     } else if (const auto* s = std::get_if<TableQueryStmt>(&stmt)) {
       auto schema = analyze_table_query(*s, catalog_, opts_, diags_);
+      if (s->into == IntoKind::kTable) check_into_table(s->into_name, sspan);
       if (catalog_.find_table(s->from_table) != nullptr) {
         note_data_read(s->from_table, sspan,
                        "table '" + s->from_table + "' is queried here");
@@ -1299,6 +1331,28 @@ class ScriptAnalyzer {
     SourceSpan writer_span;
     bool read_since_write = true;
   };
+
+  /// An `into table` result replaces its target in the catalog. The
+  /// graph is a view over the tables its declarations read (paper Eq. 2),
+  /// so none of those is replaced (GQL0106), and a type's name never
+  /// becomes a table's (GQL0102).
+  void check_into_table(const std::string& name, SourceSpan span) {
+    if (catalog_.find_vertex(name) != nullptr ||
+        catalog_.find_edge(name) != nullptr) {
+      diags_.error(DiagCode::kNameInUse, StatusCode::kAlreadyExists, span,
+                   "'into table " + name + "': '" + name +
+                       "' is a graph type");
+      return;
+    }
+    if (const std::string* reader = catalog_.declaration_reading(name)) {
+      diags_
+          .error(DiagCode::kIntoDeclaredTable, StatusCode::kInvalidArgument,
+                 span,
+                 "'into table " + name + "' would replace table '" + name +
+                     "', which the declaration of '" + *reader + "' reads")
+          .fixit = "write the result into a table of another name";
+    }
+  }
 
   /// Pass 5a (GQL0080): reading the *data* of a table this script created
   /// but never filled — the classic "forgot the ingest" mistake the
@@ -1417,6 +1471,20 @@ void MetaCatalog::add_subgraph(const std::string& name, SubgraphMeta meta) {
 void MetaCatalog::put_table(const std::string& name,
                             storage::Schema schema) {
   tables_[name] = std::move(schema);
+}
+
+const std::string* MetaCatalog::declaration_reading(
+    const std::string& table) const {
+  for (const auto& [name, meta] : vertices_) {
+    if (meta.source_table == table) return &name;
+  }
+  for (const auto& [name, meta] : edges_) {
+    if (std::find(meta.assoc_tables.begin(), meta.assoc_tables.end(),
+                  table) != meta.assoc_tables.end()) {
+      return &name;
+    }
+  }
+  return nullptr;
 }
 
 const storage::Schema* MetaCatalog::find_table(const std::string& name) const {

@@ -59,6 +59,7 @@ struct EdgeMeta {
   std::string source_vertex;
   std::string target_vertex;
   std::optional<storage::Schema> attr_schema;  // nullopt: no attributes
+  std::vector<std::string> assoc_tables;       // `from table` clause
 };
 
 /// Per-step metadata of a subgraph result, so `res.V` seeding can be
@@ -83,6 +84,10 @@ class MetaCatalog {
   const VertexMeta* find_vertex(const std::string& name) const;
   const EdgeMeta* find_edge(const std::string& name) const;
   const SubgraphMeta* find_subgraph(const std::string& name) const;
+
+  /// The name of a vertex or edge type whose declaration reads `table`
+  /// (its source table, or one of its `from table`s), or null.
+  const std::string* declaration_reading(const std::string& table) const;
 
   bool name_in_use(const std::string& name) const;
 

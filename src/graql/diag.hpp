@@ -64,7 +64,10 @@ enum class DiagCode : std::uint16_t {
   kNameInUse = 102,         // GQL0102 duplicate catalog definition
   kUnknownAttribute = 103,  // GQL0103 unknown column / attribute
   kBadStructure = 104,      // GQL0104 malformed statement shape
-  kBadParameter = 105,      // GQL0105 missing/ill-typed %param%
+  kBadParameter = 105,      // GQL0105 missing/ill-typed %param%, or one
+                            // in a vertex/edge declaration
+  kIntoDeclaredTable = 106,  // GQL0106 `into table` replaces a table that
+                             // a vertex/edge declaration reads
 
   // Typing.
   kTypeMismatch = 200,      // GQL0200 incomparable operand types

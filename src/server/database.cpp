@@ -19,6 +19,25 @@ using exec::StatementResult;
 using graql::MetaCatalog;
 using graql::Script;
 
+namespace {
+
+/// Whether a declaration in `ctx` names a type `table` or reads the table
+/// of that name: an `into table` result must not replace it.
+bool declared_over(const exec::ExecContext& ctx, const std::string& table) {
+  for (const graph::VertexDecl& d : ctx.vertex_decls) {
+    if (d.name == table || d.table == table) return true;
+  }
+  for (const graph::EdgeDecl& d : ctx.edge_decls) {
+    if (d.name == table || std::ranges::find(d.assoc_tables, table) !=
+                               d.assoc_tables.end()) {
+      return true;
+    }
+  }
+  return false;
+}
+
+}  // namespace
+
 Database::Database(DatabaseOptions options)
     : options_(std::move(options)), access_(metrics_) {
   ctx_.pool = &pool_;
@@ -281,7 +300,8 @@ MetaCatalog Database::meta_catalog_from(const exec::ExecContext& ctx) const {
     GEMS_CHECK(meta.add_edge(decl.name,
                              graql::EdgeMeta{decl.source.vertex_type,
                                              decl.target.vertex_type,
-                                             std::move(attrs)})
+                                             std::move(attrs),
+                                             decl.assoc_tables})
                    .is_ok());
   }
   for (const auto& [name, subgraph] : ctx.subgraphs) {
@@ -506,12 +526,20 @@ Result<std::vector<StatementResult>> Database::run_parsed(
     // vertex/edge numbering may have changed and the staged subgraph
     // bitsets are meaningless against the live graph. Rare: delta ingest
     // preserves numbering (base rows keep their indices) and does not
-    // bump renumber_version — only a fallback rebuild (parameterized
-    // declarations, a one-to-one key collapse) or a delta that built an
-    // edge type in full (graph::extend_edge_type) does.
+    // bump renumber_version — only a fallback rebuild (a one-to-one key
+    // collapse) or a delta that built an edge type in full
+    // (graph::extend_edge_type) does.
     return unavailable(
         "concurrent ingest/DDL renumbered the graph under this script's "
         "subgraph results; re-run the script");
+  }
+  for (const auto& entry : overlay.tables) {
+    // The analysis saw the pinned declarations; DDL since may have
+    // declared a type over a staged table's name (GQL0106).
+    if (declared_over(ctx_, entry.first)) {
+      return unavailable("concurrent DDL declared a type over table '" +
+                         entry.first + "'; re-run the script");
+    }
   }
   exec::commit_overlay(overlay, ctx_);
   if (!overlay.subgraphs.empty() && ctx_.graph_version != version_at_read) {

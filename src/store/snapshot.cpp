@@ -7,6 +7,7 @@
 
 #include "common/crc32.hpp"
 #include "common/scratch_arena.hpp"
+#include "graql/analyzer.hpp"
 #include "graql/ir.hpp"
 #include "store/format.hpp"
 
@@ -14,26 +15,14 @@ namespace gems::store {
 
 namespace {
 
-using graph::EdgeType;
 using graph::EdgeTypeId;
-using graph::VertexIndex;
-using graph::VertexType;
 using graph::VertexTypeId;
 using storage::Column;
 using storage::ColumnDef;
-using storage::RowIndex;
 using storage::Schema;
 using storage::Table;
 using storage::TablePtr;
 using storage::TypeKind;
-
-// Source-table reference modes for vertex types. Almost always the source
-// is a catalog table referenced by name (shared TablePtr after restore);
-// the inline mode covers the corner where an `into table` overwrote the
-// catalog entry after the vertex type was built, leaving the type bound
-// to a table the catalog no longer points at.
-constexpr std::uint8_t kSourceByName = 1;
-constexpr std::uint8_t kSourceInline = 0;
 
 template <typename W>
 void encode_bitset(W& w, const DynamicBitset& b) {
@@ -232,43 +221,6 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
   const std::vector<std::uint8_t> script = graql::encode_script(decls);
   write_pod_array<std::uint8_t>(w, script);
 
-  // Built vertex types, in id order.
-  w.u32(static_cast<std::uint32_t>(ctx.graph.num_vertex_types()));
-  for (std::size_t i = 0; i < ctx.graph.num_vertex_types(); ++i) {
-    const VertexType& vt =
-        ctx.graph.vertex_type(static_cast<VertexTypeId>(i));
-    w.str(vt.name());
-    auto by_name = ctx.tables.find(vt.source().name());
-    if (by_name.is_ok() && by_name.value().get() == &vt.source()) {
-      w.u8(kSourceByName);
-      w.str(vt.source().name());
-    } else {
-      w.u8(kSourceInline);
-      encode_table(w, vt.source());
-    }
-    write_pod_array<storage::ColumnIndex>(w, vt.key_columns());
-    w.u64(vt.num_vertices());
-    vt.for_each_representative_piece(
-        [&](std::span<const RowIndex> piece) { write_pods(w, piece); });
-    encode_bitset(w, vt.matching_rows());
-  }
-
-  // Built edge types, in id order: their edges, not their indices, which
-  // restore builds.
-  w.u32(static_cast<std::uint32_t>(ctx.graph.num_edge_types()));
-  for (std::size_t i = 0; i < ctx.graph.num_edge_types(); ++i) {
-    const EdgeType& et = ctx.graph.edge_type(static_cast<EdgeTypeId>(i));
-    w.str(et.name());
-    w.u16(et.source_type());
-    w.u16(et.target_type());
-    w.u64(et.num_edges());
-    et.for_each_source_piece(
-        [&](std::span<const VertexIndex> piece) { write_pods(w, piece); });
-    write_pod_array(w, et.target_vertices());
-    w.u8(et.attr_table() != nullptr ? 1 : 0);
-    if (et.attr_table() != nullptr) encode_table(w, *et.attr_table());
-  }
-
   // Named subgraphs (std::map iteration: name order).
   w.u32(static_cast<std::uint32_t>(ctx.subgraphs.size()));
   for (const auto& [name, sub] : ctx.subgraphs) {
@@ -295,6 +247,33 @@ void encode_body(const exec::ExecContext& ctx, std::uint64_t wal_seq, W& w) {
       encode_bitset(w, *bits);
     }
   }
+}
+
+/// Analyzes each of `ctx`'s declarations, in declaration order, against
+/// the schemas of its tables: an error naming the first that does not
+/// analyze.
+Status analyze_declarations(const exec::ExecContext& ctx) {
+  graql::MetaCatalog meta;
+  for (const std::string& name : ctx.tables.names()) {
+    GEMS_RETURN_IF_ERROR(
+        meta.add_table(name, ctx.tables.find(name).value()->schema()));
+  }
+  const auto analyze = [&meta](const graql::Statement& decl,
+                               const std::string& what) {
+    const Status analyzed = graql::analyze_statement(decl, meta);
+    if (analyzed.is_ok()) return analyzed;
+    return invalid_argument("declaration of " + what + ": " +
+                            analyzed.message());
+  };
+  for (const graph::VertexDecl& d : ctx.vertex_decls) {
+    GEMS_RETURN_IF_ERROR(analyze(graql::CreateVertexStmt{d, {}},
+                                 "vertex type '" + d.name + "'"));
+  }
+  for (const graph::EdgeDecl& d : ctx.edge_decls) {
+    GEMS_RETURN_IF_ERROR(analyze(graql::CreateEdgeStmt{d, {}},
+                                 "edge type '" + d.name + "'"));
+  }
+  return Status::ok();
 }
 
 Status decode_body(ByteReader& r, exec::ExecContext& ctx,
@@ -355,82 +334,21 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
     }
   }
 
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t num_vtypes, r.u32());
-  if (num_vtypes >= graph::kInvalidVertexType) {
-    return r.error(
-        "implausible vertex type count " + std::to_string(num_vtypes));
+  // The graph is a view over the tables (paper Eq. 2), built here by the
+  // set-up path. The declarations are input like any script, so the
+  // analyzer checks them against the decoded tables first.
+  const Status analyzed = analyze_declarations(ctx);
+  if (!analyzed.is_ok()) {
+    return r.error_at(decls_at, "decl script: " + analyzed.message());
   }
-  for (std::uint32_t i = 0; i < num_vtypes; ++i) {
-    const std::size_t at = r.pos();
-    GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t mode, r.u8());
-    TablePtr source;
-    if (mode == kSourceByName) {
-      GEMS_ASSIGN_OR_RETURN(std::string tname, r.str());
-      auto found = ctx.tables.find(tname);
-      if (!found.is_ok()) {
-        return r.error_at(at, "vertex type '" + name + "': source table '" +
-                                  tname + "' not in snapshot");
-      }
-      source = std::move(found).value();
-    } else if (mode == kSourceInline) {
-      GEMS_ASSIGN_OR_RETURN(source, decode_table(r, *ctx.pool));
-    } else {
-      return r.error_at(at, "vertex type '" + name + "': bad source mode " +
-                                std::to_string(mode));
+  if (!script->statements.empty()) {
+    const Status built = ctx.rebuild_graph();
+    if (!built.is_ok()) {
+      return r.error_at(decls_at, "graph build: " + built.message());
     }
-    GEMS_ASSIGN_OR_RETURN(
-        std::pmr::vector<storage::ColumnIndex> key_cols,
-        read_pod_array<storage::ColumnIndex>(r, "key columns"));
-    GEMS_ASSIGN_OR_RETURN(std::pmr::vector<RowIndex> reps,
-                          read_pod_array<RowIndex>(r, "representative rows"));
-    GEMS_ASSIGN_OR_RETURN(DynamicBitset matching,
-                          decode_bitset(r, "matching rows"));
-    auto vt = VertexType::restore(static_cast<VertexTypeId>(i),
-                                  std::move(name), std::move(source),
-                                  {key_cols.begin(), key_cols.end()}, reps,
-                                  std::move(matching));
-    if (!vt.is_ok()) return r.error_at(at, vt.status().message());
-    GEMS_RETURN_IF_ERROR(ctx.graph.add_vertex_type(std::move(vt).value()));
   }
-
-  GEMS_ASSIGN_OR_RETURN(std::uint32_t num_etypes, r.u32());
-  if (num_etypes >= graph::kInvalidEdgeType) {
-    return r.error(
-        "implausible edge type count " + std::to_string(num_etypes));
-  }
-  for (std::uint32_t i = 0; i < num_etypes; ++i) {
-    const std::size_t at = r.pos();
-    GEMS_ASSIGN_OR_RETURN(std::string name, r.str());
-    GEMS_ASSIGN_OR_RETURN(std::uint16_t src_type, r.u16());
-    GEMS_ASSIGN_OR_RETURN(std::uint16_t dst_type, r.u16());
-    if (src_type >= num_vtypes || dst_type >= num_vtypes) {
-      return r.error_at(
-          at, "edge type '" + name + "': endpoint type out of range");
-    }
-    // The endpoint arrays are copied into chunks by EdgeType::restore.
-    ScratchArena scratch;
-    GEMS_ASSIGN_OR_RETURN(
-        std::pmr::vector<VertexIndex> src,
-        read_pod_array<VertexIndex>(r, "edge sources", &scratch));
-    GEMS_ASSIGN_OR_RETURN(
-        std::pmr::vector<VertexIndex> dst,
-        read_pod_array<VertexIndex>(r, "edge targets", &scratch));
-    GEMS_ASSIGN_OR_RETURN(std::uint8_t has_attrs, r.u8());
-    TablePtr attr_table;
-    if (has_attrs == 1) {
-      GEMS_ASSIGN_OR_RETURN(attr_table, decode_table(r, *ctx.pool));
-    } else if (has_attrs != 0) {
-      return r.error_at(at, "edge type '" + name + "': bad attr-table flag");
-    }
-    auto et = EdgeType::restore(
-        static_cast<EdgeTypeId>(i), std::move(name), src_type, dst_type,
-        ctx.graph.vertex_type(src_type).num_vertices(),
-        ctx.graph.vertex_type(dst_type).num_vertices(), src, dst,
-        std::move(attr_table));
-    if (!et.is_ok()) return r.error_at(at, et.status().message());
-    GEMS_RETURN_IF_ERROR(ctx.graph.add_edge_type(std::move(et).value()));
-  }
+  const std::size_t num_vtypes = ctx.graph.num_vertex_types();
+  const std::size_t num_etypes = ctx.graph.num_edge_types();
 
   GEMS_ASSIGN_OR_RETURN(std::uint32_t num_subgraphs, r.u32());
   for (std::uint32_t i = 0; i < num_subgraphs; ++i) {
@@ -465,11 +383,7 @@ Status decode_body(ByteReader& r, exec::ExecContext& ctx,
     ctx.subgraphs.emplace(std::move(name), std::move(sub));
   }
 
-  GEMS_RETURN_IF_ERROR(r.expect_end("snapshot body"));
-  if (ctx.graph.num_vertex_types() > 0 || ctx.graph.num_edge_types() > 0) {
-    ctx.graph_version = 1;
-  }
-  return Status::ok();
+  return r.expect_end("snapshot body");
 }
 
 std::vector<std::uint8_t> encode_header(std::uint64_t body_len,

@@ -1,11 +1,10 @@
-// Versioned, checksummed binary snapshots of the full database state:
-// string pool, columnar tables, DDL declarations, built graph views
-// (vertex types with their representative rows, edge types with their
-// endpoint arrays) and named subgraphs. Indices are derived state and are
-// never serialized: recovery rebuilds each key index from the
-// representative rows and each CSR direction with CsrIndex::build, the
-// graph build's own code — no joins, no hashing of raw strings, no CSV
-// parsing.
+// Versioned, checksummed binary snapshots of the database state: string
+// pool, columnar tables, DDL declarations and named subgraphs. The graph
+// is not in the image: a vertex or edge type is a view over tables (paper
+// Eqs. 1-2), so recovery analyzes the declarations against the decoded
+// tables and builds the graph with ExecContext::rebuild_graph(), the
+// set-up path — no CSV parsing. Ingest keeps the served graph equal to
+// that build (delta == rebuild), so recovered == pre-crash.
 //
 // File image = 24-byte header + body:
 //   u32 magic "GSN1" | u16 version | u16 reserved | u64 body_len |
@@ -15,9 +14,9 @@
 // acted on.
 //
 // Encoding is deterministic: the pool is written in id order, tables in
-// name order, types in id order, subgraphs in map order. Two snapshots of
-// the same database state are byte-identical (tested), which makes
-// snapshot diffs meaningful and checkpoints idempotent. One encoder feeds
+// name order, declarations in declaration order, subgraphs in map order.
+// Two snapshots of the same database state are byte-identical (tested),
+// which makes snapshot diffs meaningful and checkpoints idempotent. One encoder feeds
 // both outputs — an in-memory image and a streamed file — so they carry
 // the same bytes.
 #pragma once
@@ -33,7 +32,7 @@
 namespace gems::store {
 
 inline constexpr std::uint32_t kSnapshotMagic = 0x47534E31;  // "GSN1"
-inline constexpr std::uint16_t kSnapshotVersion = 2;
+inline constexpr std::uint16_t kSnapshotVersion = 3;
 inline constexpr std::size_t kSnapshotHeaderBytes = 24;
 
 struct SnapshotInfo {
@@ -62,9 +61,12 @@ Result<std::uint64_t> write_snapshot_file(const std::string& path,
                                           std::uint64_t wal_seq);
 
 /// Validates and decodes a snapshot image into `ctx`, which must be fresh
-/// (empty catalog, empty string pool). On error, `ctx` may hold partially
-/// restored state and must be discarded — the database layer treats a
-/// failed open as fail-stop, so partial state is never served.
+/// (empty catalog, empty string pool), and builds its graph on
+/// `ctx.intra_pool` when there is one. A declaration that does not
+/// analyze against the decoded tables is a kIoError. On error, `ctx` may
+/// hold partially restored state and must be discarded — the database
+/// layer treats a failed open as fail-stop, so partial state is never
+/// served.
 Result<SnapshotInfo> decode_snapshot(std::span<const std::uint8_t> bytes,
                                      exec::ExecContext& ctx);
 

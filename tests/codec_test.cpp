@@ -412,8 +412,8 @@ constexpr Golden kGolden[] = {
     {"diag", 113, 2945998573u},
     {"stats", 517, 615417833u},
     {"wal", 251, 2935829596u},
-    {"snapshot.berlin200", 241059, 3957760637u},
-    {"snapshot.berlin2000", 2260593, 3943901108u},
+    {"snapshot.berlin200", 182107, 1215916222u},
+    {"snapshot.berlin2000", 1683961, 2865553842u},
     {"dist.domains", 44, 749263383u},
     {"dist.transcript.0", 88, 3601321035u},
     {"dist.transcript.1", 124, 893424611u},
@@ -442,12 +442,13 @@ TEST(CodecGoldenTest, EveryEncoderEmitsTheRecordedBytes) {
 
 TEST(CodecGoldenTest, BerlinSnapshotAtScale200) {
   const std::vector<std::uint8_t> image = berlin_db().snapshot_bytes();
-  EXPECT_EQ(image.size(), 241059u);
-  EXPECT_EQ(crc32(image), 3957760637u);
+  EXPECT_EQ(image.size(), 182107u);
+  EXPECT_EQ(crc32(image), 1215916222u);
 }
 
 // snapshot.berlin2000 is built without an intra-node pool; this build fans
-// the graph rebuild out over four workers and must give the same bytes.
+// the graph rebuild out over four workers and must give the same bytes:
+// the build interns its literals into the pool in declaration order.
 TEST(CodecGoldenTest, BerlinSnapshotAtScale2000BuiltOnFourWorkers) {
   server::DatabaseOptions options;
   options.intra_node_threads = 4;
@@ -455,8 +456,8 @@ TEST(CodecGoldenTest, BerlinSnapshotAtScale2000BuiltOnFourWorkers) {
       bsbm::GeneratorConfig::derive(2000, 3), options);
   ASSERT_TRUE(built.is_ok()) << built.status().to_string();
   const std::vector<std::uint8_t> image = (*built)->snapshot_bytes();
-  EXPECT_EQ(image.size(), 2260593u);
-  EXPECT_EQ(crc32(image), 3943901108u);
+  EXPECT_EQ(image.size(), 1683961u);
+  EXPECT_EQ(crc32(image), 2865553842u);
 }
 
 // ---- Mutation sweep ---------------------------------------------------------

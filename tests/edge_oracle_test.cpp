@@ -629,7 +629,7 @@ TEST(EdgeOracleTest, DeltasAcrossChunkSealMatchNestedLoopJoin) {
       const RowIndex first_new = sc.grow(c.table, 60 + 20 * seed);
       auto applied = extend_graph_for_ingest(
           g, c.table, first_new, sc.vertices(), sc.edges(), sc.tables(),
-          sc.pool(), {});
+          sc.pool());
       ASSERT_TRUE(applied.is_ok()) << applied.status().to_string();
       ASSERT_TRUE(*applied) << "delta fell back to a rebuild";
       // Byte order holds when the ingested table is only the edge's

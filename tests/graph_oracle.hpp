@@ -1,13 +1,18 @@
-// Equality oracles for a graph's CSR indices. The indices are derived
-// state: no snapshot holds them, so a proof that two graphs are equal
-// (delta == rebuild, recovered == pre-crash, pooled == serial) compares
-// snapshot bytes for the stored state and these walks for the indices.
+// Equality oracles for a graph. The graph is derived state: a snapshot
+// holds the tables and declarations it is built from, not the graph, so a
+// proof that two graphs are equal (delta == rebuild, recovered ==
+// pre-crash, pooled == serial) compares snapshot bytes for the tables and
+// expect_same_graph for the vertex types, the edge types and their
+// indices.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
+#include <cstdint>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -92,6 +97,89 @@ inline std::size_t expect_same_edges(const GraphView& got,
     }
   }
   return forms;
+}
+
+/// Every vertex type of `got` equals `want`'s: its name, vertex count,
+/// representative rows, matching rows, one-to-one and identity-row flags
+/// and size, and the vertex find_by_key gives for every source row.
+inline void expect_same_vertices(const GraphView& got, const GraphView& want) {
+  EXPECT_EQ(got.num_vertex_types(), want.num_vertex_types());
+  if (got.num_vertex_types() != want.num_vertex_types()) return;
+  for (VertexTypeId id = 0; id < want.num_vertex_types(); ++id) {
+    const VertexType& g = got.vertex_type(id);
+    const VertexType& w = want.vertex_type(id);
+    SCOPED_TRACE("vertex type " + w.name());
+    EXPECT_EQ(g.name(), w.name());
+    EXPECT_EQ(g.one_to_one(), w.one_to_one());
+    EXPECT_EQ(g.identity_rows(), w.identity_rows());
+    EXPECT_EQ(g.byte_size(), w.byte_size());
+    EXPECT_EQ(g.matching_rows(), w.matching_rows());
+    EXPECT_EQ(g.num_vertices(), w.num_vertices());
+    if (g.num_vertices() != w.num_vertices()) continue;
+    for (VertexIndex v = 0; v < w.num_vertices(); ++v) {
+      ASSERT_EQ(g.representative_row(v), w.representative_row(v))
+          << "vertex " << v;
+    }
+    EXPECT_EQ(g.source().num_rows(), w.source().num_rows());
+    if (g.source().num_rows() != w.source().num_rows()) continue;
+    for (storage::RowIndex r = 0; r < w.source().num_rows(); ++r) {
+      ASSERT_EQ(g.find_by_key(g.source(), r, g.key_columns()),
+                w.find_by_key(w.source(), r, w.key_columns()))
+          << "row " << r;
+    }
+  }
+}
+
+/// Cell (r, c) of `t` as stored: NULL, or the value's bits (a string's
+/// pool id, which recovery keeps). Reads no string pool, so a graph whose
+/// database is gone still compares.
+inline std::optional<std::uint64_t> stored_cell(const storage::Table& t,
+                                                storage::RowIndex r,
+                                                storage::ColumnIndex c) {
+  const storage::Column& col = t.column(c);
+  if (col.is_null(r)) return std::nullopt;
+  switch (col.type().kind) {
+    case storage::TypeKind::kDouble:
+      return std::bit_cast<std::uint64_t>(col.double_at(r));
+    case storage::TypeKind::kVarchar:
+      return col.string_at(r);
+    default:
+      return static_cast<std::uint64_t>(col.int64_at(r));
+  }
+}
+
+/// `got`'s cells equal `want`'s, row by row.
+inline void expect_same_cells(const storage::Table& got,
+                              const storage::Table& want) {
+  EXPECT_EQ(got.schema(), want.schema());
+  EXPECT_EQ(got.num_rows(), want.num_rows());
+  if (got.schema() != want.schema() || got.num_rows() != want.num_rows()) {
+    return;
+  }
+  for (storage::RowIndex r = 0; r < want.num_rows(); ++r) {
+    for (storage::ColumnIndex c = 0; c < want.num_columns(); ++c) {
+      ASSERT_EQ(stored_cell(got, r, c), stored_cell(want, r, c))
+          << "row " << r << ", column " << c;
+    }
+  }
+}
+
+/// `got` equals `want`: expect_same_vertices, each edge type's attribute
+/// cells, and expect_same_edges, whose count of compared directions it
+/// returns.
+inline std::size_t expect_same_graph(const GraphView& got,
+                                     const GraphView& want) {
+  expect_same_vertices(got, want);
+  if (got.num_edge_types() == want.num_edge_types()) {
+    for (EdgeTypeId id = 0; id < want.num_edge_types(); ++id) {
+      const storage::Table* g = got.edge_type(id).attr_table();
+      const storage::Table* w = want.edge_type(id).attr_table();
+      SCOPED_TRACE("attributes of edge type " + want.edge_type(id).name());
+      EXPECT_EQ(g == nullptr, w == nullptr);
+      if (g != nullptr && w != nullptr) expect_same_cells(*g, *w);
+    }
+  }
+  return expect_same_edges(got, want);
 }
 
 }  // namespace gems::graph

@@ -23,7 +23,6 @@
 #include "relational/row_key.hpp"
 #include "relational_oracle.hpp"
 #include "server/database.hpp"
-#include "store/snapshot.hpp"
 #include "storage/csv.hpp"
 
 namespace gems::graph {
@@ -454,39 +453,7 @@ TEST_F(GraphTest, CsrDegrees) {
 // vertices on either side, cross the fold threshold several times. After
 // every batch each direction's adjacency, degrees and sizes equal those of
 // a flat CsrIndex::build over the whole endpoint arrays, and so do the
-// endpoint arrays' size and the snapshot bytes.
-
-/// A vertex type `id` of `n` vertices over a fresh table of ids 0..n-1.
-std::shared_ptr<const VertexType> numbered_vertices(StringPool& pool,
-                                                    VertexTypeId id,
-                                                    std::size_t n) {
-  auto table = std::make_shared<Table>(
-      "T" + std::to_string(id), Schema({{"id", DataType::int64()}}), pool);
-  for (std::size_t i = 0; i < n; ++i) {
-    const Value row[] = {Value::int64(static_cast<std::int64_t>(i))};
-    EXPECT_TRUE(table->append_row(row).is_ok());
-  }
-  auto vt = VertexType::build(id, "V" + std::to_string(id), table, {0},
-                              nullptr, std::pmr::get_default_resource());
-  GEMS_CHECK(vt.is_ok());
-  return std::make_shared<const VertexType>(std::move(vt).value());
-}
-
-/// The snapshot image of a graph holding `et` between vertex types of
-/// `num_src` and `num_dst` vertices.
-std::vector<std::uint8_t> snapshot_with(StringPool& pool, std::size_t num_src,
-                                        std::size_t num_dst,
-                                        const EdgeType& et) {
-  exec::ExecContext ctx;
-  ctx.pool = &pool;
-  EXPECT_TRUE(
-      ctx.graph.add_vertex_type(numbered_vertices(pool, 0, num_src)).is_ok());
-  EXPECT_TRUE(
-      ctx.graph.add_vertex_type(numbered_vertices(pool, 1, num_dst)).is_ok());
-  EXPECT_TRUE(
-      ctx.graph.add_edge_type(std::make_shared<const EdgeType>(et)).is_ok());
-  return store::encode_snapshot(ctx, 0);
-}
+// endpoint arrays.
 
 TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   std::size_t folds = 0;
@@ -522,7 +489,6 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
     const bool ordered = seed > 12 && !unit;
     const bool heavy = seed > 26 && !sorted_dst;
     Xoshiro256 rng(seed);
-    StringPool pool;
     std::size_t num_src = unit ? 0 : rng.below(40) + (heavy ? 1 : 0);
     std::size_t num_dst = 1 + rng.below(40);
     ChunkedArray<VertexIndex> src;
@@ -641,8 +607,6 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
         most_parts =
             std::max(most_parts, expect_same_adjacency(after, rebuilt));
       }
-      ASSERT_EQ(snapshot_with(pool, num_src, num_dst, next),
-                snapshot_with(pool, num_src, num_dst, flat));
       et = std::move(next);
     }
   }
@@ -663,10 +627,9 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
   EXPECT_GE(most_parts, 3u);
 }
 
-// ---- CSR restore ----------------------------------------------------------
-// A snapshot holds an edge type's endpoint arrays, not its indices:
-// EdgeType::restore() builds both directions with CsrIndex::build, so a
-// restored type's adjacency, forms and sizes are exactly assemble()'s.
+// ---- CSR forms ------------------------------------------------------------
+// Recovery builds each edge type with assemble(), as the graph build does:
+// the forms below are the ones a recovered index has.
 
 /// The edge type over edges src[e] -> dst[e] between `num_src` and
 /// `num_dst` vertices, as assemble() builds it.
@@ -682,54 +645,55 @@ EdgeType assembled(const std::vector<VertexIndex>& src,
                             std::pmr::get_default_resource());
 }
 
-/// `et` restored from the arrays a snapshot holds for it.
-EdgeType restored_copy(const EdgeType& et) {
-  std::vector<VertexIndex> src;
-  et.for_each_source_piece([&](std::span<const VertexIndex> piece) {
-    src.insert(src.end(), piece.begin(), piece.end());
-  });
-  std::vector<VertexIndex> dst;
-  for (EdgeIndex e = 0; e < et.num_edges(); ++e) {
-    dst.push_back(et.target_vertex(e));
+/// `built`'s adjacency, in both directions, is the edge list's: vertex v's
+/// entries are its edges in id order, each with the other endpoint.
+void expect_adjacency_of_edges(const EdgeType& built,
+                               const std::vector<VertexIndex>& src,
+                               const std::vector<VertexIndex>& dst) {
+  for (const bool forward : {true, false}) {
+    SCOPED_TRACE(forward ? "forward" : "reverse");
+    const CsrIndex& csr = forward ? built.forward() : built.reverse();
+    const std::vector<VertexIndex>& keyed = forward ? src : dst;
+    const std::vector<VertexIndex>& other = forward ? dst : src;
+    for (VertexIndex v = 0; v < csr.num_vertices(); ++v) {
+      std::vector<std::pair<VertexIndex, EdgeIndex>> want;
+      for (EdgeIndex e = 0; e < keyed.size(); ++e) {
+        if (keyed[e] == v) want.emplace_back(other[e], e);
+      }
+      std::vector<std::pair<VertexIndex, EdgeIndex>> have;
+      csr.for_each_part(v, [&](const AdjacencyPart& part) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          have.emplace_back(part.neighbor(i), part.edge(i));
+        }
+      });
+      ASSERT_EQ(have, want) << "vertex " << v;
+      ASSERT_EQ(csr.degree(v), want.size()) << "vertex " << v;
+    }
   }
-  auto restored = EdgeType::restore(
-      et.id(), et.name(), et.source_type(), et.target_type(),
-      et.forward().num_vertices(), et.reverse().num_vertices(), src, dst,
-      et.attr_table_ptr());
-  GEMS_CHECK_MSG(restored.is_ok(), restored.status().to_string().c_str());
-  return std::move(restored).value();
-}
-
-/// `restored` equals `built` in both directions: adjacency, degrees,
-/// sizes and base forms.
-void expect_restored_equals_built(const EdgeType& restored,
-                                  const EdgeType& built) {
-  EXPECT_EQ(restored.source_is_identity(), built.source_is_identity());
-  EXPECT_EQ(restored.endpoint_bytes(), built.endpoint_bytes());
-  expect_same_adjacency(restored.forward(), built.forward());
-  expect_same_adjacency(restored.reverse(), built.reverse());
-  expect_same_forms(restored.forward(), built.forward());
-  expect_same_forms(restored.reverse(), built.reverse());
 }
 
 TEST(CsrRestoreTest, BuiltArraysRoundTrip) {
   // Edge e runs source[e] -> target[e]; 3 sources, 3 targets.
-  const EdgeType built = assembled({1, 0, 1, 2, 0}, {0, 2, 1, 2, 0}, 3, 3);
-  const EdgeType restored = restored_copy(built);
-  EXPECT_FALSE(restored.forward().ordered_base());
-  EXPECT_FALSE(restored.reverse().ordered_base());
-  expect_restored_equals_built(restored, built);
+  const std::vector<VertexIndex> from = {1, 0, 1, 2, 0};
+  const std::vector<VertexIndex> to = {0, 2, 1, 2, 0};
+  const EdgeType built = assembled(from, to, 3, 3);
+  EXPECT_FALSE(built.source_is_identity());
+  EXPECT_FALSE(built.forward().ordered_base());
+  EXPECT_FALSE(built.reverse().ordered_base());
+  EXPECT_EQ(built.endpoint_bytes(), 2 * 5 * sizeof(VertexIndex));
+  expect_adjacency_of_edges(built, from, to);
 }
 
 TEST(CsrRestoreTest, IdentityEdgeArrayIsDropped) {
   // Sorted by source, the edge array is the identity, and the neighbors
   // are the other endpoint array: only the offsets are stored.
-  const EdgeType built = assembled({0, 0, 1, 1, 2}, {2, 0, 0, 1, 2}, 3, 3);
-  const EdgeType restored = restored_copy(built);
-  EXPECT_TRUE(restored.forward().ordered_base());
-  EXPECT_FALSE(restored.forward().unit_base());
-  EXPECT_EQ(restored.forward().byte_size(), 4 * sizeof(std::uint32_t));
-  expect_restored_equals_built(restored, built);
+  const std::vector<VertexIndex> from = {0, 0, 1, 1, 2};
+  const std::vector<VertexIndex> to = {2, 0, 0, 1, 2};
+  const EdgeType built = assembled(from, to, 3, 3);
+  EXPECT_TRUE(built.forward().ordered_base());
+  EXPECT_FALSE(built.forward().unit_base());
+  EXPECT_EQ(built.forward().byte_size(), 4 * sizeof(std::uint32_t));
+  expect_adjacency_of_edges(built, from, to);
 }
 
 TEST(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
@@ -742,12 +706,11 @@ TEST(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
     to.push_back(static_cast<VertexIndex>(e * 7 % 11));
   }
   const EdgeType built = assembled(from, to, 310, 11);
-  const EdgeType restored = restored_copy(built);
-  const CsrIndex& forward = restored.forward();
+  const CsrIndex& forward = built.forward();
   EXPECT_TRUE(forward.ordered_base());
   EXPECT_FALSE(forward.unit_base());
   EXPECT_EQ(forward.byte_size(), 311 * sizeof(std::uint32_t));
-  expect_restored_equals_built(restored, built);
+  expect_adjacency_of_edges(built, from, to);
   // Vertex 301's group, edges [900, 1400), crosses entry 1024.
   std::size_t parts = 0;
   std::vector<EdgeIndex> edges;
@@ -773,36 +736,35 @@ TEST(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
     to.push_back(static_cast<VertexIndex>(e % 13));
   }
   const EdgeType built = assembled(from, to, from.size(), 13);
+  EXPECT_TRUE(built.source_is_identity());
+  EXPECT_EQ(built.endpoint_bytes(), to.size() * sizeof(VertexIndex));
   EXPECT_TRUE(built.forward().unit_base());
   EXPECT_EQ(built.forward().byte_size(), 0u);
-  const EdgeType restored = restored_copy(built);
-  EXPECT_TRUE(restored.source_is_identity());
-  EXPECT_TRUE(restored.forward().unit_base());
-  EXPECT_EQ(restored.forward().byte_size(), 0u);
-  expect_restored_equals_built(restored, built);
+  expect_adjacency_of_edges(built, from, to);
   for (VertexIndex v = 0; v < from.size(); ++v) {
-    ASSERT_EQ(restored.forward().degree(v), 1u);
-    restored.forward().for_each_part(v, [&](const AdjacencyPart& part) {
+    ASSERT_EQ(built.forward().degree(v), 1u);
+    built.forward().for_each_part(v, [&](const AdjacencyPart& part) {
       EXPECT_EQ(part.neighbor(0), to[v]);
       EXPECT_EQ(part.edge(0), v);
     });
   }
 
   // One more vertex than edges: ordered, but the offsets are stored.
-  const EdgeType wider = restored_copy(assembled(from, to, from.size() + 1, 13));
+  const EdgeType wider = assembled(from, to, from.size() + 1, 13);
   EXPECT_TRUE(wider.forward().ordered_base());
   EXPECT_FALSE(wider.forward().unit_base());
   EXPECT_EQ(wider.forward().byte_size(),
             (from.size() + 2) * sizeof(std::uint32_t));
+  expect_adjacency_of_edges(wider, from, to);
 }
 
 // ---- Identity arrays -------------------------------------------------------
 // A unit edge type's sources and an unfiltered one-to-one vertex type's
-// representative rows are the identity, which is not stored. Built,
-// extended and restored to the same state, a type stores the same arrays
-// and reports the same adjacency, sizes and snapshot bytes: while the
-// identity holds, after an ingest breaks it, and after a fold that
-// follows the break.
+// representative rows are the identity, which is not stored. Built and
+// extended to the same state, a type stores the same arrays and reports
+// the same adjacency and sizes: while the identity holds, after an ingest
+// breaks it, and after a fold that follows the break. Recovery is a
+// build.
 
 TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
   struct Case {
@@ -813,7 +775,6 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
     SCOPED_TRACE("break at " + std::to_string(c.break_at) + ", idle " +
                  std::to_string(c.idle));
     Xoshiro256 rng(static_cast<std::uint64_t>(c.break_at + 7 + c.idle));
-    StringPool pool;
     // Edge e runs from vertex e to a non-decreasing target, as a foreign
     // key does over a referencing table sorted by the key: the reverse
     // index is ordered over the identity sources.
@@ -855,27 +816,19 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
       const EdgeType built = EdgeType::assemble(
           0, "E", 0, 1, num_src(), num_dst(), src, dst, nullptr,
           std::pmr::get_default_resource());
-      const EdgeType restored = restored_copy(next);
       const bool identity = c.break_at < 0 || ingest < c.break_at;
       EXPECT_EQ(built.source_is_identity(), identity);
       EXPECT_EQ(built.endpoint_bytes(),
                 (identity ? 1u : 2u) * built.num_edges() *
                     sizeof(VertexIndex));
-      const std::vector<std::uint8_t> image =
-          snapshot_with(pool, num_src(), num_dst(), built);
-      const EdgeType& next_ref = next;
-      for (const EdgeType* got : {&next_ref, &restored}) {
-        EXPECT_EQ(got->source_is_identity(), identity);
-        EXPECT_EQ(got->endpoint_bytes(), built.endpoint_bytes());
-        for (EdgeIndex e = 0; e < built.num_edges(); ++e) {
-          ASSERT_EQ(got->source_vertex(e), built.source_vertex(e));
-        }
-        expect_same_adjacency(got->forward(), built.forward());
-        expect_same_adjacency(got->reverse(), built.reverse());
-        ASSERT_EQ(snapshot_with(pool, num_src(), num_dst(), *got), image);
+      EXPECT_EQ(next.source_is_identity(), identity);
+      EXPECT_EQ(next.endpoint_bytes(), built.endpoint_bytes());
+      for (EdgeIndex e = 0; e < built.num_edges(); ++e) {
+        ASSERT_EQ(next.source_vertex(e), built.source_vertex(e));
+        ASSERT_EQ(next.target_vertex(e), built.target_vertex(e));
       }
-      // A restored type's bases are build()'s.
-      expect_restored_equals_built(restored, built);
+      expect_same_adjacency(next.forward(), built.forward());
+      expect_same_adjacency(next.reverse(), built.reverse());
       EXPECT_EQ(built.reverse().implicit_neighbors(), identity);
       if (!identity && !next.reverse().shares_base(et.reverse())) {
         ++folds_after_break;
@@ -1020,7 +973,7 @@ TEST_F(GraphTest, SelfJoinIngestWithBothEndpointsNewAddsOneEdgeEach) {
           .is_ok());
   tables_.add_or_replace(grown);
   auto applied = extend_graph_for_ingest(graph_, "Classes", 2, vertices,
-                                         edges, tables_, pool_, {});
+                                         edges, tables_, pool_);
   ASSERT_TRUE(applied.is_ok()) << applied.status().to_string();
   ASSERT_TRUE(*applied);
 
@@ -1465,10 +1418,6 @@ TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
       auto fresh = VertexType::build(0, "V", grown, {0}, bind(*grown).get(),
                                      std::pmr::get_default_resource());
       ASSERT_TRUE(fresh.is_ok());
-      auto restored = VertexType::restore(0, "V", grown, {0},
-                                          rows_of(*extended),
-                                          extended->matching_rows());
-      ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
       const bool identity = break_at < 0 || ingest < break_at;
       EXPECT_EQ(fresh->identity_rows(), identity);
       EXPECT_EQ(fresh->byte_size(),
@@ -1476,18 +1425,16 @@ TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
                     (identity ? 0 : fresh->num_vertices() *
                                         sizeof(storage::RowIndex)) +
                     (grown->num_rows() + 63) / 64 * sizeof(std::uint64_t));
-      for (const VertexType* got : {&*extended, &*restored}) {
-        EXPECT_EQ(got->identity_rows(), identity);
-        EXPECT_EQ(got->one_to_one(), fresh->one_to_one());
-        EXPECT_EQ(got->byte_size(), fresh->byte_size());
-        EXPECT_EQ(got->matching_rows(), fresh->matching_rows());
-        EXPECT_EQ(rows_of(*got), rows_of(*fresh));
-        for (std::size_t r = 0; r < grown->num_rows(); ++r) {
-          const auto row = static_cast<storage::RowIndex>(r);
-          ASSERT_EQ(got->find_by_key(*grown, row, {{0}}),
-                    fresh->find_by_key(*grown, row, {{0}}))
-              << "row " << r;
-        }
+      EXPECT_EQ(extended->identity_rows(), identity);
+      EXPECT_EQ(extended->one_to_one(), fresh->one_to_one());
+      EXPECT_EQ(extended->byte_size(), fresh->byte_size());
+      EXPECT_EQ(extended->matching_rows(), fresh->matching_rows());
+      EXPECT_EQ(rows_of(*extended), rows_of(*fresh));
+      for (std::size_t r = 0; r < grown->num_rows(); ++r) {
+        const auto row = static_cast<storage::RowIndex>(r);
+        ASSERT_EQ(extended->find_by_key(*grown, row, {{0}}),
+                  fresh->find_by_key(*grown, row, {{0}}))
+            << "row " << r;
       }
       if (!identity && !extended->shares_key_base(vt)) ++folds_after_break;
       vt = std::move(extended).value();
@@ -1497,52 +1444,6 @@ TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
       EXPECT_GT(folds_after_break, 0u);
     }
   }
-}
-
-// restore() accepts only the fields build() can give: every representative
-// row is a matching row. The type is one-to-one exactly when every
-// matching row is a vertex, which restore() derives, as build() does.
-TEST(VertexRestoreTest, DerivesOneToOneFromTheRows) {
-  StringPool pool;
-  auto table = std::make_shared<Table>(
-      "T", Schema({{"k", DataType::int64()}}), pool);
-  for (const std::int64_t k : {1, 2, 2, 3}) {
-    const Value row[] = {Value::int64(k)};
-    ASSERT_TRUE(table->append_row(row).is_ok());
-  }
-  for (const bool collapse : {false, true}) {
-    // Keyed on k, row 2 collapses into row 1's vertex; over the first two
-    // rows alone, none does.
-    const std::vector<storage::RowIndex> reps =
-        collapse ? std::vector<storage::RowIndex>{0, 1, 3}
-                 : std::vector<storage::RowIndex>{0, 1};
-    DynamicBitset matching(table->num_rows());
-    for (std::size_t r = 0; r < (collapse ? 4u : 2u); ++r) matching.set(r);
-    auto restored = VertexType::restore(0, "V", table, {0}, reps, matching);
-    ASSERT_TRUE(restored.is_ok()) << restored.status().to_string();
-    EXPECT_EQ(restored->one_to_one(), !collapse);
-  }
-}
-
-TEST(VertexRestoreTest, RejectsARepresentativeRowOutsideTheMatchingRows) {
-  StringPool pool;
-  auto table = std::make_shared<Table>(
-      "T", Schema({{"k", DataType::int64()}}), pool);
-  for (const std::int64_t k : {1, 2, 3, 4}) {
-    const Value row[] = {Value::int64(k)};
-    ASSERT_TRUE(table->append_row(row).is_ok());
-  }
-  // Rows 0, 1 and 3 pass; row 2 does not, yet is listed as a vertex in
-  // place of row 3, so the counts still agree with one_to_one.
-  DynamicBitset matching(table->num_rows());
-  for (const std::size_t r : {0, 1, 3}) matching.set(r);
-  ASSERT_TRUE(
-      VertexType::restore(0, "V", table, {0}, {{0, 1, 3}}, matching).is_ok());
-  auto bad = VertexType::restore(0, "V", table, {0}, {{0, 1, 2}}, matching);
-  ASSERT_FALSE(bad.is_ok());
-  EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(bad.status().message().find("not a matching row"),
-            std::string::npos);
 }
 
 // Single-source conjuncts of an edge declaration select join candidates
@@ -1632,7 +1533,7 @@ TEST(EdgeFilterTest, KernelFilterMatchesPerRowPredicate) {
   auto applied = extend_graph_for_ingest(graph, "Items",
                                          static_cast<storage::RowIndex>(
                                              kBaseRows),
-                                         vertices, edges, tables, pool, {});
+                                         vertices, edges, tables, pool);
   ASSERT_TRUE(applied.is_ok()) << applied.status().to_string();
   ASSERT_TRUE(*applied);
   GraphView whole;
@@ -1704,7 +1605,7 @@ TEST(GraphRebuildTest, PooledMatchesSerial) {
     const auto pooled = berlin(scale, 4);
     const auto serial = berlin(scale, 0);
     EXPECT_EQ(pooled->snapshot_bytes(), serial->snapshot_bytes());
-    EXPECT_EQ(expect_same_edges(pooled->graph(), serial->graph()),
+    EXPECT_EQ(expect_same_graph(pooled->graph(), serial->graph()),
               2 * serial->graph().num_edge_types());
   }
 
@@ -1752,7 +1653,7 @@ TEST(GraphRebuildTest, PooledMatchesSerial) {
     EXPECT_EQ(serial->pool().find(literals[i]), first + i) << literals[i];
   }
   EXPECT_EQ(pooled->snapshot_bytes(), serial->snapshot_bytes());
-  EXPECT_EQ(expect_same_edges(pooled->graph(), serial->graph()),
+  EXPECT_EQ(expect_same_graph(pooled->graph(), serial->graph()),
             2 * serial->graph().num_edge_types());
   EXPECT_GT(pooled->graph().edge_type(9).num_edges(), 0u);
 

@@ -398,7 +398,7 @@ TEST(DeltaIngestTest, MatchesFullRebuildByteIdentical) {
   EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
   EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
             store::encode_snapshot(rebuilt, 0));
-  EXPECT_GT(graph::expect_same_edges(pin.ctx().graph, rebuilt.graph), 0u);
+  EXPECT_GT(graph::expect_same_graph(pin.ctx().graph, rebuilt.graph), 0u);
 
   // Same query answers, including traversals over delta-extended edges.
   const std::vector<std::string> queries = {
@@ -555,7 +555,7 @@ TEST(DeltaIngestTest, BerlinIngestsAcrossChunkSealsMatchRebuild) {
     EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
     EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
               store::encode_snapshot(rebuilt, 0));
-    EXPECT_GT(graph::expect_same_edges(pin.ctx().graph, rebuilt.graph), 0u);
+    EXPECT_GT(graph::expect_same_graph(pin.ctx().graph, rebuilt.graph), 0u);
   }
 
   // Offers and ProductTypes. A delta appends new edges after the base's,
@@ -724,7 +724,7 @@ TEST(DeltaIngestTest, SmallIngestsShareBasesUntilTheyFold) {
   EXPECT_EQ(context_fingerprint(pin.ctx()), context_fingerprint(rebuilt));
   EXPECT_EQ(store::encode_snapshot(pin.ctx(), 0),
             store::encode_snapshot(rebuilt, 0));
-  EXPECT_GT(graph::expect_same_edges(pin.ctx().graph, rebuilt.graph), 0u);
+  EXPECT_GT(graph::expect_same_graph(pin.ctx().graph, rebuilt.graph), 0u);
 }
 
 // Readers walk a pinned epoch's adjacency and probe its key index while a
@@ -886,7 +886,7 @@ TEST(IdentityArraysTest, ReviewIngestsKeepThemThroughRecovery) {
   ASSERT_TRUE(recovered.store_status().is_ok())
       << recovered.store_status().to_string();
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
-  graph::expect_same_edges(recovered.pin_epoch().ctx().graph, pre_crash_graph);
+  graph::expect_same_graph(recovered.pin_epoch().ctx().graph, pre_crash_graph);
   EXPECT_EQ(identity_state(recovered.pin_epoch().ctx()), state);
 }
 
@@ -965,7 +965,7 @@ TEST(DurabilityTest, RecoveryMatchesPrecrashPinnedSnapshot) {
   ASSERT_TRUE(recovered.store_status().is_ok())
       << recovered.store_status().to_string();
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
-  graph::expect_same_edges(recovered.pin_epoch().ctx().graph, pre_crash_graph);
+  graph::expect_same_graph(recovered.pin_epoch().ctx().graph, pre_crash_graph);
   EXPECT_EQ(state_fingerprint(recovered), pre_fingerprint);
   // Replay re-applied the batches with the identical per-record decision.
   EXPECT_GE(metrics::value(recovered.metrics_snapshot(), "mvcc.ingest.delta"),
@@ -1011,7 +1011,7 @@ TEST(DurabilityTest, RecoveryAcrossMidSequenceCheckpoint) {
   ASSERT_TRUE(recovered.store_status().is_ok())
       << recovered.store_status().to_string();
   EXPECT_EQ(recovered.snapshot_bytes(), pre_crash);
-  graph::expect_same_edges(recovered.pin_epoch().ctx().graph, pre_crash_graph);
+  graph::expect_same_graph(recovered.pin_epoch().ctx().graph, pre_crash_graph);
   EXPECT_EQ(state_fingerprint(recovered), pre_fingerprint);
 }
 

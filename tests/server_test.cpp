@@ -14,6 +14,7 @@
 #include "bsbm/queries.hpp"
 #include "bsbm/schema.hpp"
 #include "common/metrics.hpp"
+#include "graql/diag.hpp"
 #include "graql/ir.hpp"
 #include "graql/parser.hpp"
 #include "plan/schedule.hpp"
@@ -645,6 +646,151 @@ TEST(ConcurrentAccessTest, CachedStatsSnapshotSurvivesInvalidation) {
   const std::shared_ptr<const plan::GraphStats> after = (*db)->cached_stats();
   EXPECT_NE(before.get(), after.get());
   EXPECT_EQ(before->edge_stats.size(), edge_kinds);  // old snapshot intact
+}
+
+// ---- The graph is a view over its tables -----------------------------------
+// Ingest, recovery and a rank's sync all rebuild the graph from the
+// declarations and the tables alone. So no statement may replace a table
+// a declaration reads, and no declaration may take a %parameter%.
+
+/// A temporary data directory with two People batches, removed on
+/// destruction. `store()` is its durable store directory.
+struct PeopleDir {
+  explicit PeopleDir(const std::string& tag)
+      : path(::testing::TempDir() + "/gems_view_" + tag) {
+    std::filesystem::remove_all(path);
+    std::filesystem::create_directories(path);
+    std::ofstream(path + "/people.csv") << "ada,36\ngrace,45\nedsger,40\n";
+    std::ofstream(path + "/more.csv") << "barbara,38\nalan,41\n";
+  }
+  ~PeopleDir() { std::filesystem::remove_all(path); }
+  DatabaseOptions options(bool durable) const {
+    DatabaseOptions o;
+    o.data_dir = path;
+    if (durable) o.store_dir = path + "/store";
+    o.wal_fsync = false;
+    return o;
+  }
+  std::string path;
+};
+
+constexpr char kPeopleDdl[] = R"(
+  create table People(name varchar(16), age integer)
+  create table Knows(src varchar(16), dst varchar(16))
+  create vertex Person(name) from table People
+  create edge knows with vertices (Person as A, Person as B)
+    from table Knows
+    where Knows.src = A.name and Knows.dst = B.name
+  ingest table People 'people.csv'
+)";
+
+/// Whether `db.check(text)` reports `code`.
+bool check_reports(Database& db, const std::string& text,
+                   graql::DiagCode code,
+                   const relational::ParamMap* params = nullptr) {
+  auto diags = db.check(text, params);
+  EXPECT_TRUE(diags.is_ok()) << diags.status().to_string();
+  if (!diags.is_ok()) return false;
+  return std::any_of(diags->begin(), diags->end(),
+                     [code](const graql::Diagnostic& d) {
+                       return d.code == code &&
+                              d.severity == graql::Severity::kError;
+                     });
+}
+
+TEST(GraphIsAViewTest, IntoATableADeclarationReadsIsRejected) {
+  for (const bool durable : {false, true}) {
+    SCOPED_TRACE(durable ? "durable" : "in memory");
+    const PeopleDir dir(durable ? "into_durable" : "into_memory");
+    {
+      Database db(dir.options(durable));
+      auto r = db.run_script(kPeopleDdl);
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+
+      // People is Person's source table: replacing it left the type over
+      // the old table, and the next ingest stopped the process.
+      const std::string into_people =
+          "select name, age from table People where age > 40 "
+          "into table People";
+      EXPECT_TRUE(
+          check_reports(db, into_people, graql::DiagCode::kIntoDeclaredTable));
+      r = db.run_script(into_people);
+      ASSERT_FALSE(r.is_ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("'Person'"), std::string::npos)
+          << r.status().to_string();
+      // Knows is the knows edge's `from table`.
+      r = db.run_script("select src, dst from table Knows into table Knows");
+      ASSERT_FALSE(r.is_ok());
+      EXPECT_NE(r.status().message().find("'knows'"), std::string::npos)
+          << r.status().to_string();
+      // A type's name is not a table's.
+      EXPECT_TRUE(check_reports(db,
+                                "select name from table People "
+                                "into table Person",
+                                graql::DiagCode::kNameInUse));
+
+      r = db.run_script("ingest table People 'more.csv'");
+      ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+      EXPECT_EQ(db.graph().vertex_type(0).num_vertices(), 5u);
+      auto q = db.run_statement(
+          "select Person.age from graph Person (name = 'alan')");
+      ASSERT_TRUE(q.is_ok()) << q.status().to_string();
+      EXPECT_EQ(q->table->num_rows(), 1u);
+      // Into a table no declaration reads is as before.
+      ASSERT_TRUE(db.run_script("select name from table People "
+                                "where age > 40 into table Older")
+                      .is_ok());
+    }
+    if (durable) {
+      Database reopened(dir.options(true));
+      ASSERT_TRUE(reopened.store_status().is_ok())
+          << reopened.store_status().to_string();
+      EXPECT_EQ(reopened.graph().vertex_type(0).num_vertices(), 5u);
+    }
+  }
+}
+
+TEST(GraphIsAViewTest, ParameterizedDeclarationIsRejectedAndTheStoreReopens) {
+  const PeopleDir dir("params");
+  const relational::ParamMap params = {{"Min", Value::int64(40)}};
+  {
+    Database db(dir.options(true));
+    auto r = db.run_script(kPeopleDdl);
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+
+    // The WAL records no parameters, and a rebuild binds none: the store
+    // could not be opened again.
+    const std::string vertex =
+        "create vertex Older(name) from table People where age > %Min%";
+    const std::string edge =
+        "create edge olderKnows with vertices (Person as A, Person as B) "
+        "from table Knows "
+        "where Knows.src = A.name and Knows.dst = B.name and A.age > %Min%";
+    for (const std::string& decl : {vertex, edge}) {
+      SCOPED_TRACE(decl);
+      EXPECT_TRUE(check_reports(db, decl, graql::DiagCode::kBadParameter,
+                                &params));
+      EXPECT_TRUE(check_reports(db, decl, graql::DiagCode::kBadParameter));
+      r = db.run_script(decl, params);
+      ASSERT_FALSE(r.is_ok());
+      EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+      EXPECT_NE(r.status().message().find("%Min%"), std::string::npos)
+          << r.status().to_string();
+    }
+    EXPECT_EQ(db.graph().num_vertex_types(), 1u);
+    EXPECT_EQ(db.graph().num_edge_types(), 1u);
+
+    // Both halves of recovery: a checkpoint, then a WAL tail.
+    ASSERT_TRUE(db.checkpoint().is_ok());
+    r = db.run_script("ingest table People 'more.csv'");
+    ASSERT_TRUE(r.is_ok()) << r.status().to_string();
+  }
+  Database reopened(dir.options(true));
+  ASSERT_TRUE(reopened.store_status().is_ok())
+      << reopened.store_status().to_string();
+  EXPECT_EQ(reopened.graph().num_vertex_types(), 1u);
+  EXPECT_EQ(reopened.graph().vertex_type(0).num_vertices(), 5u);
 }
 
 }  // namespace
