@@ -530,6 +530,11 @@ void Coordinator::refresh_state(const exec::ExecContext& ctx) {
   state_version_ = ctx.graph_version;
 }
 
+bool Coordinator::admitted(std::uint32_t rank) const {
+  return rank_status_[rank].connected &&
+         !net::peer_closed(conns_[rank]->socket);
+}
+
 Status Coordinator::ensure_rank_synced(std::uint32_t rank) {
   const auto deadline =
       std::chrono::steady_clock::now() +
@@ -541,9 +546,9 @@ Status Coordinator::ensure_rank_synced(std::uint32_t rank) {
   }
   {
     sync::MutexLock lock(control_mutex_);
-    while (!rank_status_[rank].connected) {
+    while (!admitted(rank)) {
       if (!control_cv_.wait_until(control_mutex_, deadline) &&
-          !rank_status_[rank].connected) {
+          !admitted(rank)) {
         return unavailable("cluster rank " + std::to_string(rank) +
                            " is not connected; re-run the script");
       }

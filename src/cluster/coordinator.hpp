@@ -151,6 +151,13 @@ class Coordinator {
   /// lock is now a compile error under clang.
   Status ensure_rank_synced(std::uint32_t rank) GEMS_REQUIRES(jobs_mutex_);
 
+  /// Whether `rank` is connected and its socket has not hung up: a rank
+  /// that died is gone before its reader sees the close, and a job sent
+  /// to it would fail-stop its peers in their first barrier. Polling
+  /// under control_mutex_ while `connected` holds is race-free: the
+  /// accept thread replaces the socket only while it does not.
+  bool admitted(std::uint32_t rank) const GEMS_REQUIRES(control_mutex_);
+
   /// Waits for the next control event (kJobDone/kError/disconnect).
   Result<BspFrame> await_control(std::uint32_t timeout_ms);
 

@@ -4,6 +4,7 @@
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -48,6 +49,17 @@ void Socket::close() noexcept {
 
 void Socket::shutdown() noexcept {
   if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
+}
+
+bool peer_closed(const Socket& socket) {
+  pollfd p{};
+  p.fd = socket.fd();
+  p.events = POLLRDHUP;
+  int n = 0;
+  do {
+    n = ::poll(&p, 1, 0);
+  } while (n < 0 && errno == EINTR);
+  return n > 0 && (p.revents & (POLLRDHUP | POLLHUP | POLLERR)) != 0;
 }
 
 Result<Socket> tcp_listen(const std::string& address, std::uint16_t port,

@@ -65,6 +65,10 @@ Status set_recv_timeout(const Socket& socket, std::uint32_t timeout_ms);
 /// closed/ reset connection.
 Status send_all(const Socket& socket, std::span<const std::uint8_t> data);
 
+/// Whether the peer has closed or reset the connection, without reading
+/// or blocking. Frames the peer sent before closing stay readable.
+bool peer_closed(const Socket& socket);
+
 /// Reads exactly `out.size()` bytes. kUnavailable on EOF/reset,
 /// kDeadlineExceeded if a recv timeout is armed and expires.
 Status recv_all(const Socket& socket, std::span<std::uint8_t> out);
