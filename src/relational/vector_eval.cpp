@@ -14,7 +14,7 @@ using storage::TypeKind;
 
 namespace {
 
-// ---- Scalar compare kernels ---------------------------------------------
+// ---- Compare kernels -----------------------------------------------------
 //
 // All six comparison predicates expressed through `<` only, so the double
 // versions inherit compare_cells' cmp3 semantics verbatim: a NaN operand
@@ -52,20 +52,24 @@ inline bool cmp_pred(T x, T y) noexcept {
   }
 }
 
+/// Packs one result bit per lane into `out`; bits at or past n are zero.
 template <typename T, int Op>
 void cmp_lanes_scalar(const T* a, const T* b, std::size_t n,
                       std::uint64_t* out) {
   produce_bits(n, out, [&](std::size_t i) { return cmp_pred<T, Op>(a[i], b[i]); });
 }
 
-constexpr CmpKernels kScalarKernels = {
-    {cmp_lanes_scalar<std::int64_t, 0>, cmp_lanes_scalar<std::int64_t, 1>,
-     cmp_lanes_scalar<std::int64_t, 2>, cmp_lanes_scalar<std::int64_t, 3>,
-     cmp_lanes_scalar<std::int64_t, 4>, cmp_lanes_scalar<std::int64_t, 5>},
-    {cmp_lanes_scalar<double, 0>, cmp_lanes_scalar<double, 1>,
-     cmp_lanes_scalar<double, 2>, cmp_lanes_scalar<double, 3>,
-     cmp_lanes_scalar<double, 4>, cmp_lanes_scalar<double, 5>},
-};
+/// Comparison ops in BinaryOp order kEq..kGe, as a dense kernel index.
+constexpr int cmp_index(BinaryOp op) noexcept {
+  return static_cast<int>(op) - static_cast<int>(BinaryOp::kEq);
+}
+
+/// The lane kernels by comparison, indexed by cmp_index.
+template <typename T>
+constexpr void (*kCmpLanes[6])(const T*, const T*, std::size_t,
+                               std::uint64_t*) = {
+    cmp_lanes_scalar<T, 0>, cmp_lanes_scalar<T, 1>, cmp_lanes_scalar<T, 2>,
+    cmp_lanes_scalar<T, 3>, cmp_lanes_scalar<T, 4>, cmp_lanes_scalar<T, 5>};
 
 // ---- Arithmetic kernels --------------------------------------------------
 //
@@ -101,18 +105,6 @@ Cell lane_cell(const ValueVector& v) {
 }
 
 }  // namespace
-
-const CmpKernels& scalar_cmp_kernels() noexcept { return kScalarKernels; }
-
-const CmpKernels& cmp_kernels() noexcept {
-  static const CmpKernels* const chosen = [] {
-#if defined(GEMS_HAVE_AVX2_TU)
-    if (__builtin_cpu_supports("avx2")) return &avx2_cmp_kernels();
-#endif
-    return &kScalarKernels;
-  }();
-  return *chosen;
-}
 
 // ---- Compilation ---------------------------------------------------------
 
@@ -540,10 +532,10 @@ ValueVector VectorExpr::eval_compare(const RowBatch& batch,
   } else if (l.kind == TypeKind::kDouble || r.kind == TypeKind::kDouble) {
     const double* a = as_f64_lanes(l, scratch.bufs[lhs_->id_], n);
     const double* b = as_f64_lanes(r, scratch.bufs[rhs_->id_], n);
-    cmp_kernels().f64[op](a, b, n, buf.bits.data());
+    kCmpLanes<double>[op](a, b, n, buf.bits.data());
   } else {
     // Int64 and Date lanes share the i64 kernels.
-    cmp_kernels().i64[op](l.i64, r.i64, n, buf.bits.data());
+    kCmpLanes<std::int64_t>[op](l.i64, r.i64, n, buf.bits.data());
   }
 
   // Mask garbage lanes (invalid inputs) and enforce value ⊆ valid.

@@ -12,9 +12,7 @@
 //    windows and gather lanes for selection batches; validity windows are
 //    extracted word-at-a-time from the column's DynamicBitset,
 //  * comparisons run branch-free lane loops that pack results into bit
-//    words (with AVX2 specializations behind runtime dispatch — see
-//    vector_eval_simd.cpp — and portable scalar fallbacks, selectable
-//    with -DGEMS_DISABLE_SIMD),
+//    words,
 //  * and/or/not and NULL propagation are pure 64-bit word arithmetic
 //    using the shared truth tables of null_semantics.hpp.
 //
@@ -115,36 +113,5 @@ std::size_t filter_batch(const VectorExpr& pred, const RowBatch& batch,
 /// Int64 lanes promote into a Double column; Bool arrives as bit words).
 void append_vector(storage::Column& column, const ValueVector& v,
                    std::size_t n);
-
-// ---- Hot compare kernels (SIMD dispatch surface) ------------------------
-
-/// Comparison ops in BinaryOp order kEq..kGe, as a dense kernel index.
-inline constexpr int cmp_index(BinaryOp op) noexcept {
-  return static_cast<int>(op) - static_cast<int>(BinaryOp::kEq);
-}
-
-/// Lane comparators packing one result bit per lane. Semantics mirror
-/// compare_cells' cmp3 (so double NaN compares "equal" to everything,
-/// exactly like the row oracle). Bits at or past n are zero.
-struct CmpKernels {
-  using I64Fn = void (*)(const std::int64_t*, const std::int64_t*,
-                         std::size_t, std::uint64_t*);
-  using F64Fn = void (*)(const double*, const double*, std::size_t,
-                         std::uint64_t*);
-  I64Fn i64[6];
-  F64Fn f64[6];
-};
-
-/// The active kernel table: AVX2 when the binary carries the AVX2 TU and
-/// the CPU supports it, scalar otherwise.
-const CmpKernels& cmp_kernels() noexcept;
-
-/// Portable scalar table (the fallback; exposed for A/B tests).
-const CmpKernels& scalar_cmp_kernels() noexcept;
-
-/// AVX2 table, defined in vector_eval_simd.cpp. Only referenced when the
-/// build carries that TU (GEMS_HAVE_AVX2_TU); call sites must still check
-/// __builtin_cpu_supports("avx2") before using it.
-const CmpKernels& avx2_cmp_kernels() noexcept;
 
 }  // namespace gems::relational

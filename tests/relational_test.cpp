@@ -1303,15 +1303,14 @@ TEST(NullSemanticsTest, Sql3vlWordFormulasMatchTruthTables) {
   }
 }
 
-TEST(CmpKernelsTest, ScalarAndActiveKernelsAgree) {
-  // A/B the runtime-dispatched table (AVX2 when present) against the
-  // portable scalar table over adversarial lanes: NaN, +/-0.0, +/-inf,
-  // INT64_MIN/MAX and a deterministic random fill. 133 lanes = two full
-  // words plus a five-lane tail (the partial-word assembly path).
+TEST_F(RelationalTest, VectorizedCompareAdversarialLanesMatchRowEngine) {
+  // The compare kernels against the row oracle over adversarial lanes:
+  // NaN, +/-0.0, +/-inf, INT64_MIN/MAX and a deterministic random fill.
+  // 133 rows = two full words plus a five-lane tail (the partial-word
+  // assembly path). Each row holds one double pair (x, y) and one int64
+  // pair (a, b).
+  using namespace vec_prop;
   constexpr std::size_t kN = 133;
-  alignas(32) std::int64_t ia[kN], ib[kN];
-  alignas(32) double fa[kN], fb[kN];
-  vec_prop::Rng rng{42};
   const double specials[] = {std::numeric_limits<double>::quiet_NaN(),
                              std::numeric_limits<double>::infinity(),
                              -std::numeric_limits<double>::infinity(),
@@ -1321,34 +1320,47 @@ TEST(CmpKernelsTest, ScalarAndActiveKernelsAgree) {
   const std::int64_t ispecials[] = {std::numeric_limits<std::int64_t>::min(),
                                     std::numeric_limits<std::int64_t>::max(),
                                     0, -1, 1, 42};
+  auto t = std::make_shared<Table>("K",
+                                   Schema({{"x", DataType::float64()},
+                                           {"y", DataType::float64()},
+                                           {"a", DataType::int64()},
+                                           {"b", DataType::int64()}}),
+                                   pool_);
+  Rng rng{42};
   for (std::size_t i = 0; i < kN; ++i) {
+    std::vector<Value> row;
     if (i < 36) {
-      // Full cross product of the special values in the leading lanes.
-      fa[i] = specials[i / 6];
-      fb[i] = specials[i % 6];
-      ia[i] = ispecials[i / 6];
-      ib[i] = ispecials[i % 6];
+      // Full cross product of the special values in the leading rows.
+      row = {Value::float64(specials[i / 6]), Value::float64(specials[i % 6]),
+             Value::int64(ispecials[i / 6]), Value::int64(ispecials[i % 6])};
     } else {
-      fa[i] = static_cast<double>(rng.range(-4, 4)) / 2.0;
-      fb[i] = static_cast<double>(rng.range(-4, 4)) / 2.0;
-      ia[i] = rng.range(-5, 5);
-      ib[i] = rng.range(-5, 5);
+      row = {Value::float64(static_cast<double>(rng.range(-4, 4)) / 2.0),
+             Value::float64(static_cast<double>(rng.range(-4, 4)) / 2.0),
+             Value::int64(rng.range(-5, 5)), Value::int64(rng.range(-5, 5))};
     }
+    t->append_row_unchecked(row);
   }
-  const CmpKernels& active = cmp_kernels();
-  const CmpKernels& scalar = scalar_cmp_kernels();
-  constexpr std::size_t kWords = (kN + 63) / 64;
-  for (int op = 0; op < 6; ++op) {
-    std::uint64_t got[kWords] = {}, want[kWords] = {};
-    active.i64[op](ia, ib, kN, got);
-    scalar.i64[op](ia, ib, kN, want);
-    for (std::size_t w = 0; w < kWords; ++w) {
-      EXPECT_EQ(got[w], want[w]) << "i64 op " << op << " word " << w;
-    }
-    active.f64[op](fa, fb, kN, got);
-    scalar.f64[op](fa, fb, kN, want);
-    for (std::size_t w = 0; w < kWords; ++w) {
-      EXPECT_EQ(got[w], want[w]) << "f64 op " << op << " word " << w;
+  TableScope scope(*t);
+  const BinaryOp ops[] = {BinaryOp::kEq, BinaryOp::kNe, BinaryOp::kLt,
+                          BinaryOp::kLe, BinaryOp::kGt, BinaryOp::kGe};
+  const std::pair<const char*, const char*> pairs[] = {{"x", "y"},
+                                                       {"a", "b"}};
+  for (const BinaryOp op : ops) {
+    for (const auto& [l, r] : pairs) {
+      const ExprPtr e = bin(op, col(l), col(r));
+      auto bound = bind_predicate(e, scope, {}, pool_);
+      ASSERT_TRUE(bound.is_ok()) << e->to_string();
+      std::vector<bool> accepted(kN, false);
+      for (const storage::RowIndex row : filter_rows(*t, **bound)) {
+        accepted[row] = true;
+      }
+      RowCursor cursor{t.get(), 0};
+      for (std::size_t i = 0; i < kN; ++i) {
+        cursor.row = static_cast<storage::RowIndex>(i);
+        EXPECT_EQ(accepted[i],
+                  eval_predicate(**bound, {&cursor, 1}, pool_))
+            << e->to_string() << " row " << i;
+      }
     }
   }
 }
