@@ -7,20 +7,15 @@
 // geometrically up to N elements, so a tiny array stays tiny. A full tail
 // is sealed when the next element arrives.
 //
-// With kValidity, each element also carries a validity bit, stored as
-// N / 64 words in the same chunk as the values: one allocation per chunk.
-// (Separate small bitmap chunks interleaved with the value chunks
-// fragmented the malloc arenas of the threads that build result tables.)
-//
 // Copying an array shares its sealed chunks and copies only the tail, so
 // a copy costs O(N + chunks) whatever the length. An MVCC ingest copies a
 // table, appends to the copy and publishes it, while readers pinned on the
 // old epoch keep reading the original. Both read the same sealed chunks
 // and neither writes them.
 //
-// Storage columns, edge endpoint arrays and vertex representative rows all
-// use kChunkRows-row chunks, the width of the vectorized engine's batches.
-// An aligned batch window therefore lies in one chunk and is read in place.
+// Edge endpoint arrays and vertex representative rows use kChunkRows-row
+// chunks, as storage columns do (storage/column_data.hpp, which adds
+// validity bits and narrows each chunk when it seals).
 #pragma once
 
 #include <algorithm>
@@ -54,11 +49,10 @@ void for_each_identity_piece(std::size_t n, Fn&& fn) {
   }
 }
 
-template <typename T, std::size_t N = kChunkRows, bool kValidity = false>
+template <typename T, std::size_t N = kChunkRows>
 class ChunkedArray {
   static_assert(std::is_trivially_copyable_v<T>);
-  static_assert(N > 0 && (!kValidity || N % 64 == 0));
-  static constexpr std::size_t kWords = kValidity ? N / 64 : 0;
+  static_assert(N > 0);
 
  public:
   std::size_t size() const noexcept {
@@ -76,18 +70,13 @@ class ChunkedArray {
     return (*this)[i];
   }
 
-  void push_back(const T& v) requires(!kValidity) {
+  void push_back(const T& v) {
     make_room();
     tail_.push_back(v);
   }
 
-  /// Appends `n` elements from `p`. With kValidity, `valid` holds their
-  /// bits (element i is bit i % 64 of valid[i / 64], bits past n zero) and
-  /// size() must be a multiple of 64; without, it must be null.
-  void append(const T* p, std::size_t n,
-              const std::uint64_t* valid = nullptr) {
-    GEMS_CHECK(n == 0 || (valid != nullptr) == kValidity);
-    GEMS_CHECK(!kValidity || size() % 64 == 0);
+  /// Appends `n` elements from `p`.
+  void append(const T* p, std::size_t n) {
     while (n > 0) {
       make_room();
       const std::size_t at = tail_.size();
@@ -96,40 +85,9 @@ class ChunkedArray {
         tail_.reserve(std::min(N, std::max(at + k, 2 * tail_.capacity())));
       }
       tail_.insert(tail_.end(), p, p + k);
-      if constexpr (kValidity) {
-        std::copy(valid, valid + (k + 63) / 64, &tail_valid_[at / 64]);
-        valid += k / 64;  // k is a multiple of 64 unless it ends the input
-      }
       p += k;
       n -= k;
     }
-  }
-
-  // ---- Validity bits (kValidity only) ------------------------------------
-  bool valid(std::size_t i) const noexcept requires kValidity {
-    GEMS_DCHECK(i < size());
-    const std::size_t c = i / N;
-    const std::uint64_t* words =
-        c < sealed_.size() ? sealed_[c]->valid.data() : tail_valid_.data();
-    return (words[i % N / 64] >> (i % 64)) & 1u;
-  }
-
-  void push_back(const T& v, bool valid) requires kValidity {
-    make_room();
-    const std::size_t at = tail_.size();
-    tail_valid_[at / 64] |= static_cast<std::uint64_t>(valid) << (at % 64);
-    tail_.push_back(v);
-  }
-
-  /// Validity words of chunk `c`: bit j of word w is element
-  /// c * N + w * 64 + j. The tail's span covers its elements only, and its
-  /// bits past size() are zero, so the spans of all chunks concatenate to
-  /// the packed bitmap of the whole array.
-  std::span<const std::uint64_t> valid_words(std::size_t c) const noexcept
-      requires kValidity {
-    GEMS_DCHECK(c < num_chunks());
-    if (c < sealed_.size()) return sealed_[c]->valid;
-    return {tail_valid_.data(), (tail_.size() + 63) / 64};
   }
 
   // ---- Per-chunk access ------------------------------------------------
@@ -145,33 +103,11 @@ class ChunkedArray {
   }
   std::size_t num_sealed_chunks() const noexcept { return sealed_.size(); }
 
-  /// Pointer to elements [begin, begin + n) when they lie in one chunk,
-  /// nullptr when the window straddles a chunk boundary.
-  const T* window(std::size_t begin, std::size_t n) const noexcept {
-    GEMS_DCHECK(begin + n <= size());
-    const std::size_t c = begin / N;
-    if (n == 0 || (begin + n - 1) / N != c) return nullptr;
-    return chunk(c).data() + begin % N;
-  }
-
-  /// Calls fn(span, offset) for each chunk-contiguous piece of elements
-  /// [begin, end), in order; `offset` is the piece's first index minus
-  /// `begin`.
-  template <typename Fn>
-  void for_each_piece(std::size_t begin, std::size_t end, Fn&& fn) const {
-    GEMS_DCHECK(begin <= end && end <= size());
-    for (std::size_t i = begin; i < end;) {
-      const std::size_t k = std::min(end - i, N - i % N);
-      fn(std::span<const T>(chunk(i / N).data() + i % N, k), i - begin);
-      i += k;
-    }
-  }
-
   /// Bytes of the elements: a function of size() alone, so arrays of the
   /// same contents report the same size however they were built.
   std::size_t byte_size() const noexcept { return size() * sizeof(T); }
 
-  /// Equal elements (validity bits are not compared).
+  /// Equal elements.
   friend bool operator==(const ChunkedArray& a, const ChunkedArray& b) {
     if (a.size() != b.size()) return false;
     for (std::size_t c = 0; c < a.num_chunks(); ++c) {
@@ -217,7 +153,6 @@ class ChunkedArray {
  private:
   struct Chunk {
     T values[N];
-    [[no_unique_address]] std::array<std::uint64_t, kWords> valid;
   };
 
   /// Seals a full tail and gives the tail room for one more element,
@@ -226,8 +161,6 @@ class ChunkedArray {
     if (tail_.size() == N) {
       auto sealed = std::make_shared_for_overwrite<Chunk>();
       std::memcpy(sealed->values, tail_.data(), N * sizeof(T));
-      sealed->valid = tail_valid_;
-      tail_valid_ = {};
       sealed_.push_back(std::move(sealed));
       tail_.clear();
     }
@@ -239,8 +172,6 @@ class ChunkedArray {
 
   std::vector<std::shared_ptr<const Chunk>> sealed_;
   std::vector<T> tail_;
-  // The tail's validity bits; bits past the tail's size are zero.
-  [[no_unique_address]] std::array<std::uint64_t, kWords> tail_valid_{};
 };
 
 }  // namespace gems

@@ -180,13 +180,17 @@ Status decode_status(ByteReader& reader) {
 namespace {
 
 /// One column's share of a chunk of rows: its kind, its validity words
-/// and its typed payload for those rows. Varchar cells are resolved to
-/// their strings a chunk at a time, under one string-pool lock.
+/// and its typed payload for those rows, read in place or widened into
+/// the cell's own lanes. Varchar cells are resolved to their strings a
+/// chunk at a time, under one string-pool lock.
 struct ChunkCells {
   TypeKind kind;
   const std::uint64_t* valid = nullptr;
   const std::int64_t* ints = nullptr;  // Bool, Int64, Date
   const double* doubles = nullptr;
+  std::vector<std::int64_t> int_lanes;
+  std::vector<double> double_lanes;
+  std::vector<StringId> ids;
   std::vector<std::string_view> strings;  // Varchar
 };
 
@@ -208,16 +212,21 @@ void encode_rows(const storage::Table& table, W& w) {
       cells.valid = column.valid_words(chunk).data();
       switch (cells.kind) {
         case TypeKind::kDouble:
-          cells.doubles = column.double_chunks().chunk(chunk).data();
+          cells.double_lanes.resize(kChunkRows);
+          cells.doubles = column.double_chunks().lanes(
+              first, n, cells.double_lanes.data());
           break;
         case TypeKind::kVarchar:
+          cells.ids.resize(kChunkRows);
           cells.strings.resize(n);
           table.pool().view_batch(
-              column.string_chunks().chunk(chunk).first(n),
+              {column.string_chunks().lanes(first, n, cells.ids.data()), n},
               cells.strings.data());
           break;
         default:
-          cells.ints = column.int_chunks().chunk(chunk).data();
+          cells.int_lanes.resize(kChunkRows);
+          cells.ints =
+              column.int_chunks().lanes(first, n, cells.int_lanes.data());
           break;
       }
     }

@@ -336,17 +336,16 @@ ValueVector VectorExpr::eval_const(const RowBatch& batch,
 namespace {
 
 /// The batch's lanes of one column: a view into the column's chunk when
-/// the window is contiguous and lies in one chunk (every aligned
-/// kBatchRows window), else gathered into `scratch`.
+/// the window is contiguous and lies in one full-width chunk or the tail,
+/// widened into `scratch` when it is contiguous otherwise, else gathered
+/// into `scratch` row by row.
 template <typename T>
 const T* column_lanes(const storage::ColumnData<T>& data,
                       const RowBatch& batch, std::vector<T>& scratch) {
-  if (batch.contiguous()) {
-    if (const T* in_place = data.window(batch.base, batch.size)) {
-      return in_place;
-    }
-  }
   if (scratch.size() < kBatchRows) scratch.resize(kBatchRows);
+  if (batch.contiguous()) {
+    return data.lanes(batch.base, batch.size, scratch.data());
+  }
   for (std::size_t i = 0; i < batch.size; ++i) {
     scratch[i] = data[batch.row_at(i)];
   }

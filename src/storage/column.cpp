@@ -106,13 +106,12 @@ void Column::append_from(const Column& src, RowIndex row) {
 
 namespace {
 
-/// Appends in[rows[i]] for i < n, storing `null_payload` where in is null.
+/// Appends in[rows[i]] for i < n.
 template <typename T>
 void gather_into(ColumnData<T>& out, const ColumnData<T>& in,
-                 const RowIndex* rows, std::size_t n, T null_payload) {
+                 const RowIndex* rows, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) {
-    const bool ok = in.valid(rows[i]);
-    out.push_back(ok ? in[rows[i]] : null_payload, ok);
+    out.push_back(in[rows[i]], in.valid(rows[i]));
   }
 }
 
@@ -125,14 +124,13 @@ void Column::append_gather(const Column& src, const RowIndex* rows,
     case TypeKind::kBool:
     case TypeKind::kInt64:
     case TypeKind::kDate:
-      gather_into<std::int64_t>(ints(), src.int_chunks(), rows, n, 0);
+      gather_into(ints(), src.int_chunks(), rows, n);
       break;
     case TypeKind::kDouble:
-      gather_into<double>(doubles(), src.double_chunks(), rows, n, 0.0);
+      gather_into(doubles(), src.double_chunks(), rows, n);
       break;
     case TypeKind::kVarchar:
-      gather_into<StringId>(strs(), src.string_chunks(), rows, n,
-                            kInvalidStringId);
+      gather_into(strs(), src.string_chunks(), rows, n);
       break;
   }
 }
@@ -150,10 +148,7 @@ void Column::append_lanes_int64(const std::int64_t* lanes,
   GEMS_DCHECK(type_.kind == TypeKind::kInt64 || type_.kind == TypeKind::kDate);
   auto& out = ints();
   for (std::size_t i = 0; i < n; ++i) {
-    // Branch-free null masking: null lanes store 0, like append_null.
-    const bool ok = lane_valid(valid, i);
-    const std::int64_t mask = -static_cast<std::int64_t>(ok ? 1 : 0);
-    out.push_back(lanes[i] & mask, ok);
+    out.push_back(lanes[i], lane_valid(valid, i));
   }
 }
 
@@ -162,8 +157,7 @@ void Column::append_lanes_double(const double* lanes,
   GEMS_DCHECK(type_.kind == TypeKind::kDouble);
   auto& out = doubles();
   for (std::size_t i = 0; i < n; ++i) {
-    const bool ok = lane_valid(valid, i);
-    out.push_back(ok ? lanes[i] : 0.0, ok);
+    out.push_back(lanes[i], lane_valid(valid, i));
   }
 }
 
@@ -172,8 +166,7 @@ void Column::append_lanes_string(const StringId* lanes,
   GEMS_DCHECK(type_.kind == TypeKind::kVarchar);
   auto& out = strs();
   for (std::size_t i = 0; i < n; ++i) {
-    const bool ok = lane_valid(valid, i);
-    out.push_back(ok ? lanes[i] : kInvalidStringId, ok);
+    out.push_back(lanes[i], lane_valid(valid, i));
   }
 }
 
@@ -230,21 +223,7 @@ template Status Column::load(std::span<const double>, const DynamicBitset&);
 template Status Column::load(std::span<const StringId>, const DynamicBitset&);
 
 std::size_t Column::byte_size() const noexcept {
-  std::size_t bytes = size() / 8;
-  switch (type_.kind) {
-    case TypeKind::kBool:
-    case TypeKind::kInt64:
-    case TypeKind::kDate:
-      bytes += int_chunks().byte_size();
-      break;
-    case TypeKind::kDouble:
-      bytes += double_chunks().byte_size();
-      break;
-    case TypeKind::kVarchar:
-      bytes += string_chunks().byte_size();
-      break;
-  }
-  return bytes;
+  return std::visit([](const auto& d) { return d.byte_size(); }, data_);
 }
 
 }  // namespace gems::storage

@@ -2,8 +2,11 @@
 // int64 representation, Varchar stores interned StringIds (see
 // common/string_pool.hpp). Nulls are tracked in a validity bitmap. Values
 // and validity bits live together in kChunkRows-row chunks
-// (common/chunked_array.hpp), so copying a column shares its sealed chunks
-// and copies only the tail.
+// (storage/column_data.hpp), so copying a column shares its sealed chunks
+// and copies only the tail. A chunk is narrowed when it seals (a constant,
+// or value − min in 1, 2 or 4 bytes, and no validity words without a
+// NULL), and every reader sees the plain lanes: row reads return by value
+// and range reads widen into the caller's buffer.
 #pragma once
 
 #include <cstdint>
@@ -13,18 +16,14 @@
 
 #include "common/bitset.hpp"
 #include "common/check.hpp"
-#include "common/chunked_array.hpp"
 #include "common/string_pool.hpp"
+#include "storage/column_data.hpp"
 #include "storage/type.hpp"
 #include "storage/value.hpp"
 
 namespace gems::storage {
 
 using RowIndex = std::uint32_t;
-
-/// A column's payload: values and their validity bits (set = non-null).
-template <typename T>
-using ColumnData = ChunkedArray<T, kChunkRows, true>;
 
 class Column {
  public:
@@ -60,7 +59,7 @@ class Column {
   // = lane i non-null; bits at or past n must be zero). NULL lanes store
   // the same zero payloads the scalar append_null writes, so tables built
   // batch-at-a-time are byte-identical to row-at-a-time ones (snapshots
-  // serialize the raw arrays).
+  // write each column's widened lanes and its packed validity bitmap).
   void append_lanes_int64(const std::int64_t* lanes,
                           const std::uint64_t* valid, std::size_t n);
   void append_lanes_double(const double* lanes, const std::uint64_t* valid,
@@ -111,10 +110,10 @@ class Column {
   /// Boxes row `row` (strings are copied out of `pool`).
   Value value_at(RowIndex row, const StringPool& pool) const;
 
-  /// Typed payload chunks for vectorized scans and the snapshot encoder:
-  /// per-chunk spans, and in-place windows for batches inside one chunk.
-  /// Only the accessor matching the storage kind may be called (Bool,
-  /// Int64 and Date store int64).
+  /// Typed payload chunks for vectorized scans, the wire and the snapshot
+  /// encoder: in-place windows over full-width chunks and the tail, and
+  /// copy_to() widening any range. Only the accessor matching the storage
+  /// kind may be called (Bool, Int64 and Date store int64).
   const ColumnData<std::int64_t>& int_chunks() const {
     return std::get<ColumnData<std::int64_t>>(data_);
   }
@@ -129,14 +128,15 @@ class Column {
   std::size_t num_chunks() const noexcept {
     return std::visit([](const auto& d) { return d.num_chunks(); }, data_);
   }
-  /// Validity words of chunk `c` (ChunkedArray::valid_words); the spans
+  /// Validity words of chunk `c` (ColumnData::valid_words); the spans
   /// of all chunks concatenate to the column's packed validity bitmap.
   std::span<const std::uint64_t> valid_words(std::size_t c) const noexcept {
     return std::visit([c](const auto& d) { return d.valid_words(c); },
                       data_);
   }
 
-  /// Approximate in-memory footprint in bytes (catalog sizing, Sec. III).
+  /// Stored bytes of the payload and its validity words (catalog sizing,
+  /// Sec. III; ColumnData::byte_size).
   std::size_t byte_size() const noexcept;
 
   // ---- Snapshot restore (gems::store) ---------------------------------

@@ -10,10 +10,11 @@
 // end do crash-safe file replacement (write-to-temp, fsync, rename,
 // fsync-directory).
 //
-// Bulk arrays (column data, CSR offsets) are their elements' in-memory
-// bytes, which common/bytes.hpp pins to little-endian. Arrays read back
-// and whole files come from large_array_resource() or a scratch arena
-// (DESIGN.md §5m), so recovery frees no large malloc block.
+// Bulk arrays (column data, the declaration script) are their elements'
+// in-memory bytes, which common/bytes.hpp pins to little-endian; a column
+// is written as its widened lanes, whatever width its chunks store. Arrays
+// read back and whole files come from large_array_resource() or a scratch
+// arena (DESIGN.md §5m), so recovery frees no large malloc block.
 #pragma once
 
 #include <cstdint>
@@ -26,10 +27,10 @@
 #include <vector>
 
 #include "common/bytes.hpp"
-#include "common/chunked_array.hpp"
 #include "common/crc32.hpp"
 #include "common/large_array.hpp"
 #include "common/status.hpp"
+#include "storage/column_data.hpp"
 
 namespace gems::store {
 
@@ -84,12 +85,15 @@ void write_pod_array(W& w, std::span<const T> a) {
   write_pods(w, a);
 }
 
-/// The same bytes as the span form over the concatenated elements,
-/// written chunk by chunk.
-template <typename W, typename T, std::size_t N, bool V>
-void write_pod_array(W& w, const ChunkedArray<T, N, V>& a) {
+/// The same bytes as the span form over the column's plain lanes, written
+/// chunk by chunk; narrow chunks are widened on the way.
+template <typename W, typename T>
+void write_pod_array(W& w, const storage::ColumnData<T>& a) {
   w.u64(a.size());
-  for (std::size_t c = 0; c < a.num_chunks(); ++c) write_pods(w, a.chunk(c));
+  a.for_each_piece(0, a.size(),
+                   [&](std::span<const T> piece, std::size_t) {
+                     write_pods(w, piece);
+                   });
 }
 
 /// Reads a write_pod_array section into an array from `memory`. The count

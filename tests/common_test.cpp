@@ -515,7 +515,7 @@ TEST(StringPoolTest, InternBatchConcurrentWithIntern) {
 
 // ---- ChunkedArray ----------------------------------------------------------
 
-TEST(ChunkedArrayTest, IndexWindowsAndPiecesMatchAFlatVector) {
+TEST(ChunkedArrayTest, IndexAndBulkAppendMatchAFlatVector) {
   for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 40ul}) {
     ChunkedArray<std::uint32_t, 16> a;
     std::vector<std::uint32_t> flat;
@@ -527,23 +527,12 @@ TEST(ChunkedArrayTest, IndexWindowsAndPiecesMatchAFlatVector) {
     EXPECT_TRUE(std::equal(a.begin(), a.end(), flat.begin(), flat.end()));
     // A full chunk seals only when the next element arrives.
     EXPECT_EQ(a.num_sealed_chunks(), n == 0 ? 0 : (n - 1) / 16);
-    for (std::size_t begin = 0; begin <= n; ++begin) {
-      for (std::size_t len = 0; begin + len <= n; ++len) {
-        const std::uint32_t* w = a.window(begin, len);
-        const bool one_chunk = len > 0 && begin / 16 == (begin + len - 1) / 16;
-        ASSERT_EQ(w != nullptr, one_chunk) << begin << "+" << len;
-        if (w != nullptr) {
-          EXPECT_TRUE(std::equal(w, w + len, flat.begin() + begin));
-        }
-        std::vector<std::uint32_t> pieces(len);
-        a.for_each_piece(begin, begin + len,
-                         [&](std::span<const std::uint32_t> p, std::size_t at) {
-                           std::copy(p.begin(), p.end(), pieces.begin() + at);
-                         });
-        EXPECT_TRUE(std::equal(pieces.begin(), pieces.end(),
-                               flat.begin() + begin));
-      }
+    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(a[i], flat[i]) << i;
+    std::vector<std::uint32_t> chunks;
+    for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+      chunks.insert(chunks.end(), a.chunk(c).begin(), a.chunk(c).end());
     }
+    EXPECT_EQ(chunks, flat);
     ChunkedArray<std::uint32_t, 16> bulk;
     bulk.append(flat.data(), flat.size());
     EXPECT_TRUE(bulk == a);
@@ -564,44 +553,6 @@ TEST(ChunkedArrayTest, CopySharesSealedChunksAndOwnsItsTail) {
   for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(a[i], i);
   for (std::uint64_t i = 0; i < 30; ++i) EXPECT_EQ(b[40 + i], 1000 + i);
   EXPECT_EQ(a.chunk(1).data(), b.chunk(1).data());
-}
-
-TEST(ChunkedArrayTest, ValidityBitsTravelWithTheirChunk) {
-  ChunkedArray<std::uint32_t, 128, true> a;
-  std::vector<bool> oracle;
-  SplitMix64 rng(7);
-  for (std::uint32_t i = 0; i < 1000; ++i) {
-    const bool v = rng.next() % 3 != 0;
-    a.push_back(i, v);
-    oracle.push_back(v);
-  }
-  const ChunkedArray<std::uint32_t, 128, true> copy = a;
-  ASSERT_EQ(copy.num_sealed_chunks(), 7u);
-  std::vector<std::uint64_t> packed((oracle.size() + 63) / 64, 0);
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    ASSERT_EQ(a.valid(i), oracle[i]) << i;
-    ASSERT_EQ(copy.valid(i), oracle[i]) << i;
-    if (oracle[i]) packed[i / 64] |= 1ull << (i % 64);
-  }
-  // The chunks' word spans concatenate to the packed bitmap, with every
-  // bit past the size zero.
-  std::vector<std::uint64_t> words;
-  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
-    EXPECT_EQ(a.valid_words(c).data() == copy.valid_words(c).data(),
-              c < a.num_sealed_chunks());
-    words.insert(words.end(), a.valid_words(c).begin(),
-                 a.valid_words(c).end());
-  }
-  EXPECT_EQ(words, packed);
-  // Bulk append from packed words, as snapshot restore does.
-  std::vector<std::uint32_t> values(oracle.size());
-  for (std::uint32_t i = 0; i < values.size(); ++i) values[i] = i;
-  ChunkedArray<std::uint32_t, 128, true> bulk;
-  bulk.append(values.data(), values.size(), packed.data());
-  EXPECT_TRUE(bulk == a);
-  for (std::size_t i = 0; i < oracle.size(); ++i) {
-    ASSERT_EQ(bulk.valid(i), oracle[i]) << i;
-  }
 }
 
 TEST(IdTableTest, CapacityDependsOnlyOnEntryCount) {

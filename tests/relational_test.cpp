@@ -569,17 +569,23 @@ inline std::vector<ExprPtr> predicate_corpus() {
   return out;
 }
 
-/// memcmp of two column payloads, chunk by chunk, values and validity
-/// words: the same bytes as one memcmp over the flat arrays and one bitset
-/// compare, since both chunk at the same rows.
+/// memcmp of two column payloads, chunk by chunk: the widened lanes, NULL
+/// payloads included, and the validity words. The same bytes as one memcmp
+/// over the flat arrays and one bitset compare, since both chunk at the
+/// same rows, whatever width each side's chunks store.
 template <typename T>
 inline bool chunks_byte_identical(const storage::ColumnData<T>& a,
                                   const storage::ColumnData<T>& b) {
   if (a.size() != b.size()) return false;
+  std::vector<T> va(kChunkRows), vb(kChunkRows);
   for (std::size_t c = 0; c < a.num_chunks(); ++c) {
-    const auto va = a.chunk(c), vb = b.chunk(c);
+    const std::size_t first = c * kChunkRows;
+    const std::size_t n = std::min(kChunkRows, a.size() - first);
+    a.copy_to(first, n, va.data());
+    b.copy_to(first, n, vb.data());
     const auto wa = a.valid_words(c), wb = b.valid_words(c);
-    if (std::memcmp(va.data(), vb.data(), va.size() * sizeof(T)) != 0 ||
+    if (std::memcmp(va.data(), vb.data(), n * sizeof(T)) != 0 ||
+        wa.size() != wb.size() ||
         std::memcmp(wa.data(), wb.data(),
                     wa.size() * sizeof(std::uint64_t)) != 0) {
       return false;

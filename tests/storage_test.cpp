@@ -1,29 +1,42 @@
 // Unit tests for src/storage: data types, dates, values, schemas, columns,
 // tables and the table catalog, including the chunked column layout: clones
 // share sealed chunks, appends to a clone never reach the source, and row-
-// and batch-built tables encode to the same snapshot bytes. The bulk
-// TableAppender gives the bytes and string ids that row appends give.
+// and batch-built tables encode to the same snapshot bytes. Columns whose
+// sealed chunks take every stored form (constant, 1/2/4-byte and full-width
+// lanes, with and without NULLs) read back their plain lanes through every
+// accessor. The bulk TableAppender gives the bytes and string ids that row
+// appends give.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <mutex>
 #include <optional>
+#include <set>
 #include <span>
 #include <string>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/bytes.hpp"
+#include "common/prng.hpp"
 #include "exec/executor.hpp"
+#include "net/wire.hpp"
+#include "relational/bound_expr.hpp"
+#include "relational/operators.hpp"
+#include "relational/row_key.hpp"
+#include "relational_oracle.hpp"
 #include "storage/catalog.hpp"
 #include "storage/schema.hpp"
 #include "storage/table.hpp"
 #include "storage/type.hpp"
 #include "storage/value.hpp"
 #include "store/snapshot.hpp"
+#include "wire_oracle.hpp"
 
 namespace gems::storage {
 namespace {
@@ -406,16 +419,16 @@ class ChunkedTableTest : public ::testing::Test {
     }
   }
 
-  /// Data pointers of every sealed chunk (values and their validity words
-  /// share one allocation).
+  /// The allocation of every sealed chunk. A chunk's header, validity
+  /// words and lanes share it; a chunk without a NULL has no validity
+  /// words of its own.
   static std::vector<const void*> sealed_chunks(const Table& t) {
     std::vector<const void*> out;
     for (std::size_t c = 0; c < t.num_columns(); ++c) {
       const Column& col = t.column(static_cast<ColumnIndex>(c));
       auto add = [&](const auto& chunks) {
         for (std::size_t k = 0; k < chunks.num_sealed_chunks(); ++k) {
-          out.push_back(chunks.chunk(k).data());
-          out.push_back(chunks.valid_words(k).data());
+          out.push_back(chunks.chunk_address(k));
         }
       };
       switch (col.type().kind) {
@@ -444,8 +457,8 @@ TEST_F(ChunkedTableTest, CloneSharesEverySealedChunk) {
     const std::vector<const void*> sealed = sealed_chunks(*source);
     EXPECT_EQ(sealed_chunks(clone), sealed) << n << " rows";
     // A full chunk is sealed when the next row arrives: a table holds
-    // (n - 1) / 1024 sealed chunks per array.
-    EXPECT_EQ(sealed.size(), n == 0 ? 0 : 2 * 5 * ((n - 1) / kChunkRows))
+    // (n - 1) / 1024 sealed chunks per column.
+    EXPECT_EQ(sealed.size(), n == 0 ? 0 : 5 * ((n - 1) / kChunkRows))
         << n << " rows";
     expect_rows(clone, n);
   }
@@ -519,15 +532,16 @@ TEST_F(ChunkedTableTest, ReadersScanPinnedTableWhileWriterClonesAndAppends) {
       }
       // Chunk-wise, as the vectorized scans and the encoder read.
       const auto& x = t.column(2).double_chunks();
-      for (std::size_t c = 0; c < x.num_chunks(); ++c) {
-        const auto chunk = x.chunk(c);
-        for (std::size_t k = 0; k < chunk.size(); ++k) {
-          const std::size_t r = c * kChunkRows + k;
-          if (!null_at(r, 2)) {
-            ASSERT_EQ(chunk[k], static_cast<double>(r) * 0.5 - 7.25);
-          }
-        }
-      }
+      x.for_each_piece(0, x.size(),
+                       [&](std::span<const double> piece, std::size_t at) {
+                         for (std::size_t k = 0; k < piece.size(); ++k) {
+                           const std::size_t r = at + k;
+                           if (!null_at(r, 2)) {
+                             ASSERT_EQ(piece[k],
+                                       static_cast<double>(r) * 0.5 - 7.25);
+                           }
+                         }
+                       });
       scans.fetch_add(1);
     }
   };
@@ -550,6 +564,552 @@ TEST_F(ChunkedTableTest, ReadersScanPinnedTableWhileWriterClonesAndAppends) {
   done.store(true);
   for (auto& t : readers) t.join();
   expect_rows(*published, 5000);
+}
+
+// ---- Column chunks ----------------------------------------------------------
+
+/// Random columns of every storage kind whose sealed chunks take every
+/// stored form, with a plain reference per column: the lanes every reader
+/// must see (a NULL row holds its canonical payload) and the validity bits.
+class ColumnChunkTest : public ::testing::Test {
+ protected:
+  /// The form of sealed chunk c is Form(c); the partial tail is kMixedNulls.
+  enum Form {
+    kConstant,
+    kSpan1,
+    kSpan2,
+    kSpan4,
+    kFullSpan,          // INT64_MIN..INT64_MAX: full width
+    kNullOutsideSpan,   // 1-byte span far from the canonical payload
+    kAllNull,
+    kMixedNulls,
+    kNumForms
+  };
+  static constexpr std::size_t kRows = kNumForms * kChunkRows + 333;
+  static constexpr std::int64_t kBase = 1'000'000'000'000;
+  static constexpr ColumnIndex kB = 0, kI = 1, kX = 2, kS = 3, kD = 4;
+
+  ColumnChunkTest() {
+    for (int i = 0; i < 70000; ++i) {
+      ids_.push_back(pool_.intern("v" + std::to_string(i)));
+    }
+    SplitMix64 rng(2024);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      const Form form = r / kChunkRows < kNumForms
+                            ? static_cast<Form>(r / kChunkRows)
+                            : kMixedNulls;
+      std::vector<Value> row;
+      for (ColumnIndex c = 0; c < 5; ++c) {
+        row.push_back(null_at(form, rng) ? Value::null()
+                                         : cell(c, form, r, rng));
+      }
+      rows_.push_back(std::move(row));
+    }
+  }
+
+  static Schema schema() {
+    return Schema({{"b", DataType::boolean()},
+                   {"i", DataType::int64()},
+                   {"x", DataType::float64()},
+                   {"s", DataType::varchar(6)},
+                   {"d", DataType::date()}});
+  }
+
+  static bool null_at(Form form, SplitMix64& rng) {
+    const std::uint64_t roll = rng.next() % 8;
+    switch (form) {
+      case kAllNull:
+        return true;
+      case kNullOutsideSpan:
+        return roll == 0;
+      case kMixedNulls:
+        return roll < 3;
+      default:
+        return false;
+    }
+  }
+
+  /// An int64 of the chunk's form; `base` is its minimum.
+  static std::int64_t int_of(Form form, std::size_t r, std::int64_t base,
+                             SplitMix64& rng) {
+    const std::uint64_t u = rng.next();
+    switch (form) {
+      case kConstant:
+        return base;
+      case kSpan1:
+      case kNullOutsideSpan:
+        return base + static_cast<std::int64_t>(u % 256);
+      case kSpan2:
+        return base + static_cast<std::int64_t>(u % 65536);
+      case kSpan4:
+        return base + static_cast<std::int64_t>(u % (1ull << 32));
+      case kFullSpan:
+        if (r % kChunkRows == 5) {
+          return std::numeric_limits<std::int64_t>::min();
+        }
+        if (r % kChunkRows == 6) {
+          return std::numeric_limits<std::int64_t>::max();
+        }
+        return static_cast<std::int64_t>(u);
+      default:
+        return static_cast<std::int64_t>(u % 1000) - 500;
+    }
+  }
+
+  Value cell(ColumnIndex c, Form form, std::size_t r, SplitMix64& rng) const {
+    switch (c) {
+      case kB:
+        return Value::boolean(form == kConstant || rng.next() % 2 == 0);
+      case kI:
+        return Value::int64(int_of(form, r, kBase, rng));
+      case kX: {
+        // Signed zeros, NaN payloads, infinities and denormals among
+        // ordinary values; every bit pattern must survive.
+        static const std::uint64_t kSpecial[] = {
+            0x0000000000000000ull, 0x8000000000000000ull,
+            0x7ff8000000000abcull, 0xfff8000000000001ull,
+            0x7ff0000000000000ull, 0xfff0000000000000ull,
+            0x0000000000000001ull};
+        if (form == kConstant) return Value::float64(2.5);
+        const std::uint64_t u = rng.next();
+        double v = static_cast<double>(u % 100000) / 8.0 - 5000.0;
+        if (u % 5 == 0) std::memcpy(&v, &kSpecial[u / 5 % 7], sizeof(v));
+        return Value::float64(v);
+      }
+      case kS: {
+        const std::uint64_t u = rng.next();
+        std::size_t k = 0;
+        switch (form) {
+          case kConstant:
+            k = 7;
+            break;
+          case kSpan1:
+          case kNullOutsideSpan:
+            k = 100 + u % 256;
+            break;
+          case kSpan2:
+            k = u % 65536;
+            break;
+          case kSpan4:
+          case kFullSpan:
+            k = u % ids_.size();
+            break;
+          default:
+            k = u % 1000;
+            break;
+        }
+        return Value::varchar(std::string(pool_.view(ids_[k])));
+      }
+      default:
+        return Value::date(int_of(form, r, 14000, rng));
+    }
+  }
+
+  // ---- The three ways to build the same column ---------------------------
+
+  TablePtr rows_table() {
+    auto t = std::make_shared<Table>("T", schema(), pool_);
+    for (const std::vector<Value>& row : rows_) t->append_row_unchecked(row);
+    return t;
+  }
+
+  /// Through the vectorized writers, 100 lanes at a time, with junk
+  /// payloads under NULL.
+  TablePtr batch_table() {
+    auto t = std::make_shared<Table>("T", schema(), pool_);
+    for (std::size_t base = 0; base < kRows; base += 100) {
+      const std::size_t k = std::min<std::size_t>(100, kRows - base);
+      for (ColumnIndex c = 0; c < 5; ++c) {
+        std::vector<std::uint64_t> valid((k + 63) / 64), bits((k + 63) / 64);
+        std::vector<std::int64_t> ints(k, 777);
+        std::vector<double> doubles(k, -1.5);
+        std::vector<StringId> strs(k, 3);
+        for (std::size_t i = 0; i < k; ++i) {
+          const Value& v = rows_[base + i][c];
+          if (v.is_null()) continue;
+          valid[i / 64] |= 1ull << (i % 64);
+          if (c == kB && v.as_bool()) bits[i / 64] |= 1ull << (i % 64);
+          if (c == kI || c == kD) ints[i] = v.as_int64();
+          if (c == kX) doubles[i] = v.as_double();
+          if (c == kS) strs[i] = pool_.intern(v.as_string());
+        }
+        Column& col = t->column_mut(c);
+        switch (c) {
+          case kB:
+            col.append_bool_bits(bits.data(), valid.data(), k);
+            break;
+          case kX:
+            col.append_lanes_double(doubles.data(), valid.data(), k);
+            break;
+          case kS:
+            col.append_lanes_string(strs.data(), valid.data(), k);
+            break;
+          default:
+            col.append_lanes_int64(ints.data(), valid.data(), k);
+            break;
+        }
+      }
+      t->bump_rows(k);
+    }
+    return t;
+  }
+
+  /// Restored from a snapshot image into a fresh context (the restored
+  /// table's pool is that context's).
+  TablePtr restored_table(const TablePtr& t, exec::ExecContext& ctx,
+                          StringPool& pool) {
+    exec::ExecContext src;
+    src.pool = &pool_;
+    EXPECT_TRUE(src.tables.add(t).is_ok());
+    ctx.pool = &pool;
+    const auto info =
+        store::decode_snapshot(store::encode_snapshot(src, 0), ctx);
+    EXPECT_TRUE(info.is_ok()) << info.status().to_string();
+    return ctx.tables.find("T").value();
+  }
+
+  // ---- The reference ------------------------------------------------------
+
+  bool ref_valid(std::size_t r, ColumnIndex c) const {
+    return !rows_[r][c].is_null();
+  }
+  /// Row r's plain lane in column c, widened to 64 bits: the canonical
+  /// payload when NULL, a double's bit pattern, a string's id.
+  std::uint64_t ref_lane(std::size_t r, ColumnIndex c) const {
+    const Value& v = rows_[r][c];
+    switch (c) {
+      case kB:
+        return v.is_null() ? 0 : (v.as_bool() ? 1 : 0);
+      case kX: {
+        const double d = v.is_null() ? 0.0 : v.as_double();
+        std::uint64_t b;
+        std::memcpy(&b, &d, sizeof(b));
+        return b;
+      }
+      case kS:
+        return v.is_null() ? kInvalidStringId
+                           : pool_.find(v.as_string());
+      default:
+        return v.is_null() ? 0 : static_cast<std::uint64_t>(v.as_int64());
+    }
+  }
+
+  template <typename T>
+  static std::uint64_t lane_bits(T v) {
+    if constexpr (std::is_same_v<T, double>) {
+      std::uint64_t b;
+      std::memcpy(&b, &v, sizeof(b));
+      return b;
+    } else {
+      return static_cast<std::uint64_t>(v);
+    }
+  }
+
+  /// Every range reader of one column's data against the reference.
+  template <typename T>
+  void expect_ranges(const ColumnData<T>& data, ColumnIndex c) const {
+    ASSERT_EQ(data.size(), kRows);
+    SplitMix64 rng(c + 1);
+    std::vector<std::pair<std::size_t, std::size_t>> ranges{{0, kRows}};
+    for (std::size_t k = 0; k < data.num_chunks(); ++k) {
+      ranges.emplace_back(k * kChunkRows,
+                          std::min(kChunkRows, kRows - k * kChunkRows));
+    }
+    for (int i = 0; i < 300; ++i) {
+      const std::size_t begin = rng.next() % kRows;
+      const std::size_t n = rng.next() % std::min<std::size_t>(
+                                             2 * kChunkRows, kRows - begin + 1);
+      ranges.emplace_back(begin, n);
+    }
+    std::vector<T> out(kRows), scratch(kRows);
+    for (const auto& [begin, n] : ranges) {
+      data.copy_to(begin, n, out.data());
+      const T* lanes = data.lanes(begin, n, scratch.data());
+      const T* window = data.window(begin, n);
+      const std::size_t chunk = begin / kChunkRows;
+      const bool one_chunk = n > 0 && (begin + n - 1) / kChunkRows == chunk;
+      EXPECT_EQ(window != nullptr,
+                one_chunk && data.lane_bytes(chunk) == sizeof(T))
+          << "column " << c << " [" << begin << ", +" << n << ")";
+      for (std::size_t i = 0; i < n; ++i) {
+        const std::uint64_t want = ref_lane(begin + i, c);
+        ASSERT_EQ(lane_bits(out[i]), want)
+            << "copy_to, column " << c << " row " << begin + i;
+        ASSERT_EQ(lane_bits(lanes[i]), want)
+            << "lanes, column " << c << " row " << begin + i;
+        if (window != nullptr) {
+          ASSERT_EQ(lane_bits(window[i]), want)
+              << "window, column " << c << " row " << begin + i;
+        }
+      }
+    }
+    // for_each_piece, the snapshot encoder's and row keys' walk.
+    data.for_each_piece(
+        0, kRows, [&](std::span<const T> piece, std::size_t at) {
+          for (std::size_t i = 0; i < piece.size(); ++i) {
+            ASSERT_EQ(lane_bits(piece[i]), ref_lane(at + i, c)) << at + i;
+          }
+        });
+  }
+
+  /// Reads `t` through every accessor and compares with the reference.
+  void expect_plain_reads(const Table& t) const {
+    ASSERT_EQ(t.num_rows(), kRows);
+    for (ColumnIndex c = 0; c < 5; ++c) {
+      const Column& col = t.column(c);
+      // Row reads.
+      for (std::size_t r = 0; r < kRows; ++r) {
+        const RowIndex row = static_cast<RowIndex>(r);
+        ASSERT_EQ(col.is_null(row), !ref_valid(r, c)) << c << "/" << r;
+        std::uint64_t got = 0;
+        switch (col.type().kind) {
+          case TypeKind::kDouble:
+            got = lane_bits(col.double_at(row));
+            break;
+          case TypeKind::kVarchar:
+            got = col.string_at(row);
+            break;
+          default:
+            got = static_cast<std::uint64_t>(col.int64_at(row));
+            break;
+        }
+        ASSERT_EQ(got, ref_lane(r, c)) << "column " << c << " row " << r;
+        if (c != kX) {  // NaN != NaN; doubles are compared by bits above
+          ASSERT_TRUE(t.value_at(row, c) == rows_[r][c]) << c << "/" << r;
+        }
+      }
+      // Validity words concatenate to the packed reference bitmap.
+      std::vector<std::uint64_t> words, packed((kRows + 63) / 64, 0);
+      for (std::size_t r = 0; r < kRows; ++r) {
+        if (ref_valid(r, c)) packed[r / 64] |= 1ull << (r % 64);
+      }
+      for (std::size_t k = 0; k < col.num_chunks(); ++k) {
+        const auto w = col.valid_words(k);
+        words.insert(words.end(), w.begin(), w.end());
+      }
+      EXPECT_EQ(words, packed) << "column " << c;
+      switch (col.type().kind) {
+        case TypeKind::kDouble:
+          expect_ranges(col.double_chunks(), c);
+          break;
+        case TypeKind::kVarchar:
+          expect_ranges(col.string_chunks(), c);
+          break;
+        default:
+          expect_ranges(col.int_chunks(), c);
+          break;
+      }
+      // Row keys: contiguous windows and gathered rows.
+      std::vector<std::uint64_t> bits(kRows);
+      std::vector<std::uint8_t> nulls(kRows);
+      std::vector<RowIndex> gathered;
+      for (std::size_t r = 0; r < kRows; r += 3) {
+        gathered.push_back(static_cast<RowIndex>(r));
+      }
+      auto want_bits = [&](std::size_t r) -> std::uint64_t {
+        if (!ref_valid(r, c)) return 0;
+        if (c == kX && rows_[r][c].as_double() == 0.0) return 0;  // -0.0
+        return ref_lane(r, c);
+      };
+      for (const std::size_t base : {std::size_t{0}, std::size_t{1000}}) {
+        for (std::size_t at = base; at < kRows; at += kChunkRows) {
+          const std::size_t n = std::min(kChunkRows, kRows - at);
+          relational::key_cells_batch(t, static_cast<RowIndex>(at), nullptr,
+                                      n, c, bits.data(), nulls.data());
+          for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(nulls[i], ref_valid(at + i, c) ? 0 : 1) << at + i;
+            ASSERT_EQ(bits[i], want_bits(at + i)) << c << "/" << at + i;
+          }
+        }
+      }
+      relational::key_cells_batch(t, 0, gathered.data(), gathered.size(), c,
+                                  bits.data(), nulls.data());
+      for (std::size_t i = 0; i < gathered.size(); ++i) {
+        ASSERT_EQ(bits[i], want_bits(gathered[i])) << c << "/" << gathered[i];
+      }
+    }
+    // Vectorized filters against the row engine, from the first row and
+    // from a row inside a chunk (windows that straddle chunk boundaries).
+    relational::TableScope scope(t);
+    const auto col = [](const char* name) {
+      return relational::Expr::make_column("", name);
+    };
+    const auto bin = [](relational::BinaryOp op, relational::ExprPtr a,
+                        relational::ExprPtr b) {
+      return relational::Expr::make_binary(op, std::move(a), std::move(b));
+    };
+    const auto lit = [](Value v) {
+      return relational::Expr::make_literal(std::move(v));
+    };
+    using relational::BinaryOp;
+    const std::vector<relational::ExprPtr> predicates{
+        col("b"),
+        bin(BinaryOp::kEq, col("b"), lit(Value::boolean(false))),
+        bin(BinaryOp::kGt, col("i"), lit(Value::int64(kBase + 100))),
+        bin(BinaryOp::kLe, col("i"), lit(Value::int64(0))),
+        bin(BinaryOp::kEq, col("i"), col("i")),
+        bin(BinaryOp::kEq, col("x"), col("x")),
+        bin(BinaryOp::kLt, col("x"), lit(Value::float64(0.0))),
+        bin(BinaryOp::kEq, col("s"), lit(Value::varchar("v7"))),
+        bin(BinaryOp::kNe, col("s"), lit(Value::varchar("v150"))),
+        bin(BinaryOp::kGe, col("d"), lit(Value::date(14100))),
+    };
+    StringPool& pool = t.pool();
+    for (const relational::ExprPtr& e : predicates) {
+      auto bound = relational::bind_predicate(e, scope, {}, pool);
+      ASSERT_TRUE(bound.is_ok()) << e->to_string();
+      for (const RowIndex first : {RowIndex{0}, RowIndex{1000}}) {
+        EXPECT_EQ(relational::filter_rows(t, **bound, first),
+                  relational::oracle::filter_rows(t, **bound, first))
+            << e->to_string() << " from row " << first;
+      }
+    }
+    // Wire bytes against the per-cell encode_value oracle.
+    exec::StatementResult result;
+    result.kind = exec::StatementResult::Kind::kTable;
+    result.table = std::make_shared<Table>(t);
+    const std::vector<exec::StatementResult> results{result};
+    std::vector<std::uint8_t> wire;
+    ByteWriter w(wire);
+    net::encode_results(results, w);
+    EXPECT_EQ(wire, wire_oracle::encode_results(results));
+  }
+
+  StringPool pool_;
+  std::vector<StringId> ids_;
+  std::vector<std::vector<Value>> rows_;
+};
+
+/// Moved from ChunkedArrayTest when the validity bits left ChunkedArray for
+/// the column's own chunks: they travel with their chunk through a copy
+/// and concatenate to the packed bitmap.
+TEST_F(ColumnChunkTest, ValidityBitsTravelWithTheirChunk) {
+  ColumnData<StringId> a;
+  std::vector<bool> oracle;
+  SplitMix64 rng(7);
+  for (std::uint32_t i = 0; i < 8000; ++i) {
+    const bool v = rng.next() % 3 != 0;
+    a.push_back(i, v);
+    oracle.push_back(v);
+  }
+  const ColumnData<StringId> copy = a;
+  ASSERT_EQ(copy.num_sealed_chunks(), 7u);
+  std::vector<std::uint64_t> packed((oracle.size() + 63) / 64, 0);
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(a.valid(i), oracle[i]) << i;
+    ASSERT_EQ(copy.valid(i), oracle[i]) << i;
+    if (oracle[i]) packed[i / 64] |= 1ull << (i % 64);
+  }
+  // The chunks' word spans concatenate to the packed bitmap, with every
+  // bit past the size zero.
+  std::vector<std::uint64_t> words;
+  for (std::size_t c = 0; c < a.num_chunks(); ++c) {
+    EXPECT_EQ(a.valid_words(c).data() == copy.valid_words(c).data(),
+              c < a.num_sealed_chunks());
+    words.insert(words.end(), a.valid_words(c).begin(),
+                 a.valid_words(c).end());
+  }
+  EXPECT_EQ(words, packed);
+  // Bulk append from packed words, as snapshot restore does.
+  std::vector<std::uint32_t> values(oracle.size());
+  for (std::uint32_t i = 0; i < values.size(); ++i) values[i] = i;
+  ColumnData<StringId> bulk;
+  bulk.append(values.data(), values.size(), packed.data());
+  ASSERT_EQ(bulk.size(), a.size());
+  for (std::size_t i = 0; i < oracle.size(); ++i) {
+    ASSERT_EQ(bulk.valid(i), oracle[i]) << i;
+    ASSERT_EQ(bulk[i], a[i]) << i;
+  }
+}
+
+TEST_F(ColumnChunkTest, EveryFormIsBuilt) {
+  const TablePtr t = rows_table();
+  auto widths = [&](const auto& data) {
+    std::set<std::size_t> out;
+    for (std::size_t k = 0; k < data.num_sealed_chunks(); ++k) {
+      out.insert(data.lane_bytes(k));
+    }
+    return out;
+  };
+  using W = std::set<std::size_t>;
+  EXPECT_EQ(widths(t->column(kB).int_chunks()), (W{0, 1}));
+  EXPECT_EQ(widths(t->column(kI).int_chunks()), (W{0, 1, 2, 4, 8}));
+  EXPECT_EQ(widths(t->column(kD).int_chunks()), (W{0, 1, 2, 4, 8}));
+  EXPECT_EQ(widths(t->column(kX).double_chunks()), (W{8}));
+  EXPECT_EQ(widths(t->column(kS).string_chunks()), (W{0, 1, 2, 4}));
+  // The all-NULL chunk is constant, and the no-NULL chunks keep no
+  // validity words: they read the one shared all-ones array.
+  const Column& i = t->column(kI);
+  EXPECT_EQ(i.int_chunks().lane_bytes(kAllNull), 0u);
+  EXPECT_EQ(i.valid_words(kConstant).data(), i.valid_words(kSpan1).data());
+  EXPECT_NE(i.valid_words(kAllNull).data(),
+            i.valid_words(kNullOutsideSpan).data());
+  EXPECT_EQ(i.int_chunks().lane_bytes(kNullOutsideSpan), 1u);
+  EXPECT_EQ(i.num_chunks(), kNumForms + 1);
+}
+
+TEST_F(ColumnChunkTest, EveryAccessorReadsThePlainLanes) {
+  expect_plain_reads(*rows_table());
+  expect_plain_reads(*batch_table());
+}
+
+TEST_F(ColumnChunkTest, RestoredColumnsReadThePlainLanes) {
+  exec::ExecContext ctx;
+  StringPool pool;
+  const TablePtr restored = restored_table(rows_table(), ctx, pool);
+  // The restored pool interns the same strings in the same order, so
+  // string ids, and with them every reference lane, are unchanged.
+  expect_plain_reads(*restored);
+}
+
+TEST_F(ColumnChunkTest, RowBatchAndRestoredColumnsStoreTheSameBytes) {
+  const TablePtr by_row = rows_table();
+  const TablePtr by_batch = batch_table();
+  exec::ExecContext ctx;
+  StringPool pool;
+  const TablePtr restored = restored_table(by_row, ctx, pool);
+  std::size_t plain = 0;
+  for (ColumnIndex c = 0; c < 5; ++c) {
+    const std::size_t bytes = by_row->column(c).byte_size();
+    EXPECT_EQ(by_batch->column(c).byte_size(), bytes) << "column " << c;
+    EXPECT_EQ(restored->column(c).byte_size(), bytes) << "column " << c;
+    plain += kRows * (c == kS ? sizeof(StringId) : 8) + kRows / 8;
+  }
+  EXPECT_EQ(by_batch->byte_size(), by_row->byte_size());
+  EXPECT_EQ(restored->byte_size(), by_row->byte_size());
+  EXPECT_LT(by_row->byte_size(), plain);
+}
+
+TEST_F(ColumnChunkTest, CloneSharesEverySealedChunk) {
+  const TablePtr source = rows_table();
+  Table clone(*source);
+  for (std::size_t r = 0; r < kChunkRows + 10; ++r) {
+    clone.append_row_unchecked(rows_[r]);
+  }
+  for (ColumnIndex c = 0; c < 5; ++c) {
+    auto expect_shared = [&](const auto& a, const auto& b) {
+      ASSERT_EQ(a.num_sealed_chunks(), kNumForms);
+      ASSERT_EQ(b.num_sealed_chunks(), kNumForms + 1);
+      for (std::size_t k = 0; k < a.num_sealed_chunks(); ++k) {
+        EXPECT_EQ(a.chunk_address(k), b.chunk_address(k)) << c << "/" << k;
+      }
+    };
+    switch (source->column(c).type().kind) {
+      case TypeKind::kDouble:
+        expect_shared(source->column(c).double_chunks(),
+                      clone.column(c).double_chunks());
+        break;
+      case TypeKind::kVarchar:
+        expect_shared(source->column(c).string_chunks(),
+                      clone.column(c).string_chunks());
+        break;
+      default:
+        expect_shared(source->column(c).int_chunks(),
+                      clone.column(c).int_chunks());
+        break;
+    }
+  }
+  expect_plain_reads(*source);
 }
 
 // ---- TableAppender ----------------------------------------------------------
