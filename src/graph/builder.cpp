@@ -183,8 +183,9 @@ struct Candidates {
 };
 
 /// The build side of a hashed attach: candidate indices grouped by key,
-/// laid out CSR-style, each group ascending (the candidates' order). Rows
-/// with a NULL key cell join nothing (SQL `=`) and are left out.
+/// laid out CSR-style, each group ascending (the candidates' order). A
+/// group whose key has a NULL cell has no members: SQL `=` never matches
+/// NULL.
 class KeyBuckets {
  public:
   KeyBuckets(const Table& table, std::vector<ColumnIndex> cols,
@@ -192,44 +193,29 @@ class KeyBuckets {
              std::pmr::memory_resource* scratch)
       : table_(table),
         cols_(std::move(cols)),
-        index_(scratch),
+        index_(scratch),  // so the move below takes group_rows' slots
         first_rows_(scratch),
         offsets_(scratch),
         members_(scratch) {
-    std::pmr::vector<std::uint32_t> group_of(rows.size(), IdTable::kNone,
-                                             scratch);
-    std::array<std::uint64_t, relational::kBatchRows> hashes;
-    std::array<std::uint8_t, relational::kBatchRows> has_null;
-    for (std::size_t b = 0; b < rows.size(); b += relational::kBatchRows) {
-      const std::size_t n = std::min(relational::kBatchRows, rows.size() - b);
-      relational::hash_row_key_batch(table_, 0, rows.data() + b, n, cols_,
-                                     hashes.data(), has_null.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (has_null[i] != 0) continue;
-        const RowIndex r = rows[b + i];
-        std::uint32_t g = index_.find(hashes[i], [&](std::uint32_t id) {
-          return relational::row_keys_equal(table_, first_rows_[id], cols_,
-                                            table_, r, cols_);
-        });
-        if (g == IdTable::kNone) {
-          g = static_cast<std::uint32_t>(first_rows_.size());
-          index_.insert(hashes[i], g);
-          first_rows_.push_back(r);
-        }
-        group_of[b + i] = g;
-      }
-    }
+    std::pmr::vector<std::uint32_t> group_of(rows.size(), scratch);
+    index_ = relational::group_rows(table_, rows.data(), rows.size(), cols_,
+                                    group_of.data(), first_rows_, scratch);
     offsets_.assign(first_rows_.size() + 1, 0);
-    for (const std::uint32_t g : group_of) {
-      if (g != IdTable::kNone) ++offsets_[g + 1];
+    for (const std::uint32_t g : group_of) ++offsets_[g + 1];
+    // A NULL key's group is left empty.
+    for (std::size_t g = 0; g < first_rows_.size(); ++g) {
+      for (const ColumnIndex c : cols_) {
+        if (table_.column(c).is_null(first_rows_[g])) offsets_[g + 1] = 0;
+      }
     }
     std::partial_sum(offsets_.begin(), offsets_.end(), offsets_.begin());
     members_.resize(offsets_.back());
     std::pmr::vector<std::uint32_t> fill(offsets_.begin(), offsets_.end() - 1,
                                          scratch);
     for (std::size_t i = 0; i < group_of.size(); ++i) {
-      if (group_of[i] != IdTable::kNone) {
-        members_[fill[group_of[i]]++] = static_cast<std::uint32_t>(i);
+      const std::uint32_t g = group_of[i];
+      if (offsets_[g] != offsets_[g + 1]) {
+        members_[fill[g]++] = static_cast<std::uint32_t>(i);
       }
     }
   }

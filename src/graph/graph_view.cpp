@@ -50,14 +50,6 @@ Result<EdgeTypeId> GraphView::find_edge_type(std::string_view name) const {
   return it->second;
 }
 
-bool GraphView::has_vertex_type(std::string_view name) const {
-  return vertex_by_name_.contains(std::string(name));
-}
-
-bool GraphView::has_edge_type(std::string_view name) const {
-  return edge_by_name_.contains(std::string(name));
-}
-
 std::size_t GraphView::total_vertices() const noexcept {
   std::size_t n = 0;
   for (const auto& vt : vertex_types_) n += vt->num_vertices();

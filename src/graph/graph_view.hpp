@@ -46,9 +46,6 @@ class GraphView {
   Result<VertexTypeId> find_vertex_type(std::string_view name) const;
   Result<EdgeTypeId> find_edge_type(std::string_view name) const;
 
-  bool has_vertex_type(std::string_view name) const;
-  bool has_edge_type(std::string_view name) const;
-
   const VertexType& vertex_type(VertexTypeId id) const {
     return *vertex_types_.at(id);
   }

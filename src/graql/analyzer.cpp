@@ -1530,13 +1530,6 @@ std::vector<std::string> MetaCatalog::edge_names() const {
 
 // ---- Entry points ------------------------------------------------------------
 
-bool analyze_statement_collect(const Statement& stmt, MetaCatalog& catalog,
-                               DiagnosticEngine& diags,
-                               const AnalyzeOptions& opts) {
-  ScriptAnalyzer analyzer(catalog, diags, opts);
-  return analyzer.statement(stmt, 0);
-}
-
 void analyze_script_collect(const Script& script, MetaCatalog& catalog,
                             DiagnosticEngine& diags,
                             const AnalyzeOptions& opts) {

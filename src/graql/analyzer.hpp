@@ -108,14 +108,6 @@ class MetaCatalog {
 
 // ---- Multi-error entry points ---------------------------------------------
 
-/// Analyzes one statement, reporting every problem (errors and pass 1–4
-/// warnings) into `diags`. Catalog effects are applied only when the
-/// statement produced no new errors; returns true in that case. Pass 5
-/// needs script context and only fires through analyze_script_collect.
-bool analyze_statement_collect(const Statement& stmt, MetaCatalog& catalog,
-                               DiagnosticEngine& diags,
-                               const AnalyzeOptions& opts = {});
-
 /// Analyzes a whole script front to back, collecting every diagnostic,
 /// including the cross-statement pass 5 (use-before-ingest, results
 /// overwritten before any read).

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <limits>
 #include <memory>
 #include <numeric>
 
@@ -20,174 +19,6 @@ using storage::TypeKind;
 using storage::Value;
 
 namespace {
-
-inline constexpr std::uint32_t kChainEnd =
-    std::numeric_limits<std::uint32_t>::max();
-
-/// Refills `v` with `n` copies of `fill`, releasing the old array before
-/// the new one is taken: from a statement's ScratchArena, a hash table
-/// that is the arena's latest allocation then grows in place over its own
-/// pages instead of leaving each smaller table behind.
-template <typename T>
-void reallocate(std::pmr::vector<T>& v, std::size_t n, const T& fill) {
-  std::pmr::vector<T>(v.get_allocator()).swap(v);
-  v.assign(n, fill);
-}
-
-/// Slots for `entries` at load at most 1/2: the smallest power of two,
-/// at least 16, that is twice `entries` or more.
-std::size_t capacity_for(std::size_t entries) {
-  std::size_t cap = 16;
-  while (cap < entries * 2) cap <<= 1;
-  return cap;
-}
-
-/// Flat open-addressing map from a 64-bit key hash to the head of a
-/// chain (linear probing, power-of-two capacity, no deletion). The
-/// group-by/join/distinct paths do one find-or-insert per input row;
-/// unordered_map's node allocations and pointer chases dominate at that
-/// rate. Chains carry hash collisions AND equal keys —
-/// callers verify exact key equality per chain entry, so two distinct
-/// keys sharing a hash never merge.
-class HashHeads {
- public:
-  HashHeads(std::size_t expected, std::pmr::memory_resource* memory)
-      : slots_(memory) {
-    reset(expected);
-  }
-
-  /// True when `entries` chain entries would push the load factor past
-  /// 1/2 — callers that discover entries as they go (group-by, distinct
-  /// — entry count is the number of DISTINCT keys, far below the row
-  /// count) start small and rebuild on demand, keeping the slot array
-  /// sized to live entries instead of input rows.
-  bool needs_capacity(std::size_t entries) const {
-    return entries * 2 > slots_.size();
-  }
-
-  /// Rebuilds at the smallest capacity that holds `entries` at load
-  /// 1/2, reinserting entry i under entry_hash[i] and relinking `next`
-  /// (the callers' chain array) in place. Chain order within a slot may
-  /// change; chains only ever carry distinct keys plus hash collisions,
-  /// so order is never observable in results.
-  void rebuild(std::size_t entries,
-               std::span<const std::uint64_t> entry_hash,
-               std::span<std::uint32_t> next) {
-    reset(entries);
-    for (std::size_t g = 0; g < entry_hash.size(); ++g) {
-      std::uint32_t& head = slot(entry_hash[g]);
-      next[g] = head;
-      head = static_cast<std::uint32_t>(g);
-    }
-  }
-
-  /// The chain-head slot for `hash` (kChainEnd when new). Writable: the
-  /// caller pushes the new chain entry and stores it back.
-  std::uint32_t& slot(std::uint64_t hash) {
-    std::size_t i = hash & mask_;
-    while (slots_[i].head != kChainEnd && slots_[i].hash != hash) {
-      i = (i + 1) & mask_;
-    }
-    slots_[i].hash = hash;
-    return slots_[i].head;
-  }
-
-  /// Read-only probe: the chain head for `hash`, kChainEnd if absent.
-  std::uint32_t find(std::uint64_t hash) const {
-    std::size_t i = hash & mask_;
-    while (slots_[i].head != kChainEnd && slots_[i].hash != hash) {
-      i = (i + 1) & mask_;
-    }
-    return slots_[i].head;
-  }
-
-  /// Hints the slot line for `hash` into cache. The batch loops run one
-  /// prefetch sweep over the just-hashed batch before probing, so the
-  /// (random) slot loads overlap instead of serializing a miss per row.
-  void prefetch(std::uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[hash & mask_]);
-#endif
-  }
-
- private:
-  // Hash and head interleaved: one cache line per probe, not two.
-  struct Slot {
-    std::uint64_t hash;
-    std::uint32_t head;
-  };
-
-  void reset(std::size_t expected) {
-    mask_ = capacity_for(expected) - 1;
-    reallocate(slots_, mask_ + 1, Slot{0, kChainEnd});
-  }
-
-  std::size_t mask_ = 0;
-  std::pmr::vector<Slot> slots_;
-};
-
-/// Open-addressing map from a SINGLE normalized key cell to an entry id
-/// (the one-key-column fast path of group-by/distinct). The cell is
-/// narrow enough to live in the slot itself, so a probe resolves exact
-/// key equality in the slot line — one random load per input row, no
-/// chain indirection at all. Empty slots carry entry == kChainEnd.
-class KeyCellMap {
- public:
-  KeyCellMap(std::size_t expected, std::pmr::memory_resource* memory)
-      : slots_(memory) {
-    reset(expected);
-  }
-
-  struct Slot {
-    std::uint64_t bits;
-    std::uint32_t entry;
-    std::uint8_t null;
-  };
-
-  /// The slot whose cell equals (bits, null), or the empty slot where
-  /// that cell belongs. On a miss the caller registers the new entry id
-  /// by assigning the whole slot.
-  Slot& slot(std::uint64_t hash, std::uint64_t bits, std::uint8_t null) {
-    std::size_t i = hash & mask_;
-    while (slots_[i].entry != kChainEnd &&
-           (slots_[i].bits != bits || slots_[i].null != null)) {
-      i = (i + 1) & mask_;
-    }
-    return slots_[i];
-  }
-
-  bool needs_capacity(std::size_t entries) const {
-    return entries * 2 > slots_.size();
-  }
-
-  /// Rebuilds at the smallest capacity that holds `entries` at load
-  /// 1/2, reinserting entry i as the cell (bits[i], nulls[i]) with hash
-  /// hashes[i].
-  void rebuild(std::size_t entries, std::span<const std::uint64_t> bits,
-               std::span<const std::uint8_t> nulls,
-               std::span<const std::uint64_t> hashes) {
-    reset(entries);
-    for (std::size_t e = 0; e < hashes.size(); ++e) {
-      slot(hashes[e], bits[e], nulls[e]) =
-          Slot{bits[e], static_cast<std::uint32_t>(e), nulls[e]};
-    }
-  }
-
-  void prefetch(std::uint64_t hash) const {
-#if defined(__GNUC__) || defined(__clang__)
-    __builtin_prefetch(&slots_[hash & mask_]);
-#endif
-  }
-
- private:
-  void reset(std::size_t expected) {
-    mask_ = capacity_for(expected) - 1;
-    reallocate(slots_, mask_ + 1, Slot{0, kChainEnd, 0});
-  }
-
-  std::size_t mask_ = 0;
-  std::pmr::vector<Slot> slots_;
-};
 
 /// Compiles an operator expression. Operator inputs are bound against a
 /// single-source TableScope, and compilation fails only on a column of
@@ -279,6 +110,73 @@ TablePtr project(const Table& src, std::span<const RowIndex> rows,
   return out;
 }
 
+// Keys are compared as normalized cells (key_cells_batch): a batch's
+// cells come from one sequential sweep per key column, each group keeps a
+// compact copy of its first row's cells, and the hashes derive from the
+// cells. After that sweep a probe never reads the source columns again,
+// where re-reading a group's first row would cost a cache miss per input
+// row at high key cardinality. The index's 8-byte slots grow with the
+// groups, not the rows.
+IdTable group_rows(const Table& table, const RowIndex* rows, std::size_t n,
+                   std::span<const ColumnIndex> keys,
+                   std::uint32_t* group_of_row,
+                   std::pmr::vector<RowIndex>& firsts,
+                   std::pmr::memory_resource* memory) {
+  const std::size_t nc = keys.size();
+  std::pmr::vector<std::uint64_t> hashes(kBatchRows, memory);
+  std::pmr::vector<std::uint64_t> cell_bits(kBatchRows * nc, memory);
+  std::pmr::vector<std::uint8_t> cell_null(kBatchRows * nc, memory);
+  // Group g's cells are group_bits/group_null[g * nc, (g + 1) * nc).
+  // Reserved for one group per row, so they never regrow.
+  std::pmr::vector<std::uint64_t> group_bits(memory);
+  std::pmr::vector<std::uint8_t> group_null(memory);
+  firsts.reserve(n);
+  group_bits.reserve(n * nc);
+  group_null.reserve(n * nc);
+  IdTable index(memory);
+  for (std::size_t base = 0; base < n; base += kBatchRows) {
+    const std::size_t bn = std::min(kBatchRows, n - base);
+    const RowIndex* batch_rows = rows != nullptr ? rows + base : nullptr;
+    for (std::size_t c = 0; c < nc; ++c) {
+      key_cells_batch(table, static_cast<RowIndex>(base), batch_rows, bn,
+                      keys[c], cell_bits.data() + c * kBatchRows,
+                      cell_null.data() + c * kBatchRows);
+    }
+    hash_key_cells(cell_bits.data(), cell_null.data(), bn, nc, kBatchRows,
+                   hashes.data());
+    // Room for every row of the batch to be new: the table does not grow
+    // between the prefetches and the probes, and a few groups sit in a
+    // sparse table whose probes end at their home slot.
+    index.reserve(firsts.size() + bn);
+    for (std::size_t i = 0; i < bn; ++i) index.prefetch(hashes[i]);
+    for (std::size_t i = 0; i < bn; ++i) {
+      const auto equal = [&](std::uint32_t g) {
+        for (std::size_t c = 0; c < nc; ++c) {
+          if (group_bits[g * nc + c] != cell_bits[c * kBatchRows + i] ||
+              group_null[g * nc + c] != cell_null[c * kBatchRows + i]) {
+            return false;
+          }
+        }
+        return true;
+      };
+      std::uint32_t g = index.find(hashes[i], equal);
+      if (g == IdTable::kNone) {
+        g = static_cast<std::uint32_t>(firsts.size());
+        index.insert(hashes[i], g);
+        firsts.push_back(batch_rows != nullptr
+                             ? batch_rows[i]
+                             : static_cast<RowIndex>(base + i));
+        for (std::size_t c = 0; c < nc; ++c) {
+          group_bits.push_back(cell_bits[c * kBatchRows + i]);
+          group_null.push_back(cell_null[c * kBatchRows + i]);
+        }
+      }
+      if (group_of_row != nullptr) group_of_row[base + i] = g;
+    }
+  }
+  return index;
+}
+
 namespace {
 
 // Per-group accumulator state, split by aggregate kind so each
@@ -305,129 +203,6 @@ struct MinMaxState {
   Value min;
   Value max;
 };
-
-/// First-seen dedup over `keys` of the `n` rows `rows` lists (rows
-/// [0, n) when null), shared by group-by and distinct: `firsts` collects
-/// the first row of each distinct key (in list order) and, when non-null,
-/// entry_of_row[i] receives the entry id of the i-th listed row. Entry
-/// ids are therefore group ids in first-seen order.
-///
-/// Keys are compared as normalized cells (key_cells_batch): the batch's
-/// own cells come from sequential column sweeps, each entry keeps one
-/// compact copy, and hashes derive from the cells — so after the single
-/// per-batch column sweep, probing never touches the source columns
-/// again (a row_keys_equal re-read of the first-seen row costs a cache
-/// miss per input row at high key cardinality). Tables are sized to the
-/// number of DISTINCT keys (grown on demand), not input rows, keeping
-/// the slot array cache-resident for the common aggregation shapes.
-///
-/// Every array comes from `memory`. The per-entry arrays are reserved for
-/// one entry per row up front, so they never regrow and the hash table,
-/// allocated last, is the memory's latest allocation each time it grows.
-void dedup_rows_hashed(const Table& src, const RowIndex* rows,
-                       std::size_t n, std::span<const ColumnIndex> keys,
-                       std::uint32_t* entry_of_row,
-                       std::pmr::vector<RowIndex>& firsts,
-                       std::pmr::memory_resource* memory) {
-  const auto row_at = [rows](std::size_t i) {
-    return rows != nullptr ? rows[i] : static_cast<RowIndex>(i);
-  };
-  const std::size_t nc = keys.size();
-  std::pmr::vector<std::uint64_t> hashes(kBatchRows, memory);
-  std::pmr::vector<std::uint64_t> cell_bits(kBatchRows * nc, memory);
-  std::pmr::vector<std::uint8_t> cell_null(kBatchRows * nc, memory);
-  std::pmr::vector<std::uint64_t> entry_hash(memory);  // for rebuilds
-  std::pmr::vector<std::uint64_t> entry_bits(memory);  // entries x nc
-  std::pmr::vector<std::uint8_t> entry_null(memory);
-  std::pmr::vector<std::uint32_t> next_entry(memory);
-  firsts.reserve(n);
-  entry_hash.reserve(n);
-  entry_bits.reserve(n * nc);
-  entry_null.reserve(n * nc);
-  if (nc != 1) next_entry.reserve(n);
-
-  if (nc == 1) {
-    // Single key column: the cell fits in the map slot itself, so a
-    // probe is one random load with no chain indirection.
-    KeyCellMap map(/*expected=*/128, memory);
-    for (std::size_t base = 0; base < n; base += kBatchRows) {
-      const std::size_t bn = std::min(kBatchRows, n - base);
-      key_cells_batch(src, static_cast<RowIndex>(base),
-                      rows != nullptr ? rows + base : nullptr, bn, keys[0],
-                      cell_bits.data(), cell_null.data());
-      hash_key_cells(cell_bits.data(), cell_null.data(), bn, 1, kBatchRows,
-                     hashes.data());
-      // Conservative pre-batch growth check (every row could be new),
-      // so slot references stay stable across the probe loop.
-      if (map.needs_capacity(firsts.size() + bn)) {
-        map.rebuild(firsts.size() + bn, entry_bits, entry_null, entry_hash);
-      }
-      for (std::size_t i = 0; i < bn; ++i) map.prefetch(hashes[i]);
-      for (std::size_t i = 0; i < bn; ++i) {
-        KeyCellMap::Slot& s =
-            map.slot(hashes[i], cell_bits[i], cell_null[i]);
-        std::uint32_t e = s.entry;
-        if (e == kChainEnd) {
-          e = static_cast<std::uint32_t>(firsts.size());
-          firsts.push_back(row_at(base + i));
-          entry_hash.push_back(hashes[i]);
-          entry_bits.push_back(cell_bits[i]);
-          entry_null.push_back(cell_null[i]);
-          s = KeyCellMap::Slot{cell_bits[i], e, cell_null[i]};
-        }
-        if (entry_of_row != nullptr) entry_of_row[base + i] = e;
-      }
-    }
-    return;
-  }
-
-  // General arity: hash -> chain of entries, exact cell compare per
-  // candidate (chains carry hash collisions, so distinct keys never
-  // merge).
-  HashHeads heads(/*expected=*/128, memory);
-  for (std::size_t base = 0; base < n; base += kBatchRows) {
-    const std::size_t bn = std::min(kBatchRows, n - base);
-    for (std::size_t c = 0; c < nc; ++c) {
-      key_cells_batch(src, static_cast<RowIndex>(base),
-                      rows != nullptr ? rows + base : nullptr, bn, keys[c],
-                      cell_bits.data() + c * kBatchRows,
-                      cell_null.data() + c * kBatchRows);
-    }
-    hash_key_cells(cell_bits.data(), cell_null.data(), bn, nc, kBatchRows,
-                   hashes.data());
-    if (heads.needs_capacity(firsts.size() + bn)) {
-      heads.rebuild(firsts.size() + bn, entry_hash, next_entry);
-    }
-    for (std::size_t i = 0; i < bn; ++i) heads.prefetch(hashes[i]);
-    for (std::size_t i = 0; i < bn; ++i) {
-      std::uint32_t& head = heads.slot(hashes[i]);
-      std::uint32_t e = head;
-      for (; e != kChainEnd; e = next_entry[e]) {
-        bool eq = true;
-        for (std::size_t c = 0; c < nc; ++c) {
-          if (entry_bits[e * nc + c] != cell_bits[c * kBatchRows + i] ||
-              entry_null[e * nc + c] != cell_null[c * kBatchRows + i]) {
-            eq = false;
-            break;
-          }
-        }
-        if (eq) break;
-      }
-      if (e == kChainEnd) {
-        e = static_cast<std::uint32_t>(firsts.size());
-        firsts.push_back(row_at(base + i));
-        next_entry.push_back(head);
-        entry_hash.push_back(hashes[i]);
-        for (std::size_t c = 0; c < nc; ++c) {
-          entry_bits.push_back(cell_bits[c * kBatchRows + i]);
-          entry_null.push_back(cell_null[c * kBatchRows + i]);
-        }
-        head = e;
-      }
-      if (entry_of_row != nullptr) entry_of_row[base + i] = e;
-    }
-  }
-}
 
 /// Lane i of an aggregate input as a double: Int64 lanes promote, as
 /// they do into a Double column.
@@ -479,8 +254,8 @@ Result<TablePtr> group_by(const Table& src, std::span<const RowIndex> rows,
   // Group discovery: one group id per listed row, first-seen order.
   std::pmr::vector<std::uint32_t> group_of_row(rows.size(), memory);
   std::pmr::vector<RowIndex> representatives(memory);
-  dedup_rows_hashed(src, rows.data(), rows.size(), keys, group_of_row.data(),
-                    representatives, memory);
+  group_rows(src, rows.data(), rows.size(), keys, group_of_row.data(),
+             representatives, memory);
 
   // SQL scalar aggregation: no keys -> exactly one row even on empty input.
   const bool scalar_empty = keys.empty() && representatives.empty();
@@ -811,11 +586,9 @@ void sort_rows(const Table& src, std::pmr::vector<RowIndex>& rows,
 std::pmr::vector<RowIndex> distinct_rows(const Table& src,
                                          std::span<const ColumnIndex> cols,
                                          std::pmr::memory_resource* memory) {
-  // First-seen dedup via the shared hashed path (batched key cells, exact
-  // equality per candidate — collisions never merge rows).
   std::pmr::vector<RowIndex> keep(memory);
-  dedup_rows_hashed(src, /*rows=*/nullptr, src.num_rows(), cols,
-                    /*entry_of_row=*/nullptr, keep, memory);
+  group_rows(src, /*rows=*/nullptr, src.num_rows(), cols,
+             /*group_of_row=*/nullptr, keep, memory);
   return keep;
 }
 

@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "common/id_table.hpp"
 #include "common/status.hpp"
 #include "relational/batch.hpp"
 #include "relational/bound_expr.hpp"
@@ -70,6 +71,23 @@ struct OutputColumn {
 /// windows into the output columns.
 TablePtr project(const Table& src, std::span<const RowIndex> rows,
                  std::span<const OutputColumn> outputs, std::string name);
+
+// ---- Grouping ---------------------------------------------------------------
+
+/// First-seen grouping of the `n` rows `rows` lists (rows [0, n) when
+/// null) by `keys`, columns of `table`: the one hash index behind group
+/// by, distinct and the edge build's hashed attach. Two rows share a group
+/// iff their keys are equal under row_keys_equal, so a NULL cell matches
+/// a NULL cell. `firsts` receives each group's first row, so group ids run
+/// in first-seen order, and group_of_row[i], when non-null, the group of
+/// the i-th listed row. Returns the index from a key's hash (hash_row_key,
+/// or hash_cell_key over its cells) to its group. The index and every
+/// temporary array come from `memory`.
+IdTable group_rows(const Table& table, const RowIndex* rows, std::size_t n,
+                   std::span<const ColumnIndex> keys,
+                   std::uint32_t* group_of_row,
+                   std::pmr::vector<RowIndex>& firsts,
+                   std::pmr::memory_resource* memory);
 
 // ---- Aggregation ----------------------------------------------------------
 

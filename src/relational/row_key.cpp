@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "common/check.hpp"
+#include "common/chunked_array.hpp"
 #include "common/hash.hpp"
 
 namespace gems::relational {
@@ -17,6 +18,14 @@ namespace {
 inline constexpr std::uint64_t kNullPartSeed = 0x9ae16a3b2f90404full;
 inline constexpr std::uint64_t kValuePartSeed = 0xc2b2ae3d27d4eb4full;
 
+/// A double key payload as raw 64 bits, -0.0 collapsed into +0.0.
+inline std::uint64_t double_key_bits(double v) {
+  if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
+  std::uint64_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
 /// Value payload of one non-null cell as raw 64 bits, normalized: -0.0
 /// collapsed into +0.0, strings as interned ids.
 inline std::uint64_t key_part_bits(const Column& column,
@@ -27,13 +36,8 @@ inline std::uint64_t key_part_bits(const Column& column,
     case TypeKind::kInt64:
     case TypeKind::kDate:
       return static_cast<std::uint64_t>(column.int64_at(row));
-    case TypeKind::kDouble: {
-      double v = column.double_at(row);
-      if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
-      std::uint64_t bits;
-      std::memcpy(&bits, &v, sizeof(bits));
-      return bits;
-    }
+    case TypeKind::kDouble:
+      return double_key_bits(column.double_at(row));
     case TypeKind::kVarchar:
       return column.string_at(row);
   }
@@ -89,90 +93,50 @@ bool cell_key_equals(std::span<const KeyCell> cells,
   return true;
 }
 
-void hash_row_key_batch(const storage::Table& table, storage::RowIndex base,
-                        const storage::RowIndex* rows, std::size_t n,
-                        std::span<const storage::ColumnIndex> cols,
-                        std::uint64_t* hashes, std::uint8_t* has_null) {
-  for (std::size_t i = 0; i < n; ++i) hashes[i] = kKeyHashSeed;
-  if (has_null != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) has_null[i] = 0;
-  }
-  for (const auto col : cols) {
-    const Column& column = table.column(col);
-    for (std::size_t i = 0; i < n; ++i) {
-      const storage::RowIndex row =
-          rows != nullptr ? rows[i]
-                          : base + static_cast<storage::RowIndex>(i);
-      if (column.is_null(row)) {
-        hashes[i] = mix64(hashes[i] ^ kNullPartSeed);
-        if (has_null != nullptr) has_null[i] = 1;
-      } else {
-        hashes[i] =
-            mix64(hashes[i] ^ kValuePartSeed ^ key_part_bits(column, row));
-      }
-    }
-  }
-}
-
 void key_cells_batch(const storage::Table& table, storage::RowIndex base,
                      const storage::RowIndex* rows, std::size_t n,
                      storage::ColumnIndex col, std::uint64_t* bits,
                      std::uint8_t* nulls) {
-  const Column& column = table.column(col);
-  if (rows != nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      const bool null = column.is_null(rows[i]);
-      nulls[i] = null ? 1 : 0;
-      bits[i] = null ? 0 : key_part_bits(column, rows[i]);
+  // Type dispatch hoisted out of the row loops. A row list reads its rows
+  // one by one; a window reads the column chunks and their validity words
+  // in place, one piece per chunk it touches.
+  const auto fill = [&](const auto& data, auto to_bits) {
+    if (rows != nullptr) {
+      for (std::size_t i = 0; i < n; ++i) {
+        const bool null = !data.valid(rows[i]);
+        nulls[i] = null ? 1 : 0;
+        bits[i] = null ? 0 : to_bits(data[rows[i]]);
+      }
+      return;
     }
-    return;
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    nulls[i] = column.is_null(base + static_cast<storage::RowIndex>(i)) ? 1 : 0;
-  }
-  // Type dispatch hoisted out of the row loop; payload sweeps read the
-  // column chunks in place, one piece per chunk the window touches.
-  const std::size_t end = base + n;
+    data.for_each_piece(base, base + n, [&](auto vals, std::size_t at) {
+      const std::size_t first = base + at;
+      const std::uint64_t* words = data.valid_words(first / kChunkRows).data();
+      for (std::size_t i = 0; i < vals.size(); ++i) {
+        const std::size_t j = first % kChunkRows + i;
+        const bool null = ((words[j / 64] >> (j % 64)) & 1u) == 0;
+        nulls[at + i] = null ? 1 : 0;
+        bits[at + i] = null ? 0 : to_bits(vals[i]);
+      }
+    });
+  };
+  const Column& column = table.column(col);
   switch (column.type().kind) {
     case TypeKind::kBool:
-      column.int_chunks().for_each_piece(
-          base, end, [&](std::span<const std::int64_t> vals, std::size_t at) {
-            for (std::size_t i = 0; i < vals.size(); ++i) {
-              bits[at + i] =
-                  nulls[at + i] != 0 ? 0 : (vals[i] != 0 ? 1u : 0u);
-            }
-          });
+      fill(column.int_chunks(),
+           [](std::int64_t v) -> std::uint64_t { return v != 0 ? 1 : 0; });
       break;
     case TypeKind::kInt64:
     case TypeKind::kDate:
-      column.int_chunks().for_each_piece(
-          base, end, [&](std::span<const std::int64_t> vals, std::size_t at) {
-            for (std::size_t i = 0; i < vals.size(); ++i) {
-              bits[at + i] = nulls[at + i] != 0
-                                 ? 0
-                                 : static_cast<std::uint64_t>(vals[i]);
-            }
-          });
+      fill(column.int_chunks(),
+           [](std::int64_t v) { return static_cast<std::uint64_t>(v); });
       break;
     case TypeKind::kDouble:
-      column.double_chunks().for_each_piece(
-          base, end, [&](std::span<const double> vals, std::size_t at) {
-            for (std::size_t i = 0; i < vals.size(); ++i) {
-              double v = vals[i];
-              if (v == 0.0) v = 0.0;  // collapse -0.0 and +0.0
-              std::uint64_t b;
-              std::memcpy(&b, &v, sizeof(b));
-              bits[at + i] = nulls[at + i] != 0 ? 0 : b;
-            }
-          });
+      fill(column.double_chunks(), [](double v) { return double_key_bits(v); });
       break;
     case TypeKind::kVarchar:
-      column.string_chunks().for_each_piece(
-          base, end, [&](std::span<const StringId> vals, std::size_t at) {
-            for (std::size_t i = 0; i < vals.size(); ++i) {
-              bits[at + i] = nulls[at + i] != 0 ? 0 : vals[i];
-            }
-          });
+      fill(column.string_chunks(),
+           [](StringId v) -> std::uint64_t { return v; });
       break;
   }
 }

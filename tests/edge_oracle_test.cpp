@@ -655,5 +655,68 @@ TEST(EdgeOracleTest, DeltasAcrossChunkSealMatchNestedLoopJoin) {
   }
 }
 
+// A double association-table key holding NULL, -0.0 and +0.0, hashed on
+// both sides of the attach: T is bucketed by T.a (PV to QV) and by T.b
+// (QV to PV, which then probes PV's key index with T.a's cells). A NULL
+// key attaches nothing, even to PV's NULL-keyed vertex, and -0.0 joins
+// +0.0.
+TEST(EdgeOracleTest, NullAndSignedZeroAssociationKeysMatchNestedLoopJoin) {
+  StringPool pool;
+  storage::TableCatalog tables;
+  auto p = std::make_shared<Table>("P", Schema({{"x", DataType::float64()}}),
+                                   pool);
+  for (const Value& x : {Value::float64(0.0), Value::float64(1.5),
+                         Value::null(), Value::float64(-2.0)}) {
+    ASSERT_TRUE(p->append_row(std::vector<Value>{x}).is_ok());
+  }
+  auto q = std::make_shared<Table>("Q", Schema({{"id", DataType::int64()}}),
+                                   pool);
+  for (std::int64_t id = 0; id < 3; ++id) {
+    ASSERT_TRUE(q->append_row(std::vector<Value>{Value::int64(id)}).is_ok());
+  }
+  auto t = std::make_shared<Table>(
+      "T", Schema({{"a", DataType::float64()}, {"b", DataType::int64()}}),
+      pool);
+  const std::vector<std::pair<Value, std::int64_t>> t_rows{
+      {Value::float64(-0.0), 0}, {Value::null(), 1},
+      {Value::float64(0.0), 2},  {Value::float64(1.5), 1},
+      {Value::null(), 0},        {Value::float64(-0.0), 1},
+      {Value::float64(3.0), 0}};
+  for (const auto& [a, b] : t_rows) {
+    ASSERT_TRUE(
+        t->append_row(std::vector<Value>{a, Value::int64(b)}).is_ok());
+  }
+  for (const auto& table : {p, q, t}) ASSERT_TRUE(tables.add(table).is_ok());
+
+  const std::vector<VertexDecl> vertices{{"PV", {"x"}, "P", nullptr},
+                                         {"QV", {"id"}, "Q", nullptr}};
+  std::vector<EdgeDecl> edges;
+  edges.push_back({"pq", {"PV", ""}, {"QV", ""}, {"T"},
+                   all_of({eq(col("T", "a"), col("PV", "x")),
+                           eq(col("T", "b"), col("QV", "id"))})});
+  edges.push_back({"qp", {"QV", ""}, {"PV", ""}, {"T"},
+                   all_of({eq(col("T", "b"), col("QV", "id")),
+                           eq(col("T", "a"), col("PV", "x"))})});
+  GraphView g;
+  std::map<std::string, OracleVertices> vts;
+  for (const auto& d : vertices) {
+    ASSERT_TRUE(add_vertex_type(g, d, tables, pool).is_ok());
+    vts.emplace(d.name, OracleVertices(d, tables, pool));
+  }
+  for (const auto& d : edges) {
+    ASSERT_TRUE(add_edge_type(g, d, tables, pool).is_ok());
+  }
+  // T rows 0, 2 and 5 join PV's +0.0 vertex, row 3 its 1.5 vertex.
+  const EdgeType& pq = g.edge_type(0);
+  ASSERT_EQ(pq.num_edges(), 4u);
+  EXPECT_EQ(pq.source_vertex(0), 0u);
+  EXPECT_EQ(pq.target_vertex(0), 0u);
+  for (std::size_t e = 0; e < edges.size(); ++e) {
+    expect_matches(g.edge_type(static_cast<EdgeTypeId>(e)),
+                   oracle_edges(edges[e], vts, tables, pool), tables,
+                   edges[e], /*in_order=*/true);
+  }
+}
+
 }  // namespace
 }  // namespace gems::graph

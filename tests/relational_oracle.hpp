@@ -143,7 +143,7 @@ inline TablePtr head(
 
 // ---- Hash join --------------------------------------------------------------
 // No engine path joins two tables on keys: edge construction probes the
-// vertex key index. This hash join over row_key.hpp's batch hashing and
+// vertex key index. This hash join over row_key.hpp's hash_row_key and
 // exact key equality keeps those two checked against the oracle's
 // encode_row_key join.
 
@@ -173,20 +173,14 @@ inline Result<std::vector<std::pair<RowIndex, RowIndex>>> hash_join_pairs(
                         rt.to_string() + ") have different types");
     }
   }
-  // Hashes of every row's key, in batches; NULL keys are left out.
+  // Hashes of every row's key; NULL keys are left out.
   auto hashed = [](const Table& t, std::span<const ColumnIndex> keys) {
     std::vector<std::pair<std::uint64_t, RowIndex>> out;
-    std::vector<std::uint64_t> hashes(kBatchRows);
-    std::vector<std::uint8_t> nulls(kBatchRows);
-    for (std::size_t base = 0; base < t.num_rows(); base += kBatchRows) {
-      const std::size_t n = std::min(kBatchRows, t.num_rows() - base);
-      hash_row_key_batch(t, static_cast<RowIndex>(base), nullptr, n, keys,
-                         hashes.data(), nulls.data());
-      for (std::size_t i = 0; i < n; ++i) {
-        if (nulls[i] == 0) {
-          out.emplace_back(hashes[i], static_cast<RowIndex>(base + i));
-        }
-      }
+    for (RowIndex r = 0; r < t.num_rows(); ++r) {
+      const bool has_null = std::any_of(
+          keys.begin(), keys.end(),
+          [&](ColumnIndex c) { return t.column(c).is_null(r); });
+      if (!has_null) out.emplace_back(hash_row_key(t, r, keys), r);
     }
     return out;
   };

@@ -5,6 +5,7 @@
 // null density, over tables of several batches).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <functional>
@@ -854,11 +855,11 @@ TEST_F(RelationalTest, VectorizedDistinctMatchesRowEngine) {
   }
 }
 
-// Group-by and distinct grow their hash tables as new keys arrive,
-// rebuilding at the smallest capacity that keeps the load at or below
-// 1/2. Distinct-key counts just below, at and above half of each
-// capacity give the oracle's bytes, for one key (the single-cell map)
-// and two (the chained hash heads).
+// Group-by and distinct grow their one hash index (group_rows' IdTable)
+// as new keys arrive, re-placing it at the smallest capacity that keeps
+// the groups so far plus one batch at load 1/2 or below. Distinct-key
+// counts just below, at and above half of each capacity give the
+// oracle's bytes, for one key column and two.
 TEST_F(RelationalTest, HashRebuildBoundariesMatchRowEngine) {
   using namespace vec_prop;
   const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
@@ -897,6 +898,59 @@ TEST_F(RelationalTest, HashRebuildBoundariesMatchRowEngine) {
                                      "distinct");
       }
     }
+  }
+}
+
+// Keys no random sweep table draws: -0.0 and +0.0 (one group), two NaN
+// payloads (two groups), both infinities and NULL, over three batches so
+// the index grows while they arrive. One key column and two, in both
+// orders, give the oracle's bytes.
+TEST_F(RelationalTest, AdversarialGroupingKeysMatchRowEngine) {
+  using namespace vec_prop;
+  const double kNan1 = std::bit_cast<double>(0x7ff8000000000000ull);
+  const double kNan2 = std::bit_cast<double>(0x7ff8000000000001ull);
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<Value> xs{Value::float64(-0.0), Value::float64(0.0),
+                              Value::float64(kNan1), Value::float64(kNan2),
+                              Value::float64(kInf),  Value::float64(-kInf),
+                              Value::null(),         Value::float64(1.5)};
+  auto t = std::make_shared<Table>(
+      "A",
+      Schema({{"x", DataType::float64()},
+              {"k", DataType::int64()},
+              {"v", DataType::float64()}}),
+      pool_);
+  Rng rng{77};
+  for (std::size_t r = 0; r < kSweepRows; ++r) {
+    const std::int64_t k = rng.range(0, 2);
+    t->append_row_unchecked(std::vector<Value>{
+        xs[rng.next() % xs.size()],
+        k == 2 ? Value::null() : Value::int64(k),
+        Value::float64(static_cast<double>(rng.range(-64, 64)) / 8)});
+  }
+  const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
+                                  {AggKind::kSum, 2, "sv"},
+                                  {AggKind::kMin, 0, "minx"}};
+  const auto all = row_range(0, kSweepRows);
+  for (const std::vector<ColumnIndex>& cols :
+       {std::vector<ColumnIndex>{0}, std::vector<ColumnIndex>{0, 1},
+        std::vector<ColumnIndex>{1, 0}}) {
+    SCOPED_TRACE(cols.size());
+    const auto got = group_by(*t, cols, aggs, "G");
+    ASSERT_TRUE(got.is_ok());
+    // Seven x values: the zeros share a group, the NaNs do not.
+    if (cols.size() == 1) {
+      EXPECT_EQ((*got)->num_rows(), 7u);
+    }
+    expect_tables_byte_identical(**got, *oracle::group_by(*t, cols, aggs, "G"),
+                                 "group_by");
+    const TablePtr narrow = materialize(*t, all, cols, "N");
+    const TablePtr d = distinct(*narrow, "D");
+    if (cols.size() == 1) {
+      EXPECT_EQ(d->num_rows(), 7u);
+    }
+    expect_tables_byte_identical(*d, *oracle::distinct(*narrow, "D"),
+                                 "distinct");
   }
 }
 
@@ -1366,6 +1420,126 @@ TEST_F(RelationalTest, VectorizedCompareAdversarialLanesMatchRowEngine) {
         EXPECT_EQ(accepted[i],
                   eval_predicate(**bound, {&cursor, 1}, pool_))
             << e->to_string() << " row " << i;
+      }
+    }
+  }
+}
+
+// ---- Row-key hash forms ----------------------------------------------------
+
+// A key has one hash whichever form computes it: group_rows builds its
+// index with hash_key_cells over key_cells_batch cells, and the edge
+// build's hashed attach probes that index with hash_cell_key, so the forms
+// must agree with each other and with hash_row_key. Cells must also be
+// equal exactly when the keys' encode_row_key bytes are. Every column kind
+// at 1-3 key columns, with NULL, both zeros, two NaN payloads, both
+// infinities, the int64 extremes, bools, dates and strings.
+TEST(RowKeyTest, EveryHashFormAgrees) {
+  StringPool pool;
+  const double kInf = std::numeric_limits<double>::infinity();
+  const std::vector<std::vector<Value>> domains{
+      {Value::null(), Value::boolean(false), Value::boolean(true)},
+      {Value::null(), Value::int64(0), Value::int64(-1),
+       Value::int64(std::numeric_limits<std::int64_t>::min()),
+       Value::int64(std::numeric_limits<std::int64_t>::max())},
+      {Value::null(), Value::float64(0.0), Value::float64(-0.0),
+       Value::float64(std::bit_cast<double>(0x7ff8000000000000ull)),
+       Value::float64(std::bit_cast<double>(0xfff8000000000001ull)),
+       Value::float64(kInf), Value::float64(-kInf), Value::float64(-2.5)},
+      {Value::null(), Value::date(0), Value::date(13000), Value::date(-1)},
+      {Value::null(), Value::varchar(""), Value::varchar("a"),
+       Value::varchar("b")}};
+  Table t("K",
+          Schema({{"b", DataType::boolean()},
+                  {"i", DataType::int64()},
+                  {"x", DataType::float64()},
+                  {"d", DataType::date()},
+                  {"s", DataType::varchar(4)}}),
+          pool);
+  // Each row draws every column independently; the second half repeats
+  // the first with the zeros' signs swapped, so equal keys also come in
+  // different bits.
+  constexpr std::size_t kHalf = 120;
+  vec_prop::Rng rng{11};
+  std::vector<std::vector<Value>> rows;
+  for (std::size_t r = 0; r < kHalf; ++r) {
+    std::vector<Value> row;
+    for (const auto& domain : domains) {
+      row.push_back(domain[rng.next() % domain.size()]);
+    }
+    rows.push_back(row);
+  }
+  for (std::size_t r = 0; r < kHalf; ++r) {
+    std::vector<Value> row = rows[r];
+    if (!row[2].is_null() && row[2].as_double() == 0.0) {
+      row[2] = Value::float64(std::signbit(row[2].as_double()) ? 0.0 : -0.0);
+    }
+    rows.push_back(std::move(row));
+  }
+  for (const auto& row : rows) t.append_row_unchecked(row);
+  const std::size_t n = rows.size();
+
+  // Every list of 1-3 distinct key columns, in ascending order.
+  std::vector<std::vector<ColumnIndex>> key_sets;
+  for (ColumnIndex a = 0; a < 5; ++a) {
+    key_sets.push_back({a});
+    for (ColumnIndex b = a + 1; b < 5; ++b) {
+      key_sets.push_back({a, b});
+      for (ColumnIndex c = b + 1; c < 5; ++c) key_sets.push_back({a, b, c});
+    }
+  }
+  // The gathered form of key_cells_batch reads rows in reverse.
+  std::vector<storage::RowIndex> reversed(n);
+  for (std::size_t r = 0; r < n; ++r) {
+    reversed[r] = static_cast<storage::RowIndex>(n - 1 - r);
+  }
+  for (const auto& cols : key_sets) {
+    SCOPED_TRACE(::testing::PrintToString(cols));
+    const std::size_t nc = cols.size();
+    std::vector<std::uint64_t> bits(n * nc), gathered_bits(n * nc);
+    std::vector<std::uint8_t> nulls(n * nc), gathered_nulls(n * nc);
+    for (std::size_t c = 0; c < nc; ++c) {
+      key_cells_batch(t, 0, nullptr, n, cols[c], bits.data() + c * n,
+                      nulls.data() + c * n);
+      key_cells_batch(t, 0, reversed.data(), n, cols[c],
+                      gathered_bits.data() + c * n,
+                      gathered_nulls.data() + c * n);
+    }
+    std::vector<std::uint64_t> hashes(n), gathered_hashes(n);
+    hash_key_cells(bits.data(), nulls.data(), n, nc, n, hashes.data());
+    hash_key_cells(gathered_bits.data(), gathered_nulls.data(), n, nc, n,
+                   gathered_hashes.data());
+    std::vector<std::string> encoded(n);
+    for (std::size_t r = 0; r < n; ++r) {
+      const auto row = static_cast<storage::RowIndex>(r);
+      encoded[r] = encode_row_key(t, row, cols);
+      std::vector<KeyCell> cells;
+      for (const ColumnIndex c : cols) cells.push_back({&t.column(c), row});
+      const std::uint64_t h = hash_row_key(t, row, cols);
+      ASSERT_EQ(hashes[r], h) << "row " << r;
+      ASSERT_EQ(gathered_hashes[n - 1 - r], h) << "row " << r;
+      ASSERT_EQ(hash_cell_key(cells), h) << "row " << r;
+      for (std::size_t c = 0; c < nc; ++c) {
+        ASSERT_EQ(gathered_bits[c * n + n - 1 - r], bits[c * n + r]);
+        ASSERT_EQ(gathered_nulls[c * n + n - 1 - r], nulls[c * n + r]);
+      }
+    }
+    for (std::size_t a = 0; a < n; ++a) {
+      for (std::size_t b = 0; b < n; ++b) {
+        bool cells_equal = true;
+        for (std::size_t c = 0; c < nc; ++c) {
+          cells_equal = cells_equal && bits[c * n + a] == bits[c * n + b] &&
+                        nulls[c * n + a] == nulls[c * n + b];
+        }
+        const bool same_bytes = encoded[a] == encoded[b];
+        ASSERT_EQ(cells_equal, same_bytes) << "rows " << a << ", " << b;
+        ASSERT_EQ(row_keys_equal(t, static_cast<storage::RowIndex>(a), cols,
+                                 t, static_cast<storage::RowIndex>(b), cols),
+                  same_bytes)
+            << "rows " << a << ", " << b;
+        if (same_bytes) {
+          ASSERT_EQ(hashes[a], hashes[b]);
+        }
       }
     }
   }
