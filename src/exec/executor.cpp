@@ -35,7 +35,6 @@ using relational::SortKey;
 using storage::Column;
 using storage::ColumnDef;
 using storage::ColumnIndex;
-using storage::DataType;
 using storage::RowIndex;
 using storage::Schema;
 using storage::Table;
@@ -52,185 +51,33 @@ struct ColSource {
   ColumnIndex column = 0;
 };
 
-struct OutCol {
-  std::string name;
-  DataType type;
-  std::vector<ColSource> per_network;  // indexed by network
-};
-
-/// Attribute schema of a step (vertex: full source schema; edge: attribute
-/// table schema; null when the step has none or is variant).
-const Schema* step_schema(const ConstraintNetwork& net, const GraphView& g,
-                          const StepRef& ref) {
-  if (!ref.is_edge) {
-    const VertexVar& var = net.vars[ref.index];
-    if (var.variant) return nullptr;
-    return &g.vertex_type(var.types.front()).source().schema();
-  }
-  const EdgeConstraint& con = net.edges[ref.index];
-  if (con.variant) return nullptr;
-  const Table* attrs = g.edge_type(con.moves.front().type).attr_table();
-  return attrs == nullptr ? nullptr : &attrs->schema();
-}
-
-struct MergedStep {
-  std::string display;
-  std::vector<std::optional<StepRef>> per_network;
-};
-
-std::vector<MergedStep> merge_steps(const LoweredQuery& lowered) {
-  std::vector<MergedStep> merged;
-  std::map<std::string, std::size_t> index;
+/// The per-network source of each output column: its step's variable or
+/// constraint in each network. An attribute target of a vertex step must
+/// also be visible (a many-to-one vertex type shows only its key
+/// attributes), which only the live vertex type knows.
+Result<std::vector<std::vector<ColSource>>> column_sources(
+    const std::vector<graql::GraphOutput>& outputs,
+    const LoweredQuery& lowered, const GraphView& graph) {
   const std::size_t n = lowered.networks.size();
-  for (std::size_t net = 0; net < n; ++net) {
-    for (const auto& [display, ref] : lowered.ordered_steps[net]) {
-      auto [it, inserted] = index.emplace(display, merged.size());
-      if (inserted) {
-        merged.push_back({display, std::vector<std::optional<StepRef>>(n)});
-      }
-      merged[it->second].per_network[net] = ref;
-    }
-  }
-  return merged;
-}
-
-/// Builds the output schema for table materialization, matching the
-/// analyzer's inference (both use OutputNamer and the same expansion
-/// rules).
-Result<std::vector<OutCol>> build_out_cols(const GraphQueryStmt& stmt,
-                                           const LoweredQuery& lowered,
-                                           const GraphView& graph) {
-  const std::size_t n = lowered.networks.size();
-  const auto merged = merge_steps(lowered);
-  graql::OutputNamer namer;
-  std::vector<OutCol> cols;
-
-  auto expand_step = [&](const MergedStep& step,
-                         const std::string& display) -> Status {
-    // Column set comes from the first network defining the step.
-    const Schema* schema = nullptr;
-    for (std::size_t net = 0; net < n && schema == nullptr; ++net) {
-      if (!step.per_network[net]) continue;
-      const StepRef& ref = *step.per_network[net];
-      if ((ref.is_edge && lowered.networks[net].edges[ref.index].variant) ||
-          (!ref.is_edge && lowered.networks[net].vars[ref.index].variant)) {
-        return type_error(
-            "variant '[ ]' steps cannot be selected into a table; use "
-            "'into subgraph'");
-      }
-      schema = step_schema(lowered.networks[net], graph, ref);
-    }
-    if (schema == nullptr) return Status::ok();  // attribute-less edge
-    for (ColumnIndex c = 0; c < schema->num_columns(); ++c) {
-      OutCol col;
-      col.name = namer.assign(display + "_" + schema->column(c).name, "");
-      col.type = schema->column(c).type;
-      col.per_network.resize(n);
-      for (std::size_t net = 0; net < n; ++net) {
-        if (!step.per_network[net]) continue;
-        const StepRef& ref = *step.per_network[net];
-        const Schema* s = step_schema(lowered.networks[net], graph, ref);
-        if (s == nullptr) continue;
-        auto idx = s->find(schema->column(c).name);
-        if (!idx) continue;
-        col.per_network[net] = {ref.is_edge ? ColSource::Kind::kEdge
-                                            : ColSource::Kind::kVertex,
-                                ref.index, *idx};
-      }
-      cols.push_back(std::move(col));
-    }
-    return Status::ok();
-  };
-
-  for (const auto& target : stmt.targets) {
-    if (target.star) {
-      // Fig. 13: "each row has all the attributes of all entities involved
-      // in the query path" — impossible when a step is variant, so reject
-      // (matches the static analyzer).
-      for (const auto& net : lowered.networks) {
-        for (const auto& var : net.vars) {
-          // Group endpoints (display "_g<n>") are opaque regex interiors
-          // and simply contribute no columns; explicit `[ ]` steps are an
-          // error.
-          const bool group_endpoint = var.display.rfind("_g", 0) == 0;
-          if (var.variant && !group_endpoint) {
-            return type_error(
-                "variant '[ ]' steps cannot be selected into a table; use "
-                "'into subgraph'");
-          }
-        }
-        for (const auto& con : net.edges) {
-          if (con.variant) {
-            return type_error(
-                "variant '[ ]' steps cannot be selected into a table; use "
-                "'into subgraph'");
-          }
-        }
-      }
-      for (const auto& step : merged) {
-        GEMS_RETURN_IF_ERROR(expand_step(step, step.display));
-      }
-      continue;
-    }
-    // Locate the step by qualifier in each network's registry (covers
-    // labels and the type-name aliases of labeled steps).
-    MergedStep resolved;
-    resolved.display = target.qualifier;
-    resolved.per_network.resize(n);
-    bool found = false;
+  std::vector<std::vector<ColSource>> sources(outputs.size(),
+                                              std::vector<ColSource>(n));
+  for (std::size_t c = 0; c < outputs.size(); ++c) {
+    const graql::GraphOutput& out = outputs[c];
     for (std::size_t net = 0; net < n; ++net) {
-      auto it = lowered.step_refs[net].find(target.qualifier);
-      if (it == lowered.step_refs[net].end()) continue;
-      resolved.per_network[net] = it->second;
-      found = true;
-    }
-    if (!found) {
-      return not_found("select target '" + target.qualifier +
-                       "' does not name a step of this query");
-    }
-    const MergedStep* step = &resolved;
-    if (target.column.empty()) {
-      GEMS_RETURN_IF_ERROR(expand_step(
-          *step, target.alias.empty() ? target.qualifier : target.alias));
-      continue;
-    }
-    OutCol col;
-    col.per_network.resize(n);
-    bool typed = false;
-    for (std::size_t net = 0; net < n; ++net) {
-      if (!step->per_network[net]) continue;
-      const StepRef& ref = *step->per_network[net];
-      const Schema* s = step_schema(lowered.networks[net], graph, ref);
-      if (s == nullptr) {
-        return type_error("step '" + target.qualifier +
-                          "' has no attributes");
-      }
-      auto idx = s->find(target.column);
-      if (!idx) {
-        return not_found("step '" + target.qualifier +
-                         "' has no attribute '" + target.column + "'");
-      }
-      // For vertex steps, enforce many-to-one visibility.
-      if (!ref.is_edge) {
+      if (!out.attribute[net]) continue;
+      const StepRef& ref = lowered.step_refs[net].at(out.step[net]);
+      if (!ref.is_edge && !out.target->column.empty()) {
         const VertexVar& var = lowered.networks[net].vars[ref.index];
-        const VertexType& vt = graph.vertex_type(var.types.front());
-        GEMS_RETURN_IF_ERROR(vt.resolve_attribute(target.column).status());
+        GEMS_RETURN_IF_ERROR(graph.vertex_type(var.types.front())
+                                 .resolve_attribute(out.target->column)
+                                 .status());
       }
-      if (!typed) {
-        col.type = s->column(*idx).type;
-        typed = true;
-      }
-      col.per_network[net] = {ref.is_edge ? ColSource::Kind::kEdge
-                                          : ColSource::Kind::kVertex,
-                              ref.index, *idx};
+      sources[c][net] = {ref.is_edge ? ColSource::Kind::kEdge
+                                     : ColSource::Kind::kVertex,
+                         ref.index, *out.attribute[net]};
     }
-    GEMS_CHECK(typed);
-    col.name = namer.assign(
-        target.alias.empty() ? target.column : target.alias,
-        target.qualifier);
-    cols.push_back(std::move(col));
   }
-  return cols;
+  return sources;
 }
 
 /// Steps contributing elements to a subgraph result.
@@ -244,7 +91,7 @@ Result<SubgraphSelection> resolve_subgraph_targets(
     const GraphQueryStmt& stmt, const LoweredQuery& lowered,
     std::size_t net_index) {
   SubgraphSelection sel;
-  const auto& refs = lowered.step_refs[net_index];
+  const graql::StepNames names(stmt.or_groups[net_index]);
   for (const auto& target : stmt.targets) {
     if (target.star) {
       sel.star = true;
@@ -263,12 +110,13 @@ Result<SubgraphSelection> resolve_subgraph_targets(
           "attribute selections ('" + target.qualifier + "." +
           target.column + "') require 'into table'");
     }
-    auto it = refs.find(target.qualifier);
-    if (it == refs.end()) continue;  // step lives in another or-branch
-    if (it->second.is_edge) {
-      sel.edge_cons.push_back(it->second.index);
+    auto it = names.steps.find(target.qualifier);
+    if (it == names.steps.end()) continue;  // in another or-branch
+    const StepRef& ref = lowered.step_refs[net_index].at(it->second.ast);
+    if (ref.is_edge) {
+      sel.edge_cons.push_back(ref.index);
     } else {
-      sel.vertex_vars.push_back(it->second.index);
+      sel.vertex_vars.push_back(ref.index);
     }
   }
   return sel;
@@ -354,8 +202,22 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
                                const std::vector<NetworkPlan>& plans,
                                bool* truncated) {
   const GraphView& graph = ctx.graph;
-  GEMS_ASSIGN_OR_RETURN(std::vector<OutCol> cols,
-                        build_out_cols(stmt, lowered, graph));
+  auto attrs_of = [&graph](bool is_edge,
+                           const std::string& type) -> const Schema* {
+    if (!is_edge) {
+      auto id = graph.find_vertex_type(type);
+      return id.is_ok() ? &graph.vertex_type(*id).source().schema() : nullptr;
+    }
+    auto id = graph.find_edge_type(type);
+    const Table* attrs =
+        id.is_ok() ? graph.edge_type(*id).attr_table() : nullptr;
+    return attrs == nullptr ? nullptr : &attrs->schema();
+  };
+  graql::GraphOutputs outputs = graql::graph_query_outputs(stmt, attrs_of);
+  if (!outputs.errors.empty()) return outputs.errors.front().status;
+  const std::vector<graql::GraphOutput>& cols = outputs.columns;
+  GEMS_ASSIGN_OR_RETURN(std::vector<std::vector<ColSource>> sources,
+                        column_sources(cols, lowered, graph));
   std::vector<ColumnDef> defs;
   defs.reserve(cols.size());
   for (const auto& c : cols) defs.push_back({c.name, c.type});
@@ -392,7 +254,7 @@ Result<TablePtr> collect_table(const GraphQueryStmt& stmt,
     auto emit = [&](std::span<const VertexRef> vertices,
                     std::span<const EdgeRef> edges) {
       for (std::size_t c = 0; c < cols.size(); ++c) {
-        const ColSource& src = cols[c].per_network[n];
+        const ColSource& src = sources[c][n];
         Column& dst = *out_cols[c];
         switch (src.kind) {
           case ColSource::Kind::kNone:

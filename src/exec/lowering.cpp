@@ -40,8 +40,13 @@ std::vector<VertexTypeId> all_vertex_types(const GraphView& graph) {
 class NetworkBuilder {
  public:
   NetworkBuilder(const GraphView& graph, const SubgraphResolver& subgraphs,
-                 const ParamMap& params, StringPool& pool)
-      : graph_(graph), subgraphs_(subgraphs), params_(params), pool_(pool) {}
+                 const ParamMap& params, StringPool& pool,
+                 const graql::StepNames& names)
+      : graph_(graph),
+        subgraphs_(subgraphs),
+        params_(params),
+        pool_(pool),
+        names_(names) {}
 
   Status add_path(const PathPattern& path) {
     if (path.elements.empty() ||
@@ -55,6 +60,7 @@ class NetworkBuilder {
     for (const PathElement& el : path.elements) {
       if (const auto* v = std::get_if<VertexStep>(&el)) {
         GEMS_ASSIGN_OR_RETURN(int var, add_vertex_step(*v));
+        lowered_.emplace(v, StepRef{false, var});
         if (pending_edge != nullptr) {
           GEMS_RETURN_IF_ERROR(add_edge_constraint(*pending_edge, prev_var,
                                                    var));
@@ -85,10 +91,7 @@ class NetworkBuilder {
     finalize_exactness();
     return std::move(net_);
   }
-  std::map<std::string, StepRef> take_refs() { return std::move(refs_); }
-  std::vector<std::pair<std::string, StepRef>> take_ordered() {
-    return std::move(ordered_);
-  }
+  std::map<const void*, StepRef> take_refs() { return std::move(lowered_); }
 
  private:
   // ---- Steps ----------------------------------------------------------
@@ -106,7 +109,6 @@ class NetworkBuilder {
       int var;
       if (binding.element_wise) {
         var = binding.var;  // alias: the very same variable (Eq. 8)
-        var_use_count_[var] += 1;
       } else {
         // Set label: fresh variable of the same types, tied by set
         // equality (Eq. 6/7).
@@ -137,23 +139,18 @@ class NetworkBuilder {
       GEMS_ASSIGN_OR_RETURN(VertexTypeId type,
                             graph_.find_vertex_type(step.type_name));
       var.types = {type};
-      var.type_name = step.type_name;
       var.display = step.label.empty() ? step.type_name : step.label;
       if (!step.seed_result.empty()) {
         GEMS_ASSIGN_OR_RETURN(var.seed, subgraphs_(step.seed_result));
       }
     }
-    var.label = step.label;
     const int index = static_cast<int>(net_.vars.size());
     net_.vars.push_back(std::move(var));
-    var_use_count_[index] = 1;
 
     if (step.condition) {
       GEMS_RETURN_IF_ERROR(attach_vertex_condition(index, step));
     }
     GEMS_RETURN_IF_ERROR(register_label(step, index, /*is_edge=*/false));
-    record_step(net_.vars[index].display, StepRef{false, index},
-                net_.vars[index].type_name);
     return index;
   }
 
@@ -161,11 +158,9 @@ class NetworkBuilder {
     VertexVar var;
     var.types = net_.vars[src].types;
     var.variant = net_.vars[src].variant;
-    var.type_name = net_.vars[src].type_name;
     var.display = "_ref" + std::to_string(net_.vars.size());
     const int index = static_cast<int>(net_.vars.size());
     net_.vars.push_back(std::move(var));
-    var_use_count_[index] = 1;
     return index;
   }
 
@@ -173,15 +168,7 @@ class NetworkBuilder {
     EdgeConstraint con;
     con.left_var = left;
     con.right_var = right;
-    con.reversed = step.reversed;
     con.variant = step.variant;
-    con.type_name = step.variant ? "" : step.type_name;
-    con.label = step.label;
-    con.display = !step.label.empty()
-                      ? step.label
-                      : (step.variant ? "_e" + std::to_string(net_.edges.size())
-                                      : step.type_name);
-    con.output_index = static_cast<int>(net_.edges.size());
 
     GEMS_ASSIGN_OR_RETURN(
         con.moves, resolve_moves(step, net_.vars[left], net_.vars[right]));
@@ -202,8 +189,7 @@ class NetworkBuilder {
                       LabelBinding{true, edge_index,
                                    step.label_kind == LabelKind::kForeach});
     }
-    record_step(net_.edges[edge_index].display, StepRef{true, edge_index},
-                net_.edges[edge_index].type_name);
+    lowered_.emplace(&step, StepRef{true, edge_index});
     return Status::ok();
   }
 
@@ -334,22 +320,20 @@ class NetworkBuilder {
     VertexVar var;
     var.variant = last_vertex->variant;
     var.types = con.hops.back().vertex_types;
-    var.type_name = last_vertex->variant ? "" : last_vertex->type_name;
     var.display = "_g" + std::to_string(net_.groups.size());
     const int index = static_cast<int>(net_.vars.size());
     net_.vars.push_back(std::move(var));
-    var_use_count_[index] = 1;
     con.right_var = index;
     net_.groups.push_back(std::move(con));
-    // Groups are opaque: no step registration, no labels inside.
+    // Groups are opaque: no step names, no labels inside.
     return index;
   }
 
   // ---- Conditions -------------------------------------------------------
 
   /// Scope for a step condition: bare columns and the step's own names
-  /// resolve to `self`; labels and earlier step type names resolve to
-  /// their variables/edges.
+  /// resolve to `self`; any other name of `names_` resolves to its step
+  /// once that step is lowered.
   class StepScope final : public relational::Scope {
    public:
     StepScope(NetworkBuilder& b, StepRef self, std::string self_name,
@@ -364,8 +348,11 @@ class NetworkBuilder {
       StepRef target = self_;
       if (!(qual.empty() || qual == self_name_ ||
             (!self_label_.empty() && qual == self_label_))) {
-        auto it = b_.refs_.find(std::string(qual));
-        if (it == b_.refs_.end()) {
+        const auto name = b_.names_.steps.find(std::string(qual));
+        const auto it = name == b_.names_.steps.end()
+                            ? b_.lowered_.end()
+                            : b_.lowered_.find(name->second.ast);
+        if (it == b_.lowered_.end()) {
           return not_found("unknown qualifier '" + std::string(qual) +
                            "' in step condition");
         }
@@ -509,21 +496,7 @@ class NetworkBuilder {
     labels_.emplace(step.label,
                     LabelBinding{is_edge, var,
                                  step.label_kind == LabelKind::kForeach});
-    record_step(step.label, StepRef{is_edge, var});
     return Status::ok();
-  }
-
-  /// Registers a step in the target registry under its display name (and
-  /// optionally an alias — labeled steps stay addressable by their type
-  /// name too, matching the analyzer). Only the display name enters the
-  /// `select *` ordering.
-  void record_step(const std::string& display, StepRef ref,
-                   const std::string& alias = "") {
-    if (display.empty() || display[0] == '_') return;  // internal names
-    if (refs_.emplace(display, ref).second) {
-      ordered_.emplace_back(display, ref);
-    }
-    if (!alias.empty() && alias[0] != '_') refs_.emplace(alias, ref);
   }
 
   // ---- Exactness ---------------------------------------------------------
@@ -562,11 +535,12 @@ class NetworkBuilder {
   const ParamMap& params_;
   StringPool& pool_;
 
+  const graql::StepNames& names_;
+
   ConstraintNetwork net_;
   std::map<std::string, LabelBinding> labels_;
-  std::map<std::string, StepRef> refs_;
-  std::vector<std::pair<std::string, StepRef>> ordered_;
-  std::map<int, int> var_use_count_;
+  // Each lowered VertexStep or EdgeStep -> its variable or constraint.
+  std::map<const void*, StepRef> lowered_;
 };
 
 }  // namespace
@@ -578,13 +552,13 @@ Result<LoweredQuery> lower_graph_query(const GraphQueryStmt& stmt,
                                        StringPool& pool) {
   LoweredQuery out;
   for (const auto& and_group : stmt.or_groups) {
-    NetworkBuilder builder(graph, subgraphs, params, pool);
+    const graql::StepNames names(and_group);
+    NetworkBuilder builder(graph, subgraphs, params, pool, names);
     for (const PathPattern& path : and_group) {
       GEMS_RETURN_IF_ERROR(builder.add_path(path));
     }
     out.networks.push_back(builder.take_network());
     out.step_refs.push_back(builder.take_refs());
-    out.ordered_steps.push_back(builder.take_ordered());
   }
   return out;
 }

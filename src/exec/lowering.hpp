@@ -23,11 +23,10 @@ struct StepRef {
 struct LoweredQuery {
   // One network per or-group (Eq. 9: results are unioned).
   std::vector<ConstraintNetwork> networks;
-  // display name -> (network, ref); targets resolve against this. A name
-  // maps to the step in the network where it (first) appears.
-  std::vector<std::map<std::string, StepRef>> step_refs;
-  // Steps in first-mention order per network (for `select *`).
-  std::vector<std::vector<std::pair<std::string, StepRef>>> ordered_steps;
+  // Per network: each VertexStep and EdgeStep of its and-group outside
+  // regex groups -> its variable or constraint. A select target finds its
+  // step through graql::StepNames (graql::graph_query_outputs for tables).
+  std::vector<std::map<const void*, StepRef>> step_refs;
 };
 
 /// Resolver for Fig. 12 result seeding (`resQ1.Vn`).

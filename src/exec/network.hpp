@@ -63,9 +63,7 @@ struct VertexVar {
   // evaluates these over batches of representative rows.
   std::vector<relational::VectorExprPtr> self_cond_kernels;
   SubgraphPtr seed;        // Fig. 12: restrict to a previous result
-  std::string display;     // label if labelled, else type name (for output)
-  std::string type_name;   // original step type name ("" for variant)
-  std::string label;       // label defined here ("" if none)
+  std::string display;     // label, else type name, else internal (explain)
 };
 
 /// One admissible edge type for a constraint, with direction resolved:
@@ -79,15 +77,10 @@ struct EdgeConstraint {
   int left_var = -1;
   int right_var = -1;
   bool variant = false;
-  bool reversed = false;  // lexical `<--` (kept for display)
   std::vector<EdgeMove> moves;
   // Self-only predicates over the edge's attribute table; Slot::source is
   // the edge constraint's own cursor (see enumerate.cpp).
   std::vector<relational::BoundExprPtr> self_conds;
-  std::string display;    // label or type name
-  std::string type_name;  // "" for variant
-  std::string label;
-  int output_index = -1;  // position among edge steps, for edge outputs
 };
 
 /// One hop of a regex group body: traverse an edge, land on a vertex.

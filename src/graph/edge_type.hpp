@@ -343,10 +343,6 @@ class EdgeType {
     return e;
   }
   VertexIndex target_vertex(EdgeIndex e) const { return dst_.at(e); }
-  /// The target endpoint array, indexed by edge.
-  const ChunkedArray<VertexIndex>& target_vertices() const noexcept {
-    return dst_;
-  }
   /// True when the source side is the identity and not stored.
   bool source_is_identity() const noexcept { return src_identity_; }
 

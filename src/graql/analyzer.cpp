@@ -284,6 +284,7 @@ class GraphQueryAnalyzer {
 
   void analyze(const GraphQueryStmt& stmt) {
     stmt_span_ = stmt.span;
+    const std::size_t errs_before = diags_.error_count();
     if (stmt.or_groups.empty() || stmt.or_groups[0].empty()) {
       diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
                    stmt.span, "graph query has no path pattern");
@@ -294,7 +295,7 @@ class GraphQueryAnalyzer {
         analyze_path(path);
       }
     }
-    check_targets(stmt);
+    check_targets(stmt, errs_before);
     warn_unused_labels();  // pass 3
   }
 
@@ -317,47 +318,9 @@ class GraphQueryAnalyzer {
     return meta;
   }
 
-  /// Inferred schema of an `into table` result (paper Fig. 13: "each row
-  /// has all the attributes of all entities involved in the query path").
-  /// Must agree with the executor's materialization — both use OutputNamer.
-  Result<Schema> output_schema(const GraphQueryStmt& stmt) const {
-    OutputNamer namer;
-    std::vector<storage::ColumnDef> cols;
-    auto add_step_columns = [&](const std::string& display,
-                                const StepInfo& info) -> Status {
-      if (info.variant) {
-        return type_error(
-            "variant '[ ]' steps cannot be selected into a table "
-            "(attributes are not common across types); use 'into "
-            "subgraph'");
-      }
-      if (info.attr_schema == nullptr) return Status::ok();
-      for (const auto& c : info.attr_schema->columns()) {
-        cols.push_back({namer.assign(display + "_" + c.name, ""), c.type});
-      }
-      return Status::ok();
-    };
-    for (const auto& t : stmt.targets) {
-      if (t.star) {
-        for (const auto& [display, info] : ordered_steps_) {
-          GEMS_RETURN_IF_ERROR(add_step_columns(display, info));
-        }
-        continue;
-      }
-      const StepInfo& info = steps_.at(t.qualifier);
-      if (t.column.empty()) {
-        GEMS_RETURN_IF_ERROR(add_step_columns(
-            t.alias.empty() ? t.qualifier : t.alias, info));
-        continue;
-      }
-      const auto idx = info.attr_schema->find(t.column);
-      GEMS_CHECK(idx.has_value());  // verified by check_targets
-      cols.push_back(
-          {namer.assign(t.alias.empty() ? t.column : t.alias, t.qualifier),
-           info.attr_schema->column(*idx).type});
-    }
-    return Schema::create(std::move(cols));
-  }
+  /// The output columns of a table result; set when the statement has no
+  /// error.
+  const std::vector<GraphOutput>& outputs() const { return outputs_; }
 
  private:
   void analyze_path(const PathPattern& path) {
@@ -523,15 +486,6 @@ class GraphQueryAnalyzer {
       steps_.emplace(info.type_name, info);
     }
     if (!v.label.empty()) steps_[v.label] = info;
-    // Record first-mention order for `select *` (skip bare label refs —
-    // they re-visit an already recorded step).
-    const bool is_label_ref =
-        !v.variant && find_label(v.type_name) != nullptr &&
-        v.seed_result.empty() && v.label.empty();
-    if (!is_label_ref) {
-      ordered_steps_.emplace_back(
-          !v.label.empty() ? v.label : v.type_name, info);
-    }
     return info;
   }
 
@@ -580,8 +534,6 @@ class GraphQueryAnalyzer {
     if (!info.variant && !info.type_name.empty()) {
       steps_.emplace(info.type_name, info);
     }
-    ordered_steps_.emplace_back(!e.label.empty() ? e.label : e.type_name,
-                                info);
   }
 
   StepInfo analyze_group(const PathGroup& group, const StepInfo& entry) {
@@ -802,38 +754,49 @@ class GraphQueryAnalyzer {
     used_labels_.insert(std::string(name));
   }
 
-  void check_targets(const GraphQueryStmt& stmt) {
+  void check_targets(const GraphQueryStmt& stmt, std::size_t errs_before) {
     if (stmt.targets.empty()) {
       diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
                    stmt.span, "graph query selects nothing");
       return;
     }
     for (const auto& t : stmt.targets) {
-      if (t.star) continue;
-      auto it = steps_.find(t.qualifier);
-      if (it == steps_.end()) {
-        diags_.error(DiagCode::kUnknownName, StatusCode::kNotFound,
-                     span_or(t.span, stmt.span),
-                     "select target '" + t.qualifier +
-                         "' does not name a step or label of this query");
-        continue;
-      }
       if (labels_.contains(t.qualifier)) note_label_use(t.qualifier);
-      if (!t.column.empty()) {
-        if (it->second.attr_schema == nullptr) {
-          diags_.error(DiagCode::kTypeMismatch, StatusCode::kTypeError,
-                       span_or(t.span, stmt.span),
-                       "step '" + t.qualifier + "' has no attributes");
-          continue;
-        }
-        if (!it->second.attr_schema->find(t.column)) {
-          diags_.error(DiagCode::kUnknownAttribute, StatusCode::kNotFound,
-                       span_or(t.span, stmt.span),
-                       "step '" + t.qualifier + "' has no attribute '" +
-                           t.column + "'");
+    }
+    // A step whose type is unknown (already reported) reads as a step
+    // without attributes; do not report it twice.
+    if (diags_.error_count() != errs_before) return;
+    if (stmt.into == IntoKind::kSubgraph) {
+      for (const auto& t : stmt.targets) {
+        const SourceSpan span = span_or(t.span, stmt.span);
+        if (!t.star && !steps_.contains(t.qualifier)) {
+          diags_.error(DiagCode::kUnknownName, StatusCode::kNotFound, span,
+                       "select target '" + t.qualifier +
+                           "' does not name a step or label of this query");
+        } else if (!t.column.empty()) {
+          diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
+                       span,
+                       "attribute selections ('" + t.qualifier + "." +
+                           t.column + "') require 'into table'");
         }
       }
+      return;
     }
+    GraphOutputs outputs = graph_query_outputs(
+        stmt, [this](bool is_edge, const std::string& type) -> const Schema* {
+          if (!is_edge) {
+            const VertexMeta* meta = catalog_.find_vertex(type);
+            return meta == nullptr ? nullptr : &meta->attr_schema;
+          }
+          const EdgeMeta* meta = catalog_.find_edge(type);
+          return meta == nullptr || !meta->attr_schema ? nullptr
+                                                       : &*meta->attr_schema;
+        });
+    for (const GraphTargetError& e : outputs.errors) {
+      diags_.error(e.code, e.status.code(), span_or(e.target->span, stmt.span),
+                   std::string(e.status.message()));
+    }
+    if (outputs.errors.empty()) outputs_ = std::move(outputs.columns);
   }
 
   /// Pass 3: a `def`/`foreach` label nothing ever references is either
@@ -866,8 +829,7 @@ class GraphQueryAnalyzer {
   // All addressable steps of this statement: type names and labels.
   std::unordered_map<std::string, StepInfo> steps_;
   std::unordered_map<std::string, StepInfo> labels_;
-  // Steps in first-mention order, for `select *` output schemas.
-  std::vector<std::pair<std::string, StepInfo>> ordered_steps_;
+  std::vector<GraphOutput> outputs_;
   // Pass 3 bookkeeping.
   std::vector<LabelSite> label_sites_;
   std::set<std::string, std::less<>> used_labels_;
@@ -1293,7 +1255,11 @@ class ScriptAnalyzer {
           note_result_write(s->into_name, index, sspan);
         }
         if (s->into == IntoKind::kTable) {
-          auto schema = analyzer.output_schema(*s);
+          std::vector<storage::ColumnDef> cols;
+          for (const GraphOutput& col : analyzer.outputs()) {
+            cols.push_back({col.name, col.type});
+          }
+          auto schema = Schema::create(std::move(cols));
           if (!schema.is_ok()) {
             diags_.error(DiagCode::kBadStructure, schema.status().code(),
                          sspan, std::string(schema.status().message()));

@@ -223,6 +223,28 @@ struct Printer {
   }
 };
 
+/// Deterministic output-column naming. Preference order: `preferred`,
+/// then `<prefix>_<preferred>`, then numbered suffixes.
+class OutputNamer {
+ public:
+  std::string assign(const std::string& preferred,
+                     const std::string& prefix) {
+    auto taken = [this](const std::string& name) {
+      return std::find(used_.begin(), used_.end(), name) != used_.end();
+    };
+    std::string name = preferred;
+    if (taken(name) && !prefix.empty()) name = prefix + "_" + preferred;
+    int suffix = 1;
+    const std::string base = name;
+    while (taken(name)) name = base + "_" + std::to_string(++suffix);
+    used_.push_back(name);
+    return name;
+  }
+
+ private:
+  std::vector<std::string> used_;
+};
+
 }  // namespace
 
 std::string to_string(const PathPattern& path) {
@@ -238,20 +260,6 @@ std::string to_string(const Statement& stmt) {
   Printer p;
   std::visit(p, stmt);
   return p.out.str();
-}
-
-std::string OutputNamer::assign(const std::string& preferred,
-                                const std::string& prefix) {
-  auto taken = [this](const std::string& name) {
-    return std::find(used_.begin(), used_.end(), name) != used_.end();
-  };
-  std::string name = preferred;
-  if (taken(name) && !prefix.empty()) name = prefix + "_" + preferred;
-  int suffix = 1;
-  const std::string base = name;
-  while (taken(name)) name = base + "_" + std::to_string(++suffix);
-  used_.push_back(name);
-  return name;
 }
 
 relational::AggKind agg_kind(AggFunc f) {
@@ -296,6 +304,162 @@ Result<std::vector<TableOutput>> table_query_outputs(
     }
     col.name = namer.assign(name, "");
     out.push_back(std::move(col));
+  }
+  return out;
+}
+
+StepNames::StepNames(const std::vector<PathPattern>& and_group) {
+  std::map<std::string, NamedStep> labels;
+  auto add = [&](const std::string& display, const NamedStep& step,
+                 const std::string& alias) {
+    if (display.empty() || display[0] == '_') return;  // internal names
+    if (steps.emplace(display, step).second) shown.push_back(display);
+    if (!alias.empty() && alias[0] != '_') steps.emplace(alias, step);
+  };
+  auto add_step = [&](const auto& el, bool is_edge) {
+    const NamedStep step{&el, is_edge, el.variant ? "" : el.type_name};
+    variant |= el.variant;
+    if (el.label_kind != LabelKind::kNone) labels.emplace(el.label, step);
+    add(el.label.empty() ? step.type : el.label, step, step.type);
+  };
+  for (const PathPattern& path : and_group) {
+    const EdgeStep* edge = nullptr;
+    for (const PathElement& el : path.elements) {
+      if (const auto* e = std::get_if<EdgeStep>(&el)) edge = e;
+      const auto* v = std::get_if<VertexStep>(&el);
+      if (v == nullptr) continue;  // a regex group's interior: no names
+      auto ref = labels.find(v->type_name);
+      if (v->variant || !v->seed_result.empty() || ref == labels.end()) {
+        add_step(*v, false);
+      } else if (v->label_kind != LabelKind::kNone) {
+        // A label reference revisits its step; only its own label is new.
+        const NamedStep step{v, ref->second.is_edge, ref->second.type};
+        labels.emplace(v->label, step);
+        add(v->label, step, "");
+      }
+      if (edge != nullptr) add_step(*edge, true);
+      edge = nullptr;
+    }
+  }
+}
+
+GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
+                                 const StepAttrs& attrs_of) {
+  const std::vector<StepNames> groups(stmt.or_groups.begin(),
+                                      stmt.or_groups.end());
+  const std::size_t n = groups.size();
+  // Per group, the step `name` addresses (among the shown names only, or
+  // among all), or null.
+  auto steps_named = [&](const std::string& name, bool shown) {
+    std::vector<const NamedStep*> steps(n);
+    for (std::size_t g = 0; g < n; ++g) {
+      const auto it = groups[g].steps.find(name);
+      if (it != groups[g].steps.end() &&
+          (!shown || std::count(groups[g].shown.begin(),
+                                groups[g].shown.end(), name) > 0)) {
+        steps[g] = &it->second;
+      }
+    }
+    return steps;
+  };
+  auto attrs = [&](const NamedStep* step) -> const storage::Schema* {
+    return step == nullptr || step->type.empty()
+               ? nullptr
+               : attrs_of(step->is_edge, step->type);
+  };
+  OutputNamer namer;
+  GraphOutputs out;
+  const GraphTargetError variant{
+      nullptr, DiagCode::kBadStructure,
+      type_error("variant '[ ]' steps cannot be selected into a table; use "
+                 "'into subgraph'")};
+  // Every attribute of the step, as the first group with attributes has
+  // them; false for a variant step.
+  auto expand = [&](const SelectTarget& target, const std::string& step,
+                    const std::string& display, bool shown) {
+    const std::vector<const NamedStep*> steps = steps_named(step, shown);
+    const storage::Schema* schema = nullptr;
+    for (std::size_t g = 0; g < n && schema == nullptr; ++g) {
+      if (steps[g] != nullptr && steps[g]->type.empty()) return false;
+      schema = attrs(steps[g]);
+    }
+    if (schema == nullptr) return true;
+    for (const storage::ColumnDef& def : schema->columns()) {
+      GraphOutput& col = out.columns.emplace_back(GraphOutput{
+          namer.assign(display + "_" + def.name, ""), def.type, &target});
+      for (const NamedStep* s : steps) {
+        const storage::Schema* a = attrs(s);
+        col.step.push_back(s == nullptr ? nullptr : s->ast);
+        col.attribute.push_back(a == nullptr ? std::nullopt
+                                             : a->find(def.name));
+      }
+    }
+    return true;
+  };
+  // The target's columns, or its error.
+  auto add = [&](const SelectTarget& target) -> GraphTargetError {
+    if (target.star) {
+      // Fig. 13: "each row has all the attributes of all entities involved
+      // in the query path", which variant steps do not have in common.
+      std::vector<std::string> order;
+      for (const StepNames& group : groups) {
+        if (group.variant) return variant;
+        for (const std::string& name : group.shown) {
+          if (std::count(order.begin(), order.end(), name) == 0) {
+            order.push_back(name);
+          }
+        }
+      }
+      for (const std::string& name : order) expand(target, name, name, true);
+      return {};
+    }
+    const std::vector<const NamedStep*> steps =
+        steps_named(target.qualifier, false);
+    if (std::count(steps.begin(), steps.end(), nullptr) ==
+        static_cast<std::ptrdiff_t>(n)) {
+      return {nullptr, DiagCode::kUnknownName,
+              not_found("select target '" + target.qualifier +
+                        "' does not name a step of this query")};
+    }
+    if (target.column.empty()) {
+      const bool ok = expand(
+          target, target.qualifier,
+          target.alias.empty() ? target.qualifier : target.alias, false);
+      return ok ? GraphTargetError{} : variant;
+    }
+    GraphOutput col{
+        namer.assign(target.alias.empty() ? target.column : target.alias,
+                     target.qualifier),
+        {}, &target, std::vector<const void*>(n),
+        std::vector<std::optional<storage::ColumnIndex>>(n)};
+    bool typed = false;
+    for (std::size_t g = 0; g < n; ++g) {
+      if (steps[g] == nullptr) continue;
+      const storage::Schema* s = attrs(steps[g]);
+      if (s == nullptr) {
+        return {nullptr, DiagCode::kTypeMismatch,
+                type_error("step '" + target.qualifier +
+                           "' has no attributes")};
+      }
+      col.step[g] = steps[g]->ast;
+      col.attribute[g] = s->find(target.column);
+      if (!col.attribute[g]) {
+        return {nullptr, DiagCode::kUnknownAttribute,
+                not_found("step '" + target.qualifier +
+                          "' has no attribute '" + target.column + "'")};
+      }
+      if (!typed) col.type = s->column(*col.attribute[g]).type;
+      typed = true;
+    }
+    out.columns.push_back(std::move(col));
+    return {};
+  };
+
+  for (const SelectTarget& target : stmt.targets) {
+    GraphTargetError error = add(target);
+    if (error.status.is_ok()) continue;
+    error.target = &target;
+    out.errors.push_back(std::move(error));
   }
   return out;
 }

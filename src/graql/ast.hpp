@@ -15,13 +15,17 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <map>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <variant>
 #include <vector>
 
 #include "graph/builder.hpp"
+#include "graql/diag.hpp"
 #include "graql/token.hpp"
 #include "relational/expr.hpp"
 #include "relational/expr_rules.hpp"
@@ -195,17 +199,6 @@ std::string to_string(const Statement& stmt);
 std::string to_string(const Script& script);
 std::string to_string(const PathPattern& path);
 
-/// Deterministic output-column naming shared by the static analyzer and
-/// the executor, so inferred and materialized schemas agree. Preference
-/// order: `preferred`, then `<prefix>_<preferred>`, then numbered suffixes.
-class OutputNamer {
- public:
-  std::string assign(const std::string& preferred, const std::string& prefix);
-
- private:
-  std::vector<std::string> used_;
-};
-
 /// The relational aggregate `f` names; `f` must not be kNone. AggFunc
 /// lists the aggregates in relational::AggKind's order after kNone.
 relational::AggKind agg_kind(AggFunc f);
@@ -224,10 +217,70 @@ struct TableOutput {
 /// types, used by the analyzer and the executor. `item_types[i]` is the
 /// type of item i's expression (an aggregate's input), or unknown; it is
 /// ignored for `*` and count(*). A name is the alias, else the column, the
-/// aggregate or `exprN`, made unique by OutputNamer. An aggregate's type is
-/// relational::agg_output_type's, whose errors are returned.
+/// aggregate or `exprN`, made unique by a numbered suffix. An aggregate's
+/// type is relational::agg_output_type's, whose errors are returned.
 Result<std::vector<TableOutput>> table_query_outputs(
     const TableQueryStmt& stmt, const storage::Schema& source,
     std::span<const relational::MaybeType> item_types);
+
+/// A named step: the VertexStep or EdgeStep (by identity) and its type
+/// name, "" for a variant step (a label reference: the referred step's).
+struct NamedStep {
+  const void* ast = nullptr;
+  bool is_edge = false;
+  std::string type;
+};
+
+/// The names one and-group's steps register, path by path, a vertex step
+/// before the edge step that reaches it: its display name (its label,
+/// else its type name), then a labeled step's type name; a label
+/// reference only a label of its own. The first registration wins;
+/// regex-group interiors and `_` names register none.
+struct StepNames {
+  explicit StepNames(const std::vector<PathPattern>& and_group);
+
+  std::map<std::string, NamedStep> steps;
+  std::vector<std::string> shown;  // display names that won, in order
+  bool variant = false;            // a variant step outside regex groups
+};
+
+/// A vertex type's source-table schema or an edge type's attribute-table
+/// schema; null when the edge type has none or the type is unknown.
+using StepAttrs = std::function<const storage::Schema*(
+    bool is_edge, const std::string& type_name)>;
+
+/// One output column of a graph query. Per or-group g, `step[g]` is its
+/// step's NamedStep::ast and `attribute[g]` the step's column, or none
+/// where group g leaves the cell NULL.
+struct GraphOutput {
+  std::string name;
+  storage::DataType type;
+  const SelectTarget* target = nullptr;
+  std::vector<const void*> step;
+  std::vector<std::optional<storage::ColumnIndex>> attribute;
+};
+
+/// A select target that yields no table columns: the run's Status and
+/// the code the analyzer reports it under.
+struct GraphTargetError {
+  const SelectTarget* target = nullptr;
+  DiagCode code = DiagCode::kUnknownName;
+  Status status;
+};
+
+/// A graph query's table columns, or one error per bad target.
+struct GraphOutputs {
+  std::vector<GraphOutput> columns;
+  std::vector<GraphTargetError> errors;
+};
+
+/// A graph query's table columns from the AST and `attrs_of`, for the
+/// analyzer and the executor alike. A target names a step by a StepNames
+/// name; `*` expands each display name once, at its first mention over
+/// the or-groups. Columns are named `<step>_<attribute>` for a whole
+/// step, else the alias or the attribute (qualified on a collision), made
+/// unique by a numbered suffix.
+GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
+                                 const StepAttrs& attrs_of);
 
 }  // namespace gems::graql

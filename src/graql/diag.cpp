@@ -56,7 +56,6 @@ Diagnostic& DiagnosticEngine::report(Severity severity, DiagCode code,
   d.span = span;
   d.message = std::move(message);
   if (severity == Severity::kError) ++error_count_;
-  if (severity == Severity::kWarning) ++warning_count_;
   diagnostics_.push_back(std::move(d));
   return diagnostics_.back();
 }

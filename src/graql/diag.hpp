@@ -128,7 +128,6 @@ class DiagnosticEngine {
 
   bool has_errors() const { return error_count_ > 0; }
   std::size_t error_count() const { return error_count_; }
-  std::size_t warning_count() const { return warning_count_; }
   bool empty() const { return diagnostics_.empty(); }
   std::size_t size() const { return diagnostics_.size(); }
 
@@ -143,7 +142,6 @@ class DiagnosticEngine {
  private:
   std::vector<Diagnostic> diagnostics_;
   std::size_t error_count_ = 0;
-  std::size_t warning_count_ = 0;
 };
 
 /// First error in `diagnostics` as a Status (OK when none).

@@ -52,7 +52,6 @@ class VectorExpr {
   static VectorExprPtr compile(const BoundExpr& expr, std::uint16_t source,
                                const StringPool& pool);
 
-  std::size_t num_nodes() const noexcept { return num_nodes_; }
   storage::TypeKind out_kind() const noexcept { return type_; }
 
   EvalScratch make_scratch() const { return EvalScratch{

@@ -326,7 +326,6 @@ class Session {
   void set_param(const std::string& name, storage::Value value) {
     params_[name] = std::move(value);
   }
-  void clear_params() { params_.clear(); }
 
   Result<std::vector<exec::StatementResult>> run(const std::string& text) {
     return db_.run_script(text, params_);

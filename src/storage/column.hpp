@@ -101,12 +101,6 @@ class Column {
     return string_chunks()[row];
   }
 
-  /// Numeric value with promotion; column must be numeric.
-  double numeric_at(RowIndex row) const {
-    return type_.kind == TypeKind::kDouble ? double_at(row)
-                                           : static_cast<double>(int64_at(row));
-  }
-
   /// Boxes row `row` (strings are copied out of `pool`).
   Value value_at(RowIndex row, const StringPool& pool) const;
 

@@ -333,6 +333,41 @@ TEST_F(DiagTest, CollectsEveryProblemInOneCall) {
   EXPECT_EQ(with_code(diags, DiagCode::kEndpointMismatch)[0].span.line, 6u);
 }
 
+TEST_F(DiagTest, EachBadGraphSelectTargetIsReportedAtItsSpan) {
+  // One error per bad target, at the target, with the code of its fault:
+  // an unknown attribute, an unknown step, an attribute of a step without
+  // attributes, and `*` over a variant step.
+  const auto diags = lint(
+      "select ProductVtx.nosuch,\n"
+      "       NoStep.id,\n"
+      "       producer.x\n"
+      "from graph ProductVtx() --producer--> ProducerVtx()\n"
+      "into table T1;\n"
+      "select * from graph ProductVtx() --producer--> [ ] into table T2");
+  std::vector<Diagnostic> errors;
+  for (const auto& d : diags) {
+    if (d.severity == Severity::kError) errors.push_back(d);
+  }
+  ASSERT_EQ(errors.size(), 4u) << render_diagnostics(diags, "", false);
+  const struct {
+    const char* code;
+    StatusCode status;
+    std::uint32_t line;
+    std::uint32_t column;
+  } want[] = {
+      {"GQL0103", StatusCode::kNotFound, 1, 8},
+      {"GQL0100", StatusCode::kNotFound, 2, 8},
+      {"GQL0200", StatusCode::kTypeError, 3, 8},
+      {"GQL0104", StatusCode::kTypeError, 6, 8},
+  };
+  for (std::size_t i = 0; i < errors.size(); ++i) {
+    EXPECT_EQ(diag_code_name(errors[i].code), want[i].code) << i;
+    EXPECT_EQ(errors[i].status_code, want[i].status) << i;
+    EXPECT_EQ(errors[i].span.line, want[i].line) << i;
+    EXPECT_EQ(errors[i].span.column, want[i].column) << i;
+  }
+}
+
 TEST_F(DiagTest, LegacyWrapperReturnsFirstErrorWithStatementContext) {
   DiagnosticEngine diags;
   Script script = parse_script_collect(
@@ -557,6 +592,48 @@ TEST(LintMatchesRuntime, StarAfterNamedColumnIsRenamedNotRejected) {
   ASSERT_GE(schema.num_columns(), 2u);
   EXPECT_EQ(schema.column(0).name, "id");
   EXPECT_EQ(schema.column(1).name, "id_2");
+}
+
+TEST(LintMatchesRuntime, ChainedStarResultsHaveThePredictedColumns) {
+  // A later statement reads a column the first one's `select *` does not
+  // make: a repeated step, a repeated edge and a regex group's interior
+  // each add no columns. The lint must fail where the run fails.
+  const char* scripts[] = {
+      "select * from graph ProductVtx() --producer--> ProducerVtx() "
+      "<--producer-- ProductVtx() into table ChainedT1;\n"
+      "select ProductVtx_id_2 from table ChainedT1",
+      "select * from graph def X: ProductVtx() --feature--> FeatureVtx() "
+      "<--feature-- X into table ChainedT2;\n"
+      "select feature_product_2 from table ChainedT2",
+      "select * from graph TypeVtx() ( --subclass--> TypeVtx() )+ into "
+      "table ChainedT3;\n"
+      "select TypeVtx_id_2 from table ChainedT3",
+  };
+  for (const char* script : scripts) {
+    auto diags = shared_db().check(script);
+    ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+    auto run = shared_db().run_script(script);
+    EXPECT_EQ(run.status().code(), StatusCode::kNotFound)
+        << script << "\nrun: " << run.status().to_string();
+    EXPECT_EQ(first_error_status(diags.value()).code(), run.status().code())
+        << script << "\n"
+        << render_diagnostics(diags.value(), "", false);
+  }
+}
+
+TEST(LintMatchesRuntime, AttributeSelectionIntoSubgraphIsRejected) {
+  // A subgraph holds elements, not attributes: the lint refuses an
+  // attribute target with the run's StatusCode.
+  const std::string query =
+      "select ProductVtx.id from graph ProductVtx() --producer--> "
+      "ProducerVtx() into subgraph AttrIntoSubgraph";
+  auto diags = shared_db().check(query);
+  ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+  auto run = shared_db().run_script(query);
+  EXPECT_EQ(run.status().code(), StatusCode::kInvalidArgument)
+      << run.status().to_string();
+  EXPECT_EQ(first_error_status(diags.value()).code(), run.status().code())
+      << render_diagnostics(diags.value(), "", false);
 }
 
 // ---- Generated folds --------------------------------------------------------

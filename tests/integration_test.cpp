@@ -81,9 +81,27 @@ TEST(OutputStmtTest, IrAndPrinterRoundTrip) {
 
 // ---- Analyzer <-> executor schema agreement -----------------------------------
 // The static analyzer predicts every `into table` schema without data; the
-// executor materializes the real one. They must agree exactly (both use
-// OutputNamer) — otherwise chained statements type-check against wrong
-// schemas.
+// executor materializes the real one. They must agree exactly, or chained
+// statements type-check against wrong schemas.
+
+constexpr const char* kAttributedEdge =
+    "select * from graph ProductVtx() --feature--> FeatureVtx() into table "
+    "R0";
+constexpr const char* kRepeatedVertexStep =
+    "select * from graph ProductVtx() --producer--> ProducerVtx() "
+    "<--producer-- ProductVtx() into table R1";
+constexpr const char* kRepeatedEdge =
+    "select * from graph def X: ProductVtx() --feature--> FeatureVtx() "
+    "<--feature-- X into table R2";
+constexpr const char* kRegexGroup =
+    "select * from graph TypeVtx() ( --subclass--> TypeVtx() )+ into table "
+    "R3";
+constexpr const char* kSharedOrStep =
+    "select * from graph ProductVtx() --feature--> FeatureVtx() or "
+    "ProductVtx() --type--> TypeVtx() into table R4";
+constexpr const char* kRepeatedOfferStep =
+    "select * from graph OfferVtx() --product--> ProductVtx() <--product-- "
+    "OfferVtx() into table R5";
 
 class SchemaAgreementTest : public ::testing::TestWithParam<const char*> {
  protected:
@@ -177,7 +195,93 @@ INSTANTIATE_TEST_SUITE_P(
         "into table S12",
         // Aggregate output types over int and varchar inputs.
         "select producer, sum(propertyNumeric_1) as s, min(label) as m "
-        "from table Products group by producer into table S13"));
+        "from table Products group by producer into table S13",
+        // An edge with attributes after its target vertex, a repeated
+        // vertex step, a repeated attributed edge, a regex group,
+        // or-branches sharing a step, and a repeated step around an edge.
+        kAttributedEdge, kRepeatedVertexStep, kRepeatedEdge, kRegexGroup,
+        kSharedOrStep, kRepeatedOfferStep));
+
+TEST_F(SchemaAgreementTest, StarKeepsTheMaterializedColumnNames) {
+  // The names each shape materialized before the analyzer and the
+  // executor shared one derivation: agreement must not come from a change
+  // to what the executor builds.
+  const struct {
+    const char* query;
+    std::vector<std::string> names;
+  } cases[] = {
+      {kAttributedEdge,
+       {"ProductVtx_id", "ProductVtx_type", "ProductVtx_label",
+        "ProductVtx_comment", "ProductVtx_producer",
+        "ProductVtx_propertyNumeric_1", "ProductVtx_propertyNumeric_2",
+        "ProductVtx_propertyNumeric_3", "ProductVtx_propertyNumeric_4",
+        "ProductVtx_propertyNumeric_5", "ProductVtx_propertyText_1",
+        "ProductVtx_propertyText_2", "ProductVtx_propertyText_3",
+        "ProductVtx_propertyText_4", "ProductVtx_propertyText_5",
+        "ProductVtx_publisher", "ProductVtx_date", "FeatureVtx_id",
+        "FeatureVtx_type", "FeatureVtx_label", "FeatureVtx_comment",
+        "FeatureVtx_publisher", "FeatureVtx_date", "feature_product",
+        "feature_feature"}},
+      {kRepeatedVertexStep,
+       {"ProductVtx_id", "ProductVtx_type", "ProductVtx_label",
+        "ProductVtx_comment", "ProductVtx_producer",
+        "ProductVtx_propertyNumeric_1", "ProductVtx_propertyNumeric_2",
+        "ProductVtx_propertyNumeric_3", "ProductVtx_propertyNumeric_4",
+        "ProductVtx_propertyNumeric_5", "ProductVtx_propertyText_1",
+        "ProductVtx_propertyText_2", "ProductVtx_propertyText_3",
+        "ProductVtx_propertyText_4", "ProductVtx_propertyText_5",
+        "ProductVtx_publisher", "ProductVtx_date", "ProducerVtx_id",
+        "ProducerVtx_type", "ProducerVtx_label", "ProducerVtx_comment",
+        "ProducerVtx_homepage", "ProducerVtx_country", "ProducerVtx_publisher",
+        "ProducerVtx_date"}},
+      {kRepeatedEdge,
+       {"X_id", "X_type", "X_label", "X_comment", "X_producer",
+        "X_propertyNumeric_1", "X_propertyNumeric_2", "X_propertyNumeric_3",
+        "X_propertyNumeric_4", "X_propertyNumeric_5", "X_propertyText_1",
+        "X_propertyText_2", "X_propertyText_3", "X_propertyText_4",
+        "X_propertyText_5", "X_publisher", "X_date", "FeatureVtx_id",
+        "FeatureVtx_type", "FeatureVtx_label", "FeatureVtx_comment",
+        "FeatureVtx_publisher", "FeatureVtx_date", "feature_product",
+        "feature_feature"}},
+      {kRegexGroup,
+       {"TypeVtx_id", "TypeVtx_type", "TypeVtx_comment", "TypeVtx_subclassOf",
+        "TypeVtx_publisher", "TypeVtx_date"}},
+      {kSharedOrStep,
+       {"ProductVtx_id", "ProductVtx_type", "ProductVtx_label",
+        "ProductVtx_comment", "ProductVtx_producer",
+        "ProductVtx_propertyNumeric_1", "ProductVtx_propertyNumeric_2",
+        "ProductVtx_propertyNumeric_3", "ProductVtx_propertyNumeric_4",
+        "ProductVtx_propertyNumeric_5", "ProductVtx_propertyText_1",
+        "ProductVtx_propertyText_2", "ProductVtx_propertyText_3",
+        "ProductVtx_propertyText_4", "ProductVtx_propertyText_5",
+        "ProductVtx_publisher", "ProductVtx_date", "FeatureVtx_id",
+        "FeatureVtx_type", "FeatureVtx_label", "FeatureVtx_comment",
+        "FeatureVtx_publisher", "FeatureVtx_date", "feature_product",
+        "feature_feature", "TypeVtx_id", "TypeVtx_type", "TypeVtx_comment",
+        "TypeVtx_subclassOf", "TypeVtx_publisher", "TypeVtx_date",
+        "type_product", "type_type"}},
+      {kRepeatedOfferStep,
+       {"OfferVtx_id", "OfferVtx_type", "OfferVtx_product", "OfferVtx_vendor",
+        "OfferVtx_price", "OfferVtx_validFrom", "OfferVtx_validTo",
+        "OfferVtx_deliveryDays", "OfferVtx_offerWebPage", "OfferVtx_publisher",
+        "OfferVtx_date", "ProductVtx_id", "ProductVtx_type", "ProductVtx_label",
+        "ProductVtx_comment", "ProductVtx_producer",
+        "ProductVtx_propertyNumeric_1", "ProductVtx_propertyNumeric_2",
+        "ProductVtx_propertyNumeric_3", "ProductVtx_propertyNumeric_4",
+        "ProductVtx_propertyNumeric_5", "ProductVtx_propertyText_1",
+        "ProductVtx_propertyText_2", "ProductVtx_propertyText_3",
+        "ProductVtx_propertyText_4", "ProductVtx_propertyText_5",
+        "ProductVtx_publisher", "ProductVtx_date"}},
+  };
+  for (const auto& c : cases) {
+    auto results = db_->run_script(c.query);
+    ASSERT_TRUE(results.is_ok()) << results.status().to_string();
+    const storage::Schema& schema = results->back().table->schema();
+    std::vector<std::string> names;
+    for (const auto& col : schema.columns()) names.push_back(col.name);
+    EXPECT_EQ(names, c.names) << c.query;
+  }
+}
 
 // ---- Scripted end-to-end pipeline -------------------------------------------
 
