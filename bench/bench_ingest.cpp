@@ -1,11 +1,16 @@
 // E-F1/E-P4 — Sec. II-A2: the `ingest` command. Measures typed CSV
 // parsing throughput (rows/s, MB/s) per Berlin table and the atomic
 // staging overhead, plus end-to-end ingest including derived-view
-// regeneration.
+// regeneration, and the string pool's interning that ingest runs on.
 #include <filesystem>
 #include <sstream>
+#include <string_view>
+#include <vector>
 
 #include "bench_common.hpp"
+#include "common/hash.hpp"
+#include "common/string_pool.hpp"
+#include "common/timer.hpp"
 #include "storage/csv.hpp"
 
 namespace gems::bench {
@@ -68,6 +73,41 @@ BENCHMARK(BM_Ingest_Products)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Ingest_Reviews)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
+
+// The string pool's index probe: 430,240 distinct strings (the pool's
+// count at Berlin scale 40000) interned through intern_batch into a fresh
+// pool, so every probe misses and the index grows one insert at a time,
+// then all re-interned as hits. ns_per_miss and ns_per_hit split the time.
+void BM_StringPoolIntern(benchmark::State& state) {
+  constexpr std::size_t kStrings = 430240;
+  std::vector<std::string> strings;
+  strings.reserve(kStrings);
+  for (std::size_t i = 0; i < kStrings; ++i) {
+    // Berlin-like keys and words of 8 to about 30 bytes.
+    const std::uint64_t h = mix64(i);
+    strings.push_back("Item" + std::to_string(i) + "_" +
+                      std::string(h % 16, static_cast<char>('a' + h % 26)));
+  }
+  const std::vector<std::string_view> views(strings.begin(), strings.end());
+  std::vector<StringId> ids(kStrings);
+  double miss_s = 0;
+  double hit_s = 0;
+  for (auto _ : state) {
+    StringPool pool;
+    Timer miss;
+    pool.intern_batch(views, ids.data());
+    miss_s += miss.elapsed_seconds();
+    Timer hit;
+    pool.intern_batch(views, ids.data());
+    hit_s += hit.elapsed_seconds();
+    GEMS_CHECK(pool.size() == kStrings && ids.back() == kStrings - 1);
+    benchmark::DoNotOptimize(ids.data());
+  }
+  const double probes = static_cast<double>(state.iterations() * kStrings);
+  state.counters["ns_per_miss"] = miss_s * 1e9 / probes;
+  state.counters["ns_per_hit"] = hit_s * 1e9 / probes;
+}
+BENCHMARK(BM_StringPoolIntern)->Unit(benchmark::kMillisecond);
 
 // End-to-end `ingest table ...` including the derived vertex/edge
 // regeneration the paper mandates, through a fresh database each

@@ -36,16 +36,6 @@ const DynamicBitset* Subgraph::edges(graph::EdgeTypeId type) const {
   return it == edges_.end() ? nullptr : &it->second;
 }
 
-bool Subgraph::contains(graph::VertexRef v) const {
-  const DynamicBitset* set = vertices(v.type);
-  return set != nullptr && v.index < set->size() && set->test(v.index);
-}
-
-bool Subgraph::contains(graph::EdgeRef e) const {
-  const DynamicBitset* set = edges(e.type);
-  return set != nullptr && e.index < set->size() && set->test(e.index);
-}
-
 std::size_t Subgraph::num_vertices() const {
   std::size_t n = 0;
   for (const auto& [type, set] : vertices_) n += set.count();

@@ -31,9 +31,6 @@ class Subgraph {
   const DynamicBitset* vertices(graph::VertexTypeId type) const;
   const DynamicBitset* edges(graph::EdgeTypeId type) const;
 
-  bool contains(graph::VertexRef v) const;
-  bool contains(graph::EdgeRef e) const;
-
   std::size_t num_vertices() const;
   std::size_t num_edges() const;
 

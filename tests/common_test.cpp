@@ -5,14 +5,18 @@
 #include <algorithm>
 #include <array>
 #include <atomic>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <memory_resource>
+#include <optional>
 #include <set>
 #include <span>
 #include <string>
 #include <string_view>
 #include <thread>
+#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include <sys/mman.h>
@@ -557,8 +561,8 @@ TEST(ChunkedArrayTest, CopySharesSealedChunksAndOwnsItsTail) {
 
 TEST(IdTableTest, CapacityDependsOnlyOnEntryCount) {
   // One by one or after a reserve, n entries occupy the smallest power of
-  // two >= max(16, 2n) slots of 8 bytes.
-  for (const std::size_t n : {0u, 1u, 8u, 9u, 100u, 1000u}) {
+  // two >= 16 with n <= 7/8 of it, in slots of 8 bytes.
+  for (const std::size_t n : {0u, 1u, 14u, 15u, 100u, 1000u}) {
     IdTable grown;
     IdTable reserved;
     reserved.reserve(n);
@@ -567,7 +571,7 @@ TEST(IdTableTest, CapacityDependsOnlyOnEntryCount) {
       reserved.insert(mix64(i), i);
     }
     std::size_t slots = n == 0 ? 0 : IdTable::kMinCapacity;
-    while (slots < 2 * n) slots *= 2;
+    while (8 * n > 7 * slots) slots *= 2;
     EXPECT_EQ(grown.byte_size(), slots * 8) << n;
     EXPECT_EQ(reserved.byte_size(), slots * 8) << n;
     EXPECT_EQ(grown.size(), n);
@@ -593,6 +597,126 @@ TEST(IdTableTest, EqualityDecidesAmongCollidingHashes) {
             IdTable::kNone);
   EXPECT_EQ(table.find(7, [](std::uint32_t) { return true; }),
             IdTable::kNone);  // another tag never reaches equality
+}
+
+}  // namespace
+
+// Reads an IdTable's slots as (tag, id) pairs; kNone marks an empty slot.
+class IdTableInspector {
+ public:
+  static std::vector<std::pair<std::uint32_t, std::uint32_t>> slots(
+      const IdTable& table) {
+    std::vector<std::pair<std::uint32_t, std::uint32_t>> out;
+    for (const IdTable::Slot& s : table.slots_) out.emplace_back(s.tag, s.id);
+    return out;
+  }
+};
+
+namespace {
+
+// Hash families for IdTableTest. A hash below 2^32 is its own tag.
+enum class TagFamily { kRandom, kOneTag, kNearTop, kNearZero };
+
+std::uint64_t family_hash(TagFamily family, std::uint64_t key) {
+  switch (family) {
+    case TagFamily::kRandom:
+      return mix64(key);
+    case TagFamily::kOneTag:
+      return 0x5bd1e995u;
+    case TagFamily::kNearTop:  // the top 1/8 of tags: runs wrap past the end
+      return 0xffffffffu - (mix64(key) >> 35);
+    case TagFamily::kNearZero:  // the bottom 1/8 of tags
+      return mix64(key) >> 35;
+  }
+  return 0;
+}
+
+// Each slot's displacement past its home, the top log2(capacity) bits of
+// its tag, or nothing for an empty slot. Along a run the unwrapped home
+// (slot index minus displacement) never decreases: a run that wraps past
+// the table's end carries its homes on from the end.
+std::vector<std::optional<std::size_t>> checked_displacements(
+    const IdTable& table) {
+  const auto slots = IdTableInspector::slots(table);
+  const std::size_t capacity = slots.size();
+  EXPECT_EQ(capacity & (capacity - 1), 0u);
+  const int shift = 32 - std::countr_zero(capacity);
+  std::vector<std::optional<std::size_t>> out(capacity);
+  for (std::size_t i = 0; i < capacity; ++i) {
+    if (slots[i].second == IdTable::kNone) continue;
+    const std::size_t home = slots[i].first >> shift;
+    out[i] = (i - home) & (capacity - 1);
+  }
+  for (std::size_t i = 0; i < capacity; ++i) {
+    const std::size_t next = (i + 1) & (capacity - 1);
+    if (out[i] && out[next]) {
+      EXPECT_LE(*out[next], *out[i] + 1) << "home falls at slot " << next;
+    }
+  }
+  return out;
+}
+
+TEST(IdTableTest, RandomAndAdversarialTagsMatchAMapOracle) {
+  // Entry counts one below, at and one above 7/8 of each capacity. The
+  // families that pile every tag onto a few homes make one run as long as
+  // the table, so each probe walks it: they stop at 2^12 slots.
+  for (const TagFamily family : {TagFamily::kRandom, TagFamily::kOneTag,
+                                 TagFamily::kNearTop, TagFamily::kNearZero}) {
+    const std::size_t top = family == TagFamily::kRandom ? 1u << 16 : 1u << 12;
+    for (std::size_t capacity = 16; capacity <= top; capacity *= 2) {
+      const std::size_t full = capacity / 8 * 7;
+      for (const std::size_t n : {full - 1, full, full + 1}) {
+        SCOPED_TRACE("family " + std::to_string(static_cast<int>(family)) +
+                     " n " + std::to_string(n));
+        // Keys 0..n-1 are stored; n..n+99 are absent.
+        std::vector<std::uint64_t> keys(n + 100);
+        for (std::size_t k = 0; k < keys.size(); ++k) keys[k] = 3 * k + 1;
+        std::unordered_map<std::uint64_t, std::uint32_t> oracle;
+        IdTable grown;
+        IdTable reserved;
+        reserved.reserve(4 * n);
+        IdTable evens;
+        IdTable odds;
+        for (std::uint32_t id = 0; id < n; ++id) {
+          const std::uint64_t hash = family_hash(family, keys[id]);
+          const auto equal = [&](std::uint32_t got) {
+            return keys[got] == keys[id];
+          };
+          ASSERT_EQ(grown.find(hash, equal), IdTable::kNone);
+          grown.insert(hash, id);
+          reserved.insert(hash, id);
+          (id % 2 == 0 ? evens : odds).insert(hash, id);
+          oracle.emplace(keys[id], id);
+        }
+        ASSERT_EQ(grown.byte_size(), IdTable::byte_size_for(n));
+        EXPECT_EQ(grown.byte_size(),
+                  (n == full + 1 ? 2 * capacity : capacity) * 8);
+        const IdTable compacted = reserved.compacted();
+        const IdTable merged = IdTable::merged(evens, odds);
+        EXPECT_EQ(compacted.byte_size(), grown.byte_size());
+        EXPECT_EQ(merged.byte_size(), grown.byte_size());
+        for (const IdTable* table :
+             std::array<const IdTable*, 3>{&grown, &compacted, &merged}) {
+          const auto displacements = checked_displacements(*table);
+          for (const std::uint64_t key : keys) {
+            const auto it = oracle.find(key);
+            const std::uint32_t want =
+                it == oracle.end() ? IdTable::kNone : it->second;
+            const auto equal = [&](std::uint32_t got) {
+              return keys[got] == key;
+            };
+            ASSERT_EQ(table->find(family_hash(family, key), equal), want)
+                << key;
+          }
+          if (family == TagFamily::kRandom && n == full) {
+            std::size_t total = 0;
+            for (const auto& d : displacements) total += d.value_or(0);
+            EXPECT_LE(static_cast<double>(total) / n, 4.0) << capacity;
+          }
+        }
+      }
+    }
+  }
 }
 
 // ---- PRNG -------------------------------------------------------------------

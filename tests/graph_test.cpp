@@ -1176,7 +1176,7 @@ TEST(VertexKeyIndexTest, FindByKeyMatchesEncodedKeyOracle) {
 
 TEST(VertexKeyIndexTest, ExtendGrowsThroughSeveralRehashes) {
   // Batches appended to copy-on-write clones take the index from 16 slots
-  // past 4096. After every batch the extended type equals a fresh build
+  // past 2048. After every batch the extended type equals a fresh build
   // of the grown table (numbering, representatives, bytes) and the oracle.
   StringPool pool;
   Xoshiro256 rng(7);
@@ -1215,9 +1215,12 @@ TEST(VertexKeyIndexTest, ExtendGrowsThroughSeveralRehashes) {
     EXPECT_EQ(vt.byte_size(), fresh->byte_size());
     expect_parity(vt, *probe, key_names);
   }
-  // More than 1024 vertices need 4096 slots: eight doublings from 16.
+  // More than 1024 vertices need the slots IdTable::byte_size_for gives
+  // them, several doublings past the first 16.
   EXPECT_GT(vt.num_vertices(), 1024u);
-  EXPECT_GE(vt.key_index_bytes(), 256 * first_bytes);
+  EXPECT_EQ(first_bytes, IdTable::byte_size_for(1));
+  EXPECT_EQ(vt.key_index_bytes(), IdTable::byte_size_for(vt.num_vertices()));
+  EXPECT_GE(vt.key_index_bytes(), 64 * first_bytes);
 }
 
 TEST(VertexKeyIndexTest, TailFoldsFindEveryKey) {

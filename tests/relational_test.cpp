@@ -857,15 +857,16 @@ TEST_F(RelationalTest, VectorizedDistinctMatchesRowEngine) {
 
 // Group-by and distinct grow their one hash index (group_rows' IdTable)
 // as new keys arrive, re-placing it at the smallest capacity that keeps
-// the groups so far plus one batch at load 1/2 or below. Distinct-key
-// counts just below, at and above half of each capacity give the
+// the groups so far plus one batch at load 7/8 or below. Distinct-key
+// counts just below, at and above 7/8 of each capacity give the
 // oracle's bytes, for one key column and two.
 TEST_F(RelationalTest, HashRebuildBoundariesMatchRowEngine) {
   using namespace vec_prop;
   const std::vector<AggSpec> aggs{{AggKind::kCountStar, 0, "n"},
                                   {AggKind::kSum, 3, "sv"}};
-  for (std::size_t half = 8; half <= 4096; half *= 2) {
-    for (const std::size_t keys : {half - 1, half, half + 1}) {
+  for (std::size_t capacity = 16; capacity <= 8192; capacity *= 2) {
+    const std::size_t full = capacity / 8 * 7;
+    for (const std::size_t keys : {full - 1, full, full + 1}) {
       SCOPED_TRACE(keys);
       auto t = std::make_shared<Table>(
           "K",
