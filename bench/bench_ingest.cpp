@@ -2,6 +2,7 @@
 // parsing throughput (rows/s, MB/s) per Berlin table and the atomic
 // staging overhead, plus end-to-end ingest including derived-view
 // regeneration, and the string pool's interning that ingest runs on.
+#include <algorithm>
 #include <filesystem>
 #include <sstream>
 #include <string_view>
@@ -9,6 +10,7 @@
 
 #include "bench_common.hpp"
 #include "common/hash.hpp"
+#include "common/prng.hpp"
 #include "common/string_pool.hpp"
 #include "common/timer.hpp"
 #include "storage/csv.hpp"
@@ -74,22 +76,32 @@ BENCHMARK(BM_Ingest_Products)->Arg(2000)->Arg(10000)
 BENCHMARK(BM_Ingest_Reviews)->Arg(2000)->Arg(10000)
     ->Unit(benchmark::kMillisecond);
 
-// The string pool's index probe: 430,240 distinct strings (the pool's
-// count at Berlin scale 40000) interned through intern_batch into a fresh
-// pool, so every probe misses and the index grows one insert at a time,
-// then all re-interned as hits. ns_per_miss and ns_per_hit split the time.
+/// 430,240 distinct strings (the pool's count at Berlin scale 40000):
+/// Berlin-like keys and words of 8 to about 30 bytes.
+const std::vector<std::string>& pool_strings() {
+  static const std::vector<std::string> strings = [] {
+    constexpr std::size_t kStrings = 430240;
+    std::vector<std::string> s;
+    s.reserve(kStrings);
+    for (std::size_t i = 0; i < kStrings; ++i) {
+      const std::uint64_t h = mix64(i);
+      s.push_back("Item" + std::to_string(i) + "_" +
+                  std::string(h % 16, static_cast<char>('a' + h % 26)));
+    }
+    return s;
+  }();
+  return strings;
+}
+
+// The string pool's index probe: pool_strings() interned through
+// intern_batch into a fresh pool, so every probe misses and the index
+// grows one insert at a time, then all re-interned as hits. ns_per_miss
+// and ns_per_hit split the time.
 void BM_StringPoolIntern(benchmark::State& state) {
-  constexpr std::size_t kStrings = 430240;
-  std::vector<std::string> strings;
-  strings.reserve(kStrings);
-  for (std::size_t i = 0; i < kStrings; ++i) {
-    // Berlin-like keys and words of 8 to about 30 bytes.
-    const std::uint64_t h = mix64(i);
-    strings.push_back("Item" + std::to_string(i) + "_" +
-                      std::string(h % 16, static_cast<char>('a' + h % 26)));
-  }
+  const std::vector<std::string>& strings = pool_strings();
+  const std::size_t n = strings.size();
   const std::vector<std::string_view> views(strings.begin(), strings.end());
-  std::vector<StringId> ids(kStrings);
+  std::vector<StringId> ids(n);
   double miss_s = 0;
   double hit_s = 0;
   for (auto _ : state) {
@@ -100,14 +112,41 @@ void BM_StringPoolIntern(benchmark::State& state) {
     Timer hit;
     pool.intern_batch(views, ids.data());
     hit_s += hit.elapsed_seconds();
-    GEMS_CHECK(pool.size() == kStrings && ids.back() == kStrings - 1);
+    GEMS_CHECK(pool.size() == n && ids.back() == n - 1);
     benchmark::DoNotOptimize(ids.data());
   }
-  const double probes = static_cast<double>(state.iterations() * kStrings);
+  const double probes = static_cast<double>(state.iterations() * n);
   state.counters["ns_per_miss"] = miss_s * 1e9 / probes;
   state.counters["ns_per_hit"] = hit_s * 1e9 / probes;
 }
 BENCHMARK(BM_StringPoolIntern)->Unit(benchmark::kMillisecond);
+
+// The string pool's id -> string path: view_batch over kChunkRows-id
+// batches of every id of the pool_strings() pool in shuffled order, as the
+// wire encoder and the sort lanes resolve a batch of varchar cells.
+void BM_StringPoolView(benchmark::State& state) {
+  const std::vector<std::string>& strings = pool_strings();
+  const std::vector<std::string_view> views(strings.begin(), strings.end());
+  StringPool pool;
+  std::vector<StringId> ids(strings.size());
+  pool.intern_batch(views, ids.data());
+  std::shuffle(ids.begin(), ids.end(), Xoshiro256(7));
+  std::vector<std::string_view> out(kChunkRows);
+  double view_s = 0;
+  for (auto _ : state) {
+    Timer timer;
+    for (std::size_t first = 0; first < ids.size(); first += kChunkRows) {
+      const std::size_t n = std::min(kChunkRows, ids.size() - first);
+      pool.view_batch({ids.data() + first, n}, out.data());
+      benchmark::DoNotOptimize(out.data());
+      benchmark::ClobberMemory();
+    }
+    view_s += timer.elapsed_seconds();
+  }
+  state.counters["ns_per_view"] =
+      view_s * 1e9 / static_cast<double>(state.iterations() * ids.size());
+}
+BENCHMARK(BM_StringPoolView)->Unit(benchmark::kMillisecond);
 
 // End-to-end `ingest table ...` including the derived vertex/edge
 // regeneration the paper mandates, through a fresh database each

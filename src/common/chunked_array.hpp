@@ -30,11 +30,9 @@
 #include <vector>
 
 #include "common/check.hpp"
+#include "common/lane_codec.hpp"
 
 namespace gems {
-
-/// Rows per chunk. relational::kBatchRows is the same constant.
-inline constexpr std::size_t kChunkRows = 1024;
 
 /// Calls fn(std::span<const T>) over consecutive kChunkRows pieces of the
 /// identity array 0, 1, …, n - 1, written out one piece at a time into a

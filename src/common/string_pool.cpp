@@ -17,34 +17,71 @@ std::uint64_t hash_string(std::string_view s) {
 
 }  // namespace
 
-std::string_view StringPool::store(std::string_view s) {
-  if (s.empty()) return std::string_view("", 0);
-  char* dst = nullptr;
+std::uint64_t StringPool::Strings::store(std::string_view s, StringId id) {
   if (s.size() > kBlockBytes) {
-    // A dedicated block; the shared block's free tail stays in use.
-    blocks_.emplace_back(new char[s.size()]);
+    // An allocation of its own; the current block's free tail stays in use.
+    Oversized big{id, std::make_unique_for_overwrite<char[]>(s.size()),
+                  s.size()};
+    std::memcpy(big.chars.get(), s.data(), s.size());
+    oversized_.push_back(std::move(big));
     arena_bytes_ += s.size();
-    dst = blocks_.back().get();
-  } else {
-    if (s.size() > free_bytes_) {
-      blocks_.emplace_back(new char[kBlockBytes]);
-      arena_bytes_ += kBlockBytes;
-      free_ = blocks_.back().get();
-      free_bytes_ = kBlockBytes;
-    }
-    dst = free_;
-    free_ += s.size();
-    free_bytes_ -= s.size();
+    return end_;
   }
-  std::memcpy(dst, s.data(), s.size());
-  return {dst, s.size()};
+  if (s.empty()) return end_;
+  if (s.size() > blocks_.size() * kBlockBytes - end_) {
+    end_ = blocks_.size() * kBlockBytes;
+    blocks_.push_back(std::make_unique_for_overwrite<char[]>(kBlockBytes));
+    arena_bytes_ += kBlockBytes;
+  }
+  std::memcpy(blocks_.back().get() + end_ % kBlockBytes, s.data(), s.size());
+  end_ += s.size();
+  return end_;
+}
+
+void StringPool::Strings::seal() {
+  GEMS_DCHECK(tail_.size() == kChunkRows);
+  // End offsets never decrease, so the span is the last one's.
+  const std::size_t width = lane_codec::span_width(tail_.back() - tail_base_);
+  Chunk chunk{nullptr, tail_base_, width};
+  if (width > 0) {
+    chunk.lanes =
+        std::make_unique_for_overwrite<unsigned char[]>(width * kChunkRows);
+    lane_codec::narrow(tail_.data(), kChunkRows, tail_base_, width,
+                       chunk.lanes.get());
+  }
+  sealed_.push_back(std::move(chunk));
+  sealed_bytes_ += lane_codec::kHeaderBytes + width * kChunkRows;
+  tail_base_ = tail_.back();
+  tail_.clear();
+}
+
+void StringPool::Strings::append(std::string_view s) {
+  const auto id = static_cast<StringId>(size());
+  if (tail_.size() == kChunkRows) seal();
+  tail_.push_back(store(s, id));
+}
+
+std::string_view StringPool::Strings::no_arena_view(StringId id) const {
+  const auto big = std::lower_bound(
+      oversized_.begin(), oversized_.end(), id,
+      [](const Oversized& o, StringId want) { return o.id < want; });
+  if (big != oversized_.end() && big->id == id) {
+    return {big->chars.get(), big->size};
+  }
+  return std::string_view("", 0);
+}
+
+std::size_t StringPool::Strings::memory_bytes() const {
+  return arena_bytes_ + blocks_.capacity() * sizeof(blocks_[0]) +
+         oversized_.capacity() * sizeof(Oversized) + sealed_bytes_ +
+         tail_.size() * sizeof(tail_[0]);
 }
 
 StringId StringPool::find_locked(std::string_view s,
                                  std::uint64_t hash) const {
-  const ChunkedArray<std::string_view>& views = views_;
+  const Strings& strings = strings_;
   const StringId id = index_.find(
-      hash, [&](StringId candidate) { return views[candidate] == s; });
+      hash, [&](StringId candidate) { return strings.view(candidate) == s; });
   return id == IdTable::kNone ? kInvalidStringId : id;
 }
 
@@ -52,8 +89,8 @@ StringId StringPool::intern_locked(std::string_view s, std::uint64_t hash) {
   const StringId found = find_locked(s, hash);
   if (found != kInvalidStringId) return found;
   // The index caps itself at 2^31 entries, well below kInvalidStringId.
-  const auto id = static_cast<StringId>(views_.size());
-  views_.push_back(store(s));
+  const auto id = static_cast<StringId>(strings_.size());
+  strings_.append(s);
   bytes_ += s.size();
   index_.insert(hash, id);
   return id;
@@ -70,7 +107,7 @@ void StringPool::intern_batch(std::span<const std::string_view> strings,
   // Far enough ahead to hide a cache miss behind the probes in between.
   constexpr std::size_t kPrefetchAhead = 8;
   // On the stack: a heap buffer freed here would leave a hole below any
-  // views chunk the batch seals.
+  // offsets chunk the batch seals.
   std::array<std::uint64_t, kChunkRows> hashes;
   for (std::size_t first = 0; first < strings.size(); first += kChunkRows) {
     const std::size_t n = std::min(kChunkRows, strings.size() - first);
@@ -93,21 +130,21 @@ StringId StringPool::find(std::string_view s) const {
 
 std::string_view StringPool::view(StringId id) const {
   sync::MutexLock lock(mutex_);
-  GEMS_DCHECK(id < views_.size());
-  return views_[id];
+  return strings_.view(id);
 }
 
 void StringPool::view_batch(std::span<const StringId> ids,
                             std::string_view* out) const {
   sync::MutexLock lock(mutex_);
+  const std::size_t n = strings_.size();
   for (std::size_t i = 0; i < ids.size(); ++i) {
-    out[i] = ids[i] < views_.size() ? views_[ids[i]] : std::string_view();
+    out[i] = ids[i] < n ? strings_.view(ids[i]) : std::string_view();
   }
 }
 
 std::size_t StringPool::size() const {
   sync::MutexLock lock(mutex_);
-  return views_.size();
+  return strings_.size();
 }
 
 std::size_t StringPool::byte_size() const {
@@ -117,8 +154,7 @@ std::size_t StringPool::byte_size() const {
 
 std::size_t StringPool::memory_bytes() const {
   sync::MutexLock lock(mutex_);
-  return arena_bytes_ + blocks_.capacity() * sizeof(blocks_[0]) +
-         views_.byte_size() + index_.byte_size();
+  return strings_.memory_bytes() + index_.byte_size();
 }
 
 }  // namespace gems

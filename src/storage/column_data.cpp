@@ -6,41 +6,8 @@ namespace gems::storage {
 
 namespace {
 
-/// Words a sealed chunk's header (width and base) counts in byte_size().
-constexpr std::size_t kHeaderWords = 2;
-
 inline bool bit(const std::uint64_t* words, std::size_t i) noexcept {
   return (words[i / 64] >> (i % 64)) & 1u;
-}
-
-/// Lane bytes that hold every value − base for a span of `span`.
-constexpr std::size_t span_width(std::uint64_t span) noexcept {
-  if (span == 0) return 0;
-  if (span <= 0xff) return 1;
-  if (span <= 0xffff) return 2;
-  if (span <= 0xffffffffu) return 4;
-  return 8;
-}
-
-/// out[i] = base + lane j + i for i < k, lanes of U.
-template <typename U, typename T>
-void widen(const unsigned char* lanes, std::uint64_t base, std::size_t j,
-           std::size_t k, T* out) noexcept {
-  for (std::size_t i = 0; i < k; ++i) {
-    U u;
-    std::memcpy(&u, lanes + (j + i) * sizeof(U), sizeof(U));
-    out[i] = static_cast<T>(base + u);
-  }
-}
-
-/// Lane i = value i − base, truncated to U.
-template <typename U, typename T>
-void narrow(const T* values, std::size_t n, std::uint64_t base,
-            unsigned char* lanes) noexcept {
-  for (std::size_t i = 0; i < n; ++i) {
-    const U u = static_cast<U>(static_cast<std::uint64_t>(values[i]) - base);
-    std::memcpy(lanes + i * sizeof(U), &u, sizeof(U));
-  }
 }
 
 }  // namespace
@@ -66,20 +33,7 @@ void ColumnData<T>::copy_to(std::size_t begin, std::size_t n,
       continue;
     }
     if constexpr (!std::is_same_v<T, double>) {
-      switch (s.width) {
-        case 0:
-          std::fill_n(out, k, static_cast<T>(s.base));
-          break;
-        case 1:
-          widen<std::uint8_t>(s.lanes, s.base, j, k, out);
-          break;
-        case 2:
-          widen<std::uint16_t>(s.lanes, s.base, j, k, out);
-          break;
-        default:
-          widen<std::uint32_t>(s.lanes, s.base, j, k, out);
-          break;
-      }
+      lane_codec::widen(s.lanes, s.width, s.base, j, k, out);
       if (s.has_null()) {
         for (std::size_t m = 0; m < k; ++m) {
           out[m] = bit(s.valid, j + m) ? out[m] : kNullPayload;
@@ -137,7 +91,7 @@ void ColumnData<T>::seal() {
     } else {
       const std::uint64_t span =
           static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo);
-      width = span_width(span);
+      width = lane_codec::span_width(span);
       if (width < sizeof(T)) base = static_cast<std::uint64_t>(lo);
     }
     width = std::min(width, sizeof(T));
@@ -153,23 +107,11 @@ void ColumnData<T>::seal() {
   if (width == sizeof(T)) {
     std::memcpy(lanes, tail_.data(), kChunkRows * sizeof(T));
   } else if constexpr (!std::is_same_v<T, double>) {
-    switch (width) {
-      case 0:
-        break;
-      case 1:
-        narrow<std::uint8_t>(tail_.data(), kChunkRows, base, lanes);
-        break;
-      case 2:
-        narrow<std::uint16_t>(tail_.data(), kChunkRows, base, lanes);
-        break;
-      default:
-        narrow<std::uint32_t>(tail_.data(), kChunkRows, base, lanes);
-        break;
-    }
+    lane_codec::narrow(tail_.data(), kChunkRows, base, width, lanes);
   }
   const std::uint64_t* valid = has_null ? chunk.get() : kAllValid.data();
   sealed_.push_back({std::move(chunk), valid, lanes, base, width});
-  sealed_bytes_ += (kHeaderWords + words) * sizeof(std::uint64_t);
+  sealed_bytes_ += lane_codec::kHeaderBytes + words * sizeof(std::uint64_t);
   tail_.clear();
   tail_valid_ = {};
 }

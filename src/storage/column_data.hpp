@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "common/check.hpp"
-#include "common/chunked_array.hpp"
+#include "common/lane_codec.hpp"
 #include "common/string_pool.hpp"
 
 namespace gems::storage {
@@ -185,30 +185,9 @@ class ColumnData {
     bool has_null() const noexcept { return valid != kAllValid.data(); }
 
     T value(std::size_t j) const noexcept {
-      if (width == sizeof(T)) return load<T>(j);
+      if (width == sizeof(T)) return lane_codec::load<T>(lanes, j);
       if (((valid[j / 64] >> (j % 64)) & 1u) == 0) return kNullPayload;
-      std::uint64_t delta = 0;
-      switch (width) {
-        case 1:
-          delta = lanes[j];
-          break;
-        case 2:
-          delta = load<std::uint16_t>(j);
-          break;
-        case 4:
-          delta = load<std::uint32_t>(j);
-          break;
-        default:
-          break;
-      }
-      return static_cast<T>(base + delta);
-    }
-
-    template <typename U>
-    U load(std::size_t j) const noexcept {
-      U u;
-      std::memcpy(&u, lanes + j * sizeof(U), sizeof(U));
-      return u;
+      return static_cast<T>(base + lane_codec::read(lanes, width, j));
     }
 
     std::shared_ptr<const std::uint64_t[]> words;

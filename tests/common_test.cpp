@@ -515,6 +515,138 @@ TEST(StringPoolTest, InternBatchConcurrentWithIntern) {
   }
 }
 
+/// The arena packing DESIGN.md §5m states, replayed: a non-empty string of
+/// at most a block goes in the current block's free tail, or opens the
+/// next block when it does not fit; a longer one and the empty string take
+/// no block bytes.
+struct ArenaOracle {
+  std::size_t blocks = 0;
+  std::size_t free = 0;  // bytes left in the current block
+
+  /// Packs a string of `n` bytes; true when it opened a block.
+  bool add(std::size_t n) {
+    if (n == 0 || n > StringPool::kBlockBytes) return false;
+    const bool opened = n > free;
+    if (opened) {
+      ++blocks;
+      free = StringPool::kBlockBytes;
+    }
+    free -= n;
+    return opened;
+  }
+};
+
+/// A distinct string of exactly `n` >= 12 bytes for each `i`.
+std::string sized_key(std::size_t i, std::size_t n) {
+  std::string s = std::to_string(i) + "#";
+  s.resize(n, static_cast<char>('a' + i % 26));
+  return s;
+}
+
+/// Interns `keys` (all distinct) into a fresh pool and checks every view
+/// against them, and its find(), while its chunk is the tail and again
+/// after the chunk has sealed. A view's data pointer does not move when
+/// its chunk seals.
+void expect_views_match(const std::vector<std::string>& keys) {
+  StringPool pool;
+  std::vector<const char*> data(keys.size());
+  const auto check = [&](std::size_t first, std::size_t last) {
+    for (std::size_t id = first; id < last; ++id) {
+      const std::string_view v = pool.view(static_cast<StringId>(id));
+      ASSERT_EQ(v, keys[id]) << "id " << id;
+      ASSERT_NE(v.data(), nullptr) << "id " << id;
+      ASSERT_EQ(pool.find(keys[id]), id) << "id " << id;
+      if (data[id] == nullptr) data[id] = v.data();
+      ASSERT_EQ(v.data(), data[id]) << "id " << id;
+    }
+  };
+  for (std::size_t id = 0; id < keys.size(); ++id) {
+    ASSERT_EQ(pool.intern(keys[id]), id);
+    check(id, id + 1);
+    const std::size_t n = id + 1;
+    if (n % kChunkRows == 0) check(n - kChunkRows, n);  // still the tail
+    if (n % kChunkRows == 1 && n > 1) check(n - 1 - kChunkRows, n - 1);
+  }
+  check(0, keys.size());
+  EXPECT_EQ(pool.size(), keys.size());
+  std::vector<std::string> seen;
+  pool.for_each([&](StringId, std::string_view s) { seen.emplace_back(s); });
+  EXPECT_EQ(seen, keys);
+}
+
+TEST(StringPoolTest, OffsetLayoutEdgesMatchAnOracle) {
+  const std::size_t kBlock = StringPool::kBlockBytes;
+  ArenaOracle arena;
+  std::vector<std::string> keys;
+  const auto add = [&](std::string s) {
+    arena.add(s.size());
+    keys.push_back(std::move(s));
+  };
+  // Filler strings of `n` bytes until the current block has between
+  // `leave` and `leave + n` bytes free.
+  const auto fill_to = [&](std::size_t leave, std::size_t n) {
+    while (arena.free >= leave + n) add(sized_key(keys.size(), n));
+  };
+
+  // The empty string as id 0; then a string that exactly fills the first
+  // block's free tail, and one that opens the next block.
+  add("");
+  add(sized_key(keys.size(), 100));
+  fill_to(100, 300);
+  add(sized_key(keys.size(), arena.free));
+  ASSERT_EQ(arena.free, 0u);
+  ASSERT_EQ(arena.blocks, 1u);
+  ASSERT_TRUE(arena.add(12));
+  keys.push_back(sized_key(keys.size(), 12));
+  // Oversized strings at ids 1023, 1024 and 1025, the last id of chunk 0
+  // and the first two of chunk 1.
+  while (keys.size() < kChunkRows - 1) add(sized_key(keys.size(), 20));
+  for (const char c : {'x', 'y', 'z'}) add(std::string(kBlock + 1, c));
+  ASSERT_EQ(keys[kChunkRows].size(), kBlock + 1);
+  // Chunk 1 spans more than 2^16 offsets (4-byte lanes), chunk 2 fewer
+  // (2-byte lanes), and a block skip lands inside each.
+  while (keys.size() < 2 * kChunkRows) add(sized_key(keys.size(), 200));
+  while (keys.size() < 3 * kChunkRows + 10) add(sized_key(keys.size(), 13));
+  expect_views_match(keys);
+
+  // The empty string right after a block skip, at the first id of chunk
+  // 1, and an oversized string right after another skip.
+  arena = ArenaOracle();
+  keys.clear();
+  const auto skip = [&] {
+    const std::size_t n = std::max<std::size_t>(12, arena.free + 1);
+    ASSERT_TRUE(arena.add(n));
+    keys.push_back(sized_key(keys.size(), n));
+  };
+  while (keys.size() < kChunkRows - 1) add(sized_key(keys.size(), 20));
+  skip();   // id 1023
+  add("");  // id 1024
+  fill_to(10, 30);
+  skip();
+  add(std::string(2 * kBlock, 'o'));
+  add(sized_key(keys.size(), 12));  // back in the skipped-to block
+  ASSERT_EQ(arena.blocks, 3u);
+  expect_views_match(keys);
+
+  // The per-id cost: for 100,000 strings of 5 to 20 bytes, what the pool
+  // holds beyond its arena blocks and its index is at most 2.5 bytes a
+  // string (a std::string_view per id would take 16).
+  constexpr std::size_t kStrings = 100000;
+  StringPool pool;
+  arena = ArenaOracle();
+  for (std::size_t i = 0; i < kStrings; ++i) {
+    // The digits of i, then '_' padding.
+    std::string s = std::to_string(i);
+    s.resize(5 + mix64(i) % 16, '_');
+    arena.add(s.size());
+    ASSERT_EQ(pool.intern(s), i);
+  }
+  const std::size_t per_id = pool.memory_bytes() -
+                             arena.blocks * StringPool::kBlockBytes -
+                             IdTable::byte_size_for(kStrings);
+  EXPECT_LE(per_id, kStrings * 5 / 2) << per_id << " bytes";
+}
+
 // ---- IdTable ----------------------------------------------------------------
 
 // ---- ChunkedArray ----------------------------------------------------------

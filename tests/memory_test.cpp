@@ -139,6 +139,24 @@ TEST(MemoryGaugesTest, ReportMappedAndScratchBytes) {
             ScratchArena::live_mapped_bytes());
 }
 
+// ---- The resident census ------------------------------------------------------
+
+// Each structure gauge is a function of the database's contents alone
+// (DESIGN.md §5l, §5m), so Berlin at scale 2000 gives the same bytes on
+// every run, build type and worker count. A layout change moves its own
+// line here on purpose, and only that line.
+TEST(ResidentCensusTest, BerlinScale2000) {
+  auto made =
+      bsbm::make_populated_database(bsbm::GeneratorConfig::derive(2000));
+  ASSERT_TRUE(made.is_ok()) << made.status().to_string();
+  const metrics::Snapshot m = (*made)->metrics_snapshot();
+  EXPECT_EQ(metrics::value(m, "storage.pool.bytes"), 511976u);
+  EXPECT_EQ(metrics::value(m, "storage.tables.bytes"), 572324u);
+  EXPECT_EQ(metrics::value(m, "graph.csr.bytes"), 294004u);
+  EXPECT_EQ(metrics::value(m, "graph.key_index.bytes"), 238848u);
+  EXPECT_EQ(metrics::value(m, "graph.endpoints.bytes"), 249592u);
+}
+
 // ---- The malloc threshold over a server life cycle --------------------------
 
 /// Writes `n` Berlin review rows, ids from `first`, to `dir`/`name` and
