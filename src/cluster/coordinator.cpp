@@ -596,13 +596,16 @@ Result<BspFrame> Coordinator::await_control(std::uint32_t timeout_ms) {
       return deadline_exceeded("timed out waiting for cluster ranks");
     }
   }
-  ControlEvent ev = std::move(control_.front());
-  control_.pop_front();
+  ControlEvent& ev = control_.front();
   if (!ev.frame.has_value()) {
-    return unavailable("cluster rank " + std::to_string(ev.rank) +
+    const std::uint32_t rank = ev.rank;
+    control_.pop_front();
+    return unavailable("cluster rank " + std::to_string(rank) +
                        " disconnected");
   }
-  return std::move(*ev.frame);
+  BspFrame frame = std::move(*ev.frame);
+  control_.pop_front();
+  return frame;
 }
 
 }  // namespace gems::cluster

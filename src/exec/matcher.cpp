@@ -130,24 +130,22 @@ void walk(const Traversal& t, DynamicBitset& out_bits,
   // The part body is forced inline at each of for_each_part's call
   // sites, one per kind of part; left to itself GCC outlines the
   // owned-split instance (EXPERIMENTS.md E-SHAREDNEIGHBORS).
-  t.from_bits->for_each([&](std::size_t v) {
-    t.index->for_each_part(
-        static_cast<VertexIndex>(v),
-        [&](const AdjacencyPart& part) __attribute__((always_inline)) {
-          for (std::size_t i = 0; i < part.size(); ++i) {
-            const VertexIndex u = part.neighbor(i);
-            if (stats != nullptr) ++stats->edge_traversals;
-            if (out_bits.test(u)) continue;
-            if (failed_bits != nullptr && failed_bits->test(u)) continue;
-            if (!edge_ok(*t.et, part.edge(i))) continue;
-            if (!vertex_ok(t.out_type, u)) {
-              if (failed_bits != nullptr) failed_bits->set(u);
-            } else if (keep(t, u)) {
-              out_bits.set(u);
-            }
+  t.index->for_each_part_of(
+      *t.from_bits,
+      [&](const AdjacencyPart& part) __attribute__((always_inline)) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          const VertexIndex u = part.neighbor(i);
+          if (stats != nullptr) ++stats->edge_traversals;
+          if (out_bits.test(u)) continue;
+          if (failed_bits != nullptr && failed_bits->test(u)) continue;
+          if (!edge_ok(*t.et, part.edge(i))) continue;
+          if (!vertex_ok(t.out_type, u)) {
+            if (failed_bits != nullptr) failed_bits->set(u);
+          } else if (keep(t, u)) {
+            out_bits.set(u);
           }
-        });
-  });
+        }
+      });
 }
 
 /// Runs all traversals into `out` (whose per-type bitsets must already
@@ -192,17 +190,16 @@ template <typename EdgeFilter>
 void mark_edges(const CsrIndex& index, const DynamicBitset& walk_bits,
                 const DynamicBitset& other_bits, DynamicBitset& out,
                 MatchStats* stats, const EdgeFilter& edge_ok) {
-  walk_bits.for_each([&](std::size_t v) {
-    index.for_each_part(
-        static_cast<VertexIndex>(v), [&](const AdjacencyPart& part) {
-          for (std::size_t i = 0; i < part.size(); ++i) {
-            if (stats != nullptr) ++stats->edge_traversals;
-            if (!other_bits.test(part.neighbor(i))) continue;
-            const graph::EdgeIndex e = part.edge(i);
-            if (edge_ok(e)) out.set(e);
-          }
-        });
-  });
+  index.for_each_part_of(
+      walk_bits,
+      [&](const AdjacencyPart& part) __attribute__((always_inline)) {
+        for (std::size_t i = 0; i < part.size(); ++i) {
+          if (stats != nullptr) ++stats->edge_traversals;
+          if (!other_bits.test(part.neighbor(i))) continue;
+          const graph::EdgeIndex e = part.edge(i);
+          if (edge_ok(e)) out.set(e);
+        }
+      });
 }
 
 /// Calls `fn` on each edge type a hop may traverse: its own, or every type

@@ -575,8 +575,8 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
                         joins_beyond_key(1, dst_vt);
   const bool keep_attrs = decl.assoc_tables.size() == 1 && !collapse;
 
-  ChunkedArray<VertexIndex> src_out;
-  ChunkedArray<VertexIndex> dst_out;
+  EndpointArray src_out;
+  EndpointArray dst_out;
   // Rows of the single assoc table; (source, target) pairs this build
   // added; join tuples, when passes can repeat one.
   std::pmr::vector<RowIndex> attr_rows(scratch);

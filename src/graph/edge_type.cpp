@@ -1,5 +1,7 @@
 #include "graph/edge_type.hpp"
 
+#include <array>
+
 #include "common/check.hpp"
 
 namespace gems::graph {
@@ -13,21 +15,24 @@ bool is_identity(std::span<const VertexIndex> ids, std::size_t first) {
   return same;
 }
 
-/// The same over a chunked array, stopping at the first chunk that
+/// The same over an endpoint array, stopping at the first chunk that
 /// breaks it.
-bool is_identity(const ChunkedArray<VertexIndex>& ids, std::size_t first) {
-  for (std::size_t c = 0; c < ids.num_chunks(); ++c) {
-    if (!is_identity(ids.chunk(c), first + c * kChunkRows)) return false;
+bool is_identity(const EndpointArray& ids, std::size_t first) {
+  std::array<VertexIndex, kChunkRows> buf;
+  for (std::size_t i = 0; i < ids.size(); i += kChunkRows) {
+    const std::size_t k = std::min(kChunkRows, ids.size() - i);
+    if (!is_identity({ids.lanes(i, k, buf.data()), k}, first + i)) {
+      return false;
+    }
   }
   return true;
 }
 
-void append_chunks(ChunkedArray<VertexIndex>& to,
-                   const ChunkedArray<VertexIndex>& from) {
-  for (std::size_t c = 0; c < from.num_chunks(); ++c) {
-    const std::span<const VertexIndex> piece = from.chunk(c);
-    to.append(piece.data(), piece.size());
-  }
+void append_all(EndpointArray& to, const EndpointArray& from) {
+  from.for_each_piece(0, from.size(),
+                      [&](std::span<const VertexIndex> piece, std::size_t) {
+                        to.append(piece.data(), piece.size());
+                      });
 }
 
 }  // namespace
@@ -46,12 +51,8 @@ CsrIndex CsrIndex::over(std::shared_ptr<Base> base, std::size_t num_edges,
   CsrIndex out;
   const bool ordered = base->edge.empty() && base->neighbor.empty();
   if (ordered) {
-    base->chunks.reserve(base->other.num_chunks());
-    for (std::size_t c = 0; c < base->other.num_chunks(); ++c) {
-      base->chunks.push_back(base->other.chunk(c).data());
-    }
     // Null when the neighbors are implicit.
-    if (!base->chunks.empty()) out.chunks_ = base->chunks.data();
+    if (base->other.size() > 0) out.other_ = &base->other;
   } else {
     out.neighbor_ = base->neighbor.data();
     out.edge_ = base->edge.data();
@@ -82,7 +83,7 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
   // Whether edge e indexes vertex e: known for an identity side, else
   // found before the degree count. A unit direction needs neither the
   // count nor offsets.
-  const ChunkedArray<VertexIndex>* from_array = indexed.array();
+  const EndpointArray* from_array = indexed.array();
   const bool identity = from_array == nullptr || is_identity(*from_array, 0);
   if (identity) {
     // Vertex v < edges has edge v alone, and the rest have none: unit
@@ -100,14 +101,15 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
   base->offsets.assign(n + 1, 0);
   bool ordered = true;
   VertexIndex last = 0;
-  for (std::size_t c = 0; c < from_array->num_chunks(); ++c) {
-    for (const VertexIndex v : from_array->chunk(c)) {
-      GEMS_DCHECK(v < n);
-      ++base->offsets[v + 1];
-      ordered &= v >= last;
-      last = v;
-    }
-  }
+  from_array->for_each_piece(
+      0, edges, [&](std::span<const VertexIndex> piece, std::size_t) {
+        for (const VertexIndex v : piece) {
+          GEMS_DCHECK(v < n);
+          ++base->offsets[v + 1];
+          ordered &= v >= last;
+          last = v;
+        }
+      });
   for (std::size_t i = 1; i <= n; ++i) {
     base->offsets[i] += base->offsets[i - 1];
   }
@@ -121,21 +123,22 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
   base->edge.resize(edges);
   std::pmr::vector<std::uint32_t> cursor(base->offsets.begin(),
                                          base->offsets.end() - 1, scratch);
-  // Both arrays chunk identically, so chunk c of each holds the same edges.
-  const ChunkedArray<VertexIndex>* to_array = other.array();
-  for (std::size_t c = 0; c < from_array->num_chunks(); ++c) {
-    const std::span<const VertexIndex> from = from_array->chunk(c);
-    const std::span<const VertexIndex> to =
-        to_array != nullptr ? to_array->chunk(c)
-                            : std::span<const VertexIndex>();
-    const std::size_t first = c * kChunkRows;
-    for (std::size_t i = 0; i < from.size(); ++i) {
-      const std::uint32_t pos = cursor[from[i]]++;
-      const auto e = static_cast<EdgeIndex>(first + i);
-      base->neighbor[pos] = to_array != nullptr ? to[i] : e;
-      base->edge[pos] = e;
-    }
-  }
+  // Both arrays chunk identically, so a piece of each holds the same edges.
+  const EndpointArray* to_array = other.array();
+  std::array<VertexIndex, kChunkRows> to_buf;
+  from_array->for_each_piece(
+      0, edges, [&](std::span<const VertexIndex> from, std::size_t first) {
+        const VertexIndex* to =
+            to_array != nullptr
+                ? to_array->lanes(first, from.size(), to_buf.data())
+                : nullptr;
+        for (std::size_t i = 0; i < from.size(); ++i) {
+          const std::uint32_t pos = cursor[from[i]]++;
+          const auto e = static_cast<EdgeIndex>(first + i);
+          base->neighbor[pos] = to != nullptr ? to[i] : e;
+          base->edge[pos] = e;
+        }
+      });
   return over(std::move(base), edges, false);
 }
 
@@ -216,8 +219,7 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
                             VertexTypeId src_type, VertexTypeId dst_type,
                             std::size_t num_src_vertices,
                             std::size_t num_dst_vertices,
-                            ChunkedArray<VertexIndex> src,
-                            ChunkedArray<VertexIndex> dst,
+                            EndpointArray src, EndpointArray dst,
                             storage::TablePtr attr_table,
                             std::pmr::memory_resource* scratch) {
   GEMS_CHECK(src.size() == dst.size());
@@ -243,8 +245,8 @@ EdgeType EdgeType::assemble(EdgeTypeId id, std::string name,
 
 EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
                           std::size_t num_dst_vertices,
-                          const ChunkedArray<VertexIndex>& added_src,
-                          const ChunkedArray<VertexIndex>& added_dst,
+                          const EndpointArray& added_src,
+                          const EndpointArray& added_dst,
                           storage::TablePtr attr_table,
                           std::pmr::memory_resource* scratch) {
   GEMS_CHECK(added_src.size() == added_dst.size());
@@ -254,7 +256,7 @@ EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
   // Copies share the base's sealed chunks.
   EdgeType et = base;
   et.attr_table_ = std::move(attr_table);
-  append_chunks(et.dst_, added_dst);
+  append_all(et.dst_, added_dst);
   const bool identity = base.src_identity_ && is_identity(added_src, first);
   if (base.src_identity_ && !identity) {
     // The first appended edge whose source is not its id: write the
@@ -265,7 +267,7 @@ EdgeType EdgeType::extend(const EdgeType& base, std::size_t num_src_vertices,
         });
     et.src_identity_ = false;
   }
-  if (!identity) append_chunks(et.src_, added_src);
+  if (!identity) append_all(et.src_, added_src);
   et.forward_ = CsrIndex::extend(base.forward_, num_src_vertices,
                                  et.source_end(), et.dst_, scratch);
   et.reverse_ = CsrIndex::extend(base.reverse_, num_dst_vertices, et.dst_,

@@ -1,14 +1,18 @@
 // Edge types — relations between two vertex types (paper Eq. 2):
 //   E(a1..an) = (S ⋈ σ_φ(A)) ⋈ T
-// materialized as parallel endpoint arrays (chunked, so an ingest's copy
-// shares their sealed chunks with the previous epoch) plus *bidirectional*
-// CSR indices. The paper (Sec. III-B) calls the edge index "a fundamental data
-// structure": the forward index supports S -E-> T steps, the reverse index
-// lets the planner run a step right-to-left, which is what makes
-// non-lexical execution orders possible.
+// materialized as parallel endpoint arrays plus *bidirectional* CSR
+// indices. An endpoint array is a storage::ColumnData<VertexIndex> with
+// every row valid: kChunkRows-row chunks, each narrowed to 0, 1, 2 or 4
+// bytes a lane when it seals, and shared with the previous epoch by an
+// ingest's copy (DESIGN.md §5n). The paper (Sec. III-B) calls the edge
+// index "a fundamental data structure": the forward index supports
+// S -E-> T steps, the reverse index lets the planner run a step
+// right-to-left, which is what makes non-lexical execution orders
+// possible.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <memory_resource>
@@ -18,19 +22,25 @@
 
 #include "common/bitset.hpp"
 #include "common/check.hpp"
-#include "common/chunked_array.hpp"
+#include "common/lane_codec.hpp"
 #include "common/large_array.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
+#include "storage/column_data.hpp"
 #include "storage/table.hpp"
 
 namespace gems::graph {
+
+/// An edge type's endpoint array, or an ingest's appended endpoints.
+using EndpointArray = storage::ColumnData<VertexIndex>;
 
 /// One piece of a vertex's adjacency: the other endpoints of some of its
 /// incident edges, and their edge ids. Each is an array or, when its
 /// pointer is null, implicit. Implicit ids: the i-th edge is `first_edge +
 /// i`. Implicit neighbors: the other side is the identity (edge e's other
-/// endpoint is e), so the i-th neighbor is the i-th edge.
+/// endpoint is e), so the i-th neighbor is the i-th edge. A neighbor array
+/// may be a buffer that lives only as long as the call that passes the
+/// part.
 struct AdjacencyPart {
   const VertexIndex* neighbors = nullptr;
   const EdgeIndex* edge_ids = nullptr;
@@ -53,7 +63,7 @@ struct AdjacencyPart {
 /// referencing table is both source vertex e and edge e.
 class EdgeEnd {
  public:
-  EdgeEnd(const ChunkedArray<VertexIndex>& array) noexcept  // NOLINT
+  EdgeEnd(const EndpointArray& array) noexcept  // NOLINT
       : array_(&array), size_(array.size()) {}
   static EdgeEnd identity(std::size_t num_edges) noexcept {
     EdgeEnd out;
@@ -63,7 +73,7 @@ class EdgeEnd {
 
   std::size_t size() const noexcept { return size_; }
   /// The endpoint array; null for the identity.
-  const ChunkedArray<VertexIndex>* array() const noexcept { return array_; }
+  const EndpointArray* array() const noexcept { return array_; }
   VertexIndex operator[](std::size_t e) const noexcept {
     return array_ != nullptr ? (*array_)[e] : static_cast<VertexIndex>(e);
   }
@@ -71,7 +81,7 @@ class EdgeEnd {
  private:
   EdgeEnd() = default;
 
-  const ChunkedArray<VertexIndex>* array_ = nullptr;
+  const EndpointArray* array_ = nullptr;
   std::size_t size_ = 0;
 };
 
@@ -91,7 +101,8 @@ class EdgeEnd {
 /// direction is *ordered*), a base entry's edge id is its position and
 /// its neighbor is the other endpoint of that edge: the base stores no
 /// edge ids and no neighbors, and reads the neighbors from a copy of the
-/// other endpoint array, which shares that array's sealed chunks. When the
+/// other endpoint array, which shares that array's sealed chunks; a
+/// narrow chunk's neighbors are widened as they are read. When the
 /// other side is the identity, which the edge type does not store, the
 /// base reads nothing: entry i's neighbor is its edge id, i. When edge e's
 /// indexed vertex is e and the indexed side has as many vertices as edges
@@ -130,26 +141,26 @@ class CsrIndex {
   /// vertex, then with its tail part, if it has one; concatenated, the
   /// parts list v's edges in ascending edge id order, as one flat CSR
   /// would. An ordered base gives one part per chunk of the other
-  /// endpoint array that v's group touches, and none for an empty group;
-  /// over an identity other side it gives one part with implicit
-  /// neighbors. Each call site inlines one copy of `fn` per kind of part
-  /// (unit, flat, view piece, implicit, tail), so each runs with its
-  /// neighbor and edge-id forms and, for a unit part, its single entry
-  /// known (EXPERIMENTS.md E-CSRTAIL, E-SHAREDNEIGHBORS,
-  /// E-IDENTITYARRAYS).
+  /// endpoint array that v's group touches, and none for an empty group
+  /// (a part of a narrow chunk reads a buffer on the stack); over an
+  /// identity other side it gives one part with implicit neighbors. Each
+  /// call site inlines one copy of `fn` per kind of part (unit, flat, view
+  /// piece, implicit, tail), so each runs with its neighbor and edge-id
+  /// forms and, for a unit part, its single entry known (EXPERIMENTS.md
+  /// E-CSRTAIL, E-SHAREDNEIGHBORS, E-IDENTITYARRAYS).
   template <typename Fn>
   void for_each_part(VertexIndex v, Fn&& fn) const {
     GEMS_DCHECK(v < num_vertices_);
     if (v < base_vertices_) {
-      if (offsets_ == nullptr && chunks_ != nullptr) {
+      if (offsets_ == nullptr && other_ != nullptr) {
         // Unit: v's one base entry is entry v.
-        fn(AdjacencyPart{stored(chunks_[v / kChunkRows] + v % kChunkRows),
-                         nullptr, v, 1});
+        const VertexIndex u = (*other_)[v];
+        fn(AdjacencyPart{&u, nullptr, v, 1});
       } else if (edge_ != nullptr) {
         const std::uint32_t begin = offsets_[v];
         fn(AdjacencyPart{stored(neighbor_ + begin), edge_ + begin, begin,
                          offsets_[v + 1] - begin});
-      } else if (chunks_ != nullptr) {
+      } else if (other_ != nullptr) {
         for_each_view_part(offsets_[v], offsets_[v + 1] - offsets_[v], fn);
       } else {
         // Ordered over an identity other side: neighbor i is edge i.
@@ -164,6 +175,86 @@ class CsrIndex {
       AdjacencyPart part = tail_->part(v);
       part.neighbors = stored(part.neighbors);
       fn(part);
+    }
+  }
+
+  /// for_each_part over every vertex whose bit is set in `vertices`, in
+  /// ascending order; the matcher's frontier walks call it. An ordered
+  /// base with a stored other side reads its neighbors through a window
+  /// that moves forward: when a 64-vertex word's entries are not all in
+  /// it, one lanes() call reads from the word's first entry to the end of
+  /// that entry's chunk (or to the word's last entry, if further), in
+  /// place or widened into a buffer here. A narrow chunk is so widened
+  /// about once per walk, not once per vertex, and a vertex's base part
+  /// is one part however many chunks its group spans, unless the word's
+  /// entries exceed a chunk. A flat base, or one with implicit neighbors,
+  /// reads no chunk: it calls for_each_part per vertex (EXPERIMENTS.md
+  /// E-ONECHUNK).
+  template <typename Fn>
+  __attribute__((always_inline)) void for_each_part_of(
+      const DynamicBitset& vertices, Fn&& fn) const {
+    GEMS_DCHECK(vertices.size() <= num_vertices_);
+    if (edge_ != nullptr || other_ == nullptr) {
+      // Flat, or implicit neighbors: nothing to widen.
+      vertices.for_each([&](std::size_t v) __attribute__((always_inline)) {
+        for_each_part(static_cast<VertexIndex>(v), fn);
+      });
+      return;
+    }
+    std::array<VertexIndex, kChunkRows> buf;
+    // Base entries [lo, hi) are at entries[0, hi - lo).
+    std::uint32_t lo = 0;
+    std::uint32_t hi = 0;
+    const VertexIndex* entries = nullptr;
+    const std::span<const std::uint64_t> words = vertices.words();
+    for (std::size_t w = 0; w < words.size(); ++w) {
+      std::uint64_t word = words[w];
+      if (word == 0) continue;
+      const std::size_t first = w * 64;
+      // The entries of the word's set base vertices: [need_lo, need_hi).
+      const std::uint32_t need_lo =
+          base_offset(std::min(first + __builtin_ctzll(word), base_vertices_));
+      const std::uint32_t need_hi = base_offset(
+          std::min(first + 64 - __builtin_clzll(word), base_vertices_));
+      GEMS_DCHECK(need_lo >= lo);  // words ascend
+      if (need_hi > hi) {
+        // Read on to the end of need_lo's chunk: the next words' entries
+        // follow.
+        const std::size_t end = std::min<std::size_t>(
+            base_edges_, std::max<std::size_t>(
+                             need_hi, (need_lo / kChunkRows + 1) * kChunkRows));
+        lo = need_lo;
+        hi = static_cast<std::uint32_t>(end);
+        entries = end - lo <= kChunkRows
+                      ? other_->lanes(lo, end - lo, buf.data())
+                      : nullptr;
+        if (entries == nullptr) hi = lo;
+      }
+      while (word != 0) {
+        const auto v =
+            static_cast<VertexIndex>(first + __builtin_ctzll(word));
+        word &= word - 1;
+        if (v < base_vertices_) {
+          if (offsets_ == nullptr) {
+            // Unit: v's one base entry is entry v.
+            fn(AdjacencyPart{stored(entries + (v - lo)), nullptr, v, 1});
+          } else {
+            const std::uint32_t begin = offsets_[v];
+            const std::uint32_t count = offsets_[v + 1] - begin;
+            if (entries == nullptr) [[unlikely]] {
+              for_each_view_part(begin, count, fn);
+            } else if (count > 0) {
+              fn(AdjacencyPart{stored(entries + (begin - lo)), nullptr,
+                               begin, count});
+            }
+          }
+        }
+        if (tail_ != nullptr && tail_->touched_bits.test(v)) {
+          AdjacencyPart part = tail_->part(v);
+          part.neighbors = stored(part.neighbors);
+          fn(part);
+        }
+      }
     }
   }
 
@@ -193,7 +284,7 @@ class CsrIndex {
   /// True when the base's neighbors are implicit: ordered over an identity
   /// other side.
   bool implicit_neighbors() const noexcept {
-    return edge_ == nullptr && chunks_ == nullptr && base_edges_ > 0;
+    return edge_ == nullptr && other_ == nullptr && base_edges_ > 0;
   }
 
   /// True when the base stores no offsets either.
@@ -215,12 +306,10 @@ class CsrIndex {
     // empty when the direction is ordered.
     std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
     std::pmr::vector<EdgeIndex> edge{large_array_resource()};
-    // When ordered, the other endpoint array (its sealed chunks shared,
-    // only the partial last chunk copied) and a pointer to each of its
-    // chunks: entry i is chunks[i / kChunkRows][i % kChunkRows]. Both
-    // empty when the other side is the identity.
-    ChunkedArray<VertexIndex> other;
-    std::vector<const VertexIndex*> chunks;
+    // When ordered, the other endpoint array, its sealed chunks shared
+    // and only its tail copied: entry i's neighbor is other[i]. Empty
+    // when the other side is the identity.
+    EndpointArray other;
   };
   struct Tail {
     // Ascending, and their offsets (size touched+1).
@@ -255,19 +344,18 @@ class CsrIndex {
   }
 
   /// Calls fn(const AdjacencyPart&) over entries [begin, begin + count)
-  /// of an ordered base, one part per chunk piece.
+  /// of an ordered base, one part per chunk piece, a narrow one widened
+  /// into a buffer on the stack.
   template <typename Fn>
   void for_each_view_part(std::uint32_t begin, std::uint32_t count,
                           Fn& fn) const {
-    while (count > 0) {
-      const std::uint32_t at = begin % kChunkRows;
-      const std::uint32_t k =
-          std::min(count, static_cast<std::uint32_t>(kChunkRows) - at);
-      fn(AdjacencyPart{stored(chunks_[begin / kChunkRows] + at), nullptr,
-                       begin, k});
-      begin += k;
-      count -= k;
-    }
+    other_->for_each_piece(
+        begin, begin + count,
+        [&](std::span<const VertexIndex> piece, std::size_t offset) {
+          fn(AdjacencyPart{stored(piece.data()), nullptr,
+                           static_cast<EdgeIndex>(begin + offset),
+                           static_cast<std::uint32_t>(piece.size())});
+        });
   }
 
   /// Whether build() over all num_edges() edges would store no offsets.
@@ -280,12 +368,12 @@ class CsrIndex {
   std::size_t num_vertices_ = 0;
   // The base arrays, read on every for_each_part() call: offsets_ is null
   // when the base is unit, neighbor_ and edge_ when it is ordered, and
-  // chunks_ is read only then, and is null when the neighbors are
+  // other_ is read only then, and is null when the neighbors are
   // implicit.
   const std::uint32_t* offsets_ = nullptr;
   const VertexIndex* neighbor_ = nullptr;
   const EdgeIndex* edge_ = nullptr;
-  const VertexIndex* const* chunks_ = nullptr;
+  const EndpointArray* other_ = nullptr;
   std::size_t base_vertices_ = 0;
   std::size_t base_edges_ = 0;
   // Whether the indexed side is non-decreasing over all num_edges()
@@ -311,8 +399,7 @@ class EdgeType {
                            VertexTypeId src_type, VertexTypeId dst_type,
                            std::size_t num_src_vertices,
                            std::size_t num_dst_vertices,
-                           ChunkedArray<VertexIndex> src,
-                           ChunkedArray<VertexIndex> dst,
+                           EndpointArray src, EndpointArray dst,
                            storage::TablePtr attr_table,
                            std::pmr::memory_resource* scratch);
 
@@ -324,8 +411,8 @@ class EdgeType {
   /// directions come from CsrIndex::extend.
   static EdgeType extend(const EdgeType& base, std::size_t num_src_vertices,
                          std::size_t num_dst_vertices,
-                         const ChunkedArray<VertexIndex>& added_src,
-                         const ChunkedArray<VertexIndex>& added_dst,
+                         const EndpointArray& added_src,
+                         const EndpointArray& added_dst,
                          storage::TablePtr attr_table,
                          std::pmr::memory_resource* scratch);
 
@@ -338,11 +425,13 @@ class EdgeType {
   std::size_t num_edges() const noexcept { return dst_.size(); }
 
   VertexIndex source_vertex(EdgeIndex e) const {
-    if (!src_identity_) return src_.at(e);
     GEMS_CHECK_MSG(e < num_edges(), "edge index out of range");
-    return e;
+    return src_identity_ ? e : src_[e];
   }
-  VertexIndex target_vertex(EdgeIndex e) const { return dst_.at(e); }
+  VertexIndex target_vertex(EdgeIndex e) const {
+    GEMS_CHECK_MSG(e < num_edges(), "edge index out of range");
+    return dst_[e];
+  }
   /// True when the source side is the identity and not stored.
   bool source_is_identity() const noexcept { return src_identity_; }
 
@@ -378,8 +467,8 @@ class EdgeType {
   std::string name_;
   VertexTypeId src_type_ = kInvalidVertexType;
   VertexTypeId dst_type_ = kInvalidVertexType;
-  ChunkedArray<VertexIndex> src_;  // empty when src_identity_
-  ChunkedArray<VertexIndex> dst_;
+  EndpointArray src_;  // empty when src_identity_
+  EndpointArray dst_;
   bool src_identity_ = false;
   storage::TablePtr attr_table_;
   CsrIndex forward_;

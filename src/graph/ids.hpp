@@ -4,11 +4,15 @@
 // so instances of different types can never collide.
 #pragma once
 
+#include <algorithm>
+#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <span>
 
 #include "common/hash.hpp"
+#include "common/lane_codec.hpp"
 
 namespace gems::graph {
 
@@ -45,6 +49,20 @@ struct EdgeRef {
   friend bool operator==(const EdgeRef&, const EdgeRef&) = default;
   friend auto operator<=>(const EdgeRef&, const EdgeRef&) = default;
 };
+
+/// Calls fn(std::span<const T>) over consecutive kChunkRows pieces of the
+/// identity array 0, 1, …, n - 1, written out one piece at a time into a
+/// buffer on the stack: the form of an identity array that is not stored
+/// (an edge type's sources, a vertex type's representative rows).
+template <typename T, typename Fn>
+void for_each_identity_piece(std::size_t n, Fn&& fn) {
+  std::array<T, kChunkRows> piece;
+  for (std::size_t first = 0; first < n; first += kChunkRows) {
+    const std::size_t k = std::min(kChunkRows, n - first);
+    for (std::size_t i = 0; i < k; ++i) piece[i] = static_cast<T>(first + i);
+    fn(std::span<const T>(piece.data(), k));
+  }
+}
 
 struct VertexRefHash {
   std::size_t operator()(const VertexRef& v) const noexcept {

@@ -11,7 +11,9 @@
 // every vertex (the rows are the identity, as for a one-to-one type over
 // an unfiltered table), the rows are not stored. Whether they are is a
 // function of the representative rows alone, so a type built or extended
-// to the same rows stores the same arrays.
+// to the same rows stores the same arrays. Stored rows are a
+// storage::ColumnData<RowIndex> with every row valid, in kChunkRows-row
+// chunks narrowed as they seal, as a column's are.
 #pragma once
 
 #include <memory>
@@ -21,12 +23,12 @@
 #include <vector>
 
 #include "common/bitset.hpp"
-#include "common/chunked_array.hpp"
 #include "common/id_table.hpp"
 #include "common/status.hpp"
 #include "graph/ids.hpp"
 #include "relational/bound_expr.hpp"
 #include "relational/row_key.hpp"
+#include "storage/column_data.hpp"
 #include "storage/table.hpp"
 
 namespace gems::graph {
@@ -166,7 +168,7 @@ class VertexType {
 
   // Chunked: extend() copies the base type, sharing its sealed chunks.
   // Empty while identity_rows_.
-  ChunkedArray<storage::RowIndex> representative_row_;
+  storage::ColumnData<storage::RowIndex> representative_row_;
   std::size_t num_vertices_ = 0;
   bool identity_rows_ = true;
   // key -> vertex index, keyed by relational::hash_row_key over the key

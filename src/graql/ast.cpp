@@ -386,7 +386,8 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
     if (schema == nullptr) return true;
     for (const storage::ColumnDef& def : schema->columns()) {
       GraphOutput& col = out.columns.emplace_back(GraphOutput{
-          namer.assign(display + "_" + def.name, ""), def.type, &target});
+          namer.assign(display + "_" + def.name, ""), def.type, &target, {},
+          {}});
       for (const NamedStep* s : steps) {
         const storage::Schema* a = attrs(s);
         col.step.push_back(s == nullptr ? nullptr : s->ast);

@@ -24,7 +24,7 @@
 #include <vector>
 
 #include "common/bitset.hpp"
-#include "common/chunked_array.hpp"
+#include "common/lane_codec.hpp"
 #include "relational/bound_expr.hpp"
 #include "storage/table.hpp"
 

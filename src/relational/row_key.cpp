@@ -3,8 +3,8 @@
 #include <cstring>
 
 #include "common/check.hpp"
-#include "common/chunked_array.hpp"
 #include "common/hash.hpp"
+#include "common/lane_codec.hpp"
 
 namespace gems::relational {
 

@@ -45,24 +45,46 @@ void ColumnData<T>::copy_to(std::size_t begin, std::size_t n,
 }
 
 template <typename T>
+std::size_t ColumnData<T>::tail_room(std::size_t n) {
+  if (tail_.size() == kChunkRows) seal();
+  const std::size_t at = tail_.size();
+  const std::size_t k = std::min(n, kChunkRows - at);
+  if (at + k > tail_.capacity()) {
+    tail_.reserve(std::min(kChunkRows, std::max(at + k, 2 * tail_.capacity())));
+  }
+  return k;
+}
+
+template <typename T>
 void ColumnData<T>::append(const T* p, std::size_t n,
                            const std::uint64_t* valid) {
   GEMS_CHECK(n == 0 || valid != nullptr);
   GEMS_CHECK(size() % 64 == 0);
   while (n > 0) {
-    if (tail_.size() == kChunkRows) seal();
+    const std::size_t k = tail_room(n);
     const std::size_t at = tail_.size();
-    const std::size_t k = std::min(n, kChunkRows - at);
-    if (at + k > tail_.capacity()) {
-      tail_.reserve(
-          std::min(kChunkRows, std::max(at + k, 2 * tail_.capacity())));
-    }
     tail_.insert(tail_.end(), p, p + k);
     std::copy(valid, valid + (k + 63) / 64, &tail_valid_[at / 64]);
     for (std::size_t i = 0; i < k; ++i) {
       if (!bit(valid, i)) tail_[at + i] = kNullPayload;
     }
     valid += k / 64;  // k is a multiple of 64 unless it ends the input
+    p += k;
+    n -= k;
+  }
+}
+
+template <typename T>
+void ColumnData<T>::append(const T* p, std::size_t n) {
+  while (n > 0) {
+    const std::size_t k = tail_room(n);
+    const std::size_t at = tail_.size();
+    tail_.insert(tail_.end(), p, p + k);
+    for (std::size_t i = at; i < at + k;) {
+      const std::size_t bits = std::min(64 - i % 64, at + k - i);
+      tail_valid_[i / 64] |= (~std::uint64_t{0} >> (64 - bits)) << (i % 64);
+      i += bits;
+    }
     p += k;
     n -= k;
   }

@@ -1,5 +1,7 @@
 // A column's payload: its values and their validity bits, in kChunkRows-row
-// chunks (DESIGN.md §5n "Column chunks").
+// chunks (DESIGN.md §5n "Column chunks"). The graph's endpoint arrays and
+// representative rows are ColumnData<std::uint32_t> too, with every row
+// valid.
 //
 // Row i lives in chunk i / kChunkRows at lane i % kChunkRows. Every chunk
 // but the last is sealed: full, held by shared_ptr<const>, never written
@@ -46,8 +48,9 @@ namespace gems::storage {
 
 template <typename T>
 class ColumnData {
+  // std::uint32_t is StringId, graph::VertexIndex and storage::RowIndex.
   static_assert(std::is_same_v<T, std::int64_t> || std::is_same_v<T, double> ||
-                std::is_same_v<T, StringId>);
+                std::is_same_v<T, std::uint32_t>);
 
  public:
   /// Validity words per chunk.
@@ -68,9 +71,10 @@ class ColumnData {
   // ---- Row reads ---------------------------------------------------------
   T operator[](std::size_t i) const noexcept {
     GEMS_DCHECK(i < size());
-    const std::size_t c = i / kChunkRows;
-    if (c == sealed_.size()) return tail_[i % kChunkRows];
-    return sealed_[c].value(i % kChunkRows);
+    // A pointer compare: sealed_.size() would divide by sizeof(Sealed).
+    const Sealed* s = sealed_.data() + i / kChunkRows;
+    if (s == sealed_.data() + sealed_.size()) return tail_[i % kChunkRows];
+    return s->value(i % kChunkRows);
   }
 
   bool valid(std::size_t i) const noexcept {
@@ -157,7 +161,7 @@ class ColumnData {
 
   // ---- Appending ---------------------------------------------------------
   /// Appends one row; a NULL row stores kNullPayload whatever `v` is.
-  void push_back(T v, bool ok) {
+  void push_back(T v, bool ok = true) {
     if (tail_.size() == kChunkRows) seal();
     if (tail_.size() == tail_.capacity()) {
       tail_.reserve(std::min(
@@ -173,6 +177,9 @@ class ColumnData {
   /// of 64. NULL rows store kNullPayload, as push_back does.
   void append(const T* p, std::size_t n, const std::uint64_t* valid);
 
+  /// Appends `n` valid rows from `p`, at any size().
+  void append(const T* p, std::size_t n);
+
  private:
   static constexpr std::array<std::uint64_t, kWords> kAllValid = [] {
     std::array<std::uint64_t, kWords> words{};
@@ -186,7 +193,9 @@ class ColumnData {
 
     T value(std::size_t j) const noexcept {
       if (width == sizeof(T)) return lane_codec::load<T>(lanes, j);
-      if (((valid[j / 64] >> (j % 64)) & 1u) == 0) return kNullPayload;
+      if (has_null() && ((valid[j / 64] >> (j % 64)) & 1u) == 0) {
+        return kNullPayload;
+      }
       return static_cast<T>(base + lane_codec::read(lanes, width, j));
     }
 
@@ -199,6 +208,10 @@ class ColumnData {
 
   /// Encodes the full tail as a sealed chunk and empties the tail.
   void seal();
+
+  /// Makes room in the tail for the next k <= n rows, sealing a full
+  /// tail first, and returns k.
+  std::size_t tail_room(std::size_t n);
 
   std::vector<Sealed> sealed_;
   std::size_t sealed_bytes_ = 0;

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "common/chunked_array.hpp"
+#include "common/lane_codec.hpp"
 
 namespace gems::storage {
 

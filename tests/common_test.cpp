@@ -23,7 +23,6 @@
 
 #include "cluster/coordinator.hpp"
 #include "common/bitset.hpp"
-#include "common/chunked_array.hpp"
 #include "common/crc32.hpp"
 #include "common/hash.hpp"
 #include "common/id_table.hpp"
@@ -648,48 +647,6 @@ TEST(StringPoolTest, OffsetLayoutEdgesMatchAnOracle) {
 }
 
 // ---- IdTable ----------------------------------------------------------------
-
-// ---- ChunkedArray ----------------------------------------------------------
-
-TEST(ChunkedArrayTest, IndexAndBulkAppendMatchAFlatVector) {
-  for (const std::size_t n : {0ul, 1ul, 15ul, 16ul, 17ul, 40ul}) {
-    ChunkedArray<std::uint32_t, 16> a;
-    std::vector<std::uint32_t> flat;
-    for (std::size_t i = 0; i < n; ++i) {
-      a.push_back(static_cast<std::uint32_t>(i * 7));
-      flat.push_back(static_cast<std::uint32_t>(i * 7));
-    }
-    ASSERT_EQ(a.size(), n);
-    EXPECT_TRUE(std::equal(a.begin(), a.end(), flat.begin(), flat.end()));
-    // A full chunk seals only when the next element arrives.
-    EXPECT_EQ(a.num_sealed_chunks(), n == 0 ? 0 : (n - 1) / 16);
-    for (std::size_t i = 0; i < n; ++i) ASSERT_EQ(a[i], flat[i]) << i;
-    std::vector<std::uint32_t> chunks;
-    for (std::size_t c = 0; c < a.num_chunks(); ++c) {
-      chunks.insert(chunks.end(), a.chunk(c).begin(), a.chunk(c).end());
-    }
-    EXPECT_EQ(chunks, flat);
-    ChunkedArray<std::uint32_t, 16> bulk;
-    bulk.append(flat.data(), flat.size());
-    EXPECT_TRUE(bulk == a);
-  }
-}
-
-TEST(ChunkedArrayTest, CopySharesSealedChunksAndOwnsItsTail) {
-  ChunkedArray<std::uint64_t, 16> a;
-  for (std::uint64_t i = 0; i < 40; ++i) a.push_back(i);
-  ChunkedArray<std::uint64_t, 16> b = a;
-  ASSERT_EQ(b.num_sealed_chunks(), 2u);
-  for (std::size_t c = 0; c < 2; ++c) {
-    EXPECT_EQ(a.chunk(c).data(), b.chunk(c).data());
-  }
-  EXPECT_NE(a.chunk(2).data(), b.chunk(2).data());
-  for (std::uint64_t i = 0; i < 30; ++i) b.push_back(1000 + i);
-  ASSERT_EQ(a.size(), 40u);
-  for (std::uint64_t i = 0; i < 40; ++i) EXPECT_EQ(a[i], i);
-  for (std::uint64_t i = 0; i < 30; ++i) EXPECT_EQ(b[40 + i], 1000 + i);
-  EXPECT_EQ(a.chunk(1).data(), b.chunk(1).data());
-}
 
 TEST(IdTableTest, CapacityDependsOnlyOnEntryCount) {
   // One by one or after a reserve, n entries occupy the smallest power of

@@ -491,8 +491,8 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
     Xoshiro256 rng(seed);
     std::size_t num_src = unit ? 0 : rng.below(40) + (heavy ? 1 : 0);
     std::size_t num_dst = 1 + rng.below(40);
-    ChunkedArray<VertexIndex> src;
-    ChunkedArray<VertexIndex> dst;
+    EndpointArray src;
+    EndpointArray dst;
     VertexIndex last_src = 0;
     VertexIndex last_dst = 0;
     // Unit sources: edge e runs from vertex e + shift. A shift of -1 gives
@@ -551,8 +551,8 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
       const std::size_t first = src.size();
       append(rng.below(rng.chance(0.1) ? 120 : 12) + (break_order ? 2 : 0),
              break_order);
-      ChunkedArray<VertexIndex> added_src;
-      ChunkedArray<VertexIndex> added_dst;
+      EndpointArray added_src;
+      EndpointArray added_dst;
       for (std::size_t e = first; e < src.size(); ++e) {
         added_src.push_back(src[e]);
         added_dst.push_back(dst[e]);
@@ -636,13 +636,19 @@ TEST(CsrTailPropertyTest, AppendedBatchesMatchFlatBuild) {
 EdgeType assembled(const std::vector<VertexIndex>& src,
                    const std::vector<VertexIndex>& dst, std::size_t num_src,
                    std::size_t num_dst) {
-  ChunkedArray<VertexIndex> from;
+  EndpointArray from;
   from.append(src.data(), src.size());
-  ChunkedArray<VertexIndex> to;
+  EndpointArray to;
   to.append(dst.data(), dst.size());
   return EdgeType::assemble(0, "E", 0, 1, num_src, num_dst, std::move(from),
                             std::move(to), nullptr,
                             std::pmr::get_default_resource());
+}
+
+/// Bytes of an endpoint array or representative rows of n < kChunkRows
+/// entries, all in the open tail: 4 a row and a validity word per 64 rows.
+std::size_t tail_bytes(std::size_t n) {
+  return n * sizeof(VertexIndex) + (n + 63) / 64 * sizeof(std::uint64_t);
 }
 
 /// `built`'s adjacency, in both directions, is the edge list's: vertex v's
@@ -655,11 +661,15 @@ void expect_adjacency_of_edges(const EdgeType& built,
     const CsrIndex& csr = forward ? built.forward() : built.reverse();
     const std::vector<VertexIndex>& keyed = forward ? src : dst;
     const std::vector<VertexIndex>& other = forward ? dst : src;
+    std::vector<std::vector<std::pair<VertexIndex, EdgeIndex>>> edges_of(
+        csr.num_vertices());
+    for (EdgeIndex e = 0; e < keyed.size(); ++e) {
+      ASSERT_LT(keyed[e], csr.num_vertices()) << "edge " << e;
+      edges_of[keyed[e]].emplace_back(other[e], e);
+    }
     for (VertexIndex v = 0; v < csr.num_vertices(); ++v) {
-      std::vector<std::pair<VertexIndex, EdgeIndex>> want;
-      for (EdgeIndex e = 0; e < keyed.size(); ++e) {
-        if (keyed[e] == v) want.emplace_back(other[e], e);
-      }
+      const std::vector<std::pair<VertexIndex, EdgeIndex>>& want =
+          edges_of[v];
       std::vector<std::pair<VertexIndex, EdgeIndex>> have;
       csr.for_each_part(v, [&](const AdjacencyPart& part) {
         for (std::size_t i = 0; i < part.size(); ++i) {
@@ -680,7 +690,7 @@ TEST(CsrRestoreTest, BuiltArraysRoundTrip) {
   EXPECT_FALSE(built.source_is_identity());
   EXPECT_FALSE(built.forward().ordered_base());
   EXPECT_FALSE(built.reverse().ordered_base());
-  EXPECT_EQ(built.endpoint_bytes(), 2 * 5 * sizeof(VertexIndex));
+  EXPECT_EQ(built.endpoint_bytes(), 2 * tail_bytes(5));
   expect_adjacency_of_edges(built, from, to);
 }
 
@@ -725,6 +735,68 @@ TEST(CsrRestoreTest, OrderedRoundTripReadsTheEndpointArray) {
   ASSERT_EQ(edges.size(), 500u);
   EXPECT_EQ(edges.front(), 900u);
   EXPECT_EQ(edges.back(), 1399u);
+
+  // Five sealed chunks and an open tail of 300, groups of 100 edges per
+  // source. The target chunks seal at every lane width: one value (0
+  // bytes), a span of 199 (1), of 37851 (2), above 65535 (4, the plain
+  // lanes read in place), then 49 (1). Vertex 10's group, edges
+  // [1000, 1100), crosses entry 1024 from the width-0 chunk into the
+  // width-1 one, and vertex 30's crosses 3072 from width 2 into width 4.
+  const std::size_t kEdges = 5 * kChunkRows + 300;
+  std::vector<VertexIndex> src;
+  std::vector<VertexIndex> dst;
+  for (std::size_t e = 0; e < kEdges; ++e) {
+    src.push_back(static_cast<VertexIndex>(e / 100));
+    const std::size_t target[] = {7, 100 + e % 200, e * 37 % 60000,
+                                  e % 2 == 1 ? 70000 + e % 11 : e % 3,
+                                  e % 50, e % 13};
+    dst.push_back(static_cast<VertexIndex>(target[e / kChunkRows]));
+  }
+  const std::size_t num_src = kEdges / 100 + 1;
+  const std::size_t num_dst = 70011;
+  const EdgeType narrow = assembled(src, dst, num_src, num_dst);
+  EXPECT_TRUE(narrow.forward().ordered_base());
+  EXPECT_FALSE(narrow.forward().implicit_neighbors());
+  // A sealed chunk is a 16-byte header and its lanes. The sources seal at
+  // width 1 (spans of 10 or 11).
+  const std::size_t src_bytes = 5 * (16 + kChunkRows) + tail_bytes(300);
+  const std::size_t dst_bytes = 16 + (16 + kChunkRows) +
+                                (16 + 2 * kChunkRows) +
+                                (16 + 4 * kChunkRows) + (16 + kChunkRows) +
+                                tail_bytes(300);
+  EXPECT_EQ(narrow.endpoint_bytes(), src_bytes + dst_bytes);
+  expect_adjacency_of_edges(narrow, src, dst);
+  for (const VertexIndex v : {10u, 30u}) {
+    std::size_t pieces = 0;
+    narrow.forward().for_each_part(v, [&](const AdjacencyPart&) {
+      ++pieces;
+    });
+    EXPECT_EQ(pieces, 2u) << "vertex " << v;
+  }
+  // The same edges appended to a prefix: into the prefix's tail (the
+  // base keeps reading the prefix's arrays) and across three chunk seals
+  // (the index folds and reads the appended arrays).
+  for (const std::size_t first : {kEdges - 100, 3 * kChunkRows - 500}) {
+    SCOPED_TRACE("extended from " + std::to_string(first) + " edges");
+    const std::vector<VertexIndex> src_prefix(src.begin(),
+                                              src.begin() + first);
+    const std::vector<VertexIndex> dst_prefix(dst.begin(),
+                                              dst.begin() + first);
+    const EdgeType prefix = assembled(src_prefix, dst_prefix, num_src,
+                                      num_dst);
+    EndpointArray added_src;
+    EndpointArray added_dst;
+    added_src.append(src.data() + first, kEdges - first);
+    added_dst.append(dst.data() + first, kEdges - first);
+    const EdgeType extended = EdgeType::extend(
+        prefix, num_src, num_dst, added_src, added_dst, nullptr,
+        std::pmr::get_default_resource());
+    EXPECT_EQ(extended.forward().shares_base(prefix.forward()),
+              first == kEdges - 100);
+    EXPECT_EQ(extended.endpoint_bytes(), narrow.endpoint_bytes());
+    expect_adjacency_of_edges(extended, src, dst);
+    expect_same_adjacency(extended.forward(), narrow.forward());
+  }
 }
 
 TEST(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
@@ -737,7 +809,9 @@ TEST(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
   }
   const EdgeType built = assembled(from, to, from.size(), 13);
   EXPECT_TRUE(built.source_is_identity());
-  EXPECT_EQ(built.endpoint_bytes(), to.size() * sizeof(VertexIndex));
+  // The targets' sealed chunk spans 0..12: a 16-byte header and 1-byte
+  // lanes.
+  EXPECT_EQ(built.endpoint_bytes(), 16 + kChunkRows + tail_bytes(5));
   EXPECT_TRUE(built.forward().unit_base());
   EXPECT_EQ(built.forward().byte_size(), 0u);
   expect_adjacency_of_edges(built, from, to);
@@ -756,6 +830,117 @@ TEST(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
   EXPECT_EQ(wider.forward().byte_size(),
             (from.size() + 2) * sizeof(std::uint32_t));
   expect_adjacency_of_edges(wider, from, to);
+}
+
+// ---- Frontier walks ----------------------------------------------------------
+// The matcher walks a frontier with for_each_part_of, which reads an
+// ordered base's neighbors a 64-vertex word at a time: it must list the
+// same (neighbor, edge) pairs as for_each_part over the set bits.
+
+/// `csr.for_each_part_of(bits)` gives the pairs that for_each_part gives
+/// vertex by vertex over `bits`, in the same order.
+void expect_frontier_walk_matches(const CsrIndex& csr,
+                                  const DynamicBitset& bits) {
+  std::vector<std::pair<VertexIndex, EdgeIndex>> want;
+  bits.for_each([&](std::size_t v) {
+    csr.for_each_part(static_cast<VertexIndex>(v),
+                      [&](const AdjacencyPart& part) {
+                        for (std::size_t i = 0; i < part.size(); ++i) {
+                          want.emplace_back(part.neighbor(i), part.edge(i));
+                        }
+                      });
+  });
+  std::vector<std::pair<VertexIndex, EdgeIndex>> have;
+  csr.for_each_part_of(bits, [&](const AdjacencyPart& part) {
+    for (std::size_t i = 0; i < part.size(); ++i) {
+      have.emplace_back(part.neighbor(i), part.edge(i));
+    }
+  });
+  EXPECT_EQ(have, want);
+}
+
+TEST(CsrFrontierTest, WordWalkMatchesVertexWalk) {
+  struct Case {
+    std::string name;
+    std::vector<VertexIndex> src;
+    std::vector<VertexIndex> dst;
+    std::size_t num_src = 0;
+    std::size_t num_dst = 0;
+    bool (*form)(const EdgeType&) = nullptr;  // the base form under test
+  };
+  Xoshiro256 rng(11);
+  const std::size_t n = 4 * kChunkRows + 500;
+  std::vector<Case> cases(4);
+  cases[0].name = "flat";
+  cases[0].form = [](const EdgeType& et) {
+    return !et.forward().ordered_base();
+  };
+  cases[1].name = "ordered, one group past a chunk";
+  cases[1].form = [](const EdgeType& et) {
+    return et.forward().ordered_base() && !et.forward().unit_base();
+  };
+  cases[2].name = "unit";
+  cases[2].form = [](const EdgeType& et) {
+    return et.forward().unit_base();
+  };
+  cases[3].name = "unit over sorted targets";
+  cases[3].form = [](const EdgeType& et) {
+    return et.reverse().implicit_neighbors();
+  };
+  VertexIndex last = 0;
+  for (std::size_t e = 0; e < n; ++e) {
+    cases[0].src.push_back(static_cast<VertexIndex>(rng.below(700)));
+    cases[0].dst.push_back(static_cast<VertexIndex>(rng.below(70000)));
+    // Vertex 40's group, edges [1000, 3500), spans three chunks.
+    cases[1].src.push_back(static_cast<VertexIndex>(
+        e < 1000 ? e / 25 : e < 3500 ? 40 : 41 + (e - 3500) / 7));
+    cases[1].dst.push_back(static_cast<VertexIndex>(rng.below(300)));
+    cases[2].src.push_back(static_cast<VertexIndex>(e));
+    cases[2].dst.push_back(static_cast<VertexIndex>(rng.below(5000)));
+    last += rng.chance(0.3) ? 1 : 0;
+    cases[3].src.push_back(static_cast<VertexIndex>(e));
+    cases[3].dst.push_back(last);
+  }
+  cases[0].num_src = 700;
+  cases[0].num_dst = 70000;
+  cases[1].num_src = 41 + (n - 3500) / 7 + 1;
+  cases[1].num_dst = 300;
+  cases[2].num_src = n;
+  cases[2].num_dst = 5000;
+  cases[3].num_src = n;
+  cases[3].num_dst = last + 1;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    const EdgeType built = assembled(c.src, c.dst, c.num_src, c.num_dst);
+    EXPECT_TRUE(c.form(built));
+    // The same edges as a prefix extended by its last 50: a tail.
+    const std::size_t first = n - 50;
+    const EdgeType prefix =
+        assembled({c.src.begin(), c.src.begin() + first},
+                  {c.dst.begin(), c.dst.begin() + first}, c.num_src,
+                  c.num_dst);
+    EndpointArray added_src;
+    EndpointArray added_dst;
+    added_src.append(c.src.data() + first, n - first);
+    added_dst.append(c.dst.data() + first, n - first);
+    const EdgeType extended = EdgeType::extend(
+        prefix, c.num_src, c.num_dst, added_src, added_dst, nullptr,
+        std::pmr::get_default_resource());
+    EXPECT_GT(extended.forward().tail_edges(), 0u);
+    for (const EdgeType* et : {&built, &extended}) {
+      for (const bool forward : {true, false}) {
+        SCOPED_TRACE(forward ? "forward" : "reverse");
+        const CsrIndex& csr = forward ? et->forward() : et->reverse();
+        for (const double density : {0.01, 0.3, 1.0}) {
+          DynamicBitset bits(csr.num_vertices());
+          for (std::size_t v = 0; v < csr.num_vertices(); ++v) {
+            if (rng.chance(density)) bits.set(v);
+          }
+          expect_frontier_walk_matches(csr, bits);
+        }
+      }
+    }
+  }
 }
 
 // ---- Identity arrays -------------------------------------------------------
@@ -778,10 +963,10 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
     // Edge e runs from vertex e to a non-decreasing target, as a foreign
     // key does over a referencing table sorted by the key: the reverse
     // index is ordered over the identity sources.
-    ChunkedArray<VertexIndex> src;
-    ChunkedArray<VertexIndex> dst;
-    ChunkedArray<VertexIndex> added_src;  // the current ingest's edges
-    ChunkedArray<VertexIndex> added_dst;
+    EndpointArray src;
+    EndpointArray dst;
+    EndpointArray added_src;  // the current ingest's edges
+    EndpointArray added_dst;
     VertexIndex last_dst = 0;
     auto append = [&](VertexIndex s) {
       last_dst += rng.chance(0.3) ? 1 : 0;
@@ -819,8 +1004,7 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
       const bool identity = c.break_at < 0 || ingest < c.break_at;
       EXPECT_EQ(built.source_is_identity(), identity);
       EXPECT_EQ(built.endpoint_bytes(),
-                (identity ? 1u : 2u) * built.num_edges() *
-                    sizeof(VertexIndex));
+                (identity ? 1u : 2u) * tail_bytes(built.num_edges()));
       EXPECT_EQ(next.source_is_identity(), identity);
       EXPECT_EQ(next.endpoint_bytes(), built.endpoint_bytes());
       for (EdgeIndex e = 0; e < built.num_edges(); ++e) {
@@ -1425,8 +1609,7 @@ TEST(VertexIdentityTest, BuiltExtendedAndRestoredAgree) {
       EXPECT_EQ(fresh->identity_rows(), identity);
       EXPECT_EQ(fresh->byte_size(),
                 fresh->key_index_bytes() +
-                    (identity ? 0 : fresh->num_vertices() *
-                                        sizeof(storage::RowIndex)) +
+                    (identity ? 0 : tail_bytes(fresh->num_vertices())) +
                     (grown->num_rows() + 63) / 64 * sizeof(std::uint64_t));
       EXPECT_EQ(extended->identity_rows(), identity);
       EXPECT_EQ(extended->one_to_one(), fresh->one_to_one());

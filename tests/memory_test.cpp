@@ -154,7 +154,7 @@ TEST(ResidentCensusTest, BerlinScale2000) {
   EXPECT_EQ(metrics::value(m, "storage.tables.bytes"), 572324u);
   EXPECT_EQ(metrics::value(m, "graph.csr.bytes"), 294004u);
   EXPECT_EQ(metrics::value(m, "graph.key_index.bytes"), 238848u);
-  EXPECT_EQ(metrics::value(m, "graph.endpoints.bytes"), 249592u);
+  EXPECT_EQ(metrics::value(m, "graph.endpoints.bytes"), 99736u);
 }
 
 // ---- The malloc threshold over a server life cycle --------------------------
@@ -188,7 +188,7 @@ std::pair<void*, bool> malloc_256k() {
 /// The life cycle, run in a fresh child process: a threshold, once
 /// raised, never comes back down within a process. The exit code says
 /// which step failed.
-int run_life_cycle(const fs::path& dir) {
+[[maybe_unused]] int run_life_cycle(const fs::path& dir) {
 #if defined(__GLIBC__)
   const auto [first_probe, first_mapped] = malloc_256k();
   if (!first_mapped) {
@@ -317,7 +317,7 @@ long proc_status_kib(const std::string& field) {
 /// Populates Berlin at scale 20000 with four rebuild workers, in a fresh
 /// child process so that no earlier test has raised the peak. The exit
 /// code says which step failed.
-int run_setup_peak() {
+[[maybe_unused]] int run_setup_peak() {
   server::DatabaseOptions options;
   options.intra_node_threads = 4;
   auto made = bsbm::make_populated_database(

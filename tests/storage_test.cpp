@@ -980,9 +980,8 @@ class ColumnChunkTest : public ::testing::Test {
   std::vector<std::vector<Value>> rows_;
 };
 
-/// Moved from ChunkedArrayTest when the validity bits left ChunkedArray for
-/// the column's own chunks: they travel with their chunk through a copy
-/// and concatenate to the packed bitmap.
+/// Validity bits travel with their chunk through a copy and concatenate
+/// to the packed bitmap.
 TEST_F(ColumnChunkTest, ValidityBitsTravelWithTheirChunk) {
   ColumnData<StringId> a;
   std::vector<bool> oracle;
@@ -1019,6 +1018,44 @@ TEST_F(ColumnChunkTest, ValidityBitsTravelWithTheirChunk) {
   for (std::size_t i = 0; i < oracle.size(); ++i) {
     ASSERT_EQ(bulk.valid(i), oracle[i]) << i;
     ASSERT_EQ(bulk[i], a[i]) << i;
+  }
+}
+
+/// The all-valid append, from any size and in pieces of any length,
+/// stores what push_back does: the same rows, every one valid, the same
+/// chunks, sealed only when the next row arrives, and the same bytes.
+TEST_F(ColumnChunkTest, AllValidAppendMatchesPushBack) {
+  for (const std::size_t n : {0ul, 1ul, 63ul, 65ul, 1024ul, 1025ul, 3000ul}) {
+    SCOPED_TRACE(std::to_string(n) + " rows");
+    ColumnData<std::uint32_t> one;
+    ColumnData<std::uint32_t> bulk;
+    std::vector<std::uint32_t> values;
+    SplitMix64 rng(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      values.push_back(static_cast<std::uint32_t>(i * 7 + rng.next() % 5));
+      one.push_back(values.back());
+    }
+    for (std::size_t i = 0; i < n;) {
+      const std::size_t k = std::min<std::size_t>(n - i, 1 + rng.next() % 90);
+      bulk.append(values.data() + i, k);
+      i += k;
+    }
+    ASSERT_EQ(bulk.size(), n);
+    EXPECT_EQ(bulk.num_sealed_chunks(), n == 0 ? 0 : (n - 1) / kChunkRows);
+    EXPECT_EQ(bulk.byte_size(), one.byte_size());
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_TRUE(bulk.valid(i)) << i;
+      ASSERT_EQ(bulk[i], values[i]) << i;
+      ASSERT_EQ(one[i], values[i]) << i;
+    }
+    for (std::size_t c = 0; c < bulk.num_chunks(); ++c) {
+      EXPECT_EQ(bulk.lane_bytes(c), one.lane_bytes(c)) << "chunk " << c;
+      EXPECT_TRUE(std::equal(bulk.valid_words(c).begin(),
+                             bulk.valid_words(c).end(),
+                             one.valid_words(c).begin(),
+                             one.valid_words(c).end()))
+          << "chunk " << c;
+    }
   }
 }
 
