@@ -1,11 +1,11 @@
-// E-P2 — Sec. III-B1: multi-statement dependence scheduling. Scripts of
-// independent `into table` queries run serially vs through the parallel
-// scheduler on the shared default_thread_pool(), as Database::run_parsed
-// runs them; dependent chains must stay serialized. The `/threads:4` rows
-// run four such scripts at once, all sharing that pool: the concurrent mix
-// in which a level's fan-out competes with the other requests. (On a
-// single-core host the parallel win is bounded by oversubscription — the
-// schedule *width* counters show the available parallelism either way.)
+// E-P2 — Sec. III-B1: multi-statement dependence scheduling. Each row
+// runs one script through plan::run_scheduled on a pinned epoch, as
+// Database::run_parsed runs a read-only script: the schedule's levels in
+// order, each level's statements in script order, on the calling thread.
+// The Independent scripts build one level of N statements, the Dependent
+// ones a chain of N one-statement levels; the `statements`, `levels` and
+// `max_width` counters show that shape. The `/threads:4` row runs four
+// wide scripts at once: the scheduler's cost under a concurrent mix.
 #include "bench_common.hpp"
 #include "graql/parser.hpp"
 #include "plan/schedule.hpp"
@@ -39,8 +39,7 @@ std::string dependent_script(std::size_t n) {
   return script;
 }
 
-void run_script_bench(benchmark::State& state, const std::string& text,
-                      bool parallel) {
+void run_script_bench(benchmark::State& state, const std::string& text) {
   // A magic static: the /threads:4 rows enter here on four threads.
   static server::Database& db = berlin_db(2000);
   auto script = graql::parse_script(text);
@@ -49,8 +48,7 @@ void run_script_bench(benchmark::State& state, const std::string& text,
   const mvcc::EpochPin pin = db.pin_epoch();
   for (auto _ : state) {
     exec::CatalogOverlay overlay;
-    auto r = plan::run_scheduled(*script, schedule, pin.ctx(), {}, overlay,
-                                 parallel ? &default_thread_pool() : nullptr);
+    auto r = plan::run_scheduled(*script, schedule, pin.ctx(), {}, overlay);
     GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
     benchmark::DoNotOptimize(r.value());
   }
@@ -61,44 +59,23 @@ void run_script_bench(benchmark::State& state, const std::string& text,
     state.counters["levels"] = static_cast<double>(schedule.levels.size());
     state.counters["max_width"] = static_cast<double>(schedule.max_width());
   }
-  state.SetLabel(parallel ? "parallel" : "serial");
 }
 
 void BM_MultiStatement_Independent_Serial(benchmark::State& state) {
   run_script_bench(state, independent_script(
-                              static_cast<std::size_t>(state.range(0))),
-                   false);
-}
-void BM_MultiStatement_Independent_Parallel(benchmark::State& state) {
-  run_script_bench(state, independent_script(
-                              static_cast<std::size_t>(state.range(0))),
-                   true);
+                              static_cast<std::size_t>(state.range(0))));
 }
 void BM_MultiStatement_Dependent_Serial(benchmark::State& state) {
   run_script_bench(state, dependent_script(
-                              static_cast<std::size_t>(state.range(0))),
-                   false);
-}
-void BM_MultiStatement_Dependent_Parallel(benchmark::State& state) {
-  // Dependence forces the schedule to one statement per level; the
-  // parallel runner degenerates to serial (max_width == 1).
-  run_script_bench(state, dependent_script(
-                              static_cast<std::size_t>(state.range(0))),
-                   true);
+                              static_cast<std::size_t>(state.range(0))));
 }
 
 BENCHMARK(BM_MultiStatement_Independent_Serial)->Arg(4)->Arg(8)
     ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MultiStatement_Independent_Parallel)->Arg(4)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-// Four concurrent wide scripts: the fan-out under a concurrent mix.
+// Four concurrent wide scripts, each on its own thread.
 BENCHMARK(BM_MultiStatement_Independent_Serial)->Arg(8)->Threads(4)
     ->UseRealTime()->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MultiStatement_Independent_Parallel)->Arg(8)->Threads(4)
-    ->UseRealTime()->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_MultiStatement_Dependent_Serial)->Arg(8)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_MultiStatement_Dependent_Parallel)->Arg(8)
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

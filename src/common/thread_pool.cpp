@@ -1,7 +1,5 @@
 #include "common/thread_pool.hpp"
 
-#include <algorithm>
-
 #include "common/check.hpp"
 
 namespace gems {
@@ -44,11 +42,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-ThreadPool& default_thread_pool() {
-  static ThreadPool pool(std::max(1u, std::thread::hardware_concurrency()));
-  return pool;
 }
 
 }  // namespace gems

@@ -1,7 +1,10 @@
-// Fixed-size worker pool: the net server's request workers, the
-// multi-statement scheduler (Sec. III-B1) and the pooled graph rebuild.
-// The simulated cluster in src/dist uses dedicated per-rank threads
-// instead, because ranks are long-lived peers, not tasks.
+// Fixed-size worker pool, owned by whoever needs one: the net server's
+// request workers and the database's `intra_pool` for the graph rebuild.
+// A request's own work stays on the thread that took it: the statements
+// of a multi-statement script (Sec. III-B1) run in order there, so there
+// is no process-wide pool. The simulated cluster in src/dist uses
+// dedicated per-rank threads instead, because ranks are long-lived peers,
+// not tasks.
 #pragma once
 
 #include <cstddef>
@@ -54,9 +57,5 @@ class ThreadPool {
   bool stop_ GEMS_GUARDED_BY(mutex_) = false;
   std::vector<std::thread> workers_;
 };
-
-/// Pool sized to the hardware, shared by operators that do not need
-/// isolation. Lazily constructed.
-ThreadPool& default_thread_pool();
 
 }  // namespace gems

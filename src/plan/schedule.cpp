@@ -144,47 +144,23 @@ bool script_is_read_only(const Script& script) {
 Result<std::vector<StatementResult>> run_scheduled(
     const Script& script, const Schedule& schedule, const ExecContext& ctx,
     const relational::ParamMap& params, exec::CatalogOverlay& overlay,
-    ThreadPool* pool, ExecContext* writer) {
+    ExecContext* writer) {
   GEMS_CHECK(writer == nullptr || writer == &ctx);
   const exec::ReadView view{&ctx, &params, &overlay};
-  auto run = [&](std::size_t i) -> Result<StatementResult> {
-    const Statement& stmt = script.statements[i];
-    if (writer != nullptr && analyze_io(stmt).barrier) {
-      return exec::execute_statement(stmt, *writer);
-    }
-    return exec::execute_statement_read(stmt, view);
-  };
-
   std::vector<StatementResult> results(script.statements.size());
-  std::vector<Result<StatementResult>> outcomes;
   for (const auto& level : schedule.levels) {
-    outcomes.assign(level.size(), Status(StatusCode::kInternal, "not run"));
-    if (pool != nullptr && level.size() > 1) {
-      // Statements in one level are independent by construction, so they
-      // share the (immutable) view.
-      std::vector<std::future<void>> futures;
-      futures.reserve(level.size());
-      for (std::size_t k = 0; k < level.size(); ++k) {
-        futures.push_back(
-            pool->submit([&, k] { outcomes[k] = run(level[k]); }));
-      }
-      for (auto& f : futures) f.get();
-    } else {
-      for (std::size_t k = 0; k < level.size(); ++k) {
-        outcomes[k] = run(level[k]);
-        if (!outcomes[k].is_ok()) break;
-      }
-    }
-    // Stage in script order (deterministic catalog contents), up to the
-    // level's first failure.
     Status failure;
-    for (std::size_t k = 0; k < level.size(); ++k) {
-      if (!outcomes[k].is_ok()) {
-        failure = outcomes[k].status();
+    for (const std::size_t i : level) {
+      const Statement& stmt = script.statements[i];
+      auto r = writer != nullptr && analyze_io(stmt).barrier
+                   ? exec::execute_statement(stmt, *writer)
+                   : exec::execute_statement_read(stmt, view);
+      if (!r.is_ok()) {
+        failure = r.status();
         break;
       }
-      results[level[k]] = std::move(outcomes[k]).value();
-      exec::stage_result(results[level[k]], overlay);
+      results[i] = std::move(r).value();
+      exec::stage_result(results[i], overlay);
     }
     if (writer != nullptr) {
       // The next level may be DDL or ingest, which resolve names in the

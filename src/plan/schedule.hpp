@@ -3,7 +3,9 @@
 // representation of outputs and inputs for each query via the use of the
 // 'into subgraph' and 'into table' expressions, we can build a
 // multi-statement dependence representation" allowing independent
-// statements to execute in parallel.
+// statements to execute in parallel. The levels below are that
+// representation; run_scheduled walks them in order on the request's
+// own thread.
 //
 // DDL and ingest statements act as barriers (they are "atomic with
 // respect to subsequent query commands", Sec. II-A2/III).
@@ -13,7 +15,6 @@
 #include <vector>
 
 #include "common/status.hpp"
-#include "common/thread_pool.hpp"
 #include "exec/executor.hpp"
 #include "graql/ast.hpp"
 
@@ -31,7 +32,7 @@ struct StatementIo {
 
 StatementIo analyze_io(const graql::Statement& stmt);
 
-/// Parallel execution levels: statements within a level have no
+/// Execution levels: statements within a level have no
 /// dependencies on each other; level i+1 may depend on levels <= i.
 /// Statement order within a level preserves script order.
 struct Schedule {
@@ -62,12 +63,13 @@ Schedule build_schedule(const graql::Script& script);
 /// scheduler's barrier notion.
 bool script_is_read_only(const graql::Script& script);
 
-/// Executes a script per `schedule`. Every query and `output` statement
-/// runs through exec::execute_statement_read against `ctx` with the
-/// script's own `params`, and its `into` result is staged in `overlay`,
-/// where later statements find it before the catalog. When `pool` is
-/// non-null, the statements of a level wider than one run concurrently;
-/// their results are staged in script order once the level completes.
+/// Executes a script per `schedule` on the calling thread, level by level
+/// and each level in script order. Every query and `output` statement runs
+/// through exec::execute_statement_read against `ctx` with the script's
+/// own `params`, and its `into` result is staged in `overlay` as soon as
+/// it succeeds, where later statements find it before the catalog. The
+/// first failure stops the script: no later statement runs, not even one
+/// of the same level.
 ///
 /// `writer` is null for a read-only script (script_is_read_only): `ctx`
 /// is then typically a pinned epoch's, it is never mutated, and the
@@ -80,7 +82,6 @@ bool script_is_read_only(const graql::Script& script);
 Result<std::vector<exec::StatementResult>> run_scheduled(
     const graql::Script& script, const Schedule& schedule,
     const exec::ExecContext& ctx, const relational::ParamMap& params,
-    exec::CatalogOverlay& overlay, ThreadPool* pool,
-    exec::ExecContext* writer = nullptr);
+    exec::CatalogOverlay& overlay, exec::ExecContext* writer = nullptr);
 
 }  // namespace gems::plan

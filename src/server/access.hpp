@@ -54,10 +54,11 @@ class GEMS_CAPABILITY("AccessGuard") AccessGuard {
   /// that drives `Database::context()` directly). For closures (planner
   /// hooks, mutation callbacks) that run under the lock but where the
   /// analysis cannot see the caller's capability across the
-  /// std::function boundary. Not an owner-thread check: when a writer
-  /// script's level is wider than one statement, the hook runs on a
-  /// default_thread_pool() thread while the submitting thread holds the
-  /// lock.
+  /// std::function boundary. Not an owner-thread check: the guard records
+  /// that the lock is held, not by whom. Its one caller, the writer's
+  /// planner hook, runs on the thread that took the lock, because a
+  /// script's statements run in order on that thread
+  /// (plan::run_scheduled).
   void assert_exclusive_held() const GEMS_ASSERT_CAPABILITY(this);
 
  private:

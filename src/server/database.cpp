@@ -63,13 +63,13 @@ Database::Database(DatabaseOptions options)
   // This hook serves the writer path, which executes against the live
   // context under exclusive access.
   ctx_.planner = [this](const exec::ConstraintNetwork& net) {
-    // The executor invokes this while a mutating script holds exclusive
-    // access (possibly from a pool thread running one statement of a
-    // wide level), or from single-threaded tooling driving the live
-    // context directly — the quiescent case the assert also accepts. The
-    // std::function boundary hides that from the static analysis, so
-    // assert the capability (runtime-checked) and the guarded reads below
-    // are verified, not waived.
+    // The executor invokes this on the thread of a mutating script that
+    // holds exclusive access (run_scheduled runs every statement there),
+    // or from single-threaded tooling driving the live context directly
+    // — the quiescent case the assert also accepts. The std::function
+    // boundary hides that from the static analysis, so assert the
+    // capability (runtime-checked) and the guarded reads below are
+    // verified, not waived.
     access_.assert_exclusive_held();
     const std::shared_ptr<const plan::GraphStats> stats = cached_stats();
     const plan::PathPlan plan =
@@ -468,12 +468,10 @@ Result<std::vector<StatementResult>> Database::run_ir(
 Result<std::vector<StatementResult>> Database::run_parsed(
     Script script, const relational::ParamMap& params) {
   // Classify before locking: the schedule (and its barrier analysis) only
-  // depends on the script text, not on database state. Independent
-  // statements of a wide level run on the shared pool (Sec. III-B1);
-  // scripts of one-statement levels never construct it.
+  // depends on the script text, not on database state. Its statements run
+  // in order on this thread (Sec. III-B1's levels, one request per
+  // thread).
   const plan::Schedule schedule = plan::build_schedule(script);
-  ThreadPool* pool =
-      schedule.max_width() > 1 ? &default_thread_pool() : nullptr;
   exec::CatalogOverlay overlay;
 
   if (!plan::script_is_read_only(script)) {
@@ -490,8 +488,8 @@ Result<std::vector<StatementResult>> Database::run_parsed(
     // no-params case); when the previous script bound params, assignment
     // also clears them.
     if (!params.empty() || !ctx_.params.empty()) ctx_.params = params;
-    auto results = plan::run_scheduled(script, schedule, ctx_, params,
-                                       overlay, pool, &ctx_);
+    auto results =
+        plan::run_scheduled(script, schedule, ctx_, params, overlay, &ctx_);
     // Publish the post-script state as a new epoch — also on error: the
     // statements before the failure stay applied, and readers must see
     // that state, not a snapshot that pretends it never happened.
@@ -512,7 +510,7 @@ Result<std::vector<StatementResult>> Database::run_parsed(
   const std::uint64_t version_at_read = snap.graph_version;
   GEMS_ASSIGN_OR_RETURN(
       std::vector<StatementResult> results,
-      plan::run_scheduled(script, schedule, snap, params, overlay, pool));
+      plan::run_scheduled(script, schedule, snap, params, overlay));
   if (overlay.empty()) return results;
 
   // Fold the script's `into` results into the live context and publish a

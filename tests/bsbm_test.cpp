@@ -202,10 +202,10 @@ TEST_F(QueryMixTest, Q9RegexCoversDescendantTypes) {
 
 TEST_F(QueryMixTest, QueryMixInvariantAcrossExecutionModes) {
   // The whole BI mix must return identical final tables from
-  // Database::run_script (planner, wide levels on the shared pool) and
-  // from a serial, lexical-order (no planner) run of the same script on a
-  // copy of the same state — execution strategy is performance-only
-  // (Sec. III-B).
+  // Database::run_script (planner-ordered constraints, a pinned epoch, the
+  // overlay commit) and from a lexical-order (no planner) run of the same
+  // script on a copy of the same state — execution strategy is
+  // performance-only (Sec. III-B).
   auto render = [](const storage::Table& t) {
     std::string out;
     for (storage::RowIndex r = 0; r < t.num_rows(); ++r) {
@@ -228,8 +228,7 @@ TEST_F(QueryMixTest, QueryMixInvariantAcrossExecutionModes) {
     lexical.planner = nullptr;
     exec::CatalogOverlay overlay;
     auto serial = plan::run_scheduled(*script, plan::build_schedule(*script),
-                                      lexical, default_params(), overlay,
-                                      /*pool=*/nullptr);
+                                      lexical, default_params(), overlay);
     ASSERT_TRUE(serial.is_ok())
         << q.name << ": " << serial.status().to_string();
     auto r = (*db)->run_script(q.text, default_params());

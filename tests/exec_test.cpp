@@ -503,7 +503,7 @@ TEST_F(ExecTest, VariantStepIntoTableRejected) {
 // ---- Concurrent matchers over one shared graph (TSan target) ----------------
 //
 // Several query threads match over the same graph at once, as the net
-// workers and the parallel multi-statement scheduler do. Run under TSan
+// workers do for concurrent read-only scripts. Run under TSan
 // this exercises the claim of DESIGN.md §5e that readers share no mutable
 // matcher state; functionally every run must equal the single-thread
 // result.

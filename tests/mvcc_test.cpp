@@ -168,7 +168,7 @@ std::string run_lexical(exec::ExecContext ctx, const std::string& text) {
   if (!script.is_ok()) return script.status().to_string();
   exec::CatalogOverlay overlay;
   auto r = plan::run_scheduled(*script, plan::build_schedule(*script), ctx,
-                               {}, overlay, /*pool=*/nullptr);
+                               {}, overlay);
   return r.is_ok() ? render(r.value()) : r.status().to_string();
 }
 

@@ -218,9 +218,11 @@ std::string render(const std::vector<exec::StatementResult>& results) {
 }
 
 TEST_F(PlanTest, ParallelScheduleMatchesSerialExecution) {
-  // Two independent queries + a dependent aggregation. Database::run_script
-  // runs the two-wide level concurrently with the planner; the reference
-  // runs serially in lexical order on a copy of the same state.
+  // Two independent queries + a dependent aggregation: the schedule puts
+  // the two in one level. Database::run_script runs that level with the
+  // planner; the reference runs in lexical order without it, on a copy of
+  // the same state. Either way the level's statements run in script
+  // order on the calling thread.
   const std::string script_text =
       "select ProductVtx.id from graph ProductVtx() --producer--> "
       "ProducerVtx(country = 'US') into table PUS\n"
@@ -236,8 +238,7 @@ TEST_F(PlanTest, ParallelScheduleMatchesSerialExecution) {
   exec::ExecContext lexical = db_->pin_epoch().ctx();
   lexical.planner = nullptr;
   exec::CatalogOverlay overlay;
-  auto serial = run_scheduled(*script, schedule, lexical, {}, overlay,
-                              /*pool=*/nullptr);
+  auto serial = run_scheduled(*script, schedule, lexical, {}, overlay);
   ASSERT_TRUE(serial.is_ok()) << serial.status().to_string();
   EXPECT_EQ(overlay.tables.size(), 2u);
   EXPECT_FALSE(lexical.tables.contains("PUS"));  // staged, not committed
@@ -277,6 +278,29 @@ TEST_F(PlanTest, OutputsToOneFileRunInScriptOrder) {
   EXPECT_EQ(written.str(), expected.str());
   EXPECT_NE(expected.str(), "");
   std::remove(path.c_str());
+}
+
+TEST_F(PlanTest, LevelStopsAtItsFirstFailure) {
+  // Two independent outputs share one level. The first names a missing
+  // directory, which the analysis accepts and the write refuses; the
+  // second statement of the level must then not run.
+  const std::string bad = ::testing::TempDir() + "/no_such_dir/a.csv";
+  const std::string good = ::testing::TempDir() + "/gems_plan_level_stop.csv";
+  std::remove(good.c_str());
+  const std::string script_text = "output table Producers '" + bad + "'\n" +
+                                  "output table Producers '" + good + "'";
+  auto script = graql::parse_script(script_text);
+  ASSERT_TRUE(script.is_ok());
+  const Schedule schedule = build_schedule(*script);
+  ASSERT_EQ(schedule.levels.size(), 1u);
+  EXPECT_EQ(schedule.levels[0], (std::vector<std::size_t>{0, 1}));
+
+  auto r = db_->run_script(script_text);
+  ASSERT_FALSE(r.is_ok());
+  EXPECT_NE(r.status().to_string().find(bad), std::string::npos)
+      << r.status().to_string();
+  EXPECT_FALSE(std::ifstream(good).good()) << good << " was written";
+  std::remove(good.c_str());
 }
 
 }  // namespace

@@ -68,7 +68,7 @@ Result<std::vector<StatementResult>> run_serial_reference(
   lexical.planner = nullptr;
   exec::CatalogOverlay overlay;
   return plan::run_scheduled(script, plan::build_schedule(script), lexical,
-                             params, overlay, /*pool=*/nullptr);
+                             params, overlay);
 }
 
 TEST(DatabaseTest, FullBerlinDdlRuns) {
@@ -273,7 +273,8 @@ TEST(DatabaseTest, IngestPathResolution) {
 
 TEST(DatabaseTest, WideLevelMatchesSerialExecution) {
   // A and B share the first level, the two counts the second: with
-  // default options run_script runs both levels on the shared pool.
+  // default options run_script runs each level in script order on a
+  // pinned epoch, and commits the overlay at the end.
   Database db;
   ASSERT_TRUE(db.run_script(bsbm::full_ddl()).is_ok());
   bsbm::GeneratorConfig config = bsbm::GeneratorConfig::derive(60, 13);
@@ -294,7 +295,8 @@ TEST(DatabaseTest, WideLevelMatchesSerialExecution) {
   EXPECT_TRUE(db.tables().contains("B"));
 
   // The same levels in a writer script run on the live context, under the
-  // writer lock, with the live planner hook called from pool threads.
+  // writer lock, with the live planner hook called from the locking
+  // thread.
   auto w = db.run_script("create table Marker(id varchar(10))\n" + script);
   ASSERT_TRUE(w.is_ok()) << w.status().to_string();
   w->erase(w->begin());

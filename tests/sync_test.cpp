@@ -138,8 +138,9 @@ TEST(AccessGuardTest, MetricsMeterWaitAndHold) {
 }
 
 TEST(AccessGuardTest, AssertHeldAcceptsAnyHolderThread) {
-  // In a writer script's wide level the planner hook runs on a pool
-  // thread while the submitting thread holds the lock.
+  // The assertion records that the lock is held, not by whom: a thread
+  // other than the holder passes it too. Writer scripts call it on the
+  // holder's own thread; this pins the documented contract.
   metrics::Registry registry;
   AccessGuard guard(registry);
   const ExclusiveAccessLock lock(guard);
