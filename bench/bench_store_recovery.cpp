@@ -9,9 +9,12 @@
 //     and without fsync,
 //   * cold recovery (open a checkpointed data dir) vs. re-ingesting the
 //     same dataset from CSV — the paper-level claim is that restart cost
-//     drops from "re-run the whole load" to "deserialize at I/O speed".
+//     drops from "re-run the whole load" to "deserialize at I/O speed",
+//   * WAL replay: the ingest records written after the last checkpoint,
+//     decoded, appended and folded into the graph on open.
 #include <chrono>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <utility>
 #include <vector>
@@ -193,6 +196,83 @@ void BM_ColdRecovery(benchmark::State& state) {
   state.counters["snapshot_bytes"] = static_cast<double>(snapshot_bytes);
 }
 BENCHMARK(BM_ColdRecovery)->Arg(100)->Arg(500)->Arg(2000)
+    ->UseManualTime()->Unit(benchmark::kMillisecond);
+
+constexpr std::size_t kWalReplayScale = 500;
+constexpr std::size_t kReviewsPerRecord = 1000;
+
+/// A checkpointed Berlin data directory at kWalReplayScale whose WAL then
+/// holds `records` kIngestRows records of kReviewsPerRecord new Reviews
+/// each (every column kind but bool, a fifth of the ratings NULL), built
+/// once per process.
+const std::string& wal_replay_dir(std::size_t records) {
+  static std::map<std::size_t, std::string> cache;
+  auto it = cache.find(records);
+  if (it == cache.end()) {
+    const std::string dir = scratch_dir("wal_" + std::to_string(records));
+    const auto config = bsbm::GeneratorConfig::derive(kWalReplayScale);
+    server::DatabaseOptions options;
+    options.data_dir = dir;
+    options.store_dir = dir + "/store";
+    options.wal_fsync = false;
+    auto db = bsbm::make_populated_database(config, options);
+    GEMS_CHECK_MSG(db.is_ok(), db.status().to_string().c_str());
+    GEMS_CHECK((*db)->checkpoint().is_ok());
+    Xoshiro256 rng(11);
+    const std::int64_t jan1 = storage::civil_to_days(2008, 1, 1);
+    const auto rating = [&rng]() -> std::string {
+      return rng.chance(0.2) ? "" : std::to_string(rng.range(1, 10));
+    };
+    for (std::size_t k = 0; k < records; ++k) {
+      std::ofstream csv(dir + "/reviews.csv", std::ios::trunc);
+      for (std::size_t i = 0; i < kReviewsPerRecord; ++i) {
+        const std::size_t id = 1'000'000 + k * kReviewsPerRecord + i;
+        csv << bsbm::review_id(id) << ",Review,"
+            << bsbm::product_id(rng.below(config.num_products)) << ","
+            << bsbm::person_id(rng.below(config.num_persons)) << ","
+            << storage::format_date(jan1 + rng.range(0, 364)) << ",T"
+            << id % 100 << ",txt," << rating() << "," << rating() << ","
+            << rating() << "," << rating() << ",gen,"
+            << storage::format_date(jan1 + rng.range(0, 364)) << "\n";
+      }
+      csv.close();
+      auto r = (*db)->run_script("ingest table Reviews 'reviews.csv'");
+      GEMS_CHECK_MSG(r.is_ok(), r.status().to_string().c_str());
+    }
+    it = cache.emplace(records, dir + "/store").first;
+  }
+  return it->second;
+}
+
+/// WAL replay on open: Arg = kIngestRows records after the checkpoint.
+/// The time is the store's own replay timer (store.recovery.replay_us:
+/// WAL scan, record decode, append and graph maintenance), so the
+/// snapshot load the open also does stays out of it.
+void BM_WalReplay(benchmark::State& state) {
+  const std::size_t records = static_cast<std::size_t>(state.range(0));
+  const std::string& dir = wal_replay_dir(records);
+  double replay_s = 0;
+  for (auto _ : state) {
+    server::DatabaseOptions options;
+    options.store_dir = dir;
+    options.wal_fsync = false;
+    server::Database db(std::move(options));
+    GEMS_CHECK_MSG(db.store_status().is_ok(),
+                   db.store_status().to_string().c_str());
+    const metrics::Snapshot m = db.metrics_snapshot();
+    GEMS_CHECK(metrics::value(m, "store.recovery.records_applied") ==
+               records);
+    const double s =
+        static_cast<double>(metrics::value(m, "store.recovery.replay_us")) /
+        1e6;
+    state.SetIterationTime(s);
+    replay_s += s;
+  }
+  state.counters["rows_per_s"] =
+      static_cast<double>(records * kReviewsPerRecord) *
+      static_cast<double>(state.iterations()) / replay_s;
+}
+BENCHMARK(BM_WalReplay)->Arg(4)->Arg(16)
     ->UseManualTime()->Unit(benchmark::kMillisecond);
 
 /// The baseline cold recovery replaces: rebuild the same database by

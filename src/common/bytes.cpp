@@ -46,9 +46,14 @@ Result<bool> ByteReader::boolean() {
   return v != 0;
 }
 
-Result<std::string> ByteReader::str() {
+Result<std::string_view> ByteReader::str_view() {
   GEMS_ASSIGN_OR_RETURN(std::span<const std::uint8_t> b, prefixed("string"));
-  return std::string(reinterpret_cast<const char*>(b.data()), b.size());
+  return std::string_view(reinterpret_cast<const char*>(b.data()), b.size());
+}
+
+Result<std::string> ByteReader::str() {
+  GEMS_ASSIGN_OR_RETURN(std::string_view s, str_view());
+  return std::string(s);
 }
 
 Result<std::vector<std::uint8_t>> ByteReader::blob() {

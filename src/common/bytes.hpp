@@ -173,7 +173,8 @@ class ByteReader {
   Result<double> f64() { return fixed<double>(); }
   Result<bool> boolean();
 
-  /// A u32 length prefix and that many bytes.
+  /// A u32 length prefix and that many bytes, viewed in place or copied.
+  Result<std::string_view> str_view();
   Result<std::string> str();
   Result<std::vector<std::uint8_t>> blob();
 

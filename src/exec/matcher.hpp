@@ -18,8 +18,8 @@
 // gets its remote targets back as a list to route.
 //
 // One request, one thread (DESIGN.md §5e): a match runs every frontier
-// expansion on its caller's thread. Parallelism lives across requests,
-// across the statements of a schedule level and inside the graph rebuild.
+// expansion on its caller's thread. Parallelism lives across requests
+// and inside the graph rebuild.
 //
 // The fixpoint is exact (arc consistency == satisfiability) when the
 // constraint graph is a tree and there are no cross predicates

@@ -1,8 +1,10 @@
 #include "graql/ir.hpp"
 
 #include <algorithm>
+#include <string_view>
 
 #include "common/check.hpp"
+#include "common/lane_codec.hpp"
 
 namespace gems::graql {
 
@@ -533,31 +535,52 @@ Result<Script> decode_script(std::span<const std::uint8_t> bytes) {
   return script;
 }
 
+namespace {
+
+// A cell's tag byte: 0 for NULL, else 1 + its kind (1 Bool, 2 Int64,
+// 3 Double, 4 Varchar, 5 Date).
+constexpr std::uint8_t kNullTag = 0;
+constexpr std::uint8_t tag_of(TypeKind kind) {
+  return static_cast<std::uint8_t>(1 + static_cast<std::uint8_t>(kind));
+}
+constexpr std::uint8_t kMaxTag = tag_of(TypeKind::kDate);
+
+/// One column's share of a chunk-contiguous run of rows: its kind, its
+/// chunk's validity words and its typed payload for those rows, read in
+/// place or widened into the cell's own lanes. Varchar cells are resolved
+/// to their strings a run at a time, under one string-pool lock.
+struct ChunkCells {
+  TypeKind kind;
+  const std::uint64_t* valid = nullptr;
+  const std::int64_t* ints = nullptr;  // Bool, Int64, Date
+  const double* doubles = nullptr;
+  std::vector<std::int64_t> int_lanes;
+  std::vector<double> double_lanes;
+  std::vector<StringId> ids;
+  std::vector<std::string_view> strings;  // Varchar
+};
+
+}  // namespace
+
 void encode_value(const storage::Value& v, ByteWriter& w) {
   if (v.is_null()) {
-    w.u8(0);
+    w.u8(kNullTag);
     return;
   }
+  w.u8(tag_of(v.kind()));
   switch (v.kind()) {
     case TypeKind::kBool:
-      w.u8(1);
       w.boolean(v.as_bool());
       return;
     case TypeKind::kInt64:
-      w.u8(2);
+    case TypeKind::kDate:
       w.i64(v.as_int64());
       return;
     case TypeKind::kDouble:
-      w.u8(3);
       w.f64(v.as_double());
       return;
     case TypeKind::kVarchar:
-      w.u8(4);
       w.str(v.as_string());
-      return;
-    case TypeKind::kDate:
-      w.u8(5);
-      w.i64(v.as_int64());
       return;
   }
   GEMS_UNREACHABLE("bad value kind");
@@ -567,31 +590,160 @@ Result<storage::Value> decode_value(ByteReader& r) {
   const std::size_t at = r.pos();
   GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
   switch (tag) {
-    case 0:
+    case kNullTag:
       return Value::null();
-    case 1: {
+    case tag_of(TypeKind::kBool): {
       GEMS_ASSIGN_OR_RETURN(bool b, r.boolean());
       return Value::boolean(b);
     }
-    case 2: {
+    case tag_of(TypeKind::kInt64): {
       GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64());
       return Value::int64(v);
     }
-    case 3: {
+    case tag_of(TypeKind::kDouble): {
       GEMS_ASSIGN_OR_RETURN(double v, r.f64());
       return Value::float64(v);
     }
-    case 4: {
+    case tag_of(TypeKind::kVarchar): {
       GEMS_ASSIGN_OR_RETURN(std::string s, r.str());
       return Value::varchar(std::move(s));
     }
-    case 5: {
+    case tag_of(TypeKind::kDate): {
       GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64());
       return Value::date(v);
     }
     default:
       return r.error_at(at, "bad value tag " + std::to_string(tag));
   }
+}
+
+template <typename W>
+void encode_rows(const storage::Table& table, storage::RowIndex first,
+                 std::size_t n, W& w) {
+  std::vector<ChunkCells> cols(table.num_columns());
+  for (std::size_t at = first, end = first + n; at < end;) {
+    const std::size_t chunk = at / kChunkRows;
+    const std::size_t offset = at % kChunkRows;  // at's bit in the chunk
+    const std::size_t k = std::min(kChunkRows - offset, end - at);
+    for (std::size_t c = 0; c < cols.size(); ++c) {
+      const storage::Column& column =
+          table.column(static_cast<storage::ColumnIndex>(c));
+      ChunkCells& cells = cols[c];
+      cells.kind = column.type().kind;
+      cells.valid = column.valid_words(chunk).data();
+      switch (cells.kind) {
+        case TypeKind::kDouble:
+          cells.double_lanes.resize(kChunkRows);
+          cells.doubles =
+              column.double_chunks().lanes(at, k, cells.double_lanes.data());
+          break;
+        case TypeKind::kVarchar:
+          cells.ids.resize(kChunkRows);
+          cells.strings.resize(k);
+          table.pool().view_batch(
+              {column.string_chunks().lanes(at, k, cells.ids.data()), k},
+              cells.strings.data());
+          break;
+        default:
+          cells.int_lanes.resize(kChunkRows);
+          cells.ints = column.int_chunks().lanes(at, k, cells.int_lanes.data());
+          break;
+      }
+    }
+    for (std::size_t i = 0; i < k; ++i) {
+      const std::size_t bit = offset + i;
+      for (const ChunkCells& cells : cols) {
+        if (((cells.valid[bit / 64] >> (bit % 64)) & 1) == 0) {
+          w.u8(kNullTag);
+          continue;
+        }
+        w.u8(tag_of(cells.kind));
+        switch (cells.kind) {
+          case TypeKind::kBool:
+            w.boolean(cells.ints[i] != 0);
+            break;
+          case TypeKind::kInt64:
+          case TypeKind::kDate:
+            w.i64(cells.ints[i]);
+            break;
+          case TypeKind::kDouble:
+            w.f64(cells.doubles[i]);
+            break;
+          case TypeKind::kVarchar:
+            w.str(cells.strings[i]);
+            break;
+        }
+      }
+    }
+    at += k;
+  }
+}
+
+template void encode_rows(const storage::Table&, storage::RowIndex,
+                          std::size_t, ByteWriter&);
+template void encode_rows(const storage::Table&, storage::RowIndex,
+                          std::size_t, ByteCounter&);
+template void encode_rows(const storage::Table&, storage::RowIndex,
+                          std::size_t, StreamWriter&);
+
+Status decode_rows(ByteReader& r, std::uint64_t nrows,
+                   const storage::Table& table, storage::TableAppender& out) {
+  const std::size_t ncols = table.num_columns();
+  // A cell is at least its tag byte, and a table without columns has no
+  // rows: check the row count before staging anything.
+  if (nrows > (ncols == 0 ? 0 : r.remaining() / ncols)) {
+    return r.error("row count " + std::to_string(nrows) +
+                   " exceeds remaining " + std::to_string(r.remaining()) +
+                   " bytes");
+  }
+  for (std::uint64_t row = 0; row < nrows; ++row) {
+    const std::size_t row_at = r.pos();
+    for (storage::ColumnIndex c = 0; c < ncols; ++c) {
+      GEMS_ASSIGN_OR_RETURN(std::uint8_t tag, r.u8());
+      if (tag == kNullTag) {
+        out.put_null(c);
+        continue;
+      }
+      if (tag > kMaxTag) {  // reported at the tag byte, as decode_value does
+        return r.error_at(r.pos() - 1, "bad value tag " + std::to_string(tag));
+      }
+      const auto kind = static_cast<TypeKind>(tag - 1);
+      std::string_view s;
+      if (kind == TypeKind::kVarchar) {
+        GEMS_ASSIGN_OR_RETURN(s, r.str_view());
+      }
+      const Status checked = table.check_cell(c, kind, s);
+      if (!checked.is_ok()) return r.error_at(row_at, checked.message());
+      switch (kind) {
+        case TypeKind::kBool: {
+          GEMS_ASSIGN_OR_RETURN(bool v, r.boolean());
+          out.put_bool(c, v);
+          break;
+        }
+        case TypeKind::kInt64:
+        case TypeKind::kDate: {
+          GEMS_ASSIGN_OR_RETURN(std::int64_t v, r.i64());
+          // check_cell let an int64 into a double column: promote it.
+          if (table.schema().column(c).type.kind == TypeKind::kDouble) {
+            out.put_double(c, static_cast<double>(v));
+          } else {
+            out.put_int64(c, v);
+          }
+          break;
+        }
+        case TypeKind::kDouble: {
+          GEMS_ASSIGN_OR_RETURN(double v, r.f64());
+          out.put_double(c, v);
+          break;
+        }
+        case TypeKind::kVarchar:
+          out.put_string(c, s);
+          break;
+      }
+    }
+    out.end_row();
+  }
+  return Status::ok();
 }
 
 std::vector<std::uint8_t> encode_params(const relational::ParamMap& params) {

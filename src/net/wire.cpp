@@ -1,18 +1,8 @@
 #include "net/wire.hpp"
 
-#include <algorithm>
-
 #include "graql/ir.hpp"
 
 namespace gems::net {
-
-namespace {
-
-using storage::DataType;
-using storage::TypeKind;
-using storage::Value;
-
-}  // namespace
 
 std::string_view verb_name(Verb verb) noexcept {
   switch (verb) {
@@ -177,94 +167,6 @@ Status decode_status(ByteReader& reader) {
   return Status(static_cast<StatusCode>(*code), std::move(*message));
 }
 
-namespace {
-
-/// One column's share of a chunk of rows: its kind, its validity words
-/// and its typed payload for those rows, read in place or widened into
-/// the cell's own lanes. Varchar cells are resolved to their strings a
-/// chunk at a time, under one string-pool lock.
-struct ChunkCells {
-  TypeKind kind;
-  const std::uint64_t* valid = nullptr;
-  const std::int64_t* ints = nullptr;  // Bool, Int64, Date
-  const double* doubles = nullptr;
-  std::vector<std::int64_t> int_lanes;
-  std::vector<double> double_lanes;
-  std::vector<StringId> ids;
-  std::vector<std::string_view> strings;  // Varchar
-};
-
-/// Rows of `table` in the tagged value encoding, chunk by chunk: the
-/// bytes graql::encode_value writes for each boxed cell, read from the
-/// typed columns without boxing.
-template <typename W>
-void encode_rows(const storage::Table& table, W& w) {
-  const std::size_t nrows = table.num_rows();
-  std::vector<ChunkCells> cols(table.num_columns());
-  for (std::size_t first = 0; first < nrows; first += kChunkRows) {
-    const std::size_t chunk = first / kChunkRows;
-    const std::size_t n = std::min(kChunkRows, nrows - first);
-    for (std::size_t c = 0; c < cols.size(); ++c) {
-      const storage::Column& column =
-          table.column(static_cast<storage::ColumnIndex>(c));
-      ChunkCells& cells = cols[c];
-      cells.kind = column.type().kind;
-      cells.valid = column.valid_words(chunk).data();
-      switch (cells.kind) {
-        case TypeKind::kDouble:
-          cells.double_lanes.resize(kChunkRows);
-          cells.doubles = column.double_chunks().lanes(
-              first, n, cells.double_lanes.data());
-          break;
-        case TypeKind::kVarchar:
-          cells.ids.resize(kChunkRows);
-          cells.strings.resize(n);
-          table.pool().view_batch(
-              {column.string_chunks().lanes(first, n, cells.ids.data()), n},
-              cells.strings.data());
-          break;
-        default:
-          cells.int_lanes.resize(kChunkRows);
-          cells.ints =
-              column.int_chunks().lanes(first, n, cells.int_lanes.data());
-          break;
-      }
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      for (const ChunkCells& cells : cols) {
-        if (((cells.valid[i / 64] >> (i % 64)) & 1) == 0) {
-          w.u8(0);
-          continue;
-        }
-        switch (cells.kind) {
-          case TypeKind::kBool:
-            w.u8(1);
-            w.boolean(cells.ints[i] != 0);
-            break;
-          case TypeKind::kInt64:
-            w.u8(2);
-            w.i64(cells.ints[i]);
-            break;
-          case TypeKind::kDouble:
-            w.u8(3);
-            w.f64(cells.doubles[i]);
-            break;
-          case TypeKind::kVarchar:
-            w.u8(4);
-            w.str(cells.strings[i]);
-            break;
-          case TypeKind::kDate:
-            w.u8(5);
-            w.i64(cells.ints[i]);
-            break;
-        }
-      }
-    }
-  }
-}
-
-}  // namespace
-
 template <typename W>
 void encode_results(const std::vector<exec::StatementResult>& results,
                     W& w) {
@@ -286,7 +188,7 @@ void encode_results(const std::vector<exec::StatementResult>& results,
         w.u32(col.type.varchar_length);
       }
       w.u64(table->num_rows());
-      encode_rows(*table, w);
+      graql::encode_rows(*table, 0, table->num_rows(), w);
     }
     const bool has_subgraph = r.subgraph != nullptr;
     w.boolean(has_subgraph);
@@ -333,7 +235,7 @@ Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
         GEMS_ASSIGN_OR_RETURN(def.name, reader.str());
         GEMS_ASSIGN_OR_RETURN(
             def.type.kind,
-            reader.enum8(TypeKind::kDate, "column type kind"));
+            reader.enum8(storage::TypeKind::kDate, "column type kind"));
         GEMS_ASSIGN_OR_RETURN(def.type.varchar_length, reader.u32());
         columns.push_back(std::move(def));
       }
@@ -341,39 +243,12 @@ Result<std::vector<exec::StatementResult>> decode_results(ByteReader& reader,
       if (!schema.is_ok()) {
         return reader.error_at(table_at, schema.status().message());
       }
-      const std::size_t rows_at = reader.pos();
       GEMS_ASSIGN_OR_RETURN(std::uint64_t nrows, reader.u64());
-      // One value needs at least a tag byte, and a table without columns
-      // has no rows: check the row count against the remaining payload
-      // before building the table.
-      if (nrows > (ncols == 0 ? 0 : reader.remaining() / ncols)) {
-        return reader.error_at(rows_at,
-                               "row count " + std::to_string(nrows) +
-                                   " exceeds remaining " +
-                                   std::to_string(reader.remaining()) +
-                                   " bytes");
-      }
       auto table = std::make_shared<storage::Table>(
           std::move(table_name), std::move(schema).value(), pool);
-      // Each decoded row gets append_row's checks; the rows are appended
-      // in one commit once all have decoded.
+      // The rows are appended in one commit once all have decoded.
       storage::TableAppender staged(*table);
-      std::vector<Value> row(table->num_columns());
-      for (std::uint64_t rix = 0; rix < nrows; ++rix) {
-        const std::size_t row_at = reader.pos();
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          GEMS_ASSIGN_OR_RETURN(row[c], graql::decode_value(reader));
-        }
-        for (std::size_t c = 0; c < row.size(); ++c) {
-          const auto column = static_cast<storage::ColumnIndex>(c);
-          const Status checked = table->check_cell(column, row[c]);
-          if (!checked.is_ok()) {
-            return reader.error_at(row_at, checked.message());
-          }
-          staged.put_value(column, row[c]);
-        }
-        staged.end_row();
-      }
+      GEMS_RETURN_IF_ERROR(graql::decode_rows(reader, nrows, *table, staged));
       staged.commit();
       result.table = std::move(table);
     }

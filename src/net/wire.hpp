@@ -77,9 +77,9 @@ struct FrameHeader {
 
 // ---- Payload fields ---------------------------------------------------------
 // Frames and payloads are written with the shared ByteWriter and read with
-// ByteReader (common/bytes.hpp). Values reuse the IR's tagged encoding
-// (graql::encode_value), so a literal looks the same in a script IR and
-// in a result table.
+// ByteReader (common/bytes.hpp). Values and rows reuse the IR's tagged
+// encoding (graql::encode_value, encode_rows), so a literal looks the same
+// in a script IR, a result table and a WAL ingest record.
 
 /// A ByteReader over a frame header or payload: errors are kParseError
 /// "malformed frame: ... at byte offset N".
@@ -178,10 +178,10 @@ Status decode_status(ByteReader& reader);
 
 /// Result tables / subgraph summaries. Tables ship schema + row values;
 /// subgraphs ship their instance counts (the full vertex/edge sets stay
-/// server-side, as named catalog objects). Each cell is written straight
-/// from its column's typed chunks in the IR's tagged value encoding
-/// (graql::encode_value), row by row. `W` is a ByteWriter, a ByteCounter
-/// (the reply's sizing pass) or a StreamWriter (the reply itself).
+/// server-side, as named catalog objects). The rows are graql::encode_rows'
+/// cells, written straight from the columns' typed chunks. `W` is a
+/// ByteWriter, a ByteCounter (the reply's sizing pass) or a StreamWriter
+/// (the reply itself).
 template <typename W>
 void encode_results(const std::vector<exec::StatementResult>& results,
                     W& w);

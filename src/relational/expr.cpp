@@ -181,16 +181,4 @@ std::vector<ExprPtr> split_conjuncts(const ExprPtr& expr) {
   return out;
 }
 
-void collect_qualifiers(const ExprPtr& expr, std::vector<std::string>& out) {
-  if (!expr) return;
-  if (expr->kind == Expr::Kind::kColumnRef) {
-    if (std::find(out.begin(), out.end(), expr->qualifier) == out.end()) {
-      out.push_back(expr->qualifier);
-    }
-    return;
-  }
-  collect_qualifiers(expr->lhs, out);
-  collect_qualifiers(expr->rhs, out);
-}
-
 }  // namespace gems::relational

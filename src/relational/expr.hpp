@@ -106,8 +106,4 @@ struct Expr {
 /// Splits a conjunction into its non-AND leaves: (a and (b and c)) -> a,b,c.
 std::vector<ExprPtr> split_conjuncts(const ExprPtr& expr);
 
-/// Collects the distinct qualifiers referenced anywhere in `expr`
-/// (including the empty qualifier if bare columns occur).
-void collect_qualifiers(const ExprPtr& expr, std::vector<std::string>& out);
-
 }  // namespace gems::relational

@@ -20,27 +20,30 @@ Status Table::append_row(std::span<const Value> values) {
                             name_ + "'");
   }
   for (std::size_t i = 0; i < values.size(); ++i) {
-    GEMS_RETURN_IF_ERROR(check_cell(static_cast<ColumnIndex>(i), values[i]));
+    const Value& v = values[i];
+    if (v.is_null()) continue;
+    GEMS_RETURN_IF_ERROR(check_cell(
+        static_cast<ColumnIndex>(i), v.kind(),
+        v.kind() == TypeKind::kVarchar ? v.as_string() : std::string_view()));
   }
   append_row_unchecked(values);
   return Status::ok();
 }
 
-Status Table::check_cell(ColumnIndex c, const Value& v) const {
-  if (v.is_null()) return Status::ok();
+Status Table::check_cell(ColumnIndex c, TypeKind kind,
+                         std::string_view s) const {
   const ColumnDef& def = schema_.column(c);
   const DataType& t = def.type;
   const bool kind_ok =
-      v.kind() == t.kind ||
-      (t.kind == TypeKind::kDouble && v.kind() == TypeKind::kInt64);
+      kind == t.kind ||
+      (t.kind == TypeKind::kDouble && kind == TypeKind::kInt64);
   if (!kind_ok) {
     return type_error("column '" + def.name + "' of table '" + name_ +
                       "' expects " + t.to_string() + ", got " +
-                      std::string(type_kind_name(v.kind())));
+                      std::string(type_kind_name(kind)));
   }
-  if (t.kind == TypeKind::kVarchar &&
-      v.as_string().size() > t.varchar_length) {
-    return invalid_argument("value '" + v.as_string() + "' exceeds " +
+  if (t.kind == TypeKind::kVarchar && s.size() > t.varchar_length) {
+    return invalid_argument("value '" + std::string(s) + "' exceeds " +
                             t.to_string() + " for column '" + def.name +
                             "' of table '" + name_ + "'");
   }
@@ -178,30 +181,6 @@ void TableAppender::put_string(ColumnIndex c, std::string_view s) {
   next_cell(c, TypeKind::kVarchar, true)
       .slots.push_back(Slot{bytes_.size(), s.size()});
   bytes_.append(s);
-}
-
-void TableAppender::put_value(ColumnIndex c, const Value& v) {
-  if (v.is_null()) {
-    put_null(c);
-    return;
-  }
-  switch (lanes_[c].kind) {
-    case TypeKind::kBool:
-      put_bool(c, v.as_bool());
-      break;
-    case TypeKind::kInt64:
-    case TypeKind::kDate:
-      put_int64(c, v.as_int64());
-      break;
-    case TypeKind::kDouble:
-      put_double(c, v.kind() == TypeKind::kInt64
-                        ? static_cast<double>(v.as_int64())
-                        : v.as_double());
-      break;
-    case TypeKind::kVarchar:
-      put_string(c, v.as_string());
-      break;
-  }
 }
 
 void TableAppender::end_row() {

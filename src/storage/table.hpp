@@ -38,9 +38,9 @@ class Table {
   /// Appends one row after validating arity, kinds and varchar lengths.
   Status append_row(std::span<const Value> values);
 
-  /// The per-cell check append_row makes: `v` is NULL or fits column `c`'s
-  /// kind (an int64 also fits a double column) and varchar length.
-  Status check_cell(ColumnIndex c, const Value& v) const;
+  /// append_row's check of a non-NULL cell of `kind` (`s`: a varchar's
+  /// string): it fits column `c`'s kind (int64 fits double) and length.
+  Status check_cell(ColumnIndex c, TypeKind kind, std::string_view s) const;
 
   /// Unchecked fast-path append used by generators and operators that have
   /// already validated types.
@@ -117,8 +117,6 @@ class TableAppender {
   void put_double(ColumnIndex c, double v);
   void put_bool(ColumnIndex c, bool v);
   void put_string(ColumnIndex c, std::string_view s);
-  /// A boxed cell (promoting an int64 into a double column).
-  void put_value(ColumnIndex c, const Value& v);
 
   /// Ends the staged row; every column must have its cell.
   void end_row();

@@ -40,8 +40,8 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx) {
   }
 
   // kIngestRows: table name, column count, row count, then the cells in
-  // row-major order using the IR value codec. Replay is independent of
-  // the original CSV file.
+  // graql::encode_rows' row-major encoding. Replay is independent of the
+  // original CSV file.
   ByteReader r = store_reader(rec.payload);
   GEMS_ASSIGN_OR_RETURN(std::string table_name, r.str());
   GEMS_ASSIGN_OR_RETURN(std::uint32_t ncols, r.u32());
@@ -54,25 +54,13 @@ Status replay_record(const WalRecord& rec, exec::ExecContext& ctx) {
                     std::to_string((*table)->num_columns()));
   }
   // Rows are staged and appended once the whole record has decoded, as a
-  // live ingest appends its file. Each decoded row gets append_row's
-  // checks, so corrupted values that survive the CRC (or a schema drift
-  // bug) surface as a typed error instead of poisoning the column data.
+  // live ingest appends its file. Each cell gets append_row's checks, so
+  // corrupted values that survive the CRC (or a schema drift bug) surface
+  // as a corrupt-record error instead of poisoning the column data.
   storage::Table& t = **table;
   storage::TableAppender staged(t);
-  std::vector<storage::Value> row(ncols);
-  for (std::uint64_t i = 0; i < nrows; ++i) {
-    for (std::uint32_t c = 0; c < ncols; ++c) {
-      auto value = graql::decode_value(r);
-      if (!value.is_ok()) return value.status().with_context(where);
-      row[c] = std::move(value).value();
-    }
-    for (std::uint32_t c = 0; c < ncols; ++c) {
-      const auto column = static_cast<storage::ColumnIndex>(c);
-      GEMS_RETURN_IF_ERROR(t.check_cell(column, row[c]).with_context(where));
-      staged.put_value(column, row[c]);
-    }
-    staged.end_row();
-  }
+  GEMS_RETURN_IF_ERROR(
+      graql::decode_rows(r, nrows, t, staged).with_context(where));
   GEMS_RETURN_IF_ERROR(r.expect_end("the declared rows").with_context(where));
   const auto first_new_row = static_cast<storage::RowIndex>(t.num_rows());
   staged.commit();
@@ -178,14 +166,9 @@ Status Store::log_mutation(const exec::MutationEvent& ev) {
     w.str(ev.table->name());
     w.u32(static_cast<std::uint32_t>(ev.table->num_columns()));
     w.u64(ev.num_rows);
-    for (std::size_t r = ev.first_row; r < ev.first_row + ev.num_rows; ++r) {
-      for (std::size_t c = 0; c < ev.table->num_columns(); ++c) {
-        graql::encode_value(
-            ev.table->value_at(static_cast<storage::RowIndex>(r),
-                               static_cast<storage::ColumnIndex>(c)),
-            w);
-      }
-    }
+    graql::encode_rows(*ev.table,
+                       static_cast<storage::RowIndex>(ev.first_row),
+                       ev.num_rows, w);
   } else if (std::holds_alternative<graql::CreateTableStmt>(*ev.statement) ||
              std::holds_alternative<graql::CreateVertexStmt>(*ev.statement) ||
              std::holds_alternative<graql::CreateEdgeStmt>(*ev.statement)) {

@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <optional>
 #include <span>
 #include <string>
@@ -26,6 +27,7 @@
 #include "common/check.hpp"
 #include "common/crc32.hpp"
 #include "common/metrics.hpp"
+#include "common/prng.hpp"
 #include "dist/dist_matcher.hpp"
 #include "exec/lowering.hpp"
 #include "graql/diag.hpp"
@@ -37,6 +39,7 @@
 #include "server/database.hpp"
 #include "store/format.hpp"
 #include "store/wal.hpp"
+#include "wire_oracle.hpp"
 
 namespace gems {
 namespace {
@@ -743,6 +746,277 @@ TEST(CodecMutationTest, EveryTruncationAndBitFlipDecodesOrFailsTyped) {
     }
   }
   EXPECT_EQ(swept, std::size(kGolden) - 5);  // 3 empty requests, 2 snapshots
+}
+
+// ---- Row codec --------------------------------------------------------------
+// graql::encode_rows and decode_rows are the one row codec of WAL ingest
+// records and wire result tables.
+
+/// A table of every kind: sealed chunks whose integer and date lanes are
+/// 0, 1, 2, 4 and 8 bytes wide, then a partial tail. Every chunk but the
+/// first holds NULLs; the last sealed chunk and the tail hold the edge
+/// values (empty strings, NaN, -0.0, infinities, int64 extremes).
+storage::TablePtr every_kind_table(StringPool& pool) {
+  constexpr std::size_t kSealed = 5;
+  constexpr std::size_t kRows = kSealed * kChunkRows + 300;
+  constexpr std::int64_t kBase = 1'000'000'000'000;
+  constexpr std::int64_t kInts[] = {0, -1,
+                                    std::numeric_limits<std::int64_t>::min(),
+                                    std::numeric_limits<std::int64_t>::max()};
+  constexpr double kDoubles[] = {
+      0.0, -0.0, std::numeric_limits<double>::quiet_NaN(),
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::denorm_min()};
+  const std::string strings[] = {"", "a", "eight ch"};
+  auto table = std::make_shared<storage::Table>(
+      "T",
+      storage::Schema({{"b", storage::DataType::boolean()},
+                       {"i", storage::DataType::int64()},
+                       {"x", storage::DataType::float64()},
+                       {"s", storage::DataType::varchar(8)},
+                       {"d", storage::DataType::date()}}),
+      pool);
+  SplitMix64 rng(45);
+  // An int64 of chunk k's lane width (0, 1, 2, 4, 8 bytes), then the edges.
+  const auto int_of = [&](std::size_t k, std::int64_t base) -> std::int64_t {
+    const std::uint64_t u = rng.next();
+    switch (k) {
+      case 0:
+        return base;
+      case 1:
+        return base + static_cast<std::int64_t>(u % 256);
+      case 2:
+        return base + static_cast<std::int64_t>(u % 65536);
+      case 3:
+        return base + static_cast<std::int64_t>(u % (1ull << 32));
+      default:
+        return u % 4 == 0 ? kInts[u / 4 % std::size(kInts)]
+                          : static_cast<std::int64_t>(u);
+    }
+  };
+  storage::TableAppender out(*table);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::size_t k = r / kChunkRows;
+    const bool edge = k >= kSealed - 1;
+    for (storage::ColumnIndex c = 0; c < 5; ++c) {
+      if (k > 0 && rng.next() % (k < kSealed ? 8 : 4) == 0) {
+        out.put_null(c);
+        continue;
+      }
+      const std::uint64_t u = rng.next();
+      switch (c) {
+        case 0:
+          out.put_bool(c, u % 2 == 0);
+          break;
+        case 1:
+          out.put_int64(c, int_of(k, kBase));
+          break;
+        case 2:
+          out.put_double(c, edge && u % 3 == 0
+                                ? kDoubles[u / 3 % std::size(kDoubles)]
+                                : static_cast<double>(u % 1000) / 8 - 60);
+          break;
+        case 3:
+          out.put_string(c, k == 0  ? std::string("c")
+                            : edge  ? strings[u % std::size(strings)]
+                                    : "s" + std::to_string(u % (k * 200)));
+          break;
+        case 4:
+          out.put_int64(c, int_of(k, 14000));
+          break;
+      }
+    }
+    out.end_row();
+  }
+  out.commit();
+  return table;
+}
+
+/// decode_rows of `bytes` (n rows) into a fresh table shaped like `like`.
+Result<storage::TablePtr> decode_rows_of(std::span<const std::uint8_t> bytes,
+                                         std::size_t n,
+                                         const storage::Table& like,
+                                         StringPool& pool) {
+  auto table = std::make_shared<storage::Table>(like.name(), like.schema(),
+                                                pool);
+  storage::TableAppender staged(*table);
+  ByteReader r = net::frame_reader(bytes);
+  GEMS_RETURN_IF_ERROR(graql::decode_rows(r, n, *table, staged));
+  GEMS_RETURN_IF_ERROR(r.expect_end("rows"));
+  staged.commit();
+  return table;
+}
+
+TEST(RowCodecTest, RangesMatchTheBoxedOracleAndRoundTrip) {
+  StringPool pool;
+  const storage::TablePtr table = every_kind_table(pool);
+  const storage::Column& ints = table->column(1);
+  const std::size_t widths[] = {0, 1, 2, 4, 8};
+  for (std::size_t k = 0; k < std::size(widths); ++k) {
+    ASSERT_EQ(ints.int_chunks().lane_bytes(k), widths[k]) << "chunk " << k;
+  }
+  const std::size_t n = table->num_rows();
+  const std::pair<std::size_t, std::size_t> ranges[] = {
+      {0, n}, {1000, 1100}, {n - 17, 17}};
+  for (const auto& [first, count] : ranges) {
+    const std::string what = "rows [" + std::to_string(first) + ", +" +
+                             std::to_string(count) + ")";
+    std::vector<std::uint8_t> bytes;
+    ByteWriter w(bytes);
+    graql::encode_rows(*table, static_cast<storage::RowIndex>(first), count,
+                       w);
+    const std::vector<std::uint8_t> oracle =
+        wire_oracle::encode_rows(*table, first, count);
+    EXPECT_EQ(bytes, oracle) << what;
+    ByteCounter counted;
+    graql::encode_rows(*table, static_cast<storage::RowIndex>(first), count,
+                       counted);
+    EXPECT_EQ(counted.written(), oracle.size()) << what;
+    // Decoded cells re-encode, boxed, to the same bytes: NaN payloads and
+    // -0.0 included.
+    StringPool decoded_pool;
+    auto decoded = decode_rows_of(bytes, count, *table, decoded_pool);
+    ASSERT_TRUE(decoded.is_ok())
+        << what << ": " << decoded.status().to_string();
+    ASSERT_EQ((*decoded)->num_rows(), count) << what;
+    EXPECT_EQ(wire_oracle::encode_rows(**decoded, 0, count), oracle) << what;
+  }
+
+  // An int64 cell goes into a double column promoted; a date cell does not
+  // go into an integer column.
+  const storage::Table doubles(
+      "D", storage::Schema({{"x", storage::DataType::float64()}}), pool);
+  std::vector<std::uint8_t> promoted;
+  ByteWriter w(promoted);
+  graql::encode_value(Value::int64(-3), w);
+  graql::encode_value(Value::null(), w);
+  StringPool decoded_pool;
+  auto decoded = decode_rows_of(promoted, 2, doubles, decoded_pool);
+  ASSERT_TRUE(decoded.is_ok()) << decoded.status().to_string();
+  EXPECT_TRUE((*decoded)->value_at(0, 0) == Value::float64(-3.0));
+  EXPECT_EQ((*decoded)->value_at(0, 0).kind(), storage::TypeKind::kDouble);
+  EXPECT_TRUE((*decoded)->value_at(1, 0).is_null());
+  const storage::Table integers(
+      "I", storage::Schema({{"i", storage::DataType::int64()}}), pool);
+  std::vector<std::uint8_t> date;
+  ByteWriter dw(date);
+  graql::encode_value(Value::date(14000), dw);
+  auto refused = decode_rows_of(date, 1, integers, decoded_pool);
+  ASSERT_FALSE(refused.is_ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kParseError);
+  EXPECT_NE(refused.status().message().find(
+                "column 'i' of table 'I' expects integer, got date"),
+            std::string::npos)
+      << refused.status().to_string();
+}
+
+/// One bad row set for table T(i integer, s varchar(4)): the declared row
+/// count, the cells and a piece of the error message it must give.
+struct BadRows {
+  const char* what;
+  std::uint64_t nrows;
+  std::vector<std::uint8_t> cells;
+  const char* message;
+};
+
+std::vector<BadRows> bad_rows() {
+  const auto cells = [](std::initializer_list<Value> values) {
+    std::vector<std::uint8_t> out;
+    ByteWriter w(out);
+    for (const Value& v : values) graql::encode_value(v, w);
+    return out;
+  };
+  std::vector<std::uint8_t> tag6 = cells({Value::int64(1)});
+  ByteWriter(tag6).u8(6);
+  return {
+      {"varchar in an integer column", 1,
+       cells({Value::varchar("ab"), Value::varchar("ok")}),
+       "column 'i' of table 'T' expects integer, got varchar"},
+      {"over-long varchar", 1,
+       cells({Value::int64(1), Value::varchar("toolong")}),
+       "value 'toolong' exceeds varchar(4) for column 's' of table 'T'"},
+      {"tag 6", 1, tag6, "bad value tag 6"},
+      {"row count past the bytes", 100,
+       cells({Value::int64(1), Value::varchar("ok")}),
+       "row count 100 exceeds remaining"},
+  };
+}
+
+TEST(RowCodecTest, BadCellsFailTypedOnBothPaths) {
+  for (const BadRows& bad : bad_rows()) {
+    // In a kIngestRows record of a CRC-valid WAL: the open fails as a
+    // corrupt record.
+    const fs::path dir = fs::path(::testing::TempDir()) /
+                         ("gems_row_codec_" + std::to_string(::getpid()));
+    fs::remove_all(dir);
+    fs::create_directories(dir);
+    {
+      auto wal = store::Wal::open((dir / "wal.gwal").string(), 0, false);
+      ASSERT_TRUE(wal.is_ok()) << wal.status().to_string();
+      ASSERT_TRUE(wal->wal
+                      ->append(store::WalRecordType::kStatement,
+                               golden_ir("create table T(i integer, "
+                                         "s varchar(4))"))
+                      .is_ok());
+      std::vector<std::uint8_t> payload;
+      ByteWriter w(payload);
+      w.str("T");
+      w.u32(2);
+      w.u64(bad.nrows);
+      w.bytes(bad.cells);
+      ASSERT_TRUE(
+          wal->wal->append(store::WalRecordType::kIngestRows, payload).is_ok());
+    }
+    server::DatabaseOptions options;
+    options.store_dir = dir.string();
+    options.wal_fsync = false;
+    {
+      server::Database db(options);
+      const Status opened = db.store_status();
+      EXPECT_EQ(opened.code(), StatusCode::kIoError)
+          << bad.what << ": " << opened.to_string();
+      for (const char* part : {"WAL record seq 2: corrupt store data",
+                               bad.message, "byte offset"}) {
+        EXPECT_NE(opened.message().find(part), std::string::npos)
+            << bad.what << ": " << opened.to_string();
+      }
+    }
+    fs::remove_all(dir);
+
+    // In a run-script reply: the client's decoder fails with a parse error.
+    std::vector<std::uint8_t> reply;
+    ByteWriter w(reply);
+    net::encode_status(Status::ok(), w);
+    w.u32(1);
+    w.u8(static_cast<std::uint8_t>(exec::StatementResult::Kind::kTable));
+    w.boolean(false);
+    w.u8(static_cast<std::uint8_t>(graql::IntoKind::kTable));
+    w.str("T");
+    w.str("");
+    w.boolean(true);
+    w.str("T");
+    w.u32(2);
+    w.str("i");
+    w.u8(static_cast<std::uint8_t>(storage::TypeKind::kInt64));
+    w.u32(0);
+    w.str("s");
+    w.u8(static_cast<std::uint8_t>(storage::TypeKind::kVarchar));
+    w.u32(4);
+    w.u64(bad.nrows);
+    w.bytes(bad.cells);
+    w.boolean(false);
+    StringPool pool;
+    const Status decoded = decode_response(reply, [&](ByteReader& r) {
+      return net::decode_results(r, pool).status();
+    });
+    EXPECT_EQ(decoded.code(), StatusCode::kParseError)
+        << bad.what << ": " << decoded.to_string();
+    for (const char* part : {"malformed frame", bad.message, "byte offset"}) {
+      EXPECT_NE(decoded.message().find(part), std::string::npos)
+          << bad.what << ": " << decoded.to_string();
+    }
+  }
 }
 
 }  // namespace
