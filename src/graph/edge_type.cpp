@@ -47,14 +47,15 @@ AdjacencyPart CsrIndex::Tail::part(VertexIndex v) const {
 }
 
 CsrIndex CsrIndex::over(std::shared_ptr<Base> base, std::size_t num_edges,
-                        bool identity) {
+                        bool identity, bool other_identity) {
   CsrIndex out;
-  const bool ordered = base->edge.empty() && base->neighbor.empty();
+  const bool ordered = base->edge.empty();
   if (ordered) {
     // Null when the neighbors are implicit.
     if (base->other.size() > 0) out.other_ = &base->other;
   } else {
-    out.neighbor_ = base->neighbor.data();
+    // Null when the neighbors are implicit.
+    if (!base->neighbor.empty()) out.neighbor_ = base->neighbor.data();
     out.edge_ = base->edge.data();
   }
   out.base_edges_ = num_edges;
@@ -67,6 +68,7 @@ CsrIndex CsrIndex::over(std::shared_ptr<Base> base, std::size_t num_edges,
   out.num_vertices_ = out.base_vertices_;
   out.ordered_ = ordered;
   out.identity_ = identity;
+  out.other_identity_ = other_identity;
   out.base_ = std::move(base);
   return out;
 }
@@ -77,8 +79,10 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
   const std::size_t edges = indexed.size();
   auto base = std::make_shared<Base>();
   // The other side's array, when it is stored: an ordered base reads it.
+  const EndpointArray* to_array = other.array();
+  const bool other_identity = to_array == nullptr;
   auto keep_other = [&] {
-    if (other.array() != nullptr) base->other = *other.array();
+    if (to_array != nullptr) base->other = *to_array;
   };
   // Whether edge e indexes vertex e: known for an identity side, else
   // found before the degree count. A unit direction needs neither the
@@ -96,7 +100,7 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
       }
     }
     keep_other();
-    return over(std::move(base), edges, true);
+    return over(std::move(base), edges, true, other_identity);
   }
   base->offsets.assign(n + 1, 0);
   bool ordered = true;
@@ -116,15 +120,16 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
   if (ordered) {
     // Edge e sits at position e: the neighbors are `other` in order.
     keep_other();
-    return over(std::move(base), edges, false);
+    return over(std::move(base), edges, false, other_identity);
   }
 
-  base->neighbor.resize(edges);
+  // Over an identity other side entry i's neighbor is its edge id, so
+  // only the edge ids are stored.
+  if (!other_identity) base->neighbor.resize(edges);
   base->edge.resize(edges);
   std::pmr::vector<std::uint32_t> cursor(base->offsets.begin(),
                                          base->offsets.end() - 1, scratch);
   // Both arrays chunk identically, so a piece of each holds the same edges.
-  const EndpointArray* to_array = other.array();
   std::array<VertexIndex, kChunkRows> to_buf;
   from_array->for_each_piece(
       0, edges, [&](std::span<const VertexIndex> from, std::size_t first) {
@@ -135,11 +140,11 @@ CsrIndex CsrIndex::build(std::size_t n, EdgeEnd indexed, EdgeEnd other,
         for (std::size_t i = 0; i < from.size(); ++i) {
           const std::uint32_t pos = cursor[from[i]]++;
           const auto e = static_cast<EdgeIndex>(first + i);
-          base->neighbor[pos] = to != nullptr ? to[i] : e;
+          if (to != nullptr) base->neighbor[pos] = to[i];
           base->edge[pos] = e;
         }
       });
-  return over(std::move(base), edges, false);
+  return over(std::move(base), edges, false, other_identity);
 }
 
 CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
@@ -155,6 +160,8 @@ CsrIndex CsrIndex::extend(const CsrIndex& prev, std::size_t n,
   CsrIndex out = prev;
   out.num_vertices_ = n;
   out.tail_ = nullptr;
+  // A written-out other side is never dropped again.
+  out.other_identity_ = out.other_identity_ && other.array() == nullptr;
   if (tail_edges == 0) return out;
   // The appended edges keep the whole sequence ordered when they are
   // non-decreasing from the last previous edge on.

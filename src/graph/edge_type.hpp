@@ -102,13 +102,14 @@ class EdgeEnd {
 /// its neighbor is the other endpoint of that edge: the base stores no
 /// edge ids and no neighbors, and reads the neighbors from a copy of the
 /// other endpoint array, which shares that array's sealed chunks; a
-/// narrow chunk's neighbors are widened as they are read. When the
-/// other side is the identity, which the edge type does not store, the
-/// base reads nothing: entry i's neighbor is its edge id, i. When edge e's
-/// indexed vertex is e and the indexed side has as many vertices as edges
-/// (the direction is *unit*), vertex v's base entry is entry v, and the
-/// base stores no offsets either. The tail always stores its neighbors and
-/// edge ids.
+/// narrow chunk's neighbors are widened as they are read. When the other
+/// side is the identity, which the edge type does not store, an entry's
+/// neighbor is its edge id, so the base stores no neighbors: an ordered
+/// base reads nothing, and a flat one stores only offsets and edge ids.
+/// When edge e's indexed vertex is e and the indexed side has as many
+/// vertices as edges (the direction is *unit*), vertex v's base entry is
+/// entry v, and the base stores no offsets either. The tail always stores
+/// its neighbors and edge ids.
 class CsrIndex {
  public:
   /// Builds from the edges' ends: edge e runs indexed[e] -> other[e];
@@ -143,11 +144,12 @@ class CsrIndex {
   /// would. An ordered base gives one part per chunk of the other
   /// endpoint array that v's group touches, and none for an empty group
   /// (a part of a narrow chunk reads a buffer on the stack); over an
-  /// identity other side it gives one part with implicit neighbors. Each
-  /// call site inlines one copy of `fn` per kind of part (unit, flat, view
+  /// identity other side a base gives one part with implicit neighbors,
+  /// and stored edge ids when it is flat. Each call site inlines one copy
+  /// of `fn` per kind of part (unit, flat, flat over the identity, view
   /// piece, implicit, tail), so each runs with its neighbor and edge-id
   /// forms and, for a unit part, its single entry known (EXPERIMENTS.md
-  /// E-CSRTAIL, E-SHAREDNEIGHBORS, E-IDENTITYARRAYS).
+  /// E-CSRTAIL, E-SHAREDNEIGHBORS, E-IDENTITYARRAYS, E-FKREVERSE).
   template <typename Fn>
   void for_each_part(VertexIndex v, Fn&& fn) const {
     GEMS_DCHECK(v < num_vertices_);
@@ -156,9 +158,14 @@ class CsrIndex {
         // Unit: v's one base entry is entry v.
         const VertexIndex u = (*other_)[v];
         fn(AdjacencyPart{&u, nullptr, v, 1});
-      } else if (edge_ != nullptr) {
+      } else if (neighbor_ != nullptr) {
         const std::uint32_t begin = offsets_[v];
         fn(AdjacencyPart{stored(neighbor_ + begin), edge_ + begin, begin,
+                         offsets_[v + 1] - begin});
+      } else if (edge_ != nullptr) {
+        // Flat over an identity other side: neighbor i is edge i.
+        const std::uint32_t begin = offsets_[v];
+        fn(AdjacencyPart{nullptr, edge_ + begin, begin,
                          offsets_[v + 1] - begin});
       } else if (other_ != nullptr) {
         for_each_view_part(offsets_[v], offsets_[v + 1] - offsets_[v], fn);
@@ -269,22 +276,23 @@ class CsrIndex {
   /// Bytes of the flat index build() would give for the same edges, so an
   /// index built or extended to the same state reports the same size (the
   /// `graph.csr.bytes` gauge). That index stores offsets unless the
-  /// direction is unit over all the edges, and neighbors and edge ids
-  /// unless it is ordered over all the edges.
+  /// direction is unit over all the edges, edge ids unless it is ordered
+  /// over all the edges, and neighbors unless it is ordered or its other
+  /// side is the identity over all the edges.
   std::size_t byte_size() const noexcept {
+    const std::size_t neighbor = other_identity_ ? 0 : sizeof(VertexIndex);
     return (unit() ? 0 : (num_vertices_ + 1) * sizeof(std::uint32_t)) +
-           (ordered_ ? 0
-                     : num_edges() * (sizeof(VertexIndex) + sizeof(EdgeIndex)));
+           (ordered_ ? 0 : num_edges() * (neighbor + sizeof(EdgeIndex)));
   }
 
   /// True when the base stores no neighbors and no edge ids: it reads the
   /// other endpoint array, or nothing when that side is the identity.
   bool ordered_base() const noexcept { return edge_ == nullptr; }
 
-  /// True when the base's neighbors are implicit: ordered over an identity
-  /// other side.
+  /// True when the base's neighbors are implicit: it is over an identity
+  /// other side, ordered or flat.
   bool implicit_neighbors() const noexcept {
-    return edge_ == nullptr && other_ == nullptr && base_edges_ > 0;
+    return neighbor_ == nullptr && other_ == nullptr && base_edges_ > 0;
   }
 
   /// True when the base stores no offsets either.
@@ -303,7 +311,8 @@ class CsrIndex {
     // Size n+1; empty when the direction is unit.
     std::pmr::vector<std::uint32_t> offsets{large_array_resource()};
     // The other endpoints, grouped by owner, and their edge ids; both
-    // empty when the direction is ordered.
+    // empty when the direction is ordered, and the other endpoints empty
+    // when the other side is the identity.
     std::pmr::vector<VertexIndex> neighbor{large_array_resource()};
     std::pmr::vector<EdgeIndex> edge{large_array_resource()};
     // When ordered, the other endpoint array, its sealed chunks shared
@@ -327,9 +336,9 @@ class CsrIndex {
 
   /// An index over `base`, which holds `num_edges` edges, with no tail.
   /// `identity` says whether edge e's indexed vertex is e for every base
-  /// edge.
+  /// edge, and `other_identity` whether its other endpoint is.
   static CsrIndex over(std::shared_ptr<Base> base, std::size_t num_edges,
-                       bool identity);
+                       bool identity, bool other_identity);
 
   /// `p`, which is not null: a part body inlined for a stored neighbor
   /// array then compiles without its implicit-neighbor test.
@@ -368,8 +377,8 @@ class CsrIndex {
   std::size_t num_vertices_ = 0;
   // The base arrays, read on every for_each_part() call: offsets_ is null
   // when the base is unit, neighbor_ and edge_ when it is ordered, and
-  // other_ is read only then, and is null when the neighbors are
-  // implicit.
+  // other_ is read only then; neighbor_ or other_ is null when the
+  // neighbors are implicit.
   const std::uint32_t* offsets_ = nullptr;
   const VertexIndex* neighbor_ = nullptr;
   const EdgeIndex* edge_ = nullptr;
@@ -382,6 +391,10 @@ class CsrIndex {
   bool ordered_ = true;
   // Whether edge e's indexed vertex is e for all num_edges() edges.
   bool identity_ = true;
+  // Whether edge e's other endpoint is e for all num_edges() edges:
+  // whether build() would store no neighbors. Once false it stays false,
+  // since a written-out side is never dropped again.
+  bool other_identity_ = true;
 };
 
 /// An edge type stores its target endpoint array, and its source array

@@ -832,6 +832,36 @@ TEST(CsrRestoreTest, UnitRoundTripStoresNoOffsets) {
   expect_adjacency_of_edges(wider, from, to);
 }
 
+TEST(CsrRestoreTest, FlatOverIdentityStoresNoNeighbors) {
+  // Edge e runs from vertex e to an unsorted target, as a foreign key does
+  // over a referencing table not sorted by the key: the reverse index is
+  // flat over the identity sources, so neighbor i is edge i and only the
+  // offsets and edge ids are stored.
+  std::vector<VertexIndex> from;
+  std::vector<VertexIndex> to;
+  for (std::size_t e = 0; e < kChunkRows + 37; ++e) {
+    from.push_back(static_cast<VertexIndex>(e));
+    to.push_back(static_cast<VertexIndex>(e * 7 % 13));
+  }
+  const std::size_t num_dst = 14;  // vertex 13 has no edges
+  const EdgeType built = assembled(from, to, from.size(), num_dst);
+  EXPECT_TRUE(built.source_is_identity());
+  const CsrIndex& reverse = built.reverse();
+  EXPECT_FALSE(reverse.ordered_base());
+  EXPECT_TRUE(reverse.implicit_neighbors());
+  EXPECT_EQ(reverse.byte_size(), (num_dst + 1) * sizeof(std::uint32_t) +
+                                     from.size() * sizeof(EdgeIndex));
+  for (VertexIndex v = 0; v < num_dst; ++v) {
+    reverse.for_each_part(v, [&](const AdjacencyPart& part) {
+      EXPECT_EQ(part.neighbors, nullptr) << "vertex " << v;
+      for (std::size_t i = 0; i < part.size(); ++i) {
+        EXPECT_EQ(part.neighbor(i), part.edge(i)) << "vertex " << v;
+      }
+    });
+  }
+  expect_adjacency_of_edges(built, from, to);
+}
+
 // ---- Frontier walks ----------------------------------------------------------
 // The matcher walks a frontier with for_each_part_of, which reads an
 // ordered base's neighbors a 64-vertex word at a time: it must list the
@@ -955,21 +985,31 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
   struct Case {
     int break_at;      // the ingest that breaks the identity; -1: none
     std::size_t idle;  // source vertices past the last edge's
+    bool sorted_dst = true;
   };
-  for (const Case c : {Case{-1, 0}, Case{-1, 3}, Case{10, 0}}) {
+  for (const Case c :
+       {Case{-1, 0}, Case{-1, 3}, Case{10, 0}, Case{10, 0, false}}) {
     SCOPED_TRACE("break at " + std::to_string(c.break_at) + ", idle " +
-                 std::to_string(c.idle));
+                 std::to_string(c.idle) +
+                 (c.sorted_dst ? "" : ", unsorted targets"));
     Xoshiro256 rng(static_cast<std::uint64_t>(c.break_at + 7 + c.idle));
     // Edge e runs from vertex e to a non-decreasing target, as a foreign
     // key does over a referencing table sorted by the key: the reverse
-    // index is ordered over the identity sources.
+    // index is ordered over the identity sources. Unsorted targets make
+    // it flat over them: it stores edge ids and no neighbors.
     EndpointArray src;
     EndpointArray dst;
     EndpointArray added_src;  // the current ingest's edges
     EndpointArray added_dst;
     VertexIndex last_dst = 0;
+    VertexIndex max_dst = 0;
     auto append = [&](VertexIndex s) {
-      last_dst += rng.chance(0.3) ? 1 : 0;
+      if (c.sorted_dst) {
+        last_dst += rng.chance(0.3) ? 1 : 0;
+      } else {
+        last_dst = static_cast<VertexIndex>(rng.below(max_dst + 2));
+      }
+      max_dst = std::max(max_dst, last_dst);
       src.push_back(s);
       dst.push_back(last_dst);
       added_src.push_back(s);
@@ -977,14 +1017,16 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
     };
     for (VertexIndex e = 0; e < 200; ++e) append(e);
     auto num_src = [&] { return src.size() + c.idle; };
-    auto num_dst = [&] { return std::size_t{last_dst} + 2; };
+    auto num_dst = [&] { return std::size_t{max_dst} + 2; };
     EdgeType et = EdgeType::assemble(0, "E", 0, 1, num_src(), num_dst(), src,
                                      dst, nullptr,
                                      std::pmr::get_default_resource());
     EXPECT_TRUE(et.source_is_identity());
     EXPECT_TRUE(et.reverse().implicit_neighbors());
+    EXPECT_EQ(et.reverse().ordered_base(), c.sorted_dst);
     EXPECT_EQ(et.forward().unit_base(), c.idle == 0);
     std::size_t folds_after_break = 0;
+    std::size_t implicit_after_break = 0;  // bases built before the break
     for (int ingest = 0; ingest < 30; ++ingest) {
       SCOPED_TRACE("ingest " + std::to_string(ingest));
       added_src = {};
@@ -1014,13 +1056,21 @@ TEST(EdgeIdentityTest, BuiltExtendedAndRestoredAgree) {
       expect_same_adjacency(next.forward(), built.forward());
       expect_same_adjacency(next.reverse(), built.reverse());
       EXPECT_EQ(built.reverse().implicit_neighbors(), identity);
+      if (!c.sorted_dst) {
+        // Offsets, edge ids and, once the sources are stored, neighbors.
+        EXPECT_EQ(built.reverse().byte_size(),
+                  (num_dst() + 1) * sizeof(std::uint32_t) +
+                      built.num_edges() * (identity ? 4u : 8u));
+      }
       if (!identity && !next.reverse().shares_base(et.reverse())) {
         ++folds_after_break;
       }
+      implicit_after_break += !identity && next.reverse().implicit_neighbors();
       et = std::move(next);
     }
     if (c.break_at >= 0) {
       EXPECT_GT(folds_after_break, 0u);
+      EXPECT_GT(implicit_after_break, 0u);
     }
   }
 }

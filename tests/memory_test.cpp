@@ -152,9 +152,10 @@ TEST(ResidentCensusTest, BerlinScale2000) {
   const metrics::Snapshot m = (*made)->metrics_snapshot();
   EXPECT_EQ(metrics::value(m, "storage.pool.bytes"), 511976u);
   EXPECT_EQ(metrics::value(m, "storage.tables.bytes"), 572324u);
-  EXPECT_EQ(metrics::value(m, "graph.csr.bytes"), 294004u);
+  EXPECT_EQ(metrics::value(m, "graph.csr.bytes"), 220556u);
   EXPECT_EQ(metrics::value(m, "graph.key_index.bytes"), 238848u);
   EXPECT_EQ(metrics::value(m, "graph.endpoints.bytes"), 99736u);
+  EXPECT_EQ(metrics::value(m, "graph.vertex_rows.bytes"), 2576u);
 }
 
 // ---- The malloc threshold over a server life cycle --------------------------
