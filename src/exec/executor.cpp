@@ -80,48 +80,6 @@ Result<std::vector<std::vector<ColSource>>> column_sources(
   return sources;
 }
 
-/// Steps contributing elements to a subgraph result.
-struct SubgraphSelection {
-  bool star = false;
-  std::vector<int> vertex_vars;
-  std::vector<int> edge_cons;
-};
-
-Result<SubgraphSelection> resolve_subgraph_targets(
-    const GraphQueryStmt& stmt, const LoweredQuery& lowered,
-    std::size_t net_index) {
-  SubgraphSelection sel;
-  const graql::StepNames names(stmt.or_groups[net_index]);
-  for (const auto& target : stmt.targets) {
-    if (target.star) {
-      sel.star = true;
-      for (std::size_t v = 0; v < lowered.networks[net_index].num_vars();
-           ++v) {
-        sel.vertex_vars.push_back(static_cast<int>(v));
-      }
-      for (std::size_t c = 0; c < lowered.networks[net_index].edges.size();
-           ++c) {
-        sel.edge_cons.push_back(static_cast<int>(c));
-      }
-      return sel;
-    }
-    if (!target.column.empty()) {
-      return invalid_argument(
-          "attribute selections ('" + target.qualifier + "." +
-          target.column + "') require 'into table'");
-    }
-    auto it = names.steps.find(target.qualifier);
-    if (it == names.steps.end()) continue;  // in another or-branch
-    const StepRef& ref = lowered.step_refs[net_index].at(it->second.ast);
-    if (ref.is_edge) {
-      sel.edge_cons.push_back(ref.index);
-    } else {
-      sel.vertex_vars.push_back(ref.index);
-    }
-  }
-  return sel;
-}
-
 void mark_domain(Subgraph& out, const GraphView& graph, const Domain& d) {
   for (const auto& [type, bits] : d.sets) {
     if (!bits.any()) continue;
@@ -135,6 +93,8 @@ Result<SubgraphPtr> collect_subgraph(const GraphQueryStmt& stmt,
                                      const std::vector<MatchResult>& matches,
                                      const std::vector<NetworkPlan>& plans,
                                      bool* truncated) {
+  const graql::SubgraphTargets targets = graql::subgraph_targets(stmt);
+  if (!targets.errors.empty()) return targets.errors.front().status;
   auto out = std::make_shared<Subgraph>(
       stmt.into_name.empty() ? "result" : stmt.into_name);
   const GraphView& graph = ctx.graph;
@@ -143,20 +103,31 @@ Result<SubgraphPtr> collect_subgraph(const GraphQueryStmt& stmt,
     const ConstraintNetwork& net = lowered.networks[n];
     const MatchResult& match = matches[n];
     if (match.empty()) continue;
-    GEMS_ASSIGN_OR_RETURN(SubgraphSelection sel,
-                          resolve_subgraph_targets(stmt, lowered, n));
+    // The selected steps' variables and constraints: all of them for `*`.
+    std::vector<int> vertex_vars;
+    std::vector<int> edge_cons;
+    if (targets.star) {
+      vertex_vars.resize(net.num_vars());
+      std::iota(vertex_vars.begin(), vertex_vars.end(), 0);
+      edge_cons.resize(net.edges.size());
+      std::iota(edge_cons.begin(), edge_cons.end(), 0);
+    }
+    for (const void* step : targets.steps[n]) {
+      const StepRef& ref = lowered.step_refs[n].at(step);
+      (ref.is_edge ? edge_cons : vertex_vars).push_back(ref.index);
+    }
 
     if (net.tree_exact) {
-      for (const int v : sel.vertex_vars) {
+      for (const int v : vertex_vars) {
         mark_domain(*out, graph, match.domains[v]);
       }
-      for (const int c : sel.edge_cons) {
+      for (const int c : edge_cons) {
         for (const auto& [type, bits] : match.matched_edges[c]) {
           if (!bits.any()) continue;
           out->edges(type, graph.edge_type(type).num_edges()) |= bits;
         }
       }
-      if (sel.star) {
+      if (targets.star) {
         for (const Subgraph& g : match.group_elements) out->merge(g);
       }
       continue;
@@ -168,13 +139,13 @@ Result<SubgraphPtr> collect_subgraph(const GraphQueryStmt& stmt,
     options.root_var = plans[n].root_var;
     auto emit = [&](std::span<const VertexRef> vertices,
                     std::span<const EdgeRef> edges) {
-      for (const int v : sel.vertex_vars) {
+      for (const int v : vertex_vars) {
         const VertexRef ref = vertices[v];
         out->vertices(ref.type,
                       graph.vertex_type(ref.type).num_vertices())
             .set(ref.index);
       }
-      for (const int c : sel.edge_cons) {
+      for (const int c : edge_cons) {
         const EdgeRef ref = edges[c];
         if (!ref.valid()) continue;
         out->edges(ref.type, graph.edge_type(ref.type).num_edges())
@@ -186,7 +157,7 @@ Result<SubgraphPtr> collect_subgraph(const GraphQueryStmt& stmt,
         EnumStats stats,
         enumerate_assignments(net, graph, *ctx.pool, match, options, emit));
     if (stats.truncated && truncated != nullptr) *truncated = true;
-    if (sel.star) {
+    if (targets.star) {
       // Group interiors come from the fixpoint marking (groups cannot be
       // constrained by cross predicates, so this stays exact).
       for (const Subgraph& g : match.group_elements) out->merge(g);

@@ -60,7 +60,6 @@ class NetworkBuilder {
     for (const PathElement& el : path.elements) {
       if (const auto* v = std::get_if<VertexStep>(&el)) {
         GEMS_ASSIGN_OR_RETURN(int var, add_vertex_step(*v));
-        lowered_.emplace(v, StepRef{false, var});
         if (pending_edge != nullptr) {
           GEMS_RETURN_IF_ERROR(add_edge_constraint(*pending_edge, prev_var,
                                                    var));
@@ -97,34 +96,33 @@ class NetworkBuilder {
   // ---- Steps ----------------------------------------------------------
 
   Result<int> add_vertex_step(const VertexStep& step) {
-    // Label reference? (a name that matches a previously defined label)
-    auto label_it = labels_.find(step.type_name);
-    if (!step.variant && step.seed_result.empty() &&
-        label_it != labels_.end()) {
-      const LabelBinding& binding = label_it->second;
-      if (binding.is_edge) {
+    // A label reference revisits the step its label names.
+    if (const auto ref = names_.refs.find(&step); ref != names_.refs.end()) {
+      if (ref->second.is_edge) {
         return type_error("label '" + step.type_name +
                           "' names an edge step");
       }
+      const int labeled = lowered_.at(ref->second.ast).index;
       int var;
-      if (binding.element_wise) {
-        var = binding.var;  // alias: the very same variable (Eq. 8)
+      if (static_cast<const VertexStep*>(ref->second.ast)->label_kind ==
+          LabelKind::kForeach) {
+        var = labeled;  // alias: the very same variable (Eq. 8)
       } else {
         // Set label: fresh variable of the same types, tied by set
         // equality (Eq. 6/7).
-        var = clone_var_shape(binding.var);
-        net_.set_eqs.push_back({binding.var, var});
+        var = clone_var_shape(labeled);
+        net_.set_eqs.push_back({labeled, var});
         // Eq. 12: when the labeled step is type-matching, the label's
         // type binds at matching time — occurrences must agree per
         // assignment.
-        if (net_.vars[binding.var].variant) {
-          net_.type_eqs.push_back({binding.var, var});
+        if (net_.vars[labeled].variant) {
+          net_.type_eqs.push_back({labeled, var});
         }
       }
+      lowered_.emplace(&step, StepRef{false, var});
       if (step.condition) {
         GEMS_RETURN_IF_ERROR(attach_vertex_condition(var, step));
       }
-      GEMS_RETURN_IF_ERROR(register_label(step, var, /*is_edge=*/false));
       return var;
     }
 
@@ -146,11 +144,11 @@ class NetworkBuilder {
     }
     const int index = static_cast<int>(net_.vars.size());
     net_.vars.push_back(std::move(var));
+    lowered_.emplace(&step, StepRef{false, index});
 
     if (step.condition) {
       GEMS_RETURN_IF_ERROR(attach_vertex_condition(index, step));
     }
-    GEMS_RETURN_IF_ERROR(register_label(step, index, /*is_edge=*/false));
     return index;
   }
 
@@ -177,19 +175,11 @@ class NetworkBuilder {
     // through net_.edges[edge_index].
     const int edge_index = static_cast<int>(net_.edges.size());
     net_.edges.push_back(std::move(con));
+    lowered_.emplace(&step, StepRef{true, edge_index});
     if (step.condition) {
       GEMS_RETURN_IF_ERROR(
           attach_edge_condition(edge_index, net_.edges[edge_index], step));
     }
-    if (step.label_kind != LabelKind::kNone) {
-      if (labels_.contains(step.label)) {
-        return already_exists("label '" + step.label + "' defined twice");
-      }
-      labels_.emplace(step.label,
-                      LabelBinding{true, edge_index,
-                                   step.label_kind == LabelKind::kForeach});
-    }
-    lowered_.emplace(&step, StepRef{true, edge_index});
     return Status::ok();
   }
 
@@ -331,43 +321,6 @@ class NetworkBuilder {
 
   // ---- Conditions -------------------------------------------------------
 
-  /// Scope for a step condition: bare columns and the step's own names
-  /// resolve to `self`; any other name of `names_` resolves to its step
-  /// once that step is lowered.
-  class StepScope final : public relational::Scope {
-   public:
-    StepScope(NetworkBuilder& b, StepRef self, std::string self_name,
-              std::string self_label)
-        : b_(b),
-          self_(self),
-          self_name_(std::move(self_name)),
-          self_label_(std::move(self_label)) {}
-
-    Result<Slot> resolve(std::string_view qual,
-                         std::string_view col) const override {
-      StepRef target = self_;
-      if (!(qual.empty() || qual == self_name_ ||
-            (!self_label_.empty() && qual == self_label_))) {
-        const auto name = b_.names_.steps.find(std::string(qual));
-        const auto it = name == b_.names_.steps.end()
-                            ? b_.lowered_.end()
-                            : b_.lowered_.find(name->second.ast);
-        if (it == b_.lowered_.end()) {
-          return not_found("unknown qualifier '" + std::string(qual) +
-                           "' in step condition");
-        }
-        target = it->second;
-      }
-      return b_.slot_for(target, col);
-    }
-
-   private:
-    NetworkBuilder& b_;
-    StepRef self_;
-    std::string self_name_;
-    std::string self_label_;
-  };
-
   /// Slot for (step, column): source id = var index for vertices,
   /// num_vars_budget + edge index for edges. Because var count grows
   /// during lowering, edge sources use a fixed offset (kEdgeSourceBase).
@@ -395,15 +348,36 @@ class NetworkBuilder {
   }
 
   Status attach_vertex_condition(int var, const VertexStep& step) {
-    StepScope scope(*this, StepRef{false, var}, step.type_name, step.label);
-    return attach_condition(step.condition, scope, var, /*self_edge=*/-1);
+    return attach_condition(step, var, [&](BoundExprPtr bound) {
+      VertexVar& vv = net_.vars[var];
+      vv.self_conds.push_back(std::move(bound));
+      // Kernel form for the matcher's batched domain scan. Compilation
+      // fails only on another source's column, which a self-only
+      // conjunct cannot reference.
+      vv.self_cond_kernels.push_back(relational::VectorExpr::compile(
+          *vv.self_conds.back(), static_cast<std::uint16_t>(var), pool_));
+      GEMS_CHECK(vv.self_cond_kernels.back() != nullptr);
+    });
   }
 
   Status attach_edge_condition(int edge_index, EdgeConstraint& con,
                                const EdgeStep& step) {
-    StepScope scope(*this, StepRef{true, edge_index}, step.type_name,
-                    step.label);
-    // Bind each conjunct; self-only ones filter during propagation.
+    return attach_condition(step, kEdgeSourceBase + edge_index,
+                            [&](BoundExprPtr bound) {
+                              con.self_conds.push_back(std::move(bound));
+                            });
+  }
+
+  /// Binds `step`'s condition conjunct by conjunct through its StepScope. A
+  /// conjunct over the step alone (slot source `self`) goes to `add_self`,
+  /// to filter during propagation; any other is a cross predicate.
+  template <typename Step, typename AddSelf>
+  Status attach_condition(const Step& step, int self, const AddSelf& add_self) {
+    const graql::StepScope scope(
+        names_, step,
+        [this](const graql::NamedStep& named, std::string_view column) {
+          return slot_for(lowered_.at(named.ast), column);
+        });
     for (const ExprPtr& conjunct :
          relational::split_conjuncts(step.condition)) {
       GEMS_ASSIGN_OR_RETURN(
@@ -411,48 +385,10 @@ class NetworkBuilder {
           relational::bind_predicate(conjunct, scope, params_, pool_));
       std::vector<int> sources;
       collect_slot_sources(*bound, sources);
-      const int self_source = kEdgeSourceBase + edge_index;
-      const bool self_only =
-          sources.empty() ||
-          (sources.size() == 1 && sources[0] == self_source);
-      if (self_only) {
-        con.self_conds.push_back(std::move(bound));
+      if (sources.empty() || (sources.size() == 1 && sources[0] == self)) {
+        add_self(std::move(bound));
       } else {
-        CrossPred pred;
-        pred.pred = std::move(bound);
-        pred.vars = std::move(sources);
-        net_.cross_preds.push_back(std::move(pred));
-      }
-    }
-    return Status::ok();
-  }
-
-  Status attach_condition(const ExprPtr& condition, const StepScope& scope,
-                          int self_var, int /*self_edge*/) {
-    for (const ExprPtr& conjunct : relational::split_conjuncts(condition)) {
-      GEMS_ASSIGN_OR_RETURN(
-          BoundExprPtr bound,
-          relational::bind_predicate(conjunct, scope, params_, pool_));
-      std::vector<int> sources;
-      collect_slot_sources(*bound, sources);
-      const bool self_only =
-          sources.empty() ||
-          (sources.size() == 1 && sources[0] == self_var);
-      if (self_only) {
-        VertexVar& vv = net_.vars[self_var];
-        vv.self_conds.push_back(std::move(bound));
-        // Kernel form for the matcher's batched domain scan. Compilation
-        // fails only on another source's column, which a self-only
-        // conjunct cannot reference.
-        vv.self_cond_kernels.push_back(relational::VectorExpr::compile(
-            *vv.self_conds.back(), static_cast<std::uint16_t>(self_var),
-            pool_));
-        GEMS_CHECK(vv.self_cond_kernels.back() != nullptr);
-      } else {
-        CrossPred pred;
-        pred.pred = std::move(bound);
-        pred.vars = std::move(sources);
-        net_.cross_preds.push_back(std::move(pred));
+        net_.cross_preds.push_back({std::move(bound), std::move(sources)});
       }
     }
     return Status::ok();
@@ -478,25 +414,6 @@ class NetworkBuilder {
         collect_slot_sources(*e.rhs, out);
         return;
     }
-  }
-
-  // ---- Labels / registry -----------------------------------------------
-
-  struct LabelBinding {
-    bool is_edge = false;
-    int var = -1;  // var index or edge index
-    bool element_wise = false;
-  };
-
-  Status register_label(const VertexStep& step, int var, bool is_edge) {
-    if (step.label_kind == LabelKind::kNone) return Status::ok();
-    if (labels_.contains(step.label)) {
-      return already_exists("label '" + step.label + "' defined twice");
-    }
-    labels_.emplace(step.label,
-                    LabelBinding{is_edge, var,
-                                 step.label_kind == LabelKind::kForeach});
-    return Status::ok();
   }
 
   // ---- Exactness ---------------------------------------------------------
@@ -538,7 +455,6 @@ class NetworkBuilder {
   const graql::StepNames& names_;
 
   ConstraintNetwork net_;
-  std::map<std::string, LabelBinding> labels_;
   // Each lowered VertexStep or EdgeStep -> its variable or constraint.
   std::map<const void*, StepRef> lowered_;
 };

@@ -34,13 +34,11 @@ using storage::TablePtr;
 
 namespace {
 
-/// A vertex declaration bound for building: its source table and key
-/// columns resolved and its WHERE clause bound.
-struct BoundVertexDecl {
+/// A vertex declaration bound for building: its source table and its
+/// binding.
+struct BoundVertexDecl : VertexDeclBinding {
   const VertexDecl* decl = nullptr;
   TablePtr source;
-  std::vector<ColumnIndex> key_cols;
-  BoundExprPtr filter;  // null without a WHERE clause
 };
 
 Result<BoundVertexDecl> bind_vertex_decl(const VertexDecl& decl,
@@ -49,21 +47,9 @@ Result<BoundVertexDecl> bind_vertex_decl(const VertexDecl& decl,
   BoundVertexDecl bound;
   bound.decl = &decl;
   GEMS_ASSIGN_OR_RETURN(bound.source, tables.find(decl.table));
-  bound.key_cols.reserve(decl.key_columns.size());
-  for (const auto& k : decl.key_columns) {
-    auto col = bound.source->schema().find(k);
-    if (!col) {
-      return not_found("vertex '" + decl.name + "': table '" + decl.table +
-                       "' has no column '" + k + "'");
-    }
-    bound.key_cols.push_back(*col);
-  }
-  if (decl.where) {
-    relational::TableScope scope(*bound.source, decl.name);
-    GEMS_ASSIGN_OR_RETURN(
-        bound.filter,
-        relational::bind_predicate(decl.where, scope, {}, pool));
-  }
+  GEMS_ASSIGN_OR_RETURN(
+      static_cast<VertexDeclBinding&>(bound),
+      bind_vertex_decl(decl, bound.source->schema(), pool));
   return bound;
 }
 
@@ -75,57 +61,6 @@ Result<VertexType> build_vertex_type(const BoundVertexDecl& bound,
 }
 
 constexpr std::size_t kMaxSources = 8;
-
-/// Scope resolving `qualifier.column` across all join sources.
-class MultiSourceScope final : public relational::Scope {
- public:
-  MultiSourceScope(std::span<const std::vector<std::string>> qualifiers,
-                   std::span<const TablePtr> tables)
-      : qualifiers_(qualifiers), tables_(tables) {}
-
-  Result<Slot> resolve(std::string_view qualifier,
-                       std::string_view column) const override {
-    if (qualifier.empty()) {
-      // Bare column: unique across all sources or ambiguous.
-      std::optional<Slot> found;
-      for (std::size_t s = 0; s < tables_.size(); ++s) {
-        auto col = tables_[s]->schema().find(column);
-        if (!col) continue;
-        if (found) {
-          return type_error("column '" + std::string(column) +
-                            "' is ambiguous across the edge's tables; "
-                            "qualify it");
-        }
-        found = Slot{static_cast<std::uint16_t>(s), *col,
-                     tables_[s]->schema().column(*col).type};
-      }
-      if (!found) {
-        return not_found("no edge source has a column '" +
-                         std::string(column) + "'");
-      }
-      return *found;
-    }
-    for (std::size_t s = 0; s < tables_.size(); ++s) {
-      const auto& quals = qualifiers_[s];
-      if (std::find(quals.begin(), quals.end(), qualifier) == quals.end()) {
-        continue;
-      }
-      auto col = tables_[s]->schema().find(column);
-      if (!col) {
-        return not_found("'" + std::string(qualifier) +
-                         "' has no column '" + std::string(column) + "'");
-      }
-      return Slot{static_cast<std::uint16_t>(s), *col,
-                  tables_[s]->schema().column(*col).type};
-    }
-    return not_found("unknown qualifier '" + std::string(qualifier) +
-                     "' in edge declaration");
-  }
-
- private:
-  std::span<const std::vector<std::string>> qualifiers_;
-  std::span<const TablePtr> tables_;
-};
 
 /// Bit s is set for every join source s a bound expression references.
 std::uint32_t referenced_sources(const BoundExpr& e) {
@@ -268,23 +203,11 @@ class KeySet {
   IdTable index_;
 };
 
-/// An edge declaration bound for building. Join source 0 is the source
-/// vertex's table, source 1 the target vertex's, then the `from table`s in
-/// declaration order. A WHERE conjunct over one source joins that
-/// source's filter (the AND of its conjuncts, rebased to source 0 for the
-/// relational kernels); a `column = column` over two sources links them;
-/// the rest are residual predicates on the joined tuple.
-struct BoundEdgeDecl {
-  struct Link {
-    Slot left;
-    Slot right;
-  };
+/// An edge declaration bound for building: its join sources' tables, in
+/// edge_join_qualifiers' order, and its binding.
+struct BoundEdgeDecl : EdgeDeclBinding {
   const EdgeDecl* decl = nullptr;
-  std::vector<std::vector<std::string>> qualifiers;  // per source
-  std::vector<TablePtr> tables;                      // per source
-  std::vector<BoundExprPtr> filters;                 // per source, or null
-  std::vector<Link> links;
-  std::vector<BoundExprPtr> residual;
+  std::vector<TablePtr> tables;  // per source
 
   /// Rows of all join sources: the build's cost, for scheduling.
   std::size_t input_rows() const {
@@ -301,80 +224,20 @@ Result<BoundEdgeDecl> bind_edge_decl(const EdgeDecl& decl,
                                      const EndpointTable& endpoint_table,
                                      const storage::TableCatalog& tables,
                                      StringPool& pool) {
-  if (!decl.where) {
-    return invalid_argument("edge '" + decl.name +
-                            "' requires a where clause");
-  }
   BoundEdgeDecl bound;
   bound.decl = &decl;
-  GEMS_ASSIGN_OR_RETURN(TablePtr src_table,
-                        endpoint_table(decl.source.vertex_type));
-  GEMS_ASSIGN_OR_RETURN(TablePtr dst_table,
-                        endpoint_table(decl.target.vertex_type));
-
-  // ---- The join sources -------------------------------------------------
-  const bool same_endpoint_type =
-      decl.source.vertex_type == decl.target.vertex_type;
-  auto endpoint_qualifiers = [&](const EdgeEndpoint& ep) {
-    std::vector<std::string> quals;
-    if (!ep.alias.empty()) quals.push_back(ep.alias);
-    // The bare type name addresses an endpoint only when unambiguous
-    // (Fig. 2's subclass edge uses `TypeVtx as A, TypeVtx as B`).
-    if (!same_endpoint_type) quals.push_back(ep.vertex_type);
-    return quals;
-  };
-  if (same_endpoint_type &&
-      (decl.source.alias.empty() || decl.target.alias.empty())) {
-    return invalid_argument("edge '" + decl.name +
-                            "': endpoints of the same vertex type need "
-                            "'as' aliases");
-  }
-  bound.qualifiers.push_back(endpoint_qualifiers(decl.source));
-  bound.tables.push_back(std::move(src_table));
-  bound.qualifiers.push_back(endpoint_qualifiers(decl.target));
-  bound.tables.push_back(std::move(dst_table));
-  for (const auto& name : decl.assoc_tables) {
-    GEMS_ASSIGN_OR_RETURN(TablePtr t, tables.find(name));
-    bound.qualifiers.push_back({name});
+  for (const EdgeEndpoint* ep : {&decl.source, &decl.target}) {
+    GEMS_ASSIGN_OR_RETURN(TablePtr t, endpoint_table(ep->vertex_type));
     bound.tables.push_back(std::move(t));
   }
-  if (bound.tables.size() > kMaxSources) {
-    return invalid_argument("edge '" + decl.name + "' joins too many tables");
+  for (const auto& name : decl.assoc_tables) {
+    GEMS_ASSIGN_OR_RETURN(TablePtr t, tables.find(name));
+    bound.tables.push_back(std::move(t));
   }
-
-  // ---- Bind and classify the WHERE conjuncts ----------------------------
-  const MultiSourceScope scope(bound.qualifiers, bound.tables);
-  std::vector<std::vector<BoundExprPtr>> single(bound.tables.size());
-  for (const ExprPtr& conjunct : relational::split_conjuncts(decl.where)) {
-    GEMS_ASSIGN_OR_RETURN(
-        BoundExprPtr e,
-        relational::bind_predicate(conjunct, scope, {}, pool));
-    const std::uint32_t referenced = referenced_sources(*e);
-    if (std::popcount(referenced) <= 1) {
-      const int s = referenced == 0 ? 0 : std::countr_zero(referenced);
-      rebase_to_source0(*e);
-      single[static_cast<std::size_t>(s)].push_back(std::move(e));
-      continue;
-    }
-    // column = column across exactly two sources -> equi-join link.
-    if (std::popcount(referenced) == 2 &&
-        e->kind == BoundExpr::Kind::kBinary &&
-        e->bop == relational::BinaryOp::kEq &&
-        e->lhs->kind == BoundExpr::Kind::kColumnRef &&
-        e->rhs->kind == BoundExpr::Kind::kColumnRef) {
-      if (e->lhs->slot.type.kind != e->rhs->slot.type.kind) {
-        return type_error("edge '" + decl.name + "': join condition '" +
-                          conjunct->to_string() +
-                          "' compares different types");
-      }
-      bound.links.push_back({e->lhs->slot, e->rhs->slot});
-      continue;
-    }
-    bound.residual.push_back(std::move(e));
-  }
-  for (std::vector<BoundExprPtr>& parts : single) {
-    bound.filters.push_back(conjoin_balanced(parts));
-  }
+  std::vector<const storage::Schema*> schemas;
+  for (const TablePtr& t : bound.tables) schemas.push_back(&t->schema());
+  GEMS_ASSIGN_OR_RETURN(static_cast<EdgeDeclBinding&>(bound),
+                        bind_edge_decl(decl, schemas, pool));
   return bound;
 }
 
@@ -399,7 +262,7 @@ Result<EdgeType> build_edge_type(const GraphView& graph,
   const VertexType& dst_vt = graph.vertex_type(dst_id);
   const std::vector<TablePtr>& tables = bound.tables;
   const std::vector<BoundExprPtr>& filters = bound.filters;
-  const std::vector<BoundEdgeDecl::Link>& join_conjuncts = bound.links;
+  const std::vector<EdgeDeclBinding::Link>& join_conjuncts = bound.links;
   const std::size_t n_sources = tables.size();
   // The endpoints' vertex types; none for an association table.
   auto vertex_of = [&](std::size_t s) -> const VertexType* {
@@ -813,6 +676,98 @@ std::vector<std::optional<Result<T>>> build_all(std::size_t n, Cost cost,
 }
 
 }  // namespace
+
+Result<VertexDeclBinding> bind_vertex_decl(const VertexDecl& decl,
+                                           const storage::Schema& source,
+                                           StringPool& pool) {
+  VertexDeclBinding bound;
+  bound.key_cols.reserve(decl.key_columns.size());
+  for (const auto& k : decl.key_columns) {
+    auto col = source.find(k);
+    if (!col) {
+      return not_found("vertex '" + decl.name + "': table '" + decl.table +
+                       "' has no column '" + k + "'");
+    }
+    bound.key_cols.push_back(*col);
+  }
+  if (decl.where) {
+    const relational::TableScope scope(source, decl.table, decl.name);
+    GEMS_ASSIGN_OR_RETURN(
+        bound.filter,
+        relational::bind_predicate(decl.where, scope, {}, pool));
+  }
+  return bound;
+}
+
+Result<std::vector<std::vector<std::string>>> edge_join_qualifiers(
+    const EdgeDecl& decl) {
+  if (!decl.where) {
+    return invalid_argument("edge '" + decl.name +
+                            "' requires a where clause");
+  }
+  const bool same_endpoint_type =
+      decl.source.vertex_type == decl.target.vertex_type;
+  if (same_endpoint_type &&
+      (decl.source.alias.empty() || decl.target.alias.empty())) {
+    return invalid_argument("edge '" + decl.name +
+                            "': endpoints of the same vertex type need "
+                            "'as' aliases");
+  }
+  if (2 + decl.assoc_tables.size() > kMaxSources) {
+    return invalid_argument("edge '" + decl.name + "' joins too many tables");
+  }
+  std::vector<std::vector<std::string>> quals;
+  for (const EdgeEndpoint* ep : {&decl.source, &decl.target}) {
+    std::vector<std::string>& q = quals.emplace_back();
+    if (!ep->alias.empty()) q.push_back(ep->alias);
+    // The bare type name addresses an endpoint only when unambiguous
+    // (Fig. 2's subclass edge uses `TypeVtx as A, TypeVtx as B`).
+    if (!same_endpoint_type) q.push_back(ep->vertex_type);
+  }
+  for (const auto& name : decl.assoc_tables) quals.push_back({name});
+  return quals;
+}
+
+Result<EdgeDeclBinding> bind_edge_decl(
+    const EdgeDecl& decl, std::span<const storage::Schema* const> sources,
+    StringPool& pool) {
+  GEMS_ASSIGN_OR_RETURN(const auto quals, edge_join_qualifiers(decl));
+  GEMS_CHECK(sources.size() == quals.size());
+  EdgeDeclBinding bound;
+  const relational::MultiSourceScope scope(quals, sources);
+  std::vector<std::vector<BoundExprPtr>> single(sources.size());
+  for (const ExprPtr& conjunct : relational::split_conjuncts(decl.where)) {
+    GEMS_ASSIGN_OR_RETURN(
+        BoundExprPtr e,
+        relational::bind_predicate(conjunct, scope, {}, pool));
+    const std::uint32_t referenced = referenced_sources(*e);
+    if (std::popcount(referenced) <= 1) {
+      const int s = referenced == 0 ? 0 : std::countr_zero(referenced);
+      rebase_to_source0(*e);
+      single[static_cast<std::size_t>(s)].push_back(std::move(e));
+      continue;
+    }
+    // column = column across exactly two sources -> equi-join link.
+    if (std::popcount(referenced) == 2 &&
+        e->kind == BoundExpr::Kind::kBinary &&
+        e->bop == relational::BinaryOp::kEq &&
+        e->lhs->kind == BoundExpr::Kind::kColumnRef &&
+        e->rhs->kind == BoundExpr::Kind::kColumnRef) {
+      if (e->lhs->slot.type.kind != e->rhs->slot.type.kind) {
+        return type_error("edge '" + decl.name + "': join condition '" +
+                          conjunct->to_string() +
+                          "' compares different types");
+      }
+      bound.links.push_back({e->lhs->slot, e->rhs->slot});
+      continue;
+    }
+    bound.residual.push_back(std::move(e));
+  }
+  for (std::vector<BoundExprPtr>& parts : single) {
+    bound.filters.push_back(conjoin_balanced(parts));
+  }
+  return bound;
+}
 
 Status add_vertex_type(GraphView& graph, const VertexDecl& decl,
                        const storage::TableCatalog& tables, StringPool& pool) {

@@ -57,6 +57,48 @@ struct EdgeDecl {
   relational::ExprPtr where;              // required
 };
 
+/// A vertex declaration's key columns and WHERE clause bound over the
+/// schema of its source table.
+struct VertexDeclBinding {
+  std::vector<storage::ColumnIndex> key_cols;
+  relational::BoundExprPtr filter;  // null without a WHERE clause
+};
+
+/// Binds `decl` over `source`, its table's schema, for the build and the
+/// analyzer alike.
+Result<VertexDeclBinding> bind_vertex_decl(const VertexDecl& decl,
+                                           const storage::Schema& source,
+                                           StringPool& pool);
+
+/// The names addressing each join source of `decl` in its WHERE clause:
+/// source 0 is the source vertex's table, 1 the target's, then the `from
+/// table`s in order. Fails without a WHERE clause, on same-type endpoints
+/// without `as` aliases, and on more than 8 sources.
+Result<std::vector<std::vector<std::string>>> edge_join_qualifiers(
+    const EdgeDecl& decl);
+
+/// An edge declaration's WHERE clause bound over its join sources. A
+/// conjunct over one source joins that source's filter (the AND of its
+/// conjuncts, rebased to source 0 for the relational kernels); a
+/// `column = column` over two sources links them; the rest are residual
+/// predicates on the joined tuple.
+struct EdgeDeclBinding {
+  struct Link {
+    relational::Slot left;
+    relational::Slot right;
+  };
+  std::vector<relational::BoundExprPtr> filters;  // per source, or null
+  std::vector<Link> links;
+  std::vector<relational::BoundExprPtr> residual;
+};
+
+/// Binds `decl` over `sources`, its join sources' schemas in
+/// edge_join_qualifiers' order, for the build and the analyzer alike. Fails
+/// as edge_join_qualifiers does, and on a link between two kinds.
+Result<EdgeDeclBinding> bind_edge_decl(
+    const EdgeDecl& decl, std::span<const storage::Schema* const> sources,
+    StringPool& pool);
+
 /// Builds and registers a vertex type on the calling thread, with its
 /// transient state on large_array_resource(). A declaration takes no
 /// %parameters% (the analyzer rejects them, GQL0105), so the graph is a

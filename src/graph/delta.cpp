@@ -34,17 +34,13 @@ Result<bool> extend_graph_for_ingest(
       continue;
     }
     GEMS_ASSIGN_OR_RETURN(storage::TablePtr source, tables.find(decl.table));
-    relational::BoundExprPtr filter;
-    if (decl.where) {
-      relational::TableScope scope(*source, decl.name);
-      GEMS_ASSIGN_OR_RETURN(
-          filter, relational::bind_predicate(decl.where, scope, {}, pool));
-    }
+    GEMS_ASSIGN_OR_RETURN(VertexDeclBinding bound,
+                          bind_vertex_decl(decl, source->schema(), pool));
     bool flipped = false;
     GEMS_ASSIGN_OR_RETURN(
         VertexType vt,
         VertexType::extend(graph.vertex_type(*id), std::move(source),
-                           filter.get(), first_new_row, &flipped));
+                           bound.filter.get(), first_new_row, &flipped));
     if (flipped) return false;
     if (!vt.shares_key_base(graph.vertex_type(*id))) ++counted.key_index;
     GEMS_RETURN_IF_ERROR(

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <functional>
-#include <unordered_map>
 
 #include "common/check.hpp"
 #include "common/string_pool.hpp"
@@ -34,19 +32,18 @@ SourceSpan span_or(SourceSpan span, SourceSpan fallback) {
 
 // ---- Schema-level expression typing ----------------------------------------
 // The typing rules are relational's (relational/expr_rules.hpp), the ones the
-// binder applies. This walk adds what analysis needs on top: catalog columns
-// through a resolver, an unknown type for a %parameter% when no parameters
-// are given, and the span of the node where a problem starts.
+// binder applies, and columns resolve through the scope the runtime binds
+// with. This walk adds what analysis needs on top: an unknown type for a
+// %parameter% when no parameters are given, and the span of the node where
+// a problem starts.
 
 using relational::MaybeType;
-
-using Resolver =
-    std::function<Result<DataType>(std::string_view, std::string_view)>;
 
 // On failure `err_span` (when non-null) receives the span of the deepest
 // node where the problem originated, so diagnostics point at the offending
 // sub-expression, not the whole condition.
-Result<MaybeType> infer_type(const ExprPtr& expr, const Resolver& resolve,
+Result<MaybeType> infer_type(const ExprPtr& expr,
+                             const relational::Scope& scope,
                              const ParamMap* params, SourceSpan* err_span) {
   GEMS_CHECK(expr != nullptr);
   auto infer = [&]() -> Result<MaybeType> {
@@ -63,21 +60,20 @@ Result<MaybeType> infer_type(const ExprPtr& expr, const Resolver& resolve,
         return MaybeType(relational::value_type(it->second));
       }
       case Expr::Kind::kColumnRef: {
-        GEMS_ASSIGN_OR_RETURN(DataType t,
-                              resolve(expr->qualifier, expr->column));
-        return MaybeType(t);
+        GEMS_ASSIGN_OR_RETURN(relational::Slot slot,
+                              scope.resolve(expr->qualifier, expr->column));
+        return MaybeType(slot.type);
       }
       case Expr::Kind::kUnary: {
-        GEMS_ASSIGN_OR_RETURN(
-            MaybeType operand,
-            infer_type(expr->lhs, resolve, params, err_span));
+        GEMS_ASSIGN_OR_RETURN(MaybeType operand,
+                              infer_type(expr->lhs, scope, params, err_span));
         return relational::unary_type(expr->uop, operand);
       }
       case Expr::Kind::kBinary: {
-        GEMS_ASSIGN_OR_RETURN(
-            MaybeType lt, infer_type(expr->lhs, resolve, params, err_span));
-        GEMS_ASSIGN_OR_RETURN(
-            MaybeType rt, infer_type(expr->rhs, resolve, params, err_span));
+        GEMS_ASSIGN_OR_RETURN(MaybeType lt,
+                              infer_type(expr->lhs, scope, params, err_span));
+        GEMS_ASSIGN_OR_RETURN(MaybeType rt,
+                              infer_type(expr->rhs, scope, params, err_span));
         return relational::binary_type(expr->bop, lt, rt);
       }
     }
@@ -91,7 +87,7 @@ Result<MaybeType> infer_type(const ExprPtr& expr, const Resolver& resolve,
 }
 
 // Diag code for an error bubbled out of expression inference: the only
-// sources are resolver misses (kNotFound), type errors, and unbound
+// sources are scope misses (kNotFound), type errors, and unbound
 // parameters (kInvalidArgument).
 DiagCode expr_error_code(StatusCode code) {
   switch (code) {
@@ -102,30 +98,6 @@ DiagCode expr_error_code(StatusCode code) {
     default:
       return DiagCode::kTypeMismatch;
   }
-}
-
-/// Type-checks a condition, reporting into `diags` on failure. Returns
-/// true when the condition is a well-typed boolean.
-bool check_boolean(const ExprPtr& expr, const Resolver& resolve,
-                   const ParamMap* params, DiagnosticEngine& diags,
-                   SourceSpan fallback) {
-  SourceSpan err_span;
-  auto t = infer_type(expr, resolve, params, &err_span);
-  if (!t.is_ok()) {
-    diags.error(expr_error_code(t.status().code()), t.status().code(),
-                span_or(err_span, fallback),
-                std::string(t.status().message()));
-    return false;
-  }
-  const MaybeType& mt = t.value();
-  if (mt && mt->kind != TypeKind::kBool) {
-    diags.error(DiagCode::kNotBoolean, StatusCode::kTypeError,
-                span_or(expr_span(*expr), fallback),
-                "condition '" + expr->to_string() + "' is not boolean (type " +
-                    mt->to_string() + ")");
-    return false;
-  }
-  return true;
 }
 
 // ---- Pass 2: constant folding ----------------------------------------------
@@ -140,15 +112,6 @@ bool check_boolean(const ExprPtr& expr, const Resolver& resolve,
 // value folds to "unknown".
 
 using relational::Tri;
-
-/// Binding scope of a subtree with no column: it resolves nothing.
-class NoColumns final : public relational::Scope {
- public:
-  Result<relational::Slot> resolve(std::string_view,
-                                   std::string_view) const override {
-    return internal_error("a folded subtree has no columns");
-  }
-};
 
 class Folder {
  public:
@@ -222,8 +185,10 @@ class Folder {
       return v.as_bool() ? Tri::kTrue : Tri::kFalse;
     }
     static const ParamMap kNoParams;
+    // A folded subtree has no columns: its scope resolves nothing.
     auto bound = relational::bind_expr(
-        expr, NoColumns(), params_ != nullptr ? *params_ : kNoParams, pool_);
+        expr, relational::MultiSourceScope({}, {}),
+        params_ != nullptr ? *params_ : kNoParams, pool_);
     if (!bound.is_ok()) return std::nullopt;
     const relational::Cell c = relational::fold_constant(**bound, pool_);
     if (!c.null && c.kind != TypeKind::kBool) return std::nullopt;
@@ -256,15 +221,36 @@ void fold_and_warn(const ExprPtr& cond, const ParamMap* params,
   }
 }
 
-// ---- Graph query analysis ------------------------------------------------
+/// Type-checks a condition, reporting into `diags` on failure, and then
+/// runs pass 2 over it. Returns true when the condition is a well-typed
+/// boolean.
+bool check_condition(const ExprPtr& expr, const relational::Scope& scope,
+                     const ParamMap* params, DiagnosticEngine& diags,
+                     SourceSpan fallback, std::string_view empty_consequence) {
+  SourceSpan err_span;
+  auto t = infer_type(expr, scope, params, &err_span);
+  if (!t.is_ok()) {
+    diags.error(expr_error_code(t.status().code()), t.status().code(),
+                span_or(err_span, fallback),
+                std::string(t.status().message()));
+    return false;
+  }
+  const MaybeType& mt = t.value();
+  if (mt && mt->kind != TypeKind::kBool) {
+    diags.error(DiagCode::kNotBoolean, StatusCode::kTypeError,
+                span_or(expr_span(*expr), fallback),
+                "condition '" + expr->to_string() + "' is not boolean (type " +
+                    mt->to_string() + ")");
+    return false;
+  }
+  fold_and_warn(expr, params, diags, fallback, empty_consequence);
+  return true;
+}
 
-/// What the analyzer knows about one step, label or not.
-struct StepInfo {
-  bool is_edge = false;
-  bool variant = false;
-  std::string type_name;            // empty when variant
-  const Schema* attr_schema = nullptr;  // null for variant / attr-less edges
-};
+// ---- Graph query analysis ------------------------------------------------
+// Names resolve per and-group through graql::StepNames and StepScope, as the
+// lowering resolves them: a step is a NamedStep (type "" when variant or
+// unknown), and a regex group's interior step binds over its own table.
 
 SourceSpan element_span(const PathElement& el) {
   return std::visit([](const auto& s) { return s.span; }, el);
@@ -275,6 +261,10 @@ std::string format_avg(double avg) {
   std::snprintf(buf, sizeof(buf), "%.1f", avg);
   return buf;
 }
+
+/// Every vertex step of a graph query, group interiors included, and its
+/// type ("" when variant or unknown).
+using VertexSteps = std::vector<std::pair<const VertexStep*, std::string>>;
 
 class GraphQueryAnalyzer {
  public:
@@ -290,7 +280,9 @@ class GraphQueryAnalyzer {
                    stmt.span, "graph query has no path pattern");
       return;
     }
+    groups_.reserve(stmt.or_groups.size());
     for (const auto& and_group : stmt.or_groups) {
+      groups_.push_back({StepNames(and_group), {}, {}});
       for (const auto& path : and_group) {
         analyze_path(path);
       }
@@ -299,20 +291,31 @@ class GraphQueryAnalyzer {
     warn_unused_labels();  // pass 3
   }
 
-  /// Steps usable as subgraph-seed names (vertex type names that appear).
+  /// The vertex types a subgraph result may hold, so a later `S.V` seeding
+  /// can be checked: those of the selected vertex steps (of every vertex
+  /// step, group interiors included, for `*`), and every declared vertex
+  /// type for a variant step. A superset of the types it marks a vertex of.
   SubgraphMeta subgraph_meta(const GraphQueryStmt& stmt) const {
     SubgraphMeta meta;
-    if (std::any_of(stmt.targets.begin(), stmt.targets.end(),
-                    [](const SelectTarget& t) { return t.star; })) {
-      for (const auto& [name, info] : steps_) {
-        if (!info.is_edge && !info.variant) meta.vertex_steps.insert(name);
+    auto add = [&](const std::string& type) {
+      if (!type.empty()) {
+        meta.vertex_steps.insert(type);
+        return;
       }
-      return meta;
-    }
+      for (const std::string& name : catalog_.vertex_names()) {
+        meta.vertex_steps.insert(name);
+      }
+    };
     for (const auto& t : stmt.targets) {
-      auto it = steps_.find(t.qualifier);
-      if (it != steps_.end() && !it->second.is_edge && !it->second.variant) {
-        meta.vertex_steps.insert(it->second.type_name);
+      if (t.star) {
+        for (const auto& [v, type] : vertex_steps_) add(type);
+        continue;
+      }
+      for (const Group& group : groups_) {
+        auto it = group.names.steps.find(t.qualifier);
+        if (it != group.names.steps.end() && !it->second.is_edge) {
+          add(it->second.type);
+        }
       }
     }
     return meta;
@@ -322,7 +325,34 @@ class GraphQueryAnalyzer {
   /// error.
   const std::vector<GraphOutput>& outputs() const { return outputs_; }
 
+  const VertexSteps& vertex_steps() const { return vertex_steps_; }
+
  private:
+  struct LabelSite {
+    std::string label;
+    SourceSpan span;
+    LabelKind kind;
+  };
+
+  /// One and-group: its names and its labels (pass 3 bookkeeping).
+  struct Group {
+    StepNames names;
+    std::vector<LabelSite> label_sites;
+    std::set<std::string, std::less<>> used_labels;
+
+    bool defines(std::string_view label) const {
+      return std::any_of(
+          label_sites.begin(), label_sites.end(),
+          [&](const LabelSite& site) { return site.label == label; });
+    }
+    /// Pass 3: a reference to `name` uses it when it is a label.
+    void use(std::string_view name) {
+      if (defines(name)) used_labels.emplace(name);
+    }
+  };
+
+  Group& group() { return groups_.back(); }
+
   void analyze_path(const PathPattern& path) {
     if (path.elements.empty()) {
       diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
@@ -335,8 +365,8 @@ class GraphQueryAnalyzer {
                    "a path query must start with a vertex step");
       return;
     }
-    // The previous *vertex* step's info, for edge adjacency checks.
-    StepInfo prev_vertex;
+    // The previous *vertex* step, for edge adjacency checks.
+    NamedStep prev_vertex;
     bool have_prev = false;
     // Pass 1 pin state: when the last vertex step was a variant `[ ]`
     // reached over a known edge, that edge pins the variant's type; a
@@ -356,14 +386,15 @@ class GraphQueryAnalyzer {
                        "two consecutive vertex steps; an edge step must "
                        "connect them");
         }
-        StepInfo info = analyze_vertex_step(*v);
+        NamedStep step = analyze_vertex_step(*v, /*in_group=*/false);
+        vertex_steps_.emplace_back(v, step.type);
         variant_step = nullptr;
         variant_pin.clear();
         variant_pin_edge.clear();
         // Adjacency check against a preceding edge step.
         if (i > 0) {
           if (const auto* e = std::get_if<EdgeStep>(&path.elements[i - 1])) {
-            check_edge_adjacency(*e, prev_vertex, info);
+            check_edge_adjacency(*e, prev_vertex, step);
             if (v->variant) {
               variant_step = v;
               if (!e->variant) {
@@ -378,7 +409,7 @@ class GraphQueryAnalyzer {
         } else if (v->variant) {
           variant_step = v;
         }
-        prev_vertex = info;
+        prev_vertex = step;
         have_prev = true;
         continue;
       }
@@ -418,26 +449,22 @@ class GraphQueryAnalyzer {
     }
   }
 
-  StepInfo analyze_vertex_step(const VertexStep& v) {
-    StepInfo info;
-    info.is_edge = false;
-
-    if (v.variant) {
-      info.variant = true;
-    } else if (const auto* labeled = find_label(v.type_name);
-               labeled != nullptr && v.seed_result.empty()) {
+  NamedStep analyze_vertex_step(const VertexStep& v, bool in_group) {
+    NamedStep step{&v, false, ""};
+    const auto ref = group().names.refs.find(&v);
+    if (!in_group && ref != group().names.refs.end()) {
       // Bare label reference (Eq. 6/8): adopts the labeled step's type.
-      if (labeled->is_edge) {
+      if (ref->second.is_edge) {
         diags_.error(DiagCode::kWrongEntityKind, StatusCode::kTypeError,
                      v.span,
                      "label '" + v.type_name +
                          "' names an edge step but is used as a vertex "
                          "step");
-        return info;
+        return step;
       }
-      info = *labeled;
-      note_label_use(v.type_name);
-    } else {
+      step.type = ref->second.type;
+      group().use(v.type_name);
+    } else if (!v.variant) {
       if (!v.seed_result.empty()) {
         const SubgraphMeta* sub = catalog_.find_subgraph(v.seed_result);
         if (sub == nullptr) {
@@ -445,17 +472,16 @@ class GraphQueryAnalyzer {
                        "unknown result subgraph '" + v.seed_result +
                            "' (Fig. 12 seeding requires a prior 'into "
                            "subgraph')");
-          return info;
+          return step;
         }
         if (!sub->vertex_steps.contains(v.type_name)) {
           diags_.error(DiagCode::kUnknownName, StatusCode::kNotFound, v.span,
                        "subgraph '" + v.seed_result +
                            "' has no vertex step '" + v.type_name + "'");
-          return info;
+          return step;
         }
       }
-      const VertexMeta* meta = catalog_.find_vertex(v.type_name);
-      if (meta == nullptr) {
+      if (catalog_.find_vertex(v.type_name) == nullptr) {
         if (catalog_.find_table(v.type_name) != nullptr) {
           diags_.error(DiagCode::kWrongEntityKind, StatusCode::kTypeError,
                        v.span,
@@ -472,29 +498,19 @@ class GraphQueryAnalyzer {
           diags_.error(DiagCode::kUnknownName, StatusCode::kNotFound, v.span,
                        "unknown vertex type '" + v.type_name + "'");
         }
-        return info;
+        return step;
       }
-      info.type_name = v.type_name;
-      info.attr_schema = &meta->attr_schema;
+      step.type = v.type_name;
     }
 
-    if (v.condition) {
-      check_step_condition(v.condition, info, v.type_name, v.label, v.span);
-    }
-    define_label(v.label_kind, v.label, v.span, info);
-    if (!info.variant && !info.type_name.empty()) {
-      steps_.emplace(info.type_name, info);
-    }
-    if (!v.label.empty()) steps_[v.label] = info;
-    return info;
+    if (v.condition) check_step_condition(v, step, in_group);
+    define_label(v.label_kind, v.label, v.span);
+    return step;
   }
 
-  void analyze_edge_step(const EdgeStep& e, bool in_group) {
-    StepInfo info;
-    info.is_edge = true;
-    if (e.variant) {
-      info.variant = true;
-    } else {
+  NamedStep analyze_edge_step(const EdgeStep& e, bool in_group) {
+    NamedStep step{&e, true, ""};
+    if (!e.variant) {
       const EdgeMeta* meta = catalog_.find_edge(e.type_name);
       if (meta == nullptr) {
         if (catalog_.find_vertex(e.type_name) != nullptr) {
@@ -507,68 +523,45 @@ class GraphQueryAnalyzer {
           diags_.error(DiagCode::kUnknownName, StatusCode::kNotFound, e.span,
                        "unknown edge type '" + e.type_name + "'");
         }
-        return;
+        return step;
       }
-      info.type_name = e.type_name;
-      info.attr_schema =
-          meta->attr_schema ? &*meta->attr_schema : nullptr;
+      step.type = e.type_name;
     }
-    if (e.condition) {
-      if (info.attr_schema == nullptr && !info.variant) {
-        diags_.error(DiagCode::kTypeMismatch, StatusCode::kTypeError, e.span,
-                     "edge type '" + e.type_name +
-                         "' has no attributes to filter on");
-        return;
-      }
-      check_step_condition(e.condition, info, e.type_name, e.label, e.span);
-    }
-    if (e.label_kind != LabelKind::kNone && in_group) {
-      diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
-                   e.span,
-                   "labels are not allowed inside path regular expressions "
-                   "(paper Sec. II-B4)");
-      return;
-    }
-    define_label(e.label_kind, e.label, e.span, info);
-    if (!e.label.empty()) steps_[e.label] = info;
-    if (!info.variant && !info.type_name.empty()) {
-      steps_.emplace(info.type_name, info);
-    }
+    if (e.condition) check_step_condition(e, step, in_group);
+    define_label(e.label_kind, e.label, e.span);
+    return step;
   }
 
-  StepInfo analyze_group(const PathGroup& group, const StepInfo& entry) {
-    StepInfo last_vertex = entry;
+  NamedStep analyze_group(const PathGroup& group, const NamedStep& entry) {
+    NamedStep last_vertex = entry;
     const EdgeStep* first_edge = nullptr;
     for (std::size_t i = 0; i < group.body.size(); ++i) {
       const PathElement& el = group.body[i];
-      if (const auto* e = std::get_if<EdgeStep>(&el)) {
-        if (e->label_kind != LabelKind::kNone) {
-          diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
-                       e->span,
-                       "labels are not allowed inside path regular "
-                       "expressions");
-          continue;
-        }
+      const auto* e = std::get_if<EdgeStep>(&el);
+      const auto* v = std::get_if<VertexStep>(&el);
+      if ((e != nullptr && e->label_kind != LabelKind::kNone) ||
+          (v != nullptr && v->label_kind != LabelKind::kNone)) {
+        diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
+                     element_span(el),
+                     "labels are not allowed inside path regular "
+                     "expressions");
+        continue;
+      }
+      if (e != nullptr) {
         analyze_edge_step(*e, /*in_group=*/true);
         if (i == 0) first_edge = e;
         continue;
       }
-      if (const auto* v = std::get_if<VertexStep>(&el)) {
-        if (v->label_kind != LabelKind::kNone) {
-          diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
-                       v->span,
-                       "labels are not allowed inside path regular "
-                       "expressions");
-          continue;
-        }
-        StepInfo info = analyze_vertex_step(*v);
+      if (v != nullptr) {
+        NamedStep step = analyze_vertex_step(*v, /*in_group=*/true);
+        vertex_steps_.emplace_back(v, step.type);
         // Adjacency within the group.
         if (i > 0) {
-          if (const auto* e = std::get_if<EdgeStep>(&group.body[i - 1])) {
-            check_edge_adjacency(*e, last_vertex, info);
+          if (const auto* prev = std::get_if<EdgeStep>(&group.body[i - 1])) {
+            check_edge_adjacency(*prev, last_vertex, step);
           }
         }
-        last_vertex = info;
+        last_vertex = step;
         continue;
       }
       diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
@@ -581,7 +574,7 @@ class GraphQueryAnalyzer {
   /// Passes 1 and 4 over a regex group: can the body chain onto itself at
   /// all (GQL0043), and is an unbounded closure affordable (GQL0070)?
   void check_closure(const PathGroup& group, const EdgeStep* first_edge,
-                     const StepInfo& last_vertex) {
+                     const NamedStep& last_vertex) {
     const bool repeats =
         group.quant == PathGroup::Quant::kStar ||
         group.quant == PathGroup::Quant::kPlus ||
@@ -590,19 +583,18 @@ class GraphQueryAnalyzer {
     // GQL0043: on every iteration after the first, the body's first edge
     // leaves the vertex its last step arrived at; contradictory types
     // mean the closure degenerates to at most one traversal.
-    if (!first_edge->variant && !last_vertex.variant &&
-        !last_vertex.type_name.empty()) {
+    if (!first_edge->variant && !last_vertex.type.empty()) {
       if (const EdgeMeta* meta = catalog_.find_edge(first_edge->type_name)) {
         const std::string& need = first_edge->reversed
                                       ? meta->target_vertex
                                       : meta->source_vertex;
-        if (need != last_vertex.type_name) {
+        if (need != last_vertex.type) {
           diags_
               .warning(DiagCode::kClosureCannotRepeat, group.span,
                        "closure body cannot repeat: edge '" +
                            first_edge->type_name + "' leaves '" + need +
-                           "' but the body ends at '" +
-                           last_vertex.type_name + "'")
+                           "' but the body ends at '" + last_vertex.type +
+                           "'")
               .fixit = "use '{1}' or make the body end where its first "
                        "edge starts";
         }
@@ -647,10 +639,10 @@ class GraphQueryAnalyzer {
 
   /// Non-variant edge between two (possibly variant/unknown) vertex steps:
   /// endpoints must match declared source/target given the direction.
-  void check_edge_adjacency(const EdgeStep& e, const StepInfo& left,
-                            const StepInfo& right) {
-    const std::string& lt = left.type_name;
-    const std::string& rt = right.type_name;
+  void check_edge_adjacency(const EdgeStep& e, const NamedStep& left,
+                            const NamedStep& right) {
+    const std::string& lt = left.type;
+    const std::string& rt = right.type;
     if (!e.variant) {
       const EdgeMeta* meta = catalog_.find_edge(e.type_name);
       if (meta == nullptr) return;  // reported elsewhere
@@ -687,48 +679,87 @@ class GraphQueryAnalyzer {
     }
   }
 
-  void check_step_condition(const ExprPtr& cond, const StepInfo& self,
-                            const std::string& self_name,
-                            const std::string& self_label,
-                            SourceSpan step_span) {
-    Resolver resolve = [&](std::string_view qual,
-                           std::string_view col) -> Result<DataType> {
-      const StepInfo* target = nullptr;
-      if (qual.empty() || qual == self_name ||
-          (!self_label.empty() && qual == self_label)) {
-        target = &self;
-      } else if (const StepInfo* labeled = find_label(qual)) {
-        target = labeled;
-        note_label_use(qual);
-      } else if (auto it = steps_.find(std::string(qual));
-                 it != steps_.end()) {
-        target = &it->second;
-      } else {
-        return not_found("unknown qualifier '" + std::string(qual) +
-                         "' in step condition (conditions may reference "
-                         "the current step and labeled previous steps)");
+  /// A vertex type's source schema or an edge type's attribute schema.
+  const Schema* attrs_of(bool is_edge, const std::string& type) const {
+    if (!is_edge) {
+      const VertexMeta* meta = catalog_.find_vertex(type);
+      return meta == nullptr ? nullptr : &meta->attr_schema;
+    }
+    const EdgeMeta* meta = catalog_.find_edge(type);
+    return meta == nullptr || !meta->attr_schema ? nullptr
+                                                 : &*meta->attr_schema;
+  }
+
+  /// The analyzer's side of a StepScope: a column of a step's catalog
+  /// schema.
+  Result<relational::Slot> slot_of(const NamedStep& step,
+                                   std::string_view column) const {
+    if (step.type.empty()) {
+      return type_error("variant steps have no referencable attributes");
+    }
+    const Schema* schema = attrs_of(step.is_edge, step.type);
+    if (schema == nullptr) {
+      return type_error("step '" + step.type + "' has no attributes");
+    }
+    auto idx = schema->find(column);
+    if (!idx) {
+      return not_found("step '" + step.type + "' has no attribute '" +
+                       std::string(column) + "'");
+    }
+    return relational::Slot{0, *idx, schema->column(*idx).type};
+  }
+
+  /// Types `step`'s condition through the scope the lowering binds it
+  /// with: the and-group's StepScope, or inside a regex group the step's
+  /// own table alone.
+  template <typename Step>
+  void check_step_condition(const Step& step, const NamedStep& self,
+                            bool in_group) {
+    if (in_group) {
+      const Schema* schema = attrs_of(self.is_edge, self.type);
+      if (schema == nullptr) {
+        diags_.error(DiagCode::kTypeMismatch, StatusCode::kTypeError,
+                     step.span,
+                     "edge type '" + self.type +
+                         "' has no attributes to filter on");
+        return;
       }
-      if (target->attr_schema == nullptr) {
-        return type_error("step '" + std::string(qual.empty() ? col : qual) +
-                          "' has no attributes");
-      }
-      auto idx = target->attr_schema->find(col);
-      if (!idx) {
-        return not_found("step '" +
-                         (qual.empty() ? self_name : std::string(qual)) +
-                         "' has no attribute '" + std::string(col) + "'");
-      }
-      return target->attr_schema->column(*idx).type;
-    };
-    if (!check_boolean(cond, resolve, params_, diags_, step_span)) return;
-    fold_and_warn(cond, params_, diags_, step_span,
-                  "this step can never match");
+      const relational::TableScope scope(
+          *schema,
+          self.is_edge ? self.type
+                       : catalog_.find_vertex(self.type)->source_table,
+          self.type);
+      check_condition(step.condition, scope, params_, diags_, step.span,
+                      kNeverMatches);
+    } else {
+      const StepScope scope(
+          group().names, step,
+          [this](const NamedStep& named, std::string_view column) {
+            return slot_of(named, column);
+          });
+      check_condition(step.condition, scope, params_, diags_, step.span,
+                      kNeverMatches);
+      note_label_qualifiers(*step.condition, step.label);
+    }
+  }
+
+  static constexpr std::string_view kNeverMatches =
+      "this step can never match";
+
+  /// Pass 3: a condition naming a label of its and-group, other than its
+  /// own step's, uses it.
+  void note_label_qualifiers(const Expr& e, const std::string& own_label) {
+    if (e.kind == Expr::Kind::kColumnRef && e.qualifier != own_label) {
+      group().use(e.qualifier);
+    }
+    if (e.lhs) note_label_qualifiers(*e.lhs, own_label);
+    if (e.rhs) note_label_qualifiers(*e.rhs, own_label);
   }
 
   void define_label(LabelKind kind, const std::string& label,
-                    SourceSpan span, const StepInfo& info) {
+                    SourceSpan span) {
     if (kind == LabelKind::kNone) return;
-    if (labels_.contains(label)) {
+    if (group().defines(label)) {
       diags_.error(DiagCode::kDuplicateLabel, StatusCode::kAlreadyExists,
                    span,
                    "label '" + label + "' defined twice in one query");
@@ -741,17 +772,7 @@ class GraphQueryAnalyzer {
                    "label '" + label + "' shadows a declared graph type");
       return;
     }
-    labels_.emplace(label, info);
-    label_sites_.push_back({label, span, kind});
-  }
-
-  const StepInfo* find_label(std::string_view name) const {
-    auto it = labels_.find(std::string(name));
-    return it == labels_.end() ? nullptr : &it->second;
-  }
-
-  void note_label_use(std::string_view name) {
-    used_labels_.insert(std::string(name));
+    group().label_sites.push_back({label, span, kind});
   }
 
   void check_targets(const GraphQueryStmt& stmt, std::size_t errs_before) {
@@ -760,79 +781,55 @@ class GraphQueryAnalyzer {
                    stmt.span, "graph query selects nothing");
       return;
     }
-    for (const auto& t : stmt.targets) {
-      if (labels_.contains(t.qualifier)) note_label_use(t.qualifier);
+    for (Group& group : groups_) {
+      for (const auto& t : stmt.targets) group.use(t.qualifier);
     }
     // A step whose type is unknown (already reported) reads as a step
     // without attributes; do not report it twice.
     if (diags_.error_count() != errs_before) return;
+    std::vector<GraphTargetError> errors;
     if (stmt.into == IntoKind::kSubgraph) {
-      for (const auto& t : stmt.targets) {
-        const SourceSpan span = span_or(t.span, stmt.span);
-        if (!t.star && !steps_.contains(t.qualifier)) {
-          diags_.error(DiagCode::kUnknownName, StatusCode::kNotFound, span,
-                       "select target '" + t.qualifier +
-                           "' does not name a step or label of this query");
-        } else if (!t.column.empty()) {
-          diags_.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
-                       span,
-                       "attribute selections ('" + t.qualifier + "." +
-                           t.column + "') require 'into table'");
-        }
-      }
-      return;
+      errors = subgraph_targets(stmt).errors;
+    } else {
+      GraphOutputs outputs = graph_query_outputs(
+          stmt, [this](bool is_edge, const std::string& type) {
+            return attrs_of(is_edge, type);
+          });
+      errors = std::move(outputs.errors);
+      if (errors.empty()) outputs_ = std::move(outputs.columns);
     }
-    GraphOutputs outputs = graph_query_outputs(
-        stmt, [this](bool is_edge, const std::string& type) -> const Schema* {
-          if (!is_edge) {
-            const VertexMeta* meta = catalog_.find_vertex(type);
-            return meta == nullptr ? nullptr : &meta->attr_schema;
-          }
-          const EdgeMeta* meta = catalog_.find_edge(type);
-          return meta == nullptr || !meta->attr_schema ? nullptr
-                                                       : &*meta->attr_schema;
-        });
-    for (const GraphTargetError& e : outputs.errors) {
+    for (const GraphTargetError& e : errors) {
       diags_.error(e.code, e.status.code(), span_or(e.target->span, stmt.span),
                    std::string(e.status.message()));
     }
-    if (outputs.errors.empty()) outputs_ = std::move(outputs.columns);
   }
 
-  /// Pass 3: a `def`/`foreach` label nothing ever references is either
-  /// dead weight or a typo for a reference elsewhere in the query.
+  /// Pass 3: a `def`/`foreach` label nothing in its and-group references
+  /// is either dead weight or a typo for a reference elsewhere.
   void warn_unused_labels() {
-    for (const auto& site : label_sites_) {
-      if (used_labels_.contains(site.label)) continue;
-      const char* kw = site.kind == LabelKind::kForeach ? "foreach" : "def";
-      diags_
-          .warning(DiagCode::kUnusedLabel, site.span,
-                   "label '" + site.label + "' is defined but never "
-                   "referenced")
-          .fixit = std::string("drop '") + kw + " " + site.label +
-                   ":' or reference the label in a condition, step or "
-                   "select target";
+    for (const Group& group : groups_) {
+      for (const LabelSite& site : group.label_sites) {
+        if (group.used_labels.contains(site.label)) continue;
+        const char* kw = site.kind == LabelKind::kForeach ? "foreach" : "def";
+        diags_
+            .warning(DiagCode::kUnusedLabel, site.span,
+                     "label '" + site.label + "' is defined but never "
+                     "referenced")
+            .fixit = std::string("drop '") + kw + " " + site.label +
+                     ":' or reference the label in a condition, step or "
+                     "select target";
+      }
     }
   }
-
-  struct LabelSite {
-    std::string label;
-    SourceSpan span;
-    LabelKind kind;
-  };
 
   const MetaCatalog& catalog_;
   const AnalyzeOptions& opts_;
   const ParamMap* params_;
   DiagnosticEngine& diags_;
   SourceSpan stmt_span_;
-  // All addressable steps of this statement: type names and labels.
-  std::unordered_map<std::string, StepInfo> steps_;
-  std::unordered_map<std::string, StepInfo> labels_;
+  std::vector<Group> groups_;
+  VertexSteps vertex_steps_;
   std::vector<GraphOutput> outputs_;
-  // Pass 3 bookkeeping.
-  std::vector<LabelSite> label_sites_;
-  std::set<std::string, std::less<>> used_labels_;
 };
 
 // ---- Table query analysis --------------------------------------------------
@@ -866,24 +863,10 @@ std::optional<Schema> analyze_table_query(const TableQueryStmt& stmt,
     return std::nullopt;
   }
 
-  Resolver resolve = [&](std::string_view qual,
-                         std::string_view col) -> Result<DataType> {
-    if (!qual.empty() && qual != stmt.from_table) {
-      return not_found("unknown qualifier '" + std::string(qual) + "'");
-    }
-    auto idx = schema->find(col);
-    if (!idx) {
-      return not_found("table '" + stmt.from_table + "' has no column '" +
-                       std::string(col) + "'");
-    }
-    return schema->column(*idx).type;
-  };
-
+  const relational::TableScope scope(*schema, stmt.from_table);
   if (stmt.where) {
-    if (check_boolean(stmt.where, resolve, params, diags, stmt.span)) {
-      fold_and_warn(stmt.where, params, diags, stmt.span,
+    check_condition(stmt.where, scope, params, diags, stmt.span,
                     "the query returns no rows");
-    }
   }
   for (const auto& col : stmt.group_by) {
     if (!schema->find(col)) {
@@ -912,7 +895,7 @@ std::optional<Schema> analyze_table_query(const TableQueryStmt& stmt,
     }
     if (item.agg == AggFunc::kCountStar) continue;
     SourceSpan err_span;
-    auto type = infer_type(item.expr, resolve, params, &err_span);
+    auto type = infer_type(item.expr, scope, params, &err_span);
     if (!type.is_ok()) {
       diags.error(expr_error_code(type.status().code()),
                   type.status().code(), span_or(err_span, ispan),
@@ -1004,6 +987,17 @@ bool check_no_parameter(const ExprPtr& where, const std::string& type,
   return false;
 }
 
+/// Reports a declaration the builder's binder refuses after its WHERE
+/// clause typed: a missing column, a structural rule, or a join link
+/// between columns of two kinds.
+void report_binding(const Status& status, DiagnosticEngine& diags,
+                    SourceSpan span) {
+  diags.error(status.code() == StatusCode::kInvalidArgument
+                  ? DiagCode::kBadStructure
+                  : expr_error_code(status.code()),
+              status.code(), span, std::string(status.message()));
+}
+
 void analyze_create_vertex(const CreateVertexStmt& stmt,
                            const MetaCatalog& catalog,
                            const AnalyzeOptions& opts,
@@ -1031,32 +1025,16 @@ void analyze_create_vertex(const CreateVertexStmt& stmt,
     diags.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
                 stmt.span, "vertex '" + d.name + "' needs a key column");
   }
-  for (const auto& key : d.key_columns) {
-    if (!schema->find(key)) {
-      diags.error(DiagCode::kUnknownAttribute, StatusCode::kNotFound,
-                  stmt.span,
-                  "table '" + d.table + "' has no column '" + key +
-                      "' (vertex '" + d.name + "' key)");
-    }
+  if (d.where && (!check_no_parameter(d.where, d.name, diags, stmt.span) ||
+                  !check_condition(
+                      d.where, relational::TableScope(*schema, d.table, d.name),
+                      opts.params, diags, stmt.span,
+                      "the vertex set is empty"))) {
+    return;
   }
-  if (d.where && check_no_parameter(d.where, d.name, diags, stmt.span)) {
-    Resolver resolve = [&](std::string_view qual,
-                           std::string_view col) -> Result<DataType> {
-      if (!qual.empty() && qual != d.name && qual != d.table) {
-        return not_found("unknown qualifier '" + std::string(qual) + "'");
-      }
-      auto idx = schema->find(col);
-      if (!idx) {
-        return not_found("table '" + d.table + "' has no column '" +
-                         std::string(col) + "'");
-      }
-      return schema->column(*idx).type;
-    };
-    if (check_boolean(d.where, resolve, opts.params, diags, stmt.span)) {
-      fold_and_warn(d.where, opts.params, diags, stmt.span,
-                    "the vertex set is empty");
-    }
-  }
+  StringPool pool;
+  auto bound = graph::bind_vertex_decl(d, *schema, pool);
+  if (!bound.is_ok()) report_binding(bound.status(), diags, stmt.span);
 }
 
 void analyze_create_edge(const CreateEdgeStmt& stmt,
@@ -1068,47 +1046,22 @@ void analyze_create_edge(const CreateEdgeStmt& stmt,
     diags.error(DiagCode::kNameInUse, StatusCode::kAlreadyExists, stmt.span,
                 "name '" + d.name + "' is already in use");
   }
-  const VertexMeta* src = catalog.find_vertex(d.source.vertex_type);
-  const VertexMeta* dst = catalog.find_vertex(d.target.vertex_type);
-  if (src == nullptr) {
-    diags.error(DiagCode::kUnknownName, StatusCode::kNotFound, stmt.span,
-                "unknown vertex type '" + d.source.vertex_type + "'");
+  std::vector<const Schema*> sources;
+  for (const graph::EdgeEndpoint* ep : {&d.source, &d.target}) {
+    const VertexMeta* meta = catalog.find_vertex(ep->vertex_type);
+    if (meta == nullptr) {
+      diags.error(DiagCode::kUnknownName, StatusCode::kNotFound, stmt.span,
+                  "unknown vertex type '" + ep->vertex_type + "'");
+    } else {
+      sources.push_back(&meta->attr_schema);
+    }
   }
-  if (dst == nullptr) {
-    diags.error(DiagCode::kUnknownName, StatusCode::kNotFound, stmt.span,
-                "unknown vertex type '" + d.target.vertex_type + "'");
-  }
-  if (d.source.vertex_type == d.target.vertex_type &&
-      (d.source.alias.empty() || d.target.alias.empty())) {
-    diags.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
-                stmt.span,
-                "edge '" + d.name +
-                    "': same-type endpoints need 'as' aliases");
-  }
-  if (!d.where) {
-    diags.error(DiagCode::kBadStructure, StatusCode::kInvalidArgument,
-                stmt.span,
-                "edge '" + d.name + "' requires a where clause");
-  }
-  if (src == nullptr || dst == nullptr || !d.where ||
+  auto quals = graph::edge_join_qualifiers(d);
+  if (!quals.is_ok()) report_binding(quals.status(), diags, stmt.span);
+  if (sources.size() < 2 || !quals.is_ok() ||
       !check_no_parameter(d.where, d.name, diags, stmt.span)) {
     return;
   }
-
-  struct Source {
-    std::vector<std::string> quals;
-    const Schema* schema;
-  };
-  std::vector<Source> sources;
-  const bool same = d.source.vertex_type == d.target.vertex_type;
-  auto quals_of = [&](const graph::EdgeEndpoint& ep) {
-    std::vector<std::string> q;
-    if (!ep.alias.empty()) q.push_back(ep.alias);
-    if (!same) q.push_back(ep.vertex_type);
-    return q;
-  };
-  sources.push_back({quals_of(d.source), &src->attr_schema});
-  sources.push_back({quals_of(d.target), &dst->attr_schema});
   for (const auto& name : d.assoc_tables) {
     const Schema* s = catalog.find_table(name);
     if (s == nullptr) {
@@ -1117,47 +1070,17 @@ void analyze_create_edge(const CreateEdgeStmt& stmt,
                       d.name + "'");
       return;
     }
-    sources.push_back({{name}, s});
+    sources.push_back(s);
   }
-
-  Resolver resolve = [&](std::string_view qual,
-                         std::string_view col) -> Result<DataType> {
-    if (qual.empty()) {
-      const Schema* found = nullptr;
-      DataType type;
-      for (const auto& s : sources) {
-        auto idx = s.schema->find(col);
-        if (!idx) continue;
-        if (found != nullptr) {
-          return type_error("column '" + std::string(col) +
-                            "' is ambiguous; qualify it");
-        }
-        found = s.schema;
-        type = s.schema->column(*idx).type;
-      }
-      if (found == nullptr) {
-        return not_found("no edge source has a column '" + std::string(col) +
-                         "'");
-      }
-      return type;
-    }
-    for (const auto& s : sources) {
-      if (std::find(s.quals.begin(), s.quals.end(), qual) == s.quals.end()) {
-        continue;
-      }
-      auto idx = s.schema->find(col);
-      if (!idx) {
-        return not_found("'" + std::string(qual) + "' has no column '" +
-                         std::string(col) + "'");
-      }
-      return s.schema->column(*idx).type;
-    }
-    return not_found("unknown qualifier '" + std::string(qual) + "'");
-  };
-  if (check_boolean(d.where, resolve, opts.params, diags, stmt.span)) {
-    fold_and_warn(d.where, opts.params, diags, stmt.span,
-                  "the edge set is empty");
+  if (!check_condition(d.where,
+                       relational::MultiSourceScope(quals.value(), sources),
+                       opts.params, diags, stmt.span,
+                       "the edge set is empty")) {
+    return;
   }
+  StringPool pool;
+  auto bound = graph::bind_edge_decl(d, sources, pool);
+  if (!bound.is_ok()) report_binding(bound.status(), diags, stmt.span);
 }
 
 // ---- Script-level driver (statement dispatch + pass 5) ---------------------
@@ -1247,7 +1170,7 @@ class ScriptAnalyzer {
     } else if (const auto* s = std::get_if<GraphQueryStmt>(&stmt)) {
       GraphQueryAnalyzer analyzer(catalog_, opts_, diags_);
       analyzer.analyze(*s);
-      note_graph_reads(*s, sspan);
+      note_graph_reads(analyzer, sspan);
       if (s->into == IntoKind::kTable) check_into_table(s->into_name, sspan);
       if (diags_.error_count() == errs_before) {
         if (s->into == IntoKind::kSubgraph) {
@@ -1362,30 +1285,14 @@ class ScriptAnalyzer {
 
   /// Graph queries read vertex data materialized from source tables and
   /// seed from prior subgraph results; surface both to pass 5.
-  void note_graph_reads(const GraphQueryStmt& stmt, SourceSpan sspan) {
+  void note_graph_reads(const GraphQueryAnalyzer& analyzer, SourceSpan sspan) {
     std::set<std::string> source_tables;
-    auto visit_vertex = [&](const VertexStep& v) {
-      if (!v.seed_result.empty()) {
-        tables_[v.seed_result].read_since_write = true;
+    for (const auto& [v, type] : analyzer.vertex_steps()) {
+      if (!v->seed_result.empty()) {
+        tables_[v->seed_result].read_since_write = true;
       }
-      if (v.variant || v.type_name.empty()) return;
-      if (const VertexMeta* meta = catalog_.find_vertex(v.type_name)) {
+      if (const VertexMeta* meta = catalog_.find_vertex(type)) {
         source_tables.insert(meta->source_table);
-      }
-    };
-    for (const auto& and_group : stmt.or_groups) {
-      for (const auto& path : and_group) {
-        for (const auto& el : path.elements) {
-          if (const auto* v = std::get_if<VertexStep>(&el)) {
-            visit_vertex(*v);
-          } else if (const auto* g = std::get_if<PathGroup>(&el)) {
-            for (const auto& bel : g->body) {
-              if (const auto* bv = std::get_if<VertexStep>(&bel)) {
-                visit_vertex(*bv);
-              }
-            }
-          }
-        }
       }
     }
     for (const auto& table : source_tables) {
@@ -1491,6 +1398,13 @@ std::vector<std::string> MetaCatalog::edge_names() const {
   std::vector<std::string> out;
   out.reserve(edges_.size());
   for (const auto& [name, meta] : edges_) out.push_back(name);
+  return out;
+}
+
+std::vector<std::string> MetaCatalog::vertex_names() const {
+  std::vector<std::string> out;
+  out.reserve(vertices_.size());
+  for (const auto& [name, meta] : vertices_) out.push_back(name);
   return out;
 }
 

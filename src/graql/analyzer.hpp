@@ -99,6 +99,10 @@ class MetaCatalog {
   /// over these).
   std::vector<std::string> edge_names() const;
 
+  /// All declared vertex type names (the types a variant `[ ]` step may
+  /// match).
+  std::vector<std::string> vertex_names() const;
+
  private:
   std::map<std::string, storage::Schema> tables_;
   std::map<std::string, VertexMeta> vertices_;

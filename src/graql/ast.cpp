@@ -328,19 +328,46 @@ StepNames::StepNames(const std::vector<PathPattern>& and_group) {
       if (const auto* e = std::get_if<EdgeStep>(&el)) edge = e;
       const auto* v = std::get_if<VertexStep>(&el);
       if (v == nullptr) continue;  // a regex group's interior: no names
+      order.emplace(v, order.size());
       auto ref = labels.find(v->type_name);
       if (v->variant || !v->seed_result.empty() || ref == labels.end()) {
         add_step(*v, false);
-      } else if (v->label_kind != LabelKind::kNone) {
+      } else {
         // A label reference revisits its step; only its own label is new.
-        const NamedStep step{v, ref->second.is_edge, ref->second.type};
-        labels.emplace(v->label, step);
-        add(v->label, step, "");
+        refs.emplace(v, ref->second);
+        if (v->label_kind != LabelKind::kNone) {
+          const NamedStep step{v, ref->second.is_edge, ref->second.type};
+          labels.emplace(v->label, step);
+          add(v->label, step, "");
+        }
       }
-      if (edge != nullptr) add_step(*edge, true);
+      if (edge != nullptr) {
+        order.emplace(edge, order.size());
+        add_step(*edge, true);
+      }
       edge = nullptr;
     }
   }
+}
+
+Result<relational::Slot> StepScope::resolve(std::string_view qualifier,
+                                            std::string_view column) const {
+  if (qualifier.empty() || qualifier == self_name_ ||
+      (!self_label_.empty() && qualifier == self_label_)) {
+    return slot_(self_, column);
+  }
+  // A step outside the order (an edge step no vertex step follows, which
+  // only a malformed path has) sees itself alone.
+  const auto it = names_.steps.find(qualifier);
+  const auto self = names_.order.find(self_.ast);
+  if (it == names_.steps.end() || self == names_.order.end() ||
+      names_.order.at(it->second.ast) > self->second) {
+    return not_found("unknown qualifier '" + std::string(qualifier) +
+                     "' in step condition (a condition may name its own "
+                     "step and the steps before it in its and-group, "
+                     "outside regex groups)");
+  }
+  return slot_(it->second, column);
 }
 
 GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
@@ -461,6 +488,36 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
     if (error.status.is_ok()) continue;
     error.target = &target;
     out.errors.push_back(std::move(error));
+  }
+  return out;
+}
+
+SubgraphTargets subgraph_targets(const GraphQueryStmt& stmt) {
+  const std::vector<StepNames> groups(stmt.or_groups.begin(),
+                                      stmt.or_groups.end());
+  SubgraphTargets out;
+  out.steps.resize(groups.size());
+  for (const SelectTarget& target : stmt.targets) {
+    out.star |= target.star;
+    bool named = target.star;
+    for (std::size_t g = 0; g < groups.size() && !target.star; ++g) {
+      const auto it = groups[g].steps.find(target.qualifier);
+      if (it == groups[g].steps.end()) continue;
+      out.steps[g].push_back(it->second.ast);
+      named = true;
+    }
+    if (!named) {
+      out.errors.push_back(
+          {&target, DiagCode::kUnknownName,
+           not_found("select target '" + target.qualifier +
+                     "' does not name a step or label of this query")});
+    } else if (!target.column.empty()) {
+      out.errors.push_back(
+          {&target, DiagCode::kBadStructure,
+           invalid_argument("attribute selections ('" + target.qualifier +
+                            "." + target.column +
+                            "') require 'into table'")});
+    }
   }
   return out;
 }

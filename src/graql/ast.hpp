@@ -21,6 +21,7 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -232,16 +233,59 @@ struct NamedStep {
 };
 
 /// The names one and-group's steps register, path by path, a vertex step
-/// before the edge step that reaches it: its display name (its label,
-/// else its type name), then a labeled step's type name; a label
-/// reference only a label of its own. The first registration wins;
-/// regex-group interiors and `_` names register none.
+/// before the edge step that reaches it (the lowering order): its display
+/// name (its label, else its type name), then a labeled step's type name;
+/// a label reference only a label of its own. The first registration wins;
+/// regex-group interiors and `_` names register none. A vertex step whose
+/// type name is a label registered before it is a label reference.
 struct StepNames {
   explicit StepNames(const std::vector<PathPattern>& and_group);
 
-  std::map<std::string, NamedStep> steps;
+  std::map<std::string, NamedStep, std::less<>> steps;
   std::vector<std::string> shown;  // display names that won, in order
   bool variant = false;            // a variant step outside regex groups
+  // Each VertexStep and EdgeStep outside regex groups -> its place in the
+  // lowering order.
+  std::map<const void*, std::size_t> order;
+  // Each label reference -> the step its label names.
+  std::map<const void*, NamedStep> refs;
+};
+
+/// The slot of `column` of `step`: the analyzer's from the catalog, the
+/// lowering's from the live graph.
+using StepSlot = std::function<Result<relational::Slot>(
+    const NamedStep& step, std::string_view column)>;
+
+/// The binding scope of the condition of `step`, a VertexStep or EdgeStep of
+/// the and-group `names` describes, for the analyzer and the lowering
+/// alike. Bare columns and the step's own type name or label address the
+/// step (a label reference: as the step its label names); any other name
+/// addresses the step `names` gives it when that step comes before `step`
+/// in the lowering order, and nothing otherwise.
+class StepScope final : public relational::Scope {
+ public:
+  template <typename Step>
+  StepScope(const StepNames& names, const Step& step, StepSlot slot)
+      : names_(names),
+        self_{&step, std::is_same_v<Step, EdgeStep>,
+              step.variant ? "" : step.type_name},
+        self_name_(step.type_name),
+        self_label_(step.label),
+        slot_(std::move(slot)) {
+    if (const auto ref = names.refs.find(&step); ref != names.refs.end()) {
+      self_.type = ref->second.type;
+    }
+  }
+
+  Result<relational::Slot> resolve(std::string_view qualifier,
+                                   std::string_view column) const override;
+
+ private:
+  const StepNames& names_;
+  NamedStep self_;
+  std::string_view self_name_;
+  std::string_view self_label_;
+  StepSlot slot_;
 };
 
 /// A vertex type's source-table schema or an edge type's attribute-table
@@ -282,5 +326,16 @@ struct GraphOutputs {
 /// unique by a numbered suffix.
 GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
                                  const StepAttrs& attrs_of);
+
+/// The steps an `into subgraph` statement selects, for the analyzer and the
+/// executor alike: `*`, and per or-group g the step (by identity) each
+/// target names in g's StepNames. One error per target that names a step
+/// of no or-group or selects an attribute.
+struct SubgraphTargets {
+  bool star = false;
+  std::vector<std::vector<const void*>> steps;  // per or-group
+  std::vector<GraphTargetError> errors;
+};
+SubgraphTargets subgraph_targets(const GraphQueryStmt& stmt);
 
 }  // namespace gems::graql

@@ -1,5 +1,8 @@
 #include "relational/bound_expr.hpp"
 
+#include <algorithm>
+#include <optional>
+
 #include "relational/expr_rules.hpp"
 
 namespace gems::relational {
@@ -9,19 +12,59 @@ using storage::Value;
 
 Result<Slot> TableScope::resolve(std::string_view qualifier,
                                  std::string_view column) const {
-  if (!qualifier.empty() && qualifier != alias_ &&
-      qualifier != table_.name()) {
+  if (!qualifier.empty() && qualifier != alias_ && qualifier != name_) {
     return not_found("unknown qualifier '" + std::string(qualifier) +
-                     "' (expected '" + table_.name() + "'" +
+                     "' (expected '" + name_ + "'" +
                      (alias_.empty() ? "" : " or alias '" + alias_ + "'") +
                      ")");
   }
-  auto idx = table_.schema().find(column);
+  auto idx = schema_.find(column);
   if (!idx) {
-    return not_found("table '" + table_.name() + "' has no column '" +
+    return not_found("table '" + name_ + "' has no column '" +
                      std::string(column) + "'");
   }
-  return Slot{0, *idx, table_.schema().column(*idx).type};
+  return Slot{0, *idx, schema_.column(*idx).type};
+}
+
+Result<Slot> MultiSourceScope::resolve(std::string_view qualifier,
+                                       std::string_view column) const {
+  auto slot = [&](std::size_t s, storage::ColumnIndex col) {
+    return Slot{static_cast<std::uint16_t>(s), col,
+                schemas_[s]->column(col).type};
+  };
+  if (qualifier.empty()) {
+    // Bare column: unique across all sources or ambiguous.
+    std::optional<Slot> found;
+    for (std::size_t s = 0; s < schemas_.size(); ++s) {
+      auto col = schemas_[s]->find(column);
+      if (!col) continue;
+      if (found) {
+        return type_error("column '" + std::string(column) +
+                          "' is ambiguous across the edge's tables; "
+                          "qualify it");
+      }
+      found = slot(s, *col);
+    }
+    if (!found) {
+      return not_found("no edge source has a column '" +
+                       std::string(column) + "'");
+    }
+    return *found;
+  }
+  for (std::size_t s = 0; s < schemas_.size(); ++s) {
+    const auto& quals = qualifiers_[s];
+    if (std::find(quals.begin(), quals.end(), qualifier) == quals.end()) {
+      continue;
+    }
+    auto col = schemas_[s]->find(column);
+    if (!col) {
+      return not_found("'" + std::string(qualifier) + "' has no column '" +
+                       std::string(column) + "'");
+    }
+    return slot(s, *col);
+  }
+  return not_found("unknown qualifier '" + std::string(qualifier) +
+                   "' in edge declaration");
 }
 
 namespace {

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -104,19 +105,40 @@ class Scope {
                                std::string_view column) const = 0;
 };
 
-/// Scope over a single table; bare columns and `alias.column` both resolve
-/// into source 0.
+/// Scope over one source named `name`: bare columns and columns qualified
+/// by the name or the alias all resolve into source 0.
 class TableScope : public Scope {
  public:
+  TableScope(const storage::Schema& schema, std::string name,
+             std::string alias = "")
+      : schema_(schema), name_(std::move(name)), alias_(std::move(alias)) {}
   explicit TableScope(const storage::Table& table, std::string alias = "")
-      : table_(table), alias_(std::move(alias)) {}
+      : TableScope(table.schema(), table.name(), std::move(alias)) {}
 
   Result<Slot> resolve(std::string_view qualifier,
                        std::string_view column) const override;
 
  private:
-  const storage::Table& table_;
+  const storage::Schema& schema_;
+  std::string name_;
   std::string alias_;
+};
+
+/// Scope over the join sources of an edge declaration: source s is
+/// addressed by any of `qualifiers[s]`, and a bare column must be in
+/// exactly one source.
+class MultiSourceScope final : public Scope {
+ public:
+  MultiSourceScope(std::span<const std::vector<std::string>> qualifiers,
+                   std::span<const storage::Schema* const> schemas)
+      : qualifiers_(qualifiers), schemas_(schemas) {}
+
+  Result<Slot> resolve(std::string_view qualifier,
+                       std::string_view column) const override;
+
+ private:
+  std::span<const std::vector<std::string>> qualifiers_;
+  std::span<const storage::Schema* const> schemas_;
 };
 
 /// Bind-time parameter assignment for %Name% placeholders (paper Figs. 6-7

@@ -406,14 +406,31 @@ Result<std::string> Database::explain_parsed(
     return it->second;
   };
 
+  std::vector<plan::StatementIo> io;
   for (std::size_t i = 0; i < script.statements.size(); ++i) {
     const graql::Statement& stmt = script.statements[i];
     const std::string rendered = graql::to_string(stmt);
     out << "-- statement " << (i + 1) << ": " << rendered.substr(0, 72)
         << (rendered.size() > 72 ? "..." : "") << "\n";
+    io.push_back(plan::analyze_io(stmt));
     const auto* q = std::get_if<graql::GraphQueryStmt>(&stmt);
     if (q == nullptr) {
       out << "   (no path plan)\n";
+      continue;
+    }
+    // After a barrier, or reading an earlier statement's result, the
+    // statement plans against state the script has yet to make.
+    std::size_t after = i;
+    for (std::size_t j = 0; j < i; ++j) {
+      if (io[j].barrier || std::ranges::find_first_of(io[i].reads,
+                                                      io[j].writes) !=
+                               io[i].reads.end()) {
+        after = j;
+      }
+    }
+    if (after < i) {
+      out << "   (planned when it runs, after statement " << (after + 1)
+          << ")\n";
       continue;
     }
     GEMS_ASSIGN_OR_RETURN(

@@ -4,14 +4,15 @@
 // dependences), multi-error collection with exact spans and stable GQL
 // codes, the byte codec, the clang-style renderer, byte-identity of the
 // net `check` verb against a local Database::check, and lint == runtime:
-// pass 2 warnings and type errors against real runs, and generated
-// constant folds against the kernels.
+// pass 2 warnings, type errors and name scopes against real runs, and
+// generated constant folds against the kernels.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <memory>
 #include <random>
 #include <sstream>
 #include <string>
@@ -21,6 +22,7 @@
 #include "common/check.hpp"
 #include "graql/analyzer.hpp"
 #include "graql/diag.hpp"
+#include "graql/ir.hpp"
 #include "graql/parser.hpp"
 #include "relational/expr_rules.hpp"
 #include "relational/operators.hpp"
@@ -380,6 +382,30 @@ TEST_F(DiagTest, LegacyWrapperReturnsFirstErrorWithStatementContext) {
   EXPECT_NE(s.message().find("NoTable"), std::string::npos);
 }
 
+TEST_F(DiagTest, ConditionOnADanglingEdgeIsReported) {
+  // The parser never ends a path with an edge step, but a decoded IR
+  // script may: its condition sees its own step alone, and the path is
+  // reported.
+  DiagnosticEngine parsed;
+  Script script = parse_script_collect(
+      "select * from graph ProductVtx() --producer(ProductVtx.id = 'p')--> "
+      "ProducerVtx() into subgraph G",
+      parsed);
+  ASSERT_FALSE(parsed.has_errors());
+  std::get<GraphQueryStmt>(script.statements[0])
+      .or_groups[0][0]
+      .elements.pop_back();
+  DiagnosticEngine diags;
+  analyze_script_collect(script, catalog_, diags);
+  const auto all = diags.take();
+  const auto unknown = with_code(all, DiagCode::kUnknownAttribute);
+  ASSERT_EQ(unknown.size(), 1u) << render_diagnostics(all, "", false);
+  EXPECT_NE(unknown[0].message.find("unknown qualifier 'ProductVtx'"),
+            std::string::npos);
+  EXPECT_EQ(with_code(all, DiagCode::kBadStructure).size(), 1u)
+      << render_diagnostics(all, "", false);
+}
+
 TEST_F(DiagTest, LexAndParseErrorsCarrySpans) {
   DiagnosticEngine diags;
   (void)parse_script_collect("select * from table Products where x ~ 1",
@@ -634,6 +660,148 @@ TEST(LintMatchesRuntime, AttributeSelectionIntoSubgraphIsRejected) {
       << run.status().to_string();
   EXPECT_EQ(first_error_status(diags.value()).code(), run.status().code())
       << render_diagnostics(diags.value(), "", false);
+}
+
+// ---- Lint == runtime: scopes ----------------------------------------------
+// Names that resolve per and-group, per regex group and per declaration.
+// A fresh database over exec_regex_test's schema for each script, since
+// the declaration probes change it; each script's first lint error must
+// carry its run's StatusCode.
+
+/// A database holding exec_regex_test's graph: a0 -ab-> b0 -ba-> a1 -ab->
+/// b1 -ba-> a2, a dead end b0 -ba-> a9, and weighted `hop` edges among A.
+std::unique_ptr<server::Database> regex_db() {
+  const std::string dir =
+      (std::filesystem::temp_directory_path() /
+       ("gems_diag_" +
+        std::string(
+            ::testing::UnitTest::GetInstance()->current_test_info()->name())))
+          .string();
+  std::filesystem::create_directories(dir);
+  std::string script =
+      "create table A(id varchar(10))\n"
+      "create table B(id varchar(10))\n"
+      "create table AB(s varchar(10), d varchar(10))\n"
+      "create table BA(s varchar(10), d varchar(10))\n"
+      "create table Hop(s varchar(10), d varchar(10), w integer)\n";
+  const std::pair<const char*, const char*> rows[] = {
+      {"A", "a0\na1\na2\na9\n"},
+      {"B", "b0\nb1\n"},
+      {"AB", "a0,b0\na1,b1\n"},
+      {"BA", "b0,a1\nb1,a2\nb0,a9\n"},
+      {"Hop", "a0,a1,1\na1,a2,5\na2,a0,1\na0,a9,9\n"}};
+  for (const auto& [table, csv] : rows) {
+    const std::string path = dir + "/" + table + ".csv";
+    std::ofstream(path) << csv;
+    script += "ingest table " + std::string(table) + " '" + path + "'\n";
+  }
+  script +=
+      "create vertex AV(id) from table A\n"
+      "create vertex BV(id) from table B\n"
+      "create edge ab with vertices (AV, BV) from table AB\n"
+      "  where AB.s = AV.id and AB.d = BV.id\n"
+      "create edge ba with vertices (BV, AV) from table BA\n"
+      "  where BA.s = BV.id and BA.d = AV.id\n"
+      "create edge hop with vertices (AV as X, AV as Y) from table Hop\n"
+      "  where Hop.s = X.id and Hop.d = Y.id\n";
+  auto db = std::make_unique<server::Database>();
+  auto built = db->run_script(script);
+  GEMS_CHECK_MSG(built.is_ok(), built.status().to_string().c_str());
+  return db;
+}
+
+struct ScopeProbe {
+  const char* what;
+  const char* script;
+  StatusCode status;  // the run's
+  DiagCode code;      // lint's first error
+
+  friend void PrintTo(const ScopeProbe& p, std::ostream* os) {
+    *os << p.what;
+  }
+};
+
+class LintMatchesRuntimeScopeTest
+    : public ::testing::TestWithParam<ScopeProbe> {};
+
+TEST_P(LintMatchesRuntimeScopeTest, FirstLintErrorIsTheRunsStatus) {
+  const ScopeProbe& probe = GetParam();
+  auto db = regex_db();
+  auto diags = db->check(probe.script);
+  ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+  auto run = db->run_script(probe.script);
+  EXPECT_EQ(run.status().code(), probe.status)
+      << probe.script << "\nrun: " << run.status().to_string();
+  const auto first = std::find_if(
+      diags->begin(), diags->end(),
+      [](const Diagnostic& d) { return d.severity == Severity::kError; });
+  ASSERT_NE(first, diags->end())
+      << probe.script << "\nlint is clean; run: " << run.status().to_string();
+  EXPECT_EQ(first->status_code, run.status().code())
+      << render_diagnostics(diags.value(), "", false);
+  EXPECT_EQ(first->code, probe.code)
+      << render_diagnostics(diags.value(), "", false);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Scopes, LintMatchesRuntimeScopeTest,
+    ::testing::Values(
+        ScopeProbe{"a qualifier names a regex group's interior",
+                   "select * from graph AV(id = 'a0') ( --ab--> BV() "
+                   "--ba--> AV() )+ --hop--> AV(BV.id = 'b0') into subgraph S",
+                   StatusCode::kNotFound, DiagCode::kUnknownAttribute},
+        ScopeProbe{"a qualifier names a step of another or-branch",
+                   "select * from graph AV(id = 'a0') --ab--> BV() or "
+                   "AV(BV.id = 'b0') --hop--> AV() into subgraph S",
+                   StatusCode::kNotFound, DiagCode::kUnknownAttribute},
+        ScopeProbe{"a label is used in another or-branch",
+                   "select * from graph def X: AV(id = 'a0') --ab--> BV() "
+                   "or X --hop--> AV() into subgraph S",
+                   StatusCode::kNotFound, DiagCode::kUnknownName},
+        ScopeProbe{"a target names only a regex group's interior",
+                   "select BV from graph AV(id = 'a0') ( --ab--> BV() "
+                   "--ba--> AV() )+ into subgraph S",
+                   StatusCode::kNotFound, DiagCode::kUnknownName},
+        ScopeProbe{"a join link compares an integer with a double",
+                   "create table P(id double)\n"
+                   "create table PQ(p integer, q varchar(10))\n"
+                   "create vertex PV(id) from table P\n"
+                   "create edge pq with vertices (PV, AV) from table PQ\n"
+                   "  where PQ.p = PV.id and PQ.q = AV.id",
+                   StatusCode::kTypeError, DiagCode::kTypeMismatch},
+        ScopeProbe{"an edge joins two endpoints and seven tables",
+                   "create edge big with vertices (AV, BV)\n"
+                   "  from table AB, BA, Hop, A, B, AB, BA\n"
+                   "  where AB.s = AV.id and AB.d = BV.id",
+                   StatusCode::kInvalidArgument, DiagCode::kBadStructure}));
+
+TEST(LintMatchesRuntime, InScriptSubgraphSeedsAsTheCommittedOne) {
+  // A variant step's types are predicted for the in-script `S.BV` seed;
+  // the one script lints clean and builds the table two scripts build.
+  const std::string first =
+      "select * from graph AV(id = 'a0') --ab--> [ ] into subgraph S\n";
+  const std::string second = "select * from graph S.BV() into table R2\n";
+  auto one = regex_db();
+  auto diags = one->check(first + second);
+  ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+  EXPECT_TRUE(first_error_status(diags.value()).is_ok())
+      << render_diagnostics(diags.value(), "", false);
+  auto run = one->run_script(first + second);
+  ASSERT_TRUE(run.is_ok()) << run.status().to_string();
+
+  auto two = regex_db();
+  ASSERT_TRUE(two->run_script(first).is_ok());
+  ASSERT_TRUE(two->run_script(second).is_ok());
+  auto bytes = [](server::Database& db) {
+    const storage::TablePtr table = db.table("R2").value();
+    std::vector<std::uint8_t> out;
+    ByteWriter w(out);
+    encode_rows(*table, 0, table->num_rows(), w);
+    return std::make_pair(table->schema().to_string(), out);
+  };
+  const auto committed = bytes(*two);
+  EXPECT_EQ(two->table("R2").value()->num_rows(), 1u);
+  EXPECT_EQ(bytes(*one), committed);
 }
 
 // ---- Generated folds --------------------------------------------------------

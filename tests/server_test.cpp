@@ -441,6 +441,32 @@ TEST(DatabaseTest, ExplainShowsPlanWithoutExecuting) {
                    .is_ok());
 }
 
+TEST(DatabaseTest, ExplainAcceptsWhatCheckAccepts) {
+  // A graph statement that reads an earlier statement's result, or follows
+  // the script's own DDL, is planned when it runs: explain names the
+  // statement it waits for instead of planning against the pinned epoch.
+  auto db = bsbm::make_populated_database(
+      bsbm::GeneratorConfig::derive(80, 23));
+  ASSERT_TRUE(db.is_ok());
+  const std::string scripts[] = {
+      "select * from graph ProductVtx(id = 'p1') --producer--> "
+      "ProducerVtx() into subgraph ExplainS\n"
+      "select * from graph ExplainS.ProducerVtx() into table ExplainR",
+      "create vertex ExplainV(id) from table Producers\n"
+      "select * from graph ExplainV() into table ExplainR",
+  };
+  for (const std::string& script : scripts) {
+    ASSERT_TRUE((*db)->check_script(script).is_ok()) << script;
+    auto plan = (*db)->explain(script);
+    ASSERT_TRUE(plan.is_ok()) << script << "\n" << plan.status().to_string();
+    EXPECT_NE(plan->find("(planned when it runs, after statement 1)"),
+              std::string::npos)
+        << *plan;
+  }
+  EXPECT_FALSE((*db)->tables().contains("ExplainR"));
+  EXPECT_FALSE((*db)->graph().find_vertex_type("ExplainV").is_ok());
+}
+
 TEST(DatabaseTest, PlannerToggleProducesSameResults) {
   // Same data, same seed: the planned run_script and the lexical-order
   // reference return the same rows.
