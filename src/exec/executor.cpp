@@ -28,7 +28,6 @@ using graql::GraphQueryStmt;
 using graql::IntoKind;
 using graql::TableQueryStmt;
 using relational::Aggregate;
-using relational::BoundExpr;
 using relational::BoundExprPtr;
 using relational::OutputColumn;
 using relational::SortKey;
@@ -375,96 +374,54 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
   // the statement returns; its tables stay on the heap (DESIGN.md §5n).
   ScratchArena scratch;
 
-  std::pmr::vector<RowIndex> rows(&scratch);
+  BoundExprPtr pred;
   if (stmt.where) {
     GEMS_ASSIGN_OR_RETURN(
-        BoundExprPtr pred,
-        relational::bind_predicate(stmt.where, scope, params, pool));
-    rows = relational::filter_rows(*source, *pred, 0, &scratch);
-  } else {
-    rows = relational::all_rows(source->num_rows(), &scratch);
+        pred, relational::bind_predicate(stmt.where, scope, params, pool));
   }
+  // Each item's expression, bound once: an output or an aggregate input.
+  std::vector<BoundExprPtr> bound(stmt.items.size());
+  std::vector<relational::MaybeType> item_types(stmt.items.size());
+  for (std::size_t i = 0; i < stmt.items.size(); ++i) {
+    if (stmt.items[i].expr == nullptr) continue;  // `*` and count(*)
+    GEMS_ASSIGN_OR_RETURN(
+        bound[i],
+        relational::bind_expr(stmt.items[i].expr, scope, params, pool));
+    item_types[i] = bound[i]->type;
+  }
+  graql::TableQueryShape shape =
+      graql::table_query_shape(stmt, source->schema(), item_types);
+  if (!shape.errors.empty()) return shape.errors.front().status;
 
-  const bool has_agg =
-      std::any_of(stmt.items.begin(), stmt.items.end(),
-                  [](const auto& i) { return i.agg != AggFunc::kNone; });
-  const bool grouped = has_agg || !stmt.group_by.empty();
+  std::pmr::vector<RowIndex> rows =
+      pred != nullptr ? relational::filter_rows(*source, *pred, 0, &scratch)
+                      : relational::all_rows(source->num_rows(), &scratch);
   const std::string out_name =
       stmt.into == IntoKind::kTable ? stmt.into_name : "result";
   const std::size_t limit =
       stmt.top_n > 0 ? stmt.top_n : relational::kNoLimit;
-  // Output names only: the operators type each column by the same rules.
-  const std::vector<relational::MaybeType> unknown_types(stmt.items.size());
-
   TablePtr out;
-  if (!grouped) {
-    // Plain selection/projection; `*` expands to all source columns.
-    GEMS_ASSIGN_OR_RETURN(
-        std::vector<graql::TableOutput> columns,
-        graql::table_query_outputs(stmt, source->schema(), unknown_types));
+  if (!shape.grouped) {
     std::vector<OutputColumn> outputs;
-    for (auto& col : columns) {
-      OutputColumn oc;
+    for (graql::TableOutput& col : shape.outputs) {
+      OutputColumn& oc = outputs.emplace_back();
       oc.name = std::move(col.name);
       if (col.item != nullptr) {
-        GEMS_ASSIGN_OR_RETURN(oc.expr, relational::bind_expr(col.item->expr,
-                                                             scope, params,
-                                                             pool));
-      } else {
-        GEMS_ASSIGN_OR_RETURN(
-            oc.expr,
-            relational::bind_expr(
-                relational::Expr::make_column(
-                    "", source->schema().column(col.source_column).name),
-                scope, params, pool));
+        oc.expr = std::move(bound[col.item - stmt.items.data()]);
+        continue;
       }
-      outputs.push_back(std::move(oc));
+      GEMS_ASSIGN_OR_RETURN(
+          oc.expr,
+          relational::bind_expr(
+              relational::Expr::make_column(
+                  "", source->schema().column(*col.source_column).name),
+              scope, params, pool));
     }
-
-    // ORDER BY names output columns, or else source columns. An output
-    // that is a bare column reference sorts as its source column, so
-    // unless a key names a computed output the source rows are sorted
-    // before projection.
-    bool order_on_output = true;
-    bool order_on_source = true;
-    std::vector<SortKey> output_keys;
-    for (const auto& ord : stmt.order_by) {
-      const auto it = std::find_if(
-          outputs.begin(), outputs.end(),
-          [&](const OutputColumn& o) { return o.name == ord.column; });
-      if (it == outputs.end()) {
-        order_on_output = false;
-      } else {
-        output_keys.push_back(
-            {static_cast<ColumnIndex>(it - outputs.begin()), ord.descending});
-      }
-      if (!source->schema().find(ord.column)) order_on_source = false;
-    }
-    if (!order_on_output && !order_on_source) {
-      return not_found("order by columns must all be output columns or all "
-                       "be source columns");
-    }
-    std::vector<SortKey> source_keys;
-    if (!order_on_output) {
-      for (const auto& ord : stmt.order_by) {
-        source_keys.push_back(
-            {*source->schema().find(ord.column), ord.descending});
-      }
-      output_keys.clear();
-    } else if (std::all_of(output_keys.begin(), output_keys.end(),
-                           [&](const SortKey& k) {
-                             return outputs[k.column].expr->kind ==
-                                    BoundExpr::Kind::kColumnRef;
-                           })) {
-      for (const SortKey& k : output_keys) {
-        source_keys.push_back(
-            {outputs[k.column].expr->slot.column, k.descending});
-      }
-      output_keys.clear();
-    }
-
     // Distinct and computed order keys read the projected values; without
     // them only the kept rows are projected.
+    const std::span<const SortKey> keys = shape.sort_keys;
+    const auto source_keys = shape.sort_source ? keys : keys.first(0);
+    const auto output_keys = shape.sort_source ? keys.first(0) : keys;
     const bool project_all = stmt.distinct || !output_keys.empty();
     relational::sort_rows(*source, rows, source_keys, &scratch,
                           project_all ? relational::kNoLimit : limit);
@@ -483,73 +440,27 @@ Result<StatementResult> table_query_core(const TableQueryStmt& stmt,
       out = relational::materialize(*projected, kept, cols, out_name);
     }
   } else {
-    // Aggregation: group the source rows by their key columns, then
-    // arrange outputs in item order.
-    std::vector<ColumnIndex> keys;
-    for (const std::string& key : stmt.group_by) {
-      GEMS_ASSIGN_OR_RETURN(relational::Slot slot, scope.resolve("", key));
-      keys.push_back(slot.column);
-    }
-    // Aggregates, named a<i> aligned with item order.
+    // Group the source rows by their key columns, one aggregate per
+    // aggregated item, then arrange the outputs in item order.
     std::vector<Aggregate> aggs;
     for (std::size_t i = 0; i < stmt.items.size(); ++i) {
-      const auto& item = stmt.items[i];
-      if (item.agg == AggFunc::kNone) {
-        if (item.star) {
-          return type_error("'*' cannot be combined with aggregation");
-        }
-        if (item.expr->kind != relational::Expr::Kind::kColumnRef ||
-            std::find(stmt.group_by.begin(), stmt.group_by.end(),
-                      item.expr->column) == stmt.group_by.end()) {
-          return type_error("select item '" + item.expr->to_string() +
-                            "' must be aggregated or listed in group by");
-        }
-        continue;
-      }
-      Aggregate agg;
-      agg.kind = graql::agg_kind(item.agg);
-      agg.output_name = "a" + std::to_string(i);
-      if (item.agg != AggFunc::kCountStar) {
-        GEMS_ASSIGN_OR_RETURN(
-            agg.input, relational::bind_expr(item.expr, scope, params, pool));
-      }
-      aggs.push_back(std::move(agg));
+      if (stmt.items[i].agg == AggFunc::kNone) continue;
+      aggs.push_back({graql::agg_kind(stmt.items[i].agg), std::move(bound[i]),
+                      "a" + std::to_string(i)});
     }
     GEMS_ASSIGN_OR_RETURN(
         TablePtr grouped_table,
-        relational::group_by(*source, rows, keys, aggs, "$grouped",
-                             &scratch));
-
-    // Output columns in item order, with user-facing names.
-    GEMS_ASSIGN_OR_RETURN(
-        std::vector<graql::TableOutput> columns,
-        graql::table_query_outputs(stmt, source->schema(), unknown_types));
+        relational::group_by(*source, rows, shape.group_keys, aggs,
+                             "$grouped", &scratch));
     std::vector<ColumnIndex> out_cols;
     std::vector<std::string> names;
-    std::size_t agg_pos = 0;
-    for (std::size_t i = 0; i < stmt.items.size(); ++i) {
-      const auto& item = stmt.items[i];
-      names.push_back(std::move(columns[i].name));
-      if (item.agg == AggFunc::kNone) {
-        // Key column: position in group_by.
-        const auto key_it = std::find(stmt.group_by.begin(),
-                                      stmt.group_by.end(), item.expr->column);
-        out_cols.push_back(static_cast<ColumnIndex>(
-            key_it - stmt.group_by.begin()));
-      } else {
-        out_cols.push_back(
-            static_cast<ColumnIndex>(stmt.group_by.size() + agg_pos));
-        ++agg_pos;
-      }
+    for (graql::TableOutput& col : shape.outputs) {
+      out_cols.push_back(col.grouped_column);
+      names.push_back(std::move(col.name));
     }
     std::vector<SortKey> sort_keys;
-    for (const auto& ord : stmt.order_by) {
-      const auto it = std::find(names.begin(), names.end(), ord.column);
-      if (it == names.end()) {
-        return not_found("order by column '" + ord.column +
-                         "' is not an output column");
-      }
-      sort_keys.push_back({out_cols[it - names.begin()], ord.descending});
+    for (const SortKey& k : shape.sort_keys) {
+      sort_keys.push_back({out_cols[k.column], k.descending});
     }
     std::pmr::vector<RowIndex> kept =
         stmt.distinct

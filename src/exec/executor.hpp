@@ -41,6 +41,8 @@ struct ExecContext {
   graph::GraphView graph;
   StringPool* pool = nullptr;  // database-wide interner (required)
   std::map<std::string, SubgraphPtr> subgraphs;
+  // Read only by execute_statement's query branch, that is by direct
+  // callers and tests; a script's statements take its own params.
   relational::ParamMap params;
 
   /// Declarations, retained so ingest can rebuild the derived graph

@@ -30,6 +30,16 @@ SourceSpan span_or(SourceSpan span, SourceSpan fallback) {
   return span.known() ? span : fallback;
 }
 
+/// Reports each error a shape derivation found at its span, else at
+/// `fallback`.
+void report_shape_errors(const std::vector<ShapeError>& errors,
+                         SourceSpan fallback, DiagnosticEngine& diags) {
+  for (const ShapeError& e : errors) {
+    diags.error(e.code, e.status.code(), span_or(e.span, fallback),
+                std::string(e.status.message()));
+  }
+}
+
 // ---- Schema-level expression typing ----------------------------------------
 // The typing rules are relational's (relational/expr_rules.hpp), the ones the
 // binder applies, and columns resolve through the scope the runtime binds
@@ -787,7 +797,7 @@ class GraphQueryAnalyzer {
     // A step whose type is unknown (already reported) reads as a step
     // without attributes; do not report it twice.
     if (diags_.error_count() != errs_before) return;
-    std::vector<GraphTargetError> errors;
+    std::vector<ShapeError> errors;
     if (stmt.into == IntoKind::kSubgraph) {
       errors = subgraph_targets(stmt).errors;
     } else {
@@ -798,10 +808,7 @@ class GraphQueryAnalyzer {
       errors = std::move(outputs.errors);
       if (errors.empty()) outputs_ = std::move(outputs.columns);
     }
-    for (const GraphTargetError& e : errors) {
-      diags_.error(e.code, e.status.code(), span_or(e.target->span, stmt.span),
-                   std::string(e.status.message()));
-    }
+    report_shape_errors(errors, stmt.span, diags_);
   }
 
   /// Pass 3: a `def`/`foreach` label nothing in its and-group references
@@ -868,88 +875,28 @@ std::optional<Schema> analyze_table_query(const TableQueryStmt& stmt,
     check_condition(stmt.where, scope, params, diags, stmt.span,
                     "the query returns no rows");
   }
-  for (const auto& col : stmt.group_by) {
-    if (!schema->find(col)) {
-      diags.error(DiagCode::kUnknownAttribute, StatusCode::kNotFound,
-                  stmt.span,
-                  "group by column '" + col + "' is not in table '" +
-                      stmt.from_table + "'");
-    }
-  }
-
-  const bool has_agg =
-      std::any_of(stmt.items.begin(), stmt.items.end(),
-                  [](const SelectItem& i) { return i.agg != AggFunc::kNone; });
-  const bool grouped = has_agg || !stmt.group_by.empty();
-
+  // The run binds each item before resolving the shape.
   std::vector<MaybeType> item_types(stmt.items.size());
   for (std::size_t i = 0; i < stmt.items.size(); ++i) {
     const SelectItem& item = stmt.items[i];
-    const SourceSpan ispan = span_or(item.span, stmt.span);
-    if (item.star) {
-      if (grouped) {
-        diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
-                    "'*' cannot be combined with aggregates or group by");
-      }
-      continue;
-    }
-    if (item.agg == AggFunc::kCountStar) continue;
+    if (item.expr == nullptr) continue;  // `*` and count(*)
     SourceSpan err_span;
     auto type = infer_type(item.expr, scope, params, &err_span);
-    if (!type.is_ok()) {
-      diags.error(expr_error_code(type.status().code()),
-                  type.status().code(), span_or(err_span, ispan),
-                  std::string(type.status().message()));
+    if (type.is_ok()) {
+      item_types[i] = *type;
       continue;
     }
-    if (item.agg != AggFunc::kNone) {
-      auto out = relational::agg_output_type(agg_kind(item.agg), *type);
-      if (!out.is_ok()) {
-        diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
-                    std::string(out.status().message()));
-        continue;
-      }
-    } else if (grouped &&
-               (item.expr->kind != Expr::Kind::kColumnRef ||
-                std::find(stmt.group_by.begin(), stmt.group_by.end(),
-                          item.expr->column) == stmt.group_by.end())) {
-      // SQL rule: non-aggregate outputs must be grouping columns.
-      diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ispan,
-                  "select item '" + item.expr->to_string() +
-                      "' must be aggregated or listed in group by");
-      continue;
-    }
-    item_types[i] = *type;
+    diags.error(expr_error_code(type.status().code()), type.status().code(),
+                span_or(err_span, span_or(item.span, stmt.span)),
+                std::string(type.status().message()));
   }
-  // Aggregate type errors were reported above, and their items pass as
-  // unknown, so deriving the outputs succeeds.
-  auto outputs = table_query_outputs(stmt, *schema, item_types);
-  GEMS_CHECK(outputs.is_ok());
+  const TableQueryShape shape = table_query_shape(stmt, *schema, item_types);
+  report_shape_errors(shape.errors, stmt.span, diags);
+  if (diags.error_count() > errs_before) return std::nullopt;
   std::vector<storage::ColumnDef> out_cols;
-  for (const TableOutput& col : outputs.value()) {
+  for (const TableOutput& col : shape.outputs) {
     out_cols.push_back({col.name, col.type.value_or(DataType::int64())});
   }
-
-  for (const auto& ord : stmt.order_by) {
-    const SourceSpan ospan = span_or(ord.span, stmt.span);
-    const bool in_output =
-        std::any_of(out_cols.begin(), out_cols.end(),
-                    [&](const auto& c) { return c.name == ord.column; });
-    if (!in_output && !schema->find(ord.column)) {
-      diags.error(DiagCode::kUnknownAttribute, StatusCode::kNotFound, ospan,
-                  "order by column '" + ord.column +
-                      "' is neither an output column nor a column of '" +
-                      stmt.from_table + "'");
-      continue;
-    }
-    if (grouped && !in_output) {
-      diags.error(DiagCode::kBadAggregate, StatusCode::kTypeError, ospan,
-                  "order by column '" + ord.column +
-                      "' must be an output column of the grouped query");
-    }
-  }
-
-  if (diags.error_count() > errs_before) return std::nullopt;
   auto out = Schema::create(std::move(out_cols));
   if (!out.is_ok()) {
     diags.error(DiagCode::kBadStructure, out.status().code(), stmt.span,

@@ -271,21 +271,44 @@ relational::AggKind agg_kind(AggFunc f) {
   return static_cast<relational::AggKind>(static_cast<int>(f) - 1);
 }
 
-Result<std::vector<TableOutput>> table_query_outputs(
+TableQueryShape table_query_shape(
     const TableQueryStmt& stmt, const storage::Schema& source,
     std::span<const relational::MaybeType> item_types) {
   GEMS_CHECK(item_types.size() == stmt.items.size());
   static constexpr const char* kAggNames[] = {"", "count", "count", "sum",
                                               "avg", "min", "max"};
+  TableQueryShape shape;
+  auto fail = [&](SourceSpan span, DiagCode code, Status status) {
+    shape.errors.push_back({span, code, std::move(status)});
+  };
+  shape.grouped =
+      !stmt.group_by.empty() ||
+      std::any_of(stmt.items.begin(), stmt.items.end(),
+                  [](const SelectItem& i) { return i.agg != AggFunc::kNone; });
+  for (const std::string& key : stmt.group_by) {
+    if (const auto c = source.find(key)) {
+      shape.group_keys.push_back(*c);
+    } else {
+      fail(stmt.span, DiagCode::kUnknownAttribute,
+           not_found("group by column '" + key + "' is not in table '" +
+                     stmt.from_table + "'"));
+    }
+  }
+
   OutputNamer namer;
-  std::vector<TableOutput> out;
   std::size_t anon = 0;
+  auto next_agg = static_cast<storage::ColumnIndex>(stmt.group_by.size());
   for (std::size_t i = 0; i < stmt.items.size(); ++i) {
     const SelectItem& item = stmt.items[i];
     if (item.star) {
+      if (shape.grouped) {
+        fail(item.span, DiagCode::kBadAggregate,
+             type_error("'*' cannot be combined with aggregates or group by"));
+      }
       for (storage::ColumnIndex c = 0; c < source.num_columns(); ++c) {
         const storage::ColumnDef& def = source.column(c);
-        out.push_back({namer.assign(def.name, ""), def.type, nullptr, c});
+        shape.outputs.push_back(
+            {namer.assign(def.name, ""), def.type, nullptr, c});
       }
       continue;
     }
@@ -294,18 +317,92 @@ Result<std::vector<TableOutput>> table_query_outputs(
     col.type = item_types[i];
     std::string name = item.alias;
     if (item.agg != AggFunc::kNone) {
-      GEMS_ASSIGN_OR_RETURN(
-          col.type, relational::agg_output_type(agg_kind(item.agg), col.type));
+      auto type = relational::agg_output_type(agg_kind(item.agg), col.type);
+      if (type.is_ok()) {
+        col.type = *type;
+      } else {
+        fail(item.span, DiagCode::kBadAggregate, type.status());
+      }
+      col.grouped_column = next_agg++;
       if (name.empty()) name = kAggNames[static_cast<int>(item.agg)];
-    } else if (name.empty()) {
-      name = item.expr->kind == relational::Expr::Kind::kColumnRef
-                 ? item.expr->column
-                 : "expr" + std::to_string(anon++);
+    } else {
+      const bool bare = item.expr->kind == relational::Expr::Kind::kColumnRef;
+      if (bare) col.source_column = source.find(item.expr->column);
+      if (name.empty()) {
+        name = bare ? item.expr->column : "expr" + std::to_string(anon++);
+      }
+      const auto& keys = stmt.group_by;
+      const auto key =
+          bare ? std::find(keys.begin(), keys.end(), item.expr->column)
+               : keys.end();
+      if (shape.grouped && key != keys.end()) {
+        col.grouped_column =
+            static_cast<storage::ColumnIndex>(key - keys.begin());
+      } else if (shape.grouped) {
+        // SQL rule: non-aggregate outputs must be grouping columns.
+        fail(item.span, DiagCode::kBadAggregate,
+             type_error("select item '" + item.expr->to_string() +
+                        "' must be aggregated or listed in group by"));
+      }
     }
     col.name = namer.assign(name, "");
-    out.push_back(std::move(col));
+    shape.outputs.push_back(std::move(col));
   }
-  return out;
+
+  // ORDER BY keys name outputs or source columns, an output first.
+  const OrderItem* unnamed = nullptr;  // the first key naming no output
+  bool all_source = true;
+  for (const OrderItem& ord : stmt.order_by) {
+    const auto out = std::find_if(
+        shape.outputs.begin(), shape.outputs.end(),
+        [&](const TableOutput& o) { return o.name == ord.column; });
+    const bool in_source = source.find(ord.column).has_value();
+    if (out == shape.outputs.end() && !in_source) {
+      fail(ord.span, DiagCode::kUnknownAttribute,
+           not_found("order by column '" + ord.column +
+                     "' is neither an output column nor a column of '" +
+                     stmt.from_table + "'"));
+      continue;
+    }
+    if (out == shape.outputs.end() && shape.grouped) {
+      fail(ord.span, DiagCode::kBadAggregate,
+           type_error("order by column '" + ord.column +
+                      "' must be an output column of the grouped query"));
+      continue;
+    }
+    all_source &= in_source;
+    if (out != shape.outputs.end()) {
+      shape.sort_keys.push_back(
+          {static_cast<storage::ColumnIndex>(out - shape.outputs.begin()),
+           ord.descending});
+    } else if (unnamed == nullptr) {
+      unnamed = &ord;
+    }
+  }
+  if (unnamed != nullptr && !all_source) {
+    fail(unnamed->span, DiagCode::kUnknownAttribute,
+         not_found("order by columns must all be output columns or all be "
+                   "source columns"));
+  }
+  if (!shape.errors.empty() || shape.grouped) return shape;
+  if (unnamed != nullptr) {
+    shape.sort_keys.clear();
+    for (const OrderItem& ord : stmt.order_by) {
+      shape.sort_keys.push_back({*source.find(ord.column), ord.descending});
+    }
+    shape.sort_source = true;
+  } else if (std::all_of(shape.sort_keys.begin(), shape.sort_keys.end(),
+                         [&](const relational::SortKey& k) {
+                           return shape.outputs[k.column]
+                               .source_column.has_value();
+                         })) {
+    // An output that is a bare column sorts as its source column.
+    for (relational::SortKey& k : shape.sort_keys) {
+      k.column = *shape.outputs[k.column].source_column;
+    }
+    shape.sort_source = true;
+  }
+  return shape;
 }
 
 StepNames::StepNames(const std::vector<PathPattern>& and_group) {
@@ -396,8 +493,8 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
   };
   OutputNamer namer;
   GraphOutputs out;
-  const GraphTargetError variant{
-      nullptr, DiagCode::kBadStructure,
+  const ShapeError variant{
+      {}, DiagCode::kBadStructure,
       type_error("variant '[ ]' steps cannot be selected into a table; use "
                  "'into subgraph'")};
   // Every attribute of the step, as the first group with attributes has
@@ -425,7 +522,7 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
     return true;
   };
   // The target's columns, or its error.
-  auto add = [&](const SelectTarget& target) -> GraphTargetError {
+  auto add = [&](const SelectTarget& target) -> ShapeError {
     if (target.star) {
       // Fig. 13: "each row has all the attributes of all entities involved
       // in the query path", which variant steps do not have in common.
@@ -445,7 +542,7 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
         steps_named(target.qualifier, false);
     if (std::count(steps.begin(), steps.end(), nullptr) ==
         static_cast<std::ptrdiff_t>(n)) {
-      return {nullptr, DiagCode::kUnknownName,
+      return {{}, DiagCode::kUnknownName,
               not_found("select target '" + target.qualifier +
                         "' does not name a step of this query")};
     }
@@ -453,7 +550,7 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
       const bool ok = expand(
           target, target.qualifier,
           target.alias.empty() ? target.qualifier : target.alias, false);
-      return ok ? GraphTargetError{} : variant;
+      return ok ? ShapeError{} : variant;
     }
     GraphOutput col{
         namer.assign(target.alias.empty() ? target.column : target.alias,
@@ -465,14 +562,14 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
       if (steps[g] == nullptr) continue;
       const storage::Schema* s = attrs(steps[g]);
       if (s == nullptr) {
-        return {nullptr, DiagCode::kTypeMismatch,
+        return {{}, DiagCode::kTypeMismatch,
                 type_error("step '" + target.qualifier +
                            "' has no attributes")};
       }
       col.step[g] = steps[g]->ast;
       col.attribute[g] = s->find(target.column);
       if (!col.attribute[g]) {
-        return {nullptr, DiagCode::kUnknownAttribute,
+        return {{}, DiagCode::kUnknownAttribute,
                 not_found("step '" + target.qualifier +
                           "' has no attribute '" + target.column + "'")};
       }
@@ -484,9 +581,9 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
   };
 
   for (const SelectTarget& target : stmt.targets) {
-    GraphTargetError error = add(target);
+    ShapeError error = add(target);
     if (error.status.is_ok()) continue;
-    error.target = &target;
+    error.span = target.span;
     out.errors.push_back(std::move(error));
   }
   return out;
@@ -508,12 +605,12 @@ SubgraphTargets subgraph_targets(const GraphQueryStmt& stmt) {
     }
     if (!named) {
       out.errors.push_back(
-          {&target, DiagCode::kUnknownName,
+          {target.span, DiagCode::kUnknownName,
            not_found("select target '" + target.qualifier +
                      "' does not name a step or label of this query")});
     } else if (!target.column.empty()) {
       out.errors.push_back(
-          {&target, DiagCode::kBadStructure,
+          {target.span, DiagCode::kBadStructure,
            invalid_argument("attribute selections ('" + target.qualifier +
                             "." + target.column +
                             "') require 'into table'")});

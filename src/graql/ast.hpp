@@ -30,6 +30,7 @@
 #include "graql/token.hpp"
 #include "relational/expr.hpp"
 #include "relational/expr_rules.hpp"
+#include "relational/operators.hpp"
 #include "storage/schema.hpp"
 
 namespace gems::graql {
@@ -204,23 +205,56 @@ std::string to_string(const PathPattern& path);
 /// lists the aggregates in relational::AggKind's order after kNone.
 relational::AggKind agg_kind(AggFunc f);
 
+/// An error a shape derivation found: the run's Status, and the span and
+/// code the analyzer reports it under.
+struct ShapeError {
+  SourceSpan span;
+  DiagCode code = DiagCode::kUnknownName;
+  Status status;
+};
+
 /// One output column of a table query. `item` is null for a column that
-/// `*` expanded from source column `source_column`.
+/// `*` expanded. `source_column` is the source column a `*` column or a
+/// bare column item reads; `grouped_column` is a grouped query's output's
+/// column of the grouped table, whose columns are the group keys and then
+/// one aggregate per aggregated item.
 struct TableOutput {
   std::string name;
   relational::MaybeType type;
   const SelectItem* item = nullptr;
-  storage::ColumnIndex source_column = 0;
+  std::optional<storage::ColumnIndex> source_column;
+  storage::ColumnIndex grouped_column = 0;
 };
 
-/// The output columns of `stmt` over `source`, in select-item order with
-/// `*` expanded: the one derivation of a table query's output names and
-/// types, used by the analyzer and the executor. `item_types[i]` is the
-/// type of item i's expression (an aggregate's input), or unknown; it is
-/// ignored for `*` and count(*). A name is the alias, else the column, the
-/// aggregate or `exprN`, made unique by a numbered suffix. An aggregate's
-/// type is relational::agg_output_type's, whose errors are returned.
-Result<std::vector<TableOutput>> table_query_outputs(
+/// A table query resolved against its source table.
+struct TableQueryShape {
+  std::vector<TableOutput> outputs;  // in select-item order, `*` expanded
+  bool grouped = false;              // an aggregate or a group by
+  std::vector<storage::ColumnIndex> group_keys;  // source columns
+  // Source columns, sorted before projection, when `sort_source`; else
+  // indices of `outputs`.
+  std::vector<relational::SortKey> sort_keys;
+  bool sort_source = false;
+  std::vector<ShapeError> errors;
+};
+
+/// The shape of `stmt` over `source`: the one derivation of a table
+/// query's outputs, grouping and ordering, and of their errors, used by
+/// the analyzer and the executor. `item_types[i]` is the type of item i's
+/// expression (an aggregate's input), or unknown; it is ignored for `*`
+/// and count(*).
+///
+/// An output's name is the alias, else the column, the aggregate or
+/// `exprN`, made unique by a numbered suffix; an aggregate's type is
+/// relational::agg_output_type's (GQL0202 on its error). A group-by
+/// column must be a source column (GQL0103). A grouped query takes no `*`
+/// and no item that is neither aggregated nor a group-by column
+/// (GQL0202). An ORDER BY key names an output or a source column
+/// (GQL0103); in a grouped query, an output (GQL0202). Otherwise the keys
+/// are all outputs or all source columns (GQL0103 at the first key that
+/// names no output). Source keys, and output keys that all name a `*`
+/// column or a bare column item, sort the source rows before projection.
+TableQueryShape table_query_shape(
     const TableQueryStmt& stmt, const storage::Schema& source,
     std::span<const relational::MaybeType> item_types);
 
@@ -304,18 +338,11 @@ struct GraphOutput {
   std::vector<std::optional<storage::ColumnIndex>> attribute;
 };
 
-/// A select target that yields no table columns: the run's Status and
-/// the code the analyzer reports it under.
-struct GraphTargetError {
-  const SelectTarget* target = nullptr;
-  DiagCode code = DiagCode::kUnknownName;
-  Status status;
-};
-
-/// A graph query's table columns, or one error per bad target.
+/// A graph query's table columns, or one error per bad target, at the
+/// target's span.
 struct GraphOutputs {
   std::vector<GraphOutput> columns;
-  std::vector<GraphTargetError> errors;
+  std::vector<ShapeError> errors;
 };
 
 /// A graph query's table columns from the AST and `attrs_of`, for the
@@ -334,7 +361,7 @@ GraphOutputs graph_query_outputs(const GraphQueryStmt& stmt,
 struct SubgraphTargets {
   bool star = false;
   std::vector<std::vector<const void*>> steps;  // per or-group
-  std::vector<GraphTargetError> errors;
+  std::vector<ShapeError> errors;
 };
 SubgraphTargets subgraph_targets(const GraphQueryStmt& stmt);
 

@@ -257,6 +257,8 @@ class Parser {
     bool distinct = false;
     if (accept_keyword("top")) {
       if (!check(TokenKind::kInt)) return error("expected a count after 'top'");
+      // A top_n of 0 means "no top", so the count must be at least 1.
+      if (peek().ival < 1) return error("'top' needs a count of at least 1");
       top_n = static_cast<std::uint64_t>(advance().ival);
     }
     if (accept_keyword("distinct")) distinct = true;

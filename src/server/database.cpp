@@ -501,10 +501,6 @@ Result<std::vector<StatementResult>> Database::run_parsed(
     GEMS_RETURN_IF_ERROR(store_status());
     MetaCatalog meta = meta_catalog_from(ctx_);
     GEMS_RETURN_IF_ERROR(graql::analyze_script(script, meta, &params));
-    // Skip the ParamMap copy when both maps are empty (the common
-    // no-params case); when the previous script bound params, assignment
-    // also clears them.
-    if (!params.empty() || !ctx_.params.empty()) ctx_.params = params;
     auto results =
         plan::run_scheduled(script, schedule, ctx_, params, overlay, &ctx_);
     // Publish the post-script state as a new epoch — also on error: the

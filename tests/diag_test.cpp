@@ -804,6 +804,86 @@ TEST(LintMatchesRuntime, InScriptSubgraphSeedsAsTheCommittedOne) {
   EXPECT_EQ(bytes(*one), committed);
 }
 
+// ---- Lint == runtime: table statements ------------------------------------
+// Each table statement is linted, run through the database (which lints
+// first) and executed directly on a pinned epoch with no analysis. All
+// three must agree with the probe's StatusCode, and the lint's first error
+// must carry the probe's GQL code.
+
+struct TableProbe {
+  const char* what;
+  const char* query;
+  StatusCode status;
+  DiagCode code;
+
+  friend void PrintTo(const TableProbe& p, std::ostream* os) {
+    *os << p.what;
+  }
+};
+
+class LintMatchesRuntimeTableTest
+    : public ::testing::TestWithParam<TableProbe> {};
+
+TEST_P(LintMatchesRuntimeTableTest, FirstLintErrorIsEveryRunsStatus) {
+  const TableProbe& probe = GetParam();
+  auto diags = shared_db().check(probe.query);
+  ASSERT_TRUE(diags.is_ok()) << diags.status().to_string();
+  const auto first = std::find_if(
+      diags->begin(), diags->end(),
+      [](const Diagnostic& d) { return d.severity == Severity::kError; });
+  ASSERT_NE(first, diags->end()) << probe.query << "\nlint is clean";
+  EXPECT_EQ(first->status_code, probe.status)
+      << render_diagnostics(diags.value(), "", false);
+  EXPECT_EQ(first->code, probe.code)
+      << render_diagnostics(diags.value(), "", false);
+
+  auto run = shared_db().run_script(probe.query);
+  EXPECT_EQ(run.status().code(), probe.status)
+      << probe.query << "\nrun: " << run.status().to_string();
+
+  auto script = parse_script(probe.query);
+  ASSERT_TRUE(script.is_ok()) << script.status().to_string();
+  ASSERT_EQ(script->statements.size(), 1u);
+  const mvcc::EpochPin pin = shared_db().pin_epoch();
+  const relational::ParamMap params;
+  auto direct = exec::execute_statement_read(script->statements[0],
+                                             {&pin.ctx(), &params, nullptr});
+  EXPECT_EQ(direct.status().code(), probe.status)
+      << probe.query << "\ndirect: " << direct.status().to_string();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Tables, LintMatchesRuntimeTableTest,
+    ::testing::Values(
+        TableProbe{"order by keys mix an output and a source column",
+                   "select id as x, label from table Products "
+                   "order by x, comment",
+                   StatusCode::kNotFound, DiagCode::kUnknownAttribute},
+        TableProbe{"a grouped query orders by a source column",
+                   "select country, count(*) as n from table Producers "
+                   "group by country order by id",
+                   StatusCode::kTypeError, DiagCode::kBadAggregate},
+        TableProbe{"a grouped query orders by an aliased group key",
+                   "select country as c, count(*) as n from table Producers "
+                   "group by country order by country",
+                   StatusCode::kTypeError, DiagCode::kBadAggregate},
+        TableProbe{"'*' beside an aggregate",
+                   "select *, count(*) as n from table Producers",
+                   StatusCode::kTypeError, DiagCode::kBadAggregate},
+        TableProbe{"a non-aggregated item that is no group key",
+                   "select id, count(*) as n from table Producers "
+                   "group by country",
+                   StatusCode::kTypeError, DiagCode::kBadAggregate},
+        TableProbe{"a group by column that is not in the table",
+                   "select count(*) as n from table Producers group by nope",
+                   StatusCode::kNotFound, DiagCode::kUnknownAttribute},
+        TableProbe{"an order by key that names nothing",
+                   "select id from table Products order by nope",
+                   StatusCode::kNotFound, DiagCode::kUnknownAttribute},
+        TableProbe{"sum over a string column",
+                   "select sum(label) as s from table Products",
+                   StatusCode::kTypeError, DiagCode::kBadAggregate}));
+
 // ---- Generated folds --------------------------------------------------------
 // Random constant conditions over int64 extremes, int/double mixes, NaN,
 // infinities, dates, strings, NULL, division by zero and overflow. The lint

@@ -308,6 +308,25 @@ TEST(ParserTest, GraphQueryRejectsAggregates) {
           .is_ok());
 }
 
+TEST(ParserTest, TopNeedsACountOfAtLeastOne) {
+  // top_n 0 means "no top": `top 0` would return every row, and a graph
+  // query would slip past the table-only check.
+  for (const char* text :
+       {"select top 0 id from table Products",
+        "select top 0 * from graph A() into table T"}) {
+    auto stmt = parse_statement(text);
+    ASSERT_FALSE(stmt.is_ok()) << text;
+    EXPECT_EQ(stmt.status().code(), StatusCode::kParseError) << text;
+    EXPECT_NE(stmt.status().message().find(
+                  "'top' needs a count of at least 1"),
+              std::string::npos)
+        << stmt.status().to_string();
+  }
+  auto one = parse_statement("select top 1 id from table Products");
+  ASSERT_TRUE(one.is_ok()) << one.status().to_string();
+  EXPECT_EQ(std::get<TableQueryStmt>(*one).top_n, 1u);
+}
+
 // ---- Parser: table queries (Fig. 6 second half, Table I) ---------------------
 
 TEST(ParserTest, BerlinQuery2TableStage) {

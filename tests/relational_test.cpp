@@ -1150,9 +1150,10 @@ TablePtr old_pipeline(const graql::TableQueryStmt& stmt, const Table& src,
     GEMS_CHECK(bound.is_ok());
     return std::move(bound).value();
   };
-  auto columns = graql::table_query_outputs(
+  const auto shape = graql::table_query_shape(
       stmt, src.schema(), std::vector<MaybeType>(stmt.items.size()));
-  GEMS_CHECK(columns.is_ok());
+  GEMS_CHECK(shape.errors.empty());
+  const std::vector<graql::TableOutput>* columns = &shape.outputs;
   const bool grouped =
       !stmt.group_by.empty() ||
       std::any_of(stmt.items.begin(), stmt.items.end(), [](const auto& i) {
@@ -1167,7 +1168,7 @@ TablePtr old_pipeline(const graql::TableQueryStmt& stmt, const Table& src,
           {c.name, bind(c.item != nullptr
                             ? c.item->expr
                             : Expr::make_column(
-                                  "", src.schema().column(c.source_column)
+                                  "", src.schema().column(*c.source_column)
                                           .name))});
     }
     bool on_output = true;

@@ -126,6 +126,27 @@ TEST(DatabaseTest, ParamsFlowThroughPipeline) {
                    .is_ok());
 }
 
+TEST(DatabaseTest, WriterScriptQueryBindsItsParams) {
+  // A mutating script's queries take the script's own params, as a
+  // read-only script's do.
+  auto db = bsbm::make_populated_database(bsbm::GeneratorConfig::derive(60, 3));
+  ASSERT_TRUE(db.is_ok()) << db.status().to_string();
+  relational::ParamMap params;
+  params.emplace("Min", Value::float64(2000.0));
+  const std::string count =
+      "select count(*) as n from table Offers where price > %Min%";
+  auto read = (*db)->run_script(count, params);
+  ASSERT_TRUE(read.is_ok()) << read.status().to_string();
+  auto write = (*db)->run_script(
+      "create table ParamMarker(id varchar(10))\n" + count, params);
+  ASSERT_TRUE(write.is_ok()) << write.status().to_string();
+  const std::int64_t n = read->back().table->column(0).int64_at(0);
+  EXPECT_EQ(write->back().table->column(0).int64_at(0), n);
+  EXPECT_GT(n, 0);
+  EXPECT_LT(static_cast<std::size_t>(n),
+            (*(*db)->table("Offers"))->num_rows());
+}
+
 TEST(DatabaseTest, SessionCarriesParams) {
   auto db = bsbm::make_populated_database(bsbm::GeneratorConfig::derive(60, 3));
   ASSERT_TRUE(db.is_ok());
